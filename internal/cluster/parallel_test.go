@@ -6,6 +6,7 @@ import (
 
 	"qap/internal/core"
 	"qap/internal/netgen"
+	"qap/internal/obs/trace"
 	"qap/internal/optimizer"
 )
 
@@ -293,3 +294,36 @@ func benchRun(b *testing.B, collect bool) {
 
 func BenchmarkRunStatsDisabled(b *testing.B) { benchRun(b, false) }
 func BenchmarkRunStatsEnabled(b *testing.B)  { benchRun(b, true) }
+
+// TestJoinOutputCrossesIslandAsBatch: a leaf-hosted join whose consumer
+// is central hands each call's joined rows to the capture as one batch.
+// The parallel engine must then ship fewer link items than rows and
+// still reproduce the sequential engine's rows, OpStats and canonical
+// trace byte for byte, on the row-batched and the columnar path.
+func TestJoinOutputCrossesIslandAsBatch(t *testing.T) {
+	const jitterPairs = `
+query jitter_pairs:
+SELECT S1.time, S1.srcIP, S1.destIP, S2.time - S1.time AS delay
+FROM TCP S1, TCP S2
+WHERE S1.time/60 = S2.time/60 AND S1.srcIP = S2.srcIP AND S1.destIP = S2.destIP
+  AND S1.srcPort = S2.srcPort AND S1.destPort = S2.destPort AND S1.seq + 1 = S2.seq`
+	tr := smallTrace(t)
+	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
+	ps := core.MustParseSet("srcIP, destIP, srcPort, destPort")
+	o := optimizer.Options{Hosts: 4, PartitionsPerHost: 2}
+	for _, columnar := range []bool{false, true} {
+		cfg := RunConfig{
+			Costs: DefaultCosts(), Params: testParams, Workers: 1, BatchSize: 256,
+			Columnar: columnar, CollectStats: true, Trace: &trace.Config{},
+		}
+		want := runEngine(t, jitterPairs, ps, o, streams, cfg)
+		cfg.Workers = 4
+		got := runEngine(t, jitterPairs, ps, o, streams, cfg)
+		sameResult(t, want, got)
+		sameTrace(t, want, got)
+		rows, items := int64(len(got.Outputs["jitter_pairs"])), got.Report.Timing.LinkItems
+		if rows == 0 || items == 0 || items >= rows {
+			t.Errorf("columnar=%v: %d joined rows crossed in %d link items; want fewer items than rows", columnar, rows, items)
+		}
+	}
+}

@@ -1705,8 +1705,12 @@ func (r *Runner) epochOfWM(lin plan.Lineage) (func(uint64) sqlval.Value, error) 
 	if err != nil {
 		return nil, err
 	}
+	// One scratch tuple per instantiated closure: each belongs to one
+	// operator instance, and operators are single-writer per island.
+	scratch := make(exec.Tuple, 1)
 	return func(wm uint64) sqlval.Value {
-		return f(exec.Tuple{sqlval.Uint(wm)})
+		scratch[0] = sqlval.Uint(wm)
+		return f(scratch)
 	}, nil
 }
 

@@ -984,7 +984,8 @@ func (s *JoinSideConfig) colKeysReady() bool {
 // PushCols implements ColConsumer. The join stores tuples either way,
 // so the batch always pivots to durable rows; what vectorizes is the
 // key evaluation — whole-column kernels instead of one closure tree
-// per tuple — before each row runs the ordinary build/probe.
+// per tuple — before each row runs the ordinary build/probe. The
+// batch's joined rows go downstream as one row batch.
 //
 //qap:hot
 func (p *joinPort) PushCols(cb *ColBatch) {
@@ -994,10 +995,8 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 	j := p.j
 	b := cb.AppendRows(GetBatch())
 	side := &j.cfg.Left
-	myTab, otherTab := j.leftTab, j.rightTab
 	if !p.left {
 		side = &j.cfg.Right
-		myTab, otherTab = j.rightTab, j.leftTab
 	}
 	if cb.AllUint() && side.colKeysReady() {
 		kvs := j.colKeyVecs[:0]
@@ -1011,12 +1010,13 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 				vals = append(vals, sqlval.Uint(kv[i]))
 			}
 			j.valsBuf = vals
-			j.probeInsert(t, p.left, side, myTab, otherTab, vals)
+			j.probeInsert(t, p.left, vals)
 		}
 	} else {
 		for _, t := range b {
-			j.pushFast(t, p.left)
+			j.pushRow(t, p.left)
 		}
 	}
 	PutBatch(b)
+	j.deliver()
 }

@@ -3,7 +3,7 @@ package exec
 import (
 	"bytes"
 	"slices"
-	"sort"
+	"strings"
 
 	"qap/internal/gsql"
 	"qap/internal/sqlval"
@@ -948,47 +948,100 @@ type JoinConfig struct {
 	Out   Consumer
 }
 
+// joinEntry is one stored tuple. Same-key entries of a pane chain
+// through next in insertion order; a chain's head also holds the
+// chain's tail, so an append never walks it.
 type joinEntry struct {
 	key     string
 	tuple   Tuple
-	tkey    sqlval.Value
+	next    int32 // next same-key entry, -1 at the end of the chain
+	tail    int32 // on a chain head: the chain's last entry
 	matched bool
 }
 
-// Join is the symmetric hash join: each arriving tuple probes the
-// opposite side's table and emits matches immediately, then is
-// inserted into its own side's table. Watermarks evict entries that
-// can no longer match, emitting outer-join padding for unmatched rows.
-type Join struct {
-	cfg        JoinConfig
-	leftTab    map[string][]*joinEntry
-	rightTab   map[string][]*joinEntry
-	leftPort   joinPort
-	rightPort  joinPort
-	lastWM     uint64
-	wmSeen     bool
-	flushCount int
-	flushed    bool
+// joinPane is one side's state for one temporal-key value: a hash
+// table from encoded key to chain head over an insertion-ordered entry
+// slab. Expiry drops the pane whole.
+type joinPane struct {
+	tkey    sqlval.Value
+	heads   map[string]int32
+	entries []joinEntry
+}
 
-	// Batched-path scratch: key values, key encoding, and the combined
-	// probe row are reused per tuple; entries carve from a slab. The
-	// combined scratch is safe because Residual and emit only read it —
-	// the projected output row is a fresh allocation.
-	valsBuf   []sqlval.Value
-	keyBuf    []byte
-	combBuf   Tuple
-	entrySlab []joinEntry
+// joinSide is one input's panes in ascending tkey order — normally one
+// or two are live. last is the pane the previous lookup resolved; free
+// holds dropped panes, whose map and slab the next epoch reuses.
+type joinSide struct {
+	panes []*joinPane
+	last  *joinPane
+	free  []*joinPane
+}
+
+func comparePane(p *joinPane, tkey sqlval.Value) int { return p.tkey.Compare(tkey) }
+
+// pane returns the side's pane for tkey: the last one resolved, else by
+// binary search. When there is none it returns nil, or with open set
+// opens one, recycling a dropped pane if any.
+//
+//qap:hot
+func (s *joinSide) pane(tkey sqlval.Value, open bool) *joinPane {
+	if p := s.last; p != nil && p.tkey.Compare(tkey) == 0 {
+		return p
+	}
+	i, ok := slices.BinarySearchFunc(s.panes, tkey, comparePane)
+	if !ok {
+		if !open {
+			return nil
+		}
+		var p *joinPane
+		if n := len(s.free); n > 0 {
+			p, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			p = &joinPane{heads: make(map[string]int32)} //qap:allow hotalloc -- once per concurrently live pane, then recycled
+		}
+		p.tkey = tkey
+		s.panes = slices.Insert(s.panes, i, p)
+	}
+	s.last = s.panes[i]
+	return s.last
+}
+
+// Join is the symmetric hash join: each arriving tuple probes the
+// opposite side's pane for its temporal key and is then inserted into
+// its own side's pane. Watermarks drop the panes that can no longer
+// match, emitting outer-join padding for unmatched rows.
+type Join struct {
+	cfg         JoinConfig
+	left, right joinSide
+	stored      int
+	leftPort    joinPort
+	rightPort   joinPort
+	lastWM      uint64
+	wmSeen      bool
+	flushCount  int
+	flushed     bool
+
+	// Scratch reused per tuple: key values, key encoding, and the
+	// combined probe row, which Residual and Projs only read. nulls is
+	// the wider side's worth of NULLs for outer-join padding.
+	valsBuf []sqlval.Value
+	keyBuf  []byte
+	combBuf Tuple
+	nulls   Tuple
+	// Output rows are projected into outVals, a chunked slab they keep
+	// for good, and wait in outBuf until the call that produced them
+	// delivers them.
+	outVals []sqlval.Value
+	outBuf  Batch
+	// padIdx collects a dropped pane's unmatched entries.
+	padIdx []int32
 	// Columnar-path scratch (colops.go): per-batch key vectors.
 	colKeyVecs [][]uint64
 }
 
 // NewJoin builds the operator.
 func NewJoin(cfg JoinConfig) *Join {
-	j := &Join{
-		cfg:      cfg,
-		leftTab:  make(map[string][]*joinEntry),
-		rightTab: make(map[string][]*joinEntry),
-	}
+	j := &Join{cfg: cfg, nulls: make(Tuple, max(cfg.Left.Width, cfg.Right.Width))}
 	j.leftPort = joinPort{j: j, left: true}
 	j.rightPort = joinPort{j: j}
 	return j
@@ -1005,127 +1058,131 @@ type joinPort struct {
 	left bool
 }
 
-func (p *joinPort) Push(t Tuple)      { p.j.push(t, p.left) }
+// Push emits the tuple's joined rows inline, one Out.Push each.
+func (p *joinPort) Push(t Tuple) {
+	j := p.j
+	j.pushRow(t, p.left)
+	for _, row := range j.outBuf {
+		j.cfg.Out.Push(row)
+	}
+	j.outBuf = j.outBuf[:0]
+}
+
 func (p *joinPort) Advance(wm uint64) { p.j.advance(wm) }
 func (p *joinPort) Flush()            { p.j.portFlush() }
 
-// PushBatch implements BatchConsumer via the amortized build/probe.
+// PushBatch implements BatchConsumer: the batch's joined rows go
+// downstream as one batch.
 //
 //qap:hot
 func (p *joinPort) PushBatch(b Batch) {
 	for _, t := range b {
-		p.j.pushFast(t, p.left)
+		p.j.pushRow(t, p.left)
 	}
+	p.j.deliver()
 }
 
-func (j *Join) push(t Tuple, left bool) {
-	side := &j.cfg.Left
-	myTab, otherTab := j.leftTab, j.rightTab
-	if !left {
-		side = &j.cfg.Right
-		myTab, otherTab = j.rightTab, j.leftTab
-	}
-	vals := make([]sqlval.Value, len(side.Keys))
-	for i, k := range side.Keys {
-		vals[i] = k(t)
-	}
-	key := Key(vals)
-	e := &joinEntry{key: key, tuple: t, tkey: vals[side.TemporalIdx]}
-	for _, oe := range otherTab[key] {
-		var combined Tuple
-		if left {
-			combined = j.combine(t, oe.tuple)
-		} else {
-			combined = j.combine(oe.tuple, t)
-		}
-		if j.cfg.Residual != nil && !j.cfg.Residual(combined).AsBool() {
-			continue
-		}
-		e.matched, oe.matched = true, true
-		j.emit(combined)
-	}
-	myTab[key] = append(myTab[key], e)
-}
-
-// pushFast is push with the per-tuple allocations amortized: key
-// values and encoding go through reused buffers, the map is probed
-// with string(keyBuf) (no copy), the key string is materialized only
-// when no entry or match already interns it, the combined probe row is
-// scratch, and entries carve from a slab.
+// pushRow evaluates the side's keys into reused scratch and runs the
+// build/probe.
 //
 //qap:hot
-func (j *Join) pushFast(t Tuple, left bool) {
+func (j *Join) pushRow(t Tuple, left bool) {
 	side := &j.cfg.Left
-	myTab, otherTab := j.leftTab, j.rightTab
 	if !left {
 		side = &j.cfg.Right
-		myTab, otherTab = j.rightTab, j.leftTab
 	}
 	vals := j.valsBuf[:0]
 	for _, k := range side.Keys {
 		vals = append(vals, k(t))
 	}
 	j.valsBuf = vals
-	j.probeInsert(t, left, side, myTab, otherTab, vals)
+	j.probeInsert(t, left, vals)
 }
 
-// probeInsert is the build/probe body of pushFast, taking the
-// already-evaluated key values (caller-owned scratch; read only
-// during the call). The columnar join path (colops.go) enters here
-// with kernel-evaluated keys.
+// probeInsert is the one build/probe body, taking the already-evaluated
+// key values (caller-owned scratch; read only during the call): the
+// columnar path (colops.go) enters here with kernel-evaluated keys.
+// Both tables are probed with string(keyBuf) (no copy); the key string
+// is materialized only when neither side's pane already interns it.
+// Joined rows are buffered in outBuf for the caller to deliver.
 //
 //qap:hot
-func (j *Join) probeInsert(t Tuple, left bool, side *JoinSideConfig, myTab, otherTab map[string][]*joinEntry, vals []sqlval.Value) {
+func (j *Join) probeInsert(t Tuple, left bool, vals []sqlval.Value) {
+	side, mine, other := &j.cfg.Left, &j.left, &j.right
+	if !left {
+		side, mine, other = &j.cfg.Right, &j.right, &j.left
+	}
 	kb := AppendKey(j.keyBuf[:0], vals)
 	j.keyBuf = kb
-	matches := otherTab[string(kb)]
-	mine := myTab[string(kb)]
-	var key string
-	switch {
-	case len(mine) > 0:
-		key = mine[0].key
-	case len(matches) > 0:
-		key = matches[0].key
-	default:
-		key = string(kb)
+	tkey := vals[side.TemporalIdx]
+	mp := mine.pane(tkey, true)
+	idx := int32(len(mp.entries))
+	e := joinEntry{tuple: t, next: -1, tail: idx}
+	head, chained := mp.heads[string(kb)]
+	if chained {
+		e.key = mp.entries[head].key
 	}
-	if len(j.entrySlab) == 0 {
-		j.entrySlab = make([]joinEntry, slabChunk) //qap:allow hotalloc -- slab refill, amortized over slabChunk entries
-	}
-	e := &j.entrySlab[0]
-	j.entrySlab = j.entrySlab[1:]
-	*e = joinEntry{key: key, tuple: t, tkey: vals[side.TemporalIdx]}
-	for _, oe := range matches {
-		comb := j.combBuf[:0]
-		if left {
-			comb = append(comb, t...)
-			comb = append(comb, oe.tuple...)
-		} else {
-			comb = append(comb, oe.tuple...)
-			comb = append(comb, t...)
+	if op := other.pane(tkey, false); op != nil {
+		if oh, ok := op.heads[string(kb)]; ok {
+			if !chained {
+				e.key = op.entries[oh].key
+			}
+			for i := oh; i >= 0; i = op.entries[i].next {
+				oe := &op.entries[i]
+				l, r := oe.tuple, t
+				if left {
+					l, r = t, oe.tuple
+				}
+				comb := j.concat(l, r)
+				if j.cfg.Residual != nil && !j.cfg.Residual(comb).AsBool() {
+					continue
+				}
+				e.matched, oe.matched = true, true
+				j.emit(comb)
+			}
 		}
-		j.combBuf = comb
-		if j.cfg.Residual != nil && !j.cfg.Residual(comb).AsBool() {
-			continue
-		}
-		e.matched, oe.matched = true, true
-		j.emit(comb)
 	}
-	myTab[key] = append(mine, e)
+	if chained {
+		h := &mp.entries[head]
+		mp.entries[h.tail].next = idx
+		h.tail = idx
+	} else {
+		if e.key == "" {
+			e.key = string(kb)
+		}
+		mp.heads[e.key] = idx
+	}
+	mp.entries = append(mp.entries, e)
+	j.stored++
 }
 
-func (j *Join) combine(l, r Tuple) Tuple {
-	out := make(Tuple, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
+// concat builds l++r in the combined-row scratch.
+func (j *Join) concat(l, r Tuple) Tuple {
+	j.combBuf = append(append(j.combBuf[:0], l...), r...)
+	return j.combBuf
 }
 
-func (j *Join) emit(combined Tuple) {
-	out := make(Tuple, len(j.cfg.Projs))
-	for i, p := range j.cfg.Projs {
-		out[i] = p(combined)
+// emit projects a combined row into the output slab and buffers it.
+//
+//qap:hot
+func (j *Join) emit(comb Tuple) {
+	np := len(j.cfg.Projs)
+	if cap(j.outVals)-len(j.outVals) < np {
+		j.outVals = make([]sqlval.Value, 0, np*slabChunk) //qap:allow hotalloc -- slab refill, amortized over slabChunk rows
 	}
-	j.cfg.Out.Push(out)
+	start := len(j.outVals)
+	for _, p := range j.cfg.Projs {
+		j.outVals = append(j.outVals, p(comb))
+	}
+	j.outBuf = append(j.outBuf, Tuple(j.outVals[start:len(j.outVals):len(j.outVals)]))
+}
+
+// deliver hands the buffered rows downstream as one batch. They stay
+// rows: pivoting them for a columnar consumer (the route Aggregate's
+// ColEmit takes) measured no gain on the Section 6.2 set.
+func (j *Join) deliver() {
+	PushAll(j.cfg.Out, j.outBuf)
+	j.outBuf = j.outBuf[:0]
 }
 
 func (j *Join) advance(wm uint64) {
@@ -1135,14 +1192,15 @@ func (j *Join) advance(wm uint64) {
 	j.lastWM, j.wmSeen = wm, true
 	// Left entries survive only while a future right tuple could still
 	// produce their key, and vice versa.
-	if j.cfg.Right.MinFutureKey != nil {
-		b := j.cfg.Right.MinFutureKey(wm)
-		j.leftTab = j.evict(j.leftTab, &b, true)
+	if f := j.cfg.Right.MinFutureKey; f != nil {
+		b := f(wm)
+		j.expire(&j.left, &b, true)
 	}
-	if j.cfg.Left.MinFutureKey != nil {
-		b := j.cfg.Left.MinFutureKey(wm)
-		j.rightTab = j.evict(j.rightTab, &b, false)
+	if f := j.cfg.Left.MinFutureKey; f != nil {
+		b := f(wm)
+		j.expire(&j.right, &b, false)
 	}
+	j.deliver()
 	j.cfg.Out.Advance(wm)
 }
 
@@ -1152,94 +1210,74 @@ func (j *Join) portFlush() {
 		return
 	}
 	j.flushed = true
-	j.leftTab = j.evict(j.leftTab, nil, true)
-	j.rightTab = j.evict(j.rightTab, nil, false)
+	j.expire(&j.left, nil, true)
+	j.expire(&j.right, nil, false)
+	j.deliver()
 	j.cfg.Out.Flush()
 }
 
-// evict removes entries with temporal key below boundary (all when
-// nil), emitting outer-join padding for never-matched rows. It returns
-// the table to keep using: when an epoch fully drains, a fresh map
-// pre-sized from the drained cardinality replaces the old one (see the
-// matching rebuild in Aggregate.emitBefore).
-func (j *Join) evict(tab map[string][]*joinEntry, boundary *sqlval.Value, left bool) map[string][]*joinEntry {
-	var unmatched []*joinEntry
-	drained := 0
-	for key, entries := range tab { //qap:allow maprange -- delete-only; unmatched sorted before padding
-		var keep []*joinEntry
-		for _, e := range entries {
-			if boundary != nil && e.tkey.Compare(*boundary) >= 0 {
-				keep = append(keep, e)
-				continue
-			}
-			if !e.matched && j.padsSide(left) {
-				unmatched = append(unmatched, e)
-			}
+// expire drops the side's panes below boundary (all when nil), oldest
+// first. Panes are tkey-ordered, so a watermark that expires nothing
+// costs one compare; a dropped pane's entries are walked only to pad
+// unmatched rows, and its map and slab go to the free list.
+//
+//qap:hot
+func (j *Join) expire(s *joinSide, boundary *sqlval.Value, left bool) {
+	n := 0
+	for ; n < len(s.panes); n++ {
+		p := s.panes[n]
+		if boundary != nil && p.tkey.Compare(*boundary) >= 0 {
+			break
 		}
-		if len(keep) == 0 {
-			delete(tab, key)
-			drained++
-		} else {
-			tab[key] = keep
+		if j.padsSide(left) {
+			j.padUnmatched(p, left)
+		}
+		j.stored -= len(p.entries)
+		clear(p.entries)
+		p.entries = p.entries[:0]
+		clear(p.heads)
+		s.free = append(s.free, p)
+	}
+	if n > 0 {
+		s.panes = slices.Delete(s.panes, 0, n)
+		s.last = nil
+	}
+}
+
+// padUnmatched buffers the outer-join padding of a pane's never-matched
+// entries in key order, insertion order breaking ties.
+func (j *Join) padUnmatched(p *joinPane, left bool) {
+	un := j.padIdx[:0]
+	for i := range p.entries {
+		if !p.entries[i].matched {
+			un = append(un, int32(i))
 		}
 	}
-	if boundary != nil && len(tab) == 0 && drained > 0 {
-		tab = make(map[string][]*joinEntry, drained)
-	}
-	sort.Slice(unmatched, func(a, b int) bool {
-		if c := unmatched[a].tkey.Compare(unmatched[b].tkey); c != 0 {
-			return c < 0
-		}
-		return unmatched[a].key < unmatched[b].key
+	slices.SortStableFunc(un, func(a, b int32) int {
+		return strings.Compare(p.entries[a].key, p.entries[b].key)
 	})
-	for _, e := range unmatched {
-		j.emit(j.pad(e.tuple, left))
+	for _, i := range un {
+		j.emit(j.pad(p.entries[i].tuple, left))
 	}
-	return tab
+	j.padIdx = un
 }
 
 // padsSide reports whether unmatched rows of the given side appear in
 // the output under the configured outer-join type.
 func (j *Join) padsSide(left bool) bool {
-	switch j.cfg.Type {
-	case gsql.JoinLeftOuter:
-		return left
-	case gsql.JoinRightOuter:
-		return !left
-	case gsql.JoinFullOuter:
-		return true
-	default:
-		return false
-	}
+	t := j.cfg.Type
+	return t == gsql.JoinFullOuter || (left && t == gsql.JoinLeftOuter) || (!left && t == gsql.JoinRightOuter)
 }
 
-// pad builds the combined row for an unmatched outer-join entry with
-// NULLs on the missing side.
+// pad builds the combined row of an unmatched outer-join entry, NULLs
+// on the missing side.
 func (j *Join) pad(t Tuple, left bool) Tuple {
 	if left {
-		combined := make(Tuple, 0, len(t)+j.cfg.Right.Width)
-		combined = append(combined, t...)
-		for i := 0; i < j.cfg.Right.Width; i++ {
-			combined = append(combined, sqlval.Null)
-		}
-		return combined
+		return j.concat(t, j.nulls[:j.cfg.Right.Width])
 	}
-	combined := make(Tuple, 0, len(t)+j.cfg.Left.Width)
-	for i := 0; i < j.cfg.Left.Width; i++ {
-		combined = append(combined, sqlval.Null)
-	}
-	return append(combined, t...)
+	return j.concat(j.nulls[:j.cfg.Left.Width], t)
 }
 
 // StoredTuples reports the number of buffered tuples, for memory
 // accounting and eviction tests.
-func (j *Join) StoredTuples() int {
-	n := 0
-	for _, es := range j.leftTab { //qap:allow maprange -- commutative count
-		n += len(es)
-	}
-	for _, es := range j.rightTab { //qap:allow maprange -- commutative count
-		n += len(es)
-	}
-	return n
-}
+func (j *Join) StoredTuples() int { return j.stored }
