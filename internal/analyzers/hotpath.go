@@ -9,9 +9,10 @@ import (
 
 // Poolleak checks the pooled-batch ownership contract from
 // internal/exec: every container acquired with exec.GetBatch must be
-// released with exec.PutBatch — or have its ownership transferred by
-// storing it, returning it, or sending it — on every control-flow
-// path. Passing a live batch as a plain call argument is a read, not
+// released with exec.PutBatch, and every column batch acquired with
+// exec.GetColBatch with exec.PutColBatch — or have its ownership
+// transferred by storing it, returning it, or sending it — on every
+// control-flow path. Passing a live batch as a plain call argument is a read, not
 // a transfer: the pool contract says consumers copy what they keep,
 // so the producer still owes the PutBatch.
 //
@@ -24,7 +25,7 @@ import (
 // container is provably dropped.
 var Poolleak = &Analyzer{
 	Name: "poolleak",
-	Doc:  "flags pooled batches (exec.GetBatch) not returned via PutBatch on every path",
+	Doc:  "flags pooled batches (exec.GetBatch, exec.GetColBatch) not returned via PutBatch / PutColBatch on every path",
 	Run: func(p *Pass) {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
@@ -445,7 +446,7 @@ func (w *leakWalker) exit(s leakState, at token.Pos) {
 			continue
 		}
 		w.reported[v] = true
-		w.p.Reportf(acq, "pooled batch %s acquired here may leak: no PutBatch on the path to the exit at line %d", v.Name(), line)
+		w.p.Reportf(acq, "pooled batch %s acquired here may leak: no %s on the path to the exit at line %d", v.Name(), putName(v), line)
 	}
 }
 
@@ -472,7 +473,7 @@ func (w *leakWalker) isAcquire(e ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	if w.isExecFunc(call, "GetBatch") {
+	if w.isExecFunc(call, "GetBatch") || w.isExecFunc(call, "GetColBatch") {
 		return true
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" && len(call.Args) > 0 {
@@ -506,7 +507,16 @@ func (w *leakWalker) isSelfAppend(lid *ast.Ident, rhs ast.Expr) bool {
 }
 
 func (w *leakWalker) isPutBatch(call *ast.CallExpr) bool {
-	return len(call.Args) == 1 && w.isExecFunc(call, "PutBatch")
+	return len(call.Args) == 1 && (w.isExecFunc(call, "PutBatch") || w.isExecFunc(call, "PutColBatch"))
+}
+
+// putName names the release a tracked variable is owed: a row batch is
+// a slice, a pooled column batch a pointer.
+func putName(v *types.Var) string {
+	if _, ok := v.Type().Underlying().(*types.Pointer); ok {
+		return "PutColBatch"
+	}
+	return "PutBatch"
 }
 
 // isExecFunc reports whether the call targets the named function of a

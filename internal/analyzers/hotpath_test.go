@@ -19,6 +19,11 @@ type Batch []Tuple
 func GetBatch() Batch     { return nil }
 func PutBatch(b Batch)    {}
 func PushAll(dst *Batch, b Batch) {}
+
+type ColBatch struct{ Len int }
+
+func GetColBatch() *ColBatch   { return new(ColBatch) }
+func PutColBatch(cb *ColBatch) {}
 `
 
 func poolFiles(body string) map[string]string {
@@ -71,6 +76,44 @@ func overwritten() {
 	}
 	if !strings.Contains(pl[1].Message, "overwritten") {
 		t.Errorf("second finding should be the overwrite: %s", pl[1].Message)
+	}
+}
+
+// TestPoolleakTracksColumnBatches: the pooled column batch follows the
+// same contract — an early return that skips PutColBatch is a leak, a
+// put on the error path plus a transfer by return or into a struct is
+// not.
+func TestPoolleakTracksColumnBatches(t *testing.T) {
+	fs := findingsFor(t, poolFiles(`type group struct{ cols *exec.ColBatch }
+
+func leaky(fail bool) {
+	cb := exec.GetColBatch()
+	if fail {
+		return
+	}
+	exec.PutColBatch(cb)
+}
+
+func decode(fail bool) *exec.ColBatch {
+	cb := exec.GetColBatch()
+	if fail {
+		exec.PutColBatch(cb)
+		return nil
+	}
+	return cb
+}
+
+func grouped(g *group) {
+	cb := exec.GetColBatch()
+	g.cols = cb
+}
+`))
+	pl := byAnalyzer(fs, "poolleak")
+	if len(pl) != 1 {
+		t.Fatalf("want 1 poolleak finding (the early return), got %d: %v", len(pl), pl)
+	}
+	if pl[0].Pos.Line != 8 || !strings.Contains(pl[0].Message, "no PutColBatch") {
+		t.Errorf("unexpected finding: line %d: %s", pl[0].Pos.Line, pl[0].Message)
 	}
 }
 

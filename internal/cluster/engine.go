@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"qap/internal/exec"
+	"qap/internal/live"
 	"qap/internal/netgen"
 	"qap/internal/obs/trace"
 	"qap/internal/sqlval"
@@ -217,14 +218,17 @@ type pushGroup struct {
 	tuples exec.Batch
 }
 
-// hostRound is one island's share of one round. Exactly one of pushes
-// (scalar mode) and groups (batched mode) is populated.
+// hostRound is one island's share of one round. At most one of pushes
+// (scalar mode), groups (batched rows) and cols (columnar: the
+// colGrouper's pooled column groups, which the worker returns) is
+// populated.
 type hostRound struct {
 	round  int
 	wm     uint64
 	adv    bool // run the island's advance targets at wm
 	pushes []pushAction
 	groups []pushGroup
+	cols   []live.Group
 	flush  bool // run the island's flush targets
 }
 
@@ -257,6 +261,8 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 	}
 	inbox := make(chan linkBatch, 2*hosts) //qap:allow hotalloc -- driver setup, once per run
 
+	var gr colGrouper // filled by the driver, restocked by the workers
+
 	// Leaf workers: worker g executes islands g, g+W, 2W, ...
 	stall := testStallWorkers
 	var workerWG sync.WaitGroup
@@ -265,10 +271,7 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 		//qap:allow hotalloc -- one worker goroutine closure per worker, once per run
 		go func(feed <-chan feedMsg) {
 			defer workerWG.Done()
-			// Columnar mode pivots each delivered chunk into this
-			// worker-owned scratch batch at the island boundary, so the
-			// feed channels and the driver's row grouping are untouched.
-			var colScratch exec.ColBatch
+			var view exec.ColBatch // zero-copy chunk window over a column group
 			for msg := range feed {
 				isl := msg.isl
 				last := 0
@@ -300,16 +303,17 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 							if end > len(g.tuples) {
 								end = len(g.tuples)
 							}
-							chunk := g.tuples[off:end]
-							if r.columnar && colScratch.SetFromRows(chunk) {
-								exec.PushColsAll(g.out, &colScratch)
-							} else {
-								exec.PushAll(g.out, chunk)
-							}
+							exec.PushAll(g.out, g.tuples[off:end])
 						}
 						exec.PutBatch(g.tuples)
 						g.out, g.tuples = nil, nil
 					}
+					for gi := range hr.cols {
+						g := &hr.cols[gi]
+						isl.curTag = g.Tag
+						deliverCols(cursors[g.Stream].rt.outs[g.Part], g.Cols, bs, &view)
+					}
+					gr.recycle(hr.cols)
 					if hr.flush {
 						for _, ft := range flushTargets[isl.id] {
 							isl.curTag = ft.tag
@@ -353,20 +357,13 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 			// finalize reads it only after driverWG.Wait() below.
 			r.engBatches += int64(hosts)
 		}
+		initGroupIndex(cursors)
 		openRound := func(wm uint64) { //qap:allow hotalloc -- closure built once per run
 			round++
 			r.engRounds++
+			gr.nextRound()
 			for i := 0; i < hosts; i++ {
 				rounds[i] = append(rounds[i], hostRound{round: round, wm: wm, adv: true})
-			}
-		}
-		if batched {
-			for _, c := range cursors {
-				c.gidx = make([]int, len(c.rt.outs))   //qap:allow hotalloc -- routing scratch, once per cursor per run
-				c.gstamp = make([]int, len(c.rt.outs)) //qap:allow hotalloc -- routing scratch, once per cursor per run
-				for p := range c.gstamp {
-					c.gstamp[p] = -1
-				}
 			}
 		}
 		var valSlab []sqlval.Value
@@ -400,6 +397,13 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 				openRound(pk.Time)
 				seq = 0
 				lastTime, first = pk.Time, false
+			}
+			if r.columnar {
+				idx := gr.route(best, pk)
+				id := best.rt.islands[idx]
+				gr.add(&rounds[id][len(rounds[id])-1].cols, best, idx, seq, pk)
+				seq++
+				continue
 			}
 			if !batched {
 				t := pk.Tuple()
@@ -478,6 +482,7 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 
 	driverWG.Wait()
 	workerWG.Wait()
+	gr.release()
 	return r.finalize(dAny, dMax), nil
 }
 

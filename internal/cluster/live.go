@@ -18,12 +18,13 @@ package cluster
 //     verbatim — same rounds, same tags, same per-destination grouping
 //     (scalar rounds ship maximal same-destination runs whose tags the
 //     node re-expands per tuple; batched rounds ship the batched
-//     driver's per-partition groups) — so each node executes exactly
-//     the event sequence the simulator's worker would.
+//     driver's per-partition groups, as column groups when the runner
+//     is columnar) — so each node executes exactly the event sequence
+//     the simulator's worker would.
 //
-//   - Tuples travel in the exec batch wire codec, which round-trips
-//     every value bit-exactly (floats as IEEE bits), so operator state
-//     evolves identically on both sides of the wire.
+//   - Tuples travel in the exec wire codecs, rows or column vectors,
+//     which round-trip every value bit-exactly (floats as IEEE bits),
+//     so operator state evolves identically on both sides of the wire.
 //
 //   - The transport (internal/live) delivers each direction's frames
 //     exactly once and in order across reconnects, so a dropped,
@@ -245,52 +246,72 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 
 // driveLive is the live splitter: the same canonical cursor merge,
 // routing, round structure, and tagging as the simulator's drivers,
-// shipped as serialized feed messages instead of channel sends.
+// shipped as serialized feed messages instead of channel sends. A feed
+// goes out every batchRounds rounds, or sooner when one more round
+// would take it past half the frame bound; either cut falls on a round
+// boundary, and the (round, tag) replay is indifferent to where.
 func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *bool, dMax *uint64) error {
 	hosts := r.plan.Hosts
 	bs := r.batchSize
 	batched := bs > 1
+	cutBytes := sp.MaxFrame() / 2
 
-	cursorIdx := make(map[*streamCursor]int, len(cursors))
-	for i, c := range cursors {
-		cursorIdx[c] = i
-	}
-
+	var gr colGrouper
+	defer gr.release()
 	pend := make([][]live.Round, hosts)
+	pendBytes := make([]int, hosts)  // encoded size of pend[i]'s closed rounds
+	roundBytes := make([]int, hosts) // and of the round being closed
 	pendingRounds := 0
 	round := -1
-	ship := func(last bool) error {
+	// ship sends every host its pending rounds but the newest keep (0,
+	// or 1 while that round is still open or would overfill the feed).
+	ship := func(last bool, keep int) error {
 		for i := 0; i < hosts; i++ {
-			m := &live.FeedMsg{Last: last, Rounds: pend[i]}
+			n := len(pend[i]) - keep
+			m := &live.FeedMsg{Last: last, Rounds: pend[i][:n]}
 			if err := sp.SendFeed(i, m); err != nil {
 				return err
 			}
 			// SendFeed serialized the message; recycle the containers.
-			for ri := range pend[i] {
-				for gi := range pend[i][ri].Groups {
-					exec.PutBatch(pend[i][ri].Groups[gi].Tuples)
+			for ri := range m.Rounds {
+				for gi := range m.Rounds[ri].Groups {
+					exec.PutBatch(m.Rounds[ri].Groups[gi].Tuples)
 				}
+				gr.recycle(m.Rounds[ri].Groups)
 			}
-			pend[i] = nil
+			pend[i] = append(pend[i][:0], pend[i][n:]...)
+			pendBytes[i] = 0
 		}
 		pendingRounds = 0
 		r.engBatches += int64(hosts)
 		return nil
 	}
+	// closeRound accounts the newest round's bytes, first shipping the
+	// rounds before it if it would take some host's feed past the cut.
+	closeRound := func() error {
+		over := false
+		for i := 0; i < hosts; i++ {
+			roundBytes[i] = pend[i][len(pend[i])-1].WireSize()
+			over = over || (pendBytes[i] > 0 && pendBytes[i]+roundBytes[i] > cutBytes)
+		}
+		if over {
+			if err := ship(false, 1); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < hosts; i++ {
+			pendBytes[i] += roundBytes[i]
+		}
+		pendingRounds++
+		return nil
+	}
+	initGroupIndex(cursors)
 	openRound := func(wm uint64) {
 		round++
 		r.engRounds++
+		gr.nextRound()
 		for i := 0; i < hosts; i++ {
 			pend[i] = append(pend[i], live.Round{Round: round, WM: wm, Adv: true})
-		}
-	}
-	if batched {
-		for _, c := range cursors {
-			c.gidx = make([]int, len(c.rt.outs))
-			c.gstamp = make([]int, len(c.rt.outs))
-			for p := range c.gstamp {
-				c.gstamp[p] = -1
-			}
 		}
 	}
 	var valSlab []sqlval.Value
@@ -313,9 +334,11 @@ func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *boo
 				if r.trDriver != nil {
 					r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: round, WM: lastTime, Rows: int64(seq)})
 				}
-				pendingRounds++
+				if err := closeRound(); err != nil {
+					return err
+				}
 				if pendingRounds >= r.batchRounds {
-					if err := ship(false); err != nil {
+					if err := ship(false, 0); err != nil {
 						return err
 					}
 				}
@@ -324,6 +347,14 @@ func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *boo
 			seq = 0
 			lastTime, first = pk.Time, false
 		}
+		if r.columnar {
+			// Column groups: the batched grouping below, never a row.
+			idx := gr.route(best, pk)
+			id := best.rt.islands[idx]
+			gr.add(&pend[id][len(pend[id])-1].Groups, best, idx, seq, pk)
+			seq++
+			continue
+		}
 		if cap(valSlab)-len(valSlab) < netgen.TupleCols {
 			valSlab = make([]sqlval.Value, 0, tupleSlabVals)
 		}
@@ -331,7 +362,6 @@ func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *boo
 		valSlab, t = pk.AppendTuple(valSlab)
 		idx := best.rt.route(t)
 		id := best.rt.islands[idx]
-		sIdx := cursorIdx[best]
 		hr := &pend[id][len(pend[id])-1]
 		if batched {
 			// One group per destination partition per round, tagged with
@@ -340,7 +370,7 @@ func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *boo
 				best.gstamp[idx] = round
 				best.gidx[idx] = len(hr.Groups)
 				hr.Groups = append(hr.Groups, live.Group{
-					Tag: phasePush | seq, Stream: sIdx, Part: idx, Tuples: exec.GetBatch(),
+					Tag: phasePush | seq, Stream: best.idx, Part: idx, Tuples: exec.GetBatch(),
 				})
 			}
 			g := &hr.Groups[best.gidx[idx]]
@@ -353,14 +383,14 @@ func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *boo
 			extended := false
 			if n := len(hr.Groups); n > 0 {
 				g := &hr.Groups[n-1]
-				if g.Stream == sIdx && g.Part == idx && g.Tag+uint64(len(g.Tuples)) == phasePush|seq {
+				if g.Stream == best.idx && g.Part == idx && g.Tag+uint64(len(g.Tuples)) == phasePush|seq {
 					g.Tuples = append(g.Tuples, t)
 					extended = true
 				}
 			}
 			if !extended {
 				hr.Groups = append(hr.Groups, live.Group{
-					Tag: phasePush | seq, Stream: sIdx, Part: idx,
+					Tag: phasePush | seq, Stream: best.idx, Part: idx,
 					Tuples: append(exec.GetBatch(), t),
 				})
 			}
@@ -368,13 +398,21 @@ func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *boo
 		seq++
 	}
 	r.emitDriverTail(round, int64(seq), lastTime)
+	if !first {
+		if err := closeRound(); err != nil {
+			return err
+		}
+	}
 	// The flush round.
 	round++
 	r.engRounds++
 	for i := 0; i < hosts; i++ {
 		pend[i] = append(pend[i], live.Round{Round: round, Flush: true})
 	}
-	return ship(true)
+	if err := closeRound(); err != nil {
+		return err
+	}
+	return ship(true, 0)
 }
 
 // linkBatchOf converts a received link message into the replay merge's
@@ -422,10 +460,9 @@ type islandExec struct {
 	// the splitter's canonical stream order.
 	outs [][]exec.Consumer
 	bs   int
-	// colScratch pivots delivered chunks into columns when the runner
-	// is columnar; Execute runs on one goroutine per node, so the
-	// scratch has a single writer.
-	colScratch exec.ColBatch
+	// view is the zero-copy chunk window over a delivered column group;
+	// Execute runs on one goroutine per node, so it has a single writer.
+	view exec.ColBatch
 	// shipResult marks a remotely served island (ServeLiveHost): the
 	// final island shards travel back in a result frame.
 	shipResult bool
@@ -459,19 +496,22 @@ func (x *islandExec) Execute(m *live.FeedMsg) (*live.LinkMsg, error) {
 				return nil, fmt.Errorf("group targets stream %d partition %d out of range", g.Stream, g.Part)
 			}
 			out := x.outs[g.Stream][g.Part]
-			if x.bs > 1 {
+			if g.Cols != nil {
+				// The codec admits any column batch; a scan takes packets.
+				if len(g.Cols.Cols) != netgen.TupleCols || !g.Cols.AllUint() {
+					return nil, fmt.Errorf("round %d: column group for stream %d partition %d is not the %d NULL-free uint columns of a packet",
+						rd.Round, g.Stream, g.Part, netgen.TupleCols)
+				}
+				isl.curTag = g.Tag
+				deliverCols(out, g.Cols, x.bs, &x.view)
+			} else if x.bs > 1 {
 				isl.curTag = g.Tag
 				for off := 0; off < len(g.Tuples); off += x.bs {
 					end := off + x.bs
 					if end > len(g.Tuples) {
 						end = len(g.Tuples)
 					}
-					chunk := g.Tuples[off:end]
-					if r.columnar && x.colScratch.SetFromRows(chunk) {
-						exec.PushColsAll(out, &x.colScratch)
-					} else {
-						exec.PushAll(out, chunk)
-					}
+					exec.PushAll(out, g.Tuples[off:end])
 				}
 			} else {
 				for i := range g.Tuples {

@@ -27,6 +27,15 @@ func liveRunConfig(workers, batch int, lc LiveConfig) RunConfig {
 	}
 }
 
+// liveWireModes are the feed encodings every live equivalence test
+// covers: scalar runs (batch 1), row groups, and column groups. The
+// simulator oracle always runs the row path at the same batch size, so
+// a columnar live run is held to the row engine's bytes.
+var liveWireModes = []struct {
+	batch    int
+	columnar bool
+}{{1, false}, {256, false}, {256, true}}
+
 // runEngine builds and runs a plan under an explicit RunConfig.
 func runEngine(t testing.TB, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, cfg RunConfig) *Result {
 	t.Helper()
@@ -102,15 +111,17 @@ func TestLiveMatchesSim(t *testing.T) {
 			t.Parallel()
 			for _, hosts := range []int{1, 2, 4} {
 				o := optimizer.Options{Hosts: hosts, PartitionsPerHost: 2, PartialAgg: true}
-				for _, batch := range []int{1, 256} {
-					simCfg := liveRunConfig(1, batch, LiveConfig{})
+				for _, m := range liveWireModes {
+					simCfg := liveRunConfig(1, m.batch, LiveConfig{})
 					simCfg.Engine = EngineSim
 					want := runEngine(t, qs.queries, qs.ps, o, streams, simCfg)
 					for _, workers := range []int{1, 4} {
 						// The live backend always runs one goroutine per
 						// host; Workers is recorded config only, and the
 						// results must not depend on it.
-						got := runEngine(t, qs.queries, qs.ps, o, streams, liveRunConfig(workers, batch, LiveConfig{}))
+						cfg := liveRunConfig(workers, m.batch, LiveConfig{})
+						cfg.Columnar = m.columnar
+						got := runEngine(t, qs.queries, qs.ps, o, streams, cfg)
 						sameResult(t, want, got)
 						sameTrace(t, want, got)
 					}
@@ -126,12 +137,16 @@ func TestLiveRoundRobin(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	o := optimizer.Options{Hosts: 3, PartitionsPerHost: 2, PartialAgg: true}
-	simCfg := liveRunConfig(1, 1, LiveConfig{})
-	simCfg.Engine = EngineSim
-	want := runEngine(t, flowsQuery, nil, o, streams, simCfg)
-	got := runEngine(t, flowsQuery, nil, o, streams, liveRunConfig(1, 1, LiveConfig{}))
-	sameResult(t, want, got)
-	sameTrace(t, want, got)
+	for _, m := range liveWireModes {
+		simCfg := liveRunConfig(1, m.batch, LiveConfig{})
+		simCfg.Engine = EngineSim
+		want := runEngine(t, flowsQuery, nil, o, streams, simCfg)
+		cfg := liveRunConfig(1, m.batch, LiveConfig{})
+		cfg.Columnar = m.columnar
+		got := runEngine(t, flowsQuery, nil, o, streams, cfg)
+		sameResult(t, want, got)
+		sameTrace(t, want, got)
+	}
 }
 
 // TestLiveTwoStream exercises the multi-cursor merge over the wire:
@@ -149,8 +164,8 @@ func TestLiveTwoStream(t *testing.T) {
 		}
 		return p
 	}
-	for _, batch := range []int{1, 256} {
-		simCfg := liveRunConfig(1, batch, LiveConfig{})
+	for _, m := range liveWireModes {
+		simCfg := liveRunConfig(1, m.batch, LiveConfig{})
 		simCfg.Engine = EngineSim
 		seq, err := NewRunner(build(), simCfg)
 		if err != nil {
@@ -163,7 +178,9 @@ func TestLiveTwoStream(t *testing.T) {
 		if len(want.Outputs["combined"]) == 0 {
 			t.Fatal("two-stream join found no matches")
 		}
-		lr, err := NewRunner(build(), liveRunConfig(1, batch, LiveConfig{}))
+		cfg := liveRunConfig(1, m.batch, LiveConfig{})
+		cfg.Columnar = m.columnar
+		lr, err := NewRunner(build(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,8 +210,8 @@ func TestLiveRemoteNodes(t *testing.T) {
 		}
 		return p
 	}
-	for _, batch := range []int{1, 256} {
-		simCfg := liveRunConfig(1, batch, LiveConfig{})
+	for _, m := range liveWireModes {
+		simCfg := liveRunConfig(1, m.batch, LiveConfig{})
 		simCfg.Engine = EngineSim
 		seq, err := NewRunner(build(), simCfg)
 		if err != nil {
@@ -204,6 +221,8 @@ func TestLiveRemoteNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg := liveRunConfig(1, m.batch, LiveConfig{})
+		cfg.Columnar = m.columnar
 
 		// Serve both hosts from independently compiled runners, as
 		// qap-node does in its own process.
@@ -212,7 +231,7 @@ func TestLiveRemoteNodes(t *testing.T) {
 		var wg sync.WaitGroup
 		addrs := make([]string, o.Hosts)
 		for h := 0; h < o.Hosts; h++ {
-			node, err := NewRunner(build(), liveRunConfig(1, batch, LiveConfig{}))
+			node, err := NewRunner(build(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +244,8 @@ func TestLiveRemoteNodes(t *testing.T) {
 			}(h, node)
 			addrs[h] = <-addrc
 		}
-		lr, err := NewRunner(build(), liveRunConfig(1, batch, LiveConfig{Nodes: addrs}))
+		cfg.Live.Nodes = addrs
+		lr, err := NewRunner(build(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,14 +344,19 @@ func TestLiveFaultRecovery(t *testing.T) {
 		pl := pl
 		t.Run(pl.name, func(t *testing.T) {
 			t.Parallel()
-			fp := &live.FaultPlan{Faults: pl.faults}
-			lc := LiveConfig{Faults: fp, Timeout: 2 * time.Second}
-			got := runEngine(t, complexSet, ps, o, streams, liveRunConfig(1, 256, lc))
-			if fp.Hits() == 0 {
-				t.Fatal("fault plan never fired; the scenario tested nothing")
+			// Row groups, then column groups: the second is the one
+			// that retransmits out of an outbox of recycled frames.
+			for _, columnar := range []bool{false, true} {
+				fp := &live.FaultPlan{Faults: pl.faults}
+				cfg := liveRunConfig(1, 256, LiveConfig{Faults: fp, Timeout: 2 * time.Second})
+				cfg.Columnar = columnar
+				got := runEngine(t, complexSet, ps, o, streams, cfg)
+				if fp.Hits() == 0 {
+					t.Fatalf("columnar=%v: fault plan never fired; the scenario tested nothing", columnar)
+				}
+				sameResult(t, want, got)
+				sameTrace(t, want, got)
 			}
-			sameResult(t, want, got)
-			sameTrace(t, want, got)
 		})
 	}
 }

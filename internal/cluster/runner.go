@@ -8,6 +8,7 @@ import (
 
 	"qap/internal/exec"
 	"qap/internal/gsql"
+	"qap/internal/live"
 	"qap/internal/netgen"
 	"qap/internal/obs"
 	"qap/internal/obs/trace"
@@ -607,14 +608,16 @@ func (r *Runner) Run(stream string, packets []netgen.Packet) (*Result, error) {
 // streamCursor walks one source stream's trace during the merge.
 type streamCursor struct {
 	name    string // lower-case stream name
+	idx     int    // position in the canonical cursor order
 	rt      *router
 	packets []netgen.Packet
 	pos     int
 
 	// Batched-driver bookkeeping: gidx[p] is the arena index of
 	// partition p's open tuple group, valid only while gstamp[p] equals
-	// the current round.
-	gidx, gstamp []int
+	// the current round; grows[p] counts the rows of partition p's
+	// latest column group.
+	gidx, gstamp, grows []int
 }
 
 // makeCursors validates the input traces and fixes the canonical merge
@@ -642,6 +645,9 @@ func (r *Runner) makeCursors(streams map[string][]netgen.Packet) ([]*streamCurso
 		}
 		return cursors[i].name < cursors[j].name
 	})
+	for i, c := range cursors {
+		c.idx = i
+	}
 	return cursors, nil
 }
 
@@ -770,13 +776,7 @@ const tupleSlabVals = 512 * netgen.TupleCols
 //qap:hot
 func (r *Runner) runSequentialBatched(cursors []*streamCursor) (*Result, error) {
 	bs := r.batchSize
-	for _, c := range cursors {
-		c.gidx = make([]int, len(c.rt.outs))   //qap:allow hotalloc -- routing scratch, once per cursor per run
-		c.gstamp = make([]int, len(c.rt.outs)) //qap:allow hotalloc -- routing scratch, once per cursor per run
-		for p := range c.gstamp {
-			c.gstamp[p] = -1
-		}
-	}
+	initGroupIndex(cursors)
 	var (
 		groups  []seqGroup // the round's groups, in first-tuple order
 		valSlab []sqlval.Value
@@ -876,62 +876,37 @@ func (r *Runner) runSequentialBatched(cursors []*streamCursor) (*Result, error) 
 	return r.finalize(any, maxTime), nil
 }
 
-// colSeqGroup is one destination partition's buffered columns within
-// the current round of the columnar sequential driver.
-type colSeqGroup struct {
-	out  exec.Consumer
-	cols *exec.ColBatch
-}
-
 // runSequentialColumnar is the columnar sequential driver: the exact
 // round structure and per-destination grouping of runSequentialBatched,
 // but each group buffers the round's packets as eight uint64 column
-// vectors instead of carved tuples, and delivers them at the round
-// boundary as ColBatch chunks of up to batchSize through the operators'
-// columnar fast paths (exec/colops.go). The ColBatch ownership contract
-// (valid only during the call) lets the driver recycle every column
-// slab unconditionally — no scanTuplesSevered gating. Every observable
-// output is byte-identical to the scalar batched driver at the same
-// BatchSize.
+// vectors instead of carved tuples (colGrouper), and delivers them at
+// the round boundary as ColBatch chunks of up to batchSize through the
+// operators' columnar fast paths (exec/colops.go). The ColBatch
+// ownership contract (valid only during the call) lets the driver
+// recycle every column batch unconditionally — no scanTuplesSevered
+// gating. Every observable output is byte-identical to the scalar
+// batched driver at the same BatchSize.
 //
 //qap:hot
 func (r *Runner) runSequentialColumnar(cursors []*streamCursor) (*Result, error) {
 	bs := r.batchSize
-	for _, c := range cursors {
-		c.gidx = make([]int, len(c.rt.outs))   //qap:allow hotalloc -- routing scratch, once per cursor per run
-		c.gstamp = make([]int, len(c.rt.outs)) //qap:allow hotalloc -- routing scratch, once per cursor per run
-		for p := range c.gstamp {
-			c.gstamp[p] = -1
-		}
-	}
+	initGroupIndex(cursors)
 	var (
-		groups   []colSeqGroup    // the round's groups, in first-tuple order
-		free     []*exec.ColBatch // recycled column batches
-		view     exec.ColBatch    // zero-copy chunk window over a group
-		routeBuf []sqlval.Value   // hash-routing tuple scratch, reused per packet
+		gr     colGrouper
+		groups []live.Group  // the round's groups, in first-packet order
+		view   exec.ColBatch // zero-copy chunk window over a group
 	)
 	flushRound := func() { //qap:allow hotalloc -- closure built once per run
 		for i := range groups {
 			g := &groups[i]
-			cb := g.cols
-			for off := 0; off < cb.Len; off += bs {
-				end := off + bs
-				if end > cb.Len {
-					end = cb.Len
-				}
-				cb.Slice(off, end, &view)
-				exec.PushColsAll(g.out, &view)
-			}
-			cb.Reset()
-			free = append(free, cb)
-			g.out, g.cols = nil, nil
+			deliverCols(cursors[g.Stream].rt.outs[g.Part], g.Cols, bs, &view)
 		}
+		gr.recycle(groups)
 		groups = groups[:0]
 	}
 	var lastTime, maxTime uint64
 	first := true
 	any := false
-	round := 0
 	trRound, trPk := -1, int64(0)
 	for {
 		best := nextCursor(cursors)
@@ -953,38 +928,18 @@ func (r *Runner) runSequentialColumnar(cursors []*streamCursor) (*Result, error)
 			if r.winSec > 0 {
 				r.closeAllWindowsTo(int(pk.Time / r.winSec))
 			}
-			round++
+			gr.nextRound()
 			for _, c := range cursors {
 				c.rt.Advance(pk.Time)
 			}
 			lastTime, first = pk.Time, false
 			r.engRounds++
 		}
+		gr.add(&groups, best, gr.route(best, pk), uint64(trPk), pk)
 		trPk++
-		var idx int
-		if best.rt.hashFns == nil {
-			// Round-robin routing never reads the tuple.
-			idx = best.rt.route(nil)
-		} else {
-			var t exec.Tuple
-			routeBuf, t = pk.AppendTuple(routeBuf[:0])
-			idx = best.rt.route(t)
-		}
-		if best.gstamp[idx] != round {
-			best.gstamp[idx] = round
-			best.gidx[idx] = len(groups)
-			var cb *exec.ColBatch
-			if n := len(free); n > 0 {
-				cb = free[n-1]
-				free = free[:n-1]
-			} else {
-				cb = new(exec.ColBatch) //qap:allow hotalloc -- one batch per live destination, recycled across rounds
-			}
-			groups = append(groups, colSeqGroup{out: best.rt.outs[idx], cols: cb})
-		}
-		pk.AppendCols(groups[best.gidx[idx]].cols)
 	}
 	flushRound()
+	gr.release()
 	r.emitDriverTail(trRound, trPk, lastTime)
 	for _, name := range r.routerNames {
 		r.routers[name].Flush()

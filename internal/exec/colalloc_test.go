@@ -27,6 +27,11 @@ const (
 	// the generation-tagged slot table and accumulators update in
 	// place, so per-tuple allocations round to zero.
 	allocBudgetAggregateColsPerTupleSteady = 0.02
+	// The column-batch wire codec moves payload words between a
+	// caller-sized buffer and a warm batch: neither direction allocates.
+	// (The row codec it replaces on the live feed path decodes every
+	// field into a 32 B slab value: 256 B and 0.011 allocs a packet.)
+	allocBudgetColWireSteady = 0
 )
 
 // colAllocBatch builds a warmed all-uint ColBatch over the 5-column
@@ -96,6 +101,29 @@ func TestAllocsColBatchPivotSteadyState(t *testing.T) {
 	})
 	if got > allocBudgetColPivotSteady {
 		t.Errorf("SetFromRows into warm batch: %.2f allocs/op, budget %d", got, allocBudgetColPivotSteady)
+	}
+}
+
+func TestAllocsColWireSteadyState(t *testing.T) {
+	skipIfRace(t)
+	cb, _ := colAllocBatch(t, 256)
+	buf := make([]byte, 0, ColBatchWireSize(cb))
+	got := testing.AllocsPerRun(100, func() { buf = AppendColBatchWire(buf[:0], cb) })
+	if got > allocBudgetColWireSteady {
+		t.Errorf("AppendColBatchWire into a sized buffer: %.2f allocs/op, budget %d", got, allocBudgetColWireSteady)
+	}
+	dec := GetColBatch()
+	defer PutColBatch(dec)
+	if err := DecodeColBatchWire(buf, dec); err != nil { // warm the batch
+		t.Fatal(err)
+	}
+	got = testing.AllocsPerRun(100, func() {
+		if err := DecodeColBatchWire(buf, dec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > allocBudgetColWireSteady {
+		t.Errorf("DecodeColBatchWire into a warm batch: %.2f allocs/op, budget %d", got, allocBudgetColWireSteady)
 	}
 }
 

@@ -5,9 +5,12 @@ package exec
 // spine and an optional validity bitmap), so batched operators can run
 // compiled kernels over dense column slices instead of per-tuple
 // interface dispatch. Pivots at the engine boundary (AppendRows /
-// SetFromRows) keep the wire codec, the replay merge, and every
+// SetFromRows) keep the link items, the replay merge, and every
 // row-oriented operator untouched: a consumer that does not implement
 // ColConsumer transparently receives the pivoted rows via PushColsAll.
+// In front of the scans there is no pivot: the drivers fill pooled
+// batches from the packet trace, and the live backend ships them in the
+// column-batch wire codec (wire.go).
 //
 // Ownership contract (stricter than Batch): a ColBatch passed to
 // PushCols, and every slice it references, is valid ONLY for the
@@ -18,6 +21,7 @@ package exec
 
 import (
 	"math"
+	"sync"
 
 	"qap/internal/sqlval"
 )
@@ -107,6 +111,47 @@ func (cb *ColBatch) Reset() {
 	cb.Len = 0
 }
 
+// colBatchPool recycles column batches between the drivers that fill
+// them, the wire decoder, and whoever delivers them.
+var colBatchPool = sync.Pool{New: func() any { return new(ColBatch) }}
+
+// GetColBatch returns an empty, unshaped column batch (no columns, zero
+// rows), reusing a pooled one's column capacity when available. Whoever
+// takes a batch owes a PutColBatch — or hands the batch, and the debt,
+// to a new owner.
+func GetColBatch() *ColBatch { return colBatchPool.Get().(*ColBatch) }
+
+// PutColBatch returns a batch to the pool. The caller must not use cb,
+// or any slice it exposed, afterwards. The batch goes back unshaped, so
+// the next owner re-declares every column's kind and a stale kind can
+// never meet a new payload.
+func PutColBatch(cb *ColBatch) {
+	if cb == nil {
+		return
+	}
+	for i := range cb.Cols {
+		if c := &cb.Cols[i]; cap(c.Str) > 0 {
+			clear(c.Str[:cap(c.Str)]) // drop the string references
+		}
+	}
+	cb.Reset()
+	cb.Cols = cb.Cols[:0]
+	colBatchPool.Put(cb)
+}
+
+// Reserve gives an empty batch cols uint64 vectors with room for rows
+// values each, carved from one slab: a producer that knows roughly how
+// many rows are coming fills a fresh batch for two allocations instead
+// of one growth chain per column. The batch stays unshaped.
+func (cb *ColBatch) Reserve(cols, rows int) {
+	slab := make([]uint64, cols*rows)
+	cb.Cols = make([]ColVec, cols)
+	for i := range cb.Cols {
+		cb.Cols[i].U64 = slab[i*rows : i*rows : (i+1)*rows]
+	}
+	cb.Cols = cb.Cols[:0]
+}
+
 // Slice points dst at rows [lo, hi) of cb without copying payloads.
 // dst shares cb's backing arrays, so it follows the same
 // only-during-the-call lifetime. Only all-valid columns can be sliced
@@ -127,11 +172,14 @@ func (cb *ColBatch) Slice(lo, hi int, dst *ColBatch) {
 		d.Valid = nil
 		d.U64 = nil
 		d.Str = nil
-		if c.U64 != nil {
-			d.U64 = c.U64[lo:hi]
-		}
-		if c.Str != nil {
+		// The kind says which vector holds the payload; the other may
+		// be a recycled batch's empty, non-nil leftover.
+		switch c.Kind {
+		case sqlval.KindNull:
+		case sqlval.KindString:
 			d.Str = c.Str[lo:hi]
+		default:
+			d.U64 = c.U64[lo:hi]
 		}
 	}
 	dst.Len = hi - lo

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"qap/internal/sqlval"
 )
@@ -43,6 +45,11 @@ const (
 	MaxWireTuples = 1 << 20
 	// MaxWireString bounds one string value's bytes on the wire.
 	MaxWireString = 1 << 20
+	// MaxWireCells bounds rows x columns of one column batch. An
+	// all-NULL column costs no bytes per row, so without it a few
+	// kilobytes could announce a billion cells for a consumer to pivot;
+	// the bound is what a 16 MB frame of NULLs carries in the row codec.
+	MaxWireCells = 1 << 24
 )
 
 // WireError is a positioned batch-codec decode failure.
@@ -251,4 +258,298 @@ func appendWireU64(dst []byte, v uint64) []byte {
 	return append(dst,
 		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+}
+
+// BatchWireSize is len(AppendBatchWire(nil, b)) without encoding, so a
+// caller can size the destination exactly.
+func BatchWireSize(b Batch) int {
+	n := 4 + 2*len(b)
+	for _, t := range b {
+		for _, v := range t {
+			switch v.Kind() {
+			case sqlval.KindNull:
+				n++
+			case sqlval.KindBool:
+				n += 2
+			case sqlval.KindString:
+				s, _ := v.AsString()
+				n += 5 + len(s)
+			default:
+				n += 9
+			}
+		}
+	}
+	return n
+}
+
+// Column-batch wire codec (the live backend's columnar feed groups).
+//
+// A ColBatch travels as its column vectors, so the splitter never
+// materializes a row and the node decodes straight into a pooled batch
+// whose columns the scan operators consume as they are. The encoding is
+// canonical in the same sense as the row codec — one byte sequence per
+// batch, encode(decode(data)) == data whenever decode succeeds — and a
+// payload word round-trips bit-exactly.
+//
+// Layout, all integers little-endian (payload words travel verbatim):
+//
+//	colbatch := u32 rows , u16 cols , column*
+//	column   := u8 kind , u8 flags , validity? , payload
+//	validity := ceil(rows/64) x u64     present iff flags == 1
+//	payload  :=
+//	  null                   -> (nothing; flags must be 0)
+//	  uint int float bool    -> rows x u64, the ColVec payload words
+//	  string                 -> rows x ( u32 length , bytes )
+//
+// Canonical form: the validity bitmap is present only when some row is
+// NULL (an all-ones bitmap is rejected), its bits past the last row are
+// zero, a NULL row's payload is zero (the empty string), and a bool
+// word is 0 or 1. MaxWireTuples bounds rows, MaxWireCols columns,
+// MaxWireCells their product and MaxWireString each string; every
+// length is checked against the input before it sizes an allocation.
+
+// ColBatchWireSize is len(AppendColBatchWire(nil, cb)) without
+// encoding.
+func ColBatchWireSize(cb *ColBatch) int {
+	n := 6 + 2*len(cb.Cols)
+	for i := range cb.Cols {
+		v := &cb.Cols[i]
+		if v.Kind == sqlval.KindNull {
+			continue
+		}
+		if v.hasNulls(cb.Len) {
+			n += 8 * ((cb.Len + 63) >> 6)
+		}
+		if v.Kind != sqlval.KindString {
+			n += 8 * cb.Len
+			continue
+		}
+		n += 4 * cb.Len
+		for r, s := range v.Str[:cb.Len] {
+			if v.IsValid(r) {
+				n += len(s)
+			}
+		}
+	}
+	return n
+}
+
+// hasNulls reports whether any of the column's first n rows is NULL —
+// whether its canonical encoding carries a validity bitmap.
+func (v *ColVec) hasNulls(n int) bool {
+	if len(v.Valid) == 0 {
+		return false
+	}
+	full := n >> 6
+	for _, w := range v.Valid[:full] {
+		if w != ^uint64(0) {
+			return true
+		}
+	}
+	tail := uint64(1)<<uint(n&63) - 1
+	return tail != 0 && v.Valid[full]&tail != tail
+}
+
+// AppendColBatchWire appends the canonical wire encoding of cb to dst
+// and returns the extended slice. With cap(dst)-len(dst) >=
+// ColBatchWireSize(cb) it does not allocate.
+//
+//qap:hot
+func AppendColBatchWire(dst []byte, cb *ColBatch) []byte {
+	n := cb.Len
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(cb.Cols)))
+	for i := range cb.Cols {
+		v := &cb.Cols[i]
+		if v.Kind == sqlval.KindNull {
+			dst = append(dst, byte(v.Kind), 0)
+			continue
+		}
+		nulls := v.hasNulls(n)
+		if !nulls && v.Kind != sqlval.KindString && v.Kind != sqlval.KindBool {
+			// The hot shape (packet columns): kind, no bitmap, n words.
+			dst = append(dst, byte(v.Kind), 0)
+			at := len(dst)
+			dst = slices.Grow(dst, 8*n)[:at+8*n]
+			p := dst[at:]
+			for r, w := range v.U64[:n] {
+				binary.LittleEndian.PutUint64(p[8*r:8*r+8], w)
+			}
+			continue
+		}
+		dst = appendColVecSlow(dst, v, n, nulls)
+	}
+	return dst
+}
+
+// appendColVecSlow encodes a column with NULLs, strings or bools,
+// normalizing what the canonical form pins: zero bitmap tail, zero
+// payload under a NULL, bool words 0/1.
+func appendColVecSlow(dst []byte, v *ColVec, n int, nulls bool) []byte {
+	if !nulls {
+		dst = append(dst, byte(v.Kind), 0)
+	} else {
+		dst = append(dst, byte(v.Kind), 1)
+		words := (n + 63) >> 6
+		for i, w := range v.Valid[:words] {
+			if i == words-1 && n&63 != 0 {
+				w &= uint64(1)<<uint(n&63) - 1
+			}
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+	}
+	for r := 0; r < n; r++ {
+		valid := !nulls || v.IsValid(r)
+		switch {
+		case v.Kind == sqlval.KindString:
+			s := ""
+			if valid {
+				s = v.Str[r]
+			}
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+			dst = append(dst, s...)
+		case !valid:
+			dst = binary.LittleEndian.AppendUint64(dst, 0)
+		case v.Kind == sqlval.KindBool && v.U64[r] != 0:
+			dst = binary.LittleEndian.AppendUint64(dst, 1)
+		default:
+			dst = binary.LittleEndian.AppendUint64(dst, v.U64[r])
+		}
+	}
+	return dst
+}
+
+// DecodeColBatchWire decodes exactly one column batch from data into
+// dst, reusing dst's column capacity (a warm batch decodes NULL-free
+// numeric columns without allocating). Truncation, trailing bytes, limit
+// violations and non-canonical input are positioned *WireErrors, after
+// which dst is unspecified; the caller still owns it.
+//
+//qap:hot
+func DecodeColBatchWire(data []byte, dst *ColBatch) error {
+	if len(data) < 6 {
+		return wireErr(len(data), "truncated column batch header")
+	}
+	rows := int(binary.LittleEndian.Uint32(data))
+	cols := int(binary.LittleEndian.Uint16(data[4:]))
+	if rows > MaxWireTuples {
+		return wireErr(0, "column batch of %d rows exceeds the %d-row limit", rows, MaxWireTuples)
+	}
+	if cols > MaxWireCols {
+		return wireErr(4, "column batch of %d columns exceeds the %d-column limit", cols, MaxWireCols)
+	}
+	if rows*cols > MaxWireCells {
+		return wireErr(0, "column batch of %d x %d cells exceeds the %d-cell limit", rows, cols, MaxWireCells)
+	}
+	if cap(dst.Cols) < cols {
+		grown := make([]ColVec, cols) //qap:allow hotalloc -- batch shaped once, then recycled
+		copy(grown, dst.Cols[:cap(dst.Cols)])
+		dst.Cols = grown
+	}
+	dst.Cols = dst.Cols[:cols]
+	dst.Len = rows
+	off := 6
+	for c := range dst.Cols {
+		v := &dst.Cols[c]
+		v.U64, v.Str, v.Valid = v.U64[:0], v.Str[:0], v.Valid[:0]
+		if off+2 > len(data) {
+			return wireErr(len(data), "truncated column %d header", c)
+		}
+		v.Kind = sqlval.Kind(data[off])
+		flags := data[off+1]
+		if v.Kind > sqlval.KindString {
+			return wireErr(off, "column %d: unknown value kind %d", c, v.Kind)
+		}
+		if flags > 1 || (flags == 1 && v.Kind == sqlval.KindNull) {
+			return wireErr(off+1, "column %d: non-canonical flags byte %d", c, flags)
+		}
+		off += 2
+		if flags == 1 {
+			words := (rows + 63) >> 6
+			if len(data)-off < 8*words {
+				return wireErr(len(data), "column %d: truncated validity bitmap", c)
+			}
+			v.Valid = growUints(v.Valid, words)
+			for i := range v.Valid {
+				v.Valid[i] = binary.LittleEndian.Uint64(data[off+8*i:])
+			}
+			if rows&63 != 0 && v.Valid[words-1]>>uint(rows&63) != 0 {
+				return wireErr(off+8*(words-1), "column %d: validity bits set past row %d", c, rows)
+			}
+			if !v.hasNulls(rows) {
+				return wireErr(off, "column %d: non-canonical all-valid bitmap", c)
+			}
+			off += 8 * words
+		}
+		var err error
+		switch v.Kind {
+		case sqlval.KindNull:
+		case sqlval.KindString:
+			off, err = decodeColStrings(data, off, v, c, rows)
+		default:
+			off, err = decodeColWords(data, off, v, c, rows)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if off != len(data) {
+		return wireErr(off, "%d trailing bytes after the column batch", len(data)-off)
+	}
+	return nil
+}
+
+// decodeColWords reads a numeric column's payload words and holds them
+// to the canonical form.
+//
+//qap:hot
+func decodeColWords(data []byte, off int, v *ColVec, c, rows int) (int, error) {
+	if len(data)-off < 8*rows {
+		return off, wireErr(len(data), "column %d: truncated payload (%d of %d bytes)", c, len(data)-off, 8*rows)
+	}
+	v.U64 = growUints(v.U64, rows)
+	p := data[off : off+8*rows]
+	for r := range v.U64 {
+		v.U64[r] = binary.LittleEndian.Uint64(p[8*r : 8*r+8])
+	}
+	if v.Kind == sqlval.KindBool || len(v.Valid) != 0 {
+		for r, w := range v.U64 {
+			if w != 0 && !v.IsValid(r) {
+				return off, wireErr(off+8*r, "column %d: non-zero payload under the NULL at row %d", c, r)
+			}
+			if w > 1 && v.Kind == sqlval.KindBool {
+				return off, wireErr(off+8*r, "column %d: non-canonical bool word %d at row %d", c, w, r)
+			}
+		}
+	}
+	return off + 8*rows, nil
+}
+
+// decodeColStrings reads a string column's length-prefixed values.
+func decodeColStrings(data []byte, off int, v *ColVec, c, rows int) (int, error) {
+	if len(data)-off < 4*rows {
+		return off, wireErr(len(data), "column %d: truncated string payload", c)
+	}
+	if cap(v.Str) < rows {
+		v.Str = make([]string, 0, rows)
+	}
+	for r := 0; r < rows; r++ {
+		if len(data)-off < 4 {
+			return off, wireErr(len(data), "column %d: truncated string length at row %d", c, r)
+		}
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n > MaxWireString {
+			return off, wireErr(off, "column %d: string of %d bytes exceeds the %d-byte limit", c, n, MaxWireString)
+		}
+		if n != 0 && !v.IsValid(r) {
+			return off, wireErr(off, "column %d: non-empty string under the NULL at row %d", c, r)
+		}
+		off += 4
+		if len(data)-off < n {
+			return off, wireErr(len(data), "column %d: truncated string payload (%d of %d bytes)", c, len(data)-off, n)
+		}
+		v.Str = append(v.Str, string(data[off:off+n]))
+		off += n
+	}
+	return off, nil
 }

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"qap/internal/sqlval"
@@ -243,5 +245,302 @@ func FuzzBatchCodec(f *testing.F) {
 		if len(b2) != len(b) {
 			t.Fatalf("round trip changed tuple count: %d vs %d", len(b), len(b2))
 		}
+	})
+}
+
+// ---- column-batch codec ----
+
+// colWireSample is a batch covering every column kind, NULLs in each
+// payload shape, an all-NULL (KindNull) column, and a row count that
+// leaves a ragged last validity word.
+func colWireSample(t testing.TB) *ColBatch {
+	t.Helper()
+	const n = 70
+	rows := make(Batch, n)
+	for r := range rows {
+		null := func(v sqlval.Value) sqlval.Value {
+			if r%7 == 3 {
+				return sqlval.Null
+			}
+			return v
+		}
+		rows[r] = Tuple{
+			sqlval.Uint(uint64(r) * 0x9E3779B97F4A7C15),
+			null(sqlval.Uint(uint64(r))),
+			sqlval.Int(int64(-r)),
+			null(sqlval.Float(math.Float64frombits(0x7FF8000000000001 + uint64(r)))), // NaN payloads
+			null(sqlval.Bool(r%2 == 0)),
+			null(sqlval.Str(string(rune('a'+r%26)) + "αβ\x00")),
+			sqlval.Str(""),
+			sqlval.Null,
+		}
+	}
+	cb := new(ColBatch)
+	if !cb.SetFromRows(rows) {
+		t.Fatal("sample rows are not columnar")
+	}
+	return cb
+}
+
+// sameColBatch compares two batches value by value, bit-exactly.
+func sameColBatch(t *testing.T, want, got *ColBatch) {
+	t.Helper()
+	if want.Len != got.Len || len(want.Cols) != len(got.Cols) {
+		t.Fatalf("shape: want %dx%d, got %dx%d", want.Len, len(want.Cols), got.Len, len(got.Cols))
+	}
+	for c := range want.Cols {
+		for r := 0; r < want.Len; r++ {
+			if w, g := want.Cols[c].Value(r), got.Cols[c].Value(r); !sameWireValue(w, g) {
+				t.Fatalf("col %d row %d: want %v, got %v", c, r, w, g)
+			}
+		}
+	}
+}
+
+// TestColWireRoundTrip: the column codec is the identity on every kind
+// and NULL pattern, re-encoding is byte-identical (the canonical fixed
+// point), the size functions are exact, and the packet shape — eight
+// NULL-free uint columns — survives at every batch size.
+func TestColWireRoundTrip(t *testing.T) {
+	batches := []*ColBatch{colWireSample(t), {}}
+	for _, n := range []int{0, 1, 63, 64, 65, 256, 1000} {
+		cb := new(ColBatch)
+		if !cb.SetFromRows(fuzzUintRows(uint64(n)+1, n)) {
+			t.Fatal("uint rows are not columnar")
+		}
+		batches = append(batches, cb)
+	}
+	for i, cb := range batches {
+		enc := AppendColBatchWire(nil, cb)
+		if got := ColBatchWireSize(cb); got != len(enc) {
+			t.Fatalf("batch %d: ColBatchWireSize = %d, encoding is %d bytes", i, got, len(enc))
+		}
+		dec := new(ColBatch)
+		if err := DecodeColBatchWire(enc, dec); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		sameColBatch(t, cb, dec)
+		if re := AppendColBatchWire(nil, dec); !bytes.Equal(enc, re) {
+			t.Fatalf("batch %d: re-encoding a decoded batch changed the bytes", i)
+		}
+		rows := cb.AppendRows(nil)
+		if got := BatchWireSize(rows); got != len(AppendBatchWire(nil, rows)) {
+			t.Fatalf("batch %d: BatchWireSize = %d, row encoding is %d bytes", i, got, len(AppendBatchWire(nil, rows)))
+		}
+	}
+}
+
+// TestColWireEncoderNormalizes: what the canonical form pins, the
+// encoder enforces on whatever the batch holds in memory — an all-ones
+// bitmap is dropped, bitmap bits past Len and payload under a NULL are
+// zeroed, a bool word is 0 or 1 — so every encoding decodes.
+func TestColWireEncoderNormalizes(t *testing.T) {
+	cb := &ColBatch{Len: 3, Cols: []ColVec{
+		{Kind: sqlval.KindUint, U64: []uint64{1, 2, 3}, Valid: []uint64{^uint64(0)}}, // all valid, junk tail
+		{Kind: sqlval.KindUint, U64: []uint64{1, 99, 3}, Valid: []uint64{0xF5}},      // row 1 NULL over 99, junk tail
+		{Kind: sqlval.KindBool, U64: []uint64{0, 7, 1}},
+		{Kind: sqlval.KindString, Str: []string{"a", "junk", "c"}, Valid: []uint64{0x5}},
+	}}
+	enc := AppendColBatchWire(nil, cb)
+	if got := ColBatchWireSize(cb); got != len(enc) {
+		t.Fatalf("ColBatchWireSize = %d, encoding is %d bytes", got, len(enc))
+	}
+	dec := new(ColBatch)
+	if err := DecodeColBatchWire(enc, dec); err != nil {
+		t.Fatal(err)
+	}
+	sameColBatch(t, cb, dec)
+	if len(dec.Cols[0].Valid) != 0 {
+		t.Fatal("an all-valid bitmap travelled")
+	}
+}
+
+// TestColWireRejectsTruncation: every strict prefix of a valid encoding
+// and any trailing byte is a positioned *WireError.
+func TestColWireRejectsTruncation(t *testing.T) {
+	enc := AppendColBatchWire(nil, colWireSample(t))
+	dec := new(ColBatch)
+	for n := 0; n < len(enc); n++ {
+		err := DecodeColBatchWire(enc[:n], dec)
+		if err == nil {
+			t.Fatalf("prefix of %d/%d bytes decoded without error", n, len(enc))
+		}
+		we, ok := err.(*WireError)
+		if !ok {
+			t.Fatalf("prefix %d: error is %T, want *WireError", n, err)
+		}
+		if we.Offset < 0 || we.Offset > n {
+			t.Fatalf("prefix %d: error offset %d out of range", n, we.Offset)
+		}
+	}
+	if err := DecodeColBatchWire(append(append([]byte(nil), enc...), 0), dec); err == nil {
+		t.Fatal("trailing byte decoded without error")
+	}
+}
+
+// colWireHeader is a column batch's rows/cols header.
+func colWireHeader(rows, cols int) []byte {
+	return binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint32(nil, uint32(rows)), uint16(cols))
+}
+
+func colWireWords(dst []byte, words ...uint64) []byte {
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
+
+// TestColWireRejectsOversizedAndNonCanonical: the limits bound every
+// attacker-controlled length before it sizes an allocation, and input
+// with no canonical preimage is refused, or encode(decode(x)) == x
+// breaks. Each case names the message fragment its rejection carries.
+func TestColWireRejectsOversizedAndNonCanonical(t *testing.T) {
+	uintCol := func(flags byte) []byte { return []byte{byte(sqlval.KindUint), flags} }
+	cases := []struct {
+		name, want string
+		data       []byte
+	}{
+		{"rows over the limit", "row limit", colWireHeader(MaxWireTuples+1, 0)},
+		{"cols over the limit", "column limit", colWireHeader(1, MaxWireCols+1)},
+		{"cells over the limit", "cell limit", colWireHeader(MaxWireTuples, 17)},
+		{"rows the input cannot hold", "truncated payload", append(colWireHeader(MaxWireTuples, 1), uintCol(0)...)},
+		{"string over the limit", "byte limit", binary.LittleEndian.AppendUint32(
+			append(colWireHeader(1, 1), byte(sqlval.KindString), 0), MaxWireString+1)},
+		{"unknown kind", "unknown value kind", append(colWireHeader(0, 1), 0xEE, 0)},
+		{"flags above 1", "flags byte", append(colWireHeader(0, 1), uintCol(2)...)},
+		{"bitmap on a null column", "flags byte", append(colWireHeader(1, 1), byte(sqlval.KindNull), 1)},
+		{"validity bits past Len", "past row", colWireWords(append(colWireHeader(2, 1), uintCol(1)...), 0b101, 5, 0)},
+		{"validity all ones", "all-valid", colWireWords(append(colWireHeader(2, 1), uintCol(1)...), 0b11, 5, 6)},
+		{"validity on an empty batch", "all-valid", append(colWireHeader(0, 1), uintCol(1)...)},
+		{"payload under a NULL", "under the NULL", colWireWords(append(colWireHeader(2, 1), uintCol(1)...), 0b01, 5, 6)},
+		{"bool word above 1", "bool word", colWireWords(append(colWireHeader(1, 1), byte(sqlval.KindBool), 0), 2)},
+		{"string under a NULL", "under the NULL", append(colWireWords(
+			append(colWireHeader(1, 1), byte(sqlval.KindString), 1), 0), 1, 0, 0, 0, 'x')},
+	}
+	dec := new(ColBatch)
+	for _, tc := range cases {
+		err := DecodeColBatchWire(tc.data, dec)
+		if err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+			continue
+		}
+		if _, ok := err.(*WireError); !ok || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q (%T), want a *WireError mentioning %q", tc.name, err, err, tc.want)
+		}
+	}
+}
+
+// sameColSlice holds cb.Slice(lo, hi) to rows [lo, hi) of cb.
+func sameColSlice(t *testing.T, cb *ColBatch, lo, hi int) {
+	t.Helper()
+	var view ColBatch
+	cb.Slice(lo, hi, &view)
+	if view.Len != hi-lo || len(view.Cols) != len(cb.Cols) {
+		t.Fatalf("slice [%d,%d): shape %dx%d", lo, hi, view.Len, len(view.Cols))
+	}
+	for c := range cb.Cols {
+		for r := lo; r < hi; r++ {
+			if w, g := cb.Cols[c].Value(r), view.Cols[c].Value(r-lo); !sameWireValue(w, g) {
+				t.Fatalf("slice [%d,%d) col %d row %d: want %v, got %v", lo, hi, c, r, w, g)
+			}
+		}
+	}
+}
+
+// TestColWireDecodeWarmThenSlice: a batch decoded into a recycled one
+// slices by column kind. The vectors a kind does not use keep the
+// previous shape's capacity (here 4 uint words under a 10-row string
+// and an all-NULL column), and Slice must not read them as payload.
+func TestColWireDecodeWarmThenSlice(t *testing.T) {
+	warm := new(ColBatch)
+	if !warm.SetFromRows(fuzzUintRows(3, 4)) {
+		t.Fatal("uint rows are not columnar")
+	}
+	rows := make(Batch, 10)
+	for r := range rows {
+		rows[r] = Tuple{sqlval.Str(string(rune('a' + r))), sqlval.Null, sqlval.Uint(uint64(r)), sqlval.Bool(r%3 == 0)}
+	}
+	src := new(ColBatch)
+	if !src.SetFromRows(rows) {
+		t.Fatal("rows are not columnar")
+	}
+	if err := DecodeColBatchWire(AppendColBatchWire(nil, src), warm); err != nil {
+		t.Fatal(err)
+	}
+	sameColBatch(t, src, warm)
+	sameColSlice(t, warm, 0, 10)
+	sameColSlice(t, warm, 3, 9)
+	// No columns at all, rows on the header: nothing to slice, no panic.
+	if err := DecodeColBatchWire(colWireHeader(5, 0), warm); err != nil {
+		t.Fatal(err)
+	}
+	sameColSlice(t, warm, 1, 4)
+}
+
+// TestColBatchPoolHandsOutUnshapedBatches: a pooled batch comes back
+// with no columns, so a producer of another shape can never append
+// payload words under a stale kind.
+func TestColBatchPoolHandsOutUnshapedBatches(t *testing.T) {
+	cb := GetColBatch()
+	if err := DecodeColBatchWire(AppendColBatchWire(nil, colWireSample(t)), cb); err != nil {
+		t.Fatal(err)
+	}
+	PutColBatch(cb)
+	for i := 0; i < 4; i++ { // whichever batch the pool returns
+		got := GetColBatch()
+		if got.Len != 0 || len(got.Cols) != 0 {
+			t.Fatalf("pooled batch is shaped: %d rows, %d columns", got.Len, len(got.Cols))
+		}
+		defer PutColBatch(got)
+	}
+}
+
+// FuzzColBatchCodec holds the column codec to its canonical fixed
+// point: input that decodes re-encodes to the identical bytes, and
+// rejected input carries a positioned error. Decoding the same bytes
+// into a batch still warm from another shape must give the same batch,
+// and the same slices of it: nothing leaks from one decode into the next.
+func FuzzColBatchCodec(f *testing.F) {
+	sample := AppendColBatchWire(nil, colWireSample(f))
+	f.Add([]byte{})
+	f.Add(colWireHeader(0, 0))
+	f.Add(sample)
+	packets := new(ColBatch)
+	packets.SetFromRows(fuzzUintRows(7, 5))
+	f.Add(AppendColBatchWire(nil, packets))
+	f.Add(colWireWords(append(colWireHeader(2, 1), byte(sqlval.KindUint), 1), 0b11, 5, 6))
+	f.Add(colWireWords(append(colWireHeader(1, 1), byte(sqlval.KindBool), 0), 2))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := new(ColBatch)
+		if err := DecodeColBatchWire(data, dec); err != nil {
+			if _, ok := err.(*WireError); !ok {
+				t.Fatalf("decode error is %T, want *WireError: %v", err, err)
+			}
+			return
+		}
+		if got := ColBatchWireSize(dec); got != len(data) {
+			t.Fatalf("ColBatchWireSize = %d for a %d-byte encoding", got, len(data))
+		}
+		if re := AppendColBatchWire(nil, dec); !bytes.Equal(re, data) {
+			t.Fatalf("decode accepted non-canonical input:\n in:  %x\n out: %x", data, re)
+		}
+		warm := new(ColBatch)
+		if err := DecodeColBatchWire(sample, warm); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeColBatchWire(data, warm); err != nil {
+			t.Fatalf("decode into a warm batch failed: %v", err)
+		}
+		if dec.Len*len(dec.Cols) > 1<<16 { // NULL columns are free on the wire, not to compare
+			return
+		}
+		sameColBatch(t, dec, warm)
+		for c := range warm.Cols {
+			if len(warm.Cols[c].Valid) != 0 {
+				return // only all-valid columns slice
+			}
+		}
+		sameColSlice(t, warm, 0, warm.Len)
+		sameColSlice(t, warm, warm.Len/2, warm.Len)
 	})
 }

@@ -13,8 +13,8 @@ import (
 // deadline, and reopens as acks drop frames — the queue never grows
 // past the window, which is what bounds splitter memory.
 func TestOutboxCreditWindow(t *testing.T) {
-	o := newOutbox(2)
-	enc := func(seq uint64, dst []byte) []byte { return append(dst, byte(seq)) }
+	o := newOutbox(2, DefaultMaxFrame)
+	enc := &FeedMsg{}
 	for want := uint64(1); want <= 2; want++ {
 		seq, err := o.append(frameFeed, time.Now().Add(time.Second), enc)
 		if err != nil {
@@ -45,8 +45,8 @@ func TestOutboxCreditWindow(t *testing.T) {
 // exhaustion must wake when an ack frees a slot — the no-deadlock half
 // of the backpressure contract.
 func TestOutboxBlockedAppendReleasedByAck(t *testing.T) {
-	o := newOutbox(1)
-	enc := func(seq uint64, dst []byte) []byte { return append(dst, byte(seq)) }
+	o := newOutbox(1, DefaultMaxFrame)
+	enc := &FeedMsg{}
 	if _, err := o.append(frameFeed, time.Now().Add(time.Second), enc); err != nil {
 		t.Fatal(err)
 	}

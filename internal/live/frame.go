@@ -7,7 +7,8 @@
 // tests.
 //
 // The package knows nothing about plans or operators: it moves framed
-// messages whose tuple payloads use the exec batch wire codec. The
+// messages whose tuple payloads use the exec wire codecs (rows for link
+// items and row feed groups, column vectors for columnar feed groups). The
 // cluster package's live engine supplies an Executor that turns feed
 // messages into link messages; cmd/qap-node serves the same Executor
 // from a separate OS process.
@@ -41,8 +42,11 @@ const (
 )
 
 // DefaultMaxFrame bounds one frame's payload; larger frames are a
-// protocol error. Feeds are paced by rounds (a round is a handful of
-// packets at realistic trace rates), so real frames sit far below it.
+// protocol error. A round holds a whole timestamp's packets for one
+// host — 64 bytes a packet in column groups, tens of thousands of
+// packets a second on a fast link — so a feed of many rounds can reach
+// the bound: the splitter's driver cuts feeds by bytes as well as by
+// round count, and SendFeed refuses a frame that would not fit.
 const DefaultMaxFrame = 16 << 20
 
 // frameHeaderLen is the 4-byte big-endian payload length plus the type
@@ -54,6 +58,30 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 	n := len(payload) + 1
 	dst = append(dst, byte(n>>24), byte(n>>16), byte(n>>8), byte(n), typ)
 	return append(dst, payload...)
+}
+
+// bufCap is the capacity a fresh frame buffer of n bytes gets: an
+// eighth of headroom, because consecutive frames of a stream differ by
+// a few bytes and a recycled buffer a few bytes short is no use at all.
+func bufCap(n int) int { return n + n/8 }
+
+// appendMsgFrame encodes m, whose wireSize is size, as one complete
+// frame — header, type, payload — written once and in place: into
+// buf's capacity when the frame fits there, else into a fresh buffer.
+//
+//qap:hot
+func appendMsgFrame(buf []byte, typ byte, m wireMsg, size int) []byte {
+	need := frameHeaderLen + size
+	if cap(buf) < need {
+		buf = make([]byte, 0, bufCap(need)) //qap:allow hotalloc -- no recycled buffer fits; the new one joins the free list at its ack
+	}
+	n := size + 1 // the type byte counts towards the frame's length
+	buf = append(buf[:0], byte(n>>24), byte(n>>16), byte(n>>8), byte(n), typ)
+	buf = m.encode(buf)
+	if len(buf) != need {
+		panic(fmt.Sprintf("live: frame type %d encoded %d bytes, wireSize promised %d", typ, len(buf), need))
+	}
+	return buf
 }
 
 // writeFrame sends one frame in a single Write call, so the fault
@@ -83,7 +111,7 @@ func readFrame(r io.Reader, maxFrame int, buf []byte) (typ byte, payload, newBuf
 		return 0, nil, buf, fmt.Errorf("live: %d-byte frame exceeds the %d-byte limit", n-1, maxFrame)
 	}
 	if cap(buf) < n-1 {
-		buf = make([]byte, n-1)
+		buf = make([]byte, n-1, bufCap(n-1))
 	}
 	buf = buf[:n-1]
 	if _, err := io.ReadFull(r, buf); err != nil {

@@ -18,7 +18,8 @@ type Executor interface {
 	// Execute runs one feed's rounds and returns the link message to
 	// ship (Seq is assigned by the node; Through and Done are the
 	// executor's). Called in feed-sequence order, exactly once per
-	// sequence.
+	// sequence. The feed's column groups are pooled batches the node
+	// takes back when Execute returns: they must not be retained.
 	Execute(m *FeedMsg) (*LinkMsg, error)
 	// Result serializes the island's final shards after the last feed,
 	// for remote nodes; in-process executors return nil.
@@ -80,7 +81,7 @@ func NewNode(cfg Config, opt NodeOptions, addr string) (*Node, error) {
 		cfg:  cfg,
 		opt:  opt,
 		ln:   ln,
-		out:  newOutbox(cfg.linkWindow()),
+		out:  newOutbox(cfg.linkWindow(), cfg.maxFrame()),
 		stop: make(chan struct{}),
 	}, nil
 }
@@ -184,12 +185,15 @@ func (n *Node) session(conn net.Conn) error {
 	if typ != frameHello {
 		return fmt.Errorf("live: node %d: expected hello, got frame type %d", n.opt.Host, typ)
 	}
+	// The version byte leads the Hello in every protocol version, so it
+	// is judged before the rest is parsed: a peer speaking another
+	// version fails for good instead of as a retried decode error.
+	if len(payload) > 0 && int(payload[0]) != ProtocolVersion {
+		return fatalf("live: node %d: hello speaks protocol version %d, want %d", n.opt.Host, payload[0], ProtocolVersion)
+	}
 	h, err := decodeHello(payload)
 	if err != nil {
 		return err
-	}
-	if h.Version != ProtocolVersion {
-		return fatalf("live: node %d: protocol version %d, want %d", n.opt.Host, h.Version, ProtocolVersion)
 	}
 	if h.Host != n.opt.Host {
 		return fatalf("live: node %d: hello addressed to host %d", n.opt.Host, h.Host)
@@ -208,7 +212,7 @@ func (n *Node) session(conn net.Conn) error {
 	n.out.rewind(h.ResumeLink)
 	w := Welcome{Version: ProtocolVersion, ResumeFeed: n.feedSeen, HasResult: n.opt.SendResult}
 	conn.SetWriteDeadline(time.Now().Add(to)) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
-	if _, err := writeFrame(conn, nil, frameWelcome, w.encode(nil)); err != nil {
+	if _, err := conn.Write(appendMsgFrame(nil, frameWelcome, &w, w.wireSize())); err != nil {
 		return err
 	}
 
@@ -253,6 +257,7 @@ func (n *Node) session(conn net.Conn) error {
 				return err
 			}
 			link, err := n.exec.Execute(m)
+			m.releaseCols()
 			if err != nil {
 				return fmt.Errorf("live: node %d: feed seq %d: %w", n.opt.Host, seq, err)
 			}
@@ -260,10 +265,7 @@ func (n *Node) session(conn net.Conn) error {
 			// ack is on the wire the link must be recorded for
 			// retransmission, or a crash here would lose it.
 			deadline := time.Now().Add(to) //qap:allow walltime -- credit-stall deadline; transport pacing never shapes outputs
-			if _, err := n.out.append(frameLink, deadline, func(ls uint64, dst []byte) []byte {
-				link.Seq = ls
-				return link.encode(dst)
-			}); err != nil {
+			if link.Seq, err = n.out.append(frameLink, deadline, link); err != nil {
 				return fmt.Errorf("live: node %d: feed seq %d: %w", n.opt.Host, seq, err)
 			}
 			n.feedSeen = seq
@@ -275,10 +277,8 @@ func (n *Node) session(conn net.Conn) error {
 					if err != nil {
 						return fmt.Errorf("live: node %d: result: %w", n.opt.Host, err)
 					}
-					if _, err := n.out.append(frameResult, deadline, func(ls uint64, dst []byte) []byte {
-						dst = appendU64(dst, ls)
-						return append(dst, res...)
-					}); err != nil {
+					rm := &resultMsg{payload: res}
+					if _, err := n.out.append(frameResult, deadline, rm); err != nil {
 						return fmt.Errorf("live: node %d: result: %w", n.opt.Host, err)
 					}
 					n.resultQueued = true

@@ -1,6 +1,8 @@
 package live
 
 import (
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -188,5 +190,48 @@ func TestFeedRetransmitReAcked(t *testing.T) {
 	}
 	if err := <-serveErr; err != nil {
 		t.Fatalf("node.Serve: %v", err)
+	}
+}
+
+// TestNodeRejectsV1HelloAsFatal: a splitter still speaking protocol
+// version 1 — row groups without a kind byte — must fail the node's
+// Serve for good, positioned at the node and naming both versions; a
+// retried "truncated frame" error somewhere inside its first feed would
+// be the alternative. The version byte is judged before the rest of the
+// Hello is parsed, so even a Hello this version cannot decode is refused
+// by version.
+func TestNodeRejectsV1HelloAsFatal(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"v1 hello":         (&Hello{Version: 1, Streams: []string{"tcp"}, Fingerprint: "fp"}).encode(nil),
+		"undecodable v1":   {1, 0xFF},
+		"a future version": {ProtocolVersion + 1},
+	} {
+		node, err := NewNode(Config{Timeout: 5 * time.Second}, NodeOptions{
+			Fingerprint: "fp",
+			NewExecutor: func(*Hello) (Executor, error) { return &echoExec{}, nil },
+		}, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveErr := make(chan error, 1)
+		go func() { serveErr <- node.Serve() }()
+		conn, err := net.Dial("tcp", node.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := writeFrame(conn, nil, frameHello, payload); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-serveErr:
+			want := fmt.Sprintf("node 0: hello speaks protocol version %d, want %d", payload[0], ProtocolVersion)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: node.Serve = %v, want an error containing %q", name, err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: node.Serve kept serving a peer of another protocol version", name)
+		}
+		conn.Close()
+		node.Close()
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // ProtocolVersion is bumped on any wire-incompatible change; the
-// handshake rejects a peer speaking a different version.
-const ProtocolVersion = 1
+// handshake rejects a peer speaking a different version. Version 2
+// tags every feed group as row or column encoded.
+const ProtocolVersion = 2
 
 // Hello opens (or resumes) a session, splitter -> node.
 type Hello struct {
@@ -41,7 +42,10 @@ type Welcome struct {
 	HasResult bool
 }
 
-// Group is one destination partition's routed tuples within a round.
+// Group is one destination partition's routed tuples within a round,
+// as rows (Tuples) or as columns (Cols, when non-nil). A columnar
+// engine ships column groups and a row engine row groups; the
+// deployment fingerprint pins the choice on both ends.
 type Group struct {
 	// Tag is the canonical delivery tag (the round-local sequence of
 	// the group's first tuple, in the splitter's push phase).
@@ -50,7 +54,16 @@ type Group struct {
 	Stream int
 	Part   int
 	Tuples exec.Batch
+	// Cols, on a decoded feed, is a pooled batch the node owns: it is
+	// valid only during Executor.Execute.
+	Cols *exec.ColBatch
 }
+
+// Group kinds on the wire.
+const (
+	groupRows = byte(0)
+	groupCols = byte(1)
+)
 
 // Round is one watermark round of a feed.
 type Round struct {
@@ -105,6 +118,17 @@ type LinkMsg struct {
 }
 
 // ---- encoding ----
+//
+// Every message knows its exact encoded size, so a frame is encoded
+// once, in place, into a buffer sized for header and payload together
+// (appendMsgFrame) — never grown, never copied.
+
+// wireMsg is a message that can be framed: encode appends exactly
+// wireSize() bytes.
+type wireMsg interface {
+	wireSize() int
+	encode(dst []byte) []byte
+}
 
 func appendU16(dst []byte, v uint16) []byte {
 	return append(dst, byte(v>>8), byte(v))
@@ -129,11 +153,29 @@ func appendString(dst []byte, s string) []byte {
 // so the decoder can hand the exact span to exec.DecodeBatchWire.
 func appendBatchBlob(dst []byte, b exec.Batch) []byte {
 	at := len(dst)
-	dst = appendU32(dst, 0)
-	dst = exec.AppendBatchWire(dst, b)
+	return patchBlobLen(exec.AppendBatchWire(appendU32(dst, 0), b), at)
+}
+
+// appendColBlob is appendBatchBlob for a column batch.
+func appendColBlob(dst []byte, cb *exec.ColBatch) []byte {
+	at := len(dst)
+	return patchBlobLen(exec.AppendColBatchWire(appendU32(dst, 0), cb), at)
+}
+
+// patchBlobLen fills in the length prefix reserved at dst[at:] now that
+// the blob behind it is encoded.
+func patchBlobLen(dst []byte, at int) []byte {
 	n := uint32(len(dst) - at - 4)
 	dst[at], dst[at+1], dst[at+2], dst[at+3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
 	return dst
+}
+
+func (m *Hello) wireSize() int {
+	n := 1 + 4 + 4 + 8 + 2 + 4 + len(m.Fingerprint)
+	for _, s := range m.Streams {
+		n += 4 + len(s)
+	}
+	return n
 }
 
 func (m *Hello) encode(dst []byte) []byte {
@@ -148,6 +190,8 @@ func (m *Hello) encode(dst []byte) []byte {
 	return appendString(dst, m.Fingerprint)
 }
 
+func (m *Welcome) wireSize() int { return 1 + 8 + 1 }
+
 func (m *Welcome) encode(dst []byte) []byte {
 	dst = append(dst, byte(m.Version))
 	dst = appendU64(dst, m.ResumeFeed)
@@ -158,6 +202,37 @@ func (m *Welcome) encode(dst []byte) []byte {
 	return append(dst, flags)
 }
 
+// feedHeaderSize is a feed's seq, flags and round count.
+const feedHeaderSize = 8 + 1 + 4
+
+// WireSize is the round's exact encoded size; a feed's frame payload is
+// feedHeaderSize plus its rounds' sizes, which is what lets the
+// splitter's driver cut feeds by bytes before SendFeed ever sees them.
+//
+//qap:hot
+func (r *Round) WireSize() int {
+	n := 4 + 8 + 1 + 4
+	for gi := range r.Groups {
+		g := &r.Groups[gi]
+		n += 8 + 2 + 4 + 1 + 4
+		if g.Cols != nil {
+			n += exec.ColBatchWireSize(g.Cols)
+		} else {
+			n += exec.BatchWireSize(g.Tuples)
+		}
+	}
+	return n
+}
+
+func (m *FeedMsg) wireSize() int {
+	n := feedHeaderSize
+	for i := range m.Rounds {
+		n += m.Rounds[i].WireSize()
+	}
+	return n
+}
+
+//qap:hot
 func (m *FeedMsg) encode(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
 	flags := byte(0)
@@ -184,10 +259,31 @@ func (m *FeedMsg) encode(dst []byte) []byte {
 			dst = appendU64(dst, g.Tag)
 			dst = appendU16(dst, uint16(g.Stream))
 			dst = appendU32(dst, uint32(g.Part))
-			dst = appendBatchBlob(dst, g.Tuples)
+			if g.Cols != nil {
+				dst = append(dst, groupCols)
+				dst = appendColBlob(dst, g.Cols)
+			} else {
+				dst = append(dst, groupRows)
+				dst = appendBatchBlob(dst, g.Tuples)
+			}
 		}
 	}
 	return dst
+}
+
+func (m *LinkMsg) wireSize() int {
+	n := 8 + 1 + 8 + 4
+	for i := range m.Items {
+		it := &m.Items[i]
+		n += 4 + 8 + 1 + 4 + 8 + 8
+		switch it.Kind {
+		case ItemPush:
+			n += 4 + exec.BatchWireSize(exec.Batch{it.Tuple})
+		case ItemPushBatch:
+			n += 4 + exec.BatchWireSize(it.Batch)
+		}
+	}
+	return n
 }
 
 func (m *LinkMsg) encode(dst []byte) []byte {
@@ -215,6 +311,16 @@ func (m *LinkMsg) encode(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// resultMsg is a node's final result frame: the link-stream sequence
+// and the executor's opaque payload.
+type resultMsg struct{ payload []byte }
+
+func (m *resultMsg) wireSize() int { return 8 + len(m.payload) }
+
+func (m *resultMsg) encode(dst []byte) []byte {
+	return append(appendU64(dst, 0), m.payload...)
 }
 
 // ---- decoding ----
@@ -294,6 +400,25 @@ func (d *protoDecoder) batch(what string) (exec.Batch, error) {
 	return b, nil
 }
 
+// colBatch decodes a length-prefixed column-batch blob into a pooled
+// batch, which the caller owns on success.
+func (d *protoDecoder) colBatch(what string) (*exec.ColBatch, error) {
+	n, err := d.u32(what)
+	if err != nil {
+		return nil, err
+	}
+	if d.off+int(n) > len(d.data) {
+		return nil, d.fail(what)
+	}
+	cb := exec.GetColBatch()
+	if err := exec.DecodeColBatchWire(d.data[d.off:d.off+int(n)], cb); err != nil {
+		exec.PutColBatch(cb)
+		return nil, fmt.Errorf("live: %s at offset %d: %w", what, d.off, err)
+	}
+	d.off += int(n)
+	return cb, nil
+}
+
 func (d *protoDecoder) finish(what string) error {
 	if d.off != len(d.data) {
 		return fmt.Errorf("live: %d trailing bytes after %s", len(d.data)-d.off, what)
@@ -359,62 +484,96 @@ func decodeWelcome(data []byte) (*Welcome, error) {
 }
 
 func decodeFeed(data []byte) (*FeedMsg, error) {
-	d := protoDecoder{data: data}
 	m := &FeedMsg{}
+	if err := m.decode(data); err != nil {
+		m.releaseCols()
+		return nil, err
+	}
+	return m, nil
+}
+
+// decode fills m from data. Column groups decode into pooled batches
+// that m owns from the moment they are attached, error or not.
+func (m *FeedMsg) decode(data []byte) error {
+	d := protoDecoder{data: data}
 	var err error
 	if m.Seq, err = d.u64("feed seq"); err != nil {
-		return nil, err
+		return err
 	}
 	flags, err := d.u8("feed flags")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Last = flags&1 != 0
 	nr, err := d.u32("feed round count")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Rounds = make([]Round, 0, nr)
 	for i := uint32(0); i < nr; i++ {
-		var r Round
+		m.Rounds = append(m.Rounds, Round{})
+		r := &m.Rounds[i]
 		rd, err := d.u32("round index")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.Round = int(rd)
 		if r.WM, err = d.u64("round watermark"); err != nil {
-			return nil, err
+			return err
 		}
 		rf, err := d.u8("round flags")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.Adv, r.Flush = rf&1 != 0, rf&2 != 0
 		ng, err := d.u32("round group count")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for g := uint32(0); g < ng; g++ {
 			var gr Group
 			if gr.Tag, err = d.u64("group tag"); err != nil {
-				return nil, err
+				return err
 			}
 			if gr.Stream, err = d.u16("group stream"); err != nil {
-				return nil, err
+				return err
 			}
 			part, err := d.u32("group partition")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			gr.Part = int(part)
-			if gr.Tuples, err = d.batch("group tuples"); err != nil {
-				return nil, err
+			kind, err := d.u8("group kind")
+			if err != nil {
+				return err
+			}
+			switch kind {
+			case groupRows:
+				gr.Tuples, err = d.batch("group tuples")
+			case groupCols:
+				gr.Cols, err = d.colBatch("group columns")
+			default:
+				err = fmt.Errorf("live: unknown group kind %d at offset %d", kind, d.off-1)
+			}
+			if err != nil {
+				return err
 			}
 			r.Groups = append(r.Groups, gr)
 		}
-		m.Rounds = append(m.Rounds, r)
 	}
-	return m, d.finish("feed")
+	return d.finish("feed")
+}
+
+// releaseCols returns every column group's pooled batch; the message's
+// column groups are gone afterwards.
+func (m *FeedMsg) releaseCols() {
+	for ri := range m.Rounds {
+		for gi := range m.Rounds[ri].Groups {
+			g := &m.Rounds[ri].Groups[gi]
+			exec.PutColBatch(g.Cols)
+			g.Cols = nil
+		}
+	}
 }
 
 func decodeLink(data []byte) (*LinkMsg, error) {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,6 +19,20 @@ func protoBatch() exec.Batch {
 	}
 }
 
+// protoCols is protoBatch plus a NULL, as a column batch.
+func protoCols(t testing.TB) *exec.ColBatch {
+	t.Helper()
+	cb := new(exec.ColBatch)
+	rows := exec.Batch{
+		protoTuple(sqlval.Uint(7), sqlval.Int(-3), sqlval.Str("tcp")),
+		protoTuple(sqlval.Uint(8), sqlval.Null, sqlval.Str("")),
+	}
+	if !cb.SetFromRows(rows) {
+		t.Fatal("proto rows are not columnar")
+	}
+	return cb
+}
+
 // TestHelloRoundTrip: a Hello must decode back bit-identical, including
 // the stream cursor order the node's delivery tags are defined against.
 func TestHelloRoundTrip(t *testing.T) {
@@ -29,7 +44,11 @@ func TestHelloRoundTrip(t *testing.T) {
 		Streams:     []string{"tcp", "udp"},
 		Fingerprint: "plan=abc columnar=true",
 	}
-	out, err := decodeHello(in.encode(nil))
+	enc := in.encode(nil)
+	if in.wireSize() != len(enc) {
+		t.Fatalf("hello wireSize = %d, encoding is %d bytes", in.wireSize(), len(enc))
+	}
+	out, err := decodeHello(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +63,11 @@ func TestWelcomeRoundTrip(t *testing.T) {
 		{Version: ProtocolVersion, ResumeFeed: 0, HasResult: false},
 		{Version: ProtocolVersion, ResumeFeed: 99, HasResult: true},
 	} {
-		out, err := decodeWelcome(in.encode(nil))
+		enc := in.encode(nil)
+		if in.wireSize() != len(enc) {
+			t.Fatalf("welcome wireSize = %d, encoding is %d bytes", in.wireSize(), len(enc))
+		}
+		out, err := decodeWelcome(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,9 +77,10 @@ func TestWelcomeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFeedRoundTrip: rounds, flags, and embedded batch blobs all
-// survive the wire. The decoded message must compare equal except for
-// nil-vs-empty slice headers, which the encoding cannot distinguish.
+// TestFeedRoundTrip: rounds, flags, and embedded batch blobs — row and
+// column groups mixed in one round — all survive the wire. The decoded
+// message must compare equal except for nil-vs-empty slice headers,
+// which the encoding cannot distinguish.
 func TestFeedRoundTrip(t *testing.T) {
 	in := &FeedMsg{
 		Seq:  5,
@@ -64,15 +88,22 @@ func TestFeedRoundTrip(t *testing.T) {
 		Rounds: []Round{
 			{Round: 0, WM: 16, Adv: true, Flush: false, Groups: []Group{
 				{Tag: 1, Stream: 0, Part: 2, Tuples: protoBatch()},
+				{Tag: 5, Stream: 0, Part: 3, Cols: protoCols(t)},
 				{Tag: 9, Stream: 1, Part: 0, Tuples: exec.Batch{protoTuple(sqlval.Null)}},
+				{Tag: 11, Stream: 1, Part: 1, Cols: &exec.ColBatch{}},
 			}},
 			{Round: 1, WM: 32, Adv: false, Flush: true},
 		},
 	}
-	out, err := decodeFeed(in.encode(nil))
+	enc := in.encode(nil)
+	if in.wireSize() != len(enc) {
+		t.Fatalf("feed wireSize = %d, encoding is %d bytes", in.wireSize(), len(enc))
+	}
+	out, err := decodeFeed(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer out.releaseCols()
 	if out.Seq != in.Seq || out.Last != in.Last || len(out.Rounds) != len(in.Rounds) {
 		t.Fatalf("feed header round-trip: %+v", out)
 	}
@@ -92,6 +123,12 @@ func TestFeedRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(gin.Tuples, gout.Tuples) {
 				t.Fatalf("round %d group %d tuples differ", i, g)
 			}
+			if (gin.Cols == nil) != (gout.Cols == nil) {
+				t.Fatalf("round %d group %d changed kind on the wire", i, g)
+			}
+			if gin.Cols != nil && !reflect.DeepEqual(gin.Cols.AppendRows(nil), gout.Cols.AppendRows(nil)) {
+				t.Fatalf("round %d group %d columns differ", i, g)
+			}
 		}
 	}
 }
@@ -110,7 +147,11 @@ func TestLinkRoundTrip(t *testing.T) {
 			{Round: 1, Tag: 1, Kind: ItemFlush, Edge: 3, WM: 32, MWM: 32},
 		},
 	}
-	out, err := decodeLink(in.encode(nil))
+	enc := in.encode(nil)
+	if in.wireSize() != len(enc) {
+		t.Fatalf("link wireSize = %d, encoding is %d bytes", in.wireSize(), len(enc))
+	}
+	out, err := decodeLink(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +183,9 @@ func TestDecodeSeq(t *testing.T) {
 // rejected with a positioned error, never a panic or a silent partial
 // decode — the property that makes a torn TCP read safe.
 func TestDecodeTruncation(t *testing.T) {
-	hello := (&Hello{Version: 1, Streams: []string{"tcp"}, Fingerprint: "f"}).encode(nil)
-	welcome := (&Welcome{Version: 1, HasResult: true}).encode(nil)
-	feed := (&FeedMsg{Seq: 1, Rounds: []Round{{WM: 16, Groups: []Group{{Tuples: protoBatch()}}}}}).encode(nil)
+	hello := (&Hello{Version: ProtocolVersion, Streams: []string{"tcp"}, Fingerprint: "f"}).encode(nil)
+	welcome := (&Welcome{Version: ProtocolVersion, HasResult: true}).encode(nil)
+	feed := (&FeedMsg{Seq: 1, Rounds: []Round{{WM: 16, Groups: []Group{{Tuples: protoBatch()}, {Cols: protoCols(t)}}}}}).encode(nil)
 	link := (&LinkMsg{Seq: 2, Items: []Item{{Kind: ItemPush, Tuple: protoTuple(sqlval.Uint(1))}}}).encode(nil)
 	cases := []struct {
 		name   string
@@ -153,7 +194,13 @@ func TestDecodeTruncation(t *testing.T) {
 	}{
 		{"hello", hello, func(b []byte) error { _, err := decodeHello(b); return err }},
 		{"welcome", welcome, func(b []byte) error { _, err := decodeWelcome(b); return err }},
-		{"feed", feed, func(b []byte) error { _, err := decodeFeed(b); return err }},
+		{"feed", feed, func(b []byte) error {
+			m, err := decodeFeed(b)
+			if err == nil {
+				m.releaseCols()
+			}
+			return err
+		}},
 		{"link", link, func(b []byte) error { _, err := decodeLink(b); return err }},
 	}
 	for _, tc := range cases {
@@ -201,24 +248,37 @@ func TestDecodeLinkBadItems(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchBlobCorrupt: a batch blob whose inner bytes fail the
-// exec codec must surface the positioned wire error, not a panic.
-func TestDecodeBatchBlobCorrupt(t *testing.T) {
-	var dst []byte
-	dst = appendU64(dst, 1) // seq
-	dst = append(dst, 0)    // flags
-	dst = appendU32(dst, 1) // round count
-	dst = appendU32(dst, 0) // round
-	dst = appendU64(dst, 0) // wm
-	dst = append(dst, 0)    // round flags
-	dst = appendU32(dst, 1) // group count
-	dst = appendU64(dst, 0) // tag
-	dst = appendU16(dst, 0) // stream
-	dst = appendU32(dst, 0) // part
-	// Blob announcing one tuple but carrying no bytes for it.
-	dst = appendU32(dst, 4)
-	dst = appendU32(dst, 1)
-	if _, err := decodeFeed(dst); err == nil || !strings.Contains(err.Error(), "group tuples") {
-		t.Fatalf("corrupt batch blob not rejected (err %v)", err)
+// TestDecodeGroupBlobCorrupt: a group blob whose inner bytes fail the
+// exec codec — rows or columns — must surface the positioned wire
+// error, not a panic, and so must a group kind byte nobody defined.
+func TestDecodeGroupBlobCorrupt(t *testing.T) {
+	header := func(kind byte) []byte {
+		var dst []byte
+		dst = appendU64(dst, 1) // seq
+		dst = append(dst, 0)    // flags
+		dst = appendU32(dst, 1) // round count
+		dst = appendU32(dst, 0) // round
+		dst = appendU64(dst, 0) // wm
+		dst = append(dst, 0)    // round flags
+		dst = appendU32(dst, 1) // group count
+		dst = appendU64(dst, 0) // tag
+		dst = appendU16(dst, 0) // stream
+		dst = appendU32(dst, 0) // part
+		return append(dst, kind)
+	}
+	// A row blob announcing one tuple but carrying no bytes for it.
+	rows := appendU32(appendU32(header(groupRows), 4), 1)
+	if _, err := decodeFeed(rows); err == nil || !strings.Contains(err.Error(), "group tuples") {
+		t.Fatalf("corrupt row blob not rejected (err %v)", err)
+	}
+	// A column blob announcing one row of one column, then nothing.
+	cols := append(appendU32(header(groupCols), 6), 1, 0, 0, 0, 1, 0)
+	_, err := decodeFeed(cols)
+	var we *exec.WireError
+	if err == nil || !strings.Contains(err.Error(), "group columns") || !errors.As(err, &we) {
+		t.Fatalf("corrupt column blob not rejected with a wire error (err %v)", err)
+	}
+	if _, err := decodeFeed(appendU32(header(7), 0)); err == nil || !strings.Contains(err.Error(), "unknown group kind 7") {
+		t.Fatalf("unknown group kind not rejected (err %v)", err)
 	}
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -105,28 +106,54 @@ type outbox struct {
 	frames   [][]byte
 	firstSeq uint64
 	// sent counts the frames already written on the current connection.
-	sent   int
-	limit  int
-	closed bool
+	sent  int
+	limit int
+	// maxFrame bounds a frame's payload: the peer rejects a larger one,
+	// and retransmitting it could only repeat that.
+	maxFrame int
+	closed   bool
+	// free holds acknowledged frames' buffers for the next appends to
+	// encode into, at most limit of them.
+	free [][]byte
+	// pinned is the frame the writer is putting on the wire. Its ack can
+	// arrive while a Write still reads it (a duplicating fault wrapper
+	// writes it twice), so a pinned frame is never recycled.
+	pinned []byte
 	// space and work are closed-and-replaced to broadcast "queue
 	// shrank" and "new frame / rewind" respectively.
 	space chan struct{}
 	work  chan struct{}
 }
 
-func newOutbox(limit int) *outbox {
+func newOutbox(limit, maxFrame int) *outbox {
 	return &outbox{
 		firstSeq: 1,
 		limit:    limit,
+		maxFrame: maxFrame,
 		space:    make(chan struct{}),
 		work:     make(chan struct{}),
 	}
 }
 
-// append encodes one frame (enc receives the assigned sequence) and
-// queues it, blocking until the credit window has room or the deadline
-// passes.
-func (o *outbox) append(typ byte, deadline time.Time, enc func(seq uint64, dst []byte) []byte) (uint64, error) {
+// append frames m and queues it, blocking until the credit window has
+// room or the deadline passes; a message over the frame bound is refused
+// outright. The frame is encoded before the wait and outside the lock,
+// into a recycled buffer when one is free. m's payload must lead with
+// an 8-byte sequence field: whatever encode puts there is overwritten
+// once the slot is known.
+func (o *outbox) append(typ byte, deadline time.Time, m wireMsg) (uint64, error) {
+	size := m.wireSize()
+	if size > o.maxFrame {
+		return 0, fmt.Errorf("live: message of %d bytes is over the %d-byte frame limit", size, o.maxFrame)
+	}
+	var buf []byte
+	o.mu.Lock()
+	if n := len(o.free); n > 0 {
+		buf, o.free[n-1] = o.free[n-1], nil
+		o.free = o.free[:n-1]
+	}
+	o.mu.Unlock()
+	frame := appendMsgFrame(buf, typ, m, size)
 	var timer *time.Timer
 	for {
 		o.mu.Lock()
@@ -136,7 +163,8 @@ func (o *outbox) append(typ byte, deadline time.Time, enc func(seq uint64, dst [
 		}
 		if o.limit <= 0 || len(o.frames) < o.limit {
 			seq := o.firstSeq + uint64(len(o.frames))
-			o.frames = append(o.frames, appendFrame(nil, typ, enc(seq, nil)))
+			binary.BigEndian.PutUint64(frame[frameHeaderLen:], seq)
+			o.frames = append(o.frames, frame)
 			close(o.work)
 			o.work = make(chan struct{})
 			o.mu.Unlock()
@@ -173,6 +201,11 @@ func (o *outbox) ack(seq uint64) {
 	if n == 0 {
 		return
 	}
+	for _, f := range o.frames[:n] {
+		if len(o.free) < o.limit && (len(o.pinned) == 0 || &f[0] != &o.pinned[0]) {
+			o.free = append(o.free, f)
+		}
+	}
 	copy(o.frames, o.frames[n:])
 	for i := len(o.frames) - n; i < len(o.frames); i++ {
 		o.frames[i] = nil
@@ -194,21 +227,31 @@ func (o *outbox) rewind(applied uint64) {
 	o.ack(applied)
 	o.mu.Lock()
 	o.sent = 0
+	o.pinned = nil // the previous connection's writer has exited
 	close(o.work)
 	o.work = make(chan struct{})
 	o.mu.Unlock()
 }
 
-// tryNext hands the writer the next unsent frame, if any.
+// tryNext hands the writer the next unsent frame, if any, pinned until
+// the writer calls unpin.
 func (o *outbox) tryNext() ([]byte, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.sent < len(o.frames) {
 		f := o.frames[o.sent]
 		o.sent++
+		o.pinned = f
 		return f, true
 	}
 	return nil, false
+}
+
+// unpin marks the writer done with the frame tryNext handed it.
+func (o *outbox) unpin() {
+	o.mu.Lock()
+	o.pinned = nil
+	o.mu.Unlock()
 }
 
 // workChan returns the channel closed on the next append or rewind.
@@ -337,7 +380,9 @@ func (s *session) writer() {
 		work := s.out.workChan()
 		if frame, ok := s.out.tryNext(); ok {
 			s.conn.SetWriteDeadline(time.Now().Add(s.timeout)) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
-			if _, err := s.conn.Write(frame); err != nil {
+			_, err := s.conn.Write(frame)
+			s.out.unpin()
+			if err != nil {
 				fail(err)
 				return
 			}

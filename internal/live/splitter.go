@@ -37,7 +37,7 @@ func NewSplitter(cfg Config, hello Hello, addrs []string) *Splitter {
 			sp:   s,
 			host: h,
 			addr: addr,
-			out:  newOutbox(cfg.credits()),
+			out:  newOutbox(cfg.credits(), cfg.maxFrame()),
 		})
 	}
 	return s
@@ -51,19 +51,26 @@ func (s *Splitter) Start() {
 	}
 }
 
+// MaxFrame is the frame payload bound feeds are held to; a driver that
+// cuts its feeds well below it never meets SendFeed's refusal.
+func (s *Splitter) MaxFrame() int { return s.cfg.maxFrame() }
+
 // SendFeed queues one feed message for host, blocking while the
 // host's credit window is exhausted — the backpressure that bounds
-// splitter memory under a slow consumer. m.Seq is assigned here.
+// splitter memory under a slow consumer. m is fully serialized before
+// SendFeed returns and m.Seq is assigned here. A feed larger than the
+// frame bound is refused outright, naming its rounds.
 func (s *Splitter) SendFeed(host int, m *FeedMsg) error {
-	p := s.peers[host]
 	deadline := time.Now().Add(s.cfg.timeout()) //qap:allow walltime -- credit-stall deadline; transport pacing never shapes outputs
-	_, err := p.out.append(frameFeed, deadline, func(seq uint64, dst []byte) []byte {
-		m.Seq = seq
-		return m.encode(dst)
-	})
+	seq, err := s.peers[host].out.append(frameFeed, deadline, m)
 	if err != nil {
-		return fmt.Errorf("live: host %d: feed: %w", host, err)
+		first, last := -1, -1
+		if n := len(m.Rounds); n > 0 {
+			first, last = m.Rounds[0].Round, m.Rounds[n-1].Round
+		}
+		return fmt.Errorf("live: host %d: feed of rounds %d..%d: %w", host, first, last, err)
 	}
+	m.Seq = seq
 	return nil
 }
 
@@ -199,7 +206,7 @@ func (p *peer) session(conn net.Conn) error {
 	hello.Host = p.host
 	hello.ResumeLink = p.linkSeen
 	conn.SetWriteDeadline(time.Now().Add(to)) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
-	if _, err := writeFrame(conn, nil, frameHello, hello.encode(nil)); err != nil {
+	if _, err := conn.Write(appendMsgFrame(nil, frameHello, &hello, hello.wireSize())); err != nil {
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(to)) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
