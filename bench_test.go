@@ -355,48 +355,6 @@ func BenchmarkBaselineQueryPlanPartitioning(b *testing.B) {
 	b.ReportMetric(qaRatio, "queryaware_max/central")
 }
 
-// BenchmarkBatchedThroughput compares the batch-at-a-time hot path
-// against the tuple-at-a-time scalar path on the Figure 8 workload
-// (the suspicious-flows aggregation on one host). SetBytes counts
-// packets, so the MB/s column reads as M rows/s; rows/s is also
-// reported directly. Run with -benchmem: the batched path's gate is
-// >= 2x rows/sec at <= 0.25x allocs/op versus batch=1, recorded in
-// BENCH_exec.json (see cmd/qap-bench -exec).
-func BenchmarkBatchedThroughput(b *testing.B) {
-	cfg := netgen.DefaultConfig()
-	cfg.DurationSec, cfg.PacketsPerSec = 60, 2000
-	trace := netgen.Generate(cfg)
-	sys := MustLoad(netgen.SchemaDDL, SuspiciousFlowsQuery)
-	run := func(batch int, columnar bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			dep, err := sys.Deploy(DeployConfig{
-				Hosts: 1, PartitionsPerHost: 1, Workers: 1, BatchSize: batch, Columnar: columnar,
-				Params: map[string]Value{"PATTERN": Uint(netgen.AttackPattern)},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := dep.Run("TCP", trace.Packets); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(int64(len(trace.Packets)))
-			b.ReportMetric(float64(len(trace.Packets))*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-		}
-	}
-	for _, batch := range []int{1, 64, 256, 1024} {
-		b.Run(fmt.Sprintf("batch=%d", batch), run(batch, false))
-	}
-	// The columnar path's gate is >= 5x rows/sec at <= 0.05x allocs/op
-	// versus batch=1 (same report; see cmd/qap-bench -exec).
-	for _, batch := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("columnar/batch=%d", batch), run(batch, true))
-	}
-}
-
 // BenchmarkAnalyzer measures the partitioning analysis itself — query
 // compilation, requirement inference, and the DP search — on the
 // paper's complex set.

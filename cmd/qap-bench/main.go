@@ -6,20 +6,12 @@
 //
 //	qap-bench [-fig 8|10|13|all] [-rate pps] [-duration sec]
 //	          [-hosts n] [-leaf]
-//	qap-bench -exec [-exec-runs n] [-rate pps] [-duration sec]
+//	qap-bench -drift [-workers n] [-batch n]
 //	qap-bench -check dir
 //
 // A figure number selects the experiment that produces it (CPU and
 // network figures come from the same sweep: 8 prints 8+9, 10 prints
 // 10+11, 13 prints 13+14).
-//
-// -exec runs the batched-vs-scalar hot-path microbenchmark instead
-// (the Figure 8 workload at batch sizes 1/64/256/1024, the same shape
-// as BenchmarkBatchedThroughput) and, with -bench-out, writes
-// BENCH_exec.json including the >=2x speedup / <=0.25x allocs gate
-// verdict. The committed seed was produced by:
-//
-//	qap-bench -exec -rate 2000 -duration 60 -exec-runs 20 -bench-out .
 //
 // -drift runs the adaptive-repartitioning experiment instead: a
 // two-phase skew-shift trace under the default drift scenario, static
@@ -27,12 +19,15 @@
 // per-window static/adaptive load comparison plus the trigger and
 // bound verdicts; see EXPERIMENTS.md).
 //
-// -check re-validates committed bench reports without re-running the
-// experiments: it decodes BENCH_exec.json and BENCH_drift.json from
-// the given directory (strictly — schema version asserted), recomputes
-// every derived gate field from the stored raw measurements, and exits
-// nonzero when a verdict disagrees with what is committed or a gate no
-// longer holds. CI runs it so stale bench files fail fast.
+// -check re-validates the committed bench report without re-running
+// the experiment: it decodes BENCH_drift.json from the given directory
+// (strictly — schema version asserted), recomputes every derived gate
+// field from the stored raw measurements, and exits nonzero when a
+// verdict disagrees with what is committed or a gate no longer holds.
+// CI runs it so a stale bench file fails fast.
+//
+// Execution throughput is not measured here: that is the repository's
+// benchmark, bash bench/run.sh (BENCHMARK.json, bench/README.md).
 //
 // Reported numbers are deterministic for any -workers value; the
 // determinism contract is machine-enforced by cmd/qap-vet, and the
@@ -43,14 +38,12 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"time"
 
 	"qap"
-	"qap/internal/netgen"
 	"qap/internal/obs"
 )
 
@@ -67,8 +60,6 @@ type appFlags struct {
 	workers    int
 	batch      int
 	benchOut   string
-	execBench  bool
-	execRuns   int
 	driftBench bool
 	check      string
 }
@@ -84,10 +75,8 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.IntVar(&f.workers, "workers", runtime.GOMAXPROCS(0), "simulator worker goroutines (1 = sequential engine; results are identical for any value)")
 	fs.IntVar(&f.batch, "batch", 0, "operator batch size (0 = engine default, 1 = tuple-at-a-time; results are identical for any value)")
 	fs.StringVar(&f.benchOut, "bench-out", "", "also write each experiment's machine-readable BENCH_<name>.json into this directory")
-	fs.BoolVar(&f.execBench, "exec", false, "run the batched-vs-scalar execution microbenchmark instead of the figure experiments")
-	fs.IntVar(&f.execRuns, "exec-runs", 5, "measured trace replays per batch size for -exec")
 	fs.BoolVar(&f.driftBench, "drift", false, "run the adaptive-repartitioning drift experiment instead of the figure experiments")
-	fs.StringVar(&f.check, "check", "", "re-validate the committed BENCH_exec.json/BENCH_drift.json in this directory against their embedded gates and exit")
+	fs.StringVar(&f.check, "check", "", "re-validate the committed BENCH_drift.json in this directory against its embedded gates and exit")
 	return f
 }
 
@@ -108,10 +97,6 @@ func main() {
 	cfg.Workers = f.workers
 	cfg.BatchSize = f.batch
 
-	if f.execBench {
-		runExec(f.seed, f.rate, f.duration, f.execRuns, f.benchOut)
-		return
-	}
 	if f.driftBench {
 		runDrift(f.seed, f.workers, f.batch, f.benchOut)
 		return
@@ -175,97 +160,17 @@ func main() {
 	}
 }
 
-// runCheck is the -check mode: decode the committed bench reports
+// runCheck is the -check mode: decode the committed bench report
 // strictly and recompute every derived gate verdict from the stored
 // raw measurements. Any disagreement — or a gate that no longer holds
 // — exits nonzero.
 func runCheck(dir string) {
-	problems := 0
-	problems += checkExec(filepath.Join(dir, "BENCH_exec.json"))
-	problems += checkDrift(filepath.Join(dir, "BENCH_drift.json"))
+	problems := checkDrift(filepath.Join(dir, "BENCH_drift.json"))
 	if problems > 0 {
 		fmt.Printf("check: %d problem(s)\n", problems)
 		os.Exit(1)
 	}
 	fmt.Println("check: all bench gates hold")
-}
-
-// approxEq compares stored and recomputed float ratios. The committed
-// values were computed by this same code path, so only decode drift or
-// a hand-edited file can move them.
-func approxEq(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*math.Max(math.Max(math.Abs(a), math.Abs(b)), 1)
-}
-
-// checkExec re-validates BENCH_exec.json; returns the problem count.
-func checkExec(path string) int {
-	bad := func(format string, args ...any) int {
-		fmt.Printf("check %s: FAIL: %s\n", path, fmt.Sprintf(format, args...))
-		return 1
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return bad("%v", err)
-	}
-	var rep obs.ExecBenchReport
-	if err := obs.DecodeStrict(data, &rep); err != nil {
-		return bad("%v", err)
-	}
-	var scalar *obs.ExecBenchRow
-	for i := range rep.Rows {
-		if rep.Rows[i].BatchSize == 1 && !rep.Rows[i].Columnar {
-			scalar = &rep.Rows[i]
-		}
-	}
-	if scalar == nil {
-		return bad("no batch-size-1 scalar baseline row")
-	}
-	problems := 0
-	gateMet, columnarGateMet := false, false
-	for _, row := range rep.Rows {
-		speedup, allocRatio := 0.0, 0.0
-		if scalar.RowsPerSec > 0 {
-			speedup = row.RowsPerSec / scalar.RowsPerSec
-		}
-		if scalar.AllocsPerRun > 0 {
-			allocRatio = float64(row.AllocsPerRun) / float64(scalar.AllocsPerRun)
-		}
-		if !approxEq(speedup, row.SpeedupVsScalar) || !approxEq(allocRatio, row.AllocRatioVsScalar) {
-			problems += bad("batch %d (columnar=%v): stored ratios (%.6f, %.6f) != recomputed (%.6f, %.6f)",
-				row.BatchSize, row.Columnar, row.SpeedupVsScalar, row.AllocRatioVsScalar, speedup, allocRatio)
-		}
-		switch {
-		case row.Columnar && speedup >= rep.GateMinColumnarSpeedup && allocRatio <= rep.GateMaxColumnarAllocRatio:
-			columnarGateMet = true
-		case !row.Columnar && row.BatchSize > 1 && speedup >= rep.GateMinSpeedup && allocRatio <= rep.GateMaxAllocRatio:
-			gateMet = true
-		}
-	}
-	if gateMet != rep.GateMet {
-		problems += bad("stored gate_met=%v but recomputed %v (thresholds >=%.1fx speedup, <=%.2fx allocs)",
-			rep.GateMet, gateMet, rep.GateMinSpeedup, rep.GateMaxAllocRatio)
-	}
-	if !gateMet {
-		problems += bad("batched-execution gate does not hold: no batched row reaches >=%.1fx speedup at <=%.2fx allocs",
-			rep.GateMinSpeedup, rep.GateMaxAllocRatio)
-	}
-	// Columnar thresholds are additive: reports written before the
-	// columnar path existed carry neither thresholds nor columnar rows
-	// and are checked only against the batched gate above.
-	if rep.GateMinColumnarSpeedup > 0 {
-		if columnarGateMet != rep.ColumnarGateMet {
-			problems += bad("stored columnar_gate_met=%v but recomputed %v (thresholds >=%.1fx speedup, <=%.2fx allocs)",
-				rep.ColumnarGateMet, columnarGateMet, rep.GateMinColumnarSpeedup, rep.GateMaxColumnarAllocRatio)
-		}
-		if !columnarGateMet {
-			problems += bad("columnar-execution gate does not hold: no columnar row reaches >=%.1fx speedup at <=%.2fx allocs",
-				rep.GateMinColumnarSpeedup, rep.GateMaxColumnarAllocRatio)
-		}
-	}
-	if problems == 0 {
-		fmt.Printf("check %s: ok (gate met, %d rows)\n", path, len(rep.Rows))
-	}
-	return problems
 }
 
 // checkDrift re-validates BENCH_drift.json; returns the problem count.
@@ -356,123 +261,6 @@ func writeBench(dir, name string, cfg qap.ExperimentConfig, wall time.Duration, 
 		fatal(err)
 	}
 	fmt.Printf("wrote %s\n", path)
-}
-
-// execBatchSizes is the batch-size sweep of the hot-path benchmark;
-// batch 1 is the tuple-at-a-time scalar baseline the gate ratios are
-// computed against. execColumnarBatchSizes is the columnar sweep
-// (columnar requires batching, so there is no columnar batch-1 row).
-var (
-	execBatchSizes         = []int{1, 64, 256, 1024}
-	execColumnarBatchSizes = []int{64, 256, 1024}
-)
-
-// Gate thresholds for the batched path (ISSUE 5 acceptance): at least
-// one batched row must clear both versus batch size 1. The columnar
-// path (ISSUE 10) is held to a stricter bar against the same scalar
-// baseline.
-const (
-	execGateMinSpeedup            = 2.0
-	execGateMaxAllocRatio         = 0.25
-	execGateMinColumnarSpeedup    = 5.0
-	execGateMaxColumnarAllocRatio = 0.05
-)
-
-// runExec measures the batched-vs-scalar hot path on the Figure 8
-// workload and optionally writes BENCH_exec.json. The trace uses the
-// netgen defaults (the benchmark's shape) rather than the figure
-// experiments' widened address mix, so the numbers line up with
-// BenchmarkBatchedThroughput.
-func runExec(seed int64, rate, duration, runs int, benchOut string) {
-	trace := netgen.DefaultConfig()
-	trace.Seed = seed
-	trace.PacketsPerSec = rate
-	trace.DurationSec = duration
-
-	results, err := qap.BatchedThroughput(trace, execBatchSizes, runs)
-	if err != nil {
-		fatal(err)
-	}
-	colResults, err := qap.ColumnarThroughput(trace, execColumnarBatchSizes, runs)
-	if err != nil {
-		fatal(err)
-	}
-	results = append(results, colResults...)
-
-	rep := &obs.ExecBenchReport{
-		SchemaVersion: obs.SchemaVersion,
-		Name:          "exec",
-		Config: obs.BenchConfig{
-			RatePPS:     rate,
-			DurationSec: duration,
-			MaxHosts:    1,
-			Seed:        seed,
-			Workers:     1,
-		},
-		RunsPerBatchSize:          runs,
-		GateMinSpeedup:            execGateMinSpeedup,
-		GateMaxAllocRatio:         execGateMaxAllocRatio,
-		GateMinColumnarSpeedup:    execGateMinColumnarSpeedup,
-		GateMaxColumnarAllocRatio: execGateMaxColumnarAllocRatio,
-	}
-	var scalar qap.BatchedThroughputResult
-	for _, r := range results {
-		if r.BatchSize == 1 && !r.Columnar {
-			scalar = r
-		}
-	}
-	fmt.Printf("Batched vs scalar execution (suspicious flows, %d rows, %d runs/batch):\n", scalar.Rows, runs)
-	fmt.Printf("%8s  %9s  %12s  %12s  %14s  %12s  %9s  %9s\n",
-		"batch", "path", "ns/run", "rows/s", "B/run", "allocs/run", "speedup", "allocs x")
-	for _, r := range results {
-		row := obs.ExecBenchRow{
-			BatchSize:    r.BatchSize,
-			Columnar:     r.Columnar,
-			NanosPerRun:  r.NanosPerRun,
-			RowsPerSec:   r.RowsPerSec,
-			BytesPerRun:  r.BytesPerRun,
-			AllocsPerRun: r.AllocsPerRun,
-		}
-		if scalar.RowsPerSec > 0 {
-			row.SpeedupVsScalar = r.RowsPerSec / scalar.RowsPerSec
-		}
-		if scalar.AllocsPerRun > 0 {
-			row.AllocRatioVsScalar = float64(r.AllocsPerRun) / float64(scalar.AllocsPerRun)
-		}
-		switch {
-		case r.Columnar &&
-			row.SpeedupVsScalar >= execGateMinColumnarSpeedup &&
-			row.AllocRatioVsScalar <= execGateMaxColumnarAllocRatio:
-			rep.ColumnarGateMet = true
-		case !r.Columnar && r.BatchSize > 1 &&
-			row.SpeedupVsScalar >= execGateMinSpeedup &&
-			row.AllocRatioVsScalar <= execGateMaxAllocRatio:
-			rep.GateMet = true
-		}
-		rep.Rows = append(rep.Rows, row)
-		rep.RowsPerRun = r.Rows
-		path := "batched"
-		if r.Columnar {
-			path = "columnar"
-		} else if r.BatchSize == 1 {
-			path = "scalar"
-		}
-		fmt.Printf("%8d  %9s  %12d  %12.0f  %14d  %12d  %8.2fx  %8.3fx\n",
-			r.BatchSize, path, r.NanosPerRun, r.RowsPerSec, r.BytesPerRun, r.AllocsPerRun,
-			row.SpeedupVsScalar, row.AllocRatioVsScalar)
-	}
-	fmt.Printf("gate (>=%.1fx rows/s, <=%.2fx allocs vs batch=1): met=%v\n",
-		execGateMinSpeedup, execGateMaxAllocRatio, rep.GateMet)
-	fmt.Printf("columnar gate (>=%.1fx rows/s, <=%.2fx allocs vs batch=1): met=%v\n",
-		execGateMinColumnarSpeedup, execGateMaxColumnarAllocRatio, rep.ColumnarGateMet)
-
-	if benchOut != "" {
-		path := filepath.Join(benchOut, "BENCH_exec.json")
-		if err := obs.WriteJSON(path, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
 }
 
 // runDrift executes the adaptive-repartitioning drift experiment and

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	qap-difftest [-seed n] [-n count] [-hosts list] [-workers list]
-//	             [-batches list] [-live] [-columnar] [-v]
+//	             [-batches list] [-live] [-v]
 //
 // Examples:
 //
@@ -16,7 +16,6 @@
 //	qap-difftest -seed 1337            # reproduce one seed
 //	qap-difftest -seed 7 -v            # verbose: show the workload too
 //	qap-difftest -n 5 -live            # include the live TCP backend axis
-//	qap-difftest -n 5 -columnar        # include the columnar execution axis
 package main
 
 import (
@@ -33,14 +32,13 @@ import (
 // defineFlags so the usage golden test renders the same FlagSet main
 // uses.
 type appFlags struct {
-	seed     int64
-	n        int64
-	hosts    string
-	workers  string
-	batches  string
-	live     bool
-	columnar bool
-	verbose  bool
+	seed    int64
+	n       int64
+	hosts   string
+	workers string
+	batches string
+	live    bool
+	verbose bool
 }
 
 func defineFlags(fs *flag.FlagSet) *appFlags {
@@ -51,7 +49,6 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.StringVar(&f.workers, "workers", "1,4", "comma-separated engine worker counts to sweep (results are identical for any value)")
 	fs.StringVar(&f.batches, "batches", "1,7,64,1024", "comma-separated operator batch sizes for the batched-equivalence section (results are identical for any value)")
 	fs.BoolVar(&f.live, "live", false, "add the live-vs-sim axis: re-run every cell on the live TCP backend and inject transport faults")
-	fs.BoolVar(&f.columnar, "columnar", false, "add the columnar axis: re-run the workers × batch matrix on the columnar engine path and compare bytes against the scalar reference")
 	fs.BoolVar(&f.verbose, "v", false, "print the generated workload for passing seeds too")
 	return f
 }
@@ -67,7 +64,6 @@ func main() {
 		Workers:    parseInts(*workers),
 		BatchSizes: parseInts(*batches),
 		Live:       fl.live,
-		Columnar:   fl.columnar,
 	}
 	seeds := make([]int64, 0, *n)
 	if *seed >= 0 {

@@ -51,7 +51,6 @@ type appFlags struct {
 	naiveScope bool
 	noPartial  bool
 	batch      int
-	columnar   bool
 	collect    bool
 	loadWindow int
 	traceOn    bool
@@ -71,7 +70,6 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.BoolVar(&f.naiveScope, "naive", false, "use per-partition (naive) partial aggregation")
 	fs.BoolVar(&f.noPartial, "nopartial", false, "disable partial aggregation")
 	fs.IntVar(&f.batch, "batch", 0, "operator batch size (0 = engine default, 1 = tuple-at-a-time)")
-	fs.BoolVar(&f.columnar, "columnar", false, "use the columnar batch execution path (match the splitter; the deployment fingerprint enforces it)")
 	fs.BoolVar(&f.collect, "collect", false, "collect per-operator stats (match the splitter: -metrics-out/-report/-prom-out/-telemetry-addr imply it)")
 	fs.IntVar(&f.loadWindow, "load-window", 0, "load-monitoring window in trace seconds (match the splitter)")
 	fs.BoolVar(&f.traceOn, "trace", false, "enable causal tracing (match the splitter's -trace-out/-trace-chrome)")
@@ -114,7 +112,6 @@ func main() {
 		Costs:             qap.CostConfig{CapacityPerSec: float64(f.rate) * 3},
 		Params:            map[string]qap.Value{"PATTERN": qap.Uint(netgen.AttackPattern)},
 		BatchSize:         f.batch,
-		Columnar:          f.columnar,
 		CollectStats:      f.collect,
 		LoadWindowSec:     f.loadWindow,
 		Engine:            qap.EngineLive,

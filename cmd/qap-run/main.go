@@ -80,7 +80,6 @@ type appFlags struct {
 	dumpFile      string
 	workers       int
 	batch         int
-	columnar      bool
 	metricsOut    string
 	report        bool
 	promOut       string
@@ -117,7 +116,6 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.StringVar(&f.dumpFile, "dump", "", "write the generated packet trace to this CSV file")
 	fs.IntVar(&f.workers, "workers", runtime.GOMAXPROCS(0), "simulator worker goroutines (1 = sequential engine; results are identical for any value)")
 	fs.IntVar(&f.batch, "batch", 0, "operator batch size (0 = engine default, 1 = tuple-at-a-time; results are identical for any value)")
-	fs.BoolVar(&f.columnar, "columnar", false, "use the columnar batch execution path (requires batch > 1; results are identical either way)")
 	fs.StringVar(&f.metricsOut, "metrics-out", "", "write the machine-readable JSON run report to this file")
 	fs.BoolVar(&f.report, "report", false, "print the run report in Prometheus text format")
 	fs.StringVar(&f.promOut, "prom-out", "", "write the run report in Prometheus text format to this file")
@@ -238,7 +236,6 @@ func main() {
 		Params:            params,
 		Workers:           f.workers,
 		BatchSize:         f.batch,
-		Columnar:          f.columnar,
 		CollectStats:      f.metricsOut != "" || f.report || f.promOut != "" || f.telemetryAddr != "",
 		LoadWindowSec:     f.loadWindow,
 		Engine:            f.engine,

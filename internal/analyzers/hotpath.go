@@ -45,9 +45,9 @@ var Poolleak = &Analyzer{
 
 // Hotalloc flags heap-allocating expressions inside functions whose
 // doc comment carries the //qap:hot directive — the batched operator
-// push paths and the cluster drive loops, which run once per tuple or
-// per batch and must stay allocation-free to keep the BENCH_exec
-// allocation gate green. Flagged: make, new, slice and map composite
+// push paths and the cluster's splitter, sinks and round executor,
+// which run once per tuple, batch or round and must stay
+// allocation-free to keep the benchmark's allocs_per_row bound. Flagged: make, new, slice and map composite
 // literals, address-taken composite literals, and closures. Value
 // struct literals and append are not flagged (no fresh heap cell in
 // the steady state). Deliberate one-time or amortized allocations

@@ -36,9 +36,9 @@ func runBatch(t testing.TB, queries string, ps core.Set, o optimizer.Options, st
 }
 
 // canonOutputs renders the result's outputs order-insensitively: per
-// query, the sorted row renderings. Batched execution regroups
-// deliveries within a round, which may permute join probe order, so
-// batched-vs-scalar equivalence is canonical rather than positional.
+// query, the sorted row renderings. Production mode regroups deliveries
+// within a round, which may permute join probe order, so its equivalence
+// with the scalar oracle is canonical rather than positional.
 func canonOutputs(res *Result) map[string][]string {
 	out := make(map[string][]string, len(res.Outputs))
 	for name, rows := range res.Outputs { //qap:allow maprange -- per-key sort; map rebuilt key-for-key
@@ -94,9 +94,13 @@ func sameResultCanonical(t *testing.T, name string, want, got *Result) {
 }
 
 // TestBatchedMatchesScalar is the cluster-level equivalence gate for
-// the batch-at-a-time hot path: every workload and topology must
-// produce the scalar path's canonical outputs and deterministic
-// counters at every batch size, on both engines.
+// production mode (BatchSize > 1: column groups from the splitter,
+// compiled column kernels, dense aggregate state): every workload and
+// topology must produce the scalar oracle's canonical outputs and
+// deterministic counters at every batch size, on both simulator
+// engines. (The canonical trace bytes of the same cells are compared by
+// TestTraceCanonicalBytesAcrossCells, the live engine's by
+// TestLiveMatchesSim.)
 func TestBatchedMatchesScalar(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
@@ -126,8 +130,9 @@ func TestBatchedMatchesScalar(t *testing.T) {
 }
 
 // TestBatchedSameBatchBitIdentical: with the batch size held fixed,
-// the worker count must not move a byte — the parallel engine replays
-// the sequential batched engine's delivery schedule exactly.
+// the worker count must not move a byte — the parallel engine's workers
+// run the very rounds the in-line executor runs, and the central replay
+// reconstructs its delivery schedule exactly.
 func TestBatchedSameBatchBitIdentical(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}

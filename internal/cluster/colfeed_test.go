@@ -18,7 +18,7 @@ import (
 // of defaultBatchRounds rounds would be ~20 MB, over the 16 MB frame
 // bound, so the live driver must cut feeds by bytes — on round
 // boundaries the (round, tag) replay cannot see. The run equals the
-// simulator byte for byte, with row groups and with column groups.
+// simulator byte for byte.
 // (Before feeds were cut by size this configuration died 30 s in with
 // "live drive stalled", the node having refused every retransmission of
 // the same oversized frame.)
@@ -35,16 +35,12 @@ func TestLiveHighRateMatchesSim(t *testing.T) {
 	simCfg := liveRunConfig(1, 256, LiveConfig{})
 	simCfg.Engine = EngineSim
 	want := runEngine(t, complexSet, ps, o, streams, simCfg)
-	for _, columnar := range []bool{false, true} {
-		liveCfg := liveRunConfig(1, 256, LiveConfig{})
-		liveCfg.Columnar = columnar
-		got := runEngine(t, complexSet, ps, o, streams, liveCfg)
-		sameResult(t, want, got)
-		sameTrace(t, want, got)
-		// 41 rounds fit two feeds of 32; the byte cut makes it more.
-		if feeds := got.Report.Timing.Batches / int64(o.Hosts); feeds <= 2 {
-			t.Errorf("columnar=%v: %d feeds per host: the feeds were not cut by size", columnar, feeds)
-		}
+	got := runEngine(t, complexSet, ps, o, streams, liveRunConfig(1, 256, LiveConfig{}))
+	sameResult(t, want, got)
+	sameTrace(t, want, got)
+	// 41 rounds fit two feeds of 32; the byte cut makes it more.
+	if feeds := got.Report.Timing.Batches / int64(o.Hosts); feeds <= 2 {
+		t.Errorf("%d feeds per host: the feeds were not cut by size", feeds)
 	}
 }
 
@@ -63,9 +59,7 @@ func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := liveRunConfig(1, 256, LiveConfig{})
-	cfg.Columnar = true
-	r, err := NewRunner(p, cfg)
+	r, err := NewRunner(p, liveRunConfig(1, 256, LiveConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +80,11 @@ func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 
 // TestLiveExecuteRejectsMisshapenColumnGroup: the column codec admits
 // any well-formed batch, but a scan takes packets. A wire group of any
-// other shape — a string column, NULLs, a missing column, rows without
-// columns — is an error naming the round and the destination, never a
-// panic on the node.
+// other shape — a string column, NULLs, a missing column — is an error
+// naming the round and the destination, never a panic on the node. So
+// is a group of rows at a batch size that deploys column groups: the
+// fingerprint pins BatchSize, so only a broken peer sends one, and the
+// executor has no row-batch path to run it on.
 func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 	packet := func() *exec.ColBatch {
 		cb := new(exec.ColBatch)
@@ -109,7 +105,7 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 	for name, mangle := range cases {
 		cb := packet()
 		mangle(cb)
-		x := &islandExec{r: &Runner{}, isl: &island{}, bs: 4, outs: [][]exec.Consumer{{exec.Discard{}}}}
+		x := &islandExec{r: &Runner{batchSize: 4}, isl: &island{}, outs: [][]exec.Consumer{{exec.Discard{}}}}
 		_, err := x.Execute(&live.FeedMsg{Rounds: []live.Round{{Round: 3, Groups: []live.Group{{Cols: cb}}}}})
 		if err == nil {
 			t.Errorf("%s: the group was delivered", name)
@@ -121,9 +117,26 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 			}
 		}
 	}
-	x := &islandExec{r: &Runner{}, isl: &island{}, bs: 4, outs: [][]exec.Consumer{{exec.Discard{}}}}
-	if _, err := x.Execute(&live.FeedMsg{Rounds: []live.Round{{Round: 3, Groups: []live.Group{{Cols: packet()}}}}}); err != nil {
+	feed := func(g live.Group) *live.FeedMsg {
+		return &live.FeedMsg{Rounds: []live.Round{{Round: 3, Groups: []live.Group{g}}}}
+	}
+	rows := live.Group{Tuples: exec.Batch{netgen.Packet{Time: 7}.Tuple()}}
+	x := &islandExec{r: &Runner{batchSize: 4}, isl: &island{}, outs: [][]exec.Consumer{{exec.Discard{}}}}
+	if _, err := x.Execute(feed(live.Group{Cols: packet()})); err != nil {
 		t.Fatalf("a packet-shaped group was refused: %v", err)
+	}
+	_, err := x.Execute(feed(rows))
+	if err == nil {
+		t.Fatal("a row group was delivered at batch size 4")
+	}
+	for _, want := range []string{"round 3", "stream 0 partition 0", "row group", "batch size 4"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("row group: error %q does not mention %q", err, want)
+		}
+	}
+	x.r.batchSize = 1 // the scalar mode's feeds are runs of rows
+	if _, err := x.Execute(feed(rows)); err != nil {
+		t.Fatalf("a row group was refused at batch size 1: %v", err)
 	}
 }
 
@@ -149,7 +162,7 @@ func TestAllocsParallelColumnarReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(hints map[int]int) (*Result, float64) {
-		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: 2, Columnar: true, SizeHints: hints})
+		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: 2, SizeHints: hints})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +200,7 @@ func TestGrouperStockSurvivesCollector(t *testing.T) {
 		netgen.Packet{Time: 1, SrcIP: uint64(i)}.AppendCols(cb)
 	}
 	groups := []live.Group{{Cols: cb}, {Tuples: exec.Batch{}}}
-	gr.recycle(groups)
+	gr.recycle([]live.Round{{Groups: groups}})
 	if groups[0].Cols != nil {
 		t.Fatal("recycle left the group holding its batch")
 	}
@@ -201,7 +214,7 @@ func TestGrouperStockSurvivesCollector(t *testing.T) {
 		t.Fatalf("recycled batch: Len %d, %d columns, capacity %d; want empty, shaped, capacity kept",
 			got.Len, len(got.Cols), cap(got.Cols[0].U64))
 	}
-	gr.recycle([]live.Group{{Cols: got}})
+	gr.recycle([]live.Round{{Groups: []live.Group{{Cols: got}}}})
 	gr.release()
 	if len(gr.free) != 0 {
 		t.Fatalf("release left %d batches in the stock", len(gr.free))

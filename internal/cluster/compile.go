@@ -1,0 +1,1044 @@
+package cluster
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+
+	"qap/internal/exec"
+	"qap/internal/gsql"
+	"qap/internal/obs"
+	"qap/internal/obs/trace"
+	"qap/internal/optimizer"
+	"qap/internal/plan"
+	"qap/internal/sqlval"
+)
+
+// rowCounter counts a logical node's complete output rows.
+type rowCounter struct {
+	n    *int64
+	next exec.Consumer
+}
+
+func (c *rowCounter) Push(t exec.Tuple) { *c.n++; c.next.Push(t) }
+func (c *rowCounter) Advance(wm uint64) { c.next.Advance(wm) }
+func (c *rowCounter) Flush()            { c.next.Flush() }
+
+// PushBatch implements exec.BatchConsumer.
+func (c *rowCounter) PushBatch(b exec.Batch) {
+	*c.n += int64(len(b))
+	exec.PushAll(c.next, b)
+}
+
+// PushCols implements exec.ColConsumer.
+func (c *rowCounter) PushCols(cb *exec.ColBatch) {
+	*c.n += int64(cb.Len)
+	exec.PushColsAll(c.next, cb)
+}
+
+// countedOutput wraps an operator's fanout with a row counter when the
+// operator produces a logical node's complete output (full aggregates,
+// super-aggregates, select/project, join instances — not scans,
+// unions, or partial sub-aggregates).
+func (r *Runner) countedOutput(op *optimizer.Op, out exec.Consumer) exec.Consumer {
+	switch op.Kind {
+	case optimizer.OpAggregate, optimizer.OpAggSuper, optimizer.OpSelProj,
+		optimizer.OpJoin, optimizer.OpWindow:
+	default:
+		return out
+	}
+	name := strings.ToLower(op.Logical.QueryName)
+	isl := r.islandOf(op)
+	n, ok := isl.rows[name]
+	if !ok {
+		n = new(int64)
+		isl.rows[name] = n
+	}
+	return &rowCounter{n: n, next: out}
+}
+
+// ---- stream splitter (paper Section 3.3) ----
+
+type router struct {
+	hashFns []exec.EvalFunc // nil => round robin
+	outs    []exec.Consumer
+	// islands[p] is the executor that runs partition p's scan: its leaf
+	// island, or 0 throughout in a sequential runner, whose one in-line
+	// executor runs every partition.
+	islands  []int
+	rr       int
+	hashVals []sqlval.Value // route scratch, driver-goroutine-owned
+}
+
+// route picks the destination partition for one tuple. It mutates the
+// round-robin cursor and the hash scratch, so in parallel mode only
+// the splitter (driver) goroutine may call it.
+func (rt *router) route(t exec.Tuple) int {
+	if rt.hashFns == nil {
+		idx := rt.rr % len(rt.outs)
+		rt.rr++
+		return idx
+	}
+	vals := rt.hashVals[:0]
+	for _, f := range rt.hashFns {
+		vals = append(vals, f(t))
+	}
+	rt.hashVals = vals
+	h := sqlval.HashTuple(vals)
+	// Range split: partition i receives H in [i*R/M, (i+1)*R/M).
+	return int((h >> 32) * uint64(len(rt.outs)) >> 32)
+}
+
+func (rt *router) Push(t exec.Tuple) {
+	rt.outs[rt.route(t)].Push(t)
+}
+
+func (rt *router) Advance(wm uint64) {
+	for _, o := range rt.outs {
+		o.Advance(wm)
+	}
+}
+
+func (rt *router) Flush() {
+	for _, o := range rt.outs {
+		o.Flush()
+	}
+}
+
+// ---- edge accounting ----
+
+type procID struct{ host, partition int }
+
+type edge struct {
+	m      *HostMetrics
+	next   exec.Consumer
+	opCost float64 // receiving operator's per-tuple work
+	xfer   float64 // IPC or network surcharge
+	net    bool    // crosses hosts (counts as network)
+	ipc    bool    // crosses processes on the same host
+	// id indexes Runner.edges for island-crossing edges (the live
+	// backend's wire name for the edge); 0 and unregistered otherwise.
+	id int
+	// st is the receiving operator's stat shard, nil when stats are
+	// disabled. The edge always executes on the receiving operator's
+	// island (captured edges replay centrally), so the shard has a
+	// single writer and accumulates in canonical order in both engines.
+	st *obs.OpStats
+}
+
+func (e *edge) Push(t exec.Tuple) {
+	e.m.Tuples++
+	e.m.CPUUnits += e.opCost + e.xfer
+	switch {
+	case e.net:
+		e.m.NetTuplesIn++
+		e.m.NetBytesIn += int64(t.WireSize())
+	case e.ipc:
+		e.m.IPCTuplesIn++
+	}
+	if e.st != nil {
+		e.st.RowsIn++
+		e.st.CPUUnits += e.opCost + e.xfer
+		switch {
+		case e.net:
+			e.st.NetTuplesIn++
+			e.st.NetBytesIn += int64(t.WireSize())
+		case e.ipc:
+			e.st.IPCTuplesIn++
+		}
+	}
+	e.next.Push(t)
+}
+
+// PushBatch implements exec.BatchConsumer: the per-tuple accounting
+// loop runs first (identically to scalar pushes, so floating-point
+// sums accumulate in the same order regardless of how a round was
+// chunked into batches), then the whole batch moves downstream. This
+// holds on island-crossing edges too: the parallel engine captures a
+// produced batch as a single link item and replays it through this
+// same method, so both engines run the accounting loop and the
+// downstream cascade over identical batch boundaries.
+func (e *edge) PushBatch(b exec.Batch) {
+	for _, t := range b {
+		e.m.Tuples++
+		e.m.CPUUnits += e.opCost + e.xfer
+		switch {
+		case e.net:
+			e.m.NetTuplesIn++
+			e.m.NetBytesIn += int64(t.WireSize())
+		case e.ipc:
+			e.m.IPCTuplesIn++
+		}
+		if e.st != nil {
+			e.st.RowsIn++
+			e.st.CPUUnits += e.opCost + e.xfer
+			switch {
+			case e.net:
+				e.st.NetTuplesIn++
+				e.st.NetBytesIn += int64(t.WireSize())
+			case e.ipc:
+				e.st.IPCTuplesIn++
+			}
+		}
+	}
+	exec.PushAll(e.next, b)
+}
+
+// PushCols implements exec.ColConsumer: the per-row accounting loop is
+// identical to PushBatch over the pivoted rows (same integer counters,
+// same floating-point accumulation order, wire sizes computed straight
+// from the columns), then the columnar batch moves downstream — pivoting
+// only if the receiving operator has no columnar fast path.
+//
+//qap:hot
+func (e *edge) PushCols(cb *exec.ColBatch) {
+	n := cb.Len
+	for i := 0; i < n; i++ {
+		e.m.Tuples++
+		e.m.CPUUnits += e.opCost + e.xfer
+		switch {
+		case e.net:
+			e.m.NetTuplesIn++
+			e.m.NetBytesIn += int64(cb.RowWireSize(i))
+		case e.ipc:
+			e.m.IPCTuplesIn++
+		}
+		if e.st != nil {
+			e.st.RowsIn++
+			e.st.CPUUnits += e.opCost + e.xfer
+			switch {
+			case e.net:
+				e.st.NetTuplesIn++
+				e.st.NetBytesIn += int64(cb.RowWireSize(i))
+			case e.ipc:
+				e.st.IPCTuplesIn++
+			}
+		}
+	}
+	exec.PushColsAll(e.next, cb)
+}
+
+func (e *edge) Advance(wm uint64) {
+	if e.st != nil {
+		e.st.Advances++
+	}
+	e.next.Advance(wm)
+}
+
+func (e *edge) Flush() {
+	if e.st != nil {
+		e.st.Flushes++
+	}
+	e.next.Flush()
+}
+
+// opOut counts an operator's emitted rows. It is installed (only when
+// stats are enabled) between the operator and its fanout, on the
+// producing operator's island, so RowsOut counts each emission once —
+// before any Tee duplication and before island-crossing capture.
+type opOut struct {
+	st   *obs.OpStats
+	next exec.Consumer
+}
+
+func (o *opOut) Push(t exec.Tuple) { o.st.RowsOut++; o.next.Push(t) }
+func (o *opOut) Advance(wm uint64) { o.next.Advance(wm) }
+func (o *opOut) Flush()            { o.next.Flush() }
+
+// PushBatch implements exec.BatchConsumer.
+func (o *opOut) PushBatch(b exec.Batch) {
+	o.st.RowsOut += int64(len(b))
+	exec.PushAll(o.next, b)
+}
+
+// PushCols implements exec.ColConsumer.
+func (o *opOut) PushCols(cb *exec.ColBatch) {
+	o.st.RowsOut += int64(cb.Len)
+	exec.PushColsAll(o.next, cb)
+}
+
+// opCostOf returns the per-tuple work of an operator kind.
+func (c CostConfig) opCostOf(kind optimizer.OpKind) float64 {
+	switch kind {
+	case optimizer.OpScan:
+		return c.ScanCost
+	case optimizer.OpSelProj:
+		return c.SelProjCost
+	case optimizer.OpAggregate, optimizer.OpAggSub, optimizer.OpAggSuper, optimizer.OpWindow:
+		return c.AggCost
+	case optimizer.OpJoin:
+		return c.JoinCost
+	case optimizer.OpUnion:
+		return c.UnionCost
+	case optimizer.OpOutput:
+		return c.OutputCost
+	default:
+		return 1
+	}
+}
+
+// ---- compilation ----
+
+type portRef struct {
+	op   *optimizer.Op
+	port int
+}
+
+func (r *Runner) compile() error {
+	p := r.plan
+	// Consumers of each producer, in deterministic order.
+	consumers := make(map[*optimizer.Op][]portRef)
+	for _, op := range p.Ops {
+		for port, in := range op.Inputs {
+			consumers[in] = append(consumers[in], portRef{op, port})
+		}
+	}
+	// entries[op][port] is the accounted consumer feeding that port.
+	entries := make(map[*optimizer.Op][]exec.Consumer)
+
+	// Build in reverse topological order so downstream entries exist.
+	for i := len(p.Ops) - 1; i >= 0; i-- {
+		op := p.Ops[i]
+		out := r.countedOutput(op, r.fanout(op, consumers[op], entries))
+		if st := r.opStatsOf(op); st != nil {
+			out = &opOut{st: st, next: out}
+		}
+		ports, err := r.instantiate(op, out)
+		if err != nil {
+			return fmt.Errorf("cluster: op %d (%s): %w", op.ID, op.Label(), err)
+		}
+		entries[op] = ports
+	}
+	// Routers deliver into the scan entries, partition-ordered.
+	for _, src := range p.Graph.Sources() {
+		scans := make([]exec.Consumer, p.Partitions)
+		islandIDs := make([]int, p.Partitions)
+		for _, op := range p.Ops {
+			if op.Kind == optimizer.OpScan && op.Logical == src {
+				scans[op.Partition] = entries[op][0]
+				if r.parallel {
+					islandIDs[op.Partition] = r.islandOf(op).id
+				}
+			}
+		}
+		rt := &router{outs: scans, islands: islandIDs}
+		if set := p.SplitterSet(src.Stream.Name); !set.IsEmpty() {
+			names := colNames(src.OutCols)
+			for _, elem := range set {
+				f, err := exec.Compile(elem.Expr, exec.ColsResolver("", names), r.params)
+				if err != nil {
+					return fmt.Errorf("cluster: partitioning element %s: %w", elem, err)
+				}
+				rt.hashFns = append(rt.hashFns, f)
+			}
+		}
+		r.routers[strings.ToLower(src.Stream.Name)] = rt
+	}
+	r.routerNames = r.routerNames[:0]
+	for name := range r.routers { //qap:allow maprange -- names collected then sorted below
+		r.routerNames = append(r.routerNames, name)
+	}
+	sort.Strings(r.routerNames)
+	return nil
+}
+
+// fanout wraps each consumer's entry port with an accounting edge and
+// combines multiple consumers into a Tee.
+func (r *Runner) fanout(op *optimizer.Op, cons []portRef, entries map[*optimizer.Op][]exec.Consumer) exec.Consumer {
+	if len(cons) == 0 {
+		return exec.Discard{}
+	}
+	sort.SliceStable(cons, func(i, j int) bool {
+		if cons[i].op.ID != cons[j].op.ID {
+			return cons[i].op.ID < cons[j].op.ID
+		}
+		return cons[i].port < cons[j].port
+	})
+	from := procID{op.Host, op.Proc}
+	fromIsl := r.islandOf(op)
+	outs := make([]exec.Consumer, len(cons))
+	for i, c := range cons {
+		to := procID{c.op.Host, c.op.Proc}
+		toIsl := r.islandOf(c.op)
+		e := &edge{
+			m:      &toIsl.metrics,
+			next:   entries[c.op][c.port],
+			opCost: r.cost.opCostOf(c.op.Kind),
+			st:     r.opStatsOf(c.op),
+		}
+		switch {
+		case from.host != to.host:
+			e.net, e.xfer = true, r.cost.RemoteCost
+		case from != to:
+			e.ipc, e.xfer = true, r.cost.IPCCost
+		}
+		if r.parallel && fromIsl != toIsl {
+			// Island-crossing link: the producing worker records the
+			// delivery; the central replay loop applies it (engine.go).
+			// The edge id is its index in compile order — deterministic
+			// for a given plan, so two runners compiled from the same
+			// plan (a live splitter and a remote node) agree on every id.
+			e.id = len(r.edges)
+			r.edges = append(r.edges, e)
+			outs[i] = &capture{isl: fromIsl, e: e}
+		} else {
+			outs[i] = e
+		}
+	}
+	if len(outs) == 1 {
+		return outs[0]
+	}
+	return &exec.Tee{Outs: outs}
+}
+
+// instantiate builds the exec operator for one physical op and returns
+// its input ports.
+func (r *Runner) instantiate(op *optimizer.Op, out exec.Consumer) ([]exec.Consumer, error) {
+	switch op.Kind {
+	case optimizer.OpScan:
+		// The scan itself charges the receiving host for ingesting the
+		// packet (the splitter hardware is free).
+		fp := &exec.FilterProject{Out: out}
+		selfEdge := &edge{m: &r.islandOf(op).metrics, next: fp, opCost: r.cost.ScanCost, st: r.opStatsOf(op)}
+		return []exec.Consumer{selfEdge}, nil
+	case optimizer.OpUnion:
+		u := exec.NewUnion(len(op.Inputs), out)
+		ports := make([]exec.Consumer, len(op.Inputs))
+		for i := range ports {
+			ports[i] = u.Port(i)
+		}
+		return ports, nil
+	case optimizer.OpOutput:
+		c := &exec.Collector{}
+		r.collectors[op.Logical.QueryName] = c
+		return []exec.Consumer{c}, nil
+	case optimizer.OpSelProj:
+		fp, err := r.buildSelProj(op.Logical)
+		if err != nil {
+			return nil, err
+		}
+		fp.Out = out
+		return []exec.Consumer{fp}, nil
+	case optimizer.OpAggregate, optimizer.OpAggSub, optimizer.OpAggSuper:
+		agg, err := r.buildAggregate(op, out)
+		if err != nil {
+			return nil, err
+		}
+		r.aggs = append(r.aggs, aggInstance{id: op.ID, agg: agg})
+		return []exec.Consumer{agg}, nil
+	case optimizer.OpWindow:
+		w, err := r.buildWindow(op, out)
+		if err != nil {
+			return nil, err
+		}
+		return []exec.Consumer{w}, nil
+	case optimizer.OpJoin:
+		ports, err := r.buildJoin(op.Logical, out)
+		if err != nil {
+			return nil, err
+		}
+		return ports, nil
+	default:
+		return nil, fmt.Errorf("unknown op kind %v", op.Kind)
+	}
+}
+
+func colNames(cols []plan.ColDef) []string {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
+	return names
+}
+
+func (r *Runner) buildSelProj(n *plan.Node) (*exec.FilterProject, error) {
+	res := exec.ColsResolver(n.InBind, colNames(n.Inputs[0].OutCols))
+	fp := &exec.FilterProject{}
+	if n.Filter != nil {
+		f, err := exec.Compile(n.Filter, res, r.params)
+		if err != nil {
+			return nil, err
+		}
+		fp.Filter = f
+	}
+	exprs := make([]gsql.Expr, len(n.Projs))
+	for i, pr := range n.Projs {
+		exprs[i] = pr.Expr
+	}
+	projs, err := exec.CompileAll(exprs, res, r.params)
+	if err != nil {
+		return nil, err
+	}
+	fp.Projs = projs
+	if r.batched() {
+		if n.Filter != nil {
+			cf, err := exec.CompileCol(n.Filter, res, r.params)
+			if err != nil {
+				return nil, err
+			}
+			fp.ColFilter = &cf
+		}
+		colProjs, err := exec.CompileColAll(exprs, res, r.params)
+		if err != nil {
+			return nil, err
+		}
+		fp.ColProjs = colProjs
+	}
+	return fp, nil
+}
+
+// epochOfWM compiles the watermark translator for a temporal group
+// column: the lineage base expression evaluated at the watermark.
+func (r *Runner) epochOfWM(lin plan.Lineage) (func(uint64) sqlval.Value, error) {
+	if lin.Base == nil {
+		return nil, nil
+	}
+	f, err := exec.Compile(lin.Base.Expr, exec.ColsResolver("", []string{lin.Base.Attr}), r.params)
+	if err != nil {
+		return nil, err
+	}
+	// One scratch tuple per instantiated closure: each belongs to one
+	// operator instance, and operators are single-writer per island.
+	scratch := make(exec.Tuple, 1)
+	return func(wm uint64) sqlval.Value {
+		scratch[0] = sqlval.Uint(wm)
+		return f(scratch)
+	}, nil
+}
+
+// momentParts returns the partial column suffixes of an aggregate
+// whose decomposition needs several components, or nil for aggregates
+// that split one-to-one (the SubName/SuperName pair).
+func momentParts(spec gsql.AggSpec) []string {
+	switch spec.Name {
+	case "AVG":
+		return []string{"$sum", "$cnt"}
+	case "VARIANCE", "STDDEV":
+		return []string{"$sum", "$sumsq", "$cnt"}
+	default:
+		return nil
+	}
+}
+
+// momentSubAccums returns the accumulator names matching momentParts.
+func momentSubAccums(spec gsql.AggSpec) []string {
+	switch spec.Name {
+	case "AVG":
+		return []string{"SUM", "COUNT"}
+	case "VARIANCE", "STDDEV":
+		return []string{"SUM", "SUMSQ", "COUNT"}
+	default:
+		return nil
+	}
+}
+
+// partialNames lists the sub-aggregate output columns for an
+// aggregation's partials.
+func partialNames(n *plan.Node) []string {
+	var out []string
+	for _, a := range n.Aggs {
+		if parts := momentParts(a.Spec); parts != nil {
+			for _, p := range parts {
+				out = append(out, a.Name+p)
+			}
+		} else {
+			out = append(out, a.Name)
+		}
+	}
+	return out
+}
+
+// momentFinalExpr builds the expression reconstructing a moment-split
+// aggregate's value from its merged partials:
+//
+//	AVG       sum/cnt
+//	VARIANCE  sumsq/cnt - (sum/cnt)^2
+//	STDDEV    SQRT(variance)
+//
+// The multiplication by 1.0 forces floating-point arithmetic over
+// integer partials.
+func momentFinalExpr(spec gsql.AggSpec, name string) gsql.Expr {
+	ref := func(suffix string) gsql.Expr { return &gsql.ColumnRef{Name: name + suffix} }
+	fdiv := func(num, den gsql.Expr) gsql.Expr {
+		return &gsql.Binary{
+			Op: gsql.OpDiv,
+			L:  &gsql.Binary{Op: gsql.OpMul, L: num, R: &gsql.NumberLit{IsFloat: true, F: 1}},
+			R:  den,
+		}
+	}
+	mean := fdiv(ref("$sum"), ref("$cnt"))
+	switch spec.Name {
+	case "AVG":
+		return mean
+	case "VARIANCE", "STDDEV":
+		variance := &gsql.Binary{
+			Op: gsql.OpSub,
+			L:  fdiv(ref("$sumsq"), ref("$cnt")),
+			R:  &gsql.Binary{Op: gsql.OpMul, L: mean, R: mean},
+		}
+		if spec.Name == "VARIANCE" {
+			return variance
+		}
+		return &gsql.FuncCall{Name: "SQRT", Args: []gsql.Expr{variance}}
+	default:
+		return &gsql.ColumnRef{Name: name}
+	}
+}
+
+// rewriteSplitRefs substitutes references to moment-split aggregates
+// with their reconstruction expressions in super-aggregate HAVING and
+// projection clauses.
+func rewriteSplitRefs(e gsql.Expr, split map[string]gsql.AggSpec) gsql.Expr {
+	if e == nil {
+		return nil
+	}
+	switch t := e.(type) {
+	case *gsql.ColumnRef:
+		if spec, ok := split[strings.ToLower(t.Name)]; ok && t.Qualifier == "" {
+			return momentFinalExpr(spec, t.Name)
+		}
+		return gsql.CloneExpr(e)
+	case *gsql.Unary:
+		return &gsql.Unary{Op: t.Op, X: rewriteSplitRefs(t.X, split)}
+	case *gsql.Binary:
+		return &gsql.Binary{Op: t.Op, L: rewriteSplitRefs(t.L, split), R: rewriteSplitRefs(t.R, split)}
+	case *gsql.FuncCall:
+		args := make([]gsql.Expr, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = rewriteSplitRefs(a, split)
+		}
+		return &gsql.FuncCall{Name: t.Name, Star: t.Star, Args: args}
+	default:
+		return gsql.CloneExpr(e)
+	}
+}
+
+func (r *Runner) buildAggregate(op *optimizer.Op, out exec.Consumer) (*exec.Aggregate, error) {
+	n := op.Logical
+	cfg := exec.AggregateConfig{EpochIdx: n.EpochGroupCol(), Out: out,
+		ColEmit:      r.batched(),
+		SizeHint:     r.sizeHints[op.ID],
+		OnEpochFlush: r.traceEmitter(op, trace.KindEpochFlush)}
+
+	if n.WindowPanes > 1 && op.Kind != optimizer.OpAggSub {
+		return nil, fmt.Errorf("windowed aggregation %s must lower to sub-aggregate + window", n.QueryName)
+	}
+	if op.Kind == optimizer.OpAggSuper {
+		return r.buildSuperAggregate(n, cfg)
+	}
+
+	inRes := exec.ColsResolver(n.InBind, colNames(n.Inputs[0].OutCols))
+	if n.PreFilter != nil {
+		f, err := exec.Compile(n.PreFilter, inRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.PreFilter = f
+		if r.batched() {
+			cf, err := exec.CompileCol(n.PreFilter, inRes, r.params)
+			if err != nil {
+				return nil, err
+			}
+			cfg.ColPreFilter = &cf
+		}
+	}
+	for _, g := range n.GroupBy {
+		f, err := exec.Compile(g.Expr, inRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.GroupBy = append(cfg.GroupBy, f)
+		if r.batched() {
+			ce, err := exec.CompileCol(g.Expr, inRes, r.params)
+			if err != nil {
+				return nil, err
+			}
+			cfg.ColGroupBy = append(cfg.ColGroupBy, ce)
+		}
+	}
+	if cfg.EpochIdx >= 0 {
+		ewm, err := r.epochOfWM(n.LineageOf(n.GroupBy[cfg.EpochIdx].Expr))
+		if err != nil {
+			return nil, err
+		}
+		cfg.EpochOfWM = ewm
+	}
+
+	sub := op.Kind == optimizer.OpAggSub
+	for _, a := range n.Aggs {
+		var arg exec.EvalFunc
+		var colArg *exec.ColExpr
+		if a.Arg != nil {
+			f, err := exec.Compile(a.Arg, inRes, r.params)
+			if err != nil {
+				return nil, err
+			}
+			arg = f
+			if r.batched() {
+				ce, err := exec.CompileCol(a.Arg, inRes, r.params)
+				if err != nil {
+					return nil, err
+				}
+				colArg = &ce
+			}
+		}
+		// cfg.ColArgs stays index-aligned with cfg.Aggs (nil = COUNT(*)).
+		addAgg := func(fac exec.AccumFactory) {
+			cfg.Aggs = append(cfg.Aggs, exec.AggColumn{Factory: fac, Arg: arg})
+			if r.batched() {
+				cfg.ColArgs = append(cfg.ColArgs, colArg)
+			}
+		}
+		switch {
+		case sub && momentParts(a.Spec) != nil:
+			for _, accName := range momentSubAccums(a.Spec) {
+				fac, err := exec.NewAccumFactory(accName)
+				if err != nil {
+					return nil, err
+				}
+				addAgg(fac)
+			}
+		case sub:
+			fac, err := exec.NewAccumFactory(a.Spec.SubName)
+			if err != nil {
+				return nil, err
+			}
+			addAgg(fac)
+		default:
+			fac, err := exec.NewAccumFactory(a.Spec.Name)
+			if err != nil {
+				return nil, err
+			}
+			addAgg(fac)
+		}
+	}
+	if sub {
+		// Sub-aggregates emit groups ++ partials; HAVING and the final
+		// projection wait for complete values in the super-aggregate
+		// (Section 5.2.2).
+		return exec.NewAggregate(cfg), nil
+	}
+
+	// Full aggregation: HAVING and post-projection over groups++aggs.
+	rowNames := make([]string, 0, len(n.GroupBy)+len(n.Aggs))
+	for _, g := range n.GroupBy {
+		rowNames = append(rowNames, g.Name)
+	}
+	for _, a := range n.Aggs {
+		rowNames = append(rowNames, a.Name)
+	}
+	rowRes := exec.ColsResolver("", rowNames)
+	if n.Having != nil {
+		f, err := exec.Compile(n.Having, rowRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Having = f
+	}
+	for _, p := range n.Post {
+		f, err := exec.Compile(p.Expr, rowRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Post = append(cfg.Post, f)
+	}
+	return exec.NewAggregate(cfg), nil
+}
+
+// buildSuperAggregate assembles the central half of a partial
+// aggregation: it groups the sub-aggregates' outputs by the original
+// group columns and merges partials with each aggregate's
+// super-function (COUNT's partials SUM, MIN's MIN, and so on).
+func (r *Runner) buildSuperAggregate(n *plan.Node, cfg exec.AggregateConfig) (*exec.Aggregate, error) {
+	groupNames := make([]string, len(n.GroupBy))
+	for i, g := range n.GroupBy {
+		groupNames[i] = g.Name
+	}
+	inNames := append(append([]string{}, groupNames...), partialNames(n)...)
+	inRes := exec.ColsResolver("", inNames)
+
+	for _, name := range groupNames {
+		f, err := exec.Compile(&gsql.ColumnRef{Name: name}, inRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.GroupBy = append(cfg.GroupBy, f)
+		if r.batched() {
+			ce, err := exec.CompileCol(&gsql.ColumnRef{Name: name}, inRes, r.params)
+			if err != nil {
+				return nil, err
+			}
+			cfg.ColGroupBy = append(cfg.ColGroupBy, ce)
+		}
+	}
+	if cfg.EpochIdx >= 0 {
+		ewm, err := r.epochOfWM(n.LineageOf(n.GroupBy[cfg.EpochIdx].Expr))
+		if err != nil {
+			return nil, err
+		}
+		cfg.EpochOfWM = ewm
+	}
+
+	split := make(map[string]gsql.AggSpec)
+	var rowNames []string
+	rowNames = append(rowNames, groupNames...)
+	// Keeps cfg.ColArgs index-aligned with cfg.Aggs; every super-side
+	// argument is a plain column reference over the partial row.
+	addAgg := func(fac exec.AccumFactory, name string) error {
+		f, err := exec.Compile(&gsql.ColumnRef{Name: name}, inRes, r.params)
+		if err != nil {
+			return err
+		}
+		cfg.Aggs = append(cfg.Aggs, exec.AggColumn{Factory: fac, Arg: f})
+		if r.batched() {
+			ce, err := exec.CompileCol(&gsql.ColumnRef{Name: name}, inRes, r.params)
+			if err != nil {
+				return err
+			}
+			cfg.ColArgs = append(cfg.ColArgs, &ce)
+		}
+		return nil
+	}
+	for _, a := range n.Aggs {
+		if parts := momentParts(a.Spec); parts != nil {
+			split[strings.ToLower(a.Name)] = a.Spec
+			for _, suffix := range parts {
+				pn := a.Name + suffix
+				fac, _ := exec.NewAccumFactory("SUM")
+				if err := addAgg(fac, pn); err != nil {
+					return nil, err
+				}
+				rowNames = append(rowNames, pn)
+			}
+			continue
+		}
+		fac, err := exec.NewAccumFactory(a.Spec.SuperName)
+		if err != nil {
+			return nil, err
+		}
+		if err := addAgg(fac, a.Name); err != nil {
+			return nil, err
+		}
+		rowNames = append(rowNames, a.Name)
+	}
+
+	rowRes := exec.ColsResolver("", rowNames)
+	if n.Having != nil {
+		f, err := exec.Compile(rewriteSplitRefs(n.Having, split), rowRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Having = f
+	}
+	for _, p := range n.Post {
+		f, err := exec.Compile(rewriteSplitRefs(p.Expr, split), rowRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Post = append(cfg.Post, f)
+	}
+	return exec.NewAggregate(cfg), nil
+}
+
+// buildWindow assembles the sliding-window merge over per-pane
+// partials: mergers per partial column (SUM for moment parts, the
+// super-function otherwise), then the original HAVING and projection
+// with moment references reconstructed.
+func (r *Runner) buildWindow(op *optimizer.Op, out exec.Consumer) (*exec.SlidingWindow, error) {
+	n := op.Logical
+	cfg := exec.SlidingWindowConfig{
+		GroupCols:   len(n.GroupBy),
+		EpochIdx:    n.EpochGroupCol(),
+		Panes:       n.WindowPanes,
+		Out:         out,
+		OnPaneFlush: r.traceEmitter(op, trace.KindPaneFlush),
+	}
+	if cfg.EpochIdx < 0 {
+		return nil, fmt.Errorf("window %s has no temporal pane column", n.QueryName)
+	}
+	ewm, err := r.epochOfWM(n.LineageOf(n.GroupBy[cfg.EpochIdx].Expr))
+	if err != nil {
+		return nil, err
+	}
+	cfg.PaneOfWM = ewm
+
+	split := make(map[string]gsql.AggSpec)
+	groupNames := make([]string, len(n.GroupBy))
+	for i, g := range n.GroupBy {
+		groupNames[i] = g.Name
+	}
+	rowNames := append([]string{}, groupNames...)
+	for _, a := range n.Aggs {
+		if parts := momentParts(a.Spec); parts != nil {
+			split[strings.ToLower(a.Name)] = a.Spec
+			for _, suffix := range parts {
+				fac, _ := exec.NewAccumFactory("SUM")
+				cfg.Mergers = append(cfg.Mergers, fac)
+				rowNames = append(rowNames, a.Name+suffix)
+			}
+			continue
+		}
+		fac, err := exec.NewAccumFactory(a.Spec.SuperName)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Mergers = append(cfg.Mergers, fac)
+		rowNames = append(rowNames, a.Name)
+	}
+	rowRes := exec.ColsResolver("", rowNames)
+	if n.Having != nil {
+		f, err := exec.Compile(rewriteSplitRefs(n.Having, split), rowRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Having = f
+	}
+	for _, p := range n.Post {
+		f, err := exec.Compile(rewriteSplitRefs(p.Expr, split), rowRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Post = append(cfg.Post, f)
+	}
+	return exec.NewSlidingWindow(cfg), nil
+}
+
+// joinResolver resolves qualified references over the concatenation of
+// the two join inputs.
+func joinResolver(leftBind string, leftNames []string, rightBind string, rightNames []string) exec.Resolver {
+	return func(ref *gsql.ColumnRef) (int, error) {
+		if ref.Qualifier != "" {
+			switch {
+			case strings.EqualFold(ref.Qualifier, leftBind):
+				for i, nm := range leftNames {
+					if strings.EqualFold(nm, ref.Name) {
+						return i, nil
+					}
+				}
+			case strings.EqualFold(ref.Qualifier, rightBind):
+				for i, nm := range rightNames {
+					if strings.EqualFold(nm, ref.Name) {
+						return len(leftNames) + i, nil
+					}
+				}
+			default:
+				return 0, fmt.Errorf("exec: unknown qualifier %q", ref.Qualifier)
+			}
+			return 0, fmt.Errorf("exec: unknown column %s", ref)
+		}
+		found := -1
+		for i, nm := range leftNames {
+			if strings.EqualFold(nm, ref.Name) {
+				found = i
+			}
+		}
+		for i, nm := range rightNames {
+			if strings.EqualFold(nm, ref.Name) {
+				if found >= 0 {
+					return 0, fmt.Errorf("exec: ambiguous column %q", ref.Name)
+				}
+				found = len(leftNames) + i
+			}
+		}
+		if found < 0 {
+			return 0, fmt.Errorf("exec: unknown column %q", ref.Name)
+		}
+		return found, nil
+	}
+}
+
+func (r *Runner) buildJoin(n *plan.Node, out exec.Consumer) ([]exec.Consumer, error) {
+	leftNames := colNames(n.Inputs[0].OutCols)
+	rightNames := colNames(n.Inputs[1].OutCols)
+	leftRes := exec.ColsResolver(n.LeftBind, leftNames)
+	rightRes := exec.ColsResolver(n.RightBind, rightNames)
+
+	cfg := exec.JoinConfig{Type: n.JoinType, Out: out}
+	cfg.Left.Width, cfg.Right.Width = len(leftNames), len(rightNames)
+	cfg.Left.TemporalIdx, cfg.Right.TemporalIdx = n.TemporalKey, n.TemporalKey
+
+	for i := range n.LeftKeys {
+		lf, err := exec.Compile(n.LeftKeys[i], leftRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		rf, err := exec.Compile(n.RightKeys[i], rightRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Left.Keys = append(cfg.Left.Keys, lf)
+		cfg.Right.Keys = append(cfg.Right.Keys, rf)
+		if r.batched() {
+			lc, err := exec.CompileCol(n.LeftKeys[i], leftRes, r.params)
+			if err != nil {
+				return nil, err
+			}
+			rc, err := exec.CompileCol(n.RightKeys[i], rightRes, r.params)
+			if err != nil {
+				return nil, err
+			}
+			cfg.Left.ColKeys = append(cfg.Left.ColKeys, lc)
+			cfg.Right.ColKeys = append(cfg.Right.ColKeys, rc)
+		}
+	}
+	lwm, err := r.epochOfWM(n.SideLineage(0, n.LeftKeys[n.TemporalKey]))
+	if err != nil {
+		return nil, err
+	}
+	rwm, err := r.epochOfWM(n.SideLineage(1, n.RightKeys[n.TemporalKey]))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Left.MinFutureKey, cfg.Right.MinFutureKey = lwm, rwm
+
+	comb := joinResolver(n.LeftBind, leftNames, n.RightBind, rightNames)
+	if n.Residual != nil {
+		f, err := exec.Compile(n.Residual, comb, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Residual = f
+	}
+	for _, p := range n.JoinProjs {
+		f, err := exec.Compile(p.Expr, comb, r.params)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Projs = append(cfg.Projs, f)
+	}
+	j := exec.NewJoin(cfg)
+	// Side filters split out of the WHERE clause apply before the join
+	// tables; interpose lightweight local filters on the ports.
+	left, right := exec.Consumer(j.LeftIn()), exec.Consumer(j.RightIn())
+	if n.LeftFilter != nil {
+		f, err := exec.Compile(n.LeftFilter, leftRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		fp := &exec.FilterProject{Filter: f, Out: left}
+		if r.batched() {
+			cf, err := exec.CompileCol(n.LeftFilter, leftRes, r.params)
+			if err != nil {
+				return nil, err
+			}
+			fp.ColFilter = &cf
+		}
+		left = fp
+	}
+	if n.RightFilter != nil {
+		f, err := exec.Compile(n.RightFilter, rightRes, r.params)
+		if err != nil {
+			return nil, err
+		}
+		fp := &exec.FilterProject{Filter: f, Out: right}
+		if r.batched() {
+			cf, err := exec.CompileCol(n.RightFilter, rightRes, r.params)
+			if err != nil {
+				return nil, err
+			}
+			fp.ColFilter = &cf
+		}
+		right = fp
+	}
+	return []exec.Consumer{left, right}, nil
+}

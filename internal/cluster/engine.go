@@ -2,36 +2,36 @@ package cluster
 
 // The parallel execution engine.
 //
-// The sequential engine (runner.go) drives the merged packet trace
-// through the whole operator graph on one goroutine in a canonical
-// order: rounds of distinct timestamps, each round advancing every
-// stream's router (cursor order x partition order) and then pushing the
-// round's packets in merged arrival order, with a final flush round
-// over the routers in sorted-name order.
+// The sequential engine drives the merged packet trace through the
+// whole operator graph on one goroutine in a canonical order: rounds of
+// distinct timestamps, each round advancing every stream's router
+// (cursor order x partition order) and then pushing the round's packets
+// in merged arrival order, with a final flush round over the routers in
+// sorted-name order.
 //
 // The parallel engine reproduces exactly that event sequence while
 // running the per-host operator chains concurrently:
 //
-//   - The plan decomposes into islands (runner.go): one leaf island per
-//     simulated host (its capture processes) plus the central island
-//     (the root process on the aggregator host). The optimizer only
-//     builds plans whose island-crossing dataflow points into the
-//     central island; parallelizable() verifies this and otherwise the
-//     Runner falls back to the sequential engine.
+//   - The plan decomposes into islands: one leaf island per simulated
+//     host (its capture processes) plus the central island (the root
+//     process on the aggregator host). The optimizer only builds plans
+//     whose island-crossing dataflow points into the central island;
+//     parallelizable() verifies this and otherwise the Runner falls back
+//     to the sequential engine.
 //
-//   - A driver goroutine plays the splitter: it merges the input
-//     cursors in canonical order, evaluates each tuple's route (hash or
-//     round-robin), and feeds every island its per-round action list —
-//     watermark advances, tuple pushes, final flushes — over bounded
-//     channels, batching batchRounds rounds per message.
+//   - A driver goroutine runs the splitter (split.go) into a feedSink,
+//     which queues every island's share of the closed rounds —
+//     watermark advance, tagged groups, final flush — on bounded
+//     channels, batchRounds rounds per message.
 //
 //   - One worker goroutine per min(Workers, Hosts) executes the leaf
-//     islands (worker g owns islands g, g+W, ...). Each action carries
-//     a canonical tag; deliveries that cross into the central island
-//     are not executed by the worker but recorded as tagged linkItems
-//     (the capture consumer) and shipped to the central inbox. Every
-//     processed feed message emits a linkBatch — even when empty — so
-//     the central watermark advances.
+//     islands (worker g owns islands g, g+W, ...) through
+//     islandExec.execRounds. Each delivery carries a canonical tag;
+//     deliveries that cross into the central island are not executed by
+//     the worker but recorded as tagged linkItems (the capture consumer)
+//     and shipped to the central inbox. Every processed feed message
+//     emits a linkBatch — even when empty — so the central watermark
+//     advances.
 //
 //   - The central replay loop, on the calling goroutine, K-way-merges
 //     the islands' linkItems by (round, tag) and applies them to the
@@ -55,15 +55,14 @@ import (
 
 	"qap/internal/exec"
 	"qap/internal/live"
-	"qap/internal/netgen"
-	"qap/internal/obs/trace"
-	"qap/internal/sqlval"
 )
 
 // defaultBatchRounds is how many watermark rounds the driver coalesces
-// into one channel message when RunConfig.BatchRounds is unset. Rounds
-// are small (a handful of packets at typical trace rates), so batching
-// amortizes channel synchronization across the pipeline.
+// into one feed message when RunConfig.BatchRounds is unset, amortizing
+// channel (or socket) synchronization across the pipeline. A round is
+// one second of trace — whatever the packet rate makes of that, tens of
+// packets or tens of thousands — so the count bounds a feed's rounds,
+// not its bytes; the live sink also cuts by size.
 const defaultBatchRounds = 32
 
 // defaultBatchSize is the execution batch size when RunConfig.BatchSize
@@ -200,66 +199,74 @@ type tagged struct {
 	c   exec.Consumer
 }
 
-// pushAction is one routed tuple delivery within a round.
-type pushAction struct {
-	tag uint64
-	out exec.Consumer
-	t   exec.Tuple
+// islandFeed addresses a feed message to one of a worker's islands.
+type islandFeed struct {
+	isl int
+	live.FeedMsg
 }
 
-// pushGroup is one destination partition's buffered tuples within a
-// round of the batched driver. Its tag is the round-local sequence
-// number of the group's first tuple, so the central replay merge
-// interleaves islands' groups in exactly the order the batched
-// sequential driver delivers them.
-type pushGroup struct {
-	tag    uint64
-	out    exec.Consumer
-	tuples exec.Batch
+// feedSink is the parallel engine's round sink: every batchRounds
+// rounds it queues each island's pending rounds on the feed of the
+// worker that owns the island. The final message also carries the last
+// data round and the flush round.
+type feedSink struct {
+	r       *Runner
+	feeds   []chan islandFeed
+	pending int
 }
 
-// hostRound is one island's share of one round. At most one of pushes
-// (scalar mode), groups (batched rows) and cols (columnar: the
-// colGrouper's pooled column groups, which the worker returns) is
-// populated.
-type hostRound struct {
-	round  int
-	wm     uint64
-	adv    bool // run the island's advance targets at wm
-	pushes []pushAction
-	groups []pushGroup
-	cols   []live.Group
-	flush  bool // run the island's flush targets
+//qap:hot
+func (s *feedSink) closed(pend [][]live.Round) error {
+	if s.pending++; s.pending >= s.r.batchRounds {
+		s.ship(pend, false)
+	}
+	return nil
 }
 
-// feedMsg carries a batch of rounds for one island; last marks the
-// island's final message.
-type feedMsg struct {
-	isl    *island
-	rounds []hostRound
-	last   bool
+func (s *feedSink) finish(pend [][]live.Round) error {
+	s.ship(pend, true)
+	for _, feed := range s.feeds {
+		close(feed)
+	}
+	return nil
+}
+
+//qap:hot
+func (s *feedSink) ship(pend [][]live.Round, last bool) {
+	for i := range pend {
+		s.feeds[i%len(s.feeds)] <- islandFeed{isl: i, FeedMsg: live.FeedMsg{Last: last, Rounds: pend[i]}}
+		pend[i] = nil // the worker owns the rounds now
+	}
+	s.pending = 0
+	// Driver-owned telemetry (one feed message per island); finalize
+	// reads it only after the driver has joined.
+	s.r.engBatches += int64(len(pend))
 }
 
 // runParallel executes the trace with the parallel engine. The caller
 // goroutine runs the central replay loop.
-//
-//qap:hot
 func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 	hosts := r.plan.Hosts
 	workers := r.workers
 	if workers > hosts {
 		workers = hosts
 	}
-	bs := r.batchSize
-	batched := bs > 1
 
 	advTargets, flushTargets := r.buildTargets(cursors)
-
-	feeds := make([]chan feedMsg, workers) //qap:allow hotalloc -- driver setup, once per run
-	for g := range feeds {
-		feeds[g] = make(chan feedMsg, feedChanCap) //qap:allow hotalloc -- one channel per worker, once per run
+	outs := scanEntries(cursors)
+	xs := make([]islandExec, hosts)
+	for i := range xs {
+		xs[i] = islandExec{
+			r: r, isl: r.islands[i], wins: r.islands[i : i+1],
+			adv: advTargets[i], flush: flushTargets[i], outs: outs,
+		}
 	}
-	inbox := make(chan linkBatch, 2*hosts) //qap:allow hotalloc -- driver setup, once per run
+
+	feeds := make([]chan islandFeed, workers)
+	for g := range feeds {
+		feeds[g] = make(chan islandFeed, feedChanCap)
+	}
+	inbox := make(chan linkBatch, 2*hosts)
 
 	var gr colGrouper // filled by the driver, restocked by the workers
 
@@ -268,193 +275,39 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 	var workerWG sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		workerWG.Add(1)
-		//qap:allow hotalloc -- one worker goroutine closure per worker, once per run
-		go func(feed <-chan feedMsg) {
+		go func(feed <-chan islandFeed) {
 			defer workerWG.Done()
-			var view exec.ColBatch // zero-copy chunk window over a column group
 			for msg := range feed {
-				isl := msg.isl
-				last := 0
-				for _, hr := range msg.rounds {
-					isl.curRound = hr.round
-					last = hr.round
-					if hr.adv {
-						isl.curWM = hr.wm
-						// Close the leaf island's monitoring windows at
-						// the same boundary the sequential drivers do:
-						// before the new round touches any counter.
-						if r.winSec > 0 {
-							isl.closeWindowsTo(int(hr.wm / r.winSec))
-						}
-						for _, at := range advTargets[isl.id] {
-							isl.curTag = at.tag
-							at.c.Advance(hr.wm)
-						}
-					}
-					for _, pa := range hr.pushes {
-						isl.curTag = pa.tag
-						pa.out.Push(pa.t)
-					}
-					for gi := range hr.groups {
-						g := &hr.groups[gi]
-						isl.curTag = g.tag
-						for off := 0; off < len(g.tuples); off += bs {
-							end := off + bs
-							if end > len(g.tuples) {
-								end = len(g.tuples)
-							}
-							exec.PushAll(g.out, g.tuples[off:end])
-						}
-						exec.PutBatch(g.tuples)
-						g.out, g.tuples = nil, nil
-					}
-					for gi := range hr.cols {
-						g := &hr.cols[gi]
-						isl.curTag = g.Tag
-						deliverCols(cursors[g.Stream].rt.outs[g.Part], g.Cols, bs, &view)
-					}
-					gr.recycle(hr.cols)
-					if hr.flush {
-						for _, ft := range flushTargets[isl.id] {
-							isl.curTag = ft.tag
-							ft.c.Flush()
-						}
-					}
-				}
-				items := isl.outbox
-				isl.outbox = nil
+				x := &xs[msg.isl]
+				last := x.execRounds(msg.Rounds)
+				gr.recycle(msg.Rounds)
+				items := x.isl.outbox
+				x.isl.outbox = nil
 				if stall != nil {
 					<-stall
 				}
-				inbox <- linkBatch{isl: isl.id, through: last, items: items, done: msg.last}
+				inbox <- linkBatch{isl: msg.isl, through: last, items: items, done: msg.Last}
 			}
 		}(feeds[g])
 	}
 
-	// Driver: merge the cursors, route every tuple, and feed the
-	// islands their rounds in batches.
+	// Driver: the splitter, feeding the islands their rounds in batches.
 	var (
 		driverWG sync.WaitGroup
 		dAny     bool
 		dMax     uint64
 	)
 	driverWG.Add(1)
-	//qap:allow hotalloc -- the driver goroutine and its helpers close once per run
 	go func() {
 		defer driverWG.Done()
-		// rounds[i] accumulates island i's pending hostRounds.
-		rounds := make([][]hostRound, hosts) //qap:allow hotalloc -- driver setup, once per run
-		pendingRounds := 0
-		round := -1
-		ship := func(last bool) { //qap:allow hotalloc -- closure built once per run
-			for i := 0; i < hosts; i++ {
-				msg := feedMsg{isl: r.islands[i], rounds: rounds[i], last: last}
-				rounds[i] = nil
-				feeds[i%workers] <- msg
-			}
-			pendingRounds = 0
-			// Driver-owned telemetry (one feed message per island);
-			// finalize reads it only after driverWG.Wait() below.
-			r.engBatches += int64(hosts)
-		}
-		initGroupIndex(cursors)
-		openRound := func(wm uint64) { //qap:allow hotalloc -- closure built once per run
-			round++
-			r.engRounds++
-			gr.nextRound()
-			for i := 0; i < hosts; i++ {
-				rounds[i] = append(rounds[i], hostRound{round: round, wm: wm, adv: true})
-			}
-		}
-		var valSlab []sqlval.Value
-		var lastTime uint64
-		first := true
-		seq := uint64(0) // round-local push sequence
-		for {
-			best := nextCursor(cursors)
-			if best == nil {
-				break
-			}
-			pk := &best.packets[best.pos]
-			best.pos++
-			dAny = true
-			if pk.Time > dMax {
-				dMax = pk.Time
-			}
-			if first || pk.Time > lastTime {
-				if !first {
-					// Close the round on the splitter's trace shard:
-					// the same (round, watermark, packets) triple the
-					// sequential drivers record.
-					if r.trDriver != nil {
-						r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: round, WM: lastTime, Rows: int64(seq)})
-					}
-					pendingRounds++
-					if pendingRounds >= r.batchRounds {
-						ship(false)
-					}
-				}
-				openRound(pk.Time)
-				seq = 0
-				lastTime, first = pk.Time, false
-			}
-			if r.columnar {
-				idx := gr.route(best, pk)
-				id := best.rt.islands[idx]
-				gr.add(&rounds[id][len(rounds[id])-1].cols, best, idx, seq, pk)
-				seq++
-				continue
-			}
-			if !batched {
-				t := pk.Tuple()
-				idx := best.rt.route(t)
-				id := best.rt.islands[idx]
-				hr := &rounds[id][len(rounds[id])-1]
-				hr.pushes = append(hr.pushes, pushAction{
-					tag: phasePush | seq, out: best.rt.outs[idx], t: t,
-				})
-				seq++
-				continue
-			}
-			// Batched: buffer the tuple into its destination's group for
-			// this round, tagged with the group's first-tuple sequence.
-			if cap(valSlab)-len(valSlab) < netgen.TupleCols {
-				valSlab = make([]sqlval.Value, 0, tupleSlabVals) //qap:allow hotalloc -- slab growth, amortized over tupleSlabVals values
-			}
-			var t exec.Tuple
-			valSlab, t = pk.AppendTuple(valSlab)
-			idx := best.rt.route(t)
-			id := best.rt.islands[idx]
-			hr := &rounds[id][len(rounds[id])-1]
-			if best.gstamp[idx] != round {
-				best.gstamp[idx] = round
-				best.gidx[idx] = len(hr.groups)
-				hr.groups = append(hr.groups, pushGroup{
-					tag: phasePush | seq, out: best.rt.outs[idx], tuples: exec.GetBatch(),
-				})
-			}
-			g := &hr.groups[best.gidx[idx]]
-			g.tuples = append(g.tuples, t)
-			seq++
-		}
-		r.emitDriverTail(round, int64(seq), lastTime)
-		// The flush round.
-		round++
-		r.engRounds++
-		for i := 0; i < hosts; i++ {
-			rounds[i] = append(rounds[i], hostRound{round: round, flush: true})
-		}
-		ship(true)
-		for _, feed := range feeds {
-			close(feed)
-		}
+		dAny, dMax, _ = r.split(cursors, &gr, &feedSink{r: r, feeds: feeds})
 	}()
 
 	// Central replay on the calling goroutine, with the optional drive
 	// timeout guarding each receive so a wedged worker surfaces as a
 	// positioned error instead of hanging the run.
 	var timer *time.Timer
-	recv := func(waiting string) (linkBatch, error) { //qap:allow hotalloc -- replay guard closure, built once per run
+	recv := func(waiting string) (linkBatch, error) {
 		if r.driveTimeout <= 0 {
 			return <-inbox, nil
 		}
@@ -486,11 +339,11 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 	return r.finalize(dAny, dMax), nil
 }
 
-// buildTargets pre-resolves every island's advance and flush target
+// buildTargets pre-resolves every executor's advance and flush target
 // lists in canonical (= tag) order. Advance walks the fed streams in
 // cursor order; flush walks every router in sorted-name order.
 func (r *Runner) buildTargets(cursors []*streamCursor) (advTargets, flushTargets [][]tagged) {
-	hosts := r.plan.Hosts
+	hosts := r.execIslands()
 	advTargets = make([][]tagged, hosts)
 	for sIdx, c := range cursors {
 		for p, out := range c.rt.outs {

@@ -14,13 +14,12 @@ package cluster
 // (replayLinks), so canonical outputs, OpStats, monitoring series, and
 // trace bytes are byte-identical to the simulator:
 //
-//   - The driver reproduces the parallel engine's round structure
-//     verbatim — same rounds, same tags, same per-destination grouping
-//     (scalar rounds ship maximal same-destination runs whose tags the
-//     node re-expands per tuple; batched rounds ship the batched
-//     driver's per-partition groups, as column groups when the runner
-//     is columnar) — so each node executes exactly the event sequence
-//     the simulator's worker would.
+//   - The driver is the parallel engine's — the one splitter
+//     (split.go), so the same rounds, tags and per-destination groups:
+//     column groups, or at BatchSize 1 maximal same-destination runs of
+//     rows — behind a sink that serializes instead of queueing, and a
+//     node executes a feed through the same islandExec.execRounds a
+//     simulator worker does.
 //
 //   - Tuples travel in the exec wire codecs, rows or column vectors,
 //     which round-trip every value bit-exactly (floats as IEEE bits),
@@ -44,12 +43,10 @@ import (
 	"sync"
 	"time"
 
-	"qap/internal/exec"
 	"qap/internal/live"
 	"qap/internal/netgen"
 	"qap/internal/obs"
 	"qap/internal/obs/trace"
-	"qap/internal/sqlval"
 )
 
 // LiveConfig tunes the live backend.
@@ -103,10 +100,9 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 	bs := r.batchSize
 
 	advTargets, flushTargets := r.buildTargets(cursors)
-	outs := make([][]exec.Consumer, len(cursors))
+	outs := scanEntries(cursors)
 	streams := make([]string, len(cursors))
 	for i, c := range cursors {
-		outs[i] = c.rt.outs
 		streams[i] = c.name
 	}
 	fp := r.liveFingerprint()
@@ -133,9 +129,9 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 	if !remote {
 		for h := 0; h < hosts; h++ {
 			x := &islandExec{
-				r: r, isl: r.islands[h],
+				r: r, isl: r.islands[h], wins: r.islands[h : h+1],
 				adv: advTargets[h], flush: flushTargets[h],
-				outs: outs, bs: bs,
+				outs: outs,
 			}
 			ncfg := lcfg
 			if r.liveCfg.Faults != nil {
@@ -187,7 +183,14 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 	driverWG.Add(1)
 	go func() {
 		defer driverWG.Done()
-		if err := r.driveLive(sp, cursors, &dAny, &dMax); err != nil {
+		var gr colGrouper
+		defer gr.release()
+		sink := &liveSink{
+			r: r, sp: sp, gr: &gr, cutBytes: sp.MaxFrame() / 2,
+			pendBytes: make([]int, hosts), roundBytes: make([]int, hosts),
+		}
+		var err error
+		if dAny, dMax, err = r.split(cursors, &gr, sink); err != nil {
 			driveErr <- err
 		}
 	}()
@@ -244,175 +247,89 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 	return r.finalize(dAny, dMax), nil
 }
 
-// driveLive is the live splitter: the same canonical cursor merge,
-// routing, round structure, and tagging as the simulator's drivers,
-// shipped as serialized feed messages instead of channel sends. A feed
+// liveSink is the live backend's round sink: the splitter's rounds
+// leave as serialized feed messages instead of channel sends. A feed
 // goes out every batchRounds rounds, or sooner when one more round
 // would take it past half the frame bound; either cut falls on a round
 // boundary, and the (round, tag) replay is indifferent to where.
-func (r *Runner) driveLive(sp *live.Splitter, cursors []*streamCursor, dAny *bool, dMax *uint64) error {
-	hosts := r.plan.Hosts
-	bs := r.batchSize
-	batched := bs > 1
-	cutBytes := sp.MaxFrame() / 2
+type liveSink struct {
+	r          *Runner
+	sp         *live.Splitter
+	gr         *colGrouper
+	cutBytes   int
+	pendBytes  []int // encoded size of each host's sized pending rounds
+	roundBytes []int // and of the round being sized
+	pending    int   // pending rounds already sized
+	msg        live.FeedMsg
+}
 
-	var gr colGrouper
-	defer gr.release()
-	pend := make([][]live.Round, hosts)
-	pendBytes := make([]int, hosts)  // encoded size of pend[i]'s closed rounds
-	roundBytes := make([]int, hosts) // and of the round being closed
-	pendingRounds := 0
-	round := -1
-	// ship sends every host its pending rounds but the newest keep (0,
-	// or 1 while that round is still open or would overfill the feed).
-	ship := func(last bool, keep int) error {
-		for i := 0; i < hosts; i++ {
-			n := len(pend[i]) - keep
-			m := &live.FeedMsg{Last: last, Rounds: pend[i][:n]}
-			if err := sp.SendFeed(i, m); err != nil {
-				return err
-			}
-			// SendFeed serialized the message; recycle the containers.
-			for ri := range m.Rounds {
-				for gi := range m.Rounds[ri].Groups {
-					exec.PutBatch(m.Rounds[ri].Groups[gi].Tuples)
-				}
-				gr.recycle(m.Rounds[ri].Groups)
-			}
-			pend[i] = append(pend[i][:0], pend[i][n:]...)
-			pendBytes[i] = 0
-		}
-		pendingRounds = 0
-		r.engBatches += int64(hosts)
-		return nil
+//qap:hot
+func (s *liveSink) closed(pend [][]live.Round) error {
+	if err := s.closeRound(pend, 1); err != nil {
+		return err
 	}
-	// closeRound accounts the newest round's bytes, first shipping the
-	// rounds before it if it would take some host's feed past the cut.
-	closeRound := func() error {
-		over := false
-		for i := 0; i < hosts; i++ {
-			roundBytes[i] = pend[i][len(pend[i])-1].WireSize()
-			over = over || (pendBytes[i] > 0 && pendBytes[i]+roundBytes[i] > cutBytes)
-		}
-		if over {
-			if err := ship(false, 1); err != nil {
-				return err
-			}
-		}
-		for i := 0; i < hosts; i++ {
-			pendBytes[i] += roundBytes[i]
-		}
-		pendingRounds++
-		return nil
+	if s.pending >= s.r.batchRounds {
+		return s.ship(pend, false, 0)
 	}
-	initGroupIndex(cursors)
-	openRound := func(wm uint64) {
-		round++
-		r.engRounds++
-		gr.nextRound()
-		for i := 0; i < hosts; i++ {
-			pend[i] = append(pend[i], live.Round{Round: round, WM: wm, Adv: true})
-		}
-	}
-	var valSlab []sqlval.Value
-	var lastTime uint64
-	first := true
-	seq := uint64(0) // round-local push sequence
-	for {
-		best := nextCursor(cursors)
-		if best == nil {
-			break
-		}
-		pk := &best.packets[best.pos]
-		best.pos++
-		*dAny = true
-		if pk.Time > *dMax {
-			*dMax = pk.Time
-		}
-		if first || pk.Time > lastTime {
-			if !first {
-				if r.trDriver != nil {
-					r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: round, WM: lastTime, Rows: int64(seq)})
-				}
-				if err := closeRound(); err != nil {
-					return err
-				}
-				if pendingRounds >= r.batchRounds {
-					if err := ship(false, 0); err != nil {
-						return err
-					}
-				}
-			}
-			openRound(pk.Time)
-			seq = 0
-			lastTime, first = pk.Time, false
-		}
-		if r.columnar {
-			// Column groups: the batched grouping below, never a row.
-			idx := gr.route(best, pk)
-			id := best.rt.islands[idx]
-			gr.add(&pend[id][len(pend[id])-1].Groups, best, idx, seq, pk)
-			seq++
-			continue
-		}
-		if cap(valSlab)-len(valSlab) < netgen.TupleCols {
-			valSlab = make([]sqlval.Value, 0, tupleSlabVals)
-		}
-		var t exec.Tuple
-		valSlab, t = pk.AppendTuple(valSlab)
-		idx := best.rt.route(t)
-		id := best.rt.islands[idx]
-		hr := &pend[id][len(pend[id])-1]
-		if batched {
-			// One group per destination partition per round, tagged with
-			// its first tuple's sequence — the batched drivers' grouping.
-			if best.gstamp[idx] != round {
-				best.gstamp[idx] = round
-				best.gidx[idx] = len(hr.Groups)
-				hr.Groups = append(hr.Groups, live.Group{
-					Tag: phasePush | seq, Stream: best.idx, Part: idx, Tuples: exec.GetBatch(),
-				})
-			}
-			g := &hr.Groups[best.gidx[idx]]
-			g.Tuples = append(g.Tuples, t)
-		} else {
-			// Scalar rounds ship maximal same-destination runs of
-			// consecutive sequences; the node re-expands them into
-			// per-tuple tagged pushes, reproducing the scalar engine's
-			// interleaved delivery order exactly.
-			extended := false
-			if n := len(hr.Groups); n > 0 {
-				g := &hr.Groups[n-1]
-				if g.Stream == best.idx && g.Part == idx && g.Tag+uint64(len(g.Tuples)) == phasePush|seq {
-					g.Tuples = append(g.Tuples, t)
-					extended = true
-				}
-			}
-			if !extended {
-				hr.Groups = append(hr.Groups, live.Group{
-					Tag: phasePush | seq, Stream: best.idx, Part: idx,
-					Tuples: append(exec.GetBatch(), t),
-				})
-			}
-		}
-		seq++
-	}
-	r.emitDriverTail(round, int64(seq), lastTime)
-	if !first {
-		if err := closeRound(); err != nil {
+	return nil
+}
+
+func (s *liveSink) finish(pend [][]live.Round) error {
+	// The last data round, if there was one, then the flush round.
+	for back := len(pend[0]) - s.pending; back > 0; back-- {
+		if err := s.closeRound(pend, back); err != nil {
 			return err
 		}
 	}
-	// The flush round.
-	round++
-	r.engRounds++
-	for i := 0; i < hosts; i++ {
-		pend[i] = append(pend[i], live.Round{Round: round, Flush: true})
+	return s.ship(pend, true, 0)
+}
+
+// closeRound sizes every host's back-th newest round, first shipping
+// the rounds before it if it would take some host's feed past the cut.
+//
+//qap:hot
+func (s *liveSink) closeRound(pend [][]live.Round, back int) error {
+	over := false
+	for i, p := range pend {
+		s.roundBytes[i] = p[len(p)-back].WireSize()
+		over = over || (s.pendBytes[i] > 0 && s.pendBytes[i]+s.roundBytes[i] > s.cutBytes)
 	}
-	if err := closeRound(); err != nil {
-		return err
+	if over {
+		if err := s.ship(pend, false, back); err != nil {
+			return err
+		}
 	}
-	return ship(true, 0)
+	for i := range pend {
+		s.pendBytes[i] += s.roundBytes[i]
+	}
+	s.pending++
+	return nil
+}
+
+// ship sends every host its pending rounds but the newest keep (those
+// not sized yet, or that would overfill the feed).
+//
+//qap:hot
+func (s *liveSink) ship(pend [][]live.Round, last bool, keep int) error {
+	for i, p := range pend {
+		n := len(p) - keep
+		s.msg = live.FeedMsg{Last: last, Rounds: p[:n]}
+		if err := s.sp.SendFeed(i, &s.msg); err != nil {
+			return err
+		}
+		// SendFeed serialized the message: take the containers back and
+		// rotate the kept rounds to the front, so that every slot keeps
+		// a group list of its own for openRound to reuse.
+		s.gr.recycle(p[:n])
+		for j := 0; j < keep; j++ {
+			p[j], p[n+j] = p[n+j], p[j]
+		}
+		pend[i] = p[:keep]
+		s.pendBytes[i] = 0
+	}
+	s.pending = 0
+	s.r.engBatches += int64(len(pend))
+	return nil
 }
 
 // linkBatchOf converts a received link message into the replay merge's
@@ -448,87 +365,35 @@ func (r *Runner) linkBatchOf(m *live.LinkMsg) (linkBatch, error) {
 	return b, nil
 }
 
-// islandExec executes one leaf island's feed messages — the node-side
-// half of the live backend. It reproduces the parallel engine's worker
-// loop exactly: advances, tagged pushes, flushes, window closes, and
-// island-crossing capture into the outbox.
-type islandExec struct {
-	r          *Runner
-	isl        *island
-	adv, flush []tagged
-	// outs[s][p] is stream s's partition-p scan entry, with s indexing
-	// the splitter's canonical stream order.
-	outs [][]exec.Consumer
-	bs   int
-	// view is the zero-copy chunk window over a delivered column group;
-	// Execute runs on one goroutine per node, so it has a single writer.
-	view exec.ColBatch
-	// shipResult marks a remotely served island (ServeLiveHost): the
-	// final island shards travel back in a result frame.
-	shipResult bool
-}
-
-// Execute implements live.Executor.
+// Execute implements live.Executor — the node-side half of the live
+// backend: the feed's rounds run through execRounds exactly as a
+// simulator worker runs them, and the island-crossing deliveries they
+// captured go back as the link message. The feed came off a wire, so it
+// is checked first; a refused feed has executed nothing.
 func (x *islandExec) Execute(m *live.FeedMsg) (*live.LinkMsg, error) {
-	isl := x.isl
-	r := x.r
-	last := 0
 	for ri := range m.Rounds {
 		rd := &m.Rounds[ri]
-		isl.curRound = rd.Round
-		last = rd.Round
-		if rd.Adv {
-			isl.curWM = rd.WM
-			// Close the leaf island's monitoring windows at the same
-			// boundary every other engine does: before the new round
-			// touches any counter.
-			if r.winSec > 0 {
-				isl.closeWindowsTo(int(rd.WM / r.winSec))
-			}
-			for _, at := range x.adv {
-				isl.curTag = at.tag
-				at.c.Advance(rd.WM)
-			}
-		}
 		for gi := range rd.Groups {
 			g := &rd.Groups[gi]
 			if g.Stream < 0 || g.Stream >= len(x.outs) || g.Part < 0 || g.Part >= len(x.outs[g.Stream]) {
 				return nil, fmt.Errorf("group targets stream %d partition %d out of range", g.Stream, g.Part)
 			}
-			out := x.outs[g.Stream][g.Part]
-			if g.Cols != nil {
+			switch {
+			case g.Cols == nil && x.r.batched():
+				// The fingerprint pins BatchSize, and a splitter at this
+				// one groups columns: only a broken peer sends rows.
+				return nil, fmt.Errorf("round %d: row group for stream %d partition %d, but batch size %d deploys column groups",
+					rd.Round, g.Stream, g.Part, x.r.batchSize)
+			case g.Cols != nil && (len(g.Cols.Cols) != netgen.TupleCols || !g.Cols.AllUint()):
 				// The codec admits any column batch; a scan takes packets.
-				if len(g.Cols.Cols) != netgen.TupleCols || !g.Cols.AllUint() {
-					return nil, fmt.Errorf("round %d: column group for stream %d partition %d is not the %d NULL-free uint columns of a packet",
-						rd.Round, g.Stream, g.Part, netgen.TupleCols)
-				}
-				isl.curTag = g.Tag
-				deliverCols(out, g.Cols, x.bs, &x.view)
-			} else if x.bs > 1 {
-				isl.curTag = g.Tag
-				for off := 0; off < len(g.Tuples); off += x.bs {
-					end := off + x.bs
-					if end > len(g.Tuples) {
-						end = len(g.Tuples)
-					}
-					exec.PushAll(out, g.Tuples[off:end])
-				}
-			} else {
-				for i := range g.Tuples {
-					isl.curTag = g.Tag + uint64(i)
-					out.Push(g.Tuples[i])
-				}
-			}
-		}
-		if rd.Flush {
-			for _, ft := range x.flush {
-				isl.curTag = ft.tag
-				ft.c.Flush()
+				return nil, fmt.Errorf("round %d: column group for stream %d partition %d is not the %d NULL-free uint columns of a packet",
+					rd.Round, g.Stream, g.Part, netgen.TupleCols)
 			}
 		}
 	}
-	items := isl.outbox
-	isl.outbox = nil
+	last := x.execRounds(m.Rounds)
+	items := x.isl.outbox
+	x.isl.outbox = nil
 	lm := &live.LinkMsg{Through: last, Done: m.Last}
 	if len(items) > 0 {
 		lm.Items = make([]live.Item, len(items))
@@ -653,9 +518,9 @@ func (r *Runner) liveFingerprint() string {
 	if p.StreamSets != nil {
 		partitioning = p.StreamSets.String()
 	}
-	fmt.Fprintf(h, "hosts=%d parts=%d pph=%d agg=%d bs=%d columnar=%t win=%d collect=%t trace=%t\n",
+	fmt.Fprintf(h, "hosts=%d parts=%d pph=%d agg=%d bs=%d win=%d collect=%t trace=%t\n",
 		p.Hosts, p.Partitions, p.PartitionsPerHost, p.AggregatorHost,
-		r.batchSize, r.columnar, r.winSec, r.collect, r.tracer != nil)
+		r.batchSize, r.winSec, r.collect, r.tracer != nil)
 	fmt.Fprintf(h, "set=%s\ncosts=%+v\n", partitioning, r.cost)
 	for _, op := range p.Ops {
 		fmt.Fprintf(h, "op %d %s host=%d proc=%d part=%d in=", op.ID, op.Kind, op.Host, op.Proc, op.Partition)
@@ -685,7 +550,7 @@ func (r *Runner) ServeLiveHost(host int, addr string, ready func(addr string)) e
 	if host < 0 || host >= r.plan.Hosts {
 		return fmt.Errorf("cluster: host %d out of range (plan has %d)", host, r.plan.Hosts)
 	}
-	x := &islandExec{r: r, isl: r.islands[host], bs: r.batchSize, shipResult: true}
+	x := &islandExec{r: r, isl: r.islands[host], wins: r.islands[host : host+1], shipResult: true}
 	lcfg := r.liveTransportConfig()
 	if r.liveCfg.Faults != nil {
 		lcfg.WrapAccept = r.liveCfg.Faults.WrapAccept(host)
@@ -703,18 +568,16 @@ func (r *Runner) ServeLiveHost(host int, addr string, ready func(addr string)) e
 			if len(h.Streams) != len(r.routers) {
 				return nil, fmt.Errorf("splitter feeds %d streams, plan has %d", len(h.Streams), len(r.routers))
 			}
-			outs := make([][]exec.Consumer, len(h.Streams))
 			cs := make([]*streamCursor, len(h.Streams))
 			for i, name := range h.Streams {
 				rt, ok := r.routers[name]
 				if !ok {
 					return nil, fmt.Errorf("plan has no source stream %q", name)
 				}
-				outs[i] = rt.outs
 				cs[i] = &streamCursor{name: name, rt: rt}
 			}
 			adv, flush := r.buildTargets(cs)
-			x.adv, x.flush, x.outs = adv[host], flush[host], outs
+			x.adv, x.flush, x.outs = adv[host], flush[host], scanEntries(cs)
 			return x, nil
 		},
 	}

@@ -27,14 +27,10 @@ func liveRunConfig(workers, batch int, lc LiveConfig) RunConfig {
 	}
 }
 
-// liveWireModes are the feed encodings every live equivalence test
-// covers: scalar runs (batch 1), row groups, and column groups. The
-// simulator oracle always runs the row path at the same batch size, so
-// a columnar live run is held to the row engine's bytes.
-var liveWireModes = []struct {
-	batch    int
-	columnar bool
-}{{1, false}, {256, false}, {256, true}}
+// liveWireModes are the batch sizes every live equivalence test covers,
+// one per feed encoding: 1 ships runs of rows, 256 column groups. The
+// simulator oracle runs at the same batch size.
+var liveWireModes = []int{1, 256}
 
 // runEngine builds and runs a plan under an explicit RunConfig.
 func runEngine(t testing.TB, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, cfg RunConfig) *Result {
@@ -111,16 +107,15 @@ func TestLiveMatchesSim(t *testing.T) {
 			t.Parallel()
 			for _, hosts := range []int{1, 2, 4} {
 				o := optimizer.Options{Hosts: hosts, PartitionsPerHost: 2, PartialAgg: true}
-				for _, m := range liveWireModes {
-					simCfg := liveRunConfig(1, m.batch, LiveConfig{})
+				for _, batch := range liveWireModes {
+					simCfg := liveRunConfig(1, batch, LiveConfig{})
 					simCfg.Engine = EngineSim
 					want := runEngine(t, qs.queries, qs.ps, o, streams, simCfg)
 					for _, workers := range []int{1, 4} {
 						// The live backend always runs one goroutine per
 						// host; Workers is recorded config only, and the
 						// results must not depend on it.
-						cfg := liveRunConfig(workers, m.batch, LiveConfig{})
-						cfg.Columnar = m.columnar
+						cfg := liveRunConfig(workers, batch, LiveConfig{})
 						got := runEngine(t, qs.queries, qs.ps, o, streams, cfg)
 						sameResult(t, want, got)
 						sameTrace(t, want, got)
@@ -137,12 +132,11 @@ func TestLiveRoundRobin(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	o := optimizer.Options{Hosts: 3, PartitionsPerHost: 2, PartialAgg: true}
-	for _, m := range liveWireModes {
-		simCfg := liveRunConfig(1, m.batch, LiveConfig{})
+	for _, batch := range liveWireModes {
+		simCfg := liveRunConfig(1, batch, LiveConfig{})
 		simCfg.Engine = EngineSim
 		want := runEngine(t, flowsQuery, nil, o, streams, simCfg)
-		cfg := liveRunConfig(1, m.batch, LiveConfig{})
-		cfg.Columnar = m.columnar
+		cfg := liveRunConfig(1, batch, LiveConfig{})
 		got := runEngine(t, flowsQuery, nil, o, streams, cfg)
 		sameResult(t, want, got)
 		sameTrace(t, want, got)
@@ -164,8 +158,8 @@ func TestLiveTwoStream(t *testing.T) {
 		}
 		return p
 	}
-	for _, m := range liveWireModes {
-		simCfg := liveRunConfig(1, m.batch, LiveConfig{})
+	for _, batch := range liveWireModes {
+		simCfg := liveRunConfig(1, batch, LiveConfig{})
 		simCfg.Engine = EngineSim
 		seq, err := NewRunner(build(), simCfg)
 		if err != nil {
@@ -178,8 +172,7 @@ func TestLiveTwoStream(t *testing.T) {
 		if len(want.Outputs["combined"]) == 0 {
 			t.Fatal("two-stream join found no matches")
 		}
-		cfg := liveRunConfig(1, m.batch, LiveConfig{})
-		cfg.Columnar = m.columnar
+		cfg := liveRunConfig(1, batch, LiveConfig{})
 		lr, err := NewRunner(build(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -210,8 +203,8 @@ func TestLiveRemoteNodes(t *testing.T) {
 		}
 		return p
 	}
-	for _, m := range liveWireModes {
-		simCfg := liveRunConfig(1, m.batch, LiveConfig{})
+	for _, batch := range liveWireModes {
+		simCfg := liveRunConfig(1, batch, LiveConfig{})
 		simCfg.Engine = EngineSim
 		seq, err := NewRunner(build(), simCfg)
 		if err != nil {
@@ -221,8 +214,7 @@ func TestLiveRemoteNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := liveRunConfig(1, m.batch, LiveConfig{})
-		cfg.Columnar = m.columnar
+		cfg := liveRunConfig(1, batch, LiveConfig{})
 
 		// Serve both hosts from independently compiled runners, as
 		// qap-node does in its own process.
@@ -266,8 +258,12 @@ func TestLiveRemoteNodes(t *testing.T) {
 
 // TestLiveFingerprintMismatch: a node compiled from a different
 // configuration must be rejected at the handshake, not silently
-// diverge.
+// diverge — every node, at once: the first refusal aborts the run, and
+// the splitter's other peer still completes its own handshake, so its
+// node refuses too instead of waiting out the 5 s accept grace for a
+// splitter that left before it dialed.
 func TestLiveFingerprintMismatch(t *testing.T) {
+	start := time.Now()
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
@@ -307,6 +303,9 @@ func TestLiveFingerprintMismatch(t *testing.T) {
 			t.Fatalf("want a node-side fingerprint error, got: %v", err)
 		}
 	}
+	if d := time.Since(start); d > time.Second && !raceEnabled {
+		t.Errorf("the refusals took %s", d)
+	}
 }
 
 // TestLiveFaultRecovery injects dropped, duplicated, stalled, and cut
@@ -319,9 +318,12 @@ func TestLiveFaultRecovery(t *testing.T) {
 	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
 	ps := core.MustParseSet("srcIP")
 
-	simCfg := liveRunConfig(1, 256, LiveConfig{})
-	simCfg.Engine = EngineSim
-	want := runEngine(t, complexSet, ps, o, streams, simCfg)
+	want := make(map[int]*Result)
+	for _, batch := range liveWireModes {
+		simCfg := liveRunConfig(1, batch, LiveConfig{})
+		simCfg.Engine = EngineSim
+		want[batch] = runEngine(t, complexSet, ps, o, streams, simCfg)
+	}
 
 	plans := []struct {
 		name   string
@@ -344,18 +346,17 @@ func TestLiveFaultRecovery(t *testing.T) {
 		pl := pl
 		t.Run(pl.name, func(t *testing.T) {
 			t.Parallel()
-			// Row groups, then column groups: the second is the one
+			// Runs of rows, then column groups: the second is the one
 			// that retransmits out of an outbox of recycled frames.
-			for _, columnar := range []bool{false, true} {
+			for _, batch := range liveWireModes {
 				fp := &live.FaultPlan{Faults: pl.faults}
-				cfg := liveRunConfig(1, 256, LiveConfig{Faults: fp, Timeout: 2 * time.Second})
-				cfg.Columnar = columnar
+				cfg := liveRunConfig(1, batch, LiveConfig{Faults: fp, Timeout: 2 * time.Second})
 				got := runEngine(t, complexSet, ps, o, streams, cfg)
 				if fp.Hits() == 0 {
-					t.Fatalf("columnar=%v: fault plan never fired; the scenario tested nothing", columnar)
+					t.Fatalf("batch=%d: fault plan never fired; the scenario tested nothing", batch)
 				}
-				sameResult(t, want, got)
-				sameTrace(t, want, got)
+				sameResult(t, want[batch], got)
+				sameTrace(t, want[batch], got)
 			}
 		})
 	}

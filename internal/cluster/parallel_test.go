@@ -299,7 +299,7 @@ func BenchmarkRunStatsEnabled(b *testing.B)  { benchRun(b, true) }
 // is central hands each call's joined rows to the capture as one batch.
 // The parallel engine must then ship fewer link items than rows and
 // still reproduce the sequential engine's rows, OpStats and canonical
-// trace byte for byte, on the row-batched and the columnar path.
+// trace byte for byte.
 func TestJoinOutputCrossesIslandAsBatch(t *testing.T) {
 	const jitterPairs = `
 query jitter_pairs:
@@ -311,19 +311,17 @@ WHERE S1.time/60 = S2.time/60 AND S1.srcIP = S2.srcIP AND S1.destIP = S2.destIP
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	ps := core.MustParseSet("srcIP, destIP, srcPort, destPort")
 	o := optimizer.Options{Hosts: 4, PartitionsPerHost: 2}
-	for _, columnar := range []bool{false, true} {
-		cfg := RunConfig{
-			Costs: DefaultCosts(), Params: testParams, Workers: 1, BatchSize: 256,
-			Columnar: columnar, CollectStats: true, Trace: &trace.Config{},
-		}
-		want := runEngine(t, jitterPairs, ps, o, streams, cfg)
-		cfg.Workers = 4
-		got := runEngine(t, jitterPairs, ps, o, streams, cfg)
-		sameResult(t, want, got)
-		sameTrace(t, want, got)
-		rows, items := int64(len(got.Outputs["jitter_pairs"])), got.Report.Timing.LinkItems
-		if rows == 0 || items == 0 || items >= rows {
-			t.Errorf("columnar=%v: %d joined rows crossed in %d link items; want fewer items than rows", columnar, rows, items)
-		}
+	cfg := RunConfig{
+		Costs: DefaultCosts(), Params: testParams, Workers: 1, BatchSize: 256,
+		CollectStats: true, Trace: &trace.Config{},
+	}
+	want := runEngine(t, jitterPairs, ps, o, streams, cfg)
+	cfg.Workers = 4
+	got := runEngine(t, jitterPairs, ps, o, streams, cfg)
+	sameResult(t, want, got)
+	sameTrace(t, want, got)
+	rows, items := int64(len(got.Outputs["jitter_pairs"])), got.Report.Timing.LinkItems
+	if rows == 0 || items == 0 || items >= rows {
+		t.Errorf("%d joined rows crossed in %d link items; want fewer items than rows", rows, items)
 	}
 }

@@ -1,0 +1,234 @@
+package cluster
+
+import (
+	"time"
+
+	"qap/internal/exec"
+	"qap/internal/obs"
+	"qap/internal/obs/trace"
+	"qap/internal/optimizer"
+)
+
+// finalize merges the per-island accounting shards (in a fixed order,
+// so both engines group floating-point sums identically) and collects
+// the run's outputs.
+func (r *Runner) finalize(any bool, maxTime uint64) *Result {
+	if any {
+		r.metrics.DurationSec = float64(maxTime + 1)
+	}
+	for h := 0; h < r.plan.Hosts; h++ {
+		r.metrics.Hosts[h] = r.islands[h].metrics
+	}
+	central := &r.islands[r.plan.Hosts].metrics
+	agg := &r.metrics.Hosts[r.plan.AggregatorHost]
+	agg.CPUUnits += central.CPUUnits
+	agg.NetTuplesIn += central.NetTuplesIn
+	agg.NetBytesIn += central.NetBytesIn
+	agg.IPCTuplesIn += central.IPCTuplesIn
+	agg.Tuples += central.Tuples
+
+	res := &Result{
+		Outputs:  make(map[string][]exec.Tuple),
+		NodeRows: make(map[string]int64),
+		Metrics:  r.metrics,
+	}
+	for name, c := range r.collectors { //qap:allow maprange -- map-to-map copy, order-insensitive
+		res.Outputs[name] = c.Rows
+	}
+	for _, isl := range r.islands {
+		for name, n := range isl.rows { //qap:allow maprange -- commutative += accumulation
+			res.NodeRows[name] += *n
+		}
+	}
+	if r.winSec > 0 && any {
+		res.LoadSeries = r.mergeLoadSeries(maxTime)
+	}
+	if r.collect {
+		// Every operator's shard lives on exactly one island, so this
+		// "merge" is a copy; Add guards the invariant regardless.
+		res.OpStats = make(map[int]*obs.OpStats)
+		for _, isl := range r.islands {
+			for id, st := range isl.ops { //qap:allow maprange -- commutative OpStats.Add merge
+				if prev, ok := res.OpStats[id]; ok {
+					prev.Add(st)
+				} else {
+					cp := *st
+					res.OpStats[id] = &cp
+				}
+			}
+		}
+		res.Report = r.buildReport(res)
+	}
+	if len(r.aggs) > 0 {
+		res.SizeHints = make(map[int]int, len(r.aggs))
+		for _, a := range r.aggs {
+			if n := a.agg.GroupHighWater(); n > res.SizeHints[a.id] {
+				res.SizeHints[a.id] = n
+			}
+		}
+	}
+	if r.tracer != nil {
+		res.Trace = r.buildTrace()
+	}
+	return res
+}
+
+// buildTrace gathers the run's causal trace: a header record, every
+// shard's events in canonical order (driver, leaf islands, central),
+// and the quarantined timing trailer. Called from finalize, after the
+// engine's goroutines have fully joined and mergeLoadSeries has closed
+// every remaining window, so every shard is complete and no writer
+// races the gather.
+func (r *Runner) buildTrace() *trace.Trace {
+	p := r.plan
+	partitioning := p.Set.String()
+	if p.StreamSets != nil {
+		partitioning = p.StreamSets.String()
+	}
+	header := trace.Event{
+		Kind:           trace.KindHeader,
+		SchemaVersion:  obs.SchemaVersion,
+		Hosts:          p.Hosts,
+		AggregatorHost: p.AggregatorHost,
+		WindowSec:      int(r.winSec),
+		DurationSec:    r.metrics.DurationSec,
+		Partitioning:   partitioning,
+	}
+	engine := r.engineName()
+	timing := trace.Event{
+		Kind:      trace.KindTiming,
+		Engine:    engine,
+		Workers:   r.workers,
+		BatchSize: r.batchSize,
+		WallNanos: time.Since(r.started).Nanoseconds(), //qap:allow walltime -- quarantined in the timing trailer
+		Rounds:    r.engRounds,
+		Batches:   r.engBatches,
+		LinkItems: r.engLinkItems,
+	}
+	return r.tracer.Gather(header, timing)
+}
+
+// mergeLoadSeries closes every island's remaining monitoring windows
+// (the final, possibly partial, window also absorbs the end-of-stream
+// flush work) and folds the per-island window deltas into per-host
+// rows, mirroring finalize's fold of the central island into the
+// aggregator host so the two accountings always agree.
+func (r *Runner) mergeLoadSeries(maxTime uint64) []obs.LoadWindow {
+	final := int(maxTime/r.winSec) + 1
+	for _, isl := range r.islands {
+		isl.closeWindowsTo(final)
+	}
+	series := make([]obs.LoadWindow, 0, final)
+	for w := 0; w < final; w++ {
+		lw := obs.LoadWindow{
+			Window:   w,
+			StartSec: uint64(w) * r.winSec,
+			EndSec:   uint64(w+1) * r.winSec,
+		}
+		if lw.EndSec > maxTime+1 {
+			lw.EndSec = maxTime + 1
+		}
+		hosts := make([]obs.HostWindow, r.plan.Hosts)
+		for h := 0; h < r.plan.Hosts; h++ {
+			hm := r.islands[h].wins[w]
+			hosts[h] = obs.HostWindow{
+				Host:        h,
+				CPUUnits:    hm.CPUUnits,
+				NetTuplesIn: hm.NetTuplesIn,
+				NetBytesIn:  hm.NetBytesIn,
+				IPCTuplesIn: hm.IPCTuplesIn,
+				Tuples:      hm.Tuples,
+			}
+		}
+		central := r.islands[r.plan.Hosts].wins[w]
+		agg := &hosts[r.plan.AggregatorHost]
+		agg.CPUUnits += central.CPUUnits
+		agg.NetTuplesIn += central.NetTuplesIn
+		agg.NetBytesIn += central.NetBytesIn
+		agg.IPCTuplesIn += central.IPCTuplesIn
+		agg.Tuples += central.Tuples
+		lw.Hosts = hosts
+		series = append(series, lw)
+	}
+	return series
+}
+
+// buildReport assembles the machine-readable run report. Everything
+// outside the Timing section is deterministic: a pure function of the
+// plan, the trace, and the cost configuration.
+func (r *Runner) buildReport(res *Result) *obs.RunReport {
+	p := r.plan
+	partitioning := p.Set.String()
+	if p.StreamSets != nil {
+		partitioning = p.StreamSets.String()
+	}
+	rep := &obs.RunReport{
+		SchemaVersion:  obs.SchemaVersion,
+		DurationSec:    r.metrics.DurationSec,
+		CapacityPerSec: r.metrics.Capacity,
+		Plan: &obs.PlanInfo{
+			Hosts:             p.Hosts,
+			Partitions:        p.Partitions,
+			PartitionsPerHost: p.PartitionsPerHost,
+			AggregatorHost:    p.AggregatorHost,
+			Partitioning:      partitioning,
+			Operators:         len(p.Ops),
+		},
+	}
+	for _, op := range p.Ops {
+		nr := obs.NodeReport{ID: op.ID, Kind: op.Kind.String(), Host: op.Host, Partition: op.Partition}
+		switch {
+		case op.Kind == optimizer.OpScan:
+			nr.Query = op.Stream
+		case op.Logical != nil:
+			nr.Query = op.Logical.QueryName
+		}
+		if st := res.OpStats[op.ID]; st != nil {
+			nr.OpStats = *st
+		}
+		if nr.RowsIn > 0 {
+			nr.PassRate = float64(nr.RowsOut) / float64(nr.RowsIn)
+		}
+		rep.Nodes = append(rep.Nodes, nr)
+	}
+	for h, hm := range r.metrics.Hosts {
+		rep.Hosts = append(rep.Hosts, obs.HostReport{
+			Host:            h,
+			CPUUnits:        hm.CPUUnits,
+			CPULoadPct:      r.metrics.CPULoad(h),
+			OverloadFactor:  r.metrics.OverloadFactor(h),
+			NetTuplesIn:     hm.NetTuplesIn,
+			NetBytesIn:      hm.NetBytesIn,
+			IPCTuplesIn:     hm.IPCTuplesIn,
+			Tuples:          hm.Tuples,
+			NetTuplesPerSec: r.metrics.NetLoad(h),
+		})
+	}
+	if len(res.LoadSeries) > 0 {
+		rep.LoadWindowSec = int(r.winSec)
+		rep.LoadSeries = res.LoadSeries
+	}
+	engine := r.engineName()
+	rep.Timing = &obs.Timing{
+		Workers:     r.workers,
+		Engine:      engine,
+		BatchRounds: r.batchRounds,
+		WallNanos:   time.Since(r.started).Nanoseconds(), //qap:allow walltime -- wall time quarantined in obs.Timing
+		Rounds:      r.engRounds,
+		Batches:     r.engBatches,
+		LinkItems:   r.engLinkItems,
+	}
+	return rep
+}
+
+// engineName labels the backend for the report/trace timing records.
+func (r *Runner) engineName() string {
+	switch {
+	case r.engine == EngineLive && r.parallel:
+		return "live"
+	case r.parallel:
+		return "parallel"
+	default:
+		return "sequential"
+	}
+}

@@ -1,0 +1,337 @@
+package cluster
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+
+	"qap/internal/core"
+	"qap/internal/live"
+	"qap/internal/netgen"
+	"qap/internal/obs/trace"
+	"qap/internal/optimizer"
+	"qap/internal/plan"
+)
+
+// recGroup is one group as the recording sink saw it: rows rendered,
+// nothing aliasing the splitter's recycled containers.
+type recGroup struct {
+	tag          uint64
+	stream, part int
+	cols         bool
+	rows         []string
+}
+
+// recRound is one island's share of one round.
+type recRound struct {
+	round      int
+	wm         uint64
+	adv, flush bool
+	groups     []recGroup
+}
+
+// recSink is a roundSink that executes nothing: it copies every round
+// it is handed and takes it the way the in-line sink does — containers
+// recycled, slots kept — so the splitter's reuse is exercised too.
+type recSink struct {
+	gr     *colGrouper
+	rounds [][]recRound // per island
+}
+
+func (s *recSink) closed(pend [][]live.Round) error { return s.finish(pend) }
+
+func (s *recSink) finish(pend [][]live.Round) error {
+	if s.rounds == nil {
+		s.rounds = make([][]recRound, len(pend))
+	}
+	for i, p := range pend {
+		for _, rd := range p {
+			rec := recRound{round: rd.Round, wm: rd.WM, adv: rd.Adv, flush: rd.Flush}
+			for _, g := range rd.Groups {
+				rg := recGroup{tag: g.Tag, stream: g.Stream, part: g.Part, cols: g.Cols != nil}
+				rows := g.Tuples
+				if g.Cols != nil {
+					rows = g.Cols.AppendRows(nil)
+				}
+				for _, t := range rows {
+					rg.rows = append(rg.rows, t.String())
+				}
+				rec.groups = append(rec.groups, rg)
+			}
+			s.rounds[i] = append(s.rounds[i], rec)
+		}
+		s.gr.recycle(p)
+		pend[i] = p[:0]
+	}
+	return nil
+}
+
+// TestSplitterRounds holds the shared splitter to its contract without
+// running an operator: rounds are the distinct timestamps plus the flush
+// round and every island sees each of them; within a round each (stream,
+// partition) owns one column group — or at BatchSize 1 the rows travel
+// as maximal same-destination runs — on the island that owns the
+// partition, holding exactly the round's packets routed there in merged
+// arrival order under the tag of the first one's sequence; and the
+// driver's trace shard carries the same (round, watermark, packets)
+// triples. The three real sinks are held to the same rounds by the
+// sim/live equivalence tests.
+func TestSplitterRounds(t *testing.T) {
+	gen := func(seed int64, drop func(uint64) bool) []netgen.Packet {
+		cfg := netgen.DefaultConfig()
+		cfg.Seed, cfg.DurationSec, cfg.PacketsPerSec = seed, 14, 40
+		cfg.SrcHosts, cfg.DstHosts = 20, 10
+		var out []netgen.Packet
+		for _, pk := range netgen.Generate(cfg).Packets {
+			if !drop(pk.Time) {
+				out = append(out, pk)
+			}
+		}
+		return out
+	}
+	// Second 5 is missing from both streams, 9 from the first and 3 from
+	// the second; every other second is a tie across the two.
+	pkt1 := gen(1, func(tm uint64) bool { return tm == 5 || tm == 9 })
+	pkt2 := gen(2, func(tm uint64) bool { return tm == 5 || tm == 3 })
+	one := map[string][]netgen.Packet{"TCP": pkt1}
+	two := map[string][]netgen.Packet{"PKT1": pkt1, "PKT2": pkt2}
+	cases := []struct {
+		name    string
+		g       *plan.Graph
+		ps      core.Set
+		streams map[string][]netgen.Packet
+	}{
+		{"one-stream/hash", buildGraph(t, flowsQuery), core.MustParseSet("srcIP, destIP"), one},
+		{"one-stream/round-robin", buildGraph(t, flowsQuery), nil, one},
+		{"two-stream/hash", buildTwoStream(t), core.MustParseSet("srcIP, destIP"), two},
+		{"two-stream/round-robin", buildTwoStream(t), nil, two},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} { // one in-line executor, or one per host
+			for _, bs := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/workers=%d/bs=%d", tc.name, workers, bs), func(t *testing.T) {
+					checkSplitterRounds(t, tc.g, tc.ps, tc.streams, workers, bs)
+				})
+			}
+		}
+	}
+}
+
+func checkSplitterRounds(t *testing.T, g *plan.Graph, ps core.Set, streams map[string][]netgen.Packet, workers, bs int) {
+	p, err := optimizer.Build(g, ps, optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRunner := func() (*Runner, []*streamCursor) {
+		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Workers: workers, BatchSize: bs, Trace: &trace.Config{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursors, err := r.makeCursors(streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, cursors
+	}
+	r, cursors := newRunner()
+	var gr colGrouper
+	sink := &recSink{gr: &gr}
+	any, maxTime, err := r.split(cursors, &gr, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two hosts: one executor each, or a single in-line one.
+	if islands := r.execIslands(); islands != workers || len(sink.rounds) != workers {
+		t.Fatalf("%d islands fed (runner says %d), want %d", len(sink.rounds), islands, workers)
+	}
+
+	// The oracle: merge by (time, cursor order, position) and route every
+	// packet on a second runner's routers.
+	_, ref := newRunner()
+	type routed struct {
+		time, seq            uint64 // seq is round-local
+		stream, part, island int
+		row                  string
+	}
+	var merged []routed
+	for _, c := range ref {
+		for _, pk := range c.packets {
+			merged = append(merged, routed{time: pk.Time, stream: c.idx, row: pk.Tuple().String()})
+		}
+	}
+	sort.SliceStable(merged, func(i, j int) bool {
+		if merged[i].time != merged[j].time {
+			return merged[i].time < merged[j].time
+		}
+		return merged[i].stream < merged[j].stream
+	})
+	pos := make([]int, len(ref))
+	var times []uint64
+	for i := range merged {
+		m := &merged[i]
+		c := ref[m.stream]
+		m.part = c.rt.route(c.packets[pos[m.stream]].Tuple())
+		pos[m.stream]++
+		m.island = c.rt.islands[m.part]
+		if i == 0 || merged[i-1].time != m.time {
+			times = append(times, m.time)
+		} else {
+			m.seq = merged[i-1].seq + 1
+		}
+	}
+	if !any || maxTime != times[len(times)-1] {
+		t.Errorf("split returned (%v, %d), want (true, %d)", any, maxTime, times[len(times)-1])
+	}
+
+	for isl, rounds := range sink.rounds {
+		if len(rounds) != len(times)+1 {
+			t.Fatalf("island %d: %d rounds, want %d distinct timestamps + the flush round", isl, len(rounds), len(times))
+		}
+		for n, rd := range rounds {
+			if n == len(times) {
+				if rd.round != n || !rd.flush || rd.adv || len(rd.groups) != 0 {
+					t.Errorf("island %d: last round %+v, want the empty flush round %d", isl, rd, n)
+				}
+				continue
+			}
+			if rd.round != n || rd.wm != times[n] || !rd.adv || rd.flush {
+				t.Errorf("island %d: round %d is %+v, want an advance to %d", isl, n, rd, times[n])
+			}
+			// What the island is owed this round, in merged arrival order.
+			var owed []routed
+			for _, m := range merged {
+				if m.time == times[n] && m.island == isl {
+					owed = append(owed, m)
+				}
+			}
+			if bs > 1 {
+				// One column group per destination, opened by its first packet.
+				type dest struct{ stream, part int }
+				want := map[dest]*recGroup{}
+				var order []dest
+				for _, m := range owed {
+					d := dest{m.stream, m.part}
+					if want[d] == nil {
+						want[d] = &recGroup{tag: phasePush | m.seq, stream: m.stream, part: m.part, cols: true}
+						order = append(order, d)
+					}
+					want[d].rows = append(want[d].rows, m.row)
+				}
+				var wantGroups []recGroup
+				for _, d := range order {
+					wantGroups = append(wantGroups, *want[d])
+				}
+				if !reflect.DeepEqual(rd.groups, wantGroups) {
+					t.Fatalf("island %d round %d: groups\n got %+v\nwant %+v", isl, n, rd.groups, wantGroups)
+				}
+				continue
+			}
+			// Runs of rows: re-expanded they are the owed packets, one tag
+			// each, and no run could have been part of its predecessor.
+			i := 0
+			for gi, g := range rd.groups {
+				if g.cols || len(g.rows) == 0 {
+					t.Fatalf("island %d round %d: group %d is %+v, want a non-empty run of rows", isl, n, gi, g)
+				}
+				if gi > 0 {
+					prev := rd.groups[gi-1]
+					if prev.stream == g.stream && prev.part == g.part && prev.tag+uint64(len(prev.rows)) == g.tag {
+						t.Errorf("island %d round %d: run %d continues run %d; runs must be maximal", isl, n, gi, gi-1)
+					}
+				}
+				for k, row := range g.rows {
+					if i >= len(owed) {
+						t.Fatalf("island %d round %d: more rows than the %d routed here", isl, n, len(owed))
+					}
+					m := owed[i]
+					if g.stream != m.stream || g.part != m.part || g.tag+uint64(k) != phasePush|m.seq || row != m.row {
+						t.Fatalf("island %d round %d: row %d is (stream %d, part %d, tag %#x, %s), want (stream %d, part %d, tag %#x, %s)",
+							isl, n, i, g.stream, g.part, g.tag+uint64(k), row, m.stream, m.part, phasePush|m.seq, m.row)
+					}
+					i++
+				}
+			}
+			if i != len(owed) {
+				t.Fatalf("island %d round %d: %d rows delivered, %d routed here", isl, n, i, len(owed))
+			}
+		}
+	}
+
+	// The driver's shard: one round event per data round, then the flush.
+	var got, want []string
+	for _, ev := range r.trDriver.Events() {
+		got = append(got, fmt.Sprintf("%s round=%d wm=%d rows=%d", ev.Kind, ev.Round, ev.WM, ev.Rows))
+	}
+	for n, tm := range times {
+		rows := 0
+		for _, m := range merged {
+			if m.time == tm {
+				rows++
+			}
+		}
+		want = append(want, fmt.Sprintf("%s round=%d wm=%d rows=%d", trace.KindRound, n, tm, rows))
+	}
+	want = append(want, fmt.Sprintf("%s round=%d wm=%d rows=0", trace.KindFlush, len(times), times[len(times)-1]))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("driver trace shard:\n got %s\nwant %s", strings.Join(got, "\n     "), strings.Join(want, "\n     "))
+	}
+	if r.engRounds != int64(len(times))+1 {
+		t.Errorf("engRounds = %d, want %d", r.engRounds, len(times)+1)
+	}
+}
+
+// Object budget of a warm sequential replay of the Figure 8 plan (one
+// host, one partition, default batch size) — the benchmark's agg_1host
+// configuration on a 600-round trace, where allocs_per_row is about
+// 0.0006 objects a packet: some 720 objects for 1.2 M packets, against a
+// 5 % bound. One allocation per round in the shared splitter, its
+// in-line sink or execRounds would be 600 more.
+//
+// Parent (its own sequential columnar driver), measured with this test:
+// 177 objects. The budget is that plus 10 %; the change measures 187.
+const allocBudgetSequentialReplayObjects = 194
+
+func TestAllocsSequentialReplay(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	cfg := netgen.DefaultConfig()
+	cfg.DurationSec, cfg.PacketsPerSec = 600, 200
+	streams := map[string][]netgen.Packet{"TCP": netgen.Generate(cfg).Packets}
+	g := buildGraph(t, suspiciousQuery)
+	p, err := optimizer.Build(g, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(hints map[int]int) (*Result, uint64) {
+		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: 1, SizeHints: hints})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := r.RunStreams(streams)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, after.Mallocs - before.Mallocs
+	}
+	res, _ := run(nil) // harvest the size hints, warm the pools
+	if res.Report != nil || len(res.Outputs["suspicious"]) == 0 {
+		t.Fatal("bad workload: want an uninstrumented run that emits rows")
+	}
+	best := uint64(0)
+	for i := 0; i < 5; i++ {
+		if _, n := run(res.SizeHints); i == 0 || n < best {
+			best = n
+		}
+	}
+	if best > allocBudgetSequentialReplayObjects {
+		t.Errorf("sequential replay: %d objects, budget %d", best, allocBudgetSequentialReplayObjects)
+	}
+	t.Logf("sequential replay: %d objects", best)
+}

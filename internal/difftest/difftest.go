@@ -69,17 +69,6 @@ type Options struct {
 	// default: the axis opens real sockets and costs a multiple of the
 	// base sweep.
 	Live bool
-	// Columnar adds the columnar-execution axis: for every cluster
-	// size, the columnar batch path (DeployConfig.Columnar) re-runs
-	// the workers × batch {1, 64, 1024} matrix and must reproduce the
-	// scalar reference byte for byte — canonical output, per-operator
-	// counters (integers exactly, CPUUnits to summation tolerance:
-	// column kernels regroup the same per-tuple float additions), and
-	// canonical trace bytes. With Live also set, the largest cluster
-	// re-checks columnar cells on the live TCP backend, where even the
-	// CPUUnits summation order must be preserved. Off by default: the
-	// axis roughly doubles the base sweep.
-	Columnar bool
 }
 
 func (o Options) withDefaults() Options {
@@ -238,7 +227,6 @@ func CheckQueries(ddl, queries string, trace netgen.Config, opts Options) (*Repo
 	})
 
 	rep.checkBatched(opts, want, run, analysis.Best, last)
-	rep.checkColumnar(opts, sys, want, analysis.Best, streams, params)
 	rep.checkLive(opts, sys, want, analysis.Best, streams, params)
 	rep.checkLoadBound(sys, measured, analysis.Best, run)
 	rep.checkLintAgreement(sys, analysis.Best)
@@ -408,25 +396,35 @@ func (r *Report) checkRepartition(sys *qap.System, measured *qap.StaticStats, an
 	}
 }
 
-// checkBatched verifies the batch-at-a-time execution path against the
-// legacy scalar path on one fixed plan: for every (batch size, worker
-// count) cell the canonical output must equal the scalar reference's,
-// and the per-operator deterministic counters must agree — integer
-// counters exactly, CPUUnits up to float summation-order drift
-// (batching regroups the same per-tuple cost additions, which can move
-// a float64 sum by ULPs but no more).
+// checkBatched verifies the production path — column groups, compiled
+// kernels, dense aggregate state — against the scalar oracle on one
+// fixed plan: for every (batch size, worker count) cell the canonical
+// output and the canonical trace bytes must equal the scalar
+// reference's, and the per-operator deterministic counters must agree
+// — integer counters exactly, CPUUnits up to float summation-order
+// drift (batching regroups the same per-tuple cost additions, which can
+// move a float64 sum by ULPs but no more).
 func (r *Report) checkBatched(opts Options, want string, run func(qap.DeployConfig) (*qap.RunResult, error), best core.Set, hosts int) {
+	fail := func(name, format string, args ...any) {
+		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "batched", Config: name,
+			Detail: fmt.Sprintf(format, args...)})
+	}
+	const refName = "batched scalar-ref"
 	r.Configs++
 	ref, err := run(qap.DeployConfig{
-		Hosts: hosts, Partitioning: best, Workers: 1, BatchSize: 1, CollectStats: true,
+		Hosts: hosts, Partitioning: best, Workers: 1, BatchSize: 1, Trace: &qap.RunTraceConfig{},
 	})
 	if err != nil {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "batched", Config: "batched scalar-ref",
-			Detail: fmt.Sprintf("run failed where baseline succeeded: %v\n", err)})
+		fail(refName, "run failed where baseline succeeded: %v\n", err)
 		return
 	}
 	if got := Canonical(ref); got != want {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "batched", Config: "batched scalar-ref", Detail: firstDiff(want, got)})
+		fail(refName, "%s", firstDiff(want, got))
+		return
+	}
+	refTrace, err := ref.Trace.CanonicalJSONL()
+	if err != nil {
+		fail(refName, "reference trace encode failed: %v\n", err)
 		return
 	}
 	for _, bs := range opts.BatchSizes {
@@ -437,142 +435,17 @@ func (r *Report) checkBatched(opts Options, want string, run func(qap.DeployConf
 			name := fmt.Sprintf("hosts=%d set=best workers=%d batch=%d", hosts, workers, bs)
 			r.Configs++
 			res, err := run(qap.DeployConfig{
-				Hosts: hosts, Partitioning: best, Workers: workers, BatchSize: bs, CollectStats: true,
+				Hosts: hosts, Partitioning: best, Workers: workers, BatchSize: bs, Trace: &qap.RunTraceConfig{},
 			})
 			if err != nil {
-				r.Mismatches = append(r.Mismatches, Mismatch{Axis: "batched", Config: name,
-					Detail: fmt.Sprintf("run failed where baseline succeeded: %v\n", err)})
-				continue
-			}
-			if got := Canonical(res); got != want {
-				r.Mismatches = append(r.Mismatches, Mismatch{Axis: "batched", Config: name, Detail: firstDiff(want, got)})
-				continue
-			}
-			if d := diffOpStats(ref.OpStats, res.OpStats); d != "" {
-				r.Mismatches = append(r.Mismatches, Mismatch{Axis: "batched", Config: name, Detail: d})
-			}
-		}
-	}
-}
-
-// checkColumnar is the columnar-execution axis: the columnar batch
-// path — typed column vectors, compiled kernels, dense aggregate
-// state — must be observably identical to the scalar reference in
-// every hosts × workers × batch cell: canonical output, per-operator
-// counters (integers exactly, CPUUnits to summation tolerance), and
-// canonical trace bytes. Batch size 1 is included deliberately:
-// columnar requires batching, so that cell must degrade to the scalar
-// path rather than misbehave. With Live also set, the largest cluster
-// re-runs columnar cells on the live TCP backend, which replays the
-// exact event sequence and so must preserve even CPUUnits bit for bit.
-func (r *Report) checkColumnar(opts Options, sys *qap.System, want string, best core.Set, streams map[string][]netgen.Packet, params map[string]qap.Value) {
-	if !opts.Columnar {
-		return
-	}
-	run := func(hosts, workers, batch int, columnar bool, engine string) (*qap.RunResult, error) {
-		dep, err := sys.Deploy(qap.DeployConfig{
-			Hosts: hosts, Partitioning: best, Params: params,
-			Workers: workers, BatchSize: batch, Columnar: columnar,
-			CollectStats: true, Trace: &qap.RunTraceConfig{},
-			Engine: engine, DriveTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return dep.RunStreams(streams)
-	}
-	fail := func(name, format string, args ...any) {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "columnar", Config: name,
-			Detail: fmt.Sprintf(format, args...)})
-	}
-	batches := []int{1, 64, 1024}
-	for _, hosts := range opts.Hosts {
-		refName := fmt.Sprintf("columnar-ref hosts=%d", hosts)
-		r.Configs++
-		ref, err := run(hosts, 1, 1, false, qap.EngineSim)
-		if err != nil {
-			fail(refName, "scalar reference failed: %v\n", err)
-			continue
-		}
-		if got := Canonical(ref); got != want {
-			fail(refName, "%s", firstDiff(want, got))
-			continue
-		}
-		refTrace, err := ref.Trace.CanonicalJSONL()
-		if err != nil {
-			fail(refName, "reference trace encode failed: %v\n", err)
-			continue
-		}
-		for _, workers := range opts.Workers {
-			for _, batch := range batches {
-				name := fmt.Sprintf("columnar hosts=%d workers=%d batch=%d", hosts, workers, batch)
-				r.Configs++
-				res, err := run(hosts, workers, batch, true, qap.EngineSim)
-				if err != nil {
-					fail(name, "run failed where the scalar reference succeeded: %v\n", err)
-					continue
-				}
-				if got := Canonical(res); got != want {
-					fail(name, "%s", firstDiff(want, got))
-					continue
-				}
-				if d := diffOpStats(ref.OpStats, res.OpStats); d != "" {
-					fail(name, "%s", d)
-					continue
-				}
-				canon, err := res.Trace.CanonicalJSONL()
-				if err != nil {
-					fail(name, "canonical trace encode failed: %v\n", err)
-					continue
-				}
-				if !bytes.Equal(canon, refTrace) {
-					fail(name, "canonical trace diverged from the scalar reference:\n%s",
-						firstDiff(string(refTrace), string(canon)))
-				}
-			}
-		}
-	}
-	if !opts.Live {
-		return
-	}
-	// Live leg: columnar on real sockets against the columnar simulator
-	// run of the same cell. The live engine replays the exact event
-	// sequence, so OpStats must match bit for bit, CPUUnits included.
-	hosts := opts.Hosts[len(opts.Hosts)-1]
-	for _, batch := range []int{64, 1024} {
-		refName := fmt.Sprintf("columnar-live-ref hosts=%d batch=%d", hosts, batch)
-		r.Configs++
-		ref, err := run(hosts, 1, batch, true, qap.EngineSim)
-		if err != nil {
-			fail(refName, "simulator columnar reference failed: %v\n", err)
-			continue
-		}
-		if got := Canonical(ref); got != want {
-			fail(refName, "%s", firstDiff(want, got))
-			continue
-		}
-		refTrace, err := ref.Trace.CanonicalJSONL()
-		if err != nil {
-			fail(refName, "reference trace encode failed: %v\n", err)
-			continue
-		}
-		for _, workers := range opts.Workers {
-			name := fmt.Sprintf("columnar-live hosts=%d workers=%d batch=%d", hosts, workers, batch)
-			r.Configs++
-			res, err := run(hosts, workers, batch, true, qap.EngineLive)
-			if err != nil {
-				fail(name, "live columnar run failed where the simulator succeeded: %v\n", err)
+				fail(name, "run failed where baseline succeeded: %v\n", err)
 				continue
 			}
 			if got := Canonical(res); got != want {
 				fail(name, "%s", firstDiff(want, got))
 				continue
 			}
-			if !reflect.DeepEqual(ref.OpStats, res.OpStats) {
-				d := diffOpStats(ref.OpStats, res.OpStats)
-				if d == "" {
-					d = "OpStats differ (CPUUnits summation order; the live engine must preserve it exactly)\n"
-				}
+			if d := diffOpStats(ref.OpStats, res.OpStats); d != "" {
 				fail(name, "%s", d)
 				continue
 			}
@@ -582,7 +455,7 @@ func (r *Report) checkColumnar(opts Options, sys *qap.System, want string, best 
 				continue
 			}
 			if !bytes.Equal(canon, refTrace) {
-				fail(name, "canonical trace diverged from the simulator's:\n%s",
+				fail(name, "canonical trace diverged from the scalar reference:\n%s",
 					firstDiff(string(refTrace), string(canon)))
 			}
 		}

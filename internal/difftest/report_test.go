@@ -23,7 +23,7 @@ func TestReportString(t *testing.T) {
 		Configs: 9,
 		Queries: "SELECT COUNT(*)\nFROM TCP",
 		Mismatches: []Mismatch{
-			{Axis: "columnar", Config: "columnar hosts=2 workers=4 batch=64", Detail: "line 3 differs"},
+			{Axis: "live", Config: "live hosts=2 workers=4 batch=256", Detail: "line 3 differs"},
 			{Axis: "batched", Config: "batch=7", Detail: "OpStats differ"},
 		},
 	}
@@ -33,10 +33,10 @@ func TestReportString(t *testing.T) {
 	s := bad.String()
 	for _, want := range []string{
 		"seed 42: FAIL (2 of 9 configurations mismatched)",
-		"first failure: axis columnar, config columnar hosts=2 workers=4 batch=64",
+		"first failure: axis live, config live hosts=2 workers=4 batch=256",
 		"rerun: go run ./cmd/qap-difftest -seed 42",
 		"queries:\n    SELECT COUNT(*)\n    FROM TCP",
-		"mismatch [columnar: columnar hosts=2 workers=4 batch=64]:\n    line 3 differs",
+		"mismatch [live: live hosts=2 workers=4 batch=256]:\n    line 3 differs",
 		"mismatch [batched: batch=7]:\n    OpStats differ",
 	} {
 		if !strings.Contains(s, want) {

@@ -43,52 +43,6 @@ func TestDifferentialSweep(t *testing.T) {
 	})
 }
 
-// columnarSeeds is the seed range the columnar-execution axis covers;
-// each seed re-runs the full hosts × workers × batch matrix on the
-// columnar path against a scalar reference per cluster size, so the
-// range is smaller than the base sweep's.
-var columnarSeeds = flag.Int64("difftest.columnarseeds", 5, "number of workload seeds TestColumnarSweep checks")
-
-// TestColumnarSweep is the columnar path's equivalence sweep: compiled
-// column kernels and dense aggregate state against the scalar
-// tuple-at-a-time oracle across every hosts {1,2,4} × workers {1,4} ×
-// batch {1,64,1024} cell — canonical output, OpStats, and canonical
-// trace bytes all byte-identical.
-func TestColumnarSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("columnar sweep is not a -short test")
-	}
-	for seed := int64(0); seed < *columnarSeeds; seed++ {
-		seed := seed
-		t.Run("", func(t *testing.T) {
-			t.Parallel()
-			rep, err := CheckSeed(seed, Options{Columnar: true})
-			if err != nil {
-				t.Fatalf("seed %d not runnable (generator must emit valid workloads): %v", seed, err)
-			}
-			if !rep.OK() {
-				t.Errorf("columnar mismatch:\n%s", rep)
-			}
-		})
-	}
-}
-
-// TestColumnarLiveSweep crosses the columnar and live axes on one
-// seed: columnar cells must reproduce the simulator's bytes on real
-// sockets, CPUUnits included.
-func TestColumnarLiveSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("columnar live sweep is not a -short test")
-	}
-	rep, err := CheckSeed(0, Options{Live: true, Columnar: true})
-	if err != nil {
-		t.Fatalf("seed 0 not runnable (generator must emit valid workloads): %v", err)
-	}
-	if !rep.OK() {
-		t.Errorf("columnar live mismatch:\n%s", rep)
-	}
-}
-
 // liveSeeds is the seed range the live-vs-sim axis covers; each seed
 // runs the full hosts × workers × batch matrix on real sockets plus
 // the fault-injection leg, so the range is smaller than the base

@@ -8,7 +8,7 @@ package exec
 // SetFromRows) keep the link items, the replay merge, and every
 // row-oriented operator untouched: a consumer that does not implement
 // ColConsumer transparently receives the pivoted rows via PushColsAll.
-// In front of the scans there is no pivot: the drivers fill pooled
+// In front of the scans there is no pivot: the splitter fills pooled
 // batches from the packet trace, and the live backend ships them in the
 // column-batch wire codec (wire.go).
 //
@@ -17,7 +17,7 @@ package exec
 // duration of the call. Consumers must not retain or mutate it; a
 // consumer that needs the data afterwards must pivot (AppendRows) or
 // copy. This is what lets producers recycle column slabs
-// unconditionally, with no plan-shape gating like scanTuplesSevered.
+// unconditionally, whatever the plan downstream retains.
 
 import (
 	"math"

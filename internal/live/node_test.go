@@ -145,6 +145,61 @@ func TestNodeFingerprintMismatchIsFatal(t *testing.T) {
 	}
 }
 
+// TestCloseLetsFirstHandshakeFinish: a splitter closed before a peer
+// has dialed — one host's refusal aborts the run while another's peer
+// has not been scheduled yet — still greets that peer's node, so the
+// node answers (here with its own refusal) at once instead of waiting
+// out its accept grace for a splitter that left. The dial hook holds the
+// peer back until Close is under way, which is the order the race needs.
+func TestCloseLetsFirstHandshakeFinish(t *testing.T) {
+	cfg := Config{Timeout: 2 * time.Second, MaxAttempts: 1}
+	node, err := NewNode(cfg, NodeOptions{
+		Host:        0,
+		Fingerprint: "deployment-a",
+		NewExecutor: func(h *Hello) (Executor, error) { return &echoExec{}, nil },
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- node.Serve() }()
+	defer node.Close()
+
+	spCfg := cfg
+	stopping := make(chan struct{})
+	spCfg.Dial = func(host, attempt int, addr string) (net.Conn, error) {
+		<-stopping
+		return DefaultDial(cfg.Timeout)(host, attempt, addr)
+	}
+	sp := NewSplitter(spCfg, Hello{Fingerprint: "deployment-b"}, []string{node.Addr()})
+	sp.Start()
+	closed := make(chan struct{})
+	go func() {
+		sp.Close()
+		close(closed)
+	}()
+	<-sp.stop
+	close(stopping)
+
+	start := time.Now()
+	select {
+	case err := <-serveErr:
+		if err == nil || !strings.Contains(err.Error(), "deployment fingerprint") {
+			t.Fatalf("node.Serve = %v, want the fingerprint refusal", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node never heard from the closing splitter")
+	}
+	if d := time.Since(start); d > time.Second && !raceEnabled {
+		t.Errorf("the node's refusal took %s", d)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return once the handshake was over")
+	}
+}
+
 // TestFeedRetransmitReAcked: a duplicated feed frame (the FaultDup
 // script on the splitter's first post-handshake write) must be
 // executed once and re-acked, not treated as a gap — the dedup half of

@@ -43,9 +43,9 @@ type Welcome struct {
 }
 
 // Group is one destination partition's routed tuples within a round,
-// as rows (Tuples) or as columns (Cols, when non-nil). A columnar
-// engine ships column groups and a row engine row groups; the
-// deployment fingerprint pins the choice on both ends.
+// as rows (Tuples) or as columns (Cols, when non-nil). A deployment at
+// batch size 1 ships runs of rows and every other one column groups;
+// the deployment fingerprint pins the batch size on both ends.
 type Group struct {
 	// Tag is the canonical delivery tag (the round-local sequence of
 	// the group's first tuple, in the splitter's push phase).

@@ -42,7 +42,7 @@ func TestHelloRoundTrip(t *testing.T) {
 		BatchSize:   256,
 		ResumeLink:  1<<40 | 17,
 		Streams:     []string{"tcp", "udp"},
-		Fingerprint: "plan=abc columnar=true",
+		Fingerprint: "plan=abc bs=256",
 	}
 	enc := in.encode(nil)
 	if in.wireSize() != len(enc) {

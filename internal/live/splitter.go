@@ -102,13 +102,15 @@ func (s *Splitter) Wait(d time.Duration) error {
 	}
 }
 
-// Close aborts every peer and waits for them to exit.
+// Close aborts every peer and waits for them to exit. A peer still in
+// its first handshake is left to finish it (see peer.greeted), so its
+// node always hears from the splitter.
 func (s *Splitter) Close() {
 	s.once.Do(func() { close(s.stop) })
 	for _, p := range s.peers {
 		p.out.close()
 		p.mu.Lock()
-		if p.conn != nil {
+		if p.conn != nil && p.greeted {
 			p.conn.Close()
 		}
 		p.mu.Unlock()
@@ -141,6 +143,21 @@ type peer struct {
 
 	mu   sync.Mutex
 	conn net.Conn
+	// greeted is set once the first handshake attempt is over — Welcome
+	// received, or the attempt refused or failed. Until then the peer
+	// ignores stop and Close leaves its connection alone: when one
+	// host's refusal aborts the run, every other node still gets its
+	// Hello and answers it — with its own refusal, if the deployment is
+	// the wrong one — instead of waiting out its accept grace for a
+	// splitter that left before it dialed.
+	greeted bool
+}
+
+// greet ends the first handshake attempt's immunity from stop.
+func (p *peer) greet() {
+	p.mu.Lock()
+	p.greeted = true
+	p.mu.Unlock()
 }
 
 func (p *peer) finished() bool {
@@ -160,10 +177,10 @@ func (p *peer) run() {
 	defer p.sp.wg.Done()
 	dial := p.sp.cfg.dialFn()
 	for {
-		if p.stopping() {
+		attempt := p.attempts
+		if attempt > 0 && p.stopping() {
 			return
 		}
-		attempt := p.attempts
 		p.attempts++
 		conn, err := dial(p.host, attempt, p.addr)
 		if err == nil {
@@ -176,6 +193,7 @@ func (p *peer) run() {
 			p.mu.Unlock()
 			conn.Close()
 		}
+		p.greet()
 		if p.finished() || p.stopping() {
 			return
 		}
@@ -227,6 +245,9 @@ func (p *peer) session(conn net.Conn) error {
 	p.wantResult = w.HasResult
 	p.out.rewind(w.ResumeFeed)
 	p.fails = 0
+	if p.greet(); p.stopping() {
+		return errStopped
+	}
 
 	s := newSession(conn, p.sp.cfg, p.out, frameLinkAck)
 	s.start()

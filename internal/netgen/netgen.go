@@ -65,10 +65,10 @@ const TupleCols = 8
 
 // AppendTuple materializes the packet's tuple into buf's spare
 // capacity and returns the grown buffer plus the tuple, which is
-// capacity-clamped so later appends cannot bleed into it. Batch
-// drivers carve many tuples out of one shared backing slab this way
-// instead of allocating one array per packet (the slab must not be
-// recycled: operators may retain the tuples).
+// capacity-clamped so later appends cannot bleed into it. The
+// splitter renders a packet into a reused scratch buffer this way to
+// hash it; a caller that carves many tuples out of one slab must not
+// recycle the slab while an operator may retain them.
 func (p Packet) AppendTuple(buf []sqlval.Value) ([]sqlval.Value, exec.Tuple) {
 	n := len(buf)
 	buf = append(buf,
@@ -81,7 +81,7 @@ func (p Packet) AppendTuple(buf []sqlval.Value) ([]sqlval.Value, exec.Tuple) {
 // AppendCols appends the packet's values to cb's eight all-uint
 // columns, in exactly the SchemaDDL order Tuple and AppendTuple
 // produce. An empty (or Reset) batch is shaped on first use; column
-// capacity is reused across rounds, so the columnar drivers refill
+// capacity is reused across rounds, so the splitter refills
 // recycled batches without allocating.
 //
 //qap:hot

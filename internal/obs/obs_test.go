@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -103,41 +102,6 @@ func TestSearchStatsNanosExcluded(t *testing.T) {
 	}
 	if strings.Contains(string(b), "42") {
 		t.Errorf("nanos leaked into JSON: %s", b)
-	}
-}
-
-// TestExecBenchReportJSON: the batched-vs-scalar bench report
-// round-trips through JSON with its gate verdict intact.
-func TestExecBenchReportJSON(t *testing.T) {
-	r := &ExecBenchReport{
-		SchemaVersion: SchemaVersion,
-		Name:          "exec",
-		Config:        BenchConfig{RatePPS: 2000, DurationSec: 60, MaxHosts: 1, Seed: 1, Workers: 1},
-		Rows: []ExecBenchRow{
-			{BatchSize: 1, NanosPerRun: 100, RowsPerSec: 1000, BytesPerRun: 4096, AllocsPerRun: 64,
-				SpeedupVsScalar: 1, AllocRatioVsScalar: 1},
-			{BatchSize: 64, NanosPerRun: 40, RowsPerSec: 2500, BytesPerRun: 1024, AllocsPerRun: 8,
-				SpeedupVsScalar: 2.5, AllocRatioVsScalar: 0.125},
-		},
-		RowsPerRun:       1000,
-		RunsPerBatchSize: 3,
-		GateMinSpeedup:   2, GateMaxAllocRatio: 0.25, GateMet: true,
-	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ExecBenchReport
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, &back) {
-		t.Errorf("round trip changed the report:\n got %+v\nwant %+v", &back, r)
-	}
-	for _, key := range []string{"gate_met", "gate_min_speedup", "gate_max_alloc_ratio", "batch_size"} {
-		if !strings.Contains(string(b), `"`+key+`"`) {
-			t.Errorf("missing %q key in JSON: %s", key, b)
-		}
 	}
 }
 

@@ -244,50 +244,6 @@ type BenchConfig struct {
 	Workers     int   `json:"workers"`
 }
 
-// ExecBenchRow is one batch size's measurement in an ExecBenchReport.
-// Every field except BatchSize is a wall-clock or allocator fact about
-// the measuring host; the canonical query output is identical across
-// rows by the engine's determinism contract.
-type ExecBenchRow struct {
-	BatchSize int `json:"batch_size"`
-	// Columnar marks a measurement of the columnar batch execution
-	// path; absent/false rows measured the row paths.
-	Columnar     bool    `json:"columnar,omitempty"`
-	NanosPerRun  int64   `json:"nanos_per_run"`
-	RowsPerSec   float64 `json:"rows_per_sec"`
-	BytesPerRun  uint64  `json:"bytes_per_run"`
-	AllocsPerRun uint64  `json:"allocs_per_run"`
-	// SpeedupVsScalar and AllocRatioVsScalar compare this row against
-	// the batch-size-1 row of the same report (1.0 for that row).
-	SpeedupVsScalar    float64 `json:"speedup_vs_scalar"`
-	AllocRatioVsScalar float64 `json:"alloc_ratio_vs_scalar"`
-}
-
-// ExecBenchReport is the machine-readable BENCH_exec.json emitted by
-// qap-bench -exec: the batched-vs-scalar hot-path trajectory on the
-// Figure 8 workload. The gate fields record the acceptance bar the
-// batched path is held to (>= GateMinSpeedup rows/sec at
-// <= GateMaxAllocRatio allocs/op versus batch size 1).
-type ExecBenchReport struct {
-	SchemaVersion     int            `json:"schema_version"`
-	Name              string         `json:"name"`
-	Config            BenchConfig    `json:"config"`
-	Rows              []ExecBenchRow `json:"rows"`
-	RowsPerRun        int            `json:"rows_per_run"`
-	RunsPerBatchSize  int            `json:"runs_per_batch_size"`
-	GateMinSpeedup    float64        `json:"gate_min_speedup"`
-	GateMaxAllocRatio float64        `json:"gate_max_alloc_ratio"`
-	GateMet           bool           `json:"gate_met"`
-	// The columnar gate holds the columnar rows (Columnar == true) to
-	// a stricter bar versus the same scalar baseline. The fields are
-	// zero in reports generated before the columnar path existed;
-	// qap-bench -check enforces the gate only when the thresholds are
-	// present.
-	GateMinColumnarSpeedup    float64 `json:"gate_min_columnar_speedup,omitempty"`
-	GateMaxColumnarAllocRatio float64 `json:"gate_max_columnar_alloc_ratio,omitempty"`
-	ColumnarGateMet           bool    `json:"columnar_gate_met,omitempty"`
-}
-
 // DriftWindowRow is one monitoring window of a DriftBenchReport: the
 // measured max-host network rate with the static plan versus the
 // adaptive controller over the same drifting trace.

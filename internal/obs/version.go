@@ -6,10 +6,10 @@ import (
 )
 
 // Versioned is implemented by every committed JSON report artifact
-// (RunReport, BenchReport, ExecBenchReport, DriftBenchReport). All
-// four share the single package-wide SchemaVersion: bumping it is one
-// edit, and DecodeStrict makes every decoder assert it, so a stale
-// committed artifact fails fast instead of being half-read.
+// (RunReport, BenchReport, DriftBenchReport). All three share the
+// single package-wide SchemaVersion: bumping it is one edit, and
+// DecodeStrict makes every decoder assert it, so a stale committed
+// artifact fails fast instead of being half-read.
 type Versioned interface {
 	// Version returns the schema_version the artifact was encoded with.
 	Version() int
@@ -20,9 +20,6 @@ func (r *RunReport) Version() int { return r.SchemaVersion }
 
 // Version implements Versioned.
 func (r *BenchReport) Version() int { return r.SchemaVersion }
-
-// Version implements Versioned.
-func (r *ExecBenchReport) Version() int { return r.SchemaVersion }
 
 // Version implements Versioned.
 func (r *DriftBenchReport) Version() int { return r.SchemaVersion }

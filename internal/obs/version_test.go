@@ -26,10 +26,6 @@ func TestSchemaVersionRoundTrip(t *testing.T) {
 			&BenchReport{SchemaVersion: SchemaVersion},
 			&BenchReport{SchemaVersion: SchemaVersion - 1},
 			func() Versioned { return &BenchReport{} }},
-		{"ExecBenchReport",
-			&ExecBenchReport{SchemaVersion: SchemaVersion},
-			&ExecBenchReport{SchemaVersion: SchemaVersion + 7},
-			func() Versioned { return &ExecBenchReport{} }},
 		{"DriftBenchReport",
 			&DriftBenchReport{SchemaVersion: SchemaVersion},
 			&DriftBenchReport{SchemaVersion: 0},

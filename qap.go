@@ -268,18 +268,21 @@ type DeployConfig struct {
 	// host (capped at Hosts) plus a splitter and a central replay
 	// goroutine. Results are byte-identical either way.
 	Workers int
-	// BatchSize selects the execution hot path: 0 (the default) runs
-	// batch-at-a-time with the engine's default batch size, 1 forces
-	// the legacy tuple-at-a-time scalar path, and larger values batch
-	// up to that many tuples per operator call. Canonical results are
-	// identical at every batch size; see cluster.RunConfig.BatchSize.
+	// BatchSize selects the execution mode: 1 is the scalar oracle, one
+	// tuple at a time, the reference every other configuration is
+	// checked against; anything larger is production — each round's
+	// packets reach the operators as typed column vectors in chunks of
+	// up to BatchSize rows, through compiled column kernels where the
+	// plan supports them. 0 (the default) is the engine's default chunk
+	// size. Canonical results, stats and traces are identical at every
+	// batch size; see cluster.RunConfig.BatchSize.
 	BatchSize int
-	// Columnar selects the columnar batch execution path: batched
-	// drivers deliver each round's tuples as typed column vectors and
-	// operators run compiled column kernels where the plan supports
-	// them. Requires batching (ignored at BatchSize 1); canonical
-	// results, stats, and traces are byte-identical to the row paths.
-	// See cluster.RunConfig.Columnar.
+	// Columnar is not read.
+	//
+	// Deprecated: BatchSize > 1 is the columnar path; there is no
+	// row-batched mode left to choose it over. The field stays declared
+	// because the frozen bench/ module sets it in a struct literal; see
+	// cluster.RunConfig.Columnar.
 	Columnar bool
 	// CollectStats enables the per-operator observability layer:
 	// RunResult.OpStats and RunResult.Report() are populated. The
@@ -469,7 +472,6 @@ func (d *Deployment) newRunner() (*cluster.Runner, error) {
 		Params:        d.params,
 		Workers:       d.cfg.Workers,
 		BatchSize:     d.cfg.BatchSize,
-		Columnar:      d.cfg.Columnar,
 		SizeHints:     d.copySizeHints(),
 		CollectStats:  d.cfg.CollectStats,
 		LoadWindowSec: d.cfg.LoadWindowSec,
