@@ -424,7 +424,7 @@ func (r *Runner) instantiate(op *optimizer.Op, out exec.Consumer) ([]exec.Consum
 		if err != nil {
 			return nil, err
 		}
-		r.aggs = append(r.aggs, aggInstance{id: op.ID, agg: agg})
+		r.sized = append(r.sized, sizedOp{op.ID, agg.GroupHighWater})
 		return []exec.Consumer{agg}, nil
 	case optimizer.OpWindow:
 		w, err := r.buildWindow(op, out)
@@ -433,11 +433,7 @@ func (r *Runner) instantiate(op *optimizer.Op, out exec.Consumer) ([]exec.Consum
 		}
 		return []exec.Consumer{w}, nil
 	case optimizer.OpJoin:
-		ports, err := r.buildJoin(op.Logical, out)
-		if err != nil {
-			return nil, err
-		}
-		return ports, nil
+		return r.buildJoin(op, out)
 	default:
 		return nil, fmt.Errorf("unknown op kind %v", op.Kind)
 	}
@@ -947,13 +943,14 @@ func joinResolver(leftBind string, leftNames []string, rightBind string, rightNa
 	}
 }
 
-func (r *Runner) buildJoin(n *plan.Node, out exec.Consumer) ([]exec.Consumer, error) {
+func (r *Runner) buildJoin(op *optimizer.Op, out exec.Consumer) ([]exec.Consumer, error) {
+	n := op.Logical
 	leftNames := colNames(n.Inputs[0].OutCols)
 	rightNames := colNames(n.Inputs[1].OutCols)
 	leftRes := exec.ColsResolver(n.LeftBind, leftNames)
 	rightRes := exec.ColsResolver(n.RightBind, rightNames)
 
-	cfg := exec.JoinConfig{Type: n.JoinType, Out: out}
+	cfg := exec.JoinConfig{Type: n.JoinType, Out: out, SizeHint: r.sizeHints[op.ID]}
 	cfg.Left.Width, cfg.Right.Width = len(leftNames), len(rightNames)
 	cfg.Left.TemporalIdx, cfg.Right.TemporalIdx = n.TemporalKey, n.TemporalKey
 
@@ -1007,6 +1004,7 @@ func (r *Runner) buildJoin(n *plan.Node, out exec.Consumer) ([]exec.Consumer, er
 		cfg.Projs = append(cfg.Projs, f)
 	}
 	j := exec.NewJoin(cfg)
+	r.sized = append(r.sized, sizedOp{op.ID, j.PaneHighWater})
 	// Side filters split out of the WHERE clause apply before the join
 	// tables; interpose lightweight local filters on the ports.
 	left, right := exec.Consumer(j.LeftIn()), exec.Consumer(j.RightIn())

@@ -59,11 +59,11 @@ func (r *Runner) finalize(any bool, maxTime uint64) *Result {
 		}
 		res.Report = r.buildReport(res)
 	}
-	if len(r.aggs) > 0 {
-		res.SizeHints = make(map[int]int, len(r.aggs))
-		for _, a := range r.aggs {
-			if n := a.agg.GroupHighWater(); n > res.SizeHints[a.id] {
-				res.SizeHints[a.id] = n
+	if len(r.sized) > 0 {
+		res.SizeHints = make(map[int]int, len(r.sized))
+		for _, o := range r.sized {
+			if n := o.highWater(); n > res.SizeHints[o.id] {
+				res.SizeHints[o.id] = n
 			}
 		}
 	}

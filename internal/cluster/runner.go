@@ -52,12 +52,12 @@ type Runner struct {
 	// on the wire and resolve it on the collector side. Nil unless
 	// captures were installed.
 	edges []*edge
-	// sizeHints pre-sizes aggregate hash state by physical op ID
-	// (RunConfig.SizeHints); aggs tracks the built aggregate instances
-	// so finalize can harvest the next run's hints. Purely a warm-start
+	// sizeHints pre-sizes aggregate and join hash state by physical op
+	// ID (RunConfig.SizeHints); sized tracks the built instances so
+	// finalize can harvest the next run's hints. Purely a warm-start
 	// performance knob — no canonical output depends on either.
 	sizeHints map[int]int
-	aggs      []aggInstance
+	sized     []sizedOp
 
 	// winSec is the load-monitoring window length in trace seconds;
 	// 0 disables monitoring. Windows are closed at watermark
@@ -121,8 +121,8 @@ type RunConfig struct {
 	// field stays declared because the frozen bench/ module sets it in a
 	// struct literal; it goes when a [benchmark] change drops that line.
 	Columnar bool
-	// SizeHints pre-sizes aggregate hash state by physical operator ID,
-	// typically a previous Result.SizeHints from the same plan
+	// SizeHints pre-sizes aggregate and join hash state by physical
+	// operator ID, typically a previous Result.SizeHints from the same plan
 	// (Deployment.Run threads them across runs automatically). Purely a
 	// warm-start performance knob: no canonical output, stat, or trace
 	// byte depends on it.
@@ -176,12 +176,12 @@ const (
 	EngineLive = "live"
 )
 
-// aggInstance pairs a built aggregate with its physical operator ID so
-// finalize can harvest per-op group high-water marks into
-// Result.SizeHints.
-type aggInstance struct {
-	id  int
-	agg *exec.Aggregate
+// sizedOp pairs a built aggregate's or join's high-water mark (live
+// groups, entries in one pane) with its physical operator ID so
+// finalize can harvest it into Result.SizeHints.
+type sizedOp struct {
+	id        int
+	highWater func() int
 }
 
 // island is the unit of parallel execution: the operators of one
@@ -335,7 +335,8 @@ type Result struct {
 	// every integer counter, with CPUUnits left zero.
 	Trace *trace.Trace
 	// SizeHints reports each aggregate operator's peak live group count
-	// by physical op ID, suitable for RunConfig.SizeHints on a later run
+	// and each join's peak pane entry count by physical op ID, suitable
+	// for RunConfig.SizeHints on a later run
 	// of the same plan. Covers the operators this process executed (the
 	// live backend's remote hosts report nothing). Wall-clock-free but
 	// data-dependent; not part of the determinism contract's outputs.

@@ -31,14 +31,18 @@ const (
 	// A join watermark that expires nothing compares the boundary with
 	// each side's oldest pane and touches no entry.
 	allocBudgetJoinAdvanceNoExpiry = 0
-	// Inner-join expiry drops whole panes and recycles their map and
-	// slab; nothing is allocated per expired row.
+	// Inner-join expiry drops whole panes and recycles their index and
+	// slabs; nothing is allocated per expired row.
 	allocBudgetJoinExpiryPerRow = 0.1
-	// Join build/probe per pushed row in the recycled steady state: one
-	// key string per new key (shared with the other side when it holds
-	// the key); entries, chains and output rows come from slabs. The
-	// per-key []*joinEntry layout spent more than 2.
-	allocBudgetJoinPushPerRow = 1.25
+	// Join build/probe per pushed row in the recycled steady state. Word
+	// layout: row and key words, chains and the slot table are recycled
+	// slabs, so only the output slab refill is left (measured 0.002; the
+	// bench probe, which builds a fresh join per pass, reads 0.008). Row
+	// layout: one key string per new key (shared with the other side
+	// when it holds the key); entries, chains and output rows come from
+	// slabs. The per-key []*joinEntry layout spent more than 2.
+	allocBudgetJoinPushPerRowWords = 0.05
+	allocBudgetJoinPushPerRowRows  = 1.25
 )
 
 // skipIfRace skips allocation-count assertions under the race
@@ -115,88 +119,112 @@ func TestAllocsAggregateBatchSteadyState(t *testing.T) {
 	}
 }
 
-// allocJoin is joinTestConfig's inner same-epoch join (60 watermark
-// units per epoch) into a Discard.
-func allocJoin(t *testing.T) *Join {
-	return NewJoin(joinTestConfig(t, gsql.JoinInner, false, Discard{}))
+// bothLayouts runs f on joinTestConfig's inner same-epoch join (60
+// watermark units per epoch) into a Discard, once per state layout.
+func bothLayouts(t *testing.T, f func(t *testing.T, j *Join)) {
+	cfg := joinTestConfig(t, gsql.JoinInner, false, Discard{})
+	t.Run("words", func(t *testing.T) { f(t, NewJoin(cfg)) })
+	t.Run("rows", func(t *testing.T) { f(t, NewJoin(rowLayout(cfg))) })
 }
 
-// joinEpochBatch is n rows of epoch tb with distinct keys.
-func joinEpochBatch(tb uint64, n int) Batch {
+// joinEpochBatch is n rows of epoch tb with distinct keys and payload v.
+func joinEpochBatch(tb uint64, n int, v sqlval.Value) Batch {
 	b := make(Batch, n)
 	for i := range b {
-		b[i] = Tuple{u(tb), u(uint64(i)), u(7)}
+		b[i] = Tuple{u(tb), u(uint64(i)), v}
 	}
 	return b
 }
 
 func TestAllocsJoinAdvanceNoExpiry(t *testing.T) {
 	skipIfRace(t)
-	j := allocJoin(t)
-	b := joinEpochBatch(0, 5000)
-	PushAll(j.LeftIn(), b)
-	PushAll(j.RightIn(), b)
-	if j.StoredTuples() != 10000 {
-		t.Fatalf("stored %d tuples, want 10000", j.StoredTuples())
-	}
-	wm := uint64(0)
-	got := testing.AllocsPerRun(50, func() { // stays inside epoch 0
-		wm++
-		j.LeftIn().Advance(wm)
-		j.RightIn().Advance(wm)
+	bothLayouts(t, func(t *testing.T, j *Join) {
+		b := joinEpochBatch(0, 5000, u(7))
+		PushAll(j.LeftIn(), b)
+		PushAll(j.RightIn(), b)
+		if j.StoredTuples() != 10000 {
+			t.Fatalf("stored %d tuples, want 10000", j.StoredTuples())
+		}
+		wm := uint64(0)
+		got := testing.AllocsPerRun(50, func() { // stays inside epoch 0
+			wm++
+			j.LeftIn().Advance(wm)
+			j.RightIn().Advance(wm)
+		})
+		if got > allocBudgetJoinAdvanceNoExpiry {
+			t.Errorf("Join.Advance expiring nothing over 10000 stored entries: %.2f allocs/op, budget %d",
+				got, allocBudgetJoinAdvanceNoExpiry)
+		}
+		if j.StoredTuples() != 10000 {
+			t.Fatalf("an advance inside the epoch evicted: %d stored", j.StoredTuples())
+		}
 	})
-	if got > allocBudgetJoinAdvanceNoExpiry {
-		t.Errorf("Join.Advance expiring nothing over 10000 stored entries: %.2f allocs/op, budget %d",
-			got, allocBudgetJoinAdvanceNoExpiry)
-	}
-	if j.StoredTuples() != 10000 {
-		t.Fatalf("an advance inside the epoch evicted: %d stored", j.StoredTuples())
-	}
 }
 
 func TestAllocsJoinPaneExpiry(t *testing.T) {
 	skipIfRace(t)
-	const runs, n = 50, 256
-	j := allocJoin(t)
-	for tb := uint64(0); tb <= runs; tb++ { // AllocsPerRun adds a warm-up run
-		b := joinEpochBatch(tb, n)
-		PushAll(j.LeftIn(), b)
-		PushAll(j.RightIn(), b)
-	}
-	epoch := uint64(0)
-	perPane := testing.AllocsPerRun(runs, func() {
-		epoch++
-		j.LeftIn().Advance(epoch * 60) // drops epoch-1 on both sides
-		j.RightIn().Advance(epoch * 60)
+	bothLayouts(t, func(t *testing.T, j *Join) {
+		const runs, n = 50, 256
+		for tb := uint64(0); tb <= runs; tb++ { // AllocsPerRun adds a warm-up run
+			b := joinEpochBatch(tb, n, u(7))
+			PushAll(j.LeftIn(), b)
+			PushAll(j.RightIn(), b)
+		}
+		epoch := uint64(0)
+		perPane := testing.AllocsPerRun(runs, func() {
+			epoch++
+			j.LeftIn().Advance(epoch * 60) // drops epoch-1 on both sides
+			j.RightIn().Advance(epoch * 60)
+		})
+		if perRow := perPane / (2 * n); perRow > allocBudgetJoinExpiryPerRow {
+			t.Errorf("Join pane expiry: %.4f allocs/row (%.1f per %d expired rows), budget %.2f",
+				perRow, perPane, 2*n, allocBudgetJoinExpiryPerRow)
+		}
+		if j.StoredTuples() != 0 {
+			t.Fatalf("%d tuples left after every epoch expired", j.StoredTuples())
+		}
 	})
-	if perRow := perPane / (2 * n); perRow > allocBudgetJoinExpiryPerRow {
-		t.Errorf("Join pane expiry: %.4f allocs/row (%.1f per %d expired rows), budget %.2f",
-			perRow, perPane, 2*n, allocBudgetJoinExpiryPerRow)
-	}
-	if j.StoredTuples() != 0 {
-		t.Fatalf("%d tuples left after every epoch expired", j.StoredTuples())
-	}
 }
 
+// TestAllocsJoinBuildProbe pins both layouts of one join configuration,
+// key kernels compiled: uint rows stay words; an Int payload, which
+// words cannot hold, migrates the join on its first batch and pins the
+// row path it falls back to.
 func TestAllocsJoinBuildProbe(t *testing.T) {
 	skipIfRace(t)
-	const n = 256
-	j := allocJoin(t)
-	epoch := uint64(0)
-	cycle := func() {
-		b := joinEpochBatch(epoch, n)
-		PushAll(j.LeftIn(), b)
-		PushAll(j.RightIn(), b) // every row matches its left twin
-		epoch++
-		j.LeftIn().Advance(epoch * 60)
-		j.RightIn().Advance(epoch * 60)
-	}
-	cycle() // size the panes the later epochs recycle
-	perCycle := testing.AllocsPerRun(50, cycle)
-	perCycle -= float64(n + 1) // joinEpochBatch: n tuples and the container
-	if perRow := perCycle / (2 * n); perRow > allocBudgetJoinPushPerRow {
-		t.Errorf("Join build/probe: %.3f allocs/pushed row (%.1f per cycle of %d), budget %.2f",
-			perRow, perCycle, 2*n, allocBudgetJoinPushPerRow)
+	for _, c := range []struct {
+		layout string
+		v      sqlval.Value
+		budget float64
+	}{
+		{"words", u(7), allocBudgetJoinPushPerRowWords},
+		{"rows", sqlval.Int(7), allocBudgetJoinPushPerRowRows},
+	} {
+		t.Run(c.layout, func(t *testing.T) {
+			const n = 256
+			j := NewJoin(joinTestConfig(t, gsql.JoinInner, false, Discard{}))
+			epoch := uint64(0)
+			cycle := func() {
+				b := joinEpochBatch(epoch, n, c.v)
+				PushAll(j.LeftIn(), b)
+				PushAll(j.RightIn(), b) // every row matches its left twin
+				if got := joinLayout(j); got != c.layout {
+					t.Fatalf("state is in %s, want %s", got, c.layout)
+				}
+				epoch++
+				j.LeftIn().Advance(epoch * 60)
+				j.RightIn().Advance(epoch * 60)
+			}
+			cycle() // size the panes the later epochs recycle
+			perCycle := testing.AllocsPerRun(50, cycle)
+			perCycle -= float64(n + 1) // joinEpochBatch: n tuples and the container
+			perRow := perCycle / (2 * n)
+			if perRow > c.budget {
+				t.Errorf("Join build/probe: %.3f allocs/pushed row (%.1f per cycle of %d), budget %.2f",
+					perRow, perCycle, 2*n, c.budget)
+			}
+			t.Logf("Join build/probe, %s layout: %.4f allocs/pushed row", c.layout, perRow)
+		})
 	}
 }
 

@@ -141,6 +141,16 @@ type colSlot struct {
 
 const colTableMin = 1024
 
+// tableSize is the slot count for an open-addressed table expected to
+// hold n keys: the power-of-two multiple of min that keeps n under the
+// 75% load at which the tables double.
+func tableSize(min, n int) int {
+	for min*3 <= n*4 {
+		min *= 2
+	}
+	return min
+}
+
 // colSupported reports whether every kernel the vectorized aggregate
 // needs is present.
 func (o *Aggregate) colSupported() bool {
@@ -210,14 +220,9 @@ func (o *Aggregate) PushCols(cb *ColBatch) {
 		o.colResetTable()
 	}
 	if len(o.colTable) == 0 {
-		size := colTableMin
-		// A SizeHint warm-starts the table past the doubling chain: pick
-		// the power of two that keeps the hinted count under 75% load.
-		for h := o.cfg.SizeHint; size*3 <= h*4; {
-			size *= 2
-		}
+		// A SizeHint warm-starts the table past the doubling chain.
 		//qap:allow hotalloc -- slot table built once, then reused across epochs
-		o.colTable = make([]colSlot, size)
+		o.colTable = make([]colSlot, tableSize(colTableMin, o.cfg.SizeHint))
 		o.colGen = 1
 	}
 	lateCheck := o.boundarySet && o.cfg.EpochIdx >= 0
@@ -969,6 +974,7 @@ func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
 	o.minEpoch, o.minSet = sqlval.Uint(survMin), nsurv > 0
 }
 
+// colKeysReady reports whether every key of the side has a uint kernel.
 func (s *JoinSideConfig) colKeysReady() bool {
 	if len(s.ColKeys) != len(s.Keys) {
 		return false
@@ -981,11 +987,12 @@ func (s *JoinSideConfig) colKeysReady() bool {
 	return true
 }
 
-// PushCols implements ColConsumer. The join stores tuples either way,
-// so the batch always pivots to durable rows; what vectorizes is the
-// key evaluation — whole-column kernels instead of one closure tree
-// per tuple — before each row runs the ordinary build/probe. The
-// batch's joined rows go downstream as one row batch.
+// PushCols implements ColConsumer. A word-layout join takes an all-uint
+// batch of the side's width as it is: key kernels over the columns,
+// then build and probe on words (pushWords). Any other batch migrates
+// the join to the row layout, which pivots to durable rows and runs
+// the per-tuple build/probe. Either way the batch's joined rows go
+// downstream as one row batch.
 //
 //qap:hot
 func (p *joinPort) PushCols(cb *ColBatch) {
@@ -993,30 +1000,209 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 		return
 	}
 	j := p.j
-	b := cb.AppendRows(GetBatch())
-	side := &j.cfg.Left
-	if !p.left {
-		side = &j.cfg.Right
-	}
-	if cb.AllUint() && side.colKeysReady() {
-		kvs := j.colKeyVecs[:0]
-		for i := range side.ColKeys {
-			kvs = append(kvs, side.ColKeys[i].U(cb))
+	if j.words {
+		if j.pushWords(cb, p.left) {
+			j.deliver()
+			return
 		}
-		j.colKeyVecs = kvs
-		for i, t := range b {
-			vals := j.valsBuf[:0]
-			for _, kv := range kvs {
-				vals = append(vals, sqlval.Uint(kv[i]))
+		j.migrate()
+	}
+	pushColsRows(p, cb)
+}
+
+// pushWords is the word layout's build/probe over a whole batch: the
+// side's key kernels produce one vector per key, each row's key words
+// hash into the opposite pane's slot table (word equality is key
+// equality for uints, see Aggregate.PushCols), and the row's words
+// append to its own pane's slabs — no row tuple, no key encoding, no
+// map. Only a key-equal pair costs values: left++right materialise in
+// combBuf for the Residual and Projs row closures, and emit buffers
+// the result exactly as the row layout does. It reports false, having
+// done nothing, for a batch the layout cannot hold.
+//
+//qap:hot
+func (j *Join) pushWords(cb *ColBatch, left bool) bool {
+	side, mine, other := &j.cfg.Left, &j.left, &j.right
+	if !left {
+		side, mine, other = &j.cfg.Right, &j.right, &j.left
+	}
+	// The width check is what keeps every slab index in range: column
+	// kernels and the row stride both assume the side's width.
+	if len(cb.Cols) != side.Width || !cb.AllUint() {
+		return false
+	}
+	kvs := j.colKeyVecs[:0]
+	for i := range side.ColKeys {
+		kvs = append(kvs, side.ColKeys[i].U(cb))
+	}
+	j.colKeyVecs = kvs
+	comb := j.combBuf[:j.cfg.Left.Width+j.cfg.Right.Width]
+	arrived, stored := comb[:j.cfg.Left.Width], comb[j.cfg.Left.Width:]
+	if !left {
+		arrived, stored = stored, arrived
+	}
+	ow := len(stored)
+	tv := kvs[side.TemporalIdx]
+	var mp, op *joinPane
+	for i := 0; i < cb.Len; i++ {
+		if mp == nil || tv[i] != tv[i-1] {
+			tkey := sqlval.Uint(tv[i])
+			mp, op = mine.pane(tkey, true), other.pane(tkey, false)
+			if len(mp.slots) == 0 {
+				mp.initWords(j.cfg.SizeHint, side.Width, len(kvs))
 			}
-			j.valsBuf = vals
-			j.probeInsert(t, p.left, vals)
 		}
-	} else {
-		for _, t := range b {
-			j.pushRow(t, p.left)
+		h := hashKeyWords(kvs, i)
+		idx := int32(len(mp.links))
+		link := wordLink{next: -1, tail: idx}
+		if op != nil {
+			if oh, _ := op.find(h, kvs, i); oh >= 0 {
+				for c := range arrived {
+					arrived[c] = sqlval.Uint(cb.Cols[c].U64[i])
+				}
+				for e := oh; e >= 0; e = op.links[e].next {
+					uintRow(stored, op.rows[int(e)*ow:])
+					if j.cfg.Residual != nil && !j.cfg.Residual(comb).AsBool() {
+						continue
+					}
+					link.matched, op.links[e].matched = true, true
+					j.emit(comb)
+				}
+			}
+		}
+		if head, at := mp.find(h, kvs, i); head >= 0 {
+			hl := &mp.links[head]
+			mp.links[hl.tail].next = idx
+			hl.tail = idx
+		} else {
+			mp.slots[at] = joinSlot{h: h, head: idx, gen: mp.gen}
+			mp.nkeys++
+		}
+		mp.links = append(mp.links, link)
+		for _, kv := range kvs {
+			mp.keys = append(mp.keys, kv[i])
+		}
+		for c := range cb.Cols {
+			mp.rows = append(mp.rows, cb.Cols[c].U64[i])
+		}
+		if mp.nkeys*4 >= len(mp.slots)*3 {
+			mp.growSlots()
 		}
 	}
-	PutBatch(b)
-	j.deliver()
+	j.stored += cb.Len
+	return true
+}
+
+// uintRow fills dst with the uint values of the first len(dst) words.
+//
+//qap:hot
+func uintRow(dst Tuple, words []uint64) Tuple {
+	for c := range dst {
+		dst[c] = sqlval.Uint(words[c])
+	}
+	return dst
+}
+
+// initWords gives a fresh pane its slot table and, with a size hint,
+// slabs for that many entries, so a warm run pays neither doubling
+// chain. Keys are at most entries, which sizes the table.
+//
+//qap:hot
+func (p *joinPane) initWords(hint, width, nk int) {
+	//qap:allow hotalloc -- once per concurrently live pane, then recycled
+	p.slots = make([]joinSlot, tableSize(joinSlotsMin, hint))
+	if hint > 0 {
+		//qap:allow hotalloc -- once per concurrently live pane, then recycled
+		p.rows, p.keys, p.links = make([]uint64, 0, hint*width), make([]uint64, 0, hint*nk), make([]wordLink, 0, hint)
+	}
+}
+
+// find probes the pane's table for row i's key words: the chain head
+// holding them, or -1 and the free slot the probe ended on.
+//
+//qap:hot
+func (p *joinPane) find(h uint64, kvs [][]uint64, i int) (int32, uint64) {
+	nk := len(kvs)
+	mask := uint64(len(p.slots) - 1)
+	at := h & mask
+	for {
+		s := &p.slots[at]
+		if s.gen != p.gen {
+			return -1, at
+		}
+		if k := int(s.head) * nk; s.h == h && keyWordsEqual(p.keys[k:k+nk], kvs, i) {
+			return s.head, at
+		}
+		at = (at + 1) & mask
+	}
+}
+
+// growSlots doubles the table, rehashing live slots by their stored
+// hash; chains and slabs are untouched.
+//
+//qap:hot
+func (p *joinPane) growSlots() {
+	old := p.slots
+	//qap:allow hotalloc -- amortised doubling, kept across epochs
+	p.slots = make([]joinSlot, len(old)*2)
+	mask := uint64(len(p.slots) - 1)
+	for i := range old {
+		s := &old[i]
+		if s.gen != p.gen {
+			continue
+		}
+		at := s.h & mask
+		for p.slots[at].gen == p.gen {
+			at = (at + 1) & mask
+		}
+		p.slots[at] = *s
+	}
+}
+
+// migrate is the one-way switch to the row layout, taken before the
+// first input the word layout cannot hold (like Aggregate.denseMigrate):
+// every pane's entries rebuild index for index — tuples from the row
+// words, chains and matched flags from the links, one interned key
+// encoding per chain — so the row path continues as if it had stored
+// them.
+//
+//qap:hot
+func (j *Join) migrate() {
+	j.words = false
+	j.migrateSide(&j.left, &j.cfg.Left)
+	j.migrateSide(&j.right, &j.cfg.Right)
+}
+
+// migrateSide rebuilds one side's panes and drops every word slab and
+// table of the side, recycled panes' included.
+//
+//qap:hot
+func (j *Join) migrateSide(s *joinSide, side *JoinSideConfig) {
+	w, nk := side.Width, len(side.Keys)
+	vals, kb := make(Tuple, nk), []byte(nil) //qap:allow hotalloc -- the one-off rebuild's key scratch
+	for _, p := range s.panes {
+		n := len(p.links)
+		//qap:allow hotalloc -- the one-off rebuild: the pane's tuples, entry slab and index
+		backing, entries, heads := make([]sqlval.Value, n*w), make([]joinEntry, n), make(map[string]int32, p.nkeys)
+		for e, l := range p.links {
+			row := uintRow(backing[e*w:(e+1)*w:(e+1)*w], p.rows[e*w:])
+			entries[e] = joinEntry{tuple: row, next: l.next, tail: l.tail, matched: l.matched}
+		}
+		for _, sl := range p.slots {
+			if sl.gen != p.gen {
+				continue
+			}
+			kb = AppendKey(kb[:0], uintRow(vals, p.keys[int(sl.head)*nk:]))
+			key := string(kb)
+			heads[key] = sl.head
+			for e := sl.head; e >= 0; e = p.links[e].next {
+				entries[e].key = key
+			}
+		}
+		p.entries, p.heads = entries, heads
+		p.rows, p.keys, p.links, p.slots, p.nkeys = nil, nil, nil, nil, 0
+	}
+	for _, p := range s.free {
+		p.rows, p.keys, p.links, p.slots = nil, nil, nil, nil
+	}
 }

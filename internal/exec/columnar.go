@@ -322,7 +322,10 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 // batches natively. PushCols(cb) must be observably identical to
 // PushBatch of the pivoted rows: same downstream effects, same
 // counters, same output bytes. The batch and everything it references
-// are owned by the producer and valid only during the call.
+// are owned by the producer, valid only during the call and read-only:
+// a Tee hands the same batch to each of its consumers in turn. A
+// consumer that keeps the data copies it — the word-layout join copies
+// the words, everything else pivots to rows.
 type ColConsumer interface {
 	Consumer
 	PushCols(cb *ColBatch)
@@ -367,15 +370,30 @@ func (c *Collector) PushCols(cb *ColBatch) {
 	c.Rows = cb.AppendRows(c.Rows)
 }
 
-// PushCols pivots once and fans the shared durable rows out to every
-// consumer, mirroring the scalar PushBatch sharing.
+// PushCols forwards an all-uint batch as columns to every consumer
+// that takes columns — every operator's column path is gated on
+// exactly that predicate, so none of them pivots it back. Consumers
+// that need rows, which for any other batch is all of them, share one
+// pivot to durable rows, mirroring the scalar PushBatch sharing.
+//
+//qap:hot
 func (t *Tee) PushCols(cb *ColBatch) {
 	if cb.Len == 0 {
 		return
 	}
-	b := cb.AppendRows(GetBatch())
+	cols := cb.AllUint()
+	var rows Batch
 	for _, o := range t.Outs {
-		PushAll(o, b)
+		if cc, ok := o.(ColConsumer); ok && cols {
+			cc.PushCols(cb)
+			continue
+		}
+		if rows == nil {
+			rows = cb.AppendRows(GetBatch())
+		}
+		PushAll(o, rows)
 	}
-	PutBatch(b)
+	if rows != nil {
+		PutBatch(rows)
+	}
 }

@@ -509,3 +509,67 @@ func TestPushColsAllPivots(t *testing.T) {
 		t.Error("empty batch was not dropped")
 	}
 }
+
+// teeOut records how a Tee delivered to it; rowOut hides PushCols, as a
+// consumer with no column path would.
+type teeOut struct {
+	Discard
+	cols []*ColBatch
+	rows []Batch
+}
+
+func (o *teeOut) PushCols(cb *ColBatch) { o.cols = append(o.cols, cb) }
+func (o *teeOut) PushBatch(b Batch)     { o.rows = append(o.rows, append(Batch(nil), b...)) }
+
+type rowOut struct{ *teeOut }
+
+func (rowOut) PushCols() {}
+
+// TestTeeForwardsUintColumns: an all-uint batch reaches every column
+// consumer as the batch itself — no pivot, no allocation — while the
+// consumers that need rows, which for a batch with a NULL is all of
+// them, share one pivot's backing rows.
+func TestTeeForwardsUintColumns(t *testing.T) {
+	var uints, nulls ColBatch
+	if !uints.SetFromRows(Batch{{u(1), u(2)}, {u(3), u(4)}}) || !nulls.SetFromRows(Batch{{u(1), sqlval.Null}, {u(3), u(4)}}) {
+		t.Fatal("SetFromRows failed")
+	}
+	sameRows := func(when string, outs ...*teeOut) {
+		t.Helper()
+		for _, o := range outs {
+			if len(o.cols) != 0 || len(o.rows) != 1 || len(o.rows[0]) != 2 {
+				t.Fatalf("%s: an out saw %d column and %d row deliveries, want one batch of 2 rows", when, len(o.cols), len(o.rows))
+			}
+			if &o.rows[0][0][0] != &outs[0].rows[0][0][0] {
+				t.Fatalf("%s: outs received different backing rows: the batch was pivoted twice", when)
+			}
+		}
+	}
+
+	a, b, c := &teeOut{}, &teeOut{}, &teeOut{}
+	tee := &Tee{Outs: []Consumer{a, b, c}}
+	tee.PushCols(&uints)
+	for i, o := range []*teeOut{a, b, c} {
+		if len(o.rows) != 0 || len(o.cols) != 1 || o.cols[0] != &uints {
+			t.Fatalf("all-uint batch: out %d saw %d row deliveries and columns %v, want the batch itself once", i, len(o.rows), o.cols)
+		}
+	}
+	*a, *b, *c = teeOut{}, teeOut{}, teeOut{}
+	tee.PushCols(&nulls)
+	sameRows("batch with a NULL", a, b, c)
+
+	// Two row-only outs beside a column out: one pivot between them.
+	*a, *b, *c = teeOut{}, teeOut{}, teeOut{}
+	(&Tee{Outs: []Consumer{rowOut{a}, b, rowOut{c}}}).PushCols(&uints)
+	if len(b.cols) != 1 || len(b.rows) != 0 {
+		t.Fatalf("the column out beside row-only outs saw %d column and %d row deliveries", len(b.cols), len(b.rows))
+	}
+	sameRows("row-only outs", a, c)
+
+	if !raceEnabled {
+		quiet := &Tee{Outs: []Consumer{Discard{}, Discard{}, Discard{}}}
+		if got := testing.AllocsPerRun(100, func() { quiet.PushCols(&uints) }); got != 0 {
+			t.Errorf("forwarding an all-uint batch: %.1f allocs/op, want 0", got)
+		}
+	}
+}

@@ -75,3 +75,34 @@ func TestColRowInterleave(t *testing.T) {
 	mix.Flush()
 	diffBatches(t, "interleaved push", outRef.Rows, outMix.Rows)
 }
+
+// TestJoinPaneHighWater: the high water is the most entries one pane
+// held when it was dropped, and a join built with it as its size hint
+// stores that many rows a pane without growing a slab or the table.
+func TestJoinPaneHighWater(t *testing.T) {
+	cfg := joinTestConfig(t, gsql.JoinInner, false, Discard{})
+	j := NewJoin(cfg)
+	PushAll(j.LeftIn(), joinEpochBatch(0, 1000, u(7)))
+	PushAll(j.RightIn(), joinEpochBatch(0, 600, u(7)))
+	j.LeftIn().Advance(60) // drops epoch 0
+	j.RightIn().Advance(60)
+	PushAll(j.RightIn(), joinEpochBatch(1, 800, u(7)))
+	j.LeftIn().Flush()
+	j.RightIn().Flush()
+	if hw := j.PaneHighWater(); hw != 1000 {
+		t.Fatalf("pane high water = %d, want 1000", hw)
+	}
+
+	cfg.SizeHint = 1000
+	warm := NewJoin(cfg)
+	PushAll(warm.LeftIn(), joinEpochBatch(0, 1, u(7)))
+	p := warm.left.panes[0]
+	rows, keys, links, slots := cap(p.rows), cap(p.keys), cap(p.links), len(p.slots)
+	if rows < 1000*3 || keys < 1000*2 || links < 1000 || slots*3 < 1000*4 {
+		t.Fatalf("hinted pane holds %d row words, %d key words, %d links, %d slots; want room for 1000 entries", rows, keys, links, slots)
+	}
+	PushAll(warm.LeftIn(), joinEpochBatch(0, 1000, u(7))[1:])
+	if cap(p.rows) != rows || cap(p.keys) != keys || cap(p.links) != links || len(p.slots) != slots {
+		t.Fatal("a hinted pane grew while filling to the hint")
+	}
+}

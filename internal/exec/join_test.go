@@ -2,8 +2,11 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"qap/internal/gsql"
@@ -51,6 +54,32 @@ func joinTestConfig(t *testing.T, jt gsql.JoinType, cross bool, out Consumer) Jo
 		},
 		Out: out,
 	}
+}
+
+// rowLayout strips the key kernels, which is what BatchSize 1 compiles:
+// the join then keeps its state as rows from the start.
+func rowLayout(cfg JoinConfig) JoinConfig {
+	cfg.Left.ColKeys, cfg.Right.ColKeys = nil, nil
+	return cfg
+}
+
+// joinLayout names where the join's stored tuples sit: "words" or
+// "rows" when every one of them is in that layout and the join's own
+// flag agrees, else what disagrees.
+func joinLayout(j *Join) string {
+	rows, words := 0, 0
+	for _, s := range []*joinSide{&j.left, &j.right} {
+		for _, p := range s.panes {
+			rows, words = rows+len(p.entries), words+len(p.links)
+		}
+	}
+	switch {
+	case j.words && rows == 0 && words == j.stored:
+		return "words"
+	case !j.words && words == 0 && rows == j.stored:
+		return "rows"
+	}
+	return fmt.Sprintf("mixed (words=%v: %d row entries, %d word entries, %d stored)", j.words, rows, words, j.stored)
 }
 
 // naiveJoin is the reference the paned join is held to: every stored
@@ -162,34 +191,107 @@ func (n *naiveJoin) flush() {
 // reference with the same seeded random stream — duplicate keys, a
 // residual, tuples below the last boundary, and every push interface
 // interleaved — and requires the same output sequence and the same
-// stored-tuple count after every advance.
+// stored-tuple count after every advance. Each stream runs in the word
+// layout (which it fits: the state must still be words at the end of
+// every epoch, so the case cannot pass on the fallback), in the row
+// layout from the start, and across a migrate in the middle of an epoch.
 func TestJoinPanesMatchNaiveReference(t *testing.T) {
 	types := []gsql.JoinType{gsql.JoinInner, gsql.JoinLeftOuter, gsql.JoinRightOuter, gsql.JoinFullOuter}
 	for _, jt := range types {
 		for _, cross := range []bool{false, true} {
 			for seed := int64(1); seed <= 6; seed++ {
 				name := fmt.Sprintf("type=%v/cross=%v/seed=%d", jt, cross, seed)
-				t.Run(name, func(t *testing.T) { joinVsNaive(t, jt, cross, seed) })
+				t.Run(name, func(t *testing.T) {
+					for _, layout := range []string{"words", "rows", "migrate"} {
+						t.Run("layout="+layout, func(t *testing.T) { joinVsNaive(t, jt, cross, seed, layout) })
+					}
+				})
 			}
 		}
 	}
 }
 
-func joinVsNaive(t *testing.T, jt gsql.JoinType, cross bool, seed int64) {
+func joinVsNaive(t *testing.T, jt gsql.JoinType, cross bool, seed int64, layout string) {
 	rng := rand.New(rand.NewSource(seed))
 	sink := &Collector{}
-	j := NewJoin(joinTestConfig(t, jt, cross, sink))
+	cfg := joinTestConfig(t, jt, cross, sink)
+	if layout == "rows" {
+		cfg = rowLayout(cfg)
+	}
+	j := NewJoin(cfg)
 	ref := &naiveJoin{cfg: joinTestConfig(t, jt, cross, Discard{})}
 	var cb ColBatch
+	wantLayout := "words"
+	if layout == "rows" {
+		wantLayout = "rows"
+	}
 	check := func(when string) {
 		t.Helper()
 		diffBatches(t, when, ref.out, sink.Rows)
 		if want := len(ref.rows[0]) + len(ref.rows[1]); j.StoredTuples() != want {
 			t.Fatalf("%s: StoredTuples = %d, reference holds %d", when, j.StoredTuples(), want)
 		}
+		if got := joinLayout(j); got != wantLayout {
+			t.Fatalf("%s: state is in %s, want %s", when, got, wantLayout)
+		}
+	}
+	ports := map[bool]*joinPort{true: j.LeftIn().(*joinPort), false: j.RightIn().(*joinPort)}
+	both := func(b Batch) {
+		for _, left := range []bool{true, false} {
+			for _, tp := range b {
+				ref.push(tp, left)
+			}
+			ports[left].PushBatch(b)
+		}
+	}
+	// The migrate layout leaves the word layout once, at a step drawn
+	// from its own generator so that all three layouts see one stream.
+	migrateAt := -1
+	if layout == "migrate" {
+		migrateAt = 30 + rand.New(rand.NewSource(seed+1000)).Intn(40)
 	}
 	epoch, late := uint64(0), 0
 	for step := 0; step < 120; step++ {
+		if migrateAt >= 0 && step >= migrateAt && epoch >= 2 {
+			migrateAt = -1
+			// Uint(5) entries in both of the epochs that can still match
+			// (the cross shape pairs tb with tb+1), stored as words.
+			seeds := Batch{{u(epoch - 1), u(5), u(1)}, {u(epoch), u(5), u(1)}}
+			both(seeds)
+			check(fmt.Sprintf("step %d before migrate", step))
+			// A column batch with a NULL cannot be held as words.
+			if !cb.SetFromRows(Batch{{u(epoch), u(uint64(rng.Intn(5))), sqlval.Null}, {u(epoch), u(5), u(2)}}) {
+				t.Fatal("SetFromRows failed")
+			}
+			for _, tp := range cb.AppendRows(nil) {
+				ref.push(tp, false)
+			}
+			ports[false].PushCols(&cb)
+			wantLayout = "rows"
+			check(fmt.Sprintf("step %d migrated", step))
+			// Int and Float keys equal to the stored Uint(5) must find it
+			// from either side (the residual is left v <= right v).
+			for _, five := range []sqlval.Value{sqlval.Int(5), sqlval.Float(5.0)} {
+				before := len(ref.out)
+				for _, left := range []bool{true, false} {
+					v := u(30)
+					if left {
+						v = u(0)
+					}
+					probes := Batch{{u(epoch - 1), five, v}, {u(epoch), five, v}}
+					for _, tp := range probes {
+						ref.push(tp, left)
+					}
+					ports[left].PushBatch(probes)
+				}
+				if len(ref.out) == before {
+					t.Fatalf("step %d: %v probes matched no stored Uint(5) row", step, five)
+				}
+			}
+			both(Batch{{u(epoch - 2), u(5), u(9)}}) // below the last boundary
+			late++
+			check(fmt.Sprintf("step %d after migrate", step))
+		}
 		chunk := make(Batch, 1+rng.Intn(24))
 		for i := range chunk {
 			tb := epoch
@@ -205,10 +307,7 @@ func joinVsNaive(t *testing.T, jt gsql.JoinType, cross bool, seed int64) {
 			for _, tp := range chunk {
 				ref.push(tp, left)
 			}
-			port := j.RightIn().(*joinPort)
-			if left {
-				port = j.LeftIn().(*joinPort)
-			}
+			port := ports[left]
 			switch rng.Intn(3) {
 			case 0:
 				for _, tp := range chunk {
@@ -240,23 +339,90 @@ func joinVsNaive(t *testing.T, jt gsql.JoinType, cross bool, seed int64) {
 	if !sink.Flushed {
 		t.Error("flush did not reach the consumer")
 	}
-	if late == 0 || emitted == 0 || epoch < 3 {
-		t.Fatalf("weak stream: %d late tuples, %d rows before flush, %d epochs", late, emitted, epoch)
+	if late == 0 || emitted == 0 || epoch < 3 || migrateAt >= 0 {
+		t.Fatalf("weak stream: %d late tuples, %d rows before flush, %d epochs, migrate pending %v", late, emitted, epoch, migrateAt >= 0)
+	}
+}
+
+// TestJoinMisshapenBatchTakesRowPath: the word layout's stride is the
+// side's width, so a column batch of any other width must not reach the
+// slabs. It gets what it got before the word layout existed: the row
+// path, which reads the columns its closures name.
+func TestJoinMisshapenBatchTakesRowPath(t *testing.T) {
+	sink := &Collector{}
+	j := NewJoin(joinTestConfig(t, gsql.JoinInner, false, sink))
+	PushAll(j.LeftIn(), Batch{{u(1), u(5), u(1)}})
+	if got := joinLayout(j); got != "words" {
+		t.Fatalf("state is in %s before the wide batch, want words", got)
+	}
+	var cb ColBatch
+	if !cb.SetFromRows(Batch{{u(1), u(5), u(2), u(99)}, {u(1), u(6), u(2), u(99)}}) {
+		t.Fatal("SetFromRows failed")
+	}
+	j.RightIn().(*joinPort).PushCols(&cb)
+	if got := joinLayout(j); got != "rows" || j.StoredTuples() != 3 {
+		t.Fatalf("after the wide batch: state in %s, %d stored; want rows, 3", got, j.StoredTuples())
+	}
+	if len(sink.Rows) != 1 {
+		t.Fatalf("the wide batch's k=5 row joined %d times, want 1", len(sink.Rows))
+	}
+}
+
+// TestKeyWordOrderMatchesEncodingOrder: outer-join padding sorts word
+// panes by key words and row panes by key encodings, and the two orders
+// must be one. A uint encodes as tag 2 up to 1<<63-1 and tag 4 above,
+// then big-endian, so the boundary is the case that could break it.
+func TestKeyWordOrderMatchesEncodingOrder(t *testing.T) {
+	edge := []uint64{0, 1, 255, 256, 1<<32 - 1, 1 << 32, 1<<63 - 1, 1 << 63, 1<<63 + 1, math.MaxUint64}
+	rng := rand.New(rand.NewSource(1))
+	word := func() uint64 {
+		if rng.Intn(2) == 0 {
+			return edge[rng.Intn(len(edge))]
+		}
+		return rng.Uint64() >> uint(rng.Intn(64))
+	}
+	enc := func(ws []uint64) string {
+		vals := make([]sqlval.Value, len(ws))
+		for i, w := range ws {
+			vals[i] = u(w)
+		}
+		return Key(vals)
+	}
+	for n := 0; n < 20000; n++ {
+		a, b := []uint64{word(), word()}, []uint64{word(), word()}
+		if rng.Intn(3) == 0 {
+			b[0] = a[0] // decide on the second word
+		}
+		if got, want := slices.Compare(a, b), strings.Compare(enc(a), enc(b)); got != want {
+			t.Fatalf("words %x vs %x compare %d, their encodings %d", a, b, got, want)
+		}
 	}
 }
 
 // TestOuterJoinPaddingDuplicateKeysDeterministic pads 128 unmatched
-// left rows, 16 per key: equal keys must come out in arrival order, and
-// 50 fresh joins must produce the same bytes.
+// left rows, 16 per key, one key above 1<<63-1: equal keys must come out
+// in arrival order, 50 fresh joins must produce the same bytes, and the
+// word layout the same bytes as the row layout.
 func TestOuterJoinPaddingDuplicateKeysDeterministic(t *testing.T) {
-	run := func() string {
+	run := func(layout string) string {
 		sink := &Collector{}
-		j := buildPairsJoin(gsql.JoinLeftOuter, sink)
+		cfg := joinTestConfig(t, gsql.JoinLeftOuter, false, sink)
+		if layout == "rows" {
+			cfg = rowLayout(cfg)
+		}
+		j := NewJoin(cfg)
 		var b Batch
 		for i := uint64(0); i < 128; i++ {
-			b = append(b, Tuple{u(1), u(i % 8), u(i)}) // (tb, srcIP, cnt): cnt is the arrival order
+			k := i % 8
+			if k == 3 {
+				k = 1<<63 + 3 // sorts last in both layouts
+			}
+			b = append(b, Tuple{u(1), u(k), u(i)}) // (tb, k, v): v is the arrival order
 		}
 		PushAll(j.LeftIn(), b)
+		if got := joinLayout(j); got != layout {
+			t.Fatalf("state is in %s, want %s", got, layout)
+		}
 		j.LeftIn().Flush()
 		j.RightIn().Flush()
 		if len(sink.Rows) != 128 {
@@ -270,10 +436,11 @@ func TestOuterJoinPaddingDuplicateKeysDeterministic(t *testing.T) {
 		}
 		return fmt.Sprint(sink.Rows)
 	}
-	want := run()
+	want := run("rows")
 	for i := 1; i < 50; i++ {
-		if got := run(); got != want {
-			t.Fatalf("run %d differs from run 0", i)
+		layout := []string{"rows", "words"}[i%2]
+		if got := run(layout); got != want {
+			t.Fatalf("run %d (%s layout) differs from run 0 (row layout)", i, layout)
 		}
 	}
 }

@@ -920,12 +920,15 @@ type JoinSideConfig struct {
 	// Keys compute the composite equi-join key from a side tuple; the
 	// two sides' key lists are index-aligned.
 	Keys []EvalFunc
-	// ColKeys are the column-compiled forms of Keys; when set and
-	// their kernels apply, PushCols evaluates the side's keys
-	// vectorized before probing (colops.go). Optional.
+	// ColKeys are the column-compiled forms of Keys. When both sides
+	// have a uint kernel for every key, the join keeps its state in the
+	// word layout (joinPane) and all-uint input builds and probes from
+	// the kernels' key vectors (colops.go); without them, and for good
+	// after the first input the word layout cannot hold, state is rows
+	// and Keys evaluate per tuple. Optional.
 	ColKeys []ColExpr
-	// Width is the side's column count, needed for outer-join NULL
-	// padding.
+	// Width is the side's column count: the NULL padding of outer joins
+	// and the row stride of the word layout.
 	Width int
 	// MinFutureKey gives, for a base-time watermark, the smallest
 	// temporal key value any *future* tuple of this side can produce;
@@ -946,11 +949,17 @@ type JoinConfig struct {
 	// Projs compute the output tuple over left++right columns.
 	Projs []EvalFunc
 	Out   Consumer
+	// SizeHint pre-sizes a fresh word-layout pane to an expected entry
+	// count, typically a previous run's PaneHighWater (the cluster
+	// runner threads these across Deployment.Run calls, like
+	// AggregateConfig.SizeHint). Purely a warm-start: no output depends
+	// on it.
+	SizeHint int
 }
 
-// joinEntry is one stored tuple. Same-key entries of a pane chain
-// through next in insertion order; a chain's head also holds the
-// chain's tail, so an append never walks it.
+// joinEntry is one stored tuple of the row layout. Same-key entries of
+// a pane chain through next in insertion order; a chain's head also
+// holds the chain's tail, so an append never walks it.
 type joinEntry struct {
 	key     string
 	tuple   Tuple
@@ -959,18 +968,66 @@ type joinEntry struct {
 	matched bool
 }
 
-// joinPane is one side's state for one temporal-key value: a hash
-// table from encoded key to chain head over an insertion-ordered entry
-// slab. Expiry drops the pane whole.
+// wordLink is a word-layout entry's chain state: joinEntry without the
+// tuple and the key, which live in the pane's word slabs.
+type wordLink struct {
+	next    int32
+	tail    int32
+	matched bool
+}
+
+// joinSlot is one slot of a word pane's open-addressed table: a key's
+// hash and its chain head, whose key words are the key. A slot is live
+// iff gen matches the pane's, so dropping the pane retires the whole
+// table in O(1), like the aggregate's colSlot.
+type joinSlot struct {
+	h    uint64
+	head int32
+	gen  uint32
+}
+
+const joinSlotsMin = 256
+
+// joinPane is one side's state for one temporal-key value, in one of
+// two layouts over the same insertion-ordered, index-chained entries.
+// Row layout: a map from encoded key to chain head over a slab of
+// joinEntry. Word layout, for all-uint input (Join.words): entry i is
+// Width row words at rows[i*Width], one word per key at keys[i*nk] and
+// links[i], behind the slot table — no pointer anywhere, so the
+// collector never scans it. A join's panes all share one layout.
+// Expiry drops the pane whole.
 type joinPane struct {
-	tkey    sqlval.Value
+	tkey sqlval.Value
+
 	heads   map[string]int32
 	entries []joinEntry
+
+	rows, keys []uint64
+	links      []wordLink
+	slots      []joinSlot
+	gen        uint32
+	nkeys      int // live slots
+}
+
+func (p *joinPane) size() int { return len(p.entries) + len(p.links) }
+
+// reset empties the pane for the free list, keeping the map, the slabs
+// and the table for the next epoch.
+func (p *joinPane) reset() {
+	clear(p.entries)
+	p.entries = p.entries[:0]
+	clear(p.heads)
+	p.rows, p.keys, p.links, p.nkeys = p.rows[:0], p.keys[:0], p.links[:0], 0
+	p.gen++
+	if p.gen == 0 { // wrapped onto the zero value of untouched slots
+		clear(p.slots)
+		p.gen = 1
+	}
 }
 
 // joinSide is one input's panes in ascending tkey order — normally one
 // or two are live. last is the pane the previous lookup resolved; free
-// holds dropped panes, whose map and slab the next epoch reuses.
+// holds dropped panes, whose index and slabs the next epoch reuses.
 type joinSide struct {
 	panes []*joinPane
 	last  *joinPane
@@ -997,7 +1054,7 @@ func (s *joinSide) pane(tkey sqlval.Value, open bool) *joinPane {
 		if n := len(s.free); n > 0 {
 			p, s.free = s.free[n-1], s.free[:n-1]
 		} else {
-			p = &joinPane{heads: make(map[string]int32)} //qap:allow hotalloc -- once per concurrently live pane, then recycled
+			p = &joinPane{gen: 1} //qap:allow hotalloc -- once per concurrently live pane, then recycled
 		}
 		p.tkey = tkey
 		s.panes = slices.Insert(s.panes, i, p)
@@ -1014,6 +1071,7 @@ type Join struct {
 	cfg         JoinConfig
 	left, right joinSide
 	stored      int
+	hiPane      int
 	leftPort    joinPort
 	rightPort   joinPort
 	lastWM      uint64
@@ -1021,11 +1079,17 @@ type Join struct {
 	flushCount  int
 	flushed     bool
 
-	// Scratch reused per tuple: key values, key encoding, and the
-	// combined probe row, which Residual and Projs only read. nulls is
-	// the wider side's worth of NULLs for outer-join padding.
+	// words is set while every pane is in the word layout: from NewJoin
+	// when both sides' key kernels compiled, until the first input that
+	// is not an all-uint batch of its side's width (migrate, colops.go).
+	words bool
+
+	// Row-layout scratch reused per tuple: key values and key encoding.
 	valsBuf []sqlval.Value
 	keyBuf  []byte
+	// combBuf is the combined left++right row Residual and Projs read,
+	// rebuilt per candidate pair or padded row; nulls is the wider
+	// side's worth of NULLs for outer-join padding.
 	combBuf Tuple
 	nulls   Tuple
 	// Output rows are projected into outVals, a chunked slab they keep
@@ -1035,13 +1099,24 @@ type Join struct {
 	outBuf  Batch
 	// padIdx collects a dropped pane's unmatched entries.
 	padIdx []int32
-	// Columnar-path scratch (colops.go): per-batch key vectors.
+	// Word-layout scratch (colops.go): the batch's key vectors, the
+	// column batch row input is pivoted into, and a padded entry's row
+	// as values.
 	colKeyVecs [][]uint64
+	rowCols    ColBatch
+	wordRow    Tuple
 }
 
 // NewJoin builds the operator.
 func NewJoin(cfg JoinConfig) *Join {
-	j := &Join{cfg: cfg, nulls: make(Tuple, max(cfg.Left.Width, cfg.Right.Width))}
+	lw, rw := cfg.Left.Width, cfg.Right.Width
+	j := &Join{
+		cfg:     cfg,
+		words:   cfg.Left.colKeysReady() && cfg.Right.colKeysReady(),
+		combBuf: make(Tuple, 0, lw+rw),
+		nulls:   make(Tuple, max(lw, rw)),
+		wordRow: make(Tuple, max(lw, rw)),
+	}
 	j.leftPort = joinPort{j: j, left: true}
 	j.rightPort = joinPort{j: j}
 	return j
@@ -1061,7 +1136,7 @@ type joinPort struct {
 // Push emits the tuple's joined rows inline, one Out.Push each.
 func (p *joinPort) Push(t Tuple) {
 	j := p.j
-	j.pushRow(t, p.left)
+	j.pushRows(Batch{t}, p.left)
 	for _, row := range j.outBuf {
 		j.cfg.Out.Push(row)
 	}
@@ -1076,46 +1151,52 @@ func (p *joinPort) Flush()            { p.j.portFlush() }
 //
 //qap:hot
 func (p *joinPort) PushBatch(b Batch) {
-	for _, t := range b {
-		p.j.pushRow(t, p.left)
-	}
+	p.j.pushRows(b, p.left)
 	p.j.deliver()
 }
 
-// pushRow evaluates the side's keys into reused scratch and runs the
-// build/probe.
+// pushRows stores a run of row tuples. A word-layout join pivots it
+// into its scratch column batch and takes the column path; rows that
+// batch cannot hold — a NULL or a non-uint value anywhere, a width
+// other than the side's — migrate the join to the row layout first.
+//
+//qap:hot
+func (j *Join) pushRows(b Batch, left bool) {
+	if j.words && len(b) > 0 {
+		if j.rowCols.SetFromRows(b) && j.pushWords(&j.rowCols, left) {
+			return
+		}
+		j.migrate()
+	}
+	for _, t := range b {
+		j.pushRow(t, left)
+	}
+}
+
+// pushRow is the row layout's build/probe: the side's keys evaluate
+// into reused scratch, both tables are probed with string(keyBuf) (no
+// copy), and the key string is materialized only when neither side's
+// pane already interns it. Joined rows are buffered in outBuf for the
+// caller to deliver.
 //
 //qap:hot
 func (j *Join) pushRow(t Tuple, left bool) {
-	side := &j.cfg.Left
+	side, mine, other := &j.cfg.Left, &j.left, &j.right
 	if !left {
-		side = &j.cfg.Right
+		side, mine, other = &j.cfg.Right, &j.right, &j.left
 	}
 	vals := j.valsBuf[:0]
 	for _, k := range side.Keys {
 		vals = append(vals, k(t))
 	}
 	j.valsBuf = vals
-	j.probeInsert(t, left, vals)
-}
-
-// probeInsert is the one build/probe body, taking the already-evaluated
-// key values (caller-owned scratch; read only during the call): the
-// columnar path (colops.go) enters here with kernel-evaluated keys.
-// Both tables are probed with string(keyBuf) (no copy); the key string
-// is materialized only when neither side's pane already interns it.
-// Joined rows are buffered in outBuf for the caller to deliver.
-//
-//qap:hot
-func (j *Join) probeInsert(t Tuple, left bool, vals []sqlval.Value) {
-	side, mine, other := &j.cfg.Left, &j.left, &j.right
-	if !left {
-		side, mine, other = &j.cfg.Right, &j.right, &j.left
-	}
 	kb := AppendKey(j.keyBuf[:0], vals)
 	j.keyBuf = kb
 	tkey := vals[side.TemporalIdx]
 	mp := mine.pane(tkey, true)
+	if mp.heads == nil {
+		mp.heads = make(map[string]int32) //qap:allow hotalloc -- once per concurrently live pane, then recycled
+	}
 	idx := int32(len(mp.entries))
 	e := joinEntry{tuple: t, next: -1, tail: idx}
 	head, chained := mp.heads[string(kb)]
@@ -1177,9 +1258,11 @@ func (j *Join) emit(comb Tuple) {
 	j.outBuf = append(j.outBuf, Tuple(j.outVals[start:len(j.outVals):len(j.outVals)]))
 }
 
-// deliver hands the buffered rows downstream as one batch. They stay
-// rows: pivoting them for a columnar consumer (the route Aggregate's
-// ColEmit takes) measured no gain on the Section 6.2 set.
+// deliver hands the buffered rows downstream as one batch. Whichever
+// layout stored the inputs, output is rows: the projections are row
+// closures (S2.time - S1.time has no uint kernel), and pivoting the
+// result for a columnar consumer (the route Aggregate's ColEmit takes)
+// measured no gain on the Section 6.2 set.
 func (j *Join) deliver() {
 	PushAll(j.cfg.Out, j.outBuf)
 	j.outBuf = j.outBuf[:0]
@@ -1219,7 +1302,7 @@ func (j *Join) portFlush() {
 // expire drops the side's panes below boundary (all when nil), oldest
 // first. Panes are tkey-ordered, so a watermark that expires nothing
 // costs one compare; a dropped pane's entries are walked only to pad
-// unmatched rows, and its map and slab go to the free list.
+// unmatched rows, and its index and slabs go to the free list.
 //
 //qap:hot
 func (j *Join) expire(s *joinSide, boundary *sqlval.Value, left bool) {
@@ -1232,10 +1315,9 @@ func (j *Join) expire(s *joinSide, boundary *sqlval.Value, left bool) {
 		if j.padsSide(left) {
 			j.padUnmatched(p, left)
 		}
-		j.stored -= len(p.entries)
-		clear(p.entries)
-		p.entries = p.entries[:0]
-		clear(p.heads)
+		j.hiPane = max(j.hiPane, p.size())
+		j.stored -= p.size()
+		p.reset()
 		s.free = append(s.free, p)
 	}
 	if n > 0 {
@@ -1245,19 +1327,39 @@ func (j *Join) expire(s *joinSide, boundary *sqlval.Value, left bool) {
 }
 
 // padUnmatched buffers the outer-join padding of a pane's never-matched
-// entries in key order, insertion order breaking ties.
+// entries in key order, insertion order breaking ties. Key words
+// compare like their encodings: a uint encodes as a tag (2 up to
+// 1<<63-1, 4 above) and its big-endian bytes, nine bytes either way.
 func (j *Join) padUnmatched(p *joinPane, left bool) {
 	un := j.padIdx[:0]
-	for i := range p.entries {
-		if !p.entries[i].matched {
-			un = append(un, int32(i))
+	if j.words {
+		w, nk := j.cfg.Right.Width, len(j.cfg.Right.Keys)
+		if left {
+			w, nk = j.cfg.Left.Width, len(j.cfg.Left.Keys)
 		}
-	}
-	slices.SortStableFunc(un, func(a, b int32) int {
-		return strings.Compare(p.entries[a].key, p.entries[b].key)
-	})
-	for _, i := range un {
-		j.emit(j.pad(p.entries[i].tuple, left))
+		for i := range p.links {
+			if !p.links[i].matched {
+				un = append(un, int32(i))
+			}
+		}
+		slices.SortStableFunc(un, func(a, b int32) int {
+			return slices.Compare(p.keys[int(a)*nk:int(a+1)*nk], p.keys[int(b)*nk:int(b+1)*nk])
+		})
+		for _, i := range un {
+			j.emit(j.pad(uintRow(j.wordRow[:w], p.rows[int(i)*w:]), left))
+		}
+	} else {
+		for i := range p.entries {
+			if !p.entries[i].matched {
+				un = append(un, int32(i))
+			}
+		}
+		slices.SortStableFunc(un, func(a, b int32) int {
+			return strings.Compare(p.entries[a].key, p.entries[b].key)
+		})
+		for _, i := range un {
+			j.emit(j.pad(p.entries[i].tuple, left))
+		}
 	}
 	j.padIdx = un
 }
@@ -1281,3 +1383,9 @@ func (j *Join) pad(t Tuple, left bool) Tuple {
 // StoredTuples reports the number of buffered tuples, for memory
 // accounting and eviction tests.
 func (j *Join) StoredTuples() int { return j.stored }
+
+// PaneHighWater reports the most entries one pane has held, the natural
+// JoinConfig.SizeHint for a later run of the same plan. A pane peaks
+// just before it is dropped, so expire samples it there; Flush drops
+// every pane.
+func (j *Join) PaneHighWater() int { return j.hiPane }
