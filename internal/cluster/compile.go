@@ -723,22 +723,39 @@ func (r *Runner) buildAggregate(op *optimizer.Op, out exec.Consumer) (*exec.Aggr
 	for _, a := range n.Aggs {
 		rowNames = append(rowNames, a.Name)
 	}
-	rowRes := exec.ColsResolver("", rowNames)
-	if n.Having != nil {
-		f, err := exec.Compile(n.Having, rowRes, r.params)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Having = f
-	}
-	for _, p := range n.Post {
-		f, err := exec.Compile(p.Expr, rowRes, r.params)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Post = append(cfg.Post, f)
+	if err := r.compileEmit(&cfg, n, nil, exec.ColsResolver("", rowNames)); err != nil {
+		return nil, err
 	}
 	return exec.NewAggregate(cfg), nil
+}
+
+// compileEmit compiles an aggregate's HAVING and final projection over
+// its groups++aggs row: the row closures and — batched — the column
+// kernels a dense aggregate filters and projects an emitted epoch with.
+// split rewrites references to moment aggregates into their
+// reconstruction from the partial columns (nil: there are none).
+func (r *Runner) compileEmit(cfg *exec.AggregateConfig, n *plan.Node, split map[string]gsql.AggSpec, rowRes exec.Resolver) error {
+	if n.Having != nil {
+		ce, err := exec.CompileCol(rewriteSplitRefs(n.Having, split), rowRes, r.params)
+		if err != nil {
+			return err
+		}
+		cfg.Having = ce.Row
+		if r.batched() {
+			cfg.ColHaving = &ce
+		}
+	}
+	for _, p := range n.Post {
+		ce, err := exec.CompileCol(rewriteSplitRefs(p.Expr, split), rowRes, r.params)
+		if err != nil {
+			return err
+		}
+		cfg.Post = append(cfg.Post, ce.Row)
+		if r.batched() {
+			cfg.ColPost = append(cfg.ColPost, ce)
+		}
+	}
+	return nil
 }
 
 // buildSuperAggregate assembles the central half of a partial
@@ -818,20 +835,8 @@ func (r *Runner) buildSuperAggregate(n *plan.Node, cfg exec.AggregateConfig) (*e
 		rowNames = append(rowNames, a.Name)
 	}
 
-	rowRes := exec.ColsResolver("", rowNames)
-	if n.Having != nil {
-		f, err := exec.Compile(rewriteSplitRefs(n.Having, split), rowRes, r.params)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Having = f
-	}
-	for _, p := range n.Post {
-		f, err := exec.Compile(rewriteSplitRefs(p.Expr, split), rowRes, r.params)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Post = append(cfg.Post, f)
+	if err := r.compileEmit(&cfg, n, split, exec.ColsResolver("", rowNames)); err != nil {
+		return nil, err
 	}
 	return exec.NewAggregate(cfg), nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"qap/internal/gsql"
@@ -27,6 +28,11 @@ const (
 	// the generation-tagged slot table and accumulators update in
 	// place, so per-tuple allocations round to zero.
 	allocBudgetAggregateColsPerTupleSteady = 0.02
+	// Bytes a warm dense aggregate allocates per retired group when a
+	// HAVING keeps 1% of a 50 k-group epoch: the emit columns and kernel
+	// scratch are reused, and only kept rows ever become values (sized
+	// for every retired group, as before, this is 256).
+	allocBudgetAggregateEmitBytesPerGroup = 16
 	// The column-batch wire codec moves payload words between a
 	// caller-sized buffer and a warm batch: neither direction allocates.
 	// (The row codec it replaces on the live feed path decodes every
@@ -192,5 +198,44 @@ func TestAllocsAggregatePushColsSteadyState(t *testing.T) {
 	}
 	if agg.GroupCount() == 0 {
 		t.Fatal("no groups formed")
+	}
+}
+
+// TestAllocsAggregateEmitSelectiveHaving: retiring an epoch costs what
+// HAVING keeps, not what the epoch held — on the kernel emit and on the
+// row branch a nil kernel falls back to (the form the benchmark's
+// aggregate probe builds) alike.
+func TestAllocsAggregateEmitSelectiveHaving(t *testing.T) {
+	skipIfRace(t)
+	const groups = 50000
+	rows := make(Batch, groups)
+	for kernel := 0; kernel < 2; kernel++ {
+		var calls, kept int
+		// cnt is 1 for every group and bytes is the row's len: 1% pass.
+		agg := denseTestAgg(t, Discard{}, "bytes = 7", nil, kernel == 1, func(_ uint64, _, r int) { calls, kept = calls+1, r })
+		var cb ColBatch
+		epoch := func(e uint64) uint64 {
+			for i := range rows {
+				rows[i] = Tuple{u(e), u(uint64(i)), u(1), u(2), u(uint64(i % 100))}
+			}
+			if !cb.SetFromRows(rows) {
+				t.Fatal("SetFromRows failed")
+			}
+			agg.PushCols(&cb)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			agg.Advance(16 * (e + 1))
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		epoch(0) // warm: tables, dense arrays, emit columns, kernel scratch
+		got := float64(epoch(1)) / groups
+		if calls != 2 || kept != groups/100 || (agg.kernelEmits > 0) != (kernel == 1) {
+			t.Fatalf("kernel %d: %d emissions, %d rows kept, %d kernel emits", kernel, calls, kept, agg.kernelEmits)
+		}
+		if got > allocBudgetAggregateEmitBytesPerGroup {
+			t.Errorf("kernel %d: emit allocates %.1f B/group, budget %d", kernel, got, allocBudgetAggregateEmitBytesPerGroup)
+		}
+		t.Logf("kernel %d: emit allocates %.2f B/group", kernel, got)
 	}
 }

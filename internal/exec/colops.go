@@ -7,6 +7,8 @@ package exec
 // fall back to the row path whenever a kernel does not apply.
 
 import (
+	"slices"
+
 	"qap/internal/sqlval"
 )
 
@@ -28,13 +30,43 @@ func (o *FilterProject) PushCols(cb *ColBatch) {
 		PushColsAll(o.Out, cb)
 		return
 	}
-	fast := cb.AllUint() &&
-		(o.Filter == nil || (o.ColFilter != nil && o.ColFilter.Truth != nil)) &&
-		(o.Projs == nil || o.colProjsReady())
-	if !fast {
+	if !cb.AllUint() || !o.colReady() {
 		pushColsRows(o, cb)
 		return
 	}
+	if work := o.colApply(cb); work != nil {
+		PushColsAll(o.Out, work)
+	}
+}
+
+// colReady reports whether the filter and every projection have the
+// kernel colApply runs.
+func (o *FilterProject) colReady() bool {
+	if o.Filter != nil && (o.ColFilter == nil || o.ColFilter.Truth == nil) {
+		return false
+	}
+	if o.Projs == nil {
+		return true
+	}
+	if len(o.ColProjs) != len(o.Projs) {
+		return false
+	}
+	for i := range o.ColProjs {
+		if o.ColProjs[i].U == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// colApply filters, compacts and projects an all-uint batch with the
+// kernels, in that order: the batch to forward — cb itself, or scratch
+// valid until the next call — or nil when no row passes, which like the
+// scalar path makes no downstream call. The aggregate's column emit
+// runs HAVING and its projection through the same code.
+//
+//qap:hot
+func (o *FilterProject) colApply(cb *ColBatch) *ColBatch {
 	work := cb
 	if o.Filter != nil {
 		tv := o.ColFilter.Truth(cb)
@@ -45,7 +77,7 @@ func (o *FilterProject) PushCols(cb *ColBatch) {
 			}
 		}
 		if keep == 0 {
-			return // like the scalar path: no downstream call
+			return nil
 		}
 		if keep < cb.Len {
 			o.colCompact(cb, tv, keep)
@@ -56,19 +88,7 @@ func (o *FilterProject) PushCols(cb *ColBatch) {
 		o.colProject(work)
 		work = &o.colOut
 	}
-	PushColsAll(o.Out, work)
-}
-
-func (o *FilterProject) colProjsReady() bool {
-	if len(o.ColProjs) != len(o.Projs) {
-		return false
-	}
-	for i := range o.ColProjs {
-		if o.ColProjs[i].U == nil {
-			return false
-		}
-	}
-	return true
+	return work
 }
 
 // colCompact copies the selected rows of every (all-uint) column into
@@ -123,23 +143,35 @@ func (o *FilterProject) colProject(in *ColBatch) {
 // PushCols implements ColConsumer: a union port forwards unchanged.
 func (p *unionPort) PushCols(cb *ColBatch) { PushColsAll(p.u.Out, cb) }
 
-// colSlot is one entry of the aggregate's columnar group table: the
-// word hash, the raw key words (carved from colWords), and the group
-// it resolves to — either a row-path groupState (gs) or, in dense
-// mode, index gi-1 into the dense arrays (gi 0 means "not dense").
-// A slot is live iff gen matches the aggregate's current colGen;
-// bumping colGen retires every slot at once, so an epoch reset costs
-// O(1) instead of a table-wide clear. gen packs into what would be
-// gi's padding, so the tag is free.
-type colSlot struct {
-	h     uint64
-	words []uint64
-	gs    *groupState
-	gi    int32
-	gen   uint32
+// wordSlot is one slot of a wordTable: a key's hash and the entry its
+// owner filed it under. A slot is live iff gen matches the table's.
+// Sixteen bytes and no pointer: four slots to a cache line, and the
+// collector never scans a table.
+type wordSlot struct {
+	h   uint64
+	ref int32
+	gen uint32
 }
 
-const colTableMin = 1024
+// wordTable is the open-addressed index behind every word-keyed store:
+// the dense aggregate's groups, the generic columnar aggregate's group
+// cache and each word-layout join pane. It stores no key. The owner
+// keeps entry ref's nk key words at keys[ref*nk:] of a flat slab it
+// appends to in step with the inserts, and passes that slab to find.
+// reset retires every slot at once by bumping gen, so closing an epoch
+// or dropping a pane costs O(1) instead of a table-wide clear.
+type wordTable struct {
+	slots []wordSlot
+	gen   uint32
+	n     int // live slots
+}
+
+// colTableMin and joinSlotsMin are the slot counts an unhinted
+// aggregate and join pane start from.
+const (
+	colTableMin  = 1024
+	joinSlotsMin = 256
+)
 
 // tableSize is the slot count for an open-addressed table expected to
 // hold n keys: the power-of-two multiple of min that keeps n under the
@@ -149,6 +181,76 @@ func tableSize(min, n int) int {
 		min *= 2
 	}
 	return min
+}
+
+// init allocates the table for an expected n keys.
+func (t *wordTable) init(min, n int) {
+	t.slots, t.gen, t.n = make([]wordSlot, tableSize(min, n)), 1, 0
+}
+
+// find probes for row i's key words: the ref filed under them, or -1
+// and the free slot the probe ended on, which insert takes.
+//
+//qap:hot
+func (t *wordTable) find(h uint64, keys []uint64, kvs [][]uint64, i int) (int32, uint64) {
+	nk := len(kvs)
+	mask := uint64(len(t.slots) - 1)
+	at := h & mask
+	for {
+		s := &t.slots[at]
+		if s.gen != t.gen {
+			return -1, at
+		}
+		if k := int(s.ref) * nk; s.h == h && keyWordsEqual(keys[k:k+nk], kvs, i) {
+			return s.ref, at
+		}
+		at = (at + 1) & mask
+	}
+}
+
+// free is the probe for a key known to be absent: the first free slot
+// on h's path.
+//
+//qap:hot
+func (t *wordTable) free(h uint64) uint64 {
+	mask := uint64(len(t.slots) - 1)
+	at := h & mask
+	for t.slots[at].gen == t.gen {
+		at = (at + 1) & mask
+	}
+	return at
+}
+
+// insert files ref under h at the free slot a probe ended on, doubling
+// the table at 75% load: live slots rehash by their stored hash, refs
+// and key slabs are untouched.
+//
+//qap:hot
+func (t *wordTable) insert(at, h uint64, ref int32) {
+	t.slots[at] = wordSlot{h: h, ref: ref, gen: t.gen}
+	t.n++
+	if t.n*4 < len(t.slots)*3 {
+		return
+	}
+	old := t.slots
+	//qap:allow hotalloc -- amortised doubling, kept across epochs
+	t.slots = make([]wordSlot, len(old)*2)
+	for i := range old {
+		if s := &old[i]; s.gen == t.gen {
+			t.slots[t.free(s.h)] = *s
+		}
+	}
+}
+
+// reset retires every slot. On the (unreachable in practice) wraparound
+// to 0 — the zero value of untouched slots — it clears physically.
+func (t *wordTable) reset() {
+	t.n = 0
+	t.gen++
+	if t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
 }
 
 // colSupported reports whether every kernel the vectorized aggregate
@@ -219,11 +321,9 @@ func (o *Aggregate) PushCols(cb *ColBatch) {
 	if o.colDirty {
 		o.colResetTable()
 	}
-	if len(o.colTable) == 0 {
+	if o.colTab.slots == nil {
 		// A SizeHint warm-starts the table past the doubling chain.
-		//qap:allow hotalloc -- slot table built once, then reused across epochs
-		o.colTable = make([]colSlot, tableSize(colTableMin, o.cfg.SizeHint))
-		o.colGen = 1
+		o.colTab.init(colTableMin, o.cfg.SizeHint)
 	}
 	lateCheck := o.boundarySet && o.cfg.EpochIdx >= 0
 	var epochVec []uint64
@@ -272,22 +372,15 @@ func (o *Aggregate) PushCols(cb *ColBatch) {
 }
 
 // colGroup resolves row i's group through the slot cache, falling
-// back to the row-path map (and newGroup) on a miss.
+// back to the row-path map (and newGroup) on a miss. A cached group's
+// ref indexes colStates, appended in step with its key words.
 //
 //qap:hot
 func (o *Aggregate) colGroup(kvs [][]uint64, i int) *groupState {
 	h := hashKeyWords(kvs, i)
-	mask := uint64(len(o.colTable) - 1)
-	j := h & mask
-	for {
-		s := &o.colTable[j]
-		if s.gen != o.colGen {
-			break
-		}
-		if s.gs != nil && s.h == h && keyWordsEqual(s.words, kvs, i) {
-			return s.gs
-		}
-		j = (j + 1) & mask
+	ref, at := o.colTab.find(h, o.colWords, kvs, i)
+	if ref >= 0 {
+		return o.colStates[ref]
 	}
 	vals := o.valsBuf[:0]
 	for _, kv := range kvs {
@@ -305,57 +398,20 @@ func (o *Aggregate) colGroup(kvs [][]uint64, i int) *groupState {
 		gs = o.newGroup(kb, vals)
 		o.colPending = append(o.colPending, gs)
 	}
-	return o.colInsert(j, h, gs, kvs, i)
-}
-
-// colInsert caches gs under row i's key words at the probed slot.
-func (o *Aggregate) colInsert(j, h uint64, gs *groupState, kvs [][]uint64, i int) *groupState {
-	start := len(o.colWords)
 	for _, kv := range kvs {
 		o.colWords = append(o.colWords, kv[i])
 	}
-	words := o.colWords[start:len(o.colWords):len(o.colWords)]
-	o.colTable[j] = colSlot{h: h, words: words, gs: gs, gen: o.colGen}
-	o.colCount++
-	if o.colCount*4 >= len(o.colTable)*3 {
-		o.colGrow()
-	}
+	o.colTab.insert(at, h, int32(len(o.colStates)))
+	o.colStates = append(o.colStates, gs)
 	return gs
 }
 
-// colGrow doubles the slot table, rehashing live slots; key-word
-// slices stay valid (they point into colWords).
-func (o *Aggregate) colGrow() {
-	old := o.colTable
-	o.colTable = make([]colSlot, len(old)*2)
-	mask := uint64(len(o.colTable) - 1)
-	for i := range old {
-		s := &old[i]
-		if s.gen != o.colGen {
-			continue
-		}
-		j := s.h & mask
-		for o.colTable[j].gen == o.colGen {
-			j = (j + 1) & mask
-		}
-		o.colTable[j] = *s
-	}
-}
-
-// colResetTable retires every slot after emitBefore removed groups:
-// bumping the generation invalidates the whole table in O(1). On the
-// (unreachable in practice) wraparound to 0 — the zero value of
-// untouched slots — it falls back to a physical clear.
+// colResetTable retires every slot, and the key words and cached
+// groups they resolve through, after emitBefore removed groups.
 func (o *Aggregate) colResetTable() {
-	o.colGen++
-	if o.colGen == 0 {
-		for i := range o.colTable {
-			o.colTable[i] = colSlot{}
-		}
-		o.colGen = 1
-	}
-	o.colCount = 0
+	o.colTab.reset()
 	o.colWords = o.colWords[:0]
+	o.colStates = o.colStates[:0]
 	o.colDirty = false
 }
 
@@ -438,12 +494,9 @@ func (o *Aggregate) denseInit() {
 	}
 	if h := o.cfg.SizeHint; h > 0 {
 		// Warm-start the dense arrays so a hinted run never pays the
-		// append doubling chain for key words, views, or state words.
+		// append doubling chain for key words or state words.
 		if nk := len(o.cfg.GroupBy); cap(o.colWords) < h*nk {
 			o.colWords = make([]uint64, 0, h*nk)
-		}
-		if cap(o.denseKeys) < h {
-			o.denseKeys = make([][]uint64, 0, h)
 		}
 		if cap(o.denseDone) < h {
 			o.denseDone = make([]int32, 0, h)
@@ -520,44 +573,41 @@ func (o *Aggregate) densePush(cb *ColBatch, kvs, avs [][]uint64, filt, epochVec 
 }
 
 // denseGroup resolves row i to its dense group index, creating the
-// group (key words into colWords, a zero state word per aggregate) on
-// a miss. Slot entries store gi+1 so the zero value stays "empty".
+// group on a miss: key words onto colWords — group g's are
+// colWords[g*nk:(g+1)*nk], the slab the table resolves through — and a
+// zero state word per aggregate.
 //
 //qap:hot
 func (o *Aggregate) denseGroup(kvs [][]uint64, i int) int32 {
 	h := hashKeyWords(kvs, i)
-	mask := uint64(len(o.colTable) - 1)
-	j := h & mask
-	for {
-		s := &o.colTable[j]
-		if s.gen != o.colGen {
-			break
-		}
-		if s.gi != 0 && s.h == h && keyWordsEqual(s.words, kvs, i) {
-			return s.gi - 1
-		}
-		j = (j + 1) & mask
+	g, at := o.colTab.find(h, o.colWords, kvs, i)
+	if g >= 0 {
+		return g
 	}
-	start := len(o.colWords)
-	for _, kv := range kvs {
-		o.colWords = append(o.colWords, kv[i])
-	}
-	words := o.colWords[start:len(o.colWords):len(o.colWords)]
-	gi := int32(o.denseN)
+	g = int32(o.denseN)
 	o.denseN++
-	o.denseKeys = append(o.denseKeys, words)
+	base := len(o.colWords)
+	o.colWords = slices.Grow(o.colWords, len(kvs))[:base+len(kvs)]
+	for k, kv := range kvs {
+		o.colWords[base+k] = kv[i]
+	}
 	for a := range o.denseAccW {
 		o.denseAccW[a] = append(o.denseAccW[a], 0)
 	}
-	if o.cfg.EpochIdx >= 0 {
-		o.noteEpoch(sqlval.Uint(words[o.cfg.EpochIdx]))
+	if e := o.cfg.EpochIdx; e >= 0 {
+		o.noteEpochWord(kvs[e][i])
 	}
-	o.colTable[j] = colSlot{h: h, words: words, gi: gi + 1, gen: o.colGen}
-	o.colCount++
-	if o.colCount*4 >= len(o.colTable)*3 {
-		o.colGrow()
+	o.colTab.insert(at, h, g)
+	return g
+}
+
+// noteEpochWord is noteEpoch for a dense group, whose epoch compares as
+// a word: minWord shadows minEpoch while the dense store owns the
+// groups (it only takes over an empty aggregate, where minSet is false).
+func (o *Aggregate) noteEpochWord(w uint64) {
+	if !o.minSet || w < o.minWord {
+		o.minWord, o.minEpoch, o.minSet = w, sqlval.Uint(w), true
 	}
-	return gi
 }
 
 // hashWords is hashKeyWords over an already-gathered word slice; the
@@ -575,15 +625,10 @@ func hashWords(words []uint64) uint64 {
 // dense mode: every group saw at least one non-NULL add).
 func (o *Aggregate) denseResult(j int, g int32) sqlval.Value {
 	w := o.denseAccW[j][g]
-	switch o.denseAcc[j] {
-	case denseSum:
-		if i := int64(w); i < 0 {
-			return sqlval.Int(i)
-		}
-		return sqlval.Uint(w)
-	default:
-		return sqlval.Uint(w)
+	if i := int64(w); i < 0 && o.denseAcc[j] == denseSum {
+		return sqlval.Int(i)
 	}
+	return sqlval.Uint(w)
 }
 
 // denseMigrate converts every dense group into an ordinary map-owned
@@ -591,15 +636,11 @@ func (o *Aggregate) denseResult(j int, g int32) sqlval.Value {
 // path can take over. Called before any row-path lookup; rare, so it
 // allocates its own scratch rather than clobbering pushFast's.
 func (o *Aggregate) denseMigrate() {
-	vals := make([]sqlval.Value, 0, len(o.cfg.GroupBy))
+	nk := len(o.cfg.GroupBy)
+	vals := make(Tuple, nk)
 	var kb []byte
 	for g := 0; g < o.denseN; g++ {
-		words := o.denseKeys[g]
-		vals = vals[:0]
-		for _, w := range words {
-			vals = append(vals, sqlval.Uint(w))
-		}
-		kb = AppendKey(kb[:0], vals)
+		kb = AppendKey(kb[:0], uintRow(vals, o.colWords[g*nk:]))
 		gs := o.newGroup(kb, vals)
 		for j, kind := range o.denseAcc {
 			w := o.denseAccW[j][g]
@@ -614,17 +655,16 @@ func (o *Aggregate) denseMigrate() {
 				a.acc, a.any = w, true
 			}
 		}
-		o.groups[string(gs.key)] = gs
+		o.register(string(gs.key), gs)
 	}
 	o.denseReset()
 	o.colDirty = true
 }
 
-// denseReset clears the dense arrays; key-word views die with the
-// next colResetTable truncation of colWords.
+// denseReset empties the dense arrays; the key words go with the next
+// colResetTable.
 func (o *Aggregate) denseReset() {
 	o.denseN = 0
-	o.denseKeys = o.denseKeys[:0]
 	for j := range o.denseAccW {
 		o.denseAccW[j] = o.denseAccW[j][:0]
 	}
@@ -634,8 +674,7 @@ func (o *Aggregate) denseReset() {
 // when boundary is nil) in the row path's deterministic (epoch,
 // encoded key bytes) order — for all-uint keys that equals unsigned
 // word order, column-major. Survivors are compacted and reinserted
-// into a fresh slot table, since retiring groups invalidates both the
-// table and their colWords views.
+// into the reset slot table.
 func (o *Aggregate) denseEmit(boundary *sqlval.Value) {
 	nk := len(o.cfg.GroupBy)
 	eIdx := o.cfg.EpochIdx
@@ -653,7 +692,7 @@ func (o *Aggregate) denseEmit(boundary *sqlval.Value) {
 		if boundary == nil {
 			return true
 		}
-		ew := o.denseKeys[g][eIdx]
+		ew := o.colWords[g*nk+eIdx]
 		if wordB {
 			return ew < boundWord
 		}
@@ -669,17 +708,12 @@ func (o *Aggregate) denseEmit(boundary *sqlval.Value) {
 	if len(done) == 0 {
 		return
 	}
-	if cap(o.denseRows) < len(done) {
-		o.denseRows = make([]int32, len(done))
-	}
-	o.denseSort(done, o.denseRows[:len(done)], nk, eIdx)
-	na := len(o.cfg.Aggs)
-	outLen := o.denseDeliver(done, nk, na)
-	total := o.denseN
-	if len(done) == total {
+	o.denseSort(done, nk, eIdx)
+	outLen := o.denseDeliver(done, nk, len(o.cfg.Aggs))
+	if len(done) == o.denseN {
 		o.denseReset()
 		o.colResetTable()
-		o.minEpoch, o.minSet = sqlval.Value{}, false
+		o.minSet = false
 	} else {
 		o.denseCompact(retired, nk, eIdx)
 	}
@@ -688,117 +722,91 @@ func (o *Aggregate) denseEmit(boundary *sqlval.Value) {
 	}
 }
 
-// denseDeliver builds and pushes the sorted epoch batch, returning
-// the emitted row count. With ColEmit on and no Having/Post, the
-// output columns build straight from the dense arrays (all results
-// are uint words unless an integer sum went negative); otherwise rows
-// materialize exactly like the map path's emit and the usual
-// SetFromRows/PushAll delivery applies.
+// denseDeliver builds and pushes the sorted epoch batch, returning the
+// emitted row count. With ColEmit on, the groups ++ aggs columns
+// gather straight from the dense arrays, and HAVING and the projection
+// run over them as column kernels — the code a FilterProject runs —
+// so no row exists for a group HAVING drops, nor for one it keeps. Rows
+// are made, exactly like the map path's emit, only for what a uint
+// column cannot carry: an integer sum that went negative (KindInt), or
+// a HAVING or projection without a kernel.
 func (o *Aggregate) denseDeliver(done []int32, nk, na int) int {
-	direct := o.cfg.ColEmit && o.cfg.Having == nil && o.cfg.Post == nil && nk+na > 0
-	if direct {
-		for j, kind := range o.denseAcc {
-			if kind != denseSum {
-				continue
-			}
-			w := o.denseAccW[j]
-			for _, g := range done {
-				if int64(w[g]) < 0 {
-					direct = false
-					break
-				}
-			}
-			if !direct {
-				break
-			}
+	if o.cfg.ColEmit && nk+na > 0 && o.emit.colReady() && o.denseColumns(done, nk, na) {
+		o.kernelEmits++
+		work := o.emit.colApply(&o.emitCols)
+		if work == nil {
+			return 0
+		}
+		PushColsAll(o.cfg.Out, work)
+		return work.Len
+	}
+	return o.emitRows(len(done), func(k int, row Tuple) Tuple {
+		g := done[k]
+		for _, w := range o.colWords[int(g)*nk : int(g+1)*nk] {
+			row = append(row, sqlval.Uint(w))
+		}
+		for j := 0; j < na; j++ {
+			row = append(row, o.denseResult(j, g))
+		}
+		return row
+	})
+}
+
+// denseColumns gathers the retired groups' key and state words into
+// emitCols as uint columns. It reports false when some integer sum went
+// negative, which only a row can carry.
+//
+//qap:hot
+func (o *Aggregate) denseColumns(done []int32, nk, na int) bool {
+	ec := &o.emitCols
+	if cap(ec.Cols) < nk+na {
+		//qap:allow hotalloc -- column headers sized once per operator width
+		ec.Cols = make([]ColVec, nk+na)
+	}
+	ec.Cols = ec.Cols[:nk+na]
+	m := len(done)
+	for c := range ec.Cols {
+		d := &ec.Cols[c]
+		d.Kind = sqlval.KindUint
+		d.Str, d.Valid = nil, nil
+		if cap(d.U64) < m {
+			// Sized once per run from the hint: an exact fit would
+			// re-allocate for every epoch a little larger than the last.
+			//qap:allow hotalloc -- emit column growth, once per hinted run
+			d.U64 = make([]uint64, max(m, o.cfg.SizeHint))
+		}
+		d.U64 = d.U64[:m]
+	}
+	ec.Len = m
+	// Group-major: one pass over each group's adjacent key words.
+	for k, g := range done {
+		for c, w := range o.colWords[int(g)*nk : int(g+1)*nk] {
+			ec.Cols[c].U64[k] = w
 		}
 	}
-	if direct {
-		ec := &o.emitCols
-		width := nk + na
-		if cap(ec.Cols) < width {
-			ec.Cols = make([]ColVec, width)
+	var neg uint64
+	for j := 0; j < na; j++ {
+		w, dst := o.denseAccW[j], ec.Cols[nk+j].U64
+		var or uint64
+		for k, g := range done {
+			dst[k] = w[g]
+			or |= w[g]
 		}
-		ec.Cols = ec.Cols[:width]
-		m := len(done)
-		for c := 0; c < width; c++ {
-			d := &ec.Cols[c]
-			d.Kind = sqlval.KindUint
-			d.Str, d.Valid = nil, nil
-			d.U64 = growUints(d.U64, m)
-			if c < nk {
-				for k, g := range done {
-					d.U64[k] = o.denseKeys[g][c]
-				}
-			} else {
-				w := o.denseAccW[c-nk]
-				for k, g := range done {
-					d.U64[k] = w[g]
-				}
-			}
-		}
-		ec.Len = m
-		PushColsAll(o.cfg.Out, ec)
-		return m
-	}
-	out := o.emitBuf[:0]
-	if o.cfg.Post == nil {
-		width := nk + na
-		backing := make([]sqlval.Value, 0, len(done)*width)
-		for _, g := range done {
-			start := len(backing)
-			for _, w := range o.denseKeys[g] {
-				backing = append(backing, sqlval.Uint(w))
-			}
-			for j := 0; j < na; j++ {
-				backing = append(backing, o.denseResult(j, g))
-			}
-			row := Tuple(backing[start:len(backing):len(backing)])
-			if o.cfg.Having != nil && !o.cfg.Having(row).AsBool() {
-				backing = backing[:start]
-				continue
-			}
-			out = append(out, row)
-		}
-	} else {
-		np := len(o.cfg.Post)
-		backing := make([]sqlval.Value, 0, len(done)*np)
-		for _, g := range done {
-			row := o.rowBuf[:0]
-			for _, w := range o.denseKeys[g] {
-				row = append(row, sqlval.Uint(w))
-			}
-			for j := 0; j < na; j++ {
-				row = append(row, o.denseResult(j, g))
-			}
-			o.rowBuf = row
-			if o.cfg.Having != nil && !o.cfg.Having(row).AsBool() {
-				continue
-			}
-			start := len(backing)
-			for _, p := range o.cfg.Post {
-				backing = append(backing, p(row))
-			}
-			out = append(out, Tuple(backing[start:len(backing):len(backing)]))
+		if o.denseAcc[j] == denseSum {
+			neg |= or
 		}
 	}
-	o.emitBuf = out
-	if o.cfg.ColEmit && len(out) > 0 && o.emitCols.SetFromRows(out) {
-		PushColsAll(o.cfg.Out, &o.emitCols)
-	} else {
-		PushAll(o.cfg.Out, out)
-	}
-	return len(out)
+	return int64(neg) >= 0
 }
 
 // denseKeyLess is the comparison the dense radix order encodes:
 // epoch word first, then key words column-major, all unsigned.
 func (o *Aggregate) denseKeyLess(a, b int32, nk, eIdx int) bool {
-	ka, kb := o.denseKeys[a], o.denseKeys[b]
+	ka, kb := o.colWords[int(a)*nk:int(a+1)*nk], o.colWords[int(b)*nk:int(b+1)*nk]
 	if eIdx >= 0 && ka[eIdx] != kb[eIdx] {
 		return ka[eIdx] < kb[eIdx]
 	}
-	for c := 0; c < nk; c++ {
+	for c := range ka {
 		if ka[c] != kb[c] {
 			return ka[c] < kb[c]
 		}
@@ -821,22 +829,33 @@ func (o *Aggregate) denseInsertion(gs []int32, nk, eIdx int) {
 
 // denseSort sorts the retired group indices by (epoch word, key words
 // column-major), all unsigned — the same order the row path's encoded
-// key bytes produce for all-uint keys. Fixed-width radix keys waste
-// most of their bytes on network data (epoch counters and IPv4 words
-// leave high bytes constant), so it first computes OR/AND masks per
-// key word over the whole set and MSD-radix-sorts over only the byte
-// positions that actually vary.
-func (o *Aggregate) denseSort(gs, scratch []int32, nk, eIdx int) {
+// key bytes produce for all-uint keys. gs arrives in creation order,
+// and groups created from one sorted producer — a super-aggregate fed
+// by a single sub-aggregate's emissions — are already in that order:
+// one sequential pass finds out and skips the sort. Otherwise, since
+// fixed-width radix keys waste most of their bytes on network data
+// (epoch counters and IPv4 words leave high bytes constant), it
+// computes OR/AND masks per key word over the whole set and
+// MSD-radix-sorts over only the byte positions that actually vary.
+func (o *Aggregate) denseSort(gs []int32, nk, eIdx int) {
 	if len(gs) <= radixCutoff {
 		o.denseInsertion(gs, nk, eIdx)
 		return
 	}
+	k := 1
+	for k < len(gs) && o.denseKeyLess(gs[k-1], gs[k], nk, eIdx) {
+		k++
+	}
+	if k == len(gs) {
+		return
+	}
+	o.radixSorts++
 	pos := o.densePos[:0]
 	addWord := func(wi int) {
 		var orw uint64
 		andw := ^uint64(0)
 		for _, g := range gs {
-			w := o.denseKeys[g][wi]
+			w := o.colWords[int(g)*nk+wi]
 			orw |= w
 			andw &= w
 		}
@@ -856,10 +875,10 @@ func (o *Aggregate) denseSort(gs, scratch []int32, nk, eIdx int) {
 		}
 	}
 	o.densePos = pos
-	if len(pos) == 0 {
-		return // all keys identical
+	if cap(o.denseRows) < len(gs) {
+		o.denseRows = make([]int32, len(gs))
 	}
-	o.denseRadix(gs, scratch, pos, nk, eIdx, 0)
+	o.denseRadix(gs, o.denseRows[:len(gs)], pos, nk, eIdx, 0)
 }
 
 // denseRadix MSD-radix-sorts over the varying byte positions denseSort
@@ -876,7 +895,7 @@ func (o *Aggregate) denseRadix(gs, scratch []int32, pos []uint16, nk, eIdx, dept
 		wi, sh := int(p>>3), 56-8*uint(p&7)
 		var counts [256]int
 		for _, g := range gs {
-			counts[byte(o.denseKeys[g][wi]>>sh)]++
+			counts[byte(o.colWords[int(g)*nk+wi]>>sh)]++
 		}
 		first := -1
 		single := true
@@ -901,7 +920,7 @@ func (o *Aggregate) denseRadix(gs, scratch []int32, pos []uint16, nk, eIdx, dept
 			sum += c
 		}
 		for _, g := range gs {
-			b := byte(o.denseKeys[g][wi] >> sh)
+			b := byte(o.colWords[int(g)*nk+wi] >> sh)
 			scratch[offs[b]] = g
 			offs[b]++
 		}
@@ -918,60 +937,32 @@ func (o *Aggregate) denseRadix(gs, scratch []int32, pos []uint16, nk, eIdx, dept
 	}
 }
 
-// denseCompact copies surviving groups' key words and state out of
-// the dense arrays (their views point into colWords, which the table
-// reset truncates), rebuilds the table, and reinserts them.
+// denseCompact slides the surviving groups' key words and state words
+// down over the retired ones, in place — a survivor only ever moves to
+// a lower index — then resets the table and files them again.
 func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
-	sw := o.survWords[:0]
-	if o.survAccW == nil {
-		o.survAccW = make([][]uint64, len(o.denseAcc))
-	}
-	for j := range o.survAccW {
-		o.survAccW[j] = o.survAccW[j][:0]
-	}
-	var survMin uint64
-	nsurv := 0
+	n := 0
 	for g := 0; g < o.denseN; g++ {
 		if retired(g) {
 			continue
 		}
-		sw = append(sw, o.denseKeys[g]...)
-		for j := range o.denseAccW {
-			o.survAccW[j] = append(o.survAccW[j], o.denseAccW[j][g])
+		copy(o.colWords[n*nk:(n+1)*nk], o.colWords[g*nk:(g+1)*nk])
+		for _, w := range o.denseAccW {
+			w[n] = w[g]
 		}
-		ew := o.denseKeys[g][eIdx]
-		if nsurv == 0 || ew < survMin {
-			survMin = ew
-		}
-		nsurv++
+		n++
 	}
-	o.survWords = sw
-	o.denseReset()
-	o.colResetTable()
-	for s := 0; s < nsurv; s++ {
-		src := sw[s*nk : (s+1)*nk]
-		start := len(o.colWords)
-		o.colWords = append(o.colWords, src...)
-		words := o.colWords[start:len(o.colWords):len(o.colWords)]
+	o.colTab.reset()
+	o.colWords, o.denseN, o.minSet = o.colWords[:n*nk], n, false
+	for j := range o.denseAccW {
+		o.denseAccW[j] = o.denseAccW[j][:n]
+	}
+	for g := 0; g < n; g++ {
+		words := o.colWords[g*nk : (g+1)*nk]
+		o.noteEpochWord(words[eIdx])
 		h := hashWords(words)
-		mask := uint64(len(o.colTable) - 1)
-		j := h & mask
-		for o.colTable[j].gen == o.colGen {
-			j = (j + 1) & mask
-		}
-		gi := int32(o.denseN)
-		o.denseN++
-		o.denseKeys = append(o.denseKeys, words)
-		for a := range o.denseAccW {
-			o.denseAccW[a] = append(o.denseAccW[a], o.survAccW[a][s])
-		}
-		o.colTable[j] = colSlot{h: h, words: words, gi: gi + 1, gen: o.colGen}
-		o.colCount++
-		if o.colCount*4 >= len(o.colTable)*3 {
-			o.colGrow()
-		}
+		o.colTab.insert(o.colTab.free(h), h, int32(g))
 	}
-	o.minEpoch, o.minSet = sqlval.Uint(survMin), nsurv > 0
 }
 
 // colKeysReady reports whether every key of the side has a uint kernel.
@@ -1048,7 +1039,7 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 		if mp == nil || tv[i] != tv[i-1] {
 			tkey := sqlval.Uint(tv[i])
 			mp, op = mine.pane(tkey, true), other.pane(tkey, false)
-			if len(mp.slots) == 0 {
+			if mp.tab.slots == nil {
 				mp.initWords(j.cfg.SizeHint, side.Width, len(kvs))
 			}
 		}
@@ -1056,7 +1047,7 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 		idx := int32(len(mp.links))
 		link := wordLink{next: -1, tail: idx}
 		if op != nil {
-			if oh, _ := op.find(h, kvs, i); oh >= 0 {
+			if oh, _ := op.tab.find(h, op.keys, kvs, i); oh >= 0 {
 				for c := range arrived {
 					arrived[c] = sqlval.Uint(cb.Cols[c].U64[i])
 				}
@@ -1070,13 +1061,12 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 				}
 			}
 		}
-		if head, at := mp.find(h, kvs, i); head >= 0 {
+		if head, at := mp.tab.find(h, mp.keys, kvs, i); head >= 0 {
 			hl := &mp.links[head]
 			mp.links[hl.tail].next = idx
 			hl.tail = idx
 		} else {
-			mp.slots[at] = joinSlot{h: h, head: idx, gen: mp.gen}
-			mp.nkeys++
+			mp.tab.insert(at, h, idx)
 		}
 		mp.links = append(mp.links, link)
 		for _, kv := range kvs {
@@ -1084,9 +1074,6 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 		}
 		for c := range cb.Cols {
 			mp.rows = append(mp.rows, cb.Cols[c].U64[i])
-		}
-		if mp.nkeys*4 >= len(mp.slots)*3 {
-			mp.growSlots()
 		}
 	}
 	j.stored += cb.Len
@@ -1109,53 +1096,10 @@ func uintRow(dst Tuple, words []uint64) Tuple {
 //
 //qap:hot
 func (p *joinPane) initWords(hint, width, nk int) {
-	//qap:allow hotalloc -- once per concurrently live pane, then recycled
-	p.slots = make([]joinSlot, tableSize(joinSlotsMin, hint))
+	p.tab.init(joinSlotsMin, hint)
 	if hint > 0 {
 		//qap:allow hotalloc -- once per concurrently live pane, then recycled
 		p.rows, p.keys, p.links = make([]uint64, 0, hint*width), make([]uint64, 0, hint*nk), make([]wordLink, 0, hint)
-	}
-}
-
-// find probes the pane's table for row i's key words: the chain head
-// holding them, or -1 and the free slot the probe ended on.
-//
-//qap:hot
-func (p *joinPane) find(h uint64, kvs [][]uint64, i int) (int32, uint64) {
-	nk := len(kvs)
-	mask := uint64(len(p.slots) - 1)
-	at := h & mask
-	for {
-		s := &p.slots[at]
-		if s.gen != p.gen {
-			return -1, at
-		}
-		if k := int(s.head) * nk; s.h == h && keyWordsEqual(p.keys[k:k+nk], kvs, i) {
-			return s.head, at
-		}
-		at = (at + 1) & mask
-	}
-}
-
-// growSlots doubles the table, rehashing live slots by their stored
-// hash; chains and slabs are untouched.
-//
-//qap:hot
-func (p *joinPane) growSlots() {
-	old := p.slots
-	//qap:allow hotalloc -- amortised doubling, kept across epochs
-	p.slots = make([]joinSlot, len(old)*2)
-	mask := uint64(len(p.slots) - 1)
-	for i := range old {
-		s := &old[i]
-		if s.gen != p.gen {
-			continue
-		}
-		at := s.h & mask
-		for p.slots[at].gen == p.gen {
-			at = (at + 1) & mask
-		}
-		p.slots[at] = *s
 	}
 }
 
@@ -1183,26 +1127,26 @@ func (j *Join) migrateSide(s *joinSide, side *JoinSideConfig) {
 	for _, p := range s.panes {
 		n := len(p.links)
 		//qap:allow hotalloc -- the one-off rebuild: the pane's tuples, entry slab and index
-		backing, entries, heads := make([]sqlval.Value, n*w), make([]joinEntry, n), make(map[string]int32, p.nkeys)
+		backing, entries, heads := make([]sqlval.Value, n*w), make([]joinEntry, n), make(map[string]int32, p.tab.n)
 		for e, l := range p.links {
 			row := uintRow(backing[e*w:(e+1)*w:(e+1)*w], p.rows[e*w:])
 			entries[e] = joinEntry{tuple: row, next: l.next, tail: l.tail, matched: l.matched}
 		}
-		for _, sl := range p.slots {
-			if sl.gen != p.gen {
+		for _, sl := range p.tab.slots {
+			if sl.gen != p.tab.gen {
 				continue
 			}
-			kb = AppendKey(kb[:0], uintRow(vals, p.keys[int(sl.head)*nk:]))
+			kb = AppendKey(kb[:0], uintRow(vals, p.keys[int(sl.ref)*nk:]))
 			key := string(kb)
-			heads[key] = sl.head
-			for e := sl.head; e >= 0; e = p.links[e].next {
+			heads[key] = sl.ref
+			for e := sl.ref; e >= 0; e = p.links[e].next {
 				entries[e].key = key
 			}
 		}
 		p.entries, p.heads = entries, heads
-		p.rows, p.keys, p.links, p.slots, p.nkeys = nil, nil, nil, nil, 0
+		p.rows, p.keys, p.links, p.tab = nil, nil, nil, wordTable{}
 	}
 	for _, p := range s.free {
-		p.rows, p.keys, p.links, p.slots = nil, nil, nil, nil
+		p.rows, p.keys, p.links, p.tab = nil, nil, nil, wordTable{}
 	}
 }

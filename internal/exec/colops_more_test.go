@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"qap/internal/gsql"
@@ -52,9 +53,9 @@ func buildColAgg(t *testing.T, out Consumer, aggs []AggColumn, colArgs []*ColExp
 
 // TestColGroupTableGrows pushes enough distinct groups through the
 // map-backed columnar path (MIN is not word-vectorizable, so the dense
-// store refuses and colGroup/colInsert carry every row) to force
-// colGrow past colTableMin, then checks the emitted groups against the
-// row path.
+// store refuses and colGroup carries every row) to force the word
+// table's doubling past colTableMin, then checks the emitted groups
+// against the row path.
 func TestColGroupTableGrows(t *testing.T) {
 	r := colTestResolver
 	aggs := []AggColumn{
@@ -84,35 +85,46 @@ func TestColGroupTableGrows(t *testing.T) {
 	diffBatches(t, "grown table", outS.Rows, outC.Rows)
 }
 
-// TestDenseDeliverHaving drives the dense store's emit through the
-// Having fallback: direct column emission is off the table, rows
-// materialize, and the predicate filters them exactly like the row
-// path.
+// TestDenseDeliverHaving drives the dense store's emit through HAVING
+// both ways: with the compiled form the predicate runs as a kernel over
+// the emit columns and no row is made; without it rows materialize and
+// the row closure filters them. Either way the output is the row
+// path's.
 func TestDenseDeliverHaving(t *testing.T) {
 	havingRes := ColsResolver("", []string{"tb", "s", "cnt"})
 	aggs := []AggColumn{{Factory: mustFactory(t, "COUNT")}}
 	colArgs := []*ColExpr{nil}
-	having := MustCompile(gsql.MustParseExpr("cnt > 2"), havingRes, nil)
-	var outS, outC Collector
-	aggS := buildColAgg(t, &outS, aggs, colArgs, func(cfg *AggregateConfig) { cfg.Having = having })
-	aggC := buildColAgg(t, &outC, aggs, colArgs, func(cfg *AggregateConfig) { cfg.Having = having; cfg.ColEmit = true })
-
+	having := mustCompileCol(t, "cnt > 2", havingRes, nil)
 	rows := colTestRows(200)
 	var cb ColBatch
 	if !cb.SetFromRows(rows) {
 		t.Fatal("SetFromRows failed")
 	}
-	aggC.PushCols(&cb)
+	var outS Collector
+	aggS := buildColAgg(t, &outS, aggs, colArgs, func(cfg *AggregateConfig) { cfg.Having = having.Row })
 	aggS.PushBatch(rows)
-	if aggC.denseN == 0 {
-		t.Fatal("dense store did not engage")
-	}
 	aggS.Flush()
-	aggC.Flush()
-	if len(outC.Rows) == 0 {
-		t.Fatal("Having filtered everything; pick a weaker predicate")
+	if len(outS.Rows) == 0 || len(outS.Rows) == aggS.hiGroups {
+		t.Fatalf("Having kept %d of %d groups; pick a predicate that splits them", len(outS.Rows), aggS.hiGroups)
 	}
-	diffBatches(t, "dense Having", outS.Rows, outC.Rows)
+	for _, kernel := range []bool{true, false} {
+		var outC Collector
+		aggC := buildColAgg(t, &outC, aggs, colArgs, func(cfg *AggregateConfig) {
+			cfg.Having, cfg.ColEmit = having.Row, true
+			if kernel {
+				cfg.ColHaving = &having
+			}
+		})
+		aggC.PushCols(&cb)
+		if aggC.denseN == 0 {
+			t.Fatal("dense store did not engage")
+		}
+		aggC.Flush()
+		if got := aggC.kernelEmits > 0; got != kernel {
+			t.Fatalf("compiled Having %v: kernel emit ran = %v", kernel, got)
+		}
+		diffBatches(t, fmt.Sprintf("dense Having, kernel %v", kernel), outS.Rows, outC.Rows)
+	}
 }
 
 // TestDenseDeliverPost drives the dense emit through the Post

@@ -1,0 +1,430 @@
+package exec
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"qap/internal/sqlval"
+)
+
+// TestWordTable exercises the index shared by the join panes and both
+// columnar aggregate stores on its own: sizing, growth under collisions,
+// the O(1) reset and the generation wrap.
+func TestWordTable(t *testing.T) {
+	if sz := unsafe.Sizeof(wordSlot{}); sz != 16 {
+		t.Fatalf("wordSlot is %d bytes, want 16", sz)
+	}
+	// tableSize keeps n strictly under the 75% load at which insert doubles.
+	for _, c := range []struct{ min, n, want int }{
+		{1024, 0, 1024}, {1024, 767, 1024}, {1024, 768, 2048}, {256, 191, 256}, {256, 192, 512}, {256, 100000, 262144},
+	} {
+		if got := tableSize(c.min, c.n); got != c.want {
+			t.Errorf("tableSize(%d, %d) = %d, want %d", c.min, c.n, got, c.want)
+		}
+	}
+
+	// Keys are (i, i*7) pairs in column-major vectors, appended to the flat
+	// slab in step with the inserts. Every third key shares one hash, so
+	// long probe runs survive several doublings.
+	const nk, n = 2, 4 * colTableMin
+	kvs := [][]uint64{make([]uint64, n), make([]uint64, n)}
+	for i := range kvs[0] {
+		kvs[0][i], kvs[1][i] = uint64(i)|1<<63, uint64(i)*7
+	}
+	hash := func(i int) uint64 {
+		if i%3 == 0 {
+			return 42
+		}
+		return hashKeyWords(kvs, i)
+	}
+	var tab wordTable
+	var keys []uint64
+	fill := func() {
+		t.Helper()
+		keys = keys[:0]
+		for i := 0; i < n; i++ {
+			ref, at := tab.find(hash(i), keys, kvs, i)
+			if ref >= 0 {
+				t.Fatalf("key %d found before it was inserted (ref %d)", i, ref)
+			}
+			keys = append(keys, kvs[0][i], kvs[1][i])
+			tab.insert(at, hash(i), int32(i))
+		}
+		if tab.n != n {
+			t.Fatalf("table counts %d live slots, want %d", tab.n, n)
+		}
+		for i := 0; i < n; i++ {
+			if ref, _ := tab.find(hash(i), keys, kvs, i); ref != int32(i) {
+				t.Fatalf("key %d resolves to ref %d, want %d", i, ref, i)
+			}
+		}
+	}
+	tab.init(joinSlotsMin, 0)
+	if len(tab.slots) != joinSlotsMin {
+		t.Fatalf("unhinted table has %d slots, want %d", len(tab.slots), joinSlotsMin)
+	}
+	fill()
+	if want := tableSize(joinSlotsMin, n); len(tab.slots) != want || want <= colTableMin {
+		t.Fatalf("table grew to %d slots, want %d (past colTableMin)", len(tab.slots), want)
+	}
+
+	// Reset-then-reuse: every key is gone at once, the slots are kept, and
+	// the same keys file again without growing them.
+	grown := len(tab.slots)
+	tab.reset()
+	if tab.n != 0 || len(tab.slots) != grown {
+		t.Fatalf("reset left %d live slots of %d, want 0 of %d", tab.n, len(tab.slots), grown)
+	}
+	for i := 0; i < n; i += 97 {
+		if ref, _ := tab.find(hash(i), keys, kvs, i); ref >= 0 {
+			t.Fatalf("key %d survived reset", i)
+		}
+	}
+	fill()
+	if len(tab.slots) != grown {
+		t.Fatalf("refilling a reset table changed it from %d to %d slots", grown, len(tab.slots))
+	}
+
+	// Generation wrap: the reset that would land on 0 — the generation of
+	// never-touched slots — clears physically and restarts at 1.
+	tab.gen = ^uint32(0)
+	for i := range tab.slots {
+		tab.slots[i].gen = tab.gen // every slot live in the last generation
+	}
+	tab.reset()
+	if tab.gen != 1 {
+		t.Fatalf("generation after wrap = %d, want 1", tab.gen)
+	}
+	for i := range tab.slots {
+		if tab.slots[i] != (wordSlot{}) {
+			t.Fatalf("slot %d not cleared on generation wrap: %+v", i, tab.slots[i])
+		}
+	}
+	fill()
+}
+
+// recSink records what an aggregate delivers: the rows, and the size of
+// every downstream call, whichever form it took.
+type recSink struct {
+	rows  Batch
+	calls []int
+}
+
+func (s *recSink) Push(t Tuple)      { s.rows, s.calls = append(s.rows, t), append(s.calls, 1) }
+func (s *recSink) PushBatch(b Batch) { s.rows, s.calls = append(s.rows, b...), append(s.calls, len(b)) }
+func (s *recSink) PushCols(cb *ColBatch) {
+	s.rows, s.calls = cb.AppendRows(s.rows), append(s.calls, cb.Len)
+}
+func (s *recSink) Advance(uint64) {}
+func (s *recSink) Flush()         {}
+
+// emitBytes is the canonical encoding of an emission, row by row.
+func emitBytes(rows Batch) []byte {
+	var b []byte
+	for _, r := range rows {
+		b = AppendKey(b, r)
+	}
+	return b
+}
+
+// TestDenseEmitOrderIndependentOfArrival: the dense store emits in
+// (epoch, key) order whatever order the groups were created in, and
+// finds out with one pass when they already arrived in it — a
+// super-aggregate fed by one sub-aggregate — instead of sorting again.
+func TestDenseEmitOrderIndependentOfArrival(t *testing.T) {
+	const n = 3000
+	sorted := make(Batch, n)
+	for i := range sorted {
+		src := uint64(i / 3)
+		if i >= n/2 {
+			src |= 1 << 63 // encoded under the other uint tag; still word order
+		}
+		sorted[i] = Tuple{u(0), u(src), u(uint64(i % 3)), u(uint64(i) & 0x3f), u(uint64(40 + i%11))}
+	}
+	reversed := slices.Clone(sorted)
+	slices.Reverse(reversed)
+	shuffled := slices.Clone(sorted)
+	rand.New(rand.NewSource(7)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	// Two sorted producers, one after the other: what the central
+	// super-aggregate of a multi-host plan sees.
+	var runs Batch
+	for _, rem := range []int{0, 1} {
+		for i := rem; i < n; i += 2 {
+			runs = append(runs, sorted[i])
+		}
+	}
+	var want []byte
+	for _, c := range []struct {
+		name   string
+		rows   Batch
+		radix  bool
+		batchN int
+	}{
+		{"sorted", sorted, false, n}, {"sorted, batch 256", sorted, false, 256},
+		{"reversed", reversed, true, n}, {"shuffled", shuffled, true, 256}, {"two sorted runs", runs, true, n},
+	} {
+		var out recSink
+		agg := denseTestAgg(t, &out, "", nil, true, nil)
+		var cb ColBatch
+		for off := 0; off < n; off += c.batchN {
+			if !cb.SetFromRows(c.rows[off:min(off+c.batchN, n)]) {
+				t.Fatal("SetFromRows failed")
+			}
+			agg.PushCols(&cb)
+		}
+		if agg.denseN != n {
+			t.Fatalf("%s: %d dense groups, want %d", c.name, agg.denseN, n)
+		}
+		agg.Flush()
+		if got := agg.radixSorts > 0; got != c.radix {
+			t.Errorf("%s: radix sort ran = %v, want %v", c.name, got, c.radix)
+		}
+		got := emitBytes(out.rows)
+		if want == nil {
+			want = got
+		}
+		if len(out.rows) != n || !bytes.Equal(got, want) {
+			t.Errorf("%s: emission differs from the sorted arrival's (%d rows)", c.name, len(out.rows))
+		}
+	}
+}
+
+// The HAVING and projection variants the kernel-emit property test
+// draws from, over the row tb, s, d, orf, cnt, bytes. kernel says
+// whether CompileCol derives a kernel for all of the variant.
+var (
+	denseHavings = []struct {
+		src    string
+		kernel bool
+	}{
+		{"", true},
+		{"cnt > 1", true},
+		{"orf = 3 OR bytes > 100 AND s < 9223372036854775808", true},
+		{"bytes - cnt > 0", false},              // subtraction may go Int
+		{"cnt > 1000000", true},                 // drops every group
+		{"bytes * 1.0 / cnt > 45", false},       // AVG's reconstruction from its moments
+		{"cnt / (orf & 1) > 0 OR d = 1", false}, // non-constant divisor: NULL on zero
+	}
+	densePosts = []struct {
+		srcs   []string
+		kernel bool
+	}{
+		{nil, true},
+		{[]string{"s", "cnt * 2", "tb", "bytes"}, true},
+		{[]string{"s", "bytes - cnt"}, false},
+		// AVG and VARIANCE as the super-aggregate rebuilds them.
+		{[]string{"tb", "bytes * 1.0 / cnt", "bytes * 1.0 / cnt - (cnt * 1.0 / cnt) * (cnt * 1.0 / cnt)"}, false},
+	}
+)
+
+// denseTestAgg builds a dense-eligible aggregate over colTestResolver's
+// schema grouping by (time, srcIP, destIP) with OR_AGGR(flags), COUNT(*)
+// and SUM(len). kernels also sets the compiled HAVING and projection;
+// without them a ColEmit aggregate emits through the row branch.
+func denseTestAgg(t *testing.T, out Consumer, having string, post []string, kernels bool, onFlush func(uint64, int, int)) *Aggregate {
+	t.Helper()
+	r := colTestResolver
+	cfg := AggregateConfig{
+		EpochIdx:     0,
+		EpochOfWM:    func(wm uint64) sqlval.Value { return sqlval.Uint(wm / 16) },
+		ColEmit:      true,
+		Out:          out,
+		OnEpochFlush: onFlush,
+	}
+	for _, src := range []string{"time", "srcIP", "destIP"} {
+		ce := mustCompileCol(t, src, r, nil)
+		cfg.GroupBy, cfg.ColGroupBy = append(cfg.GroupBy, ce.Row), append(cfg.ColGroupBy, ce)
+	}
+	for _, a := range []struct{ fn, arg string }{{"OR_AGGR", "flags"}, {"COUNT", ""}, {"SUM", "len"}} {
+		ac, colArg := AggColumn{Factory: mustFactory(t, a.fn)}, (*ColExpr)(nil)
+		if a.arg != "" {
+			ce := mustCompileCol(t, a.arg, r, nil)
+			ac.Arg, colArg = ce.Row, &ce
+		}
+		cfg.Aggs, cfg.ColArgs = append(cfg.Aggs, ac), append(cfg.ColArgs, colArg)
+	}
+	rowRes := ColsResolver("", []string{"tb", "s", "d", "orf", "cnt", "bytes"})
+	if having != "" {
+		ce := mustCompileCol(t, having, rowRes, nil)
+		cfg.Having = ce.Row
+		if kernels {
+			cfg.ColHaving = &ce
+		}
+	}
+	for _, src := range post {
+		ce := mustCompileCol(t, src, rowRes, nil)
+		cfg.Post = append(cfg.Post, ce.Row)
+		if kernels {
+			cfg.ColPost = append(cfg.ColPost, ce)
+		}
+	}
+	return NewAggregate(cfg)
+}
+
+// TestDenseKernelEmitMatchesRowOracle holds the column emit — HAVING
+// and the projection as kernels over the dense arrays — to the row
+// branch: the same all-uint stream through a dense aggregate with the
+// compiled forms and through one without must deliver the same rows in
+// the same downstream calls and report the same OnEpochFlush numbers,
+// and both must agree with the pure row path. kernelEmits says the
+// kernels really ran wherever a column can carry the result, and only
+// there.
+func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
+	type flush struct {
+		wm           uint64
+		groups, rows int
+	}
+	const cases = 280
+	var kernelRan, rowRan, compacted, migrated, allDropped, late int
+	for c := 0; c < cases; c++ {
+		rng := rand.New(rand.NewSource(int64(c)))
+		hv, pv := c%len(denseHavings), (c/len(denseHavings))%len(densePosts)
+		negative, migrate := rng.Intn(4) == 0, rng.Intn(5) == 0
+		kernels := denseHavings[hv].kernel && densePosts[pv].kernel
+
+		var sinks [3]recSink
+		var flushes [3][]flush
+		var aggs [3]*Aggregate
+		for i := range aggs {
+			i := i
+			aggs[i] = denseTestAgg(t, &sinks[i], denseHavings[hv].src, densePosts[pv].srcs, i == 0, func(wm uint64, g, r int) {
+				flushes[i] = append(flushes[i], flush{wm, g, r})
+			})
+		}
+		kern, rowsOnly, oracle := aggs[0], aggs[1], aggs[2]
+
+		// The stream: epochs 0..5 in order, each epoch's rows mixed with
+		// early rows of the next so a watermark leaves survivors behind.
+		epochs, perEpoch := uint64(3+rng.Intn(3)), 30+rng.Intn(120)
+		migrateAt := uint64(rng.Intn(int(epochs)))
+		var cb ColBatch
+		for e := uint64(0); e < epochs; e++ {
+			rows := make(Batch, 0, perEpoch+1)
+			for i := 0; i < perEpoch; i++ {
+				tb := e
+				if e+1 < epochs && rng.Intn(6) == 0 {
+					tb = e + 1
+				} else if e > 0 && rng.Intn(25) == 0 {
+					tb = e - 1 // late: every path drops and counts it
+				}
+				src := uint64(rng.Intn(12))
+				if rng.Intn(3) == 0 {
+					src |= 1 << 63
+				}
+				rows = append(rows, Tuple{u(tb), u(src), u(uint64(rng.Intn(3))), u(uint64(rng.Intn(8))), u(uint64(40 + rng.Intn(12)))})
+			}
+			if negative {
+				// A group of its own whose single len has the top bit set:
+				// its SUM is an Int, the other groups' stay Uint.
+				rows = append(rows, Tuple{u(e), u(1 << 40), u(0), u(1), u(1<<63 | 5)})
+			}
+			for off := 0; off < len(rows); {
+				end := min(off+1+rng.Intn(64), len(rows))
+				chunk := rows[off:end]
+				off = end
+				if !cb.SetFromRows(chunk) {
+					t.Fatal("SetFromRows failed")
+				}
+				if migrate && e == migrateAt && off == len(rows) && kern.denseN > 0 {
+					// A row-path push mid-epoch: both dense stores migrate.
+					kern.PushBatch(chunk)
+					rowsOnly.PushBatch(chunk)
+					if kern.denseN != 0 || len(kern.groups) == 0 {
+						t.Fatalf("case %d: PushBatch did not migrate the dense store", c)
+					}
+					migrated++
+				} else {
+					kern.PushCols(&cb)
+					rowsOnly.PushCols(&cb)
+				}
+				oracle.PushBatch(chunk)
+			}
+			wasDense, before, nf := kern.denseN > 0, kern.kernelEmits, len(flushes[0])
+			for _, a := range aggs {
+				if e+1 == epochs {
+					a.Flush()
+				} else {
+					a.Advance(16 * (e + 1)) // closes epoch e
+				}
+			}
+			emitted := len(flushes[0]) > nf
+			if want := emitted && wasDense && kernels && !negative; (kern.kernelEmits > before) != want {
+				t.Fatalf("case %d (having %q, post %v, negative %v) epoch %d: kernel emit ran = %v, want %v",
+					c, denseHavings[hv].src, densePosts[pv].srcs, negative, e, kern.kernelEmits > before, want)
+			} else if want {
+				kernelRan++
+			} else if emitted {
+				rowRan++
+			}
+			if emitted && wasDense && kern.denseN > 0 {
+				compacted++
+			}
+			if emitted && flushes[0][nf].rows == 0 {
+				allDropped++
+			}
+		}
+		if (hv != 0 || pv != 0) && rowsOnly.kernelEmits != 0 {
+			t.Fatalf("case %d: an aggregate without the compiled HAVING/Post ran the kernel emit", c)
+		}
+		label := fmt.Sprintf("case %d (having %q, post %v, negative %v, migrate %v)", c, denseHavings[hv].src, densePosts[pv].srcs, negative, migrate)
+		for i, name := range []string{"", "row branch", "row path"} {
+			if i == 0 {
+				continue
+			}
+			diffBatches(t, label+" vs "+name, sinks[i].rows, sinks[0].rows)
+			if !slices.Equal(sinks[i].calls, sinks[0].calls) {
+				t.Fatalf("%s: downstream calls %v, %s made %v", label, sinks[0].calls, name, sinks[i].calls)
+			}
+			if !slices.Equal(flushes[i], flushes[0]) {
+				t.Fatalf("%s: OnEpochFlush saw %v, %s saw %v", label, flushes[0], name, flushes[i])
+			}
+			if aggs[i].Late != kern.Late {
+				t.Fatalf("%s: Late %d, %s counted %d", label, kern.Late, name, aggs[i].Late)
+			}
+		}
+		late += int(kern.Late)
+	}
+	// Non-vacuous: each shape was really drawn.
+	for _, s := range []struct {
+		name string
+		n    int
+	}{{"kernel emits", kernelRan}, {"row-branch emits", rowRan}, {"partial drains (denseCompact)", compacted},
+		{"mid-epoch migrations", migrated}, {"all-filtered epochs", allDropped}, {"late rows", late}} {
+		if s.n < 10 {
+			t.Errorf("only %d %s in %d cases", s.n, s.name, cases)
+		}
+	}
+}
+
+// TestAggregateMapMadeOnFirstRowInsert: a dense run never makes the
+// groups map; the first row-path insert does, from the size hint.
+func TestAggregateMapMadeOnFirstRowInsert(t *testing.T) {
+	var out recSink
+	agg := denseTestAgg(t, &out, "", nil, true, nil)
+	rows := colTestRows(64)
+	var cb ColBatch
+	if !cb.SetFromRows(rows) {
+		t.Fatal("SetFromRows failed")
+	}
+	agg.PushCols(&cb)
+	agg.Advance(16)
+	if agg.groups != nil {
+		t.Fatal("a dense-only aggregate made its groups map")
+	}
+	agg.PushBatch(rows[40:])
+	if agg.groups == nil || agg.denseN != 0 {
+		t.Fatal("the row path did not take the groups over")
+	}
+	agg.Flush()
+	var ref recSink
+	oracle := denseTestAgg(t, &ref, "", nil, false, nil)
+	oracle.PushBatch(rows)
+	oracle.Advance(16)
+	oracle.PushBatch(rows[40:])
+	oracle.Flush()
+	diffBatches(t, "lazy map", ref.rows, out.rows)
+}

@@ -97,12 +97,12 @@ func TestJoinPaneHighWater(t *testing.T) {
 	warm := NewJoin(cfg)
 	PushAll(warm.LeftIn(), joinEpochBatch(0, 1, u(7)))
 	p := warm.left.panes[0]
-	rows, keys, links, slots := cap(p.rows), cap(p.keys), cap(p.links), len(p.slots)
+	rows, keys, links, slots := cap(p.rows), cap(p.keys), cap(p.links), len(p.tab.slots)
 	if rows < 1000*3 || keys < 1000*2 || links < 1000 || slots*3 < 1000*4 {
 		t.Fatalf("hinted pane holds %d row words, %d key words, %d links, %d slots; want room for 1000 entries", rows, keys, links, slots)
 	}
 	PushAll(warm.LeftIn(), joinEpochBatch(0, 1000, u(7))[1:])
-	if cap(p.rows) != rows || cap(p.keys) != keys || cap(p.links) != links || len(p.slots) != slots {
+	if cap(p.rows) != rows || cap(p.keys) != keys || cap(p.links) != links || len(p.tab.slots) != slots {
 		t.Fatal("a hinted pane grew while filling to the hint")
 	}
 }

@@ -249,7 +249,13 @@ type AggregateConfig struct {
 	// Post computes the output tuple from groups++aggs; nil emits
 	// groups++aggs unchanged.
 	Post []EvalFunc
-	Out  Consumer
+	// ColHaving/ColPost are the column-compiled forms of Having and Post
+	// (ColPost index-aligned with Post). When set and their kernels
+	// apply, a dense aggregate with ColEmit filters and projects an
+	// emitted epoch as columns instead of rows (colops.go). Optional.
+	ColHaving *ColExpr
+	ColPost   []ColExpr
+	Out       Consumer
 	// OnEpochFlush, when set, observes every non-empty emission: wm is
 	// the watermark that closed the epochs (the last one seen; 0 at a
 	// data-free Flush), groups the closed (epoch, group) states, rows
@@ -304,15 +310,16 @@ type Aggregate struct {
 	valSlab   []sqlval.Value
 	accSlab   []Accum
 	keySlab   []byte
-	// emitBuf and rowBuf are flush-path scratch: the batch container
-	// reused across epochs, and (with Post set) the groups++aggs input
-	// row Having/Post read but downstream never sees. doneBuf collects
-	// the epoch's retired groups and sortBuf is the radix-sort
-	// distribution scratch; both are reused across epochs (they hold
-	// stale *groupState pointers between flushes, bounding retention to
-	// one epoch's cardinality).
+	// emitBuf, rowBuf and outVals are flush-path scratch (emitRows): the
+	// batch container reused across epochs, the groups++aggs row Having
+	// and Post read but downstream never sees, and the slab output rows
+	// are carved from and keep for good. doneBuf collects the epoch's
+	// retired groups and sortBuf is the radix-sort distribution scratch;
+	// both are reused across epochs (they hold stale *groupState pointers
+	// between flushes, bounding retention to one epoch's cardinality).
 	emitBuf Batch
 	rowBuf  Tuple
+	outVals []sqlval.Value
 	doneBuf []*groupState
 	sortBuf []*groupState
 	// minEpoch tracks the smallest non-NULL epoch among live groups, so
@@ -320,16 +327,18 @@ type Aggregate struct {
 	// scan — most watermarks close no epoch but would otherwise pay
 	// O(groups) compares each.
 	minEpoch sqlval.Value
+	minWord  uint64 // see noteEpochWord
 	minSet   bool
 
 	// Columnar fast-path state (colops.go): an open-addressing cache
-	// over the groups map keyed by raw uint64 key words, plus per-batch
-	// kernel vector scratch. colDirty invalidates the cache whenever
-	// emitBefore retires groups; colReady memoizes kernel support.
-	colTable   []colSlot
-	colCount   int
-	colGen     uint32
+	// over the groups map keyed by raw uint64 key words — slot ref r
+	// resolves key words colWords[r*nk:] to group colStates[r] — plus
+	// per-batch kernel vector scratch. colDirty invalidates the cache
+	// whenever emitBefore retires groups; colReady memoizes kernel
+	// support.
+	colTab     wordTable
 	colWords   []uint64
+	colStates  []*groupState
 	colDirty   bool
 	colReady   int8 // 0 unknown, 1 supported, -1 row path only
 	colKeyVecs [][]uint64
@@ -342,39 +351,53 @@ type Aggregate struct {
 	// every pending group, restoring the everything-in-the-map
 	// invariant whenever the slot table is about to be invalidated.
 	colPending []*groupState
-	// emitCols is the ColEmit pivot scratch (see AggregateConfig).
+	// emitCols is the ColEmit scratch (see AggregateConfig): the pivot of
+	// emitted rows, or the dense store's groups ++ aggs columns, which
+	// emit — Having and Post as a FilterProject — filters and projects.
 	emitCols ColBatch
+	emit     FilterProject
 
 	// Dense columnar group store (colops.go): while every input batch
 	// is all-uint and every aggregate is word-vectorizable, groups live
-	// as struct-of-arrays — key words in colWords (indexed by
-	// denseKeys), one state word per (agg, group) in denseAccW — with
-	// no groupState, no map entry and no Accum objects. The first
-	// row-path push or non-conforming batch migrates every dense group
-	// into the ordinary representation (denseMigrate); dense mode only
-	// (re-)activates while the map and pending list are empty, so at
-	// any instant either the dense arrays or the map own the groups,
-	// never both.
+	// as struct-of-arrays — group g's key words at colWords[g*nk:], the
+	// slab colTab resolves through, and one state word per (agg, group)
+	// in denseAccW — with no groupState, no map entry and no Accum
+	// objects. The first row-path push or non-conforming batch migrates
+	// every dense group into the ordinary representation
+	// (denseMigrate); dense mode only (re-)activates while the map and
+	// pending list are empty, so at any instant either the dense arrays
+	// or the map own the groups, never both.
 	denseReady int8 // 0 unknown, 1 vectorizable aggs, -1 row/col-generic only
 	denseAcc   []denseAccKind
 	denseN     int
-	denseKeys  [][]uint64 // per group: key-word view into colWords
 	denseAccW  [][]uint64 // per agg: one state word per group
 	denseDone  []int32
 	denseRows  []int32
 	denseSlots []int32
 	densePos   []uint16
 	hiGroups   int
-	survWords  []uint64
-	survAccW   [][]uint64
+	// kernelEmits and radixSorts count dense emissions that ran HAVING
+	// and the projection as kernels, and that needed the radix sort;
+	// tests read them to know which path they exercised.
+	kernelEmits, radixSorts int
 }
 
 // slabChunk is how many groups' worth of state one slab chunk holds.
 const slabChunk = 256
 
-// NewAggregate builds the operator.
+// NewAggregate builds the operator. The groups map is made on the first
+// row-path insert (register): the dense store never touches it.
 func NewAggregate(cfg AggregateConfig) *Aggregate {
-	return &Aggregate{cfg: cfg, groups: make(map[string]*groupState, cfg.SizeHint)}
+	return &Aggregate{cfg: cfg, emit: FilterProject{
+		Filter: cfg.Having, ColFilter: cfg.ColHaving, Projs: cfg.Post, ColProjs: cfg.ColPost}}
+}
+
+// register enters a group in the map the row path looks groups up in.
+func (o *Aggregate) register(key string, gs *groupState) {
+	if o.groups == nil {
+		o.groups = make(map[string]*groupState, o.cfg.SizeHint)
+	}
+	o.groups[key] = gs
 }
 
 // Push implements Consumer.
@@ -401,7 +424,7 @@ func (o *Aggregate) Push(t Tuple) {
 	gs, ok := o.groups[key]
 	if !ok {
 		gs = o.newGroup([]byte(key), vals)
-		o.groups[key] = gs
+		o.register(key, gs)
 	}
 	for i, a := range o.cfg.Aggs {
 		if a.Arg == nil {
@@ -452,7 +475,7 @@ func (o *Aggregate) pushFast(t Tuple) {
 	gs, ok := o.groups[string(key)]
 	if !ok {
 		gs = o.newGroup(key, vals)
-		o.groups[string(key)] = gs
+		o.register(string(key), gs)
 	}
 	for i, a := range o.cfg.Aggs {
 		if a.Arg == nil {
@@ -515,7 +538,7 @@ func (o *Aggregate) newGroup(key []byte, vals []sqlval.Value) *groupState {
 // be invalidated.
 func (o *Aggregate) colSyncPending() {
 	for _, gs := range o.colPending {
-		o.groups[string(gs.key)] = gs
+		o.register(string(gs.key), gs)
 	}
 	o.colPending = o.colPending[:0]
 }
@@ -619,7 +642,7 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 				if !gs.epoch.IsNull() && (!survSet || gs.epoch.Compare(survMin) < 0) {
 					survMin, survSet = gs.epoch, true
 				}
-				o.groups[string(gs.key)] = gs
+				o.register(string(gs.key), gs)
 				pendingSurvivors = true
 				continue
 			}
@@ -637,9 +660,9 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 	// Retired groups may be cached in the columnar slot table; make the
 	// next PushCols rebuild it (colops.go).
 	o.colDirty = true
-	if mapDone == mapTotal && !pendingSurvivors {
-		// Every group drained (always true at Flush; the common case at
-		// an epoch boundary of a tumbling window). Rebuilding the map
+	if mapTotal > 0 && mapDone == mapTotal && !pendingSurvivors {
+		// Every map group drained (always true at Flush; the common case
+		// at an epoch boundary of a tumbling window). Rebuilding the map
 		// pre-sized from this epoch's cardinality beats per-key deletes:
 		// insertions up to that count never rehash, and a cardinality
 		// spike's bucket memory is returned instead of lingering for the
@@ -683,46 +706,60 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 			return bytes.Compare(a.key, b.key)
 		})
 	}
-	// Emit the epoch as one batch: output rows carve from a single
-	// backing array (fresh per flush — downstream retains them) and the
-	// whole run moves downstream through the batched path, crossing
-	// island boundaries as one captured batch item.
+	rows := o.emitRows(len(done), func(k int, row Tuple) Tuple {
+		gs := done[k]
+		row = append(row, gs.vals...)
+		for _, a := range gs.accs {
+			row = append(row, a.Result())
+		}
+		return row
+	})
+	if o.cfg.OnEpochFlush != nil {
+		o.cfg.OnEpochFlush(o.lastWM, len(done), rows)
+	}
+}
+
+// emitRows emits n retired groups, already in order, as one row batch
+// and returns how many rows HAVING kept; fill appends group k's
+// groups++aggs values to the row it is handed. Output rows carve from
+// outVals, which downstream retains: without HAVING every group yields
+// a row and one exact slab serves the epoch; with it the groups++aggs
+// row is judged in scratch first and only kept rows take slab space, a
+// chunk at a time, so a selective HAVING allocates for what it keeps
+// rather than for what retired. The whole run moves downstream through
+// the batched path, crossing island boundaries as one captured batch
+// item.
+//
+//qap:hot
+func (o *Aggregate) emitRows(n int, fill func(k int, row Tuple) Tuple) int {
+	width := len(o.cfg.GroupBy) + len(o.cfg.Aggs)
+	if o.cfg.Post != nil {
+		width = len(o.cfg.Post)
+	}
+	if o.cfg.Having == nil {
+		o.outVals = make([]sqlval.Value, 0, n*width) //qap:allow hotalloc -- the epoch's output rows, retained by downstream consumers
+	}
 	out := o.emitBuf[:0]
-	if o.cfg.Post == nil {
-		width := len(o.cfg.GroupBy) + len(o.cfg.Aggs)
-		backing := make([]sqlval.Value, 0, len(done)*width)
-		for _, gs := range done {
-			start := len(backing)
-			backing = append(backing, gs.vals...)
-			for _, a := range gs.accs {
-				backing = append(backing, a.Result())
-			}
-			row := Tuple(backing[start:len(backing):len(backing)])
-			if o.cfg.Having != nil && !o.cfg.Having(row).AsBool() {
-				backing = backing[:start]
-				continue
-			}
-			out = append(out, row)
+	for k := 0; k < n; k++ {
+		if cap(o.outVals)-len(o.outVals) < width {
+			o.outVals = make([]sqlval.Value, 0, slabChunk*width) //qap:allow hotalloc -- slab refill, amortized over slabChunk kept rows
 		}
-	} else {
-		np := len(o.cfg.Post)
-		backing := make([]sqlval.Value, 0, len(done)*np)
-		for _, gs := range done {
-			row := o.rowBuf[:0]
-			row = append(row, gs.vals...)
-			for _, a := range gs.accs {
-				row = append(row, a.Result())
-			}
-			o.rowBuf = row
-			if o.cfg.Having != nil && !o.cfg.Having(row).AsBool() {
+		start := len(o.outVals)
+		if o.cfg.Having == nil && o.cfg.Post == nil {
+			o.outVals = fill(k, o.outVals) // the row is the output: build it in place
+		} else {
+			o.rowBuf = fill(k, o.rowBuf[:0])
+			if o.cfg.Having != nil && !o.cfg.Having(o.rowBuf).AsBool() {
 				continue
 			}
-			start := len(backing)
+			if o.cfg.Post == nil {
+				o.outVals = append(o.outVals, o.rowBuf...)
+			}
 			for _, p := range o.cfg.Post {
-				backing = append(backing, p(row))
+				o.outVals = append(o.outVals, p(o.rowBuf))
 			}
-			out = append(out, Tuple(backing[start:len(backing):len(backing)]))
 		}
+		out = append(out, Tuple(o.outVals[start:len(o.outVals):len(o.outVals)]))
 	}
 	o.emitBuf = out
 	if o.cfg.ColEmit && len(out) > 0 && o.emitCols.SetFromRows(out) {
@@ -730,9 +767,7 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 	} else {
 		PushAll(o.cfg.Out, out)
 	}
-	if o.cfg.OnEpochFlush != nil {
-		o.cfg.OnEpochFlush(o.lastWM, len(done), len(out))
-	}
+	return len(out)
 }
 
 // radixCutoff is the segment size below which sortGroupsByKey falls
@@ -976,26 +1011,14 @@ type wordLink struct {
 	matched bool
 }
 
-// joinSlot is one slot of a word pane's open-addressed table: a key's
-// hash and its chain head, whose key words are the key. A slot is live
-// iff gen matches the pane's, so dropping the pane retires the whole
-// table in O(1), like the aggregate's colSlot.
-type joinSlot struct {
-	h    uint64
-	head int32
-	gen  uint32
-}
-
-const joinSlotsMin = 256
-
 // joinPane is one side's state for one temporal-key value, in one of
 // two layouts over the same insertion-ordered, index-chained entries.
 // Row layout: a map from encoded key to chain head over a slab of
 // joinEntry. Word layout, for all-uint input (Join.words): entry i is
 // Width row words at rows[i*Width], one word per key at keys[i*nk] and
-// links[i], behind the slot table — no pointer anywhere, so the
-// collector never scans it. A join's panes all share one layout.
-// Expiry drops the pane whole.
+// links[i], behind a wordTable (colops.go) filing each key's chain head
+// — no pointer anywhere, so the collector never scans it. A join's
+// panes all share one layout. Expiry drops the pane whole.
 type joinPane struct {
 	tkey sqlval.Value
 
@@ -1004,9 +1027,7 @@ type joinPane struct {
 
 	rows, keys []uint64
 	links      []wordLink
-	slots      []joinSlot
-	gen        uint32
-	nkeys      int // live slots
+	tab        wordTable
 }
 
 func (p *joinPane) size() int { return len(p.entries) + len(p.links) }
@@ -1017,12 +1038,8 @@ func (p *joinPane) reset() {
 	clear(p.entries)
 	p.entries = p.entries[:0]
 	clear(p.heads)
-	p.rows, p.keys, p.links, p.nkeys = p.rows[:0], p.keys[:0], p.links[:0], 0
-	p.gen++
-	if p.gen == 0 { // wrapped onto the zero value of untouched slots
-		clear(p.slots)
-		p.gen = 1
-	}
+	p.rows, p.keys, p.links = p.rows[:0], p.keys[:0], p.links[:0]
+	p.tab.reset()
 }
 
 // joinSide is one input's panes in ascending tkey order — normally one
@@ -1054,7 +1071,7 @@ func (s *joinSide) pane(tkey sqlval.Value, open bool) *joinPane {
 		if n := len(s.free); n > 0 {
 			p, s.free = s.free[n-1], s.free[:n-1]
 		} else {
-			p = &joinPane{gen: 1} //qap:allow hotalloc -- once per concurrently live pane, then recycled
+			p = &joinPane{} //qap:allow hotalloc -- once per concurrently live pane, then recycled
 		}
 		p.tkey = tkey
 		s.panes = slices.Insert(s.panes, i, p)
