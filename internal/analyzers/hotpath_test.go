@@ -117,6 +117,66 @@ func grouped(g *group) {
 	}
 }
 
+// TestPoolleakTracksLinkBatches follows a link item's batch from the
+// GetColBatch that opens it to its release, in the shapes the engine
+// uses: the capture's copy moves into the item it records, the decoder
+// puts its batch back when the blob is bad and hands it to the item
+// otherwise, and the replay puts the batch an item handed it once the
+// edge has seen it. The seeded leak is a capture that acquires before it
+// looks at the batch and drops the copy of an empty one.
+func TestPoolleakTracksLinkBatches(t *testing.T) {
+	fs := findingsFor(t, poolFiles(`type item struct{ cols *exec.ColBatch }
+
+type island struct{ outbox []item }
+
+func copyInto(dst, src *exec.ColBatch) { dst.Len = src.Len }
+
+func capture(isl *island, cb *exec.ColBatch) {
+	if cb.Len == 0 {
+		return
+	}
+	cp := exec.GetColBatch()
+	copyInto(cp, cb)
+	isl.outbox = append(isl.outbox, item{cols: cp})
+}
+
+func leakyCapture(isl *island, cb *exec.ColBatch) {
+	cp := exec.GetColBatch()
+	if cb.Len == 0 {
+		return
+	}
+	copyInto(cp, cb)
+	isl.outbox = append(isl.outbox, item{cols: cp})
+}
+
+func decodeItem(it *item, bad bool) bool {
+	cb := exec.GetColBatch()
+	if bad {
+		exec.PutColBatch(cb)
+		return false
+	}
+	it.cols = cb
+	return true
+}
+
+func replay(items []item, push func(*exec.ColBatch)) {
+	for i := range items {
+		it := &items[i]
+		push(it.cols)
+		exec.PutColBatch(it.cols)
+		it.cols = nil
+	}
+}
+`))
+	pl := byAnalyzer(fs, "poolleak")
+	if len(pl) != 1 {
+		t.Fatalf("want 1 poolleak finding (the capture that acquires too early), got %d: %v", len(pl), pl)
+	}
+	if pl[0].Pos.Line != 21 || !strings.Contains(pl[0].Message, "no PutColBatch") {
+		t.Errorf("unexpected finding: line %d: %s", pl[0].Pos.Line, pl[0].Message)
+	}
+}
+
 // TestPoolleakAcceptsOwnershipIdioms pins the contract's legal shapes:
 // balanced put, deferred put (direct and in a closure), transfer by
 // return, transfer into a struct or composite literal, self-append

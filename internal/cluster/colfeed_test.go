@@ -142,39 +142,36 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 }
 
 // Allocation budgets of a parallel-engine columnar replay (Workers 2,
-// warm size hints).
+// warm size hints). The three aggregation figures were last set by the
+// change that made island-crossing link items carry column batches;
+// "parent" below is that change's parent, whose capture pivoted every
+// crossing batch to rows.
 //
-// Section 6.3 set, two hosts, round-robin split, in bytes. Parent of the
-// change that set it, measured with this test: 328 B/packet (361 on the
-// benchmark's longer trace), 256 of them the driver's tuple slab
-// (AppendTuple), the rest mostly the workers' SetFromRows pivot. The
-// budget is 40 % of that; the change measures 71.
+// Section 6.3 set, two hosts, round-robin split, in bytes: parent 63
+// B/packet, most of it the capture's row pivot of the sub-aggregates'
+// output and the key string the central super-aggregate's row path made
+// per group; the change measures 23 (the link copy, the dense stores).
 //
 // Section 6.2 set (examples/queries/section62.gsql), four hosts on a
 // compatible partitioning, in objects for the whole run: the scan's Tee
 // forwards columns and the self-join stores words, so what is left is
 // output rows, the per-round feed and the panes a warm run sizes once.
-// Parent of the change that set it: 313 thousand objects for the
-// 240 000 packets, most of them the key string of each stored join row
-// and the Tee's row pivot. The change measures 32.5 to 33 thousand; the
-// budget is that + 10 %.
+// 32.4 thousand objects for the 240 000 packets before and after (the
+// aggregates' output crosses as columns now, and is pivoted once, for the
+// collector, on the other side); the budget is that + 10 %.
 //
 // Suspicious-flows aggregation on one host over a wide trace (one group
 // per ~1.5 packets; 240 000 packets, 165 thousand groups), bytes and
-// objects for the whole run at measured + 10 %. The leaf sub-aggregate
-// is dense and emits columns; the parallel engine hands its output to
-// the central island as captured rows, so the super-aggregate runs the
-// row path and costs one key string per group — which is what the
-// object count is, and why it is nowhere near the sequential engine's
-// (about 500 objects a replay of agg_wide_1host, the benchmark's run of
-// this plan over 600 000 packets). Parent of the change that set
-// it: 818 B/packet, 165.2 thousand objects; the change measures 618 and
-// 165.4 thousand.
+// objects for the whole run. The leaf sub-aggregate is dense and emits
+// columns, which reach the central super-aggregate as columns, so that
+// one is dense too: parent 664 B/packet and 165.4 thousand objects — one
+// key string per group — the change 137 to 180 B/packet, depending on
+// which batches the pool still holds, and 400 objects.
 const (
-	allocBudgetParallelColumnarBytesPerPacket = 131
+	allocBudgetParallelColumnarBytesPerPacket = 40
 	allocBudgetParallelSection62Objects       = 36000
-	allocBudgetParallelWideBytesPerPacket     = 680
-	allocBudgetParallelWideObjects            = 182000
+	allocBudgetParallelWideBytesPerPacket     = 200
+	allocBudgetParallelWideObjects            = 2000
 )
 
 func TestAllocsParallelColumnarReplay(t *testing.T) {
@@ -257,7 +254,7 @@ func TestAllocsParallelColumnarReplay(t *testing.T) {
 // leaves the stock empty.
 func TestGrouperStockSurvivesCollector(t *testing.T) {
 	var gr colGrouper
-	cb := gr.take()
+	cb := gr.take(0)
 	for i := 0; i < 100; i++ {
 		netgen.Packet{Time: 1, SrcIP: uint64(i)}.AppendCols(cb)
 	}
@@ -268,7 +265,7 @@ func TestGrouperStockSurvivesCollector(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.GC()
-	got := gr.take()
+	got := gr.take(0)
 	if got != cb {
 		t.Fatal("take did not return the run's own batch after two collector cycles")
 	}

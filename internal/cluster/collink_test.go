@@ -1,0 +1,366 @@
+package cluster
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"qap/internal/core"
+	"qap/internal/exec"
+	"qap/internal/live"
+	"qap/internal/netgen"
+	"qap/internal/optimizer"
+	"qap/internal/sqlval"
+)
+
+// crossing is what one kind of leaf operator sent across its island's
+// boundary: data items by kind, and how many column items carried a
+// validity bitmap or a column that is not uint.
+type crossing struct {
+	items            map[live.ItemKind]int
+	bitmaps, nonUint int
+}
+
+// tallySink executes every island's rounds on the spot and tallies what
+// the captures recorded, by producing operator kind. Nothing is replayed:
+// what crosses, and in which shape, is decided on the leaves alone.
+type tallySink struct {
+	r   *Runner
+	xs  []islandExec
+	gr  *colGrouper
+	got map[optimizer.OpKind]*crossing
+}
+
+func (s *tallySink) closed(pend [][]live.Round) error { return s.finish(pend) }
+
+func (s *tallySink) finish(pend [][]live.Round) error {
+	for i := range pend {
+		x := &s.xs[i]
+		x.execRounds(pend[i])
+		s.gr.recycle(pend[i])
+		pend[i] = pend[i][:0]
+		for _, it := range x.isl.outbox {
+			if it.Kind == live.ItemAdvance || it.Kind == live.ItemFlush {
+				continue
+			}
+			from := s.r.edges[it.Edge].from.Kind
+			c := s.got[from]
+			if c == nil {
+				c = &crossing{items: map[live.ItemKind]int{}}
+				s.got[from] = c
+			}
+			c.items[it.Kind]++
+			if it.Kind != live.ItemPushCols {
+				continue
+			}
+			bitmap, nonUint := false, false
+			for ci := range it.Cols.Cols {
+				bitmap = bitmap || len(it.Cols.Cols[ci].Valid) != 0
+				nonUint = nonUint || it.Cols.Cols[ci].Kind != sqlval.KindUint
+			}
+			if bitmap {
+				c.bitmaps++
+			}
+			if nonUint {
+				c.nonUint++
+			}
+		}
+		live.ReleaseCols(x.isl.outbox)
+		x.isl.outbox = x.isl.outbox[:0]
+	}
+	return nil
+}
+
+// crossings runs the leaf side of a parallel runner at batch size bs.
+func crossings(t *testing.T, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, bs int) map[optimizer.OpKind]*crossing {
+	t.Helper()
+	p, err := optimizer.Build(buildGraph(t, queries), ps, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: 4, BatchSize: bs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.parallel {
+		t.Fatal("the plan is not parallelizable: nothing crosses")
+	}
+	cursors, err := r.makeCursors(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv, flush := r.buildTargets(cursors)
+	s := &tallySink{r: r, gr: new(colGrouper), got: map[optimizer.OpKind]*crossing{}}
+	for i := 0; i < p.Hosts; i++ {
+		s.xs = append(s.xs, islandExec{
+			r: r, isl: r.islands[i], wins: r.islands[i : i+1],
+			adv: adv[i], flush: flush[i], outs: scanEntries(cursors),
+		})
+	}
+	if _, _, err := r.split(cursors, s.gr, s); err != nil {
+		t.Fatal(err)
+	}
+	s.gr.release()
+	return s.got
+}
+
+// nonUintSet crosses what a uint column cannot carry. odd's MAX is NULL
+// for the groups whose packets all have an even flags word, so its
+// sub-aggregate's batch keeps its columns and gains a validity bitmap;
+// skew's SUM is negative for some groups and not for others, a column of
+// mixed kinds, so its sub-aggregate falls back to rows.
+const nonUintSet = `
+query odd:
+SELECT tb, srcIP, MAX(len / (flags & 1)) as odd_len, COUNT(*) as cnt
+FROM TCP
+GROUP BY time/60 as tb, srcIP
+
+query skew:
+SELECT tb, destIP, SUM(len - 700) as skew
+FROM TCP
+GROUP BY time/60 as tb, destIP`
+
+// TestColumnItemsCrossIslands: a producer that delivers columns crosses
+// its island's boundary as a column item — every aggregate and
+// sub-aggregate at batch size 256 — and everything else as the rows it
+// was: join output as row batches, the scalar oracle's pushes one tuple
+// an item. The items are the ones the row-only link carried, count for
+// count, and rows, OpStats and canonical trace bytes are the sequential
+// engine's on the parallel engine and on the live backend, also when a
+// duplicated and a cut link connection make a node retransmit column
+// frames.
+func TestColumnItemsCrossIslands(t *testing.T) {
+	tr := smallTrace(t)
+	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
+	section62, err := os.ReadFile("../../examples/queries/section62.gsql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		queries string
+		ps      core.Set
+		o       optimizer.Options
+		// items is Report.Timing.LinkItems, as measured on the row-only
+		// link this test's parent commit had.
+		items int64
+	}{
+		{"figure8", suspiciousQuery, nil,
+			optimizer.Options{Hosts: 1, PartitionsPerHost: 1, PartialAgg: true, PartialScope: optimizer.ScopeHost}, figure8Items},
+		{"section63", complexSet, nil,
+			optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true, PartialScope: optimizer.ScopeHost}, section63Items},
+		{"section62", string(section62), core.MustParseSet("destIP, srcIP & 0xFFF0"),
+			optimizer.Options{Hosts: 4, PartitionsPerHost: 2}, section62Items},
+		{"non-uint", nonUintSet, nil,
+			optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}, nonUintItems},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			got := crossings(t, tc.queries, tc.ps, tc.o, streams, 256)
+			var cols, batches int
+			for kind, c := range got {
+				rows := c.items[live.ItemPush] + c.items[live.ItemPushBatch]
+				switch {
+				case c.items[live.ItemPush] != 0:
+					t.Errorf("%v: %d single-tuple items at batch size 256", kind, c.items[live.ItemPush])
+				case kind == optimizer.OpJoin && c.items[live.ItemPushCols] != 0:
+					t.Errorf("join output crossed as %d column items", c.items[live.ItemPushCols])
+				case (kind == optimizer.OpAggregate || kind == optimizer.OpAggSub) && rows != 0 && tc.name != "non-uint":
+					t.Errorf("%v output crossed as %d row items", kind, rows)
+				}
+				cols += c.items[live.ItemPushCols]
+				batches += c.items[live.ItemPushBatch]
+			}
+			if cols == 0 {
+				t.Fatalf("no column item crossed: %+v", got)
+			}
+			// jitter runs on section62's leaves, behind the join, and its
+			// AVG is a float column.
+			if tc.name == "section62" && got[optimizer.OpAggregate].nonUint == 0 {
+				t.Error("no column item carried a column that is not uint")
+			}
+			if tc.name == "non-uint" && (batches == 0 || got[optimizer.OpAggSub].bitmaps == 0) {
+				t.Errorf("%d row-batch fallback items, %d column items with a validity bitmap: the case tests nothing",
+					batches, got[optimizer.OpAggSub].bitmaps)
+			}
+			// The scalar oracle compiles no column path: nothing crosses
+			// as columns.
+			for kind, c := range crossings(t, tc.queries, tc.ps, tc.o, streams, 1) {
+				if c.items[live.ItemPushCols] != 0 {
+					t.Errorf("%v: %d column items at batch size 1", kind, c.items[live.ItemPushCols])
+				}
+			}
+
+			cfg := liveRunConfig(1, 256, LiveConfig{})
+			cfg.Engine = EngineSim
+			want := runEngine(t, tc.queries, tc.ps, tc.o, streams, cfg)
+			cfg.Workers = 4
+			par := runEngine(t, tc.queries, tc.ps, tc.o, streams, cfg)
+			sameResult(t, want, par)
+			sameTrace(t, want, par)
+			if par.Report.Timing.LinkItems != tc.items {
+				t.Errorf("%d link items crossed, the row-only link carried %d", par.Report.Timing.LinkItems, tc.items)
+			}
+			faults := &live.FaultPlan{Faults: []live.Fault{
+				{Host: 0, Session: -1, Write: 1, Action: live.FaultDup},
+				{Host: 0, Session: 0, Write: 3, Action: live.FaultCut},
+			}}
+			for _, lc := range []LiveConfig{{}, {Faults: faults, Timeout: 2 * time.Second}} {
+				got := runEngine(t, tc.queries, tc.ps, tc.o, streams, liveRunConfig(1, 256, lc))
+				sameResult(t, want, got)
+				sameTrace(t, want, got)
+				if got.Report.Timing.LinkItems != tc.items {
+					t.Errorf("live: %d link items crossed, the row-only link carried %d", got.Report.Timing.LinkItems, tc.items)
+				}
+			}
+			if faults.Hits() < 2 {
+				t.Errorf("the fault plan fired %d times, want the duplicate and the cut", faults.Hits())
+			}
+		})
+	}
+}
+
+// Link item counts of TestColumnItemsCrossIslands' four deployments.
+const (
+	figure8Items   = 184
+	section63Items = 368
+	section62Items = 2944
+	nonUintItems   = 1472
+)
+
+// TestLiveLinkRejectsMisshapenItem: the link codec admits any
+// well-formed item, but the replay indexes Runner.edges by an item's
+// edge id and the central kernels index its columns by position. An item
+// the compiled plan could not have produced — wider or narrower than the
+// operator producing into its edge, columns at the scalar oracle's batch
+// size, an edge the plan does not have — is an error naming host, round
+// and edge, before any of its message is replayed, never a panic.
+func TestLiveLinkRejectsMisshapenItem(t *testing.T) {
+	tr := smallTrace(t)
+	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
+	p, err := optimizer.Build(buildGraph(t, flowsQuery), nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1, PartialAgg: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := func(bs int, lc LiveConfig) *Runner {
+		r, err := NewRunner(p, liveRunConfig(1, bs, lc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	// flows' sub-aggregate emits tb, srcIP, destIP and the count.
+	cols := func(width int) *exec.ColBatch {
+		row := make(exec.Tuple, width)
+		for i := range row {
+			row[i] = sqlval.Uint(uint64(i))
+		}
+		cb := exec.GetColBatch()
+		cb.SetFromRows(exec.Batch{row, row})
+		return cb
+	}
+	row := func(width int) exec.Tuple { return cols(width).AppendRows(nil)[0] }
+	cases := []struct {
+		name string
+		bs   int
+		it   live.Item
+		want string // "" accepts
+	}{
+		{"columns", 256, live.Item{Kind: live.ItemPushCols, Cols: cols(4)}, ""},
+		{"row batch", 256, live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(4), row(4)}}, ""},
+		{"row", 1, live.Item{Kind: live.ItemPush, Tuple: row(4)}, ""},
+		{"advance", 256, live.Item{Kind: live.ItemAdvance, WM: 60}, ""},
+		{"narrow columns", 256, live.Item{Kind: live.ItemPushCols, Cols: cols(3)}, "column batch of 3 columns, the producer emits 4"},
+		{"wide columns", 256, live.Item{Kind: live.ItemPushCols, Cols: cols(5)}, "column batch of 5 columns, the producer emits 4"},
+		{"narrow row", 1, live.Item{Kind: live.ItemPush, Tuple: row(3)}, "row of 3 columns, the producer emits 4"},
+		{"narrow row in a batch", 256, live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(4), row(2)}}, "row of 2 columns, the producer emits 4"},
+		{"columns at batch size 1", 1, live.Item{Kind: live.ItemPushCols, Cols: cols(4)}, "column item, but batch size 1"},
+		{"edge past the plan", 256, live.Item{Kind: live.ItemFlush, Edge: 1}, "unknown edge"},
+		{"negative edge", 256, live.Item{Kind: live.ItemAdvance, Edge: -1}, "unknown edge"},
+	}
+	for _, tc := range cases {
+		tc.it.Round = 3
+		err := runner(tc.bs, LiveConfig{}).checkLink(&live.LinkMsg{Host: 0, Items: []live.Item{{Kind: live.ItemFlush}, tc.it}})
+		exec.PutColBatch(tc.it.Cols)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: a well-formed item was refused: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: the item was accepted", tc.name)
+		case tc.want != "":
+			for _, want := range []string{"host 0", "round 3", fmt.Sprintf("edge %d", tc.it.Edge), tc.want} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+				}
+			}
+		}
+	}
+
+	// End to end: a node whose first link carries a narrow column item
+	// fails the run with that error; the central island has seen nothing.
+	node, err := live.NewNode(live.Config{Timeout: 2 * time.Second}, live.NodeOptions{
+		NewExecutor: func(*live.Hello) (live.Executor, error) { return narrowExec{cols(3)}, nil },
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- node.Serve() }()
+	r := runner(256, LiveConfig{Nodes: []string{node.Addr()}, Timeout: 2 * time.Second})
+	_, err = r.RunStreams(streams)
+	node.Close()
+	<-served
+	if err == nil || !strings.Contains(err.Error(), "live link from host 0, round 0, edge 0: column batch of 3 columns") {
+		t.Fatalf("the run's error is %v, want the narrow column item's refusal", err)
+	}
+	if got := r.islands[1].metrics.Tuples; got != 0 {
+		t.Errorf("the central island accounted %d tuples of a refused message", got)
+	}
+}
+
+// narrowExec answers every feed with one column item narrower than any
+// operator of the plan emits, behind a well-formed advance.
+type narrowExec struct{ cols *exec.ColBatch }
+
+func (x narrowExec) Execute(m *live.FeedMsg) (*live.LinkMsg, error) {
+	cp := exec.GetColBatch()
+	cp.CopyFrom(x.cols)
+	return &live.LinkMsg{Through: m.Rounds[len(m.Rounds)-1].Round, Done: m.Last, Items: []live.Item{
+		{Kind: live.ItemAdvance, WM: m.Rounds[0].WM, MWM: m.Rounds[0].WM},
+		{Kind: live.ItemPushCols, Cols: cp},
+	}}, nil
+}
+
+func (narrowExec) Result() ([]byte, error) { return nil, nil }
+
+// TestAllocsCaptureCols: capturing a column batch copies it into a
+// pooled batch whose word vectors carve from one slab, so a capture
+// costs at most the slab and the column headers, and nothing once the
+// pool's batches have held the shape — not one allocation per column.
+func TestAllocsCaptureCols(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	src := new(exec.ColBatch)
+	rows := make(exec.Batch, 256)
+	for i := range rows {
+		rows[i] = exec.Tuple{sqlval.Uint(60), sqlval.Uint(uint64(i)), sqlval.Uint(uint64(i * 7)), sqlval.Uint(1), sqlval.Uint(1500)}
+	}
+	if !src.SetFromRows(rows) {
+		t.Fatal("uint rows are not columnar")
+	}
+	isl := &island{}
+	c := &capture{isl: isl, e: &edge{}}
+	capture := func() {
+		c.PushCols(src)
+		live.ReleaseCols(isl.outbox) // what the replay does with an applied item
+		isl.outbox = isl.outbox[:0]
+	}
+	capture()
+	if got := testing.AllocsPerRun(100, capture); got > 2 {
+		t.Errorf("capturing a warm 5-column x 256-row batch costs %.1f objects, budget 2", got)
+	}
+}

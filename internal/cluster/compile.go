@@ -116,9 +116,12 @@ type edge struct {
 	xfer   float64 // IPC or network surcharge
 	net    bool    // crosses hosts (counts as network)
 	ipc    bool    // crosses processes on the same host
-	// id indexes Runner.edges for island-crossing edges (the live
-	// backend's wire name for the edge); 0 and unregistered otherwise.
-	id int
+	// id indexes Runner.edges for island-crossing edges (a link item's
+	// name for the edge); 0 and unregistered otherwise. from, on those
+	// edges, is the producing operator, whose output width the live
+	// backend holds link items to.
+	id   int
+	from *optimizer.Op
 	// st is the receiving operator's stat shard, nil when stats are
 	// disabled. The edge always executes on the receiving operator's
 	// island (captured edges replay centrally), so the shard has a
@@ -378,7 +381,7 @@ func (r *Runner) fanout(op *optimizer.Op, cons []portRef, entries map[*optimizer
 			// The edge id is its index in compile order — deterministic
 			// for a given plan, so two runners compiled from the same
 			// plan (a live splitter and a remote node) agree on every id.
-			e.id = len(r.edges)
+			e.id, e.from = len(r.edges), op
 			r.edges = append(r.edges, e)
 			outs[i] = &capture{isl: fromIsl, e: e}
 		} else {
@@ -389,6 +392,20 @@ func (r *Runner) fanout(op *optimizer.Op, cons []portRef, entries map[*optimizer
 		return outs[0]
 	}
 	return &exec.Tee{Outs: outs}
+}
+
+// outWidth is the number of columns op emits: a union forwards its
+// inputs', a sub-aggregate emits groups ++ partials, and every other
+// operator its logical node's output columns.
+func outWidth(op *optimizer.Op) int {
+	switch op.Kind {
+	case optimizer.OpUnion:
+		return outWidth(op.Inputs[0])
+	case optimizer.OpAggSub:
+		return len(op.Logical.GroupBy) + len(partialNames(op.Logical))
+	default:
+		return len(op.Logical.OutCols)
+	}
 }
 
 // instantiate builds the exec operator for one physical op and returns

@@ -28,20 +28,28 @@ package cluster
 //     islands (worker g owns islands g, g+W, ...) through
 //     islandExec.execRounds. Each delivery carries a canonical tag;
 //     deliveries that cross into the central island are not executed by
-//     the worker but recorded as tagged linkItems (the capture consumer)
-//     and shipped to the central inbox. Every processed feed message
-//     emits a linkBatch — even when empty — so the central watermark
-//     advances.
+//     the worker but recorded as tagged link items (the capture
+//     consumer) — live.Item, the link currency of this engine and the
+//     live backend alike, as live.Round is their round currency — in the
+//     shape the producer delivered them: a column batch is copied into a
+//     pooled batch of the item's own (the producer's is valid only
+//     during the call), rows are kept as the immutable tuples they are.
+//     Every processed feed message emits a live.LinkMsg — even when
+//     empty — so the central watermark advances.
 //
 //   - The central replay loop, on the calling goroutine, K-way-merges
-//     the islands' linkItems by (round, tag) and applies them to the
-//     central operators. A tag identifies one splitter action (advance,
-//     push, or flush), every action's cascade runs on exactly one
-//     island, and each island emits its items in canonical order — so
-//     the merge reconstructs the sequential delivery order exactly.
-//     Per-island "through" watermarks (the last fully shipped round)
-//     gate the merge: an item is applied only once every island has
-//     shipped past its round.
+//     the islands' link items by (round, tag) and applies them to the
+//     central operators through the edge port the producer called — a
+//     column item through edge.PushCols, over exactly the batch
+//     boundaries the producer emitted, so a sub-aggregate's columns reach
+//     the super-aggregate's dense store as they do on the sequential
+//     engine — returning each pooled batch once applied. A tag
+//     identifies one splitter action (advance, push, or flush), every
+//     action's cascade runs on exactly one island, and each island emits
+//     its items in canonical order — so the merge reconstructs the
+//     sequential delivery order exactly. Per-island "through" watermarks
+//     (the last fully shipped round) gate the merge: an item is applied
+//     only once every island has shipped past its round.
 //
 // Accounting is sharded per island in both engines and merged in a
 // fixed order by finalize(), so floating-point sums group identically
@@ -93,42 +101,6 @@ const (
 	phaseFlush = uint64(2) << 48
 )
 
-type linkKind uint8
-
-const (
-	itemPush linkKind = iota
-	itemPushBatch
-	itemAdvance
-	itemFlush
-)
-
-// linkItem is one captured delivery across an island boundary.
-type linkItem struct {
-	round int
-	tag   uint64
-	kind  linkKind
-	e     *edge
-	t     exec.Tuple
-	b     exec.Batch
-	wm    uint64
-	// mwm is the producing round's watermark (the flush round inherits
-	// the last data round's), stamped on every item so the central
-	// replay closes monitoring windows at the same trace times the
-	// sequential engine does. Distinct from wm: an advance cascade may
-	// forward a different watermark than the round's.
-	mwm uint64
-}
-
-// linkBatch ships an island's captured deliveries for a range of
-// rounds. through is the last round fully contained in the batch; done
-// marks the island's final batch.
-type linkBatch struct {
-	isl     int
-	through int
-	done    bool
-	items   []linkItem
-}
-
 // capture replaces an island-crossing edge on the producing island: it
 // records the delivery instead of performing it. The central replay
 // loop applies the recorded items in canonical order.
@@ -137,12 +109,17 @@ type capture struct {
 	e   *edge
 }
 
-func (c *capture) Push(t exec.Tuple) {
-	c.isl.outbox = append(c.isl.outbox, linkItem{
-		round: c.isl.curRound, tag: c.isl.curTag, kind: itemPush, e: c.e, t: t,
-		mwm: c.isl.curWM,
-	})
+// record stamps it with the executing round, tag and watermark and
+// appends it to the island's outbox.
+//
+//qap:hot
+func (c *capture) record(it live.Item) {
+	isl := c.isl
+	it.Round, it.Tag, it.Edge, it.MWM = isl.curRound, isl.curTag, c.e.id, isl.curWM
+	isl.outbox = append(isl.outbox, it)
 }
+
+func (c *capture) Push(t exec.Tuple) { c.record(live.Item{Kind: live.ItemPush, Tuple: t}) }
 
 // PushBatch records a produced batch as a single link item, so the
 // central replay applies it through edge.PushBatch over exactly the
@@ -152,46 +129,28 @@ func (c *capture) Push(t exec.Tuple) {
 // buffers across epochs; the tuples themselves are immutable once
 // emitted, so only the container needs to survive until replay.
 func (c *capture) PushBatch(b exec.Batch) {
-	if len(b) == 0 {
-		return
+	if len(b) > 0 {
+		c.record(live.Item{Kind: live.ItemPushBatch, Batch: append(exec.GetBatch(), b...)})
 	}
-	cp := append(exec.GetBatch(), b...)
-	c.isl.outbox = append(c.isl.outbox, linkItem{
-		round: c.isl.curRound, tag: c.isl.curTag, kind: itemPushBatch, e: c.e, b: cp,
-		mwm: c.isl.curWM,
-	})
 }
 
-// PushCols records a columnar delivery as a row link item: the batch
-// pivots to durable rows here on the producing island (the columns are
-// only valid during the call), so the link format, the wire codec, and
-// the central replay stay row-oriented and untouched. The central
-// replay then applies the item through edge.PushBatch — observably
-// identical to the columnar delivery by the ColConsumer contract.
+// PushCols records a columnar delivery as a column link item: the
+// batch is valid only during the call, so the item takes a copy in a
+// pooled batch, which the replay (or the node, once the item is on the
+// wire) returns.
+//
+//qap:hot
 func (c *capture) PushCols(cb *exec.ColBatch) {
 	if cb.Len == 0 {
 		return
 	}
-	b := cb.AppendRows(exec.GetBatch())
-	c.isl.outbox = append(c.isl.outbox, linkItem{
-		round: c.isl.curRound, tag: c.isl.curTag, kind: itemPushBatch, e: c.e, b: b,
-		mwm: c.isl.curWM,
-	})
+	cp := exec.GetColBatch()
+	cp.CopyFrom(cb)
+	c.record(live.Item{Kind: live.ItemPushCols, Cols: cp})
 }
 
-func (c *capture) Advance(wm uint64) {
-	c.isl.outbox = append(c.isl.outbox, linkItem{
-		round: c.isl.curRound, tag: c.isl.curTag, kind: itemAdvance, e: c.e, wm: wm,
-		mwm: c.isl.curWM,
-	})
-}
-
-func (c *capture) Flush() {
-	c.isl.outbox = append(c.isl.outbox, linkItem{
-		round: c.isl.curRound, tag: c.isl.curTag, kind: itemFlush, e: c.e,
-		mwm: c.isl.curWM,
-	})
-}
+func (c *capture) Advance(wm uint64) { c.record(live.Item{Kind: live.ItemAdvance, WM: wm}) }
+func (c *capture) Flush()            { c.record(live.Item{Kind: live.ItemFlush}) }
 
 // tagged is a pre-resolved consumer with its canonical tag.
 type tagged struct {
@@ -266,7 +225,7 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 	for g := range feeds {
 		feeds[g] = make(chan islandFeed, feedChanCap)
 	}
-	inbox := make(chan linkBatch, 2*hosts)
+	inbox := make(chan live.LinkMsg, 2*hosts)
 
 	var gr colGrouper // filled by the driver, restocked by the workers
 
@@ -286,7 +245,7 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 				if stall != nil {
 					<-stall
 				}
-				inbox <- linkBatch{isl: msg.isl, through: last, items: items, done: msg.Last}
+				inbox <- live.LinkMsg{Host: msg.isl, Through: last, Done: msg.Last, Items: items}
 			}
 		}(feeds[g])
 	}
@@ -307,7 +266,7 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 	// timeout guarding each receive so a wedged worker surfaces as a
 	// positioned error instead of hanging the run.
 	var timer *time.Timer
-	recv := func(waiting string) (linkBatch, error) {
+	recv := func(waiting string) (live.LinkMsg, error) {
 		if r.driveTimeout <= 0 {
 			return <-inbox, nil
 		}
@@ -323,7 +282,7 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 			}
 			return b, nil
 		case <-timer.C:
-			return linkBatch{}, fmt.Errorf("cluster: parallel drive stalled: no link batch within %s (%s)",
+			return live.LinkMsg{}, fmt.Errorf("cluster: parallel drive stalled: no link batch within %s (%s)",
 				r.driveTimeout, waiting)
 		}
 	}
@@ -368,18 +327,21 @@ func (r *Runner) buildTargets(cursors []*streamCursor) (advTargets, flushTargets
 
 // replayLinks is the central replay loop shared by the parallel engine
 // and the live backend: a K-way merge of the islands' link items by
-// (round, tag), applied to the central island. An island with an empty
-// pending queue bounds its next item at (through+1, 0) until its final
-// batch arrives. recv supplies the next link batch from whichever
-// transport the engine uses (channel or TCP); its argument describes
-// which islands the merge is blocked on, for positioned stall errors.
+// (round, tag), applied to the central island through the edges their
+// ids name (r.edges; a transport that takes ids off a wire checks them
+// first). An island with an empty pending queue bounds its next item at
+// (through+1, 0) until its final message arrives. recv supplies the next
+// link message from whichever transport the engine uses (channel or
+// TCP); its argument describes which islands the merge is blocked on,
+// for positioned stall errors. The replay owns a received message's
+// pooled batches: each goes back once applied, or when the run aborts.
 //
 //qap:hot
-func (r *Runner) replayLinks(hosts int, recv func(waiting string) (linkBatch, error)) error {
-	pending := make([][]linkItem, hosts) //qap:allow hotalloc -- replay setup, once per run
-	heads := make([]int, hosts)          //qap:allow hotalloc -- replay setup, once per run
-	through := make([]int, hosts)        //qap:allow hotalloc -- replay setup, once per run
-	done := make([]bool, hosts)          //qap:allow hotalloc -- replay setup, once per run
+func (r *Runner) replayLinks(hosts int, recv func(waiting string) (live.LinkMsg, error)) error {
+	pending := make([][]live.Item, hosts) //qap:allow hotalloc -- replay setup, once per run
+	heads := make([]int, hosts)           //qap:allow hotalloc -- replay setup, once per run
+	through := make([]int, hosts)         //qap:allow hotalloc -- replay setup, once per run
+	done := make([]bool, hosts)           //qap:allow hotalloc -- replay setup, once per run
 	for i := range through {
 		through[i] = -1
 	}
@@ -393,7 +355,7 @@ func (r *Runner) replayLinks(hosts int, recv func(waiting string) (linkBatch, er
 			isItem := heads[i] < len(pending[i])
 			if isItem {
 				it := &pending[i][heads[i]]
-				rnd, tg = it.round, it.tag
+				rnd, tg = it.Round, it.Tag
 			} else if done[i] {
 				continue
 			} else {
@@ -413,19 +375,24 @@ func (r *Runner) replayLinks(hosts int, recv func(waiting string) (linkBatch, er
 			// here reproduces the sequential boundary exactly: all
 			// central work of earlier rounds has been replayed.
 			if r.winSec > 0 {
-				r.islands[hosts].closeWindowsTo(int(it.mwm / r.winSec))
+				r.islands[hosts].closeWindowsTo(int(it.MWM / r.winSec))
 			}
-			switch it.kind {
-			case itemPush:
-				it.e.Push(it.t)
-			case itemPushBatch:
-				it.e.PushBatch(it.b)
-				exec.PutBatch(it.b)
-				it.b = nil
-			case itemAdvance:
-				it.e.Advance(it.wm)
-			case itemFlush:
-				it.e.Flush()
+			e := r.edges[it.Edge]
+			switch it.Kind {
+			case live.ItemPush:
+				e.Push(it.Tuple)
+			case live.ItemPushBatch:
+				e.PushBatch(it.Batch)
+				exec.PutBatch(it.Batch)
+				it.Batch = nil
+			case live.ItemPushCols:
+				e.PushCols(it.Cols)
+				exec.PutColBatch(it.Cols)
+				it.Cols = nil
+			case live.ItemAdvance:
+				e.Advance(it.WM)
+			case live.ItemFlush:
+				e.Flush()
 			}
 			heads[best]++
 			if heads[best] == len(pending[best]) {
@@ -435,21 +402,24 @@ func (r *Runner) replayLinks(hosts int, recv func(waiting string) (linkBatch, er
 		}
 		// The merge is blocked on islands that have not shipped far
 		// enough; receive more batches.
-		b, err := recv(replayWaiting(through, done))
+		m, err := recv(replayWaiting(through, done))
 		if err != nil {
+			for i := range pending {
+				live.ReleaseCols(pending[i][heads[i]:])
+			}
 			return err
 		}
-		r.engLinkItems += int64(len(b.items))
-		if len(pending[b.isl]) == 0 {
-			pending[b.isl], heads[b.isl] = b.items, 0
+		r.engLinkItems += int64(len(m.Items))
+		if len(pending[m.Host]) == 0 {
+			pending[m.Host], heads[m.Host] = m.Items, 0
 		} else {
-			pending[b.isl] = append(pending[b.isl], b.items...)
+			pending[m.Host] = append(pending[m.Host], m.Items...)
 		}
-		if b.through > through[b.isl] {
-			through[b.isl] = b.through
+		if m.Through > through[m.Host] {
+			through[m.Host] = m.Through
 		}
-		if b.done {
-			done[b.isl] = true
+		if m.Done {
+			done[m.Host] = true
 		}
 	}
 }

@@ -9,8 +9,10 @@ package cluster
 // island its hash-routed rounds as length-prefixed serialized tuple
 // batches over a persistent connection with credit-based backpressure,
 // and the nodes ship their captured island-crossing deliveries back as
-// link messages. The collector side feeds those into the exact same
-// central replay merge the simulator's parallel engine uses
+// link messages — the very live.Item values a simulator worker hands
+// the replay, column batches included. The collector side checks them
+// against the compiled plan (checkLink) and feeds them into the exact
+// same central replay merge the simulator's parallel engine uses
 // (replayLinks), so canonical outputs, OpStats, monitoring series, and
 // trace bytes are byte-identical to the simulator:
 //
@@ -195,20 +197,24 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 		}
 	}()
 
-	recv := func(waiting string) (linkBatch, error) {
+	recv := func(waiting string) (live.LinkMsg, error) {
 		timer := time.NewTimer(recvTimeout) //qap:allow walltime -- stall guard only; a timeout poisons the run, never shapes its outputs
 		defer timer.Stop()
 		select {
 		case m := <-sp.Links():
-			return r.linkBatchOf(m)
+			if err := r.checkLink(m); err != nil {
+				live.ReleaseCols(m.Items)
+				return live.LinkMsg{}, err
+			}
+			return *m, nil
 		case err := <-sp.Errs():
-			return linkBatch{}, err
+			return live.LinkMsg{}, err
 		case err := <-nodeErr:
-			return linkBatch{}, err
+			return live.LinkMsg{}, err
 		case err := <-driveErr:
-			return linkBatch{}, err
+			return live.LinkMsg{}, err
 		case <-timer.C:
-			return linkBatch{}, fmt.Errorf("cluster: live drive stalled: no link message within %s (%s)",
+			return live.LinkMsg{}, fmt.Errorf("cluster: live drive stalled: no link message within %s (%s)",
 				recvTimeout, waiting)
 		}
 	}
@@ -332,37 +338,49 @@ func (s *liveSink) ship(pend [][]live.Round, last bool, keep int) error {
 	return nil
 }
 
-// linkBatchOf converts a received link message into the replay merge's
-// input, resolving wire edge ids back to the compiled edges.
-func (r *Runner) linkBatchOf(m *live.LinkMsg) (linkBatch, error) {
-	if m.Host < 0 || m.Host >= r.plan.Hosts {
-		return linkBatch{}, fmt.Errorf("cluster: live link from unknown host %d", m.Host)
-	}
-	b := linkBatch{isl: m.Host, through: m.Through, done: m.Done}
-	if len(m.Items) > 0 {
-		b.items = make([]linkItem, len(m.Items))
-	}
+// checkLink judges a link message that came off a wire before any of it
+// is replayed, as Execute judges a feed: every item must name a
+// compiled island-crossing edge, a data item must be as wide as the
+// operator producing into that edge, and only a batched deployment
+// (which the fingerprint pins) ships column items. The replay indexes
+// r.edges by the id and the receiving kernels index columns by
+// position, so anything else would be a panic, not an error.
+func (r *Runner) checkLink(m *live.LinkMsg) error {
 	for i := range m.Items {
 		it := &m.Items[i]
-		if it.Edge < 0 || it.Edge >= len(r.edges) {
-			return linkBatch{}, fmt.Errorf("cluster: live link from host %d names unknown edge %d", m.Host, it.Edge)
+		if err := r.checkItem(it); err != nil {
+			return fmt.Errorf("cluster: live link from host %d, round %d, edge %d: %w", m.Host, it.Round, it.Edge, err)
 		}
-		li := linkItem{round: it.Round, tag: it.Tag, e: r.edges[it.Edge], wm: it.WM, mwm: it.MWM}
-		switch it.Kind {
-		case live.ItemPush:
-			li.kind, li.t = itemPush, it.Tuple
-		case live.ItemPushBatch:
-			li.kind, li.b = itemPushBatch, it.Batch
-		case live.ItemAdvance:
-			li.kind = itemAdvance
-		case live.ItemFlush:
-			li.kind = itemFlush
-		default:
-			return linkBatch{}, fmt.Errorf("cluster: live link from host %d has unknown item kind %d", m.Host, it.Kind)
-		}
-		b.items[i] = li
 	}
-	return b, nil
+	return nil
+}
+
+// checkItem holds one item to the plan's edges and its producer's width.
+func (r *Runner) checkItem(it *live.Item) error {
+	if it.Edge < 0 || it.Edge >= len(r.edges) {
+		return fmt.Errorf("unknown edge (the plan has %d)", len(r.edges))
+	}
+	width := outWidth(r.edges[it.Edge].from)
+	switch it.Kind {
+	case live.ItemPush:
+		if len(it.Tuple) != width {
+			return fmt.Errorf("row of %d columns, the producer emits %d", len(it.Tuple), width)
+		}
+	case live.ItemPushBatch:
+		for _, t := range it.Batch {
+			if len(t) != width {
+				return fmt.Errorf("row of %d columns, the producer emits %d", len(t), width)
+			}
+		}
+	case live.ItemPushCols:
+		if !r.batched() {
+			return fmt.Errorf("column item, but batch size 1 deploys the scalar oracle")
+		}
+		if len(it.Cols.Cols) != width {
+			return fmt.Errorf("column batch of %d columns, the producer emits %d", len(it.Cols.Cols), width)
+		}
+	}
+	return nil
 }
 
 // Execute implements live.Executor — the node-side half of the live
@@ -391,28 +409,8 @@ func (x *islandExec) Execute(m *live.FeedMsg) (*live.LinkMsg, error) {
 			}
 		}
 	}
-	last := x.execRounds(m.Rounds)
-	items := x.isl.outbox
+	lm := &live.LinkMsg{Through: x.execRounds(m.Rounds), Done: m.Last, Items: x.isl.outbox}
 	x.isl.outbox = nil
-	lm := &live.LinkMsg{Through: last, Done: m.Last}
-	if len(items) > 0 {
-		lm.Items = make([]live.Item, len(items))
-	}
-	for i := range items {
-		it := &items[i]
-		li := live.Item{Round: it.round, Tag: it.tag, Edge: it.e.id, WM: it.wm, MWM: it.mwm}
-		switch it.kind {
-		case itemPush:
-			li.Kind, li.Tuple = live.ItemPush, it.t
-		case itemPushBatch:
-			li.Kind, li.Batch = live.ItemPushBatch, it.b
-		case itemAdvance:
-			li.Kind = live.ItemAdvance
-		case itemFlush:
-			li.Kind = live.ItemFlush
-		}
-		lm.Items[i] = li
-	}
 	return lm, nil
 }
 

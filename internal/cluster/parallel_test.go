@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qap/internal/core"
+	"qap/internal/live"
 	"qap/internal/netgen"
 	"qap/internal/obs/trace"
 	"qap/internal/optimizer"
@@ -297,8 +298,10 @@ func BenchmarkRunStatsEnabled(b *testing.B)  { benchRun(b, true) }
 
 // TestJoinOutputCrossesIslandAsBatch: a leaf-hosted join whose consumer
 // is central hands each call's joined rows to the capture as one batch.
-// The parallel engine must then ship fewer link items than rows and
-// still reproduce the sequential engine's rows, OpStats and canonical
+// Joined rows are rows — the join emits durable tuples, never columns —
+// so they cross as row-batch items also now that the link carries column
+// batches. The parallel engine must then ship fewer link items than rows
+// and still reproduce the sequential engine's rows, OpStats and canonical
 // trace byte for byte.
 func TestJoinOutputCrossesIslandAsBatch(t *testing.T) {
 	const jitterPairs = `
@@ -323,5 +326,9 @@ WHERE S1.time/60 = S2.time/60 AND S1.srcIP = S2.srcIP AND S1.destIP = S2.destIP
 	rows, items := int64(len(got.Outputs["jitter_pairs"])), got.Report.Timing.LinkItems
 	if rows == 0 || items == 0 || items >= rows {
 		t.Errorf("%d joined rows crossed in %d link items; want fewer items than rows", rows, items)
+	}
+	crossed := crossings(t, jitterPairs, ps, o, streams, 256)
+	if c := crossed[optimizer.OpJoin]; len(crossed) != 1 || c == nil || len(c.items) != 1 || c.items[live.ItemPushBatch] == 0 {
+		t.Errorf("what crossed is %+v; want the join's output alone, as row-batch items", crossed)
 	}
 }

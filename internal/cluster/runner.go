@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qap/internal/exec"
+	"qap/internal/live"
 	"qap/internal/netgen"
 	"qap/internal/obs"
 	"qap/internal/obs/trace"
@@ -106,8 +107,9 @@ type RunConfig struct {
 	// each round's packets per destination partition straight into typed
 	// column vectors (exec.ColBatch) and delivers them in chunks of up
 	// to BatchSize through the operators' compiled column kernels
-	// (exec/colcompile.go), pivoting to rows only at a boundary a row
-	// consumer needs (join stores, island links). 0 defaults to
+	// (exec/colcompile.go), pivoting to rows only where a row consumer
+	// needs them (row-layout join stores, output collectors); a batch
+	// that crosses an island boundary crosses as columns. 0 defaults to
 	// defaultBatchSize. Canonical results, OpStats, load series and
 	// trace bytes are identical at every batch size; raw within-round
 	// delivery interleaving across partitions is a plan detail and may
@@ -225,7 +227,7 @@ type island struct {
 	// Parallel-mode state, owned by the island's worker goroutine.
 	curRound int
 	curTag   uint64
-	outbox   []linkItem
+	outbox   []live.Item
 	// curWM is the watermark of the round the worker is executing,
 	// stamped into captured link items so the central replay can
 	// attribute deliveries to monitoring windows.

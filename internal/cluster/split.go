@@ -456,16 +456,8 @@ func (g *colGrouper) add(c *streamCursor, part int, seq uint64, pk *netgen.Packe
 	if c.gstamp[part] != g.round {
 		c.gstamp[part] = g.round
 		c.gidx[part] = len(*list)
-		cb := g.take()
-		if cap(cb.Cols) == 0 && c.grows[part] > 0 {
-			// Fresh from the allocator: size it like the destination's
-			// previous group, with headroom — group sizes wander from
-			// round to round, and a column that outgrows the slab is
-			// reallocated on its own.
-			cb.Reserve(netgen.TupleCols, c.grows[part]+c.grows[part]/4+8)
-		}
+		*list = append(*list, live.Group{Tag: phasePush | seq, Stream: c.idx, Part: part, Cols: g.take(c.grows[part])})
 		c.grows[part] = 0
-		*list = append(*list, live.Group{Tag: phasePush | seq, Stream: c.idx, Part: part, Cols: cb})
 	}
 	c.grows[part]++
 	pk.AppendCols((*list)[c.gidx[part]].Cols)
@@ -492,8 +484,14 @@ func (g *colGrouper) addRow(c *streamCursor, part int, seq uint64, t exec.Tuple)
 	})
 }
 
-// take returns an empty batch: one of the run's own, else the pool's.
-func (g *colGrouper) take() *exec.ColBatch {
+// take returns an empty batch for a group of about rows packets (0:
+// unknown): one of the run's own as it is, else the pool's. That one may
+// be fresh from the allocator, or last have held a link item's copy of
+// some narrower, shorter batch; if it has no room for the group it is
+// sized like the destination's previous one, with headroom — group sizes
+// wander from round to round, and a column that outgrows the slab is
+// reallocated on its own.
+func (g *colGrouper) take(rows int) *exec.ColBatch {
 	g.mu.Lock()
 	if n := len(g.free); n > 0 {
 		cb := g.free[n-1]
@@ -502,7 +500,11 @@ func (g *colGrouper) take() *exec.ColBatch {
 		return cb
 	}
 	g.mu.Unlock()
-	return exec.GetColBatch()
+	cb := exec.GetColBatch()
+	if rows > 0 && (cap(cb.Cols) < netgen.TupleCols || cap(cb.Cols[:1][0].U64) < rows) {
+		cb.Reserve(netgen.TupleCols, rows+rows/4+8)
+	}
+	return cb
 }
 
 // recycle takes back the containers of executed (or serialized) rounds:

@@ -4,23 +4,25 @@ package exec
 // as per-column typed vectors (uint64 payload words plus a string
 // spine and an optional validity bitmap), so batched operators can run
 // compiled kernels over dense column slices instead of per-tuple
-// interface dispatch. Pivots at the engine boundary (AppendRows /
-// SetFromRows) keep the link items, the replay merge, and every
-// row-oriented operator untouched: a consumer that does not implement
-// ColConsumer transparently receives the pivoted rows via PushColsAll.
-// In front of the scans there is no pivot: the splitter fills pooled
-// batches from the packet trace, and the live backend ships them in the
-// column-batch wire codec (wire.go).
+// interface dispatch. Pivots (AppendRows / SetFromRows) happen only
+// where a row-oriented operator needs them: a consumer that does not
+// implement ColConsumer transparently receives the pivoted rows via
+// PushColsAll. The engine boundaries carry columns as they are: in
+// front of the scans the splitter fills pooled batches from the packet
+// trace, an island-crossing link item holds a pooled copy (CopyFrom) of
+// the batch its producer emitted, and the live backend ships both in
+// the column-batch wire codec (wire.go).
 //
 // Ownership contract (stricter than Batch): a ColBatch passed to
 // PushCols, and every slice it references, is valid ONLY for the
 // duration of the call. Consumers must not retain or mutate it; a
 // consumer that needs the data afterwards must pivot (AppendRows) or
-// copy. This is what lets producers recycle column slabs
+// copy (CopyFrom). This is what lets producers recycle column slabs
 // unconditionally, whatever the plan downstream retains.
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"qap/internal/sqlval"
@@ -150,6 +152,44 @@ func (cb *ColBatch) Reserve(cols, rows int) {
 		cb.Cols[i].U64 = slab[i*rows : i*rows : (i+1)*rows]
 	}
 	cb.Cols = cb.Cols[:0]
+}
+
+// CopyFrom makes cb, an empty batch, a copy of src that outlives it. A
+// word vector reuses cb's column capacity where that suffices; the ones
+// that fall short carve together from one slab, so a cold copy costs two
+// allocations (column headers and slab) and a warm one none.
+//
+//qap:hot
+func (cb *ColBatch) CopyFrom(src *ColBatch) {
+	cb.Cols = slices.Grow(cb.Cols[:0], len(src.Cols))[:len(src.Cols)]
+	short := 0
+	for i := range src.Cols {
+		s, d := &src.Cols[i], &cb.Cols[i]
+		if cap(d.U64) < len(s.U64) {
+			short += len(s.U64)
+		}
+		if cap(d.Valid) < len(s.Valid) {
+			short += len(s.Valid)
+		}
+	}
+	var slab []uint64
+	if short > 0 {
+		slab = make([]uint64, short) //qap:allow hotalloc -- one slab per copy that outgrew the recycled columns
+	}
+	for i := range src.Cols {
+		s, d := &src.Cols[i], &cb.Cols[i]
+		if n := len(s.U64); cap(d.U64) < n {
+			d.U64, slab = slab[:0:n], slab[n:]
+		}
+		if n := len(s.Valid); cap(d.Valid) < n {
+			d.Valid, slab = slab[:0:n], slab[n:]
+		}
+		d.Kind = s.Kind
+		d.U64 = append(d.U64[:0], s.U64...)
+		d.Valid = append(d.Valid[:0], s.Valid...)
+		d.Str = append(d.Str[:0], s.Str...)
+	}
+	cb.Len = src.Len
 }
 
 // Slice points dst at rows [lo, hi) of cb without copying payloads.

@@ -106,6 +106,51 @@ func TestColBatchSlice(t *testing.T) {
 	}
 }
 
+// TestColBatchCopyFrom: the copy equals its source on every kind and
+// NULL pattern and shares nothing with it, a cold copy costs the column
+// headers and one slab, and a batch that has held a copy of the same
+// shape takes the next one without allocating — also when it comes back
+// from the pool.
+func TestColBatchCopyFrom(t *testing.T) {
+	src := colWireSample(t)
+	want := src.AppendRows(nil)
+	cp := new(ColBatch)
+	cp.CopyFrom(src)
+	for c := range src.Cols { // scribble over the source: the copy must not move
+		for i := range src.Cols[c].U64 {
+			src.Cols[c].U64[i] = ^uint64(0)
+		}
+		for i := range src.Cols[c].Valid {
+			src.Cols[c].Valid[i] ^= ^uint64(0)
+		}
+		for i := range src.Cols[c].Str {
+			src.Cols[c].Str[i] = "gone"
+		}
+	}
+	diffBatches(t, "copy after the source changed", want, cp.AppendRows(nil))
+
+	var packets ColBatch
+	packets.SetFromRows(fuzzUintRows(3, 256))
+	if got := testing.AllocsPerRun(20, func() { new(ColBatch).CopyFrom(&packets) }); got > 3 {
+		t.Errorf("a cold copy costs %.0f objects, want the batch, its headers and one slab", got)
+	}
+	warm := GetColBatch()
+	warm.CopyFrom(&packets)
+	PutColBatch(warm)
+	if got := testing.AllocsPerRun(20, func() {
+		cb := GetColBatch()
+		cb.CopyFrom(&packets)
+		PutColBatch(cb)
+	}); got > 0.5 && !raceEnabled { // the race detector's pool drops entries at random
+		t.Errorf("a warm copy costs %.1f objects, want none", got)
+	}
+	// A shorter source into a longer batch: lengths follow the source.
+	var short ColBatch
+	short.SetFromRows(fuzzUintRows(4, 5))
+	cp.CopyFrom(&short)
+	diffBatches(t, "shorter copy", short.AppendRows(nil), cp.AppendRows(nil))
+}
+
 // colTestRows builds an all-uint batch over (time, srcIP, destIP,
 // flags, len) with enough key collisions to exercise grouping.
 func colTestRows(n int) Batch {

@@ -129,6 +129,9 @@ func DecodeBatchWire(data []byte) (Batch, error) {
 	if n > MaxWireTuples {
 		return nil, wireErr(0, "batch of %d tuples exceeds the %d-tuple limit", n, MaxWireTuples)
 	}
+	if rest := len(data) - d.off; int(n) > rest/2 { // a tuple is at least its 2-byte header
+		return nil, wireErr(0, "batch of %d tuples cannot fit the remaining %d bytes", n, rest)
+	}
 	b := make(Batch, 0, n)
 	var slab []sqlval.Value
 	for i := uint32(0); i < n; i++ {
@@ -164,8 +167,9 @@ func (d *wireDecoder) tuple(slab []sqlval.Value) ([]sqlval.Value, Tuple, error) 
 	}
 	if cap(slab)-len(slab) < cols {
 		// A fresh slab per shortfall: earlier tuples keep their old
-		// backing arrays, which stay valid (tuples are immutable).
-		size := 1024
+		// backing arrays, which stay valid (tuples are immutable). A value
+		// is at least its kind byte, so the input left bounds the slab.
+		size := min(1024, len(d.data)-d.off)
 		if cols > size {
 			size = cols
 		}
@@ -440,6 +444,9 @@ func DecodeColBatchWire(data []byte, dst *ColBatch) error {
 	}
 	if rows*cols > MaxWireCells {
 		return wireErr(0, "column batch of %d x %d cells exceeds the %d-cell limit", rows, cols, MaxWireCells)
+	}
+	if len(data)-6 < 2*cols {
+		return wireErr(len(data), "truncated column batch: %d columns cannot fit the remaining %d bytes", cols, len(data)-6)
 	}
 	if cap(dst.Cols) < cols {
 		grown := make([]ColVec, cols) //qap:allow hotalloc -- batch shaped once, then recycled

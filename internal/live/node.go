@@ -19,7 +19,8 @@ type Executor interface {
 	// ship (Seq is assigned by the node; Through and Done are the
 	// executor's). Called in feed-sequence order, exactly once per
 	// sequence. The feed's column groups are pooled batches the node
-	// takes back when Execute returns: they must not be retained.
+	// takes back when Execute returns: they must not be retained. The
+	// link's column items are pooled batches the node takes over.
 	Execute(m *FeedMsg) (*LinkMsg, error)
 	// Result serializes the island's final shards after the last feed,
 	// for remote nodes; in-process executors return nil.
@@ -265,7 +266,9 @@ func (n *Node) session(conn net.Conn) error {
 			// ack is on the wire the link must be recorded for
 			// retransmission, or a crash here would lose it.
 			deadline := time.Now().Add(to) //qap:allow walltime -- credit-stall deadline; transport pacing never shapes outputs
-			if link.Seq, err = n.out.append(frameLink, deadline, link); err != nil {
+			link.Seq, err = n.out.append(frameLink, deadline, link)
+			ReleaseCols(link.Items) // encoded into the frame, or refused
+			if err != nil {
 				return fmt.Errorf("live: node %d: feed seq %d: %w", n.opt.Host, seq, err)
 			}
 			n.feedSeen = seq

@@ -249,15 +249,17 @@ func TestFeedRetransmitReAcked(t *testing.T) {
 }
 
 // TestNodeRejectsV1HelloAsFatal: a splitter still speaking protocol
-// version 1 — row groups without a kind byte — must fail the node's
-// Serve for good, positioned at the node and naming both versions; a
-// retried "truncated frame" error somewhere inside its first feed would
-// be the alternative. The version byte is judged before the rest of the
-// Hello is parsed, so even a Hello this version cannot decode is refused
-// by version.
+// version 1 — row groups without a kind byte — or version 2 — which
+// would refuse this node's column link items as an unknown kind — must
+// fail the node's Serve for good, positioned at the node and naming both
+// versions; a retried "truncated frame" error somewhere inside its first
+// feed would be the alternative. The version byte is judged before the
+// rest of the Hello is parsed, so even a Hello this version cannot
+// decode is refused by version.
 func TestNodeRejectsV1HelloAsFatal(t *testing.T) {
 	for name, payload := range map[string][]byte{
 		"v1 hello":         (&Hello{Version: 1, Streams: []string{"tcp"}, Fingerprint: "fp"}).encode(nil),
+		"v2 hello":         (&Hello{Version: 2, BatchSize: 256, Streams: []string{"tcp"}, Fingerprint: "fp"}).encode(nil),
 		"undecodable v1":   {1, 0xFF},
 		"a future version": {ProtocolVersion + 1},
 	} {

@@ -8,8 +8,9 @@ import (
 
 // ProtocolVersion is bumped on any wire-incompatible change; the
 // handshake rejects a peer speaking a different version. Version 2
-// tags every feed group as row or column encoded.
-const ProtocolVersion = 2
+// tags every feed group as row or column encoded; version 3 adds the
+// column-batch link item.
+const ProtocolVersion = 3
 
 // Hello opens (or resumes) a session, splitter -> node.
 type Hello struct {
@@ -85,36 +86,57 @@ type FeedMsg struct {
 // are the wire encoding.
 type ItemKind uint8
 
-// The item kinds, mirroring the simulator's link items.
+// The item kinds: what the producer called on the island-crossing edge.
+// Columns are captured as columns; the scalar oracle's pushes, join
+// output and any row fallback as the rows they were.
 const (
 	ItemPush ItemKind = iota
 	ItemPushBatch
 	ItemAdvance
 	ItemFlush
+	ItemPushCols
 )
 
-// Item is one captured delivery into the central island.
+// Item is one captured delivery into the central island, on the
+// parallel engine and the live backend alike.
 type Item struct {
 	Round int
 	Tag   uint64
 	Kind  ItemKind
 	// Edge is the deterministic island-crossing edge id assigned at
 	// compile time.
-	Edge  int
+	Edge int
+	// WM is the watermark an ItemAdvance forwards; MWM the producing
+	// round's (the flush round inherits the last data round's), by which
+	// the replay closes monitoring windows where the sequential engine does.
 	WM    uint64
 	MWM   uint64
 	Tuple exec.Tuple
 	Batch exec.Batch
+	// Cols, on an ItemPushCols, is a pooled batch the item owns: whoever
+	// consumes the item — the replay applying it, the node that encoded
+	// it, any path dropping it — returns it (ReleaseCols, PutColBatch).
+	Cols *exec.ColBatch
 }
 
-// LinkMsg ships a node's captured deliveries for a range of rounds.
+// LinkMsg ships an island's captured deliveries for a range of rounds:
+// all of them through round Through, and with Done the island's last.
 type LinkMsg struct {
 	Seq uint64
-	// Host is stamped by the receiving splitter session.
+	// Host is the producing island; off a wire, the receiving session stamps it.
 	Host    int
 	Through int
 	Done    bool
 	Items   []Item
+}
+
+// ReleaseCols returns the pooled batches of items' column deliveries;
+// the items carry none afterwards.
+func ReleaseCols(items []Item) {
+	for i := range items {
+		exec.PutColBatch(items[i].Cols)
+		items[i].Cols = nil
+	}
 }
 
 // ---- encoding ----
@@ -202,8 +224,15 @@ func (m *Welcome) encode(dst []byte) []byte {
 	return append(dst, flags)
 }
 
-// feedHeaderSize is a feed's seq, flags and round count.
-const feedHeaderSize = 8 + 1 + 4
+// Fixed encoded sizes: a feed's seq, flags and round count; a round's
+// index, watermark, flags and group count; an item's round, tag, kind,
+// edge and two watermarks. The last two are also the least a round or an
+// item occupies, which bounds a wire-supplied count before it sizes anything.
+const (
+	feedHeaderSize  = 8 + 1 + 4
+	roundHeaderSize = 4 + 8 + 1 + 4
+	itemHeaderSize  = 4 + 8 + 1 + 4 + 8 + 8
+)
 
 // WireSize is the round's exact encoded size; a feed's frame payload is
 // feedHeaderSize plus its rounds' sizes, which is what lets the
@@ -211,7 +240,7 @@ const feedHeaderSize = 8 + 1 + 4
 //
 //qap:hot
 func (r *Round) WireSize() int {
-	n := 4 + 8 + 1 + 4
+	n := roundHeaderSize
 	for gi := range r.Groups {
 		g := &r.Groups[gi]
 		n += 8 + 2 + 4 + 1 + 4
@@ -275,17 +304,20 @@ func (m *LinkMsg) wireSize() int {
 	n := 8 + 1 + 8 + 4
 	for i := range m.Items {
 		it := &m.Items[i]
-		n += 4 + 8 + 1 + 4 + 8 + 8
+		n += itemHeaderSize
 		switch it.Kind {
 		case ItemPush:
 			n += 4 + exec.BatchWireSize(exec.Batch{it.Tuple})
 		case ItemPushBatch:
 			n += 4 + exec.BatchWireSize(it.Batch)
+		case ItemPushCols:
+			n += 4 + exec.ColBatchWireSize(it.Cols)
 		}
 	}
 	return n
 }
 
+//qap:hot
 func (m *LinkMsg) encode(dst []byte) []byte {
 	dst = appendU64(dst, m.Seq)
 	flags := byte(0)
@@ -305,9 +337,11 @@ func (m *LinkMsg) encode(dst []byte) []byte {
 		dst = appendU64(dst, it.MWM)
 		switch it.Kind {
 		case ItemPush:
-			dst = appendBatchBlob(dst, exec.Batch{it.Tuple})
+			dst = appendBatchBlob(dst, exec.Batch{it.Tuple}) //qap:allow hotalloc -- the scalar oracle's one-tuple item; the literal stays on the stack
 		case ItemPushBatch:
 			dst = appendBatchBlob(dst, it.Batch)
+		case ItemPushCols:
+			dst = appendColBlob(dst, it.Cols)
 		}
 	}
 	return dst
@@ -419,6 +453,25 @@ func (d *protoDecoder) colBatch(what string) (*exec.ColBatch, error) {
 	return cb, nil
 }
 
+// flags reads a flags byte, refusing bits outside mask: one frame, one encoding.
+func (d *protoDecoder) flags(what string, mask byte) (byte, error) {
+	v, err := d.u8(what)
+	if err == nil && v&^mask != 0 {
+		err = fmt.Errorf("live: %s %#x at offset %d sets undefined bits", what, v, d.off-1)
+	}
+	return v, err
+}
+
+// count reads an element count and holds it to what the rest of the
+// payload can carry at min bytes an element, before it sizes anything.
+func (d *protoDecoder) count(what string, min int) (int, error) {
+	n, err := d.u32(what)
+	if rest := len(d.data) - d.off; err == nil && int64(n)*int64(min) > int64(rest) {
+		err = fmt.Errorf("live: %s %d at offset %d exceeds what the remaining %d bytes can carry", what, n, d.off-4, rest)
+	}
+	return int(n), err
+}
+
 func (d *protoDecoder) finish(what string) error {
 	if d.off != len(d.data) {
 		return fmt.Errorf("live: %d trailing bytes after %s", len(d.data)-d.off, what)
@@ -500,17 +553,17 @@ func (m *FeedMsg) decode(data []byte) error {
 	if m.Seq, err = d.u64("feed seq"); err != nil {
 		return err
 	}
-	flags, err := d.u8("feed flags")
+	flags, err := d.flags("feed flags", 1)
 	if err != nil {
 		return err
 	}
 	m.Last = flags&1 != 0
-	nr, err := d.u32("feed round count")
+	nr, err := d.count("feed round count", roundHeaderSize)
 	if err != nil {
 		return err
 	}
 	m.Rounds = make([]Round, 0, nr)
-	for i := uint32(0); i < nr; i++ {
+	for i := 0; i < nr; i++ {
 		m.Rounds = append(m.Rounds, Round{})
 		r := &m.Rounds[i]
 		rd, err := d.u32("round index")
@@ -521,7 +574,7 @@ func (m *FeedMsg) decode(data []byte) error {
 		if r.WM, err = d.u64("round watermark"); err != nil {
 			return err
 		}
-		rf, err := d.u8("round flags")
+		rf, err := d.flags("round flags", 3)
 		if err != nil {
 			return err
 		}
@@ -577,74 +630,88 @@ func (m *FeedMsg) releaseCols() {
 }
 
 func decodeLink(data []byte) (*LinkMsg, error) {
-	d := protoDecoder{data: data}
 	m := &LinkMsg{}
-	var err error
-	if m.Seq, err = d.u64("link seq"); err != nil {
+	if err := m.decode(data); err != nil {
+		ReleaseCols(m.Items)
 		return nil, err
 	}
-	flags, err := d.u8("link flags")
+	return m, nil
+}
+
+// decode fills m from data. Column items decode into pooled batches
+// that m owns from the moment they are attached, error or not.
+func (m *LinkMsg) decode(data []byte) error {
+	d := protoDecoder{data: data}
+	var err error
+	if m.Seq, err = d.u64("link seq"); err != nil {
+		return err
+	}
+	flags, err := d.flags("link flags", 1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Done = flags&1 != 0
 	through, err := d.u64("link through")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Through = int(int64(through))
-	ni, err := d.u32("link item count")
+	ni, err := d.count("link item count", itemHeaderSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	m.Items = make([]Item, 0, ni)
-	for i := uint32(0); i < ni; i++ {
-		var it Item
+	for i := 0; i < ni; i++ {
+		m.Items = append(m.Items, Item{})
+		it := &m.Items[i]
 		rd, err := d.u32("item round")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		it.Round = int(rd)
 		if it.Tag, err = d.u64("item tag"); err != nil {
-			return nil, err
+			return err
 		}
+		kindAt := d.off
 		k, err := d.u8("item kind")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		it.Kind = ItemKind(k)
 		edge, err := d.u32("item edge")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		it.Edge = int(edge)
 		if it.WM, err = d.u64("item wm"); err != nil {
-			return nil, err
+			return err
 		}
 		if it.MWM, err = d.u64("item mwm"); err != nil {
-			return nil, err
+			return err
 		}
 		switch it.Kind {
 		case ItemPush:
 			b, err := d.batch("item tuple")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if len(b) != 1 {
-				return nil, fmt.Errorf("live: push item carries %d tuples", len(b))
+				return fmt.Errorf("live: push item carries %d tuples, ending at offset %d", len(b), d.off)
 			}
 			it.Tuple = b[0]
 		case ItemPushBatch:
-			if it.Batch, err = d.batch("item batch"); err != nil {
-				return nil, err
-			}
+			it.Batch, err = d.batch("item batch")
+		case ItemPushCols:
+			it.Cols, err = d.colBatch("item columns")
 		case ItemAdvance, ItemFlush:
 		default:
-			return nil, fmt.Errorf("live: unknown item kind %d", k)
+			err = fmt.Errorf("live: unknown item kind %d at offset %d", k, kindAt)
 		}
-		m.Items = append(m.Items, it)
+		if err != nil {
+			return err
+		}
 	}
-	return m, d.finish("link")
+	return d.finish("link")
 }
 
 // decodeSeq peeks the leading sequence number shared by feed, link,

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -133,8 +134,11 @@ func TestFeedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLinkRoundTrip exercises all four item kinds plus the negative
-// Through sentinel a node uses before its first completed round.
+// TestLinkRoundTrip exercises all five item kinds plus the negative
+// Through sentinel a node uses before its first completed round. A
+// column item decodes into a pooled batch equal to the one encoded — a
+// NULL bitmap and a string column included — which the message owns
+// until ReleaseCols.
 func TestLinkRoundTrip(t *testing.T) {
 	in := &LinkMsg{
 		Seq:     11,
@@ -143,8 +147,10 @@ func TestLinkRoundTrip(t *testing.T) {
 		Items: []Item{
 			{Round: 0, Tag: 4, Kind: ItemPush, Edge: 2, WM: 16, MWM: 8, Tuple: protoTuple(sqlval.Uint(1))},
 			{Round: 0, Tag: 5, Kind: ItemPushBatch, Edge: 2, WM: 16, MWM: 8, Batch: protoBatch()},
+			{Round: 0, Tag: 6, Kind: ItemPushCols, Edge: 1, WM: 16, MWM: 8, Cols: protoCols(t)},
 			{Round: 1, Tag: 0, Kind: ItemAdvance, Edge: 3, WM: 32, MWM: 16},
 			{Round: 1, Tag: 1, Kind: ItemFlush, Edge: 3, WM: 32, MWM: 32},
+			{Round: 1, Tag: 2, Kind: ItemPushCols, Edge: 1, WM: 32, MWM: 32, Cols: &exec.ColBatch{}},
 		},
 	}
 	enc := in.encode(nil)
@@ -155,11 +161,27 @@ func TestLinkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Seq != in.Seq || out.Through != in.Through || out.Done != in.Done {
+	if out.Seq != in.Seq || out.Through != in.Through || out.Done != in.Done || len(out.Items) != len(in.Items) {
 		t.Fatalf("link header round-trip: %+v", out)
 	}
-	if !reflect.DeepEqual(in.Items, out.Items) {
-		t.Fatalf("link items round-trip:\n in=%+v\nout=%+v", in.Items, out.Items)
+	for i := range in.Items {
+		iin, iout := in.Items[i], out.Items[i]
+		if (iin.Cols == nil) != (iout.Cols == nil) {
+			t.Fatalf("item %d changed kind on the wire", i)
+		}
+		if iin.Cols != nil && !reflect.DeepEqual(iin.Cols.AppendRows(nil), iout.Cols.AppendRows(nil)) {
+			t.Fatalf("item %d columns differ", i)
+		}
+		iin.Cols, iout.Cols = nil, nil
+		if !reflect.DeepEqual(iin, iout) {
+			t.Fatalf("item %d round-trip:\n in=%+v\nout=%+v", i, iin, iout)
+		}
+	}
+	ReleaseCols(out.Items)
+	for i := range out.Items {
+		if out.Items[i].Cols != nil {
+			t.Fatalf("item %d still holds its batch after ReleaseCols", i)
+		}
 	}
 	// Host is stamped by the receiving session, never carried.
 	if out.Host != 0 {
@@ -186,7 +208,9 @@ func TestDecodeTruncation(t *testing.T) {
 	hello := (&Hello{Version: ProtocolVersion, Streams: []string{"tcp"}, Fingerprint: "f"}).encode(nil)
 	welcome := (&Welcome{Version: ProtocolVersion, HasResult: true}).encode(nil)
 	feed := (&FeedMsg{Seq: 1, Rounds: []Round{{WM: 16, Groups: []Group{{Tuples: protoBatch()}, {Cols: protoCols(t)}}}}}).encode(nil)
-	link := (&LinkMsg{Seq: 2, Items: []Item{{Kind: ItemPush, Tuple: protoTuple(sqlval.Uint(1))}}}).encode(nil)
+	link := (&LinkMsg{Seq: 2, Items: []Item{
+		{Kind: ItemPush, Tuple: protoTuple(sqlval.Uint(1))}, {Kind: ItemPushCols, Cols: protoCols(t)}, {Kind: ItemFlush},
+	}}).encode(nil)
 	cases := []struct {
 		name   string
 		data   []byte
@@ -201,7 +225,13 @@ func TestDecodeTruncation(t *testing.T) {
 			}
 			return err
 		}},
-		{"link", link, func(b []byte) error { _, err := decodeLink(b); return err }},
+		{"link", link, func(b []byte) error {
+			m, err := decodeLink(b)
+			if err == nil {
+				ReleaseCols(m.Items)
+			}
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		if err := tc.decode(tc.data); err != nil {
@@ -245,6 +275,43 @@ func TestDecodeLinkBadItems(t *testing.T) {
 	dst = appendBatchBlob(dst, protoBatch()) // 2 tuples where 1 is required
 	if _, err := decodeLink(dst); err == nil || !strings.Contains(err.Error(), "push item carries 2 tuples") {
 		t.Fatalf("multi-tuple push item not rejected (err %v)", err)
+	}
+}
+
+// TestDecodeLinkHostileCount: a 21-byte link frame announcing 2^31-1
+// items must fail on the count, positioned, having allocated next to
+// nothing. (The decoder used to size the item slice from the count
+// first: 206 GB, a fatal out-of-memory that took the splitter down.)
+func TestDecodeLinkHostileCount(t *testing.T) {
+	hostileCount(t, hostileCountFrame(&LinkMsg{Seq: 1}), "link item count 2147483647 at offset 17", func(b []byte) error { _, err := decodeLink(b); return err })
+	// The largest count a frame can back is still accepted: 2 items.
+	ok := (&LinkMsg{Items: []Item{{Kind: ItemAdvance}, {Kind: ItemFlush}}}).encode(nil)
+	if _, err := decodeLink(ok); err != nil {
+		t.Fatal(err)
+	}
+	ok[len(ok)-2*itemHeaderSize-1] = 3 // ...and one more than it can back is not
+	if _, err := decodeLink(ok); err == nil || !strings.Contains(err.Error(), "link item count 3") {
+		t.Fatalf("a count one past the payload was not refused on the count (err %v)", err)
+	}
+}
+
+// TestDecodeFeedHostileCount is the same for a feed's round count, which
+// would have taken the node down.
+func TestDecodeFeedHostileCount(t *testing.T) {
+	hostileCount(t, hostileCountFrame(&FeedMsg{Seq: 1}), "feed round count 2147483647 at offset 9", func(b []byte) error { _, err := decodeFeed(b); return err })
+}
+
+func hostileCount(t *testing.T, frame []byte, want string, decode func([]byte) error) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("hostile count: err %v, want one containing %q", err, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+		t.Fatalf("refusing a %d-byte frame allocated %d bytes", len(frame), got)
 	}
 }
 

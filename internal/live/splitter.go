@@ -75,7 +75,8 @@ func (s *Splitter) SendFeed(host int, m *FeedMsg) error {
 }
 
 // Links is the shared stream of decoded link messages, each stamped
-// with its host, delivered in per-host sequence order.
+// with its host, delivered in per-host sequence order. A received
+// message's column items are pooled batches the receiver owns.
 func (s *Splitter) Links() <-chan *LinkMsg { return s.links }
 
 // Errs delivers fatal per-host errors (retries exhausted, protocol
@@ -292,6 +293,7 @@ func (p *peer) session(conn net.Conn) error {
 				select {
 				case p.sp.links <- m:
 				case <-p.sp.stop:
+					ReleaseCols(m.Items)
 					return errStopped
 				}
 				if m.Done {
