@@ -46,9 +46,10 @@ func TestLiveHighRateMatchesSim(t *testing.T) {
 }
 
 // TestLiveOversizedRoundFailsAtOnce: a single round too large for any
-// frame cannot be cut, so the splitter refuses it — immediately, naming
-// the host, the round and the byte count — instead of feeding the node
-// a frame it rejects until the drive guard fires.
+// frame cannot be cut, so the splitter refuses it — before it feeds any
+// node anything, naming the host, the round and the byte count —
+// instead of feeding the node a frame it rejects until the drive guard
+// fires.
 func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 	// One timestamp, 560 000 packets: ~17.9 MB of columns per host.
 	packets := make([]netgen.Packet, 560000)
@@ -60,7 +61,8 @@ func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(p, liveRunConfig(1, 256, LiveConfig{}))
+	cfg := liveRunConfig(1, 256, LiveConfig{})
+	r, err := NewRunner(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +71,16 @@ func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 	if err == nil {
 		t.Fatal("a round over the frame bound was accepted")
 	}
-	if d := time.Since(start); d > time.Second && !raceEnabled {
-		t.Errorf("the refusal took %s", d)
+	// How long building 36 MB of rounds takes is the machine's business;
+	// what must not happen is a wait for the guard, or a node executing
+	// a scan: the in-process nodes run on this runner's leaf islands.
+	if d := time.Since(start); d >= cfg.DriveTimeout {
+		t.Errorf("the refusal took %s: the %s drive guard fired first", d, cfg.DriveTimeout)
+	}
+	for _, isl := range r.islands {
+		if isl.metrics.Tuples != 0 {
+			t.Errorf("island %d accounted %d tuples: a node was fed before the refusal", isl.id, isl.metrics.Tuples)
+		}
 	}
 	for _, want := range []string{"host 0", "rounds 0..", " bytes", "16777216-byte frame limit"} {
 		if !strings.Contains(err.Error(), want) {
@@ -142,10 +152,11 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 }
 
 // Allocation budgets of a parallel-engine columnar replay (Workers 2,
-// warm size hints). The three aggregation figures were last set by the
+// warm size hints). The aggregation figures were last set by the
 // change that made island-crossing link items carry column batches;
 // "parent" below is that change's parent, whose capture pivoted every
-// crossing batch to rows.
+// crossing batch to rows. The Section 6.2 figure was set by the change
+// that made the join emit columns.
 //
 // Section 6.3 set, two hosts, round-robin split, in bytes: parent 63
 // B/packet, most of it the capture's row pivot of the sub-aggregates'
@@ -153,12 +164,14 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 // per group; the change measures 23 (the link copy, the dense stores).
 //
 // Section 6.2 set (examples/queries/section62.gsql), four hosts on a
-// compatible partitioning, in objects for the whole run: the scan's Tee
-// forwards columns and the self-join stores words, so what is left is
-// output rows, the per-round feed and the panes a warm run sizes once.
-// 32.4 thousand objects for the 240 000 packets before and after (the
-// aggregates' output crosses as columns now, and is pivoted once, for the
-// collector, on the other side); the budget is that + 10 %.
+// compatible partitioning, in objects for the whole run of 240 000
+// packets: the scan's Tee forwards columns, the self-join stores words
+// and gathers its matches into a column batch it reuses, and jitter
+// behind it is dense, so what is left is the per-round feed, the panes
+// and the gather batch a warm run sizes once, and the rows of the few
+// batches holding an underflowing pair. 32.3 thousand objects while the
+// join emitted a row slab per 256 matches and jitter kept a groupState
+// per flow; 20.1 thousand now. The budget is that + 20 %.
 //
 // Suspicious-flows aggregation on one host over a wide trace (one group
 // per ~1.5 packets; 240 000 packets, 165 thousand groups), bytes and
@@ -169,7 +182,7 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 // which batches the pool still holds, and 400 objects.
 const (
 	allocBudgetParallelColumnarBytesPerPacket = 40
-	allocBudgetParallelSection62Objects       = 36000
+	allocBudgetParallelSection62Objects       = 24000
 	allocBudgetParallelWideBytesPerPacket     = 200
 	allocBudgetParallelWideObjects            = 2000
 )

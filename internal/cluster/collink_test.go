@@ -16,11 +16,12 @@ import (
 )
 
 // crossing is what one kind of leaf operator sent across its island's
-// boundary: data items by kind, and how many column items carried a
-// validity bitmap or a column that is not uint.
+// boundary: data items by kind, how many column items carried a
+// validity bitmap or a column that is not uint, and how many row-batch
+// items a KindInt value.
 type crossing struct {
-	items            map[live.ItemKind]int
-	bitmaps, nonUint int
+	items                        map[live.ItemKind]int
+	bitmaps, nonUint, intBatches int
 }
 
 // tallySink executes every island's rounds on the spot and tallies what
@@ -53,6 +54,15 @@ func (s *tallySink) finish(pend [][]live.Round) error {
 			}
 			c.items[it.Kind]++
 			if it.Kind != live.ItemPushCols {
+				holdsInt := false
+				for _, row := range it.Batch {
+					for _, v := range row {
+						holdsInt = holdsInt || v.Kind() == sqlval.KindInt
+					}
+				}
+				if holdsInt {
+					c.intBatches++
+				}
 				continue
 			}
 			bitmap, nonUint := false, false
@@ -125,8 +135,8 @@ GROUP BY time/60 as tb, destIP`
 // TestColumnItemsCrossIslands: a producer that delivers columns crosses
 // its island's boundary as a column item — every aggregate and
 // sub-aggregate at batch size 256 — and everything else as the rows it
-// was: join output as row batches, the scalar oracle's pushes one tuple
-// an item. The items are the ones the row-only link carried, count for
+// was: a column of mixed kinds as a row batch, the scalar oracle's
+// pushes one tuple an item. The items are the ones the row-only link carried, count for
 // count, and rows, OpStats and canonical trace bytes are the sequential
 // engine's on the parallel engine and on the live backend, also when a
 // duplicated and a cut link connection make a node retransmit column
@@ -166,8 +176,6 @@ func TestColumnItemsCrossIslands(t *testing.T) {
 				switch {
 				case c.items[live.ItemPush] != 0:
 					t.Errorf("%v: %d single-tuple items at batch size 256", kind, c.items[live.ItemPush])
-				case kind == optimizer.OpJoin && c.items[live.ItemPushCols] != 0:
-					t.Errorf("join output crossed as %d column items", c.items[live.ItemPushCols])
 				case (kind == optimizer.OpAggregate || kind == optimizer.OpAggSub) && rows != 0 && tc.name != "non-uint":
 					t.Errorf("%v output crossed as %d row items", kind, rows)
 				}
@@ -177,8 +185,8 @@ func TestColumnItemsCrossIslands(t *testing.T) {
 			if cols == 0 {
 				t.Fatalf("no column item crossed: %+v", got)
 			}
-			// jitter runs on section62's leaves, behind the join, and its
-			// AVG is a float column.
+			// jitter runs on section62's leaves, behind the join, dense, and
+			// its AVG is a float column.
 			if tc.name == "section62" && got[optimizer.OpAggregate].nonUint == 0 {
 				t.Error("no column item carried a column that is not uint")
 			}
@@ -363,4 +371,73 @@ func TestAllocsCaptureCols(t *testing.T) {
 	if got := testing.AllocsPerRun(100, capture); got > 2 {
 		t.Errorf("capturing a warm 5-column x 256-row batch costs %.1f objects, budget 2", got)
 	}
+}
+
+// TestSection62StaysOnColumns: the paper's Section 6.2 pipeline — the
+// jitter self-join rolled up per flow — runs on columns from the scan to
+// the link. The trace has pairs whose S2.time - S1.time underflows; only
+// the input batches holding one leave the join as rows. Such a batch
+// moves its partition's jitter out of the dense store until the epoch
+// closes, which costs a few per cent of the input here. Rows, OpStats
+// and canonical trace bytes are the scalar oracle's on the parallel
+// engine and on the live backend all the same.
+func TestSection62StaysOnColumns(t *testing.T) {
+	queries, err := os.ReadFile("../../examples/queries/section62.gsql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Seed 7 has 12 underflowing pairs among 78 729, in 6 input batches.
+	tc := netgen.DefaultConfig()
+	tc.DurationSec, tc.PacketsPerSec, tc.Seed = 180, 500, 7
+	streams := map[string][]netgen.Packet{"TCP": netgen.Generate(tc).Packets}
+	ps, o := core.MustParseSet("destIP, srcIP & 0xFFF0"), optimizer.Options{Hosts: 4, PartitionsPerHost: 2}
+	cfg := liveRunConfig(1, 1, LiveConfig{})
+	cfg.Engine = EngineSim
+	oracle := runEngine(t, string(queries), ps, o, streams, cfg)
+	pairs := runEngine(t, jitterPairs, ps, o, streams, cfg)
+	underflows := underflowingPairs(pairs)
+	if underflows == 0 {
+		t.Fatal("no joined pair underflows on this trace: the case tests nothing")
+	}
+
+	cfg.Workers, cfg.BatchSize = 4, 256
+	p, err := optimizer.Build(buildGraph(t, string(queries)), ps, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := r.RunStreams(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResultCanonical(t, "workers 4, batch 256", oracle, par)
+	sameTrace(t, oracle, par)
+	lv := runEngine(t, string(queries), ps, o, streams, liveRunConfig(1, 256, LiveConfig{}))
+	sameResult(t, par, lv)
+	sameTrace(t, par, lv)
+
+	var colEmits, rowEmits int
+	var dense, in int64
+	for _, s := range r.sized {
+		switch x := s.op.(type) {
+		case *exec.Join:
+			c, rw := x.EmitCounts()
+			colEmits, rowEmits = colEmits+c, rowEmits+rw
+		case *exec.Aggregate:
+			if p.Ops[s.id].Logical.QueryName == "jitter" {
+				dense, in = dense+x.DenseRows(), in+par.OpStats[s.id].RowsIn
+			}
+		}
+	}
+	if rowEmits == 0 || rowEmits > underflows || colEmits < 50*rowEmits {
+		t.Errorf("the joins made rows of %d input batches' matches and columns of %d, for %d underflowing pairs; want one row emit per batch holding such a pair",
+			rowEmits, colEmits, underflows)
+	}
+	if in != int64(len(pairs.Outputs["jitter_pairs"])) || dense*10 < in*9 {
+		t.Errorf("%d of jitter's %d input rows went through its dense store; want at least 90%%", dense, in)
+	}
+	t.Logf("%d underflowing pairs of %d: %d row emits, %d column emits; %d of %d jitter input rows dense", underflows, in, rowEmits, colEmits, dense, in)
 }

@@ -441,7 +441,7 @@ func (r *Runner) instantiate(op *optimizer.Op, out exec.Consumer) ([]exec.Consum
 		if err != nil {
 			return nil, err
 		}
-		r.sized = append(r.sized, sizedOp{op.ID, agg.GroupHighWater})
+		r.sized = append(r.sized, sizedOp{op.ID, agg.GroupHighWater, agg})
 		return []exec.Consumer{agg}, nil
 	case optimizer.OpWindow:
 		w, err := r.buildWindow(op, out)
@@ -1010,23 +1010,32 @@ func (r *Runner) buildJoin(op *optimizer.Op, out exec.Consumer) ([]exec.Consumer
 	}
 	cfg.Left.MinFutureKey, cfg.Right.MinFutureKey = lwm, rwm
 
+	// Residual and projection over left ++ right: the row closures and —
+	// batched — the column kernels a word-layout join runs over a batch's
+	// gathered matches.
 	comb := joinResolver(n.LeftBind, leftNames, n.RightBind, rightNames)
 	if n.Residual != nil {
-		f, err := exec.Compile(n.Residual, comb, r.params)
+		ce, err := exec.CompileCol(n.Residual, comb, r.params)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Residual = f
+		cfg.Residual = ce.Row
+		if r.batched() {
+			cfg.ColResidual = &ce
+		}
 	}
 	for _, p := range n.JoinProjs {
-		f, err := exec.Compile(p.Expr, comb, r.params)
+		ce, err := exec.CompileCol(p.Expr, comb, r.params)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Projs = append(cfg.Projs, f)
+		cfg.Projs = append(cfg.Projs, ce.Row)
+		if r.batched() {
+			cfg.ColProjs = append(cfg.ColProjs, ce)
+		}
 	}
 	j := exec.NewJoin(cfg)
-	r.sized = append(r.sized, sizedOp{op.ID, j.PaneHighWater})
+	r.sized = append(r.sized, sizedOp{op.ID, j.PaneHighWater, j})
 	// Side filters split out of the WHERE clause apply before the join
 	// tables; interpose lightweight local filters on the ports.
 	left, right := exec.Consumer(j.LeftIn()), exec.Consumer(j.RightIn())

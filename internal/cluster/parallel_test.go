@@ -9,6 +9,7 @@ import (
 	"qap/internal/netgen"
 	"qap/internal/obs/trace"
 	"qap/internal/optimizer"
+	"qap/internal/sqlval"
 )
 
 // runWorkers builds and runs the flows/complex/suspicious plans with an
@@ -296,20 +297,36 @@ func benchRun(b *testing.B, collect bool) {
 func BenchmarkRunStatsDisabled(b *testing.B) { benchRun(b, false) }
 func BenchmarkRunStatsEnabled(b *testing.B)  { benchRun(b, true) }
 
-// TestJoinOutputCrossesIslandAsBatch: a leaf-hosted join whose consumer
-// is central hands each call's joined rows to the capture as one batch.
-// Joined rows are rows — the join emits durable tuples, never columns —
-// so they cross as row-batch items also now that the link carries column
-// batches. The parallel engine must then ship fewer link items than rows
-// and still reproduce the sequential engine's rows, OpStats and canonical
-// trace byte for byte.
-func TestJoinOutputCrossesIslandAsBatch(t *testing.T) {
-	const jitterPairs = `
+// jitterPairs is the Section 6.2 self-join on its own, so that its
+// output is a query's and crosses to the central island.
+const jitterPairs = `
 query jitter_pairs:
 SELECT S1.time, S1.srcIP, S1.destIP, S2.time - S1.time AS delay
 FROM TCP S1, TCP S2
 WHERE S1.time/60 = S2.time/60 AND S1.srcIP = S2.srcIP AND S1.destIP = S2.destIP
   AND S1.srcPort = S2.srcPort AND S1.destPort = S2.destPort AND S1.seq + 1 = S2.seq`
+
+// underflowingPairs counts jitterPairs' rows whose delay is negative.
+func underflowingPairs(res *Result) (n int) {
+	for _, row := range res.Outputs["jitter_pairs"] {
+		if row[3].Kind() == sqlval.KindInt {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJoinOutputCrossesIslandAsBatch: a leaf-hosted join whose consumer
+// is central hands each input batch's matches to the capture in one
+// call, so the parallel engine ships fewer link items than rows and
+// still reproduces the sequential engine's rows, OpStats and canonical
+// trace byte for byte. The word-layout join emits columns: its output
+// crosses as column items, except the batches holding a pair whose
+// S2.time - S1.time underflows — a KindInt among uints, which only rows
+// carry — and those, no others, cross as row-batch items. The trace has
+// such pairs; the item count is the one the row-emitting join had.
+func TestJoinOutputCrossesIslandAsBatch(t *testing.T) {
+	const jitterPairsItems = 2896 // Report.Timing.LinkItems when every item was a row batch
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	ps := core.MustParseSet("srcIP, destIP, srcPort, destPort")
@@ -324,11 +341,17 @@ WHERE S1.time/60 = S2.time/60 AND S1.srcIP = S2.srcIP AND S1.destIP = S2.destIP
 	sameResult(t, want, got)
 	sameTrace(t, want, got)
 	rows, items := int64(len(got.Outputs["jitter_pairs"])), got.Report.Timing.LinkItems
-	if rows == 0 || items == 0 || items >= rows {
-		t.Errorf("%d joined rows crossed in %d link items; want fewer items than rows", rows, items)
+	if rows == 0 || items != jitterPairsItems {
+		t.Errorf("%d joined rows crossed in %d link items; want %d items", rows, items, jitterPairsItems)
 	}
+	underflows := underflowingPairs(got)
 	crossed := crossings(t, jitterPairs, ps, o, streams, 256)
-	if c := crossed[optimizer.OpJoin]; len(crossed) != 1 || c == nil || len(c.items) != 1 || c.items[live.ItemPushBatch] == 0 {
-		t.Errorf("what crossed is %+v; want the join's output alone, as row-batch items", crossed)
+	c := crossed[optimizer.OpJoin]
+	if len(crossed) != 1 || c == nil || c.items[live.ItemPush] != 0 || c.items[live.ItemPushCols] == 0 || c.nonUint != 0 {
+		t.Fatalf("what crossed is %+v; want the join's output alone, as all-uint column items and row batches", crossed)
+	}
+	if b := c.items[live.ItemPushBatch]; underflows == 0 || b == 0 || b != c.intBatches || b > underflows {
+		t.Errorf("%d row-batch items crossed, %d of them holding an Int, for %d underflowing pairs; want one per batch holding such a pair, and no other",
+			b, c.intBatches, underflows)
 	}
 }

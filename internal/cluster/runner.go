@@ -180,10 +180,12 @@ const (
 
 // sizedOp pairs a built aggregate's or join's high-water mark (live
 // groups, entries in one pane) with its physical operator ID so
-// finalize can harvest it into Result.SizeHints.
+// finalize can harvest it into Result.SizeHints. op is the operator
+// itself: tests read from it which path its input took.
 type sizedOp struct {
 	id        int
 	highWater func() int
+	op        any
 }
 
 // island is the unit of parallel execution: the operators of one

@@ -228,6 +228,67 @@ func TestAllocsJoinBuildProbe(t *testing.T) {
 	}
 }
 
+// countCols counts what reaches it, by form, and keeps nothing.
+type countCols struct{ colRows, rowRows int }
+
+func (c *countCols) Push(Tuple)            { c.rowRows++ }
+func (c *countCols) PushBatch(b Batch)     { c.rowRows += len(b) }
+func (c *countCols) PushCols(cb *ColBatch) { c.colRows += cb.Len }
+func (c *countCols) Advance(uint64)        {}
+func (c *countCols) Flush()                {}
+
+// TestAllocsJoinColumnEmit: with the residual and the projections
+// compiled, a warm word-layout join — panes recycled, the gather batch
+// and the FilterProject scratch sized by an earlier batch — takes a
+// 256-row batch with 200 matches, half of which the residual drops,
+// for no allocation at all: the matches leave as columns.
+func TestAllocsJoinColumnEmit(t *testing.T) {
+	skipIfRace(t)
+	const n, matching = 256, 200
+	var sink countCols
+	cfg := joinTestConfig(t, gsql.JoinInner, false, &sink)
+	comb := res("tb", "k", "v", "tb2", "k2", "v2")
+	cfg.ColResidual = colPtr(mustCompileCol(t, "v <= v2", comb, nil))
+	cfg.Projs = nil
+	for _, src := range []string{"tb", "k", "v2 - v", "v2"} {
+		ce := mustCompileCol(t, src, comb, nil)
+		cfg.Projs, cfg.ColProjs = append(cfg.Projs, ce.Row), append(cfg.ColProjs, ce)
+	}
+	j := NewJoin(cfg)
+	var left, right ColBatch
+	l, r := make(Batch, n), make(Batch, n)
+	for i := range l {
+		k := uint64(i)
+		l[i] = Tuple{u(0), u(k), u(10)}
+		if i >= matching {
+			k += 1000 // no left twin
+		}
+		r[i] = Tuple{u(0), u(k), u(uint64(9 + i%2))} // v2 is 9 or 10: every other pair passes
+	}
+	if !left.SetFromRows(l) || !right.SetFromRows(r) {
+		t.Fatal("SetFromRows failed")
+	}
+	epoch := uint64(0)
+	cycle := func() {
+		for i := 0; i < n; i++ {
+			left.Cols[0].U64[i], right.Cols[0].U64[i] = epoch, epoch
+		}
+		j.LeftIn().(*joinPort).PushCols(&left)
+		j.RightIn().(*joinPort).PushCols(&right)
+		epoch++
+		j.LeftIn().Advance(epoch * 60)
+		j.RightIn().Advance(epoch * 60)
+	}
+	cycle() // sizes the panes, gather and the kernel scratch
+	sink = countCols{}
+	if got := testing.AllocsPerRun(50, cycle); got != 0 {
+		t.Errorf("warm column-emitting join: %.2f allocs per cycle of %d pushed rows, want 0", got, 2*n)
+	}
+	if want := 51 * matching / 2; sink.colRows != want || sink.rowRows != 0 || j.rowEmits != 0 {
+		t.Fatalf("%d rows arrived as columns and %d as rows (%d row emits); want %d and none", sink.colRows, sink.rowRows, j.rowEmits, want)
+	}
+}
+
 // TestAllocsReport prints the measured values next to their budgets so
 // a budget bump has numbers to cite; it never fails.
 func TestAllocsReport(t *testing.T) {

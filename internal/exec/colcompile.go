@@ -9,27 +9,37 @@ package exec
 // returns the column's payload slice directly (zero copy), constants
 // fold at compile time, and each operator node owns a private scratch
 // vector it refills per call — so a compiled kernel allocates nothing
-// in steady state. Kernels exist only for operators whose result kind
-// is provably KindUint (or provably Bool, for predicates) on every
-// all-uint input, so their output matches the row evaluator value for
-// value, kind for kind:
+// in steady state. A kernel answers only with what the row evaluator
+// yields, value for value, kind for kind (KindUint, or Bool for
+// predicates); it exists for:
 //
 //   - uint vectors (ColExpr.U): column refs, uint literals and
-//     parameters, ABS, bitwise not, +, *, &, |, ^, <<, >> (shifts
+//     parameters, ABS, bitwise not, +, -, *, &, |, ^, <<, >> (shifts
 //     mask to 6 bits exactly like evalUintOp), and / and % with a
-//     non-zero constant divisor. Subtraction is excluded (uint
-//     underflow yields KindInt), as is division by a non-constant
-//     expression (a zero divisor yields NULL).
+//     non-zero constant divisor. Division by a non-constant expression
+//     is excluded (a zero divisor yields NULL), as are unary minus and
+//     anything with a float in it.
 //   - truth vectors (ColExpr.Truth): comparisons over two uint
 //     kernels, AND/OR/NOT composition, and the truthiness (!= 0) of
 //     any uint kernel. evalBinary evaluates both operands of AND/OR
 //     before testing them, so elementwise &/| is exact, not an
 //     approximation of short-circuit evaluation.
 //
+// Subtraction is the one operator whose result kind depends on the
+// data: l - r is KindUint unless r > l, where evalUintOp yields a
+// KindInt that a uniform-kind vector cannot hold. Its kernel is
+// optimistic — it computes words, ORs the borrow across the batch and
+// refuses the batch (returns nil) when any row underflowed; every node
+// above it forwards the refusal, so U and Truth return nil for that
+// batch and the caller takes, for that batch only, the row path it has
+// anyway for an expression with no kernel at all. Constant operands
+// fold at compile time (5 - 3 is a constant, 3 - 5 has no kernel).
+//
 // Anything outside the whitelist simply compiles with nil kernels and
 // the operators fall back to the pivoted row path.
 
 import (
+	"math/bits"
 	"strings"
 
 	"qap/internal/gsql"
@@ -38,22 +48,30 @@ import (
 
 // ColExpr is a column-compiled expression. Row is always set and is
 // the semantic oracle; U and Truth, when non-nil, are only valid on
-// batches for which AllUint() holds.
+// non-empty batches for which AllUint() holds.
 type ColExpr struct {
 	// Row evaluates one tuple, identically to Compile's closure.
 	Row EvalFunc
 	// U returns a read-only vector v with len == cb.Len where
-	// sqlval.Uint(v[i]) == Row(row i) exactly. The vector may alias a
+	// sqlval.Uint(v[i]) == Row(row i) exactly, or nil when some row of
+	// the batch made a subtraction in the expression underflow: the
+	// caller then evaluates this batch with Row. The vector may alias a
 	// column of cb or scratch owned by this ColExpr: it is valid only
 	// until the next U/Truth call on this ColExpr or until cb is
 	// recycled, and must not be mutated.
 	U func(cb *ColBatch) []uint64
 	// Truth returns a read-only 0/1 vector where v[i] != 0 iff
-	// Row(row i).AsBool(). Same lifetime rules as U.
+	// Row(row i).AsBool(), or nil exactly when U would. Same lifetime
+	// rules as U.
 	Truth func(cb *ColBatch) []uint64
 	// Const is set when the expression folds to a single uint value
 	// (U then returns a constant-filled vector).
 	Const *uint64
+	// reads is the set of input columns the expression mentions (colBit);
+	// ref is 1 + the column a bare reference forwards, 0 for anything
+	// computed. Both hold with or without kernels.
+	reads uint64
+	ref   int
 }
 
 // CompileCol compiles e into a ColExpr. The error cases are exactly
@@ -64,16 +82,8 @@ func CompileCol(e gsql.Expr, resolve Resolver, params Params) (ColExpr, error) {
 	if err != nil {
 		return ColExpr{}, err
 	}
-	ce := ColExpr{Row: row}
 	k := colKernel(e, resolve, params)
-	ce.U = k.u
-	ce.Const = k.cnst
-	if k.b != nil {
-		ce.Truth = k.b
-	} else if k.u != nil {
-		ce.Truth = truthOfUint(k.u)
-	}
-	return ce, nil
+	return ColExpr{Row: row, U: k.u, Truth: truthOf(k), Const: k.cnst, reads: k.reads, ref: k.ref}, nil
 }
 
 // CompileColAll compiles a list of expressions.
@@ -89,13 +99,19 @@ func CompileColAll(exprs []gsql.Expr, resolve Resolver, params Params) ([]ColExp
 	return out, nil
 }
 
+// vecFn is a kernel: a whole-column producer over an all-uint batch, or
+// nil for that batch (the refusal contract on ColExpr.U).
+type vecFn = func(cb *ColBatch) []uint64
+
 // colKer is the internal kernel form: a uint-value vector producer, a
 // 0/1 truth vector producer, or both; cnst marks compile-time
-// constants for folding.
+// constants for folding. reads and ref are ColExpr's, and are set
+// whether or not a kernel exists.
 type colKer struct {
-	u    func(cb *ColBatch) []uint64
-	b    func(cb *ColBatch) []uint64
-	cnst *uint64
+	u, b  vecFn
+	cnst  *uint64
+	reads uint64
+	ref   int
 }
 
 // constKernel fills a private scratch vector with c.
@@ -114,201 +130,48 @@ func constKernel(c uint64) colKer {
 	}
 }
 
-// truthOfUint maps a uint kernel to its truthiness vector
-// (AsBool on KindUint is value != 0).
-func truthOfUint(u func(cb *ColBatch) []uint64) func(cb *ColBatch) []uint64 {
+// foldConst is the kernel of a constant-folded node: the value when it
+// stayed a uint (5 - 3), none when it did not (3 - 5, 1 / 0).
+func foldConst(v sqlval.Value) colKer {
+	if u, ok := v.AsUint(); ok && v.Kind() == sqlval.KindUint {
+		return constKernel(u)
+	}
+	return colKer{}
+}
+
+// mapKernel is the elementwise kernel over one operand: loop fills dst
+// from v. A refusing operand is forwarded.
+func mapKernel(x vecFn, loop func(dst, v []uint64)) vecFn {
 	var buf []uint64
 	return func(cb *ColBatch) []uint64 {
-		v := u(cb)
-		buf = growUints(buf, len(v))
-		for i, x := range v {
-			if x != 0 {
-				buf[i] = 1
-			} else {
-				buf[i] = 0
-			}
+		v := x(cb)
+		if v == nil {
+			return nil
 		}
+		buf = growUints(buf, len(v))
+		loop(buf, v)
 		return buf
 	}
 }
 
-// truthOf returns the best truth kernel for a subexpression: its own
-// boolean kernel, or the truthiness of its uint kernel.
-func truthOf(k colKer) func(cb *ColBatch) []uint64 {
-	if k.b != nil {
-		return k.b
-	}
-	if k.u != nil {
-		return truthOfUint(k.u)
-	}
-	return nil
-}
-
-// colKernel derives vector kernels for e, returning zero-valued
-// colKer for unsupported expressions. It mirrors Compile's structure;
-// resolve errors yield no kernel here and surface through Compile.
-func colKernel(e gsql.Expr, resolve Resolver, params Params) colKer {
-	switch t := e.(type) {
-	case *gsql.ColumnRef:
-		idx, err := resolve(t)
-		if err != nil {
-			return colKer{}
-		}
-		return colKer{u: func(cb *ColBatch) []uint64 { return cb.Cols[idx].U64[:cb.Len] }}
-	case *gsql.NumberLit:
-		if t.IsFloat {
-			return colKer{}
-		}
-		return constKernel(t.U)
-	case *gsql.ParamRef:
-		v, ok := params.Get(t.Name)
-		if !ok || v.Kind() != sqlval.KindUint {
-			return colKer{}
-		}
-		u, _ := v.AsUint()
-		return constKernel(u)
-	case *gsql.Unary:
-		return colUnaryKernel(t, resolve, params)
-	case *gsql.Binary:
-		return colBinaryKernel(t, resolve, params)
-	case *gsql.FuncCall:
-		// ABS is the identity on uint values (evalAbs returns the
-		// operand unchanged), so it inherits the argument's kernel.
-		if strings.EqualFold(t.Name, "ABS") && len(t.Args) == 1 {
-			k := colKernel(t.Args[0], resolve, params)
-			return colKer{u: k.u, cnst: k.cnst}
-		}
-		return colKer{}
-	default:
-		return colKer{}
-	}
-}
-
-func colUnaryKernel(t *gsql.Unary, resolve Resolver, params Params) colKer {
-	k := colKernel(t.X, resolve, params)
-	switch t.Op {
-	case gsql.OpBitNot:
-		if k.u == nil {
-			return colKer{}
-		}
-		if k.cnst != nil {
-			return constKernel(^*k.cnst)
-		}
-		x := k.u
-		var buf []uint64
-		return colKer{u: func(cb *ColBatch) []uint64 {
-			v := x(cb)
-			buf = growUints(buf, len(v))
-			for i, w := range v {
-				buf[i] = ^w
-			}
-			return buf
-		}}
-	case gsql.OpNot:
-		tr := truthOf(k)
-		if tr == nil {
-			return colKer{}
-		}
-		var buf []uint64
-		return colKer{b: func(cb *ColBatch) []uint64 {
-			v := tr(cb)
-			buf = growUints(buf, len(v))
-			for i, w := range v {
-				buf[i] = 1 - w
-			}
-			return buf
-		}}
-	default: // OpNeg yields KindInt; no kernel.
-		return colKer{}
-	}
-}
-
-func colBinaryKernel(t *gsql.Binary, resolve Resolver, params Params) colKer {
-	lk := colKernel(t.L, resolve, params)
-	rk := colKernel(t.R, resolve, params)
-	switch t.Op {
-	case gsql.OpAnd, gsql.OpOr:
-		lt, rt := truthOf(lk), truthOf(rk)
-		if lt == nil || rt == nil {
-			return colKer{}
-		}
-		and := t.Op == gsql.OpAnd
-		var buf []uint64
-		return colKer{b: func(cb *ColBatch) []uint64 {
-			lv := lt(cb)
-			rv := rt(cb)
-			buf = growUints(buf, len(lv))
-			if and {
-				for i := range lv {
-					buf[i] = lv[i] & rv[i]
-				}
-			} else {
-				for i := range lv {
-					buf[i] = lv[i] | rv[i]
-				}
-			}
-			return buf
-		}}
-	case gsql.OpEq, gsql.OpNeq, gsql.OpLt, gsql.OpLe, gsql.OpGt, gsql.OpGe:
-		if lk.u == nil || rk.u == nil {
-			return colKer{}
-		}
-		return cmpKernel(t.Op, lk.u, rk.u)
-	case gsql.OpAdd, gsql.OpMul, gsql.OpBitAnd, gsql.OpBitOr, gsql.OpBitXor, gsql.OpShl, gsql.OpShr:
-		if lk.u == nil || rk.u == nil {
-			return colKer{}
-		}
-		if lk.cnst != nil && rk.cnst != nil {
-			v := evalUintOp(t.Op, *lk.cnst, *rk.cnst)
-			if u, ok := v.AsUint(); ok && v.Kind() == sqlval.KindUint {
-				return constKernel(u)
-			}
-			return colKer{}
-		}
-		return arithKernel(t.Op, lk.u, rk.u)
-	case gsql.OpDiv, gsql.OpMod:
-		// Only a non-zero constant divisor is kernelable: a zero
-		// divisor yields NULL, which a uint vector cannot carry.
-		if lk.u == nil || rk.cnst == nil || *rk.cnst == 0 {
-			return colKer{}
-		}
-		if lk.cnst != nil {
-			v := evalUintOp(t.Op, *lk.cnst, *rk.cnst)
-			if u, ok := v.AsUint(); ok && v.Kind() == sqlval.KindUint {
-				return constKernel(u)
-			}
-			return colKer{}
-		}
-		x, d, mod := lk.u, *rk.cnst, t.Op == gsql.OpMod
-		var buf []uint64
-		return colKer{u: func(cb *ColBatch) []uint64 {
-			v := x(cb)
-			buf = growUints(buf, len(v))
-			if mod {
-				for i, w := range v {
-					buf[i] = w % d
-				}
-			} else {
-				for i, w := range v {
-					buf[i] = w / d
-				}
-			}
-			return buf
-		}}
-	default: // OpSub may underflow to KindInt; no kernel.
-		return colKer{}
-	}
-}
-
-// arithKernel builds an elementwise uint kernel matching evalUintOp
-// for the closed-on-uint operators.
-func arithKernel(op gsql.BinOp, l, r func(cb *ColBatch) []uint64) colKer {
+// zipKernel is the elementwise kernel of a two-operand node. The
+// arithmetic loops match evalUintOp on two uints, the comparisons (0/1)
+// evalBinary's Equal/Compare on two KindUint values, and AND/OR work on
+// truth vectors. A refusing operand is forwarded; the node's own
+// refusal is subtraction's alone.
+func zipKernel(op gsql.BinOp, l, r vecFn) vecFn {
 	var buf []uint64
-	f := func(cb *ColBatch) []uint64 {
-		lv := l(cb)
-		rv := r(cb)
+	return func(cb *ColBatch) []uint64 {
+		lv, rv := l(cb), r(cb)
+		if lv == nil || rv == nil {
+			return nil
+		}
 		buf = growUints(buf, len(lv))
 		switch op {
+		case gsql.OpSub:
+			if !subWords(buf, lv, rv) {
+				return nil
+			}
 		case gsql.OpAdd:
 			for i := range lv {
 				buf[i] = lv[i] + rv[i]
@@ -317,11 +180,11 @@ func arithKernel(op gsql.BinOp, l, r func(cb *ColBatch) []uint64) colKer {
 			for i := range lv {
 				buf[i] = lv[i] * rv[i]
 			}
-		case gsql.OpBitAnd:
+		case gsql.OpBitAnd, gsql.OpAnd:
 			for i := range lv {
 				buf[i] = lv[i] & rv[i]
 			}
-		case gsql.OpBitOr:
+		case gsql.OpBitOr, gsql.OpOr:
 			for i := range lv {
 				buf[i] = lv[i] | rv[i]
 			}
@@ -337,21 +200,6 @@ func arithKernel(op gsql.BinOp, l, r func(cb *ColBatch) []uint64) colKer {
 			for i := range lv {
 				buf[i] = lv[i] >> (rv[i] & 63)
 			}
-		}
-		return buf
-	}
-	return colKer{u: f}
-}
-
-// cmpKernel builds a 0/1 kernel for a comparison of two uint vectors,
-// matching evalBinary's Equal/Compare on two KindUint values.
-func cmpKernel(op gsql.BinOp, l, r func(cb *ColBatch) []uint64) colKer {
-	var buf []uint64
-	f := func(cb *ColBatch) []uint64 {
-		lv := l(cb)
-		rv := r(cb)
-		buf = growUints(buf, len(lv))
-		switch op {
 		case gsql.OpEq:
 			for i := range lv {
 				buf[i] = b2u(lv[i] == rv[i])
@@ -379,7 +227,177 @@ func cmpKernel(op gsql.BinOp, l, r func(cb *ColBatch) []uint64) colKer {
 		}
 		return buf
 	}
-	return colKer{b: f}
+}
+
+// truthOf returns the best truth kernel for a subexpression: its own
+// boolean kernel, or the truthiness of its uint kernel (AsBool on
+// KindUint is value != 0).
+func truthOf(k colKer) vecFn {
+	if k.b != nil || k.u == nil {
+		return k.b
+	}
+	return mapKernel(k.u, func(dst, v []uint64) {
+		for i, x := range v {
+			dst[i] = b2u(x != 0)
+		}
+	})
+}
+
+// colKernel derives vector kernels for e, returning a colKer without
+// kernels for unsupported expressions. It mirrors Compile's structure;
+// resolve errors yield no kernel here and surface through Compile.
+func colKernel(e gsql.Expr, resolve Resolver, params Params) colKer {
+	switch t := e.(type) {
+	case *gsql.ColumnRef:
+		idx, err := resolve(t)
+		if err != nil {
+			return colKer{}
+		}
+		return colKer{
+			u:     func(cb *ColBatch) []uint64 { return cb.Cols[idx].U64[:cb.Len] },
+			reads: colBit(idx),
+			ref:   idx + 1,
+		}
+	case *gsql.NumberLit:
+		if t.IsFloat {
+			return colKer{}
+		}
+		return constKernel(t.U)
+	case *gsql.ParamRef:
+		v, ok := params.Get(t.Name)
+		if !ok {
+			return colKer{}
+		}
+		return foldConst(v)
+	case *gsql.Unary:
+		x := colKernel(t.X, resolve, params)
+		k := colUnaryKernel(t.Op, x)
+		k.reads = x.reads
+		return k
+	case *gsql.Binary:
+		l, r := colKernel(t.L, resolve, params), colKernel(t.R, resolve, params)
+		k := colBinaryKernel(t.Op, l, r)
+		k.reads = l.reads | r.reads
+		return k
+	case *gsql.FuncCall:
+		// ABS is the identity on uint values (evalAbs returns the
+		// operand unchanged), so it inherits the argument's kernel.
+		abs := strings.EqualFold(t.Name, "ABS") && len(t.Args) == 1
+		var k colKer
+		for _, a := range t.Args {
+			x := colKernel(a, resolve, params)
+			k.reads |= x.reads
+			if abs {
+				k.u, k.cnst = x.u, x.cnst
+			}
+		}
+		return k
+	default:
+		return colKer{}
+	}
+}
+
+// colBit is column idx's bit in a read set; columns past 62 share the
+// last bit, which errs towards "read".
+func colBit(idx int) uint64 { return 1 << min(idx, 63) }
+
+func colUnaryKernel(op gsql.UnaryOp, k colKer) colKer {
+	switch op {
+	case gsql.OpBitNot:
+		if k.u == nil {
+			return colKer{}
+		}
+		if k.cnst != nil {
+			return constKernel(^*k.cnst)
+		}
+		return colKer{u: mapKernel(k.u, func(dst, v []uint64) {
+			for i, w := range v {
+				dst[i] = ^w
+			}
+		})}
+	case gsql.OpNot:
+		tr := truthOf(k)
+		if tr == nil {
+			return colKer{}
+		}
+		return colKer{b: mapKernel(tr, func(dst, v []uint64) {
+			for i, w := range v {
+				dst[i] = 1 - w
+			}
+		})}
+	default: // OpNeg yields KindInt; no kernel.
+		return colKer{}
+	}
+}
+
+func colBinaryKernel(op gsql.BinOp, lk, rk colKer) colKer {
+	switch op {
+	case gsql.OpAnd, gsql.OpOr:
+		lt, rt := truthOf(lk), truthOf(rk)
+		if lt == nil || rt == nil {
+			return colKer{}
+		}
+		return colKer{b: zipKernel(op, lt, rt)}
+	case gsql.OpEq, gsql.OpNeq, gsql.OpLt, gsql.OpLe, gsql.OpGt, gsql.OpGe:
+		if lk.u == nil || rk.u == nil {
+			return colKer{}
+		}
+		return colKer{b: zipKernel(op, lk.u, rk.u)}
+	case gsql.OpAdd, gsql.OpSub, gsql.OpMul, gsql.OpBitAnd, gsql.OpBitOr, gsql.OpBitXor, gsql.OpShl, gsql.OpShr:
+		if lk.u == nil || rk.u == nil {
+			return colKer{}
+		}
+		if lk.cnst != nil && rk.cnst != nil {
+			return foldConst(evalUintOp(op, *lk.cnst, *rk.cnst))
+		}
+		return colKer{u: zipKernel(op, lk.u, rk.u)}
+	case gsql.OpDiv, gsql.OpMod:
+		// Only a non-zero constant divisor is kernelable: a zero
+		// divisor yields NULL, which a uint vector cannot carry.
+		if lk.u == nil || rk.cnst == nil || *rk.cnst == 0 {
+			return colKer{}
+		}
+		if lk.cnst != nil {
+			return foldConst(evalUintOp(op, *lk.cnst, *rk.cnst))
+		}
+		x, d, mod := lk.u, *rk.cnst, op == gsql.OpMod
+		var buf []uint64
+		return colKer{u: func(cb *ColBatch) []uint64 {
+			v := x(cb)
+			if v == nil {
+				return nil
+			}
+			buf = growUints(buf, len(v))
+			if mod {
+				for i, w := range v {
+					buf[i] = w % d
+				}
+			} else {
+				for i, w := range v {
+					buf[i] = w / d
+				}
+			}
+			return buf
+		}}
+	default:
+		return colKer{}
+	}
+}
+
+// subWords is the optimistic subtraction: it computes every difference
+// as a word, ORs the borrows, and reports false when some row
+// underflowed — evalUintOp yields a KindInt there, which dst cannot
+// say.
+//
+//qap:hot
+func subWords(dst, lv, rv []uint64) bool {
+	var borrow uint64
+	for i := range lv {
+		d, b := bits.Sub64(lv[i], rv[i], 0)
+		dst[i] = d
+		borrow |= b
+	}
+	return borrow == 0
 }
 
 func b2u(b bool) uint64 {

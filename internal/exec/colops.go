@@ -7,6 +7,7 @@ package exec
 // fall back to the row path whenever a kernel does not apply.
 
 import (
+	"math"
 	"slices"
 
 	"qap/internal/sqlval"
@@ -22,7 +23,8 @@ func pushColsRows(c BatchConsumer, cb *ColBatch) {
 
 // PushCols implements ColConsumer. The vectorized path needs an
 // all-uint batch, a truth kernel for the filter, and uint kernels for
-// every projection; anything else pivots to the row path.
+// every projection; anything else — a batch a kernel refuses included —
+// pivots to the row path.
 //
 //qap:hot
 func (o *FilterProject) PushCols(cb *ColBatch) {
@@ -30,13 +32,18 @@ func (o *FilterProject) PushCols(cb *ColBatch) {
 		PushColsAll(o.Out, cb)
 		return
 	}
-	if !cb.AllUint() || !o.colReady() {
-		pushColsRows(o, cb)
+	if cb.Len == 0 {
 		return
 	}
-	if work := o.colApply(cb); work != nil {
-		PushColsAll(o.Out, work)
+	if cb.AllUint() && o.colReady() {
+		if work, ok := o.colApply(cb); ok {
+			if work != nil {
+				PushColsAll(o.Out, work)
+			}
+			return
+		}
 	}
+	pushColsRows(o, cb)
 }
 
 // colReady reports whether the filter and every projection have the
@@ -59,17 +66,24 @@ func (o *FilterProject) colReady() bool {
 	return true
 }
 
-// colApply filters, compacts and projects an all-uint batch with the
+// colApply filters, compacts and projects a non-empty batch with the
 // kernels, in that order: the batch to forward — cb itself, or scratch
 // valid until the next call — or nil when no row passes, which like the
-// scalar path makes no downstream call. The aggregate's column emit
-// runs HAVING and its projection through the same code.
+// scalar path makes no downstream call. It reports false, having made
+// no call, when a kernel refused the batch. Every column the filter or
+// a computed projection reads must be uint; the others only need to be
+// all-valid words, and a bare column reference forwards its column
+// whatever the kind. The aggregate's column emit runs HAVING and its
+// projection, and the join its residual and projection, through here.
 //
 //qap:hot
-func (o *FilterProject) colApply(cb *ColBatch) *ColBatch {
+func (o *FilterProject) colApply(cb *ColBatch) (*ColBatch, bool) {
 	work := cb
 	if o.Filter != nil {
 		tv := o.ColFilter.Truth(cb)
+		if tv == nil {
+			return nil, false
+		}
 		keep := 0
 		for _, w := range tv {
 			if w != 0 {
@@ -77,7 +91,7 @@ func (o *FilterProject) colApply(cb *ColBatch) *ColBatch {
 			}
 		}
 		if keep == 0 {
-			return nil
+			return nil, true
 		}
 		if keep < cb.Len {
 			o.colCompact(cb, tv, keep)
@@ -85,14 +99,16 @@ func (o *FilterProject) colApply(cb *ColBatch) *ColBatch {
 		}
 	}
 	if o.Projs != nil {
-		o.colProject(work)
+		if !o.colProject(work) {
+			return nil, false
+		}
 		work = &o.colOut
 	}
-	return work
+	return work, true
 }
 
-// colCompact copies the selected rows of every (all-uint) column into
-// the reused colPass scratch.
+// colCompact copies the selected rows of every (word) column into the
+// reused colPass scratch.
 //
 //qap:hot
 func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
@@ -105,7 +121,7 @@ func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
 	for c := range cb.Cols {
 		src := cb.Cols[c].U64
 		d := &p.Cols[c]
-		d.Kind = sqlval.KindUint
+		d.Kind = cb.Cols[c].Kind
 		d.Str, d.Valid = nil, nil
 		d.U64 = growUints(d.U64, keep)
 		k := 0
@@ -121,10 +137,11 @@ func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
 
 // colProject evaluates every projection kernel over in; the output
 // columns alias kernel scratch (or input columns for bare column
-// refs), which is fine under the only-during-the-call contract.
+// refs, kind and all), which is fine under the only-during-the-call
+// contract. It reports false when a kernel refused the batch.
 //
 //qap:hot
-func (o *FilterProject) colProject(in *ColBatch) {
+func (o *FilterProject) colProject(in *ColBatch) bool {
 	out := &o.colOut
 	if cap(out.Cols) < len(o.ColProjs) {
 		//qap:allow hotalloc -- column headers sized once per operator width
@@ -132,12 +149,19 @@ func (o *FilterProject) colProject(in *ColBatch) {
 	}
 	out.Cols = out.Cols[:len(o.ColProjs)]
 	for k := range o.ColProjs {
-		d := &out.Cols[k]
-		d.Kind = sqlval.KindUint
-		d.Str, d.Valid = nil, nil
-		d.U64 = o.ColProjs[k].U(in)
+		p := &o.ColProjs[k]
+		if p.ref > 0 {
+			out.Cols[k] = in.Cols[p.ref-1]
+			continue
+		}
+		v := p.U(in)
+		if v == nil {
+			return false
+		}
+		out.Cols[k] = ColVec{Kind: sqlval.KindUint, U64: v}
 	}
 	out.Len = in.Len
+	return true
 }
 
 // PushCols implements ColConsumer: a union port forwards unchanged.
@@ -296,28 +320,41 @@ func (o *Aggregate) PushCols(cb *ColBatch) {
 			o.colReady = -1
 		}
 	}
+	if cb.Len == 0 {
+		return
+	}
 	if o.colReady < 0 || !cb.AllUint() {
 		pushColsRows(o, cb)
 		return
 	}
+	// ok turns false when a kernel refuses the batch (a subtraction
+	// underflowed): the rows then take the row path, for this batch only.
+	ok := true
 	kvs := o.colKeyVecs[:0]
 	for i := range o.cfg.ColGroupBy {
-		kvs = append(kvs, o.cfg.ColGroupBy[i].U(cb))
+		v := o.cfg.ColGroupBy[i].U(cb)
+		kvs, ok = append(kvs, v), ok && v != nil
 	}
 	o.colKeyVecs = kvs
 	var filt []uint64
 	if o.cfg.PreFilter != nil {
 		filt = o.cfg.ColPreFilter.Truth(cb)
+		ok = ok && filt != nil
 	}
 	avs := o.colArgVecs[:0]
 	for i, a := range o.cfg.Aggs {
 		if a.Arg == nil {
 			avs = append(avs, nil)
 		} else {
-			avs = append(avs, o.cfg.ColArgs[i].U(cb))
+			v := o.cfg.ColArgs[i].U(cb)
+			avs, ok = append(avs, v), ok && v != nil
 		}
 	}
 	o.colArgVecs = avs
+	if !ok {
+		pushColsRows(o, cb)
+		return
+	}
 	if o.colDirty {
 		o.colResetTable()
 	}
@@ -440,9 +477,13 @@ func keyWordsEqual(words []uint64, kvs [][]uint64, i int) bool {
 
 // denseAccKind names the word-vectorizable accumulator kinds the
 // dense columnar group store supports. Each replicates its Accum
-// counterpart exactly for non-NULL uint-kind inputs (AsInt and AsUint
+// counterpart exactly for non-NULL uint-kind inputs: AsInt and AsUint
 // are raw-bit conversions for uint words, so integer sum and bit ops
-// over words are bit-identical to the interface path).
+// over words are bit-identical to the interface path; two uints
+// compare as words, which is MIN and MAX (MIN's state word starts at
+// all-ones); and AVG is avgAccum's two fields as two words — the float
+// sum's bits in the state word, the count in denseCnt — accumulated in
+// row order, so the sum rounds exactly as the interface path's does.
 type denseAccKind uint8
 
 const (
@@ -451,13 +492,20 @@ const (
 	denseBitOr
 	denseBitAnd
 	denseBitXor
+	denseMin
+	denseMax
+	denseAvg
 )
 
 // denseInit probes each aggregate factory once and records whether
-// every accumulator is word-vectorizable from its zero state.
+// every accumulator is word-vectorizable from its zero state, and
+// whether an emitted epoch can run HAVING and the projection as
+// kernels: they exist, and only a bare reference reads an AVG column,
+// whose words are float bits.
 func (o *Aggregate) denseInit() {
 	o.denseReady = -1
 	kinds := make([]denseAccKind, len(o.cfg.Aggs))
+	var floats uint64
 	for i, a := range o.cfg.Aggs {
 		switch p := a.Factory().(type) {
 		case *countAccum:
@@ -484,6 +532,20 @@ func (o *Aggregate) denseInit() {
 			default:
 				return
 			}
+		case *minmaxAccum:
+			if p.any {
+				return
+			}
+			kinds[i] = denseMax
+			if p.wantLess {
+				kinds[i] = denseMin
+			}
+		case *avgAccum:
+			if p.n != 0 || p.sum != 0 {
+				return
+			}
+			kinds[i] = denseAvg
+			floats |= colBit(len(o.cfg.GroupBy) + i)
 		default:
 			return
 		}
@@ -491,6 +553,15 @@ func (o *Aggregate) denseInit() {
 	o.denseAcc = kinds
 	if o.denseAccW == nil {
 		o.denseAccW = make([][]uint64, len(kinds))
+	}
+	if floats != 0 && o.denseCnt == nil {
+		o.denseCnt = make([][]uint64, len(kinds))
+	}
+	o.colEmitOK = o.emit.colReady() && (o.cfg.ColHaving == nil || o.cfg.ColHaving.reads&floats == 0)
+	for i := range o.cfg.ColPost {
+		if p := &o.cfg.ColPost[i]; p.ref == 0 && p.reads&floats != 0 {
+			o.colEmitOK = false
+		}
 	}
 	if h := o.cfg.SizeHint; h > 0 {
 		// Warm-start the dense arrays so a hinted run never pays the
@@ -501,9 +572,12 @@ func (o *Aggregate) denseInit() {
 		if cap(o.denseDone) < h {
 			o.denseDone = make([]int32, 0, h)
 		}
-		for a := range o.denseAccW {
+		for a, kind := range kinds {
 			if cap(o.denseAccW[a]) < h {
 				o.denseAccW[a] = make([]uint64, 0, h)
+			}
+			if kind == denseAvg && cap(o.denseCnt[a]) < h {
+				o.denseCnt[a] = make([]uint64, 0, h)
 			}
 		}
 	}
@@ -520,6 +594,7 @@ func (o *Aggregate) densePush(cb *ColBatch, kvs, avs [][]uint64, filt, epochVec 
 	slots := o.denseSlots[:0]
 	rows := o.denseRows[:0]
 	n := cb.Len
+	o.denseIn += int64(n)
 	for i := 0; i < n; i++ {
 		if filt != nil && filt[i] == 0 {
 			continue
@@ -568,14 +643,30 @@ func (o *Aggregate) densePush(cb *ColBatch, kvs, avs [][]uint64, filt, epochVec 
 			for k, g := range slots {
 				w[g] ^= av[rows[k]]
 			}
+		case denseMin:
+			av := avs[j]
+			for k, g := range slots {
+				w[g] = min(w[g], av[rows[k]])
+			}
+		case denseMax:
+			av := avs[j]
+			for k, g := range slots {
+				w[g] = max(w[g], av[rows[k]])
+			}
+		case denseAvg:
+			av, cnt := avs[j], o.denseCnt[j]
+			for k, g := range slots {
+				w[g] = math.Float64bits(math.Float64frombits(w[g]) + float64(av[rows[k]]))
+				cnt[g]++
+			}
 		}
 	}
 }
 
 // denseGroup resolves row i to its dense group index, creating the
 // group on a miss: key words onto colWords — group g's are
-// colWords[g*nk:(g+1)*nk], the slab the table resolves through — and a
-// zero state word per aggregate.
+// colWords[g*nk:(g+1)*nk], the slab the table resolves through — and
+// each aggregate's state from zero (all-ones for a MIN).
 //
 //qap:hot
 func (o *Aggregate) denseGroup(kvs [][]uint64, i int) int32 {
@@ -591,8 +682,15 @@ func (o *Aggregate) denseGroup(kvs [][]uint64, i int) int32 {
 	for k, kv := range kvs {
 		o.colWords[base+k] = kv[i]
 	}
-	for a := range o.denseAccW {
-		o.denseAccW[a] = append(o.denseAccW[a], 0)
+	for a, kind := range o.denseAcc {
+		var zero uint64
+		switch kind {
+		case denseMin:
+			zero = ^uint64(0)
+		case denseAvg:
+			o.denseCnt[a] = append(o.denseCnt[a], 0)
+		}
+		o.denseAccW[a] = append(o.denseAccW[a], zero)
 	}
 	if e := o.cfg.EpochIdx; e >= 0 {
 		o.noteEpochWord(kvs[e][i])
@@ -625,8 +723,13 @@ func hashWords(words []uint64) uint64 {
 // dense mode: every group saw at least one non-NULL add).
 func (o *Aggregate) denseResult(j int, g int32) sqlval.Value {
 	w := o.denseAccW[j][g]
-	if i := int64(w); i < 0 && o.denseAcc[j] == denseSum {
-		return sqlval.Int(i)
+	switch o.denseAcc[j] {
+	case denseAvg:
+		return sqlval.Float(math.Float64frombits(w) / float64(o.denseCnt[j][g]))
+	case denseSum:
+		if i := int64(w); i < 0 {
+			return sqlval.Int(i)
+		}
 	}
 	return sqlval.Uint(w)
 }
@@ -650,6 +753,12 @@ func (o *Aggregate) denseMigrate() {
 			case denseSum:
 				a := gs.accs[j].(*sumAccum)
 				a.i, a.any = int64(w), true
+			case denseMin, denseMax:
+				a := gs.accs[j].(*minmaxAccum)
+				a.best, a.any = sqlval.Uint(w), true
+			case denseAvg:
+				a := gs.accs[j].(*avgAccum)
+				a.sum, a.n = math.Float64frombits(w), o.denseCnt[j][g]
 			default:
 				a := gs.accs[j].(*bitAccum)
 				a.acc, a.any = w, true
@@ -667,6 +776,9 @@ func (o *Aggregate) denseReset() {
 	o.denseN = 0
 	for j := range o.denseAccW {
 		o.denseAccW[j] = o.denseAccW[j][:0]
+	}
+	for j := range o.denseCnt {
+		o.denseCnt[j] = o.denseCnt[j][:0]
 	}
 }
 
@@ -727,18 +839,20 @@ func (o *Aggregate) denseEmit(boundary *sqlval.Value) {
 // gather straight from the dense arrays, and HAVING and the projection
 // run over them as column kernels — the code a FilterProject runs —
 // so no row exists for a group HAVING drops, nor for one it keeps. Rows
-// are made, exactly like the map path's emit, only for what a uint
-// column cannot carry: an integer sum that went negative (KindInt), or
-// a HAVING or projection without a kernel.
+// are made, exactly like the map path's emit, only for what the columns
+// or the kernels cannot carry: an integer sum that went negative
+// (KindInt), a HAVING or computed projection without a kernel, reading
+// an AVG (colEmitOK), or refusing this epoch's batch.
 func (o *Aggregate) denseDeliver(done []int32, nk, na int) int {
-	if o.cfg.ColEmit && nk+na > 0 && o.emit.colReady() && o.denseColumns(done, nk, na) {
-		o.kernelEmits++
-		work := o.emit.colApply(&o.emitCols)
-		if work == nil {
-			return 0
+	if o.cfg.ColEmit && nk+na > 0 && o.colEmitOK && o.denseColumns(done, nk, na) {
+		if work, ok := o.emit.colApply(&o.emitCols); ok {
+			o.kernelEmits++
+			if work == nil {
+				return 0
+			}
+			PushColsAll(o.cfg.Out, work)
+			return work.Len
 		}
-		PushColsAll(o.cfg.Out, work)
-		return work.Len
 	}
 	return o.emitRows(len(done), func(k int, row Tuple) Tuple {
 		g := done[k]
@@ -753,8 +867,9 @@ func (o *Aggregate) denseDeliver(done []int32, nk, na int) int {
 }
 
 // denseColumns gathers the retired groups' key and state words into
-// emitCols as uint columns. It reports false when some integer sum went
-// negative, which only a row can carry.
+// emitCols: uint columns, but for an AVG, which finalises to a float
+// column. It reports false when some integer sum went negative, which
+// only a row can carry.
 //
 //qap:hot
 func (o *Aggregate) denseColumns(done []int32, nk, na int) bool {
@@ -787,13 +902,22 @@ func (o *Aggregate) denseColumns(done []int32, nk, na int) bool {
 	var neg uint64
 	for j := 0; j < na; j++ {
 		w, dst := o.denseAccW[j], ec.Cols[nk+j].U64
-		var or uint64
-		for k, g := range done {
-			dst[k] = w[g]
-			or |= w[g]
-		}
-		if o.denseAcc[j] == denseSum {
-			neg |= or
+		switch o.denseAcc[j] {
+		case denseAvg:
+			ec.Cols[nk+j].Kind = sqlval.KindFloat
+			cnt := o.denseCnt[j]
+			for k, g := range done {
+				dst[k] = math.Float64bits(math.Float64frombits(w[g]) / float64(cnt[g]))
+			}
+		case denseSum:
+			for k, g := range done {
+				dst[k] = w[g]
+				neg |= w[g]
+			}
+		default:
+			for k, g := range done {
+				dst[k] = w[g]
+			}
 		}
 	}
 	return int64(neg) >= 0
@@ -947,15 +1071,21 @@ func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
 			continue
 		}
 		copy(o.colWords[n*nk:(n+1)*nk], o.colWords[g*nk:(g+1)*nk])
-		for _, w := range o.denseAccW {
+		for j, w := range o.denseAccW {
 			w[n] = w[g]
+			if o.denseAcc[j] == denseAvg {
+				o.denseCnt[j][n] = o.denseCnt[j][g]
+			}
 		}
 		n++
 	}
 	o.colTab.reset()
 	o.colWords, o.denseN, o.minSet = o.colWords[:n*nk], n, false
-	for j := range o.denseAccW {
+	for j, kind := range o.denseAcc {
 		o.denseAccW[j] = o.denseAccW[j][:n]
+		if kind == denseAvg {
+			o.denseCnt[j] = o.denseCnt[j][:n]
+		}
 	}
 	for g := 0; g < n; g++ {
 		words := o.colWords[g*nk : (g+1)*nk]
@@ -980,10 +1110,11 @@ func (s *JoinSideConfig) colKeysReady() bool {
 
 // PushCols implements ColConsumer. A word-layout join takes an all-uint
 // batch of the side's width as it is: key kernels over the columns,
-// then build and probe on words (pushWords). Any other batch migrates
+// then build and probe on words (pushWords), which sends the batch's
+// matches downstream as one column batch — or leaves them in outBuf as
+// rows, when a kernel is missing or refuses. Any other batch migrates
 // the join to the row layout, which pivots to durable rows and runs
-// the per-tuple build/probe. Either way the batch's joined rows go
-// downstream as one row batch.
+// the per-tuple build/probe into one row batch.
 //
 //qap:hot
 func (p *joinPort) PushCols(cb *ColBatch) {
@@ -1006,16 +1137,22 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 // hash into the opposite pane's slot table (word equality is key
 // equality for uints, see Aggregate.PushCols), and the row's words
 // append to its own pane's slabs — no row tuple, no key encoding, no
-// map. Only a key-equal pair costs values: left++right materialise in
-// combBuf for the Residual and Projs row closures, and emit buffers
-// the result exactly as the row layout does. It reports false, having
-// done nothing, for a batch the layout cannot hold.
+// map. A key-equal pair costs its words, copied into the next row of
+// gather: left ++ right, in arrival-row then chain order, which is the
+// row layout's output order; emitPairs turns the batch's pairs into
+// output. It reports false, having done nothing, for a batch the layout
+// cannot hold — a key kernel refusing it included.
 //
 //qap:hot
 func (j *Join) pushWords(cb *ColBatch, left bool) bool {
+	lw, rw := j.cfg.Left.Width, j.cfg.Right.Width
 	side, mine, other := &j.cfg.Left, &j.left, &j.right
+	// ac and sc are the gather columns the arriving and the stored row
+	// start at; ow is the stored row's width.
+	ac, sc, ow := 0, lw, rw
 	if !left {
 		side, mine, other = &j.cfg.Right, &j.right, &j.left
+		ac, sc, ow = lw, 0, lw
 	}
 	// The width check is what keeps every slab index in range: column
 	// kernels and the row stride both assume the side's width.
@@ -1024,15 +1161,14 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 	}
 	kvs := j.colKeyVecs[:0]
 	for i := range side.ColKeys {
-		kvs = append(kvs, side.ColKeys[i].U(cb))
+		v := side.ColKeys[i].U(cb)
+		if v == nil {
+			return false
+		}
+		kvs = append(kvs, v)
 	}
 	j.colKeyVecs = kvs
-	comb := j.combBuf[:j.cfg.Left.Width+j.cfg.Right.Width]
-	arrived, stored := comb[:j.cfg.Left.Width], comb[j.cfg.Left.Width:]
-	if !left {
-		arrived, stored = stored, arrived
-	}
-	ow := len(stored)
+	n := 0
 	tv := kvs[side.TemporalIdx]
 	var mp, op *joinPane
 	for i := 0; i < cb.Len; i++ {
@@ -1048,16 +1184,22 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 		link := wordLink{next: -1, tail: idx}
 		if op != nil {
 			if oh, _ := op.tab.find(h, op.keys, kvs, i); oh >= 0 {
-				for c := range arrived {
-					arrived[c] = sqlval.Uint(cb.Cols[c].U64[i])
-				}
 				for e := oh; e >= 0; e = op.links[e].next {
-					uintRow(stored, op.rows[int(e)*ow:])
-					if j.cfg.Residual != nil && !j.cfg.Residual(comb).AsBool() {
-						continue
+					if n == len(j.gatherW[0]) {
+						j.growGather()
 					}
-					link.matched, op.links[e].matched = true, true
-					j.emit(comb)
+					for c := range cb.Cols {
+						j.gatherW[ac+c][n] = cb.Cols[c].U64[i]
+					}
+					for c, w := range op.rows[int(e)*ow : int(e+1)*ow] {
+						j.gatherW[sc+c][n] = w
+					}
+					n++
+					if j.lateFlags {
+						j.pairs = append(j.pairs, pairRef{mp, op, idx, e})
+					} else {
+						link.matched, op.links[e].matched = true, true
+					}
 				}
 			}
 		}
@@ -1077,7 +1219,73 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 		}
 	}
 	j.stored += cb.Len
+	if n > 0 {
+		j.emitPairs(n)
+	}
 	return true
+}
+
+// gatherMin is the pair capacity gather starts from: a default-size
+// input batch's worth.
+const gatherMin = 256
+
+// growGather doubles gather's columns, all carved from one slab: a join
+// sizes it once, or a few times when a batch matches long chains.
+//
+//qap:hot
+func (j *Join) growGather() {
+	rows := max(gatherMin, 2*len(j.gatherW[0]))
+	slab := make([]uint64, len(j.gatherW)*rows) //qap:allow hotalloc -- once per join, doubling only past a batch's worth of pairs
+	for c := range j.gatherW {
+		col := slab[c*rows : (c+1)*rows : (c+1)*rows]
+		copy(col, j.gatherW[c])
+		j.gatherW[c] = col
+	}
+}
+
+// emitPairs turns gather's first n rows, the input batch's key-equal
+// pairs, into output. With every kernel present, Residual and Projs run
+// over them as a FilterProject — how Aggregate.emit runs HAVING and
+// Post — and the result goes downstream as columns: no row is made.
+// Otherwise, and for a batch a kernel refuses (S2.time - S1.time
+// underflowing on one pair), each pair's row is made from gather's
+// words for the row closures, and emit buffers the result for the
+// caller to deliver exactly as the row layout does. An outer join with
+// a residual always takes this second way: it needs the verdict per
+// pair, to mark the pair's two entries matched.
+//
+//qap:hot
+func (j *Join) emitPairs(n int) {
+	g := &j.gather
+	for c := range g.Cols {
+		g.Cols[c].U64 = j.gatherW[c][:n]
+	}
+	g.Len = n
+	if j.colEmit {
+		if work, ok := j.out.colApply(g); ok {
+			j.colEmits++
+			if work != nil {
+				PushColsAll(j.cfg.Out, work)
+			}
+			return
+		}
+	}
+	j.rowEmits++
+	comb := j.combBuf[:len(g.Cols)]
+	for k := 0; k < n; k++ {
+		for c := range comb {
+			comb[c] = sqlval.Uint(g.Cols[c].U64[k])
+		}
+		if j.cfg.Residual != nil && !j.cfg.Residual(comb).AsBool() {
+			continue
+		}
+		if j.lateFlags {
+			p := &j.pairs[k]
+			p.mine.links[p.mi].matched, p.other.links[p.oi].matched = true, true
+		}
+		j.emit(comb)
+	}
+	j.pairs = j.pairs[:0]
 }
 
 // uintRow fills dst with the uint values of the first len(dst) words.

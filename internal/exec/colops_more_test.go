@@ -52,14 +52,14 @@ func buildColAgg(t *testing.T, out Consumer, aggs []AggColumn, colArgs []*ColExp
 }
 
 // TestColGroupTableGrows pushes enough distinct groups through the
-// map-backed columnar path (MIN is not word-vectorizable, so the dense
-// store refuses and colGroup carries every row) to force the word
+// map-backed columnar path (VARIANCE is not word-vectorizable, so the
+// dense store refuses and colGroup carries every row) to force the word
 // table's doubling past colTableMin, then checks the emitted groups
 // against the row path.
 func TestColGroupTableGrows(t *testing.T) {
 	r := colTestResolver
 	aggs := []AggColumn{
-		{Factory: mustFactory(t, "MIN"), Arg: MustCompile(gsql.MustParseExpr("len"), r, nil)},
+		{Factory: mustFactory(t, "VARIANCE"), Arg: MustCompile(gsql.MustParseExpr("len"), r, nil)},
 	}
 	colArgs := []*ColExpr{colPtr(mustCompileCol(t, "len", r, nil))}
 	var outS, outC Collector
@@ -75,7 +75,7 @@ func TestColGroupTableGrows(t *testing.T) {
 	aggC.PushCols(&cb)
 	aggS.PushBatch(rows)
 	if aggC.denseN != 0 {
-		t.Fatal("MIN must not be dense-eligible")
+		t.Fatal("VARIANCE must not be dense-eligible")
 	}
 	if got := aggC.GroupCount(); got != len(rows) {
 		t.Fatalf("GroupCount = %d, want %d", got, len(rows))

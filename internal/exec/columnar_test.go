@@ -251,27 +251,48 @@ func TestCompileColKernelMatchesRow(t *testing.T) {
 }
 
 // TestCompileColUnsupportedFallsBack pins the shapes that must NOT get
-// kernels: their value kind can leave uint (or NULL) at runtime.
+// kernels: their value kind leaves uint (or goes NULL) at runtime in a
+// way no kernel detects. Subtraction is not one of them any more: its
+// kernel answers, or refuses a batch with an underflowing row.
 func TestCompileColUnsupportedFallsBack(t *testing.T) {
 	for _, src := range []string{
-		"srcIP - destIP", // underflow yields Int
-		"-srcIP",         // Neg yields Int
-		"len / srcIP",    // runtime zero divisor yields NULL
+		"-srcIP",      // Neg yields Int
+		"len / srcIP", // runtime zero divisor yields NULL
 		"len % srcIP",
 		"len / 0", // constant zero divisor
 		"1.5 * len",
 		"SQRT(len)",
 		"'x'",
+		"3 - 5",              // folds to an Int
+		"(srcIP - 1.5) * 2",  // a float inside
+		"len / (srcIP - 1)",  // non-constant divisor, subtraction or not
+		"-(srcIP - destIP)",  // unary minus over a kernel
+		"SQRT(srcIP - len)",  // no kernel above it
+		"srcIP - SQRT(len)",  // no kernel below it
+		"(3 - 5) + srcIP",    // a folded Int operand
+		"srcIP - #F#",        // float parameter
+		"len % (5 - 5)",      // folds to a zero divisor
+		"ABS(-len) - srcIP",  // unary minus below
+		"NOT (1.5 - srcIP)",  // float subtraction
+		"destIP - (len / 0)", // NULL operand
 	} {
-		ce := mustCompileCol(t, src, colTestResolver, nil)
-		if ce.U != nil {
-			t.Errorf("%q: unexpectedly has a uint kernel", src)
+		ce := mustCompileCol(t, src, colTestResolver, Params{"F": sqlval.Float(1.5)})
+		if ce.U != nil || ce.Truth != nil {
+			t.Errorf("%q: unexpectedly has a kernel", src)
 		}
 	}
 	// Param of non-uint kind must not fold as a uint constant.
 	ce := mustCompileCol(t, "#F#", colTestResolver, Params{"F": sqlval.Float(1.5)})
 	if ce.U != nil {
 		t.Error("float param folded into uint kernel")
+	}
+	for _, src := range []string{"srcIP - destIP", "(srcIP - destIP) / 2", "ABS(srcIP - len)"} {
+		if ce := mustCompileCol(t, src, colTestResolver, nil); ce.U == nil || ce.Truth == nil || ce.Const != nil {
+			t.Errorf("%q: want uint and truth kernels and no constant", src)
+		}
+	}
+	if ce := mustCompileCol(t, "5 - 3", colTestResolver, nil); ce.Const == nil || *ce.Const != 2 {
+		t.Error("5 - 3 did not fold to the constant 2")
 	}
 }
 

@@ -107,17 +107,24 @@ func TestWordTable(t *testing.T) {
 	fill()
 }
 
-// recSink records what an aggregate delivers: the rows, and the size of
-// every downstream call, whichever form it took.
+// recSink records what an operator delivers: the rows, the size of
+// every downstream call, whichever form it took, and the column kinds
+// of every call that came as columns.
 type recSink struct {
 	rows  Batch
 	calls []int
+	kinds [][]sqlval.Kind
 }
 
 func (s *recSink) Push(t Tuple)      { s.rows, s.calls = append(s.rows, t), append(s.calls, 1) }
 func (s *recSink) PushBatch(b Batch) { s.rows, s.calls = append(s.rows, b...), append(s.calls, len(b)) }
 func (s *recSink) PushCols(cb *ColBatch) {
 	s.rows, s.calls = cb.AppendRows(s.rows), append(s.calls, cb.Len)
+	kinds := make([]sqlval.Kind, len(cb.Cols))
+	for c := range cb.Cols {
+		kinds[c] = cb.Cols[c].Kind
+	}
+	s.kinds = append(s.kinds, kinds)
 }
 func (s *recSink) Advance(uint64) {}
 func (s *recSink) Flush()         {}
@@ -204,7 +211,7 @@ var (
 		{"", true},
 		{"cnt > 1", true},
 		{"orf = 3 OR bytes > 100 AND s < 9223372036854775808", true},
-		{"bytes - cnt > 0", false},              // subtraction may go Int
+		{"bytes - cnt > 0", true},               // refuses an epoch holding a group with bytes < cnt
 		{"cnt > 1000000", true},                 // drops every group
 		{"bytes * 1.0 / cnt > 45", false},       // AVG's reconstruction from its moments
 		{"cnt / (orf & 1) > 0 OR d = 1", false}, // non-constant divisor: NULL on zero
@@ -215,7 +222,7 @@ var (
 	}{
 		{nil, true},
 		{[]string{"s", "cnt * 2", "tb", "bytes"}, true},
-		{[]string{"s", "bytes - cnt"}, false},
+		{[]string{"s", "bytes - cnt"}, true},
 		// AVG and VARIANCE as the super-aggregate rebuilds them.
 		{[]string{"tb", "bytes * 1.0 / cnt", "bytes * 1.0 / cnt - (cnt * 1.0 / cnt) * (cnt * 1.0 / cnt)"}, false},
 	}
@@ -272,19 +279,23 @@ func denseTestAgg(t *testing.T, out Consumer, having string, post []string, kern
 // the same downstream calls and report the same OnEpochFlush numbers,
 // and both must agree with the pure row path. kernelEmits says the
 // kernels really ran wherever a column can carry the result, and only
-// there.
+// there: an epoch in which one group's bytes - cnt underflows is
+// refused by the subtraction kernel and emits as rows, that epoch alone.
 func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 	type flush struct {
 		wm           uint64
 		groups, rows int
 	}
 	const cases = 280
-	var kernelRan, rowRan, compacted, migrated, allDropped, late int
+	var kernelRan, rowRan, compacted, migrated, allDropped, late, refused int
 	for c := 0; c < cases; c++ {
 		rng := rand.New(rand.NewSource(int64(c)))
 		hv, pv := c%len(denseHavings), (c/len(denseHavings))%len(densePosts)
 		negative, migrate := rng.Intn(4) == 0, rng.Intn(5) == 0
 		kernels := denseHavings[hv].kernel && densePosts[pv].kernel
+		// The HAVING subtracts, or the projection does and the HAVING
+		// (none, or cnt > 1) lets the underflowing group through to it.
+		subtracts := hv == 3 || pv == 2 && hv <= 1
 
 		var sinks [3]recSink
 		var flushes [3][]flush
@@ -301,6 +312,7 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 		// early rows of the next so a watermark leaves survivors behind.
 		epochs, perEpoch := uint64(3+rng.Intn(3)), 30+rng.Intn(120)
 		migrateAt := uint64(rng.Intn(int(epochs)))
+		underflowAt := uint64(rng.Intn(2 * int(epochs))) // half the cases: never
 		var cb ColBatch
 		for e := uint64(0); e < epochs; e++ {
 			rows := make(Batch, 0, perEpoch+1)
@@ -321,6 +333,10 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 				// A group of its own whose single len has the top bit set:
 				// its SUM is an Int, the other groups' stay Uint.
 				rows = append(rows, Tuple{u(e), u(1 << 40), u(0), u(1), u(1<<63 | 5)})
+			}
+			if e == underflowAt {
+				// A group of its own with no bytes: bytes - cnt is 0 - 2.
+				rows = append(rows, Tuple{u(e), u(1 << 41), u(0), u(1), u(0)}, Tuple{u(e), u(1 << 41), u(0), u(1), u(0)})
 			}
 			for off := 0; off < len(rows); {
 				end := min(off+1+rng.Intn(64), len(rows))
@@ -352,13 +368,17 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 				}
 			}
 			emitted := len(flushes[0]) > nf
-			if want := emitted && wasDense && kernels && !negative; (kern.kernelEmits > before) != want {
-				t.Fatalf("case %d (having %q, post %v, negative %v) epoch %d: kernel emit ran = %v, want %v",
-					c, denseHavings[hv].src, densePosts[pv].srcs, negative, e, kern.kernelEmits > before, want)
+			refuses := subtracts && e == underflowAt
+			if want := emitted && wasDense && kernels && !negative && !refuses; (kern.kernelEmits > before) != want {
+				t.Fatalf("case %d (having %q, post %v, negative %v, underflow at %d) epoch %d: kernel emit ran = %v, want %v",
+					c, denseHavings[hv].src, densePosts[pv].srcs, negative, underflowAt, e, kern.kernelEmits > before, want)
 			} else if want {
 				kernelRan++
 			} else if emitted {
 				rowRan++
+				if refuses && wasDense && kernels && !negative {
+					refused++
+				}
 			}
 			if emitted && wasDense && kern.denseN > 0 {
 				compacted++
@@ -393,7 +413,8 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 		name string
 		n    int
 	}{{"kernel emits", kernelRan}, {"row-branch emits", rowRan}, {"partial drains (denseCompact)", compacted},
-		{"mid-epoch migrations", migrated}, {"all-filtered epochs", allDropped}, {"late rows", late}} {
+		{"mid-epoch migrations", migrated}, {"all-filtered epochs", allDropped}, {"late rows", late},
+		{"epochs a subtraction kernel refused", refused}} {
 		if s.n < 10 {
 			t.Errorf("only %d %s in %d cases", s.n, s.name, cases)
 		}
@@ -427,4 +448,150 @@ func TestAggregateMapMadeOnFirstRowInsert(t *testing.T) {
 	oracle.PushBatch(rows[40:])
 	oracle.Flush()
 	diffBatches(t, "lazy map", ref.rows, out.rows)
+}
+
+// TestDenseMinMaxAvgMatchesRowOracle holds MIN, MAX and AVG in the dense
+// store to the row path bit for bit: arguments at and past 2^63, AVG sums
+// that left the exactly-representable integers long ago (so the order
+// of the additions shows in the low bits), a watermark that leaves
+// survivors to compact — they keep their AVG count and go on
+// accumulating — and a mid-epoch row push that migrates the store into
+// minmaxAccum/avgAccum. What reads the AVG column decides the emit: a
+// HAVING or a computed projection over it needs rows (the kernels would
+// take float bits for a uint); nothing, or a bare reference, sends it
+// downstream as a KindFloat column.
+func TestDenseMinMaxAvgMatchesRowOracle(t *testing.T) {
+	r := colTestResolver
+	rowRes := ColsResolver("", []string{"tb", "s", "mn", "mx", "av", "cnt"})
+	build := func(out Consumer, having string, post []string) *Aggregate {
+		cfg := AggregateConfig{
+			EpochIdx:  0,
+			EpochOfWM: func(wm uint64) sqlval.Value { return sqlval.Uint(wm / 16) },
+			ColEmit:   true,
+			Out:       out,
+		}
+		for _, src := range []string{"time", "srcIP"} {
+			ce := mustCompileCol(t, src, r, nil)
+			cfg.GroupBy, cfg.ColGroupBy = append(cfg.GroupBy, ce.Row), append(cfg.ColGroupBy, ce)
+		}
+		for _, fn := range []string{"MIN", "MAX", "AVG", "COUNT"} {
+			ce := mustCompileCol(t, "len", r, nil)
+			cfg.Aggs = append(cfg.Aggs, AggColumn{Factory: mustFactory(t, fn), Arg: ce.Row})
+			cfg.ColArgs = append(cfg.ColArgs, &ce)
+		}
+		if having != "" {
+			ce := mustCompileCol(t, having, rowRes, nil)
+			cfg.Having, cfg.ColHaving = ce.Row, &ce
+		}
+		for _, src := range post {
+			ce := mustCompileCol(t, src, rowRes, nil)
+			cfg.Post, cfg.ColPost = append(cfg.Post, ce.Row), append(cfg.ColPost, ce)
+		}
+		return NewAggregate(cfg)
+	}
+	for _, c := range []struct {
+		name     string
+		having   string
+		post     []string
+		kernel   bool
+		floatCol int // where AVG arrives downstream, on the kernel emit
+	}{
+		{"groups ++ aggs", "", nil, true, 4},
+		{"HAVING on the counts", "cnt > 1 AND mx >= mn", nil, true, 4},
+		{"bare projection", "cnt > 1", []string{"s", "av", "mx", "tb"}, true, 1},
+		{"HAVING on AVG", "av > 100", nil, false, 0},
+		{"computed projection of AVG", "", []string{"s", "av * 2"}, false, 0},
+		{"subtraction over MIN and MAX", "mx - mn >= 0", []string{"tb", "s", "mx - mn", "av"}, true, 3},
+	} {
+		rng := rand.New(rand.NewSource(11))
+		var sinks [3]recSink
+		dense, migrating, oracle := build(&sinks[0], c.having, c.post), build(&sinks[1], c.having, c.post), build(&sinks[2], c.having, c.post)
+		var cb ColBatch
+		compacted, sawBig := false, false
+		const epochs = 4
+		for e := uint64(0); e < epochs; e++ {
+			var rows Batch
+			for i := 0; i < 400; i++ {
+				tb := e
+				if e+1 < epochs && rng.Intn(5) == 0 {
+					tb = e + 1 // survives this epoch's watermark
+				}
+				v := uint64(rng.Intn(1 << 20))
+				switch rng.Intn(4) {
+				case 0:
+					v |= 1 << 63 // above every int64
+				case 1:
+					v = v<<33 | 1 // sums pass 2^53 within a few rows
+				}
+				rows = append(rows, Tuple{u(tb), u(uint64(rng.Intn(9))), u(0), u(0), u(v)})
+			}
+			for off := 0; off < len(rows); {
+				end := min(off+1+rng.Intn(96), len(rows))
+				chunk := rows[off:end]
+				off = end
+				if !cb.SetFromRows(chunk) {
+					t.Fatal("SetFromRows failed")
+				}
+				dense.PushCols(&cb)
+				if e == 1 && off == len(rows) {
+					if migrating.denseN == 0 {
+						t.Fatalf("%s: nothing dense to migrate", c.name)
+					}
+					migrating.PushBatch(chunk)
+					if migrating.denseN != 0 {
+						t.Fatalf("%s: a row push left the dense store live", c.name)
+					}
+				} else {
+					migrating.PushCols(&cb)
+				}
+				oracle.PushBatch(chunk)
+			}
+			if dense.denseN == 0 {
+				t.Fatalf("%s: MIN/MAX/AVG/COUNT did not engage the dense store", c.name)
+			}
+			for _, a := range []*Aggregate{dense, migrating, oracle} {
+				if e+1 == epochs {
+					a.Flush()
+				} else {
+					a.Advance(16 * (e + 1))
+				}
+			}
+			compacted = compacted || dense.denseN > 0
+		}
+		for _, row := range sinks[2].rows {
+			for _, v := range row {
+				if f, ok := v.AsFloat(); ok && v.Kind() == sqlval.KindFloat && f > 1<<53 {
+					sawBig = true
+				}
+			}
+		}
+		if !compacted || (!sawBig && c.post == nil) {
+			t.Fatalf("%s: vacuous — compacted %v, an AVG past 2^53 %v", c.name, compacted, sawBig)
+		}
+		diffBatches(t, c.name+": dense vs row path", sinks[2].rows, sinks[0].rows)
+		diffBatches(t, c.name+": migrated vs row path", sinks[2].rows, sinks[1].rows)
+		if !slices.Equal(sinks[0].calls, sinks[2].calls) || !slices.Equal(sinks[1].calls, sinks[2].calls) {
+			t.Fatalf("%s: downstream calls %v and %v, the row path made %v", c.name, sinks[0].calls, sinks[1].calls, sinks[2].calls)
+		}
+		if got := dense.kernelEmits > 0; got != c.kernel {
+			t.Fatalf("%s: kernel emit ran = %v, want %v", c.name, got, c.kernel)
+		}
+		if !c.kernel {
+			continue
+		}
+		if dense.kernelEmits != epochs || len(sinks[0].kinds) != epochs {
+			t.Fatalf("%s: %d kernel emits, %d column deliveries; want %d of each", c.name, dense.kernelEmits, len(sinks[0].kinds), epochs)
+		}
+		for _, kinds := range sinks[0].kinds {
+			for col, k := range kinds {
+				want := sqlval.KindUint
+				if col == c.floatCol {
+					want = sqlval.KindFloat
+				}
+				if k != want {
+					t.Fatalf("%s: column %d arrived as %v, want %v", c.name, col, k, want)
+				}
+			}
+		}
+	}
 }

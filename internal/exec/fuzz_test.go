@@ -20,6 +20,11 @@ import (
 // biased toward overflow edges (0, 1, MaxUint64, 1<<63, shift counts
 // near 64) so wraparound in +, *, <<, >> is exercised on every run.
 //
+// Subtraction's kernel is optimistic: a nil vector is a legal answer
+// if and only if some row of the batch makes some subtraction node of
+// the expression underflow — judged here by evaluating each such node's
+// operands with the row closures. Otherwise it must be the vector.
+//
 // A second batch mixes NULLs and every value kind to fuzz the
 // row↔column pivot itself: SetFromRows must round-trip each value
 // through the validity bitmaps exactly, and AllUint must reject the
@@ -40,9 +45,21 @@ func FuzzExprCompile(f *testing.F) {
 		"len / srcIP",
 		"-srcIP",
 		"1.5 * len",
+		"(srcIP - destIP) * len",
+		"(srcIP - destIP) > len",
+		"(srcIP - destIP) > len AND flags",
+		"NOT (srcIP - destIP)",
+		"3 - 5",
+		"5 - 3",
+		"(srcIP - destIP) / 2",
 	} {
 		f.Add(src, uint64(0x9e3779b97f4a7c15), uint8(97))
 	}
+	// srcIP - destIP over one row: seed 2's underflows, seed 1's does
+	// not; of seed 6's five rows exactly one does, mid-batch.
+	f.Add("srcIP - destIP", uint64(2), uint8(0))
+	f.Add("srcIP - destIP", uint64(1), uint8(0))
+	f.Add("srcIP - destIP", uint64(6), uint8(4))
 	f.Fuzz(func(t *testing.T, src string, seed uint64, nrows uint8) {
 		e, err := gsql.ParseExpr(src)
 		if err != nil {
@@ -80,6 +97,15 @@ func FuzzExprCompile(f *testing.F) {
 			}
 		}
 
+		underflow := subUnderflows(e, params, rows)
+		for name, kernel := range map[string]func(*ColBatch) []uint64{"uint": ce.U, "truth": ce.Truth} {
+			if kernel != nil && (kernel(&cb) == nil) != underflow {
+				t.Fatalf("%q: the %s kernel refused = %v; a subtraction underflows = %v", src, name, !underflow, underflow)
+			}
+		}
+		if underflow {
+			ce.U, ce.Truth = nil, nil // refused, as they must: nothing to compare
+		}
 		if ce.U != nil {
 			v := ce.U(&cb)
 			if len(v) != n {
@@ -138,6 +164,29 @@ func FuzzExprCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// subUnderflows reports whether some row makes some subtraction node
+// of e take a smaller uint from a larger one.
+func subUnderflows(e gsql.Expr, params Params, rows Batch) bool {
+	found := false
+	gsql.WalkExpr(e, func(x gsql.Expr) bool {
+		b, ok := x.(*gsql.Binary)
+		if !ok || b.Op != gsql.OpSub {
+			return true
+		}
+		l, r := MustCompile(b.L, colTestResolver, params), MustCompile(b.R, colTestResolver, params)
+		for _, row := range rows {
+			lv, rv := l(row), r(row)
+			lu, _ := lv.AsUint()
+			ru, _ := rv.AsUint()
+			if lv.Kind() == sqlval.KindUint && rv.Kind() == sqlval.KindUint && ru > lu {
+				found = true
+			}
+		}
+		return true
+	})
+	return found
 }
 
 // fuzzEdges is the value pool uint columns draw from: overflow and

@@ -50,7 +50,7 @@ func TestGroupHighWater(t *testing.T) {
 func TestColRowInterleave(t *testing.T) {
 	r := colTestResolver
 	aggs := []AggColumn{
-		{Factory: mustFactory(t, "MIN"), Arg: MustCompile(gsql.MustParseExpr("len"), r, nil)},
+		{Factory: mustFactory(t, "COUNT_DISTINCT"), Arg: MustCompile(gsql.MustParseExpr("len"), r, nil)},
 	}
 	colArgs := []*ColExpr{colPtr(mustCompileCol(t, "len", r, nil))}
 	var outRef, outMix Collector
@@ -62,7 +62,7 @@ func TestColRowInterleave(t *testing.T) {
 	if !cb.SetFromRows(first) {
 		t.Fatal("SetFromRows failed")
 	}
-	mix.PushCols(&cb) // MIN is map-backed: groups land in colPending
+	mix.PushCols(&cb) // COUNT_DISTINCT is map-backed: groups land in colPending
 	if len(mix.colPending) == 0 {
 		t.Fatal("columnar push left no pending groups; interleave not exercised")
 	}

@@ -444,3 +444,147 @@ func TestOuterJoinPaddingDuplicateKeysDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinColumnEmitMatchesRowLayout pushes one stream through a
+// word-layout join, which gathers each input batch's matches into a
+// column batch, and through a row-layout join: the rows, their order —
+// outer-join padding included — and the downstream call sizes must be
+// the same whatever the join type, the residual, the projections and
+// the input form, and the counters and the recording consumer must show
+// columns downstream for every batch except the ones that cannot:
+// a residual or a projection without a kernel, an outer join with a
+// residual (matched flags wait for the verdict per pair), and the one
+// batch holding the pair on which w2 - w underflows.
+func TestJoinColumnEmitMatchesRowLayout(t *testing.T) {
+	side := res("tb", "k", "v", "w")
+	comb := res("tb", "k", "v", "w", "tb2", "k2", "v2", "w2")
+	build := func(jt gsql.JoinType, residual string, projs []string, out Consumer) JoinConfig {
+		cfg := JoinConfig{Type: jt, Out: out}
+		for _, sc := range []*JoinSideConfig{&cfg.Left, &cfg.Right} {
+			sc.Width, sc.TemporalIdx = 4, 1
+			sc.MinFutureKey = func(wm uint64) sqlval.Value { return u(wm / 60) }
+			for _, src := range []string{"k", "tb"} {
+				ce := mustCompileCol(t, src, side, nil)
+				sc.Keys, sc.ColKeys = append(sc.Keys, ce.Row), append(sc.ColKeys, ce)
+			}
+		}
+		if residual != "" {
+			ce := mustCompileCol(t, residual, comb, nil)
+			cfg.Residual, cfg.ColResidual = ce.Row, &ce
+		}
+		for _, src := range projs {
+			ce := mustCompileCol(t, src, comb, nil)
+			cfg.Projs, cfg.ColProjs = append(cfg.Projs, ce.Row), append(cfg.ColProjs, ce)
+		}
+		return cfg
+	}
+	residuals := []struct {
+		src    string
+		kernel bool
+	}{{"", true}, {"v <= v2", true}, {"v * 1.0 <= v2", false}}
+	projections := []struct {
+		srcs   []string
+		kernel bool
+	}{{[]string{"tb", "k", "v", "w2 - w", "v2"}, true}, {[]string{"tb", "k", "-v", "w2 - w", "v2"}, false}}
+	types := []gsql.JoinType{gsql.JoinInner, gsql.JoinLeftOuter, gsql.JoinRightOuter, gsql.JoinFullOuter}
+	for c := 0; c < len(types)*len(residuals)*len(projections)*4; c++ {
+		jt, rv, pv := types[c%4], residuals[c/4%3], projections[c/12%2]
+		underflow, colInput := c/24%2 == 1, c/48 == 1
+		name := fmt.Sprintf("%v, residual %q, projections %v, underflow %v, column input %v", jt, rv.src, pv.srcs, underflow, colInput)
+		columns := rv.kernel && pv.kernel && (jt == gsql.JoinInner || rv.src == "")
+
+		var ws, rs recSink
+		words, rows := NewJoin(build(jt, rv.src, pv.srcs, &ws)), NewJoin(rowLayout(build(jt, rv.src, pv.srcs, &rs)))
+		rng := rand.New(rand.NewSource(int64(c)))
+		var cb ColBatch
+		refusals, padded := 0, 0
+		// push hands one chunk to the same side of both joins.
+		push := func(chunk Batch, left bool) {
+			t.Helper()
+			for _, j := range []*Join{words, rows} {
+				port := j.RightIn().(*joinPort)
+				if left {
+					port = j.LeftIn().(*joinPort)
+				}
+				if !colInput {
+					port.PushBatch(chunk)
+					continue
+				}
+				if !cb.SetFromRows(chunk) {
+					t.Fatal("SetFromRows failed")
+				}
+				port.PushCols(&cb)
+			}
+		}
+		for step, epoch := 0, uint64(0); step < 90; step++ {
+			for _, left := range []bool{true, false} {
+				chunk := make(Batch, 1+rng.Intn(40))
+				for i := range chunk {
+					// Left w below 100, right w from 100 up: w2 - w is a uint.
+					w := uint64(rng.Intn(100))
+					if !left {
+						w += 100
+					}
+					chunk[i] = Tuple{u(epoch), u(uint64(rng.Intn(12))), u(uint64(rng.Intn(30))), u(w)}
+				}
+				refuses := false
+				if underflow && step == 40 {
+					// Key 77 exists once on each side; the right row sits
+					// mid-batch and has the smaller w: 0 - 50.
+					if left {
+						chunk = append(chunk, Tuple{u(epoch), u(77), u(0), u(50)})
+					} else {
+						chunk[len(chunk)/2] = Tuple{u(epoch), u(77), u(10), u(0)}
+						refuses = true
+					}
+				}
+				cols, fell, calls, colCalls := words.colEmits, words.rowEmits, len(ws.calls), len(ws.kinds)
+				push(chunk, left)
+				cols, fell, calls, colCalls = words.colEmits-cols, words.rowEmits-fell, len(ws.calls)-calls, len(ws.kinds)-colCalls
+				switch mustRows := !columns || refuses; {
+				case cols+fell > 1 || calls > 1:
+					t.Fatalf("%s step %d: one input batch made %d column and %d row emits, %d downstream calls", name, step, cols, fell, calls)
+				case mustRows && (cols != 0 || colCalls != 0):
+					t.Fatalf("%s step %d: a batch that needs rows went downstream as columns", name, step)
+				case !mustRows && (fell != 0 || colCalls != calls):
+					t.Fatalf("%s step %d: a batch the kernels carry went downstream as rows (%d row emits, %d of %d calls columns)", name, step, fell, colCalls, calls)
+				}
+				if refuses && columns {
+					refusals += fell
+				}
+			}
+			if rng.Intn(4) == 0 {
+				epoch++
+				for _, j := range []*Join{words, rows} {
+					j.LeftIn().Advance(epoch * 60)
+					j.RightIn().Advance(epoch * 60)
+				}
+			}
+		}
+		for _, j := range []*Join{words, rows} {
+			j.LeftIn().Flush()
+			j.RightIn().Flush()
+		}
+		if got := joinLayout(words); got != "words" {
+			t.Fatalf("%s: the word-layout join ended in %s", name, got)
+		}
+		diffBatches(t, name, rs.rows, ws.rows)
+		if !slices.Equal(ws.calls, rs.calls) {
+			t.Fatalf("%s: downstream calls differ between the layouts", name)
+		}
+		for _, row := range ws.rows {
+			if row[0].IsNull() || row[4].IsNull() {
+				padded++
+			}
+		}
+		wantRefusals := 0
+		if underflow && columns {
+			wantRefusals = 1
+		}
+		if refusals != wantRefusals || (words.colEmits > 0) != columns ||
+			(jt != gsql.JoinInner) != (padded > 0) || words.rowEmits+words.colEmits < 80 {
+			t.Fatalf("%s: %d refused batches (want %d), %d column and %d row emits, %d padded rows",
+				name, refusals, wantRefusals, words.colEmits, words.rowEmits, padded)
+		}
+	}
+}

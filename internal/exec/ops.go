@@ -371,6 +371,8 @@ type Aggregate struct {
 	denseAcc   []denseAccKind
 	denseN     int
 	denseAccW  [][]uint64 // per agg: one state word per group
+	denseCnt   [][]uint64 // per AVG: its count per group; nil in a plan without one
+	colEmitOK  bool       // see denseInit
 	denseDone  []int32
 	denseRows  []int32
 	denseSlots []int32
@@ -378,8 +380,10 @@ type Aggregate struct {
 	hiGroups   int
 	// kernelEmits and radixSorts count dense emissions that ran HAVING
 	// and the projection as kernels, and that needed the radix sort;
-	// tests read them to know which path they exercised.
+	// denseIn the input rows the dense store took. Tests read them to
+	// know which path they exercised.
 	kernelEmits, radixSorts int
+	denseIn                 int64
 }
 
 // slabChunk is how many groups' worth of state one slab chunk holds.
@@ -584,6 +588,10 @@ func (o *Aggregate) Flush() {
 
 // Out returns the downstream consumer.
 func (o *Aggregate) Out() Consumer { return o.cfg.Out }
+
+// DenseRows reports how many input rows arrived as columns the dense
+// store took: the rest went through the generic store or the row path.
+func (o *Aggregate) DenseRows() int64 { return o.denseIn }
 
 // GroupCount reports the live (unflushed) group count, used by memory
 // accounting and tests.
@@ -983,7 +991,14 @@ type JoinConfig struct {
 	Residual EvalFunc
 	// Projs compute the output tuple over left++right columns.
 	Projs []EvalFunc
-	Out   Consumer
+	// ColResidual/ColProjs are the column-compiled forms of Residual and
+	// Projs (ColProjs index-aligned with Projs). When set and their
+	// kernels apply, a word-layout join filters and projects each input
+	// batch's matches as columns (colops.go); otherwise, and in the row
+	// layout, the row closures above produce rows. Optional.
+	ColResidual *ColExpr
+	ColProjs    []ColExpr
+	Out         Consumer
 	// SizeHint pre-sizes a fresh word-layout pane to an expected entry
 	// count, typically a previous run's PaneHighWater (the cluster
 	// runner threads these across Deployment.Run calls, like
@@ -1122,6 +1137,29 @@ type Join struct {
 	colKeyVecs [][]uint64
 	rowCols    ColBatch
 	wordRow    Tuple
+	// The word layout's output side (colops.go). gather holds the input
+	// batch's key-equal pairs, left ++ right words, one column each;
+	// gatherW are its columns at full capacity. out is Residual and Projs
+	// as a FilterProject, colEmit whether it has every kernel it runs.
+	// An outer join with a residual marks a pair's entries matched only
+	// after the residual's verdict (lateFlags) and finds them through
+	// pairs, index-aligned with gather's rows.
+	gather    ColBatch
+	gatherW   [][]uint64
+	out       FilterProject
+	colEmit   bool
+	lateFlags bool
+	pairs     []pairRef
+	// colEmits and rowEmits count the input batches whose matches went
+	// downstream as columns, and as rows made from gather; tests read
+	// them to know which path they exercised.
+	colEmits, rowEmits int
+}
+
+// pairRef names the two entries of a gathered pair.
+type pairRef struct {
+	mine, other *joinPane
+	mi, oi      int32
 }
 
 // NewJoin builds the operator.
@@ -1133,6 +1171,16 @@ func NewJoin(cfg JoinConfig) *Join {
 		combBuf: make(Tuple, 0, lw+rw),
 		nulls:   make(Tuple, max(lw, rw)),
 		wordRow: make(Tuple, max(lw, rw)),
+		out: FilterProject{Filter: cfg.Residual, ColFilter: cfg.ColResidual,
+			Projs: cfg.Projs, ColProjs: cfg.ColProjs},
+		lateFlags: cfg.Residual != nil && cfg.Type != gsql.JoinInner,
+	}
+	j.colEmit = len(cfg.Projs) > 0 && j.out.colReady() && !j.lateFlags
+	if j.words {
+		j.gatherW, j.gather.Cols = make([][]uint64, lw+rw), make([]ColVec, lw+rw)
+		for c := range j.gather.Cols {
+			j.gather.Cols[c].Kind = sqlval.KindUint
+		}
 	}
 	j.leftPort = joinPort{j: j, left: true}
 	j.rightPort = joinPort{j: j}
@@ -1275,11 +1323,11 @@ func (j *Join) emit(comb Tuple) {
 	j.outBuf = append(j.outBuf, Tuple(j.outVals[start:len(j.outVals):len(j.outVals)]))
 }
 
-// deliver hands the buffered rows downstream as one batch. Whichever
-// layout stored the inputs, output is rows: the projections are row
-// closures (S2.time - S1.time has no uint kernel), and pivoting the
-// result for a columnar consumer (the route Aggregate's ColEmit takes)
-// measured no gain on the Section 6.2 set.
+// deliver hands the buffered rows downstream as one batch: everything
+// the row layout joins, every outer-join padding, and those input
+// batches of the word layout whose matches no kernel could carry
+// (emitPairs, colops.go). The rest of the word layout's output never
+// passes through here: it goes downstream as columns.
 func (j *Join) deliver() {
 	PushAll(j.cfg.Out, j.outBuf)
 	j.outBuf = j.outBuf[:0]
@@ -1400,6 +1448,10 @@ func (j *Join) pad(t Tuple, left bool) Tuple {
 // StoredTuples reports the number of buffered tuples, for memory
 // accounting and eviction tests.
 func (j *Join) StoredTuples() int { return j.stored }
+
+// EmitCounts reports how many input batches' matches a word-layout join
+// sent downstream as columns, and how many it had to make rows of.
+func (j *Join) EmitCounts() (cols, rows int) { return j.colEmits, j.rowEmits }
 
 // PaneHighWater reports the most entries one pane has held, the natural
 // JoinConfig.SizeHint for a later run of the same plan. A pane peaks

@@ -140,14 +140,24 @@ func (w *SlidingWindow) Advance(wm uint64) {
 	w.Out().Advance(wm)
 }
 
-// Flush implements Consumer.
+// Flush implements Consumer: the remaining windows close, through the
+// last pane of the stream — not of this instance's share of it. One of
+// several partitioned instances may have seen no row of the stream's
+// last pane, yet its groups' windows still cover it; the last watermark,
+// which every instance receives alike, says which pane that is.
 func (w *SlidingWindow) Flush() {
 	if w.flushed {
 		return
 	}
 	w.flushed = true
 	if w.anyPane {
-		w.emitThrough(w.maxPane)
+		last := w.maxPane
+		if w.wmSeen && w.cfg.PaneOfWM != nil {
+			if p, ok := w.cfg.PaneOfWM(w.lastWM).AsUint(); ok && p > last {
+				last = p
+			}
+		}
+		w.emitThrough(last)
 	}
 	w.Out().Flush()
 }

@@ -135,3 +135,42 @@ func TestSlidingWindowHavingAndPost(t *testing.T) {
 		t.Errorf("row = %v", sink.Rows[0])
 	}
 }
+
+// TestSlidingWindowFlushCoversStreamsLastPane: a window instance that
+// holds one partition's groups closes, at Flush, every pane up to the
+// stream's last one — which the last watermark names — not up to the
+// last pane its own groups had rows in. The union of two partitioned
+// instances is then what one instance over the whole stream emits.
+func TestSlidingWindowFlushCoversStreamsLastPane(t *testing.T) {
+	type pkt struct{ tm, src uint64 }
+	stream := []pkt{{1, 1}, {3, 2}, {12, 1}, {14, 2}, {25, 2}} // source 1 is silent in pane 2
+	run := func(keep func(src uint64) bool) Batch {
+		sink := &Collector{}
+		win := newCountWindow(3, sink)
+		sub := buildPaneSub(win)
+		for _, p := range stream {
+			sub.Advance(p.tm) // every instance sees every watermark
+			win.Advance(p.tm)
+			if keep(p.src) {
+				sub.Push(Tuple{u(p.tm), u(p.src)})
+			}
+		}
+		sub.Flush()
+		win.Flush()
+		return sink.Rows
+	}
+	whole := run(func(uint64) bool { return true })
+	parts := append(run(func(src uint64) bool { return src == 1 }), run(func(src uint64) bool { return src == 2 })...)
+	emitted := map[string]bool{}
+	for _, row := range parts {
+		emitted[row.String()] = true
+	}
+	if len(whole) != 6 || len(parts) != 6 || len(emitted) != 6 {
+		t.Fatalf("one instance emitted %v, the two partitions %v; want the same 6 windows", whole, parts)
+	}
+	for _, row := range whole {
+		if !emitted[row.String()] {
+			t.Errorf("the partitioned instances never emitted %s", row)
+		}
+	}
+}

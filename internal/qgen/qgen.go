@@ -9,8 +9,11 @@
 // aggregations with random group-by subsets (including coarsened keys
 // like srcIP & 0xFF00), equi-joins including the outer variants, DAG
 // fan-out (several queries reading one upstream query, which the
-// optimizer turns into physical unions), and random HAVING / WINDOW /
-// holistic-aggregate sprinkles. Validity is guaranteed two ways: the
+// optimizer turns into physical unions), random HAVING / WINDOW /
+// holistic-aggregate sprinkles, and subtractions — a - b over two
+// columns and c - k — in select lists, join projections, SUM arguments
+// and predicates, whose result is a negative Int on exactly the rows
+// where the data makes it underflow. Validity is guaranteed two ways: the
 // grammar below only emits shapes plan.Build accepts, and every
 // emitted query is re-validated through the real parser and planner —
 // a candidate the planner rejects is discarded and redrawn, so a
@@ -288,6 +291,9 @@ func (g *gen) genFilter(in nodeInfo, qual string) string {
 		if qual != "" {
 			ref = qual + "." + c.Name
 		}
+		if idx := intCols(in); len(idx) > 0 && g.r.Float64() < 0.2 {
+			ref, c = g.differenceOver(in, idx, qual)
+		}
 		op := cmpOps[g.r.Intn(len(cmpOps))]
 		conj = append(conj, fmt.Sprintf("%s %s %s", ref, op, g.literalFor(c)))
 	}
@@ -320,6 +326,29 @@ func (g *gen) derived(c colInfo) (string, colInfo) {
 	default:
 		return fmt.Sprintf("%s + %d", c.Name, 1+g.r.Intn(7)), out
 	}
+}
+
+// difference renders a subtraction over integer columns and the
+// resulting colInfo: a - b, or c - k with a literal from the column's
+// value range. Either way the data decides which rows underflow into a
+// negative Int. a and b are reference texts (bare or qualified names) of
+// the columns ca and cb.
+func (g *gen) difference(a string, ca colInfo, b string, cb colInfo) (string, colInfo) {
+	if a == b || g.r.Intn(3) == 0 {
+		return fmt.Sprintf("%s - %s", a, g.literalFor(ca)), colInfo{Nullable: ca.Nullable, Small: ca.Small}
+	}
+	return fmt.Sprintf("%s - %s", a, b), colInfo{Nullable: ca.Nullable || cb.Nullable, Small: ca.Small && cb.Small}
+}
+
+// differenceOver draws difference's operands from one input's integer
+// columns, qualified when qual is set.
+func (g *gen) differenceOver(in nodeInfo, idx []int, qual string) (string, colInfo) {
+	ca, cb := in.Cols[idx[g.r.Intn(len(idx))]], in.Cols[idx[g.r.Intn(len(idx))]]
+	a, b := ca.Name, cb.Name
+	if qual != "" {
+		a, b = qual+"."+a, qual+"."+b
+	}
+	return g.difference(a, ca, b, cb)
 }
 
 // genSelProj draws a selection/projection over one input.
@@ -363,6 +392,12 @@ func (g *gen) genSelProj(name string) (string, nodeInfo) {
 		items = append(items, c.Name)
 		info.Cols = append(info.Cols, c)
 	}
+	if idx := intCols(in); len(idx) > 0 && g.r.Float64() < 0.3 {
+		expr, diff := g.differenceOver(in, idx, "")
+		diff.Name = g.alias("d")
+		items = append(items, fmt.Sprintf("%s AS %s", expr, diff.Name))
+		info.Cols = append(info.Cols, diff)
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "query %s:\nSELECT %s\nFROM %s", name, strings.Join(items, ", "), in.Name)
@@ -403,7 +438,11 @@ func (g *gen) genAggs(in nodeInfo) []aggDef {
 			d.out = colInfo{Small: true}
 		case w < 5 && len(ints) > 0:
 			c := pick(ints)
-			d.call = fmt.Sprintf("SUM(%s)", c.Name)
+			arg := c.Name
+			if g.r.Float64() < 0.3 {
+				arg, c = g.differenceOver(in, ints, "") // may sum to a negative Int
+			}
+			d.call = fmt.Sprintf("SUM(%s)", arg)
 			d.out = colInfo{Nullable: c.Nullable} // not Small: sums grow
 		case w < 7:
 			c := in.Cols[g.r.Intn(len(in.Cols))]
@@ -524,7 +563,11 @@ func (g *gen) genAggregate(name string) (string, nodeInfo) {
 		// only (float equality would be fragile, not wrong).
 		d := defs[g.r.Intn(len(defs))]
 		op := []string{">", ">="}[g.r.Intn(2)]
-		fmt.Fprintf(&b, "\nHAVING %s %s %d", d.call, op, 1+g.r.Intn(4))
+		lhs := d.call
+		if !d.out.Float && g.r.Float64() < 0.3 {
+			lhs = fmt.Sprintf("%s - %d", d.call, 1+g.r.Intn(3)) // underflows for the smallest groups
+		}
+		fmt.Fprintf(&b, "\nHAVING %s %s %d", lhs, op, 1+g.r.Intn(4))
 	}
 	if splittable && g.r.Float64() < 0.15 {
 		fmt.Fprintf(&b, "\nWINDOW %d", 2+g.r.Intn(3))
@@ -625,6 +668,15 @@ func (g *gen) genJoin(name string) (string, nodeInfo) {
 	}
 	addCols(left, "S1", leftNullable, 1+g.r.Intn(2))
 	addCols(right, "S2", rightNullable, 1+g.r.Intn(2))
+	if len(lk) > 0 && len(rk) > 0 && g.r.Float64() < 0.3 {
+		// The paper's jitter pattern: a right column less a left one.
+		lc, rc := left.Cols[lk[g.r.Intn(len(lk))]], right.Cols[rk[g.r.Intn(len(rk))]]
+		lc.Nullable, rc.Nullable = lc.Nullable || leftNullable, rc.Nullable || rightNullable
+		expr, diff := g.difference("S2."+rc.Name, rc, "S1."+lc.Name, lc)
+		diff.Name = g.alias("j")
+		items = append(items, fmt.Sprintf("%s AS %s", expr, diff.Name))
+		info.Cols = append(info.Cols, diff)
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "query %s:\nSELECT %s\n", name, strings.Join(items, ", "))

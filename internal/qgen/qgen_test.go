@@ -2,6 +2,7 @@ package qgen
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -53,7 +54,8 @@ func TestGenerateValid(t *testing.T) {
 // TestGenerateVariety: across a modest seed range the generator must
 // exercise every feature family the differential oracle is meant to
 // stress — aggregation, joins, outer joins, HAVING, WINDOW, holistic
-// aggregates, and DAG fan-out (a query reading another query).
+// aggregates, subtraction in every position it is drawn in, and DAG
+// fan-out (a query reading another query).
 func TestGenerateVariety(t *testing.T) {
 	var all strings.Builder
 	fanOut := false
@@ -73,6 +75,19 @@ func TestGenerateVariety(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("150 seeds never produced %q", want)
+		}
+	}
+	for name, re := range map[string]string{
+		"a - b in a select list":        `(?m)^SELECT .*\w+ - [a-zA-Z]\w* AS d\d+`,
+		"c - k in a select list":        `(?m)^SELECT .*\w+ - \d+ AS d\d+`,
+		"a difference across a join":    `S2\.\w+ - S1\.\w+ AS j\d+`,
+		"SUM over a difference":         `SUM\(\w+ - \w+\)`,
+		"a difference in a predicate":   `(?m)^WHERE .*\w+ - \w+ [<>]`,
+		"a difference in a join filter": `S1\.\w+ - (S1\.\w+|\d+) [<>]`,
+		"a difference in HAVING":        `HAVING .*\) - \d+ >`,
+	} {
+		if !regexp.MustCompile(re).MatchString(text) {
+			t.Errorf("150 seeds never produced %s", name)
 		}
 	}
 	if !fanOut {
