@@ -164,7 +164,7 @@ func TestAdaptiveRunDeterministicAndMatchesColdRestart(t *testing.T) {
 	if !want.Repartitioned {
 		t.Fatalf("scenario did not repartition (trigger window %d)", want.TriggerWindow)
 	}
-	for _, cell := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 1}, {4, 256}} {
+	for _, cell := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 256}} {
 		name := fmt.Sprintf("workers=%d batch=%d", cell.workers, cell.batch)
 		got := run(cell.workers, cell.batch)
 

@@ -69,7 +69,7 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.IntVar(&f.rate, "rate", 2000, "trace packet rate (packets/sec); sets the capacity model like qap-run")
 	fs.BoolVar(&f.naiveScope, "naive", false, "use per-partition (naive) partial aggregation")
 	fs.BoolVar(&f.noPartial, "nopartial", false, "disable partial aggregation")
-	fs.IntVar(&f.batch, "batch", 0, "operator batch size (0 = engine default, 1 = tuple-at-a-time)")
+	fs.IntVar(&f.batch, "batch", 0, "operator batch size (0 = engine default; must be > 1: 1 is the scalar oracle, which no node serves)")
 	fs.BoolVar(&f.collect, "collect", false, "collect per-operator stats (match the splitter: -metrics-out/-report/-prom-out/-telemetry-addr imply it)")
 	fs.IntVar(&f.loadWindow, "load-window", 0, "load-monitoring window in trace seconds (match the splitter)")
 	fs.BoolVar(&f.traceOn, "trace", false, "enable causal tracing (match the splitter's -trace-out/-trace-chrome)")

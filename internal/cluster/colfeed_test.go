@@ -93,9 +93,8 @@ func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 // any well-formed batch, but a scan takes packets. A wire group of any
 // other shape — a string column, NULLs, a missing column — is an error
 // naming the round and the destination, never a panic on the node. So
-// is a group of rows at a batch size that deploys column groups: the
-// fingerprint pins BatchSize, so only a broken peer sends one, and the
-// executor has no row-batch path to run it on.
+// is a group of rows: the splitter sends column groups only, and the
+// executor has no row path to run one on.
 func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 	packet := func() *exec.ColBatch {
 		cb := new(exec.ColBatch)
@@ -138,16 +137,12 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 	}
 	_, err := x.Execute(feed(rows))
 	if err == nil {
-		t.Fatal("a row group was delivered at batch size 4")
+		t.Fatal("a row group was delivered")
 	}
-	for _, want := range []string{"round 3", "stream 0 partition 0", "row group", "batch size 4"} {
+	for _, want := range []string{"round 3", "stream 0 partition 0", "NULL-free uint columns of a packet"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("row group: error %q does not mention %q", err, want)
 		}
-	}
-	x.r.batchSize = 1 // the scalar mode's feeds are runs of rows
-	if _, err := x.Execute(feed(rows)); err != nil {
-		t.Fatalf("a row group was refused at batch size 1: %v", err)
 	}
 }
 
@@ -271,7 +266,7 @@ func TestGrouperStockSurvivesCollector(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		netgen.Packet{Time: 1, SrcIP: uint64(i)}.AppendCols(cb)
 	}
-	groups := []live.Group{{Cols: cb}, {Tuples: exec.Batch{}}}
+	groups := []live.Group{{Cols: cb}}
 	gr.recycle([]live.Round{{Groups: groups}})
 	if groups[0].Cols != nil {
 		t.Fatal("recycle left the group holding its batch")

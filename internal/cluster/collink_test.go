@@ -17,21 +17,24 @@ import (
 
 // crossing is what one kind of leaf operator sent across its island's
 // boundary: data items by kind, how many column items carried a
-// validity bitmap or a column that is not uint, and how many row-batch
-// items a KindInt value.
+// validity bitmap or a column that is not uint, how many rows items a
+// KindInt value, how many rows the rows items held, and how many rows
+// items continued the run of the item before them.
 type crossing struct {
-	items                        map[live.ItemKind]int
-	bitmaps, nonUint, intBatches int
+	items                                    map[live.ItemKind]int
+	bitmaps, nonUint, intBatches, rows, cont int
 }
 
 // tallySink executes every island's rounds on the spot and tallies what
-// the captures recorded, by producing operator kind. Nothing is replayed:
-// what crosses, and in which shape, is decided on the leaves alone.
+// the captures recorded, by producing operator kind, and all the items
+// there were. Nothing is replayed: what crosses, and in which shape, is
+// decided on the leaves alone.
 type tallySink struct {
-	r   *Runner
-	xs  []islandExec
-	gr  *colGrouper
-	got map[optimizer.OpKind]*crossing
+	r     *Runner
+	xs    []islandExec
+	gr    *colGrouper
+	got   map[optimizer.OpKind]*crossing
+	total int64
 }
 
 func (s *tallySink) closed(pend [][]live.Round) error { return s.finish(pend) }
@@ -42,7 +45,8 @@ func (s *tallySink) finish(pend [][]live.Round) error {
 		x.execRounds(pend[i])
 		s.gr.recycle(pend[i])
 		pend[i] = pend[i][:0]
-		for _, it := range x.isl.outbox {
+		s.total += int64(len(x.isl.outbox))
+		for n, it := range x.isl.outbox {
 			if it.Kind == live.ItemAdvance || it.Kind == live.ItemFlush {
 				continue
 			}
@@ -54,6 +58,12 @@ func (s *tallySink) finish(pend [][]live.Round) error {
 			}
 			c.items[it.Kind]++
 			if it.Kind != live.ItemPushCols {
+				c.rows += len(it.Batch)
+				if n > 0 {
+					if prev := &x.isl.outbox[n-1]; prev.Kind == it.Kind && prev.Round == it.Round && prev.Tag == it.Tag && prev.Edge == it.Edge {
+						c.cont++
+					}
+				}
 				holdsInt := false
 				for _, row := range it.Batch {
 					for _, v := range row {
@@ -83,8 +93,9 @@ func (s *tallySink) finish(pend [][]live.Round) error {
 	return nil
 }
 
-// crossings runs the leaf side of a parallel runner at batch size bs.
-func crossings(t *testing.T, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, bs int) map[optimizer.OpKind]*crossing {
+// crossings runs the leaf side of a parallel runner at batch size bs:
+// what crossed by producing operator kind, and how many items in all.
+func crossings(t *testing.T, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, bs int) (map[optimizer.OpKind]*crossing, int64) {
 	t.Helper()
 	p, err := optimizer.Build(buildGraph(t, queries), ps, o)
 	if err != nil {
@@ -113,7 +124,7 @@ func crossings(t *testing.T, queries string, ps core.Set, o optimizer.Options, s
 		t.Fatal(err)
 	}
 	s.gr.release()
-	return s.got
+	return s.got, s.total
 }
 
 // nonUintSet crosses what a uint column cannot carry. odd's MAX is NULL
@@ -135,12 +146,11 @@ GROUP BY time/60 as tb, destIP`
 // TestColumnItemsCrossIslands: a producer that delivers columns crosses
 // its island's boundary as a column item — every aggregate and
 // sub-aggregate at batch size 256 — and everything else as the rows it
-// was: a column of mixed kinds as a row batch, the scalar oracle's
-// pushes one tuple an item. The items are the ones the row-only link carried, count for
-// count, and rows, OpStats and canonical trace bytes are the sequential
-// engine's on the parallel engine and on the live backend, also when a
-// duplicated and a cut link connection make a node retransmit column
-// frames.
+// was: a column of mixed kinds as one rows item per emitted run. The
+// items are the ones the row-only link carried, count for count, and
+// rows, OpStats and canonical trace bytes are the sequential engine's on
+// the parallel engine and on the live backend, also when a duplicated
+// and a cut link connection make a node retransmit column frames.
 func TestColumnItemsCrossIslands(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
@@ -169,14 +179,11 @@ func TestColumnItemsCrossIslands(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			got := crossings(t, tc.queries, tc.ps, tc.o, streams, 256)
+			got, _ := crossings(t, tc.queries, tc.ps, tc.o, streams, 256)
 			var cols, batches int
 			for kind, c := range got {
-				rows := c.items[live.ItemPush] + c.items[live.ItemPushBatch]
-				switch {
-				case c.items[live.ItemPush] != 0:
-					t.Errorf("%v: %d single-tuple items at batch size 256", kind, c.items[live.ItemPush])
-				case (kind == optimizer.OpAggregate || kind == optimizer.OpAggSub) && rows != 0 && tc.name != "non-uint":
+				rows := c.items[live.ItemPushBatch]
+				if (kind == optimizer.OpAggregate || kind == optimizer.OpAggSub) && rows != 0 && tc.name != "non-uint" {
 					t.Errorf("%v output crossed as %d row items", kind, rows)
 				}
 				cols += c.items[live.ItemPushCols]
@@ -194,14 +201,6 @@ func TestColumnItemsCrossIslands(t *testing.T) {
 				t.Errorf("%d row-batch fallback items, %d column items with a validity bitmap: the case tests nothing",
 					batches, got[optimizer.OpAggSub].bitmaps)
 			}
-			// The scalar oracle compiles no column path: nothing crosses
-			// as columns.
-			for kind, c := range crossings(t, tc.queries, tc.ps, tc.o, streams, 1) {
-				if c.items[live.ItemPushCols] != 0 {
-					t.Errorf("%v: %d column items at batch size 1", kind, c.items[live.ItemPushCols])
-				}
-			}
-
 			cfg := liveRunConfig(1, 256, LiveConfig{})
 			cfg.Engine = EngineSim
 			want := runEngine(t, tc.queries, tc.ps, tc.o, streams, cfg)
@@ -239,13 +238,67 @@ const (
 	nonUintItems   = 1472
 )
 
+// slidingWindowSet is examples/slidingwindow's query: partitioned on
+// (srcIP, destIP), its window merge runs on the leaves and, having no
+// column path, pushes every window's rows into the edge to the central
+// output.
+const slidingWindowSet = `
+query flow_rates:
+SELECT pane, srcIP, destIP,
+       COUNT(*) AS pkts, SUM(len) AS bytes, AVG(len) AS avg_len
+FROM TCP
+GROUP BY time/10 AS pane, srcIP, destIP
+WINDOW 6`
+
+// TestRowRunsCrossAsOneItem: a leaf operator that pushes rows into an
+// island-crossing edge — the sliding window's merge — sends each run it
+// emits across as one rows item, not one item per row. The runs are
+// maximal (no rows item continues the one before it in its island's
+// outbox) and together hold every row the windows emitted, and
+// Report.Timing.LinkItems counts runs, not rows, on the parallel engine
+// and on the live backend alike, whose rows, OpStats and canonical trace
+// bytes are the scalar oracle's.
+func TestRowRunsCrossAsOneItem(t *testing.T) {
+	tr := smallTrace(t)
+	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
+	ps, o := core.MustParseSet("srcIP, destIP"), optimizer.Options{Hosts: 4, PartitionsPerHost: 2, PartialAgg: true}
+	cfg := liveRunConfig(1, 1, LiveConfig{})
+	cfg.Engine = EngineSim
+	oracle := runEngine(t, slidingWindowSet, ps, o, streams, cfg)
+	rows := len(oracle.Outputs["flow_rates"])
+
+	got, items := crossings(t, slidingWindowSet, ps, o, streams, 256)
+	c := got[optimizer.OpWindow]
+	if len(got) != 1 || c == nil || c.rows != rows || c.items[live.ItemPushCols] != 0 {
+		t.Fatalf("what crossed is %+v; want the windows' %d rows alone, as rows items", got, rows)
+	}
+	if runs := c.items[live.ItemPushBatch]; c.cont != 0 || runs == 0 || 4*runs > rows {
+		t.Errorf("%d rows crossed in %d rows items, %d of which continue the item before them; want maximal runs, far fewer than rows",
+			rows, runs, c.cont)
+	}
+
+	cfg.BatchSize, cfg.Workers = 256, 4
+	par := runEngine(t, slidingWindowSet, ps, o, streams, cfg)
+	sameResultCanonical(t, "workers 4, batch 256", oracle, par)
+	sameTrace(t, oracle, par)
+	lv := runEngine(t, slidingWindowSet, ps, o, streams, liveRunConfig(1, 256, LiveConfig{}))
+	sameResult(t, par, lv)
+	sameTrace(t, par, lv)
+	for _, res := range []*Result{par, lv} {
+		if got := res.Report.Timing.LinkItems; got != items {
+			t.Errorf("%s: %d link items crossed; the leaves captured %d", res.Report.Timing.Engine, got, items)
+		}
+	}
+	t.Logf("%d window rows crossed in %d runs, %d link items in all", rows, c.items[live.ItemPushBatch], items)
+}
+
 // TestLiveLinkRejectsMisshapenItem: the link codec admits any
 // well-formed item, but the replay indexes Runner.edges by an item's
 // edge id and the central kernels index its columns by position. An item
 // the compiled plan could not have produced — wider or narrower than the
-// operator producing into its edge, columns at the scalar oracle's batch
-// size, an edge the plan does not have — is an error naming host, round
-// and edge, before any of its message is replayed, never a panic.
+// operator producing into its edge, an edge the plan does not have — is
+// an error naming host, round and edge, before any of its message is
+// replayed, never a panic.
 func TestLiveLinkRejectsMisshapenItem(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
@@ -253,8 +306,8 @@ func TestLiveLinkRejectsMisshapenItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := func(bs int, lc LiveConfig) *Runner {
-		r, err := NewRunner(p, liveRunConfig(1, bs, lc))
+	runner := func(lc LiveConfig) *Runner {
+		r, err := NewRunner(p, liveRunConfig(1, 256, lc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,25 +326,22 @@ func TestLiveLinkRejectsMisshapenItem(t *testing.T) {
 	row := func(width int) exec.Tuple { return cols(width).AppendRows(nil)[0] }
 	cases := []struct {
 		name string
-		bs   int
 		it   live.Item
 		want string // "" accepts
 	}{
-		{"columns", 256, live.Item{Kind: live.ItemPushCols, Cols: cols(4)}, ""},
-		{"row batch", 256, live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(4), row(4)}}, ""},
-		{"row", 1, live.Item{Kind: live.ItemPush, Tuple: row(4)}, ""},
-		{"advance", 256, live.Item{Kind: live.ItemAdvance, WM: 60}, ""},
-		{"narrow columns", 256, live.Item{Kind: live.ItemPushCols, Cols: cols(3)}, "column batch of 3 columns, the producer emits 4"},
-		{"wide columns", 256, live.Item{Kind: live.ItemPushCols, Cols: cols(5)}, "column batch of 5 columns, the producer emits 4"},
-		{"narrow row", 1, live.Item{Kind: live.ItemPush, Tuple: row(3)}, "row of 3 columns, the producer emits 4"},
-		{"narrow row in a batch", 256, live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(4), row(2)}}, "row of 2 columns, the producer emits 4"},
-		{"columns at batch size 1", 1, live.Item{Kind: live.ItemPushCols, Cols: cols(4)}, "column item, but batch size 1"},
-		{"edge past the plan", 256, live.Item{Kind: live.ItemFlush, Edge: 1}, "unknown edge"},
-		{"negative edge", 256, live.Item{Kind: live.ItemAdvance, Edge: -1}, "unknown edge"},
+		{"columns", live.Item{Kind: live.ItemPushCols, Cols: cols(4)}, ""},
+		{"rows", live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(4), row(4)}}, ""},
+		{"advance", live.Item{Kind: live.ItemAdvance, WM: 60}, ""},
+		{"narrow columns", live.Item{Kind: live.ItemPushCols, Cols: cols(3)}, "column batch of 3 columns, the producer emits 4"},
+		{"wide columns", live.Item{Kind: live.ItemPushCols, Cols: cols(5)}, "column batch of 5 columns, the producer emits 4"},
+		{"narrow row", live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(3)}}, "row of 3 columns, the producer emits 4"},
+		{"narrow row in a run", live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(4), row(2)}}, "row of 2 columns, the producer emits 4"},
+		{"edge past the plan", live.Item{Kind: live.ItemFlush, Edge: 1}, "unknown edge"},
+		{"negative edge", live.Item{Kind: live.ItemAdvance, Edge: -1}, "unknown edge"},
 	}
 	for _, tc := range cases {
 		tc.it.Round = 3
-		err := runner(tc.bs, LiveConfig{}).checkLink(&live.LinkMsg{Host: 0, Items: []live.Item{{Kind: live.ItemFlush}, tc.it}})
+		err := runner(LiveConfig{}).checkLink(&live.LinkMsg{Host: 0, Items: []live.Item{{Kind: live.ItemFlush}, tc.it}})
 		exec.PutColBatch(tc.it.Cols)
 		switch {
 		case tc.want == "" && err != nil:
@@ -317,7 +367,7 @@ func TestLiveLinkRejectsMisshapenItem(t *testing.T) {
 	}
 	served := make(chan error, 1)
 	go func() { served <- node.Serve() }()
-	r := runner(256, LiveConfig{Nodes: []string{node.Addr()}, Timeout: 2 * time.Second})
+	r := runner(LiveConfig{Nodes: []string{node.Addr()}, Timeout: 2 * time.Second})
 	_, err = r.RunStreams(streams)
 	node.Close()
 	<-served

@@ -24,12 +24,6 @@ func (c *rowCounter) Push(t exec.Tuple) { *c.n++; c.next.Push(t) }
 func (c *rowCounter) Advance(wm uint64) { c.next.Advance(wm) }
 func (c *rowCounter) Flush()            { c.next.Flush() }
 
-// PushBatch implements exec.BatchConsumer.
-func (c *rowCounter) PushBatch(b exec.Batch) {
-	*c.n += int64(len(b))
-	exec.PushAll(c.next, b)
-}
-
 // PushCols implements exec.ColConsumer.
 func (c *rowCounter) PushCols(cb *exec.ColBatch) {
 	*c.n += int64(cb.Len)
@@ -153,45 +147,11 @@ func (e *edge) Push(t exec.Tuple) {
 	e.next.Push(t)
 }
 
-// PushBatch implements exec.BatchConsumer: the per-tuple accounting
-// loop runs first (identically to scalar pushes, so floating-point
-// sums accumulate in the same order regardless of how a round was
-// chunked into batches), then the whole batch moves downstream. This
-// holds on island-crossing edges too: the parallel engine captures a
-// produced batch as a single link item and replays it through this
-// same method, so both engines run the accounting loop and the
-// downstream cascade over identical batch boundaries.
-func (e *edge) PushBatch(b exec.Batch) {
-	for _, t := range b {
-		e.m.Tuples++
-		e.m.CPUUnits += e.opCost + e.xfer
-		switch {
-		case e.net:
-			e.m.NetTuplesIn++
-			e.m.NetBytesIn += int64(t.WireSize())
-		case e.ipc:
-			e.m.IPCTuplesIn++
-		}
-		if e.st != nil {
-			e.st.RowsIn++
-			e.st.CPUUnits += e.opCost + e.xfer
-			switch {
-			case e.net:
-				e.st.NetTuplesIn++
-				e.st.NetBytesIn += int64(t.WireSize())
-			case e.ipc:
-				e.st.IPCTuplesIn++
-			}
-		}
-	}
-	exec.PushAll(e.next, b)
-}
-
 // PushCols implements exec.ColConsumer: the per-row accounting loop is
-// identical to PushBatch over the pivoted rows (same integer counters,
-// same floating-point accumulation order, wire sizes computed straight
-// from the columns), then the columnar batch moves downstream — pivoting
-// only if the receiving operator has no columnar fast path.
+// Push's over the pivoted rows (same integer counters, same
+// floating-point accumulation order, wire sizes computed straight from
+// the columns), then the columnar batch moves downstream — pivoting only
+// if the receiving operator has no columnar fast path.
 //
 //qap:hot
 func (e *edge) PushCols(cb *exec.ColBatch) {
@@ -247,12 +207,6 @@ type opOut struct {
 func (o *opOut) Push(t exec.Tuple) { o.st.RowsOut++; o.next.Push(t) }
 func (o *opOut) Advance(wm uint64) { o.next.Advance(wm) }
 func (o *opOut) Flush()            { o.next.Flush() }
-
-// PushBatch implements exec.BatchConsumer.
-func (o *opOut) PushBatch(b exec.Batch) {
-	o.st.RowsOut += int64(len(b))
-	exec.PushAll(o.next, b)
-}
 
 // PushCols implements exec.ColConsumer.
 func (o *opOut) PushCols(cb *exec.ColBatch) {

@@ -33,7 +33,8 @@ package cluster
 //     live backend alike, as live.Round is their round currency — in the
 //     shape the producer delivered them: a column batch is copied into a
 //     pooled batch of the item's own (the producer's is valid only
-//     during the call), rows are kept as the immutable tuples they are.
+//     during the call), and a run of pushed rows becomes one item holding
+//     the immutable tuples.
 //     Every processed feed message emits a live.LinkMsg — even when
 //     empty — so the central watermark advances.
 //
@@ -66,11 +67,11 @@ import (
 )
 
 // defaultBatchRounds is how many watermark rounds the driver coalesces
-// into one feed message when RunConfig.BatchRounds is unset, amortizing
-// channel (or socket) synchronization across the pipeline. A round is
-// one second of trace — whatever the packet rate makes of that, tens of
-// packets or tens of thousands — so the count bounds a feed's rounds,
-// not its bytes; the live sink also cuts by size.
+// into one feed message, amortizing channel (or socket) synchronization
+// across the pipeline. A round is one second of trace — whatever the
+// packet rate makes of that, tens of packets or tens of thousands — so
+// the count bounds a feed's rounds, not its bytes; the live sink also
+// cuts by size.
 const defaultBatchRounds = 32
 
 // defaultBatchSize is the execution batch size when RunConfig.BatchSize
@@ -119,19 +120,23 @@ func (c *capture) record(it live.Item) {
 	isl.outbox = append(isl.outbox, it)
 }
 
-func (c *capture) Push(t exec.Tuple) { c.record(live.Item{Kind: live.ItemPush, Tuple: t}) }
-
-// PushBatch records a produced batch as a single link item, so the
-// central replay applies it through edge.PushBatch over exactly the
-// batch boundaries the producing operator emitted — the same
-// boundaries the sequential engine cascades inline. The container is
-// copied into a pooled batch because producers reuse their emission
-// buffers across epochs; the tuples themselves are immutable once
-// emitted, so only the container needs to survive until replay.
-func (c *capture) PushBatch(b exec.Batch) {
-	if len(b) > 0 {
-		c.record(live.Item{Kind: live.ItemPushBatch, Batch: append(exec.GetBatch(), b...)})
+// Push records a pushed row. The pushes of one emitted run — into this
+// edge, under one round and tag, with nothing captured in between —
+// share one rows item in a pooled container: the outbox's last item
+// takes the row when it is that item, else a new one opens. The replay
+// pushes the item's rows in order, as the producer did, so a run crosses
+// the island boundary as one item, whatever its length.
+//
+//qap:hot
+func (c *capture) Push(t exec.Tuple) {
+	isl := c.isl
+	if n := len(isl.outbox); n > 0 {
+		if it := &isl.outbox[n-1]; it.Kind == live.ItemPushBatch && it.Edge == c.e.id && it.Round == isl.curRound && it.Tag == isl.curTag {
+			it.Batch = append(it.Batch, t)
+			return
+		}
 	}
+	c.record(live.Item{Kind: live.ItemPushBatch, Batch: append(exec.GetBatch(), t)})
 }
 
 // PushCols records a columnar delivery as a column link item: the
@@ -379,10 +384,8 @@ func (r *Runner) replayLinks(hosts int, recv func(waiting string) (live.LinkMsg,
 			}
 			e := r.edges[it.Edge]
 			switch it.Kind {
-			case live.ItemPush:
-				e.Push(it.Tuple)
 			case live.ItemPushBatch:
-				e.PushBatch(it.Batch)
+				exec.PushAll(e, it.Batch)
 				exec.PutBatch(it.Batch)
 				it.Batch = nil
 			case live.ItemPushCols:

@@ -17,15 +17,16 @@ package cluster
 // trace bytes are byte-identical to the simulator:
 //
 //   - The driver is the parallel engine's — the one splitter
-//     (split.go), so the same rounds, tags and per-destination groups:
-//     column groups, or at BatchSize 1 maximal same-destination runs of
-//     rows — behind a sink that serializes instead of queueing, and a
+//     (split.go), so the same rounds, tags and per-destination column
+//     groups — behind a sink that serializes instead of queueing, and a
 //     node executes a feed through the same islandExec.execRounds a
-//     simulator worker does.
+//     simulator worker does. The scalar oracle (BatchSize 1) never runs
+//     here: NewRunner refuses it.
 //
-//   - Tuples travel in the exec wire codecs, rows or column vectors,
-//     which round-trip every value bit-exactly (floats as IEEE bits),
-//     so operator state evolves identically on both sides of the wire.
+//   - Tuples travel in the exec wire codecs, column vectors or (a link
+//     item's run of rows) rows, which round-trip every value bit-exactly
+//     (floats as IEEE bits), so operator state evolves identically on
+//     both sides of the wire.
 //
 //   - The transport (internal/live) delivers each direction's frames
 //     exactly once and in order across reconnects, so a dropped,
@@ -340,11 +341,10 @@ func (s *liveSink) ship(pend [][]live.Round, last bool, keep int) error {
 
 // checkLink judges a link message that came off a wire before any of it
 // is replayed, as Execute judges a feed: every item must name a
-// compiled island-crossing edge, a data item must be as wide as the
-// operator producing into that edge, and only a batched deployment
-// (which the fingerprint pins) ships column items. The replay indexes
-// r.edges by the id and the receiving kernels index columns by
-// position, so anything else would be a panic, not an error.
+// compiled island-crossing edge, and a data item must be as wide as the
+// operator producing into that edge. The replay indexes r.edges by the
+// id and the receiving kernels index columns by position, so anything
+// else would be a panic, not an error.
 func (r *Runner) checkLink(m *live.LinkMsg) error {
 	for i := range m.Items {
 		it := &m.Items[i]
@@ -362,10 +362,6 @@ func (r *Runner) checkItem(it *live.Item) error {
 	}
 	width := outWidth(r.edges[it.Edge].from)
 	switch it.Kind {
-	case live.ItemPush:
-		if len(it.Tuple) != width {
-			return fmt.Errorf("row of %d columns, the producer emits %d", len(it.Tuple), width)
-		}
 	case live.ItemPushBatch:
 		for _, t := range it.Batch {
 			if len(t) != width {
@@ -373,9 +369,6 @@ func (r *Runner) checkItem(it *live.Item) error {
 			}
 		}
 	case live.ItemPushCols:
-		if !r.batched() {
-			return fmt.Errorf("column item, but batch size 1 deploys the scalar oracle")
-		}
 		if len(it.Cols.Cols) != width {
 			return fmt.Errorf("column batch of %d columns, the producer emits %d", len(it.Cols.Cols), width)
 		}
@@ -396,15 +389,10 @@ func (x *islandExec) Execute(m *live.FeedMsg) (*live.LinkMsg, error) {
 			if g.Stream < 0 || g.Stream >= len(x.outs) || g.Part < 0 || g.Part >= len(x.outs[g.Stream]) {
 				return nil, fmt.Errorf("group targets stream %d partition %d out of range", g.Stream, g.Part)
 			}
-			switch {
-			case g.Cols == nil && x.r.batched():
-				// The fingerprint pins BatchSize, and a splitter at this
-				// one groups columns: only a broken peer sends rows.
-				return nil, fmt.Errorf("round %d: row group for stream %d partition %d, but batch size %d deploys column groups",
-					rd.Round, g.Stream, g.Part, x.r.batchSize)
-			case g.Cols != nil && (len(g.Cols.Cols) != netgen.TupleCols || !g.Cols.AllUint()):
-				// The codec admits any column batch; a scan takes packets.
-				return nil, fmt.Errorf("round %d: column group for stream %d partition %d is not the %d NULL-free uint columns of a packet",
+			if g.Cols == nil || len(g.Cols.Cols) != netgen.TupleCols || !g.Cols.AllUint() {
+				// The codec admits row groups and any column batch; a
+				// splitter sends packets as column groups.
+				return nil, fmt.Errorf("round %d: group for stream %d partition %d is not the %d NULL-free uint columns of a packet",
 					rd.Round, g.Stream, g.Part, netgen.TupleCols)
 			}
 		}

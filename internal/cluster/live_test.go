@@ -27,10 +27,10 @@ func liveRunConfig(workers, batch int, lc LiveConfig) RunConfig {
 	}
 }
 
-// liveWireModes are the batch sizes every live equivalence test covers,
-// one per feed encoding: 1 ships runs of rows, 256 column groups. The
-// simulator oracle runs at the same batch size.
-var liveWireModes = []int{1, 256}
+// liveWireModes are the batch sizes every live equivalence test covers:
+// 256, the default, and 7, whose chunks of a column group are ragged. The
+// simulator reference runs at the same batch size.
+var liveWireModes = []int{7, 256}
 
 // runEngine builds and runs a plan under an explicit RunConfig.
 func runEngine(t testing.TB, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, cfg RunConfig) *Result {
@@ -346,8 +346,8 @@ func TestLiveFaultRecovery(t *testing.T) {
 		pl := pl
 		t.Run(pl.name, func(t *testing.T) {
 			t.Parallel()
-			// Runs of rows, then column groups: the second is the one
-			// that retransmits out of an outbox of recycled frames.
+			// Both batch sizes ship column groups, so both retransmit
+			// out of an outbox of recycled frames.
 			for _, batch := range liveWireModes {
 				fp := &live.FaultPlan{Faults: pl.faults}
 				cfg := liveRunConfig(1, batch, LiveConfig{Faults: fp, Timeout: 2 * time.Second})

@@ -16,13 +16,14 @@ import (
 // Runner instantiates a distributed physical plan into live operators
 // with accounting on every edge, and drives packet traces through it.
 //
-// A Runner executes either sequentially (Workers <= 1: one goroutine
-// pushes every tuple through the whole operator graph) or in parallel
-// (Workers > 1: one worker goroutine per simulated host plus a central
-// replay goroutine, see engine.go), and in one of two modes: the scalar
-// oracle (BatchSize 1) or production (column groups, BatchSize > 1).
-// Every combination produces byte-identical canonical Results. A Runner
-// holds operator state and is good for one run.
+// A Runner executes in one of two modes: the scalar oracle (BatchSize 1:
+// one goroutine pushes every tuple through the whole operator graph) or
+// production (BatchSize > 1: column groups), which runs sequentially
+// (Workers <= 1), in parallel (Workers > 1: one worker goroutine per
+// simulated host plus a central replay goroutine, see engine.go) or on
+// the live TCP backend. Every combination produces byte-identical
+// canonical Results. A Runner holds operator state and is good for one
+// run.
 type Runner struct {
 	plan        *optimizer.Plan
 	cost        CostConfig
@@ -91,19 +92,16 @@ type RunConfig struct {
 	Costs CostConfig
 	// Params binds #NAME# query parameters.
 	Params exec.Params
-	// Workers selects the execution engine: <= 1 runs the sequential
-	// in-line engine; > 1 runs up to Workers per-host worker goroutines
-	// plus a splitter (driver) and a central replay goroutine. Results
-	// are byte-identical either way.
+	// Workers selects the simulator's production engine: <= 1 runs the
+	// sequential in-line engine; > 1 runs up to Workers per-host worker
+	// goroutines plus a splitter (driver) and a central replay goroutine.
+	// Results are byte-identical either way. The scalar oracle ignores it.
 	Workers int
-	// BatchRounds is the number of watermark rounds coalesced into one
-	// channel message on the splitter feeds and inter-host links; 0
-	// uses the default.
-	BatchRounds int
 	// BatchSize selects the execution mode. 1 is the scalar oracle: one
 	// tuple at a time through the operators' Push ports, no column
-	// kernels compiled — the reference every other configuration is
-	// compared against. Values > 1 are production: the splitter groups
+	// kernels compiled, on the sequential simulator whatever Workers says
+	// (Engine live refuses it) — the reference every other configuration
+	// is compared against. Values > 1 are production: the splitter groups
 	// each round's packets per destination partition straight into typed
 	// column vectors (exec.ColBatch) and delivers them in chunks of up
 	// to BatchSize through the operators' compiled column kernels
@@ -361,15 +359,12 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 		cost:        cfg.Costs,
 		params:      cfg.Params,
 		workers:     cfg.Workers,
-		batchRounds: cfg.BatchRounds,
+		batchRounds: defaultBatchRounds,
 		collect:     cfg.CollectStats,
 		metrics:     &Metrics{Hosts: make([]HostMetrics, p.Hosts), Capacity: cfg.Costs.CapacityPerSec},
 		routers:     make(map[string]*router),
 		collectors:  make(map[string]*exec.Collector),
 		sizeHints:   cfg.SizeHints,
-	}
-	if r.batchRounds <= 0 {
-		r.batchRounds = defaultBatchRounds
 	}
 	r.batchSize = cfg.BatchSize
 	if r.batchSize == 0 {
@@ -405,9 +400,13 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 	}
 	switch cfg.Engine {
 	case "", EngineSim:
+		// The oracle runs sequentially whatever the worker count.
 		r.engine = EngineSim
-		r.parallel = cfg.Workers > 1 && r.parallelizable()
+		r.parallel = cfg.Workers > 1 && r.batched() && r.parallelizable()
 	case EngineLive:
+		if !r.batched() {
+			return nil, fmt.Errorf("cluster: Engine %q needs BatchSize > 1; BatchSize 1 is the scalar oracle, which runs on the sequential simulator only", EngineLive)
+		}
 		// The live backend always needs the island decomposition and
 		// the capture consumers, whatever the worker count; plans that
 		// are not parallelizable fall back to the sequential engine,
@@ -540,7 +539,7 @@ func (r *Runner) RunStreams(streams map[string][]netgen.Packet) (*Result, error)
 		return nil, err
 	}
 	switch {
-	case r.batchSize == 1 && !r.parallel:
+	case !r.batched():
 		return r.runSequential(cursors) // the oracle
 	case !r.parallel:
 		return r.runInline(cursors)

@@ -4,13 +4,12 @@ package cluster
 //
 // The paper's Section 3.3 splitter — merge the streams in time order,
 // hash the partitioning set, hand each packet to its host — exists once
-// (split), for every engine at every BatchSize > 1 and for the parallel
-// and live engines at BatchSize 1. It cuts the merged trace into rounds
-// of one timestamp each and groups every round per destination, as
-// live.Round / live.Group values: one column group per (stream,
-// partition), or at BatchSize 1 maximal same-destination runs of rows.
-// What happens to a closed round is the one thing that varies, and sits
-// behind roundSink, reached once per round and never per packet:
+// (split), for every engine at every BatchSize > 1. It cuts the merged
+// trace into rounds of one timestamp each and groups every round per
+// destination, as live.Round / live.Group values: one column group per
+// (stream, partition). What happens to a closed round is the one thing
+// that varies, and sits behind roundSink, reached once per round and
+// never per packet:
 //
 //	                        ┌ inlineSink  execute on the caller      (sequential)
 //	cursors → split → rounds┼ feedSink    queue on a worker's feed   (parallel, engine.go)
@@ -19,10 +18,10 @@ package cluster
 // Every sink ends in the same executor body, islandExec.execRounds:
 // directly, on a worker goroutine, or behind a node's Execute.
 //
-// The scalar oracle (runSequential, BatchSize 1 on the sequential
-// engine) deliberately shares none of this: it is the reference the
-// differential tests and the benchmark's digest compare every other
-// configuration against, so it keeps its own 45-line loop.
+// The scalar oracle (runSequential, which is what BatchSize 1 runs)
+// deliberately shares none of this: it is the reference the differential
+// tests and the benchmark's digest compare every other configuration
+// against, so it keeps its own 45-line loop.
 
 import (
 	"fmt"
@@ -198,7 +197,6 @@ type roundSink interface {
 func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) (bool, uint64, error) {
 	pend := make([][]live.Round, r.execIslands()) //qap:allow hotalloc -- splitter setup, once per run
 	initGroupIndex(cursors)
-	scalar := r.batchSize == 1
 	round := -1
 	var lastTime uint64
 	seq := uint64(0) // round-local push sequence
@@ -235,12 +233,7 @@ func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) 
 			}
 			seq, lastTime = 0, pk.Time
 		}
-		if scalar {
-			t := pk.Tuple()
-			gr.addRow(best, best.rt.route(t), seq, t)
-		} else {
-			gr.add(best, gr.route(best, pk), seq, pk)
-		}
+		gr.add(best, gr.route(best, pk), seq, pk)
 		seq++
 	}
 	r.emitDriverTail(round, int64(seq), lastTime)
@@ -342,9 +335,9 @@ type islandExec struct {
 // execRounds runs a feed's rounds in order, each exactly as the oracle
 // orders a round's work: close the monitoring windows the new
 // watermark has passed (before the round touches any counter), advance,
-// deliver the groups — a column group as chunks of up to BatchSize rows
-// under the group's tag, a row group one tuple per tag — and, in the
-// flush round, flush. It returns the last round's number.
+// deliver the groups — each as chunks of up to BatchSize rows under the
+// group's tag — and, in the flush round, flush. It returns the last
+// round's number.
 //
 //qap:hot
 func (x *islandExec) execRounds(rounds []live.Round) int {
@@ -369,16 +362,8 @@ func (x *islandExec) execRounds(rounds []live.Round) int {
 		}
 		for gi := range rd.Groups {
 			g := &rd.Groups[gi]
-			out := x.outs[g.Stream][g.Part]
-			if g.Cols != nil {
-				isl.curTag = g.Tag
-				deliverCols(out, g.Cols, x.r.batchSize, &x.view)
-				continue
-			}
-			for i, t := range g.Tuples {
-				isl.curTag = g.Tag + uint64(i)
-				out.Push(t)
-			}
+			isl.curTag = g.Tag
+			deliverCols(x.outs[g.Stream][g.Part], g.Cols, x.r.batchSize, &x.view)
 		}
 		if rd.Flush {
 			for _, ft := range x.flush {
@@ -392,11 +377,10 @@ func (x *islandExec) execRounds(rounds []live.Round) int {
 
 // colGrouper is the splitter's per-round grouping: a packet goes from
 // the trace cursor straight into its destination partition's pooled
-// column batch and never becomes a row in front of the scan (add); only
-// a BatchSize 1 run groups rows, as maximal same-destination runs
-// (addRow). A group is a live.Group — canonical tag, stream (cursor)
-// index, partition, columns or rows — so the live sink ships the very
-// value the simulator's executors are handed.
+// column batch and never becomes a row in front of the scan (add). A
+// group is a live.Group — canonical tag, stream (cursor) index,
+// partition, columns — so the live sink ships the very value the
+// simulator's executors are handed.
 //
 // The zero value is ready once initGroupIndex has prepared the cursors.
 type colGrouper struct {
@@ -463,27 +447,6 @@ func (g *colGrouper) add(c *streamCursor, part int, seq uint64, pk *netgen.Packe
 	pk.AppendCols((*list)[c.gidx[part]].Cols)
 }
 
-// addRow appends t, the round's seq-th packet, to partition part's
-// delivery list as a row: onto the newest group when that is a run to
-// the same destination ending at seq-1, else as a new run. The executor
-// re-expands a run into per-tuple tagged pushes, so the scalar engines'
-// interleaved delivery order survives the grouping exactly.
-//
-//qap:hot
-func (g *colGrouper) addRow(c *streamCursor, part int, seq uint64, t exec.Tuple) {
-	list := c.lists[part]
-	if n := len(*list); n > 0 {
-		run := &(*list)[n-1]
-		if run.Stream == c.idx && run.Part == part && run.Tag+uint64(len(run.Tuples)) == phasePush|seq {
-			run.Tuples = append(run.Tuples, t)
-			return
-		}
-	}
-	*list = append(*list, live.Group{
-		Tag: phasePush | seq, Stream: c.idx, Part: part, Tuples: append(exec.GetBatch(), t),
-	})
-}
-
 // take returns an empty batch for a group of about rows packets (0:
 // unknown): one of the run's own as it is, else the pool's. That one may
 // be fresh from the allocator, or last have held a link item's copy of
@@ -507,8 +470,8 @@ func (g *colGrouper) take(rows int) *exec.ColBatch {
 	return cb
 }
 
-// recycle takes back the containers of executed (or serialized) rounds:
-// column batches into the run's stock, row containers into exec's pool.
+// recycle takes the column batches of executed (or serialized) rounds
+// back into the run's stock.
 //
 //qap:hot
 func (g *colGrouper) recycle(rounds []live.Round) {
@@ -516,14 +479,9 @@ func (g *colGrouper) recycle(rounds []live.Round) {
 	for ri := range rounds {
 		groups := rounds[ri].Groups
 		for i := range groups {
-			if cb := groups[i].Cols; cb != nil {
-				cb.Reset()
-				g.free = append(g.free, cb)
-				groups[i].Cols = nil
-			} else {
-				exec.PutBatch(groups[i].Tuples)
-				groups[i].Tuples = nil
-			}
+			groups[i].Cols.Reset()
+			g.free = append(g.free, groups[i].Cols)
+			groups[i].Cols = nil
 		}
 	}
 	g.mu.Unlock()

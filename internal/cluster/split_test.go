@@ -21,7 +21,6 @@ import (
 type recGroup struct {
 	tag          uint64
 	stream, part int
-	cols         bool
 	rows         []string
 }
 
@@ -51,12 +50,8 @@ func (s *recSink) finish(pend [][]live.Round) error {
 		for _, rd := range p {
 			rec := recRound{round: rd.Round, wm: rd.WM, adv: rd.Adv, flush: rd.Flush}
 			for _, g := range rd.Groups {
-				rg := recGroup{tag: g.Tag, stream: g.Stream, part: g.Part, cols: g.Cols != nil}
-				rows := g.Tuples
-				if g.Cols != nil {
-					rows = g.Cols.AppendRows(nil)
-				}
-				for _, t := range rows {
+				rg := recGroup{tag: g.Tag, stream: g.Stream, part: g.Part}
+				for _, t := range g.Cols.AppendRows(nil) {
 					rg.rows = append(rg.rows, t.String())
 				}
 				rec.groups = append(rec.groups, rg)
@@ -72,13 +67,14 @@ func (s *recSink) finish(pend [][]live.Round) error {
 // TestSplitterRounds holds the shared splitter to its contract without
 // running an operator: rounds are the distinct timestamps plus the flush
 // round and every island sees each of them; within a round each (stream,
-// partition) owns one column group — or at BatchSize 1 the rows travel
-// as maximal same-destination runs — on the island that owns the
+// partition) owns one column group on the island that owns the
 // partition, holding exactly the round's packets routed there in merged
 // arrival order under the tag of the first one's sequence; and the
 // driver's trace shard carries the same (round, watermark, packets)
-// triples. The three real sinks are held to the same rounds by the
-// sim/live equivalence tests.
+// triples. The batch size does not reach the splitter, but BatchSize 1
+// makes any runner sequential: one executor, whatever Workers says. The
+// three real sinks are held to the same rounds by the sim/live
+// equivalence tests.
 func TestSplitterRounds(t *testing.T) {
 	gen := func(seed int64, drop func(uint64) bool) []netgen.Packet {
 		cfg := netgen.DefaultConfig()
@@ -144,8 +140,12 @@ func checkSplitterRounds(t *testing.T, g *plan.Graph, ps core.Set, streams map[s
 		t.Fatal(err)
 	}
 	// Two hosts: one executor each, or a single in-line one.
-	if islands := r.execIslands(); islands != workers || len(sink.rounds) != workers {
-		t.Fatalf("%d islands fed (runner says %d), want %d", len(sink.rounds), islands, workers)
+	executors := workers
+	if bs == 1 {
+		executors = 1
+	}
+	if islands := r.execIslands(); islands != executors || len(sink.rounds) != executors {
+		t.Fatalf("%d islands fed (runner says %d), want %d", len(sink.rounds), islands, executors)
 	}
 
 	// The oracle: merge by (time, cursor order, position) and route every
@@ -207,55 +207,24 @@ func checkSplitterRounds(t *testing.T, g *plan.Graph, ps core.Set, streams map[s
 					owed = append(owed, m)
 				}
 			}
-			if bs > 1 {
-				// One column group per destination, opened by its first packet.
-				type dest struct{ stream, part int }
-				want := map[dest]*recGroup{}
-				var order []dest
-				for _, m := range owed {
-					d := dest{m.stream, m.part}
-					if want[d] == nil {
-						want[d] = &recGroup{tag: phasePush | m.seq, stream: m.stream, part: m.part, cols: true}
-						order = append(order, d)
-					}
-					want[d].rows = append(want[d].rows, m.row)
+			// One column group per destination, opened by its first packet.
+			type dest struct{ stream, part int }
+			want := map[dest]*recGroup{}
+			var order []dest
+			for _, m := range owed {
+				d := dest{m.stream, m.part}
+				if want[d] == nil {
+					want[d] = &recGroup{tag: phasePush | m.seq, stream: m.stream, part: m.part}
+					order = append(order, d)
 				}
-				var wantGroups []recGroup
-				for _, d := range order {
-					wantGroups = append(wantGroups, *want[d])
-				}
-				if !reflect.DeepEqual(rd.groups, wantGroups) {
-					t.Fatalf("island %d round %d: groups\n got %+v\nwant %+v", isl, n, rd.groups, wantGroups)
-				}
-				continue
+				want[d].rows = append(want[d].rows, m.row)
 			}
-			// Runs of rows: re-expanded they are the owed packets, one tag
-			// each, and no run could have been part of its predecessor.
-			i := 0
-			for gi, g := range rd.groups {
-				if g.cols || len(g.rows) == 0 {
-					t.Fatalf("island %d round %d: group %d is %+v, want a non-empty run of rows", isl, n, gi, g)
-				}
-				if gi > 0 {
-					prev := rd.groups[gi-1]
-					if prev.stream == g.stream && prev.part == g.part && prev.tag+uint64(len(prev.rows)) == g.tag {
-						t.Errorf("island %d round %d: run %d continues run %d; runs must be maximal", isl, n, gi, gi-1)
-					}
-				}
-				for k, row := range g.rows {
-					if i >= len(owed) {
-						t.Fatalf("island %d round %d: more rows than the %d routed here", isl, n, len(owed))
-					}
-					m := owed[i]
-					if g.stream != m.stream || g.part != m.part || g.tag+uint64(k) != phasePush|m.seq || row != m.row {
-						t.Fatalf("island %d round %d: row %d is (stream %d, part %d, tag %#x, %s), want (stream %d, part %d, tag %#x, %s)",
-							isl, n, i, g.stream, g.part, g.tag+uint64(k), row, m.stream, m.part, phasePush|m.seq, m.row)
-					}
-					i++
-				}
+			var wantGroups []recGroup
+			for _, d := range order {
+				wantGroups = append(wantGroups, *want[d])
 			}
-			if i != len(owed) {
-				t.Fatalf("island %d round %d: %d rows delivered, %d routed here", isl, n, i, len(owed))
+			if !reflect.DeepEqual(rd.groups, wantGroups) {
+				t.Fatalf("island %d round %d: groups\n got %+v\nwant %+v", isl, n, rd.groups, wantGroups)
 			}
 		}
 	}

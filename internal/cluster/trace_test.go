@@ -62,14 +62,14 @@ func TestTracingOffIsFree(t *testing.T) {
 }
 
 // TestTraceCanonicalBytesAcrossCells: the canonical JSONL must be
-// byte-identical across every workers×batch cell (both engines, scalar
-// and batched delivery), while the full JSONL still records the cell's
-// shape in its timing trailer.
+// byte-identical across the scalar oracle and production on both
+// simulator engines, while the full JSONL still records the cell's shape
+// in its timing trailer.
 func TestTraceCanonicalBytesAcrossCells(t *testing.T) {
 	tr := driftTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	type cell struct{ workers, batch int }
-	cells := []cell{{1, 1}, {1, 256}, {4, 1}, {4, 256}}
+	cells := []cell{{1, 1}, {1, 256}, {4, 256}}
 	var want []byte
 	for _, c := range cells {
 		res := runTraced(t, streams, c.workers, c.batch, 10, &trace.Config{})

@@ -58,11 +58,12 @@ type Options struct {
 	Workers []int
 	// BatchSizes are the operator batch sizes the batched-equivalence
 	// section compares against the scalar path; default {1, 7, 64,
-	// 1024} (1 is the scalar path itself, 7 exercises ragged final
-	// chunks, 64 and 1024 straddle the engine default).
+	// 1024} (1 is the scalar path itself, which runs on the sequential
+	// engine whatever the worker count, 7 exercises ragged final chunks,
+	// 64 and 1024 straddle the engine default).
 	BatchSizes []int
 	// Live adds the live-vs-sim axis: every hosts × workers × batch
-	// {1, 256} cell re-runs on the live TCP backend and must match the
+	// {7, 256} cell re-runs on the live TCP backend and must match the
 	// simulator byte for byte (canonical output, OpStats, trace
 	// bytes), plus fault-injection runs (dropped, duplicated, and cut
 	// connections) that must converge to the same bytes. Off by
@@ -238,8 +239,8 @@ func CheckQueries(ddl, queries string, trace netgen.Config, opts Options) (*Repo
 
 // checkTrace exercises the deterministic-tracing axis over the
 // workload: with causal tracing on, the canonical JSONL export (timing
-// trailer stripped) must be byte-identical in every workers×batch cell
-// — both engines, scalar and batched delivery — and the per-host load
+// trailer stripped) must be byte-identical in every cell — the scalar
+// oracle and production on both engines — and the per-host load
 // series rebuilt from the trace's host_window events (after a round
 // trip through the JSONL codec) must equal the engine's own monitoring
 // output exactly. The comparison strips CPUUnits from the engine
@@ -252,7 +253,7 @@ func (r *Report) checkTrace(sys *qap.System, best core.Set, traceCfg netgen.Conf
 		winSec = 1
 	}
 	var ref []byte
-	for _, cell := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 1}, {4, 256}} {
+	for _, cell := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 256}} {
 		name := fmt.Sprintf("trace workers=%d batch=%d", cell.workers, cell.batch)
 		r.Configs++
 		dep, err := sys.Deploy(qap.DeployConfig{
@@ -309,8 +310,9 @@ func (r *Report) checkTrace(sys *qap.System, best core.Set, traceCfg netgen.Conf
 // drifted variant of the workload trace: the original trace as phase 1
 // (so the statistics measured above are exactly the pre-drift regime)
 // followed by a phase with the source/destination pools swapped and
-// the rate trebled. Two invariants are swept across engines (workers
-// {1,4} x batch {1,256}):
+// the rate trebled. Two invariants are swept across the scalar oracle
+// and production on both engines (workers x batch {1,1}, {1,256},
+// {4,256}):
 //
 //   - The trigger decision — whether it fires at all, the window, the
 //     measured rate, and the refreshed set — is bit-identical in every
@@ -337,7 +339,7 @@ func (r *Report) checkRepartition(sys *qap.System, measured *qap.StaticStats, an
 	}
 
 	var ref *qap.AdaptiveResult
-	for _, cell := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 1}, {4, 256}} {
+	for _, cell := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 256}} {
 		name := fmt.Sprintf("repartition workers=%d batch=%d", cell.workers, cell.batch)
 		r.Configs++
 		ares, err := sys.RunAdaptive(qap.AdaptiveConfig{
@@ -429,8 +431,8 @@ func (r *Report) checkBatched(opts Options, want string, run func(qap.DeployConf
 	}
 	for _, bs := range opts.BatchSizes {
 		for _, workers := range opts.Workers {
-			if bs == 1 && workers == 1 {
-				continue // the scalar reference itself
+			if bs == 1 {
+				continue // the scalar reference itself, at any worker count
 			}
 			name := fmt.Sprintf("hosts=%d set=best workers=%d batch=%d", hosts, workers, bs)
 			r.Configs++
@@ -566,7 +568,7 @@ func (r *Report) checkLive(opts Options, sys *qap.System, want string, best core
 		}
 	}
 	for _, hosts := range opts.Hosts {
-		for _, batch := range []int{1, 256} {
+		for _, batch := range []int{7, 256} {
 			ref, err := run(hosts, 1, batch, qap.LiveOptions{}, qap.EngineSim)
 			if err != nil {
 				r.Configs++

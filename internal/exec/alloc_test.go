@@ -19,15 +19,15 @@ const (
 	allocBudgetKey = 4
 	// AppendKey into a warmed buffer is allocation-free.
 	allocBudgetAppendKeySteady = 0
-	// FilterProject.PushBatch per input tuple: the whole batch shares
-	// one projection backing array, so the per-tuple share of a
-	// 64-tuple batch stays far below one.
-	allocBudgetFilterProjectPerTuple = 0.1
-	// Aggregate's batched path per input tuple in the steady state
-	// (every group already exists): the key encodes into a reused
-	// buffer and the map is probed without materializing a string, so
-	// per-tuple allocations round to zero.
-	allocBudgetAggregatePerTupleSteady = 0.02
+	// FilterProject.Push per input tuple: projected rows carve from a
+	// slab of slabChunk rows, so a projection allocates once per chunk,
+	// not per row (the per-row allocation it had cost 1).
+	allocBudgetFilterProjectPerTuple = 1.0 / 64
+	// Aggregate.Push per input tuple in the steady state (every group
+	// already exists): group values and the key encode into reused
+	// scratch and the map is probed without materializing a string. It
+	// allocated the values and the key string per tuple before.
+	allocBudgetAggregatePerTupleSteady = 0.0
 	// A join watermark that expires nothing compares the boundary with
 	// each side's oldest pane and touches no entry.
 	allocBudgetJoinAdvanceNoExpiry = 0
@@ -92,9 +92,13 @@ func TestAllocsFilterProjectBatch(t *testing.T) {
 	for i := range b {
 		b[i] = Tuple{u(uint64(i)), u(0xABCD), u(uint64(5 + i))} // ~90% pass the filter
 	}
-	perBatch := testing.AllocsPerRun(100, func() { op.PushBatch(b) })
+	perBatch := testing.AllocsPerRun(100, func() {
+		for _, t := range b {
+			op.Push(t)
+		}
+	})
 	if perTuple := perBatch / n; perTuple > allocBudgetFilterProjectPerTuple {
-		t.Errorf("FilterProject.PushBatch: %.3f allocs/tuple (%.1f per %d-tuple batch), budget %.3f",
+		t.Errorf("FilterProject.Push: %.4f allocs/tuple (%.2f per %d tuples), budget %.4f",
 			perTuple, perBatch, n, allocBudgetFilterProjectPerTuple)
 	}
 }
@@ -108,10 +112,15 @@ func TestAllocsAggregateBatchSteadyState(t *testing.T) {
 	for i := range b {
 		b[i] = Tuple{u(uint64(i % 50)), u(uint64(i % 16)), u(2), u(100)}
 	}
-	agg.PushBatch(b) // create every group up front
-	perBatch := testing.AllocsPerRun(100, func() { agg.PushBatch(b) })
+	push := func() {
+		for _, t := range b {
+			agg.Push(t)
+		}
+	}
+	push() // create every group up front
+	perBatch := testing.AllocsPerRun(100, push)
 	if perTuple := perBatch / n; perTuple > allocBudgetAggregatePerTupleSteady {
-		t.Errorf("Aggregate.PushBatch steady state: %.4f allocs/tuple (%.1f per %d-tuple batch), budget %.4f",
+		t.Errorf("Aggregate.Push steady state: %.4f allocs/tuple (%.1f per %d tuples), budget %.4f",
 			perTuple, perBatch, n, allocBudgetAggregatePerTupleSteady)
 	}
 	if agg.GroupCount() != 16 {
@@ -232,7 +241,6 @@ func TestAllocsJoinBuildProbe(t *testing.T) {
 type countCols struct{ colRows, rowRows int }
 
 func (c *countCols) Push(Tuple)            { c.rowRows++ }
-func (c *countCols) PushBatch(b Batch)     { c.rowRows += len(b) }
 func (c *countCols) PushCols(cb *ColBatch) { c.colRows += cb.Len }
 func (c *countCols) Advance(uint64)        {}
 func (c *countCols) Flush()                {}

@@ -2,47 +2,23 @@ package exec
 
 import "sync"
 
-// Batch-at-a-time execution (the vectorized hot path).
+// A Batch is a run of row tuples bound for one consumer. Rows have one
+// port, Push: PushAll delivers a run through it in order, so a run is
+// observationally a sequence of pushes. Operators that take runs in
+// bulk do it on columns (ColConsumer); a row is the oracle's currency
+// and every other path's fallback.
 //
-// A Batch is a run of tuples delivered to one consumer in one call.
-// Batching does not change operator semantics: PushBatch(b) must be
-// observationally equivalent to pushing b's tuples one at a time, in
-// order. What it changes is the constant factor — operators that
-// implement BatchConsumer amortize per-tuple costs (group-key
-// encoding buffers, map probes, output allocations) across the batch.
-//
-// The batch CONTAINER (the []Tuple slice) is owned by the producer and
-// is invalid after PushBatch returns: consumers must not retain or
-// mutate the slice itself. The tuples INSIDE the batch follow the
-// normal Tuple contract — immutable once pushed, retainable forever —
-// so stateful operators (joins, windows, collectors) may keep
-// references to them. This split is what lets producers recycle
+// The batch CONTAINER (the []Tuple slice) is owned by whoever filled it;
+// a consumer must not retain or mutate the slice itself. The tuples
+// INSIDE it follow the normal Tuple contract — immutable once pushed,
+// retainable forever — so stateful operators (joins, windows, collectors)
+// may keep references to them. This split is what lets producers recycle
 // containers through a pool while tuple backing memory stays safely
 // garbage-collected.
-
-// Batch is a run of tuples bound for one consumer.
 type Batch []Tuple
 
-// BatchConsumer is implemented by consumers with a vectorized fast
-// path. PushBatch(b) must behave exactly like Push(b[0]) ... Push(b[n-1]);
-// the consumer must not retain or mutate the slice b itself (the
-// tuples inside it are retainable as usual).
-type BatchConsumer interface {
-	Consumer
-	PushBatch(b Batch)
-}
-
-// PushAll delivers a batch through the consumer's fast path when it
-// has one, and tuple-at-a-time otherwise. Either way the consumer
-// observes the tuples in batch order.
+// PushAll pushes a batch's tuples into c one at a time, in batch order.
 func PushAll(c Consumer, b Batch) {
-	if len(b) == 0 {
-		return
-	}
-	if bc, ok := c.(BatchConsumer); ok {
-		bc.PushBatch(b)
-		return
-	}
 	for _, t := range b {
 		c.Push(t)
 	}
@@ -70,19 +46,4 @@ func PutBatch(b Batch) {
 	}
 	b = b[:0]
 	batchPool.Put(&b)
-}
-
-// PushBatch implements BatchConsumer.
-func (Discard) PushBatch(Batch) {}
-
-// PushBatch implements BatchConsumer.
-func (c *Collector) PushBatch(b Batch) { c.Rows = append(c.Rows, b...) }
-
-// PushBatch implements BatchConsumer: every output observes the whole
-// batch, in Outs order, matching the scalar Tee's per-tuple fanout
-// order per consumer.
-func (t *Tee) PushBatch(b Batch) {
-	for _, o := range t.Outs {
-		PushAll(o, b)
-	}
 }

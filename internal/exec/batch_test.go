@@ -1,15 +1,8 @@
 package exec
 
-import (
-	"fmt"
-	"math/rand" //qap:allow walltime -- test generator is explicitly seeded
-	"testing"
+import "testing"
 
-	"qap/internal/gsql"
-)
-
-// scalarSink is a Consumer that is deliberately NOT a BatchConsumer,
-// so PushAll must fall back to the per-tuple loop.
+// scalarSink records the tuples pushed into it.
 type scalarSink struct {
 	rows []Tuple
 }
@@ -30,20 +23,11 @@ func TestPushAllScalarFallback(t *testing.T) {
 			t.Errorf("row %d = %v, want (%d)", i, r, i+1)
 		}
 	}
-	// Empty batches are a no-op on either path.
+	// Empty batches push nothing.
 	PushAll(s, nil)
 	PushAll(&Collector{}, Batch{})
 	if len(s.rows) != 3 {
 		t.Errorf("empty batch added rows")
-	}
-}
-
-func TestPushAllBatchFastPath(t *testing.T) {
-	c := &Collector{}
-	b := Batch{Tuple{u(7)}, Tuple{u(8)}}
-	PushAll(c, b)
-	if len(c.Rows) != 2 || !c.Rows[1][0].Equal(u(8)) {
-		t.Fatalf("rows = %v", c.Rows)
 	}
 }
 
@@ -61,179 +45,4 @@ func TestBatchPoolRoundTrip(t *testing.T) {
 	PutBatch(nil)     // zero-cap batches are dropped, not pooled
 	PutBatch(Batch{}) // likewise
 	PutBatch(got)
-}
-
-// chunked delivers tuples to c in batches of size bs (the tail batch
-// may be ragged), mimicking how the cluster driver chunks a round.
-func chunked(c Consumer, tuples []Tuple, bs int) {
-	for off := 0; off < len(tuples); off += bs {
-		end := off + bs
-		if end > len(tuples) {
-			end = len(tuples)
-		}
-		PushAll(c, Batch(tuples[off:end]))
-	}
-}
-
-// sameRows asserts two emission sequences are identical — order,
-// arity, and values.
-func sameRows(t *testing.T, name string, scalar, batched []Tuple) {
-	t.Helper()
-	if len(scalar) != len(batched) {
-		t.Fatalf("%s: scalar emitted %d rows, batched %d", name, len(scalar), len(batched))
-	}
-	for i := range scalar {
-		if fmt.Sprint(scalar[i]) != fmt.Sprint(batched[i]) {
-			t.Fatalf("%s: row %d differs:\n  scalar:  %v\n  batched: %v",
-				name, i, scalar[i], batched[i])
-		}
-	}
-}
-
-// genPackets produces a deterministic pseudo-random (time, srcIP,
-// destIP, len) stream spanning several epochs, time-sorted.
-func genPackets(n int) []Tuple {
-	r := rand.New(rand.NewSource(42))
-	tuples := make([]Tuple, n)
-	tm := uint64(0)
-	for i := range tuples {
-		tm += uint64(r.Intn(3))
-		tuples[i] = Tuple{u(tm), u(uint64(r.Intn(9))), u(uint64(r.Intn(5))), u(uint64(20 + r.Intn(200)))}
-	}
-	return tuples
-}
-
-func TestFilterProjectBatchMatchesScalar(t *testing.T) {
-	r := res("time", "srcIP", "destIP", "len")
-	build := func(out Consumer) *FilterProject {
-		return &FilterProject{
-			Filter: MustCompile(gsql.MustParseExpr("len > 100"), r, nil),
-			Projs: []EvalFunc{
-				MustCompile(gsql.MustParseExpr("time / 60"), r, nil),
-				MustCompile(gsql.MustParseExpr("srcIP"), r, nil),
-			},
-			Out: out,
-		}
-	}
-	tuples := genPackets(500)
-	for _, bs := range []int{1, 7, 64, 1024} {
-		scalarOut, batchedOut := &Collector{}, &Collector{}
-		scalar, batched := build(scalarOut), build(batchedOut)
-		for _, tp := range tuples {
-			scalar.Push(tp)
-		}
-		chunked(batched, tuples, bs)
-		sameRows(t, fmt.Sprintf("FilterProject bs=%d", bs), scalarOut.Rows, batchedOut.Rows)
-	}
-	// Pass-through (no projection) and all-filtered batches.
-	passScalar, passBatched := &Collector{}, &Collector{}
-	sp := &FilterProject{Out: passScalar}
-	bp := &FilterProject{Out: passBatched}
-	for _, tp := range tuples {
-		sp.Push(tp)
-	}
-	chunked(bp, tuples, 16)
-	sameRows(t, "FilterProject passthrough", passScalar.Rows, passBatched.Rows)
-
-	none := &Collector{}
-	nf := &FilterProject{Filter: MustCompile(gsql.MustParseExpr("len < 0"), r, nil), Out: none}
-	chunked(nf, tuples, 16)
-	if len(none.Rows) != 0 {
-		t.Errorf("all-filtered batch emitted %d rows", len(none.Rows))
-	}
-}
-
-// runAgg drives one aggregate over the tuple stream with watermarks
-// every epoch, either scalar or chunked, and returns its emissions.
-func runAgg(tuples []Tuple, bs int) []Tuple {
-	sink := &Collector{}
-	agg := buildFlowsAgg(sink)
-	lastWM := uint64(0)
-	flushPending := func(upTo uint64) {
-		for wm := lastWM + 60; wm <= upTo; wm += 60 {
-			agg.Advance(wm)
-			lastWM = wm
-		}
-	}
-	if bs <= 1 {
-		for _, tp := range tuples {
-			tm, _ := tp[0].AsUint()
-			flushPending(tm)
-			agg.Push(tp)
-		}
-	} else {
-		// Batch tuples between watermark boundaries, as the cluster
-		// driver batches rounds between advances.
-		pending := Batch{}
-		for _, tp := range tuples {
-			tm, _ := tp[0].AsUint()
-			if tm >= lastWM+60 {
-				chunked(agg, pending, bs)
-				pending = pending[:0]
-				flushPending(tm)
-			}
-			pending = append(pending, tp)
-		}
-		chunked(agg, pending, bs)
-	}
-	agg.Flush()
-	return sink.Rows
-}
-
-func TestAggregateBatchMatchesScalar(t *testing.T) {
-	tuples := genPackets(2000)
-	want := runAgg(tuples, 1)
-	if len(want) == 0 {
-		t.Fatal("scalar run emitted nothing; bad workload")
-	}
-	for _, bs := range []int{2, 7, 64, 1024} {
-		sameRows(t, fmt.Sprintf("Aggregate bs=%d", bs), want, runAgg(tuples, bs))
-	}
-}
-
-// runJoin drives the flow_pairs self-join over per-epoch (tb, srcIP,
-// cnt) rows with watermarks between epochs, and returns its emissions.
-func runJoin(jt gsql.JoinType, rows []Tuple, bs int) []Tuple {
-	sink := &Collector{}
-	j := buildPairsJoin(jt, sink)
-	lastTB := uint64(0)
-	for _, tp := range rows {
-		tb, _ := tp[0].AsUint()
-		if tb > lastTB {
-			j.LeftIn().Advance(tb * 60)
-			j.RightIn().Advance(tb * 60)
-			lastTB = tb
-		}
-		if bs <= 1 {
-			j.LeftIn().Push(tp)
-			j.RightIn().Push(tp)
-		} else {
-			PushAll(j.LeftIn(), Batch{tp})
-			PushAll(j.RightIn(), Batch{tp})
-		}
-	}
-	j.LeftIn().Flush()
-	j.RightIn().Flush()
-	return sink.Rows
-}
-
-func TestJoinBatchMatchesScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var rows []Tuple
-	for tb := uint64(0); tb < 6; tb++ {
-		for src := uint64(0); src < 8; src++ {
-			if r.Intn(3) == 0 {
-				continue // ragged epochs: some flows skip epochs
-			}
-			rows = append(rows, Tuple{u(tb), u(src), u(uint64(1 + r.Intn(50)))})
-		}
-	}
-	for _, jt := range []gsql.JoinType{gsql.JoinInner, gsql.JoinLeftOuter, gsql.JoinFullOuter} {
-		want := runJoin(jt, rows, 1)
-		got := runJoin(jt, rows, 8)
-		sameRows(t, fmt.Sprintf("Join type=%v", jt), want, got)
-		if jt == gsql.JoinInner && len(want) == 0 {
-			t.Fatal("inner join emitted nothing; bad workload")
-		}
-	}
 }

@@ -1,10 +1,10 @@
 package exec
 
-// Columnar fast paths for the batched operators. Every PushCols here
-// is observably identical to PushBatch over the pivoted rows — same
-// downstream batches in the same order, same Late counts, same
-// emission bytes — so engines can hand any operator a ColBatch and
-// fall back to the row path whenever a kernel does not apply.
+// Columnar fast paths for the operators. Every PushCols here is
+// observably identical to pushing the pivoted rows one at a time — same
+// downstream rows in the same order, same Late counts, same emission
+// bytes — so engines can hand any operator a ColBatch and fall back to
+// the row path whenever a kernel does not apply.
 
 import (
 	"math"
@@ -13,11 +13,11 @@ import (
 	"qap/internal/sqlval"
 )
 
-// pushColsRows is the shared fallback: pivot to durable rows and run
-// the scalar batched path.
-func pushColsRows(c BatchConsumer, cb *ColBatch) {
+// pushColsRows is the shared fallback: pivot to durable rows and push
+// them one at a time.
+func pushColsRows(c Consumer, cb *ColBatch) {
 	b := cb.AppendRows(GetBatch())
-	c.PushBatch(b)
+	PushAll(c, b)
 	PutBatch(b)
 }
 
@@ -737,7 +737,7 @@ func (o *Aggregate) denseResult(j int, g int32) sqlval.Value {
 // denseMigrate converts every dense group into an ordinary map-owned
 // groupState (restoring accumulator state field-for-field) so the row
 // path can take over. Called before any row-path lookup; rare, so it
-// allocates its own scratch rather than clobbering pushFast's.
+// allocates its own scratch rather than clobbering Push's.
 func (o *Aggregate) denseMigrate() {
 	nk := len(o.cfg.GroupBy)
 	vals := make(Tuple, nk)
@@ -1114,7 +1114,7 @@ func (s *JoinSideConfig) colKeysReady() bool {
 // matches downstream as one column batch — or leaves them in outBuf as
 // rows, when a kernel is missing or refuses. Any other batch migrates
 // the join to the row layout, which pivots to durable rows and runs
-// the per-tuple build/probe into one row batch.
+// the per-tuple build/probe.
 //
 //qap:hot
 func (p *joinPort) PushCols(cb *ColBatch) {
@@ -1129,7 +1129,10 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 		}
 		j.migrate()
 	}
-	pushColsRows(p, cb)
+	b := cb.AppendRows(GetBatch())
+	j.pushRows(b, p.left)
+	j.deliver()
+	PutBatch(b)
 }
 
 // pushWords is the word layout's build/probe over a whole batch: the

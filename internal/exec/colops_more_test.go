@@ -73,7 +73,7 @@ func TestColGroupTableGrows(t *testing.T) {
 		t.Fatal("SetFromRows failed")
 	}
 	aggC.PushCols(&cb)
-	aggS.PushBatch(rows)
+	PushAll(aggS, rows)
 	if aggC.denseN != 0 {
 		t.Fatal("VARIANCE must not be dense-eligible")
 	}
@@ -102,7 +102,7 @@ func TestDenseDeliverHaving(t *testing.T) {
 	}
 	var outS Collector
 	aggS := buildColAgg(t, &outS, aggs, colArgs, func(cfg *AggregateConfig) { cfg.Having = having.Row })
-	aggS.PushBatch(rows)
+	PushAll(aggS, rows)
 	aggS.Flush()
 	if len(outS.Rows) == 0 || len(outS.Rows) == aggS.hiGroups {
 		t.Fatalf("Having kept %d of %d groups; pick a predicate that splits them", len(outS.Rows), aggS.hiGroups)
@@ -147,7 +147,7 @@ func TestDenseDeliverPost(t *testing.T) {
 		t.Fatal("SetFromRows failed")
 	}
 	aggC.PushCols(&cb)
-	aggS.PushBatch(rows)
+	PushAll(aggS, rows)
 	if aggC.denseN == 0 {
 		t.Fatal("dense store did not engage")
 	}
@@ -177,7 +177,7 @@ func TestDenseDeliverNegativeSum(t *testing.T) {
 		t.Fatal("SetFromRows failed")
 	}
 	aggC.PushCols(&cb)
-	aggS.PushBatch(rows)
+	PushAll(aggS, rows)
 	if aggC.denseN == 0 {
 		t.Fatal("dense store did not engage")
 	}

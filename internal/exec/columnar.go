@@ -360,7 +360,7 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 
 // ColConsumer is implemented by consumers that accept columnar
 // batches natively. PushCols(cb) must be observably identical to
-// PushBatch of the pivoted rows: same downstream effects, same
+// pushing the pivoted rows one at a time: same downstream effects, same
 // counters, same output bytes. The batch and everything it references
 // are owned by the producer, valid only during the call and read-only:
 // a Tee hands the same batch to each of its consumers in turn. A
@@ -373,8 +373,7 @@ type ColConsumer interface {
 
 // PushColsAll delivers a columnar batch to any consumer: natively
 // when it implements ColConsumer, otherwise by pivoting to durable
-// rows and falling back to PushAll. Empty batches are dropped, like
-// PushAll.
+// rows and pushing them. Empty batches are dropped.
 //
 //qap:hot
 func PushColsAll(c Consumer, cb *ColBatch) {
@@ -385,9 +384,7 @@ func PushColsAll(c Consumer, cb *ColBatch) {
 		cc.PushCols(cb)
 		return
 	}
-	b := cb.AppendRows(GetBatch())
-	PushAll(c, b)
-	PutBatch(b)
+	pushColsRows(c, cb)
 }
 
 // growUints returns buf with length n, reusing capacity when it can.
@@ -414,7 +411,8 @@ func (c *Collector) PushCols(cb *ColBatch) {
 // that takes columns — every operator's column path is gated on
 // exactly that predicate, so none of them pivots it back. Consumers
 // that need rows, which for any other batch is all of them, share one
-// pivot to durable rows, mirroring the scalar PushBatch sharing.
+// pivot to durable rows and take them whole, one consumer after the
+// other.
 //
 //qap:hot
 func (t *Tee) PushCols(cb *ColBatch) {

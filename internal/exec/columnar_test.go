@@ -344,7 +344,7 @@ func runAggBoth(t *testing.T, rows Batch, batch int) (scalar, columnar Batch, la
 			end = len(rows)
 		}
 		chunk := rows[off:end]
-		aggS.PushBatch(chunk)
+		PushAll(aggS, chunk)
 		if !cb.SetFromRows(chunk) {
 			t.Fatal("SetFromRows failed")
 		}
@@ -369,7 +369,7 @@ func mustFactory(t *testing.T, name string) AccumFactory {
 	return f
 }
 
-func TestAggregatePushColsMatchesPushBatch(t *testing.T) {
+func TestAggregatePushColsMatchesPush(t *testing.T) {
 	rows := colTestRows(500)
 	// Shuffle some rows backwards in time so the late path fires.
 	rows[490], rows[10] = rows[10], rows[490]
@@ -401,7 +401,7 @@ func diffBatches(t *testing.T, label string, a, b Batch) {
 }
 
 // TestAggregateColumnarScalarInterleave drives the SAME aggregate with
-// alternating PushBatch and PushCols and checks it against a pure
+// alternating Push and PushCols and checks it against a pure
 // row-path oracle: the slot cache must stay coherent with groups the
 // row path creates and with epoch drains in between.
 func TestAggregateColumnarScalarInterleave(t *testing.T) {
@@ -434,9 +434,9 @@ func TestAggregateColumnarScalarInterleave(t *testing.T) {
 			}
 			mix.PushCols(&cb)
 		} else {
-			mix.PushBatch(chunk)
+			PushAll(mix, chunk)
 		}
-		oracle.PushBatch(chunk)
+		PushAll(oracle, chunk)
 		mix.Advance(uint64(off))
 		oracle.Advance(uint64(off))
 	}
@@ -445,7 +445,7 @@ func TestAggregateColumnarScalarInterleave(t *testing.T) {
 	diffBatches(t, "interleave", outRow.Rows, outMix.Rows)
 }
 
-func TestFilterProjectPushColsMatchesPushBatch(t *testing.T) {
+func TestFilterProjectPushColsMatchesPush(t *testing.T) {
 	rows := colTestRows(300)
 	cases := []struct {
 		name   string
@@ -486,7 +486,7 @@ func TestFilterProjectPushColsMatchesPushBatch(t *testing.T) {
 			if end > len(rows) {
 				end = len(rows)
 			}
-			fpS.PushBatch(rows[off:end])
+			PushAll(fpS, rows[off:end])
 			if !cb.SetFromRows(rows[off:end]) {
 				t.Fatal("SetFromRows failed")
 			}
@@ -496,7 +496,7 @@ func TestFilterProjectPushColsMatchesPushBatch(t *testing.T) {
 	}
 }
 
-func TestJoinPushColsMatchesPushBatch(t *testing.T) {
+func TestJoinPushColsMatchesPush(t *testing.T) {
 	r := ColsResolver("", []string{"time", "srcIP", "destIP", "flags", "len"})
 	jr := ColsResolver("", []string{"lt", "ls", "ld", "lf", "ll", "rt", "rs", "rd", "rf", "rl"})
 	left := colTestRows(200)
@@ -536,8 +536,8 @@ func TestJoinPushColsMatchesPushBatch(t *testing.T) {
 	jC := mk(&outC, true)
 	var cbL, cbR ColBatch
 	for off := 0; off < len(left); off += 50 {
-		jS.LeftIn().(*joinPort).PushBatch(left[off : off+50])
-		jS.RightIn().(*joinPort).PushBatch(right[off : off+50])
+		PushAll(jS.LeftIn(), left[off:off+50])
+		PushAll(jS.RightIn(), right[off:off+50])
 		if !cbL.SetFromRows(left[off:off+50]) || !cbR.SetFromRows(right[off:off+50]) {
 			t.Fatal("SetFromRows failed")
 		}
@@ -581,11 +581,11 @@ func TestPushColsAllPivots(t *testing.T) {
 type teeOut struct {
 	Discard
 	cols []*ColBatch
-	rows []Batch
+	rows Batch
 }
 
 func (o *teeOut) PushCols(cb *ColBatch) { o.cols = append(o.cols, cb) }
-func (o *teeOut) PushBatch(b Batch)     { o.rows = append(o.rows, append(Batch(nil), b...)) }
+func (o *teeOut) Push(t Tuple)          { o.rows = append(o.rows, t) }
 
 type rowOut struct{ *teeOut }
 
@@ -603,10 +603,10 @@ func TestTeeForwardsUintColumns(t *testing.T) {
 	sameRows := func(when string, outs ...*teeOut) {
 		t.Helper()
 		for _, o := range outs {
-			if len(o.cols) != 0 || len(o.rows) != 1 || len(o.rows[0]) != 2 {
-				t.Fatalf("%s: an out saw %d column and %d row deliveries, want one batch of 2 rows", when, len(o.cols), len(o.rows))
+			if len(o.cols) != 0 || len(o.rows) != 2 {
+				t.Fatalf("%s: an out saw %d column deliveries and %d rows, want the 2 rows", when, len(o.cols), len(o.rows))
 			}
-			if &o.rows[0][0][0] != &outs[0].rows[0][0][0] {
+			if &o.rows[0][0] != &outs[0].rows[0][0] {
 				t.Fatalf("%s: outs received different backing rows: the batch was pivoted twice", when)
 			}
 		}
@@ -617,7 +617,7 @@ func TestTeeForwardsUintColumns(t *testing.T) {
 	tee.PushCols(&uints)
 	for i, o := range []*teeOut{a, b, c} {
 		if len(o.rows) != 0 || len(o.cols) != 1 || o.cols[0] != &uints {
-			t.Fatalf("all-uint batch: out %d saw %d row deliveries and columns %v, want the batch itself once", i, len(o.rows), o.cols)
+			t.Fatalf("all-uint batch: out %d saw %d rows and columns %v, want the batch itself once", i, len(o.rows), o.cols)
 		}
 	}
 	*a, *b, *c = teeOut{}, teeOut{}, teeOut{}
@@ -628,7 +628,7 @@ func TestTeeForwardsUintColumns(t *testing.T) {
 	*a, *b, *c = teeOut{}, teeOut{}, teeOut{}
 	(&Tee{Outs: []Consumer{rowOut{a}, b, rowOut{c}}}).PushCols(&uints)
 	if len(b.cols) != 1 || len(b.rows) != 0 {
-		t.Fatalf("the column out beside row-only outs saw %d column and %d row deliveries", len(b.cols), len(b.rows))
+		t.Fatalf("the column out beside row-only outs saw %d column deliveries and %d rows", len(b.cols), len(b.rows))
 	}
 	sameRows("row-only outs", a, c)
 

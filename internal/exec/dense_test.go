@@ -109,17 +109,17 @@ func TestWordTable(t *testing.T) {
 
 // recSink records what an operator delivers: the rows, the size of
 // every downstream call, whichever form it took, and the column kinds
-// of every call that came as columns.
+// of, and the rows in, the calls that came as columns.
 type recSink struct {
-	rows  Batch
-	calls []int
-	kinds [][]sqlval.Kind
+	rows    Batch
+	calls   []int
+	kinds   [][]sqlval.Kind
+	colRows int
 }
 
-func (s *recSink) Push(t Tuple)      { s.rows, s.calls = append(s.rows, t), append(s.calls, 1) }
-func (s *recSink) PushBatch(b Batch) { s.rows, s.calls = append(s.rows, b...), append(s.calls, len(b)) }
+func (s *recSink) Push(t Tuple) { s.rows, s.calls = append(s.rows, t), append(s.calls, 1) }
 func (s *recSink) PushCols(cb *ColBatch) {
-	s.rows, s.calls = cb.AppendRows(s.rows), append(s.calls, cb.Len)
+	s.rows, s.calls, s.colRows = cb.AppendRows(s.rows), append(s.calls, cb.Len), s.colRows+cb.Len
 	kinds := make([]sqlval.Kind, len(cb.Cols))
 	for c := range cb.Cols {
 		kinds[c] = cb.Cols[c].Kind
@@ -347,17 +347,17 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 				}
 				if migrate && e == migrateAt && off == len(rows) && kern.denseN > 0 {
 					// A row-path push mid-epoch: both dense stores migrate.
-					kern.PushBatch(chunk)
-					rowsOnly.PushBatch(chunk)
+					PushAll(kern, chunk)
+					PushAll(rowsOnly, chunk)
 					if kern.denseN != 0 || len(kern.groups) == 0 {
-						t.Fatalf("case %d: PushBatch did not migrate the dense store", c)
+						t.Fatalf("case %d: Push did not migrate the dense store", c)
 					}
 					migrated++
 				} else {
 					kern.PushCols(&cb)
 					rowsOnly.PushCols(&cb)
 				}
-				oracle.PushBatch(chunk)
+				PushAll(oracle, chunk)
 			}
 			wasDense, before, nf := kern.denseN > 0, kern.kernelEmits, len(flushes[0])
 			for _, a := range aggs {
@@ -436,16 +436,16 @@ func TestAggregateMapMadeOnFirstRowInsert(t *testing.T) {
 	if agg.groups != nil {
 		t.Fatal("a dense-only aggregate made its groups map")
 	}
-	agg.PushBatch(rows[40:])
+	PushAll(agg, rows[40:])
 	if agg.groups == nil || agg.denseN != 0 {
 		t.Fatal("the row path did not take the groups over")
 	}
 	agg.Flush()
 	var ref recSink
 	oracle := denseTestAgg(t, &ref, "", nil, false, nil)
-	oracle.PushBatch(rows)
+	PushAll(oracle, rows)
 	oracle.Advance(16)
-	oracle.PushBatch(rows[40:])
+	PushAll(oracle, rows[40:])
 	oracle.Flush()
 	diffBatches(t, "lazy map", ref.rows, out.rows)
 }
@@ -537,14 +537,14 @@ func TestDenseMinMaxAvgMatchesRowOracle(t *testing.T) {
 					if migrating.denseN == 0 {
 						t.Fatalf("%s: nothing dense to migrate", c.name)
 					}
-					migrating.PushBatch(chunk)
+					PushAll(migrating, chunk)
 					if migrating.denseN != 0 {
 						t.Fatalf("%s: a row push left the dense store live", c.name)
 					}
 				} else {
 					migrating.PushCols(&cb)
 				}
-				oracle.PushBatch(chunk)
+				PushAll(oracle, chunk)
 			}
 			if dense.denseN == 0 {
 				t.Fatalf("%s: MIN/MAX/AVG/COUNT did not engage the dense store", c.name)

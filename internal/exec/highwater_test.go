@@ -18,7 +18,7 @@ func TestGroupHighWater(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		rows = append(rows, Tuple{u(0), u(uint64(i)), u(0), u(0), u(1)})
 	}
-	agg.PushBatch(rows)
+	PushAll(agg, rows)
 	if hw := agg.GroupHighWater(); hw != 8 {
 		t.Fatalf("high water = %d, want 8", hw)
 	}
@@ -36,7 +36,7 @@ func TestGroupHighWater(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		rows = append(rows, Tuple{u(16), u(uint64(i)), u(0), u(0), u(1)})
 	}
-	agg.PushBatch(rows)
+	PushAll(agg, rows)
 	agg.Flush()
 	if hw := agg.GroupHighWater(); hw != 12 {
 		t.Fatalf("high water after flush = %d, want 12", hw)
@@ -66,10 +66,10 @@ func TestColRowInterleave(t *testing.T) {
 	if len(mix.colPending) == 0 {
 		t.Fatal("columnar push left no pending groups; interleave not exercised")
 	}
-	mix.PushBatch(second) // row path must sync pending groups first
+	PushAll(mix, second) // row path must sync pending groups first
 
-	ref.PushBatch(first)
-	ref.PushBatch(second)
+	PushAll(ref, first)
+	PushAll(ref, second)
 
 	ref.Flush()
 	mix.Flush()

@@ -27,11 +27,9 @@ type FilterProject struct {
 	wmSeen  bool
 	flushed bool
 
-	// Batched-path scratch, reused across PushBatch calls. Containers
-	// only — output tuple backing arrays are allocated per batch since
-	// downstream operators may retain the tuples.
-	filtBuf Batch
-	outBuf  Batch
+	// outVals is the chunked slab row-path projections carve their
+	// output rows from (project); the rows keep it for good.
+	outVals []sqlval.Value
 
 	// Columnar-path scratch (colops.go): the filter-compacted input
 	// columns and the projected output batch, reused across PushCols
@@ -41,6 +39,8 @@ type FilterProject struct {
 }
 
 // Push implements Consumer.
+//
+//qap:hot
 func (o *FilterProject) Push(t Tuple) {
 	if o.Filter != nil && !o.Filter(t).AsBool() {
 		return
@@ -49,49 +49,25 @@ func (o *FilterProject) Push(t Tuple) {
 		o.Out.Push(t)
 		return
 	}
-	out := make(Tuple, len(o.Projs))
-	for i, p := range o.Projs {
-		out[i] = p(t)
-	}
-	o.Out.Push(out)
+	o.Out.Push(project(&o.outVals, o.Projs, t))
 }
 
-// PushBatch implements BatchConsumer: the predicate runs over the
-// whole batch into a reused scratch run, then the projection
-// materializes every surviving row out of a single backing allocation
-// instead of one per tuple.
+// project evaluates projs over t into the chunked slab *vals and returns
+// the row it carved there. The rows keep the slab for good, so a row
+// costs an allocation per slabChunk rows, not one of its own.
 //
 //qap:hot
-func (o *FilterProject) PushBatch(b Batch) {
-	pass := b
-	if o.Filter != nil {
-		pass = o.filtBuf[:0]
-		for _, t := range b {
-			if o.Filter(t).AsBool() {
-				pass = append(pass, t)
-			}
-		}
-		o.filtBuf = pass
+func project(vals *[]sqlval.Value, projs []EvalFunc, t Tuple) Tuple {
+	s := *vals
+	if cap(s)-len(s) < len(projs) {
+		s = make([]sqlval.Value, 0, len(projs)*slabChunk) //qap:allow hotalloc -- slab refill, amortized over slabChunk rows
 	}
-	if len(pass) == 0 {
-		return
+	start := len(s)
+	for _, p := range projs {
+		s = append(s, p(t))
 	}
-	if o.Projs == nil {
-		PushAll(o.Out, pass)
-		return
-	}
-	np := len(o.Projs)
-	backing := make([]sqlval.Value, len(pass)*np) //qap:allow hotalloc -- deliberate: one backing per batch, retained by downstream consumers
-	out := o.outBuf[:0]
-	for i, t := range pass {
-		row := backing[i*np : (i+1)*np : (i+1)*np]
-		for k, p := range o.Projs {
-			row[k] = p(t)
-		}
-		out = append(out, Tuple(row))
-	}
-	o.outBuf = out
-	PushAll(o.Out, out)
+	*vals = s
+	return Tuple(s[start:len(s):len(s)])
 }
 
 // Advance implements Consumer.
@@ -178,10 +154,6 @@ type unionPort struct {
 }
 
 func (p *unionPort) Push(t Tuple) { p.u.Out.Push(t) }
-
-// PushBatch implements BatchConsumer: a union port forwards tuples
-// unchanged, so the batch passes straight through.
-func (p *unionPort) PushBatch(b Batch) { PushAll(p.u.Out, b) }
 
 func (p *unionPort) Advance(wm uint64) {
 	if p.wmSeen && wm <= p.wm {
@@ -299,7 +271,7 @@ type Aggregate struct {
 	wmSeen      bool
 	flushed     bool
 
-	// Batched-path scratch and slabs. valsBuf/keyBuf are reused per
+	// Row-path scratch and slabs. valsBuf/keyBuf are reused per
 	// tuple (the key encoding probes the map via string(keyBuf), which
 	// Go compiles without a copy); the slabs carve groupState structs,
 	// stored group values, and accumulator slots out of chunked arrays
@@ -404,57 +376,12 @@ func (o *Aggregate) register(key string, gs *groupState) {
 	o.groups[key] = gs
 }
 
-// Push implements Consumer.
+// Push implements Consumer: group values evaluate into reused scratch,
+// the key encodes into a reused buffer, and the map is probed without
+// materializing a key string unless the group is new.
+//
+//qap:hot
 func (o *Aggregate) Push(t Tuple) {
-	if o.cfg.PreFilter != nil && !o.cfg.PreFilter(t).AsBool() {
-		return
-	}
-	vals := make([]sqlval.Value, len(o.cfg.GroupBy))
-	for i, g := range o.cfg.GroupBy {
-		vals[i] = g(t)
-	}
-	if o.boundarySet && o.cfg.EpochIdx >= 0 &&
-		!vals[o.cfg.EpochIdx].IsNull() && vals[o.cfg.EpochIdx].Compare(o.boundary) < 0 {
-		o.Late++
-		return
-	}
-	key := Key(vals)
-	if o.denseN > 0 {
-		o.denseMigrate()
-	}
-	if len(o.colPending) > 0 {
-		o.colSyncPending()
-	}
-	gs, ok := o.groups[key]
-	if !ok {
-		gs = o.newGroup([]byte(key), vals)
-		o.register(key, gs)
-	}
-	for i, a := range o.cfg.Aggs {
-		if a.Arg == nil {
-			gs.accs[i].Add(sqlval.Uint(1))
-		} else {
-			gs.accs[i].Add(a.Arg(t))
-		}
-	}
-}
-
-// PushBatch implements BatchConsumer with the amortized per-tuple
-// path: group values evaluate into a reused scratch slice, the key
-// encodes into a reused byte buffer, and the map is probed once per
-// tuple without materializing a key string unless the group is new.
-//
-//qap:hot
-func (o *Aggregate) PushBatch(b Batch) {
-	for _, t := range b {
-		o.pushFast(t)
-	}
-}
-
-// pushFast is the amortized per-tuple aggregate path behind PushBatch.
-//
-//qap:hot
-func (o *Aggregate) pushFast(t Tuple) {
 	if o.cfg.PreFilter != nil && !o.cfg.PreFilter(t).AsBool() {
 		return
 	}
@@ -734,9 +661,9 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 // a row and one exact slab serves the epoch; with it the groups++aggs
 // row is judged in scratch first and only kept rows take slab space, a
 // chunk at a time, so a selective HAVING allocates for what it keeps
-// rather than for what retired. The whole run moves downstream through
-// the batched path, crossing island boundaries as one captured batch
-// item.
+// rather than for what retired. With ColEmit the run goes downstream as
+// one column batch when its rows pivot, and is pushed row by row
+// otherwise.
 //
 //qap:hot
 func (o *Aggregate) emitRows(n int, fill func(k int, row Tuple) Tuple) int {
@@ -1198,27 +1125,15 @@ type joinPort struct {
 	left bool
 }
 
-// Push emits the tuple's joined rows inline, one Out.Push each.
+// Push implements Consumer: the tuple's joined rows go downstream before
+// it returns.
 func (p *joinPort) Push(t Tuple) {
-	j := p.j
-	j.pushRows(Batch{t}, p.left)
-	for _, row := range j.outBuf {
-		j.cfg.Out.Push(row)
-	}
-	j.outBuf = j.outBuf[:0]
+	p.j.pushRows(Batch{t}, p.left)
+	p.j.deliver()
 }
 
 func (p *joinPort) Advance(wm uint64) { p.j.advance(wm) }
 func (p *joinPort) Flush()            { p.j.portFlush() }
-
-// PushBatch implements BatchConsumer: the batch's joined rows go
-// downstream as one batch.
-//
-//qap:hot
-func (p *joinPort) PushBatch(b Batch) {
-	p.j.pushRows(b, p.left)
-	p.j.deliver()
-}
 
 // pushRows stores a run of row tuples. A word-layout join pivots it
 // into its scratch column batch and takes the column path; rows that
@@ -1312,22 +1227,14 @@ func (j *Join) concat(l, r Tuple) Tuple {
 //
 //qap:hot
 func (j *Join) emit(comb Tuple) {
-	np := len(j.cfg.Projs)
-	if cap(j.outVals)-len(j.outVals) < np {
-		j.outVals = make([]sqlval.Value, 0, np*slabChunk) //qap:allow hotalloc -- slab refill, amortized over slabChunk rows
-	}
-	start := len(j.outVals)
-	for _, p := range j.cfg.Projs {
-		j.outVals = append(j.outVals, p(comb))
-	}
-	j.outBuf = append(j.outBuf, Tuple(j.outVals[start:len(j.outVals):len(j.outVals)]))
+	j.outBuf = append(j.outBuf, project(&j.outVals, j.cfg.Projs, comb))
 }
 
-// deliver hands the buffered rows downstream as one batch: everything
-// the row layout joins, every outer-join padding, and those input
-// batches of the word layout whose matches no kernel could carry
-// (emitPairs, colops.go). The rest of the word layout's output never
-// passes through here: it goes downstream as columns.
+// deliver pushes the buffered rows downstream: everything the row
+// layout joins, every outer-join padding, and those input batches of the
+// word layout whose matches no kernel could carry (emitPairs, colops.go).
+// The rest of the word layout's output never passes through here: it
+// goes downstream as columns.
 func (j *Join) deliver() {
 	PushAll(j.cfg.Out, j.outBuf)
 	j.outBuf = j.outBuf[:0]

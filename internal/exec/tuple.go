@@ -143,7 +143,9 @@ func (c *Collector) Advance(uint64) {}
 // Flush implements Consumer.
 func (c *Collector) Flush() { c.Flushed = true }
 
-// Tee duplicates its input to several consumers, preserving order.
+// Tee duplicates its input to several consumers, preserving order: a
+// pushed tuple reaches every consumer, in Outs order, before the next
+// one arrives; a column batch reaches each consumer whole (PushCols).
 type Tee struct {
 	Outs []Consumer
 }

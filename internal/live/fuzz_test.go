@@ -50,7 +50,7 @@ func hostileCountFrame(m wireMsg) []byte {
 
 func FuzzLinkCodec(f *testing.F) {
 	every := &LinkMsg{Seq: 3, Through: 7, Done: true, Items: []Item{
-		{Round: 0, Tag: 4, Kind: ItemPush, Edge: 2, WM: 16, MWM: 8, Tuple: protoTuple(sqlval.Uint(1), sqlval.Str("x"))},
+		{Round: 0, Tag: 4, Kind: ItemPushBatch, Edge: 2, WM: 16, MWM: 8, Batch: exec.Batch{protoTuple(sqlval.Uint(1), sqlval.Str("x"))}},
 		{Round: 0, Tag: 5, Kind: ItemPushBatch, Edge: 2, MWM: 8, Batch: protoBatch()},
 		{Round: 1, Tag: 0, Kind: ItemAdvance, Edge: 3, WM: 32, MWM: 16},
 		{Round: 1, Tag: 1, Kind: ItemFlush, Edge: 3, MWM: 32},

@@ -9,8 +9,9 @@ import (
 // ProtocolVersion is bumped on any wire-incompatible change; the
 // handshake rejects a peer speaking a different version. Version 2
 // tags every feed group as row or column encoded; version 3 adds the
-// column-batch link item.
-const ProtocolVersion = 3
+// column-batch link item; version 4 drops the single-row link item
+// (kind 0), so a run of rows always travels as one rows item.
+const ProtocolVersion = 4
 
 // Hello opens (or resumes) a session, splitter -> node.
 type Hello struct {
@@ -44,9 +45,9 @@ type Welcome struct {
 }
 
 // Group is one destination partition's routed tuples within a round,
-// as rows (Tuples) or as columns (Cols, when non-nil). A deployment at
-// batch size 1 ships runs of rows and every other one column groups;
-// the deployment fingerprint pins the batch size on both ends.
+// as columns (Cols), or on the wire's row kind as rows (Tuples). The
+// splitter only sends column groups, and an executor refuses any other;
+// the row kind carries the transport probe's feeds.
 type Group struct {
 	// Tag is the canonical delivery tag (the round-local sequence of
 	// the group's first tuple, in the splitter's push phase).
@@ -87,11 +88,11 @@ type FeedMsg struct {
 type ItemKind uint8
 
 // The item kinds: what the producer called on the island-crossing edge.
-// Columns are captured as columns; the scalar oracle's pushes, join
-// output and any row fallback as the rows they were.
+// Columns are captured as columns (ItemPushCols), a run of pushed rows —
+// a row fallback's output — as one rows item (ItemPushBatch). Kind 0,
+// protocol 3's single-row item, is no longer defined.
 const (
-	ItemPush ItemKind = iota
-	ItemPushBatch
+	ItemPushBatch ItemKind = iota + 1
 	ItemAdvance
 	ItemFlush
 	ItemPushCols
@@ -111,7 +112,6 @@ type Item struct {
 	// the replay closes monitoring windows where the sequential engine does.
 	WM    uint64
 	MWM   uint64
-	Tuple exec.Tuple
 	Batch exec.Batch
 	// Cols, on an ItemPushCols, is a pooled batch the item owns: whoever
 	// consumes the item — the replay applying it, the node that encoded
@@ -306,8 +306,6 @@ func (m *LinkMsg) wireSize() int {
 		it := &m.Items[i]
 		n += itemHeaderSize
 		switch it.Kind {
-		case ItemPush:
-			n += 4 + exec.BatchWireSize(exec.Batch{it.Tuple})
 		case ItemPushBatch:
 			n += 4 + exec.BatchWireSize(it.Batch)
 		case ItemPushCols:
@@ -336,8 +334,6 @@ func (m *LinkMsg) encode(dst []byte) []byte {
 		dst = appendU64(dst, it.WM)
 		dst = appendU64(dst, it.MWM)
 		switch it.Kind {
-		case ItemPush:
-			dst = appendBatchBlob(dst, exec.Batch{it.Tuple}) //qap:allow hotalloc -- the scalar oracle's one-tuple item; the literal stays on the stack
 		case ItemPushBatch:
 			dst = appendBatchBlob(dst, it.Batch)
 		case ItemPushCols:
@@ -690,15 +686,6 @@ func (m *LinkMsg) decode(data []byte) error {
 			return err
 		}
 		switch it.Kind {
-		case ItemPush:
-			b, err := d.batch("item tuple")
-			if err != nil {
-				return err
-			}
-			if len(b) != 1 {
-				return fmt.Errorf("live: push item carries %d tuples, ending at offset %d", len(b), d.off)
-			}
-			it.Tuple = b[0]
 		case ItemPushBatch:
 			it.Batch, err = d.batch("item batch")
 		case ItemPushCols:

@@ -134,7 +134,7 @@ func TestFeedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLinkRoundTrip exercises all five item kinds plus the negative
+// TestLinkRoundTrip exercises all four item kinds plus the negative
 // Through sentinel a node uses before its first completed round. A
 // column item decodes into a pooled batch equal to the one encoded — a
 // NULL bitmap and a string column included — which the message owns
@@ -145,7 +145,7 @@ func TestLinkRoundTrip(t *testing.T) {
 		Through: -1,
 		Done:    true,
 		Items: []Item{
-			{Round: 0, Tag: 4, Kind: ItemPush, Edge: 2, WM: 16, MWM: 8, Tuple: protoTuple(sqlval.Uint(1))},
+			{Round: 0, Tag: 4, Kind: ItemPushBatch, Edge: 2, WM: 16, MWM: 8, Batch: exec.Batch{protoTuple(sqlval.Uint(1))}},
 			{Round: 0, Tag: 5, Kind: ItemPushBatch, Edge: 2, WM: 16, MWM: 8, Batch: protoBatch()},
 			{Round: 0, Tag: 6, Kind: ItemPushCols, Edge: 1, WM: 16, MWM: 8, Cols: protoCols(t)},
 			{Round: 1, Tag: 0, Kind: ItemAdvance, Edge: 3, WM: 32, MWM: 16},
@@ -209,7 +209,7 @@ func TestDecodeTruncation(t *testing.T) {
 	welcome := (&Welcome{Version: ProtocolVersion, HasResult: true}).encode(nil)
 	feed := (&FeedMsg{Seq: 1, Rounds: []Round{{WM: 16, Groups: []Group{{Tuples: protoBatch()}, {Cols: protoCols(t)}}}}}).encode(nil)
 	link := (&LinkMsg{Seq: 2, Items: []Item{
-		{Kind: ItemPush, Tuple: protoTuple(sqlval.Uint(1))}, {Kind: ItemPushCols, Cols: protoCols(t)}, {Kind: ItemFlush},
+		{Kind: ItemPushBatch, Batch: exec.Batch{protoTuple(sqlval.Uint(1))}}, {Kind: ItemPushCols, Cols: protoCols(t)}, {Kind: ItemFlush},
 	}}).encode(nil)
 	cases := []struct {
 		name   string
@@ -251,16 +251,17 @@ func TestDecodeTruncation(t *testing.T) {
 	}
 }
 
-// TestDecodeLinkBadItems: the two malformed-item branches — an unknown
-// kind byte and a push item carrying other than one tuple.
+// TestDecodeLinkBadItems: an unknown kind byte is refused — kind 0 too,
+// protocol 3's single-row item, whose payload a protocol 4 peer never
+// sends.
 func TestDecodeLinkBadItems(t *testing.T) {
 	bad := (&LinkMsg{Items: []Item{{Kind: ItemKind(9)}}}).encode(nil)
 	if _, err := decodeLink(bad); err == nil || !strings.Contains(err.Error(), "unknown item kind") {
 		t.Fatalf("unknown kind not rejected (err %v)", err)
 	}
 
-	// A push item with two tuples cannot be produced by encode; build
-	// the frame by hand.
+	// A kind-0 item with its row cannot be produced by encode; build the
+	// frame by hand.
 	var dst []byte
 	dst = appendU64(dst, 1)                  // seq
 	dst = append(dst, 0)                     // flags
@@ -268,13 +269,13 @@ func TestDecodeLinkBadItems(t *testing.T) {
 	dst = appendU32(dst, 1)                  // item count
 	dst = appendU32(dst, 0)                  // round
 	dst = appendU64(dst, 0)                  // tag
-	dst = append(dst, byte(ItemPush))        // kind
+	dst = append(dst, 0)                     // kind
 	dst = appendU32(dst, 0)                  // edge
 	dst = appendU64(dst, 0)                  // wm
 	dst = appendU64(dst, 0)                  // mwm
-	dst = appendBatchBlob(dst, protoBatch()) // 2 tuples where 1 is required
-	if _, err := decodeLink(dst); err == nil || !strings.Contains(err.Error(), "push item carries 2 tuples") {
-		t.Fatalf("multi-tuple push item not rejected (err %v)", err)
+	dst = appendBatchBlob(dst, protoBatch()) // the row
+	if _, err := decodeLink(dst); err == nil || !strings.Contains(err.Error(), "unknown item kind 0 at offset 33") {
+		t.Fatalf("a kind-0 item not rejected (err %v)", err)
 	}
 }
 

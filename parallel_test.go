@@ -9,6 +9,7 @@ package qap
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"qap/internal/netgen"
@@ -98,4 +99,68 @@ func TestRunResultOutputNames(t *testing.T) {
 			t.Fatalf("OutputNames lists %q, not an output", name)
 		}
 	}
+}
+
+// TestBatchOneIsTheOracle: BatchSize 1 is the scalar oracle and runs on
+// the sequential simulator only. Workers 4 changes nothing — the same
+// rows in the same order, node rows, metrics, stats and canonical trace
+// as Workers 1 — and the report names the engine that ran. The live
+// backend refuses it, on the splitter side and on a node, before
+// anything listens, with an error naming both settings.
+func TestBatchOneIsTheOracle(t *testing.T) {
+	sys, err := Load(netgen.SchemaDDL, ComplexQuerySet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packets := diffTrace(1)
+	deploy := func(workers int, engine string) *Deployment {
+		dep, err := sys.Deploy(DeployConfig{
+			Hosts: 4, Partitioning: MustParseSet("srcIP"), Workers: workers, BatchSize: 1,
+			Params: map[string]Value{"PATTERN": Uint(netgen.AttackPattern)},
+			Trace:  &RunTraceConfig{}, Engine: engine,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep
+	}
+	var runs [2]*RunResult
+	var traces [2][]byte
+	for i, workers := range []int{1, 4} {
+		res, err := deploy(workers, EngineSim).Run("TCP", packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tm := res.Report().Timing; tm.Engine != "sequential" || tm.Workers != workers {
+			t.Errorf("workers %d: the report says engine %q, workers %d; want the sequential engine", workers, tm.Engine, tm.Workers)
+		}
+		if traces[i], err = res.Trace.CanonicalJSONL(); err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res
+	}
+	want, got := runs[0], runs[1]
+	if !reflect.DeepEqual(want.Outputs, got.Outputs) || !reflect.DeepEqual(want.NodeRows, got.NodeRows) ||
+		!reflect.DeepEqual(*want.Metrics, *got.Metrics) || !reflect.DeepEqual(want.OpStats, got.OpStats) ||
+		!reflect.DeepEqual(traces[0], traces[1]) {
+		t.Error("Workers 4 at BatchSize 1 moved a byte of the oracle's result")
+	}
+
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: the live backend ran the scalar oracle", what)
+		}
+		for _, name := range []string{`Engine "live"`, "BatchSize 1"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s: error %q does not name %s", what, err, name)
+			}
+		}
+	}
+	_, err = deploy(4, EngineLive).Run("TCP", packets)
+	refused("Run", err)
+	err = deploy(1, EngineLive).ServeLiveHost(0, "127.0.0.1:0", func(addr string) {
+		t.Errorf("a node listened on %s", addr)
+	})
+	refused("ServeLiveHost", err)
 }

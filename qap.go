@@ -269,7 +269,8 @@ type DeployConfig struct {
 	// goroutine. Results are byte-identical either way.
 	Workers int
 	// BatchSize selects the execution mode: 1 is the scalar oracle, one
-	// tuple at a time, the reference every other configuration is
+	// tuple at a time on the sequential simulator whatever Workers says
+	// (EngineLive refuses it), the reference every other configuration is
 	// checked against; anything larger is production — each round's
 	// packets reach the operators as typed column vectors in chunks of
 	// up to BatchSize rows, through compiled column kernels where the
