@@ -14,43 +14,6 @@ import (
 	"qap/internal/sqlval"
 )
 
-// rowCounter counts a logical node's complete output rows.
-type rowCounter struct {
-	n    *int64
-	next exec.Consumer
-}
-
-func (c *rowCounter) Push(t exec.Tuple) { *c.n++; c.next.Push(t) }
-func (c *rowCounter) Advance(wm uint64) { c.next.Advance(wm) }
-func (c *rowCounter) Flush()            { c.next.Flush() }
-
-// PushCols implements exec.ColConsumer.
-func (c *rowCounter) PushCols(cb *exec.ColBatch) {
-	*c.n += int64(cb.Len)
-	exec.PushColsAll(c.next, cb)
-}
-
-// countedOutput wraps an operator's fanout with a row counter when the
-// operator produces a logical node's complete output (full aggregates,
-// super-aggregates, select/project, join instances — not scans,
-// unions, or partial sub-aggregates).
-func (r *Runner) countedOutput(op *optimizer.Op, out exec.Consumer) exec.Consumer {
-	switch op.Kind {
-	case optimizer.OpAggregate, optimizer.OpAggSuper, optimizer.OpSelProj,
-		optimizer.OpJoin, optimizer.OpWindow:
-	default:
-		return out
-	}
-	name := strings.ToLower(op.Logical.QueryName)
-	isl := r.islandOf(op)
-	n, ok := isl.rows[name]
-	if !ok {
-		n = new(int64)
-		isl.rows[name] = n
-	}
-	return &rowCounter{n: n, next: out}
-}
-
 // ---- stream splitter (paper Section 3.3) ----
 
 type router struct {
@@ -195,23 +158,59 @@ func (e *edge) Flush() {
 	e.next.Flush()
 }
 
-// opOut counts an operator's emitted rows. It is installed (only when
-// stats are enabled) between the operator and its fanout, on the
-// producing operator's island, so RowsOut counts each emission once —
-// before any Tee duplication and before island-crossing capture.
+// opOut counts an operator's emitted rows between the operator and its
+// fanout, on the producing operator's island, so each emission counts
+// once — before any Tee duplication and before island-crossing capture.
+// rows is the logical node's complete-output counter (isl.rows), set for
+// the operators that produce that output: full aggregates,
+// super-aggregates, select/project, join instances and windows, not
+// scans, unions or partial sub-aggregates. st is the operator's stat
+// shard, set when stats are enabled. output installs an opOut only
+// when it has a counter to feed.
 type opOut struct {
+	rows *int64
 	st   *obs.OpStats
 	next exec.Consumer
 }
 
-func (o *opOut) Push(t exec.Tuple) { o.st.RowsOut++; o.next.Push(t) }
+func (o *opOut) count(n int64) {
+	if o.rows != nil {
+		*o.rows += n
+	}
+	if o.st != nil {
+		o.st.RowsOut += n
+	}
+}
+
+func (o *opOut) Push(t exec.Tuple) { o.count(1); o.next.Push(t) }
 func (o *opOut) Advance(wm uint64) { o.next.Advance(wm) }
 func (o *opOut) Flush()            { o.next.Flush() }
 
 // PushCols implements exec.ColConsumer.
 func (o *opOut) PushCols(cb *exec.ColBatch) {
-	o.st.RowsOut += int64(cb.Len)
+	o.count(int64(cb.Len))
 	exec.PushColsAll(o.next, cb)
+}
+
+// output wraps op's fanout in an opOut, or returns it unwrapped when op
+// feeds neither a row counter nor a stat shard.
+func (r *Runner) output(op *optimizer.Op, out exec.Consumer) exec.Consumer {
+	var rows *int64
+	switch op.Kind {
+	case optimizer.OpAggregate, optimizer.OpAggSuper, optimizer.OpSelProj,
+		optimizer.OpJoin, optimizer.OpWindow:
+		name := strings.ToLower(op.Logical.QueryName)
+		isl := r.islandOf(op)
+		if rows = isl.rows[name]; rows == nil {
+			rows = new(int64)
+			isl.rows[name] = rows
+		}
+	}
+	st := r.opStatsOf(op)
+	if rows == nil && st == nil {
+		return out
+	}
+	return &opOut{rows: rows, st: st, next: out}
 }
 
 // opCostOf returns the per-tuple work of an operator kind.
@@ -256,11 +255,7 @@ func (r *Runner) compile() error {
 	// Build in reverse topological order so downstream entries exist.
 	for i := len(p.Ops) - 1; i >= 0; i-- {
 		op := p.Ops[i]
-		out := r.countedOutput(op, r.fanout(op, consumers[op], entries))
-		if st := r.opStatsOf(op); st != nil {
-			out = &opOut{st: st, next: out}
-		}
-		ports, err := r.instantiate(op, out)
+		ports, err := r.instantiate(op, r.output(op, r.fanout(op, consumers[op], entries)))
 		if err != nil {
 			return fmt.Errorf("cluster: op %d (%s): %w", op.ID, op.Label(), err)
 		}

@@ -43,6 +43,12 @@ const (
 	// slabs. The per-key []*joinEntry layout spent more than 2.
 	allocBudgetJoinPushPerRowWords = 0.05
 	allocBudgetJoinPushPerRowRows  = 1.25
+	// A row-store group created by Aggregate.Push and retired by the
+	// next Advance: its key string and COUNT accumulator, plus shares of
+	// the slab chunks, the output slab and the map rebuilt pre-sized at
+	// each epoch boundary (measured 2.025; per-key deletes measured
+	// 3.020).
+	allocBudgetRowStoreTurnoverPerGroup = 2.1
 )
 
 // skipIfRace skips allocation-count assertions under the race
@@ -125,6 +131,51 @@ func TestAllocsAggregateBatchSteadyState(t *testing.T) {
 	}
 	if agg.GroupCount() != 16 {
 		t.Fatalf("expected 16 groups, got %d", agg.GroupCount())
+	}
+}
+
+// TestAllocsRowStoreEpochTurnover holds the row store's per-group cost
+// as a tumbling window turns over: every pass creates 1024 groups in a
+// fresh epoch and the next watermark retires them all. The
+// four uint key columns encode to 36 bytes, past the 32 Go converts to
+// a string without allocating, so emptying the map by per-key deletes
+// would cost an object per group on top of the key string and the COUNT
+// accumulator; emitBefore's pre-sized rebuild costs a few per epoch.
+func TestAllocsRowStoreEpochTurnover(t *testing.T) {
+	skipIfRace(t)
+	const groups = 1024
+	r := res("time", "srcIP", "destIP", "len")
+	countFac, _ := NewAccumFactory("COUNT")
+	agg := NewAggregate(AggregateConfig{
+		GroupBy: []EvalFunc{
+			MustCompile(gsql.MustParseExpr("time / 60"), r, nil),
+			MustCompile(gsql.MustParseExpr("srcIP"), r, nil),
+			MustCompile(gsql.MustParseExpr("destIP"), r, nil),
+			MustCompile(gsql.MustParseExpr("len"), r, nil),
+		},
+		EpochIdx:  0,
+		EpochOfWM: func(wm uint64) sqlval.Value { return u(wm / 60) },
+		Aggs:      []AggColumn{{Factory: countFac}},
+		Out:       Discard{},
+	})
+	epoch := uint64(0)
+	pass := func() {
+		for i := 0; i < groups; i++ {
+			agg.Push(Tuple{u(epoch*60 + uint64(i%60)), u(uint64(i)), u(uint64(i % 7)), u(100)})
+		}
+		epoch++
+		agg.Advance(epoch * 60)
+	}
+	for i := 0; i < 4; i++ {
+		pass() // reach the steady epoch size
+	}
+	perGroup := testing.AllocsPerRun(20, pass) / groups
+	if perGroup > allocBudgetRowStoreTurnoverPerGroup {
+		t.Errorf("row-store epoch turnover: %.4f allocs/group (%d groups an epoch), budget %.4f",
+			perGroup, groups, allocBudgetRowStoreTurnoverPerGroup)
+	}
+	if agg.GroupCount() != 0 {
+		t.Fatalf("%d groups left live after their epoch closed", agg.GroupCount())
 	}
 }
 

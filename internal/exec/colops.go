@@ -951,6 +951,11 @@ func (o *Aggregate) denseInsertion(gs []int32, nk, eIdx int) {
 	}
 }
 
+// radixCutoff is the segment size below which the dense radix falls
+// back to insertion sort: a counting pass over 256 buckets costs more
+// than a handful of key compares.
+const radixCutoff = 24
+
 // denseSort sorts the retired group indices by (epoch word, key words
 // column-major), all unsigned — the same order the row path's encoded
 // key bytes produce for all-uint keys. gs arrives in creation order,

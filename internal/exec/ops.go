@@ -286,14 +286,13 @@ type Aggregate struct {
 	// batch container reused across epochs, the groups++aggs row Having
 	// and Post read but downstream never sees, and the slab output rows
 	// are carved from and keep for good. doneBuf collects the epoch's
-	// retired groups and sortBuf is the radix-sort distribution scratch;
-	// both are reused across epochs (they hold stale *groupState pointers
-	// between flushes, bounding retention to one epoch's cardinality).
+	// retired groups for sorting and is reused across epochs (it holds
+	// stale *groupState pointers between flushes, bounding retention to
+	// one epoch's cardinality).
 	emitBuf Batch
 	rowBuf  Tuple
 	outVals []sqlval.Value
 	doneBuf []*groupState
-	sortBuf []*groupState
 	// minEpoch tracks the smallest non-NULL epoch among live groups, so
 	// an Advance whose boundary has not passed it skips the full group
 	// scan — most watermarks close no epoch but would otherwise pay
@@ -536,7 +535,10 @@ func (o *Aggregate) GroupHighWater() int {
 }
 
 // emitBefore flushes groups with epoch < boundary (all groups when
-// boundary is nil), in deterministic (epoch, key) order.
+// boundary is nil), in deterministic (epoch, key) order. The dense store
+// sorts with its own radix (denseSort); the row store compares epochs
+// with sqlval's Compare and then the encoded key bytes, a total order
+// because every key embeds its epoch and so is unique.
 func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 	if n := o.GroupCount(); n > o.hiGroups {
 		o.hiGroups = n
@@ -596,15 +598,11 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 	// next PushCols rebuild it (colops.go).
 	o.colDirty = true
 	if mapTotal > 0 && mapDone == mapTotal && !pendingSurvivors {
-		// Every map group drained (always true at Flush; the common case
-		// at an epoch boundary of a tumbling window). Rebuilding the map
-		// pre-sized from this epoch's cardinality beats per-key deletes:
-		// insertions up to that count never rehash, and a cardinality
-		// spike's bucket memory is returned instead of lingering for the
-		// rest of the run. Emission order cannot change — groups are
-		// sorted before emitting — so this is a pure cost change. The
-		// terminal Flush sees no more input, so pre-sizing there would
-		// allocate one epoch's bucket array just to throw it away.
+		// Every map group drained, and rebuilding the map (pre-sized from
+		// this epoch, but not at the terminal Flush) is load-bearing:
+		// per-key deletes convert every key over 32 bytes to a fresh
+		// string, which took TestAllocsParallelColumnarReplay/section62
+		// from 20 276 to 35 708 objects (TestAllocsRowStoreEpochTurnover).
 		if boundary == nil {
 			o.groups = make(map[string]*groupState)
 		} else {
@@ -617,30 +615,12 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 			delete(o.groups, string(gs.key))
 		}
 	}
-	sameEpoch := true
-	for _, gs := range done[1:] {
-		if gs.epoch != done[0].epoch {
-			sameEpoch = false
-			break
+	slices.SortFunc(done, func(a, b *groupState) int {
+		if c := a.epoch.Compare(b.epoch); c != 0 {
+			return c
 		}
-	}
-	if sameEpoch {
-		// The usual tumbling-window drain closes a single epoch; the
-		// (epoch, key) order degenerates to key order, so the radix
-		// sort applies (identical order to strings.Compare at a
-		// fraction of the cost — see sortGroupsByKey).
-		if cap(o.sortBuf) < len(done) {
-			o.sortBuf = make([]*groupState, len(done))
-		}
-		sortGroupsByKey(done, o.sortBuf[:len(done)], 0)
-	} else {
-		slices.SortFunc(done, func(a, b *groupState) int {
-			if c := a.epoch.Compare(b.epoch); c != 0 {
-				return c
-			}
-			return bytes.Compare(a.key, b.key)
-		})
-	}
+		return bytes.Compare(a.key, b.key)
+	})
 	rows := o.emitRows(len(done), func(k int, row Tuple) Tuple {
 		gs := done[k]
 		row = append(row, gs.vals...)
@@ -703,186 +683,6 @@ func (o *Aggregate) emitRows(n int, fill func(k int, row Tuple) Tuple) int {
 		PushAll(o.cfg.Out, out)
 	}
 	return len(out)
-}
-
-// radixCutoff is the segment size below which sortGroupsByKey falls
-// back to insertion sort: a counting pass over 257 buckets costs more
-// than a handful of string compares.
-const radixCutoff = 24
-
-// keyBucket maps byte `depth` of key k to a radix bucket. Bucket 0 is
-// "key ended", which sorts before every byte value — exactly where
-// strings.Compare puts a strict prefix.
-func keyBucket(k []byte, depth int) int {
-	if depth >= len(k) {
-		return 0
-	}
-	return int(k[depth]) + 1
-}
-
-// insertGroupsByKey insertion-sorts a small segment by full-key
-// compare.
-func insertGroupsByKey(gs []*groupState) {
-	for i := 1; i < len(gs); i++ {
-		g := gs[i]
-		j := i - 1
-		for j >= 0 && bytes.Compare(gs[j].key, g.key) > 0 {
-			gs[j+1] = gs[j]
-			j--
-		}
-		gs[j+1] = g
-	}
-}
-
-// sortGroupsByKey orders gs by ascending key bytes — the same total
-// order strings.Compare induces (keys are unique, so no tie exists and
-// stability is moot) — with an MSD byte radix sort. A comparison sort
-// of n groups pays n·log n full-key compares; one radix pass pays n
-// byte reads. Encoded keys waste most positions (tag bytes and the
-// high bytes of big-endian words are near-constant), so the
-// fixed-width fast path pre-scans OR/AND masks per byte position and
-// radixes only the positions that actually vary; variable-width key
-// sets take the general pass-per-byte path, which still descends
-// constant bytes without moving anything. scratch must be the same
-// length as gs; both are clobbered.
-func sortGroupsByKey(gs, scratch []*groupState, depth int) {
-	if n := len(gs); n > radixCutoff && depth == 0 {
-		if w := len(gs[0].key); w > 0 && w <= 64 {
-			fixed := true
-			for _, g := range gs {
-				if len(g.key) != w {
-					fixed = false
-					break
-				}
-			}
-			if fixed {
-				var orb, andb [64]byte
-				for p := 0; p < w; p++ {
-					andb[p] = 0xff
-				}
-				for _, g := range gs {
-					for p, b := range g.key {
-						orb[p] |= b
-						andb[p] &= b
-					}
-				}
-				var pos [64]uint8
-				np := 0
-				for p := 0; p < w; p++ {
-					if orb[p] != andb[p] {
-						pos[np] = uint8(p)
-						np++
-					}
-				}
-				if np > 0 {
-					sortGroupsPos(gs, scratch, pos[:np], 0)
-				}
-				return
-			}
-		}
-	}
-	for {
-		n := len(gs)
-		if n <= radixCutoff {
-			// Insertion sort on full keys: Go's string compare starts at
-			// byte 0, re-scanning the shared prefix, but segments this
-			// small don't earn a counting pass.
-			insertGroupsByKey(gs)
-			return
-		}
-		var counts [257]int
-		for _, g := range gs {
-			counts[keyBucket(g.key, depth)]++
-		}
-		first := 0
-		for counts[first] == 0 {
-			first++
-		}
-		if counts[first] == n {
-			if first == 0 {
-				return // every key ends at depth: all equal
-			}
-			depth++ // whole segment shares this byte: descend in place
-			continue
-		}
-		offs := counts
-		sum := 0
-		for b, c := range counts {
-			offs[b] = sum
-			sum += c
-		}
-		for _, g := range gs {
-			b := keyBucket(g.key, depth)
-			scratch[offs[b]] = g
-			offs[b]++
-		}
-		copy(gs, scratch)
-		start := 0
-		for b, c := range counts {
-			// Bucket 0 holds keys that end at depth — equal, hence unique,
-			// hence at most one; no recursion needed.
-			if b > 0 && c > 1 {
-				sortGroupsByKey(gs[start:start+c], scratch[start:start+c], depth+1)
-			}
-			start += c
-		}
-		return
-	}
-}
-
-// sortGroupsPos is sortGroupsByKey's fixed-width engine: an MSD radix
-// over just the varying byte positions pos (ascending). A position a
-// sub-segment happens to share still descends without moving anything.
-func sortGroupsPos(gs, scratch []*groupState, pos []uint8, depth int) {
-	for {
-		n := len(gs)
-		if n <= radixCutoff || depth >= len(pos) {
-			insertGroupsByKey(gs)
-			return
-		}
-		p := int(pos[depth])
-		var counts [256]int
-		for _, g := range gs {
-			counts[g.key[p]]++
-		}
-		first := -1
-		single := true
-		for b, c := range counts {
-			if c != 0 {
-				if first < 0 {
-					first = b
-				} else {
-					single = false
-					break
-				}
-			}
-		}
-		if single {
-			depth++
-			continue
-		}
-		offs := counts
-		sum := 0
-		for b, c := range counts {
-			offs[b] = sum
-			sum += c
-		}
-		for _, g := range gs {
-			b := g.key[p]
-			scratch[offs[b]] = g
-			offs[b]++
-		}
-		copy(gs, scratch)
-		start := 0
-		for b := 0; b < 256; b++ {
-			c := counts[b]
-			if c > 1 {
-				sortGroupsPos(gs[start:start+c], scratch[start:start+c], pos, depth+1)
-			}
-			start += c
-		}
-		return
-	}
 }
 
 // JoinSideConfig configures one input of a join.

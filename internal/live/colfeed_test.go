@@ -140,20 +140,16 @@ func TestColumnFeedsSurviveFaultsOnRecycledFrames(t *testing.T) {
 }
 
 // TestSendFeedRefusesOversizedFeed: a feed over the frame bound fails
-// in SendFeed itself, at once, naming the host, the rounds and the byte
-// count — it is never queued, so nothing is retransmitted — and the
-// splitter stays usable for feeds that fit.
+// in SendFeed itself, naming the host, the rounds and the byte count —
+// it is never queued, so nothing is retransmitted — and the splitter
+// stays usable for feeds that fit.
 func TestSendFeedRefusesOversizedFeed(t *testing.T) {
 	cfg := Config{Timeout: 5 * time.Second, MaxFrame: 4096}
 	sp := NewSplitter(cfg, Hello{}, []string{"127.0.0.1:1", "127.0.0.1:1"}) // never started: nothing dials
 	big, _ := colFeed(7, 100, false)
-	start := time.Now()
 	err := sp.SendFeed(1, big)
 	if err == nil {
 		t.Fatal("a feed over MaxFrame was accepted")
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("refusal took %s", d)
 	}
 	for _, want := range []string{"host 1", "rounds 7..7", "6471 bytes", "4096-byte frame limit"} {
 		if !strings.Contains(err.Error(), want) {
