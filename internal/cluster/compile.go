@@ -76,9 +76,11 @@ type edge struct {
 	// id indexes Runner.edges for island-crossing edges (a link item's
 	// name for the edge); 0 and unregistered otherwise. from, on those
 	// edges, is the producing operator, whose output width the live
-	// backend holds link items to.
-	id   int
-	from *optimizer.Op
+	// backend holds link items to. cross marks an island-crossing edge
+	// on every engine.
+	id    int
+	from  *optimizer.Op
+	cross bool
 	// st is the receiving operator's stat shard, nil when stats are
 	// disabled. The edge always executes on the receiving operator's
 	// island (captured edges replay centrally), so the shard has a
@@ -114,10 +116,17 @@ func (e *edge) Push(t exec.Tuple) {
 // Push's over the pivoted rows (same integer counters, same
 // floating-point accumulation order, wire sizes computed straight from
 // the columns), then the columnar batch moves downstream — pivoting only
-// if the receiving operator has no columnar fast path.
+// if the receiving operator has no columnar fast path. A batch with Int
+// rows crosses an island as rows on every engine, because a link item
+// can only carry it so (capture.PushCols): pushed row by row, it sums
+// the receiving island's costs in the order the replay does.
 //
 //qap:hot
 func (e *edge) PushCols(cb *exec.ColBatch) {
+	if e.cross && cb.HasInt() {
+		pushRows(e, cb)
+		return
+	}
 	n := cb.Len
 	for i := 0; i < n; i++ {
 		e.m.Tuples++
@@ -142,6 +151,13 @@ func (e *edge) PushCols(cb *exec.ColBatch) {
 		}
 	}
 	exec.PushColsAll(e.next, cb)
+}
+
+// pushRows pushes cb's rows into c one at a time.
+func pushRows(c exec.Consumer, cb *exec.ColBatch) {
+	rows := cb.AppendRows(exec.GetBatch())
+	exec.PushAll(c, rows)
+	exec.PutBatch(rows)
 }
 
 func (e *edge) Advance(wm uint64) {
@@ -317,6 +333,7 @@ func (r *Runner) fanout(op *optimizer.Op, cons []portRef, entries map[*optimizer
 			next:   entries[c.op][c.port],
 			opCost: r.cost.opCostOf(c.op.Kind),
 			st:     r.opStatsOf(c.op),
+			cross:  fromIsl != toIsl,
 		}
 		switch {
 		case from.host != to.host:
@@ -413,38 +430,39 @@ func colNames(cols []plan.ColDef) []string {
 	return names
 }
 
+// compileExpr compiles e once: with its column kernels when the runner
+// executes batches, as the row closure alone otherwise, so the scalar
+// oracle builds no kernel.
+func (r *Runner) compileExpr(e gsql.Expr, res exec.Resolver) (exec.ColExpr, error) {
+	if r.batched() {
+		return exec.CompileCol(e, res, r.params)
+	}
+	f, err := exec.Compile(e, res, r.params)
+	return exec.ColExpr{Row: f}, err
+}
+
 func (r *Runner) buildSelProj(n *plan.Node) (*exec.FilterProject, error) {
 	res := exec.ColsResolver(n.InBind, colNames(n.Inputs[0].OutCols))
-	fp := &exec.FilterProject{}
+	fp := &exec.FilterProject{Projs: make([]exec.EvalFunc, 0, len(n.Projs))}
 	if n.Filter != nil {
-		f, err := exec.Compile(n.Filter, res, r.params)
+		ce, err := r.compileExpr(n.Filter, res)
 		if err != nil {
 			return nil, err
 		}
-		fp.Filter = f
-	}
-	exprs := make([]gsql.Expr, len(n.Projs))
-	for i, pr := range n.Projs {
-		exprs[i] = pr.Expr
-	}
-	projs, err := exec.CompileAll(exprs, res, r.params)
-	if err != nil {
-		return nil, err
-	}
-	fp.Projs = projs
-	if r.batched() {
-		if n.Filter != nil {
-			cf, err := exec.CompileCol(n.Filter, res, r.params)
-			if err != nil {
-				return nil, err
-			}
-			fp.ColFilter = &cf
+		fp.Filter = ce.Row
+		if r.batched() {
+			fp.ColFilter = &ce
 		}
-		colProjs, err := exec.CompileColAll(exprs, res, r.params)
+	}
+	for _, pr := range n.Projs {
+		ce, err := r.compileExpr(pr.Expr, res)
 		if err != nil {
 			return nil, err
 		}
-		fp.ColProjs = colProjs
+		fp.Projs = append(fp.Projs, ce.Row)
+		if r.batched() {
+			fp.ColProjs = append(fp.ColProjs, ce)
+		}
 	}
 	return fp, nil
 }
@@ -591,30 +609,22 @@ func (r *Runner) buildAggregate(op *optimizer.Op, out exec.Consumer) (*exec.Aggr
 
 	inRes := exec.ColsResolver(n.InBind, colNames(n.Inputs[0].OutCols))
 	if n.PreFilter != nil {
-		f, err := exec.Compile(n.PreFilter, inRes, r.params)
+		ce, err := r.compileExpr(n.PreFilter, inRes)
 		if err != nil {
 			return nil, err
 		}
-		cfg.PreFilter = f
+		cfg.PreFilter = ce.Row
 		if r.batched() {
-			cf, err := exec.CompileCol(n.PreFilter, inRes, r.params)
-			if err != nil {
-				return nil, err
-			}
-			cfg.ColPreFilter = &cf
+			cfg.ColPreFilter = &ce
 		}
 	}
 	for _, g := range n.GroupBy {
-		f, err := exec.Compile(g.Expr, inRes, r.params)
+		ce, err := r.compileExpr(g.Expr, inRes)
 		if err != nil {
 			return nil, err
 		}
-		cfg.GroupBy = append(cfg.GroupBy, f)
+		cfg.GroupBy = append(cfg.GroupBy, ce.Row)
 		if r.batched() {
-			ce, err := exec.CompileCol(g.Expr, inRes, r.params)
-			if err != nil {
-				return nil, err
-			}
 			cfg.ColGroupBy = append(cfg.ColGroupBy, ce)
 		}
 	}
@@ -631,18 +641,11 @@ func (r *Runner) buildAggregate(op *optimizer.Op, out exec.Consumer) (*exec.Aggr
 		var arg exec.EvalFunc
 		var colArg *exec.ColExpr
 		if a.Arg != nil {
-			f, err := exec.Compile(a.Arg, inRes, r.params)
+			ce, err := r.compileExpr(a.Arg, inRes)
 			if err != nil {
 				return nil, err
 			}
-			arg = f
-			if r.batched() {
-				ce, err := exec.CompileCol(a.Arg, inRes, r.params)
-				if err != nil {
-					return nil, err
-				}
-				colArg = &ce
-			}
+			arg, colArg = ce.Row, &ce
 		}
 		// cfg.ColArgs stays index-aligned with cfg.Aggs (nil = COUNT(*)).
 		addAgg := func(fac exec.AccumFactory) {
@@ -737,16 +740,12 @@ func (r *Runner) buildSuperAggregate(n *plan.Node, cfg exec.AggregateConfig) (*e
 	inRes := exec.ColsResolver("", inNames)
 
 	for _, name := range groupNames {
-		f, err := exec.Compile(&gsql.ColumnRef{Name: name}, inRes, r.params)
+		ce, err := r.compileExpr(&gsql.ColumnRef{Name: name}, inRes)
 		if err != nil {
 			return nil, err
 		}
-		cfg.GroupBy = append(cfg.GroupBy, f)
+		cfg.GroupBy = append(cfg.GroupBy, ce.Row)
 		if r.batched() {
-			ce, err := exec.CompileCol(&gsql.ColumnRef{Name: name}, inRes, r.params)
-			if err != nil {
-				return nil, err
-			}
 			cfg.ColGroupBy = append(cfg.ColGroupBy, ce)
 		}
 	}
@@ -764,16 +763,12 @@ func (r *Runner) buildSuperAggregate(n *plan.Node, cfg exec.AggregateConfig) (*e
 	// Keeps cfg.ColArgs index-aligned with cfg.Aggs; every super-side
 	// argument is a plain column reference over the partial row.
 	addAgg := func(fac exec.AccumFactory, name string) error {
-		f, err := exec.Compile(&gsql.ColumnRef{Name: name}, inRes, r.params)
+		ce, err := r.compileExpr(&gsql.ColumnRef{Name: name}, inRes)
 		if err != nil {
 			return err
 		}
-		cfg.Aggs = append(cfg.Aggs, exec.AggColumn{Factory: fac, Arg: f})
+		cfg.Aggs = append(cfg.Aggs, exec.AggColumn{Factory: fac, Arg: ce.Row})
 		if r.batched() {
-			ce, err := exec.CompileCol(&gsql.ColumnRef{Name: name}, inRes, r.params)
-			if err != nil {
-				return err
-			}
 			cfg.ColArgs = append(cfg.ColArgs, &ce)
 		}
 		return nil
@@ -926,25 +921,17 @@ func (r *Runner) buildJoin(op *optimizer.Op, out exec.Consumer) ([]exec.Consumer
 	cfg.Left.TemporalIdx, cfg.Right.TemporalIdx = n.TemporalKey, n.TemporalKey
 
 	for i := range n.LeftKeys {
-		lf, err := exec.Compile(n.LeftKeys[i], leftRes, r.params)
+		lc, err := r.compileExpr(n.LeftKeys[i], leftRes)
 		if err != nil {
 			return nil, err
 		}
-		rf, err := exec.Compile(n.RightKeys[i], rightRes, r.params)
+		rc, err := r.compileExpr(n.RightKeys[i], rightRes)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Left.Keys = append(cfg.Left.Keys, lf)
-		cfg.Right.Keys = append(cfg.Right.Keys, rf)
+		cfg.Left.Keys = append(cfg.Left.Keys, lc.Row)
+		cfg.Right.Keys = append(cfg.Right.Keys, rc.Row)
 		if r.batched() {
-			lc, err := exec.CompileCol(n.LeftKeys[i], leftRes, r.params)
-			if err != nil {
-				return nil, err
-			}
-			rc, err := exec.CompileCol(n.RightKeys[i], rightRes, r.params)
-			if err != nil {
-				return nil, err
-			}
 			cfg.Left.ColKeys = append(cfg.Left.ColKeys, lc)
 			cfg.Right.ColKeys = append(cfg.Right.ColKeys, rc)
 		}
@@ -989,34 +976,32 @@ func (r *Runner) buildJoin(op *optimizer.Op, out exec.Consumer) ([]exec.Consumer
 	// tables; interpose lightweight local filters on the ports.
 	left, right := exec.Consumer(j.LeftIn()), exec.Consumer(j.RightIn())
 	if n.LeftFilter != nil {
-		f, err := exec.Compile(n.LeftFilter, leftRes, r.params)
+		fp, err := r.sideFilter(n.LeftFilter, leftRes, left)
 		if err != nil {
 			return nil, err
-		}
-		fp := &exec.FilterProject{Filter: f, Out: left}
-		if r.batched() {
-			cf, err := exec.CompileCol(n.LeftFilter, leftRes, r.params)
-			if err != nil {
-				return nil, err
-			}
-			fp.ColFilter = &cf
 		}
 		left = fp
 	}
 	if n.RightFilter != nil {
-		f, err := exec.Compile(n.RightFilter, rightRes, r.params)
+		fp, err := r.sideFilter(n.RightFilter, rightRes, right)
 		if err != nil {
 			return nil, err
-		}
-		fp := &exec.FilterProject{Filter: f, Out: right}
-		if r.batched() {
-			cf, err := exec.CompileCol(n.RightFilter, rightRes, r.params)
-			if err != nil {
-				return nil, err
-			}
-			fp.ColFilter = &cf
 		}
 		right = fp
 	}
 	return []exec.Consumer{left, right}, nil
+}
+
+// sideFilter is a join side's pushed-down WHERE conjunct in front of
+// its port.
+func (r *Runner) sideFilter(e gsql.Expr, res exec.Resolver, port exec.Consumer) (*exec.FilterProject, error) {
+	ce, err := r.compileExpr(e, res)
+	if err != nil {
+		return nil, err
+	}
+	fp := &exec.FilterProject{Filter: ce.Row, Out: port}
+	if r.batched() {
+		fp.ColFilter = &ce
+	}
+	return fp, nil
 }

@@ -142,11 +142,16 @@ func (c *capture) Push(t exec.Tuple) {
 // PushCols records a columnar delivery as a column link item: the
 // batch is valid only during the call, so the item takes a copy in a
 // pooled batch, which the replay (or the node, once the item is on the
-// wire) returns.
+// wire) returns. The column codec carries no Int bitmap, so a batch
+// with Int rows crosses as the rows it pivots to, one rows item.
 //
 //qap:hot
 func (c *capture) PushCols(cb *exec.ColBatch) {
 	if cb.Len == 0 {
+		return
+	}
+	if cb.HasInt() {
+		pushRows(c, cb)
 		return
 	}
 	cp := exec.GetColBatch()

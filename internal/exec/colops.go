@@ -23,8 +23,7 @@ func pushColsRows(c Consumer, cb *ColBatch) {
 
 // PushCols implements ColConsumer. The vectorized path needs an
 // all-uint batch, a truth kernel for the filter, and uint kernels for
-// every projection; anything else — a batch a kernel refuses included —
-// pivots to the row path.
+// every projection; anything else pivots to the row path.
 //
 //qap:hot
 func (o *FilterProject) PushCols(cb *ColBatch) {
@@ -35,15 +34,13 @@ func (o *FilterProject) PushCols(cb *ColBatch) {
 	if cb.Len == 0 {
 		return
 	}
-	if cb.AllUint() && o.colReady() {
-		if work, ok := o.colApply(cb); ok {
-			if work != nil {
-				PushColsAll(o.Out, work)
-			}
-			return
-		}
+	if !cb.AllUint() || !o.colReady() {
+		pushColsRows(o, cb)
+		return
 	}
-	pushColsRows(o, cb)
+	if work := o.colApply(cb); work != nil {
+		PushColsAll(o.Out, work)
+	}
 }
 
 // colReady reports whether the filter and every projection have the
@@ -69,21 +66,18 @@ func (o *FilterProject) colReady() bool {
 // colApply filters, compacts and projects a non-empty batch with the
 // kernels, in that order: the batch to forward — cb itself, or scratch
 // valid until the next call — or nil when no row passes, which like the
-// scalar path makes no downstream call. It reports false, having made
-// no call, when a kernel refused the batch. Every column the filter or
-// a computed projection reads must be uint; the others only need to be
-// all-valid words, and a bare column reference forwards its column
-// whatever the kind. The aggregate's column emit runs HAVING and its
-// projection, and the join its residual and projection, through here.
+// scalar path makes no downstream call. Every column the filter or a
+// computed projection reads must hold uints that no Int bitmap marks;
+// the others only need to be all-valid words, and a bare column
+// reference forwards its column whatever the kind, Int rows included.
+// The aggregate's column emit runs HAVING and its projection, and the
+// join its residual and projection, through here.
 //
 //qap:hot
-func (o *FilterProject) colApply(cb *ColBatch) (*ColBatch, bool) {
+func (o *FilterProject) colApply(cb *ColBatch) *ColBatch {
 	work := cb
 	if o.Filter != nil {
 		tv := o.ColFilter.Truth(cb)
-		if tv == nil {
-			return nil, false
-		}
 		keep := 0
 		for _, w := range tv {
 			if w != 0 {
@@ -91,7 +85,7 @@ func (o *FilterProject) colApply(cb *ColBatch) (*ColBatch, bool) {
 			}
 		}
 		if keep == 0 {
-			return nil, true
+			return nil
 		}
 		if keep < cb.Len {
 			o.colCompact(cb, tv, keep)
@@ -99,16 +93,14 @@ func (o *FilterProject) colApply(cb *ColBatch) (*ColBatch, bool) {
 		}
 	}
 	if o.Projs != nil {
-		if !o.colProject(work) {
-			return nil, false
-		}
+		o.colProject(work)
 		work = &o.colOut
 	}
-	return work, true
+	return work
 }
 
-// colCompact copies the selected rows of every (word) column into the
-// reused colPass scratch.
+// colCompact copies the selected rows of every (word) column, and of
+// its Int bitmap, into the reused colPass scratch.
 //
 //qap:hot
 func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
@@ -119,15 +111,17 @@ func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
 	}
 	p.Cols = p.Cols[:len(cb.Cols)]
 	for c := range cb.Cols {
-		src := cb.Cols[c].U64
-		d := &p.Cols[c]
-		d.Kind = cb.Cols[c].Kind
-		d.Str, d.Valid = nil, nil
+		s, d := &cb.Cols[c], &p.Cols[c]
+		d.Kind = s.Kind
+		d.Str, d.Valid, d.Int = nil, nil, d.Int[:0]
 		d.U64 = growUints(d.U64, keep)
 		k := 0
 		for i, w := range tv {
 			if w != 0 {
-				d.U64[k] = src[i]
+				d.U64[k] = s.U64[i]
+				if bitAt(s.Int, i) {
+					d.Int = markInt(d.Int, k, keep)
+				}
 				k++
 			}
 		}
@@ -137,11 +131,11 @@ func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
 
 // colProject evaluates every projection kernel over in; the output
 // columns alias kernel scratch (or input columns for bare column
-// refs, kind and all), which is fine under the only-during-the-call
-// contract. It reports false when a kernel refused the batch.
+// refs, kind and Int rows and all), which is fine under the
+// only-during-the-call contract.
 //
 //qap:hot
-func (o *FilterProject) colProject(in *ColBatch) bool {
+func (o *FilterProject) colProject(in *ColBatch) {
 	out := &o.colOut
 	if cap(out.Cols) < len(o.ColProjs) {
 		//qap:allow hotalloc -- column headers sized once per operator width
@@ -154,14 +148,9 @@ func (o *FilterProject) colProject(in *ColBatch) bool {
 			out.Cols[k] = in.Cols[p.ref-1]
 			continue
 		}
-		v := p.U(in)
-		if v == nil {
-			return false
-		}
-		out.Cols[k] = ColVec{Kind: sqlval.KindUint, U64: v}
+		out.Cols[k] = ColVec{Kind: sqlval.KindUint, U64: p.U(in), Int: intsNow(p.ints)}
 	}
 	out.Len = in.Len
-	return true
 }
 
 // PushCols implements ColConsumer: a union port forwards unchanged.
@@ -178,8 +167,7 @@ type wordSlot struct {
 }
 
 // wordTable is the open-addressed index behind every word-keyed store:
-// the dense aggregate's groups, the generic columnar aggregate's group
-// cache and each word-layout join pane. It stores no key. The owner
+// the dense aggregate's groups and each word-layout join pane. It stores no key. The owner
 // keeps entry ref's nk key words at keys[ref*nk:] of a flat slab it
 // appends to in step with the inserts, and passes that slab to find.
 // reset retires every slot at once by bumping gen, so closing an epoch
@@ -277,19 +265,27 @@ func (t *wordTable) reset() {
 	}
 }
 
-// colSupported reports whether every kernel the vectorized aggregate
-// needs is present.
+// colSupported reports whether the dense store can take this
+// aggregate's column batches: every kernel it needs, no Int key, every
+// accumulator word-vectorizable (denseInit). colNoInt collects the
+// columns the keys, the pre-filter and computed arguments read, whose
+// Int rows those kernels could not; a bare argument forwards them.
 func (o *Aggregate) colSupported() bool {
 	if len(o.cfg.ColGroupBy) != len(o.cfg.GroupBy) {
 		return false
 	}
 	for i := range o.cfg.ColGroupBy {
-		if o.cfg.ColGroupBy[i].U == nil {
+		g := &o.cfg.ColGroupBy[i]
+		if g.U == nil || g.ints != nil {
 			return false
 		}
+		o.colNoInt |= g.reads
 	}
-	if o.cfg.PreFilter != nil && (o.cfg.ColPreFilter == nil || o.cfg.ColPreFilter.Truth == nil) {
-		return false
+	if p := o.cfg.ColPreFilter; o.cfg.PreFilter != nil {
+		if p == nil || p.Truth == nil {
+			return false
+		}
+		o.colNoInt |= p.reads
 	}
 	for i, a := range o.cfg.Aggs {
 		if a.Arg == nil {
@@ -298,158 +294,63 @@ func (o *Aggregate) colSupported() bool {
 		if len(o.cfg.ColArgs) != len(o.cfg.Aggs) || o.cfg.ColArgs[i] == nil || o.cfg.ColArgs[i].U == nil {
 			return false
 		}
+		if p := o.cfg.ColArgs[i]; p.ref == 0 {
+			o.colNoInt |= p.reads
+		}
 	}
-	return true
+	return o.denseInit()
 }
 
-// PushCols implements ColConsumer: group keys and aggregate arguments
-// evaluate as whole-column kernels, then each row probes an
-// open-addressing cache keyed by the raw key words. For all-uint
-// values, word equality coincides with encoded-key equality
-// (appendKeyValue maps a uint u to tag 2 or 4 plus u's big-endian
-// bytes, injectively), so the cache resolves to exactly the group the
-// row path would — misses consult the groups map itself before
-// creating anything, keeping the two paths coherent.
+// PushCols implements ColConsumer. A batch of uint words whose Int
+// rows, if any, sit in columns only bare arguments read goes to the
+// dense store while that store can own the groups (densePush). Any
+// other batch — and every batch of an aggregate that is not dense
+// (VARIANCE, COUNT_DISTINCT, or one whose row store holds groups
+// after a denseMigrate) — pivots into the row store.
 //
 //qap:hot
 func (o *Aggregate) PushCols(cb *ColBatch) {
 	if o.colReady == 0 {
+		o.colReady = -1
 		if o.colSupported() {
 			o.colReady = 1
-		} else {
-			o.colReady = -1
 		}
 	}
 	if cb.Len == 0 {
 		return
 	}
-	if o.colReady < 0 || !cb.AllUint() {
+	if o.colReady < 0 || !cb.uintWords() || cb.intCols()&o.colNoInt != 0 || (o.denseN == 0 && len(o.groups) > 0) {
 		pushColsRows(o, cb)
 		return
 	}
-	// ok turns false when a kernel refuses the batch (a subtraction
-	// underflowed): the rows then take the row path, for this batch only.
-	ok := true
 	kvs := o.colKeyVecs[:0]
 	for i := range o.cfg.ColGroupBy {
-		v := o.cfg.ColGroupBy[i].U(cb)
-		kvs, ok = append(kvs, v), ok && v != nil
+		kvs = append(kvs, o.cfg.ColGroupBy[i].U(cb))
 	}
 	o.colKeyVecs = kvs
 	var filt []uint64
 	if o.cfg.PreFilter != nil {
 		filt = o.cfg.ColPreFilter.Truth(cb)
-		ok = ok && filt != nil
 	}
-	avs := o.colArgVecs[:0]
+	avs, ais := o.colArgVecs[:0], o.colArgInts[:0]
 	for i, a := range o.cfg.Aggs {
-		if a.Arg == nil {
-			avs = append(avs, nil)
-		} else {
-			v := o.cfg.ColArgs[i].U(cb)
-			avs, ok = append(avs, v), ok && v != nil
+		var v, ints []uint64
+		if a.Arg != nil {
+			// A bare reference hands on its column's Int rows.
+			p := o.cfg.ColArgs[i]
+			v, ints = p.U(cb), intsNow(p.ints)
+			if p.ref > 0 {
+				ints = cb.Cols[p.ref-1].Int
+			}
 		}
+		avs, ais = append(avs, v), append(ais, ints)
 	}
-	o.colArgVecs = avs
-	if !ok {
-		pushColsRows(o, cb)
-		return
-	}
-	if o.colDirty {
-		o.colResetTable()
-	}
+	o.colArgVecs, o.colArgInts = avs, ais
 	if o.colTab.slots == nil {
 		// A SizeHint warm-starts the table past the doubling chain.
 		o.colTab.init(colTableMin, o.cfg.SizeHint)
 	}
-	lateCheck := o.boundarySet && o.cfg.EpochIdx >= 0
-	var epochVec []uint64
-	var boundWord uint64
-	wordLate := false
-	if lateCheck {
-		epochVec = kvs[o.cfg.EpochIdx]
-		if u, ok := o.boundary.AsUint(); ok && o.boundary.Kind() == sqlval.KindUint {
-			// The usual case: a uint boundary against uint epochs
-			// compares as raw words, sparing a Value.Compare per row.
-			boundWord, wordLate = u, true
-		}
-	}
-	if o.denseReady == 0 {
-		o.denseInit()
-	}
-	if o.denseReady > 0 && (o.denseN > 0 || (len(o.groups) == 0 && len(o.colPending) == 0)) {
-		o.densePush(cb, kvs, avs, filt, epochVec, boundWord, wordLate, lateCheck)
-		return
-	}
-	n := cb.Len
-	for i := 0; i < n; i++ {
-		if filt != nil && filt[i] == 0 {
-			continue
-		}
-		if lateCheck {
-			if wordLate {
-				if epochVec[i] < boundWord {
-					o.Late++
-					continue
-				}
-			} else if sqlval.Uint(epochVec[i]).Compare(o.boundary) < 0 {
-				o.Late++
-				continue
-			}
-		}
-		gs := o.colGroup(kvs, i)
-		for a := range avs {
-			if avs[a] == nil {
-				gs.accs[a].Add(sqlval.Uint(1))
-			} else {
-				gs.accs[a].Add(sqlval.Uint(avs[a][i]))
-			}
-		}
-	}
-}
-
-// colGroup resolves row i's group through the slot cache, falling
-// back to the row-path map (and newGroup) on a miss. A cached group's
-// ref indexes colStates, appended in step with its key words.
-//
-//qap:hot
-func (o *Aggregate) colGroup(kvs [][]uint64, i int) *groupState {
-	h := hashKeyWords(kvs, i)
-	ref, at := o.colTab.find(h, o.colWords, kvs, i)
-	if ref >= 0 {
-		return o.colStates[ref]
-	}
-	vals := o.valsBuf[:0]
-	for _, kv := range kvs {
-		vals = append(vals, sqlval.Uint(kv[i]))
-	}
-	o.valsBuf = vals
-	kb := AppendKey(o.keyBuf[:0], vals)
-	o.keyBuf = kb
-	gs, ok := o.groups[string(kb)]
-	if !ok {
-		// Created columnar: the slot-table entry installed below is the
-		// group's only index until emitBefore or a row-path push syncs
-		// it into the map, sparing the map insert and its key-string
-		// allocation on the hot path.
-		gs = o.newGroup(kb, vals)
-		o.colPending = append(o.colPending, gs)
-	}
-	for _, kv := range kvs {
-		o.colWords = append(o.colWords, kv[i])
-	}
-	o.colTab.insert(at, h, int32(len(o.colStates)))
-	o.colStates = append(o.colStates, gs)
-	return gs
-}
-
-// colResetTable retires every slot, and the key words and cached
-// groups they resolve through, after emitBefore removed groups.
-func (o *Aggregate) colResetTable() {
-	o.colTab.reset()
-	o.colWords = o.colWords[:0]
-	o.colStates = o.colStates[:0]
-	o.colDirty = false
+	o.densePush(cb, kvs, avs, ais, filt)
 }
 
 // hashKeyWords mixes row i's key words (FNV-1a over words, with a
@@ -477,13 +378,15 @@ func keyWordsEqual(words []uint64, kvs [][]uint64, i int) bool {
 
 // denseAccKind names the word-vectorizable accumulator kinds the
 // dense columnar group store supports. Each replicates its Accum
-// counterpart exactly for non-NULL uint-kind inputs: AsInt and AsUint
-// are raw-bit conversions for uint words, so integer sum and bit ops
-// over words are bit-identical to the interface path; two uints
-// compare as words, which is MIN and MAX (MIN's state word starts at
-// all-ones); and AVG is avgAccum's two fields as two words — the float
-// sum's bits in the state word, the count in denseCnt — accumulated in
-// row order, so the sum rounds exactly as the interface path's does.
+// counterpart exactly for non-NULL inputs of KindUint and KindInt
+// alike: AsInt and AsUint are raw-bit conversions for both, so COUNT,
+// integer SUM and the bit ops over words are bit-identical to the
+// interface path. MIN and MAX compare as sqlval does and keep their
+// state's kind in denseAux (1 = Int); MIN's
+// state word starts at all-ones. AVG is avgAccum's two fields as two
+// words — the float sum's bits in the state word, the count in
+// denseAux — accumulated in row order, so the sum rounds exactly as the
+// interface path's does.
 type denseAccKind uint8
 
 const (
@@ -497,30 +400,34 @@ const (
 	denseAvg
 )
 
-// denseInit probes each aggregate factory once and records whether
-// every accumulator is word-vectorizable from its zero state, and
-// whether an emitted epoch can run HAVING and the projection as
+// aux reports whether the kind keeps a second word per group in
+// denseAux: AVG its count, MIN and MAX their state's kind.
+func (k denseAccKind) aux() bool { return k == denseAvg || k == denseMin || k == denseMax }
+
+// denseInit probes each aggregate factory once and reports whether
+// every accumulator is word-vectorizable from its zero state. It also
+// records whether an emitted epoch can run HAVING and the projection as
 // kernels: they exist, and only a bare reference reads an AVG column,
-// whose words are float bits.
-func (o *Aggregate) denseInit() {
-	o.denseReady = -1
+// whose words are float bits (colEmitOK); and which columns they read
+// (emitReads).
+func (o *Aggregate) denseInit() bool {
 	kinds := make([]denseAccKind, len(o.cfg.Aggs))
 	var floats uint64
 	for i, a := range o.cfg.Aggs {
 		switch p := a.Factory().(type) {
 		case *countAccum:
 			if p.n != 0 {
-				return
+				return false
 			}
 			kinds[i] = denseCount
 		case *sumAccum:
 			if p.isFloat || p.any || p.i != 0 {
-				return
+				return false
 			}
 			kinds[i] = denseSum
 		case *bitAccum:
 			if p.any || p.acc != 0 {
-				return
+				return false
 			}
 			switch p.op {
 			case bitOr:
@@ -530,11 +437,11 @@ func (o *Aggregate) denseInit() {
 			case bitXor:
 				kinds[i] = denseBitXor
 			default:
-				return
+				return false
 			}
 		case *minmaxAccum:
 			if p.any {
-				return
+				return false
 			}
 			kinds[i] = denseMax
 			if p.wantLess {
@@ -542,58 +449,66 @@ func (o *Aggregate) denseInit() {
 			}
 		case *avgAccum:
 			if p.n != 0 || p.sum != 0 {
-				return
+				return false
 			}
 			kinds[i] = denseAvg
 			floats |= colBit(len(o.cfg.GroupBy) + i)
 		default:
-			return
+			return false
 		}
 	}
 	o.denseAcc = kinds
-	if o.denseAccW == nil {
-		o.denseAccW = make([][]uint64, len(kinds))
+	o.denseAccW, o.denseAux = make([][]uint64, len(kinds)), make([][]uint64, len(kinds))
+	if h := o.cfg.ColHaving; h != nil {
+		o.emitReads = h.reads
 	}
-	if floats != 0 && o.denseCnt == nil {
-		o.denseCnt = make([][]uint64, len(kinds))
-	}
-	o.colEmitOK = o.emit.colReady() && (o.cfg.ColHaving == nil || o.cfg.ColHaving.reads&floats == 0)
 	for i := range o.cfg.ColPost {
-		if p := &o.cfg.ColPost[i]; p.ref == 0 && p.reads&floats != 0 {
-			o.colEmitOK = false
+		if p := &o.cfg.ColPost[i]; p.ref == 0 {
+			o.emitReads |= p.reads
 		}
 	}
+	o.colEmitOK = o.emit.colReady() && o.emitReads&floats == 0
 	if h := o.cfg.SizeHint; h > 0 {
 		// Warm-start the dense arrays so a hinted run never pays the
 		// append doubling chain for key words or state words.
-		if nk := len(o.cfg.GroupBy); cap(o.colWords) < h*nk {
-			o.colWords = make([]uint64, 0, h*nk)
-		}
-		if cap(o.denseDone) < h {
-			o.denseDone = make([]int32, 0, h)
-		}
+		o.colWords = make([]uint64, 0, h*len(o.cfg.GroupBy))
+		o.denseDone = make([]int32, 0, h)
 		for a, kind := range kinds {
-			if cap(o.denseAccW[a]) < h {
-				o.denseAccW[a] = make([]uint64, 0, h)
-			}
-			if kind == denseAvg && cap(o.denseCnt[a]) < h {
-				o.denseCnt[a] = make([]uint64, 0, h)
+			o.denseAccW[a] = make([]uint64, 0, h)
+			if kind.aux() {
+				o.denseAux[a] = make([]uint64, 0, h)
 			}
 		}
 	}
-	o.denseReady = 1
+	return true
 }
 
 // densePush is the struct-of-arrays aggregate path: one pass resolves
-// every surviving row to a dense group index, then each aggregate
-// accumulates over (slot, row) pairs in a tight per-kind loop with no
-// interface dispatch and no per-group objects.
+// every surviving row to a dense group index through the word table —
+// for all-uint keys, word equality coincides with encoded-key equality
+// (appendKeyValue maps a uint u to tag 2 or 4 plus u's big-endian
+// bytes, injectively), so it finds exactly the group the row path
+// would — then each aggregate accumulates over (slot, row) pairs in a
+// tight per-kind loop with no interface dispatch and no per-group
+// objects. ais holds each argument's Int bitmap.
 //
 //qap:hot
-func (o *Aggregate) densePush(cb *ColBatch, kvs, avs [][]uint64, filt, epochVec []uint64, boundWord uint64, wordLate, lateCheck bool) {
+func (o *Aggregate) densePush(cb *ColBatch, kvs, avs, ais [][]uint64, filt []uint64) {
+	lateCheck := o.boundarySet && o.cfg.EpochIdx >= 0
+	var epochVec []uint64
+	var boundWord uint64
+	wordLate := false
+	if lateCheck {
+		epochVec = kvs[o.cfg.EpochIdx]
+		if u, ok := o.boundary.AsUint(); ok && o.boundary.Kind() == sqlval.KindUint {
+			// The usual case: a uint boundary against uint epochs
+			// compares as raw words, sparing a Value.Compare per row.
+			boundWord, wordLate = u, true
+		}
+	}
 	slots := o.denseSlots[:0]
 	rows := o.denseRows[:0]
-	n := cb.Len
+	n, first := cb.Len, int32(o.denseN)
 	o.denseIn += int64(n)
 	for i := 0; i < n; i++ {
 		if filt != nil && filt[i] == 0 {
@@ -615,7 +530,7 @@ func (o *Aggregate) densePush(cb *ColBatch, kvs, avs [][]uint64, filt, epochVec 
 	}
 	o.denseSlots, o.denseRows = slots, rows
 	for j, kind := range o.denseAcc {
-		w := o.denseAccW[j]
+		w, av, ai := o.denseAccW[j], avs[j], ais[j]
 		switch kind {
 		case denseCount:
 			// COUNT(*) and COUNT(arg) both count every surviving row:
@@ -624,49 +539,76 @@ func (o *Aggregate) densePush(cb *ColBatch, kvs, avs [][]uint64, filt, epochVec 
 				w[g]++
 			}
 		case denseSum:
-			av := avs[j]
 			for k, g := range slots {
 				w[g] = uint64(int64(w[g]) + int64(av[rows[k]]))
 			}
 		case denseBitOr:
-			av := avs[j]
 			for k, g := range slots {
 				w[g] |= av[rows[k]]
 			}
 		case denseBitAnd:
-			av := avs[j]
 			for k, g := range slots {
 				w[g] &= av[rows[k]]
 			}
 		case denseBitXor:
-			av := avs[j]
 			for k, g := range slots {
 				w[g] ^= av[rows[k]]
 			}
-		case denseMin:
-			av := avs[j]
-			for k, g := range slots {
-				w[g] = min(w[g], av[rows[k]])
-			}
-		case denseMax:
-			av := avs[j]
-			for k, g := range slots {
-				w[g] = max(w[g], av[rows[k]])
+		case denseMin, denseMax:
+			switch {
+			case ai != nil || o.denseInts:
+				o.denseMinMax(j, kind == denseMin, slots, rows, av, ai, first)
+			case kind == denseMin:
+				for k, g := range slots {
+					w[g] = min(w[g], av[rows[k]])
+				}
+			default:
+				for k, g := range slots {
+					w[g] = max(w[g], av[rows[k]])
+				}
 			}
 		case denseAvg:
-			av, cnt := avs[j], o.denseCnt[j]
+			cnt := o.denseAux[j]
 			for k, g := range slots {
-				w[g] = math.Float64bits(math.Float64frombits(w[g]) + float64(av[rows[k]]))
+				x := float64(av[rows[k]])
+				if bitAt(ai, int(rows[k])) {
+					x = float64(int64(av[rows[k]]))
+				}
+				w[g] = math.Float64bits(math.Float64frombits(w[g]) + x)
 				cnt[g]++
 			}
 		}
 	}
 }
 
+// denseMinMax folds a batch into MIN (less) or MAX states by
+// sqlval's Compare, for a batch with Int rows or states some of which
+// hold an Int. A tie keeps the state, kind and all, as minmaxAccum
+// keeps the first value it saw; and a group this batch created takes
+// its first row as it is. Groups are created in row order, from first
+// on, so the first pair naming new group g comes when next == g.
+//
+//qap:hot
+func (o *Aggregate) denseMinMax(j int, less bool, slots, rows []int32, av, ai []uint64, next int32) {
+	w, kind := o.denseAccW[j], o.denseAux[j]
+	for k, g := range slots {
+		r := int(rows[k])
+		v := wordValue(av[r], bitAt(ai, r))
+		if g == next {
+			next++
+		} else if c := v.Compare(wordValue(w[g], kind[g] != 0)); c == 0 || (c < 0) != less {
+			continue
+		}
+		w[g], kind[g] = av[r], b2u(v.Kind() == sqlval.KindInt)
+		o.denseInts = o.denseInts || kind[g] != 0
+	}
+}
+
 // denseGroup resolves row i to its dense group index, creating the
 // group on a miss: key words onto colWords — group g's are
 // colWords[g*nk:(g+1)*nk], the slab the table resolves through — and
-// each aggregate's state from zero (all-ones for a MIN).
+// each aggregate's state from zero (all-ones for a MIN, a Uint for a
+// MIN's or MAX's kind).
 //
 //qap:hot
 func (o *Aggregate) denseGroup(kvs [][]uint64, i int) int32 {
@@ -684,11 +626,11 @@ func (o *Aggregate) denseGroup(kvs [][]uint64, i int) int32 {
 	}
 	for a, kind := range o.denseAcc {
 		var zero uint64
-		switch kind {
-		case denseMin:
+		if kind == denseMin {
 			zero = ^uint64(0)
-		case denseAvg:
-			o.denseCnt[a] = append(o.denseCnt[a], 0)
+		}
+		if kind.aux() {
+			o.denseAux[a] = append(o.denseAux[a], 0)
 		}
 		o.denseAccW[a] = append(o.denseAccW[a], zero)
 	}
@@ -725,10 +667,14 @@ func (o *Aggregate) denseResult(j int, g int32) sqlval.Value {
 	w := o.denseAccW[j][g]
 	switch o.denseAcc[j] {
 	case denseAvg:
-		return sqlval.Float(math.Float64frombits(w) / float64(o.denseCnt[j][g]))
+		return sqlval.Float(math.Float64frombits(w) / float64(o.denseAux[j][g]))
 	case denseSum:
 		if i := int64(w); i < 0 {
 			return sqlval.Int(i)
+		}
+	case denseMin, denseMax:
+		if o.denseAux[j][g] != 0 {
+			return sqlval.Int(int64(w))
 		}
 	}
 	return sqlval.Uint(w)
@@ -755,10 +701,10 @@ func (o *Aggregate) denseMigrate() {
 				a.i, a.any = int64(w), true
 			case denseMin, denseMax:
 				a := gs.accs[j].(*minmaxAccum)
-				a.best, a.any = sqlval.Uint(w), true
+				a.best, a.any = o.denseResult(j, int32(g)), true
 			case denseAvg:
 				a := gs.accs[j].(*avgAccum)
-				a.sum, a.n = math.Float64frombits(w), o.denseCnt[j][g]
+				a.sum, a.n = math.Float64frombits(w), o.denseAux[j][g]
 			default:
 				a := gs.accs[j].(*bitAccum)
 				a.acc, a.any = w, true
@@ -767,19 +713,18 @@ func (o *Aggregate) denseMigrate() {
 		o.register(string(gs.key), gs)
 	}
 	o.denseReset()
-	o.colDirty = true
 }
 
-// denseReset empties the dense arrays; the key words go with the next
-// colResetTable.
+// denseReset empties the dense store: its arrays, its word table and
+// the key words the table resolves through.
 func (o *Aggregate) denseReset() {
-	o.denseN = 0
+	o.denseN, o.denseInts = 0, false
 	for j := range o.denseAccW {
 		o.denseAccW[j] = o.denseAccW[j][:0]
+		o.denseAux[j] = o.denseAux[j][:0]
 	}
-	for j := range o.denseCnt {
-		o.denseCnt[j] = o.denseCnt[j][:0]
-	}
+	o.colTab.reset()
+	o.colWords = o.colWords[:0]
 }
 
 // denseEmit drains dense groups with epoch < boundary (all groups
@@ -824,7 +769,6 @@ func (o *Aggregate) denseEmit(boundary *sqlval.Value) {
 	outLen := o.denseDeliver(done, nk, len(o.cfg.Aggs))
 	if len(done) == o.denseN {
 		o.denseReset()
-		o.colResetTable()
 		o.minSet = false
 	} else {
 		o.denseCompact(retired, nk, eIdx)
@@ -839,17 +783,20 @@ func (o *Aggregate) denseEmit(boundary *sqlval.Value) {
 // gather straight from the dense arrays, and HAVING and the projection
 // run over them as column kernels — the code a FilterProject runs —
 // so no row exists for a group HAVING drops, nor for one it keeps. Rows
-// are made, exactly like the map path's emit, only for what the columns
-// or the kernels cannot carry: an integer sum that went negative
-// (KindInt), a HAVING or computed projection without a kernel, reading
-// an AVG (colEmitOK), or refusing this epoch's batch.
+// are made, exactly like the map path's emit, only where the kernels
+// cannot read the columns: a HAVING or computed projection without a
+// kernel, reading an AVG (colEmitOK), or reading a column with Int rows
+// this epoch — an integer SUM below zero, an Int MIN or MAX.
 func (o *Aggregate) denseDeliver(done []int32, nk, na int) int {
-	if o.cfg.ColEmit && nk+na > 0 && o.colEmitOK && o.denseColumns(done, nk, na) {
-		if work, ok := o.emit.colApply(&o.emitCols); ok {
+	if o.cfg.ColEmit && nk+na > 0 && o.colEmitOK {
+		if o.denseColumns(done, nk, na); o.emitCols.intCols()&o.emitReads == 0 {
 			o.kernelEmits++
+			work := o.emit.colApply(&o.emitCols)
 			if work == nil {
 				return 0
 			}
+			// What emitRows would send: an all-Int column is KindInt.
+			work.wholeInts()
 			PushColsAll(o.cfg.Out, work)
 			return work.Len
 		}
@@ -868,11 +815,11 @@ func (o *Aggregate) denseDeliver(done []int32, nk, na int) int {
 
 // denseColumns gathers the retired groups' key and state words into
 // emitCols: uint columns, but for an AVG, which finalises to a float
-// column. It reports false when some integer sum went negative, which
-// only a row can carry.
+// column. The Int bitmap of a SUM marks the groups below zero, that of
+// a MIN or MAX the groups whose state is an Int.
 //
 //qap:hot
-func (o *Aggregate) denseColumns(done []int32, nk, na int) bool {
+func (o *Aggregate) denseColumns(done []int32, nk, na int) {
 	ec := &o.emitCols
 	if cap(ec.Cols) < nk+na {
 		//qap:allow hotalloc -- column headers sized once per operator width
@@ -883,7 +830,7 @@ func (o *Aggregate) denseColumns(done []int32, nk, na int) bool {
 	for c := range ec.Cols {
 		d := &ec.Cols[c]
 		d.Kind = sqlval.KindUint
-		d.Str, d.Valid = nil, nil
+		d.Str, d.Valid, d.Int = nil, nil, d.Int[:0]
 		if cap(d.U64) < m {
 			// Sized once per run from the hint: an exact fit would
 			// re-allocate for every epoch a little larger than the last.
@@ -899,20 +846,28 @@ func (o *Aggregate) denseColumns(done []int32, nk, na int) bool {
 			ec.Cols[c].U64[k] = w
 		}
 	}
-	var neg uint64
 	for j := 0; j < na; j++ {
-		w, dst := o.denseAccW[j], ec.Cols[nk+j].U64
+		col := &ec.Cols[nk+j]
+		w, dst, aux := o.denseAccW[j], col.U64, o.denseAux[j]
 		switch o.denseAcc[j] {
 		case denseAvg:
-			ec.Cols[nk+j].Kind = sqlval.KindFloat
-			cnt := o.denseCnt[j]
+			col.Kind = sqlval.KindFloat
 			for k, g := range done {
-				dst[k] = math.Float64bits(math.Float64frombits(w[g]) / float64(cnt[g]))
+				dst[k] = math.Float64bits(math.Float64frombits(w[g]) / float64(aux[g]))
 			}
 		case denseSum:
 			for k, g := range done {
 				dst[k] = w[g]
-				neg |= w[g]
+				if int64(w[g]) < 0 {
+					col.Int = markInt(col.Int, k, m)
+				}
+			}
+		case denseMin, denseMax:
+			for k, g := range done {
+				dst[k] = w[g]
+				if aux[g] != 0 {
+					col.Int = markInt(col.Int, k, m)
+				}
 			}
 		default:
 			for k, g := range done {
@@ -920,7 +875,6 @@ func (o *Aggregate) denseColumns(done []int32, nk, na int) bool {
 			}
 		}
 	}
-	return int64(neg) >= 0
 }
 
 // denseKeyLess is the comparison the dense radix order encodes:
@@ -1078,8 +1032,8 @@ func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
 		copy(o.colWords[n*nk:(n+1)*nk], o.colWords[g*nk:(g+1)*nk])
 		for j, w := range o.denseAccW {
 			w[n] = w[g]
-			if o.denseAcc[j] == denseAvg {
-				o.denseCnt[j][n] = o.denseCnt[j][g]
+			if o.denseAcc[j].aux() {
+				o.denseAux[j][n] = o.denseAux[j][g]
 			}
 		}
 		n++
@@ -1088,8 +1042,8 @@ func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
 	o.colWords, o.denseN, o.minSet = o.colWords[:n*nk], n, false
 	for j, kind := range o.denseAcc {
 		o.denseAccW[j] = o.denseAccW[j][:n]
-		if kind == denseAvg {
-			o.denseCnt[j] = o.denseCnt[j][:n]
+		if kind.aux() {
+			o.denseAux[j] = o.denseAux[j][:n]
 		}
 	}
 	for g := 0; g < n; g++ {
@@ -1100,13 +1054,14 @@ func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
 	}
 }
 
-// colKeysReady reports whether every key of the side has a uint kernel.
+// colKeysReady reports whether every key of the side has a uint kernel
+// that is never Int.
 func (s *JoinSideConfig) colKeysReady() bool {
 	if len(s.ColKeys) != len(s.Keys) {
 		return false
 	}
 	for i := range s.ColKeys {
-		if s.ColKeys[i].U == nil {
+		if k := &s.ColKeys[i]; k.U == nil || k.ints != nil {
 			return false
 		}
 	}
@@ -1117,9 +1072,9 @@ func (s *JoinSideConfig) colKeysReady() bool {
 // batch of the side's width as it is: key kernels over the columns,
 // then build and probe on words (pushWords), which sends the batch's
 // matches downstream as one column batch — or leaves them in outBuf as
-// rows, when a kernel is missing or refuses. Any other batch migrates
-// the join to the row layout, which pivots to durable rows and runs
-// the per-tuple build/probe.
+// rows, when a residual or projection kernel is missing. Any other
+// batch migrates the join to the row layout, which pivots to durable
+// rows and runs the per-tuple build/probe.
 //
 //qap:hot
 func (p *joinPort) PushCols(cb *ColBatch) {
@@ -1149,7 +1104,7 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 // gather: left ++ right, in arrival-row then chain order, which is the
 // row layout's output order; emitPairs turns the batch's pairs into
 // output. It reports false, having done nothing, for a batch the layout
-// cannot hold — a key kernel refusing it included.
+// cannot hold.
 //
 //qap:hot
 func (j *Join) pushWords(cb *ColBatch, left bool) bool {
@@ -1169,11 +1124,7 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 	}
 	kvs := j.colKeyVecs[:0]
 	for i := range side.ColKeys {
-		v := side.ColKeys[i].U(cb)
-		if v == nil {
-			return false
-		}
-		kvs = append(kvs, v)
+		kvs = append(kvs, side.ColKeys[i].U(cb))
 	}
 	j.colKeyVecs = kvs
 	n := 0
@@ -1254,13 +1205,13 @@ func (j *Join) growGather() {
 // emitPairs turns gather's first n rows, the input batch's key-equal
 // pairs, into output. With every kernel present, Residual and Projs run
 // over them as a FilterProject — how Aggregate.emit runs HAVING and
-// Post — and the result goes downstream as columns: no row is made.
-// Otherwise, and for a batch a kernel refuses (S2.time - S1.time
-// underflowing on one pair), each pair's row is made from gather's
-// words for the row closures, and emit buffers the result for the
-// caller to deliver exactly as the row layout does. An outer join with
-// a residual always takes this second way: it needs the verdict per
-// pair, to mark the pair's two entries matched.
+// Post — and the result goes downstream as columns: no row is made,
+// and a projected subtraction (S2.time - S1.time) marks the pairs where
+// it is an Int. Otherwise each pair's row is made from gather's words
+// for the row closures, and emit buffers the result for the caller to
+// deliver exactly as the row layout does. An outer join with a residual
+// always takes this second way: it needs the verdict per pair, to mark
+// the pair's two entries matched.
 //
 //qap:hot
 func (j *Join) emitPairs(n int) {
@@ -1270,13 +1221,11 @@ func (j *Join) emitPairs(n int) {
 	}
 	g.Len = n
 	if j.colEmit {
-		if work, ok := j.out.colApply(g); ok {
-			j.colEmits++
-			if work != nil {
-				PushColsAll(j.cfg.Out, work)
-			}
-			return
+		j.colEmits++
+		if work := j.out.colApply(g); work != nil {
+			PushColsAll(j.cfg.Out, work)
 		}
+		return
 	}
 	j.rowEmits++
 	comb := j.combBuf[:len(g.Cols)]

@@ -8,22 +8,6 @@ import (
 	"qap/internal/sqlval"
 )
 
-// colAggRows builds n rows whose (time, srcIP) pairs are all distinct,
-// to drive group-table growth.
-func colAggRows(n int) Batch {
-	b := make(Batch, 0, n)
-	for i := 0; i < n; i++ {
-		b = append(b, Tuple{
-			u(0),                // time: one epoch
-			u(uint64(i)),        // srcIP: unique per row
-			u(uint64(i % 3)),    // destIP
-			u(uint64(i) & 0x3f), // flags
-			u(uint64(41 + i%7)), // len
-		})
-	}
-	return b
-}
-
 // buildColAgg builds a columnar-configured aggregate grouping by
 // (time, srcIP) with the given aggregate columns, mirroring what the
 // cluster runner compiles for the columnar engine.
@@ -49,40 +33,6 @@ func buildColAgg(t *testing.T, out Consumer, aggs []AggColumn, colArgs []*ColExp
 		mutate(&cfg)
 	}
 	return NewAggregate(cfg)
-}
-
-// TestColGroupTableGrows pushes enough distinct groups through the
-// map-backed columnar path (VARIANCE is not word-vectorizable, so the
-// dense store refuses and colGroup carries every row) to force the word
-// table's doubling past colTableMin, then checks the emitted groups
-// against the row path.
-func TestColGroupTableGrows(t *testing.T) {
-	r := colTestResolver
-	aggs := []AggColumn{
-		{Factory: mustFactory(t, "VARIANCE"), Arg: MustCompile(gsql.MustParseExpr("len"), r, nil)},
-	}
-	colArgs := []*ColExpr{colPtr(mustCompileCol(t, "len", r, nil))}
-	var outS, outC Collector
-	aggS := buildColAgg(t, &outS, aggs, colArgs, nil)
-	aggC := buildColAgg(t, &outC, aggs, colArgs, nil)
-
-	// 3/4 of colTableMin triggers the first doubling; go well past it.
-	rows := colAggRows(colTableMin * 2)
-	var cb ColBatch
-	if !cb.SetFromRows(rows) {
-		t.Fatal("SetFromRows failed")
-	}
-	aggC.PushCols(&cb)
-	PushAll(aggS, rows)
-	if aggC.denseN != 0 {
-		t.Fatal("VARIANCE must not be dense-eligible")
-	}
-	if got := aggC.GroupCount(); got != len(rows) {
-		t.Fatalf("GroupCount = %d, want %d", got, len(rows))
-	}
-	aggS.Flush()
-	aggC.Flush()
-	diffBatches(t, "grown table", outS.Rows, outC.Rows)
 }
 
 // TestDenseDeliverHaving drives the dense store's emit through HAVING
@@ -157,9 +107,8 @@ func TestDenseDeliverPost(t *testing.T) {
 }
 
 // TestDenseDeliverNegativeSum overflows an integer SUM negative: the
-// direct column emission must bail (a uint vector cannot carry a
-// negative total) and the materialized rows must match the row path's
-// Int result exactly.
+// column emission marks it an Int row, and what arrives must match the
+// row path's Int result exactly.
 func TestDenseDeliverNegativeSum(t *testing.T) {
 	r := colTestResolver
 	aggs := []AggColumn{
@@ -214,8 +163,7 @@ func TestUnionPortPushCols(t *testing.T) {
 	diffBatches(t, "union forward", rows, out.Rows)
 }
 
-// TestTrivialColConsumers covers the leaf ColConsumer implementations
-// and the list compiler.
+// TestTrivialColConsumers covers the leaf ColConsumer implementations.
 func TestTrivialColConsumers(t *testing.T) {
 	rows := colTestRows(4)
 	var cb ColBatch
@@ -233,23 +181,4 @@ func TestTrivialColConsumers(t *testing.T) {
 	te.PushCols(&cb)
 	diffBatches(t, "tee a", rows, a.Rows)
 	diffBatches(t, "tee b", rows, b.Rows)
-
-	ces, err := CompileColAll([]gsql.Expr{
-		gsql.MustParseExpr("srcIP"),
-		gsql.MustParseExpr("len + 1"),
-	}, colTestResolver, nil)
-	if err != nil {
-		t.Fatalf("CompileColAll: %v", err)
-	}
-	if len(ces) != 2 {
-		t.Fatalf("CompileColAll returned %d exprs", len(ces))
-	}
-	for i, ce := range ces {
-		if ce.U == nil {
-			t.Errorf("expr %d: no kernel", i)
-		}
-	}
-	if _, err := CompileColAll([]gsql.Expr{gsql.MustParseExpr("nosuch")}, colTestResolver, nil); err == nil {
-		t.Error("CompileColAll accepted an unresolvable column")
-	}
 }

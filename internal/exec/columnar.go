@@ -2,9 +2,9 @@ package exec
 
 // Columnar batch representation. A ColBatch holds one window of tuples
 // as per-column typed vectors (uint64 payload words plus a string
-// spine and an optional validity bitmap), so batched operators can run
-// compiled kernels over dense column slices instead of per-tuple
-// interface dispatch. Pivots (AppendRows / SetFromRows) happen only
+// spine and optional validity and Int bitmaps), so batched operators
+// can run compiled kernels over dense column slices instead of
+// per-tuple interface dispatch. Pivots (AppendRows / SetFromRows) happen only
 // where a row-oriented operator needs them: a consumer that does not
 // implement ColConsumer transparently receives the pivoted rows via
 // PushColsAll. The engine boundaries carry columns as they are: in
@@ -29,7 +29,7 @@ import (
 )
 
 // ColVec is a single column of a ColBatch: a uniform value kind, a
-// payload word per row, and an optional validity bitmap.
+// payload word per row, and optional validity and Int bitmaps.
 //
 // Payload encoding by Kind (one uint64 word per row in U64):
 //
@@ -43,16 +43,47 @@ import (
 // Valid is a little-endian bitmap (bit i of word i/64 set = row i is
 // non-NULL). len(Valid) == 0 means every row is valid. NULL rows keep
 // a zero payload word so vectors stay densely indexed.
+//
+// Int, in the same form, marks the rows of a KindUint column that are
+// sqlval.Int(int64(w)) instead — what a subtraction yields for a row
+// that borrowed, an integer SUM below zero, or a MIN or MAX over such
+// values. len(Int) == 0 means no row is. A uint kernel reads the words
+// alone, so every gate that runs one on a column (AllUint) requires it
+// to mark none.
 type ColVec struct {
 	Kind  sqlval.Kind
 	U64   []uint64
 	Str   []string
 	Valid []uint64
+	Int   []uint64
 }
 
 // IsValid reports whether row i is non-NULL.
 func (v *ColVec) IsValid(i int) bool {
 	return len(v.Valid) == 0 || v.Valid[i>>6]&(1<<uint(i&63)) != 0
+}
+
+// bitAt reports whether bitmap bm marks row i; an empty one marks none.
+func bitAt(bm []uint64, i int) bool { return len(bm) != 0 && bm[i>>6]&(1<<uint(i&63)) != 0 }
+
+// wordValue is the value a uint word stands for: a Uint, or the Int an
+// Int bitmap marks it as.
+func wordValue(w uint64, isInt bool) sqlval.Value {
+	if isInt {
+		return sqlval.Int(int64(w))
+	}
+	return sqlval.Uint(w)
+}
+
+// markInt sets row i in Int bitmap bm of an n-row column, sizing and
+// clearing an empty one first.
+func markInt(bm []uint64, i, n int) []uint64 {
+	if len(bm) == 0 {
+		bm = growUints(bm, (n+63)>>6)
+		clear(bm)
+	}
+	bm[i>>6] |= 1 << uint(i&63)
+	return bm
 }
 
 // Value reconstructs row i as a sqlval.Value. The reconstruction is
@@ -64,7 +95,7 @@ func (v *ColVec) Value(i int) sqlval.Value {
 	}
 	switch v.Kind {
 	case sqlval.KindUint:
-		return sqlval.Uint(v.U64[i])
+		return wordValue(v.U64[i], bitAt(v.Int, i))
 	case sqlval.KindInt:
 		return sqlval.Int(int64(v.U64[i]))
 	case sqlval.KindFloat:
@@ -87,11 +118,15 @@ type ColBatch struct {
 	Len  int
 }
 
-// AllUint reports whether every column is KindUint with no NULLs.
-// This is the precondition for the compiled uint kernels (ColExpr.U /
-// ColExpr.Truth): network traces pivot to all-uint batches, which is
-// the engine hot path.
-func (cb *ColBatch) AllUint() bool {
+// AllUint reports whether every column is KindUint with no NULLs and
+// no Int rows. This is the precondition for the compiled uint kernels
+// (ColExpr.U / ColExpr.Truth): network traces pivot to all-uint
+// batches, which is the engine hot path.
+func (cb *ColBatch) AllUint() bool { return cb.uintWords() && cb.intCols() == 0 }
+
+// uintWords reports whether every column is KindUint with no NULLs:
+// one word a row, some of which Int may mark.
+func (cb *ColBatch) uintWords() bool {
 	for i := range cb.Cols {
 		c := &cb.Cols[i]
 		if c.Kind != sqlval.KindUint || len(c.Valid) != 0 {
@@ -99,6 +134,34 @@ func (cb *ColBatch) AllUint() bool {
 		}
 	}
 	return true
+}
+
+// HasInt reports whether some column marks Int rows.
+func (cb *ColBatch) HasInt() bool { return cb.intCols() != 0 }
+
+// wholeInts makes every column whose Int bitmap marks all of its rows
+// the KindInt column SetFromRows makes of those rows.
+func (cb *ColBatch) wholeInts() {
+	for i := range cb.Cols {
+		c, r := &cb.Cols[i], 0
+		for r < cb.Len && bitAt(c.Int, r) {
+			r++
+		}
+		if r > 0 && r == cb.Len {
+			c.Kind, c.Int = sqlval.KindInt, nil
+		}
+	}
+}
+
+// intCols is the read set (colBit) of the columns that mark Int rows.
+func (cb *ColBatch) intCols() uint64 {
+	var m uint64
+	for i := range cb.Cols {
+		if len(cb.Cols[i].Int) != 0 {
+			m |= colBit(i)
+		}
+	}
+	return m
 }
 
 // Reset truncates the batch to zero rows, keeping column capacity so
@@ -109,6 +172,7 @@ func (cb *ColBatch) Reset() {
 		c.U64 = c.U64[:0]
 		c.Str = c.Str[:0]
 		c.Valid = c.Valid[:0]
+		c.Int = c.Int[:0]
 	}
 	cb.Len = 0
 }
@@ -188,15 +252,16 @@ func (cb *ColBatch) CopyFrom(src *ColBatch) {
 		d.U64 = append(d.U64[:0], s.U64...)
 		d.Valid = append(d.Valid[:0], s.Valid...)
 		d.Str = append(d.Str[:0], s.Str...)
+		d.Int = append(d.Int[:0], s.Int...)
 	}
 	cb.Len = src.Len
 }
 
 // Slice points dst at rows [lo, hi) of cb without copying payloads.
 // dst shares cb's backing arrays, so it follows the same
-// only-during-the-call lifetime. Only all-valid columns can be sliced
-// (the bitmap is not word-aligned at arbitrary offsets); producers
-// that chunk batches only ever build all-valid columns.
+// only-during-the-call lifetime. Only columns without a bitmap can be
+// sliced (a bitmap is not word-aligned at arbitrary offsets); producers
+// that chunk batches only ever build those.
 func (cb *ColBatch) Slice(lo, hi int, dst *ColBatch) {
 	if cap(dst.Cols) < len(cb.Cols) {
 		dst.Cols = make([]ColVec, len(cb.Cols))
@@ -204,12 +269,12 @@ func (cb *ColBatch) Slice(lo, hi int, dst *ColBatch) {
 	dst.Cols = dst.Cols[:len(cb.Cols)]
 	for i := range cb.Cols {
 		c := &cb.Cols[i]
-		if len(c.Valid) != 0 {
-			panic("exec: ColBatch.Slice on column with validity bitmap")
+		if len(c.Valid) != 0 || len(c.Int) != 0 {
+			panic("exec: ColBatch.Slice on column with a bitmap")
 		}
 		d := &dst.Cols[i]
 		d.Kind = c.Kind
-		d.Valid = nil
+		d.Valid, d.Int = nil, nil
 		d.U64 = nil
 		d.Str = nil
 		// The kind says which vector holds the payload; the other may
@@ -272,9 +337,10 @@ func (cb *ColBatch) AppendRows(dst Batch) Batch {
 
 // SetFromRows rebuilds cb from a row batch, reusing column capacity.
 // It returns false — leaving cb unspecified — when the rows cannot be
-// represented columnar: ragged widths or a column mixing value kinds.
-// NULLs are fine (they set the validity bitmap); an all-NULL column
-// becomes KindNull.
+// represented columnar: ragged widths or a column mixing value kinds,
+// but for uints mixed with Ints, which become a KindUint column whose
+// Int bitmap marks the Ints. NULLs are fine (they set the validity
+// bitmap); an all-NULL column becomes KindNull.
 func (cb *ColBatch) SetFromRows(b Batch) bool {
 	n := len(b)
 	if n == 0 {
@@ -295,7 +361,7 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 	for c := 0; c < w; c++ {
 		v := &cb.Cols[c]
 		kind := sqlval.KindNull
-		nulls := false
+		nulls, ints := false, false
 		for r := 0; r < n; r++ {
 			val := b[r][c]
 			if val.IsNull() {
@@ -308,13 +374,17 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 				continue
 			}
 			if k != kind {
-				return false
+				if (k != sqlval.KindUint && k != sqlval.KindInt) || (kind != sqlval.KindUint && kind != sqlval.KindInt) {
+					return false
+				}
+				kind, ints = sqlval.KindUint, true
 			}
 		}
 		v.Kind = kind
 		v.U64 = v.U64[:0]
 		v.Str = v.Str[:0]
 		v.Valid = v.Valid[:0]
+		v.Int = v.Int[:0]
 		switch kind {
 		case sqlval.KindNull:
 		case sqlval.KindString:
@@ -336,6 +406,9 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 			for r := 0; r < n; r++ {
 				u, _ := b[r][c].AsUint()
 				v.U64 = append(v.U64, u)
+				if ints && b[r][c].Kind() == sqlval.KindInt {
+					v.Int = markInt(v.Int, r, n)
+				}
 			}
 		}
 		if nulls || kind == sqlval.KindNull {
@@ -407,19 +480,19 @@ func (c *Collector) PushCols(cb *ColBatch) {
 	c.Rows = cb.AppendRows(c.Rows)
 }
 
-// PushCols forwards an all-uint batch as columns to every consumer
-// that takes columns — every operator's column path is gated on
-// exactly that predicate, so none of them pivots it back. Consumers
-// that need rows, which for any other batch is all of them, share one
-// pivot to durable rows and take them whole, one consumer after the
-// other.
+// PushCols forwards a batch of uint words — Int rows included — as
+// columns to every consumer that takes columns: each operator's column
+// path takes such a batch, or pivots it itself where a kernel would
+// read an Int row. Consumers that need rows, which for any other batch
+// is all of them, share one pivot to durable rows and take them whole,
+// one consumer after the other.
 //
 //qap:hot
 func (t *Tee) PushCols(cb *ColBatch) {
 	if cb.Len == 0 {
 		return
 	}
-	cols := cb.AllUint()
+	cols := cb.uintWords()
 	var rows Batch
 	for _, o := range t.Outs {
 		if cc, ok := o.(ColConsumer); ok && cols {

@@ -252,8 +252,9 @@ func TestCompileColKernelMatchesRow(t *testing.T) {
 
 // TestCompileColUnsupportedFallsBack pins the shapes that must NOT get
 // kernels: their value kind leaves uint (or goes NULL) at runtime in a
-// way no kernel detects. Subtraction is not one of them any more: its
-// kernel answers, or refuses a batch with an underflowing row.
+// way no kernel carries. A subtraction is not one of them where its Int
+// rows can go — the root, a comparison, truthiness — and is one
+// anywhere else.
 func TestCompileColUnsupportedFallsBack(t *testing.T) {
 	for _, src := range []string{
 		"-srcIP",      // Neg yields Int
@@ -275,6 +276,13 @@ func TestCompileColUnsupportedFallsBack(t *testing.T) {
 		"ABS(-len) - srcIP",  // unary minus below
 		"NOT (1.5 - srcIP)",  // float subtraction
 		"destIP - (len / 0)", // NULL operand
+		// A may-be-Int operand under anything but a comparison or truthiness.
+		"(srcIP - destIP) / 2",
+		"(srcIP - destIP) * len",
+		"(srcIP - destIP) + 1",
+		"~(srcIP - destIP)",
+		"ABS(srcIP - len)",
+		"len - (srcIP - destIP)",
 	} {
 		ce := mustCompileCol(t, src, colTestResolver, Params{"F": sqlval.Float(1.5)})
 		if ce.U != nil || ce.Truth != nil {
@@ -286,9 +294,14 @@ func TestCompileColUnsupportedFallsBack(t *testing.T) {
 	if ce.U != nil {
 		t.Error("float param folded into uint kernel")
 	}
-	for _, src := range []string{"srcIP - destIP", "(srcIP - destIP) / 2", "ABS(srcIP - len)"} {
-		if ce := mustCompileCol(t, src, colTestResolver, nil); ce.U == nil || ce.Truth == nil || ce.Const != nil {
-			t.Errorf("%q: want uint and truth kernels and no constant", src)
+	for _, src := range []string{"srcIP - destIP", "len - 5", "5 - len"} {
+		if ce := mustCompileCol(t, src, colTestResolver, nil); ce.U == nil || ce.Truth == nil || ce.Const != nil || ce.ints == nil {
+			t.Errorf("%q: want may-be-Int uint and truth kernels and no constant", src)
+		}
+	}
+	for _, src := range []string{"(srcIP - destIP) > len", "NOT (srcIP - destIP)", "srcIP - destIP = len - flags AND flags"} {
+		if ce := mustCompileCol(t, src, colTestResolver, nil); ce.Truth == nil {
+			t.Errorf("%q: want a truth kernel", src)
 		}
 	}
 	if ce := mustCompileCol(t, "5 - 3", colTestResolver, nil); ce.Const == nil || *ce.Const != 2 {
@@ -458,7 +471,7 @@ func TestFilterProjectPushColsMatchesPush(t *testing.T) {
 		{"filter-all-pass", "len > 0", nil},
 		{"projs-only", "", []string{"time / 60", "srcIP", "len * 2"}},
 		{"filter-and-projs", "destIP = 1", []string{"srcIP", "flags | 1"}},
-		{"unkernelable-filter", "srcIP - destIP", nil}, // falls back to pivot
+		{"subtraction's truthiness", "srcIP - destIP", nil},
 	}
 	for _, tc := range cases {
 		var outS, outC Collector

@@ -211,7 +211,7 @@ var (
 		{"", true},
 		{"cnt > 1", true},
 		{"orf = 3 OR bytes > 100 AND s < 9223372036854775808", true},
-		{"bytes - cnt > 0", true},               // refuses an epoch holding a group with bytes < cnt
+		{"bytes - cnt > 0", true},               // an Int for a group with bytes < cnt
 		{"cnt > 1000000", true},                 // drops every group
 		{"bytes * 1.0 / cnt > 45", false},       // AVG's reconstruction from its moments
 		{"cnt / (orf & 1) > 0 OR d = 1", false}, // non-constant divisor: NULL on zero
@@ -278,16 +278,17 @@ func denseTestAgg(t *testing.T, out Consumer, having string, post []string, kern
 // compiled forms and through one without must deliver the same rows in
 // the same downstream calls and report the same OnEpochFlush numbers,
 // and both must agree with the pure row path. kernelEmits says the
-// kernels really ran wherever a column can carry the result, and only
-// there: an epoch in which one group's bytes - cnt underflows is
-// refused by the subtraction kernel and emits as rows, that epoch alone.
+// kernels really ran wherever they can read the columns, and only
+// there: an epoch whose negative SUM is an Int row emits as rows when a
+// HAVING or computed projection reads it. An epoch in which one group's
+// bytes - cnt underflows runs on the kernels all the same.
 func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 	type flush struct {
 		wm           uint64
 		groups, rows int
 	}
 	const cases = 280
-	var kernelRan, rowRan, compacted, migrated, allDropped, late, refused int
+	var kernelRan, rowRan, compacted, migrated, allDropped, late, underflowed int
 	for c := 0; c < cases; c++ {
 		rng := rand.New(rand.NewSource(int64(c)))
 		hv, pv := c%len(denseHavings), (c/len(denseHavings))%len(densePosts)
@@ -296,6 +297,8 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 		// The HAVING subtracts, or the projection does and the HAVING
 		// (none, or cnt > 1) lets the underflowing group through to it.
 		subtracts := hv == 3 || pv == 2 && hv <= 1
+		// A kernel reads bytes, the SUM the negative group makes an Int.
+		readsBytes := hv == 2 || hv == 3 || pv == 2
 
 		var sinks [3]recSink
 		var flushes [3][]flush
@@ -368,17 +371,16 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 				}
 			}
 			emitted := len(flushes[0]) > nf
-			refuses := subtracts && e == underflowAt
-			if want := emitted && wasDense && kernels && !negative && !refuses; (kern.kernelEmits > before) != want {
+			if want := emitted && wasDense && kernels && !(negative && readsBytes); (kern.kernelEmits > before) != want {
 				t.Fatalf("case %d (having %q, post %v, negative %v, underflow at %d) epoch %d: kernel emit ran = %v, want %v",
 					c, denseHavings[hv].src, densePosts[pv].srcs, negative, underflowAt, e, kern.kernelEmits > before, want)
 			} else if want {
 				kernelRan++
+				if subtracts && e == underflowAt {
+					underflowed++
+				}
 			} else if emitted {
 				rowRan++
-				if refuses && wasDense && kernels && !negative {
-					refused++
-				}
 			}
 			if emitted && wasDense && kern.denseN > 0 {
 				compacted++
@@ -414,9 +416,164 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 		n    int
 	}{{"kernel emits", kernelRan}, {"row-branch emits", rowRan}, {"partial drains (denseCompact)", compacted},
 		{"mid-epoch migrations", migrated}, {"all-filtered epochs", allDropped}, {"late rows", late},
-		{"epochs a subtraction kernel refused", refused}} {
+		{"kernel-emitted epochs with an underflowing subtraction", underflowed}} {
 		if s.n < 10 {
 			t.Errorf("only %d %s in %d cases", s.n, s.name, cases)
+		}
+	}
+}
+
+// TestDenseIntMinMaxAvgMatchesRowOracle feeds the dense store arguments
+// with Int rows — a subtraction at the argument's root, as the §6.2
+// jitter query has behind its join — and holds MIN, MAX, AVG and SUM to
+// the row path bit for bit, kind included: groups whose values are all
+// negative (MAX is an Int), ties between an Int and a Uint of one value
+// (the first seen stays), words past 2^63 on both kinds, AVG sums past
+// 2^53, survivors compacted with Int state, a mid-epoch denseMigrate
+// with Int state, and a HAVING that reads an Int-marked SUM (which
+// emits rows), beside a bare projection of it (which emits columns).
+func TestDenseIntMinMaxAvgMatchesRowOracle(t *testing.T) {
+	r := colTestResolver
+	rowRes := ColsResolver("", []string{"tb", "s", "mn", "mx", "av", "sm", "cnt"})
+	build := func(out Consumer, having string, post []string) *Aggregate {
+		cfg := AggregateConfig{
+			EpochIdx:  0,
+			EpochOfWM: func(wm uint64) sqlval.Value { return sqlval.Uint(wm / 16) },
+			ColEmit:   true,
+			Out:       out,
+		}
+		for _, src := range []string{"time", "srcIP"} {
+			ce := mustCompileCol(t, src, r, nil)
+			cfg.GroupBy, cfg.ColGroupBy = append(cfg.GroupBy, ce.Row), append(cfg.ColGroupBy, ce)
+		}
+		for _, fn := range []string{"MIN", "MAX", "AVG", "SUM", "COUNT"} {
+			ce := mustCompileCol(t, "len - destIP", r, nil)
+			cfg.Aggs = append(cfg.Aggs, AggColumn{Factory: mustFactory(t, fn), Arg: ce.Row})
+			cfg.ColArgs = append(cfg.ColArgs, &ce)
+		}
+		if having != "" {
+			ce := mustCompileCol(t, having, rowRes, nil)
+			cfg.Having, cfg.ColHaving = ce.Row, &ce
+		}
+		for _, src := range post {
+			ce := mustCompileCol(t, src, rowRes, nil)
+			cfg.Post, cfg.ColPost = append(cfg.Post, ce.Row), append(cfg.ColPost, ce)
+		}
+		return NewAggregate(cfg)
+	}
+	// row draws one (len, destIP) pair for group s: its class picks what
+	// len - destIP is.
+	row := func(rng *rand.Rand, tb, s uint64) Tuple {
+		var l, d uint64
+		switch s % 4 {
+		case 0: // all negative
+			l, d = uint64(rng.Intn(100)), uint64(200+rng.Intn(100))
+		case 1: // W as a Uint or as an Int, the first seen deciding
+			w := 1000 + s
+			if rng.Intn(2) == 0 {
+				l, d = w, 0
+			} else {
+				l, d = 0, -w // 0 - (2^64 - w) borrows: Int(w)
+			}
+		case 2: // past 2^63 as a Uint, or a negative Int whose word is
+			if rng.Intn(3) == 0 {
+				l, d = 1, uint64(2+rng.Intn(9))
+			} else {
+				l, d = 1<<63|uint64(rng.Intn(1<<20)), uint64(rng.Intn(8))
+			}
+		default: // sums past 2^53, now and then below zero
+			l, d = uint64(rng.Intn(1<<20))<<33|1, uint64(rng.Intn(8))
+			if rng.Intn(8) == 0 {
+				l, d = d, l
+			}
+		}
+		return Tuple{u(tb), u(s), u(d), u(0), u(l)}
+	}
+	for _, c := range []struct {
+		name   string
+		having string
+		post   []string
+		kernel bool
+	}{
+		{"groups ++ aggs", "", nil, true},
+		{"HAVING on the Int-marked SUM", "sm > 0", nil, false},
+		{"bare projection of the Int-marked columns", "cnt > 1", []string{"s", "mx", "mn", "sm", "av"}, true},
+	} {
+		rng := rand.New(rand.NewSource(31))
+		var sinks [3]recSink
+		dense, migrating, oracle := build(&sinks[0], c.having, c.post), build(&sinks[1], c.having, c.post), build(&sinks[2], c.having, c.post)
+		var cb ColBatch
+		var pushed int64
+		compacted := false
+		const epochs = 4
+		for e := uint64(0); e < epochs; e++ {
+			var rows Batch
+			for i := 0; i < 300; i++ {
+				tb := e
+				if e+1 < epochs && rng.Intn(5) == 0 {
+					tb = e + 1 // survives this epoch's watermark
+				}
+				rows = append(rows, row(rng, tb, uint64(rng.Intn(16))))
+			}
+			for off := 0; off < len(rows); {
+				end := min(off+1+rng.Intn(96), len(rows))
+				chunk := rows[off:end]
+				off = end
+				if !cb.SetFromRows(chunk) {
+					t.Fatal("SetFromRows failed")
+				}
+				dense.PushCols(&cb)
+				pushed += int64(len(chunk))
+				if e == 2 && off == len(rows) {
+					if migrating.denseN == 0 {
+						t.Fatalf("%s: nothing dense to migrate", c.name)
+					}
+					PushAll(migrating, chunk)
+				} else {
+					migrating.PushCols(&cb)
+				}
+				PushAll(oracle, chunk)
+			}
+			compacted = compacted || (e > 0 && dense.denseN > 0 && dense.denseInts)
+			for _, a := range []*Aggregate{dense, migrating, oracle} {
+				if e+1 == epochs {
+					a.Flush()
+				} else {
+					a.Advance(16 * (e + 1))
+				}
+			}
+		}
+		if dense.DenseRows() != pushed {
+			t.Fatalf("%s: the dense store took %d of %d rows", c.name, dense.DenseRows(), pushed)
+		}
+		diffBatches(t, c.name+": dense vs row path", sinks[2].rows, sinks[0].rows)
+		diffBatches(t, c.name+": migrated vs row path", sinks[2].rows, sinks[1].rows)
+		if !slices.Equal(sinks[0].calls, sinks[2].calls) || !slices.Equal(sinks[1].calls, sinks[2].calls) {
+			t.Fatalf("%s: downstream calls %v and %v, the row path made %v", c.name, sinks[0].calls, sinks[1].calls, sinks[2].calls)
+		}
+		if got := dense.kernelEmits > 0; got != c.kernel {
+			t.Fatalf("%s: kernel emit ran = %v, want %v", c.name, got, c.kernel)
+		}
+		if c.having != "" {
+			continue // the cases below see what the first one saw, filtered
+		}
+		var negMax, intTies, uintTies, bigUint int
+		for _, row := range sinks[2].rows {
+			s, _ := row[1].AsUint()
+			switch mx := row[3]; {
+			case s%4 == 0 && mx.Kind() == sqlval.KindInt:
+				negMax++
+			case s%4 == 1 && mx.Kind() == sqlval.KindInt:
+				intTies++
+			case s%4 == 1:
+				uintTies++
+			case s%4 == 2 && mx.Kind() == sqlval.KindUint:
+				bigUint++
+			}
+		}
+		if !compacted || negMax == 0 || intTies == 0 || uintTies == 0 || bigUint == 0 {
+			t.Fatalf("%s: vacuous — Int state compacted %v, %d Int MAXes of all-negative groups, %d Int and %d Uint ties, %d MAXes past 2^63",
+				c.name, compacted, negMax, intTies, uintTies, bigUint)
 		}
 	}
 }

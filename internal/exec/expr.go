@@ -137,19 +137,6 @@ func MustCompile(e gsql.Expr, resolve Resolver, params Params) EvalFunc {
 	return f
 }
 
-// CompileAll compiles a list of expressions.
-func CompileAll(exprs []gsql.Expr, resolve Resolver, params Params) ([]EvalFunc, error) {
-	out := make([]EvalFunc, len(exprs))
-	for i, e := range exprs {
-		f, err := Compile(e, resolve, params)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = f
-	}
-	return out, nil
-}
-
 func evalUnary(op gsql.UnaryOp, v sqlval.Value) sqlval.Value {
 	if v.IsNull() {
 		if op == gsql.OpNot {

@@ -104,21 +104,6 @@ func TestParamsGetCaseInsensitive(t *testing.T) {
 	}
 }
 
-func TestCompileAllPropagatesErrors(t *testing.T) {
-	r := res("a")
-	exprs := []gsql.Expr{
-		gsql.MustParseExpr("a + 1"),
-		gsql.MustParseExpr("nosuch"),
-	}
-	if _, err := CompileAll(exprs, r, nil); err == nil {
-		t.Error("CompileAll should surface resolution errors")
-	}
-	fs, err := CompileAll(exprs[:1], r, nil)
-	if err != nil || len(fs) != 1 {
-		t.Errorf("CompileAll = %v, %v", fs, err)
-	}
-}
-
 // TestEvalMatchesGoSemanticsProperty: uint arithmetic agrees with Go's
 // for random operands.
 func TestEvalMatchesGoSemanticsProperty(t *testing.T) {

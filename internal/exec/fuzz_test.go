@@ -20,10 +20,11 @@ import (
 // biased toward overflow edges (0, 1, MaxUint64, 1<<63, shift counts
 // near 64) so wraparound in +, *, <<, >> is exercised on every run.
 //
-// Subtraction's kernel is optimistic: a nil vector is a legal answer
-// if and only if some row of the batch makes some subtraction node of
-// the expression underflow — judged here by evaluating each such node's
-// operands with the row closures. Otherwise it must be the vector.
+// A kernel either exists for the expression's shape or it does not; one
+// that exists answers every batch with a vector, never nil. Where a
+// subtraction underflows, the row result is a KindInt: the kernel's Int
+// bitmap must mark exactly the rows whose Row() result is KindInt, and
+// every word must equal the result's AsUint bits.
 //
 // A second batch mixes NULLs and every value kind to fuzz the
 // row↔column pivot itself: SetFromRows must round-trip each value
@@ -52,14 +53,21 @@ func FuzzExprCompile(f *testing.F) {
 		"3 - 5",
 		"5 - 3",
 		"(srcIP - destIP) / 2",
+		"len - 18446744073709551615 < len",   // r - l > 2^63: an Int whose int64 is >= 0
+		"srcIP - 18446744073709551611 = 5",   // Int(5) against Uint(5) where srcIP is 0
+		"srcIP - destIP <= len - flags",      // two may-be-Int operands
+		"ABS(srcIP - destIP) OR srcIP - len", // no kernel beside truthiness
 	} {
 		f.Add(src, uint64(0x9e3779b97f4a7c15), uint8(97))
 	}
 	// srcIP - destIP over one row: seed 2's underflows, seed 1's does
-	// not; of seed 6's five rows exactly one does, mid-batch.
-	f.Add("srcIP - destIP", uint64(2), uint8(0))
-	f.Add("srcIP - destIP", uint64(1), uint8(0))
-	f.Add("srcIP - destIP", uint64(6), uint8(4))
+	// not; of seed 6's five rows exactly one does, mid-batch — at the
+	// root, under < and =, and under * (no kernel).
+	for _, src := range []string{"srcIP - destIP", "srcIP - destIP < len", "srcIP - destIP = len", "(srcIP - destIP) * len"} {
+		f.Add(src, uint64(2), uint8(0))
+		f.Add(src, uint64(1), uint8(0))
+		f.Add(src, uint64(6), uint8(4))
+	}
 	f.Fuzz(func(t *testing.T, src string, seed uint64, nrows uint8) {
 		e, err := gsql.ParseExpr(src)
 		if err != nil {
@@ -97,45 +105,36 @@ func FuzzExprCompile(f *testing.F) {
 			}
 		}
 
-		underflow := subUnderflows(e, params, rows)
-		for name, kernel := range map[string]func(*ColBatch) []uint64{"uint": ce.U, "truth": ce.Truth} {
-			if kernel != nil && (kernel(&cb) == nil) != underflow {
-				t.Fatalf("%q: the %s kernel refused = %v; a subtraction underflows = %v", src, name, !underflow, underflow)
-			}
-		}
-		if underflow {
-			ce.U, ce.Truth = nil, nil // refused, as they must: nothing to compare
-		}
 		if ce.U != nil {
-			v := ce.U(&cb)
-			if len(v) != n {
-				t.Fatalf("%q: uint kernel length %d, want %d", src, len(v), n)
-			}
-			for i, row := range rows {
-				want := ce.Row(row)
-				if want.Kind() != sqlval.KindUint {
-					t.Fatalf("%q row %d: kernel exists but row eval is %v (%v), not uint — unsound whitelist",
-						src, i, want, want.Kind())
-				}
-				if !sameValue(want, sqlval.Uint(v[i])) {
-					t.Fatalf("%q row %d: kernel %d, row eval %v", src, i, v[i], want)
-				}
-				if ce.Const != nil && v[i] != *ce.Const {
-					t.Fatalf("%q row %d: Const=%d but kernel yields %d", src, i, *ce.Const, v[i])
-				}
-			}
 			// Scratch reuse must be deterministic: a second call over
-			// the same batch yields the same vector.
-			v2 := ce.U(&cb)
-			for i := range v2 {
-				if want := ce.Row(rows[i]); !sameValue(want, sqlval.Uint(v2[i])) {
-					t.Fatalf("%q row %d: second kernel call drifted to %d (row eval %v)", src, i, v2[i], want)
+			// the same batch yields the same vector and bitmap.
+			for call := 0; call < 2; call++ {
+				v, ints := ce.U(&cb), intsNow(ce.ints)
+				if v == nil || len(v) != n {
+					t.Fatalf("%q: uint kernel returned %d words for %d rows (nil %v)", src, len(v), n, v == nil)
+				}
+				for i, row := range rows {
+					want := ce.Row(row)
+					isInt := want.Kind() == sqlval.KindInt
+					if want.Kind() != sqlval.KindUint && !isInt {
+						t.Fatalf("%q row %d: kernel exists but row eval is %v (%v), not an integer — unsound whitelist",
+							src, i, want, want.Kind())
+					}
+					if bitAt(ints, i) != isInt {
+						t.Fatalf("%q row %d (call %d): Int bitmap says %v, row eval is %v (%v)", src, i, call, bitAt(ints, i), want, want.Kind())
+					}
+					if w, _ := want.AsUint(); w != v[i] {
+						t.Fatalf("%q row %d (call %d): kernel %d, row eval %v", src, i, call, v[i], want)
+					}
+					if ce.Const != nil && v[i] != *ce.Const {
+						t.Fatalf("%q row %d: Const=%d but kernel yields %d", src, i, *ce.Const, v[i])
+					}
 				}
 			}
 		}
 		if ce.Truth != nil {
 			v := ce.Truth(&cb)
-			if len(v) != n {
+			if v == nil || len(v) != n {
 				t.Fatalf("%q: truth kernel length %d, want %d", src, len(v), n)
 			}
 			for i, row := range rows {
@@ -164,29 +163,6 @@ func FuzzExprCompile(f *testing.F) {
 			}
 		}
 	})
-}
-
-// subUnderflows reports whether some row makes some subtraction node
-// of e take a smaller uint from a larger one.
-func subUnderflows(e gsql.Expr, params Params, rows Batch) bool {
-	found := false
-	gsql.WalkExpr(e, func(x gsql.Expr) bool {
-		b, ok := x.(*gsql.Binary)
-		if !ok || b.Op != gsql.OpSub {
-			return true
-		}
-		l, r := MustCompile(b.L, colTestResolver, params), MustCompile(b.R, colTestResolver, params)
-		for _, row := range rows {
-			lv, rv := l(row), r(row)
-			lu, _ := lv.AsUint()
-			ru, _ := rv.AsUint()
-			if lv.Kind() == sqlval.KindUint && rv.Kind() == sqlval.KindUint && ru > lu {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // fuzzEdges is the value pool uint columns draw from: overflow and

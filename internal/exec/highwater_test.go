@@ -43,10 +43,10 @@ func TestGroupHighWater(t *testing.T) {
 	}
 }
 
-// TestColRowInterleave: pushing rows after a columnar batch forces
-// colSyncPending — the pending columnar groups must register in the
-// map before the row path updates them, and the merged result must
-// match a pure row-path run byte for byte.
+// TestColRowInterleave: an aggregate the dense store cannot hold
+// (COUNT_DISTINCT) takes a column batch into its row store and then
+// rows into the same groups; the merged result must match a pure
+// row-path run byte for byte.
 func TestColRowInterleave(t *testing.T) {
 	r := colTestResolver
 	aggs := []AggColumn{
@@ -62,11 +62,11 @@ func TestColRowInterleave(t *testing.T) {
 	if !cb.SetFromRows(first) {
 		t.Fatal("SetFromRows failed")
 	}
-	mix.PushCols(&cb) // COUNT_DISTINCT is map-backed: groups land in colPending
-	if len(mix.colPending) == 0 {
-		t.Fatal("columnar push left no pending groups; interleave not exercised")
+	mix.PushCols(&cb) // COUNT_DISTINCT is map-backed: the batch pivots into the row store
+	if len(mix.groups) == 0 || mix.denseN != 0 {
+		t.Fatal("the column batch did not land in the row store")
 	}
-	PushAll(mix, second) // row path must sync pending groups first
+	PushAll(mix, second)
 
 	PushAll(ref, first)
 	PushAll(ref, second)

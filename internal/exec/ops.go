@@ -213,7 +213,7 @@ type AggregateConfig struct {
 	// PushColsAll (pivoting the rows into a column batch) instead of
 	// PushAll, so a columnar downstream aggregate consumes it on its
 	// vectorized path. Observably identical by the ColConsumer
-	// contract; rows with mixed-kind columns fall back to PushAll.
+	// contract; rows SetFromRows cannot pivot fall back to PushAll.
 	ColEmit bool
 	// Having filters finished groups; it sees groups++aggs. Nil passes
 	// all groups.
@@ -243,9 +243,7 @@ type AggregateConfig struct {
 
 type groupState struct {
 	// key is the group's encoded AppendKey bytes, carved from keySlab.
-	// The groups map owns its own string copy of it; a pending group
-	// (created by the columnar path, see colPending) has no map entry
-	// yet and key is its only identity.
+	// The groups map owns its own string copy of it.
 	key   []byte
 	vals  []sqlval.Value
 	accs  []Accum
@@ -301,48 +299,40 @@ type Aggregate struct {
 	minWord  uint64 // see noteEpochWord
 	minSet   bool
 
-	// Columnar fast-path state (colops.go): an open-addressing cache
-	// over the groups map keyed by raw uint64 key words — slot ref r
-	// resolves key words colWords[r*nk:] to group colStates[r] — plus
-	// per-batch kernel vector scratch. colDirty invalidates the cache
-	// whenever emitBefore retires groups; colReady memoizes kernel
-	// support.
-	colTab     wordTable
-	colWords   []uint64
-	colStates  []*groupState
-	colDirty   bool
-	colReady   int8 // 0 unknown, 1 supported, -1 row path only
+	// Column-path state (colops.go): colReady memoizes whether the dense
+	// store takes column batches (colSupported), colNoInt the columns
+	// whose Int rows send a batch to the row store instead; the rest is
+	// per-batch kernel vector scratch, an Int bitmap per argument beside
+	// its words.
+	colReady   int8 // 0 unknown, 1 dense, -1 row store only
+	colNoInt   uint64
 	colKeyVecs [][]uint64
 	colArgVecs [][]uint64
-	// colPending are groups the columnar path created that have no
-	// groups-map entry yet: their only index is their colTable slot,
-	// which skips the per-group map insert and key-string allocation on
-	// the hot path. They sync into the map lazily — before any row-path
-	// lookup (colSyncPending) and at emitBefore, which drains or syncs
-	// every pending group, restoring the everything-in-the-map
-	// invariant whenever the slot table is about to be invalidated.
-	colPending []*groupState
+	colArgInts [][]uint64
 	// emitCols is the ColEmit scratch (see AggregateConfig): the pivot of
 	// emitted rows, or the dense store's groups ++ aggs columns, which
-	// emit — Having and Post as a FilterProject — filters and projects.
-	emitCols ColBatch
-	emit     FilterProject
+	// emit — Having and Post as a FilterProject — filters and projects;
+	// emitReads is what those kernels read.
+	emitCols  ColBatch
+	emit      FilterProject
+	emitReads uint64
 
 	// Dense columnar group store (colops.go): while every input batch
-	// is all-uint and every aggregate is word-vectorizable, groups live
+	// is uint words and every aggregate is word-vectorizable, groups live
 	// as struct-of-arrays — group g's key words at colWords[g*nk:], the
 	// slab colTab resolves through, and one state word per (agg, group)
 	// in denseAccW — with no groupState, no map entry and no Accum
 	// objects. The first row-path push or non-conforming batch migrates
-	// every dense group into the ordinary representation
-	// (denseMigrate); dense mode only (re-)activates while the map and
-	// pending list are empty, so at any instant either the dense arrays
-	// or the map own the groups, never both.
-	denseReady int8 // 0 unknown, 1 vectorizable aggs, -1 row/col-generic only
+	// every dense group into the row store (denseMigrate); dense mode
+	// only (re-)activates while the map is empty, so at any instant
+	// either the dense arrays or the map own the groups, never both.
+	colTab     wordTable
+	colWords   []uint64
 	denseAcc   []denseAccKind
 	denseN     int
 	denseAccW  [][]uint64 // per agg: one state word per group
-	denseCnt   [][]uint64 // per AVG: its count per group; nil in a plan without one
+	denseAux   [][]uint64 // per agg: AVG's count, MIN's or MAX's kind (1 = Int) per group; empty for the rest
+	denseInts  bool       // some MIN or MAX state may be an Int
 	colEmitOK  bool       // see denseInit
 	denseDone  []int32
 	denseRows  []int32
@@ -399,9 +389,6 @@ func (o *Aggregate) Push(t Tuple) {
 	if o.denseN > 0 {
 		o.denseMigrate()
 	}
-	if len(o.colPending) > 0 {
-		o.colSyncPending()
-	}
 	gs, ok := o.groups[string(key)]
 	if !ok {
 		gs = o.newGroup(key, vals)
@@ -417,8 +404,8 @@ func (o *Aggregate) Push(t Tuple) {
 }
 
 // newGroup carves a fresh group's state from the slabs; registering it
-// (in the groups map, or in colPending) is the caller's job. key and
-// vals are caller-owned scratch and are copied.
+// is the caller's job. key and vals are caller-owned scratch and are
+// copied.
 func (o *Aggregate) newGroup(key []byte, vals []sqlval.Value) *groupState {
 	if len(o.stateSlab) == 0 {
 		o.stateSlab = make([]groupState, slabChunk)
@@ -428,7 +415,7 @@ func (o *Aggregate) newGroup(key []byte, vals []sqlval.Value) *groupState {
 
 	nv := len(o.cfg.GroupBy)
 	if len(o.valSlab)+nv > cap(o.valSlab) {
-		o.valSlab = make([]sqlval.Value, 0, maxInt(slabChunk*nv, nv))
+		o.valSlab = make([]sqlval.Value, 0, max(slabChunk*nv, nv))
 	}
 	start := len(o.valSlab)
 	o.valSlab = o.valSlab[:start+nv]
@@ -437,7 +424,7 @@ func (o *Aggregate) newGroup(key []byte, vals []sqlval.Value) *groupState {
 
 	na := len(o.cfg.Aggs)
 	if len(o.accSlab)+na > cap(o.accSlab) {
-		o.accSlab = make([]Accum, 0, maxInt(slabChunk*na, na))
+		o.accSlab = make([]Accum, 0, max(slabChunk*na, na))
 	}
 	astart := len(o.accSlab)
 	o.accSlab = o.accSlab[:astart+na]
@@ -447,7 +434,7 @@ func (o *Aggregate) newGroup(key []byte, vals []sqlval.Value) *groupState {
 	}
 
 	if len(o.keySlab)+len(key) > cap(o.keySlab) {
-		o.keySlab = make([]byte, 0, maxInt(slabChunk*32, len(key)))
+		o.keySlab = make([]byte, 0, max(slabChunk*32, len(key)))
 	}
 	kstart := len(o.keySlab)
 	o.keySlab = append(o.keySlab, key...)
@@ -461,30 +448,11 @@ func (o *Aggregate) newGroup(key []byte, vals []sqlval.Value) *groupState {
 	return gs
 }
 
-// colSyncPending registers every pending columnar-created group in the
-// groups map, restoring the invariant the row path relies on. Runs
-// only when row- and column-path pushes interleave between emits, or
-// when an emit leaves survivors whose slot-table entries are about to
-// be invalidated.
-func (o *Aggregate) colSyncPending() {
-	for _, gs := range o.colPending {
-		o.register(string(gs.key), gs)
-	}
-	o.colPending = o.colPending[:0]
-}
-
 // noteEpoch folds a new group's epoch into the live minimum.
 func (o *Aggregate) noteEpoch(epoch sqlval.Value) {
 	if !epoch.IsNull() && (!o.minSet || epoch.Compare(o.minEpoch) < 0) {
 		o.minEpoch, o.minSet = epoch, true
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Advance implements Consumer: groups whose epoch precedes every
@@ -516,12 +484,12 @@ func (o *Aggregate) Flush() {
 func (o *Aggregate) Out() Consumer { return o.cfg.Out }
 
 // DenseRows reports how many input rows arrived as columns the dense
-// store took: the rest went through the generic store or the row path.
+// store took: the rest went through the row store.
 func (o *Aggregate) DenseRows() int64 { return o.denseIn }
 
 // GroupCount reports the live (unflushed) group count, used by memory
 // accounting and tests.
-func (o *Aggregate) GroupCount() int { return len(o.groups) + len(o.colPending) + o.denseN }
+func (o *Aggregate) GroupCount() int { return len(o.groups) + o.denseN }
 
 // GroupHighWater reports the peak live group count the operator has
 // held, the natural AggregateConfig.SizeHint for a later run of the
@@ -549,16 +517,15 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 		return
 	}
 	if o.denseN > 0 {
-		// Dense mode owns every live group (the map and pending list
-		// are empty by invariant); it drains, sorts and emits from the
-		// flat arrays directly.
+		// Dense mode owns every live group (the map is empty by
+		// invariant); it drains, sorts and emits from the flat arrays
+		// directly.
 		o.denseEmit(boundary)
 		return
 	}
 	done := o.doneBuf[:0]
 	var survMin sqlval.Value
 	survSet := false
-	mapTotal := len(o.groups)
 	for _, gs := range o.groups { //qap:allow maprange -- groups collected then sorted below
 		if boundary != nil && (gs.epoch.IsNull() || gs.epoch.Compare(*boundary) >= 0) {
 			if !gs.epoch.IsNull() && (!survSet || gs.epoch.Compare(survMin) < 0) {
@@ -568,36 +535,12 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 		}
 		done = append(done, gs)
 	}
-	mapDone := len(done)
-	pendingSurvivors := false
-	if len(o.colPending) > 0 {
-		// Pending groups drain like map groups; survivors sync into the
-		// map now, because retiring anything below invalidates the slot
-		// table that was their only index.
-		for _, gs := range o.colPending {
-			if boundary != nil && (gs.epoch.IsNull() || gs.epoch.Compare(*boundary) >= 0) {
-				if !gs.epoch.IsNull() && (!survSet || gs.epoch.Compare(survMin) < 0) {
-					survMin, survSet = gs.epoch, true
-				}
-				o.register(string(gs.key), gs)
-				pendingSurvivors = true
-				continue
-			}
-			done = append(done, gs)
-		}
-		if len(done) > mapDone || pendingSurvivors {
-			o.colPending = o.colPending[:0]
-		}
-	}
 	o.doneBuf = done
 	o.minEpoch, o.minSet = survMin, survSet
 	if len(done) == 0 {
 		return
 	}
-	// Retired groups may be cached in the columnar slot table; make the
-	// next PushCols rebuild it (colops.go).
-	o.colDirty = true
-	if mapTotal > 0 && mapDone == mapTotal && !pendingSurvivors {
+	if len(done) == len(o.groups) {
 		// Every map group drained, and rebuilding the map (pre-sized from
 		// this epoch, but not at the terminal Flush) is load-bearing:
 		// per-key deletes convert every key over 32 bytes to a fresh
@@ -609,9 +552,7 @@ func (o *Aggregate) emitBefore(boundary *sqlval.Value) {
 			o.groups = make(map[string]*groupState, len(done))
 		}
 	} else {
-		// done[:mapDone] came from the map; pending retirees past that
-		// were never inserted.
-		for _, gs := range done[:mapDone] {
+		for _, gs := range done {
 			delete(o.groups, string(gs.key))
 		}
 	}

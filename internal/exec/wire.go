@@ -458,7 +458,7 @@ func DecodeColBatchWire(data []byte, dst *ColBatch) error {
 	off := 6
 	for c := range dst.Cols {
 		v := &dst.Cols[c]
-		v.U64, v.Str, v.Valid = v.U64[:0], v.Str[:0], v.Valid[:0]
+		v.U64, v.Str, v.Valid, v.Int = v.U64[:0], v.Str[:0], v.Valid[:0], v.Int[:0]
 		if off+2 > len(data) {
 			return wireErr(len(data), "truncated column %d header", c)
 		}

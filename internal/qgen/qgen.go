@@ -71,6 +71,9 @@ type colInfo struct {
 	Small bool
 	// Nullable: outer-join padding can make the value NULL.
 	Nullable bool
+	// Diff marks a subtraction's result, or a MIN/MAX of one: a
+	// negative Int on the rows where it underflowed.
+	Diff bool
 }
 
 // nodeInfo is the generator's model of one DAG node's output.
@@ -335,9 +338,9 @@ func (g *gen) derived(c colInfo) (string, colInfo) {
 // the columns ca and cb.
 func (g *gen) difference(a string, ca colInfo, b string, cb colInfo) (string, colInfo) {
 	if a == b || g.r.Intn(3) == 0 {
-		return fmt.Sprintf("%s - %s", a, g.literalFor(ca)), colInfo{Nullable: ca.Nullable, Small: ca.Small}
+		return fmt.Sprintf("%s - %s", a, g.literalFor(ca)), colInfo{Nullable: ca.Nullable, Small: ca.Small, Diff: true}
 	}
-	return fmt.Sprintf("%s - %s", a, b), colInfo{Nullable: ca.Nullable || cb.Nullable, Small: ca.Small && cb.Small}
+	return fmt.Sprintf("%s - %s", a, b), colInfo{Nullable: ca.Nullable || cb.Nullable, Small: ca.Small && cb.Small, Diff: true}
 }
 
 // differenceOver draws difference's operands from one input's integer
@@ -418,13 +421,32 @@ type aggDef struct {
 // genAggs draws 1–3 aggregate calls over the input's columns.
 func (g *gen) genAggs(in nodeInfo) []aggDef {
 	ints := intCols(in)
-	smallInts := make([]int, 0, len(ints))
+	var smallInts, diffs, smallDiffs []int
 	for _, i := range ints {
-		if in.Cols[i].Small {
+		c := in.Cols[i]
+		if c.Small {
 			smallInts = append(smallInts, i)
+		}
+		if c.Diff {
+			diffs = append(diffs, i)
+			if c.Small {
+				smallDiffs = append(smallDiffs, i)
+			}
 		}
 	}
 	pick := func(idx []int) colInfo { return in.Cols[idx[g.r.Intn(len(idx))]] }
+	// overDiff draws MIN/MAX/AVG's argument: often an input column that
+	// is a difference (a join's S2.b - S1.a), else now and then a
+	// difference of its own, so the dense store sees Int rows.
+	overDiff := func(c colInfo, diffs, ints []int) (string, colInfo) {
+		switch {
+		case len(diffs) > 0 && g.r.Float64() < 0.5:
+			c = pick(diffs)
+		case len(ints) > 0 && g.r.Float64() < 0.3:
+			return g.differenceOver(in, ints, "")
+		}
+		return c.Name, c
+	}
 
 	n := 1 + g.r.Intn(3)
 	var defs []aggDef
@@ -445,16 +467,16 @@ func (g *gen) genAggs(in nodeInfo) []aggDef {
 			d.call = fmt.Sprintf("SUM(%s)", arg)
 			d.out = colInfo{Nullable: c.Nullable} // not Small: sums grow
 		case w < 7:
-			c := in.Cols[g.r.Intn(len(in.Cols))]
+			arg, c := overDiff(in.Cols[g.r.Intn(len(in.Cols))], diffs, ints)
 			fn := "MIN"
 			if g.r.Intn(2) == 0 {
 				fn = "MAX"
 			}
-			d.call = fmt.Sprintf("%s(%s)", fn, c.Name)
-			d.out = colInfo{Float: c.Float, Small: c.Small, Nullable: c.Nullable}
+			d.call = fmt.Sprintf("%s(%s)", fn, arg)
+			d.out = colInfo{Float: c.Float, Small: c.Small, Nullable: c.Nullable, Diff: c.Diff}
 		case w < 9 && len(smallInts) > 0:
-			c := pick(smallInts)
-			d.call = fmt.Sprintf("AVG(%s)", c.Name)
+			arg, c := overDiff(pick(smallInts), smallDiffs, smallInts)
+			d.call = fmt.Sprintf("AVG(%s)", arg)
 			d.out = colInfo{Float: true, Nullable: c.Nullable}
 		case w < 10 && len(ints) > 0:
 			c := pick(ints)

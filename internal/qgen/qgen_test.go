@@ -58,7 +58,8 @@ func TestGenerateValid(t *testing.T) {
 // fan-out (a query reading another query).
 func TestGenerateVariety(t *testing.T) {
 	var all strings.Builder
-	fanOut := false
+	fanOut, joinDiffAgg := false, false
+	joinDiff := regexp.MustCompile(`S2\.\w+ - S1\.\w+ AS (j\d+)`)
 	for seed := int64(0); seed < 150; seed++ {
 		w := Generate(Config{Seed: seed})
 		all.WriteString(w.Queries)
@@ -66,6 +67,15 @@ func TestGenerateVariety(t *testing.T) {
 		if strings.Contains(w.Queries, "FROM q") || strings.Contains(w.Queries, "JOIN q") {
 			fanOut = true
 		}
+		// A join's difference fed to MIN, MAX or AVG of an aggregate.
+		for _, m := range joinDiff.FindAllStringSubmatch(w.Queries, -1) {
+			if regexp.MustCompile(`(MIN|MAX|AVG)\(` + m[1] + `\)`).MatchString(w.Queries) {
+				joinDiffAgg = true
+			}
+		}
+	}
+	if !joinDiffAgg {
+		t.Error("150 seeds never fed a join's difference to MIN, MAX or AVG")
 	}
 	text := all.String()
 	for _, want := range []string{
@@ -82,6 +92,8 @@ func TestGenerateVariety(t *testing.T) {
 		"c - k in a select list":        `(?m)^SELECT .*\w+ - \d+ AS d\d+`,
 		"a difference across a join":    `S2\.\w+ - S1\.\w+ AS j\d+`,
 		"SUM over a difference":         `SUM\(\w+ - \w+\)`,
+		"MIN or MAX over a difference":  `(MIN|MAX)\(\w+ - \w+\)`,
+		"AVG over a difference":         `AVG\(\w+ - \w+\)`,
 		"a difference in a predicate":   `(?m)^WHERE .*\w+ - \w+ [<>]`,
 		"a difference in a join filter": `S1\.\w+ - (S1\.\w+|\d+) [<>]`,
 		"a difference in HAVING":        `HAVING .*\) - \d+ >`,
