@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -17,33 +18,100 @@ import (
 // ---- stream splitter (paper Section 3.3) ----
 
 type router struct {
-	hashFns []exec.EvalFunc // nil => round robin
-	outs    []exec.Consumer
+	// hash holds the partitioning set's elements, each compiled once:
+	// route evaluates their Row closures, routeCols their uint kernels
+	// where they have one. nil => round robin.
+	hash []exec.ColExpr
+	outs []exec.Consumer
 	// islands[p] is the executor that runs partition p's scan: its leaf
 	// island, or 0 throughout in a sequential runner, whose one in-line
 	// executor runs every partition.
 	islands  []int
 	rr       int
 	hashVals []sqlval.Value // route scratch, driver-goroutine-owned
+	row      exec.Tuple     // routeCols' row scratch, driver-goroutine-owned
 }
 
 // route picks the destination partition for one tuple. It mutates the
 // round-robin cursor and the hash scratch, so in parallel mode only
 // the splitter (driver) goroutine may call it.
 func (rt *router) route(t exec.Tuple) int {
-	if rt.hashFns == nil {
+	if rt.hash == nil {
 		idx := rt.rr % len(rt.outs)
 		rt.rr++
 		return idx
 	}
 	vals := rt.hashVals[:0]
-	for _, f := range rt.hashFns {
-		vals = append(vals, f(t))
+	for i := range rt.hash {
+		vals = append(vals, rt.hash[i].Row(t))
 	}
 	rt.hashVals = vals
-	h := sqlval.HashTuple(vals)
-	// Range split: partition i receives H in [i*R/M, (i+1)*R/M).
-	return int((h >> 32) * uint64(len(rt.outs)) >> 32)
+	return rangeSplit(sqlval.HashTuple(vals), len(rt.outs))
+}
+
+// rangeSplit maps hash h to one of m partitions: partition i receives
+// H in [i*R/M, (i+1)*R/M).
+func rangeSplit(h uint64, m int) int { return int((h >> 32) * uint64(m) >> 32) }
+
+// FNV-1a as sqlval.HashTuple runs it.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// routeCols is route for every row of cb, a non-empty all-uint batch
+// of the stream's columns on a hash router: it returns parts, grown to
+// cb.Len, with parts[i] the partition of row i. The hash is
+// HashTuple's, run element-major: an element with a uint kernel folds
+// its words into every row's hash at once, the way HashInto folds a
+// Uint or an Int (the same eight bytes either way, so a may-be-Int
+// kernel needs no bitmap); any other element evaluates its row
+// closure on row i and folds the value.
+//
+//qap:hot
+func (rt *router) routeCols(cb *exec.ColBatch, parts []uint64) []uint64 {
+	h := slices.Grow(parts[:0], cb.Len)[:cb.Len]
+	for i := range h {
+		h[i] = fnvOffset
+	}
+	for e := range rt.hash {
+		ce := &rt.hash[e]
+		if ce.U != nil {
+			hashWords(h, ce.U(cb))
+			continue
+		}
+		for i := range h {
+			rt.row = rt.row[:0]
+			for c := range cb.Cols {
+				rt.row = append(rt.row, cb.Cols[c].Value(i))
+			}
+			h[i] = ce.Row(rt.row).HashInto(h[i])
+		}
+	}
+	for i, x := range h {
+		h[i] = uint64(rangeSplit(x, len(rt.outs)))
+	}
+	return h
+}
+
+// hashWords folds w[i] into running hash h[i], low byte first: what
+// sqlval's HashInto does with a Uint or Int value.
+//
+//qap:hot
+func hashWords(h, w []uint64) {
+	w = w[:len(h)]
+	for i, u := range w {
+		x := h[i]
+		x = (x ^ u&0xff) * fnvPrime
+		x = (x ^ u>>8&0xff) * fnvPrime
+		x = (x ^ u>>16&0xff) * fnvPrime
+		x = (x ^ u>>24&0xff) * fnvPrime
+		x = (x ^ u>>32&0xff) * fnvPrime
+		x = (x ^ u>>40&0xff) * fnvPrime
+		x = (x ^ u>>48&0xff) * fnvPrime
+		x = (x ^ u>>56) * fnvPrime
+		h[i] = x
+	}
 }
 
 func (rt *router) Push(t exec.Tuple) {
@@ -293,11 +361,11 @@ func (r *Runner) compile() error {
 		if set := p.SplitterSet(src.Stream.Name); !set.IsEmpty() {
 			names := colNames(src.OutCols)
 			for _, elem := range set {
-				f, err := exec.Compile(elem.Expr, exec.ColsResolver("", names), r.params)
+				ce, err := r.compileExpr(elem.Expr, exec.ColsResolver("", names))
 				if err != nil {
 					return fmt.Errorf("cluster: partitioning element %s: %w", elem, err)
 				}
-				rt.hashFns = append(rt.hashFns, f)
+				rt.hash = append(rt.hash, ce)
 			}
 		}
 		r.routers[strings.ToLower(src.Stream.Name)] = rt

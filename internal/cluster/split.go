@@ -7,9 +7,11 @@ package cluster
 // (split), for every engine at every BatchSize > 1. It cuts the merged
 // trace into rounds of one timestamp each and groups every round per
 // destination, as live.Round / live.Group values: one column group per
-// (stream, partition). What happens to a closed round is the one thing
-// that varies, and sits behind roundSink, reached once per round and
-// never per packet:
+// (stream, partition). A round-robin packet goes straight into its
+// group; a hash-routed stream's packets of the round are staged in one
+// column batch and routed column-wise, all at once (routeRun).
+// What happens to a closed round is the one thing that varies, and
+// sits behind roundSink, reached once per round and never per packet:
 //
 //	                        ┌ inlineSink  execute on the caller      (sequential)
 //	cursors → split → rounds┼ feedSink    queue on a worker's feed   (parallel, engine.go)
@@ -25,6 +27,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +39,10 @@ import (
 	"qap/internal/sqlval"
 )
 
-// streamCursor walks one source stream's trace during the merge.
+// streamCursor walks one source stream's trace during the merge. Within
+// a round, the merge hands out a stream's packets as one contiguous
+// run, which is what lets the splitter stage a hash-routed stream's run
+// and route it at once.
 type streamCursor struct {
 	name    string // lower-case stream name
 	idx     int    // position in the canonical cursor order
@@ -44,11 +50,11 @@ type streamCursor struct {
 	packets []netgen.Packet
 	pos     int
 
-	// Grouping bookkeeping (colGrouper): gidx[p] is the index of
-	// partition p's open column group in its round's list, valid only
-	// while gstamp[p] equals the current round; grows[p] counts the rows
-	// of partition p's latest group. lists[p] is the open round's
-	// delivery list on the island that owns partition p.
+	// Grouping bookkeeping (colGrouper, for add and routeRun alike):
+	// gidx[p] is the index of partition p's open column group in its
+	// round's list, valid only while gstamp[p] equals the current round;
+	// grows[p] counts the rows of partition p's latest group. lists[p] is
+	// the open round's delivery list on the island that owns partition p.
 	gidx, gstamp, grows []int
 	lists               []*[]live.Group
 }
@@ -187,11 +193,12 @@ type roundSink interface {
 }
 
 // split is the splitter: it merges the cursors in canonical order,
-// routes every packet, and hands sink each island's share of every
-// round — the watermark advance, the round's groups tagged with their
-// first packet's round-local sequence, and in the end the flush round —
-// recording each closed round on the driver's trace shard. It returns
-// whether the trace held any packet and its last timestamp.
+// routes every packet (a hash-routed stream's a run at a time), and
+// hands sink each island's share of every round — the watermark
+// advance, the round's groups tagged with their first packet's
+// round-local sequence, and in the end the flush round — recording
+// each closed round on the driver's trace shard. It returns whether the
+// trace held any packet and its last timestamp.
 //
 //qap:hot
 func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) (bool, uint64, error) {
@@ -233,8 +240,12 @@ func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) 
 			}
 			seq, lastTime = 0, pk.Time
 		}
-		gr.add(best, gr.route(best, pk), seq, pk)
-		seq++
+		if best.rt.hash == nil {
+			gr.add(best, best.rt.route(nil), seq, pk)
+			seq++
+		} else {
+			seq += uint64(gr.routeRun(best, seq))
+		}
 	}
 	r.emitDriverTail(round, int64(seq), lastTime)
 	r.engRounds++ // the flush round
@@ -375,18 +386,27 @@ func (x *islandExec) execRounds(rounds []live.Round) int {
 	return last
 }
 
-// colGrouper is the splitter's per-round grouping: a packet goes from
-// the trace cursor straight into its destination partition's pooled
-// column batch and never becomes a row in front of the scan (add). A
-// group is a live.Group — canonical tag, stream (cursor) index,
-// partition, columns — so the live sink ships the very value the
-// simulator's executors are handed.
+// colGrouper is the splitter's per-round grouping. A packet never
+// becomes a row in front of the scan: a round-robin one goes from the
+// trace cursor straight into its destination partition's pooled column
+// batch (add); a hash-routed one into the stage with the rest of its
+// stream's run in the round, which is routed column-wise and gathered
+// into the destinations' batches (routeRun). A group is a live.Group —
+// canonical tag, stream (cursor) index, partition, columns — so the
+// live sink ships the very value the simulator's executors are handed.
 //
 // The zero value is ready once initGroupIndex has prepared the cursors.
 type colGrouper struct {
 	// round stamps the cursors' open groups; bumping it closes them all.
-	round    int
-	routeBuf []sqlval.Value // hash-routing tuple scratch, reused per packet
+	round int
+
+	// routeRun's scratch, the splitter goroutine's: stage holds the run
+	// being routed, parts its partition vector, perm its rows sorted by
+	// partition, and end[p] where partition p's rows end in perm.
+	stage *exec.ColBatch
+	parts []uint64
+	perm  []int32
+	end   []int
 
 	// free is the run's own stock of delivered batches, still shaped.
 	// The shared pool behind exec.GetColBatch is emptied by the
@@ -416,19 +436,6 @@ func initGroupIndex(cursors []*streamCursor) {
 // fresh group.
 func (g *colGrouper) nextRound() { g.round++ }
 
-// route picks pk's destination partition. Only hash routing reads the
-// tuple, which lives in a scratch buffer for the length of the call.
-//
-//qap:hot
-func (g *colGrouper) route(c *streamCursor, pk *netgen.Packet) int {
-	if c.rt.hashFns == nil {
-		return c.rt.route(nil)
-	}
-	var t exec.Tuple
-	g.routeBuf, t = pk.AppendTuple(g.routeBuf[:0])
-	return c.rt.route(t)
-}
-
 // add appends pk to partition part's group of the open round, in the
 // round's delivery list for whichever island owns the partition,
 // opening the group, tagged with seq (the round-local sequence of its
@@ -447,13 +454,103 @@ func (g *colGrouper) add(c *streamCursor, part int, seq uint64, pk *netgen.Packe
 	pk.AppendCols((*list)[c.gidx[part]].Cols)
 }
 
-// take returns an empty batch for a group of about rows packets (0:
-// unknown): one of the run's own as it is, else the pool's. That one may
-// be fresh from the allocator, or last have held a link item's copy of
-// some narrower, shorter batch; if it has no room for the group it is
-// sized like the destination's previous one, with headroom — group sizes
-// wander from round to round, and a column that outgrows the slab is
-// reallocated on its own.
+// routeRun routes c's run in the open round: the packet the merge just
+// took and every later one with its timestamp, which the merge would
+// hand out next, one by one — it breaks timestamp ties by cursor order.
+// The first has round-local sequence seq; routeRun returns how many
+// there are. The run is staged in one column batch and routed
+// column-wise. One pass over the partition vector opens each
+// destination's group, tagged with the sequence of its first row, in
+// first-occurrence order — add's order and tags, as if every packet
+// had been routed on arrival — and counts its rows (grows); a counting
+// sort then lists every destination's rows, and each destination
+// gathers them column by column.
+//
+//qap:hot
+func (g *colGrouper) routeRun(c *streamCursor, seq uint64) int {
+	start := c.pos - 1
+	for tm := c.packets[start].Time; c.pos < len(c.packets) && c.packets[c.pos].Time == tm; {
+		c.pos++
+	}
+	run := c.packets[start:c.pos]
+	if g.stage == nil {
+		g.stage = g.take(len(run))
+	}
+	st := g.stage
+	for i := range run {
+		run[i].AppendCols(st)
+	}
+	if n := len(c.rt.outs); len(g.end) < n {
+		g.end = make([]int, n) //qap:allow hotalloc -- sized to the widest router once per run
+	}
+	parts := c.rt.routeCols(st, g.parts)
+	g.parts = parts
+	for i, p := range parts {
+		if c.gstamp[p] != g.round {
+			c.gstamp[p] = g.round
+			list := c.lists[p]
+			c.gidx[p] = len(*list)
+			*list = append(*list, live.Group{Tag: phasePush | (seq + uint64(i)), Stream: c.idx, Part: int(p)})
+			c.grows[p] = 0
+		}
+		c.grows[p]++
+	}
+	n := 0
+	for p, stamp := range c.gstamp {
+		if stamp == g.round {
+			g.end[p] = n // where p's rows start, until the fill below
+			n += c.grows[p]
+		}
+	}
+	perm := slices.Grow(g.perm[:0], len(parts))[:len(parts)]
+	for i, p := range parts {
+		perm[g.end[p]] = int32(i)
+		g.end[p]++
+	}
+	g.perm = perm
+	for p, stamp := range c.gstamp {
+		if stamp == g.round {
+			cb := g.take(c.grows[p])
+			gatherCols(cb, st, perm[g.end[p]-c.grows[p]:g.end[p]])
+			(*c.lists[p])[c.gidx[p]].Cols = cb
+		}
+	}
+	st.Reset()
+	return len(run)
+}
+
+// gatherCols fills dst, an empty batch, with rows of src, an all-uint
+// batch, in order, column by column. A dst too small for them is
+// resized as take sizes a batch, with headroom, in one slab.
+//
+//qap:hot
+func gatherCols(dst, src *exec.ColBatch, rows []int32) {
+	w, n := len(src.Cols), len(rows)
+	short := cap(dst.Cols) < w
+	for c := 0; c < w && !short; c++ {
+		short = cap(dst.Cols[:w][c].U64) < n
+	}
+	if short {
+		dst.Reserve(w, n+n/4+8)
+	}
+	dst.Cols = dst.Cols[:w]
+	for c := range dst.Cols {
+		s, d := src.Cols[c].U64, dst.Cols[c].U64[:n]
+		for j, r := range rows {
+			d[j] = s[r]
+		}
+		dst.Cols[c].Kind, dst.Cols[c].U64 = sqlval.KindUint, d
+	}
+	dst.Len = n
+}
+
+// take returns an empty batch for about rows packets (0: unknown): one
+// of the run's own as it is, else the pool's. That one may be fresh
+// from the allocator, or last have held a link item's copy of some
+// narrower, shorter batch; if it has no room for rows it is sized for
+// them with headroom — group sizes wander from round to round (add asks
+// for the destination's previous size), and a column that outgrows the
+// slab is reallocated on its own.
 func (g *colGrouper) take(rows int) *exec.ColBatch {
 	g.mu.Lock()
 	if n := len(g.free); n > 0 {
@@ -487,8 +584,11 @@ func (g *colGrouper) recycle(rounds []live.Round) {
 	g.mu.Unlock()
 }
 
-// release ends the run: its stock goes back to the shared pool.
+// release ends the run: its stock and stage go back to the shared
+// pool.
 func (g *colGrouper) release() {
+	exec.PutColBatch(g.stage)
+	g.stage = nil
 	g.mu.Lock()
 	for _, cb := range g.free {
 		exec.PutColBatch(cb)

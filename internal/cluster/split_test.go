@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -9,11 +10,14 @@ import (
 	"testing"
 
 	"qap/internal/core"
+	"qap/internal/exec"
+	"qap/internal/gsql"
 	"qap/internal/live"
 	"qap/internal/netgen"
 	"qap/internal/obs/trace"
 	"qap/internal/optimizer"
 	"qap/internal/plan"
+	"qap/internal/sqlval"
 )
 
 // recGroup is one group as the recording sink saw it: rows rendered,
@@ -94,24 +98,74 @@ func TestSplitterRounds(t *testing.T) {
 	pkt2 := gen(2, func(tm uint64) bool { return tm == 5 || tm == 3 })
 	one := map[string][]netgen.Packet{"TCP": pkt1}
 	two := map[string][]netgen.Packet{"PKT1": pkt1, "PKT2": pkt2}
+	flows := buildGraph(t, flowsQuery)
 	cases := []struct {
 		name    string
 		g       *plan.Graph
 		ps      core.Set
 		streams map[string][]netgen.Packet
+		// On a hash set, batched: whether the set's last element has a
+		// uint kernel, and a kind it yields on some packet of the trace.
+		kernel bool
+		yields sqlval.Kind
 	}{
-		{"one-stream/hash", buildGraph(t, flowsQuery), core.MustParseSet("srcIP, destIP"), one},
-		{"one-stream/round-robin", buildGraph(t, flowsQuery), nil, one},
-		{"two-stream/hash", buildTwoStream(t), core.MustParseSet("srcIP, destIP"), two},
-		{"two-stream/round-robin", buildTwoStream(t), nil, two},
+		{"one-stream/hash", flows, core.MustParseSet("srcIP, destIP"), one, true, sqlval.KindUint},
+		// The other element kinds the staged router hashes: a computed
+		// kernel, a may-be-Int kernel (destPort is 80, 443, 53, 22 or 25,
+		// so it underflows) and an element with no uint kernel (NULL).
+		{"one-stream/hash-computed", flows, core.MustParseSet("destIP, srcIP & 0xFFF0"), one, true, sqlval.KindUint},
+		{"one-stream/hash-int", flows, core.MustParseSet("destPort - 443"), one, true, sqlval.KindInt},
+		{"one-stream/hash-null", flows, core.MustParseSet("srcIP / 0"), one, false, sqlval.KindNull},
+		{"one-stream/round-robin", flows, nil, one, false, 0},
+		{"two-stream/hash", buildTwoStream(t), core.MustParseSet("srcIP, destIP"), two, true, sqlval.KindUint},
+		{"two-stream/round-robin", buildTwoStream(t), nil, two, false, 0},
 	}
 	for _, tc := range cases {
+		if tc.ps != nil {
+			t.Run(tc.name+"/element", func(t *testing.T) {
+				checkLastElement(t, tc.g, tc.ps, tc.streams, tc.kernel, tc.yields)
+			})
+		}
 		for _, workers := range []int{1, 2} { // one in-line executor, or one per host
 			for _, bs := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/workers=%d/bs=%d", tc.name, workers, bs), func(t *testing.T) {
 					checkSplitterRounds(t, tc.g, tc.ps, tc.streams, workers, bs)
 				})
 			}
+		}
+	}
+}
+
+// checkLastElement holds a case to the element kind it is named for:
+// on a batched runner every router's last partitioning element has a
+// uint kernel or not, as kernel says, and yields kind on some packet.
+func checkLastElement(t *testing.T, g *plan.Graph, ps core.Set, streams map[string][]netgen.Packet, kernel bool, kind sqlval.Kind) {
+	p, err := optimizer.Build(g, ps, optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursors, err := r.makeCursors(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cursors {
+		last := c.rt.hash[len(c.rt.hash)-1]
+		if (last.U != nil) != kernel {
+			t.Errorf("stream %s: last element has a uint kernel = %v, want %v", c.name, last.U != nil, kernel)
+		}
+		seen := false
+		for _, pk := range c.packets {
+			if last.Row(pk.Tuple()).Kind() == kind {
+				seen = true
+				break
+			}
+		}
+		if !seen {
+			t.Errorf("stream %s: no packet makes the last element a %v", c.name, kind)
 		}
 	}
 }
@@ -303,4 +357,128 @@ func TestAllocsSequentialReplay(t *testing.T) {
 		t.Errorf("sequential replay: %d objects, budget %d", best, allocBudgetSequentialReplayObjects)
 	}
 	t.Logf("sequential replay: %d objects", best)
+}
+
+// routeElems are the partitioning elements FuzzRouteCols draws from,
+// one of each kind the staged router hashes.
+var routeElems = []string{
+	"srcIP",              // bare column reference
+	"srcIP & 0xFFF0",     // computed uint kernel
+	"destPort - 443",     // may-be-Int kernel
+	"srcPort - destPort", // may-be-Int kernel over two columns
+	"srcIP / 0",          // no kernel, always NULL
+	"len / destPort",     // no kernel, NULL on a zero divisor
+	"flags > 2",          // truth kernel only: hashed as a Bool row
+}
+
+// FuzzRouteCols holds the staged router to the per-tuple one: for
+// packet columns decoded from data (eight little-endian words a row), a
+// partition count and a set of one or two elements from routeElems,
+// routeCols must give every row the partition route gives its tuple.
+func FuzzRouteCols(f *testing.F) {
+	row := func(w ...uint64) []byte {
+		var b []byte
+		for _, x := range w {
+			b = binary.LittleEndian.AppendUint64(b, x)
+		}
+		return b
+	}
+	rows := append(row(1, 10, 20, 1030, 80, 60, 2, 0), row(1, 11, 20, 5000, 443, 1500, 18, 1)...)
+	rows = append(rows, row(1, 1<<63, ^uint64(0), 0, 0, 0, 0, 0)...) // underflows, a zero divisor
+	for elem := range routeElems {
+		f.Add(rows, uint8(7), uint8(elem))
+		f.Add(rows, uint8(1), uint8(elem+len(routeElems)*(len(routeElems)-elem)))
+	}
+	names := []string{"time", "srcIP", "destIP", "srcPort", "destPort", "len", "flags", "seq"} // SchemaDDL order
+	f.Fuzz(func(t *testing.T, data []byte, parts, elem uint8) {
+		n := min(len(data)/64, 512)
+		if n == 0 {
+			return
+		}
+		rt := &router{outs: make([]exec.Consumer, 1+int(parts)%16)}
+		k := len(routeElems)
+		for _, e := range []int{int(elem) % k, int(elem)/k%(k+1) - 1} {
+			if e < 0 {
+				continue
+			}
+			ce, err := exec.CompileCol(gsql.MustParseExpr(routeElems[e]), exec.ColsResolver("", names), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.hash = append(rt.hash, ce)
+		}
+		cb := &exec.ColBatch{}
+		var pks []netgen.Packet
+		for i := 0; i < n; i++ {
+			w := func(c int) uint64 { return binary.LittleEndian.Uint64(data[i*64+c*8:]) }
+			pk := netgen.Packet{Time: w(0), SrcIP: w(1), DestIP: w(2), SrcPort: w(3), DestPort: w(4), Len: w(5), Flags: w(6), Seq: w(7)}
+			pk.AppendCols(cb)
+			pks = append(pks, pk)
+		}
+		got := rt.routeCols(cb, nil)
+		for i, pk := range pks {
+			if want := rt.route(pk.Tuple()); got[i] != uint64(want) {
+				t.Fatalf("row %d %v, %d partitions: routeCols gives %d, route %d", i, pk, len(rt.outs), got[i], want)
+			}
+		}
+	})
+}
+
+// dropSink takes every round it is handed as the in-line sink does —
+// containers recycled, slots kept — and executes nothing.
+type dropSink struct{ gr *colGrouper }
+
+func (s dropSink) closed(pend [][]live.Round) error { return s.finish(pend) }
+
+func (s dropSink) finish(pend [][]live.Round) error {
+	for i, p := range pend {
+		s.gr.recycle(p)
+		pend[i] = p[:0]
+	}
+	return nil
+}
+
+// A steady-state hash-routed round costs the splitter no allocation:
+// split over twice as many rounds of the same shape allocates exactly
+// as much as over the shorter trace, what a run sets up included.
+func TestSplitHashRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	p, err := optimizer.Build(buildGraph(t, flowsQuery), core.MustParseSet("destIP, srcIP & 0xFFF0"),
+		optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := func(rounds int) []netgen.Packet {
+		var pks []netgen.Packet
+		for tm := 0; tm < rounds; tm++ {
+			for j := 0; j < 64; j++ {
+				pks = append(pks, netgen.Packet{Time: uint64(tm), SrcIP: uint64(j) * 7919, DestIP: uint64(j % 5)})
+			}
+		}
+		return pks
+	}
+	allocs := func(rounds int) float64 {
+		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cursors, err := r.makeCursors(map[string][]netgen.Packet{"TCP": trace(rounds)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gr colGrouper
+		return testing.AllocsPerRun(5, func() {
+			cursors[0].pos = 0
+			if _, _, err := r.split(cursors, &gr, dropSink{&gr}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(50), allocs(100)
+	t.Logf("split: %v objects over 50 rounds, %v over 100", short, long)
+	if long != short {
+		t.Errorf("split: %v objects over 50 rounds, %v over 100: a hash-routed round allocates", short, long)
+	}
 }

@@ -65,10 +65,9 @@ const TupleCols = 8
 
 // AppendTuple materializes the packet's tuple into buf's spare
 // capacity and returns the grown buffer plus the tuple, which is
-// capacity-clamped so later appends cannot bleed into it. The
-// splitter renders a packet into a reused scratch buffer this way to
-// hash it; a caller that carves many tuples out of one slab must not
-// recycle the slab while an operator may retain them.
+// capacity-clamped so later appends cannot bleed into it. A caller
+// that carves many tuples out of one slab must not recycle the slab
+// while an operator may retain them.
 func (p Packet) AppendTuple(buf []sqlval.Value) ([]sqlval.Value, exec.Tuple) {
 	n := len(buf)
 	buf = append(buf,
