@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -53,9 +52,8 @@ func canonOutputs(res *Result) map[string][]string {
 }
 
 // sameResultCanonical asserts batched-vs-scalar equivalence: canonical
-// outputs, node-row counts, and per-operator integer counters must be
-// identical; per-operator and per-host CPUUnits may differ only by
-// float summation order.
+// outputs, node-row counts, per-operator counters and per-host metrics
+// must be identical, CPU units included.
 func sameResultCanonical(t *testing.T, name string, want, got *Result) {
 	t.Helper()
 	if !reflect.DeepEqual(canonOutputs(want), canonOutputs(got)) {
@@ -68,28 +66,12 @@ func sameResultCanonical(t *testing.T, name string, want, got *Result) {
 		t.Fatalf("%s: OpStats count differs: %d vs %d", name, len(want.OpStats), len(got.OpStats))
 	}
 	for id, w := range want.OpStats { //qap:allow maprange -- per-id compare, order-free
-		g := got.OpStats[id]
-		if g == nil {
-			t.Fatalf("%s: op %d missing in batched run", name, id)
-		}
-		wi, gi := *w, *g
-		wi.CPUUnits, gi.CPUUnits = 0, 0
-		if wi != gi {
-			t.Errorf("%s: op %d integer counters differ:\n  scalar:  %+v\n  batched: %+v", name, id, *w, *g)
-		}
-		if d := math.Abs(w.CPUUnits - g.CPUUnits); d > 1e-9*math.Max(math.Abs(w.CPUUnits), 1) {
-			t.Errorf("%s: op %d CPUUnits differ beyond tolerance: %v vs %v", name, id, w.CPUUnits, g.CPUUnits)
+		if g := got.OpStats[id]; g == nil || *g != *w {
+			t.Errorf("%s: op %d counters differ:\n  scalar:  %+v\n  batched: %+v", name, id, *w, g)
 		}
 	}
-	for i, wh := range want.Metrics.Hosts {
-		gh := got.Metrics.Hosts[i]
-		if wh.Tuples != gh.Tuples || wh.NetTuplesIn != gh.NetTuplesIn ||
-			wh.NetBytesIn != gh.NetBytesIn || wh.IPCTuplesIn != gh.IPCTuplesIn {
-			t.Errorf("%s: host %d integer metrics differ:\n  scalar:  %+v\n  batched: %+v", name, i, wh, gh)
-		}
-		if d := math.Abs(wh.CPUUnits - gh.CPUUnits); d > 1e-9*math.Max(math.Abs(wh.CPUUnits), 1) {
-			t.Errorf("%s: host %d CPUUnits differ beyond tolerance: %v vs %v", name, i, wh.CPUUnits, gh.CPUUnits)
-		}
+	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
+		t.Errorf("%s: metrics differ:\n  scalar:  %+v\n  batched: %+v", name, *want.Metrics, *got.Metrics)
 	}
 }
 

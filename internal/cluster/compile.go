@@ -135,20 +135,17 @@ func (rt *router) Flush() {
 type procID struct{ host, partition int }
 
 type edge struct {
-	m      *HostMetrics
-	next   exec.Consumer
-	opCost float64 // receiving operator's per-tuple work
-	xfer   float64 // IPC or network surcharge
-	net    bool    // crosses hosts (counts as network)
-	ipc    bool    // crosses processes on the same host
+	m    *HostMetrics
+	next exec.Consumer
+	kind optimizer.OpKind // receiving operator's kind, its cost class
+	net  bool             // crosses hosts (counts as network)
+	ipc  bool             // crosses processes on the same host
 	// id indexes Runner.edges for island-crossing edges (a link item's
 	// name for the edge); 0 and unregistered otherwise. from, on those
 	// edges, is the producing operator, whose output width the live
-	// backend holds link items to. cross marks an island-crossing edge
-	// on every engine.
-	id    int
-	from  *optimizer.Op
-	cross bool
+	// backend holds link items to.
+	id   int
+	from *optimizer.Op
 	// st is the receiving operator's stat shard, nil when stats are
 	// disabled. The edge always executes on the receiving operator's
 	// island (captured edges replay centrally), so the shard has a
@@ -157,75 +154,52 @@ type edge struct {
 }
 
 func (e *edge) Push(t exec.Tuple) {
-	e.m.Tuples++
-	e.m.CPUUnits += e.opCost + e.xfer
-	switch {
-	case e.net:
-		e.m.NetTuplesIn++
-		e.m.NetBytesIn += int64(t.WireSize())
-	case e.ipc:
-		e.m.IPCTuplesIn++
+	var bytes int64
+	if e.net {
+		bytes = int64(t.WireSize())
 	}
-	if e.st != nil {
-		e.st.RowsIn++
-		e.st.CPUUnits += e.opCost + e.xfer
-		switch {
-		case e.net:
-			e.st.NetTuplesIn++
-			e.st.NetBytesIn += int64(t.WireSize())
-		case e.ipc:
-			e.st.IPCTuplesIn++
-		}
-	}
+	e.count(1, bytes)
 	e.next.Push(t)
 }
 
-// PushCols implements exec.ColConsumer: the per-row accounting loop is
-// Push's over the pivoted rows (same integer counters, same
-// floating-point accumulation order, wire sizes computed straight from
-// the columns), then the columnar batch moves downstream — pivoting only
-// if the receiving operator has no columnar fast path. A batch with Int
-// rows crosses an island as rows on every engine, because a link item
-// can only carry it so (capture.PushCols): pushed row by row, it sums
-// the receiving island's costs in the order the replay does.
+// PushCols implements exec.ColConsumer: Push's accounting for the whole
+// batch at once (integer adds only; the wire size comes straight from
+// the columns), then the batch moves downstream — pivoting only if the
+// receiving operator has no columnar fast path.
 //
 //qap:hot
 func (e *edge) PushCols(cb *exec.ColBatch) {
-	if e.cross && cb.HasInt() {
-		pushRows(e, cb)
-		return
+	var bytes int64
+	if e.net {
+		bytes = int64(cb.WireSize())
 	}
-	n := cb.Len
-	for i := 0; i < n; i++ {
-		e.m.Tuples++
-		e.m.CPUUnits += e.opCost + e.xfer
-		switch {
-		case e.net:
-			e.m.NetTuplesIn++
-			e.m.NetBytesIn += int64(cb.RowWireSize(i))
-		case e.ipc:
-			e.m.IPCTuplesIn++
-		}
-		if e.st != nil {
-			e.st.RowsIn++
-			e.st.CPUUnits += e.opCost + e.xfer
-			switch {
-			case e.net:
-				e.st.NetTuplesIn++
-				e.st.NetBytesIn += int64(cb.RowWireSize(i))
-			case e.ipc:
-				e.st.IPCTuplesIn++
-			}
-		}
-	}
+	e.count(int64(cb.Len), bytes)
 	exec.PushColsAll(e.next, cb)
 }
 
-// pushRows pushes cb's rows into c one at a time.
-func pushRows(c exec.Consumer, cb *exec.ColBatch) {
-	rows := cb.AppendRows(exec.GetBatch())
-	exec.PushAll(c, rows)
-	exec.PutBatch(rows)
+// count charges n tuples of bytes wire bytes to the receiving host and
+// operator. CPU units are not summed here: they are the cost model
+// applied to these counts when a window or the run closes.
+func (e *edge) count(n, bytes int64) {
+	e.m.Tuples += n
+	e.m.KindTuples[e.kind] += n
+	switch {
+	case e.net:
+		e.m.NetTuplesIn += n
+		e.m.NetBytesIn += bytes
+	case e.ipc:
+		e.m.IPCTuplesIn += n
+	}
+	if e.st != nil {
+		e.st.RowsIn += n
+		switch {
+		case e.net:
+			e.st.NetTuplesIn += n
+			e.st.NetBytesIn += bytes
+		case e.ipc:
+			e.st.IPCTuplesIn += n
+		}
+	}
 }
 
 func (e *edge) Advance(wm uint64) {
@@ -295,26 +269,6 @@ func (r *Runner) output(op *optimizer.Op, out exec.Consumer) exec.Consumer {
 		return out
 	}
 	return &opOut{rows: rows, st: st, next: out}
-}
-
-// opCostOf returns the per-tuple work of an operator kind.
-func (c CostConfig) opCostOf(kind optimizer.OpKind) float64 {
-	switch kind {
-	case optimizer.OpScan:
-		return c.ScanCost
-	case optimizer.OpSelProj:
-		return c.SelProjCost
-	case optimizer.OpAggregate, optimizer.OpAggSub, optimizer.OpAggSuper, optimizer.OpWindow:
-		return c.AggCost
-	case optimizer.OpJoin:
-		return c.JoinCost
-	case optimizer.OpUnion:
-		return c.UnionCost
-	case optimizer.OpOutput:
-		return c.OutputCost
-	default:
-		return 1
-	}
 }
 
 // ---- compilation ----
@@ -397,18 +351,13 @@ func (r *Runner) fanout(op *optimizer.Op, cons []portRef, entries map[*optimizer
 		to := procID{c.op.Host, c.op.Proc}
 		toIsl := r.islandOf(c.op)
 		e := &edge{
-			m:      &toIsl.metrics,
-			next:   entries[c.op][c.port],
-			opCost: r.cost.opCostOf(c.op.Kind),
-			st:     r.opStatsOf(c.op),
-			cross:  fromIsl != toIsl,
+			m:    &toIsl.metrics,
+			next: entries[c.op][c.port],
+			kind: c.op.Kind,
+			st:   r.opStatsOf(c.op),
+			net:  from.host != to.host,
 		}
-		switch {
-		case from.host != to.host:
-			e.net, e.xfer = true, r.cost.RemoteCost
-		case from != to:
-			e.ipc, e.xfer = true, r.cost.IPCCost
-		}
+		e.ipc = !e.net && from != to
 		if r.parallel && fromIsl != toIsl {
 			// Island-crossing link: the producing worker records the
 			// delivery; the central replay loop applies it (engine.go).
@@ -450,7 +399,7 @@ func (r *Runner) instantiate(op *optimizer.Op, out exec.Consumer) ([]exec.Consum
 		// The scan itself charges the receiving host for ingesting the
 		// packet (the splitter hardware is free).
 		fp := &exec.FilterProject{Out: out}
-		selfEdge := &edge{m: &r.islandOf(op).metrics, next: fp, opCost: r.cost.ScanCost, st: r.opStatsOf(op)}
+		selfEdge := &edge{m: &r.islandOf(op).metrics, next: fp, kind: optimizer.OpScan, st: r.opStatsOf(op)}
 		return []exec.Consumer{selfEdge}, nil
 	case optimizer.OpUnion:
 		u := exec.NewUnion(len(op.Inputs), out)

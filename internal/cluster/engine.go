@@ -52,9 +52,9 @@ package cluster
 //     (the last fully shipped round) gate the merge: an item is applied
 //     only once every island has shipped past its round.
 //
-// Accounting is sharded per island in both engines and merged in a
-// fixed order by finalize(), so floating-point sums group identically
-// and parallel results are byte-identical to sequential ones.
+// Accounting is integer counts sharded per island in both engines and
+// merged by finalize(), which computes CPU units from them, so parallel
+// results are byte-identical to sequential ones.
 
 import (
 	"fmt"
@@ -151,7 +151,9 @@ func (c *capture) PushCols(cb *exec.ColBatch) {
 		return
 	}
 	if cb.HasInt() {
-		pushRows(c, cb)
+		rows := cb.AppendRows(exec.GetBatch())
+		exec.PushAll(c, rows)
+		exec.PutBatch(rows)
 		return
 	}
 	cp := exec.GetColBatch()

@@ -460,6 +460,9 @@ func (r *Runner) installHostShard(host int, payload []byte) error {
 	if err := json.Unmarshal(payload, &sh); err != nil {
 		return fmt.Errorf("cluster: live node %d result shard: %w", host, err)
 	}
+	if sh.CurWin < 0 || sh.CurWin != len(sh.Wins) {
+		return fmt.Errorf("cluster: live node %d result shard: cur_win %d with %d closed windows", host, sh.CurWin, len(sh.Wins))
+	}
 	isl := r.islands[host]
 	isl.metrics = sh.Metrics
 	isl.lastSnap = sh.LastSnap

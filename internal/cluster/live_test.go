@@ -364,3 +364,35 @@ func TestLiveFaultRecovery(t *testing.T) {
 		})
 	}
 }
+
+// TestInstallHostShardRefusesWindowMismatch: a remote node's result
+// shard whose window cursor disagrees with its closed windows is
+// refused with an error naming the node, not installed for
+// mergeLoadSeries to index past the end of.
+func TestInstallHostShardRefusesWindowMismatch(t *testing.T) {
+	p, err := optimizer.Build(buildGraph(t, flowsQuery), core.MustParseSet("srcIP"), optimizer.Options{Hosts: 2, PartitionsPerHost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, BatchSize: 256, LoadWindowSec: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, payload := range []string{
+		`{"metrics":{},"last_snap":{},"cur_win":9}`,
+		`{"cur_win":-1}`,
+		`{"cur_win":0,"wins":[{}]}`,
+	} {
+		err := r.installHostShard(1, []byte(payload))
+		if err == nil {
+			r.mergeLoadSeries(25)
+			t.Fatalf("shard %s accepted", payload)
+		}
+		if !strings.Contains(err.Error(), "live node 1 result shard") {
+			t.Errorf("shard %s: error %q does not name the node", payload, err)
+		}
+	}
+	if err := r.installHostShard(1, []byte(`{"cur_win":2,"wins":[{},{}]}`)); err != nil {
+		t.Fatalf("consistent shard refused: %v", err)
+	}
+}

@@ -9,6 +9,8 @@ package cluster
 import (
 	"fmt"
 	"strings"
+
+	"qap/internal/optimizer"
 )
 
 // CostConfig sets the simulator's CPU cost model. Costs are abstract
@@ -55,7 +57,30 @@ func DefaultCosts() CostConfig {
 	}
 }
 
-// HostMetrics accumulates one host's activity.
+// opCostOf returns the per-tuple work of an operator kind.
+func (c CostConfig) opCostOf(kind optimizer.OpKind) float64 {
+	switch kind {
+	case optimizer.OpScan:
+		return c.ScanCost
+	case optimizer.OpSelProj:
+		return c.SelProjCost
+	case optimizer.OpAggregate, optimizer.OpAggSub, optimizer.OpAggSuper, optimizer.OpWindow:
+		return c.AggCost
+	case optimizer.OpJoin:
+		return c.JoinCost
+	case optimizer.OpUnion:
+		return c.UnionCost
+	case optimizer.OpOutput:
+		return c.OutputCost
+	default:
+		return 1
+	}
+}
+
+// HostMetrics accumulates one host's activity. Every counter is an
+// integer the accounting edges add to; CPUUnits alone is derived, by
+// CostConfig.cpuUnits from the counts, where a run or a monitoring
+// window closes.
 type HostMetrics struct {
 	// CPUUnits is the total work charged to the host.
 	CPUUnits float64
@@ -67,21 +92,57 @@ type HostMetrics struct {
 	// boundary (ring buffers / loopback), which cost CPU but not
 	// network.
 	IPCTuplesIn int64
-	// Tuples counts every tuple delivered to an operator on the host.
-	Tuples int64
+	// Tuples counts every tuple delivered to an operator on the host,
+	// and KindTuples splits it by the receiving operator's kind.
+	Tuples     int64
+	KindTuples [optimizer.OpWindow + 1]int64
 }
 
-// sub returns the field-wise difference m - o: the counter delta
-// between two snapshots of the same host, which is how the load
-// monitor turns cumulative metrics into per-window activity.
+// sub returns the counter-wise difference m - o, CPUUnits left zero:
+// the delta between two snapshots of the same host, which is how the
+// load monitor turns cumulative metrics into per-window activity.
 func (m HostMetrics) sub(o HostMetrics) HostMetrics {
-	return HostMetrics{
-		CPUUnits:    m.CPUUnits - o.CPUUnits,
+	d := HostMetrics{
 		NetTuplesIn: m.NetTuplesIn - o.NetTuplesIn,
 		NetBytesIn:  m.NetBytesIn - o.NetBytesIn,
 		IPCTuplesIn: m.IPCTuplesIn - o.IPCTuplesIn,
 		Tuples:      m.Tuples - o.Tuples,
 	}
+	for k := range d.KindTuples {
+		d.KindTuples[k] = m.KindTuples[k] - o.KindTuples[k]
+	}
+	return d
+}
+
+// add folds o into m field by field: how the central island's
+// accounting joins the aggregator host's.
+func (m *HostMetrics) add(o HostMetrics) {
+	m.CPUUnits += o.CPUUnits
+	m.NetTuplesIn += o.NetTuplesIn
+	m.NetBytesIn += o.NetBytesIn
+	m.IPCTuplesIn += o.IPCTuplesIn
+	m.Tuples += o.Tuples
+	for k := range m.KindTuples {
+		m.KindTuples[k] += o.KindTuples[k]
+	}
+}
+
+// cpuUnits is the cost model's dot product: each kind's tuple count
+// times its per-tuple work, in kind order, then the network and IPC
+// surcharges. It is the only place CPU units are computed, so any two
+// runs with equal counts report bit-equal CPU.
+func (c CostConfig) cpuUnits(kinds []int64, net, ipc int64) float64 {
+	u := 0.0
+	for k, n := range kinds {
+		u += float64(n) * c.opCostOf(optimizer.OpKind(k))
+	}
+	return u + float64(net)*c.RemoteCost + float64(ipc)*c.IPCCost
+}
+
+// withCPU returns m with CPUUnits computed from its counts.
+func (c CostConfig) withCPU(m HostMetrics) HostMetrics {
+	m.CPUUnits = c.cpuUnits(m.KindTuples[:], m.NetTuplesIn, m.IPCTuplesIn)
+	return m
 }
 
 // Metrics is the full accounting of one run.

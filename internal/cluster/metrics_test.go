@@ -3,6 +3,10 @@ package cluster
 import (
 	"strings"
 	"testing"
+
+	"qap/internal/core"
+	"qap/internal/netgen"
+	"qap/internal/optimizer"
 )
 
 // TestOverloadFactorAtCapacity: a host whose demanded work exactly
@@ -103,16 +107,26 @@ func TestLoadsHostOutOfRange(t *testing.T) {
 	}
 }
 
-// TestHostMetricsSub: the snapshot delta used by the load monitor.
+// TestHostMetricsSub: the snapshot delta used by the load monitor
+// subtracts the counts, per kind included, and leaves CPU units to the
+// cost model.
 func TestHostMetricsSub(t *testing.T) {
 	a := HostMetrics{CPUUnits: 10, NetTuplesIn: 20, NetBytesIn: 300, IPCTuplesIn: 4, Tuples: 50}
 	b := HostMetrics{CPUUnits: 4, NetTuplesIn: 5, NetBytesIn: 100, IPCTuplesIn: 1, Tuples: 20}
-	want := HostMetrics{CPUUnits: 6, NetTuplesIn: 15, NetBytesIn: 200, IPCTuplesIn: 3, Tuples: 30}
+	a.KindTuples[optimizer.OpScan], a.KindTuples[optimizer.OpAggSub] = 30, 20
+	b.KindTuples[optimizer.OpScan], b.KindTuples[optimizer.OpAggSub] = 12, 8
+	want := HostMetrics{NetTuplesIn: 15, NetBytesIn: 200, IPCTuplesIn: 3, Tuples: 30}
+	want.KindTuples[optimizer.OpScan], want.KindTuples[optimizer.OpAggSub] = 18, 12
 	if got := a.sub(b); got != want {
 		t.Errorf("sub = %+v, want %+v", got, want)
 	}
 	if got := a.sub(a); got != (HostMetrics{}) {
 		t.Errorf("self-sub = %+v, want zero", got)
+	}
+	// 18 scans, 12 sub-aggregate rows, 15 remote and 3 IPC arrivals.
+	c := CostConfig{ScanCost: 1, AggCost: 0.5, RemoteCost: 4, IPCCost: 0.25}
+	if got := c.withCPU(want).CPUUnits; got != 18+6+60+0.75 {
+		t.Errorf("withCPU = %v, want %v", got, 18+6+60+0.75)
 	}
 }
 
@@ -128,5 +142,34 @@ func TestStringEmptyTrace(t *testing.T) {
 	}
 	if !strings.Contains(out, "tuples 78") {
 		t.Errorf("String() missing tuple count:\n%s", out)
+	}
+}
+
+// TestOpCPUSumsToHostCPU: operator and host CPU units are two views of
+// the same counts. With integer costs every sum is exact, so the CPU of
+// the operators placed on a host must add up to the host's.
+func TestOpCPUSumsToHostCPU(t *testing.T) {
+	p, err := optimizer.Build(buildGraph(t, complexSet), core.MustParseSet("srcIP, destIP"),
+		optimizer.Options{Hosts: 4, PartitionsPerHost: 2, PartialAgg: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := CostConfig{ScanCost: 1, SelProjCost: 2, AggCost: 3, JoinCost: 4, UnionCost: 5, OutputCost: 7, IPCCost: 11, RemoteCost: 13}
+	r, err := NewRunner(p, RunConfig{Costs: costs, Params: testParams, BatchSize: 64, CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.RunStreams(map[string][]netgen.Packet{"TCP": smallTrace(t).Packets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := make([]float64, p.Hosts)
+	for _, op := range p.Ops {
+		sums[op.Host] += res.OpStats[op.ID].CPUUnits
+	}
+	for h, hm := range res.Metrics.Hosts {
+		if hm.CPUUnits == 0 || sums[h] != hm.CPUUnits {
+			t.Errorf("host %d: operators' CPU units sum to %v, host reports %v", h, sums[h], hm.CPUUnits)
+		}
 	}
 }

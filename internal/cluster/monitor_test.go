@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
 	"qap/internal/core"
 	"qap/internal/netgen"
-	"qap/internal/obs"
 	"qap/internal/optimizer"
 )
 
@@ -29,6 +27,16 @@ func driftTrace(t testing.TB) *netgen.Trace {
 // runMonitored runs the complex DAG with load monitoring on.
 func runMonitored(t testing.TB, streams map[string][]netgen.Packet, workers, batch, winSec int) *Result {
 	t.Helper()
+	res, err := monitoredRunner(t, workers, batch, winSec).RunStreams(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// monitoredRunner compiles runMonitored's runner.
+func monitoredRunner(t testing.TB, workers, batch, winSec int) *Runner {
+	t.Helper()
 	g := buildGraph(t, complexSet)
 	p, err := optimizer.Build(g, core.MustParseSet("srcIP"), optimizer.Options{
 		Hosts: 4, PartitionsPerHost: 2, PartialAgg: true,
@@ -43,23 +51,24 @@ func runMonitored(t testing.TB, streams map[string][]netgen.Packet, workers, bat
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunStreams(streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return r
 }
 
 // TestLoadSeriesDeltasSumToTotals: the windowed series is a partition
 // of the run's cumulative accounting — per host, the window deltas
-// must sum back to the final metrics (integer counters exactly,
-// CPUUnits within float summation tolerance), and the windows must
-// tile the trace timeline in order.
+// must sum back to the final metrics, and the windows must tile the
+// trace timeline in order. Per island, the windows' counts, per kind
+// included, sum exactly to the island's totals, so the cost model
+// applied to those sums is the host CPU the run reports.
 func TestLoadSeriesDeltasSumToTotals(t *testing.T) {
 	tr := driftTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	const winSec = 10
-	res := runMonitored(t, streams, 1, 1, winSec)
+	r := monitoredRunner(t, 1, 1, winSec)
+	res, err := r.RunStreams(streams)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.LoadSeries) == 0 {
 		t.Fatal("monitored run produced no load series")
 	}
@@ -85,7 +94,6 @@ func TestLoadSeriesDeltasSumToTotals(t *testing.T) {
 			if hw.NetTuplesIn < 0 || hw.NetBytesIn < 0 || hw.IPCTuplesIn < 0 || hw.Tuples < 0 {
 				t.Fatalf("window %d host %d has negative delta: %+v", i, h, hw)
 			}
-			sums[h].CPUUnits += hw.CPUUnits
 			sums[h].NetTuplesIn += hw.NetTuplesIn
 			sums[h].NetBytesIn += hw.NetBytesIn
 			sums[h].IPCTuplesIn += hw.IPCTuplesIn
@@ -98,18 +106,48 @@ func TestLoadSeriesDeltasSumToTotals(t *testing.T) {
 			got.IPCTuplesIn != total.IPCTuplesIn || got.Tuples != total.Tuples {
 			t.Errorf("host %d: window sums %+v != totals %+v", h, got, total)
 		}
-		if d := math.Abs(got.CPUUnits - total.CPUUnits); d > 1e-9*math.Max(total.CPUUnits, 1) {
-			t.Errorf("host %d: CPUUnits window sum %v drifts from total %v", h, got.CPUUnits, total.CPUUnits)
+	}
+	// Each window's CPU units are the cost of its counts; every packet
+	// is scanned once, and the kind counts split Tuples.
+	hosts := make([]HostMetrics, len(res.Metrics.Hosts))
+	scans := int64(0)
+	for i, isl := range r.islands {
+		var sum HostMetrics
+		for wi, w := range isl.wins {
+			if w != r.cost.withCPU(w) {
+				t.Errorf("island %d window %d: CPU units %v are not the cost of its counts", i, wi, w.CPUUnits)
+			}
+			sum.add(w)
 		}
+		sum.CPUUnits = 0
+		if sum != isl.metrics {
+			t.Errorf("island %d: window sums %+v != totals %+v", i, sum, isl.metrics)
+		}
+		kinds := int64(0)
+		for _, n := range sum.KindTuples {
+			kinds += n
+		}
+		if kinds != sum.Tuples {
+			t.Errorf("island %d: kind counts %v do not sum to %d tuples", i, sum.KindTuples, sum.Tuples)
+		}
+		scans += sum.KindTuples[optimizer.OpScan]
+		h := i
+		if i == len(hosts) { // the central island
+			h = r.plan.AggregatorHost
+		}
+		hosts[h].add(r.cost.withCPU(sum))
+	}
+	if scans != int64(len(tr.Packets)) {
+		t.Errorf("%d scan arrivals for %d packets", scans, len(tr.Packets))
+	}
+	if !reflect.DeepEqual(hosts, res.Metrics.Hosts) {
+		t.Errorf("cost model over the window sums %+v != reported %+v", hosts, res.Metrics.Hosts)
 	}
 }
 
-// TestLoadSeriesBitEqualAcrossEngines: at a fixed batch size the load
-// series — float CPUUnits included — must not move a byte between the
-// sequential and parallel engines; across batch sizes the integer
-// counters must be identical per window (the trigger only reads
-// integers, which is what makes the adaptive decision engine-
-// independent).
+// TestLoadSeriesBitEqualAcrossEngines: the load series, CPU units
+// included, must not move a byte between the sequential and parallel
+// engines or across batch sizes.
 func TestLoadSeriesBitEqualAcrossEngines(t *testing.T) {
 	tr := driftTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
@@ -122,32 +160,8 @@ func TestLoadSeriesBitEqualAcrossEngines(t *testing.T) {
 		if !reflect.DeepEqual(seq.LoadSeries, par.LoadSeries) {
 			t.Errorf("batch=%d: load series differ between engines", batch)
 		}
-		sameIntegerWindows(t, want.LoadSeries, seq.LoadSeries)
-	}
-}
-
-// sameIntegerWindows asserts two series agree on geometry and every
-// integer counter; CPUUnits within summation tolerance.
-func sameIntegerWindows(t *testing.T, want, got []obs.LoadWindow) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("series length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if w.Window != g.Window || w.StartSec != g.StartSec || w.EndSec != g.EndSec {
-			t.Fatalf("window %d geometry (%d,[%d,%d)) vs (%d,[%d,%d))",
-				i, g.Window, g.StartSec, g.EndSec, w.Window, w.StartSec, w.EndSec)
-		}
-		for h := range w.Hosts {
-			wh, gh := w.Hosts[h], g.Hosts[h]
-			if wh.NetTuplesIn != gh.NetTuplesIn || wh.NetBytesIn != gh.NetBytesIn ||
-				wh.IPCTuplesIn != gh.IPCTuplesIn || wh.Tuples != gh.Tuples {
-				t.Errorf("window %d host %d integer counters differ:\n  want %+v\n  got  %+v", i, h, wh, gh)
-			}
-			if d := math.Abs(wh.CPUUnits - gh.CPUUnits); d > 1e-9*math.Max(math.Abs(wh.CPUUnits), 1) {
-				t.Errorf("window %d host %d CPUUnits %v vs %v", i, h, gh.CPUUnits, wh.CPUUnits)
-			}
+		if !reflect.DeepEqual(want.LoadSeries, seq.LoadSeries) {
+			t.Errorf("batch=%d: load series differ from the scalar oracle's", batch)
 		}
 	}
 }

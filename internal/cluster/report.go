@@ -9,23 +9,18 @@ import (
 	"qap/internal/optimizer"
 )
 
-// finalize merges the per-island accounting shards (in a fixed order,
-// so both engines group floating-point sums identically) and collects
-// the run's outputs.
+// finalize merges the per-island accounting shards and collects the
+// run's outputs. Each island's CPU units are the cost model applied to
+// its counts; the aggregator host adds the central island's to its leaf
+// island's, the order mergeLoadSeries and trace.HostLoadSeries use.
 func (r *Runner) finalize(any bool, maxTime uint64) *Result {
 	if any {
 		r.metrics.DurationSec = float64(maxTime + 1)
 	}
 	for h := 0; h < r.plan.Hosts; h++ {
-		r.metrics.Hosts[h] = r.islands[h].metrics
+		r.metrics.Hosts[h] = r.cost.withCPU(r.islands[h].metrics)
 	}
-	central := &r.islands[r.plan.Hosts].metrics
-	agg := &r.metrics.Hosts[r.plan.AggregatorHost]
-	agg.CPUUnits += central.CPUUnits
-	agg.NetTuplesIn += central.NetTuplesIn
-	agg.NetBytesIn += central.NetBytesIn
-	agg.IPCTuplesIn += central.IPCTuplesIn
-	agg.Tuples += central.Tuples
+	r.metrics.Hosts[r.plan.AggregatorHost].add(r.cost.withCPU(r.islands[r.plan.Hosts].metrics))
 
 	res := &Result{
 		Outputs:  make(map[string][]exec.Tuple),
@@ -55,6 +50,13 @@ func (r *Runner) finalize(any bool, maxTime uint64) *Result {
 					cp := *st
 					res.OpStats[id] = &cp
 				}
+			}
+		}
+		for _, op := range r.plan.Ops {
+			if st := res.OpStats[op.ID]; st != nil {
+				var kinds [optimizer.OpWindow + 1]int64
+				kinds[op.Kind] = st.RowsIn
+				st.CPUUnits = r.cost.cpuUnits(kinds[:], st.NetTuplesIn, st.IPCTuplesIn)
 			}
 		}
 		res.Report = r.buildReport(res)
@@ -128,10 +130,13 @@ func (r *Runner) mergeLoadSeries(maxTime uint64) []obs.LoadWindow {
 		if lw.EndSec > maxTime+1 {
 			lw.EndSec = maxTime + 1
 		}
-		hosts := make([]obs.HostWindow, r.plan.Hosts)
-		for h := 0; h < r.plan.Hosts; h++ {
+		lw.Hosts = make([]obs.HostWindow, r.plan.Hosts)
+		for h := range lw.Hosts {
 			hm := r.islands[h].wins[w]
-			hosts[h] = obs.HostWindow{
+			if h == r.plan.AggregatorHost {
+				hm.add(r.islands[r.plan.Hosts].wins[w])
+			}
+			lw.Hosts[h] = obs.HostWindow{
 				Host:        h,
 				CPUUnits:    hm.CPUUnits,
 				NetTuplesIn: hm.NetTuplesIn,
@@ -140,14 +145,6 @@ func (r *Runner) mergeLoadSeries(maxTime uint64) []obs.LoadWindow {
 				Tuples:      hm.Tuples,
 			}
 		}
-		central := r.islands[r.plan.Hosts].wins[w]
-		agg := &hosts[r.plan.AggregatorHost]
-		agg.CPUUnits += central.CPUUnits
-		agg.NetTuplesIn += central.NetTuplesIn
-		agg.NetBytesIn += central.NetBytesIn
-		agg.IPCTuplesIn += central.IPCTuplesIn
-		agg.Tuples += central.Tuples
-		lw.Hosts = hosts
 		series = append(series, lw)
 	}
 	return series

@@ -191,11 +191,12 @@ type sizedOp struct {
 // the central root process on the aggregator host. Each island owns a
 // metrics shard and a NodeRows shard so no accounting state is shared
 // between workers; shards are merged in a fixed order when the run
-// finishes, which also makes the sequential engine's floating-point
-// sums group exactly like the parallel engine's.
+// finishes. metrics holds integer counts only; cost turns them into CPU
+// units where a window or the run closes.
 type island struct {
 	id      int
 	metrics HostMetrics
+	cost    *CostConfig
 	rows    map[string]*int64
 	// ops shards the per-operator stats: every physical operator's
 	// counters live on the island that executes it, so no stat is ever
@@ -236,11 +237,12 @@ type island struct {
 
 // closeWindowsTo closes monitoring windows up to (excluding) win: the
 // first closed window takes the counter delta since the last
-// snapshot, any further skipped windows are zero. winSec guards
-// callers; this method assumes monitoring is on.
+// snapshot, any further skipped windows are zero. A window's CPU units
+// are the cost model applied to its counts. winSec guards callers; this
+// method assumes monitoring is on.
 func (isl *island) closeWindowsTo(win int) {
 	for isl.curWin < win {
-		delta := isl.metrics.sub(isl.lastSnap)
+		delta := isl.cost.withCPU(isl.metrics.sub(isl.lastSnap))
 		isl.wins = append(isl.wins, delta)
 		isl.lastSnap = isl.metrics
 		if isl.tr != nil {
@@ -250,16 +252,16 @@ func (isl *island) closeWindowsTo(win int) {
 	}
 }
 
-// emitWindowEvents records the closing window's host-level integer
-// delta and the per-operator integer deltas on the island's trace
-// shard. The host event is emitted even when all-zero — HostLoadSeries
-// rebuilds the full series geometry from these records. Neither event
-// carries CPU units: float cost sums are only tolerance-equal across
-// batch sizes, while canonical traces must be byte-identical.
+// emitWindowEvents records the closing window's host-level delta (its
+// CPU units included, so HostLoadSeries rebuilds them exactly) and the
+// per-operator integer deltas on the island's trace shard. The host
+// event is emitted even when all-zero — HostLoadSeries rebuilds the
+// full series geometry from these records.
 func (isl *island) emitWindowEvents(delta HostMetrics) {
 	ev := trace.Event{
 		Kind:        trace.KindHostWindow,
 		Window:      isl.curWin,
+		CPUUnits:    delta.CPUUnits,
 		NetTuplesIn: delta.NetTuplesIn,
 		NetBytesIn:  delta.NetBytesIn,
 		IPCTuplesIn: delta.IPCTuplesIn,
@@ -333,8 +335,8 @@ type Result struct {
 	// Trace is the gathered causal trace; nil unless RunConfig.Trace
 	// was set. Its canonical JSONL (timing trailer stripped) is
 	// byte-identical for any Workers/BatchSize, and its host_window
-	// events rebuild LoadSeries (trace.HostLoadSeries) exactly on
-	// every integer counter, with CPUUnits left zero.
+	// events rebuild LoadSeries (trace.HostLoadSeries) exactly, CPU
+	// units included.
 	Trace *trace.Trace
 	// SizeHints reports each aggregate operator's peak live group count
 	// and each join's peak pane entry count by physical op ID, suitable
@@ -388,7 +390,7 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 	}
 	r.islands = make([]*island, p.Hosts+1)
 	for i := range r.islands {
-		r.islands[i] = &island{id: i, rows: make(map[string]*int64), ops: make(map[int]*obs.OpStats)}
+		r.islands[i] = &island{id: i, cost: &r.cost, rows: make(map[string]*int64), ops: make(map[int]*obs.OpStats)}
 		if r.tracer != nil {
 			isl := r.islands[i]
 			isl.tr = r.tracer.NewShard()

@@ -105,17 +105,15 @@ func TestTraceCanonicalBytesAcrossCells(t *testing.T) {
 
 // TestTraceRebuildsLoadSeries: per-host load reconstructed from the
 // trace's host_window events must equal the engine's own monitoring
-// output exactly — integer counters bit-equal, CPUUnits quarantined.
+// output exactly, CPU units included.
 func TestTraceRebuildsLoadSeries(t *testing.T) {
 	tr := driftTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	for _, c := range []struct{ workers, batch int }{{1, 1}, {4, 256}} {
 		res := runTraced(t, streams, c.workers, c.batch, 10, &trace.Config{})
-		got := res.Trace.HostLoadSeries("")
-		want := trace.StripCPUUnits(res.LoadSeries)
-		if !reflect.DeepEqual(got, want) {
+		if got := res.Trace.HostLoadSeries(""); !reflect.DeepEqual(got, res.LoadSeries) {
 			t.Errorf("workers=%d batch=%d: trace-rebuilt load series differs:\n got %+v\nwant %+v",
-				c.workers, c.batch, got, want)
+				c.workers, c.batch, got, res.LoadSeries)
 		}
 	}
 }

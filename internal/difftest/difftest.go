@@ -32,7 +32,6 @@ package difftest
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -243,10 +242,7 @@ func CheckQueries(ddl, queries string, trace netgen.Config, opts Options) (*Repo
 // oracle and production on both engines — and the per-host load
 // series rebuilt from the trace's host_window events (after a round
 // trip through the JSONL codec) must equal the engine's own monitoring
-// output exactly. The comparison strips CPUUnits from the engine
-// series: float cost sums are deliberately quarantined from the
-// canonical trace, which carries only the integer counters the
-// Section 4.2.1 trigger reads.
+// output exactly, CPU units included.
 func (r *Report) checkTrace(sys *qap.System, best core.Set, traceCfg netgen.Config, streams map[string][]netgen.Packet, params map[string]qap.Value) {
 	winSec := traceCfg.DurationSec / 3
 	if winSec < 1 {
@@ -296,12 +292,10 @@ func (r *Report) checkTrace(sys *qap.System, best core.Set, traceCfg netgen.Conf
 				Detail: fmt.Sprintf("JSONL round trip failed: %v\n", err)})
 			continue
 		}
-		got := rt.HostLoadSeries("")
-		want := obstrace.StripCPUUnits(res.LoadSeries)
-		if !reflect.DeepEqual(got, want) {
+		if got := rt.HostLoadSeries(""); !reflect.DeepEqual(got, res.LoadSeries) {
 			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "trace", Config: name, Detail: fmt.Sprintf(
 				"trace-rebuilt load series differs from the engine's monitoring output:\n  rebuilt: %+v\n  engine:  %+v\n",
-				got, want)})
+				got, res.LoadSeries)})
 		}
 	}
 }
@@ -402,10 +396,8 @@ func (r *Report) checkRepartition(sys *qap.System, measured *qap.StaticStats, an
 // kernels, dense aggregate state — against the scalar oracle on one
 // fixed plan: for every (batch size, worker count) cell the canonical
 // output and the canonical trace bytes must equal the scalar
-// reference's, and the per-operator deterministic counters must agree
-// — integer counters exactly, CPUUnits up to float summation-order
-// drift (batching regroups the same per-tuple cost additions, which can
-// move a float64 sum by ULPs but no more).
+// reference's, and so must the per-operator counters and the per-host
+// metrics, CPU units included.
 func (r *Report) checkBatched(opts Options, want string, run func(qap.DeployConfig) (*qap.RunResult, error), best core.Set, hosts int) {
 	fail := func(name, format string, args ...any) {
 		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "batched", Config: name,
@@ -451,6 +443,10 @@ func (r *Report) checkBatched(opts Options, want string, run func(qap.DeployConf
 				fail(name, "%s", d)
 				continue
 			}
+			if d := diffMetrics(ref.Metrics, res.Metrics); d != "" {
+				fail(name, "%s", d)
+				continue
+			}
 			canon, err := res.Trace.CanonicalJSONL()
 			if err != nil {
 				fail(name, "canonical trace encode failed: %v\n", err)
@@ -465,8 +461,8 @@ func (r *Report) checkBatched(opts Options, want string, run func(qap.DeployConf
 }
 
 // diffOpStats compares two per-operator counter maps and renders the
-// first disagreement: integer counters must be identical, CPUUnits may
-// differ only within summation-order tolerance.
+// first disagreement; every counter, CPU units included, must be
+// identical.
 func diffOpStats(want, got map[int]*qap.OpStats) string {
 	if len(want) != len(got) {
 		return fmt.Sprintf("operator count differs: scalar %d, batched %d\n", len(want), len(got))
@@ -481,18 +477,20 @@ func diffOpStats(want, got map[int]*qap.OpStats) string {
 		if g == nil {
 			return fmt.Sprintf("op %d: present in scalar run, missing in batched run\n", id)
 		}
-		wi, gi := *w, *g
-		wi.CPUUnits, gi.CPUUnits = 0, 0
-		if wi != gi {
+		if *w != *g {
 			return fmt.Sprintf("op %d: counters differ:\n  scalar:  %+v\n  batched: %+v\n", id, *w, *g)
-		}
-		tol := 1e-9 * math.Max(math.Abs(w.CPUUnits), 1)
-		if math.Abs(w.CPUUnits-g.CPUUnits) > tol {
-			return fmt.Sprintf("op %d: CPUUnits differ beyond summation tolerance: scalar %v, batched %v\n",
-				id, w.CPUUnits, g.CPUUnits)
 		}
 	}
 	return ""
+}
+
+// diffMetrics renders two runs' metrics when they differ in any field,
+// CPU units included.
+func diffMetrics(want, got *qap.Metrics) string {
+	if reflect.DeepEqual(want, got) {
+		return ""
+	}
+	return fmt.Sprintf("metrics differ:\n  reference: %+v\n  run:       %+v\n", *want, *got)
 }
 
 // compare runs one configuration and records a mismatch if its
@@ -513,12 +511,11 @@ func (r *Report) compare(name, want string, run func(qap.DeployConfig) (*qap.Run
 // checkLive is the live-vs-sim axis: the live TCP backend — real
 // listeners, serialized tuple batches, credit-based backpressure —
 // must reproduce the simulator byte for byte in every hosts × workers
-// × batch cell: canonical output, per-operator counters (bit-equal,
-// CPUUnits included: the live engine replays the exact event sequence,
-// so even float summation order is preserved), and canonical trace
-// bytes. A second leg injects transport faults (dropped, duplicated,
-// and cut connections on both directions) and demands the
-// reconnect-and-replay recovery converge to the same bytes.
+// × batch cell: canonical output, per-operator counters and per-host
+// metrics (CPU units included), and canonical trace bytes. A second
+// leg injects transport faults (dropped, duplicated, and cut
+// connections on both directions) and demands the reconnect-and-replay
+// recovery converge to the same bytes.
 func (r *Report) checkLive(opts Options, sys *qap.System, want string, best core.Set, streams map[string][]netgen.Packet, params map[string]qap.Value) {
 	if !opts.Live {
 		return
@@ -548,11 +545,11 @@ func (r *Report) checkLive(opts Options, sys *qap.System, want string, best core
 				Detail: firstDiff(want, got)})
 			return
 		}
-		if !reflect.DeepEqual(ref.OpStats, res.OpStats) {
-			d := diffOpStats(ref.OpStats, res.OpStats)
-			if d == "" {
-				d = "OpStats differ (CPUUnits summation order; the live engine must preserve it exactly)\n"
-			}
+		d := diffOpStats(ref.OpStats, res.OpStats)
+		if d == "" {
+			d = diffMetrics(ref.Metrics, res.Metrics)
+		}
+		if d != "" {
 			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: name, Detail: d})
 			return
 		}

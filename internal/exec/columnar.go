@@ -22,6 +22,7 @@ package exec
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -290,24 +291,50 @@ func (cb *ColBatch) Slice(lo, hi int, dst *ColBatch) {
 	dst.Len = hi - lo
 }
 
-// RowWireSize mirrors Tuple.WireSize for row i without materializing
-// the tuple: 8 bytes of framing plus each value's wire size.
-func (cb *ColBatch) RowWireSize(i int) int {
-	n := 8
+// WireSize is the sum of Tuple.WireSize over the batch's rows, taken a
+// column at a time: 8 bytes of framing per row, then per column one
+// byte a NULL, two a bool, three plus its length a string, nine any
+// other value.
+func (cb *ColBatch) WireSize() int {
+	n := cb.Len
+	size := 8 * n
 	for c := range cb.Cols {
 		v := &cb.Cols[c]
-		switch {
-		case !v.IsValid(i) || v.Kind == sqlval.KindNull:
-			n++
-		case v.Kind == sqlval.KindBool:
-			n += 2
-		case v.Kind == sqlval.KindString:
-			n += 3 + len(v.Str[i])
+		valid := v.validCount(n)
+		size += n - valid
+		switch v.Kind {
+		case sqlval.KindNull:
+			size += valid
+		case sqlval.KindBool:
+			size += 2 * valid
+		case sqlval.KindString:
+			size += 3 * valid
+			for i, s := range v.Str[:n] {
+				if v.IsValid(i) {
+					size += len(s)
+				}
+			}
 		default:
-			n += 9
+			size += 9 * valid
 		}
 	}
-	return n
+	return size
+}
+
+// validCount is the number of non-NULL rows among the column's first n;
+// fewer than n means its wire encoding carries a validity bitmap.
+func (v *ColVec) validCount(n int) int {
+	if len(v.Valid) == 0 {
+		return n
+	}
+	c := 0
+	for _, w := range v.Valid[:n>>6] {
+		c += bits.OnesCount64(w)
+	}
+	if r := n & 63; r != 0 {
+		c += bits.OnesCount64(v.Valid[n>>6] & (1<<uint(r) - 1))
+	}
+	return c
 }
 
 // AppendRows pivots the batch into durable row tuples appended to

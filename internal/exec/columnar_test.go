@@ -35,9 +35,9 @@ func sameValue(a, b sqlval.Value) bool {
 
 func TestColBatchPivotRoundTrip(t *testing.T) {
 	rows := Batch{
-		{sqlval.Uint(1), sqlval.Int(-7), sqlval.Float(2.5), sqlval.Bool(true), sqlval.Str("a"), sqlval.Null},
-		{sqlval.Uint(math.MaxUint64), sqlval.Int(9), sqlval.Float(math.NaN()), sqlval.Bool(false), sqlval.Str(""), sqlval.Null},
-		{sqlval.Uint(0), sqlval.Null, sqlval.Null, sqlval.Null, sqlval.Null, sqlval.Null},
+		{sqlval.Uint(1), sqlval.Int(-7), sqlval.Float(2.5), sqlval.Bool(true), sqlval.Str("a"), sqlval.Null, sqlval.Uint(3)},
+		{sqlval.Uint(math.MaxUint64), sqlval.Int(9), sqlval.Float(math.NaN()), sqlval.Bool(false), sqlval.Str(""), sqlval.Null, sqlval.Int(-2)},
+		{sqlval.Uint(0), sqlval.Null, sqlval.Null, sqlval.Null, sqlval.Null, sqlval.Null, sqlval.Null},
 	}
 	var cb ColBatch
 	if !cb.SetFromRows(rows) {
@@ -46,6 +46,10 @@ func TestColBatchPivotRoundTrip(t *testing.T) {
 	if cb.Len != len(rows) {
 		t.Fatalf("Len = %d, want %d", cb.Len, len(rows))
 	}
+	if len(cb.Cols[6].Int) == 0 || len(cb.Cols[1].Valid) == 0 {
+		t.Fatal("sample lost its Int or validity bitmap")
+	}
+	checkWireSize(t, &cb)
 	back := cb.AppendRows(nil)
 	if len(back) != len(rows) {
 		t.Fatalf("pivoted %d rows, want %d", len(back), len(rows))
@@ -56,9 +60,19 @@ func TestColBatchPivotRoundTrip(t *testing.T) {
 				t.Errorf("row %d col %d: %v != %v", r, c, rows[r][c], back[r][c])
 			}
 		}
-		if got, want := cb.RowWireSize(r), rows[r].WireSize(); got != want {
-			t.Errorf("row %d wire size %d, want %d", r, got, want)
-		}
+	}
+}
+
+// checkWireSize asserts the column-wise wire size equals the sum of the
+// pivoted rows' wire sizes.
+func checkWireSize(t *testing.T, cb *ColBatch) {
+	t.Helper()
+	want := 0
+	for _, row := range cb.AppendRows(nil) {
+		want += row.WireSize()
+	}
+	if got := cb.WireSize(); got != want {
+		t.Fatalf("WireSize = %d, want %d (sum over the rows)", got, want)
 	}
 }
 

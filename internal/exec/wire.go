@@ -321,7 +321,7 @@ func ColBatchWireSize(cb *ColBatch) int {
 		if v.Kind == sqlval.KindNull {
 			continue
 		}
-		if v.hasNulls(cb.Len) {
+		if v.validCount(cb.Len) < cb.Len {
 			n += 8 * ((cb.Len + 63) >> 6)
 		}
 		if v.Kind != sqlval.KindString {
@@ -336,22 +336,6 @@ func ColBatchWireSize(cb *ColBatch) int {
 		}
 	}
 	return n
-}
-
-// hasNulls reports whether any of the column's first n rows is NULL —
-// whether its canonical encoding carries a validity bitmap.
-func (v *ColVec) hasNulls(n int) bool {
-	if len(v.Valid) == 0 {
-		return false
-	}
-	full := n >> 6
-	for _, w := range v.Valid[:full] {
-		if w != ^uint64(0) {
-			return true
-		}
-	}
-	tail := uint64(1)<<uint(n&63) - 1
-	return tail != 0 && v.Valid[full]&tail != tail
 }
 
 // AppendColBatchWire appends the canonical wire encoding of cb to dst
@@ -369,7 +353,7 @@ func AppendColBatchWire(dst []byte, cb *ColBatch) []byte {
 			dst = append(dst, byte(v.Kind), 0)
 			continue
 		}
-		nulls := v.hasNulls(n)
+		nulls := v.validCount(n) < n
 		if !nulls && v.Kind != sqlval.KindString && v.Kind != sqlval.KindBool {
 			// The hot shape (packet columns): kind, no bitmap, n words.
 			dst = append(dst, byte(v.Kind), 0)
@@ -483,7 +467,7 @@ func DecodeColBatchWire(data []byte, dst *ColBatch) error {
 			if rows&63 != 0 && v.Valid[words-1]>>uint(rows&63) != 0 {
 				return wireErr(off+8*(words-1), "column %d: validity bits set past row %d", c, rows)
 			}
-			if !v.hasNulls(rows) {
+			if v.validCount(rows) == rows {
 				return wireErr(off, "column %d: non-canonical all-valid bitmap", c)
 			}
 			off += 8 * words

@@ -34,10 +34,10 @@ import (
 // backward compatible and does not bump.
 const SchemaVersion = 1
 
-// OpStats holds one physical operator's deterministic counters. All
-// fields are accumulated on the operator's execution island, in the
-// engine's canonical event order, so they are bit-equal (including the
-// float64 CPU sum) for any worker count.
+// OpStats holds one physical operator's deterministic counters. The
+// integer fields are accumulated on the operator's execution island;
+// CPUUnits is computed from them once, when the run finishes. All are
+// bit-equal for any engine, worker count or batch size.
 type OpStats struct {
 	// RowsIn counts tuples delivered to the operator's input ports
 	// (for a join: probes into either hash table).
@@ -51,8 +51,9 @@ type OpStats struct {
 	// inputs (a window operator's final pane flushes ride on these and
 	// on Advances).
 	Flushes int64 `json:"flushes"`
-	// CPUUnits is the work charged to the operator: its per-tuple
-	// operator cost plus any IPC/remote transfer surcharge.
+	// CPUUnits is the work charged to the operator: RowsIn times its
+	// per-tuple operator cost, plus NetTuplesIn and IPCTuplesIn times
+	// the remote and IPC surcharges.
 	CPUUnits float64 `json:"cpu_units"`
 	// NetTuplesIn / NetBytesIn count arrivals that crossed hosts.
 	NetTuplesIn int64 `json:"net_tuples_in"`

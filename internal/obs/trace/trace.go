@@ -34,15 +34,11 @@ const (
 	KindRound = "round"
 	// KindFlush is the end-of-stream flush round.
 	KindFlush = "flush"
-	// KindHostWindow is one island's integer counter deltas over one
-	// closed monitoring window (the span record per-host load is
-	// rebuilt from; central islands carry Central=true). CPU units are
-	// deliberately absent from all trace events: float cost sums are
-	// only tolerance-equal across batch sizes (the accounting loop
-	// visits a round's edges in delivery-group order, so the sums
-	// round differently), while the network load the Section 4.2.1
-	// bound constrains is integer and exact. CPU cost lives in the
-	// run report; the canonical trace is the byte-identical surface.
+	// KindHostWindow is one island's counter deltas over one closed
+	// monitoring window (the span record per-host load is rebuilt
+	// from; central islands carry Central=true). Its CPU units are the
+	// cost model's fixed-order dot product over the window's integer
+	// counts, so they are as exact as the counts.
 	KindHostWindow = "host_window"
 	// KindOpWindow is one operator's integer counter deltas over one
 	// closed monitoring window.
@@ -87,16 +83,17 @@ type Event struct {
 	Query   string `json:"query,omitempty"`
 
 	// Counters (deltas or event sizes, depending on kind).
-	Rows        int64 `json:"rows,omitempty"`
-	Groups      int64 `json:"groups,omitempty"`
-	RowsIn      int64 `json:"rows_in,omitempty"`
-	RowsOut     int64 `json:"rows_out,omitempty"`
-	Advances    int64 `json:"advances,omitempty"`
-	Flushes     int64 `json:"flushes,omitempty"`
-	NetTuplesIn int64 `json:"net_tuples_in,omitempty"`
-	NetBytesIn  int64 `json:"net_bytes_in,omitempty"`
-	IPCTuplesIn int64 `json:"ipc_tuples_in,omitempty"`
-	Tuples      int64 `json:"tuples,omitempty"`
+	Rows        int64   `json:"rows,omitempty"`
+	Groups      int64   `json:"groups,omitempty"`
+	RowsIn      int64   `json:"rows_in,omitempty"`
+	RowsOut     int64   `json:"rows_out,omitempty"`
+	Advances    int64   `json:"advances,omitempty"`
+	Flushes     int64   `json:"flushes,omitempty"`
+	NetTuplesIn int64   `json:"net_tuples_in,omitempty"`
+	NetBytesIn  int64   `json:"net_bytes_in,omitempty"`
+	IPCTuplesIn int64   `json:"ipc_tuples_in,omitempty"`
+	Tuples      int64   `json:"tuples,omitempty"`
+	CPUUnits    float64 `json:"cpu_units,omitempty"`
 
 	// Header fields.
 	SchemaVersion  int     `json:"schema_version,omitempty"`
@@ -357,13 +354,11 @@ func (t *Trace) Phases() []string {
 
 // HostLoadSeries rebuilds the per-host load series of the phase's run
 // from its host_window events. The result equals the engine's own
-// obs.LoadWindow series (cluster.Result.LoadSeries) exactly on
-// geometry and every integer counter — the events carry exactly the
-// per-island window deltas — with CPUUnits left zero, since CPU cost
-// is quarantined from the canonical trace (compare against
-// StripCPUUnits of the engine series). Returns nil when the phase has
-// no header or recorded no windows (e.g. an empty trace or a ring
-// capture that dropped them all).
+// obs.LoadWindow series (cluster.Result.LoadSeries) exactly: the events
+// carry the per-island window deltas, and a host's CPU units add its
+// leaf island's and then the central island's, the engine's order.
+// Returns nil when the phase has no header or recorded no windows (e.g.
+// an empty trace or a ring capture that dropped them all).
 func (t *Trace) HostLoadSeries(phase string) []obs.LoadWindow {
 	hdr := t.Header(phase)
 	if hdr == nil || hdr.Hosts <= 0 || hdr.WindowSec <= 0 || hdr.DurationSec < 1 {
@@ -406,6 +401,7 @@ func (t *Trace) HostLoadSeries(phase string) []obs.LoadWindow {
 		}
 		any = true
 		hw := &series[e.Window].Hosts[h]
+		hw.CPUUnits += e.CPUUnits
 		hw.NetTuplesIn += e.NetTuplesIn
 		hw.NetBytesIn += e.NetBytesIn
 		hw.IPCTuplesIn += e.IPCTuplesIn
@@ -415,25 +411,4 @@ func (t *Trace) HostLoadSeries(phase string) []obs.LoadWindow {
 		return nil
 	}
 	return series
-}
-
-// StripCPUUnits returns a copy of a load series with every host's
-// CPUUnits zeroed: the projection HostLoadSeries reconstructs. Float
-// CPU cost is only tolerance-equal across batch sizes, so it is
-// excluded from the canonical trace surface the same way wall time is.
-func StripCPUUnits(series []obs.LoadWindow) []obs.LoadWindow {
-	if series == nil {
-		return nil
-	}
-	out := make([]obs.LoadWindow, len(series))
-	for i, w := range series {
-		cw := w
-		cw.Hosts = make([]obs.HostWindow, len(w.Hosts))
-		copy(cw.Hosts, w.Hosts)
-		for h := range cw.Hosts {
-			cw.Hosts[h].CPUUnits = 0
-		}
-		out[i] = cw
-	}
-	return out
 }

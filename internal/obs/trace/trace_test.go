@@ -18,9 +18,9 @@ func sampleTrace() *Trace {
 			AggregatorHost: 1, WindowSec: 10, DurationSec: 8, Partitioning: "{srcIP}"},
 		{Kind: KindRound, Round: 0, WM: 3, Rows: 5},
 		{Kind: KindFlush, Round: 1, WM: 7},
-		{Kind: KindHostWindow, Window: 0, Host: 0, NetTuplesIn: 5, NetBytesIn: 200, Tuples: 9},
-		{Kind: KindHostWindow, Window: 0, Host: 1, IPCTuplesIn: 3, Tuples: 4},
-		{Kind: KindHostWindow, Window: 0, Central: true, Tuples: 2, NetBytesIn: 40, NetTuplesIn: 1},
+		{Kind: KindHostWindow, Window: 0, Host: 0, NetTuplesIn: 5, NetBytesIn: 200, Tuples: 9, CPUUnits: 39.6},
+		{Kind: KindHostWindow, Window: 0, Host: 1, IPCTuplesIn: 3, Tuples: 4, CPUUnits: 0.1},
+		{Kind: KindHostWindow, Window: 0, Central: true, Tuples: 2, NetBytesIn: 40, NetTuplesIn: 1, CPUUnits: 0.2},
 		{Kind: KindOpWindow, Window: 0, Host: 0, Op: 2, OpKind: "Aggregate",
 			Query: "q0", RowsIn: 9, RowsOut: 3, Groups: 3},
 		{Kind: KindEpochFlush, Host: 0, Op: 2, WM: 3, Groups: 2, Rows: 2},
@@ -188,10 +188,12 @@ func TestHostLoadSeriesRebuild(t *testing.T) {
 		t.Fatalf("window geometry %+v", w)
 	}
 	// Host 0 is untouched by the central fold; host 1 (the aggregator)
-	// absorbs the central island's counters.
+	// absorbs the central island's counters, its CPU added after the
+	// leaf island's in float64 (0.1+0.2, not the constant 0.3).
+	leafCPU, centralCPU := 0.1, 0.2
 	want := []obs.HostWindow{
-		{Host: 0, NetTuplesIn: 5, NetBytesIn: 200, Tuples: 9},
-		{Host: 1, NetTuplesIn: 1, NetBytesIn: 40, IPCTuplesIn: 3, Tuples: 6},
+		{Host: 0, CPUUnits: 39.6, NetTuplesIn: 5, NetBytesIn: 200, Tuples: 9},
+		{Host: 1, CPUUnits: leafCPU + centralCPU, NetTuplesIn: 1, NetBytesIn: 40, IPCTuplesIn: 3, Tuples: 6},
 	}
 	if !reflect.DeepEqual(w.Hosts, want) {
 		t.Fatalf("hosts:\n got %+v\nwant %+v", w.Hosts, want)
@@ -210,29 +212,6 @@ func TestHostLoadSeriesNilCases(t *testing.T) {
 	}}
 	if s := headerOnly.HostLoadSeries(""); s != nil {
 		t.Fatalf("header-only trace produced a series: %+v", s)
-	}
-}
-
-func TestStripCPUUnits(t *testing.T) {
-	in := []obs.LoadWindow{{
-		Window: 0, StartSec: 0, EndSec: 10,
-		Hosts: []obs.HostWindow{
-			{Host: 0, CPUUnits: 12.5, NetTuplesIn: 3, Tuples: 4},
-			{Host: 1, CPUUnits: 0.25, NetBytesIn: 9},
-		},
-	}}
-	out := StripCPUUnits(in)
-	if in[0].Hosts[0].CPUUnits != 12.5 {
-		t.Fatal("StripCPUUnits mutated its input")
-	}
-	if out[0].Hosts[0].CPUUnits != 0 || out[0].Hosts[1].CPUUnits != 0 {
-		t.Fatalf("CPUUnits not zeroed: %+v", out[0].Hosts)
-	}
-	if out[0].Hosts[0].NetTuplesIn != 3 || out[0].Hosts[1].NetBytesIn != 9 {
-		t.Fatalf("integer counters damaged: %+v", out[0].Hosts)
-	}
-	if StripCPUUnits(nil) != nil {
-		t.Fatal("StripCPUUnits(nil) != nil")
 	}
 }
 

@@ -405,8 +405,7 @@ type RunResult struct {
 	// Trace is the run's causal trace; nil unless DeployConfig.Trace
 	// was set. Its CanonicalJSONL is byte-identical for any
 	// Workers/BatchSize, and HostLoadSeries rebuilds LoadSeries from
-	// its host_window events — exact on every integer counter, with
-	// the float CPUUnits quarantined (left zero).
+	// its host_window events exactly, CPU units included.
 	Trace *RunTrace
 
 	report *RunReport
