@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"qap/internal/core"
 	"qap/internal/exec"
@@ -61,21 +60,19 @@ func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := liveRunConfig(1, 256, LiveConfig{})
-	r, err := NewRunner(p, cfg)
+	r, err := NewRunner(p, liveRunConfig(1, 256, LiveConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	_, err = r.Run("TCP", packets)
 	if err == nil {
 		t.Fatal("a round over the frame bound was accepted")
 	}
-	// How long building 36 MB of rounds takes is the machine's business;
-	// what must not happen is a wait for the guard, or a node executing
-	// a scan: the in-process nodes run on this runner's leaf islands.
-	if d := time.Since(start); d >= cfg.DriveTimeout {
-		t.Errorf("the refusal took %s: the %s drive guard fired first", d, cfg.DriveTimeout)
+	// The refusal must be the splitter's frame limit, not the drive guard
+	// firing, and no node may have executed a scan: the in-process nodes
+	// run on this runner's leaf islands.
+	if strings.Contains(err.Error(), "drive stalled") {
+		t.Errorf("the drive guard fired before the refusal: %v", err)
 	}
 	for _, isl := range r.islands {
 		if isl.metrics.Tuples != 0 {

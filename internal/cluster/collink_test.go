@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -17,12 +18,12 @@ import (
 
 // crossing is what one kind of leaf operator sent across its island's
 // boundary: data items by kind, how many column items carried a
-// validity bitmap or a column that is not uint, how many rows items a
-// KindInt value, how many rows the rows items held, and how many rows
-// items continued the run of the item before them.
+// validity bitmap, a column that is not uint, or Int rows, how many
+// rows and Int rows the column items held, and how many continued the
+// item before them (same edge, round and tag).
 type crossing struct {
-	items                                    map[live.ItemKind]int
-	bitmaps, nonUint, intBatches, rows, cont int
+	items                                             map[live.ItemKind]int
+	bitmaps, nonUint, intBatches, rows, intRows, cont int
 }
 
 // tallySink executes every island's rounds on the spot and tallies what
@@ -57,34 +58,32 @@ func (s *tallySink) finish(pend [][]live.Round) error {
 				s.got[from] = c
 			}
 			c.items[it.Kind]++
-			if it.Kind != live.ItemPushCols {
-				c.rows += len(it.Batch)
-				if n > 0 {
-					if prev := &x.isl.outbox[n-1]; prev.Kind == it.Kind && prev.Round == it.Round && prev.Tag == it.Tag && prev.Edge == it.Edge {
-						c.cont++
-					}
+			c.rows += it.Cols.Len
+			if n > 0 {
+				if prev := &x.isl.outbox[n-1]; prev.Kind == it.Kind && prev.Round == it.Round && prev.Tag == it.Tag && prev.Edge == it.Edge {
+					c.cont++
 				}
-				holdsInt := false
-				for _, row := range it.Batch {
-					for _, v := range row {
-						holdsInt = holdsInt || v.Kind() == sqlval.KindInt
-					}
-				}
-				if holdsInt {
-					c.intBatches++
-				}
-				continue
 			}
-			bitmap, nonUint := false, false
+			bitmap, nonUint, ints := false, false, false
 			for ci := range it.Cols.Cols {
-				bitmap = bitmap || len(it.Cols.Cols[ci].Valid) != 0
-				nonUint = nonUint || it.Cols.Cols[ci].Kind != sqlval.KindUint
+				v := &it.Cols.Cols[ci]
+				bitmap = bitmap || len(v.Valid) != 0
+				nonUint = nonUint || v.Kind != sqlval.KindUint
+				ints = ints || len(v.Int) != 0
+				for r := 0; r < it.Cols.Len; r++ {
+					if v.Kind == sqlval.KindUint && v.Value(r).Kind() == sqlval.KindInt {
+						c.intRows++
+					}
+				}
 			}
 			if bitmap {
 				c.bitmaps++
 			}
 			if nonUint {
 				c.nonUint++
+			}
+			if ints {
+				c.intBatches++
 			}
 		}
 		live.ReleaseCols(x.isl.outbox)
@@ -127,11 +126,11 @@ func crossings(t *testing.T, queries string, ps core.Set, o optimizer.Options, s
 	return s.got, s.total
 }
 
-// nonUintSet crosses what a uint column cannot carry. odd's MAX is NULL
-// for the groups whose packets all have an even flags word, so its
-// sub-aggregate's batch keeps its columns and gains a validity bitmap;
-// skew's SUM is negative for some groups and not for others, a column of
-// mixed kinds, so its sub-aggregate falls back to rows.
+// nonUintSet crosses what a bare uint column cannot carry. odd's MAX is
+// NULL for the groups whose packets all have an even flags word, so its
+// sub-aggregate's batch gains a validity bitmap; skew's SUM is negative
+// for some groups and not for others, so its sub-aggregate's batch
+// gains an Int bitmap.
 const nonUintSet = `
 query odd:
 SELECT tb, srcIP, MAX(len / (flags & 1)) as odd_len, COUNT(*) as cnt
@@ -145,8 +144,7 @@ GROUP BY time/60 as tb, destIP`
 
 // TestColumnItemsCrossIslands: a producer that delivers columns crosses
 // its island's boundary as a column item — every aggregate and
-// sub-aggregate at batch size 256 — and everything else as the rows it
-// was: a column of mixed kinds as one rows item per emitted run. The
+// sub-aggregate at batch size 256, Int rows and NULLs included. The
 // items are the ones the row-only link carried, count for count, and
 // rows, OpStats and canonical trace bytes are the sequential engine's on
 // the parallel engine and on the live backend, also when a duplicated
@@ -180,14 +178,9 @@ func TestColumnItemsCrossIslands(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			got, _ := crossings(t, tc.queries, tc.ps, tc.o, streams, 256)
-			var cols, batches int
-			for kind, c := range got {
-				rows := c.items[live.ItemPushBatch]
-				if (kind == optimizer.OpAggregate || kind == optimizer.OpAggSub) && rows != 0 && tc.name != "non-uint" {
-					t.Errorf("%v output crossed as %d row items", kind, rows)
-				}
+			cols := 0
+			for _, c := range got {
 				cols += c.items[live.ItemPushCols]
-				batches += c.items[live.ItemPushBatch]
 			}
 			if cols == 0 {
 				t.Fatalf("no column item crossed: %+v", got)
@@ -197,9 +190,9 @@ func TestColumnItemsCrossIslands(t *testing.T) {
 			if tc.name == "section62" && got[optimizer.OpAggregate].nonUint == 0 {
 				t.Error("no column item carried a column that is not uint")
 			}
-			if tc.name == "non-uint" && (batches == 0 || got[optimizer.OpAggSub].bitmaps == 0) {
-				t.Errorf("%d row-batch fallback items, %d column items with a validity bitmap: the case tests nothing",
-					batches, got[optimizer.OpAggSub].bitmaps)
+			if sub := got[optimizer.OpAggSub]; tc.name == "non-uint" && (sub.intBatches == 0 || sub.bitmaps == 0) {
+				t.Errorf("%d column items with Int rows, %d with a validity bitmap: the case tests nothing",
+					sub.intBatches, sub.bitmaps)
 			}
 			cfg := liveRunConfig(1, 256, LiveConfig{})
 			cfg.Engine = EngineSim
@@ -238,27 +231,21 @@ const (
 	nonUintItems   = 1472
 )
 
-// slidingWindowSet is examples/slidingwindow's query: partitioned on
-// (srcIP, destIP), its window merge runs on the leaves and, having no
-// column path, pushes every window's rows into the edge to the central
-// output.
-const slidingWindowSet = `
-query flow_rates:
-SELECT pane, srcIP, destIP,
-       COUNT(*) AS pkts, SUM(len) AS bytes, AVG(len) AS avg_len
-FROM TCP
-GROUP BY time/10 AS pane, srcIP, destIP
-WINDOW 6`
-
 // TestRowRunsCrossAsOneItem: a leaf operator that pushes rows into an
-// island-crossing edge — the sliding window's merge — sends each run it
-// emits across as one rows item, not one item per row. The runs are
-// maximal (no rows item continues the one before it in its island's
-// outbox) and together hold every row the windows emitted, and
+// island-crossing edge — the sliding window's merge, on
+// examples/queries/slidingwindow.gsql partitioned on (srcIP, destIP) —
+// sends each run it emits across as one column item, not one item per
+// row. The runs are maximal (no item continues the one before it in its
+// island's outbox) and together hold every row the windows emitted, and
 // Report.Timing.LinkItems counts runs, not rows, on the parallel engine
 // and on the live backend alike, whose rows, OpStats and canonical trace
 // bytes are the scalar oracle's.
 func TestRowRunsCrossAsOneItem(t *testing.T) {
+	queries, err := os.ReadFile("../../examples/queries/slidingwindow.gsql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slidingWindowSet := string(queries)
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	ps, o := core.MustParseSet("srcIP, destIP"), optimizer.Options{Hosts: 4, PartitionsPerHost: 2, PartialAgg: true}
@@ -269,11 +256,11 @@ func TestRowRunsCrossAsOneItem(t *testing.T) {
 
 	got, items := crossings(t, slidingWindowSet, ps, o, streams, 256)
 	c := got[optimizer.OpWindow]
-	if len(got) != 1 || c == nil || c.rows != rows || c.items[live.ItemPushCols] != 0 {
-		t.Fatalf("what crossed is %+v; want the windows' %d rows alone, as rows items", got, rows)
+	if len(got) != 1 || c == nil || c.rows != rows {
+		t.Fatalf("what crossed is %+v; want the windows' %d rows alone", got, rows)
 	}
-	if runs := c.items[live.ItemPushBatch]; c.cont != 0 || runs == 0 || 4*runs > rows {
-		t.Errorf("%d rows crossed in %d rows items, %d of which continue the item before them; want maximal runs, far fewer than rows",
+	if runs := c.items[live.ItemPushCols]; c.cont != 0 || runs == 0 || 4*runs > rows {
+		t.Errorf("%d rows crossed in %d column items, %d of which continue the item before them; want maximal runs, far fewer than rows",
 			rows, runs, c.cont)
 	}
 
@@ -289,7 +276,52 @@ func TestRowRunsCrossAsOneItem(t *testing.T) {
 			t.Errorf("%s: %d link items crossed; the leaves captured %d", res.Report.Timing.Engine, got, items)
 		}
 	}
-	t.Logf("%d window rows crossed in %d runs, %d link items in all", rows, c.items[live.ItemPushBatch], items)
+	t.Logf("%d window rows crossed in %d runs, %d link items in all", rows, c.items[live.ItemPushCols], items)
+}
+
+// TestMixedRunCrossesRowByRow: a row run SetFromRows refuses — a column
+// mixing kinds, which no typed plan emits — crosses as one single-row
+// column item per row, in the run's order and under its round, tag and
+// watermark, and the replay hands the consumer the very rows pushed,
+// byte for byte.
+func TestMixedRunCrossesRowByRow(t *testing.T) {
+	run := exec.Batch{
+		{sqlval.Uint(1), sqlval.Str("a")},
+		{sqlval.Str("b"), sqlval.Null},
+		{sqlval.Int(-2), sqlval.Float(1.5)},
+		{sqlval.Bool(true), sqlval.Uint(4)},
+	}
+	if new(exec.ColBatch).SetFromRows(run) {
+		t.Fatal("the run pivots to columns: the case tests nothing")
+	}
+	out := &exec.Collector{}
+	e := &edge{m: &HostMetrics{}, next: out}
+	isl := &island{curRound: 3, curTag: phasePush | 9, curWM: 180}
+	c := &capture{isl: isl, e: e}
+	for _, row := range run {
+		c.Push(row)
+	}
+	isl.curTag = phaseFlush
+	c.Flush()
+	items := isl.outbox
+	if len(items) != len(run)+1 {
+		t.Fatalf("the run and the flush crossed as %d items, want %d", len(items), len(run)+1)
+	}
+	for i, it := range items[:len(run)] {
+		if it.Kind != live.ItemPushCols || it.Round != 3 || it.Tag != phasePush|9 || it.MWM != 180 || it.Cols.Len != 1 {
+			t.Fatalf("item %d is %+v; want row %d alone as columns, under the run's round, tag and watermark", i, it, i)
+		}
+	}
+	r := &Runner{edges: []*edge{e}}
+	err := r.replayLinks(1, func(string) (live.LinkMsg, error) {
+		return live.LinkMsg{Through: 3, Done: true, Items: items}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := exec.AppendBatchWire(nil, out.Rows), exec.AppendBatchWire(nil, run); !bytes.Equal(got, want) || !out.Flushed {
+		t.Errorf("the replay delivered %v (flushed %t); want %v, then the flush", out.Rows, out.Flushed, run)
+	}
 }
 
 // TestLiveLinkRejectsMisshapenItem: the link codec admits any
@@ -323,19 +355,15 @@ func TestLiveLinkRejectsMisshapenItem(t *testing.T) {
 		cb.SetFromRows(exec.Batch{row, row})
 		return cb
 	}
-	row := func(width int) exec.Tuple { return cols(width).AppendRows(nil)[0] }
 	cases := []struct {
 		name string
 		it   live.Item
 		want string // "" accepts
 	}{
 		{"columns", live.Item{Kind: live.ItemPushCols, Cols: cols(4)}, ""},
-		{"rows", live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(4), row(4)}}, ""},
 		{"advance", live.Item{Kind: live.ItemAdvance, WM: 60}, ""},
 		{"narrow columns", live.Item{Kind: live.ItemPushCols, Cols: cols(3)}, "column batch of 3 columns, the producer emits 4"},
 		{"wide columns", live.Item{Kind: live.ItemPushCols, Cols: cols(5)}, "column batch of 5 columns, the producer emits 4"},
-		{"narrow row", live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(3)}}, "row of 3 columns, the producer emits 4"},
-		{"narrow row in a run", live.Item{Kind: live.ItemPushBatch, Batch: exec.Batch{row(4), row(2)}}, "row of 2 columns, the producer emits 4"},
 		{"edge past the plan", live.Item{Kind: live.ItemFlush, Edge: 1}, "unknown edge"},
 		{"negative edge", live.Item{Kind: live.ItemAdvance, Edge: -1}, "unknown edge"},
 	}

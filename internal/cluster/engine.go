@@ -30,19 +30,19 @@ package cluster
 //     deliveries that cross into the central island are not executed by
 //     the worker but recorded as tagged link items (the capture
 //     consumer) — live.Item, the link currency of this engine and the
-//     live backend alike, as live.Round is their round currency — in the
-//     shape the producer delivered them: a column batch is copied into a
-//     pooled batch of the item's own (the producer's is valid only
-//     during the call), and a run of pushed rows becomes one item holding
-//     the immutable tuples.
+//     live backend alike, as live.Round is their round currency. A data
+//     item is always a column batch of the item's own, from the pool: a
+//     producer's column batch is copied (it is valid only during the
+//     call), and a run of pushed rows is gathered and pivoted into one
+//     (sealRun).
 //     Every processed feed message emits a live.LinkMsg — even when
 //     empty — so the central watermark advances.
 //
 //   - The central replay loop, on the calling goroutine, K-way-merges
 //     the islands' link items by (round, tag) and applies them to the
-//     central operators through the edge port the producer called — a
-//     column item through edge.PushCols, over exactly the batch
-//     boundaries the producer emitted, so a sub-aggregate's columns reach
+//     central operators through the edge — a column item through
+//     edge.PushCols, over exactly the batch boundaries the producer
+//     emitted, so a sub-aggregate's columns reach
 //     the super-aggregate's dense store as they do on the sequential
 //     engine — returning each pooled batch once applied. A tag
 //     identifies one splitter action (advance, push, or flush), every
@@ -110,55 +110,76 @@ type capture struct {
 	e   *edge
 }
 
-// record stamps it with the executing round, tag and watermark and
-// appends it to the island's outbox.
+// record seals the island's open row run, stamps it with the executing
+// round, tag and watermark and appends it to the island's outbox.
 //
 //qap:hot
 func (c *capture) record(it live.Item) {
 	isl := c.isl
+	isl.sealRun()
 	it.Round, it.Tag, it.Edge, it.MWM = isl.curRound, isl.curTag, c.e.id, isl.curWM
 	isl.outbox = append(isl.outbox, it)
 }
 
 // Push records a pushed row. The pushes of one emitted run — into this
 // edge, under one round and tag, with nothing captured in between —
-// share one rows item in a pooled container: the outbox's last item
-// takes the row when it is that item, else a new one opens. The replay
-// pushes the item's rows in order, as the producer did, so a run crosses
-// the island boundary as one item, whatever its length.
+// gather in the island's open run, which sealRun turns into one column
+// item: a run crosses the island boundary as one item, whatever its
+// length.
 //
 //qap:hot
 func (c *capture) Push(t exec.Tuple) {
 	isl := c.isl
-	if n := len(isl.outbox); n > 0 {
-		if it := &isl.outbox[n-1]; it.Kind == live.ItemPushBatch && it.Edge == c.e.id && it.Round == isl.curRound && it.Tag == isl.curTag {
-			it.Batch = append(it.Batch, t)
-			return
-		}
+	if run := &isl.run; len(isl.runRows) > 0 && (run.Edge != c.e.id || run.Round != isl.curRound || run.Tag != isl.curTag) {
+		isl.sealRun()
 	}
-	c.record(live.Item{Kind: live.ItemPushBatch, Batch: append(exec.GetBatch(), t)})
+	if len(isl.runRows) == 0 {
+		isl.run = live.Item{Kind: live.ItemPushCols, Round: isl.curRound, Tag: isl.curTag, Edge: c.e.id, MWM: isl.curWM}
+		isl.runRows = exec.GetBatch()
+	}
+	isl.runRows = append(isl.runRows, t)
 }
 
 // PushCols records a columnar delivery as a column link item: the
 // batch is valid only during the call, so the item takes a copy in a
 // pooled batch, which the replay (or the node, once the item is on the
-// wire) returns. The column codec carries no Int bitmap, so a batch
-// with Int rows crosses as the rows it pivots to, one rows item.
+// wire) returns.
 //
 //qap:hot
 func (c *capture) PushCols(cb *exec.ColBatch) {
 	if cb.Len == 0 {
 		return
 	}
-	if cb.HasInt() {
-		rows := cb.AppendRows(exec.GetBatch())
-		exec.PushAll(c, rows)
-		exec.PutBatch(rows)
-		return
-	}
 	cp := exec.GetColBatch()
 	cp.CopyFrom(cb)
 	c.record(live.Item{Kind: live.ItemPushCols, Cols: cp})
+}
+
+// sealRun appends the open row run to the outbox as one column item,
+// its rows pivoted to columns (SetFromRows). A run SetFromRows refuses —
+// a column mixing kinds, which no typed plan emits — crosses as one
+// single-row column item per row, in order: the same currency, the same
+// replay.
+//
+//qap:hot
+func (isl *island) sealRun() {
+	rows := isl.runRows
+	if len(rows) == 0 {
+		return
+	}
+	isl.runRows = nil
+	it := isl.run
+	if it.Cols = exec.GetColBatch(); it.Cols.SetFromRows(rows) {
+		isl.outbox = append(isl.outbox, it)
+	} else {
+		exec.PutColBatch(it.Cols)
+		for i := range rows {
+			it.Cols = exec.GetColBatch()
+			it.Cols.SetFromRows(rows[i : i+1])
+			isl.outbox = append(isl.outbox, it)
+		}
+	}
+	exec.PutBatch(rows)
 }
 
 func (c *capture) Advance(wm uint64) { c.record(live.Item{Kind: live.ItemAdvance, WM: wm}) }
@@ -391,10 +412,6 @@ func (r *Runner) replayLinks(hosts int, recv func(waiting string) (live.LinkMsg,
 			}
 			e := r.edges[it.Edge]
 			switch it.Kind {
-			case live.ItemPushBatch:
-				exec.PushAll(e, it.Batch)
-				exec.PutBatch(it.Batch)
-				it.Batch = nil
 			case live.ItemPushCols:
 				e.PushCols(it.Cols)
 				exec.PutColBatch(it.Cols)

@@ -23,10 +23,10 @@ package cluster
 //     simulator worker does. The scalar oracle (BatchSize 1) never runs
 //     here: NewRunner refuses it.
 //
-//   - Tuples travel in the exec wire codecs, column vectors or (a link
-//     item's run of rows) rows, which round-trip every value bit-exactly
-//     (floats as IEEE bits), so operator state evolves identically on
-//     both sides of the wire.
+//   - Tuples travel in the exec column codec, both ways: column vectors
+//     with their validity and Int bitmaps, which round-trip every value
+//     bit-exactly (floats as IEEE bits), so operator state evolves
+//     identically on both sides of the wire.
 //
 //   - The transport (internal/live) delivers each direction's frames
 //     exactly once and in order across reconnects, so a dropped,
@@ -52,7 +52,9 @@ import (
 	"qap/internal/obs/trace"
 )
 
-// LiveConfig tunes the live backend.
+// LiveConfig tunes the live backend. The transport's credit window (4
+// feed messages), link window (256 frames) and reconnect bound (8
+// attempts) are its defaults.
 type LiveConfig struct {
 	// Nodes lists one remote qap-node address per leaf host. Empty (the
 	// default) runs every node in-process on its own goroutine.
@@ -60,16 +62,6 @@ type LiveConfig struct {
 	// Timeout bounds every blocking transport step (default 30s); a
 	// wedged node fails the run with a positioned error.
 	Timeout time.Duration
-	// Credits is the per-host feed credit window (unacknowledged feed
-	// messages the splitter may hold; default 4) — the backpressure
-	// bound on splitter memory.
-	Credits int
-	// LinkWindow bounds a node's unacknowledged link frames (default
-	// 256).
-	LinkWindow int
-	// MaxAttempts bounds consecutive failed connection attempts per
-	// host before the run fails (default 8).
-	MaxAttempts int
 	// AcceptGrace is how long a served host waits for its first
 	// connection (ServeLiveHost; default the transport timeout).
 	AcceptGrace time.Duration
@@ -86,16 +78,6 @@ func (c LiveConfig) transportTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-// liveTransportConfig maps LiveConfig onto the transport knobs.
-func (r *Runner) liveTransportConfig() live.Config {
-	return live.Config{
-		Timeout:     r.liveCfg.Timeout,
-		Credits:     r.liveCfg.Credits,
-		LinkWindow:  r.liveCfg.LinkWindow,
-		MaxAttempts: r.liveCfg.MaxAttempts,
-	}
-}
-
 // runLive executes the trace on the live TCP backend. The caller
 // goroutine runs the central replay loop, exactly like runParallel.
 func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
@@ -110,7 +92,7 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 	}
 	fp := r.liveFingerprint()
 
-	lcfg := r.liveTransportConfig()
+	lcfg := live.Config{Timeout: r.liveCfg.Timeout}
 	if r.liveCfg.Faults != nil {
 		lcfg.Dial = r.liveCfg.Faults.Dial(live.DefaultDial(r.liveCfg.transportTimeout()))
 	}
@@ -348,29 +330,14 @@ func (s *liveSink) ship(pend [][]live.Round, last bool, keep int) error {
 func (r *Runner) checkLink(m *live.LinkMsg) error {
 	for i := range m.Items {
 		it := &m.Items[i]
-		if err := r.checkItem(it); err != nil {
+		var err error
+		if it.Edge < 0 || it.Edge >= len(r.edges) {
+			err = fmt.Errorf("unknown edge (the plan has %d)", len(r.edges))
+		} else if width := outWidth(r.edges[it.Edge].from); it.Kind == live.ItemPushCols && len(it.Cols.Cols) != width {
+			err = fmt.Errorf("column batch of %d columns, the producer emits %d", len(it.Cols.Cols), width)
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: live link from host %d, round %d, edge %d: %w", m.Host, it.Round, it.Edge, err)
-		}
-	}
-	return nil
-}
-
-// checkItem holds one item to the plan's edges and its producer's width.
-func (r *Runner) checkItem(it *live.Item) error {
-	if it.Edge < 0 || it.Edge >= len(r.edges) {
-		return fmt.Errorf("unknown edge (the plan has %d)", len(r.edges))
-	}
-	width := outWidth(r.edges[it.Edge].from)
-	switch it.Kind {
-	case live.ItemPushBatch:
-		for _, t := range it.Batch {
-			if len(t) != width {
-				return fmt.Errorf("row of %d columns, the producer emits %d", len(t), width)
-			}
-		}
-	case live.ItemPushCols:
-		if len(it.Cols.Cols) != width {
-			return fmt.Errorf("column batch of %d columns, the producer emits %d", len(it.Cols.Cols), width)
 		}
 	}
 	return nil
@@ -471,8 +438,7 @@ func (r *Runner) installHostShard(host int, payload []byte) error {
 	for name, v := range sh.Rows { //qap:allow maprange -- map-to-map copy, order-insensitive
 		n, ok := isl.rows[name]
 		if !ok {
-			n = new(int64)
-			isl.rows[name] = n
+			return fmt.Errorf("cluster: live node %d shipped rows for unknown query %q", host, name)
 		}
 		*n = v
 	}
@@ -540,7 +506,7 @@ func (r *Runner) ServeLiveHost(host int, addr string, ready func(addr string)) e
 		return fmt.Errorf("cluster: host %d out of range (plan has %d)", host, r.plan.Hosts)
 	}
 	x := &islandExec{r: r, isl: r.islands[host], wins: r.islands[host : host+1], shipResult: true}
-	lcfg := r.liveTransportConfig()
+	lcfg := live.Config{Timeout: r.liveCfg.Timeout}
 	if r.liveCfg.Faults != nil {
 		lcfg.WrapAccept = r.liveCfg.Faults.WrapAccept(host)
 	}

@@ -274,7 +274,7 @@ func TestLiveFingerprintMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := NewRunner(p, liveRunConfig(1, batch, LiveConfig{MaxAttempts: 1, Timeout: timeout}))
+		r, err := NewRunner(p, liveRunConfig(1, batch, LiveConfig{Timeout: timeout}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,6 +362,34 @@ func TestLiveFaultRecovery(t *testing.T) {
 				sameTrace(t, want[batch], got)
 			}
 		})
+	}
+}
+
+// TestInstallHostShardRefusesUnknownQuery: compile registers every
+// query an island counts rows for, so a remote node's result shard
+// counting rows for a name the plan does not have is refused with an
+// error naming the node and the name — as one with stats for an unknown
+// op is — not added to Result.NodeRows.
+func TestInstallHostShardRefusesUnknownQuery(t *testing.T) {
+	p, err := optimizer.Build(buildGraph(t, flowsQuery), core.MustParseSet("srcIP"), optimizer.Options{Hosts: 2, PartitionsPerHost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, BatchSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.installHostShard(1, []byte(`{"rows":{"flows":3},"cur_win":0}`)); err != nil {
+		t.Fatalf("a shard counting the plan's own query was refused: %v", err)
+	}
+	err = r.installHostShard(1, []byte(`{"rows":{"nope":3},"cur_win":0}`))
+	if err == nil {
+		t.Fatalf("the shard was accepted: Result.NodeRows is %v", r.finalize(false, 0).NodeRows)
+	}
+	for _, want := range []string{"live node 1", `"nope"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
 	}
 }
 

@@ -320,11 +320,11 @@ func underflowingPairs(res *Result) (n int) {
 // is central hands each input batch's matches to the capture in one
 // call, so the parallel engine ships fewer link items than rows and
 // still reproduces the sequential engine's rows, OpStats and canonical
-// trace byte for byte. The word-layout join emits columns: its output
-// crosses as column items, except the batches holding a pair whose
-// S2.time - S1.time underflows — a KindInt among uints, which only rows
-// carry — and those, no others, cross as row-batch items. The trace has
-// such pairs; the item count is the one the row-emitting join had.
+// trace byte for byte. The word-layout join emits columns, and its
+// output crosses as column items only: a pair whose S2.time - S1.time
+// underflows is an Int-marked row of its batch, and the items with Int
+// bits are exactly the batches holding such a pair. The trace has such
+// pairs; the item count is the one the row-emitting join had.
 func TestJoinOutputCrossesIslandAsBatch(t *testing.T) {
 	const jitterPairsItems = 2896 // Report.Timing.LinkItems when every item was a row batch
 	tr := smallTrace(t)
@@ -347,11 +347,11 @@ func TestJoinOutputCrossesIslandAsBatch(t *testing.T) {
 	underflows := underflowingPairs(got)
 	crossed, _ := crossings(t, jitterPairs, ps, o, streams, 256)
 	c := crossed[optimizer.OpJoin]
-	if len(crossed) != 1 || c == nil || c.items[live.ItemPushCols] == 0 || c.nonUint != 0 {
-		t.Fatalf("what crossed is %+v; want the join's output alone, as all-uint column items and row batches", crossed)
+	if len(crossed) != 1 || c == nil || len(c.items) != 1 || c.items[live.ItemPushCols] == 0 || c.nonUint != 0 {
+		t.Fatalf("what crossed is %+v; want the join's output alone, as uint column items", crossed)
 	}
-	if b := c.items[live.ItemPushBatch]; underflows == 0 || b == 0 || b != c.intBatches || b > underflows {
-		t.Errorf("%d row-batch items crossed, %d of them holding an Int, for %d underflowing pairs; want one per batch holding such a pair, and no other",
-			b, c.intBatches, underflows)
+	if underflows == 0 || c.intRows != underflows || c.intBatches == 0 || c.intBatches > underflows {
+		t.Errorf("%d column items with Int bits crossed, holding %d Int rows, for %d underflowing pairs; want one per batch holding such a pair, and every pair",
+			c.intBatches, c.intRows, underflows)
 	}
 }

@@ -229,6 +229,10 @@ type island struct {
 	curRound int
 	curTag   uint64
 	outbox   []live.Item
+	// run is the open row run's item, its rows gathered in runRows until
+	// sealRun turns them into the item's columns.
+	run     live.Item
+	runRows exec.Batch
 	// curWM is the watermark of the round the worker is executing,
 	// stamped into captured link items so the central replay can
 	// attribute deliveries to monitoring windows.

@@ -383,6 +383,7 @@ func (x *islandExec) execRounds(rounds []live.Round) int {
 			}
 		}
 	}
+	isl.sealRun()
 	return last
 }
 

@@ -105,11 +105,7 @@ func (o *FilterProject) colApply(cb *ColBatch) *ColBatch {
 //qap:hot
 func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
 	p := &o.colPass
-	if cap(p.Cols) < len(cb.Cols) {
-		//qap:allow hotalloc -- column headers sized once per operator width
-		p.Cols = make([]ColVec, len(cb.Cols))
-	}
-	p.Cols = p.Cols[:len(cb.Cols)]
+	p.Cols = growCols(p.Cols, len(cb.Cols))
 	for c := range cb.Cols {
 		s, d := &cb.Cols[c], &p.Cols[c]
 		d.Kind = s.Kind
@@ -137,11 +133,7 @@ func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
 //qap:hot
 func (o *FilterProject) colProject(in *ColBatch) {
 	out := &o.colOut
-	if cap(out.Cols) < len(o.ColProjs) {
-		//qap:allow hotalloc -- column headers sized once per operator width
-		out.Cols = make([]ColVec, len(o.ColProjs))
-	}
-	out.Cols = out.Cols[:len(o.ColProjs)]
+	out.Cols = growCols(out.Cols, len(o.ColProjs))
 	for k := range o.ColProjs {
 		p := &o.ColProjs[k]
 		if p.ref > 0 {
@@ -821,11 +813,7 @@ func (o *Aggregate) denseDeliver(done []int32, nk, na int) int {
 //qap:hot
 func (o *Aggregate) denseColumns(done []int32, nk, na int) {
 	ec := &o.emitCols
-	if cap(ec.Cols) < nk+na {
-		//qap:allow hotalloc -- column headers sized once per operator width
-		ec.Cols = make([]ColVec, nk+na)
-	}
-	ec.Cols = ec.Cols[:nk+na]
+	ec.Cols = growCols(ec.Cols, nk+na)
 	m := len(done)
 	for c := range ec.Cols {
 		d := &ec.Cols[c]

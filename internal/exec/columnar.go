@@ -137,9 +137,6 @@ func (cb *ColBatch) uintWords() bool {
 	return true
 }
 
-// HasInt reports whether some column marks Int rows.
-func (cb *ColBatch) HasInt() bool { return cb.intCols() != 0 }
-
 // wholeInts makes every column whose Int bitmap marks all of its rows
 // the KindInt column SetFromRows makes of those rows.
 func (cb *ColBatch) wholeInts() {
@@ -170,10 +167,7 @@ func (cb *ColBatch) intCols() uint64 {
 func (cb *ColBatch) Reset() {
 	for i := range cb.Cols {
 		c := &cb.Cols[i]
-		c.U64 = c.U64[:0]
-		c.Str = c.Str[:0]
-		c.Valid = c.Valid[:0]
-		c.Int = c.Int[:0]
+		c.U64, c.Str, c.Valid, c.Int = c.U64[:0], c.Str[:0], c.Valid[:0], c.Int[:0]
 	}
 	cb.Len = 0
 }
@@ -264,20 +258,14 @@ func (cb *ColBatch) CopyFrom(src *ColBatch) {
 // sliced (a bitmap is not word-aligned at arbitrary offsets); producers
 // that chunk batches only ever build those.
 func (cb *ColBatch) Slice(lo, hi int, dst *ColBatch) {
-	if cap(dst.Cols) < len(cb.Cols) {
-		dst.Cols = make([]ColVec, len(cb.Cols))
-	}
-	dst.Cols = dst.Cols[:len(cb.Cols)]
+	dst.Cols = growCols(dst.Cols, len(cb.Cols))
 	for i := range cb.Cols {
 		c := &cb.Cols[i]
 		if len(c.Valid) != 0 || len(c.Int) != 0 {
 			panic("exec: ColBatch.Slice on column with a bitmap")
 		}
 		d := &dst.Cols[i]
-		d.Kind = c.Kind
-		d.Valid, d.Int = nil, nil
-		d.U64 = nil
-		d.Str = nil
+		d.Kind, d.U64, d.Str, d.Valid, d.Int = c.Kind, nil, nil, nil, nil
 		// The kind says which vector holds the payload; the other may
 		// be a recycled batch's empty, non-nil leftover.
 		switch c.Kind {
@@ -372,7 +360,6 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 	n := len(b)
 	if n == 0 {
 		cb.Reset()
-		cb.Len = 0
 		return true
 	}
 	w := len(b[0])
@@ -381,10 +368,7 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 			return false
 		}
 	}
-	if cap(cb.Cols) < w {
-		cb.Cols = make([]ColVec, w)
-	}
-	cb.Cols = cb.Cols[:w]
+	cb.Cols = growCols(cb.Cols, w)
 	for c := 0; c < w; c++ {
 		v := &cb.Cols[c]
 		kind := sqlval.KindNull
@@ -407,11 +391,7 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 				kind, ints = sqlval.KindUint, true
 			}
 		}
-		v.Kind = kind
-		v.U64 = v.U64[:0]
-		v.Str = v.Str[:0]
-		v.Valid = v.Valid[:0]
-		v.Int = v.Int[:0]
+		v.Kind, v.U64, v.Str, v.Valid, v.Int = kind, v.U64[:0], v.Str[:0], v.Valid[:0], v.Int[:0]
 		switch kind {
 		case sqlval.KindNull:
 		case sqlval.KindString:
@@ -439,14 +419,8 @@ func (cb *ColBatch) SetFromRows(b Batch) bool {
 			}
 		}
 		if nulls || kind == sqlval.KindNull {
-			words := (n + 63) >> 6
-			if cap(v.Valid) < words {
-				v.Valid = make([]uint64, words)
-			}
-			v.Valid = v.Valid[:words]
-			for i := range v.Valid {
-				v.Valid[i] = 0
-			}
+			v.Valid = growUints(v.Valid, (n+63)>>6)
+			clear(v.Valid)
 			for r := 0; r < n; r++ {
 				if !b[r][c].IsNull() {
 					v.Valid[r>>6] |= 1 << uint(r&63)
@@ -496,6 +470,20 @@ func growUints(buf []uint64, n int) []uint64 {
 		return make([]uint64, n)
 	}
 	return buf[:n]
+}
+
+// growCols is growUints for column headers: cols resliced to n, or
+// grown to n with every old header's vectors kept for reuse.
+//
+//qap:hot
+func growCols(cols []ColVec, n int) []ColVec {
+	if cap(cols) < n {
+		//qap:allow hotalloc -- column headers sized once per batch width, then recycled
+		grown := make([]ColVec, n)
+		copy(grown, cols[:cap(cols)])
+		return grown
+	}
+	return cols[:n]
 }
 
 // Discard drops columnar batches outright.

@@ -9,6 +9,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"strings"
 
 	"qap/internal/sqlval"
@@ -66,7 +67,7 @@ func appendKeyValue(b []byte, v sqlval.Value) []byte {
 	case sqlval.KindString:
 		s, _ := v.AsString()
 		b = append(b, 1)
-		b = appendU64(b, uint64(len(s)))
+		b = binary.BigEndian.AppendUint64(b, uint64(len(s)))
 		return append(b, s...)
 	case sqlval.KindFloat:
 		f, _ := v.AsFloat()
@@ -76,14 +77,14 @@ func appendKeyValue(b []byte, v sqlval.Value) []byte {
 			return appendIntKey(b, int64(f))
 		}
 		b = append(b, 3)
-		return appendU64(b, v.Hash())
+		return binary.BigEndian.AppendUint64(b, v.Hash())
 	default:
 		i, _ := v.AsInt()
 		if v.Kind() == sqlval.KindUint {
 			u, _ := v.AsUint()
 			if u > 1<<63-1 {
 				b = append(b, 4)
-				return appendU64(b, u)
+				return binary.BigEndian.AppendUint64(b, u)
 			}
 		}
 		return appendIntKey(b, i)
@@ -92,13 +93,7 @@ func appendKeyValue(b []byte, v sqlval.Value) []byte {
 
 func appendIntKey(b []byte, i int64) []byte {
 	b = append(b, 2)
-	return appendU64(b, uint64(i))
-}
-
-func appendU64(b []byte, u uint64) []byte {
-	return append(b,
-		byte(u>>56), byte(u>>48), byte(u>>40), byte(u>>32),
-		byte(u>>24), byte(u>>16), byte(u>>8), byte(u))
+	return binary.BigEndian.AppendUint64(b, uint64(i))
 }
 
 // Consumer is the downstream interface between operators.

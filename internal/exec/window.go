@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"qap/internal/sqlval"
@@ -104,7 +105,7 @@ func (w *SlidingWindow) Push(t Tuple) {
 		return
 	}
 	key := w.groupKeyNoPane(scratch)
-	pk := key + "\x00" + string(appendU64(nil, pane))
+	pk := key + "\x00" + string(binary.BigEndian.AppendUint64(nil, pane))
 	pg, exists := w.panes[pk]
 	if !exists {
 		vals := make([]sqlval.Value, w.cfg.GroupCols) //qap:allow hotalloc -- one persistent copy per new pane group

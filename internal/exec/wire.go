@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"qap/internal/sqlval"
@@ -71,7 +72,7 @@ func wireErr(off int, format string, args ...any) error {
 // AppendBatchWire appends the canonical wire encoding of b to dst and
 // returns the extended slice.
 func AppendBatchWire(dst []byte, b Batch) []byte {
-	dst = appendWireU32(dst, uint32(len(b)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
 	for _, t := range b {
 		dst = AppendTupleWire(dst, t)
 	}
@@ -93,13 +94,13 @@ func appendValueWire(dst []byte, v sqlval.Value) []byte {
 	case sqlval.KindNull:
 	case sqlval.KindUint:
 		u, _ := v.AsUint()
-		dst = appendWireU64(dst, u)
+		dst = binary.BigEndian.AppendUint64(dst, u)
 	case sqlval.KindInt:
 		i, _ := v.AsInt()
-		dst = appendWireU64(dst, uint64(i))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(i))
 	case sqlval.KindFloat:
 		f, _ := v.AsFloat()
-		dst = appendWireU64(dst, math.Float64bits(f))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 	case sqlval.KindBool:
 		if v.AsBool() {
 			dst = append(dst, 1)
@@ -108,7 +109,7 @@ func appendValueWire(dst []byte, v sqlval.Value) []byte {
 		}
 	case sqlval.KindString:
 		s, _ := v.AsString()
-		dst = appendWireU32(dst, uint32(len(s)))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
 		dst = append(dst, s...)
 	}
 	return dst
@@ -237,8 +238,7 @@ func (d *wireDecoder) u32(what string) (uint32, error) {
 	if d.off+4 > len(d.data) {
 		return 0, wireErr(d.off, "truncated %s", what)
 	}
-	v := uint32(d.data[d.off])<<24 | uint32(d.data[d.off+1])<<16 |
-		uint32(d.data[d.off+2])<<8 | uint32(d.data[d.off+3])
+	v := binary.BigEndian.Uint32(d.data[d.off:])
 	d.off += 4
 	return v, nil
 }
@@ -247,21 +247,9 @@ func (d *wireDecoder) u64(what string) (uint64, error) {
 	if d.off+8 > len(d.data) {
 		return 0, wireErr(d.off, "truncated %s", what)
 	}
-	p := d.data[d.off:]
-	v := uint64(p[0])<<56 | uint64(p[1])<<48 | uint64(p[2])<<40 | uint64(p[3])<<32 |
-		uint64(p[4])<<24 | uint64(p[5])<<16 | uint64(p[6])<<8 | uint64(p[7])
+	v := binary.BigEndian.Uint64(d.data[d.off:])
 	d.off += 8
 	return v, nil
-}
-
-func appendWireU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendWireU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // BatchWireSize is len(AppendBatchWire(nil, b)) without encoding, so a
@@ -298,19 +286,23 @@ func BatchWireSize(b Batch) int {
 // Layout, all integers little-endian (payload words travel verbatim):
 //
 //	colbatch := u32 rows , u16 cols , column*
-//	column   := u8 kind , u8 flags , validity? , payload
-//	validity := ceil(rows/64) x u64     present iff flags == 1
+//	column   := u8 kind , u8 flags , validity? , ints? , payload
+//	validity := ceil(rows/64) x u64     present iff flags & 1
+//	ints     := ceil(rows/64) x u64     present iff flags & 2 (uint only)
 //	payload  :=
 //	  null                   -> (nothing; flags must be 0)
 //	  uint int float bool    -> rows x u64, the ColVec payload words
 //	  string                 -> rows x ( u32 length , bytes )
 //
-// Canonical form: the validity bitmap is present only when some row is
-// NULL (an all-ones bitmap is rejected), its bits past the last row are
-// zero, a NULL row's payload is zero (the empty string), and a bool
-// word is 0 or 1. MaxWireTuples bounds rows, MaxWireCols columns,
-// MaxWireCells their product and MaxWireString each string; every
-// length is checked against the input before it sizes an allocation.
+// ints is the ColVec.Int bitmap: the rows of a uint column that are
+// Ints. Canonical form: the validity bitmap is present only when some
+// row is NULL (an all-ones bitmap is rejected), the Int bitmap only when
+// some row is an Int (an all-zero one is rejected) and never marks a
+// NULL row, the bits of either past the last row are zero, a NULL row's
+// payload is zero (the empty string), and a bool word is 0 or 1.
+// MaxWireTuples bounds rows, MaxWireCols columns, MaxWireCells their
+// product and MaxWireString each string; every length is checked
+// against the input before it sizes an allocation.
 
 // ColBatchWireSize is len(AppendColBatchWire(nil, cb)) without
 // encoding.
@@ -321,9 +313,7 @@ func ColBatchWireSize(cb *ColBatch) int {
 		if v.Kind == sqlval.KindNull {
 			continue
 		}
-		if v.validCount(cb.Len) < cb.Len {
-			n += 8 * ((cb.Len + 63) >> 6)
-		}
+		n += 8 * ((cb.Len + 63) >> 6) * bits.OnesCount8(v.wireFlags(cb.Len))
 		if v.Kind != sqlval.KindString {
 			n += 8 * cb.Len
 			continue
@@ -353,8 +343,8 @@ func AppendColBatchWire(dst []byte, cb *ColBatch) []byte {
 			dst = append(dst, byte(v.Kind), 0)
 			continue
 		}
-		nulls := v.validCount(n) < n
-		if !nulls && v.Kind != sqlval.KindString && v.Kind != sqlval.KindBool {
+		flags := v.wireFlags(n)
+		if flags == 0 && v.Kind != sqlval.KindString && v.Kind != sqlval.KindBool {
 			// The hot shape (packet columns): kind, no bitmap, n words.
 			dst = append(dst, byte(v.Kind), 0)
 			at := len(dst)
@@ -365,29 +355,24 @@ func AppendColBatchWire(dst []byte, cb *ColBatch) []byte {
 			}
 			continue
 		}
-		dst = appendColVecSlow(dst, v, n, nulls)
+		dst = appendColVecSlow(dst, v, n, flags)
 	}
 	return dst
 }
 
-// appendColVecSlow encodes a column with NULLs, strings or bools,
-// normalizing what the canonical form pins: zero bitmap tail, zero
-// payload under a NULL, bool words 0/1.
-func appendColVecSlow(dst []byte, v *ColVec, n int, nulls bool) []byte {
-	if !nulls {
-		dst = append(dst, byte(v.Kind), 0)
-	} else {
-		dst = append(dst, byte(v.Kind), 1)
-		words := (n + 63) >> 6
-		for i, w := range v.Valid[:words] {
-			if i == words-1 && n&63 != 0 {
-				w &= uint64(1)<<uint(n&63) - 1
-			}
-			dst = binary.LittleEndian.AppendUint64(dst, w)
-		}
+// appendColVecSlow encodes a column with NULLs, Ints, strings or
+// bools, normalizing what the canonical form pins: zero bitmap tails,
+// no Int mark on a NULL row, zero payload under a NULL, bool words 0/1.
+func appendColVecSlow(dst []byte, v *ColVec, n int, flags byte) []byte {
+	dst = append(dst, byte(v.Kind), flags)
+	for i := 0; flags&1 != 0 && i < (n+63)>>6; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, v.Valid[i]&tailMask(i, n))
+	}
+	for i := 0; flags&2 != 0 && i < (n+63)>>6; i++ {
+		dst = binary.LittleEndian.AppendUint64(dst, v.intWord(i, n))
 	}
 	for r := 0; r < n; r++ {
-		valid := !nulls || v.IsValid(r)
+		valid := flags&1 == 0 || v.IsValid(r)
 		switch {
 		case v.Kind == sqlval.KindString:
 			s := ""
@@ -405,6 +390,39 @@ func appendColVecSlow(dst []byte, v *ColVec, n int, nulls bool) []byte {
 		}
 	}
 	return dst
+}
+
+// tailMask keeps the bits of bitmap word i that stand for one of n rows.
+func tailMask(i, n int) uint64 {
+	if i == (n-1)>>6 && n&63 != 0 {
+		return uint64(1)<<uint(n&63) - 1
+	}
+	return ^uint64(0)
+}
+
+// intWord is word i of the Int bitmap as the wire carries it: the marks
+// of the column's valid rows among its first n.
+func (v *ColVec) intWord(i, n int) uint64 {
+	w := v.Int[i] & tailMask(i, n)
+	if len(v.Valid) != 0 {
+		w &= v.Valid[i]
+	}
+	return w
+}
+
+// wireFlags is the column's flags byte on the wire for its first n
+// rows: bit 0 when a validity bitmap travels (some row is NULL), bit 1
+// when an Int bitmap does (some valid row of a uint column is an Int).
+func (v *ColVec) wireFlags(n int) (flags byte) {
+	if v.validCount(n) < n {
+		flags = 1
+	}
+	for i := range v.Int[:min(len(v.Int), (n+63)>>6)] {
+		if v.Kind == sqlval.KindUint && v.intWord(i, n) != 0 {
+			return flags | 2
+		}
+	}
+	return flags
 }
 
 // DecodeColBatchWire decodes exactly one column batch from data into
@@ -432,12 +450,7 @@ func DecodeColBatchWire(data []byte, dst *ColBatch) error {
 	if len(data)-6 < 2*cols {
 		return wireErr(len(data), "truncated column batch: %d columns cannot fit the remaining %d bytes", cols, len(data)-6)
 	}
-	if cap(dst.Cols) < cols {
-		grown := make([]ColVec, cols) //qap:allow hotalloc -- batch shaped once, then recycled
-		copy(grown, dst.Cols[:cap(dst.Cols)])
-		dst.Cols = grown
-	}
-	dst.Cols = dst.Cols[:cols]
+	dst.Cols = growCols(dst.Cols, cols)
 	dst.Len = rows
 	off := 6
 	for c := range dst.Cols {
@@ -451,28 +464,32 @@ func DecodeColBatchWire(data []byte, dst *ColBatch) error {
 		if v.Kind > sqlval.KindString {
 			return wireErr(off, "column %d: unknown value kind %d", c, v.Kind)
 		}
-		if flags > 1 || (flags == 1 && v.Kind == sqlval.KindNull) {
+		if flags > 3 || (flags != 0 && v.Kind == sqlval.KindNull) {
 			return wireErr(off+1, "column %d: non-canonical flags byte %d", c, flags)
 		}
+		if flags&2 != 0 && v.Kind != sqlval.KindUint {
+			return wireErr(off+1, "column %d: Int bitmap on a non-uint (%s) column", c, v.Kind)
+		}
 		off += 2
-		if flags == 1 {
-			words := (rows + 63) >> 6
-			if len(data)-off < 8*words {
-				return wireErr(len(data), "column %d: truncated validity bitmap", c)
-			}
-			v.Valid = growUints(v.Valid, words)
-			for i := range v.Valid {
-				v.Valid[i] = binary.LittleEndian.Uint64(data[off+8*i:])
-			}
-			if rows&63 != 0 && v.Valid[words-1]>>uint(rows&63) != 0 {
-				return wireErr(off+8*(words-1), "column %d: validity bits set past row %d", c, rows)
+		var err error
+		if flags&1 != 0 {
+			if v.Valid, err = decodeColBitmap(data, off, v.Valid, c, rows, "validity"); err != nil {
+				return err
 			}
 			if v.validCount(rows) == rows {
 				return wireErr(off, "column %d: non-canonical all-valid bitmap", c)
 			}
-			off += 8 * words
+			off += 8 * len(v.Valid)
 		}
-		var err error
+		if flags&2 != 0 {
+			if v.Int, err = decodeColBitmap(data, off, v.Int, c, rows, "Int"); err != nil {
+				return err
+			}
+			if err = checkColInts(off, v, c); err != nil {
+				return err
+			}
+			off += 8 * len(v.Int)
+		}
 		switch v.Kind {
 		case sqlval.KindNull:
 		case sqlval.KindString:
@@ -486,6 +503,39 @@ func DecodeColBatchWire(data []byte, dst *ColBatch) error {
 	}
 	if off != len(data) {
 		return wireErr(off, "%d trailing bytes after the column batch", len(data)-off)
+	}
+	return nil
+}
+
+// decodeColBitmap reads the rows' words of a column's bitmap — what
+// names it, validity or Int — into bm, holding its bits past the last
+// row to zero.
+func decodeColBitmap(data []byte, off int, bm []uint64, c, rows int, what string) ([]uint64, error) {
+	words := (rows + 63) >> 6
+	if len(data)-off < 8*words {
+		return bm, wireErr(len(data), "column %d: truncated %s bitmap", c, what)
+	}
+	bm = growUints(bm, words)
+	for i := range bm {
+		bm[i] = binary.LittleEndian.Uint64(data[off+8*i:])
+	}
+	if words > 0 && bm[words-1]&^tailMask(words-1, rows) != 0 {
+		return bm, wireErr(off+8*(words-1), "column %d: %s bits set past row %d", c, what, rows)
+	}
+	return bm, nil
+}
+
+// checkColInts holds the Int bitmap decoded at off to the canonical
+// form: it marks some row, and no NULL one.
+func checkColInts(off int, v *ColVec, c int) error {
+	var marks uint64
+	for i, w := range v.Int {
+		if marks |= w; len(v.Valid) != 0 && w&^v.Valid[i] != 0 {
+			return wireErr(off+8*i, "column %d: Int bit on the NULL at row %d", c, 64*i+bits.TrailingZeros64(w&^v.Valid[i]))
+		}
+	}
+	if marks == 0 {
+		return wireErr(off, "column %d: non-canonical all-zero Int bitmap", c)
 	}
 	return nil
 }

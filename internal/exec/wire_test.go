@@ -152,10 +152,10 @@ func TestWireRejectsOversized(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"tuples", appendWireU32(nil, MaxWireTuples+1)},
-		{"cols", append(appendWireU32(nil, 1), 0xFF, 0xFF)},
-		{"string", append(append(append(appendWireU32(nil, 1),
-			0, 1), byte(sqlval.KindString)), appendWireU32(nil, MaxWireString+1)...)},
+		{"tuples", binary.BigEndian.AppendUint32(nil, MaxWireTuples+1)},
+		{"cols", append(binary.BigEndian.AppendUint32(nil, 1), 0xFF, 0xFF)},
+		{"string", append(append(append(binary.BigEndian.AppendUint32(nil, 1),
+			0, 1), byte(sqlval.KindString)), binary.BigEndian.AppendUint32(nil, MaxWireString+1)...)},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeBatchWire(tc.data); err == nil {
@@ -169,12 +169,12 @@ func TestWireRejectsOversized(t *testing.T) {
 // encode(decode(x)) == x breaks.
 func TestWireRejectsNonCanonical(t *testing.T) {
 	// One single-column tuple with a bool value of 2.
-	bad := append(appendWireU32(nil, 1), 0, 1, byte(sqlval.KindBool), 2)
+	bad := append(binary.BigEndian.AppendUint32(nil, 1), 0, 1, byte(sqlval.KindBool), 2)
 	if _, err := DecodeBatchWire(bad); err == nil {
 		t.Error("non-canonical bool byte decoded without error")
 	}
 	// Unknown kind byte.
-	bad = append(appendWireU32(nil, 1), 0, 1, 0xEE)
+	bad = append(binary.BigEndian.AppendUint32(nil, 1), 0, 1, 0xEE)
 	if _, err := DecodeBatchWire(bad); err == nil {
 		t.Error("unknown value kind decoded without error")
 	}
@@ -221,10 +221,10 @@ func TestWireDecodedTuplesAreClamped(t *testing.T) {
 // decoded batch must survive a second round trip.
 func FuzzBatchCodec(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(appendWireU32(nil, 0))
+	f.Add(binary.BigEndian.AppendUint32(nil, 0))
 	f.Add(AppendBatchWire(nil, wireSampleBatch()))
 	f.Add(AppendBatchWire(nil, Batch{{sqlval.Uint(7), sqlval.Str("x")}}))
-	f.Add(append(appendWireU32(nil, 1), 0, 1, byte(sqlval.KindBool), 2))
+	f.Add(append(binary.BigEndian.AppendUint32(nil, 1), 0, 1, byte(sqlval.KindBool), 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeBatchWire(data)
 		if err != nil {
@@ -282,6 +282,31 @@ func colWireSample(t testing.TB) *ColBatch {
 	return cb
 }
 
+// colWireInts is n rows of two uint columns with Int rows: the first
+// mixes Uints, Ints and NULLs, the second Uints and Ints.
+func colWireInts(t testing.TB, n int) *ColBatch {
+	t.Helper()
+	rows := make(Batch, n)
+	for r := range rows {
+		a, b := sqlval.Uint(uint64(r)), sqlval.Uint(uint64(r)*0x9E3779B97F4A7C15)
+		switch {
+		case r%5 == 0:
+			a = sqlval.Null
+		case r%3 == 0:
+			a = sqlval.Int(-int64(r))
+		}
+		if r%4 == 1 {
+			b = sqlval.Int(int64(r) - 1<<62)
+		}
+		rows[r] = Tuple{a, b}
+	}
+	cb := new(ColBatch)
+	if !cb.SetFromRows(rows) || len(cb.Cols[0].Int) == 0 || len(cb.Cols[0].Valid) == 0 || len(cb.Cols[1].Int) == 0 {
+		t.Fatal("the rows are not uint columns with Int rows and NULLs")
+	}
+	return cb
+}
+
 // sameColBatch compares two batches value by value, bit-exactly.
 func sameColBatch(t *testing.T, want, got *ColBatch) {
 	t.Helper()
@@ -302,7 +327,7 @@ func sameColBatch(t *testing.T, want, got *ColBatch) {
 // point), the size functions are exact, and the packet shape — eight
 // NULL-free uint columns — survives at every batch size.
 func TestColWireRoundTrip(t *testing.T) {
-	batches := []*ColBatch{colWireSample(t), {}}
+	batches := []*ColBatch{colWireSample(t), {}, colWireInts(t, 7), colWireInts(t, 64), colWireInts(t, 130)}
 	for _, n := range []int{0, 1, 63, 64, 65, 256, 1000} {
 		cb := new(ColBatch)
 		if !cb.SetFromRows(fuzzUintRows(uint64(n)+1, n)) {
@@ -332,14 +357,17 @@ func TestColWireRoundTrip(t *testing.T) {
 
 // TestColWireEncoderNormalizes: what the canonical form pins, the
 // encoder enforces on whatever the batch holds in memory — an all-ones
-// bitmap is dropped, bitmap bits past Len and payload under a NULL are
-// zeroed, a bool word is 0 or 1 — so every encoding decodes.
+// bitmap and an Int bitmap marking no valid row are dropped, bitmap bits
+// past Len, Int marks and payload under a NULL are zeroed, a bool word
+// is 0 or 1 — so every encoding decodes.
 func TestColWireEncoderNormalizes(t *testing.T) {
 	cb := &ColBatch{Len: 3, Cols: []ColVec{
 		{Kind: sqlval.KindUint, U64: []uint64{1, 2, 3}, Valid: []uint64{^uint64(0)}}, // all valid, junk tail
 		{Kind: sqlval.KindUint, U64: []uint64{1, 99, 3}, Valid: []uint64{0xF5}},      // row 1 NULL over 99, junk tail
 		{Kind: sqlval.KindBool, U64: []uint64{0, 7, 1}},
 		{Kind: sqlval.KindString, Str: []string{"a", "junk", "c"}, Valid: []uint64{0x5}},
+		{Kind: sqlval.KindUint, U64: []uint64{1, 0, 3}, Valid: []uint64{0x5}, Int: []uint64{0xFE}}, // Int mark on the NULL, junk tail
+		{Kind: sqlval.KindUint, U64: []uint64{1, 0, 3}, Valid: []uint64{0x5}, Int: []uint64{0x2}},  // marks the NULL alone
 	}}
 	enc := AppendColBatchWire(nil, cb)
 	if got := ColBatchWireSize(cb); got != len(enc) {
@@ -352,6 +380,12 @@ func TestColWireEncoderNormalizes(t *testing.T) {
 	sameColBatch(t, cb, dec)
 	if len(dec.Cols[0].Valid) != 0 {
 		t.Fatal("an all-valid bitmap travelled")
+	}
+	if got := dec.Cols[4].Int; len(got) != 1 || got[0] != 0x4 {
+		t.Fatalf("the Int bitmap travelled as %#x, want the one valid Int row, 0x4", got)
+	}
+	if len(dec.Cols[5].Int) != 0 {
+		t.Fatal("an Int bitmap marking no valid row travelled")
 	}
 }
 
@@ -407,8 +441,17 @@ func TestColWireRejectsOversizedAndNonCanonical(t *testing.T) {
 		{"string over the limit", "byte limit", binary.LittleEndian.AppendUint32(
 			append(colWireHeader(1, 1), byte(sqlval.KindString), 0), MaxWireString+1)},
 		{"unknown kind", "unknown value kind", append(colWireHeader(0, 1), 0xEE, 0)},
-		{"flags above 1", "flags byte", append(colWireHeader(0, 1), uintCol(2)...)},
+		{"flags above 3", "flags byte", append(colWireHeader(0, 1), uintCol(4)...)},
 		{"bitmap on a null column", "flags byte", append(colWireHeader(1, 1), byte(sqlval.KindNull), 1)},
+		{"Int bitmap on a null column", "flags byte", append(colWireHeader(1, 1), byte(sqlval.KindNull), 2)},
+		{"Int bitmap on an int column", "Int bitmap on a non-uint (int) column", colWireWords(append(colWireHeader(1, 1), byte(sqlval.KindInt), 2), 1, 5)},
+		{"Int bitmap on a float column", "Int bitmap on a non-uint (float) column", colWireWords(append(colWireHeader(1, 1), byte(sqlval.KindFloat), 2), 1, 5)},
+		{"Int bit on a NULL row", "Int bit on the NULL at row 1", colWireWords(append(colWireHeader(2, 1), uintCol(3)...), 0b01, 0b11, 5, 0)},
+		{"Int bit on a NULL row past 64", "Int bit on the NULL at row 65", colWireWords(append(colWireHeader(70, 1), uintCol(3)...),
+			^uint64(0), 0b1, ^uint64(0)>>63, 0b11)},
+		{"Int bits past Len", "Int bits set past row 2", colWireWords(append(colWireHeader(2, 1), uintCol(2)...), 0b101, 5, 6)},
+		{"Int bitmap all zero", "all-zero Int bitmap", colWireWords(append(colWireHeader(2, 1), uintCol(2)...), 0, 5, 6)},
+		{"Int bitmap on an empty batch", "all-zero Int bitmap", append(colWireHeader(0, 1), uintCol(2)...)},
 		{"validity bits past Len", "past row", colWireWords(append(colWireHeader(2, 1), uintCol(1)...), 0b101, 5, 0)},
 		{"validity all ones", "all-valid", colWireWords(append(colWireHeader(2, 1), uintCol(1)...), 0b11, 5, 6)},
 		{"validity on an empty batch", "all-valid", append(colWireHeader(0, 1), uintCol(1)...)},
@@ -510,6 +553,9 @@ func FuzzColBatchCodec(f *testing.F) {
 	f.Add(AppendColBatchWire(nil, packets))
 	f.Add(colWireWords(append(colWireHeader(2, 1), byte(sqlval.KindUint), 1), 0b11, 5, 6))
 	f.Add(colWireWords(append(colWireHeader(1, 1), byte(sqlval.KindBool), 0), 2))
+	f.Add(AppendColBatchWire(nil, colWireInts(f, 11)))
+	f.Add(AppendColBatchWire(nil, colWireInts(f, 70)))
+	f.Add(colWireWords(append(colWireHeader(2, 1), byte(sqlval.KindUint), 3), 0b01, 0b11, 5, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := new(ColBatch)
 		if err := DecodeColBatchWire(data, dec); err != nil {
@@ -535,8 +581,8 @@ func FuzzColBatchCodec(f *testing.F) {
 			return
 		}
 		sameColBatch(t, dec, warm)
-		// The codec carries no Int bitmap: mark the odd words of every
-		// uint column Int, then size the batch a column at a time.
+		// Mark the odd words of every uint column Int as well: the batch
+		// still sizes a column at a time and round-trips value for value.
 		for c := range dec.Cols {
 			if v := &dec.Cols[c]; v.Kind == sqlval.KindUint {
 				for r, w := range v.U64[:dec.Len] {
@@ -547,6 +593,17 @@ func FuzzColBatchCodec(f *testing.F) {
 			}
 		}
 		checkWireSize(t, dec)
+		marked := AppendColBatchWire(nil, dec)
+		if got := ColBatchWireSize(dec); got != len(marked) {
+			t.Fatalf("ColBatchWireSize = %d for a %d-byte encoding with Int rows", got, len(marked))
+		}
+		if err := DecodeColBatchWire(marked, warm); err != nil {
+			t.Fatalf("a batch with Int rows does not decode: %v", err)
+		}
+		sameColBatch(t, dec, warm)
+		if err := DecodeColBatchWire(data, warm); err != nil {
+			t.Fatal(err)
+		}
 		for c := range warm.Cols {
 			if len(warm.Cols[c].Valid) != 0 {
 				return // only all-valid columns slice

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"encoding/binary"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -120,7 +121,7 @@ func (n *stubNode) session(conn net.Conn) {
 		var scratch []byte
 		for seq := range n.acks {
 			var err error
-			if scratch, err = writeFrame(conn, scratch, frameFeedAck, appendU64(nil, seq)); err != nil {
+			if scratch, err = writeFrame(conn, scratch, frameFeedAck, binary.BigEndian.AppendUint64(nil, seq)); err != nil {
 				return
 			}
 		}

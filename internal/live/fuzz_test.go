@@ -28,11 +28,13 @@ func fuzzCols(f *testing.F, rows ...exec.Tuple) *exec.ColBatch {
 }
 
 // fuzzColShapes are the column batches the seeds carry: a NULL bitmap
-// next to a string column, an all-NULL column, zero rows of two columns,
-// and no shape at all.
+// next to a string column, Int rows among NULLs in two and in 70 rows,
+// an all-NULL column, zero rows of two columns, and no shape at all.
 func fuzzColShapes(f *testing.F) []*exec.ColBatch {
 	return []*exec.ColBatch{
 		protoCols(f),
+		protoIntCols(f, 11),
+		protoIntCols(f, 70),
 		fuzzCols(f, protoTuple(sqlval.Null, sqlval.Uint(1)), protoTuple(sqlval.Null, sqlval.Uint(2))),
 		{Cols: []exec.ColVec{{Kind: sqlval.KindUint}, {Kind: sqlval.KindFloat}}},
 		{},
@@ -50,8 +52,6 @@ func hostileCountFrame(m wireMsg) []byte {
 
 func FuzzLinkCodec(f *testing.F) {
 	every := &LinkMsg{Seq: 3, Through: 7, Done: true, Items: []Item{
-		{Round: 0, Tag: 4, Kind: ItemPushBatch, Edge: 2, WM: 16, MWM: 8, Batch: exec.Batch{protoTuple(sqlval.Uint(1), sqlval.Str("x"))}},
-		{Round: 0, Tag: 5, Kind: ItemPushBatch, Edge: 2, MWM: 8, Batch: protoBatch()},
 		{Round: 1, Tag: 0, Kind: ItemAdvance, Edge: 3, WM: 32, MWM: 16},
 		{Round: 1, Tag: 1, Kind: ItemFlush, Edge: 3, MWM: 32},
 	}}
@@ -61,6 +61,7 @@ func FuzzLinkCodec(f *testing.F) {
 	f.Add(every.encode(nil))
 	f.Add((&LinkMsg{Through: -1}).encode(nil))
 	f.Add((&LinkMsg{Items: []Item{{Kind: ItemKind(9)}}}).encode(nil))
+	f.Add((&LinkMsg{Items: []Item{{Kind: ItemKind(1)}}}).encode(nil))
 	f.Add(hostileCountFrame(&LinkMsg{Seq: 1}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"qap/internal/exec"
@@ -10,8 +11,10 @@ import (
 // handshake rejects a peer speaking a different version. Version 2
 // tags every feed group as row or column encoded; version 3 adds the
 // column-batch link item; version 4 drops the single-row link item
-// (kind 0), so a run of rows always travels as one rows item.
-const ProtocolVersion = 4
+// (kind 0); version 5 carries Int rows in the column codec's Int bitmap
+// and drops the rows link item (kind 1), so a column batch is the only
+// data item on a link.
+const ProtocolVersion = 5
 
 // Hello opens (or resumes) a session, splitter -> node.
 type Hello struct {
@@ -88,14 +91,14 @@ type FeedMsg struct {
 type ItemKind uint8
 
 // The item kinds: what the producer called on the island-crossing edge.
-// Columns are captured as columns (ItemPushCols), a run of pushed rows —
-// a row fallback's output — as one rows item (ItemPushBatch). Kind 0,
-// protocol 3's single-row item, is no longer defined.
+// Every data delivery is a column item (ItemPushCols): columns as the
+// producer emitted them, a run of pushed rows — a row fallback's output
+// — as the columns it pivots to. Kinds 0 and 1, protocol 3's single-row
+// item and protocol 4's rows item, are no longer defined.
 const (
-	ItemPushBatch ItemKind = iota + 1
-	ItemAdvance
-	ItemFlush
-	ItemPushCols
+	ItemAdvance  ItemKind = 2
+	ItemFlush    ItemKind = 3
+	ItemPushCols ItemKind = 4
 )
 
 // Item is one captured delivery into the central island, on the
@@ -110,9 +113,8 @@ type Item struct {
 	// WM is the watermark an ItemAdvance forwards; MWM the producing
 	// round's (the flush round inherits the last data round's), by which
 	// the replay closes monitoring windows where the sequential engine does.
-	WM    uint64
-	MWM   uint64
-	Batch exec.Batch
+	WM  uint64
+	MWM uint64
 	// Cols, on an ItemPushCols, is a pooled batch the item owns: whoever
 	// consumes the item — the replay applying it, the node that encoded
 	// it, any path dropping it — returns it (ReleaseCols, PutColBatch).
@@ -152,22 +154,8 @@ type wireMsg interface {
 	encode(dst []byte) []byte
 }
 
-func appendU16(dst []byte, v uint16) []byte {
-	return append(dst, byte(v>>8), byte(v))
-}
-
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst,
-		byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
 func appendString(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
 
@@ -175,20 +163,19 @@ func appendString(dst []byte, s string) []byte {
 // so the decoder can hand the exact span to exec.DecodeBatchWire.
 func appendBatchBlob(dst []byte, b exec.Batch) []byte {
 	at := len(dst)
-	return patchBlobLen(exec.AppendBatchWire(appendU32(dst, 0), b), at)
+	return patchBlobLen(exec.AppendBatchWire(binary.BigEndian.AppendUint32(dst, 0), b), at)
 }
 
 // appendColBlob is appendBatchBlob for a column batch.
 func appendColBlob(dst []byte, cb *exec.ColBatch) []byte {
 	at := len(dst)
-	return patchBlobLen(exec.AppendColBatchWire(appendU32(dst, 0), cb), at)
+	return patchBlobLen(exec.AppendColBatchWire(binary.BigEndian.AppendUint32(dst, 0), cb), at)
 }
 
 // patchBlobLen fills in the length prefix reserved at dst[at:] now that
 // the blob behind it is encoded.
 func patchBlobLen(dst []byte, at int) []byte {
-	n := uint32(len(dst) - at - 4)
-	dst[at], dst[at+1], dst[at+2], dst[at+3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	return dst
 }
 
@@ -202,10 +189,10 @@ func (m *Hello) wireSize() int {
 
 func (m *Hello) encode(dst []byte) []byte {
 	dst = append(dst, byte(m.Version))
-	dst = appendU32(dst, uint32(m.Host))
-	dst = appendU32(dst, uint32(m.BatchSize))
-	dst = appendU64(dst, m.ResumeLink)
-	dst = appendU16(dst, uint16(len(m.Streams)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Host))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.BatchSize))
+	dst = binary.BigEndian.AppendUint64(dst, m.ResumeLink)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Streams)))
 	for _, s := range m.Streams {
 		dst = appendString(dst, s)
 	}
@@ -216,7 +203,7 @@ func (m *Welcome) wireSize() int { return 1 + 8 + 1 }
 
 func (m *Welcome) encode(dst []byte) []byte {
 	dst = append(dst, byte(m.Version))
-	dst = appendU64(dst, m.ResumeFeed)
+	dst = binary.BigEndian.AppendUint64(dst, m.ResumeFeed)
 	flags := byte(0)
 	if m.HasResult {
 		flags |= 1
@@ -263,17 +250,17 @@ func (m *FeedMsg) wireSize() int {
 
 //qap:hot
 func (m *FeedMsg) encode(dst []byte) []byte {
-	dst = appendU64(dst, m.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, m.Seq)
 	flags := byte(0)
 	if m.Last {
 		flags |= 1
 	}
 	dst = append(dst, flags)
-	dst = appendU32(dst, uint32(len(m.Rounds)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Rounds)))
 	for i := range m.Rounds {
 		r := &m.Rounds[i]
-		dst = appendU32(dst, uint32(r.Round))
-		dst = appendU64(dst, r.WM)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Round))
+		dst = binary.BigEndian.AppendUint64(dst, r.WM)
 		rf := byte(0)
 		if r.Adv {
 			rf |= 1
@@ -282,12 +269,12 @@ func (m *FeedMsg) encode(dst []byte) []byte {
 			rf |= 2
 		}
 		dst = append(dst, rf)
-		dst = appendU32(dst, uint32(len(r.Groups)))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Groups)))
 		for gi := range r.Groups {
 			g := &r.Groups[gi]
-			dst = appendU64(dst, g.Tag)
-			dst = appendU16(dst, uint16(g.Stream))
-			dst = appendU32(dst, uint32(g.Part))
+			dst = binary.BigEndian.AppendUint64(dst, g.Tag)
+			dst = binary.BigEndian.AppendUint16(dst, uint16(g.Stream))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(g.Part))
 			if g.Cols != nil {
 				dst = append(dst, groupCols)
 				dst = appendColBlob(dst, g.Cols)
@@ -305,10 +292,7 @@ func (m *LinkMsg) wireSize() int {
 	for i := range m.Items {
 		it := &m.Items[i]
 		n += itemHeaderSize
-		switch it.Kind {
-		case ItemPushBatch:
-			n += 4 + exec.BatchWireSize(it.Batch)
-		case ItemPushCols:
+		if it.Kind == ItemPushCols {
 			n += 4 + exec.ColBatchWireSize(it.Cols)
 		}
 	}
@@ -317,26 +301,23 @@ func (m *LinkMsg) wireSize() int {
 
 //qap:hot
 func (m *LinkMsg) encode(dst []byte) []byte {
-	dst = appendU64(dst, m.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, m.Seq)
 	flags := byte(0)
 	if m.Done {
 		flags |= 1
 	}
 	dst = append(dst, flags)
-	dst = appendU64(dst, uint64(int64(m.Through)))
-	dst = appendU32(dst, uint32(len(m.Items)))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.Through)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Items)))
 	for i := range m.Items {
 		it := &m.Items[i]
-		dst = appendU32(dst, uint32(it.Round))
-		dst = appendU64(dst, it.Tag)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(it.Round))
+		dst = binary.BigEndian.AppendUint64(dst, it.Tag)
 		dst = append(dst, byte(it.Kind))
-		dst = appendU32(dst, uint32(it.Edge))
-		dst = appendU64(dst, it.WM)
-		dst = appendU64(dst, it.MWM)
-		switch it.Kind {
-		case ItemPushBatch:
-			dst = appendBatchBlob(dst, it.Batch)
-		case ItemPushCols:
+		dst = binary.BigEndian.AppendUint32(dst, uint32(it.Edge))
+		dst = binary.BigEndian.AppendUint64(dst, it.WM)
+		dst = binary.BigEndian.AppendUint64(dst, it.MWM)
+		if it.Kind == ItemPushCols {
 			dst = appendColBlob(dst, it.Cols)
 		}
 	}
@@ -350,7 +331,7 @@ type resultMsg struct{ payload []byte }
 func (m *resultMsg) wireSize() int { return 8 + len(m.payload) }
 
 func (m *resultMsg) encode(dst []byte) []byte {
-	return append(appendU64(dst, 0), m.payload...)
+	return append(binary.BigEndian.AppendUint64(dst, 0), m.payload...)
 }
 
 // ---- decoding ----
@@ -377,7 +358,7 @@ func (d *protoDecoder) u16(what string) (int, error) {
 	if d.off+2 > len(d.data) {
 		return 0, d.fail(what)
 	}
-	v := int(d.data[d.off])<<8 | int(d.data[d.off+1])
+	v := int(binary.BigEndian.Uint16(d.data[d.off:]))
 	d.off += 2
 	return v, nil
 }
@@ -386,19 +367,18 @@ func (d *protoDecoder) u32(what string) (uint32, error) {
 	if d.off+4 > len(d.data) {
 		return 0, d.fail(what)
 	}
-	p := d.data[d.off:]
+	v := binary.BigEndian.Uint32(d.data[d.off:])
 	d.off += 4
-	return uint32(p[0])<<24 | uint32(p[1])<<16 | uint32(p[2])<<8 | uint32(p[3]), nil
+	return v, nil
 }
 
 func (d *protoDecoder) u64(what string) (uint64, error) {
 	if d.off+8 > len(d.data) {
 		return 0, d.fail(what)
 	}
-	p := d.data[d.off:]
+	v := binary.BigEndian.Uint64(d.data[d.off:])
 	d.off += 8
-	return uint64(p[0])<<56 | uint64(p[1])<<48 | uint64(p[2])<<40 | uint64(p[3])<<32 |
-		uint64(p[4])<<24 | uint64(p[5])<<16 | uint64(p[6])<<8 | uint64(p[7]), nil
+	return v, nil
 }
 
 func (d *protoDecoder) str(what string) (string, error) {
@@ -686,8 +666,6 @@ func (m *LinkMsg) decode(data []byte) error {
 			return err
 		}
 		switch it.Kind {
-		case ItemPushBatch:
-			it.Batch, err = d.batch("item batch")
 		case ItemPushCols:
 			it.Cols, err = d.colBatch("item columns")
 		case ItemAdvance, ItemFlush:

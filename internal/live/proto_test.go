@@ -1,7 +1,9 @@
 package live
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -17,6 +19,47 @@ func protoBatch() exec.Batch {
 	return exec.Batch{
 		protoTuple(sqlval.Uint(7), sqlval.Int(-3), sqlval.Str("tcp")),
 		protoTuple(sqlval.Uint(8), sqlval.Float(1.5), sqlval.Bool(true)),
+	}
+}
+
+// protoIntCols is n rows of two uint columns with Int rows: the first
+// mixes Uints, Ints and NULLs, the second Uints and Ints. Past 64 rows
+// both bitmaps span more than one word.
+func protoIntCols(t testing.TB, n int) *exec.ColBatch {
+	t.Helper()
+	rows := make(exec.Batch, n)
+	for r := range rows {
+		a, b := sqlval.Uint(uint64(r)), sqlval.Uint(uint64(r)<<40)
+		switch {
+		case r%5 == 0:
+			a = sqlval.Null
+		case r%3 == 0:
+			a = sqlval.Int(-int64(r))
+		}
+		if r%4 == 1 {
+			b = sqlval.Int(int64(r) - 1<<62)
+		}
+		rows[r] = protoTuple(a, b)
+	}
+	cb := new(exec.ColBatch)
+	if !cb.SetFromRows(rows) || len(cb.Cols[0].Int) == 0 || len(cb.Cols[0].Valid) == 0 || len(cb.Cols[1].Int) == 0 {
+		t.Fatal("the rows are not uint columns with Int rows and NULLs")
+	}
+	return cb
+}
+
+// sameCols holds got to want value by value, bit-exactly.
+func sameCols(t *testing.T, what string, want, got *exec.ColBatch) {
+	t.Helper()
+	if want.Len != got.Len || len(want.Cols) != len(got.Cols) {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Len, len(got.Cols), want.Len, len(want.Cols))
+	}
+	for c := range want.Cols {
+		for r := 0; r < want.Len; r++ {
+			if w, g := want.Cols[c].Value(r), got.Cols[c].Value(r); !reflect.DeepEqual(w, g) {
+				t.Fatalf("%s: column %d row %d is %v, want %v", what, c, r, g, w)
+			}
+		}
 	}
 }
 
@@ -134,19 +177,19 @@ func TestFeedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLinkRoundTrip exercises all four item kinds plus the negative
+// TestLinkRoundTrip exercises all three item kinds plus the negative
 // Through sentinel a node uses before its first completed round. A
 // column item decodes into a pooled batch equal to the one encoded — a
-// NULL bitmap and a string column included — which the message owns
-// until ReleaseCols.
+// NULL bitmap, a string column and Int rows included — which the
+// message owns until ReleaseCols.
 func TestLinkRoundTrip(t *testing.T) {
 	in := &LinkMsg{
 		Seq:     11,
 		Through: -1,
 		Done:    true,
 		Items: []Item{
-			{Round: 0, Tag: 4, Kind: ItemPushBatch, Edge: 2, WM: 16, MWM: 8, Batch: exec.Batch{protoTuple(sqlval.Uint(1))}},
-			{Round: 0, Tag: 5, Kind: ItemPushBatch, Edge: 2, WM: 16, MWM: 8, Batch: protoBatch()},
+			{Round: 0, Tag: 4, Kind: ItemPushCols, Edge: 2, WM: 16, MWM: 8, Cols: protoIntCols(t, 7)},
+			{Round: 0, Tag: 5, Kind: ItemPushCols, Edge: 2, WM: 16, MWM: 8, Cols: protoIntCols(t, 130)},
 			{Round: 0, Tag: 6, Kind: ItemPushCols, Edge: 1, WM: 16, MWM: 8, Cols: protoCols(t)},
 			{Round: 1, Tag: 0, Kind: ItemAdvance, Edge: 3, WM: 32, MWM: 16},
 			{Round: 1, Tag: 1, Kind: ItemFlush, Edge: 3, WM: 32, MWM: 32},
@@ -169,8 +212,8 @@ func TestLinkRoundTrip(t *testing.T) {
 		if (iin.Cols == nil) != (iout.Cols == nil) {
 			t.Fatalf("item %d changed kind on the wire", i)
 		}
-		if iin.Cols != nil && !reflect.DeepEqual(iin.Cols.AppendRows(nil), iout.Cols.AppendRows(nil)) {
-			t.Fatalf("item %d columns differ", i)
+		if iin.Cols != nil {
+			sameCols(t, fmt.Sprintf("item %d", i), iin.Cols, iout.Cols)
 		}
 		iin.Cols, iout.Cols = nil, nil
 		if !reflect.DeepEqual(iin, iout) {
@@ -209,7 +252,7 @@ func TestDecodeTruncation(t *testing.T) {
 	welcome := (&Welcome{Version: ProtocolVersion, HasResult: true}).encode(nil)
 	feed := (&FeedMsg{Seq: 1, Rounds: []Round{{WM: 16, Groups: []Group{{Tuples: protoBatch()}, {Cols: protoCols(t)}}}}}).encode(nil)
 	link := (&LinkMsg{Seq: 2, Items: []Item{
-		{Kind: ItemPushBatch, Batch: exec.Batch{protoTuple(sqlval.Uint(1))}}, {Kind: ItemPushCols, Cols: protoCols(t)}, {Kind: ItemFlush},
+		{Kind: ItemPushCols, Cols: protoIntCols(t, 70)}, {Kind: ItemPushCols, Cols: protoCols(t)}, {Kind: ItemFlush},
 	}}).encode(nil)
 	cases := []struct {
 		name   string
@@ -251,31 +294,34 @@ func TestDecodeTruncation(t *testing.T) {
 	}
 }
 
-// TestDecodeLinkBadItems: an unknown kind byte is refused — kind 0 too,
-// protocol 3's single-row item, whose payload a protocol 4 peer never
-// sends.
+// TestDecodeLinkBadItems: an unknown kind byte is refused — kinds 0 and
+// 1 too, protocol 3's single-row item and protocol 4's rows item, whose
+// payloads a protocol 5 peer never sends.
 func TestDecodeLinkBadItems(t *testing.T) {
 	bad := (&LinkMsg{Items: []Item{{Kind: ItemKind(9)}}}).encode(nil)
 	if _, err := decodeLink(bad); err == nil || !strings.Contains(err.Error(), "unknown item kind") {
 		t.Fatalf("unknown kind not rejected (err %v)", err)
 	}
 
-	// A kind-0 item with its row cannot be produced by encode; build the
-	// frame by hand.
-	var dst []byte
-	dst = appendU64(dst, 1)                  // seq
-	dst = append(dst, 0)                     // flags
-	dst = appendU64(dst, 0)                  // through
-	dst = appendU32(dst, 1)                  // item count
-	dst = appendU32(dst, 0)                  // round
-	dst = appendU64(dst, 0)                  // tag
-	dst = append(dst, 0)                     // kind
-	dst = appendU32(dst, 0)                  // edge
-	dst = appendU64(dst, 0)                  // wm
-	dst = appendU64(dst, 0)                  // mwm
-	dst = appendBatchBlob(dst, protoBatch()) // the row
-	if _, err := decodeLink(dst); err == nil || !strings.Contains(err.Error(), "unknown item kind 0 at offset 33") {
-		t.Fatalf("a kind-0 item not rejected (err %v)", err)
+	// Kind-0 and kind-1 items with their rows cannot be produced by
+	// encode; build the frames by hand.
+	for _, kind := range []byte{0, 1} {
+		var dst []byte
+		dst = binary.BigEndian.AppendUint64(dst, 1) // seq
+		dst = append(dst, 0)                        // flags
+		dst = binary.BigEndian.AppendUint64(dst, 0) // through
+		dst = binary.BigEndian.AppendUint32(dst, 1) // item count
+		dst = binary.BigEndian.AppendUint32(dst, 0) // round
+		dst = binary.BigEndian.AppendUint64(dst, 0) // tag
+		dst = append(dst, kind)                     // kind
+		dst = binary.BigEndian.AppendUint32(dst, 0) // edge
+		dst = binary.BigEndian.AppendUint64(dst, 0) // wm
+		dst = binary.BigEndian.AppendUint64(dst, 0) // mwm
+		dst = appendBatchBlob(dst, protoBatch())    // the rows
+		want := fmt.Sprintf("unknown item kind %d at offset 33", kind)
+		if _, err := decodeLink(dst); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("a kind-%d item not rejected with %q (err %v)", kind, want, err)
+		}
 	}
 }
 
@@ -322,31 +368,31 @@ func hostileCount(t *testing.T, frame []byte, want string, decode func([]byte) e
 func TestDecodeGroupBlobCorrupt(t *testing.T) {
 	header := func(kind byte) []byte {
 		var dst []byte
-		dst = appendU64(dst, 1) // seq
-		dst = append(dst, 0)    // flags
-		dst = appendU32(dst, 1) // round count
-		dst = appendU32(dst, 0) // round
-		dst = appendU64(dst, 0) // wm
-		dst = append(dst, 0)    // round flags
-		dst = appendU32(dst, 1) // group count
-		dst = appendU64(dst, 0) // tag
-		dst = appendU16(dst, 0) // stream
-		dst = appendU32(dst, 0) // part
+		dst = binary.BigEndian.AppendUint64(dst, 1) // seq
+		dst = append(dst, 0)                        // flags
+		dst = binary.BigEndian.AppendUint32(dst, 1) // round count
+		dst = binary.BigEndian.AppendUint32(dst, 0) // round
+		dst = binary.BigEndian.AppendUint64(dst, 0) // wm
+		dst = append(dst, 0)                        // round flags
+		dst = binary.BigEndian.AppendUint32(dst, 1) // group count
+		dst = binary.BigEndian.AppendUint64(dst, 0) // tag
+		dst = binary.BigEndian.AppendUint16(dst, 0) // stream
+		dst = binary.BigEndian.AppendUint32(dst, 0) // part
 		return append(dst, kind)
 	}
 	// A row blob announcing one tuple but carrying no bytes for it.
-	rows := appendU32(appendU32(header(groupRows), 4), 1)
+	rows := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(header(groupRows), 4), 1)
 	if _, err := decodeFeed(rows); err == nil || !strings.Contains(err.Error(), "group tuples") {
 		t.Fatalf("corrupt row blob not rejected (err %v)", err)
 	}
 	// A column blob announcing one row of one column, then nothing.
-	cols := append(appendU32(header(groupCols), 6), 1, 0, 0, 0, 1, 0)
+	cols := append(binary.BigEndian.AppendUint32(header(groupCols), 6), 1, 0, 0, 0, 1, 0)
 	_, err := decodeFeed(cols)
 	var we *exec.WireError
 	if err == nil || !strings.Contains(err.Error(), "group columns") || !errors.As(err, &we) {
 		t.Fatalf("corrupt column blob not rejected with a wire error (err %v)", err)
 	}
-	if _, err := decodeFeed(appendU32(header(7), 0)); err == nil || !strings.Contains(err.Error(), "unknown group kind 7") {
+	if _, err := decodeFeed(binary.BigEndian.AppendUint32(header(7), 0)); err == nil || !strings.Contains(err.Error(), "unknown group kind 7") {
 		t.Fatalf("unknown group kind not rejected (err %v)", err)
 	}
 }

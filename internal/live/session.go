@@ -368,7 +368,7 @@ func (s *session) writer() {
 		s.ackDirty = false
 		s.mu.Unlock()
 		if dirty {
-			appendU64(ackPayload[:0], ack)
+			binary.BigEndian.AppendUint64(ackPayload[:0], ack)
 			s.conn.SetWriteDeadline(time.Now().Add(s.timeout)) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
 			var err error
 			if scratch, err = writeFrame(s.conn, scratch, s.ackType, ackPayload[:]); err != nil {
