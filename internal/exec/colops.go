@@ -345,17 +345,26 @@ func (o *Aggregate) PushCols(cb *ColBatch) {
 	o.densePush(cb, kvs, avs, ais, filt)
 }
 
-// hashKeyWords mixes row i's key words (FNV-1a over words, with a
-// final fold so sequential keys spread across table buckets). Purely
-// internal: output bytes never depend on it.
+// hashRows fills hs[k] with the hash of row lo+k's key words, one pass
+// per key column: FNV-1a over words, with a final fold so sequential
+// keys spread across table buckets. A row's hash is hashWords of its
+// key words. Purely internal: output bytes never depend on it.
 //
 //qap:hot
-func hashKeyWords(kvs [][]uint64, i int) uint64 {
-	h := uint64(14695981039346656037)
-	for _, kv := range kvs {
-		h = (h ^ kv[i]) * 1099511628211
+func hashRows(hs []uint64, kvs [][]uint64, lo int) []uint64 {
+	for i := range hs {
+		hs[i] = 14695981039346656037
 	}
-	return h ^ (h >> 29)
+	for _, kv := range kvs {
+		kv = kv[lo : lo+len(hs)]
+		for i, w := range kv {
+			hs[i] = (hs[i] ^ w) * 1099511628211
+		}
+	}
+	for i, h := range hs {
+		hs[i] = h ^ (h >> 29)
+	}
+	return hs
 }
 
 //qap:hot
@@ -502,23 +511,29 @@ func (o *Aggregate) densePush(cb *ColBatch, kvs, avs, ais [][]uint64, filt []uin
 	rows := o.denseRows[:0]
 	n, first := cb.Len, int32(o.denseN)
 	o.denseIn += int64(n)
-	for i := 0; i < n; i++ {
-		if filt != nil && filt[i] == 0 {
-			continue
-		}
-		if lateCheck {
-			if wordLate {
-				if epochVec[i] < boundWord {
+	// Keys hash a window of rows at a time, into scratch the aggregate
+	// holds inline: an epoch-sized batch needs no batch-sized buffer.
+	for lo := 0; lo < n; lo += len(o.colHashes) {
+		hs := hashRows(o.colHashes[:min(n-lo, len(o.colHashes))], kvs, lo)
+		for k, h := range hs {
+			i := lo + k
+			if filt != nil && filt[i] == 0 {
+				continue
+			}
+			if lateCheck {
+				if wordLate {
+					if epochVec[i] < boundWord {
+						o.Late++
+						continue
+					}
+				} else if sqlval.Uint(epochVec[i]).Compare(o.boundary) < 0 {
 					o.Late++
 					continue
 				}
-			} else if sqlval.Uint(epochVec[i]).Compare(o.boundary) < 0 {
-				o.Late++
-				continue
 			}
+			slots = append(slots, o.denseGroup(kvs, i, h))
+			rows = append(rows, int32(i))
 		}
-		slots = append(slots, o.denseGroup(kvs, i))
-		rows = append(rows, int32(i))
 	}
 	o.denseSlots, o.denseRows = slots, rows
 	for j, kind := range o.denseAcc {
@@ -596,15 +611,14 @@ func (o *Aggregate) denseMinMax(j int, less bool, slots, rows []int32, av, ai []
 	}
 }
 
-// denseGroup resolves row i to its dense group index, creating the
-// group on a miss: key words onto colWords — group g's are
-// colWords[g*nk:(g+1)*nk], the slab the table resolves through — and
-// each aggregate's state from zero (all-ones for a MIN, a Uint for a
-// MIN's or MAX's kind).
+// denseGroup resolves row i, whose key words hash to h, to its dense
+// group index, creating the group on a miss: key words onto colWords —
+// group g's are colWords[g*nk:(g+1)*nk], the slab the table resolves
+// through — and each aggregate's state from zero (all-ones for a MIN, a
+// Uint for a MIN's or MAX's kind).
 //
 //qap:hot
-func (o *Aggregate) denseGroup(kvs [][]uint64, i int) int32 {
-	h := hashKeyWords(kvs, i)
+func (o *Aggregate) denseGroup(kvs [][]uint64, i int, h uint64) int32 {
 	g, at := o.colTab.find(h, o.colWords, kvs, i)
 	if g >= 0 {
 		return g
@@ -642,8 +656,8 @@ func (o *Aggregate) noteEpochWord(w uint64) {
 	}
 }
 
-// hashWords is hashKeyWords over an already-gathered word slice; the
-// two must agree so reinserted survivors land where probes look.
+// hashWords is hashRows over an already-gathered word slice; the two
+// must agree so reinserted survivors land where probes look.
 func hashWords(words []uint64) uint64 {
 	h := uint64(14695981039346656037)
 	for _, w := range words {
@@ -1083,31 +1097,35 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 	PutBatch(b)
 }
 
-// pushWords is the word layout's build/probe over a whole batch: the
-// side's key kernels produce one vector per key, each row's key words
-// hash into the opposite pane's slot table (word equality is key
-// equality for uints, see Aggregate.PushCols), and the row's words
-// append to its own pane's slabs — no row tuple, no key encoding, no
-// map. A key-equal pair costs its words, copied into the next row of
+// pushWords is the word layout's build/probe over a whole batch. The
+// side's key kernels produce one vector per key and the batch's key
+// words hash in one column-major pass (hashRows); then each run of rows
+// with one temporal key, in turn, probes the opposite pane's slot table
+// (word equality is key equality for uints, see Aggregate.PushCols),
+// appends its kept columns' words to its own pane's slabs column by
+// column, and files its rows in its own pane's table — no row tuple, no
+// key encoding, no map. Filing comes after the slabs, in row order, so
+// duplicate keys within the run still chain in arrival order. A
+// key-equal pair costs its kept words, copied into the next row of
 // gather: left ++ right, in arrival-row then chain order, which is the
 // row layout's output order; emitPairs turns the batch's pairs into
 // output. It reports false, having done nothing, for a batch the layout
-// cannot hold.
+// cannot hold: one whose key or kept columns are not plain uint words
+// (joinSide.need), or of another width.
 //
 //qap:hot
 func (j *Join) pushWords(cb *ColBatch, left bool) bool {
-	lw, rw := j.cfg.Left.Width, j.cfg.Right.Width
 	side, mine, other := &j.cfg.Left, &j.left, &j.right
 	// ac and sc are the gather columns the arriving and the stored row
-	// start at; ow is the stored row's width.
-	ac, sc, ow := 0, lw, rw
+	// start at.
+	ac, sc := 0, j.cfg.Left.Width
 	if !left {
 		side, mine, other = &j.cfg.Right, &j.right, &j.left
-		ac, sc, ow = lw, 0, lw
+		ac, sc = sc, 0
 	}
-	// The width check is what keeps every slab index in range: column
-	// kernels and the row stride both assume the side's width.
-	if len(cb.Cols) != side.Width || !cb.AllUint() {
+	// The width check is what keeps every column index in range: key
+	// kernels and kept lists both assume the side's width.
+	if len(cb.Cols) != side.Width || !cb.plainWords(mine.need) {
 		return false
 	}
 	kvs := j.colKeyVecs[:0]
@@ -1115,54 +1133,77 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 		kvs = append(kvs, side.ColKeys[i].U(cb))
 	}
 	j.colKeyVecs = kvs
-	n := 0
+	if len(j.hashes) < cb.Len {
+		j.growGather(cb.Len)
+	}
+	hs := hashRows(j.hashes[:cb.Len], kvs, 0)
+	nk, mw, ow := len(kvs), len(mine.keep), len(other.keep)
 	tv := kvs[side.TemporalIdx]
-	var mp, op *joinPane
-	for i := 0; i < cb.Len; i++ {
-		if mp == nil || tv[i] != tv[i-1] {
-			tkey := sqlval.Uint(tv[i])
-			mp, op = mine.pane(tkey, true), other.pane(tkey, false)
-			if mp.tab.slots == nil {
-				mp.initWords(j.cfg.SizeHint, side.Width, len(kvs))
-			}
+	n := 0
+	for lo, hi := 0, 0; lo < cb.Len; lo = hi {
+		for hi = lo + 1; hi < cb.Len && tv[hi] == tv[lo]; hi++ {
 		}
-		h := hashKeyWords(kvs, i)
-		idx := int32(len(mp.links))
-		link := wordLink{next: -1, tail: idx}
+		tkey := sqlval.Uint(tv[lo])
+		mp, op := mine.pane(tkey, true), other.pane(tkey, false)
+		if mp.tab.slots == nil {
+			mp.initWords(j.cfg.SizeHint, mw, nk)
+		}
+		base := len(mp.links)
+		mp.links = slices.Grow(mp.links, hi-lo)[:base+hi-lo]
+		for i := lo; i < hi; i++ {
+			idx := int32(base + i - lo)
+			mp.links[idx] = wordLink{next: -1, tail: idx}
+		}
 		if op != nil {
-			if oh, _ := op.tab.find(h, op.keys, kvs, i); oh >= 0 {
+			for i := lo; i < hi; i++ {
+				oh, _ := op.tab.find(hs[i], op.keys, kvs, i)
+				if oh < 0 {
+					continue
+				}
+				idx := int32(base + i - lo)
 				for e := oh; e >= 0; e = op.links[e].next {
-					if n == len(j.gatherW[0]) {
-						j.growGather()
+					if n == len(j.hashes) {
+						j.growGather(n + 1)
 					}
-					for c := range cb.Cols {
+					for _, c := range mine.keep {
 						j.gatherW[ac+c][n] = cb.Cols[c].U64[i]
 					}
-					for c, w := range op.rows[int(e)*ow : int(e+1)*ow] {
-						j.gatherW[sc+c][n] = w
+					for k, w := range op.rows[int(e)*ow : int(e+1)*ow] {
+						j.gatherW[sc+other.keep[k]][n] = w
 					}
 					n++
 					if j.lateFlags {
 						j.pairs = append(j.pairs, pairRef{mp, op, idx, e})
 					} else {
-						link.matched, op.links[e].matched = true, true
+						mp.links[idx].matched, op.links[e].matched = true, true
 					}
 				}
 			}
 		}
-		if head, at := mp.tab.find(h, mp.keys, kvs, i); head >= 0 {
-			hl := &mp.links[head]
-			mp.links[hl.tail].next = idx
-			hl.tail = idx
-		} else {
-			mp.tab.insert(at, h, idx)
+		kb, rb := len(mp.keys), len(mp.rows)
+		mp.keys = slices.Grow(mp.keys, (hi-lo)*nk)[:kb+(hi-lo)*nk]
+		for k, kv := range kvs {
+			dst := mp.keys[kb+k:]
+			for r, w := range kv[lo:hi] {
+				dst[r*nk] = w
+			}
 		}
-		mp.links = append(mp.links, link)
-		for _, kv := range kvs {
-			mp.keys = append(mp.keys, kv[i])
+		mp.rows = slices.Grow(mp.rows, (hi-lo)*mw)[:rb+(hi-lo)*mw]
+		for k, c := range mine.keep {
+			dst := mp.rows[rb+k:]
+			for r, w := range cb.Cols[c].U64[lo:hi] {
+				dst[r*mw] = w
+			}
 		}
-		for c := range cb.Cols {
-			mp.rows = append(mp.rows, cb.Cols[c].U64[i])
+		for i := lo; i < hi; i++ {
+			idx := int32(base + i - lo)
+			if head, at := mp.tab.find(hs[i], mp.keys, kvs, i); head >= 0 {
+				hl := &mp.links[head]
+				mp.links[hl.tail].next = idx
+				hl.tail = idx
+			} else {
+				mp.tab.insert(at, hs[i], idx)
+			}
 		}
 	}
 	j.stored += cb.Len
@@ -1176,17 +1217,27 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 // input batch's worth.
 const gatherMin = 256
 
-// growGather doubles gather's columns, all carved from one slab: a join
-// sizes it once, or a few times when a batch matches long chains.
+// growGather at least doubles gather's columns and the hash column, to
+// need rows or more, all carved from one slab: a join sizes it once, or
+// a few times when a batch is longer, or matches longer chains, than
+// any before. The columns no side keeps all get one zero column.
 //
 //qap:hot
-func (j *Join) growGather() {
-	rows := max(gatherMin, 2*len(j.gatherW[0]))
-	slab := make([]uint64, len(j.gatherW)*rows) //qap:allow hotalloc -- once per join, doubling only past a batch's worth of pairs
+func (j *Join) growGather(need int) {
+	rows := max(gatherMin, 2*len(j.hashes), need)
+	slab := make([]uint64, (2+len(j.gathered))*rows) //qap:allow hotalloc -- once per join, doubling only past a batch's worth of rows or pairs
 	for c := range j.gatherW {
-		col := slab[c*rows : (c+1)*rows : (c+1)*rows]
-		copy(col, j.gatherW[c])
-		j.gatherW[c] = col
+		if !slices.Contains(j.gathered, c) {
+			j.gatherW[c] = slab[:rows:rows]
+		}
+	}
+	hashes := slab[rows : 2*rows : 2*rows]
+	copy(hashes, j.hashes)
+	j.hashes = hashes
+	for k, c := range j.gathered {
+		dst := slab[(2+k)*rows : (3+k)*rows : (3+k)*rows]
+		copy(dst, j.gatherW[c])
+		j.gatherW[c] = dst
 	}
 }
 
@@ -1196,10 +1247,11 @@ func (j *Join) growGather() {
 // Post — and the result goes downstream as columns: no row is made,
 // and a projected subtraction (S2.time - S1.time) marks the pairs where
 // it is an Int. Otherwise each pair's row is made from gather's words
-// for the row closures, and emit buffers the result for the caller to
-// deliver exactly as the row layout does. An outer join with a residual
-// always takes this second way: it needs the verdict per pair, to mark
-// the pair's two entries matched.
+// for the row closures, NULL in the columns no side keeps, and emit
+// buffers the result for the caller to deliver exactly as the row
+// layout does. An outer join with a residual always takes this second
+// way: it needs the verdict per pair, to mark the pair's two entries
+// matched.
 //
 //qap:hot
 func (j *Join) emitPairs(n int) {
@@ -1217,8 +1269,9 @@ func (j *Join) emitPairs(n int) {
 	}
 	j.rowEmits++
 	comb := j.combBuf[:len(g.Cols)]
+	clear(comb)
 	for k := 0; k < n; k++ {
-		for c := range comb {
+		for _, c := range j.gathered {
 			comb[c] = sqlval.Uint(g.Cols[c].U64[k])
 		}
 		if j.cfg.Residual != nil && !j.cfg.Residual(comb).AsBool() {
@@ -1231,6 +1284,18 @@ func (j *Join) emitPairs(n int) {
 		j.emit(comb)
 	}
 	j.pairs = j.pairs[:0]
+}
+
+// keptRow fills the side's kept columns of row, a full-width row of the
+// side, with word entry e of rows; its other columns stay as they are.
+//
+//qap:hot
+func (s *joinSide) keptRow(row Tuple, rows []uint64, e int) Tuple {
+	w := rows[e*len(s.keep) : (e+1)*len(s.keep)]
+	for k, c := range s.keep {
+		row[c] = sqlval.Uint(w[k])
+	}
+	return row
 }
 
 // uintRow fills dst with the uint values of the first len(dst) words.
@@ -1258,10 +1323,10 @@ func (p *joinPane) initWords(hint, width, nk int) {
 
 // migrate is the one-way switch to the row layout, taken before the
 // first input the word layout cannot hold (like Aggregate.denseMigrate):
-// every pane's entries rebuild index for index — tuples from the row
-// words, chains and matched flags from the links, one interned key
-// encoding per chain — so the row path continues as if it had stored
-// them.
+// every pane's entries rebuild index for index — full-width tuples from
+// the kept words, NULL in every other column, which nothing reads;
+// chains and matched flags from the links; one interned key encoding
+// per chain — so the row path continues as if it had stored them.
 //
 //qap:hot
 func (j *Join) migrate() {
@@ -1282,7 +1347,7 @@ func (j *Join) migrateSide(s *joinSide, side *JoinSideConfig) {
 		//qap:allow hotalloc -- the one-off rebuild: the pane's tuples, entry slab and index
 		backing, entries, heads := make([]sqlval.Value, n*w), make([]joinEntry, n), make(map[string]int32, p.tab.n)
 		for e, l := range p.links {
-			row := uintRow(backing[e*w:(e+1)*w:(e+1)*w], p.rows[e*w:])
+			row := s.keptRow(backing[e*w:(e+1)*w:(e+1)*w], p.rows, e)
 			entries[e] = joinEntry{tuple: row, next: l.next, tail: l.tail, matched: l.matched}
 		}
 		for _, sl := range p.tab.slots {

@@ -123,7 +123,19 @@ type ColBatch struct {
 // no Int rows. This is the precondition for the compiled uint kernels
 // (ColExpr.U / ColExpr.Truth): network traces pivot to all-uint
 // batches, which is the engine hot path.
-func (cb *ColBatch) AllUint() bool { return cb.uintWords() && cb.intCols() == 0 }
+func (cb *ColBatch) AllUint() bool { return cb.plainWords(^uint64(0)) }
+
+// plainWords is AllUint over the columns in read set need (colBit)
+// alone: the precondition for kernels that read only those.
+func (cb *ColBatch) plainWords(need uint64) bool {
+	for i := range cb.Cols {
+		c := &cb.Cols[i]
+		if need&colBit(i) != 0 && (c.Kind != sqlval.KindUint || len(c.Valid) != 0 || len(c.Int) != 0) {
+			return false
+		}
+	}
+	return true
+}
 
 // uintWords reports whether every column is KindUint with no NULLs:
 // one word a row, some of which Int may mark.

@@ -35,11 +35,12 @@ func TestWordTable(t *testing.T) {
 	for i := range kvs[0] {
 		kvs[0][i], kvs[1][i] = uint64(i)|1<<63, uint64(i)*7
 	}
+	hs := hashRows(make([]uint64, n), kvs, 0)
 	hash := func(i int) uint64 {
 		if i%3 == 0 {
 			return 42
 		}
-		return hashKeyWords(kvs, i)
+		return hs[i]
 	}
 	var tab wordTable
 	var keys []uint64

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"qap/internal/gsql"
@@ -245,4 +248,125 @@ func fuzzMixedRows(seed uint64, n int) (Batch, bool) {
 		b = append(b, row)
 	}
 	return b, nonUint
+}
+
+// FuzzJoinWords drives a word-layout join and the naive reference
+// (join_test.go) with one stream and requires the same output and the
+// same StoredTuples after every advance, with the state still in words.
+// shape picks the join type, whether a residual (v <= v2) runs and the
+// cross-epoch key shape; proj's low ten bits pick a subset of the
+// projections below, so the panes keep a random subset of each side.
+// data is the stream, four bytes a step: a row for either side's
+// pending batch — duplicate keys, late rows and a NULL in a column
+// that side does not read —, a pending batch delivered as columns or
+// as rows, or an advance.
+func FuzzJoinWords(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		data := make([]byte, 4*(60+rng.Intn(190)))
+		rng.Read(data)
+		f.Add(uint8(i), uint16(rng.Intn(1<<10)), data)
+	}
+	projs := []string{"tb", "k", "v", "w", "tb2", "k2", "v2", "w2", "v + v2", "w2 - w"}
+	types := []gsql.JoinType{gsql.JoinInner, gsql.JoinLeftOuter, gsql.JoinRightOuter, gsql.JoinFullOuter}
+	f.Fuzz(func(t *testing.T, shape uint8, proj uint16, data []byte) {
+		if len(data) > 1024 {
+			data = data[:1024] // the reference, and the output, can be quadratic
+		}
+		jt, residual, cross := types[shape&3], "", shape&8 != 0
+		if shape&4 != 0 {
+			residual = "v <= v2"
+		}
+		var srcs []string
+		for i, p := range projs {
+			if proj&(1<<i) != 0 {
+				srcs = append(srcs, p)
+			}
+		}
+		if len(srcs) == 0 {
+			srcs = projs[1:2]
+		}
+		build := func(out Consumer) JoinConfig {
+			return withCols(t, wideJoinTestConfig(t, jt, cross, out), wideComb, residual, srcs...)
+		}
+		sink := &Collector{}
+		j := NewJoin(build(sink))
+		ref := &naiveJoin{cfg: build(Discard{})}
+		// unused lists, per side, the columns of v and w no output reads.
+		var unused [2][]int
+		for s, keep := range [][]int{j.left.keep, j.right.keep} {
+			for _, c := range []int{2, 3} {
+				if !slices.Contains(keep, c) {
+					unused[s] = append(unused[s], c)
+				}
+			}
+		}
+		check := func(when string) {
+			t.Helper()
+			diffBatches(t, when, ref.out, sink.Rows)
+			if want := len(ref.rows[0]) + len(ref.rows[1]); j.StoredTuples() != want {
+				t.Fatalf("%s: StoredTuples = %d, reference holds %d", when, j.StoredTuples(), want)
+			}
+			if got := joinLayout(j); got != "words" {
+				t.Fatalf("%s: state is in %s, want words", when, got)
+			}
+		}
+		var pending [2]Batch
+		var cb ColBatch
+		deliver := func(s int, cols bool) {
+			b, left := pending[s], s == 0
+			if len(b) == 0 {
+				return
+			}
+			for _, tp := range b {
+				ref.push(tp, left)
+			}
+			port := j.RightIn().(*joinPort)
+			if left {
+				port = j.LeftIn().(*joinPort)
+			}
+			if cols {
+				if !cb.SetFromRows(b) {
+					t.Fatal("SetFromRows failed")
+				}
+				port.PushCols(&cb)
+			} else {
+				PushAll(port, b)
+			}
+			pending[s] = nil
+		}
+		epoch := uint64(0)
+		for step := 0; step+4 <= len(data); step += 4 {
+			op, a, b, c := data[step], data[step+1], data[step+2], data[step+3]
+			s := int(op>>2) & 1
+			switch op & 3 {
+			case 0:
+				epoch += uint64(op>>2) & 1
+				wm := epoch*60 + uint64(a)%60
+				ref.advance(wm)
+				j.LeftIn().Advance(wm)
+				j.RightIn().Advance(wm)
+				check(fmt.Sprintf("step %d advance(%d)", step/4, wm))
+			case 1, 2:
+				s = int(op&3) - 1
+				tb := epoch
+				if op&4 != 0 && epoch >= 2 {
+					tb = epoch - 2 // below the boundary of the last advance
+				}
+				row := Tuple{u(tb), u(uint64(a % 4)), u(uint64(b % 20)), u(uint64(c % 9))}
+				if op&8 != 0 && len(unused[s]) > 0 {
+					row[unused[s][int(op>>4)%len(unused[s])]] = sqlval.Null
+				}
+				pending[s] = append(pending[s], row)
+			default:
+				deliver(s, op&8 != 0)
+			}
+		}
+		deliver(0, true)
+		deliver(1, false)
+		ref.flush()
+		j.LeftIn().Flush()
+		j.RightIn().Flush()
+		check("flush")
+	})
 }

@@ -56,6 +56,31 @@ func joinTestConfig(t *testing.T, jt gsql.JoinType, cross bool, out Consumer) Jo
 	}
 }
 
+// withCols replaces the residual and the projections of cfg, which read
+// columns of comb, by src and projs compiled with their column forms, as
+// the cluster compiles them: a word-layout join then keeps only the
+// columns these read. An empty src means no residual.
+func withCols(t *testing.T, cfg JoinConfig, comb Resolver, src string, projs ...string) JoinConfig {
+	cfg.Residual, cfg.ColResidual, cfg.Projs, cfg.ColProjs = nil, nil, nil, nil
+	if src != "" {
+		ce := mustCompileCol(t, src, comb, nil)
+		cfg.Residual, cfg.ColResidual = ce.Row, &ce
+	}
+	for _, p := range projs {
+		ce := mustCompileCol(t, p, comb, nil)
+		cfg.Projs, cfg.ColProjs = append(cfg.Projs, ce.Row), append(cfg.ColProjs, ce)
+	}
+	return cfg
+}
+
+// prunedJoinTestConfig is joinTestConfig whose output reads a strict
+// subset of each side: (tb, v) on the left, v2 on the right. The
+// residual still keeps about half of the key-equal pairs.
+func prunedJoinTestConfig(t *testing.T, jt gsql.JoinType, cross bool, out Consumer) JoinConfig {
+	comb := res("tb", "k", "v", "tb2", "k2", "v2")
+	return withCols(t, joinTestConfig(t, jt, cross, out), comb, "v <= v2", "tb", "v", "v2", "v + v2")
+}
+
 // rowLayout strips the key kernels, which is what BatchSize 1 compiles:
 // the join then keeps its state as rows from the start.
 func rowLayout(cfg JoinConfig) JoinConfig {
@@ -159,14 +184,10 @@ func (n *naiveJoin) evict(sideIdx int, boundary *sqlval.Value) {
 		return gone[a].key < gone[b].key
 	})
 	for _, r := range gone {
-		nulls := make(Tuple, 3)
-		for i := range nulls {
-			nulls[i] = sqlval.Null
-		}
 		if left {
-			n.emit(append(append(Tuple{}, r.t...), nulls...))
+			n.emit(append(append(Tuple{}, r.t...), make(Tuple, n.cfg.Right.Width)...))
 		} else {
-			n.emit(append(nulls, r.t...))
+			n.emit(append(make(Tuple, n.cfg.Left.Width), r.t...))
 		}
 	}
 }
@@ -195,6 +216,10 @@ func (n *naiveJoin) flush() {
 // layout (which it fits: the state must still be words at the end of
 // every epoch, so the case cannot pass on the fallback), in the row
 // layout from the start, and across a migrate in the middle of an epoch.
+// Each runs twice: with row closures only, so that a word pane keeps
+// every column, and with column forms whose output reads a strict subset
+// of each side (pruned), so that word panes store, pad and migrate
+// pruned rows.
 func TestJoinPanesMatchNaiveReference(t *testing.T) {
 	types := []gsql.JoinType{gsql.JoinInner, gsql.JoinLeftOuter, gsql.JoinRightOuter, gsql.JoinFullOuter}
 	for _, jt := range types {
@@ -203,7 +228,8 @@ func TestJoinPanesMatchNaiveReference(t *testing.T) {
 				name := fmt.Sprintf("type=%v/cross=%v/seed=%d", jt, cross, seed)
 				t.Run(name, func(t *testing.T) {
 					for _, layout := range []string{"words", "rows", "migrate"} {
-						t.Run("layout="+layout, func(t *testing.T) { joinVsNaive(t, jt, cross, seed, layout) })
+						t.Run("layout="+layout, func(t *testing.T) { joinVsNaive(t, jt, cross, seed, layout, false) })
+						t.Run("pruned,layout="+layout, func(t *testing.T) { joinVsNaive(t, jt, cross, seed, layout, true) })
 					}
 				})
 			}
@@ -211,15 +237,22 @@ func TestJoinPanesMatchNaiveReference(t *testing.T) {
 	}
 }
 
-func joinVsNaive(t *testing.T, jt gsql.JoinType, cross bool, seed int64, layout string) {
+func joinVsNaive(t *testing.T, jt gsql.JoinType, cross bool, seed int64, layout string, pruned bool) {
 	rng := rand.New(rand.NewSource(seed))
 	sink := &Collector{}
-	cfg := joinTestConfig(t, jt, cross, sink)
+	config := joinTestConfig
+	if pruned {
+		config = prunedJoinTestConfig
+	}
+	cfg := config(t, jt, cross, sink)
 	if layout == "rows" {
 		cfg = rowLayout(cfg)
 	}
 	j := NewJoin(cfg)
-	ref := &naiveJoin{cfg: joinTestConfig(t, jt, cross, Discard{})}
+	if kept := [2]int{len(j.left.keep), len(j.right.keep)}; layout != "rows" && pruned != (kept != [2]int{3, 3}) {
+		t.Fatalf("the word panes keep %v columns of 3 + 3 (pruned %v)", kept, pruned)
+	}
+	ref := &naiveJoin{cfg: config(t, jt, cross, Discard{})}
 	var cb ColBatch
 	wantLayout := "words"
 	if layout == "rows" {
@@ -259,7 +292,8 @@ func joinVsNaive(t *testing.T, jt gsql.JoinType, cross bool, seed int64, layout 
 			seeds := Batch{{u(epoch - 1), u(5), u(1)}, {u(epoch), u(5), u(1)}}
 			both(seeds)
 			check(fmt.Sprintf("step %d before migrate", step))
-			// A column batch with a NULL cannot be held as words.
+			// A column batch with a NULL in a kept column cannot be held
+			// as words: v is kept on the right in either shape.
 			if !cb.SetFromRows(Batch{{u(epoch), u(uint64(rng.Intn(5))), sqlval.Null}, {u(epoch), u(5), u(2)}}) {
 				t.Fatal("SetFromRows failed")
 			}
@@ -578,6 +612,222 @@ func TestJoinColumnEmitMatchesRowLayout(t *testing.T) {
 			(jt != gsql.JoinInner) != (padded > 0) || words.rowEmits+words.colEmits < 80 {
 			t.Fatalf("%s: %d Int rows, %d column and %d row emits, %d padded rows",
 				name, ints, words.colEmits, words.rowEmits, padded)
+		}
+	}
+}
+
+// wideComb resolves the columns of a wide join's output over left ++
+// right.
+var wideComb = res("tb", "k", "v", "w", "tb2", "k2", "v2", "w2")
+
+// wideJoinTestConfig joins (tb, k, v, w) rows on (k, tb) — on the right
+// (k, tb+1) in the cross shape — keeping the pairs with v <= v2 and
+// projecting (tb, k, v, v2): w is read by no key and no output on
+// either side, v by the output on both.
+func wideJoinTestConfig(t *testing.T, jt gsql.JoinType, cross bool, out Consumer) JoinConfig {
+	side := res("tb", "k", "v", "w")
+	cfg := JoinConfig{Type: jt, Out: out}
+	for i, sc := range []*JoinSideConfig{&cfg.Left, &cfg.Right} {
+		tb, shift := "tb", uint64(0)
+		if cross && i == 1 {
+			tb, shift = "tb + 1", 1
+		}
+		sc.Width, sc.TemporalIdx = 4, 1
+		sc.MinFutureKey = func(wm uint64) sqlval.Value { return u(wm/60 + shift) }
+		for _, src := range []string{"k", tb} {
+			ce := mustCompileCol(t, src, side, nil)
+			sc.Keys, sc.ColKeys = append(sc.Keys, ce.Row), append(sc.ColKeys, ce)
+		}
+	}
+	return withCols(t, cfg, wideComb, "v <= v2", "tb", "k", "v", "v2")
+}
+
+// TestJoinUnusedColumnKeepsWords: a NULL, and separately an Int row, in
+// a column that no key and no output reads leaves a join in the word
+// layout, matching the naive reference; the same value in a kept column
+// migrates it, matching too. Inputs arrive as column batches and as rows.
+func TestJoinUnusedColumnKeepsWords(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		odd  sqlval.Value
+		col  int // 3 is w, unused; 2 is v, kept
+		want string
+	}{
+		{"NULL in w", sqlval.Null, 3, "words"},
+		{"Int in w", sqlval.Int(-3), 3, "words"},
+		{"NULL in v", sqlval.Null, 2, "rows"},
+		{"Int in v", sqlval.Int(-3), 2, "rows"},
+	} {
+		for _, jt := range []gsql.JoinType{gsql.JoinInner, gsql.JoinFullOuter} {
+			for _, cols := range []bool{true, false} {
+				name := fmt.Sprintf("%s/%v/columns=%v", c.name, jt, cols)
+				sink := &Collector{}
+				j := NewJoin(wideJoinTestConfig(t, jt, false, sink))
+				ref := &naiveJoin{cfg: wideJoinTestConfig(t, jt, false, Discard{})}
+				rng := rand.New(rand.NewSource(7))
+				var cb ColBatch
+				for step := 0; step < 40; step++ {
+					tb := uint64(step / 10)
+					for _, left := range []bool{true, false} {
+						chunk := make(Batch, 1+rng.Intn(8))
+						for i := range chunk {
+							chunk[i] = Tuple{u(tb), u(uint64(rng.Intn(4))), u(uint64(rng.Intn(20))), u(uint64(rng.Intn(9)))}
+						}
+						if step >= 20 {
+							chunk[rng.Intn(len(chunk))][c.col] = c.odd
+						}
+						for _, tp := range chunk {
+							ref.push(tp, left)
+						}
+						port := j.RightIn().(*joinPort)
+						if left {
+							port = j.LeftIn().(*joinPort)
+						}
+						if !cols {
+							PushAll(port, chunk)
+							continue
+						}
+						if !cb.SetFromRows(chunk) {
+							t.Fatalf("%s: SetFromRows failed", name)
+						}
+						port.PushCols(&cb)
+					}
+					if step%10 == 9 {
+						wm := (tb + 1) * 60
+						ref.advance(wm)
+						j.LeftIn().Advance(wm)
+						j.RightIn().Advance(wm)
+						diffBatches(t, fmt.Sprintf("%s step %d", name, step), ref.out, sink.Rows)
+					}
+				}
+				if got := joinLayout(j); got != c.want {
+					t.Fatalf("%s: state is in %s, want %s", name, got, c.want)
+				}
+				ref.flush()
+				j.LeftIn().Flush()
+				j.RightIn().Flush()
+				diffBatches(t, name+" flush", ref.out, sink.Rows)
+				if len(sink.Rows) == 0 {
+					t.Fatalf("%s: the stream joined nothing", name)
+				}
+			}
+		}
+	}
+}
+
+// jitterJoinConfig is Section 6.2's jitter_pairs as the cluster compiles
+// it over packet rows: keys time/60 and the flow's 4-tuple, S1.seq+1 =
+// S2.seq, projecting S1's time and 4-tuple and S2.time - S1.time.
+func jitterJoinConfig(t *testing.T, hint int, out Consumer) JoinConfig {
+	cols := []string{"time", "srcIP", "destIP", "srcPort", "destPort", "len", "flags", "seq"}
+	cfg := JoinConfig{Type: gsql.JoinInner, Out: out, SizeHint: hint}
+	for side, seq := range []string{"seq + 1", "seq"} {
+		sc := &cfg.Left
+		if side == 1 {
+			sc = &cfg.Right
+		}
+		sc.Width, sc.TemporalIdx = len(cols), 0
+		sc.MinFutureKey = func(wm uint64) sqlval.Value { return u(wm / 60) }
+		for _, src := range []string{"time/60", "srcIP", "destIP", "srcPort", "destPort", seq} {
+			ce := mustCompileCol(t, src, res(cols...), nil)
+			sc.Keys, sc.ColKeys = append(sc.Keys, ce.Row), append(sc.ColKeys, ce)
+		}
+	}
+	var both []string
+	for _, prefix := range []string{"l_", "r_"} {
+		for _, c := range cols {
+			both = append(both, prefix+c)
+		}
+	}
+	return withCols(t, cfg, res(both...), "", "l_time", "l_srcIP", "l_destIP", "l_srcPort", "l_destPort", "r_time - l_time")
+}
+
+// TestJitterJoinStoresKeptColumns: the Section 6.2 self-join's word
+// panes hold 5 words an entry on the left (S1's time and 4-tuple) and 1
+// on the right (S2.time), cold and warm (sized by the cold run's
+// PaneHighWater), and give the row layout's output either way.
+func TestJitterJoinStoresKeptColumns(t *testing.T) {
+	var packets Batch
+	seq := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(3))
+	for tm := uint64(0); tm < 600; tm++ {
+		for k := 0; k < 8; k++ {
+			flow := uint64(rng.Intn(40))
+			seq[flow] += uint64(1 + rng.Intn(2)) // a gap breaks a pair now and then
+			packets = append(packets, Tuple{u(tm), u(flow), u(flow * 7), u(80), u(1024 + flow), u(60), u(16), u(seq[flow])})
+		}
+	}
+	run := func(cfg JoinConfig, check func(j *Join)) *Join {
+		j := NewJoin(cfg)
+		var cb ColBatch
+		for lo := 0; lo < len(packets); lo += 256 {
+			if !cb.SetFromRows(packets[lo:min(lo+256, len(packets))]) {
+				t.Fatal("SetFromRows failed")
+			}
+			j.LeftIn().(*joinPort).PushCols(&cb)
+			j.RightIn().(*joinPort).PushCols(&cb)
+			if check != nil {
+				check(j)
+			}
+			wm, _ := packets[min(lo+256, len(packets))-1][0].AsUint()
+			j.LeftIn().Advance(wm)
+			j.RightIn().Advance(wm)
+		}
+		j.LeftIn().Flush()
+		j.RightIn().Flush()
+		return j
+	}
+	var want Collector
+	run(rowLayout(jitterJoinConfig(t, 0, &want)), nil)
+	if len(want.Rows) == 0 {
+		t.Fatal("the trace makes no pairs")
+	}
+	hint := 0
+	for _, warm := range []bool{false, true} {
+		var got Collector
+		j := run(jitterJoinConfig(t, hint, &got), func(j *Join) {
+			if !slices.Equal(j.left.keep, []int{0, 1, 2, 3, 4}) || !slices.Equal(j.right.keep, []int{0}) {
+				t.Fatalf("warm %v: kept columns %v + %v, want [0 1 2 3 4] + [0]", warm, j.left.keep, j.right.keep)
+			}
+			for _, s := range []*joinSide{&j.left, &j.right} {
+				for _, p := range s.panes {
+					if len(p.rows) != len(p.links)*len(s.keep) {
+						t.Fatalf("warm %v: a pane of %d entries holds %d row words, want %d a row", warm, len(p.links), len(p.rows), len(s.keep))
+					}
+				}
+			}
+		})
+		if got := joinLayout(j); got != "words" {
+			t.Fatalf("warm %v: state is in %s, want words", warm, got)
+		}
+		diffBatches(t, fmt.Sprintf("warm %v", warm), want.Rows, got.Rows)
+		hint = j.PaneHighWater()
+	}
+}
+
+// TestHashRowsMatchesHashWords: the batch hash of every row equals the
+// word-slice hash of its key words, which reinsertion relies on.
+func TestHashRowsMatchesHashWords(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for nk := 1; nk <= 4; nk++ {
+		kvs := make([][]uint64, nk)
+		for k := range kvs {
+			kvs[k] = make([]uint64, 300)
+			for i := range kvs[k] {
+				kvs[k][i] = rng.Uint64() >> uint(rng.Intn(64))
+			}
+		}
+		for _, lo := range []int{0, 17} {
+			hs := hashRows(make([]uint64, 300-lo), kvs, lo)
+			words := make([]uint64, nk)
+			for i, h := range hs {
+				for k := range kvs {
+					words[k] = kvs[k][lo+i]
+				}
+				if want := hashWords(words); h != want {
+					t.Fatalf("%d keys, row %d: hashRows %x, hashWords %x", nk, lo+i, h, want)
+				}
+			}
 		}
 	}
 }

@@ -303,10 +303,11 @@ type Aggregate struct {
 	// store takes column batches (colSupported), colNoInt the columns
 	// whose Int rows send a batch to the row store instead; the rest is
 	// per-batch kernel vector scratch, an Int bitmap per argument beside
-	// its words.
+	// its words, and the rows' key hashes.
 	colReady   int8 // 0 unknown, 1 dense, -1 row store only
 	colNoInt   uint64
 	colKeyVecs [][]uint64
+	colHashes  [256]uint64
 	colArgVecs [][]uint64
 	colArgInts [][]uint64
 	// emitCols is the ColEmit scratch (see AggregateConfig): the pivot of
@@ -639,7 +640,7 @@ type JoinSideConfig struct {
 	// and Keys evaluate per tuple. Optional.
 	ColKeys []ColExpr
 	// Width is the side's column count: the NULL padding of outer joins
-	// and the row stride of the word layout.
+	// and the width every input batch of the word layout must have.
 	Width int
 	// MinFutureKey gives, for a base-time watermark, the smallest
 	// temporal key value any *future* tuple of this side can produce;
@@ -663,7 +664,8 @@ type JoinConfig struct {
 	// Projs (ColProjs index-aligned with Projs). When set and their
 	// kernels apply, a word-layout join filters and projects each input
 	// batch's matches as columns (colops.go); otherwise, and in the row
-	// layout, the row closures above produce rows. Optional.
+	// layout, the row closures above produce rows. Either way their read
+	// sets name the only columns a word-layout pane stores. Optional.
 	ColResidual *ColExpr
 	ColProjs    []ColExpr
 	Out         Consumer
@@ -697,11 +699,12 @@ type wordLink struct {
 // joinPane is one side's state for one temporal-key value, in one of
 // two layouts over the same insertion-ordered, index-chained entries.
 // Row layout: a map from encoded key to chain head over a slab of
-// joinEntry. Word layout, for all-uint input (Join.words): entry i is
-// Width row words at rows[i*Width], one word per key at keys[i*nk] and
-// links[i], behind a wordTable (colops.go) filing each key's chain head
-// — no pointer anywhere, so the collector never scans it. A join's
-// panes all share one layout. Expiry drops the pane whole.
+// joinEntry. Word layout, for uint input (Join.words): entry i is the
+// words of the side's kept columns (joinSide.keep) at rows[i*len(keep)],
+// one word per key at keys[i*nk] and links[i], behind a wordTable
+// (colops.go) filing each key's chain head — no pointer anywhere, so the
+// collector never scans it. A join's panes all share one layout. Expiry
+// drops the pane whole.
 type joinPane struct {
 	tkey sqlval.Value
 
@@ -728,10 +731,18 @@ func (p *joinPane) reset() {
 // joinSide is one input's panes in ascending tkey order — normally one
 // or two are live. last is the pane the previous lookup resolved; free
 // holds dropped panes, whose index and slabs the next epoch reuses.
+//
+// keep lists, ascending, the side's columns a word pane stores: those
+// the residual or a projection reads, every column when that is not
+// known (NewJoin). need is the read set (colBit) of the columns an input
+// batch must hold as plain uint words to stay in the word layout: the
+// kept ones and those the key kernels read.
 type joinSide struct {
 	panes []*joinPane
 	last  *joinPane
 	free  []*joinPane
+	keep  []int
+	need  uint64
 }
 
 func comparePane(p *joinPane, tkey sqlval.Value) int { return p.tkey.Compare(tkey) }
@@ -799,21 +810,25 @@ type Join struct {
 	outBuf  Batch
 	// padIdx collects a dropped pane's unmatched entries.
 	padIdx []int32
-	// Word-layout scratch (colops.go): the batch's key vectors, the
-	// column batch row input is pivoted into, and a padded entry's row
-	// as values.
+	// Word-layout scratch (colops.go): the batch's key vectors and row
+	// hashes, the column batch row input is pivoted into, and a padded
+	// or migrated entry's row as values.
 	colKeyVecs [][]uint64
+	hashes     []uint64
 	rowCols    ColBatch
 	wordRow    Tuple
 	// The word layout's output side (colops.go). gather holds the input
-	// batch's key-equal pairs, left ++ right words, one column each;
-	// gatherW are its columns at full capacity. out is Residual and Projs
-	// as a FilterProject, colEmit whether it has every kernel it runs.
-	// An outer join with a residual marks a pair's entries matched only
-	// after the residual's verdict (lateFlags) and finds them through
-	// pairs, index-aligned with gather's rows.
+	// batch's key-equal pairs, left ++ right, one column each; only the
+	// gathered columns, the two sides' kept ones, hold words, and the
+	// rest all read one zero column. gatherW are its columns at full
+	// capacity. out is Residual and Projs as a FilterProject, colEmit
+	// whether it has every kernel it runs. An outer join with a residual
+	// marks a pair's entries matched only after the residual's verdict
+	// (lateFlags) and finds them through pairs, index-aligned with
+	// gather's rows.
 	gather    ColBatch
 	gatherW   [][]uint64
+	gathered  []int
 	out       FilterProject
 	colEmit   bool
 	lateFlags bool
@@ -833,12 +848,16 @@ type pairRef struct {
 // NewJoin builds the operator.
 func NewJoin(cfg JoinConfig) *Join {
 	lw, rw := cfg.Left.Width, cfg.Right.Width
+	// The three value scratches share one slab: combBuf's capacity ends
+	// where nulls begins, so an append past it cannot reach them.
+	m := max(lw, rw)
+	vals := make(Tuple, lw+rw+2*m)
 	j := &Join{
 		cfg:     cfg,
 		words:   cfg.Left.colKeysReady() && cfg.Right.colKeysReady(),
-		combBuf: make(Tuple, 0, lw+rw),
-		nulls:   make(Tuple, max(lw, rw)),
-		wordRow: make(Tuple, max(lw, rw)),
+		combBuf: vals[: 0 : lw+rw],
+		nulls:   vals[lw+rw : lw+rw+m : lw+rw+m],
+		wordRow: vals[lw+rw+m:],
 		out: FilterProject{Filter: cfg.Residual, ColFilter: cfg.ColResidual,
 			Projs: cfg.Projs, ColProjs: cfg.ColProjs},
 		lateFlags: cfg.Residual != nil && cfg.Type != gsql.JoinInner,
@@ -849,10 +868,64 @@ func NewJoin(cfg JoinConfig) *Join {
 		for c := range j.gather.Cols {
 			j.gather.Cols[c].Kind = sqlval.KindUint
 		}
+		j.keepCols()
 	}
 	j.leftPort = joinPort{j: j, left: true}
 	j.rightPort = joinPort{j: j}
 	return j
+}
+
+// keepCols derives what each side of a word-layout join stores: the
+// columns the residual or any projection reads. Their read sets are
+// exact for every compiled expression, kernel or not, and the row
+// closures read what their column forms do. Every column is kept when
+// that cannot be relied on: projections that are not index-aligned
+// column forms, a residual without its column form, or more columns
+// than a read set tells apart (colBit). One slab holds both sides'
+// lists and gathered, the kept columns as gather columns.
+func (j *Join) keepCols() {
+	cfg := &j.cfg
+	lw, rw := cfg.Left.Width, cfg.Right.Width
+	reads := ^uint64(0)
+	if len(cfg.ColProjs) == len(cfg.Projs) && (cfg.Residual == nil || cfg.ColResidual != nil) && lw+rw <= 63 {
+		reads = 0
+		if cfg.ColResidual != nil {
+			reads = cfg.ColResidual.reads
+		}
+		for i := range cfg.ColProjs {
+			reads |= cfg.ColProjs[i].reads
+		}
+	}
+	slab := make([]int, 0, 2*(lw+rw))
+	for c := 0; c < lw+rw; c++ {
+		if reads&colBit(c) != 0 {
+			slab = append(slab, c)
+		}
+	}
+	n := len(slab)
+	j.gathered = slab[:n:n]
+	for _, c := range j.gathered {
+		if c >= lw {
+			c -= lw
+		}
+		slab = append(slab, c)
+	}
+	nl, _ := slices.BinarySearch(j.gathered, lw)
+	j.left.keep, j.right.keep = slab[n:n+nl:n+nl], slab[n+nl:]
+	j.left.need, j.right.need = needOf(j.left.keep, &cfg.Left), needOf(j.right.keep, &cfg.Right)
+}
+
+// needOf is a side's joinSide.need: its kept columns and the columns
+// its key kernels read.
+func needOf(keep []int, side *JoinSideConfig) uint64 {
+	var need uint64
+	for _, c := range keep {
+		need |= colBit(c)
+	}
+	for i := range side.ColKeys {
+		need |= side.ColKeys[i].reads
+	}
+	return need
 }
 
 // LeftIn returns the left input port.
@@ -1043,12 +1116,14 @@ func (j *Join) expire(s *joinSide, boundary *sqlval.Value, left bool) {
 // entries in key order, insertion order breaking ties. Key words
 // compare like their encodings: a uint encodes as a tag (2 up to
 // 1<<63-1, 4 above) and its big-endian bytes, nine bytes either way.
+// A word entry's row is full width again, NULL in every column the side
+// does not keep, which nothing downstream reads.
 func (j *Join) padUnmatched(p *joinPane, left bool) {
 	un := j.padIdx[:0]
 	if j.words {
-		w, nk := j.cfg.Right.Width, len(j.cfg.Right.Keys)
+		s, w, nk := &j.right, j.cfg.Right.Width, len(j.cfg.Right.Keys)
 		if left {
-			w, nk = j.cfg.Left.Width, len(j.cfg.Left.Keys)
+			s, w, nk = &j.left, j.cfg.Left.Width, len(j.cfg.Left.Keys)
 		}
 		for i := range p.links {
 			if !p.links[i].matched {
@@ -1058,8 +1133,10 @@ func (j *Join) padUnmatched(p *joinPane, left bool) {
 		slices.SortStableFunc(un, func(a, b int32) int {
 			return slices.Compare(p.keys[int(a)*nk:int(a+1)*nk], p.keys[int(b)*nk:int(b+1)*nk])
 		})
+		row := j.wordRow[:w]
+		clear(row)
 		for _, i := range un {
-			j.emit(j.pad(uintRow(j.wordRow[:w], p.rows[int(i)*w:]), left))
+			j.emit(j.pad(s.keptRow(row, p.rows, int(i)), left))
 		}
 	} else {
 		for i := range p.entries {
