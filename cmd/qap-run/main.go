@@ -114,7 +114,7 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.BoolVar(&f.noPartial, "nopartial", false, "disable partial aggregation (required for the Section 4.2.1 load bound to be tight)")
 	fs.StringVar(&f.traceFile, "trace", "", "CSV packet trace file to replay instead of generating one")
 	fs.StringVar(&f.dumpFile, "dump", "", "write the generated packet trace to this CSV file")
-	fs.IntVar(&f.workers, "workers", runtime.GOMAXPROCS(0), "simulator worker goroutines (1 = sequential engine; results are identical for any value)")
+	fs.IntVar(&f.workers, "workers", runtime.GOMAXPROCS(0), "simulator worker goroutines (1 = sequential engine: one executor, with the splitter on a goroutine of its own; results are identical for any value)")
 	fs.IntVar(&f.batch, "batch", 0, "operator batch size (0 = engine default, 1 = the scalar oracle, sequential simulator only; results are identical for any value)")
 	fs.StringVar(&f.metricsOut, "metrics-out", "", "write the machine-readable JSON run report to this file")
 	fs.BoolVar(&f.report, "report", false, "print the run report in Prometheus text format")

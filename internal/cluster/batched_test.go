@@ -113,8 +113,8 @@ func TestBatchedMatchesScalar(t *testing.T) {
 
 // TestBatchedSameBatchBitIdentical: with the batch size held fixed,
 // the worker count must not move a byte — the parallel engine's workers
-// run the very rounds the in-line executor runs, and the central replay
-// reconstructs its delivery schedule exactly.
+// run the very rounds the sequential engine's executor runs, and the
+// central replay reconstructs its delivery schedule exactly.
 func TestBatchedSameBatchBitIdentical(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}

@@ -161,9 +161,10 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 // and gathers its matches into a column batch it reuses, and jitter
 // behind it is dense, so what is left is the per-round feed, the panes
 // and the gather batch a warm run sizes once, and the rows of the few
-// batches holding an underflowing pair. 32.3 thousand objects while the
-// join emitted a row slab per 256 matches and jitter kept a groupState
-// per flow; 20.1 thousand now. The budget is that + 20 %.
+// batches holding an underflowing pair. 3 233 objects while every feed
+// message built its round list and one group list per round; 2 333 since
+// executed round lists go back to a stock the splitter ships from. The
+// budget is the larger + 15 %.
 //
 // Suspicious-flows aggregation on one host over a wide trace (one group
 // per ~1.5 packets; 240 000 packets, 165 thousand groups), bytes and
@@ -171,12 +172,13 @@ func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
 // columns, which reach the central super-aggregate as columns, so that
 // one is dense too: parent 664 B/packet and 165.4 thousand objects — one
 // key string per group — the change 137 to 180 B/packet, depending on
-// which batches the pool still holds, and 400 objects.
+// which batches the pool still holds. 416 objects before round lists
+// were recycled, 300 since; the object budget is the larger + 15 %.
 const (
 	allocBudgetParallelColumnarBytesPerPacket = 40
-	allocBudgetParallelSection62Objects       = 24000
+	allocBudgetParallelSection62Objects       = 3720
 	allocBudgetParallelWideBytesPerPacket     = 200
-	allocBudgetParallelWideObjects            = 2000
+	allocBudgetParallelWideObjects            = 479
 )
 
 func TestAllocsParallelColumnarReplay(t *testing.T) {

@@ -313,7 +313,7 @@ func TestMixedRunCrossesRowByRow(t *testing.T) {
 		}
 	}
 	r := &Runner{edges: []*edge{e}}
-	err := r.replayLinks(1, func(string) (live.LinkMsg, error) {
+	err := r.replayLinks(1, func(func() string) (live.LinkMsg, error) {
 		return live.LinkMsg{Through: 3, Done: true, Items: items}, nil
 	})
 	if err != nil {

@@ -24,7 +24,7 @@ type router struct {
 	hash []exec.ColExpr
 	outs []exec.Consumer
 	// islands[p] is the executor that runs partition p's scan: its leaf
-	// island, or 0 throughout in a sequential runner, whose one in-line
+	// island, or 0 throughout in a sequential runner, whose one
 	// executor runs every partition.
 	islands  []int
 	rr       int

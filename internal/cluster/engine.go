@@ -1,13 +1,16 @@
 package cluster
 
-// The parallel execution engine.
+// The parallel execution engine, and the feed that both simulator
+// engines' splitters ship rounds on (feedSink, splitAhead).
 //
-// The sequential engine drives the merged packet trace through the
-// whole operator graph on one goroutine in a canonical order: rounds of
-// distinct timestamps, each round advancing every stream's router
-// (cursor order x partition order) and then pushing the round's packets
-// in merged arrival order, with a final flush round over the routers in
-// sorted-name order.
+// The sequential engine (split.go, runInline) drives the merged packet
+// trace through the whole operator graph with one executor, in a
+// canonical order: rounds of distinct timestamps, each round advancing
+// every stream's router (cursor order x partition order) and then
+// pushing the round's packets in merged arrival order, with a final
+// flush round over the routers in sorted-name order. Its splitter runs
+// ahead of that executor on a goroutine of its own, on the feedSink
+// below with a single feed.
 //
 // The parallel engine reproduces exactly that event sequence while
 // running the per-host operator chains concurrently:
@@ -57,6 +60,7 @@ package cluster
 // results are byte-identical to sequential ones.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -197,46 +201,90 @@ type islandFeed struct {
 	live.FeedMsg
 }
 
-// feedSink is the parallel engine's round sink: every batchRounds
-// rounds it queues each island's pending rounds on the feed of the
-// worker that owns the island. The final message also carries the last
-// data round and the flush round.
+// feedSink is the round sink of both simulator engines: every cut
+// closed rounds it queues each island's pending rounds on the feed of
+// the executor that owns the island. The final message also carries
+// the last data round and the flush round. The sequential engine's one
+// executor is fed every round as it closes (cut 1), so no more than
+// feedChanCap+2 rounds of column batches are ever out at once; the
+// parallel engine's workers are fed batchRounds at a time. A shipped
+// round list comes back through colGrouper.retire once executed, and
+// ship replaces it from that stock.
 type feedSink struct {
 	r       *Runner
+	gr      *colGrouper
 	feeds   []chan islandFeed
+	cut     int
 	pending int
+	// quit, closed when the replay has failed, stops the splitter at
+	// its next send; nil (the sequential engine) never does.
+	quit <-chan struct{}
 }
+
+// errSplitQuit ends a splitter the replay stopped.
+var errSplitQuit = errors.New("cluster: splitter stopped: the run failed")
 
 //qap:hot
 func (s *feedSink) closed(pend [][]live.Round) error {
-	if s.pending++; s.pending >= s.r.batchRounds {
-		s.ship(pend, false)
+	if s.pending++; s.pending >= s.cut {
+		return s.ship(pend, false)
 	}
 	return nil
 }
 
-func (s *feedSink) finish(pend [][]live.Round) error {
-	s.ship(pend, true)
-	for _, feed := range s.feeds {
-		close(feed)
-	}
-	return nil
-}
+func (s *feedSink) finish(pend [][]live.Round) error { return s.ship(pend, true) }
 
+// ship queues every island's pending rounds. Stopped by quit, it takes
+// back the column batches of the rounds it has not queued, and fails.
+//
 //qap:hot
-func (s *feedSink) ship(pend [][]live.Round, last bool) {
+func (s *feedSink) ship(pend [][]live.Round, last bool) error {
 	for i := range pend {
-		s.feeds[i%len(s.feeds)] <- islandFeed{isl: i, FeedMsg: live.FeedMsg{Last: last, Rounds: pend[i]}}
-		pend[i] = nil // the worker owns the rounds now
+		select {
+		case s.feeds[i%len(s.feeds)] <- islandFeed{isl: i, FeedMsg: live.FeedMsg{Last: last, Rounds: pend[i]}}:
+		case <-s.quit:
+			for _, p := range pend[i:] {
+				s.gr.recycle(p)
+			}
+			return errSplitQuit
+		}
+		pend[i] = takeRounds() // the executor owns the shipped rounds now
 	}
 	s.pending = 0
 	// Driver-owned telemetry (one feed message per island); finalize
 	// reads it only after the driver has joined.
 	s.r.engBatches += int64(len(pend))
+	return nil
+}
+
+// splitAhead runs the splitter into s on a goroutine of its own — the
+// first stage of the pipeline — and closes s's feeds when it returns,
+// at the end of the trace or stopped by quit. join waits for it and
+// returns whether the trace held any packet, and its last timestamp.
+func (r *Runner) splitAhead(cursors []*streamCursor, s *feedSink) (join func() (bool, uint64)) {
+	var (
+		any     bool
+		maxTime uint64
+	)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		any, maxTime, _ = r.split(cursors, s.gr, s) // the one error is errSplitQuit
+		for _, feed := range s.feeds {
+			close(feed)
+		}
+	}()
+	return func() (bool, uint64) {
+		<-done
+		return any, maxTime
+	}
 }
 
 // runParallel executes the trace with the parallel engine. The caller
-// goroutine runs the central replay loop.
+// goroutine runs the central replay loop. A failed replay closes quit,
+// which stops the splitter and the workers at their next send; the run
+// joins them and takes back the pooled batches still in the pipeline
+// before it returns the error, so nothing is left blocked behind it.
 func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 	hosts := r.plan.Hosts
 	workers := r.workers
@@ -259,6 +307,7 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 		feeds[g] = make(chan islandFeed, feedChanCap)
 	}
 	inbox := make(chan live.LinkMsg, 2*hosts)
+	quit := make(chan struct{})
 
 	var gr colGrouper // filled by the driver, restocked by the workers
 
@@ -272,63 +321,92 @@ func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
 			for msg := range feed {
 				x := &xs[msg.isl]
 				last := x.execRounds(msg.Rounds)
-				gr.recycle(msg.Rounds)
+				gr.retire(msg.Rounds)
 				items := x.isl.outbox
 				x.isl.outbox = nil
 				if stall != nil {
-					<-stall
+					select {
+					case <-stall:
+					case <-quit:
+					}
 				}
-				inbox <- live.LinkMsg{Host: msg.isl, Through: last, Done: msg.Last, Items: items}
+				select {
+				case inbox <- live.LinkMsg{Host: msg.isl, Through: last, Done: msg.Last, Items: items}:
+				case <-quit:
+					live.ReleaseCols(items)
+					return
+				}
 			}
 		}(feeds[g])
 	}
 
 	// Driver: the splitter, feeding the islands their rounds in batches.
-	var (
-		driverWG sync.WaitGroup
-		dAny     bool
-		dMax     uint64
-	)
-	driverWG.Add(1)
-	go func() {
-		defer driverWG.Done()
-		dAny, dMax, _ = r.split(cursors, &gr, &feedSink{r: r, feeds: feeds})
-	}()
+	join := r.splitAhead(cursors, &feedSink{r: r, gr: &gr, feeds: feeds, cut: r.batchRounds, quit: quit})
 
 	// Central replay on the calling goroutine, with the optional drive
 	// timeout guarding each receive so a wedged worker surfaces as a
 	// positioned error instead of hanging the run.
-	var timer *time.Timer
-	recv := func(waiting string) (live.LinkMsg, error) {
+	guard := recvGuard{d: r.driveTimeout}
+	recv := func(waiting func() string) (live.LinkMsg, error) {
 		if r.driveTimeout <= 0 {
 			return <-inbox, nil
 		}
-		if timer == nil {
-			timer = time.NewTimer(r.driveTimeout) //qap:allow walltime -- stall guard only; a timeout poisons the run, never shapes its outputs
-		} else {
-			timer.Reset(r.driveTimeout)
-		}
 		select {
 		case b := <-inbox:
-			if !timer.Stop() {
-				<-timer.C
-			}
+			guard.disarm()
 			return b, nil
-		case <-timer.C:
+		case <-guard.arm():
 			return live.LinkMsg{}, fmt.Errorf("cluster: parallel drive stalled: no link batch within %s (%s)",
-				r.driveTimeout, waiting)
+				r.driveTimeout, waiting())
 		}
 	}
 	if err := r.replayLinks(hosts, recv); err != nil {
-		// The driver and workers are abandoned mid-stream; the run is
-		// poisoned and only the error survives.
+		// Once both have stopped, the feeds (which the driver closed)
+		// and the inbox hold the only batches still out.
+		close(quit)
+		join()
+		workerWG.Wait()
+		for _, feed := range feeds {
+			for msg := range feed {
+				gr.recycle(msg.Rounds)
+			}
+		}
+		close(inbox)
+		for m := range inbox {
+			live.ReleaseCols(m.Items)
+		}
+		gr.release()
 		return nil, err
 	}
 
-	driverWG.Wait()
+	any, maxTime := join()
 	workerWG.Wait()
 	gr.release()
-	return r.finalize(dAny, dMax), nil
+	return r.finalize(any, maxTime), nil
+}
+
+// recvGuard is a replay loop's drive timeout: one timer for the whole
+// run, armed for each blocking receive.
+type recvGuard struct {
+	d time.Duration
+	t *time.Timer
+}
+
+// arm starts the timeout of the next receive and returns its channel.
+func (g *recvGuard) arm() <-chan time.Time {
+	if g.t == nil {
+		g.t = time.NewTimer(g.d) //qap:allow walltime -- stall guard only; a timeout poisons the run, never shapes its outputs
+	} else {
+		g.t.Reset(g.d)
+	}
+	return g.t.C
+}
+
+// disarm stops the timeout after a receive that beat it.
+func (g *recvGuard) disarm() {
+	if !g.t.Stop() {
+		<-g.t.C
+	}
 }
 
 // buildTargets pre-resolves every executor's advance and flush target
@@ -365,12 +443,13 @@ func (r *Runner) buildTargets(cursors []*streamCursor) (advTargets, flushTargets
 // first). An island with an empty pending queue bounds its next item at
 // (through+1, 0) until its final message arrives. recv supplies the next
 // link message from whichever transport the engine uses (channel or
-// TCP); its argument describes which islands the merge is blocked on,
-// for positioned stall errors. The replay owns a received message's
-// pooled batches: each goes back once applied, or when the run aborts.
+// TCP); its argument renders which islands the merge is blocked on, for
+// positioned stall errors, and is called only to report one. The
+// replay owns a received message's pooled batches: each goes back once
+// applied, or when the run aborts.
 //
 //qap:hot
-func (r *Runner) replayLinks(hosts int, recv func(waiting string) (live.LinkMsg, error)) error {
+func (r *Runner) replayLinks(hosts int, recv func(waiting func() string) (live.LinkMsg, error)) error {
 	pending := make([][]live.Item, hosts) //qap:allow hotalloc -- replay setup, once per run
 	heads := make([]int, hosts)           //qap:allow hotalloc -- replay setup, once per run
 	through := make([]int, hosts)         //qap:allow hotalloc -- replay setup, once per run
@@ -378,6 +457,7 @@ func (r *Runner) replayLinks(hosts int, recv func(waiting string) (live.LinkMsg,
 	for i := range through {
 		through[i] = -1
 	}
+	waiting := func() string { return replayWaiting(through, done) } //qap:allow hotalloc -- replay setup, once per run
 	for {
 		best, bestIsItem := -1, false
 		var bestRound int
@@ -429,7 +509,7 @@ func (r *Runner) replayLinks(hosts int, recv func(waiting string) (live.LinkMsg,
 		}
 		// The merge is blocked on islands that have not shipped far
 		// enough; receive more batches.
-		m, err := recv(replayWaiting(through, done))
+		m, err := recv(waiting)
 		if err != nil {
 			for i := range pending {
 				live.ReleaseCols(pending[i][heads[i]:])

@@ -180,26 +180,26 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 		}
 	}()
 
-	recv := func(waiting string) (live.LinkMsg, error) {
-		timer := time.NewTimer(recvTimeout) //qap:allow walltime -- stall guard only; a timeout poisons the run, never shapes its outputs
-		defer timer.Stop()
+	guard := recvGuard{d: recvTimeout}
+	recv := func(waiting func() string) (live.LinkMsg, error) {
+		var err error
 		select {
 		case m := <-sp.Links():
+			guard.disarm()
 			if err := r.checkLink(m); err != nil {
 				live.ReleaseCols(m.Items)
 				return live.LinkMsg{}, err
 			}
 			return *m, nil
-		case err := <-sp.Errs():
-			return live.LinkMsg{}, err
-		case err := <-nodeErr:
-			return live.LinkMsg{}, err
-		case err := <-driveErr:
-			return live.LinkMsg{}, err
-		case <-timer.C:
+		case err = <-sp.Errs():
+		case err = <-nodeErr:
+		case err = <-driveErr:
+		case <-guard.arm():
 			return live.LinkMsg{}, fmt.Errorf("cluster: live drive stalled: no link message within %s (%s)",
-				recvTimeout, waiting)
+				recvTimeout, waiting())
 		}
+		guard.disarm()
+		return live.LinkMsg{}, err
 	}
 	if err := r.replayLinks(hosts, recv); err != nil {
 		closeAll()

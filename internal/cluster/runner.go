@@ -93,9 +93,11 @@ type RunConfig struct {
 	// Params binds #NAME# query parameters.
 	Params exec.Params
 	// Workers selects the simulator's production engine: <= 1 runs the
-	// sequential in-line engine; > 1 runs up to Workers per-host worker
-	// goroutines plus a splitter (driver) and a central replay goroutine.
-	// Results are byte-identical either way. The scalar oracle ignores it.
+	// sequential engine, one executor on the calling goroutine with the
+	// splitter running ahead of it on another; > 1 runs up to Workers
+	// per-host worker goroutines plus a splitter (driver) and a central
+	// replay goroutine. Results are byte-identical either way. The
+	// scalar oracle ignores it.
 	Workers int
 	// BatchSize selects the execution mode. 1 is the scalar oracle: one
 	// tuple at a time through the operators' Push ports, no column

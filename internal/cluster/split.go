@@ -13,12 +13,13 @@ package cluster
 // What happens to a closed round is the one thing that varies, and
 // sits behind roundSink, reached once per round and never per packet:
 //
-//	                        ┌ inlineSink  execute on the caller      (sequential)
-//	cursors → split → rounds┼ feedSink    queue on a worker's feed   (parallel, engine.go)
-//	                        └ liveSink    byte-cut, SendFeed         (live, live.go)
+//	                        ┌ feedSink  one feed, every round       (sequential: executed on the caller)
+//	cursors → split → rounds┼ feedSink  a feed per worker, batched  (parallel, engine.go)
+//	                        └ liveSink  byte-cut, SendFeed          (live, live.go)
 //
-// Every sink ends in the same executor body, islandExec.execRounds:
-// directly, on a worker goroutine, or behind a node's Execute.
+// The splitter runs on a goroutine of its own on every engine. Every
+// sink ends in the same executor body, islandExec.execRounds: on the
+// caller, on a worker goroutine, or behind a node's Execute.
 //
 // The scalar oracle (runSequential, which is what BatchSize 1 runs)
 // deliberately shares none of this: it is the reference the differential
@@ -169,9 +170,9 @@ func (r *Runner) emitDriverTail(trRound int, trPk int64, lastTime uint64) {
 // closeAllWindowsTo closes monitoring windows up to win on every
 // island. Only the oracle's driver uses it — everywhere else an
 // executor closes the windows of the islands it owns (execRounds: all
-// of them in line, one leaf per parallel worker or live node) and the
-// central replay closes the central island's, at the same canonical
-// points.
+// of them on the sequential engine, one leaf per parallel worker or
+// live node) and the central replay closes the central island's, at
+// the same canonical points.
 func (r *Runner) closeAllWindowsTo(win int) {
 	for _, isl := range r.islands {
 		isl.closeWindowsTo(win)
@@ -266,28 +267,12 @@ func openRound(p []live.Round, rd live.Round) []live.Round {
 	return append(p, rd)
 }
 
-// inlineSink is the sequential engine: every round executes on the
-// splitter's own goroutine the moment it closes — no channel, no
-// capture, one executor that owns the whole operator graph, so the
-// round's groups are delivered in global tag order.
-type inlineSink struct {
-	x  *islandExec
-	gr *colGrouper
-}
-
-//qap:hot
-func (s *inlineSink) closed(pend [][]live.Round) error { return s.finish(pend) }
-
-//qap:hot
-func (s *inlineSink) finish(pend [][]live.Round) error {
-	s.x.execRounds(pend[0])
-	s.gr.recycle(pend[0])
-	pend[0] = pend[0][:0]
-	return nil
-}
-
-// runInline drives the trace through the shared splitter on the
-// calling goroutine.
+// runInline is the sequential engine: one executor owns every island,
+// central included, and executes the rounds in order on the calling
+// goroutine, while the splitter runs ahead of it on a goroutine of its
+// own, feeding it every round as the round closes — the paper's
+// splitter in front of the hosts, never competing with their queries.
+// The one executor delivers each round's groups in global tag order.
 func (r *Runner) runInline(cursors []*streamCursor) (*Result, error) {
 	adv, flush := r.buildTargets(cursors)
 	x := &islandExec{
@@ -295,14 +280,20 @@ func (r *Runner) runInline(cursors []*streamCursor) (*Result, error) {
 		adv: adv[0], flush: flush[0], outs: scanEntries(cursors),
 	}
 	var gr colGrouper
-	any, maxTime, _ := r.split(cursors, &gr, &inlineSink{x: x, gr: &gr})
+	feed := make(chan islandFeed, feedChanCap)
+	join := r.splitAhead(cursors, &feedSink{r: r, gr: &gr, feeds: []chan islandFeed{feed}, cut: 1})
+	for msg := range feed {
+		x.execRounds(msg.Rounds)
+		gr.retire(msg.Rounds)
+	}
+	any, maxTime := join()
 	gr.release()
 	return r.finalize(any, maxTime), nil
 }
 
 // execIslands is the number of executors the splitter feeds: one per
-// leaf island, or a single in-line one when the runner is sequential
-// (compile then maps every partition to executor 0).
+// leaf island, or a single one when the runner is sequential (compile
+// then maps every partition to executor 0).
 func (r *Runner) execIslands() int {
 	if r.parallel {
 		return r.plan.Hosts
@@ -325,8 +316,8 @@ func scanEntries(cursors []*streamCursor) [][]exec.Consumer {
 // windows at its round boundaries — and stamps isl's capture
 // bookkeeping, which the island-crossing capture consumers read. A leaf
 // executor (a parallel worker's, a live node's) owns its own island;
-// the in-line executor owns them all, central included, and has no
-// captures to stamp for.
+// the sequential engine's one executor owns them all, central
+// included, and has no captures to stamp for.
 type islandExec struct {
 	r          *Runner
 	isl        *island
@@ -566,6 +557,48 @@ func (g *colGrouper) take(rows int) *exec.ColBatch {
 		cb.Reserve(netgen.TupleCols, rows+rows/4+8)
 	}
 	return cb
+}
+
+// retire takes back an executed feed message: its column batches into
+// the run's stock (recycle), the round list itself, group lists and
+// all, into roundStock for the next ship.
+//
+//qap:hot
+func (g *colGrouper) retire(rounds []live.Round) {
+	g.recycle(rounds)
+	roundStock.mu.Lock()
+	if len(roundStock.lists) < roundStockCap {
+		roundStock.lists = append(roundStock.lists, rounds[:0])
+	}
+	roundStock.mu.Unlock()
+}
+
+// roundStock holds executed round lists for feedSink.ship to fill
+// again, each round slot keeping the capacity of its group list, so a
+// feed builds no list per message: a Deployment replays on a new Runner
+// every run, so the stock is the package's, shared by every run, and
+// bounded. It holds no column batch — retire has taken those back.
+var roundStock struct {
+	mu    sync.Mutex
+	lists [][]live.Round
+}
+
+// roundStockCap bounds roundStock: more round lists than a few runs
+// have in flight at once.
+const roundStockCap = 64
+
+// takeRounds returns an empty round list, from roundStock if it has
+// one.
+func takeRounds() []live.Round {
+	roundStock.mu.Lock()
+	defer roundStock.mu.Unlock()
+	n := len(roundStock.lists)
+	if n == 0 {
+		return nil
+	}
+	p := roundStock.lists[n-1]
+	roundStock.lists = roundStock.lists[:n-1]
+	return p
 }
 
 // recycle takes the column batches of executed (or serialized) rounds

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestParallelDriveTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("wedged workers did not fail the run")
 	}
-	for _, want := range []string{"parallel drive stalled", "100ms"} {
+	for _, want := range []string{"parallel drive stalled", "100ms", "shipped through round"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q does not mention %q", err, want)
 		}
@@ -89,10 +90,71 @@ func TestLiveDriveTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("stalled nodes did not fail the run")
 	}
-	if !strings.Contains(err.Error(), "live drive stalled") {
-		t.Fatalf("error %q is not the positioned drive-stalled error", err)
+	for _, want := range []string{"live drive stalled", "shipped through round"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q is not the positioned drive-stalled error: no %q", err, want)
+		}
 	}
 	if fp.Hits() == 0 {
 		t.Fatal("stall fault never fired")
+	}
+}
+
+// settleGoroutines yields until no more than want goroutines are left,
+// for a bounded number of turns — no sleep, no clock — and returns the
+// count it saw last. A goroutine that a run has joined may still be on
+// its way out when the run returns; one that is blocked never leaves.
+func settleGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100000 && n > want; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestRunsLeaveNoGoroutine: every engine joins what it starts. After a
+// clean run of the sequential engine (whose splitter runs on a goroutine
+// of its own), of the parallel engine and of the in-process live engine,
+// and after a parallel run that fails on its drive timeout with every
+// worker wedged, the goroutine count is back at its value before the
+// run — the failed one included, before the wedge is released.
+func TestRunsLeaveNoGoroutine(t *testing.T) {
+	tr := smallTrace(t)
+	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
+	ps := core.MustParseSet("srcIP, destIP")
+	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
+	sim := func(workers int) RunConfig {
+		return RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: workers, BatchSize: 256}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"sequential", sim(1)},
+		{"parallel", sim(2)},
+		{"live", liveRunConfig(2, 256, LiveConfig{})},
+	} {
+		before := runtime.NumGoroutine()
+		if _, err := runEngineErr(t, flowsQuery, ps, o, streams, c.cfg); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := settleGoroutines(before); n > before {
+			t.Errorf("%s run: %d goroutines before, %d after", c.name, before, n)
+		}
+	}
+
+	stall := make(chan struct{})
+	testStallWorkers = stall
+	defer func() { testStallWorkers = nil }()
+	defer close(stall)
+	cfg := sim(2)
+	cfg.DriveTimeout = 100 * time.Millisecond
+	before := runtime.NumGoroutine()
+	if _, err := runEngineErr(t, flowsQuery, ps, o, streams, cfg); err == nil {
+		t.Fatal("wedged workers did not fail the run")
+	}
+	if n := settleGoroutines(before); n > before {
+		t.Errorf("failed parallel run: %d goroutines before, %d after", before, n)
 	}
 }

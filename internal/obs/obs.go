@@ -232,15 +232,16 @@ type SearchReport struct {
 // across worker counts.
 type Timing struct {
 	Workers     int    `json:"workers"`
-	Engine      string `json:"engine"` // "sequential" or "parallel"
+	Engine      string `json:"engine"` // "sequential", "parallel" or "live"
 	BatchRounds int    `json:"batch_rounds,omitempty"`
 	WallNanos   int64  `json:"wall_nanos"`
 	// Rounds is the number of watermark rounds the driver played
 	// (distinct timestamps plus the flush round).
 	Rounds int64 `json:"rounds,omitempty"`
-	// Batches and LinkItems count the parallel engine's transport
-	// traffic: feed messages shipped and island-crossing deliveries
-	// replayed. Zero under the sequential engine.
+	// Batches and LinkItems count the engine's transport traffic: feed
+	// messages shipped (one a round under the sequential engine) and
+	// island-crossing deliveries replayed (none under the sequential
+	// engine, which has no capture).
 	Batches   int64 `json:"batches,omitempty"`
 	LinkItems int64 `json:"link_items,omitempty"`
 	// SearchEnumerateNanos / SearchCostNanos are the search phases'

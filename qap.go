@@ -264,9 +264,10 @@ type DeployConfig struct {
 	// Params binds #NAME# query parameters.
 	Params map[string]Value
 	// Workers selects the simulator's execution engine: <= 1 runs the
-	// sequential engine; > 1 runs one worker goroutine per simulated
-	// host (capped at Hosts) plus a splitter and a central replay
-	// goroutine. Results are byte-identical either way.
+	// sequential engine, one executor on the calling goroutine fed round
+	// by round by a splitter goroutine; > 1 runs one worker goroutine per
+	// simulated host (capped at Hosts) plus a splitter and a central
+	// replay goroutine. Results are byte-identical either way.
 	Workers int
 	// BatchSize selects the execution mode: 1 is the scalar oracle, one
 	// tuple at a time on the sequential simulator whatever Workers says
