@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed and type-checked package of the module.
@@ -59,9 +60,11 @@ func modulePath(root string) (string, error) {
 }
 
 // Load parses and type-checks every non-test package under the module
-// root, in sorted directory order. The source importer resolves
-// imports relative to the working directory, so Load chdirs to the
-// module root for the duration of the call.
+// root, in sorted directory order. Each module package is checked once,
+// when first listed or imported, and its imports resolve to the packages
+// Load checked; the standard library comes from a cache every Load call
+// shares (std). Load neither reads nor changes the working directory, so
+// calls may run concurrently.
 func Load(root string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -71,27 +74,14 @@ func Load(root string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The go/build machinery behind the source importer resolves
-	// module imports from the working directory.
-	oldwd, err := os.Getwd()
-	if err != nil {
-		return nil, err
-	}
-	if err := os.Chdir(root); err != nil {
-		return nil, err
-	}
-	defer os.Chdir(oldwd)
-
 	dirs, err := packageDirs(root)
 	if err != nil {
 		return nil, err
 	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	l := &loader{root: root, modPath: modPath, fset: token.NewFileSet(), done: map[string]*Package{}}
 	var pkgs []*Package
 	for _, dir := range dirs {
-		pkg, err := loadDir(fset, imp, root, modPath, dir)
+		pkg, err := l.load(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -100,6 +90,64 @@ func Load(root string) ([]*Package, error) {
 		}
 	}
 	return pkgs, nil
+}
+
+// std is the standard library as the source importer type-checks it,
+// once per process: it is most of the cost of a Load. Its positions
+// live in its own file set, and its importer is not safe for concurrent
+// use, hence the lock.
+var std struct {
+	sync.Mutex
+	imp types.Importer
+}
+
+func importStd(path string) (*types.Package, error) {
+	std.Lock()
+	defer std.Unlock()
+	if std.imp == nil {
+		std.imp = importer.ForCompiler(token.NewFileSet(), "source", nil)
+	}
+	return std.imp.Import(path)
+}
+
+// loader is one Load call: its file set, and the module packages checked
+// so far by directory (nil while one is being checked, or for a
+// directory without one).
+type loader struct {
+	root, modPath string
+	fset          *token.FileSet
+	done          map[string]*Package
+}
+
+// Import implements types.Importer: a module package is loaded from its
+// directory, anything else is the standard library.
+func (l *loader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.modPath)
+	if !ok || (rel != "" && rel[0] != '/') {
+		return importStd(path)
+	}
+	pkg, err := l.load(filepath.Join(l.root, filepath.FromSlash(rel)))
+	if err != nil {
+		return nil, err
+	}
+	if pkg == nil {
+		return nil, fmt.Errorf("analyzers: no package %s, or an import cycle through it", path)
+	}
+	return pkg.Types, nil
+}
+
+// load checks the package in dir once.
+func (l *loader) load(dir string) (*Package, error) {
+	if pkg, seen := l.done[dir]; seen {
+		return pkg, nil
+	}
+	l.done[dir] = nil
+	pkg, err := loadDir(l.fset, l, l.root, l.modPath, dir)
+	if err != nil {
+		return nil, err
+	}
+	l.done[dir] = pkg
+	return pkg, nil
 }
 
 // packageDirs lists directories under root holding non-test Go files.

@@ -1100,27 +1100,29 @@ func (p *joinPort) PushCols(cb *ColBatch) {
 // pushWords is the word layout's build/probe over a whole batch. The
 // side's key kernels produce one vector per key and the batch's key
 // words hash in one column-major pass (hashRows); then each run of rows
-// with one temporal key, in turn, probes the opposite pane's slot table
+// with one temporal key, in turn, appends its stored columns' words to
+// its side of that key's pane column by column, and resolves each row,
+// in row order, to its key group with one probe of the pane's slot table
 // (word equality is key equality for uints, see Aggregate.PushCols),
-// appends its kept columns' words to its own pane's slabs column by
-// column, and files its rows in its own pane's table — no row tuple, no
-// key encoding, no map. Filing comes after the slabs, in row order, so
-// duplicate keys within the run still chain in arrival order. A
-// key-equal pair costs its kept words, copied into the next row of
-// gather: left ++ right, in arrival-row then chain order, which is the
-// row layout's output order; emitPairs turns the batch's pairs into
-// output. It reports false, having done nothing, for a batch the layout
-// cannot hold: one whose key or kept columns are not plain uint words
-// (joinSide.need), or of another width.
+// filing a new group's key words on a miss. The group gives the row the
+// opposite side's chain to match and its own to join, in arrival order
+// — no row tuple, no key encoding, no map. A key-equal pair costs its
+// kept words, copied into the next row of gather: left ++ right, in
+// arrival-row then chain order, which is the row layout's output order;
+// the stored entry's columns a key reads come from the row's key words.
+// emitPairs turns the batch's pairs into output. It reports false,
+// having done nothing, for a batch the layout cannot hold: one whose key
+// or kept columns are not plain uint words (joinSide.need), or of
+// another width.
 //
 //qap:hot
 func (j *Join) pushWords(cb *ColBatch, left bool) bool {
-	side, mine, other := &j.cfg.Left, &j.left, &j.right
+	side, mine, other, s := &j.cfg.Left, &j.left, &j.right, 0
 	// ac and sc are the gather columns the arriving and the stored row
 	// start at.
 	ac, sc := 0, j.cfg.Left.Width
 	if !left {
-		side, mine, other = &j.cfg.Right, &j.right, &j.left
+		side, mine, other, s = &j.cfg.Right, &j.right, &j.left, 1
 		ac, sc = sc, 0
 	}
 	// The width check is what keeps every column index in range: key
@@ -1137,78 +1139,65 @@ func (j *Join) pushWords(cb *ColBatch, left bool) bool {
 		j.growGather(cb.Len)
 	}
 	hs := hashRows(j.hashes[:cb.Len], kvs, 0)
-	nk, mw, ow := len(kvs), len(mine.keep), len(other.keep)
+	nk, mw, ow := len(kvs), len(mine.rowCols), len(other.rowCols)
 	tv := kvs[side.TemporalIdx]
 	n := 0
 	for lo, hi := 0, 0; lo < cb.Len; lo = hi {
 		for hi = lo + 1; hi < cb.Len && tv[hi] == tv[lo]; hi++ {
 		}
-		tkey := sqlval.Uint(tv[lo])
-		mp, op := mine.pane(tkey, true), other.pane(tkey, false)
-		if mp.tab.slots == nil {
-			mp.initWords(j.cfg.SizeHint, mw, nk)
+		p := j.pane(sqlval.Uint(tv[lo]))
+		if p.tab.slots == nil {
+			p.initWords(j.cfg.SizeHint, len(j.left.rowCols), len(j.right.rowCols), nk)
 		}
-		base := len(mp.links)
-		mp.links = slices.Grow(mp.links, hi-lo)[:base+hi-lo]
-		for i := lo; i < hi; i++ {
-			idx := int32(base + i - lo)
-			mp.links[idx] = wordLink{next: -1, tail: idx}
-		}
-		if op != nil {
-			for i := lo; i < hi; i++ {
-				oh, _ := op.tab.find(hs[i], op.keys, kvs, i)
-				if oh < 0 {
-					continue
-				}
-				idx := int32(base + i - lo)
-				for e := oh; e >= 0; e = op.links[e].next {
-					if n == len(j.hashes) {
-						j.growGather(n + 1)
-					}
-					for _, c := range mine.keep {
-						j.gatherW[ac+c][n] = cb.Cols[c].U64[i]
-					}
-					for k, w := range op.rows[int(e)*ow : int(e+1)*ow] {
-						j.gatherW[sc+other.keep[k]][n] = w
-					}
-					n++
-					if j.lateFlags {
-						j.pairs = append(j.pairs, pairRef{mp, op, idx, e})
-					} else {
-						mp.links[idx].matched, op.links[e].matched = true, true
-					}
-				}
-			}
-		}
-		kb, rb := len(mp.keys), len(mp.rows)
-		mp.keys = slices.Grow(mp.keys, (hi-lo)*nk)[:kb+(hi-lo)*nk]
-		for k, kv := range kvs {
-			dst := mp.keys[kb+k:]
-			for r, w := range kv[lo:hi] {
-				dst[r*nk] = w
-			}
-		}
-		mp.rows = slices.Grow(mp.rows, (hi-lo)*mw)[:rb+(hi-lo)*mw]
-		for k, c := range mine.keep {
-			dst := mp.rows[rb+k:]
+		own, opp := &p.side[s], &p.side[1-s]
+		base, rb := len(own.links), len(own.rows)
+		own.links = slices.Grow(own.links, hi-lo)[:base+hi-lo]
+		own.rows = slices.Grow(own.rows, (hi-lo)*mw)[:rb+(hi-lo)*mw]
+		for k, c := range mine.rowCols {
+			dst := own.rows[rb+k:]
 			for r, w := range cb.Cols[c].U64[lo:hi] {
 				dst[r*mw] = w
 			}
 		}
 		for i := lo; i < hi; i++ {
 			idx := int32(base + i - lo)
-			if head, at := mp.tab.find(hs[i], mp.keys, kvs, i); head >= 0 {
-				hl := &mp.links[head]
-				mp.links[hl.tail].next = idx
-				hl.tail = idx
-			} else {
-				mp.tab.insert(at, hs[i], idx)
+			g, at := p.tab.find(hs[i], p.keys, kvs, i)
+			if g < 0 {
+				g = p.group()
+				for _, kv := range kvs {
+					p.keys = append(p.keys, kv[i])
+				}
+				p.tab.insert(at, hs[i], g)
+			}
+			own.links[idx] = wordLink{next: -1, grp: g}
+			for e := p.groups[g].head[1-s]; e >= 0; e = opp.links[e].next {
+				if n == len(j.hashes) {
+					j.growGather(n + 1)
+				}
+				for _, c := range mine.keep {
+					j.gatherW[ac+c][n] = cb.Cols[c].U64[i]
+				}
+				for k, w := range opp.rows[int(e)*ow : int(e+1)*ow] {
+					j.gatherW[sc+other.rowCols[k]][n] = w
+				}
+				for _, kc := range other.keyCols {
+					j.gatherW[sc+kc.col][n] = kvs[kc.key][i]
+				}
+				n++
+				if j.lateFlags {
+					j.pairs = append(j.pairs, pairRef{p, idx, e})
+				} else {
+					own.links[idx].matched, opp.links[e].matched = true, true
+				}
+			}
+			if prev := p.chain(g, s, idx); prev >= 0 {
+				own.links[prev].next = idx
 			}
 		}
 	}
 	j.stored += cb.Len
 	if n > 0 {
-		j.emitPairs(n)
+		j.emitPairs(n, s)
 	}
 	return true
 }
@@ -1242,19 +1231,19 @@ func (j *Join) growGather(need int) {
 }
 
 // emitPairs turns gather's first n rows, the input batch's key-equal
-// pairs, into output. With every kernel present, Residual and Projs run
-// over them as a FilterProject — how Aggregate.emit runs HAVING and
-// Post — and the result goes downstream as columns: no row is made,
-// and a projected subtraction (S2.time - S1.time) marks the pairs where
-// it is an Int. Otherwise each pair's row is made from gather's words
-// for the row closures, NULL in the columns no side keeps, and emit
-// buffers the result for the caller to deliver exactly as the row
-// layout does. An outer join with a residual always takes this second
-// way: it needs the verdict per pair, to mark the pair's two entries
-// matched.
+// pairs, into output; s is the side the batch arrived on. With every
+// kernel present, Residual and Projs run over them as a FilterProject —
+// how Aggregate.emit runs HAVING and Post — and the result goes
+// downstream as columns: no row is made, and a projected subtraction
+// (S2.time - S1.time) marks the pairs where it is an Int. Otherwise each
+// pair's row is made from gather's words for the row closures, NULL in
+// the columns no side keeps, and emit buffers the result for the caller
+// to deliver exactly as the row layout does. An outer join with a
+// residual always takes this second way: it needs the verdict per pair,
+// to mark the pair's two entries matched.
 //
 //qap:hot
-func (j *Join) emitPairs(n int) {
+func (j *Join) emitPairs(n, s int) {
 	g := &j.gather
 	for c := range g.Cols {
 		g.Cols[c].U64 = j.gatherW[c][:n]
@@ -1278,8 +1267,8 @@ func (j *Join) emitPairs(n int) {
 			continue
 		}
 		if j.lateFlags {
-			p := &j.pairs[k]
-			p.mine.links[p.mi].matched, p.other.links[p.oi].matched = true, true
+			pr := &j.pairs[k]
+			pr.p.side[s].links[pr.mi].matched, pr.p.side[1-s].links[pr.oi].matched = true, true
 		}
 		j.emit(comb)
 	}
@@ -1287,13 +1276,17 @@ func (j *Join) emitPairs(n int) {
 }
 
 // keptRow fills the side's kept columns of row, a full-width row of the
-// side, with word entry e of rows; its other columns stay as they are.
+// side, with word entry e of rows and keys, its group's key words; its
+// other columns stay as they are.
 //
 //qap:hot
-func (s *joinSide) keptRow(row Tuple, rows []uint64, e int) Tuple {
-	w := rows[e*len(s.keep) : (e+1)*len(s.keep)]
-	for k, c := range s.keep {
+func (s *joinSide) keptRow(row Tuple, rows []uint64, e int, keys []uint64) Tuple {
+	w := rows[e*len(s.rowCols) : (e+1)*len(s.rowCols)]
+	for k, c := range s.rowCols {
 		row[c] = sqlval.Uint(w[k])
+	}
+	for _, kc := range s.keyCols {
+		row[kc.col] = sqlval.Uint(keys[kc.key])
 	}
 	return row
 }
@@ -1309,62 +1302,70 @@ func uintRow(dst Tuple, words []uint64) Tuple {
 }
 
 // initWords gives a fresh pane its slot table and, with a size hint,
-// slabs for that many entries, so a warm run pays neither doubling
-// chain. Keys are at most entries, which sizes the table.
+// its slabs: hint keys, and hint entries a side at lw and rw stored
+// words, so a warm run pays no doubling chain.
 //
 //qap:hot
-func (p *joinPane) initWords(hint, width, nk int) {
+func (p *joinPane) initWords(hint, lw, rw, nk int) {
 	p.tab.init(joinSlotsMin, hint)
 	if hint > 0 {
 		//qap:allow hotalloc -- once per concurrently live pane, then recycled
-		p.rows, p.keys, p.links = make([]uint64, 0, hint*width), make([]uint64, 0, hint*nk), make([]wordLink, 0, hint)
+		p.keys, p.groups = make([]uint64, 0, hint*nk), make([]joinGroup, 0, hint)
+		for s, w := range [2]int{lw, rw} {
+			//qap:allow hotalloc -- once per concurrently live pane, then recycled
+			p.side[s].rows, p.side[s].links = make([]uint64, 0, hint*w), make([]wordLink, 0, hint)
+		}
 	}
 }
 
 // migrate is the one-way switch to the row layout, taken before the
 // first input the word layout cannot hold (like Aggregate.denseMigrate):
-// every pane's entries rebuild index for index — full-width tuples from
-// the kept words, NULL in every other column, which nothing reads;
-// chains and matched flags from the links; one interned key encoding
-// per chain — so the row path continues as if it had stored them.
+// every pane keeps its groups and chains, each group gets its interned
+// key encoding, and both sides' entries rebuild index for index —
+// full-width tuples from the kept words, NULL in every other column,
+// which nothing reads; matched flags from the links — so the row path
+// continues as if it had stored them. Every word slab and table goes,
+// recycled panes' included.
 //
 //qap:hot
 func (j *Join) migrate() {
 	j.words = false
-	j.migrateSide(&j.left, &j.cfg.Left)
-	j.migrateSide(&j.right, &j.cfg.Right)
+	nk := len(j.cfg.Left.Keys)
+	vals, kb := make(Tuple, nk), []byte(nil) //qap:allow hotalloc -- the one-off rebuild's key scratch
+	for _, p := range j.panes {
+		//qap:allow hotalloc -- the one-off rebuild: the pane's index and key encodings
+		p.heads, p.names = make(map[string]int32, len(p.groups)), make([]string, len(p.groups))
+		for g := range p.groups {
+			kb = AppendKey(kb[:0], uintRow(vals, p.keys[g*nk:]))
+			p.names[g] = string(kb)
+			p.heads[p.names[g]] = int32(g)
+		}
+		for s, sd := range [2]*joinSide{&j.left, &j.right} {
+			w := j.cfg.Left.Width
+			if s == 1 {
+				w = j.cfg.Right.Width
+			}
+			ps := &p.side[s]
+			n := len(ps.links)
+			//qap:allow hotalloc -- the one-off rebuild: the side's tuples and entry slab
+			backing, entries := make([]sqlval.Value, n*w), make([]joinEntry, n)
+			for e, l := range ps.links {
+				row := sd.keptRow(backing[e*w:(e+1)*w:(e+1)*w], ps.rows, e, p.keys[int(l.grp)*nk:])
+				entries[e] = joinEntry{tuple: row, next: l.next, grp: l.grp, matched: l.matched}
+			}
+			ps.entries = entries
+		}
+		p.dropWords()
+	}
+	for _, p := range j.free {
+		p.dropWords()
+	}
 }
 
-// migrateSide rebuilds one side's panes and drops every word slab and
-// table of the side, recycled panes' included.
-//
-//qap:hot
-func (j *Join) migrateSide(s *joinSide, side *JoinSideConfig) {
-	w, nk := side.Width, len(side.Keys)
-	vals, kb := make(Tuple, nk), []byte(nil) //qap:allow hotalloc -- the one-off rebuild's key scratch
-	for _, p := range s.panes {
-		n := len(p.links)
-		//qap:allow hotalloc -- the one-off rebuild: the pane's tuples, entry slab and index
-		backing, entries, heads := make([]sqlval.Value, n*w), make([]joinEntry, n), make(map[string]int32, p.tab.n)
-		for e, l := range p.links {
-			row := s.keptRow(backing[e*w:(e+1)*w:(e+1)*w], p.rows, e)
-			entries[e] = joinEntry{tuple: row, next: l.next, tail: l.tail, matched: l.matched}
-		}
-		for _, sl := range p.tab.slots {
-			if sl.gen != p.tab.gen {
-				continue
-			}
-			kb = AppendKey(kb[:0], uintRow(vals, p.keys[int(sl.ref)*nk:]))
-			key := string(kb)
-			heads[key] = sl.ref
-			for e := sl.ref; e >= 0; e = p.links[e].next {
-				entries[e].key = key
-			}
-		}
-		p.entries, p.heads = entries, heads
-		p.rows, p.keys, p.links, p.tab = nil, nil, nil, wordTable{}
-	}
-	for _, p := range s.free {
-		p.rows, p.keys, p.links, p.tab = nil, nil, nil, wordTable{}
+// dropWords releases the pane's word slabs and table.
+func (p *joinPane) dropWords() {
+	p.keys, p.tab = nil, wordTable{}
+	for s := range p.side {
+		p.side[s].rows, p.side[s].links = nil, nil
 	}
 }

@@ -267,6 +267,9 @@ func FuzzJoinWords(f *testing.F) {
 		rng.Read(data)
 		f.Add(uint8(i), uint16(rng.Intn(1<<10)), data)
 	}
+	for jt := uint8(0); jt < 4; jt++ {
+		f.Add(jt|4|8, uint16(sidesApartProjs), sidesApartStream) // the residual, the cross shape
+	}
 	projs := []string{"tb", "k", "v", "w", "tb2", "k2", "v2", "w2", "v + v2", "w2 - w"}
 	types := []gsql.JoinType{gsql.JoinInner, gsql.JoinLeftOuter, gsql.JoinRightOuter, gsql.JoinFullOuter}
 	f.Fuzz(func(t *testing.T, shape uint8, proj uint16, data []byte) {

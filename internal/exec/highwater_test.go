@@ -76,9 +76,10 @@ func TestColRowInterleave(t *testing.T) {
 	diffBatches(t, "interleaved push", outRef.Rows, outMix.Rows)
 }
 
-// TestJoinPaneHighWater: the high water is the most entries one pane
-// held when it was dropped, and a join built with it as its size hint
-// stores that many rows a pane without growing a slab or the table.
+// TestJoinPaneHighWater: the high water is the most entries one side
+// of a pane held when it expired, and a join built with it as its size
+// hint stores that many rows a side of a pane, under as many keys,
+// without growing a slab or the table.
 func TestJoinPaneHighWater(t *testing.T) {
 	cfg := joinTestConfig(t, gsql.JoinInner, false, Discard{})
 	j := NewJoin(cfg)
@@ -96,13 +97,19 @@ func TestJoinPaneHighWater(t *testing.T) {
 	cfg.SizeHint = 1000
 	warm := NewJoin(cfg)
 	PushAll(warm.LeftIn(), joinEpochBatch(0, 1, u(7)))
-	p := warm.left.panes[0]
-	rows, keys, links, slots := cap(p.rows), cap(p.keys), cap(p.links), len(p.tab.slots)
-	if rows < 1000*3 || keys < 1000*2 || links < 1000 || slots*3 < 1000*4 {
-		t.Fatalf("hinted pane holds %d row words, %d key words, %d links, %d slots; want room for 1000 entries", rows, keys, links, slots)
+	p := warm.panes[0]
+	stride := len(warm.left.rowCols)
+	type caps struct{ rows, links, keys, groups, slots int }
+	capsOf := func() caps {
+		s := &p.side[0]
+		return caps{cap(s.rows), cap(s.links), cap(p.keys), cap(p.groups), len(p.tab.slots)}
+	}
+	c := capsOf()
+	if c.rows < 1000*stride || c.links < 1000 || c.keys < 1000*2 || c.groups < 1000 || c.slots*3 < 1000*4 {
+		t.Fatalf("hinted pane holds %+v; want room for 1000 entries of %d words under 1000 keys", c, stride)
 	}
 	PushAll(warm.LeftIn(), joinEpochBatch(0, 1000, u(7))[1:])
-	if cap(p.rows) != rows || cap(p.keys) != keys || cap(p.links) != links || len(p.tab.slots) != slots {
+	if capsOf() != c {
 		t.Fatal("a hinted pane grew while filling to the hint")
 	}
 }

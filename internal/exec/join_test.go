@@ -93,9 +93,9 @@ func rowLayout(cfg JoinConfig) JoinConfig {
 // flag agrees, else what disagrees.
 func joinLayout(j *Join) string {
 	rows, words := 0, 0
-	for _, s := range []*joinSide{&j.left, &j.right} {
-		for _, p := range s.panes {
-			rows, words = rows+len(p.entries), words+len(p.links)
+	for _, p := range j.panes {
+		for _, s := range p.side {
+			rows, words = rows+len(s.entries), words+len(s.links)
 		}
 	}
 	switch {
@@ -742,10 +742,12 @@ func jitterJoinConfig(t *testing.T, hint int, out Consumer) JoinConfig {
 	return withCols(t, cfg, res(both...), "", "l_time", "l_srcIP", "l_destIP", "l_srcPort", "l_destPort", "r_time - l_time")
 }
 
-// TestJitterJoinStoresKeptColumns: the Section 6.2 self-join's word
-// panes hold 5 words an entry on the left (S1's time and 4-tuple) and 1
-// on the right (S2.time), cold and warm (sized by the cold run's
-// PaneHighWater), and give the row layout's output either way.
+// TestJitterJoinStoresKeptColumns: the Section 6.2 self-join keeps 5
+// columns on the left (S1's time and 4-tuple) and 1 on the right
+// (S2.time), and its word panes store 1 word an entry on each side: the
+// 4-tuple is a bare key reference, read back from the key words. That
+// holds cold and warm (sized by the cold run's PaneHighWater), and the
+// output is the row layout's either way.
 func TestJitterJoinStoresKeptColumns(t *testing.T) {
 	var packets Batch
 	seq := map[uint64]uint64{}
@@ -789,10 +791,13 @@ func TestJitterJoinStoresKeptColumns(t *testing.T) {
 			if !slices.Equal(j.left.keep, []int{0, 1, 2, 3, 4}) || !slices.Equal(j.right.keep, []int{0}) {
 				t.Fatalf("warm %v: kept columns %v + %v, want [0 1 2 3 4] + [0]", warm, j.left.keep, j.right.keep)
 			}
-			for _, s := range []*joinSide{&j.left, &j.right} {
-				for _, p := range s.panes {
-					if len(p.rows) != len(p.links)*len(s.keep) {
-						t.Fatalf("warm %v: a pane of %d entries holds %d row words, want %d a row", warm, len(p.links), len(p.rows), len(s.keep))
+			if !slices.Equal(j.left.rowCols, []int{0}) || !slices.Equal(j.right.rowCols, []int{0}) || len(j.left.keyCols) != 4 {
+				t.Fatalf("warm %v: stored columns %v + %v, %d read from keys; want [0] + [0], 4", warm, j.left.rowCols, j.right.rowCols, len(j.left.keyCols))
+			}
+			for _, p := range j.panes {
+				for _, s := range p.side {
+					if len(s.rows) != len(s.links) {
+						t.Fatalf("warm %v: a pane side of %d entries holds %d row words, want 1 a row", warm, len(s.links), len(s.rows))
 					}
 				}
 			}
@@ -829,5 +834,200 @@ func TestHashRowsMatchesHashWords(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sidesApartStream is TestJoinPaneSidesExpireApart's stream in
+// FuzzJoinWords' encoding, four bytes a step: an advance (op 0, +4 for
+// the next epoch; wm is epoch*60 + a), a left (op 1) or right (op 2) row
+// (tb is the epoch; k, v, w are a, b, c) for the side's pending batch,
+// or a delivery of one (op 3, +4 for the right side, +8 as columns).
+// Over wideJoinTestConfig's cross shape a right row of tb 1 and a left
+// row of tb 2 share the pane of temporal key 2, whose left side expires
+// at wm 120 and its right side at wm 180.
+var sidesApartStream = []byte{
+	4, 0, 0, 0, // wm 60, epoch 1
+	2, 0, 6, 1, 2, 1, 4, 2, 2, 3, 9, 3, 2, 2, 1, 4, // right rows R1
+	15, 0, 0, 0, // R1 as columns: pane 2's right side
+	2, 2, 8, 5, 2, 1, 1, 6, // right rows R2, held back
+	4, 0, 0, 0, // wm 120, epoch 2
+	1, 0, 5, 0, 1, 1, 10, 0, 1, 2, 3, 0, 1, 0, 7, 0, // left rows L1
+	3, 0, 0, 0, // L1 as rows: both sides of pane 2 hold rows
+	0, 10, 0, 0, // wm 130: pane 2's left side expires, L1 padded
+	1, 1, 2, 0, 1, 3, 9, 0, 1, 2, 8, 0, 1, 0, 19, 0, // late left rows L2
+	11, 0, 0, 0, // L2 as columns: they match R1
+	7, 0, 0, 0, // R2 as rows: they match L2, not L1
+	0, 20, 0, 0, // wm 140: L2 padded, R1 and R2 stay
+	4, 0, 0, 0, // wm 180, epoch 3: pane 2's right side expires
+}
+
+// sidesApartProjs are the projection bits FuzzJoinWords reads for
+// wideJoinTestConfig's projections (tb, k, v, v2).
+const sidesApartProjs = 1<<0 | 1<<1 | 1<<2 | 1<<6
+
+// TestJoinPaneSidesExpireApart: in the cross shape a pane's left side
+// expires an epoch before its right. Both sides of one temporal key hold
+// rows; an advance expires only the left side, padding it while the
+// right side stays; late left rows refill the side, match the right rows
+// stored and those pushed after them, and the next advance pads them;
+// then the right side expires and only then does the pane go to the
+// free list. Every join type, in both layouts and across a migrate
+// while the pane is half expired, against the naive reference.
+func TestJoinPaneSidesExpireApart(t *testing.T) {
+	types := []gsql.JoinType{gsql.JoinInner, gsql.JoinLeftOuter, gsql.JoinRightOuter, gsql.JoinFullOuter}
+	for _, jt := range types {
+		for _, layout := range []string{"words", "rows", "migrate"} {
+			t.Run(fmt.Sprintf("%v/%s", jt, layout), func(t *testing.T) {
+				sink := &Collector{}
+				cfg := wideJoinTestConfig(t, jt, true, sink)
+				if layout == "rows" {
+					cfg = rowLayout(cfg)
+				}
+				j := NewJoin(cfg)
+				ref := &naiveJoin{cfg: wideJoinTestConfig(t, jt, true, Discard{})}
+				var cb ColBatch
+				push := func(b Batch, left, cols bool) {
+					for _, tp := range b {
+						ref.push(tp, left)
+					}
+					port := j.RightIn().(*joinPort)
+					if left {
+						port = j.LeftIn().(*joinPort)
+					}
+					if !cols {
+						PushAll(port, b)
+						return
+					}
+					if !cb.SetFromRows(b) {
+						t.Fatal("SetFromRows failed")
+					}
+					port.PushCols(&cb)
+				}
+				check := func(when string) {
+					t.Helper()
+					diffBatches(t, when, ref.out, sink.Rows)
+					if want := len(ref.rows[0]) + len(ref.rows[1]); j.StoredTuples() != want {
+						t.Fatalf("%s: StoredTuples = %d, reference holds %d", when, j.StoredTuples(), want)
+					}
+				}
+				var pane *joinPane // temporal key 2's, once opened
+				var pending [2]Batch
+				epoch, advances := uint64(0), 0
+				for step := 0; step+4 <= len(sidesApartStream); step += 4 {
+					op, a, b, c := sidesApartStream[step], sidesApartStream[step+1], sidesApartStream[step+2], sidesApartStream[step+3]
+					switch op & 3 {
+					case 0:
+						epoch += uint64(op>>2) & 1
+						wm := epoch*60 + uint64(a)
+						ref.advance(wm)
+						j.LeftIn().Advance(wm)
+						j.RightIn().Advance(wm)
+						advances++
+						when := fmt.Sprintf("advance(%d)", wm)
+						check(when)
+						live := slices.Contains(j.panes, pane)
+						switch {
+						case advances == 3 || advances == 4: // wm 130 and 140
+							if !live || pane.side[0].size() != 0 || pane.side[1].size() == 0 || slices.Contains(j.free, pane) {
+								t.Fatalf("%s: pane 2 live %v, %d left and %d right entries; want live with only the right side", when, live, pane.side[0].size(), pane.side[1].size())
+							}
+						case advances == 5: // wm 180
+							if live || !slices.Contains(j.free, pane) {
+								t.Fatalf("%s: pane 2 live %v, recycled %v; want recycled", when, live, slices.Contains(j.free, pane))
+							}
+						}
+						if layout == "migrate" && advances == 3 {
+							// A NULL in v, which the right side keeps, cannot
+							// be held as words.
+							push(Batch{{u(1), u(1), sqlval.Null, u(0)}}, false, true)
+							if got := joinLayout(j); got != "rows" {
+								t.Fatalf("after the NULL row: state is in %s, want rows", got)
+							}
+							check("migrated")
+						}
+					case 1, 2:
+						s := int(op&3) - 1
+						pending[s] = append(pending[s], Tuple{u(epoch), u(uint64(a % 4)), u(uint64(b % 20)), u(uint64(c % 9))})
+					default:
+						s := int(op>>2) & 1
+						push(pending[s], s == 0, op&8 != 0)
+						pending[s] = nil
+					}
+					if pane == nil && len(j.panes) > 0 {
+						pane = j.panes[0]
+					}
+				}
+				ref.flush()
+				j.LeftIn().Flush()
+				j.RightIn().Flush()
+				check("flush")
+				want := map[string]string{"words": "words", "rows": "rows", "migrate": "rows"}[layout]
+				if got := joinLayout(j); got != want || len(j.panes) != 0 || len(sink.Rows) < 4 {
+					t.Fatalf("flush: state in %s with %d panes, %d rows out; want %s, none, 4 or more", got, len(j.panes), len(sink.Rows), want)
+				}
+			})
+		}
+	}
+}
+
+// TestJoinGatherStaysBounded: gather, sized by the join's longest batch
+// or chain of pairs, holds a 256-row batch's pairs of the Section 6.2
+// self-join, epoch after epoch, at gatherMin rows. One input whose row
+// matches a 4 000-entry chain doubles it to 4 096 rows, and later
+// short-chain batches leave it there.
+func TestJoinGatherStaysBounded(t *testing.T) {
+	j := NewJoin(jitterJoinConfig(t, 0, Discard{}))
+	var cb ColBatch
+	push := func(b Batch, left bool) {
+		t.Helper()
+		for lo := 0; lo < len(b); lo += 256 {
+			if !cb.SetFromRows(b[lo:min(lo+256, len(b))]) {
+				t.Fatal("SetFromRows failed")
+			}
+			port := j.RightIn().(*joinPort)
+			if left {
+				port = j.LeftIn().(*joinPort)
+			}
+			port.PushCols(&cb)
+		}
+	}
+	seq := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(9))
+	tm := uint64(0)
+	epochs := func(n int) {
+		t.Helper()
+		for end := tm + uint64(n)*60; tm < end; tm += 2 {
+			b := make(Batch, 256)
+			for i := range b {
+				flow := uint64(rng.Intn(64))
+				seq[flow]++
+				b[i] = Tuple{u(tm), u(flow), u(flow * 7), u(80), u(1024 + flow), u(60), u(16), u(seq[flow])}
+			}
+			push(b, true)
+			push(b, false)
+			j.LeftIn().Advance(tm)
+			j.RightIn().Advance(tm)
+			if len(j.hashes) != gatherMin && len(j.hashes) != 4096 {
+				t.Fatalf("time %d: gather holds %d rows", tm, len(j.hashes))
+			}
+		}
+	}
+	epochs(5)
+	if len(j.hashes) != gatherMin {
+		t.Fatalf("jitter batches grew gather to %d rows, want %d", len(j.hashes), gatherMin)
+	}
+	chain := make(Batch, 4000)
+	for i := range chain {
+		chain[i] = Tuple{u(tm), u(99), u(1), u(2), u(3), u(60), u(16), u(7)} // left key seq+1 = 8
+	}
+	push(chain, true)
+	before := len(j.hashes)
+	push(Batch{{u(tm), u(99), u(1), u(2), u(3), u(60), u(16), u(8)}}, false)
+	if before != gatherMin || len(j.hashes) != 4096 {
+		t.Fatalf("a 4 000-pair chain took gather from %d to %d rows, want %d to 4096", before, len(j.hashes), gatherMin)
+	}
+	epochs(5)
+	if len(j.hashes) != 4096 {
+		t.Fatalf("short chains after the long one left gather at %d rows, want 4096", len(j.hashes))
 	}
 }

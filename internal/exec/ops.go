@@ -669,117 +669,167 @@ type JoinConfig struct {
 	ColResidual *ColExpr
 	ColProjs    []ColExpr
 	Out         Consumer
-	// SizeHint pre-sizes a fresh word-layout pane to an expected entry
-	// count, typically a previous run's PaneHighWater (the cluster
-	// runner threads these across Deployment.Run calls, like
-	// AggregateConfig.SizeHint). Purely a warm-start: no output depends
-	// on it.
+	// SizeHint pre-sizes a fresh word-layout pane, typically to a
+	// previous run's PaneHighWater (the cluster runner threads these
+	// across Deployment.Run calls, like AggregateConfig.SizeHint): each
+	// side's slabs for that many entries, and the key slab, the groups
+	// and the slot table for that many keys. Purely a warm-start: no
+	// output depends on it.
 	SizeHint int
 }
 
-// joinEntry is one stored tuple of the row layout. Same-key entries of
-// a pane chain through next in insertion order; a chain's head also
-// holds the chain's tail, so an append never walks it.
+// joinEntry is one stored tuple of the row layout: the tuple, its key
+// group in the pane, and the next entry of the group's chain on its
+// side, -1 at the end of the chain.
 type joinEntry struct {
-	key     string
 	tuple   Tuple
-	next    int32 // next same-key entry, -1 at the end of the chain
-	tail    int32 // on a chain head: the chain's last entry
+	next    int32
+	grp     int32
 	matched bool
 }
 
-// wordLink is a word-layout entry's chain state: joinEntry without the
-// tuple and the key, which live in the pane's word slabs.
+// wordLink is a word-layout entry: joinEntry without the tuple, whose
+// words live in its side's rows slab and its group's key words.
 type wordLink struct {
 	next    int32
-	tail    int32
+	grp     int32
 	matched bool
 }
 
-// joinPane is one side's state for one temporal-key value, in one of
-// two layouts over the same insertion-ordered, index-chained entries.
-// Row layout: a map from encoded key to chain head over a slab of
-// joinEntry. Word layout, for uint input (Join.words): entry i is the
-// words of the side's kept columns (joinSide.keep) at rows[i*len(keep)],
-// one word per key at keys[i*nk] and links[i], behind a wordTable
-// (colops.go) filing each key's chain head — no pointer anywhere, so the
-// collector never scans it. A join's panes all share one layout. Expiry
-// drops the pane whole.
-type joinPane struct {
-	tkey sqlval.Value
-
-	heads   map[string]int32
-	entries []joinEntry
-
-	rows, keys []uint64
-	links      []wordLink
-	tab        wordTable
+// joinGroup is one key of a pane: per side (0 left, 1 right), the first
+// and the last entry of the key's chain, head -1 while the side holds
+// none. An append never walks a chain.
+type joinGroup struct {
+	head, tail [2]int32
 }
 
-func (p *joinPane) size() int { return len(p.entries) + len(p.links) }
+// paneSide is one side's entries of a pane, in arrival order: tuples in
+// the row layout; in the word layout, the words of the side's stored
+// columns (joinSide.rowCols) at rows[i*len(rowCols)] and links[i].
+type paneSide struct {
+	entries []joinEntry
+	rows    []uint64
+	links   []wordLink
+}
 
-// reset empties the pane for the free list, keeping the map, the slabs
-// and the table for the next epoch.
+func (s *paneSide) size() int { return len(s.entries) + len(s.links) }
+
+// joinPane is the join's state for one temporal-key value: both sides'
+// entries, filed under one index of key groups, so that an arriving row
+// resolves its key once and has the opposite chain to match and its own
+// chain to join. Row layout: a map from encoded key to group, and each
+// group's encoding in names. Word layout, for uint input (Join.words):
+// group g's key words at keys[g*nk:], behind a wordTable (colops.go) —
+// no pointer anywhere, so the collector never scans it. A join's panes
+// all share one layout.
+type joinPane struct {
+	tkey   sqlval.Value
+	groups []joinGroup
+	side   [2]paneSide
+
+	heads map[string]int32
+	names []string
+
+	keys []uint64
+	tab  wordTable
+}
+
+// group appends a key group, both chains empty.
+func (p *joinPane) group() int32 {
+	p.groups = append(p.groups, joinGroup{head: [2]int32{-1, -1}})
+	return int32(len(p.groups) - 1)
+}
+
+// chain appends entry e to side s's chain of group g and returns the
+// entry e follows, -1 when e heads the chain.
+func (p *joinPane) chain(g int32, s int, e int32) int32 {
+	gr := &p.groups[g]
+	prev := gr.tail[s]
+	if gr.head[s] < 0 {
+		gr.head[s], prev = e, -1
+	}
+	gr.tail[s] = e
+	return prev
+}
+
+// resetSide empties side s, keeping its slabs; the groups stay, with
+// the side's chains empty, for late rows of the side to refill.
+func (p *joinPane) resetSide(s int) {
+	ps := &p.side[s]
+	clear(ps.entries)
+	ps.entries, ps.rows, ps.links = ps.entries[:0], ps.rows[:0], ps.links[:0]
+	for g := range p.groups {
+		p.groups[g].head[s] = -1
+	}
+}
+
+// reset empties a pane whose sides are empty for the free list, keeping
+// the map, the slabs and the table for the next epoch.
 func (p *joinPane) reset() {
-	clear(p.entries)
-	p.entries = p.entries[:0]
+	p.groups = p.groups[:0]
 	clear(p.heads)
-	p.rows, p.keys, p.links = p.rows[:0], p.keys[:0], p.links[:0]
+	clear(p.names)
+	p.names, p.keys = p.names[:0], p.keys[:0]
 	p.tab.reset()
 }
 
-// joinSide is one input's panes in ascending tkey order — normally one
-// or two are live. last is the pane the previous lookup resolved; free
-// holds dropped panes, whose index and slabs the next epoch reuses.
-//
-// keep lists, ascending, the side's columns a word pane stores: those
-// the residual or a projection reads, every column when that is not
-// known (NewJoin). need is the read set (colBit) of the columns an input
-// batch must hold as plain uint words to stay in the word layout: the
-// kept ones and those the key kernels read.
+// joinSide is what a word-layout pane stores of one input. keep lists,
+// ascending, the columns the residual or a projection reads — every
+// column when that is not known (keepCols). A kept column that a key
+// kernel reads as a bare reference is read back from its group's key
+// words (keyCols), since word equality is key equality for uints; the
+// others are stored, rowCols words an entry. need is the read set
+// (colBit) of the columns an input batch must hold as plain uint words
+// to stay in the word layout: the kept ones and those the key kernels
+// read.
 type joinSide struct {
-	panes []*joinPane
-	last  *joinPane
-	free  []*joinPane
-	keep  []int
-	need  uint64
+	keep, rowCols []int
+	keyCols       []keyCol
+	need          uint64
 }
+
+// keyCol is a kept column served from key word key of its group.
+type keyCol struct{ col, key int }
 
 func comparePane(p *joinPane, tkey sqlval.Value) int { return p.tkey.Compare(tkey) }
 
-// pane returns the side's pane for tkey: the last one resolved, else by
-// binary search. When there is none it returns nil, or with open set
-// opens one, recycling a dropped pane if any.
+// pane returns the pane for tkey: the last one resolved, else by binary
+// search, else a new one, recycling a dropped pane if any.
 //
 //qap:hot
-func (s *joinSide) pane(tkey sqlval.Value, open bool) *joinPane {
-	if p := s.last; p != nil && p.tkey.Compare(tkey) == 0 {
+func (j *Join) pane(tkey sqlval.Value) *joinPane {
+	if p := j.last; p != nil && p.tkey.Compare(tkey) == 0 {
 		return p
 	}
-	i, ok := slices.BinarySearchFunc(s.panes, tkey, comparePane)
+	i, ok := slices.BinarySearchFunc(j.panes, tkey, comparePane)
 	if !ok {
-		if !open {
-			return nil
-		}
 		var p *joinPane
-		if n := len(s.free); n > 0 {
-			p, s.free = s.free[n-1], s.free[:n-1]
+		if n := len(j.free); n > 0 {
+			p, j.free = j.free[n-1], j.free[:n-1]
 		} else {
 			p = &joinPane{} //qap:allow hotalloc -- once per concurrently live pane, then recycled
 		}
 		p.tkey = tkey
-		s.panes = slices.Insert(s.panes, i, p)
+		j.panes = slices.Insert(j.panes, i, p)
 	}
-	s.last = s.panes[i]
-	return s.last
+	j.last = j.panes[i]
+	return j.last
 }
 
-// Join is the symmetric hash join: each arriving tuple probes the
-// opposite side's pane for its temporal key and is then inserted into
-// its own side's pane. Watermarks drop the panes that can no longer
-// match, emitting outer-join padding for unmatched rows.
+// Join is the symmetric hash join. Its state is one pane per temporal-key
+// value, in ascending order — normally one or two are live: each
+// arriving tuple resolves its key group in its temporal key's pane,
+// matches the opposite side's chain there and joins its own.
+// Watermarks expire each side of the panes that side can no longer
+// match in, emitting outer-join padding for unmatched rows; a pane
+// neither side holds anything of is dropped. last is the pane the
+// previous lookup resolved; free holds dropped panes, whose index and
+// slabs the next epoch reuses.
 type Join struct {
 	cfg         JoinConfig
+	panes       []*joinPane
+	last        *joinPane
+	free        []*joinPane
 	left, right joinSide
 	stored      int
 	hiPane      int
@@ -808,7 +858,7 @@ type Join struct {
 	// delivers them.
 	outVals []sqlval.Value
 	outBuf  Batch
-	// padIdx collects a dropped pane's unmatched entries.
+	// padIdx collects an expiring side's unmatched entries.
 	padIdx []int32
 	// Word-layout scratch (colops.go): the batch's key vectors and row
 	// hashes, the column batch row input is pivoted into, and a padded
@@ -839,10 +889,11 @@ type Join struct {
 	colEmits, rowEmits int
 }
 
-// pairRef names the two entries of a gathered pair.
+// pairRef names a gathered pair: its pane, the arriving row's entry
+// and the stored entry it matched.
 type pairRef struct {
-	mine, other *joinPane
-	mi, oi      int32
+	p      *joinPane
+	mi, oi int32
 }
 
 // NewJoin builds the operator.
@@ -912,20 +963,25 @@ func (j *Join) keepCols() {
 	}
 	nl, _ := slices.BinarySearch(j.gathered, lw)
 	j.left.keep, j.right.keep = slab[n:n+nl:n+nl], slab[n+nl:]
-	j.left.need, j.right.need = needOf(j.left.keep, &cfg.Left), needOf(j.right.keep, &cfg.Right)
+	j.left.split(&cfg.Left)
+	j.right.split(&cfg.Right)
 }
 
-// needOf is a side's joinSide.need: its kept columns and the columns
-// its key kernels read.
-func needOf(keep []int, side *JoinSideConfig) uint64 {
-	var need uint64
-	for _, c := range keep {
-		need |= colBit(c)
-	}
+// split derives the side's rowCols, keyCols and need from its keep list
+// and its key kernels.
+func (s *joinSide) split(side *JoinSideConfig) {
 	for i := range side.ColKeys {
-		need |= side.ColKeys[i].reads
+		s.need |= side.ColKeys[i].reads
 	}
-	return need
+	for _, c := range s.keep {
+		s.need |= colBit(c)
+		k := slices.IndexFunc(side.ColKeys, func(key ColExpr) bool { return key.ref == c+1 })
+		if k < 0 {
+			s.rowCols = append(s.rowCols, c)
+		} else {
+			s.keyCols = append(s.keyCols, keyCol{col: c, key: k})
+		}
+	}
 }
 
 // LeftIn returns the left input port.
@@ -968,16 +1024,17 @@ func (j *Join) pushRows(b Batch, left bool) {
 }
 
 // pushRow is the row layout's build/probe: the side's keys evaluate
-// into reused scratch, both tables are probed with string(keyBuf) (no
-// copy), and the key string is materialized only when neither side's
-// pane already interns it. Joined rows are buffered in outBuf for the
-// caller to deliver.
+// into reused scratch, and one lookup of string(keyBuf) (no copy) in
+// the pane's map resolves the key group, the key string materialized
+// only for a new group. The tuple then matches the opposite chain and
+// joins its own. Joined rows are buffered in outBuf for the caller to
+// deliver.
 //
 //qap:hot
 func (j *Join) pushRow(t Tuple, left bool) {
-	side, mine, other := &j.cfg.Left, &j.left, &j.right
+	side, s := &j.cfg.Left, 0
 	if !left {
-		side, mine, other = &j.cfg.Right, &j.right, &j.left
+		side, s = &j.cfg.Right, 1
 	}
 	vals := j.valsBuf[:0]
 	for _, k := range side.Keys {
@@ -986,48 +1043,37 @@ func (j *Join) pushRow(t Tuple, left bool) {
 	j.valsBuf = vals
 	kb := AppendKey(j.keyBuf[:0], vals)
 	j.keyBuf = kb
-	tkey := vals[side.TemporalIdx]
-	mp := mine.pane(tkey, true)
-	if mp.heads == nil {
-		mp.heads = make(map[string]int32) //qap:allow hotalloc -- once per concurrently live pane, then recycled
+	p := j.pane(vals[side.TemporalIdx])
+	if p.heads == nil {
+		p.heads = make(map[string]int32) //qap:allow hotalloc -- once per concurrently live pane, then recycled
 	}
-	idx := int32(len(mp.entries))
-	e := joinEntry{tuple: t, next: -1, tail: idx}
-	head, chained := mp.heads[string(kb)]
-	if chained {
-		e.key = mp.entries[head].key
+	g, ok := p.heads[string(kb)]
+	if !ok {
+		g = p.group()
+		key := string(kb)
+		p.heads[key] = g
+		p.names = append(p.names, key)
 	}
-	if op := other.pane(tkey, false); op != nil {
-		if oh, ok := op.heads[string(kb)]; ok {
-			if !chained {
-				e.key = op.entries[oh].key
-			}
-			for i := oh; i >= 0; i = op.entries[i].next {
-				oe := &op.entries[i]
-				l, r := oe.tuple, t
-				if left {
-					l, r = t, oe.tuple
-				}
-				comb := j.concat(l, r)
-				if j.cfg.Residual != nil && !j.cfg.Residual(comb).AsBool() {
-					continue
-				}
-				e.matched, oe.matched = true, true
-				j.emit(comb)
-			}
+	mine, other := &p.side[s], &p.side[1-s]
+	e := joinEntry{tuple: t, next: -1, grp: g}
+	for i := p.groups[g].head[1-s]; i >= 0; i = other.entries[i].next {
+		oe := &other.entries[i]
+		l, r := oe.tuple, t
+		if left {
+			l, r = t, oe.tuple
 		}
-	}
-	if chained {
-		h := &mp.entries[head]
-		mp.entries[h.tail].next = idx
-		h.tail = idx
-	} else {
-		if e.key == "" {
-			e.key = string(kb)
+		comb := j.concat(l, r)
+		if j.cfg.Residual != nil && !j.cfg.Residual(comb).AsBool() {
+			continue
 		}
-		mp.heads[e.key] = idx
+		e.matched, oe.matched = true, true
+		j.emit(comb)
 	}
-	mp.entries = append(mp.entries, e)
+	idx := int32(len(mine.entries))
+	mine.entries = append(mine.entries, e)
+	if prev := p.chain(g, s, idx); prev >= 0 {
+		mine.entries[prev].next = idx
+	}
 	j.stored++
 }
 
@@ -1063,11 +1109,11 @@ func (j *Join) advance(wm uint64) {
 	// produce their key, and vice versa.
 	if f := j.cfg.Right.MinFutureKey; f != nil {
 		b := f(wm)
-		j.expire(&j.left, &b, true)
+		j.expire(0, &b)
 	}
 	if f := j.cfg.Left.MinFutureKey; f != nil {
 		b := f(wm)
-		j.expire(&j.right, &b, false)
+		j.expire(1, &b)
 	}
 	j.deliver()
 	j.cfg.Out.Advance(wm)
@@ -1079,76 +1125,92 @@ func (j *Join) portFlush() {
 		return
 	}
 	j.flushed = true
-	j.expire(&j.left, nil, true)
-	j.expire(&j.right, nil, false)
+	j.expire(0, nil)
+	j.expire(1, nil)
 	j.deliver()
 	j.cfg.Out.Flush()
 }
 
-// expire drops the side's panes below boundary (all when nil), oldest
-// first. Panes are tkey-ordered, so a watermark that expires nothing
-// costs one compare; a dropped pane's entries are walked only to pad
-// unmatched rows, and its index and slabs go to the free list.
+// expire retires side s (0 left, 1 right) of the panes below boundary
+// (all when nil), oldest first. Panes are tkey-ordered, so a watermark
+// that expires nothing costs one compare. A side's entries are walked
+// only to pad unmatched rows; then the side is emptied, for late rows
+// of it to refill and the next advance to pad, and a pane that neither
+// side holds an entry of goes, with its index and slabs, to the free
+// list. The high water is sampled here, where a side peaks.
 //
 //qap:hot
-func (j *Join) expire(s *joinSide, boundary *sqlval.Value, left bool) {
-	n := 0
-	for ; n < len(s.panes); n++ {
-		p := s.panes[n]
+func (j *Join) expire(s int, boundary *sqlval.Value) {
+	kept, i := 0, 0
+	for ; i < len(j.panes); i++ {
+		p := j.panes[i]
 		if boundary != nil && p.tkey.Compare(*boundary) >= 0 {
 			break
 		}
-		if j.padsSide(left) {
-			j.padUnmatched(p, left)
+		if n := p.side[s].size(); n > 0 {
+			if j.padsSide(s == 0) {
+				j.padUnmatched(p, s)
+			}
+			j.hiPane = max(j.hiPane, n, len(p.groups))
+			j.stored -= n
+			p.resetSide(s)
 		}
-		j.hiPane = max(j.hiPane, p.size())
-		j.stored -= p.size()
+		if p.side[1-s].size() > 0 {
+			j.panes[kept] = p
+			kept++
+			continue
+		}
 		p.reset()
-		s.free = append(s.free, p)
+		j.free = append(j.free, p)
 	}
-	if n > 0 {
-		s.panes = slices.Delete(s.panes, 0, n)
-		s.last = nil
+	if kept < i {
+		j.panes = slices.Delete(j.panes, kept, i)
+		j.last = nil
 	}
 }
 
-// padUnmatched buffers the outer-join padding of a pane's never-matched
-// entries in key order, insertion order breaking ties. Key words
-// compare like their encodings: a uint encodes as a tag (2 up to
+// padUnmatched buffers the outer-join padding of side s's never-matched
+// entries of a pane in key order, insertion order breaking ties. Key
+// words compare like their encodings: a uint encodes as a tag (2 up to
 // 1<<63-1, 4 above) and its big-endian bytes, nine bytes either way.
 // A word entry's row is full width again, NULL in every column the side
 // does not keep, which nothing downstream reads.
-func (j *Join) padUnmatched(p *joinPane, left bool) {
-	un := j.padIdx[:0]
+func (j *Join) padUnmatched(p *joinPane, s int) {
+	ps, left, un := &p.side[s], s == 0, j.padIdx[:0]
 	if j.words {
-		s, w, nk := &j.right, j.cfg.Right.Width, len(j.cfg.Right.Keys)
+		sd, w, nk := &j.right, j.cfg.Right.Width, len(j.cfg.Right.Keys)
 		if left {
-			s, w, nk = &j.left, j.cfg.Left.Width, len(j.cfg.Left.Keys)
+			sd, w = &j.left, j.cfg.Left.Width
 		}
-		for i := range p.links {
-			if !p.links[i].matched {
+		for i := range ps.links {
+			if !ps.links[i].matched {
 				un = append(un, int32(i))
 			}
 		}
 		slices.SortStableFunc(un, func(a, b int32) int {
-			return slices.Compare(p.keys[int(a)*nk:int(a+1)*nk], p.keys[int(b)*nk:int(b+1)*nk])
+			ga, gb := int(ps.links[a].grp), int(ps.links[b].grp)
+			if ga == gb {
+				return 0
+			}
+			return slices.Compare(p.keys[ga*nk:(ga+1)*nk], p.keys[gb*nk:(gb+1)*nk])
 		})
 		row := j.wordRow[:w]
 		clear(row)
 		for _, i := range un {
-			j.emit(j.pad(s.keptRow(row, p.rows, int(i)), left))
+			g := int(ps.links[i].grp)
+			j.emit(j.pad(sd.keptRow(row, ps.rows, int(i), p.keys[g*nk:]), left))
 		}
 	} else {
-		for i := range p.entries {
-			if !p.entries[i].matched {
+		for i := range ps.entries {
+			if !ps.entries[i].matched {
 				un = append(un, int32(i))
 			}
 		}
 		slices.SortStableFunc(un, func(a, b int32) int {
-			return strings.Compare(p.entries[a].key, p.entries[b].key)
+			return strings.Compare(p.names[ps.entries[a].grp], p.names[ps.entries[b].grp])
 		})
 		for _, i := range un {
-			j.emit(j.pad(p.entries[i].tuple, left))
+			j.emit(j.pad(ps.entries[i].tuple, left))
 		}
 	}
 	j.padIdx = un
@@ -1178,8 +1240,8 @@ func (j *Join) StoredTuples() int { return j.stored }
 // sent downstream as columns, and how many it had to make rows of.
 func (j *Join) EmitCounts() (cols, rows int) { return j.colEmits, j.rowEmits }
 
-// PaneHighWater reports the most entries one pane has held, the natural
-// JoinConfig.SizeHint for a later run of the same plan. A pane peaks
-// just before it is dropped, so expire samples it there; Flush drops
-// every pane.
+// PaneHighWater reports the most entries one side of a pane, or keys
+// one pane, has held: the natural JoinConfig.SizeHint for a later run
+// of the same plan. A side peaks just before it expires, so expire
+// samples it there; Flush expires every side.
 func (j *Join) PaneHighWater() int { return j.hiPane }
