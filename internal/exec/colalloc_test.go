@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -198,6 +199,51 @@ func TestAllocsAggregatePushColsSteadyState(t *testing.T) {
 	}
 	if agg.GroupCount() == 0 {
 		t.Fatal("no groups formed")
+	}
+}
+
+// TestAllocsAggregateSortedInputBuildsNoTable: an aggregate fed in
+// (epoch, key) order — a super-aggregate behind one sub-aggregate —
+// appends its groups without a word table and never allocates one, and
+// a warm epoch of it (push, then retire) allocates nothing. The same
+// rows shuffled build the table at the first backward row.
+func TestAllocsAggregateSortedInputBuildsNoTable(t *testing.T) {
+	skipIfRace(t)
+	const groups = 4096
+	rows := make(Batch, groups)
+	for i := range rows {
+		rows[i] = Tuple{u(0), u(uint64(i / 4)), u(uint64(i % 4)), u(1), u(uint64(40 + i%7))}
+	}
+	for _, shuffled := range []bool{false, true} {
+		if shuffled {
+			rand.New(rand.NewSource(3)).Shuffle(groups, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		}
+		var sink countCols
+		agg := denseTestAgg(t, &sink, "", nil, true, nil)
+		var cb ColBatch
+		if !cb.SetFromRows(rows) {
+			t.Fatal("SetFromRows failed")
+		}
+		e := uint64(0)
+		epoch := func() {
+			for i := range cb.Cols[0].U64 {
+				cb.Cols[0].U64[i] = e
+			}
+			agg.PushCols(&cb)
+			e++
+			agg.Advance(16 * e)
+		}
+		epoch() // warm: dense arrays, emit columns
+		perEpoch := testing.AllocsPerRun(20, epoch)
+		if sink.colRows != int(e)*groups || sink.rowRows != 0 {
+			t.Fatalf("shuffled %v: %d column rows and %d rows emitted over %d epochs of %d groups", shuffled, sink.colRows, sink.rowRows, e, groups)
+		}
+		if filed := agg.colTab.slots != nil; filed != shuffled {
+			t.Errorf("shuffled %v: word table built = %v (%d slots)", shuffled, filed, len(agg.colTab.slots))
+		}
+		if perEpoch != 0 {
+			t.Errorf("shuffled %v: a warm %d-group epoch allocates %.1f objects, want 0", shuffled, groups, perEpoch)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package exec
 // the row path whenever a kernel does not apply.
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -159,11 +160,14 @@ type wordSlot struct {
 }
 
 // wordTable is the open-addressed index behind every word-keyed store:
-// the dense aggregate's groups and each word-layout join pane. It stores no key. The owner
-// keeps entry ref's nk key words at keys[ref*nk:] of a flat slab it
-// appends to in step with the inserts, and passes that slab to find.
-// reset retires every slot at once by bumping gen, so closing an epoch
-// or dropping a pane costs O(1) instead of a table-wide clear.
+// the dense aggregate's groups and each word-layout join pane. It
+// stores no key. The owner keeps entry ref's nk key words at
+// keys[ref*nk:] of a flat slab it appends to in step with the inserts,
+// and passes that slab to find. reset retires every slot at once by
+// bumping gen, so closing an epoch or dropping a pane costs O(1)
+// instead of a table-wide clear. The dense aggregate builds its table
+// on demand (denseFile): while its input arrives in key order it needs
+// none.
 type wordTable struct {
 	slots []wordSlot
 	gen   uint32
@@ -338,10 +342,6 @@ func (o *Aggregate) PushCols(cb *ColBatch) {
 		avs, ais = append(avs, v), append(ais, ints)
 	}
 	o.colArgVecs, o.colArgInts = avs, ais
-	if o.colTab.slots == nil {
-		// A SizeHint warm-starts the table past the doubling chain.
-		o.colTab.init(colTableMin, o.cfg.SizeHint)
-	}
 	o.densePush(cb, kvs, avs, ais, filt)
 }
 
@@ -485,13 +485,22 @@ func (o *Aggregate) denseInit() bool {
 }
 
 // densePush is the struct-of-arrays aggregate path: one pass resolves
-// every surviving row to a dense group index through the word table —
-// for all-uint keys, word equality coincides with encoded-key equality
-// (appendKeyValue maps a uint u to tag 2 or 4 plus u's big-endian
-// bytes, injectively), so it finds exactly the group the row path
-// would — then each aggregate accumulates over (slot, row) pairs in a
-// tight per-kind loop with no interface dispatch and no per-group
-// objects. ais holds each argument's Int bitmap.
+// every surviving row to a dense group index — for all-uint keys, word
+// equality coincides with encoded-key equality (appendKeyValue maps a
+// uint u to tag 2 or 4 plus u's big-endian bytes, injectively), so it
+// finds exactly the group the row path would — then each aggregate
+// accumulates over (slot, row) pairs in a tight per-kind loop with no
+// interface dispatch and no per-group objects. ais holds each
+// argument's Int bitmap.
+//
+// While the store is unfiled (denseFiled false) its groups form a
+// strictly increasing run in denseKeyLess order, and a row meets only
+// the last group: equal, it updates that group; greater, it appends a
+// new one, with no hash and no probe. Input in (epoch, key) order — a
+// super-aggregate fed by one sub-aggregate's emissions — stays there.
+// The first row below the last group files the store (denseFile) and
+// hands the rest of the batch to the hash loop, which resolves rows
+// through the word table until denseReset.
 //
 //qap:hot
 func (o *Aggregate) densePush(cb *ColBatch, kvs, avs, ais [][]uint64, filt []uint64) {
@@ -511,9 +520,43 @@ func (o *Aggregate) densePush(cb *ColBatch, kvs, avs, ais [][]uint64, filt []uin
 	rows := o.denseRows[:0]
 	n, first := cb.Len, int32(o.denseN)
 	o.denseIn += int64(n)
+	lo := 0
+	if !o.denseFiled {
+		nk, eIdx := len(kvs), o.cfg.EpochIdx
+		for ; lo < n; lo++ {
+			i := lo
+			if filt != nil && filt[i] == 0 {
+				continue
+			}
+			if lateCheck {
+				if wordLate {
+					if epochVec[i] < boundWord {
+						o.Late++
+						continue
+					}
+				} else if sqlval.Uint(epochVec[i]).Compare(o.boundary) < 0 {
+					o.Late++
+					continue
+				}
+			}
+			g, c := int32(o.denseN-1), 1
+			if g >= 0 {
+				c = denseCmp(kvs, i, o.colWords[int(g)*nk:int(g+1)*nk], eIdx)
+			}
+			if c < 0 {
+				o.denseFile(nk)
+				break
+			}
+			if c > 0 {
+				g = o.denseNew(kvs, i)
+			}
+			slots = append(slots, g)
+			rows = append(rows, int32(i))
+		}
+	}
 	// Keys hash a window of rows at a time, into scratch the aggregate
 	// holds inline: an epoch-sized batch needs no batch-sized buffer.
-	for lo := 0; lo < n; lo += len(o.colHashes) {
+	for ; lo < n; lo += len(o.colHashes) {
 		hs := hashRows(o.colHashes[:min(n-lo, len(o.colHashes))], kvs, lo)
 		for k, h := range hs {
 			i := lo + k
@@ -612,10 +655,8 @@ func (o *Aggregate) denseMinMax(j int, less bool, slots, rows []int32, av, ai []
 }
 
 // denseGroup resolves row i, whose key words hash to h, to its dense
-// group index, creating the group on a miss: key words onto colWords —
-// group g's are colWords[g*nk:(g+1)*nk], the slab the table resolves
-// through — and each aggregate's state from zero (all-ones for a MIN, a
-// Uint for a MIN's or MAX's kind).
+// group index through the word table, creating and filing the group on
+// a miss.
 //
 //qap:hot
 func (o *Aggregate) denseGroup(kvs [][]uint64, i int, h uint64) int32 {
@@ -623,7 +664,19 @@ func (o *Aggregate) denseGroup(kvs [][]uint64, i int, h uint64) int32 {
 	if g >= 0 {
 		return g
 	}
-	g = int32(o.denseN)
+	g = o.denseNew(kvs, i)
+	o.colTab.insert(at, h, g)
+	return g
+}
+
+// denseNew creates the group of row i, unfiled: key words onto
+// colWords — group g's are colWords[g*nk:(g+1)*nk], the slab the table
+// resolves through — and each aggregate's state from zero (all-ones
+// for a MIN, a Uint for a MIN's or MAX's kind).
+//
+//qap:hot
+func (o *Aggregate) denseNew(kvs [][]uint64, i int) int32 {
+	g := int32(o.denseN)
 	o.denseN++
 	base := len(o.colWords)
 	o.colWords = slices.Grow(o.colWords, len(kvs))[:base+len(kvs)]
@@ -643,8 +696,46 @@ func (o *Aggregate) denseGroup(kvs [][]uint64, i int, h uint64) int32 {
 	if e := o.cfg.EpochIdx; e >= 0 {
 		o.noteEpochWord(kvs[e][i])
 	}
-	o.colTab.insert(at, h, g)
 	return g
+}
+
+// denseCmp compares row i's key words with a group's in denseKeyLess
+// order — epoch word first, then the key words column-major, all
+// unsigned — and returns -1, 0 or +1.
+//
+//qap:hot
+func denseCmp(kvs [][]uint64, i int, words []uint64, eIdx int) int {
+	if eIdx >= 0 {
+		if r, w := kvs[eIdx][i], words[eIdx]; r != w {
+			return cmp.Compare(r, w)
+		}
+	}
+	for c, kv := range kvs {
+		if r, w := kv[i], words[c]; r != w {
+			return cmp.Compare(r, w)
+		}
+	}
+	return 0
+}
+
+// denseFile turns an unfiled store into a filed one: every group goes
+// into the word table under hashWords, which agrees with the hashRows
+// later probes use. The table is built here, on the first row that
+// leaves key order, so a store that never leaves it never has one;
+// once built it is reset, not dropped, with the store.
+//
+//qap:hot
+func (o *Aggregate) denseFile(nk int) {
+	o.denseFiled = true
+	if t := &o.colTab; t.slots == nil {
+		// A SizeHint warm-starts the table past the doubling chain.
+		//qap:allow hotalloc -- once per run, only when input leaves key order
+		t.slots, t.gen, t.n = make([]wordSlot, tableSize(colTableMin, max(o.cfg.SizeHint, o.denseN))), 1, 0
+	}
+	for g := 0; g < o.denseN; g++ {
+		h := hashWords(o.colWords[g*nk : (g+1)*nk])
+		o.colTab.insert(o.colTab.free(h), h, int32(g))
+	}
 }
 
 // noteEpochWord is noteEpoch for a dense group, whose epoch compares as
@@ -722,9 +813,9 @@ func (o *Aggregate) denseMigrate() {
 }
 
 // denseReset empties the dense store: its arrays, its word table and
-// the key words the table resolves through.
+// the key words the table resolves through. An empty store is unfiled.
 func (o *Aggregate) denseReset() {
-	o.denseN, o.denseInts = 0, false
+	o.denseN, o.denseInts, o.denseFiled = 0, false, false
 	for j := range o.denseAccW {
 		o.denseAccW[j] = o.denseAccW[j][:0]
 		o.denseAux[j] = o.denseAux[j][:0]
@@ -915,14 +1006,18 @@ const radixCutoff = 24
 // denseSort sorts the retired group indices by (epoch word, key words
 // column-major), all unsigned — the same order the row path's encoded
 // key bytes produce for all-uint keys. gs arrives in creation order,
-// and groups created from one sorted producer — a super-aggregate fed
-// by a single sub-aggregate's emissions — are already in that order:
+// which for an unfiled store is that order already (densePush): it
+// returns at once. A filed store's groups may still have arrived in
+// order — several sorted runs that happened not to interleave — and
 // one sequential pass finds out and skips the sort. Otherwise, since
 // fixed-width radix keys waste most of their bytes on network data
 // (epoch counters and IPv4 words leave high bytes constant), it
 // computes OR/AND masks per key word over the whole set and
 // MSD-radix-sorts over only the byte positions that actually vary.
 func (o *Aggregate) denseSort(gs []int32, nk, eIdx int) {
+	if !o.denseFiled {
+		return
+	}
 	if len(gs) <= radixCutoff {
 		o.denseInsertion(gs, nk, eIdx)
 		return
@@ -1024,7 +1119,9 @@ func (o *Aggregate) denseRadix(gs, scratch []int32, pos []uint16, nk, eIdx, dept
 
 // denseCompact slides the surviving groups' key words and state words
 // down over the retired ones, in place — a survivor only ever moves to
-// a lower index — then resets the table and files them again.
+// a lower index. A filed store then resets its table and files them
+// again; an unfiled one stays unfiled, since a subsequence of a sorted
+// run is still one.
 func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
 	n := 0
 	for g := 0; g < o.denseN; g++ {
@@ -1040,7 +1137,6 @@ func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
 		}
 		n++
 	}
-	o.colTab.reset()
 	o.colWords, o.denseN, o.minSet = o.colWords[:n*nk], n, false
 	for j, kind := range o.denseAcc {
 		o.denseAccW[j] = o.denseAccW[j][:n]
@@ -1049,10 +1145,11 @@ func (o *Aggregate) denseCompact(retired func(int) bool, nk, eIdx int) {
 		}
 	}
 	for g := 0; g < n; g++ {
-		words := o.colWords[g*nk : (g+1)*nk]
-		o.noteEpochWord(words[eIdx])
-		h := hashWords(words)
-		o.colTab.insert(o.colTab.free(h), h, int32(g))
+		o.noteEpochWord(o.colWords[g*nk+eIdx])
+	}
+	if o.denseFiled {
+		o.colTab.reset()
+		o.denseFile(nk)
 	}
 }
 

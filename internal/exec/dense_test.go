@@ -140,9 +140,10 @@ func emitBytes(rows Batch) []byte {
 }
 
 // TestDenseEmitOrderIndependentOfArrival: the dense store emits in
-// (epoch, key) order whatever order the groups were created in, and
-// finds out with one pass when they already arrived in it — a
-// super-aggregate fed by one sub-aggregate — instead of sorting again.
+// (epoch, key) order whatever order the groups were created in. Input
+// that arrives in that order — a super-aggregate fed by one
+// sub-aggregate — never leaves the unfiled run: no word table, no hash,
+// no sort. Any other order files the store at its first backward row.
 func TestDenseEmitOrderIndependentOfArrival(t *testing.T) {
 	const n = 3000
 	sorted := make(Batch, n)
@@ -169,7 +170,7 @@ func TestDenseEmitOrderIndependentOfArrival(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		rows   Batch
-		radix  bool
+		radix  bool // also: the store filed
 		batchN int
 	}{
 		{"sorted", sorted, false, n}, {"sorted, batch 256", sorted, false, 256},
@@ -187,6 +188,9 @@ func TestDenseEmitOrderIndependentOfArrival(t *testing.T) {
 		if agg.denseN != n {
 			t.Fatalf("%s: %d dense groups, want %d", c.name, agg.denseN, n)
 		}
+		if agg.denseFiled != c.radix || (agg.colTab.slots != nil) != c.radix {
+			t.Errorf("%s: filed = %v with a %d-slot table, want filed = %v", c.name, agg.denseFiled, len(agg.colTab.slots), c.radix)
+		}
 		agg.Flush()
 		if got := agg.radixSorts > 0; got != c.radix {
 			t.Errorf("%s: radix sort ran = %v, want %v", c.name, got, c.radix)
@@ -198,6 +202,48 @@ func TestDenseEmitOrderIndependentOfArrival(t *testing.T) {
 		if len(out.rows) != n || !bytes.Equal(got, want) {
 			t.Errorf("%s: emission differs from the sorted arrival's (%d rows)", c.name, len(out.rows))
 		}
+	}
+
+	// A sorted store survives a partial Advance unfiled, files on a
+	// backward row, and later rows still find the survivors: denseFile
+	// files them under hashWords, the probes hash with hashRows.
+	var out, rowOut recSink
+	agg := denseTestAgg(t, &out, "", nil, true, nil)
+	rowAgg := denseTestAgg(t, &rowOut, "", nil, true, nil)
+	push := func(rows ...Tuple) {
+		t.Helper()
+		var cb ColBatch
+		if !cb.SetFromRows(rows) {
+			t.Fatal("SetFromRows failed")
+		}
+		agg.PushCols(&cb)
+		PushAll(rowAgg, rows)
+	}
+	var epochs Batch
+	for tb := uint64(0); tb < 2; tb++ {
+		for src := uint64(0); src < 100; src += 2 {
+			epochs = append(epochs, Tuple{u(tb), u(src), u(1), u(2), u(40 + src)})
+		}
+	}
+	push(epochs...)
+	agg.Advance(16)
+	rowAgg.Advance(16)
+	if agg.denseN != 50 || agg.denseFiled || agg.colTab.slots != nil || agg.minWord != 1 {
+		t.Fatalf("after a partial advance: %d groups, filed %v, %d slots, min epoch %d; want 50 unfiled survivors of epoch 1 and no table",
+			agg.denseN, agg.denseFiled, len(agg.colTab.slots), agg.minWord)
+	}
+	push(Tuple{u(1), u(51), u(1), u(2), u(7)}, Tuple{u(1), u(0), u(1), u(2), u(7)}, Tuple{u(1), u(98), u(1), u(2), u(7)})
+	if !agg.denseFiled || agg.denseN != 51 {
+		t.Fatalf("after a backward row: filed %v with %d groups, want filed with 51", agg.denseFiled, agg.denseN)
+	}
+	push(epochs[50:]...)
+	if agg.denseN != 51 {
+		t.Fatalf("rows equal to the survivors made %d groups, want 51", agg.denseN)
+	}
+	agg.Flush()
+	rowAgg.Flush()
+	if !bytes.Equal(emitBytes(out.rows), emitBytes(rowOut.rows)) || len(out.rows) != 101 {
+		t.Errorf("emitted %d rows, differing from the row store's %d", len(out.rows), len(rowOut.rows))
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -372,4 +373,161 @@ func FuzzJoinWords(f *testing.F) {
 		j.RightIn().Flush()
 		check("flush")
 	})
+}
+
+// FuzzDenseAggregate holds the dense group store to the row store: the
+// same uint rows go once as column batches into a dense aggregate and
+// once row by row through Push into another, and both must emit the
+// same rows and report the same OnEpochFlush numbers and Late counts.
+// data is the stream, three bytes a step: a row over a small key domain
+// (an epoch at or up to three past the watermark's, or one behind it,
+// late), a cut that delivers the pending rows as one batch, or an
+// advance. After every batch and advance the dense store must hold its
+// mode's invariant (denseCheck): an unfiled store a strictly increasing
+// run, a filed one every group findable in its table.
+func FuzzDenseAggregate(f *testing.F) {
+	for _, seed := range denseFuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 3*2048 {
+			data = data[:3*2048]
+		}
+		type flush struct {
+			wm           uint64
+			groups, rows int
+		}
+		var outs [2]recSink
+		var flushes [2][]flush
+		var aggs [2]*Aggregate
+		for s := range aggs {
+			aggs[s] = denseTestAgg(t, &outs[s], "", nil, true, func(wm uint64, g, r int) {
+				flushes[s] = append(flushes[s], flush{wm, g, r})
+			})
+		}
+		dense, rowStore := aggs[0], aggs[1]
+		var pending Batch
+		var cb ColBatch
+		deliver := func() {
+			if len(pending) == 0 {
+				return
+			}
+			if !cb.SetFromRows(pending) {
+				t.Fatal("SetFromRows failed")
+			}
+			dense.PushCols(&cb)
+			pending = pending[:0]
+			denseCheck(t, dense)
+		}
+		check := func(when string) {
+			t.Helper()
+			if len(dense.groups) != 0 || rowStore.denseN != 0 {
+				t.Fatalf("%s: a store left its mode", when)
+			}
+			if !bytes.Equal(emitBytes(outs[0].rows), emitBytes(outs[1].rows)) {
+				t.Fatalf("%s: dense emitted %v, row store %v", when, outs[0].rows, outs[1].rows)
+			}
+			if !slices.Equal(flushes[0], flushes[1]) || dense.Late != rowStore.Late {
+				t.Fatalf("%s: flushes %v late %d, row store %v late %d", when, flushes[0], dense.Late, flushes[1], rowStore.Late)
+			}
+		}
+		epoch := uint64(0)
+		for k := 0; k+3 <= len(data); k += 3 {
+			op, a, b := data[k], data[k+1], data[k+2]
+			switch op & 3 {
+			case 0, 1:
+				tb := epoch + uint64(op>>2)&3
+				if op&0x80 != 0 && epoch > 0 {
+					tb = epoch - 1
+				}
+				row := Tuple{u(tb), u(uint64(a & 7)), u(uint64(b & 3)), u(uint64(b >> 2)), u(uint64(a))}
+				pending = append(pending, row)
+				rowStore.Push(row)
+			case 2:
+				deliver()
+			default:
+				deliver()
+				epoch += uint64(a & 1)
+				wm := epoch*16 + uint64(b&15)
+				dense.Advance(wm)
+				rowStore.Advance(wm)
+				denseCheck(t, dense)
+				check(fmt.Sprintf("step %d advance(%d)", k/3, wm))
+			}
+		}
+		deliver()
+		dense.Flush()
+		rowStore.Flush()
+		check("flush")
+	})
+}
+
+// denseCheck asserts the dense store's mode invariant: unfiled, its
+// groups are a strictly increasing run in denseKeyLess order and its
+// table holds nothing; filed, the table resolves every group's key
+// words to that group.
+func denseCheck(t *testing.T, o *Aggregate) {
+	t.Helper()
+	nk, eIdx := len(o.cfg.GroupBy), o.cfg.EpochIdx
+	if !o.denseFiled {
+		if o.colTab.n != 0 {
+			t.Fatalf("unfiled store with %d table entries", o.colTab.n)
+		}
+		for g := 1; g < o.denseN; g++ {
+			if !o.denseKeyLess(int32(g-1), int32(g), nk, eIdx) {
+				t.Fatalf("unfiled store out of key order at group %d: %v", g, o.colWords[(g-1)*nk:(g+1)*nk])
+			}
+		}
+		return
+	}
+	if o.colTab.n != o.denseN {
+		t.Fatalf("filed store: %d table entries for %d groups", o.colTab.n, o.denseN)
+	}
+	kvs := make([][]uint64, nk)
+	for g := 0; g < o.denseN; g++ {
+		words := o.colWords[g*nk : (g+1)*nk]
+		for c := range kvs {
+			kvs[c] = words[c : c+1]
+		}
+		if got, _ := o.colTab.find(hashWords(words), o.colWords, kvs, 0); got != int32(g) {
+			t.Fatalf("filed store: group %d's key %v resolves to %d", g, words, got)
+		}
+	}
+}
+
+// denseFuzzSeeds are FuzzDenseAggregate's committed inputs, one per
+// way a store leaves or keeps its key order.
+func denseFuzzSeeds() [][]byte {
+	row := func(dt, src, dst uint8) []byte { return []byte{dt << 2, src, dst} }
+	late := func(src, dst uint8) []byte { return []byte{0x80, src, dst} }
+	cut := []byte{2, 0, 0}
+	advance := func(next bool, off uint8) []byte { return []byte{3, uint8(b2u(next)), off} }
+	// run is every (src, dst) of the epoch dt ahead, in key order.
+	run := func(dt uint8, srcs ...uint8) []byte {
+		var b []byte
+		for _, s := range srcs {
+			for d := uint8(0); d < 4; d++ {
+				b = append(b, row(dt, s, d)...)
+				if d == 1 {
+					b = append(b, row(dt, s, d)...) // an equal row updates the last group
+				}
+			}
+		}
+		return b
+	}
+	cat := func(parts ...[]byte) []byte { return slices.Concat(parts...) }
+	return [][]byte{
+		// One sorted run across two epochs, cut mid-run, closed in order.
+		cat(run(0, 0, 1, 2), cut, run(0, 3, 5), run(1, 0, 4), advance(true, 3), run(1, 6, 7), advance(true, 0)),
+		// Two sorted runs, as from two producers: the second files.
+		cat(run(0, 0, 2, 4, 6), cut, run(0, 1, 3, 5, 7), advance(true, 1)),
+		// A backward row equal to an earlier group.
+		cat(run(0, 1, 2, 3), row(0, 1, 2), cut, row(0, 3, 3), row(0, 2, 0), advance(true, 0)),
+		// A backward row that is new.
+		cat(run(0, 1, 3, 5), cut, row(0, 2, 0), row(0, 4, 1), run(0, 6), advance(true, 0)),
+		// Partial retirement leaves survivors unfiled; late rows, then a
+		// backward row files them, and later rows must find them.
+		cat(run(0, 0, 1), run(1, 2, 5), run(2, 1), advance(true, 7), late(0, 0), late(3, 1),
+			row(0, 3, 0), cut, row(0, 2, 1), row(0, 5, 3), row(1, 1, 2), advance(true, 2), advance(true, 9)),
+	}
 }

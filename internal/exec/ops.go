@@ -327,6 +327,9 @@ type Aggregate struct {
 	// every dense group into the row store (denseMigrate); dense mode
 	// only (re-)activates while the map is empty, so at any instant
 	// either the dense arrays or the map own the groups, never both.
+	// denseFiled says colTab indexes the groups; until then they are a
+	// sorted run the table is not needed for (densePush).
+	denseFiled bool
 	colTab     wordTable
 	colWords   []uint64
 	denseAcc   []denseAccKind
