@@ -21,7 +21,8 @@
 //
 // With -engine live each simulated host runs as a node behind a real
 // TCP listener (in-process by default; with -nodes, separate qap-node
-// processes) and the splitter ships serialized tuple batches over
+// processes, which take the whole deployment from the splitter's
+// handshake) and the splitter ships serialized tuple batches over
 // persistent connections with credit-based backpressure. Outputs,
 // metrics, and traces are byte-identical to the simulator's.
 //

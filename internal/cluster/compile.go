@@ -449,7 +449,9 @@ func colNames(cols []plan.ColDef) []string {
 
 // compileExpr compiles e once: with its column kernels when the runner
 // executes batches, as the row closure alone otherwise, so the scalar
-// oracle builds no kernel.
+// oracle builds no kernel. Every expression of a plan compiles here, and
+// its result fills the operator's Col* field on either path: the exec
+// readers take a form without kernels as no column form at all.
 func (r *Runner) compileExpr(e gsql.Expr, res exec.Resolver) (exec.ColExpr, error) {
 	if r.batched() {
 		return exec.CompileCol(e, res, r.params)
@@ -467,9 +469,7 @@ func (r *Runner) buildSelProj(n *plan.Node) (*exec.FilterProject, error) {
 			return nil, err
 		}
 		fp.Filter = ce.Row
-		if r.batched() {
-			fp.ColFilter = &ce
-		}
+		fp.ColFilter = &ce
 	}
 	for _, pr := range n.Projs {
 		ce, err := r.compileExpr(pr.Expr, res)
@@ -477,9 +477,7 @@ func (r *Runner) buildSelProj(n *plan.Node) (*exec.FilterProject, error) {
 			return nil, err
 		}
 		fp.Projs = append(fp.Projs, ce.Row)
-		if r.batched() {
-			fp.ColProjs = append(fp.ColProjs, ce)
-		}
+		fp.ColProjs = append(fp.ColProjs, ce)
 	}
 	return fp, nil
 }
@@ -631,9 +629,7 @@ func (r *Runner) buildAggregate(op *optimizer.Op, out exec.Consumer) (*exec.Aggr
 			return nil, err
 		}
 		cfg.PreFilter = ce.Row
-		if r.batched() {
-			cfg.ColPreFilter = &ce
-		}
+		cfg.ColPreFilter = &ce
 	}
 	for _, g := range n.GroupBy {
 		ce, err := r.compileExpr(g.Expr, inRes)
@@ -641,9 +637,7 @@ func (r *Runner) buildAggregate(op *optimizer.Op, out exec.Consumer) (*exec.Aggr
 			return nil, err
 		}
 		cfg.GroupBy = append(cfg.GroupBy, ce.Row)
-		if r.batched() {
-			cfg.ColGroupBy = append(cfg.ColGroupBy, ce)
-		}
+		cfg.ColGroupBy = append(cfg.ColGroupBy, ce)
 	}
 	if cfg.EpochIdx >= 0 {
 		ewm, err := r.epochOfWM(n.LineageOf(n.GroupBy[cfg.EpochIdx].Expr))
@@ -667,9 +661,7 @@ func (r *Runner) buildAggregate(op *optimizer.Op, out exec.Consumer) (*exec.Aggr
 		// cfg.ColArgs stays index-aligned with cfg.Aggs (nil = COUNT(*)).
 		addAgg := func(fac exec.AccumFactory) {
 			cfg.Aggs = append(cfg.Aggs, exec.AggColumn{Factory: fac, Arg: arg})
-			if r.batched() {
-				cfg.ColArgs = append(cfg.ColArgs, colArg)
-			}
+			cfg.ColArgs = append(cfg.ColArgs, colArg)
 		}
 		switch {
 		case sub && momentParts(a.Spec) != nil:
@@ -722,24 +714,20 @@ func (r *Runner) buildAggregate(op *optimizer.Op, out exec.Consumer) (*exec.Aggr
 // reconstruction from the partial columns (nil: there are none).
 func (r *Runner) compileEmit(cfg *exec.AggregateConfig, n *plan.Node, split map[string]gsql.AggSpec, rowRes exec.Resolver) error {
 	if n.Having != nil {
-		ce, err := exec.CompileCol(rewriteSplitRefs(n.Having, split), rowRes, r.params)
+		ce, err := r.compileExpr(rewriteSplitRefs(n.Having, split), rowRes)
 		if err != nil {
 			return err
 		}
 		cfg.Having = ce.Row
-		if r.batched() {
-			cfg.ColHaving = &ce
-		}
+		cfg.ColHaving = &ce
 	}
 	for _, p := range n.Post {
-		ce, err := exec.CompileCol(rewriteSplitRefs(p.Expr, split), rowRes, r.params)
+		ce, err := r.compileExpr(rewriteSplitRefs(p.Expr, split), rowRes)
 		if err != nil {
 			return err
 		}
 		cfg.Post = append(cfg.Post, ce.Row)
-		if r.batched() {
-			cfg.ColPost = append(cfg.ColPost, ce)
-		}
+		cfg.ColPost = append(cfg.ColPost, ce)
 	}
 	return nil
 }
@@ -762,9 +750,7 @@ func (r *Runner) buildSuperAggregate(n *plan.Node, cfg exec.AggregateConfig) (*e
 			return nil, err
 		}
 		cfg.GroupBy = append(cfg.GroupBy, ce.Row)
-		if r.batched() {
-			cfg.ColGroupBy = append(cfg.ColGroupBy, ce)
-		}
+		cfg.ColGroupBy = append(cfg.ColGroupBy, ce)
 	}
 	if cfg.EpochIdx >= 0 {
 		ewm, err := r.epochOfWM(n.LineageOf(n.GroupBy[cfg.EpochIdx].Expr))
@@ -785,9 +771,7 @@ func (r *Runner) buildSuperAggregate(n *plan.Node, cfg exec.AggregateConfig) (*e
 			return err
 		}
 		cfg.Aggs = append(cfg.Aggs, exec.AggColumn{Factory: fac, Arg: ce.Row})
-		if r.batched() {
-			cfg.ColArgs = append(cfg.ColArgs, &ce)
-		}
+		cfg.ColArgs = append(cfg.ColArgs, &ce)
 		return nil
 	}
 	for _, a := range n.Aggs {
@@ -948,10 +932,8 @@ func (r *Runner) buildJoin(op *optimizer.Op, out exec.Consumer) ([]exec.Consumer
 		}
 		cfg.Left.Keys = append(cfg.Left.Keys, lc.Row)
 		cfg.Right.Keys = append(cfg.Right.Keys, rc.Row)
-		if r.batched() {
-			cfg.Left.ColKeys = append(cfg.Left.ColKeys, lc)
-			cfg.Right.ColKeys = append(cfg.Right.ColKeys, rc)
-		}
+		cfg.Left.ColKeys = append(cfg.Left.ColKeys, lc)
+		cfg.Right.ColKeys = append(cfg.Right.ColKeys, rc)
 	}
 	lwm, err := r.epochOfWM(n.SideLineage(0, n.LeftKeys[n.TemporalKey]))
 	if err != nil {
@@ -968,24 +950,20 @@ func (r *Runner) buildJoin(op *optimizer.Op, out exec.Consumer) ([]exec.Consumer
 	// gathered matches.
 	comb := joinResolver(n.LeftBind, leftNames, n.RightBind, rightNames)
 	if n.Residual != nil {
-		ce, err := exec.CompileCol(n.Residual, comb, r.params)
+		ce, err := r.compileExpr(n.Residual, comb)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Residual = ce.Row
-		if r.batched() {
-			cfg.ColResidual = &ce
-		}
+		cfg.ColResidual = &ce
 	}
 	for _, p := range n.JoinProjs {
-		ce, err := exec.CompileCol(p.Expr, comb, r.params)
+		ce, err := r.compileExpr(p.Expr, comb)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Projs = append(cfg.Projs, ce.Row)
-		if r.batched() {
-			cfg.ColProjs = append(cfg.ColProjs, ce)
-		}
+		cfg.ColProjs = append(cfg.ColProjs, ce)
 	}
 	j := exec.NewJoin(cfg)
 	r.sized = append(r.sized, sizedOp{op.ID, j.PaneHighWater, j})
@@ -1017,8 +995,6 @@ func (r *Runner) sideFilter(e gsql.Expr, res exec.Resolver, port exec.Consumer) 
 		return nil, err
 	}
 	fp := &exec.FilterProject{Filter: ce.Row, Out: port}
-	if r.batched() {
-		fp.ColFilter = &ce
-	}
+	fp.ColFilter = &ce
 	return fp, nil
 }

@@ -33,16 +33,18 @@ package cluster
 //     duplicated, or stalled connection changes nothing but wall time.
 //
 // In-process nodes execute directly against this Runner's islands, so
-// finalize sees their shards as usual. Remote nodes (qap-node) execute
-// against their own compiled copy of the plan and ship their island
-// shards back in a final result frame, which installHostShard copies
-// into the local islands before finalize.
+// finalize sees their shards as usual. Remote nodes (qap-node) compile
+// their own copy of the plan from the deployment the splitter's Hello
+// carries (RunConfig.Deploy, ServeNode), execute against it, and ship
+// their island shards back in a final result frame, which
+// installHostShard copies into the local islands before finalize.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -63,7 +65,7 @@ type LiveConfig struct {
 	// wedged node fails the run with a positioned error.
 	Timeout time.Duration
 	// AcceptGrace is how long a served host waits for its first
-	// connection (ServeLiveHost; default the transport timeout).
+	// connection (ServeNode; default the transport timeout).
 	AcceptGrace time.Duration
 	// Faults injects deterministic transport misbehavior (dropped,
 	// duplicated, stalled, cut connections) for recovery testing.
@@ -90,7 +92,7 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 	for i, c := range cursors {
 		streams[i] = c.name
 	}
-	fp := r.liveFingerprint()
+	fp := r.LiveFingerprint()
 
 	lcfg := live.Config{Timeout: r.liveCfg.Timeout}
 	if r.liveCfg.Faults != nil {
@@ -124,8 +126,6 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 			}
 			n, err := live.NewNode(ncfg, live.NodeOptions{
 				Host:        h,
-				Fingerprint: fp,
-				BatchSize:   bs,
 				NewExecutor: func(*live.Hello) (live.Executor, error) { return x, nil },
 			}, "")
 			if err != nil {
@@ -151,7 +151,11 @@ func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
 		}
 	}
 
-	sp := live.NewSplitter(lcfg, live.Hello{BatchSize: bs, Streams: streams, Fingerprint: fp}, addrs)
+	hello := live.Hello{BatchSize: bs, Streams: streams, Fingerprint: fp}
+	if remote {
+		hello.Deploy = r.deploy
+	}
+	sp := live.NewSplitter(lcfg, hello, addrs)
 	sp.Start()
 	closeAll := func() {
 		sp.Close()
@@ -461,22 +465,36 @@ func (r *Runner) installHostShard(host int, payload []byte) error {
 	return nil
 }
 
-// liveFingerprint identifies the deployment a live session serves:
-// plan shape, operator graph, partitioning, costs, batch size, and the
-// observability configuration. A splitter and a node built from
-// different configurations refuse to pair, instead of diverging
-// silently.
-func (r *Runner) liveFingerprint() string {
+// LiveFingerprint identifies the deployment a live session serves:
+// plan shape, operator graph, partitioning, costs, query parameters,
+// batch size, and the observability configuration. A served node
+// refuses to pair with a splitter whose fingerprint its compiled plan
+// does not reproduce, instead of diverging silently.
+func (r *Runner) LiveFingerprint() string {
 	h := sha256.New()
 	p := r.plan
 	partitioning := p.Set.String()
 	if p.StreamSets != nil {
 		partitioning = p.StreamSets.String()
 	}
-	fmt.Fprintf(h, "hosts=%d parts=%d pph=%d agg=%d bs=%d win=%d collect=%t trace=%t\n",
+	tr := "off"
+	if r.tracer != nil {
+		tc := r.tracer.Config()
+		tr = fmt.Sprintf("mode%d/ring%d", tc.Mode, tc.RingSize)
+	}
+	fmt.Fprintf(h, "hosts=%d parts=%d pph=%d agg=%d bs=%d win=%d collect=%t trace=%s\n",
 		p.Hosts, p.Partitions, p.PartitionsPerHost, p.AggregatorHost,
-		r.batchSize, r.winSec, r.collect, r.tracer != nil)
+		r.batchSize, r.winSec, r.collect, tr)
 	fmt.Fprintf(h, "set=%s\ncosts=%+v\n", partitioning, r.cost)
+	names := make([]string, 0, len(r.params))
+	for name := range r.params { //qap:allow maprange -- names collected then sorted below
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		v := r.params[name]
+		fmt.Fprintf(h, "param %s %s %s\n", name, v.Kind(), v)
+	}
 	for _, op := range p.Ops {
 		fmt.Fprintf(h, "op %d %s host=%d proc=%d part=%d in=", op.ID, op.Kind, op.Host, op.Proc, op.Partition)
 		for _, in := range op.Inputs {
@@ -487,56 +505,36 @@ func (r *Runner) liveFingerprint() string {
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
-// ServeLiveHost serves one leaf host of this runner's deployment as a
-// live node on addr (e.g. ":9431"), for running hosts as separate OS
-// processes (cmd/qap-node). The runner must be compiled with Engine
-// EngineLive and the same plan and RunConfig the splitter uses — the
-// deployment fingerprint in the handshake enforces it. ready, when
-// non-nil, receives the bound listen address before serving. Blocks
-// until the host's work is complete and acknowledged; several hosts of
-// one runner may be served concurrently from one process.
-func (r *Runner) ServeLiveHost(host int, addr string, ready func(addr string)) error {
-	if r.engine != EngineLive {
-		return fmt.Errorf("cluster: ServeLiveHost requires Engine %q", EngineLive)
+// ServeNode serves one leaf host of a live deployment as a node on addr
+// (e.g. ":9431"), for running hosts as separate OS processes
+// (cmd/qap-node). The node knows nothing of the deployment until the
+// splitter's first Hello: compile turns the Hello's Deploy payload
+// into a runner, which must be a live, parallelizable plan with the
+// host in range and the fingerprint the Hello announces. A refusal
+// there fails the node for good. ready, when non-nil, receives the
+// bound listen address before serving. Blocks until the host's work is
+// complete and acknowledged; several hosts may be served concurrently
+// from one process.
+func ServeNode(host int, addr string, cfg LiveConfig, compile func(deploy []byte) (*Runner, error), ready func(addr string)) error {
+	if host < 0 {
+		return fmt.Errorf("cluster: host %d out of range", host)
 	}
-	if !r.parallel {
-		return fmt.Errorf("cluster: plan is not parallelizable; the live backend cannot serve it")
+	lcfg := live.Config{Timeout: cfg.Timeout}
+	if cfg.Faults != nil {
+		lcfg.WrapAccept = cfg.Faults.WrapAccept(host)
 	}
-	if host < 0 || host >= r.plan.Hosts {
-		return fmt.Errorf("cluster: host %d out of range (plan has %d)", host, r.plan.Hosts)
-	}
-	x := &islandExec{r: r, isl: r.islands[host], wins: r.islands[host : host+1], shipResult: true}
-	lcfg := live.Config{Timeout: r.liveCfg.Timeout}
-	if r.liveCfg.Faults != nil {
-		lcfg.WrapAccept = r.liveCfg.Faults.WrapAccept(host)
-	}
-	opt := live.NodeOptions{
+	n, err := live.NewNode(lcfg, live.NodeOptions{
 		Host:        host,
-		Fingerprint: r.liveFingerprint(),
-		BatchSize:   r.batchSize,
 		SendResult:  true,
-		AcceptGrace: r.liveCfg.AcceptGrace,
+		AcceptGrace: cfg.AcceptGrace,
 		NewExecutor: func(h *live.Hello) (live.Executor, error) {
-			// The Hello fixes the canonical stream (cursor) order the
-			// splitter merged; resolve it against our routers to build
-			// the same advance targets and scan entry table.
-			if len(h.Streams) != len(r.routers) {
-				return nil, fmt.Errorf("splitter feeds %d streams, plan has %d", len(h.Streams), len(r.routers))
+			r, err := compile(h.Deploy)
+			if err != nil {
+				return nil, err
 			}
-			cs := make([]*streamCursor, len(h.Streams))
-			for i, name := range h.Streams {
-				rt, ok := r.routers[name]
-				if !ok {
-					return nil, fmt.Errorf("plan has no source stream %q", name)
-				}
-				cs[i] = &streamCursor{name: name, rt: rt}
-			}
-			adv, flush := r.buildTargets(cs)
-			x.adv, x.flush, x.outs = adv[host], flush[host], scanEntries(cs)
-			return x, nil
+			return r.hostExec(host, h)
 		},
-	}
-	n, err := live.NewNode(lcfg, opt, addr)
+	}, addr)
 	if err != nil {
 		return err
 	}
@@ -544,4 +542,41 @@ func (r *Runner) ServeLiveHost(host int, addr string, ready func(addr string)) e
 		ready(n.Addr())
 	}
 	return n.Serve()
+}
+
+// hostExec binds a remotely served host's island of r to the
+// splitter's Hello, once r is known to be the deployment it announces.
+func (r *Runner) hostExec(host int, h *live.Hello) (*islandExec, error) {
+	if r.engine != EngineLive {
+		return nil, fmt.Errorf("cluster: a served node requires Engine %q", EngineLive)
+	}
+	if !r.parallel {
+		return nil, fmt.Errorf("cluster: plan is not parallelizable; the live backend cannot serve it")
+	}
+	if host >= r.plan.Hosts {
+		return nil, fmt.Errorf("cluster: host %d out of range (plan has %d)", host, r.plan.Hosts)
+	}
+	if fp := r.LiveFingerprint(); h.Fingerprint != fp {
+		return nil, fmt.Errorf("cluster: the compiled deployment has fingerprint %q, the splitter announces %q", fp, h.Fingerprint)
+	}
+	// The Hello fixes the canonical stream (cursor) order the splitter
+	// merged; resolve it against our routers to build the same advance
+	// targets and scan entry table.
+	if len(h.Streams) != len(r.routers) {
+		return nil, fmt.Errorf("splitter feeds %d streams, plan has %d", len(h.Streams), len(r.routers))
+	}
+	cs := make([]*streamCursor, len(h.Streams))
+	for i, name := range h.Streams {
+		rt, ok := r.routers[name]
+		if !ok {
+			return nil, fmt.Errorf("plan has no source stream %q", name)
+		}
+		cs[i] = &streamCursor{name: name, rt: rt}
+	}
+	adv, flush := r.buildTargets(cs)
+	return &islandExec{
+		r: r, isl: r.islands[host], wins: r.islands[host : host+1],
+		adv: adv[host], flush: flush[host], outs: scanEntries(cs),
+		shipResult: true,
+	}, nil
 }

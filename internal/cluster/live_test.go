@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -188,10 +187,28 @@ func TestLiveTwoStream(t *testing.T) {
 	}
 }
 
+// serveNodes serves hosts through ServeNode on goroutines of this
+// process, each compiling its runner with compile, and returns their
+// addresses and a channel of their Serve results.
+func serveNodes(t *testing.T, hosts int, lc LiveConfig, compile func(deploy []byte) (*Runner, error)) ([]string, chan error) {
+	t.Helper()
+	addrc := make(chan string, hosts)
+	done := make(chan error, hosts)
+	addrs := make([]string, hosts)
+	for h := 0; h < hosts; h++ {
+		go func(h int) {
+			done <- ServeNode(h, "127.0.0.1:0", lc, compile, func(addr string) { addrc <- addr })
+		}(h)
+		addrs[h] = <-addrc
+	}
+	return addrs, done
+}
+
 // TestLiveRemoteNodes runs every leaf host as a separately compiled
-// runner served over ServeLiveHost — the same shape as qap-node
-// processes — and demands byte-identical results, including the result
-// shards shipped back over the wire.
+// runner served over ServeNode — the same shape as qap-node processes,
+// the deployment arriving in the splitter's Hello — and demands
+// byte-identical results, including the result shards shipped back
+// over the wire.
 func TestLiveRemoteNodes(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
@@ -205,6 +222,7 @@ func TestLiveRemoteNodes(t *testing.T) {
 		}
 		return p
 	}
+	const spec = "the deployment"
 	for _, batch := range liveWireModes {
 		simCfg := liveRunConfig(1, batch, LiveConfig{})
 		simCfg.Engine = EngineSim
@@ -218,27 +236,16 @@ func TestLiveRemoteNodes(t *testing.T) {
 		}
 		cfg := liveRunConfig(1, batch, LiveConfig{})
 
-		// Serve both hosts from independently compiled runners, as
+		// Serve both hosts from runners compiled on the first Hello, as
 		// qap-node does in its own process.
-		addrc := make(chan string, o.Hosts)
-		errc := make(chan error, o.Hosts)
-		var wg sync.WaitGroup
-		addrs := make([]string, o.Hosts)
-		for h := 0; h < o.Hosts; h++ {
-			node, err := NewRunner(build(), cfg)
-			if err != nil {
-				t.Fatal(err)
+		addrs, done := serveNodes(t, o.Hosts, LiveConfig{}, func(deploy []byte) (*Runner, error) {
+			if string(deploy) != spec {
+				t.Errorf("the node was handed deployment %q, want %q", deploy, spec)
 			}
-			wg.Add(1)
-			go func(h int, node *Runner) {
-				defer wg.Done()
-				if err := node.ServeLiveHost(h, "127.0.0.1:0", func(addr string) { addrc <- addr }); err != nil {
-					errc <- err
-				}
-			}(h, node)
-			addrs[h] = <-addrc
-		}
+			return NewRunner(build(), cfg)
+		})
 		cfg.Live.Nodes = addrs
+		cfg.Deploy = []byte(spec)
 		lr, err := NewRunner(build(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -247,31 +254,26 @@ func TestLiveRemoteNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wg.Wait()
-		select {
-		case err := <-errc:
-			t.Fatal(err)
-		default:
+		for h := 0; h < o.Hosts; h++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
 		}
 		sameResult(t, want, got)
 		sameTrace(t, want, got)
 	}
 }
 
-// TestLiveFingerprintMismatch: a node compiled from a different
-// configuration must be rejected at the handshake, not silently
-// diverge — every node, at once: the first refusal aborts the run, and
-// the splitter's other peer still completes its own handshake, so its
-// node refuses too instead of waiting out the 5 s accept grace for a
-// splitter that left before it dialed.
-func TestLiveFingerprintMismatch(t *testing.T) {
-	const timeout = 5 * time.Second
+// fingerprintCase builds the live runners of the fingerprint tests: a
+// 2-host complex-set deployment at the given batch size.
+func fingerprintCase(t *testing.T, timeout time.Duration) (map[string][]netgen.Packet, func(batch int) *Runner) {
+	t.Helper()
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
 	g := buildGraph(t, complexSet)
 	ps := core.MustParseSet("srcIP")
-	build := func(batch int) *Runner {
+	return streams, func(batch int) *Runner {
 		p, err := optimizer.Build(g, ps, o)
 		if err != nil {
 			t.Fatal(err)
@@ -282,19 +284,17 @@ func TestLiveFingerprintMismatch(t *testing.T) {
 		}
 		return r
 	}
-	addrc := make(chan string, 2)
-	done := make(chan error, 2)
-	addrs := make([]string, 2)
-	for h := 0; h < 2; h++ {
-		// Nodes compiled with BatchSize 7; the splitter runs 256.
-		node := build(7)
-		go func(h int) {
-			done <- node.ServeLiveHost(h, "127.0.0.1:0", func(addr string) { addrc <- addr })
-		}(h)
-		addrs[h] = <-addrc
-	}
-	sp := build(256)
-	sp.liveCfg.Nodes = addrs
+}
+
+// refusedEverywhere runs the splitter against the served nodes and
+// demands that the run fail by refusal, not by a timeout, and that every
+// node fail with an error containing want — every node, at once: the
+// first refusal aborts the run, and the splitter's other peer still
+// completes its own handshake, so its node refuses too instead of
+// waiting out the accept grace for a splitter that left before it
+// dialed.
+func refusedEverywhere(t *testing.T, sp *Runner, streams map[string][]netgen.Packet, done chan error, want string) {
+	t.Helper()
 	_, err := sp.RunStreams(streams)
 	if err == nil {
 		t.Fatal("mismatched deployment fingerprints were accepted")
@@ -304,12 +304,60 @@ func TestLiveFingerprintMismatch(t *testing.T) {
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Errorf("the splitter's refusal is a timeout: %v", err)
 	}
-	// The nodes reject the handshake as fatal and name the mismatch.
 	for i := 0; i < 2; i++ {
-		if err := <-done; err == nil || !strings.Contains(err.Error(), "fingerprint") {
-			t.Fatalf("want a node-side fingerprint error, got: %v", err)
+		if err := <-done; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("want a node-side error containing %q, got: %v", want, err)
 		}
 	}
+}
+
+// TestLiveCompiledFingerprintMismatch: a node whose compiled runner
+// does not reproduce the fingerprint the splitter announces — here it
+// compiles BatchSize 7 where the splitter runs 256 — refuses the first
+// handshake for good instead of silently diverging.
+func TestLiveCompiledFingerprintMismatch(t *testing.T) {
+	streams, build := fingerprintCase(t, 5*time.Second)
+	addrs, done := serveNodes(t, 2, LiveConfig{Timeout: 5 * time.Second}, func([]byte) (*Runner, error) { return build(7), nil })
+	sp := build(256)
+	sp.liveCfg.Nodes = addrs
+	refusedEverywhere(t, sp, streams, done, "the compiled deployment has fingerprint")
+}
+
+// TestLiveFingerprintMismatch: a node pins the fingerprint of the first
+// Hello it accepts. After a splitter of one deployment has opened its
+// sessions and gone, a splitter of another that reaches the same nodes
+// is refused as a resume of the wrong deployment, on every node.
+func TestLiveFingerprintMismatch(t *testing.T) {
+	const timeout = 5 * time.Second
+	streams, build := fingerprintCase(t, timeout)
+	addrs, done := serveNodes(t, 2, LiveConfig{Timeout: timeout}, func([]byte) (*Runner, error) { return build(7), nil })
+
+	// The first splitter speaks for the BatchSize 7 deployment the nodes
+	// compile: both accept it, answer an empty feed, and are left
+	// waiting for it to resume.
+	first := live.NewSplitter(live.Config{Timeout: timeout}, live.Hello{
+		BatchSize: 7, Streams: []string{"tcp"}, Fingerprint: build(7).LiveFingerprint(),
+	}, addrs)
+	first.Start()
+	for h := range addrs {
+		if err := first.SendFeed(h, &live.FeedMsg{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range addrs {
+		select {
+		case <-first.Links():
+		case err := <-first.Errs():
+			t.Fatal(err)
+		case <-time.After(timeout):
+			t.Fatal("a node never answered the first splitter")
+		}
+	}
+	first.Close()
+
+	sp := build(256)
+	sp.liveCfg.Nodes = addrs
+	refusedEverywhere(t, sp, streams, done, "resumed hello carries deployment fingerprint")
 }
 
 // TestLiveFaultRecovery injects dropped, duplicated, stalled, and cut

@@ -49,6 +49,8 @@ type Runner struct {
 	// live backend always has an effective timeout).
 	liveCfg      LiveConfig
 	driveTimeout time.Duration
+	// deploy is RunConfig.Deploy, for the Hello to remote nodes.
+	deploy []byte
 	// edges indexes the island-crossing (captured) accounting edges in
 	// deterministic compile order, so the live backend can name an edge
 	// on the wire and resolve it on the collector side. Nil unless
@@ -170,6 +172,11 @@ type RunConfig struct {
 	// guard for the simulator; the live backend falls back to its
 	// transport timeout (LiveConfig.Timeout, default 30s).
 	DriveTimeout time.Duration
+	// Deploy is the encoded deployment a remote live node compiles its
+	// copy of the plan from (ServeNode). The live engine hands it to the
+	// nodes in its Hello when LiveConfig.Nodes is set; in-process nodes
+	// share this runner and get none. This package does not interpret it.
+	Deploy []byte
 }
 
 // Engine selector values for RunConfig.Engine.
@@ -426,6 +433,7 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 	}
 	r.liveCfg = cfg.Live
 	r.driveTimeout = cfg.DriveTimeout
+	r.deploy = cfg.Deploy
 	if err := r.compile(); err != nil {
 		return nil, err
 	}

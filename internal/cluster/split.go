@@ -329,7 +329,7 @@ type islandExec struct {
 	// view is the zero-copy chunk window over a delivered column group;
 	// an executor runs on one goroutine, so it has a single writer.
 	view exec.ColBatch
-	// shipResult marks a remotely served island (ServeLiveHost): the
+	// shipResult marks a remotely served island (ServeNode): the
 	// final island shards travel back in a result frame.
 	shipResult bool
 }

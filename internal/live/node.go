@@ -31,17 +31,13 @@ type Executor interface {
 type NodeOptions struct {
 	// Host is the leaf island index this node serves.
 	Host int
-	// Fingerprint must match the splitter's Hello; empty skips the
-	// check (the in-process engine shares one config by construction).
-	Fingerprint string
-	// BatchSize must match the splitter's Hello when non-zero.
-	BatchSize int
 	// SendResult makes the node ship a final Result frame (remote
 	// mode).
 	SendResult bool
-	// NewExecutor builds the executor on the first handshake; the
-	// executor persists across reconnects (its window state must
-	// survive a dropped connection).
+	// NewExecutor builds the executor from the first handshake's Hello;
+	// the executor persists across reconnects (its window state must
+	// survive a dropped connection). An error refuses the deployment
+	// for good: Serve returns it.
 	NewExecutor func(h *Hello) (Executor, error)
 	// AcceptGrace overrides the wait for the first connection
 	// (separate-process nodes start before the splitter does).
@@ -56,7 +52,9 @@ type Node struct {
 	ln  net.Listener
 	out *outbox
 
-	exec         Executor
+	exec Executor
+	// fingerprint is the first accepted Hello's, pinned for the resumes.
+	fingerprint  string
 	feedSeen     uint64
 	doneAll      bool
 	resultQueued bool
@@ -199,16 +197,15 @@ func (n *Node) session(conn net.Conn) error {
 	if h.Host != n.opt.Host {
 		return fatalf("live: node %d: hello addressed to host %d", n.opt.Host, h.Host)
 	}
-	if n.opt.Fingerprint != "" && h.Fingerprint != n.opt.Fingerprint {
-		return fatalf("live: node %d: deployment fingerprint %q, want %q", n.opt.Host, h.Fingerprint, n.opt.Fingerprint)
-	}
-	if n.opt.BatchSize > 0 && h.BatchSize != n.opt.BatchSize {
-		return fatalf("live: node %d: batch size %d, want %d", n.opt.Host, h.BatchSize, n.opt.BatchSize)
-	}
 	if n.exec == nil {
+		// The executor is a function of the Hello alone, so a refusal
+		// is final: a redial would carry the same Hello.
 		if n.exec, err = n.opt.NewExecutor(h); err != nil {
-			return fmt.Errorf("live: node %d: %w", n.opt.Host, err)
+			return fatalf("live: node %d: %w", n.opt.Host, err)
 		}
+		n.fingerprint = h.Fingerprint
+	} else if h.Fingerprint != n.fingerprint {
+		return fatalf("live: node %d: resumed hello carries deployment fingerprint %q, the node serves %q", n.opt.Host, h.Fingerprint, n.fingerprint)
 	}
 	n.out.rewind(h.ResumeLink)
 	w := Welcome{Version: ProtocolVersion, ResumeFeed: n.feedSeen, HasResult: n.opt.SendResult}

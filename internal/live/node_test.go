@@ -31,12 +31,10 @@ func (e *echoExec) Result() ([]byte, error) { return e.res, nil }
 func TestNodeSplitterEndToEnd(t *testing.T) {
 	cfg := Config{Timeout: 5 * time.Second}
 	node, err := NewNode(cfg, NodeOptions{
-		Host:        0,
-		Fingerprint: "fp",
-		BatchSize:   8,
-		SendResult:  true,
+		Host:       0,
+		SendResult: true,
 		NewExecutor: func(h *Hello) (Executor, error) {
-			if h.Fingerprint != "fp" || h.BatchSize != 8 {
+			if h.Fingerprint != "fp" || h.BatchSize != 8 || string(h.Deploy) != "spec" {
 				t.Errorf("executor built from hello %+v", h)
 			}
 			return &echoExec{res: []byte("final shards")}, nil
@@ -53,6 +51,7 @@ func TestNodeSplitterEndToEnd(t *testing.T) {
 		BatchSize:   8,
 		Streams:     []string{"tcp"},
 		Fingerprint: "fp",
+		Deploy:      []byte("spec"),
 	}, []string{node.Addr()})
 	sp.Start()
 	defer sp.Close()
@@ -105,15 +104,35 @@ func TestNodeSplitterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestNodeFingerprintMismatchIsFatal: a splitter announcing a different
-// deployment must be refused permanently — the node fails its Serve
-// with the fingerprint error instead of rejecting the same peer
-// forever, and the splitter exhausts its attempts.
+// openSession runs one splitter's session with node far enough that the
+// node has accepted its Hello — an empty feed comes back as a link — and
+// closes it again, leaving the node waiting for a resume.
+func openSession(t *testing.T, cfg Config, hello Hello, addr string) {
+	t.Helper()
+	sp := NewSplitter(cfg, hello, []string{addr})
+	sp.Start()
+	defer sp.Close()
+	if err := sp.SendFeed(0, &FeedMsg{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sp.Links():
+	case err := <-sp.Errs():
+		t.Fatal(err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the node never answered the first session's feed")
+	}
+}
+
+// TestNodeFingerprintMismatchIsFatal: a node pins the deployment
+// fingerprint of the first Hello it accepts, so a resumed session
+// announcing another deployment must be refused permanently — the node
+// fails its Serve with the fingerprint error instead of rejecting the
+// same peer forever, and the splitter exhausts its attempts.
 func TestNodeFingerprintMismatchIsFatal(t *testing.T) {
 	cfg := Config{Timeout: time.Second, MaxAttempts: 2, LinkWindow: 4}
 	node, err := NewNode(cfg, NodeOptions{
 		Host:        0,
-		Fingerprint: "deployment-a",
 		NewExecutor: func(h *Hello) (Executor, error) { return &echoExec{}, nil },
 	}, "")
 	if err != nil {
@@ -123,14 +142,16 @@ func TestNodeFingerprintMismatchIsFatal(t *testing.T) {
 	go func() { serveErr <- node.Serve() }()
 	defer node.Close()
 
+	openSession(t, cfg, Hello{Fingerprint: "deployment-a"}, node.Addr())
 	sp := NewSplitter(cfg, Hello{Fingerprint: "deployment-b"}, []string{node.Addr()})
 	sp.Start()
 	defer sp.Close()
 
 	select {
 	case err := <-serveErr:
-		if err == nil || !strings.Contains(err.Error(), "deployment fingerprint") {
-			t.Fatalf("node.Serve = %v, want fingerprint error", err)
+		want := `resumed hello carries deployment fingerprint "deployment-b", the node serves "deployment-a"`
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("node.Serve = %v, want an error containing %q", err, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("node.Serve did not fail on the fingerprint mismatch")
@@ -145,18 +166,74 @@ func TestNodeFingerprintMismatchIsFatal(t *testing.T) {
 	}
 }
 
+// TestNodeResumeWithPinnedFingerprint: a resumed session announcing the
+// pinned fingerprint is served as before — a connection cut mid-run
+// resumes on the executor built on the first Hello, and no second one
+// is built.
+func TestNodeResumeWithPinnedFingerprint(t *testing.T) {
+	cfg := Config{Timeout: 5 * time.Second}
+	built := 0
+	node, err := NewNode(cfg, NodeOptions{
+		Host: 0,
+		NewExecutor: func(h *Hello) (Executor, error) {
+			built++
+			return &echoExec{}, nil
+		},
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- node.Serve() }()
+	defer node.Close()
+
+	plan := &FaultPlan{Faults: []Fault{{Host: 0, Session: 0, Write: 2, Action: FaultCut}}}
+	spCfg := cfg
+	spCfg.Dial = plan.Dial(DefaultDial(cfg.timeout()))
+	sp := NewSplitter(spCfg, Hello{Fingerprint: "fp"}, []string{node.Addr()})
+	sp.Start()
+	defer sp.Close()
+	for i := 0; i < 3; i++ {
+		if err := sp.SendFeed(0, &FeedMsg{Last: i == 2, Rounds: []Round{{Round: i, WM: uint64(16 * (i + 1))}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for done := false; !done; {
+		select {
+		case link := <-sp.Links():
+			done = link.Done
+		case err := <-sp.Errs():
+			t.Fatal(err)
+		case <-time.After(5 * time.Second):
+			t.Fatal("the resumed session's last link never arrived")
+		}
+	}
+	if err := sp.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("node.Serve: %v", err)
+	}
+	if plan.Hits() != 1 {
+		t.Fatalf("fault plan hits = %d, want 1: no session was resumed", plan.Hits())
+	}
+	if built != 1 {
+		t.Fatalf("the node built %d executors, want 1", built)
+	}
+}
+
 // TestCloseLetsFirstHandshakeFinish: a splitter closed before a peer
 // has dialed — one host's refusal aborts the run while another's peer
 // has not been scheduled yet — still greets that peer's node, so the
-// node answers (here with its own refusal) at once instead of waiting
-// out its accept grace for a splitter that left. The dial hook holds the
-// peer back until Close is under way, which is the order the race needs.
+// node answers (here with its own refusal: it cannot build an executor
+// from the Hello) at once instead of waiting out its accept grace for a
+// splitter that left. The dial hook holds the peer back until Close is
+// under way, which is the order the race needs.
 func TestCloseLetsFirstHandshakeFinish(t *testing.T) {
 	cfg := Config{Timeout: 5 * time.Second, MaxAttempts: 1}
 	node, err := NewNode(cfg, NodeOptions{
 		Host:        0,
-		Fingerprint: "deployment-a",
-		NewExecutor: func(h *Hello) (Executor, error) { return &echoExec{}, nil },
+		NewExecutor: func(h *Hello) (Executor, error) { return nil, fmt.Errorf("deployment %q refused", h.Fingerprint) },
 	}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +261,8 @@ func TestCloseLetsFirstHandshakeFinish(t *testing.T) {
 	start := time.Now()
 	select {
 	case err := <-serveErr:
-		if err == nil || !strings.Contains(err.Error(), "deployment fingerprint") {
-			t.Fatalf("node.Serve = %v, want the fingerprint refusal", err)
+		if err == nil || !strings.Contains(err.Error(), `deployment "deployment-b" refused`) {
+			t.Fatalf("node.Serve = %v, want the executor's refusal", err)
 		}
 	case <-time.After(2 * cfg.Timeout):
 		t.Fatal("the node never heard from the closing splitter")
@@ -251,22 +328,25 @@ func TestFeedRetransmitReAcked(t *testing.T) {
 }
 
 // TestNodeRejectsV1HelloAsFatal: a splitter still speaking protocol
-// version 1 — row groups without a kind byte — or version 2 — which
-// would refuse this node's column link items as an unknown kind — must
-// fail the node's Serve for good, positioned at the node and naming both
+// version 1 — row groups without a kind byte —, version 2 — which
+// would refuse this node's column link items as an unknown kind — or
+// version 5 — whose Hello ends before the deployment — must fail the
+// node's Serve for good, positioned at the node and naming both
 // versions; a retried "truncated frame" error somewhere inside its first
 // feed would be the alternative. The version byte is judged before the
 // rest of the Hello is parsed, so even a Hello this version cannot
 // decode is refused by version.
 func TestNodeRejectsV1HelloAsFatal(t *testing.T) {
+	v5 := (&Hello{Version: 5, BatchSize: 256, Streams: []string{"tcp"}, Fingerprint: "fp"}).encode(nil)
 	for name, payload := range map[string][]byte{
-		"v1 hello":         (&Hello{Version: 1, Streams: []string{"tcp"}, Fingerprint: "fp"}).encode(nil),
-		"v2 hello":         (&Hello{Version: 2, BatchSize: 256, Streams: []string{"tcp"}, Fingerprint: "fp"}).encode(nil),
+		"v1 hello": (&Hello{Version: 1, Streams: []string{"tcp"}, Fingerprint: "fp"}).encode(nil),
+		"v2 hello": (&Hello{Version: 2, BatchSize: 256, Streams: []string{"tcp"}, Fingerprint: "fp"}).encode(nil),
+		"v5 hello": v5[:len(v5)-4], // no Deploy length
+
 		"undecodable v1":   {1, 0xFF},
 		"a future version": {ProtocolVersion + 1},
 	} {
 		node, err := NewNode(Config{Timeout: 5 * time.Second}, NodeOptions{
-			Fingerprint: "fp",
 			NewExecutor: func(*Hello) (Executor, error) { return &echoExec{}, nil },
 		}, "")
 		if err != nil {

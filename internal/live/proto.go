@@ -13,8 +13,8 @@ import (
 // column-batch link item; version 4 drops the single-row link item
 // (kind 0); version 5 carries Int rows in the column codec's Int bitmap
 // and drops the rows link item (kind 1), so a column batch is the only
-// data item on a link.
-const ProtocolVersion = 5
+// data item on a link; version 6 appends Hello.Deploy.
+const ProtocolVersion = 6
 
 // Hello opens (or resumes) a session, splitter -> node.
 type Hello struct {
@@ -31,9 +31,14 @@ type Hello struct {
 	// streams (lower-case names): group Stream indexes and advance
 	// tags are defined against it.
 	Streams []string
-	// Fingerprint identifies the plan + run configuration; a node
-	// serving a different deployment refuses the session.
+	// Fingerprint identifies the plan + run configuration. A node pins
+	// the one its first session opened with and refuses a resumed
+	// session announcing another.
 	Fingerprint string
+	// Deploy is the encoded deployment a remote node compiles its
+	// executor from on the first handshake; in-process nodes share the
+	// splitter's plan and get none. This package does not interpret it.
+	Deploy []byte
 }
 
 // Welcome answers a Hello, node -> splitter.
@@ -180,7 +185,7 @@ func patchBlobLen(dst []byte, at int) []byte {
 }
 
 func (m *Hello) wireSize() int {
-	n := 1 + 4 + 4 + 8 + 2 + 4 + len(m.Fingerprint)
+	n := 1 + 4 + 4 + 8 + 2 + 4 + len(m.Fingerprint) + 4 + len(m.Deploy)
 	for _, s := range m.Streams {
 		n += 4 + len(s)
 	}
@@ -196,7 +201,9 @@ func (m *Hello) encode(dst []byte) []byte {
 	for _, s := range m.Streams {
 		dst = appendString(dst, s)
 	}
-	return appendString(dst, m.Fingerprint)
+	dst = appendString(dst, m.Fingerprint)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Deploy)))
+	return append(dst, m.Deploy...)
 }
 
 func (m *Welcome) wireSize() int { return 1 + 8 + 1 }
@@ -382,16 +389,22 @@ func (d *protoDecoder) u64(what string) (uint64, error) {
 }
 
 func (d *protoDecoder) str(what string) (string, error) {
+	b, err := d.blob(what)
+	return string(b), err
+}
+
+// blob reads a length-prefixed byte span; the result aliases the frame.
+func (d *protoDecoder) blob(what string) ([]byte, error) {
 	n, err := d.u32(what)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if d.off+int(n) > len(d.data) {
-		return "", d.fail(what)
+		return nil, d.fail(what)
 	}
-	s := string(d.data[d.off : d.off+int(n)])
+	b := d.data[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s, nil
+	return b, nil
 }
 
 func (d *protoDecoder) batch(what string) (exec.Batch, error) {
@@ -489,6 +502,14 @@ func decodeHello(data []byte) (*Hello, error) {
 	}
 	if m.Fingerprint, err = d.str("hello fingerprint"); err != nil {
 		return nil, err
+	}
+	deploy, err := d.blob("hello deploy")
+	if err != nil {
+		return nil, err
+	}
+	if len(deploy) > 0 {
+		// The frame buffer is reused for the session's later frames.
+		m.Deploy = append([]byte(nil), deploy...)
 	}
 	return m, d.finish("hello")
 }

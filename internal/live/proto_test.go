@@ -78,26 +78,44 @@ func protoCols(t testing.TB) *exec.ColBatch {
 }
 
 // TestHelloRoundTrip: a Hello must decode back bit-identical, including
-// the stream cursor order the node's delivery tags are defined against.
+// the stream cursor order the node's delivery tags are defined against
+// and the deployment a remote node compiles, which must outlive the
+// frame buffer; every strict prefix must be refused as truncated.
 func TestHelloRoundTrip(t *testing.T) {
-	in := &Hello{
-		Version:     ProtocolVersion,
-		Host:        3,
-		BatchSize:   256,
-		ResumeLink:  1<<40 | 17,
-		Streams:     []string{"tcp", "udp"},
-		Fingerprint: "plan=abc bs=256",
-	}
-	enc := in.encode(nil)
-	if in.wireSize() != len(enc) {
-		t.Fatalf("hello wireSize = %d, encoding is %d bytes", in.wireSize(), len(enc))
-	}
-	out, err := decodeHello(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("hello round-trip:\n in=%+v\nout=%+v", in, out)
+	for _, deploy := range [][]byte{nil, []byte(`{"schema":"...","hosts":2}`)} {
+		in := &Hello{
+			Version:     ProtocolVersion,
+			Host:        3,
+			BatchSize:   256,
+			ResumeLink:  1<<40 | 17,
+			Streams:     []string{"tcp", "udp"},
+			Fingerprint: "plan=abc bs=256",
+			Deploy:      deploy,
+		}
+		enc := in.encode(nil)
+		if in.wireSize() != len(enc) {
+			t.Fatalf("hello wireSize = %d, encoding is %d bytes", in.wireSize(), len(enc))
+		}
+		out, err := decodeHello(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(in, out) {
+			t.Fatalf("hello round-trip:\n in=%+v\nout=%+v", in, out)
+		}
+		// The decoded Deploy outlives the frame buffer it came in.
+		for i := range enc {
+			enc[i] = 0
+		}
+		if !reflect.DeepEqual(in.Deploy, out.Deploy) {
+			t.Fatalf("decoded Deploy aliases the frame: %q", out.Deploy)
+		}
+		enc = in.encode(nil)
+		for n := 0; n < len(enc); n++ {
+			if _, err := decodeHello(enc[:n]); err == nil || !strings.Contains(err.Error(), "truncated") {
+				t.Fatalf("hello cut to %d of %d bytes: err = %v, want a truncation", n, len(enc), err)
+			}
+		}
 	}
 }
 

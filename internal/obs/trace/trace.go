@@ -161,6 +161,9 @@ func NewCollector(cfg Config) *Collector {
 	return &Collector{cfg: cfg}
 }
 
+// Config is the capture configuration, ring size defaulted.
+func (c *Collector) Config() Config { return c.cfg }
+
 // NewShard registers the next shard. Each shard has exactly one
 // writer; different shards may be written from different goroutines.
 func (c *Collector) NewShard() *Shard {

@@ -105,8 +105,8 @@ func TestRunResultOutputNames(t *testing.T) {
 // the sequential simulator only. Workers 4 changes nothing — the same
 // rows in the same order, node rows, metrics, stats and canonical trace
 // as Workers 1 — and the report names the engine that ran. The live
-// backend refuses it, on the splitter side and on a node, before
-// anything listens, with an error naming both settings.
+// backend refuses it with an error naming both settings: the splitter
+// before anything listens, a node when the deployment reaches it.
 func TestBatchOneIsTheOracle(t *testing.T) {
 	sys, err := Load(netgen.SchemaDDL, ComplexQuerySet)
 	if err != nil {
@@ -159,8 +159,11 @@ func TestBatchOneIsTheOracle(t *testing.T) {
 	}
 	_, err = deploy(4, EngineLive).Run("TCP", packets)
 	refused("Run", err)
-	err = deploy(1, EngineLive).ServeLiveHost(0, "127.0.0.1:0", func(addr string) {
-		t.Errorf("a node listened on %s", addr)
-	})
-	refused("ServeLiveHost", err)
+	// A splitter never ships BatchSize 1, so the node is handed the spec
+	// directly.
+	spec, err := deploy(1, EngineLive).encodeSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused("a node", serveRefusal(t, spec))
 }

@@ -118,24 +118,35 @@ type System struct {
 	Catalog *schema.Catalog
 	Queries *gsql.QuerySet
 	Graph   *plan.Graph
+
+	// ddl and queries are the source texts Load parsed, which a live
+	// deployment ships to its remote nodes.
+	ddl, queries string
 }
 
 // Load parses stream DDL and a GSQL query set and builds the logical
 // query DAG.
 func Load(ddl, queries string) (*System, error) {
+	s, _, err := load(ddl, queries)
+	return s, err
+}
+
+// load is Load that also names the input an error is in: "Schema" or
+// "Queries".
+func load(ddl, queries string) (*System, string, error) {
 	cat, err := schema.Parse(ddl)
 	if err != nil {
-		return nil, err
+		return nil, "Schema", err
 	}
 	qs, err := gsql.ParseQuerySet(queries)
 	if err != nil {
-		return nil, err
+		return nil, "Queries", err
 	}
 	g, err := plan.Build(cat, qs)
 	if err != nil {
-		return nil, err
+		return nil, "Queries", err
 	}
-	return &System{Catalog: cat, Queries: qs, Graph: g}, nil
+	return &System{Catalog: cat, Queries: qs, Graph: g, ddl: ddl, queries: queries}, "", nil
 }
 
 // MustLoad is Load that panics on error, for examples and tests with
@@ -468,6 +479,13 @@ func (d *Deployment) newRunner() (*cluster.Runner, error) {
 		def.CapacityPerSec = costs.CapacityPerSec
 		costs = def
 	}
+	var deploy []byte
+	if d.cfg.Engine == EngineLive && len(d.cfg.Live.Nodes) > 0 {
+		var err error
+		if deploy, err = d.encodeSpec(); err != nil {
+			return nil, err
+		}
+	}
 	return cluster.NewRunner(d.plan, cluster.RunConfig{
 		Costs:         costs,
 		Params:        d.params,
@@ -480,6 +498,7 @@ func (d *Deployment) newRunner() (*cluster.Runner, error) {
 		Engine:        d.cfg.Engine,
 		Live:          d.cfg.Live,
 		DriveTimeout:  d.cfg.DriveTimeout,
+		Deploy:        deploy,
 	})
 }
 
@@ -514,21 +533,6 @@ func (d *Deployment) mergeSizeHints(hints map[int]int) {
 			d.sizeHints[id] = n
 		}
 	}
-}
-
-// ServeLiveHost serves one leaf host of this deployment as a live TCP
-// node on addr, for running hosts as separate OS processes
-// (cmd/qap-node). The deployment must be built with Engine EngineLive
-// and the exact configuration the splitter process uses — the
-// handshake's deployment fingerprint rejects anything else. ready,
-// when non-nil, receives the bound listen address before serving.
-// Blocks until the host's work is complete and acknowledged.
-func (d *Deployment) ServeLiveHost(host int, addr string, ready func(addr string)) error {
-	r, err := d.newRunner()
-	if err != nil {
-		return err
-	}
-	return r.ServeLiveHost(host, addr, ready)
 }
 
 // Uint wraps a uint64 as a parameter value.
