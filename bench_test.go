@@ -323,7 +323,7 @@ func BenchmarkBaselineQueryPlanPartitioning(b *testing.B) {
 		costs.CapacityPerSec = 1
 
 		maxHostUnits := func(p *optimizer.Plan) float64 {
-			r, err := cluster.New(p, costs, nil)
+			r, err := cluster.NewRunner(p, cluster.RunConfig{Costs: costs})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -381,7 +381,7 @@ func BenchmarkExecutorThroughput(b *testing.B) {
 	p := optimizer.MustBuild(sys.Graph, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := cluster.New(p, cluster.DefaultCosts(), nil)
+		r, err := cluster.NewRunner(p, cluster.RunConfig{Costs: cluster.DefaultCosts()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -34,7 +33,6 @@ type appFlags struct {
 	explain    string
 	dot        bool
 	perStream  bool
-	workers    int
 	metricsOut string
 	report     bool
 	lint       bool
@@ -47,7 +45,6 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.StringVar(&f.explain, "explain", "", "also explain plan costs under this partitioning set, e.g. 'srcIP, destIP'")
 	fs.BoolVar(&f.dot, "dot", false, "print the logical query DAG as Graphviz DOT and exit")
 	fs.BoolVar(&f.perStream, "per-stream", false, "also run the per-stream analysis (one set per input stream)")
-	fs.IntVar(&f.workers, "workers", runtime.GOMAXPROCS(0), "candidate-costing worker goroutines (1 = sequential; results are identical for any value)")
 	fs.StringVar(&f.metricsOut, "metrics-out", "", "write the machine-readable JSON analysis report to this file")
 	fs.BoolVar(&f.report, "report", false, "print the analysis report in Prometheus text format")
 	fs.BoolVar(&f.lint, "lint", false, "also run the static semantic analyzer and print its QAP0xx diagnostics")
@@ -59,7 +56,7 @@ func main() {
 	flag.Parse()
 	schemaFile, queryFile := &fl.schemaFile, &fl.queryFile
 	explain, dot, perStream := &fl.explain, &fl.dot, &fl.perStream
-	workers, metricsOut, report, lintFlag := &fl.workers, &fl.metricsOut, &fl.report, &fl.lint
+	metricsOut, report, lintFlag := &fl.metricsOut, &fl.report, &fl.lint
 
 	ddl := netgen.SchemaDDL
 	if *schemaFile != "" {
@@ -93,10 +90,8 @@ func main() {
 		fmt.Printf("  %s\n", q.Name)
 	}
 
-	opts := qap.DefaultSearchOptions()
-	opts.Workers = *workers
 	started := time.Now() //qap:allow walltime -- wall time quarantined in obs.Timing
-	res, err := sys.AnalyzeWith(nil, opts)
+	res, err := sys.Analyze(nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -128,7 +123,6 @@ func main() {
 				SearchStats: res.Search,
 			},
 			Timing: &obs.Timing{
-				Workers:              *workers,
 				Engine:               "search",
 				WallNanos:            int64(wall),
 				SearchEnumerateNanos: res.Search.EnumerateNanos,

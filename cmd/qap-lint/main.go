@@ -14,14 +14,13 @@
 // Without -queries it lints the paper's Section 3.2 example set. The
 // exit status is 1 when any error-severity diagnostic (or a parse or
 // plan failure, reported as QAP000) is present, 0 otherwise. Output is
-// deterministic: byte-identical across runs and -workers settings.
+// deterministic: byte-identical across runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"qap"
@@ -37,7 +36,6 @@ type appFlags struct {
 	queryFile  string
 	sets       string
 	format     string
-	workers    int
 }
 
 func defineFlags(fs *flag.FlagSet) *appFlags {
@@ -46,7 +44,6 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.StringVar(&f.queryFile, "queries", "", "GSQL query set file (default: the paper's Section 3.2 set)")
 	fs.StringVar(&f.sets, "sets", "", "semicolon-separated candidate partitioning sets to explain (default: derived from the analysis)")
 	fs.StringVar(&f.format, "format", "human", "output format: human or json")
-	fs.IntVar(&f.workers, "workers", runtime.GOMAXPROCS(0), "analysis worker goroutines (1 = sequential; results are identical for any value)")
 	return f
 }
 
@@ -54,7 +51,7 @@ func main() {
 	fl := defineFlags(flag.CommandLine)
 	flag.Parse()
 	schemaFile, queryFile := &fl.schemaFile, &fl.queryFile
-	setsFlag, format, workers := &fl.sets, &fl.format, &fl.workers
+	setsFlag, format := &fl.sets, &fl.format
 
 	if *format != "human" && *format != "json" {
 		fatal(fmt.Errorf("unknown -format %q (want human or json)", *format))
@@ -92,7 +89,7 @@ func main() {
 		sets = append(sets, ps)
 	}
 
-	rep := run(ddl, queries, source, sets, *workers)
+	rep := run(ddl, queries, source, sets)
 	switch *format {
 	case "json":
 		b, err := rep.JSON()
@@ -108,16 +105,14 @@ func main() {
 	}
 }
 
-func run(ddl, queries, source string, sets []qap.Set, workers int) *qap.LintReport {
+func run(ddl, queries, source string, sets []qap.Set) *qap.LintReport {
 	sys, err := qap.Load(ddl, queries)
 	if err != nil {
 		return qap.LintLoadError(source, err)
 	}
 	var analysis *qap.Analysis
 	if len(sets) == 0 {
-		opts := qap.DefaultSearchOptions()
-		opts.Workers = workers
-		analysis, err = sys.AnalyzeWith(nil, opts)
+		analysis, err = sys.Analyze(nil)
 		if err != nil {
 			return qap.LintLoadError(source, err)
 		}

@@ -17,14 +17,13 @@
 // -verify mode parses a serialized certificate and checks every
 // derivation step against the plan, exiting 1 when the certificate
 // does not hold. Output is deterministic: certificate bytes are
-// identical across runs and -workers settings.
+// identical across runs.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"qap"
 	"qap/internal/netgen"
@@ -41,7 +40,6 @@ type appFlags struct {
 	format     string
 	out        string
 	verifyFile string
-	workers    int
 }
 
 func defineFlags(fs *flag.FlagSet) *appFlags {
@@ -52,7 +50,6 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.StringVar(&f.format, "format", "human", "output format: human or json")
 	fs.StringVar(&f.out, "out", "", "also write the canonical JSON certificate to this file")
 	fs.StringVar(&f.verifyFile, "verify", "", "verify this serialized certificate against the plan instead of proving")
-	fs.IntVar(&f.workers, "workers", runtime.GOMAXPROCS(0), "analysis worker goroutines for -set auto (1 = sequential; results are identical for any value)")
 	return f
 }
 
@@ -103,7 +100,7 @@ func main() {
 		return
 	}
 
-	ps, err := resolveSet(sys, fl.set, fl.workers)
+	ps, err := resolveSet(sys, fl.set)
 	if err != nil {
 		fatal(err)
 	}
@@ -133,13 +130,11 @@ func main() {
 // resolveSet maps the -set flag to a partitioning set: "auto" runs
 // the partitioning analysis and proves its recommendation; anything
 // else (including the empty string) parses as an explicit set.
-func resolveSet(sys *qap.System, set string, workers int) (qap.Set, error) {
+func resolveSet(sys *qap.System, set string) (qap.Set, error) {
 	if set != "auto" {
 		return qap.ParseSet(set)
 	}
-	opts := qap.DefaultSearchOptions()
-	opts.Workers = workers
-	analysis, err := sys.AnalyzeWith(nil, opts)
+	analysis, err := sys.Analyze(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -68,7 +68,7 @@ func TestNaiveOverloadsAtScaleLikeFigure8(t *testing.T) {
 			Hosts: 4, PartitionsPerHost: 2, PartialAgg: true, PartialScope: optimizer.ScopePartition})
 		cost := DefaultCosts()
 		cost.CapacityPerSec = 700 // tight
-		r, err := New(p, cost, testParams)
+		r, err := NewRunner(p, RunConfig{Costs: cost, Params: testParams})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +110,11 @@ func TestPhysicalPlanDOT(t *testing.T) {
 }
 
 func TestJoinResolverErrors(t *testing.T) {
-	// Compile-time failures in join expressions surface as New()
+	// Compile-time failures in join expressions surface as NewRunner()
 	// errors with context, not panics.
 	g := buildGraph(t, complexSet)
 	p := optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1})
-	if _, err := New(p, DefaultCosts(), nil); err != nil {
+	if _, err := NewRunner(p, RunConfig{Costs: DefaultCosts()}); err != nil {
 		t.Fatalf("valid plan should compile: %v", err)
 	}
 }
@@ -123,7 +123,7 @@ func TestEmptyAndTinyTraces(t *testing.T) {
 	g := buildGraph(t, complexSet)
 	p := optimizer.MustBuild(g, core.MustParseSet("srcIP"),
 		optimizer.Options{Hosts: 2, PartitionsPerHost: 2})
-	r, err := New(p, DefaultCosts(), testParams)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestEmptyAndTinyTraces(t *testing.T) {
 	}
 	// Single packet: flows emits one group at flush; the join finds no
 	// consecutive-epoch partner.
-	r2, _ := New(optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1}), DefaultCosts(), testParams)
+	r2, _ := NewRunner(optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1}), RunConfig{Costs: DefaultCosts(), Params: testParams})
 	tr := smallTrace(t)
 	res2, err := r2.Run("TCP", tr.Packets[:1])
 	if err != nil {

@@ -52,7 +52,7 @@ func runTwoStream(t testing.TB, g *plan.Graph, ps core.Set, o optimizer.Options,
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(p, DefaultCosts(), nil)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestTwoStreamJoinPushdown(t *testing.T) {
 func TestRunStreamsRejectsUnordered(t *testing.T) {
 	g := buildTwoStream(t)
 	p := optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1})
-	r, err := New(p, DefaultCosts(), nil)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestRunStreamsOneSideEmpty(t *testing.T) {
 	g := buildTwoStream(t)
 	a, _ := twoTraces(t)
 	p := optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 2, PartitionsPerHost: 2})
-	r, err := New(p, DefaultCosts(), nil)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestOperatorPlacementEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(p, DefaultCosts(), testParams)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,7 +233,7 @@ func TestCursorOrderStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := New(p, DefaultCosts(), nil)
+		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func runCross(t testing.TB, g *plan.Graph, ss core.StreamSets, o optimizer.Optio
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(p, DefaultCosts(), nil)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}

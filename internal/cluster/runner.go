@@ -360,12 +360,6 @@ type Result struct {
 	SizeHints map[int]int
 }
 
-// New compiles the physical plan into operator instances for the
-// sequential engine.
-func New(p *optimizer.Plan, cost CostConfig, params exec.Params) (*Runner, error) {
-	return NewRunner(p, RunConfig{Costs: cost, Params: params})
-}
-
 // NewRunner compiles the physical plan into operator instances under
 // the given run configuration.
 func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {

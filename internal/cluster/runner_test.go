@@ -64,7 +64,7 @@ func runConfig(t testing.TB, g *plan.Graph, ps core.Set, o optimizer.Options, tr
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(p, DefaultCosts(), testParams)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestLeafLoadDrops(t *testing.T) {
 	leafLoad := func(hosts int) float64 {
 		p := optimizer.MustBuild(g, nil, optimizer.Options{
 			Hosts: hosts, PartitionsPerHost: 2, PartialAgg: true, PartialScope: optimizer.ScopePartition})
-		r, err := New(p, cost, testParams)
+		r, err := NewRunner(p, RunConfig{Costs: cost, Params: testParams})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func TestMetricsAccounting(t *testing.T) {
 func TestRunUnknownStream(t *testing.T) {
 	g := buildGraph(t, flowsQuery)
 	p := optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1})
-	r, err := New(p, DefaultCosts(), nil)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestRunUnknownStream(t *testing.T) {
 func TestUnboundParamFailsAtCompile(t *testing.T) {
 	g := buildGraph(t, suspiciousQuery)
 	p := optimizer.MustBuild(g, nil, optimizer.Options{Hosts: 1, PartitionsPerHost: 1})
-	if _, err := New(p, DefaultCosts(), nil); err == nil {
+	if _, err := NewRunner(p, RunConfig{Costs: DefaultCosts()}); err == nil {
 		t.Error("missing #PATTERN# should fail at compile time")
 	}
 }

@@ -158,3 +158,66 @@ func TestRunsLeaveNoGoroutine(t *testing.T) {
 		t.Errorf("failed parallel run: %d goroutines before, %d after", before, n)
 	}
 }
+
+// checkRoundStock asserts roundStock's invariant: it holds at most
+// roundStockCap lists, and no stocked round — in a list's spare
+// capacity too, where takeRounds' next caller finds it — keeps a group
+// that still points at a ColBatch, which retire hands back to its run.
+func checkRoundStock(t *testing.T, after string) int {
+	t.Helper()
+	roundStock.mu.Lock()
+	defer roundStock.mu.Unlock()
+	if n := len(roundStock.lists); n > roundStockCap {
+		t.Errorf("after %s: roundStock holds %d lists, over its cap of %d", after, n, roundStockCap)
+	}
+	for li, l := range roundStock.lists {
+		for ri, rd := range l[:cap(l)] {
+			for gi, g := range rd.Groups[:cap(rd.Groups)] {
+				if g.Cols != nil {
+					t.Errorf("after %s: stocked list %d, round slot %d, group slot %d still points at a ColBatch", after, li, ri, gi)
+					return len(roundStock.lists)
+				}
+			}
+		}
+	}
+	return len(roundStock.lists)
+}
+
+// TestRoundStockInvariant checks roundStock after clean sequential,
+// parallel and live runs, and after a parallel run that fails on its
+// drive timeout.
+func TestRoundStockInvariant(t *testing.T) {
+	tr := smallTrace(t)
+	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
+	ps := core.MustParseSet("srcIP, destIP")
+	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
+	sim := func(workers int) RunConfig {
+		return RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: workers, BatchSize: 256}
+	}
+	for _, c := range []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"sequential", sim(1)},
+		{"parallel", sim(2)},
+		{"live", liveRunConfig(2, 256, LiveConfig{})},
+	} {
+		if _, err := runEngineErr(t, flowsQuery, ps, o, streams, c.cfg); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := checkRoundStock(t, c.name+" run"); n == 0 && c.name == "sequential" {
+			t.Error("a sequential run stocked no round list: the check above saw nothing")
+		}
+	}
+
+	stall := make(chan struct{})
+	testStallWorkers = stall
+	defer func() { testStallWorkers = nil }()
+	defer close(stall)
+	cfg := sim(2)
+	cfg.DriveTimeout = 100 * time.Millisecond
+	if _, err := runEngineErr(t, flowsQuery, ps, o, streams, cfg); err == nil {
+		t.Fatal("wedged workers did not fail the run")
+	}
+	checkRoundStock(t, "a failed parallel run")
+}

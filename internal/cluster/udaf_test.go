@@ -107,7 +107,7 @@ FROM TCP GROUP BY time/60 AS tb, srcIP`)
 		t.Fatal("holistic aggregate must not split")
 	}
 	want := centralized(t, g, tr)
-	r, err := New(p, DefaultCosts(), testParams)
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams})
 	if err != nil {
 		t.Fatal(err)
 	}

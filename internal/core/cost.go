@@ -164,10 +164,7 @@ func (c *CostModel) evaluate(ps Set) (maxCost, total float64) {
 	return maxCost, total
 }
 
-// evaluateUncached is evaluate without the memo cache. After
-// prefillRates it neither reads nor writes any mutable CostModel state,
-// so distinct sets may be evaluated concurrently (the parallel
-// candidate search relies on this).
+// evaluateUncached is evaluate without the memo cache.
 func (c *CostModel) evaluateUncached(ps Set) (maxCost, total float64) {
 	distributable := make(map[*plan.Node]bool, len(c.Graph.Nodes))
 	for _, n := range c.Graph.Nodes {
@@ -207,15 +204,6 @@ func (c *CostModel) evaluateUncached(ps Set) (maxCost, total float64) {
 		total += cost
 	}
 	return maxCost, total
-}
-
-// prefillRates memoizes every node's output tuple rate up front, after
-// which OutputTupleRate (and thus evaluateUncached) only reads the
-// rate map and is safe to call from multiple goroutines.
-func (c *CostModel) prefillRates() {
-	for _, n := range c.Graph.Nodes {
-		c.OutputTupleRate(n)
-	}
 }
 
 // OutputTupleRate returns the node's steady-state output rate in

@@ -12,8 +12,10 @@ import (
 // requirements, reconciliation, and the DP expansion never look at
 // stats; only the costing of the recorded candidates does — so an
 // adaptive controller reacting to drift can reuse a prior search's
-// candidate list and pay only the re-costing, which is the expensive
-// part the worker pool already parallelizes.
+// candidate list and pay only the re-costing. At the MaxStates cap
+// the enumeration and the candidate bookkeeping dominate a search, not
+// the costing of the few distinct sets, so skipping the enumeration is
+// where the saving lies.
 //
 // The result is identical to a fresh Optimize on the same graph and
 // stats (asserted by TestReoptimizeMatchesFreshOptimize), minus the
@@ -38,7 +40,7 @@ func Reoptimize(g *plan.Graph, prior *Result, stats Stats, opts Options) (*Resul
 		res.Candidates[i] = Candidate{Queries: c.Queries, Set: c.Set}
 	}
 	costStart := time.Now() //qap:allow walltime -- wall time quarantined in SearchStats nanos
-	fillCandidateCosts(cm, res.Candidates, opts.Workers, &res.Search)
+	fillCandidateCosts(cm, res.Candidates, &res.Search)
 	res.Search.CostNanos = int64(time.Since(costStart)) //qap:allow walltime -- wall time quarantined in SearchStats nanos
 	res.Search.CacheHits = cm.cacheHits
 	rankAndSelect(res)

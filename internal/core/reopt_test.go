@@ -59,7 +59,7 @@ func TestReoptimizeMatchesFreshOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err = Reoptimize(g, prior, st, Options{Workers: 4})
+	re, err = Reoptimize(g, prior, st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

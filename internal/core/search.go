@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"qap/internal/obs"
@@ -43,9 +42,7 @@ type Result struct {
 	// cost (then by coverage).
 	Candidates []Candidate
 	// Search holds the instrumentation counters of this run. Every
-	// field except the wall-clock Nanos spans is deterministic for a
-	// fixed worker count (and everything except PerWorkerEvals is
-	// deterministic for any worker count).
+	// field except the wall-clock Nanos spans is deterministic.
 	Search obs.SearchStats
 }
 
@@ -56,14 +53,6 @@ type Options struct {
 	// and reconciliation failures, but a runaway guard is kept for
 	// adversarial query sets.
 	MaxStates int
-	// AllowPerStreamSets is reserved for the paper's stated future
-	// work (distinct partitioning per input stream); the analysis
-	// currently rejects it to match the paper's assumption.
-	AllowPerStreamSets bool
-	// Workers fans the candidates' independent cost evaluations across
-	// a worker pool; <= 1 evaluates inline. The result is identical for
-	// any worker count.
-	Workers int
 }
 
 // DefaultOptions returns the standard search options.
@@ -174,7 +163,7 @@ func optimize(g *plan.Graph, stats Stats, opts Options, reqOf func(*plan.Node) R
 	var frontier []state
 	// Costs are not consulted during the expansion, only by the final
 	// ranking, so record defers them: candidates are costed in one
-	// (optionally parallel) batch after the frontier is exhausted.
+	// batch after the frontier is exhausted.
 	record := func(mask uint64, set Set) {
 		var names []string
 		for i, n := range nodes {
@@ -253,7 +242,7 @@ func optimize(g *plan.Graph, stats Stats, opts Options, reqOf func(*plan.Node) R
 
 	res.Search.EnumerateNanos = int64(time.Since(enumStart)) //qap:allow walltime -- wall time quarantined in SearchStats nanos
 	costStart := time.Now()                                  //qap:allow walltime -- wall time quarantined in SearchStats nanos
-	fillCandidateCosts(cm, res.Candidates, opts.Workers, &res.Search)
+	fillCandidateCosts(cm, res.Candidates, &res.Search)
 	res.Search.CostNanos = int64(time.Since(costStart)) //qap:allow walltime -- wall time quarantined in SearchStats nanos
 	res.Search.CacheHits = cm.cacheHits
 
@@ -292,71 +281,23 @@ func rankAndSelect(res *Result) {
 }
 
 // fillCandidateCosts computes every candidate's (Cost, Total). Many
-// candidates reconcile to the same set, so distinct sets are evaluated
-// once each; with workers > 1 the evaluations fan out index-strided
-// across a static pool. Workers share no mutable state (rates are
-// prefilled, each writes its own result slots), so the filled costs —
-// and therefore the search result — are identical for any worker
-// count. st (optional) receives the dedup and per-worker evaluation
-// counters; the strided assignment makes PerWorkerEvals deterministic
-// for a fixed worker count.
-func fillCandidateCosts(cm *CostModel, cands []Candidate, workers int, st *obs.SearchStats) {
-	cm.prefillRates()
-	type slot struct {
-		set  Set
-		idxs []int
-	}
-	var order []string
-	uniq := make(map[string]*slot)
+// candidates reconcile to the same set, so the distinct sets are
+// evaluated once each, in first-seen order; st receives the dedup
+// counters. A deduplicated candidate is not a cost-model cache hit:
+// the evaluations bypass evaluate's memo.
+func fillCandidateCosts(cm *CostModel, cands []Candidate, st *obs.SearchStats) {
+	uniq := make(map[string][2]float64)
 	for i := range cands {
 		key := cands[i].Set.String()
-		s, ok := uniq[key]
+		v, ok := uniq[key]
 		if !ok {
-			s = &slot{set: cands[i].Set}
-			uniq[key] = s
-			order = append(order, key)
+			v[0], v[1] = cm.evaluateUncached(cands[i].Set)
+			uniq[key] = v
 		}
-		s.idxs = append(s.idxs, i)
+		cands[i].Cost, cands[i].Total = v[0], v[1]
 	}
-	results := make([][2]float64, len(order))
-	eval := func(start, stride int) int64 {
-		var n int64
-		for u := start; u < len(order); u += stride {
-			m, t := cm.evaluateUncached(uniq[order[u]].set)
-			results[u] = [2]float64{m, t}
-			n++
-		}
-		return n
-	}
-	var perWorker []int64
-	if workers <= 1 || len(order) < 2 {
-		perWorker = []int64{eval(0, 1)}
-	} else {
-		if workers > len(order) {
-			workers = len(order)
-		}
-		perWorker = make([]int64, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(start int) {
-				defer wg.Done()
-				perWorker[start] = eval(start, workers)
-			}(w)
-		}
-		wg.Wait()
-	}
-	if st != nil {
-		st.UniqueSets = int64(len(order))
-		st.Deduped = int64(len(cands) - len(order))
-		st.PerWorkerEvals = perWorker
-	}
-	for u, key := range order {
-		cm.costCache[key] = results[u]
-		for _, i := range uniq[key].idxs {
-			cands[i].Cost, cands[i].Total = results[u][0], results[u][1]
-		}
-	}
+	st.UniqueSets = int64(len(uniq))
+	st.Deduped = int64(len(cands) - len(uniq))
 }
 
 // hasConstrainedBelow reports whether any constrained node is in n's

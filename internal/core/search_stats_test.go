@@ -1,9 +1,6 @@
 package core
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // TestSearchStatsPopulated: an optimization run must account for every
 // recorded candidate and every costed set, with the bookkeeping
@@ -24,10 +21,6 @@ func TestSearchStatsPopulated(t *testing.T) {
 	if s.Deduped != s.Enumerated-s.UniqueSets {
 		t.Errorf("Deduped=%d, want Enumerated-UniqueSets=%d", s.Deduped, s.Enumerated-s.UniqueSets)
 	}
-	// Sequential search: a single worker evaluated every unique set.
-	if len(s.PerWorkerEvals) != 1 || s.PerWorkerEvals[0] != s.UniqueSets {
-		t.Errorf("PerWorkerEvals=%v, want [%d]", s.PerWorkerEvals, s.UniqueSets)
-	}
 	// The baseline is evaluated twice (PlanCost + TotalCost of the
 	// empty set); the second lookup must hit the memo cache.
 	if s.CacheHits < 1 {
@@ -38,12 +31,9 @@ func TestSearchStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestSearchStatsWorkerDeterminism: every counter except the wall-clock
-// spans must be identical across repeated runs at a fixed worker count,
-// and everything except PerWorkerEvals must be identical across worker
-// counts. PerWorkerEvals must sum to UniqueSets and follow the strided
-// assignment exactly.
-func TestSearchStatsWorkerDeterminism(t *testing.T) {
+// TestSearchStatsDeterminism: every counter except the wall-clock
+// spans must be identical across repeated runs.
+func TestSearchStatsDeterminism(t *testing.T) {
 	g := buildGraph(t, tcpDDL, complexSet)
 	canon := func(r *Result) SearchStatsView {
 		return SearchStatsView{
@@ -54,39 +44,23 @@ func TestSearchStatsWorkerDeterminism(t *testing.T) {
 			CacheHits:  r.Search.CacheHits,
 		}
 	}
-	want, err := Optimize(g, nil, Options{Workers: 1})
+	want, err := Optimize(g, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		var prev []int64
-		for rep := 0; rep < 3; rep++ {
-			got, err := Optimize(g, nil, Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if canon(got) != canon(want) {
-				t.Fatalf("workers=%d rep=%d: stats %+v, want %+v", workers, rep, canon(got), canon(want))
-			}
-			var sum int64
-			for _, n := range got.Search.PerWorkerEvals {
-				sum += n
-			}
-			if sum != got.Search.UniqueSets {
-				t.Errorf("workers=%d: PerWorkerEvals sums to %d, want %d", workers, sum, got.Search.UniqueSets)
-			}
-			if prev != nil && !reflect.DeepEqual(prev, got.Search.PerWorkerEvals) {
-				t.Errorf("workers=%d rep=%d: PerWorkerEvals drifted: %v vs %v",
-					workers, rep, got.Search.PerWorkerEvals, prev)
-			}
-			prev = got.Search.PerWorkerEvals
+	for rep := 0; rep < 3; rep++ {
+		got, err := Optimize(g, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if canon(got) != canon(want) {
+			t.Fatalf("rep=%d: stats %+v, want %+v", rep, canon(got), canon(want))
 		}
 	}
 }
 
 // SearchStatsView is the comparable subset of the search stats used by
-// the determinism test (everything but wall-clock spans and the
-// per-worker split).
+// the determinism test (everything but the wall-clock spans).
 type SearchStatsView struct {
 	Enumerated, Pruned, UniqueSets, Deduped, CacheHits int64
 }

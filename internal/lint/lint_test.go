@@ -140,14 +140,12 @@ func TestFigure1ExplainsEveryNodeAndSet(t *testing.T) {
 }
 
 // TestDeterministicOutput asserts the report bytes are identical
-// across repeated runs and across analysis worker counts.
+// across repeated runs.
 func TestDeterministicOutput(t *testing.T) {
 	src := figure1Source(t)
-	render := func(workers int) (string, string) {
+	render := func() (string, string) {
 		g, qs := load(t, netgen.SchemaDDL, src)
-		o := core.DefaultOptions()
-		o.Workers = workers
-		res, err := core.Optimize(g, nil, o)
+		res, err := core.Optimize(g, nil, core.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,13 +159,11 @@ func TestDeterministicOutput(t *testing.T) {
 		}
 		return rep.Human(), string(j)
 	}
-	h1, j1 := render(1)
-	for _, w := range []int{1, 2, 8} {
-		for run := 0; run < 3; run++ {
-			h, j := render(w)
-			if h != h1 || j != j1 {
-				t.Fatalf("output differs at workers=%d run %d", w, run)
-			}
+	h1, j1 := render()
+	for run := 0; run < 3; run++ {
+		h, j := render()
+		if h != h1 || j != j1 {
+			t.Fatalf("output differs at run %d", run)
 		}
 	}
 }

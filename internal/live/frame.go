@@ -39,6 +39,7 @@ const (
 	frameFeedAck = byte(5) // node -> splitter: feed executed (credit release)
 	frameLinkAck = byte(6) // splitter -> node: link applied
 	frameResult  = byte(7) // node -> splitter: final island shards (remote mode)
+	frameRefuse  = byte(8) // node -> splitter: why the node refuses the session, in place of a welcome
 )
 
 // DefaultMaxFrame bounds one frame's payload; larger frames are a

@@ -146,6 +146,15 @@ func (n *Node) Serve() error {
 		n.conn = conn
 		n.mu.Unlock()
 		err = n.session(conn)
+		var fe *fatalErr
+		fatal := errors.As(err, &fe)
+		if fatal {
+			// Name the refusal before hanging up, so the splitter fails
+			// with the node's reason instead of redialing a closed port.
+			// Best effort: the node fails with fe either way.
+			conn.SetWriteDeadline(time.Now().Add(n.cfg.timeout())) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
+			_, _ = conn.Write(appendFrame(nil, frameRefuse, []byte(fe.Error())))
+		}
 		n.mu.Lock()
 		n.conn = nil
 		n.mu.Unlock()
@@ -153,8 +162,7 @@ func (n *Node) Serve() error {
 		if n.finished() || n.stopping() {
 			return nil
 		}
-		var fe *fatalErr
-		if errors.As(err, &fe) {
+		if fatal {
 			// A configuration mismatch redialing cannot heal: fail now
 			// instead of rejecting the same splitter forever.
 			return fe.err

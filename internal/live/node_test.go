@@ -128,7 +128,7 @@ func openSession(t *testing.T, cfg Config, hello Hello, addr string) {
 // fingerprint of the first Hello it accepts, so a resumed session
 // announcing another deployment must be refused permanently — the node
 // fails its Serve with the fingerprint error instead of rejecting the
-// same peer forever, and the splitter exhausts its attempts.
+// same peer forever, and the splitter fails with the node's reason.
 func TestNodeFingerprintMismatchIsFatal(t *testing.T) {
 	cfg := Config{Timeout: time.Second, MaxAttempts: 2, LinkWindow: 4}
 	node, err := NewNode(cfg, NodeOptions{
@@ -158,11 +158,11 @@ func TestNodeFingerprintMismatchIsFatal(t *testing.T) {
 	}
 	select {
 	case err := <-sp.Errs():
-		if !strings.Contains(err.Error(), "giving up after") {
-			t.Fatalf("splitter error = %v", err)
+		if want := `refused the session: live: node 0: resumed hello carries deployment fingerprint "deployment-b"`; !strings.Contains(err.Error(), want) {
+			t.Fatalf("splitter error = %v, want one containing %q", err, want)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("splitter never gave up on the refused deployment")
+		t.Fatal("splitter never reported the refused deployment")
 	}
 }
 

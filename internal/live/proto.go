@@ -13,8 +13,10 @@ import (
 // column-batch link item; version 4 drops the single-row link item
 // (kind 0); version 5 carries Int rows in the column codec's Int bitmap
 // and drops the rows link item (kind 1), so a column batch is the only
-// data item on a link; version 6 appends Hello.Deploy.
-const ProtocolVersion = 6
+// data item on a link; version 6 appends Hello.Deploy; version 7 adds
+// the refusal frame, a node's reason for refusing a session sent in
+// place of the Welcome.
+const ProtocolVersion = 7
 
 // Hello opens (or resumes) a session, splitter -> node.
 type Hello struct {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -198,6 +199,12 @@ func (p *peer) run() {
 		if p.finished() || p.stopping() {
 			return
 		}
+		var ref *refusal
+		if errors.As(err, &ref) {
+			// A redial would carry the same Hello to the same node.
+			p.sp.fatal(err)
+			return
+		}
 		p.fails++
 		if p.fails >= p.sp.cfg.maxAttempts() {
 			p.sp.fatal(fmt.Errorf("live: host %d: giving up after %d consecutive failed attempts (link seq %d): %w",
@@ -216,6 +223,17 @@ func (p *peer) run() {
 	}
 }
 
+// refusal is a node's refusal frame, read in place of the Welcome: the
+// node's own reason for refusing the session.
+type refusal struct {
+	host   int
+	reason string
+}
+
+func (r *refusal) Error() string {
+	return fmt.Sprintf("live: host %d: the node refused the session: %s", r.host, r.reason)
+}
+
 // session runs the handshake and the link loop on one connection. A
 // nil return means the host finished cleanly.
 func (p *peer) session(conn net.Conn) error {
@@ -232,6 +250,9 @@ func (p *peer) session(conn net.Conn) error {
 	typ, payload, buf, err := readFrame(conn, p.sp.cfg.maxFrame(), nil)
 	if err != nil {
 		return err
+	}
+	if typ == frameRefuse {
+		return &refusal{host: p.host, reason: string(payload)}
 	}
 	if typ != frameWelcome {
 		return fmt.Errorf("live: host %d: expected welcome, got frame type %d", p.host, typ)

@@ -183,7 +183,7 @@ type PlanInfo struct {
 }
 
 // SearchStats instruments the partitioning search. All exported JSON
-// fields are deterministic for a fixed worker count; the two Nanos
+// fields are deterministic; the two Nanos
 // spans are wall-clock and deliberately excluded from JSON (report
 // builders that want them place them under Timing).
 type SearchStats struct {
@@ -201,10 +201,6 @@ type SearchStats struct {
 	// CacheHits counts cost-model memo-cache hits outside the batch
 	// evaluation (e.g. repeated baseline evaluations).
 	CacheHits int64 `json:"cache_hits"`
-	// PerWorkerEvals[w] counts the set evaluations worker w performed;
-	// deterministic for a fixed worker count (index-strided
-	// assignment), length 1 for the sequential search.
-	PerWorkerEvals []int64 `json:"per_worker_evals,omitempty"`
 	// EnumerateNanos and CostNanos are wall-clock spans of the two
 	// search phases. They live outside the deterministic state and
 	// outside the JSON encoding.

@@ -203,12 +203,6 @@ func (r *RunReport) Prometheus() string {
 			[]string{"qap_search_pruned " + strconv.FormatInt(s.Pruned, 10)})
 		emit("qap_search_cost_cache_hits", "counter", "Cost-model memo-cache hits.",
 			[]string{"qap_search_cost_cache_hits " + strconv.FormatInt(s.CacheHits, 10)})
-		var workers []string
-		for w, n := range s.PerWorkerEvals {
-			workers = append(workers, fmt.Sprintf("qap_search_worker_evals{%s} %d",
-				label("worker", strconv.Itoa(w)), n))
-		}
-		emit("qap_search_worker_evals", "counter", "Set evaluations per search worker.", workers)
 	}
 
 	if t := r.Timing; t != nil {

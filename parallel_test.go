@@ -165,5 +165,7 @@ func TestBatchOneIsTheOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refused("a node", serveRefusal(t, spec))
+	nodeErr, splitErr := serveRefusal(t, spec)
+	refused("a node", nodeErr)
+	refused("the splitter", splitErr)
 }

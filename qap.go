@@ -62,9 +62,6 @@ type (
 	Metrics = cluster.Metrics
 	// CostConfig sets the simulator's CPU cost model.
 	CostConfig = cluster.CostConfig
-	// SearchOptions configures the partitioning search (state cap,
-	// worker pool size).
-	SearchOptions = core.Options
 	// Scope selects partial-aggregation granularity.
 	Scope = optimizer.Scope
 	// Value is a runtime SQL value.
@@ -159,22 +156,12 @@ func MustLoad(ddl, queries string) *System {
 	return s
 }
 
-// DefaultSearchOptions returns the standard search options.
-func DefaultSearchOptions() SearchOptions { return core.DefaultOptions() }
-
 // Analyze runs the paper's Section 4 algorithm: infer every node's
 // compatible partitioning set, reconcile them, and search for the set
 // minimizing the maximum per-node network cost. A nil stats uses the
 // heuristic defaults.
 func (s *System) Analyze(stats Stats) (*Analysis, error) {
-	return s.AnalyzeWith(stats, DefaultSearchOptions())
-}
-
-// AnalyzeWith is Analyze with explicit search options; SearchOptions.
-// Workers > 1 fans the candidate cost evaluations across a worker pool
-// without changing the result.
-func (s *System) AnalyzeWith(stats Stats, opts SearchOptions) (*Analysis, error) {
-	return core.Optimize(s.Graph, stats, opts)
+	return core.Optimize(s.Graph, stats, core.DefaultOptions())
 }
 
 // AnalyzePerStream runs the per-stream variant of the analysis: each
@@ -228,7 +215,7 @@ func (s *System) PlanTotalCost(ps Set, stats Stats) float64 {
 // skipped. The result is identical to a fresh Analyze under the same
 // stats; a nil prior falls back to one.
 func (s *System) Reanalyze(prior *Analysis, stats Stats) (*Analysis, error) {
-	return core.Reoptimize(s.Graph, prior, stats, DefaultSearchOptions())
+	return core.Reoptimize(s.Graph, prior, stats, core.DefaultOptions())
 }
 
 // LintReport is the static analyzer's diagnostic report.
@@ -268,7 +255,8 @@ type DeployConfig struct {
 	// incompatible aggregations.
 	DisablePartialAgg bool
 	// PartialScope selects per-partition (naive) or per-host
-	// (optimized) pre-aggregation; the default is per host.
+	// (optimized) pre-aggregation; the zero value is ScopePartition,
+	// the naive per-partition scope.
 	PartialScope Scope
 	// Costs configures the CPU accounting; zero value uses defaults.
 	Costs CostConfig

@@ -125,6 +125,27 @@ func TestDeployDefaultsAndParams(t *testing.T) {
 	}
 }
 
+// TestDeployDefaultPartialScope pins DeployConfig.PartialScope's zero
+// value: a deployment that leaves it unset pre-aggregates per
+// partition (ScopePartition, the naive scope), not per host.
+func TestDeployDefaultPartialScope(t *testing.T) {
+	sys := MustLoad(netgen.SchemaDDL, ComplexQuerySet)
+	plan := func(cfg DeployConfig) string {
+		dep, err := sys.Deploy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dep.PlanString()
+	}
+	def := plan(DeployConfig{})
+	if want := plan(DeployConfig{PartialScope: ScopePartition}); def != want {
+		t.Errorf("default plan differs from ScopePartition:\n--- default ---\n%s--- ScopePartition ---\n%s", def, want)
+	}
+	if def == plan(DeployConfig{PartialScope: ScopeHost}) {
+		t.Error("ScopeHost renders the same plan as the default; the check above proves nothing")
+	}
+}
+
 // figureConfig returns a fast trace for shape tests.
 func figureConfig() ExperimentConfig {
 	cfg := DefaultExperimentConfig()
