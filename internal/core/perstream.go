@@ -247,7 +247,7 @@ func OptimizePerStream(g *plan.Graph, stats Stats, opts Options) (*PerStreamResu
 		if len(nodes) == 0 && len(crossJoins) == 0 {
 			continue
 		}
-		sub, err := optimizeBucket(g, stats, opts, nodes, crossJoins, 0, stream)
+		sub, err := optimizeBucket(g, stats, opts, nodes, crossJoins, stream)
 		if err != nil {
 			return nil, err
 		}
@@ -334,7 +334,7 @@ func joinSideSets(n *plan.Node) (left, right Set) {
 // optimizeBucket runs the single-set DP restricted to one stream's
 // nodes, including each cross-stream join via its side reading this
 // stream.
-func optimizeBucket(g *plan.Graph, stats Stats, opts Options, nodes []*plan.Node, crossJoins []*plan.Node, _ int, stream string) (*Result, error) {
+func optimizeBucket(g *plan.Graph, stats Stats, opts Options, nodes []*plan.Node, crossJoins []*plan.Node, stream string) (*Result, error) {
 	// Requirements for this bucket: the nodes' own, plus the
 	// stream-side keys of cross joins touching the stream.
 	extra := make(map[*plan.Node]Set)
