@@ -75,8 +75,8 @@ func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 		t.Errorf("the drive guard fired before the refusal: %v", err)
 	}
 	for _, isl := range r.islands {
-		if isl.metrics.Tuples != 0 {
-			t.Errorf("island %d accounted %d tuples: a node was fed before the refusal", isl.id, isl.metrics.Tuples)
+		if isl.metrics().Tuples != 0 {
+			t.Errorf("island %d accounted %d tuples: a node was fed before the refusal", isl.id, isl.metrics().Tuples)
 		}
 	}
 	for _, want := range []string{"host 0", "rounds 0..", " bytes", "16777216-byte frame limit"} {

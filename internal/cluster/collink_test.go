@@ -12,6 +12,7 @@ import (
 	"qap/internal/exec"
 	"qap/internal/live"
 	"qap/internal/netgen"
+	"qap/internal/obs"
 	"qap/internal/optimizer"
 	"qap/internal/sqlval"
 )
@@ -295,7 +296,7 @@ func TestMixedRunCrossesRowByRow(t *testing.T) {
 		t.Fatal("the run pivots to columns: the case tests nothing")
 	}
 	out := &exec.Collector{}
-	e := &edge{m: &HostMetrics{}, next: out}
+	e := &edge{st: &obs.OpStats{}, next: out}
 	isl := &island{curRound: 3, curTag: phasePush | 9, curWM: 180}
 	c := &capture{isl: isl, e: e}
 	for _, row := range run {
@@ -402,7 +403,7 @@ func TestLiveLinkRejectsMisshapenItem(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "live link from host 0, round 0, edge 0: column batch of 3 columns") {
 		t.Fatalf("the run's error is %v, want the narrow column item's refusal", err)
 	}
-	if got := r.islands[1].metrics.Tuples; got != 0 {
+	if got := r.islands[1].metrics().Tuples; got != 0 {
 		t.Errorf("the central island accounted %d tuples of a refused message", got)
 	}
 }

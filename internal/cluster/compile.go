@@ -135,21 +135,19 @@ func (rt *router) Flush() {
 type procID struct{ host, partition int }
 
 type edge struct {
-	m    *HostMetrics
 	next exec.Consumer
-	kind optimizer.OpKind // receiving operator's kind, its cost class
-	net  bool             // crosses hosts (counts as network)
-	ipc  bool             // crosses processes on the same host
+	net  bool // crosses hosts (counts as network)
+	ipc  bool // crosses processes on the same host
 	// id indexes Runner.edges for island-crossing edges (a link item's
 	// name for the edge); 0 and unregistered otherwise. from, on those
 	// edges, is the producing operator, whose output width the live
 	// backend holds link items to.
 	id   int
 	from *optimizer.Op
-	// st is the receiving operator's stat shard, nil when stats are
-	// disabled. The edge always executes on the receiving operator's
-	// island (captured edges replay centrally), so the shard has a
-	// single writer and accumulates in canonical order in both engines.
+	// st is the receiving operator's counters. The edge always executes
+	// on the receiving operator's island (captured edges replay
+	// centrally), so they have a single writer and accumulate in
+	// canonical order in every engine.
 	st *obs.OpStats
 }
 
@@ -177,98 +175,46 @@ func (e *edge) PushCols(cb *exec.ColBatch) {
 	exec.PushColsAll(e.next, cb)
 }
 
-// count charges n tuples of bytes wire bytes to the receiving host and
+// count charges n tuples of bytes wire bytes to the receiving
 // operator. CPU units are not summed here: they are the cost model
 // applied to these counts when a window or the run closes.
 func (e *edge) count(n, bytes int64) {
-	e.m.Tuples += n
-	e.m.KindTuples[e.kind] += n
+	e.st.RowsIn += n
 	switch {
 	case e.net:
-		e.m.NetTuplesIn += n
-		e.m.NetBytesIn += bytes
+		e.st.NetTuplesIn += n
+		e.st.NetBytesIn += bytes
 	case e.ipc:
-		e.m.IPCTuplesIn += n
-	}
-	if e.st != nil {
-		e.st.RowsIn += n
-		switch {
-		case e.net:
-			e.st.NetTuplesIn += n
-			e.st.NetBytesIn += bytes
-		case e.ipc:
-			e.st.IPCTuplesIn += n
-		}
+		e.st.IPCTuplesIn += n
 	}
 }
 
 func (e *edge) Advance(wm uint64) {
-	if e.st != nil {
-		e.st.Advances++
-	}
+	e.st.Advances++
 	e.next.Advance(wm)
 }
 
 func (e *edge) Flush() {
-	if e.st != nil {
-		e.st.Flushes++
-	}
+	e.st.Flushes++
 	e.next.Flush()
 }
 
 // opOut counts an operator's emitted rows between the operator and its
 // fanout, on the producing operator's island, so each emission counts
 // once — before any Tee duplication and before island-crossing capture.
-// rows is the logical node's complete-output counter (isl.rows), set for
-// the operators that produce that output: full aggregates,
-// super-aggregates, select/project, join instances and windows, not
-// scans, unions or partial sub-aggregates. st is the operator's stat
-// shard, set when stats are enabled. output installs an opOut only
-// when it has a counter to feed.
 type opOut struct {
-	rows *int64
 	st   *obs.OpStats
 	next exec.Consumer
 }
 
-func (o *opOut) count(n int64) {
-	if o.rows != nil {
-		*o.rows += n
-	}
-	if o.st != nil {
-		o.st.RowsOut += n
-	}
-}
-
-func (o *opOut) Push(t exec.Tuple) { o.count(1); o.next.Push(t) }
+func (o *opOut) Push(t exec.Tuple) { o.st.RowsOut++; o.next.Push(t) }
 func (o *opOut) Advance(wm uint64) { o.next.Advance(wm) }
 func (o *opOut) Flush()            { o.next.Flush() }
 
 // PushCols implements exec.ColConsumer.
 func (o *opOut) PushCols(cb *exec.ColBatch) {
-	o.count(int64(cb.Len))
+	o.st.RowsOut += int64(cb.Len)
 	exec.PushColsAll(o.next, cb)
-}
-
-// output wraps op's fanout in an opOut, or returns it unwrapped when op
-// feeds neither a row counter nor a stat shard.
-func (r *Runner) output(op *optimizer.Op, out exec.Consumer) exec.Consumer {
-	var rows *int64
-	switch op.Kind {
-	case optimizer.OpAggregate, optimizer.OpAggSuper, optimizer.OpSelProj,
-		optimizer.OpJoin, optimizer.OpWindow:
-		name := strings.ToLower(op.Logical.QueryName)
-		isl := r.islandOf(op)
-		if rows = isl.rows[name]; rows == nil {
-			rows = new(int64)
-			isl.rows[name] = rows
-		}
-	}
-	st := r.opStatsOf(op)
-	if rows == nil && st == nil {
-		return out
-	}
-	return &opOut{rows: rows, st: st, next: out}
 }
 
 // ---- compilation ----
@@ -289,11 +235,13 @@ func (r *Runner) compile() error {
 	}
 	// entries[op][port] is the accounted consumer feeding that port.
 	entries := make(map[*optimizer.Op][]exec.Consumer)
+	outs := make([]opOut, len(p.Ops))
 
 	// Build in reverse topological order so downstream entries exist.
 	for i := len(p.Ops) - 1; i >= 0; i-- {
 		op := p.Ops[i]
-		ports, err := r.instantiate(op, r.output(op, r.fanout(op, consumers[op], entries)))
+		outs[i] = opOut{st: r.opStatsOf(op), next: r.fanout(op, consumers[op], entries)}
+		ports, err := r.instantiate(op, &outs[i])
 		if err != nil {
 			return fmt.Errorf("cluster: op %d (%s): %w", op.ID, op.Label(), err)
 		}
@@ -351,9 +299,7 @@ func (r *Runner) fanout(op *optimizer.Op, cons []portRef, entries map[*optimizer
 		to := procID{c.op.Host, c.op.Proc}
 		toIsl := r.islandOf(c.op)
 		e := &edge{
-			m:    &toIsl.metrics,
 			next: entries[c.op][c.port],
-			kind: c.op.Kind,
 			st:   r.opStatsOf(c.op),
 			net:  from.host != to.host,
 		}
@@ -399,7 +345,7 @@ func (r *Runner) instantiate(op *optimizer.Op, out exec.Consumer) ([]exec.Consum
 		// The scan itself charges the receiving host for ingesting the
 		// packet (the splitter hardware is free).
 		fp := &exec.FilterProject{Out: out}
-		selfEdge := &edge{m: &r.islandOf(op).metrics, next: fp, kind: optimizer.OpScan, st: r.opStatsOf(op)}
+		selfEdge := &edge{next: fp, st: r.opStatsOf(op)}
 		return []exec.Consumer{selfEdge}, nil
 	case optimizer.OpUnion:
 		u := exec.NewUnion(len(op.Inputs), out)

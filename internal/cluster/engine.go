@@ -55,9 +55,9 @@ package cluster
 //     (the last fully shipped round) gate the merge: an item is applied
 //     only once every island has shipped past its round.
 //
-// Accounting is integer counts sharded per island in both engines and
-// merged by finalize(), which computes CPU units from them, so parallel
-// results are byte-identical to sequential ones.
+// Accounting is the operators' integer counters, sharded per island in
+// every engine and summed by finalize(), which computes CPU units from
+// them, so parallel results are byte-identical to sequential ones.
 
 import (
 	"errors"

@@ -40,10 +40,12 @@ package cluster
 // installHostShard copies into the local islands before finalize.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -374,16 +376,14 @@ func (x *islandExec) Execute(m *live.FeedMsg) (*live.LinkMsg, error) {
 }
 
 // liveHostShard is the serialized island state a remote node ships
-// back in its result frame, in the shape finalize needs.
+// back in its result frame: its operators' counters and their snapshot
+// at the last closed window, keyed by op ID, and its closed windows.
 type liveHostShard struct {
-	Metrics  HostMetrics         `json:"metrics"`
-	LastSnap HostMetrics         `json:"last_snap"`
-	CurWin   int                 `json:"cur_win"`
-	Wins     []HostMetrics       `json:"wins,omitempty"`
-	Rows     map[string]int64    `json:"rows,omitempty"`
-	Ops      map[int]obs.OpStats `json:"ops,omitempty"`
-	LastOps  map[int]obs.OpStats `json:"last_ops,omitempty"`
-	Trace    []trace.Event       `json:"trace,omitempty"`
+	CurWin  int                 `json:"cur_win"`
+	Wins    []HostMetrics       `json:"wins,omitempty"`
+	Ops     map[int]obs.OpStats `json:"ops,omitempty"`
+	LastOps map[int]obs.OpStats `json:"last_ops,omitempty"`
+	Trace   []trace.Event       `json:"trace,omitempty"`
 }
 
 // Result implements live.Executor.
@@ -393,81 +393,63 @@ func (x *islandExec) Result() ([]byte, error) {
 	}
 	isl := x.isl
 	sh := liveHostShard{
-		Metrics:  isl.metrics,
-		LastSnap: isl.lastSnap,
-		CurWin:   isl.curWin,
-		Wins:     isl.wins,
-		Trace:    isl.tr.Events(),
+		CurWin:  isl.curWin,
+		Wins:    isl.wins,
+		Ops:     make(map[int]obs.OpStats, len(isl.ops)),
+		LastOps: make(map[int]obs.OpStats, len(isl.ops)),
+		Trace:   isl.tr.Events(),
 	}
-	if len(isl.rows) > 0 {
-		sh.Rows = make(map[string]int64, len(isl.rows))
-		for name, n := range isl.rows { //qap:allow maprange -- map-to-map copy, order-insensitive
-			sh.Rows[name] = *n
-		}
-	}
-	if len(isl.ops) > 0 {
-		sh.Ops = make(map[int]obs.OpStats, len(isl.ops))
-		for id, st := range isl.ops { //qap:allow maprange -- map-to-map copy, order-insensitive
-			sh.Ops[id] = *st
-		}
-	}
-	if len(isl.lastOps) > 0 {
-		sh.LastOps = make(map[int]obs.OpStats, len(isl.lastOps))
-		for id, st := range isl.lastOps { //qap:allow maprange -- map-to-map copy, order-insensitive
-			sh.LastOps[id] = st
-		}
+	for i, op := range isl.ops {
+		sh.Ops[op.ID], sh.LastOps[op.ID] = isl.stats[i], isl.last[i]
 	}
 	return json.Marshal(&sh)
 }
 
-// installHostShard copies a remote node's shipped island shards into
+// installHostShard copies a remote node's shipped island state into
 // the local island, so finalize and mergeLoadSeries see exactly the
-// state an in-process run would have produced.
+// state an in-process run would have produced. The shard is a peer's
+// input, so it is decoded as strictly as the deployment spec: an
+// unknown field, trailing bytes or an operator the island does not run
+// refuse it.
 func (r *Runner) installHostShard(host int, payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("cluster: live node %d shipped no result shard", host)
 	}
 	var sh liveHostShard
-	if err := json.Unmarshal(payload, &sh); err != nil {
-		return fmt.Errorf("cluster: live node %d result shard: %w", host, err)
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sh); err != nil {
+		return fmt.Errorf("cluster: live node %d result shard at offset %d: %w", host, dec.InputOffset(), err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("cluster: live node %d result shard: trailing data at offset %d", host, dec.InputOffset())
 	}
 	if sh.CurWin < 0 || sh.CurWin != len(sh.Wins) {
 		return fmt.Errorf("cluster: live node %d result shard: cur_win %d with %d closed windows", host, sh.CurWin, len(sh.Wins))
 	}
 	isl := r.islands[host]
-	isl.metrics = sh.Metrics
-	isl.lastSnap = sh.LastSnap
-	isl.curWin = sh.CurWin
-	isl.wins = sh.Wins
-	for name, v := range sh.Rows { //qap:allow maprange -- map-to-map copy, order-insensitive
-		n, ok := isl.rows[name]
-		if !ok {
-			return fmt.Errorf("cluster: live node %d shipped rows for unknown query %q", host, name)
-		}
-		*n = v
-	}
-	for id, st := range sh.Ops { //qap:allow maprange -- map-to-map copy, order-insensitive
-		p, ok := isl.ops[id]
-		if !ok {
-			return fmt.Errorf("cluster: live node %d shipped stats for unknown op %d", host, id)
-		}
-		*p = st
-	}
-	if len(sh.LastOps) > 0 {
-		if isl.lastOps == nil {
-			isl.lastOps = make(map[int]obs.OpStats, len(sh.LastOps))
-		}
-		for id, st := range sh.LastOps { //qap:allow maprange -- map-to-map copy, order-insensitive
-			isl.lastOps[id] = st
+	for _, m := range []struct {
+		from map[int]obs.OpStats
+		to   []obs.OpStats
+	}{{sh.Ops, isl.stats}, {sh.LastOps, isl.last}} {
+		for id, st := range m.from { //qap:allow maprange -- map-to-slot copy, order-insensitive
+			i, ok := isl.index(id)
+			if !ok {
+				return fmt.Errorf("cluster: live node %d shipped counters for unknown op %d", host, id)
+			}
+			m.to[i] = st
 		}
 	}
+	isl.curWin, isl.wins = sh.CurWin, sh.Wins
 	isl.tr.EmitAll(sh.Trace)
 	return nil
 }
 
 // LiveFingerprint identifies the deployment a live session serves:
 // plan shape, operator graph, partitioning, costs, query parameters,
-// batch size, and the observability configuration. A served node
+// batch size, load window and trace configuration. A node counts the
+// same whether or not the splitter exports its stats, so CollectStats
+// is not part of it. A served node
 // refuses to pair with a splitter whose fingerprint its compiled plan
 // does not reproduce, instead of diverging silently.
 func (r *Runner) LiveFingerprint() string {
@@ -482,9 +464,9 @@ func (r *Runner) LiveFingerprint() string {
 		tc := r.tracer.Config()
 		tr = fmt.Sprintf("mode%d/ring%d", tc.Mode, tc.RingSize)
 	}
-	fmt.Fprintf(h, "hosts=%d parts=%d pph=%d agg=%d bs=%d win=%d collect=%t trace=%s\n",
+	fmt.Fprintf(h, "hosts=%d parts=%d pph=%d agg=%d bs=%d win=%d trace=%s\n",
 		p.Hosts, p.Partitions, p.PartitionsPerHost, p.AggregatorHost,
-		r.batchSize, r.winSec, r.collect, tr)
+		r.batchSize, r.winSec, tr)
 	fmt.Fprintf(h, "set=%s\ncosts=%+v\n", partitioning, r.cost)
 	names := make([]string, 0, len(r.params))
 	for name := range r.params { //qap:allow maprange -- names collected then sorted below

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -414,12 +415,14 @@ func TestLiveFaultRecovery(t *testing.T) {
 	}
 }
 
-// TestInstallHostShardRefusesUnknownQuery: compile registers every
-// query an island counts rows for, so a remote node's result shard
-// counting rows for a name the plan does not have is refused with an
-// error naming the node and the name — as one with stats for an unknown
-// op is — not added to Result.NodeRows.
-func TestInstallHostShardRefusesUnknownQuery(t *testing.T) {
+// TestInstallHostShardIsStrict: a remote node's result shard is a
+// peer's input, decoded as strictly as the deployment spec. Counters for
+// an operator the island does not run are refused with an error naming
+// the node and the op, not added to the run's accounting; so is a shard
+// in the shape a protocol-7 node shipped (host metrics and node rows
+// beside the operator counters), with an error naming the node and the
+// offset.
+func TestInstallHostShardIsStrict(t *testing.T) {
 	p, err := optimizer.Build(buildGraph(t, flowsQuery), core.MustParseSet("srcIP"), optimizer.Options{Hosts: 2, PartitionsPerHost: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -428,17 +431,29 @@ func TestInstallHostShardRefusesUnknownQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.installHostShard(1, []byte(`{"rows":{"flows":3},"cur_win":0}`)); err != nil {
-		t.Fatalf("a shard counting the plan's own query was refused: %v", err)
+	own := r.islands[1].ops[0].ID
+	if err := r.installHostShard(1, []byte(fmt.Sprintf(`{"cur_win":0,"ops":{"%d":{"rows_in":3}}}`, own))); err != nil {
+		t.Fatalf("a shard counting the island's own operator was refused: %v", err)
 	}
-	err = r.installHostShard(1, []byte(`{"rows":{"nope":3},"cur_win":0}`))
-	if err == nil {
-		t.Fatalf("the shard was accepted: Result.NodeRows is %v", r.finalize(false, 0).NodeRows)
-	}
-	for _, want := range []string{"live node 1", `"nope"`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %s", err, want)
-		}
+	for _, c := range []struct {
+		name, payload string
+		want          []string
+	}{
+		{"unknown op", `{"cur_win":0,"ops":{"999":{"rows_in":3}}}`, []string{"live node 1", "unknown op 999"}},
+		{"parent shape", `{"metrics":{},"rows":{"flows":3},"cur_win":0}`, []string{"live node 1", "offset", `"metrics"`}},
+		{"trailing data", `{"cur_win":0} {}`, []string{"live node 1", "trailing data at offset"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := r.installHostShard(1, []byte(c.payload))
+			if err == nil {
+				t.Fatalf("the shard was accepted: Result.NodeRows is %v", r.finalize(false, 0).NodeRows)
+			}
+			for _, want := range c.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %s", err, want)
+				}
+			}
+		})
 	}
 }
 
@@ -456,7 +471,7 @@ func TestInstallHostShardRefusesWindowMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, payload := range []string{
-		`{"metrics":{},"last_snap":{},"cur_win":9}`,
+		`{"cur_win":9}`,
 		`{"cur_win":-1}`,
 		`{"cur_win":0,"wins":[{}]}`,
 	} {

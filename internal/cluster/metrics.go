@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"qap/internal/obs"
 	"qap/internal/optimizer"
 )
 
@@ -77,10 +78,10 @@ func (c CostConfig) opCostOf(kind optimizer.OpKind) float64 {
 	}
 }
 
-// HostMetrics accumulates one host's activity. Every counter is an
-// integer the accounting edges add to; CPUUnits alone is derived, by
-// CostConfig.cpuUnits from the counts, where a run or a monitoring
-// window closes.
+// HostMetrics is one host's activity: the sum of the counters of the
+// operators it runs (addOp), taken where a run or a monitoring window
+// closes. CPUUnits is the cost model applied to those counts
+// (CostConfig.cpuUnits).
 type HostMetrics struct {
 	// CPUUnits is the total work charged to the host.
 	CPUUnits float64
@@ -98,20 +99,14 @@ type HostMetrics struct {
 	KindTuples [optimizer.OpWindow + 1]int64
 }
 
-// sub returns the counter-wise difference m - o, CPUUnits left zero:
-// the delta between two snapshots of the same host, which is how the
-// load monitor turns cumulative metrics into per-window activity.
-func (m HostMetrics) sub(o HostMetrics) HostMetrics {
-	d := HostMetrics{
-		NetTuplesIn: m.NetTuplesIn - o.NetTuplesIn,
-		NetBytesIn:  m.NetBytesIn - o.NetBytesIn,
-		IPCTuplesIn: m.IPCTuplesIn - o.IPCTuplesIn,
-		Tuples:      m.Tuples - o.Tuples,
-	}
-	for k := range d.KindTuples {
-		d.KindTuples[k] = m.KindTuples[k] - o.KindTuples[k]
-	}
-	return d
+// addOp adds one operator's counts to m: the tuples delivered to it,
+// under its kind, and its network and IPC arrivals.
+func (m *HostMetrics) addOp(kind optimizer.OpKind, st obs.OpStats) {
+	m.Tuples += st.RowsIn
+	m.KindTuples[kind] += st.RowsIn
+	m.NetTuplesIn += st.NetTuplesIn
+	m.NetBytesIn += st.NetBytesIn
+	m.IPCTuplesIn += st.IPCTuplesIn
 }
 
 // add folds o into m field by field: how the central island's

@@ -6,6 +6,7 @@ import (
 
 	"qap/internal/core"
 	"qap/internal/netgen"
+	"qap/internal/obs"
 	"qap/internal/optimizer"
 )
 
@@ -107,21 +108,23 @@ func TestLoadsHostOutOfRange(t *testing.T) {
 	}
 }
 
-// TestHostMetricsSub: the snapshot delta used by the load monitor
-// subtracts the counts, per kind included, and leaves CPU units to the
-// cost model.
-func TestHostMetricsSub(t *testing.T) {
-	a := HostMetrics{CPUUnits: 10, NetTuplesIn: 20, NetBytesIn: 300, IPCTuplesIn: 4, Tuples: 50}
-	b := HostMetrics{CPUUnits: 4, NetTuplesIn: 5, NetBytesIn: 100, IPCTuplesIn: 1, Tuples: 20}
-	a.KindTuples[optimizer.OpScan], a.KindTuples[optimizer.OpAggSub] = 30, 20
-	b.KindTuples[optimizer.OpScan], b.KindTuples[optimizer.OpAggSub] = 12, 8
+// TestHostMetricsSumsOperators: a host's counts are its operators'
+// counters summed, the tuples delivered split by the receiving
+// operator's kind, and the cost model prices that split.
+func TestHostMetricsSumsOperators(t *testing.T) {
+	isl := &island{
+		ops:   []*optimizer.Op{{ID: 0, Kind: optimizer.OpScan}, {ID: 3, Kind: optimizer.OpAggSub}, {ID: 5, Kind: optimizer.OpScan}},
+		stats: []obs.OpStats{{RowsIn: 10, RowsOut: 99}, {RowsIn: 12, NetTuplesIn: 15, NetBytesIn: 200}, {RowsIn: 8, IPCTuplesIn: 3}},
+	}
 	want := HostMetrics{NetTuplesIn: 15, NetBytesIn: 200, IPCTuplesIn: 3, Tuples: 30}
 	want.KindTuples[optimizer.OpScan], want.KindTuples[optimizer.OpAggSub] = 18, 12
-	if got := a.sub(b); got != want {
-		t.Errorf("sub = %+v, want %+v", got, want)
+	if got := isl.metrics(); got != want {
+		t.Errorf("metrics = %+v, want %+v", got, want)
 	}
-	if got := a.sub(a); got != (HostMetrics{}) {
-		t.Errorf("self-sub = %+v, want zero", got)
+	for id, wantOK := range map[int]bool{0: true, 3: true, 4: false, 5: true, 6: false} {
+		if i, ok := isl.index(id); ok != wantOK || ok && isl.ops[i].ID != id {
+			t.Errorf("index(%d) = %d, %t", id, i, ok)
+		}
 	}
 	// 18 scans, 12 sub-aggregate rows, 15 remote and 3 IPC arrivals.
 	c := CostConfig{ScanCost: 1, AggCost: 0.5, RemoteCost: 4, IPCCost: 0.25}

@@ -120,8 +120,8 @@ func TestLoadSeriesDeltasSumToTotals(t *testing.T) {
 			sum.add(w)
 		}
 		sum.CPUUnits = 0
-		if sum != isl.metrics {
-			t.Errorf("island %d: window sums %+v != totals %+v", i, sum, isl.metrics)
+		if sum != isl.metrics() {
+			t.Errorf("island %d: window sums %+v != totals %+v", i, sum, isl.metrics())
 		}
 		kinds := int64(0)
 		for _, n := range sum.KindTuples {

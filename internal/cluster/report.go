@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"time"
 
 	"qap/internal/exec"
@@ -9,18 +10,22 @@ import (
 	"qap/internal/optimizer"
 )
 
-// finalize merges the per-island accounting shards and collects the
-// run's outputs. Each island's CPU units are the cost model applied to
-// its counts; the aggregator host adds the central island's to its leaf
-// island's, the order mergeLoadSeries and trace.HostLoadSeries use.
+// finalize sums the operator counters into the run's accounting and
+// collects its outputs. Each island's CPU units are the cost model
+// applied to its counts; the aggregator host adds the central island's
+// to its leaf island's, the order mergeLoadSeries and
+// trace.HostLoadSeries use. A node's row count is the rows out of the
+// operators that produce its complete output: full aggregates,
+// super-aggregates, select/project, join instances and windows, not
+// scans, unions or partial sub-aggregates.
 func (r *Runner) finalize(any bool, maxTime uint64) *Result {
 	if any {
 		r.metrics.DurationSec = float64(maxTime + 1)
 	}
 	for h := 0; h < r.plan.Hosts; h++ {
-		r.metrics.Hosts[h] = r.cost.withCPU(r.islands[h].metrics)
+		r.metrics.Hosts[h] = r.cost.withCPU(r.islands[h].metrics())
 	}
-	r.metrics.Hosts[r.plan.AggregatorHost].add(r.cost.withCPU(r.islands[r.plan.Hosts].metrics))
+	r.metrics.Hosts[r.plan.AggregatorHost].add(r.cost.withCPU(r.islands[r.plan.Hosts].metrics()))
 
 	res := &Result{
 		Outputs:  make(map[string][]exec.Tuple),
@@ -30,34 +35,26 @@ func (r *Runner) finalize(any bool, maxTime uint64) *Result {
 	for name, c := range r.collectors { //qap:allow maprange -- map-to-map copy, order-insensitive
 		res.Outputs[name] = c.Rows
 	}
-	for _, isl := range r.islands {
-		for name, n := range isl.rows { //qap:allow maprange -- commutative += accumulation
-			res.NodeRows[name] += *n
+	for _, op := range r.plan.Ops {
+		switch op.Kind {
+		case optimizer.OpAggregate, optimizer.OpAggSuper, optimizer.OpSelProj,
+			optimizer.OpJoin, optimizer.OpWindow:
+			res.NodeRows[strings.ToLower(op.Logical.QueryName)] += r.opStatsOf(op).RowsOut
 		}
 	}
 	if r.winSec > 0 && any {
 		res.LoadSeries = r.mergeLoadSeries(maxTime)
 	}
 	if r.collect {
-		// Every operator's shard lives on exactly one island, so this
-		// "merge" is a copy; Add guards the invariant regardless.
-		res.OpStats = make(map[int]*obs.OpStats)
-		for _, isl := range r.islands {
-			for id, st := range isl.ops { //qap:allow maprange -- commutative OpStats.Add merge
-				if prev, ok := res.OpStats[id]; ok {
-					prev.Add(st)
-				} else {
-					cp := *st
-					res.OpStats[id] = &cp
-				}
-			}
-		}
-		for _, op := range r.plan.Ops {
-			if st := res.OpStats[op.ID]; st != nil {
-				var kinds [optimizer.OpWindow + 1]int64
-				kinds[op.Kind] = st.RowsIn
-				st.CPUUnits = r.cost.cpuUnits(kinds[:], st.NetTuplesIn, st.IPCTuplesIn)
-			}
+		res.OpStats = make(map[int]*obs.OpStats, len(r.plan.Ops))
+		stats := make([]obs.OpStats, len(r.plan.Ops))
+		for i, op := range r.plan.Ops {
+			st := &stats[i]
+			*st = *r.opStatsOf(op)
+			var kinds [optimizer.OpWindow + 1]int64
+			kinds[op.Kind] = st.RowsIn
+			st.CPUUnits = r.cost.cpuUnits(kinds[:], st.NetTuplesIn, st.IPCTuplesIn)
+			res.OpStats[op.ID] = st
 		}
 		res.Report = r.buildReport(res)
 	}
@@ -173,16 +170,8 @@ func (r *Runner) buildReport(res *Result) *obs.RunReport {
 		},
 	}
 	for _, op := range p.Ops {
-		nr := obs.NodeReport{ID: op.ID, Kind: op.Kind.String(), Host: op.Host, Partition: op.Partition}
-		switch {
-		case op.Kind == optimizer.OpScan:
-			nr.Query = op.Stream
-		case op.Logical != nil:
-			nr.Query = op.Logical.QueryName
-		}
-		if st := res.OpStats[op.ID]; st != nil {
-			nr.OpStats = *st
-		}
+		nr := obs.NodeReport{ID: op.ID, Kind: op.Kind.String(), Query: opQuery(op),
+			Host: op.Host, Partition: op.Partition, OpStats: *res.OpStats[op.ID]}
 		if nr.RowsIn > 0 {
 			nr.PassRate = float64(nr.RowsOut) / float64(nr.RowsIn)
 		}
@@ -206,8 +195,9 @@ func (r *Runner) buildReport(res *Result) *obs.RunReport {
 		rep.LoadSeries = res.LoadSeries
 	}
 	engine := r.engineName()
+	workers := r.workers
 	rep.Timing = &obs.Timing{
-		Workers:     r.workers,
+		Workers:     &workers,
 		Engine:      engine,
 		BatchRounds: r.batchRounds,
 		WallNanos:   time.Since(r.started).Nanoseconds(), //qap:allow walltime -- wall time quarantined in obs.Timing

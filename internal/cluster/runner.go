@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"qap/internal/exec"
@@ -139,14 +140,13 @@ type RunConfig struct {
 	// output — is bit-equal for any Workers or BatchSize value, and
 	// enabling it never perturbs the run itself.
 	LoadWindowSec int
-	// CollectStats enables the observability layer: per-operator
-	// counters (rows in/out, watermark advances, flushes, per-operator
-	// CPU and network/IPC arrivals) in Result.OpStats and the
-	// machine-readable Result.Report. Stats are sharded per execution
-	// island exactly like the host metrics and merged in a fixed order,
-	// so they are bit-equal for any Workers value and never perturb the
-	// run itself. When false (the default) no stat hooks are installed
-	// and the operator graph is identical to an uninstrumented run.
+	// CollectStats exports the per-operator counters (rows in/out,
+	// watermark advances, flushes, per-operator CPU and network/IPC
+	// arrivals) in Result.OpStats and the machine-readable
+	// Result.Report. The counters run either way: they are the run's
+	// accounting, sharded per execution island, and host metrics, load
+	// windows and NodeRows are sums of them. The flag changes what a run
+	// returns, never how it executes.
 	CollectStats bool
 	// Trace enables deterministic causal tracing into Result.Trace:
 	// structured events keyed by round, window, host, and operator —
@@ -197,42 +197,34 @@ type sizedOp struct {
 
 // island is the unit of parallel execution: the operators of one
 // simulated host's capture processes (a leaf island, one per host), or
-// the central root process on the aggregator host. Each island owns a
-// metrics shard and a NodeRows shard so no accounting state is shared
-// between workers; shards are merged in a fixed order when the run
-// finishes. metrics holds integer counts only; cost turns them into CPU
-// units where a window or the run closes.
+// the central root process on the aggregator host. Each island owns the
+// counters of the operators it executes, so no accounting state is
+// shared between workers. They are the run's only accounting state:
+// host metrics, load windows and node rows are sums of them, taken in a
+// fixed order where a window or the run closes.
 type island struct {
 	id      int
-	metrics HostMetrics
-	cost    *CostConfig
-	rows    map[string]*int64
-	// ops shards the per-operator stats: every physical operator's
-	// counters live on the island that executes it, so no stat is ever
-	// written from two goroutines. The maps are fully populated during
-	// compile and only the pointed-to counters mutate during a run.
-	ops map[int]*obs.OpStats
-
-	// Load-monitoring state: closed window deltas (wins), the counter
-	// snapshot at the last closed boundary (lastSnap), and the next
-	// window index to close (curWin). Leaf islands close windows at
-	// round boundaries on their executing goroutine; the central
-	// island closes on the goroutine replaying its deliveries.
-	curWin   int
-	lastSnap HostMetrics
-	wins     []HostMetrics
-
-	// Causal-trace state, written only by the island's executing
-	// goroutine (the same single writer as metrics): the trace shard
-	// (nil when tracing is off), whether this is the central island,
-	// and the per-operator snapshot/metadata used to emit op_window
-	// deltas at window closes. opIDs fixes the emission order.
-	tr      *trace.Shard
 	central bool
-	opIDs   []int
-	lastOps map[int]obs.OpStats
-	opKind  map[int]string
-	opQuery map[int]string
+	cost    *CostConfig
+	// ops are the island's operators in ID order and stats[i] the
+	// counters of ops[i]; last[i] is stats[i] as the last monitoring
+	// window closed. NewRunner cuts both from one slab before compile
+	// hands out pointers into stats, so the slab never moves.
+	ops   []*optimizer.Op
+	stats []obs.OpStats
+	last  []obs.OpStats
+
+	// Load-monitoring state: closed window deltas (wins) and the next
+	// window index to close (curWin). Leaf islands close windows at
+	// round boundaries on their executing goroutine; the central island
+	// closes on the goroutine replaying its deliveries.
+	curWin int
+	wins   []HostMetrics
+
+	// tr is the island's trace shard (nil when tracing is off), written
+	// only by the island's executing goroutine, the counters' single
+	// writer.
+	tr *trace.Shard
 
 	// Parallel-mode state, owned by the island's worker goroutine.
 	curRound int
@@ -248,28 +240,46 @@ type island struct {
 	curWM uint64
 }
 
+// index returns the position of operator id in isl.ops, and whether the
+// island runs it.
+func (isl *island) index(id int) (int, bool) {
+	return slices.BinarySearchFunc(isl.ops, id, func(op *optimizer.Op, id int) int { return cmp.Compare(op.ID, id) })
+}
+
+// metrics sums the island's operator counters into host counts.
+func (isl *island) metrics() HostMetrics {
+	var m HostMetrics
+	for i, op := range isl.ops {
+		m.addOp(op.Kind, isl.stats[i])
+	}
+	return m
+}
+
 // closeWindowsTo closes monitoring windows up to (excluding) win: the
-// first closed window takes the counter delta since the last
-// snapshot, any further skipped windows are zero. A window's CPU units
-// are the cost model applied to its counts. winSec guards callers; this
-// method assumes monitoring is on.
+// first closed window takes the operators' counter deltas since the
+// last snapshot, any further skipped windows are zero. A window's CPU
+// units are the cost model applied to its counts. winSec guards
+// callers; this method assumes monitoring is on.
 func (isl *island) closeWindowsTo(win int) {
-	for isl.curWin < win {
-		delta := isl.cost.withCPU(isl.metrics.sub(isl.lastSnap))
+	for ; isl.curWin < win; isl.curWin++ {
+		var delta HostMetrics
+		for i, op := range isl.ops {
+			delta.addOp(op.Kind, isl.stats[i].Sub(isl.last[i]))
+		}
+		delta = isl.cost.withCPU(delta)
 		isl.wins = append(isl.wins, delta)
-		isl.lastSnap = isl.metrics
 		if isl.tr != nil {
 			isl.emitWindowEvents(delta)
 		}
-		isl.curWin++
+		copy(isl.last, isl.stats)
 	}
 }
 
 // emitWindowEvents records the closing window's host-level delta (its
 // CPU units included, so HostLoadSeries rebuilds them exactly) and the
-// per-operator integer deltas on the island's trace shard. The host
-// event is emitted even when all-zero — HostLoadSeries rebuilds the
-// full series geometry from these records.
+// per-operator deltas since the last snapshot on the island's trace
+// shard. The host event is emitted even when all-zero — HostLoadSeries
+// rebuilds the full series geometry from these records.
 func (isl *island) emitWindowEvents(delta HostMetrics) {
 	ev := trace.Event{
 		Kind:        trace.KindHostWindow,
@@ -286,28 +296,17 @@ func (isl *island) emitWindowEvents(delta HostMetrics) {
 		ev.Host = isl.id
 	}
 	isl.tr.Emit(ev)
-	for _, id := range isl.opIDs {
-		st := *isl.ops[id]
-		prev := isl.lastOps[id]
-		isl.lastOps[id] = st
-		d := obs.OpStats{
-			RowsIn:      st.RowsIn - prev.RowsIn,
-			RowsOut:     st.RowsOut - prev.RowsOut,
-			Advances:    st.Advances - prev.Advances,
-			Flushes:     st.Flushes - prev.Flushes,
-			NetTuplesIn: st.NetTuplesIn - prev.NetTuplesIn,
-			NetBytesIn:  st.NetBytesIn - prev.NetBytesIn,
-			IPCTuplesIn: st.IPCTuplesIn - prev.IPCTuplesIn,
-		}
-		if d.RowsIn|d.RowsOut|d.Advances|d.Flushes|d.NetTuplesIn|d.NetBytesIn|d.IPCTuplesIn == 0 {
+	for i, op := range isl.ops {
+		d := isl.stats[i].Sub(isl.last[i])
+		if d == (obs.OpStats{}) {
 			continue
 		}
 		oev := trace.Event{
 			Kind:        trace.KindOpWindow,
 			Window:      isl.curWin,
-			Op:          id,
-			OpKind:      isl.opKind[id],
-			Query:       isl.opQuery[id],
+			Op:          op.ID,
+			OpKind:      op.Kind.String(),
+			Query:       opQuery(op),
 			RowsIn:      d.RowsIn,
 			RowsOut:     d.RowsOut,
 			Advances:    d.Advances,
@@ -323,6 +322,18 @@ func (isl *island) emitWindowEvents(delta HostMetrics) {
 		}
 		isl.tr.Emit(oev)
 	}
+}
+
+// opQuery labels an operator with its source stream (a scan) or its
+// logical query.
+func opQuery(op *optimizer.Op) string {
+	switch {
+	case op.Kind == optimizer.OpScan:
+		return op.Stream
+	case op.Logical != nil:
+		return op.Logical.QueryName
+	}
+	return ""
 }
 
 // Result is the outcome of one run.
@@ -369,7 +380,7 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 		params:      cfg.Params,
 		workers:     cfg.Workers,
 		batchRounds: defaultBatchRounds,
-		collect:     cfg.CollectStats,
+		collect:     cfg.CollectStats || cfg.Trace != nil,
 		metrics:     &Metrics{Hosts: make([]HostMetrics, p.Hosts), Capacity: cfg.Costs.CapacityPerSec},
 		routers:     make(map[string]*router),
 		collectors:  make(map[string]*exec.Collector),
@@ -386,9 +397,7 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 		r.winSec = uint64(cfg.LoadWindowSec)
 	}
 	if cfg.Trace != nil {
-		// Tracing needs the op-stat shards (op_window deltas) and a
-		// monitoring window to pace window events.
-		r.collect = true
+		// Tracing needs a monitoring window to pace window events.
 		if r.winSec == 0 {
 			r.winSec = DefaultTraceWindowSec
 		}
@@ -397,16 +406,12 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 	}
 	r.islands = make([]*island, p.Hosts+1)
 	for i := range r.islands {
-		r.islands[i] = &island{id: i, cost: &r.cost, rows: make(map[string]*int64), ops: make(map[int]*obs.OpStats)}
+		r.islands[i] = &island{id: i, central: i == p.Hosts, cost: &r.cost}
 		if r.tracer != nil {
-			isl := r.islands[i]
-			isl.tr = r.tracer.NewShard()
-			isl.central = i == p.Hosts
-			isl.lastOps = make(map[int]obs.OpStats)
-			isl.opKind = make(map[int]string)
-			isl.opQuery = make(map[int]string)
+			r.islands[i].tr = r.tracer.NewShard()
 		}
 	}
+	r.placeOps()
 	switch cfg.Engine {
 	case "", EngineSim:
 		// The oracle runs sequentially whatever the worker count.
@@ -431,47 +436,39 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 	if err := r.compile(); err != nil {
 		return nil, err
 	}
-	if r.tracer != nil {
-		// compile populated each island's op-stat shard; fix the
-		// op_window emission order and label every operator.
-		for _, op := range p.Ops {
-			isl := r.islandOf(op)
-			isl.opKind[op.ID] = op.Kind.String()
-			switch {
-			case op.Kind == optimizer.OpScan:
-				isl.opQuery[op.ID] = op.Stream
-			case op.Logical != nil:
-				isl.opQuery[op.ID] = op.Logical.QueryName
-			}
-		}
-		for _, isl := range r.islands {
-			for id := range isl.ops { //qap:allow maprange -- ids sorted below
-				isl.opIDs = append(isl.opIDs, id)
-			}
-			sort.Ints(isl.opIDs)
-		}
-	}
 	return r, nil
+}
+
+// placeOps gives every island its operators in ID order and their
+// counters, cutting the operator lists from one slice and the counters
+// and snapshots from one slab.
+func (r *Runner) placeOps() {
+	ops := slices.Clone(r.plan.Ops)
+	slices.SortFunc(ops, func(a, b *optimizer.Op) int {
+		return cmp.Or(cmp.Compare(r.islandOf(a).id, r.islandOf(b).id), cmp.Compare(a.ID, b.ID))
+	})
+	slab := make([]obs.OpStats, 2*len(ops))
+	for lo := 0; lo < len(ops); {
+		isl := r.islandOf(ops[lo])
+		hi := lo + 1
+		for hi < len(ops) && r.islandOf(ops[hi]) == isl {
+			hi++
+		}
+		isl.ops = ops[lo:hi:hi]
+		isl.stats, isl.last = slab[2*lo:lo+hi:lo+hi], slab[lo+hi:2*hi:2*hi]
+		lo = hi
+	}
 }
 
 // DefaultTraceWindowSec paces host_window/op_window trace events when
 // tracing is enabled without explicit load monitoring.
 const DefaultTraceWindowSec = 10
 
-// opStatsOf returns the operator's stat shard on its execution island,
-// or nil when collection is disabled. Only called during compile, so
-// the shard maps are immutable once a run starts.
+// opStatsOf returns the operator's counters on its execution island.
 func (r *Runner) opStatsOf(op *optimizer.Op) *obs.OpStats {
-	if !r.collect {
-		return nil
-	}
 	isl := r.islandOf(op)
-	st, ok := isl.ops[op.ID]
-	if !ok {
-		st = &obs.OpStats{}
-		isl.ops[op.ID] = st
-	}
-	return st
+	i, _ := isl.index(op.ID)
+	return &isl.stats[i]
 }
 
 // traceEmitter returns a flush-observation hook emitting kind events

@@ -277,13 +277,6 @@ func (e *FuncCall) String() string {
 	return e.Name + "(" + strings.Join(parts, ", ") + ")"
 }
 
-func parenthesize(e Expr) string {
-	if b, ok := e.(*Binary); ok {
-		return "(" + b.String() + ")"
-	}
-	return e.String()
-}
-
 // SelectItem is one output column of a SELECT.
 type SelectItem struct {
 	Expr  Expr

@@ -15,8 +15,10 @@ import (
 // and drops the rows link item (kind 1), so a column batch is the only
 // data item on a link; version 6 appends Hello.Deploy; version 7 adds
 // the refusal frame, a node's reason for refusing a session sent in
-// place of the Welcome.
-const ProtocolVersion = 7
+// place of the Welcome; version 8 reshapes a node's result shard to its
+// operators' counters alone, which it ships whether or not the splitter
+// exports stats.
+const ProtocolVersion = 8
 
 // Hello opens (or resumes) a session, splitter -> node.
 type Hello struct {

@@ -63,16 +63,19 @@ type OpStats struct {
 	IPCTuplesIn int64 `json:"ipc_tuples_in"`
 }
 
-// Add accumulates o into s.
-func (s *OpStats) Add(o *OpStats) {
-	s.RowsIn += o.RowsIn
-	s.RowsOut += o.RowsOut
-	s.Advances += o.Advances
-	s.Flushes += o.Flushes
-	s.CPUUnits += o.CPUUnits
-	s.NetTuplesIn += o.NetTuplesIn
-	s.NetBytesIn += o.NetBytesIn
-	s.IPCTuplesIn += o.IPCTuplesIn
+// Sub returns the counter-wise difference s - o: the activity between
+// two snapshots of the same operator.
+func (s OpStats) Sub(o OpStats) OpStats {
+	return OpStats{
+		RowsIn:      s.RowsIn - o.RowsIn,
+		RowsOut:     s.RowsOut - o.RowsOut,
+		Advances:    s.Advances - o.Advances,
+		Flushes:     s.Flushes - o.Flushes,
+		CPUUnits:    s.CPUUnits - o.CPUUnits,
+		NetTuplesIn: s.NetTuplesIn - o.NetTuplesIn,
+		NetBytesIn:  s.NetBytesIn - o.NetBytesIn,
+		IPCTuplesIn: s.IPCTuplesIn - o.IPCTuplesIn,
+	}
 }
 
 // NodeReport is one physical operator's identity plus its measured
@@ -227,7 +230,9 @@ type SearchReport struct {
 // key of a RunReport: strip that key and reports are byte-identical
 // across worker counts.
 type Timing struct {
-	Workers     int    `json:"workers"`
+	// Workers is a run's configured worker count; nil in an analysis
+	// report, whose search has none.
+	Workers     *int   `json:"workers,omitempty"`
 	Engine      string `json:"engine"` // "sequential", "parallel" or "live"
 	BatchRounds int    `json:"batch_rounds,omitempty"`
 	WallNanos   int64  `json:"wall_nanos"`

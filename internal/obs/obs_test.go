@@ -27,18 +27,22 @@ func sampleReport() *RunReport {
 		Hosts: []HostReport{
 			{Host: 0, CPUUnits: 220.5, CPULoadPct: 12.5, Tuples: 200, NetTuplesIn: 3, NetBytesIn: 90},
 		},
-		Timing: &Timing{Workers: 8, Engine: "parallel", WallNanos: 123456},
+		Timing: &Timing{Workers: workers(8), Engine: "parallel", WallNanos: 123456},
 	}
 }
 
-// TestOpStatsAdd checks the shard-merge arithmetic.
-func TestOpStatsAdd(t *testing.T) {
+// workers is a Timing's worker count.
+func workers(n int) *int { return &n }
+
+// TestOpStatsSub checks the window-delta arithmetic, field by field.
+func TestOpStatsSub(t *testing.T) {
 	a := OpStats{RowsIn: 1, RowsOut: 2, Advances: 3, Flushes: 4, CPUUnits: 5, NetTuplesIn: 6, NetBytesIn: 7, IPCTuplesIn: 8}
-	b := a
-	b.Add(&a)
-	want := OpStats{RowsIn: 2, RowsOut: 4, Advances: 6, Flushes: 8, CPUUnits: 10, NetTuplesIn: 12, NetBytesIn: 14, IPCTuplesIn: 16}
-	if b != want {
-		t.Errorf("Add: got %+v, want %+v", b, want)
+	b := OpStats{RowsIn: 2, RowsOut: 4, Advances: 6, Flushes: 8, CPUUnits: 10, NetTuplesIn: 12, NetBytesIn: 14, IPCTuplesIn: 16}
+	if d := b.Sub(a); d != a {
+		t.Errorf("Sub = %+v, want %+v", d, a)
+	}
+	if d := a.Sub(a); d != (OpStats{}) {
+		t.Errorf("self-Sub = %+v, want zero", d)
 	}
 }
 
@@ -72,7 +76,7 @@ func TestJSONDeterministic(t *testing.T) {
 
 	// Same report with different timing: canonical forms must match.
 	r2 := sampleReport()
-	r2.Timing = &Timing{Workers: 1, Engine: "sequential", WallNanos: 999}
+	r2.Timing = &Timing{Workers: workers(1), Engine: "sequential", WallNanos: 999}
 	c1, _ := r.Canonical().JSON()
 	c2, _ := r2.Canonical().JSON()
 	if !bytes.Equal(c1, c2) {
@@ -131,5 +135,30 @@ func TestPrometheusRendering(t *testing.T) {
 	// No search section configured: its families must be absent.
 	if strings.Contains(out, "qap_search_") {
 		t.Error("unexpected search metrics")
+	}
+}
+
+// TestAnalysisTimingHasNoWorkers: a search has no worker count, so an
+// analysis report's timing carries none, in JSON or in the exposition;
+// a run's reports its count even when it is 0.
+func TestAnalysisTimingHasNoWorkers(t *testing.T) {
+	for _, c := range []struct {
+		timing *Timing
+		want   bool
+	}{
+		{&Timing{Engine: "search", WallNanos: 5}, false},
+		{&Timing{Workers: workers(0), Engine: "sequential", WallNanos: 5}, true},
+	} {
+		r := &RunReport{SchemaVersion: SchemaVersion, Timing: c.timing}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(b), `"workers":0`); got != c.want {
+			t.Errorf("engine %s: JSON %s carries workers: %t, want %t", c.timing.Engine, b, got, c.want)
+		}
+		if got := strings.Contains(r.Prometheus(), "qap_timing_workers 0"); got != c.want {
+			t.Errorf("engine %s: exposition carries qap_timing_workers: %t, want %t", c.timing.Engine, got, c.want)
+		}
 	}
 }

@@ -84,7 +84,7 @@ func TestPrometheusGoldenDrift(t *testing.T) {
 				{Host: 3},
 			}},
 		},
-		Timing: &Timing{Workers: 4, BatchRounds: 256, Engine: "parallel",
+		Timing: &Timing{Workers: workers(4), BatchRounds: 256, Engine: "parallel",
 			WallNanos: 98765432, Rounds: 60, Batches: 240, LinkItems: 480},
 	}
 	checkGolden(t, "prom_drift", r.Prometheus())

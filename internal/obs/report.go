@@ -208,8 +208,10 @@ func (r *RunReport) Prometheus() string {
 	if t := r.Timing; t != nil {
 		emit("qap_timing_wall_nanos", "gauge", "Wall-clock run time (nondeterministic).",
 			[]string{"qap_timing_wall_nanos " + strconv.FormatInt(t.WallNanos, 10)})
-		emit("qap_timing_workers", "gauge", "Configured worker count.",
-			[]string{"qap_timing_workers " + strconv.Itoa(t.Workers)})
+		if t.Workers != nil {
+			emit("qap_timing_workers", "gauge", "Configured worker count.",
+				[]string{"qap_timing_workers " + strconv.Itoa(*t.Workers)})
+		}
 	}
 	return b.String()
 }

@@ -46,7 +46,8 @@ func ServeNode(host int, addr string, live LiveOptions, ready func(addr string))
 // (cluster.RunConfig.Deploy): the source texts and every DeployConfig
 // field that shapes the plan or its results, under the same names.
 // Node-local settings — Workers, Live and DriveTimeout — stay each
-// process's own. Sets travel as text, parameter values tagged by kind.
+// process's own, and CollectStats the splitter's: a node counts the
+// same either way. Sets travel as text, parameter values tagged by kind.
 type deploySpec struct {
 	Schema, Queries          string
 	Hosts, PartitionsPerHost int
@@ -57,7 +58,6 @@ type deploySpec struct {
 	Costs                    CostConfig
 	Params                   map[string]specValue
 	BatchSize                int
-	CollectStats             bool
 	LoadWindowSec            int
 	Trace                    *RunTraceConfig
 }
@@ -81,7 +81,6 @@ func (d *Deployment) encodeSpec() ([]byte, error) {
 		PartialScope:      cfg.PartialScope,
 		Costs:             cfg.Costs,
 		BatchSize:         cfg.BatchSize,
-		CollectStats:      cfg.CollectStats,
 		LoadWindowSec:     cfg.LoadWindowSec,
 		Trace:             cfg.Trace,
 	}
@@ -209,7 +208,6 @@ func decodeSpec(b []byte) (*System, DeployConfig, error) {
 		PartialScope:      s.PartialScope,
 		Costs:             s.Costs,
 		BatchSize:         s.BatchSize,
-		CollectStats:      s.CollectStats,
 		LoadWindowSec:     s.LoadWindowSec,
 		Trace:             s.Trace,
 	}

@@ -42,21 +42,24 @@ func serveNodes(t *testing.T, hosts int, lo LiveOptions) ([]string, chan error) 
 // node rows, metrics, operator stats, the load series and the canonical
 // trace. The settings are the ones a node used to take as must-match
 // flags, at values other than those flags' defaults — a parameter,
-// per-partition partial aggregation, a load window and stats collection
-// — and one no node flag could express: a trace ring small enough to
-// drop events.
+// per-partition partial aggregation and a load window — with stats
+// collection and one setting no node flag could express, a trace ring
+// small enough to drop events; and then with stats and tracing off,
+// where the host metrics, load windows and node rows are all the
+// splitter learns of a node's counters.
 func TestServeNodeMatchesSim(t *testing.T) {
 	sys := MustLoad(netgen.SchemaDDL, SuspiciousFlowsQuery+"\n"+ComplexQuerySet)
 	packets := diffTrace(1)
-	cfg := DeployConfig{
+	plain := DeployConfig{
 		Hosts: 2, PartitionsPerHost: 2, Partitioning: MustParseSet("srcIP"),
 		PartialScope:  ScopePartition,
 		Params:        map[string]Value{"PATTERN": Uint(netgen.NormalPattern)},
-		Trace:         &RunTraceConfig{Mode: trace.ModeRing, RingSize: 16},
 		LoadWindowSec: 5,
-		CollectStats:  true,
 	}
-	run := func(cfg DeployConfig) *RunResult {
+	traced := plain
+	traced.Trace = &RunTraceConfig{Mode: trace.ModeRing, RingSize: 16}
+	traced.CollectStats = true
+	run := func(t *testing.T, cfg DeployConfig) *RunResult {
 		t.Helper()
 		dep, err := sys.Deploy(cfg)
 		if err != nil {
@@ -68,50 +71,68 @@ func TestServeNodeMatchesSim(t *testing.T) {
 		}
 		return res
 	}
-	want := run(cfg)
-	if len(want.Outputs["suspicious"]) == 0 {
-		t.Fatal("the non-default PATTERN selects no flow: the parameter is not tested")
-	}
-	full := cfg
-	full.Trace = &RunTraceConfig{}
-	if n := len(run(full).Trace.Records); len(want.Trace.Records) >= n {
-		t.Fatalf("the ring kept all %d events: ring mode is not tested", n)
-	}
-
-	addrs, done := serveNodes(t, cfg.Hosts, LiveOptions{Timeout: 10 * time.Second})
-	cfg.Engine = EngineLive
-	cfg.Live = LiveOptions{Nodes: addrs, Timeout: 10 * time.Second}
-	got := run(cfg)
-	for range addrs {
-		if err := <-done; err != nil {
-			t.Fatalf("node: %v", err)
-		}
-	}
-
 	for _, c := range []struct {
-		what      string
-		want, got any
-	}{
-		{"outputs", want.Outputs, got.Outputs},
-		{"node rows", want.NodeRows, got.NodeRows},
-		{"metrics", *want.Metrics, *got.Metrics},
-		{"op stats", want.OpStats, got.OpStats},
-		{"load series", want.LoadSeries, got.LoadSeries},
-	} {
-		if !reflect.DeepEqual(c.want, c.got) {
-			t.Errorf("remote nodes changed the %s", c.what)
-		}
-	}
-	wt, err := want.Trace.CanonicalJSONL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt, err := got.Trace.CanonicalJSONL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wt, gt) {
-		t.Error("remote nodes changed the canonical trace")
+		name string
+		cfg  DeployConfig
+	}{{"stats and trace", traced}, {"stats off", plain}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			want := run(t, cfg)
+			if len(want.Outputs["suspicious"]) == 0 {
+				t.Fatal("the non-default PATTERN selects no flow: the parameter is not tested")
+			}
+			for h, hm := range want.Metrics.Hosts {
+				if hm.CPUUnits == 0 {
+					t.Fatalf("host %d has no load: the metrics are not tested", h)
+				}
+			}
+			if cfg.Trace != nil {
+				full := cfg
+				full.Trace = &RunTraceConfig{}
+				if n := len(run(t, full).Trace.Records); len(want.Trace.Records) >= n {
+					t.Fatalf("the ring kept all %d events: ring mode is not tested", n)
+				}
+			}
+
+			addrs, done := serveNodes(t, cfg.Hosts, LiveOptions{Timeout: 10 * time.Second})
+			cfg.Engine = EngineLive
+			cfg.Live = LiveOptions{Nodes: addrs, Timeout: 10 * time.Second}
+			got := run(t, cfg)
+			for range addrs {
+				if err := <-done; err != nil {
+					t.Fatalf("node: %v", err)
+				}
+			}
+
+			for _, c := range []struct {
+				what      string
+				want, got any
+			}{
+				{"outputs", want.Outputs, got.Outputs},
+				{"node rows", want.NodeRows, got.NodeRows},
+				{"metrics", *want.Metrics, *got.Metrics},
+				{"op stats", want.OpStats, got.OpStats},
+				{"load series", want.LoadSeries, got.LoadSeries},
+			} {
+				if !reflect.DeepEqual(c.want, c.got) {
+					t.Errorf("remote nodes changed the %s", c.what)
+				}
+			}
+			if cfg.Trace == nil {
+				return
+			}
+			wt, err := want.Trace.CanonicalJSONL()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gt, err := got.Trace.CanonicalJSONL()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wt, gt) {
+				t.Error("remote nodes changed the canonical trace")
+			}
+		})
 	}
 }
 

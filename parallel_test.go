@@ -131,8 +131,8 @@ func TestBatchOneIsTheOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tm := res.Report().Timing; tm.Engine != "sequential" || tm.Workers != workers {
-			t.Errorf("workers %d: the report says engine %q, workers %d; want the sequential engine", workers, tm.Engine, tm.Workers)
+		if tm := res.Report().Timing; tm.Engine != "sequential" || tm.Workers == nil || *tm.Workers != workers {
+			t.Errorf("workers %d: the report says engine %q, workers %v; want the sequential engine", workers, tm.Engine, tm.Workers)
 		}
 		if traces[i], err = res.Trace.CanonicalJSONL(); err != nil {
 			t.Fatal(err)

@@ -285,11 +285,11 @@ type DeployConfig struct {
 	// because the frozen bench/ module sets it in a struct literal; see
 	// cluster.RunConfig.Columnar.
 	Columnar bool
-	// CollectStats enables the per-operator observability layer:
+	// CollectStats exports the per-operator counters:
 	// RunResult.OpStats and RunResult.Report() are populated. The
-	// counters are sharded like the host metrics, so they too are
-	// bit-equal for any worker count; when false no instrumentation is
-	// installed and the run is as fast as before the layer existed.
+	// counters run either way — the host metrics, load series and node
+	// rows are sums of them — and are bit-equal for any worker count;
+	// the flag changes what a run returns, not how it executes.
 	CollectStats bool
 	// LoadWindowSec enables online load monitoring: per-host counter
 	// deltas are sampled every LoadWindowSec seconds of trace time
