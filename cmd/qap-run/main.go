@@ -34,6 +34,11 @@
 // the statistics are refreshed, the optimizer re-runs, and the stream
 // is replayed on the new partitioning.
 //
+// A monitored run (-load-window N; -adaptive and tracing default it to
+// 10) ends its load report with a "load windows:" section, one line a
+// window: its span of trace time, the peak per-host network rate and
+// the host that has it.
+//
 // With -trace-out the run records a deterministic causal trace —
 // events keyed by round, window, host, and operator, never wall clock
 // — written as JSONL (inspect it with cmd/qap-trace). -trace-chrome
@@ -53,6 +58,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -280,6 +286,7 @@ func main() {
 	printOutputs(res, f.show)
 	fmt.Println("\nload:")
 	fmt.Print(res.Metrics.String())
+	printLoadWindows(res.LoadSeries)
 
 	f.writeTrace(runTrace)
 
@@ -312,6 +319,24 @@ func main() {
 	if tel != nil && f.telemetryHold > 0 {
 		fmt.Printf("\nholding telemetry for %s\n", f.telemetryHold)
 		time.Sleep(f.telemetryHold) //qap:allow walltime -- interactive serving window, not simulated results
+	}
+}
+
+// printLoadWindows prints a monitored run's load series, one line a
+// window: its span of trace time, the peak per-host network ingress
+// rate and the host that has it ("-" when no host received a byte).
+func printLoadWindows(series []qap.LoadWindow) {
+	if len(series) == 0 {
+		return
+	}
+	fmt.Println("\nload windows:")
+	for _, w := range series {
+		host, rate := w.MaxHost()
+		at := "-"
+		if host >= 0 {
+			at = strconv.Itoa(host)
+		}
+		fmt.Printf("  [%d,%d)s  max-host net %.0f B/s  host %s\n", w.StartSec, w.EndSec, rate, at)
 	}
 }
 

@@ -267,7 +267,7 @@ func TestAllocsParallelColumnarReplay(t *testing.T) {
 // leaves the stock empty.
 func TestGrouperStockSurvivesCollector(t *testing.T) {
 	var gr colGrouper
-	cb := gr.take(0)
+	cb := gr.take()
 	for i := 0; i < 100; i++ {
 		netgen.Packet{Time: 1, SrcIP: uint64(i)}.AppendCols(cb)
 	}
@@ -278,7 +278,7 @@ func TestGrouperStockSurvivesCollector(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.GC()
-	got := gr.take(0)
+	got := gr.take()
 	if got != cb {
 		t.Fatal("take did not return the run's own batch after two collector cycles")
 	}

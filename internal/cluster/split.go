@@ -7,9 +7,12 @@ package cluster
 // (split), for every engine at every BatchSize > 1. It cuts the merged
 // trace into rounds of one timestamp each and groups every round per
 // destination, as live.Round / live.Group values: one column group per
-// (stream, partition). A round-robin packet goes straight into its
-// group; a hash-routed stream's packets of the round are staged in one
-// column batch and routed column-wise, all at once (routeRun).
+// (stream, partition). Every stream is routed a run at a time — its
+// packets of the round, which the merge hands out together: a
+// round-robin run is dealt out strided, straight from the trace into
+// its groups (addRun); a hash-routed run is staged in one column batch
+// and routed column-wise (routeRun). Nothing in split is done per
+// packet.
 // What happens to a closed round is the one thing that varies, and
 // sits behind roundSink, reached once per round and never per packet:
 //
@@ -42,8 +45,7 @@ import (
 
 // streamCursor walks one source stream's trace during the merge. Within
 // a round, the merge hands out a stream's packets as one contiguous
-// run, which is what lets the splitter stage a hash-routed stream's run
-// and route it at once.
+// run (nextRun), which is what lets the splitter route the run at once.
 type streamCursor struct {
 	name    string // lower-case stream name
 	idx     int    // position in the canonical cursor order
@@ -51,13 +53,9 @@ type streamCursor struct {
 	packets []netgen.Packet
 	pos     int
 
-	// Grouping bookkeeping (colGrouper, for add and routeRun alike):
-	// gidx[p] is the index of partition p's open column group in its
-	// round's list, valid only while gstamp[p] equals the current round;
-	// grows[p] counts the rows of partition p's latest group. lists[p] is
-	// the open round's delivery list on the island that owns partition p.
-	gidx, gstamp, grows []int
-	lists               []*[]live.Group
+	// lists[p] is the open round's delivery list on the island that
+	// owns partition p.
+	lists []*[]live.Group
 }
 
 // makeCursors validates the input traces and fixes the canonical merge
@@ -104,6 +102,18 @@ func nextCursor(cursors []*streamCursor) *streamCursor {
 		}
 	}
 	return best
+}
+
+// nextRun hands out c's run: its next packet and every later one with
+// the same timestamp, which the merge would hand out next, one by one —
+// it breaks timestamp ties by cursor order. A stream therefore has one
+// run in each round it has packets in.
+func (c *streamCursor) nextRun() []netgen.Packet {
+	start := c.pos
+	for tm := c.packets[start].Time; c.pos < len(c.packets) && c.packets[c.pos].Time == tm; {
+		c.pos++
+	}
+	return c.packets[start:c.pos]
 }
 
 // runSequential drives the merged trace through the operator graph on
@@ -194,7 +204,7 @@ type roundSink interface {
 }
 
 // split is the splitter: it merges the cursors in canonical order,
-// routes every packet (a hash-routed stream's a run at a time), and
+// routes every stream a run at a time, and
 // hands sink each island's share of every round — the watermark
 // advance, the round's groups tagged with their first packet's
 // round-local sequence, and in the end the flush round — recording
@@ -204,7 +214,7 @@ type roundSink interface {
 //qap:hot
 func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) (bool, uint64, error) {
 	pend := make([][]live.Round, r.execIslands()) //qap:allow hotalloc -- splitter setup, once per run
-	initGroupIndex(cursors)
+	initLists(cursors)
 	round := -1
 	var lastTime uint64
 	seq := uint64(0) // round-local push sequence
@@ -213,9 +223,8 @@ func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) 
 		if best == nil {
 			break
 		}
-		pk := &best.packets[best.pos]
-		best.pos++
-		if round < 0 || pk.Time > lastTime {
+		tm := best.packets[best.pos].Time
+		if round < 0 || tm > lastTime {
 			if round >= 0 {
 				// The same (round, watermark, packets) triple the oracle
 				// records, on every engine.
@@ -228,9 +237,8 @@ func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) 
 			}
 			round++
 			r.engRounds++
-			gr.nextRound()
 			for i := range pend {
-				pend[i] = openRound(pend[i], live.Round{Round: round, WM: pk.Time, Adv: true})
+				pend[i] = openRound(pend[i], live.Round{Round: round, WM: tm, Adv: true})
 			}
 			// Point every partition at its island's open round; the sink
 			// moves rounds only between here and the next closed.
@@ -239,14 +247,15 @@ func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) 
 					c.lists[part] = &pend[id][len(pend[id])-1].Groups
 				}
 			}
-			seq, lastTime = 0, pk.Time
+			seq, lastTime = 0, tm
 		}
+		run := best.nextRun()
 		if best.rt.hash == nil {
-			gr.add(best, best.rt.route(nil), seq, pk)
-			seq++
+			gr.addRun(best, run, seq)
 		} else {
-			seq += uint64(gr.routeRun(best, seq))
+			gr.routeRun(best, run, seq)
 		}
+		seq += uint64(len(run))
 	}
 	r.emitDriverTail(round, int64(seq), lastTime)
 	r.engRounds++ // the flush round
@@ -378,27 +387,27 @@ func (x *islandExec) execRounds(rounds []live.Round) int {
 	return last
 }
 
-// colGrouper is the splitter's per-round grouping. A packet never
-// becomes a row in front of the scan: a round-robin one goes from the
-// trace cursor straight into its destination partition's pooled column
-// batch (add); a hash-routed one into the stage with the rest of its
-// stream's run in the round, which is routed column-wise and gathered
-// into the destinations' batches (routeRun). A group is a live.Group —
+// colGrouper is the splitter's per-round grouping, of one stream's run
+// at a time. A packet never becomes a row in front of the scan: a
+// round-robin run goes from the trace cursor straight into its
+// destinations' pooled column batches, every m-th packet into each of
+// the m partitions (addRun); a hash-routed run into the stage, which is
+// routed column-wise and gathered into the destinations' batches
+// (routeRun). A group is a live.Group —
 // canonical tag, stream (cursor) index, partition, columns — so the
 // live sink ships the very value the simulator's executors are handed.
 //
-// The zero value is ready once initGroupIndex has prepared the cursors.
+// The zero value is ready once initLists has prepared the cursors.
 type colGrouper struct {
-	// round stamps the cursors' open groups; bumping it closes them all.
-	round int
-
 	// routeRun's scratch, the splitter goroutine's: stage holds the run
 	// being routed, parts its partition vector, perm its rows sorted by
-	// partition, and end[p] where partition p's rows end in perm.
-	stage *exec.ColBatch
-	parts []uint64
-	perm  []int32
-	end   []int
+	// partition; rows[p] counts partition p's rows in the run (0: no
+	// group open), gidx[p] is its group's index in its round's list, and
+	// end[p] where its rows end in perm.
+	stage           *exec.ColBatch
+	parts           []uint64
+	perm            []int32
+	rows, gidx, end []int
 
 	// free is the run's own stock of delivered batches, still shaped.
 	// The shared pool behind exec.GetColBatch is emptied by the
@@ -410,110 +419,96 @@ type colGrouper struct {
 	free []*exec.ColBatch
 }
 
-// initGroupIndex gives every cursor its per-partition open-group index,
-// with no group open.
-func initGroupIndex(cursors []*streamCursor) {
+// initLists gives every cursor its per-partition delivery list
+// pointers, which split points at each round's lists as it opens.
+func initLists(cursors []*streamCursor) {
 	for _, c := range cursors {
-		c.gidx = make([]int, len(c.rt.outs))
-		c.gstamp = make([]int, len(c.rt.outs))
-		c.grows = make([]int, len(c.rt.outs))
 		c.lists = make([]*[]live.Group, len(c.rt.outs))
-		for p := range c.gstamp {
-			c.gstamp[p] = -1
+	}
+}
+
+// addRun routes run, the open round's packets of c's round-robin
+// stream, with the first at round-local sequence seq: packet k goes to
+// partition (rr+k) mod m, rr the router's cursor, so the first
+// min(m, len(run)) packets open their destinations' groups in that
+// order, tagged seq+k, and partition (rr+k) mod m's group holds rows
+// k, k+m, k+2m, … — the groups and tags of routing every packet on
+// arrival. The cursor then moves on by len(run).
+//
+//qap:hot
+func (g *colGrouper) addRun(c *streamCursor, run []netgen.Packet, seq uint64) {
+	m := len(c.rt.outs)
+	rr := c.rt.rr % m
+	for k := 0; k < m && k < len(run); k++ {
+		p := rr + k
+		if p >= m {
+			p -= m
 		}
+		cb := g.take()
+		netgen.AppendRunCols(cb, run[k:], m)
+		list := c.lists[p]
+		*list = append(*list, live.Group{Tag: phasePush | (seq + uint64(k)), Stream: c.idx, Part: p, Cols: cb})
 	}
+	c.rt.rr = (rr + len(run)) % m
 }
 
-// nextRound closes the round: each destination's next packet opens a
-// fresh group.
-func (g *colGrouper) nextRound() { g.round++ }
-
-// add appends pk to partition part's group of the open round, in the
-// round's delivery list for whichever island owns the partition,
-// opening the group, tagged with seq (the round-local sequence of its
-// first packet), when pk is the destination's first of the round.
+// routeRun routes run, the open round's packets of c's hash-routed
+// stream, with the first at round-local sequence seq. The run is staged
+// in one column batch and routed column-wise. One pass over the
+// partition vector opens each destination's group, tagged with the
+// sequence of its first row, in first-occurrence order — as if every
+// packet had been routed on arrival — and counts its rows; a
+// counting sort then lists every destination's rows, and each
+// destination gathers them column by column.
 //
 //qap:hot
-func (g *colGrouper) add(c *streamCursor, part int, seq uint64, pk *netgen.Packet) {
-	list := c.lists[part]
-	if c.gstamp[part] != g.round {
-		c.gstamp[part] = g.round
-		c.gidx[part] = len(*list)
-		*list = append(*list, live.Group{Tag: phasePush | seq, Stream: c.idx, Part: part, Cols: g.take(c.grows[part])})
-		c.grows[part] = 0
-	}
-	c.grows[part]++
-	pk.AppendCols((*list)[c.gidx[part]].Cols)
-}
-
-// routeRun routes c's run in the open round: the packet the merge just
-// took and every later one with its timestamp, which the merge would
-// hand out next, one by one — it breaks timestamp ties by cursor order.
-// The first has round-local sequence seq; routeRun returns how many
-// there are. The run is staged in one column batch and routed
-// column-wise. One pass over the partition vector opens each
-// destination's group, tagged with the sequence of its first row, in
-// first-occurrence order — add's order and tags, as if every packet
-// had been routed on arrival — and counts its rows (grows); a counting
-// sort then lists every destination's rows, and each destination
-// gathers them column by column.
-//
-//qap:hot
-func (g *colGrouper) routeRun(c *streamCursor, seq uint64) int {
-	start := c.pos - 1
-	for tm := c.packets[start].Time; c.pos < len(c.packets) && c.packets[c.pos].Time == tm; {
-		c.pos++
-	}
-	run := c.packets[start:c.pos]
+func (g *colGrouper) routeRun(c *streamCursor, run []netgen.Packet, seq uint64) {
 	if g.stage == nil {
-		g.stage = g.take(len(run))
+		g.stage = g.take()
 	}
 	st := g.stage
-	for i := range run {
-		run[i].AppendCols(st)
+	netgen.AppendRunCols(st, run, 1)
+	m := len(c.rt.outs)
+	if len(g.end) < m {
+		//qap:allow hotalloc -- sized to the widest router once per run
+		g.end, g.rows, g.gidx = make([]int, m), make([]int, m), make([]int, m)
 	}
-	if n := len(c.rt.outs); len(g.end) < n {
-		g.end = make([]int, n) //qap:allow hotalloc -- sized to the widest router once per run
-	}
+	rows, gidx, end := g.rows[:m], g.gidx[:m], g.end[:m]
 	parts := c.rt.routeCols(st, g.parts)
 	g.parts = parts
 	for i, p := range parts {
-		if c.gstamp[p] != g.round {
-			c.gstamp[p] = g.round
+		if rows[p] == 0 {
 			list := c.lists[p]
-			c.gidx[p] = len(*list)
+			gidx[p] = len(*list)
 			*list = append(*list, live.Group{Tag: phasePush | (seq + uint64(i)), Stream: c.idx, Part: int(p)})
-			c.grows[p] = 0
 		}
-		c.grows[p]++
+		rows[p]++
 	}
 	n := 0
-	for p, stamp := range c.gstamp {
-		if stamp == g.round {
-			g.end[p] = n // where p's rows start, until the fill below
-			n += c.grows[p]
-		}
+	for p, k := range rows {
+		end[p] = n // where p's rows start, until the fill below
+		n += k
 	}
 	perm := slices.Grow(g.perm[:0], len(parts))[:len(parts)]
 	for i, p := range parts {
-		perm[g.end[p]] = int32(i)
-		g.end[p]++
+		perm[end[p]] = int32(i)
+		end[p]++
 	}
 	g.perm = perm
-	for p, stamp := range c.gstamp {
-		if stamp == g.round {
-			cb := g.take(c.grows[p])
-			gatherCols(cb, st, perm[g.end[p]-c.grows[p]:g.end[p]])
-			(*c.lists[p])[c.gidx[p]].Cols = cb
+	for p, k := range rows {
+		if k > 0 {
+			cb := g.take()
+			gatherCols(cb, st, perm[end[p]-k:end[p]])
+			(*c.lists[p])[gidx[p]].Cols = cb
+			rows[p] = 0
 		}
 	}
 	st.Reset()
-	return len(run)
 }
 
 // gatherCols fills dst, an empty batch, with rows of src, an all-uint
 // batch, in order, column by column. A dst too small for them is
-// resized as take sizes a batch, with headroom, in one slab.
+// resized in one slab, with headroom.
 //
 //qap:hot
 func gatherCols(dst, src *exec.ColBatch, rows []int32) {
@@ -536,27 +531,20 @@ func gatherCols(dst, src *exec.ColBatch, rows []int32) {
 	dst.Len = n
 }
 
-// take returns an empty batch for about rows packets (0: unknown): one
-// of the run's own as it is, else the pool's. That one may be fresh
-// from the allocator, or last have held a link item's copy of some
-// narrower, shorter batch; if it has no room for rows it is sized for
-// them with headroom — group sizes wander from round to round (add asks
-// for the destination's previous size), and a column that outgrows the
-// slab is reallocated on its own.
-func (g *colGrouper) take(rows int) *exec.ColBatch {
+// take returns an empty batch: one of the run's own as it is, else the
+// pool's. That one may be fresh from the allocator, or last have held a
+// link item's copy of some narrower, shorter batch; whoever fills it
+// (AppendRunCols, gatherCols) sizes a batch with no room for its rows
+// in one slab, with headroom.
+func (g *colGrouper) take() *exec.ColBatch {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if n := len(g.free); n > 0 {
 		cb := g.free[n-1]
 		g.free = g.free[:n-1]
-		g.mu.Unlock()
 		return cb
 	}
-	g.mu.Unlock()
-	cb := exec.GetColBatch()
-	if rows > 0 && (cap(cb.Cols) < netgen.TupleCols || cap(cb.Cols[:1][0].U64) < rows) {
-		cb.Reserve(netgen.TupleCols, rows+rows/4+8)
-	}
-	return cb
+	return exec.GetColBatch()
 }
 
 // retire takes back an executed feed message: its column batches into

@@ -80,9 +80,9 @@ func (s *recSink) finish(pend [][]live.Round) error {
 // three real sinks are held to the same rounds by the sim/live
 // equivalence tests.
 func TestSplitterRounds(t *testing.T) {
-	gen := func(seed int64, drop func(uint64) bool) []netgen.Packet {
+	gen := func(seed int64, rate int, drop func(uint64) bool) []netgen.Packet {
 		cfg := netgen.DefaultConfig()
-		cfg.Seed, cfg.DurationSec, cfg.PacketsPerSec = seed, 14, 40
+		cfg.Seed, cfg.DurationSec, cfg.PacketsPerSec = seed, 14, rate
 		cfg.SrcHosts, cfg.DstHosts = 20, 10
 		var out []netgen.Packet
 		for _, pk := range netgen.Generate(cfg).Packets {
@@ -94,11 +94,15 @@ func TestSplitterRounds(t *testing.T) {
 	}
 	// Second 5 is missing from both streams, 9 from the first and 3 from
 	// the second; every other second is a tie across the two.
-	pkt1 := gen(1, func(tm uint64) bool { return tm == 5 || tm == 9 })
-	pkt2 := gen(2, func(tm uint64) bool { return tm == 5 || tm == 3 })
+	pkt1 := gen(1, 40, func(tm uint64) bool { return tm == 5 || tm == 9 })
+	pkt2 := gen(2, 40, func(tm uint64) bool { return tm == 5 || tm == 3 })
+	// About four packets a second: round-robin runs shorter than the
+	// router's partition count, and some seconds with none.
+	sparse := gen(3, 4, func(uint64) bool { return false })
 	one := map[string][]netgen.Packet{"TCP": pkt1}
 	two := map[string][]netgen.Packet{"PKT1": pkt1, "PKT2": pkt2}
 	flows := buildGraph(t, flowsQuery)
+	twoStream := buildTwoStream(t)
 	cases := []struct {
 		name    string
 		g       *plan.Graph
@@ -108,31 +112,73 @@ func TestSplitterRounds(t *testing.T) {
 		// uint kernel, and a kind it yields on some packet of the trace.
 		kernel bool
 		yields sqlval.Kind
+		// hosts and partitions a host; 0 means 2 and 2.
+		hosts, pph int
+		// On round robin: whether some run is shorter than the partition
+		// count.
+		short bool
 	}{
-		{"one-stream/hash", flows, core.MustParseSet("srcIP, destIP"), one, true, sqlval.KindUint},
+		{name: "one-stream/hash", g: flows, ps: core.MustParseSet("srcIP, destIP"), streams: one, kernel: true, yields: sqlval.KindUint},
 		// The other element kinds the staged router hashes: a computed
 		// kernel, a may-be-Int kernel (destPort is 80, 443, 53, 22 or 25,
 		// so it underflows) and an element with no uint kernel (NULL).
-		{"one-stream/hash-computed", flows, core.MustParseSet("destIP, srcIP & 0xFFF0"), one, true, sqlval.KindUint},
-		{"one-stream/hash-int", flows, core.MustParseSet("destPort - 443"), one, true, sqlval.KindInt},
-		{"one-stream/hash-null", flows, core.MustParseSet("srcIP / 0"), one, false, sqlval.KindNull},
-		{"one-stream/round-robin", flows, nil, one, false, 0},
-		{"two-stream/hash", buildTwoStream(t), core.MustParseSet("srcIP, destIP"), two, true, sqlval.KindUint},
-		{"two-stream/round-robin", buildTwoStream(t), nil, two, false, 0},
+		{name: "one-stream/hash-computed", g: flows, ps: core.MustParseSet("destIP, srcIP & 0xFFF0"), streams: one, kernel: true, yields: sqlval.KindUint},
+		{name: "one-stream/hash-int", g: flows, ps: core.MustParseSet("destPort - 443"), streams: one, kernel: true, yields: sqlval.KindInt},
+		{name: "one-stream/hash-null", g: flows, ps: core.MustParseSet("srcIP / 0"), streams: one},
+		{name: "one-stream/round-robin", g: flows, streams: one},
+		{name: "two-stream/hash", g: twoStream, ps: core.MustParseSet("srcIP, destIP"), streams: two, kernel: true, yields: sqlval.KindUint},
+		{name: "two-stream/round-robin", g: twoStream, streams: two},
+		// Three partitions a host, one host or two: m = 3 and 6 partitions
+		// dealt out, by runs longer and shorter than m.
+		{name: "one-stream/round-robin/m=3", g: flows, streams: one, hosts: 1, pph: 3},
+		{name: "one-stream/round-robin/m=3/sparse", g: flows, streams: map[string][]netgen.Packet{"TCP": sparse}, hosts: 1, pph: 3, short: true},
+		{name: "one-stream/round-robin/m=6/sparse", g: flows, streams: map[string][]netgen.Packet{"TCP": sparse}, hosts: 2, pph: 3, short: true},
+		{name: "two-stream/round-robin/m=6", g: twoStream, streams: map[string][]netgen.Packet{"PKT1": pkt1, "PKT2": sparse}, hosts: 2, pph: 3, short: true},
 	}
 	for _, tc := range cases {
+		o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
+		if tc.hosts > 0 {
+			o.Hosts, o.PartitionsPerHost = tc.hosts, tc.pph
+		}
 		if tc.ps != nil {
 			t.Run(tc.name+"/element", func(t *testing.T) {
 				checkLastElement(t, tc.g, tc.ps, tc.streams, tc.kernel, tc.yields)
+			})
+		} else {
+			t.Run(tc.name+"/runs", func(t *testing.T) {
+				checkRoundRobinRuns(t, tc.streams, o.Hosts*o.PartitionsPerHost, tc.short)
 			})
 		}
 		for _, workers := range []int{1, 2} { // one executor, or one per host
 			for _, bs := range []int{1, 4} {
 				t.Run(fmt.Sprintf("%s/workers=%d/bs=%d", tc.name, workers, bs), func(t *testing.T) {
-					checkSplitterRounds(t, tc.g, tc.ps, tc.streams, workers, bs)
+					checkSplitterRounds(t, tc.g, tc.ps, o, tc.streams, workers, bs)
 				})
 			}
 		}
+	}
+}
+
+// checkRoundRobinRuns holds a round-robin case to what it is for: some
+// stream has a run (its packets of one timestamp) after which the
+// router's cursor carries into the next round off partition 0, and,
+// when short says so, a run shorter than the m partitions it is dealt
+// to.
+func checkRoundRobinRuns(t *testing.T, streams map[string][]netgen.Packet, m int, wantShort bool) {
+	short, carried := false, false
+	for _, pks := range streams { //qap:allow maprange -- any order: two flags are set
+		for i := 0; i < len(pks); {
+			j := i
+			for j < len(pks) && pks[j].Time == pks[i].Time {
+				j++
+			}
+			short = short || j-i < m
+			carried = carried || (j < len(pks) && (j-i)%m != 0)
+			i = j
+		}
+	}
+	if short != wantShort || !carried {
+		t.Errorf("%d partitions: a run shorter than m = %v, a cursor carried off 0 = %v; want %v, true", m, short, carried, wantShort)
 	}
 }
 
@@ -170,8 +216,8 @@ func checkLastElement(t *testing.T, g *plan.Graph, ps core.Set, streams map[stri
 	}
 }
 
-func checkSplitterRounds(t *testing.T, g *plan.Graph, ps core.Set, streams map[string][]netgen.Packet, workers, bs int) {
-	p, err := optimizer.Build(g, ps, optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true})
+func checkSplitterRounds(t *testing.T, g *plan.Graph, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, workers, bs int) {
+	p, err := optimizer.Build(g, ps, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +239,9 @@ func checkSplitterRounds(t *testing.T, g *plan.Graph, ps core.Set, streams map[s
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two hosts: one executor each, or a single one.
-	executors := workers
-	if bs == 1 {
+	// One executor a host, or a single one.
+	executors := o.Hosts
+	if workers == 1 || bs == 1 {
 		executors = 1
 	}
 	if islands := r.execIslands(); islands != executors || len(sink.rounds) != executors {
@@ -440,17 +486,13 @@ func (s dropSink) finish(pend [][]live.Round) error {
 	return nil
 }
 
-// A steady-state hash-routed round costs the splitter no allocation:
-// split over twice as many rounds of the same shape allocates exactly
-// as much as over the shorter trace, what a run sets up included.
+// A steady-state round costs the splitter no allocation, hash-routed or
+// dealt round robin: split over twice as many rounds of the same shape
+// allocates exactly as much as over the shorter trace, what a run sets
+// up included.
 func TestSplitHashRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
-	}
-	p, err := optimizer.Build(buildGraph(t, flowsQuery), core.MustParseSet("destIP, srcIP & 0xFFF0"),
-		optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true})
-	if err != nil {
-		t.Fatal(err)
 	}
 	trace := func(rounds int) []netgen.Packet {
 		var pks []netgen.Packet
@@ -461,26 +503,42 @@ func TestSplitHashRoundAllocs(t *testing.T) {
 		}
 		return pks
 	}
-	allocs := func(rounds int) float64 {
-		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cursors, err := r.makeCursors(map[string][]netgen.Packet{"TCP": trace(rounds)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gr colGrouper
-		return testing.AllocsPerRun(5, func() {
-			cursors[0].pos = 0
-			if _, _, err := r.split(cursors, &gr, dropSink{&gr}); err != nil {
+	for _, tc := range []struct {
+		name string
+		ps   core.Set
+		pph  int
+	}{
+		{"hash", core.MustParseSet("destIP, srcIP & 0xFFF0"), 2},
+		{"round-robin", nil, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := optimizer.Build(buildGraph(t, flowsQuery), tc.ps,
+				optimizer.Options{Hosts: 2, PartitionsPerHost: tc.pph, PartialAgg: true})
+			if err != nil {
 				t.Fatal(err)
 			}
+			allocs := func(rounds int) float64 {
+				r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cursors, err := r.makeCursors(map[string][]netgen.Packet{"TCP": trace(rounds)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var gr colGrouper
+				return testing.AllocsPerRun(5, func() {
+					cursors[0].pos = 0
+					if _, _, err := r.split(cursors, &gr, dropSink{&gr}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			short, long := allocs(50), allocs(100)
+			t.Logf("split: %v objects over 50 rounds, %v over 100", short, long)
+			if long != short {
+				t.Errorf("split: %v objects over 50 rounds, %v over 100: a %s round allocates", short, long, tc.name)
+			}
 		})
-	}
-	short, long := allocs(50), allocs(100)
-	t.Logf("split: %v objects over 50 rounds, %v over 100", short, long)
-	if long != short {
-		t.Errorf("split: %v objects over 50 rounds, %v over 100: a hash-routed round allocates", short, long)
 	}
 }

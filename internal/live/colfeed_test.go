@@ -166,7 +166,8 @@ func TestSendFeedRefusesOversizedFeed(t *testing.T) {
 }
 
 // TestOutboxRecyclesAckedFrames: an acknowledged frame's buffer backs a
-// later append, except while the writer still holds it.
+// later append, but not while the writer still holds it: a frame acked
+// then is recycled once the writer lets it go.
 func TestOutboxRecyclesAckedFrames(t *testing.T) {
 	o := newOutbox(2, DefaultMaxFrame)
 	msg, _ := colFeed(0, 50, false)
@@ -185,19 +186,149 @@ func TestOutboxRecyclesAckedFrames(t *testing.T) {
 	if len(o.free) != 0 {
 		t.Fatal("a frame the writer holds was recycled")
 	}
-	o.unpin()
 	if third := send(); &third[0] == &first[0] {
 		t.Fatal("the pinned frame's buffer was reused")
+	}
+	o.unpin()
+	if len(o.free) != 1 || &o.free[0][:1][0] != &first[0] {
+		t.Fatalf("free list holds %d buffers once the writer let the acked frame go, want it alone", len(o.free))
 	}
 	o.tryNext()
 	o.unpin()
 	o.ack(2)
-	if len(o.free) != 1 {
-		t.Fatalf("free list holds %d buffers after an unpinned ack, want 1", len(o.free))
+	if len(o.free) != 2 {
+		t.Fatalf("free list holds %d buffers after an unpinned ack, want 2", len(o.free))
 	}
 	if fourth := send(); &fourth[0] != &second[0] {
 		t.Fatal("an append did not reuse the acknowledged frame's buffer")
 	}
+}
+
+// The frame stock stays inside its bounds whatever it is handed, drops
+// its oldest buffers first, hands out the smallest that fits, and takes
+// from an outbox exactly what no one can read: the free list at close,
+// the acked frames the free list cannot keep, and the queued frames once
+// released — never a frame the writer holds, nor one unacked before
+// then.
+func TestFrameStockStaysBounded(t *testing.T) {
+	frameStock.mu.Lock()
+	saved, savedBytes := frameStock.bufs, frameStock.bytes
+	frameStock.bufs, frameStock.bytes = nil, 0
+	frameStock.mu.Unlock()
+	defer func() {
+		frameStock.mu.Lock()
+		frameStock.bufs, frameStock.bytes = saved, savedBytes
+		frameStock.mu.Unlock()
+	}()
+	// caps lists the stock's buffer capacities, oldest first, after
+	// checking the bounds and the byte count.
+	caps := func(when string) []int {
+		t.Helper()
+		frameStock.mu.Lock()
+		defer frameStock.mu.Unlock()
+		var cs []int
+		sum := 0
+		for _, b := range frameStock.bufs {
+			cs = append(cs, cap(b))
+			sum += cap(b)
+		}
+		if len(cs) > frameStockCap || sum > frameStockBytes || sum != frameStock.bytes {
+			t.Fatalf("%s: %d buffers of %d bytes (counted %d), bounds %d and %d",
+				when, len(cs), sum, frameStock.bytes, frameStockCap, frameStockBytes)
+		}
+		return cs
+	}
+	inStock := func(b []byte) bool {
+		frameStock.mu.Lock()
+		defer frameStock.mu.Unlock()
+		for _, s := range frameStock.bufs {
+			if &s[:1][0] == &b[:1][0] {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < 2*frameStockCap; i++ {
+		putFrameBuf(make([]byte, 0, 1<<10+i))
+		caps("small buffers")
+	}
+	if cs := caps("small buffers"); cs[0] != 1<<10+frameStockCap || cs[len(cs)-1] != 1<<10+2*frameStockCap-1 {
+		t.Errorf("a stock full of buffers holds %d..%d bytes, want the newest %d: %d..%d",
+			cs[0], cs[len(cs)-1], frameStockCap, 1<<10+frameStockCap, 1<<10+2*frameStockCap-1)
+	}
+	big := frameStockBytes / 16
+	for i := 0; i < 20; i++ {
+		putFrameBuf(make([]byte, 0, big))
+		caps("large buffers")
+	}
+	if cs := caps("large buffers"); len(cs) != 16 || cs[0] != big {
+		t.Errorf("a stock full of bytes holds %v, want 16 of %d bytes", cs, big)
+	}
+	putFrameBuf(make([]byte, 0, 2000))
+	if cs := caps("one small more"); len(cs) != 16 || cs[0] != big || cs[15] != 2000 {
+		t.Errorf("a small buffer past the byte bound left %v, want 15 of %d bytes and the new one", cs, big)
+	}
+	putFrameBuf(make([]byte, 0, big))
+	if b := frameBuf(100); cap(b) != 2000 {
+		t.Errorf("frameBuf(100) gave a %d-byte buffer, the smallest that fits is 2000", cap(b))
+	}
+	if b := frameBuf(big - 1); cap(b) != big {
+		t.Errorf("frameBuf(%d) gave a %d-byte buffer, want one of the %d-byte ones", big-1, cap(b), big)
+	}
+	caps("after the takes")
+
+	frameStock.mu.Lock()
+	frameStock.bufs, frameStock.bytes = nil, 0
+	frameStock.mu.Unlock()
+	o := newOutbox(2, DefaultMaxFrame)
+	msg, _ := colFeed(0, 50, false)
+	send := func() []byte {
+		t.Helper()
+		if _, err := o.append(frameFeed, time.Now().Add(time.Second), msg); err != nil {
+			t.Fatal(err)
+		}
+		return o.frames[len(o.frames)-1]
+	}
+	write := func() {
+		o.tryNext()
+		o.unpin()
+	}
+	pinned := send()
+	o.tryNext()
+	o.ack(1) // acknowledged while the writer still holds it
+	if inStock(pinned) || len(o.free) != 0 {
+		t.Fatal("a frame the writer holds was recycled")
+	}
+	o.unpin()
+	o.free = o.free[:0] // recycled now; TestOutboxRecyclesAckedFrames follows it
+	a, b := send(), send()
+	write()
+	write()
+	o.ack(3) // both into the free list, which is now full
+	if len(o.free) != 2 || inStock(a) || inStock(b) {
+		t.Fatalf("after two plain acks: %d free, in the stock: %v %v; want 2 free and neither",
+			len(o.free), inStock(a), inStock(b))
+	}
+	c := send() // b's buffer, off the free list
+	o.free = append(o.free, make([]byte, 0, len(c)))
+	write()
+	o.ack(4)
+	if !inStock(c) {
+		t.Error("an acked frame past the free list's limit did not go to the stock")
+	}
+	unacked := send()
+	o.close()
+	if !inStock(a) {
+		t.Error("close did not hand the free list to the stock")
+	}
+	if inStock(unacked) {
+		t.Error("an unacked frame entered the stock")
+	}
+	o.release()
+	if !inStock(unacked) || len(o.frames) != 0 {
+		t.Error("release did not hand the queued frame to the stock")
+	}
+	caps("outbox")
 }
 
 // Allocation budget of the feed send path, per feed in the steady state

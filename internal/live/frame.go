@@ -28,6 +28,8 @@ package live
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
 // Frame types.
@@ -66,15 +68,77 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 // a few bytes and a recycled buffer a few bytes short is no use at all.
 func bufCap(n int) int { return n + n/8 }
 
+// frameStock holds frame buffers no session uses: the outboxes' frames
+// past their free lists and the sessions' read buffers, handed back when
+// a session or outbox ends. A Deployment runs every replay on new
+// sessions, so the stock is the package's, shared by all of them, and
+// bounded in buffers and in bytes; past either bound the oldest go, so
+// what a finished run leaves serves the next. A buffer enters it only
+// when nothing can read it any more: never a frame on the wire, nor one
+// a session may still retransmit.
+var frameStock struct {
+	mu    sync.Mutex
+	bufs  [][]byte // oldest first
+	bytes int      // the capacity of bufs, together
+	made  int      // buffers frameBuf made because the stock had none to fit
+}
+
+// The stock's bounds: a few runs' feed windows, read buffers and link
+// frames at the default credits.
+const (
+	frameStockCap   = 64
+	frameStockBytes = 64 << 20
+)
+
+// frameBuf returns an empty buffer with room for n bytes: the stock's
+// smallest that has it, else a fresh one with bufCap's headroom.
+func frameBuf(n int) []byte {
+	frameStock.mu.Lock()
+	defer frameStock.mu.Unlock()
+	bufs, best := frameStock.bufs, -1
+	for i, b := range bufs {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(bufs[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		frameStock.made++
+		return make([]byte, 0, bufCap(n))
+	}
+	b := bufs[best]
+	frameStock.bufs = slices.Delete(bufs, best, best+1)
+	frameStock.bytes -= cap(b)
+	return b[:0]
+}
+
+// putFrameBuf gives b, which nothing reads any more, to the stock,
+// dropping the oldest buffers past the bounds.
+func putFrameBuf(b []byte) {
+	if cap(b) == 0 || cap(b) > frameStockBytes {
+		return
+	}
+	frameStock.mu.Lock()
+	defer frameStock.mu.Unlock()
+	bufs := append(frameStock.bufs, b[:0])
+	frameStock.bytes += cap(b)
+	old := 0
+	for len(bufs)-old > frameStockCap || frameStock.bytes > frameStockBytes {
+		frameStock.bytes -= cap(bufs[old])
+		old++
+	}
+	frameStock.bufs = slices.Delete(bufs, 0, old)
+}
+
 // appendMsgFrame encodes m, whose wireSize is size, as one complete
 // frame — header, type, payload — written once and in place: into
-// buf's capacity when the frame fits there, else into a fresh buffer.
+// buf's capacity when the frame fits there (an outbox always passes
+// one that does), else into a fresh buffer (a handshake frame).
 //
 //qap:hot
 func appendMsgFrame(buf []byte, typ byte, m wireMsg, size int) []byte {
 	need := frameHeaderLen + size
 	if cap(buf) < need {
-		buf = make([]byte, 0, bufCap(need)) //qap:allow hotalloc -- no recycled buffer fits; the new one joins the free list at its ack
+		buf = make([]byte, 0, bufCap(need)) //qap:allow hotalloc -- a handshake frame, once a session
 	}
 	n := size + 1 // the type byte counts towards the frame's length
 	buf = append(buf[:0], byte(n>>24), byte(n>>16), byte(n>>8), byte(n), typ)
@@ -94,8 +158,10 @@ func writeFrame(w io.Writer, scratch []byte, typ byte, payload []byte) ([]byte, 
 	return buf, err
 }
 
-// readFrame reads one frame. The returned payload aliases buf (grown
-// as needed); it is valid until the next call.
+// readFrame reads one frame. The returned payload aliases buf, which
+// a frame too large for it trades for a stock buffer (frameBuf); it is
+// valid until the next call. Whoever drops the returned buffer for good
+// hands it back (putFrameBuf).
 func readFrame(r io.Reader, maxFrame int, buf []byte) (typ byte, payload, newBuf []byte, err error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
@@ -112,7 +178,8 @@ func readFrame(r io.Reader, maxFrame int, buf []byte) (typ byte, payload, newBuf
 		return 0, nil, buf, fmt.Errorf("live: %d-byte frame exceeds the %d-byte limit", n-1, maxFrame)
 	}
 	if cap(buf) < n-1 {
-		buf = make([]byte, n-1, bufCap(n-1))
+		putFrameBuf(buf)
+		buf = frameBuf(n - 1)
 	}
 	buf = buf[:n-1]
 	if _, err := io.ReadFull(r, buf); err != nil {

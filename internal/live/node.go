@@ -186,6 +186,7 @@ func (n *Node) session(conn net.Conn) error {
 	to := n.cfg.timeout()
 	conn.SetReadDeadline(time.Now().Add(to)) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
 	typ, payload, buf, err := readFrame(conn, n.cfg.maxFrame(), nil)
+	defer func() { putFrameBuf(buf) }() // the read buffer outlives no session
 	if err != nil {
 		return err
 	}

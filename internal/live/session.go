@@ -113,12 +113,15 @@ type outbox struct {
 	maxFrame int
 	closed   bool
 	// free holds acknowledged frames' buffers for the next appends to
-	// encode into, at most limit of them.
+	// encode into, at most limit of them; the rest, and all of them when
+	// the outbox closes, go to frameStock.
 	free [][]byte
 	// pinned is the frame the writer is putting on the wire. Its ack can
 	// arrive while a Write still reads it (a duplicating fault wrapper
-	// writes it twice), so a pinned frame is never recycled.
-	pinned []byte
+	// writes it twice), so a pinned frame is never recycled: pinnedAcked
+	// marks one acked meanwhile, recycled once the writer lets it go.
+	pinned      []byte
+	pinnedAcked bool
 	// space and work are closed-and-replaced to broadcast "queue
 	// shrank" and "new frame / rewind" respectively.
 	space chan struct{}
@@ -138,9 +141,9 @@ func newOutbox(limit, maxFrame int) *outbox {
 // append frames m and queues it, blocking until the credit window has
 // room or the deadline passes; a message over the frame bound is refused
 // outright. The frame is encoded before the wait and outside the lock,
-// into a recycled buffer when one is free. m's payload must lead with
-// an 8-byte sequence field: whatever encode puts there is overwritten
-// once the slot is known.
+// into a recycled buffer: the outbox's own, else the stock's. m's
+// payload must lead with an 8-byte sequence field: whatever encode puts
+// there is overwritten once the slot is known.
 func (o *outbox) append(typ byte, deadline time.Time, m wireMsg) (uint64, error) {
 	size := m.wireSize()
 	if size > o.maxFrame {
@@ -153,6 +156,10 @@ func (o *outbox) append(typ byte, deadline time.Time, m wireMsg) (uint64, error)
 		o.free = o.free[:n-1]
 	}
 	o.mu.Unlock()
+	if need := frameHeaderLen + size; cap(buf) < need {
+		putFrameBuf(buf)
+		buf = frameBuf(need)
+	}
 	frame := appendMsgFrame(buf, typ, m, size)
 	var timer *time.Timer
 	for {
@@ -202,8 +209,10 @@ func (o *outbox) ack(seq uint64) {
 		return
 	}
 	for _, f := range o.frames[:n] {
-		if len(o.free) < o.limit && (len(o.pinned) == 0 || &f[0] != &o.pinned[0]) {
-			o.free = append(o.free, f)
+		if len(o.pinned) != 0 && &f[0] == &o.pinned[0] {
+			o.pinnedAcked = true
+		} else {
+			o.recycle(f)
 		}
 	}
 	copy(o.frames, o.frames[n:])
@@ -227,7 +236,7 @@ func (o *outbox) rewind(applied uint64) {
 	o.ack(applied)
 	o.mu.Lock()
 	o.sent = 0
-	o.pinned = nil // the previous connection's writer has exited
+	o.unpinLocked() // the previous connection's writer has exited
 	close(o.work)
 	o.work = make(chan struct{})
 	o.mu.Unlock()
@@ -250,8 +259,26 @@ func (o *outbox) tryNext() ([]byte, bool) {
 // unpin marks the writer done with the frame tryNext handed it.
 func (o *outbox) unpin() {
 	o.mu.Lock()
-	o.pinned = nil
+	o.unpinLocked()
 	o.mu.Unlock()
+}
+
+func (o *outbox) unpinLocked() {
+	if o.pinnedAcked {
+		o.recycle(o.pinned)
+		o.pinnedAcked = false
+	}
+	o.pinned = nil
+}
+
+// recycle takes back the buffer of an acked frame nothing reads any
+// more: into the free list while it has room, else into the stock.
+func (o *outbox) recycle(f []byte) {
+	if !o.closed && len(o.free) < o.limit {
+		o.free = append(o.free, f)
+	} else {
+		putFrameBuf(f)
+	}
 }
 
 // workChan returns the channel closed on the next append or rewind.
@@ -268,6 +295,19 @@ func (o *outbox) empty() bool {
 	return len(o.frames) == 0
 }
 
+// release hands the frames still queued — the feeds whose acks never
+// came — to the stock. Only for a closed outbox whose sessions have all
+// ended: no writer is left to read a frame, and none will retransmit it.
+func (o *outbox) release() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i, f := range o.frames {
+		putFrameBuf(f)
+		o.frames[i] = nil
+	}
+	o.frames = o.frames[:0]
+}
+
 func (o *outbox) close() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -275,6 +315,11 @@ func (o *outbox) close() {
 		return
 	}
 	o.closed = true
+	for i, b := range o.free {
+		putFrameBuf(b)
+		o.free[i] = nil
+	}
+	o.free = nil
 	close(o.space)
 	o.space = make(chan struct{})
 	close(o.work)

@@ -118,6 +118,11 @@ func (s *Splitter) Close() {
 		p.mu.Unlock()
 	}
 	s.wg.Wait()
+	// Every peer has exited, its session writers with it: a frame still
+	// queued is one nothing reads any more.
+	for _, p := range s.peers {
+		p.out.release()
+	}
 }
 
 func (s *Splitter) fatal(err error) {
@@ -248,6 +253,7 @@ func (p *peer) session(conn net.Conn) error {
 	}
 	conn.SetReadDeadline(time.Now().Add(to)) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
 	typ, payload, buf, err := readFrame(conn, p.sp.cfg.maxFrame(), nil)
+	defer func() { putFrameBuf(buf) }() // the read buffer outlives no session
 	if err != nil {
 		return err
 	}

@@ -3,8 +3,11 @@ package netgen
 import (
 	"math"
 	"math/rand" //qap:allow walltime -- tests seed explicitly
+	"slices"
 	"strings"
 	"testing"
+
+	"qap/internal/exec"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -120,6 +123,77 @@ func TestTupleOrderMatchesSchema(t *testing.T) {
 		got, _ := tp[i].AsUint()
 		if got != want {
 			t.Errorf("col %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// AppendRunCols at every stride, into empty, reset and non-empty
+// batches with room to spare or none, leaves exactly the batch that
+// AppendCols of every stride-th packet leaves.
+func TestAppendRunColsMatchesAppendCols(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	pks := make([]Packet, 90)
+	for i := range pks {
+		pks[i] = Packet{Time: uint64(i / 7), SrcIP: r.Uint64(), DestIP: r.Uint64(), SrcPort: uint64(r.Intn(65536)),
+			DestPort: 80, Len: uint64(r.Intn(1500)), Flags: uint64(r.Intn(64)), Seq: uint64(i)}
+	}
+	// Each start fills a batch with the first pre packets, AppendCols.
+	starts := []struct {
+		name string
+		fill func(pre int) *exec.ColBatch
+	}{
+		{"fresh", func(pre int) *exec.ColBatch {
+			cb := &exec.ColBatch{}
+			for _, p := range pks[:pre] {
+				p.AppendCols(cb)
+			}
+			return cb
+		}},
+		{"roomy", func(pre int) *exec.ColBatch {
+			cb := &exec.ColBatch{}
+			cb.Reserve(TupleCols, 200)
+			for _, p := range pks[:pre] {
+				p.AppendCols(cb)
+			}
+			return cb
+		}},
+		{"reset", func(pre int) *exec.ColBatch {
+			cb := &exec.ColBatch{}
+			for _, p := range pks[len(pks)-30:] {
+				p.AppendCols(cb)
+			}
+			cb.Reset()
+			for _, p := range pks[:pre] {
+				p.AppendCols(cb)
+			}
+			return cb
+		}},
+	}
+	for _, st := range starts {
+		name, start := st.name, st.fill
+		for stride := 1; stride <= 5; stride++ {
+			for _, pre := range []int{0, 1, 13} {
+				for _, n := range []int{1, 2, stride, stride + 1, 41, 77} {
+					run := pks[pre : pre+n]
+					want := start(pre)
+					for i := 0; i < n; i += stride {
+						run[i].AppendCols(want)
+					}
+					got := start(pre)
+					AppendRunCols(got, run, stride)
+					if got.Len != want.Len || len(got.Cols) != len(want.Cols) {
+						t.Fatalf("%s stride %d, %d rows after %d: %d rows in %d columns, want %d in %d",
+							name, stride, n, pre, got.Len, len(got.Cols), want.Len, len(want.Cols))
+					}
+					for c := range want.Cols {
+						g, w := got.Cols[c], want.Cols[c]
+						if g.Kind != w.Kind || !slices.Equal(g.U64, w.U64) {
+							t.Fatalf("%s stride %d, %d rows after %d: column %d is %v %v, want %v %v",
+								name, stride, n, pre, c, g.Kind, g.U64, w.Kind, w.U64)
+						}
+					}
+				}
+			}
 		}
 	}
 }

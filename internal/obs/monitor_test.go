@@ -100,6 +100,29 @@ func TestMaxHostNetBytesPerSec(t *testing.T) {
 	}
 }
 
+// TestLoadWindowMaxHost names the host MaxHostNetBytesPerSec reads: the
+// lowest-numbered of those tied at the peak, none in a window without
+// network ingress.
+func TestLoadWindowMaxHost(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		w     LoadWindow
+		host  int
+		bytes float64
+	}{
+		{"peak", LoadWindow{StartSec: 10, EndSec: 20, Hosts: []HostWindow{
+			{Host: 0, NetBytesIn: 100}, {Host: 1, NetBytesIn: 450}, {Host: 2, NetBytesIn: 0}}}, 1, 45},
+		{"tie", LoadWindow{StartSec: 0, EndSec: 5, Hosts: []HostWindow{
+			{Host: 0, NetBytesIn: 10}, {Host: 1, NetBytesIn: 50}, {Host: 2, NetBytesIn: 50}}}, 1, 10},
+		{"idle", LoadWindow{StartSec: 0, EndSec: 5, Hosts: []HostWindow{{Host: 0}, {Host: 1}}}, -1, 0},
+		{"zero-length", LoadWindow{StartSec: 5, EndSec: 5, Hosts: []HostWindow{{Host: 0, NetBytesIn: 9}}}, 0, 0},
+	} {
+		if host, rate := tc.w.MaxHost(); host != tc.host || rate != tc.bytes {
+			t.Errorf("%s: MaxHost = %d, %v; want %d, %v", tc.name, host, rate, tc.host, tc.bytes)
+		}
+	}
+}
+
 // TestFirstLoadViolation covers the trigger scan: warmup skipping,
 // factor inflation (and the factor<=0 fallback to 1), and the
 // first-hit-wins contract.

@@ -138,17 +138,26 @@ type LoadWindow struct {
 // ingress rate in bytes per second — the measured quantity the
 // Section 4.2.1 load bound constrains. Zero for an empty window.
 func (w LoadWindow) MaxHostNetBytesPerSec() float64 {
-	sec := float64(w.EndSec - w.StartSec)
-	if sec <= 0 {
-		return 0
-	}
+	_, rate := w.MaxHost()
+	return rate
+}
+
+// MaxHost returns the host with the window's peak network ingress —
+// the lowest-numbered of those tied, -1 when no host received a byte —
+// and that rate in bytes per second (MaxHostNetBytesPerSec).
+func (w LoadWindow) MaxHost() (host int, bytesPerSec float64) {
+	host = -1
 	maxBytes := int64(0)
 	for i := range w.Hosts {
 		if b := w.Hosts[i].NetBytesIn; b > maxBytes {
-			maxBytes = b
+			host, maxBytes = w.Hosts[i].Host, b
 		}
 	}
-	return float64(maxBytes) / sec
+	sec := float64(w.EndSec - w.StartSec)
+	if sec <= 0 {
+		return host, 0
+	}
+	return host, float64(maxBytes) / sec
 }
 
 // FirstLoadViolation scans a load series for the first window whose
