@@ -9,14 +9,14 @@ import (
 	"qap/internal/obs/trace"
 )
 
-// AdaptiveConfig configures RunAdaptive, the drift controller that
-// closes the loop ROADMAP item 3 describes: monitor the deployed
-// partitioning's per-host load online, detect divergence from the
-// Section 4.2.1 bound, and repartition deterministically.
+// AdaptiveConfig configures RunAdaptive, the drift controller: monitor
+// the deployed partitioning's per-host load online, detect divergence
+// from the Section 4.2.1 bound, and repartition deterministically.
 type AdaptiveConfig struct {
 	// Deploy is the initial deployment shape; Deploy.Partitioning is
-	// the set being monitored. PerStream deployments are not
-	// supported (the re-optimizer targets the shared-set analysis).
+	// the set being monitored and Deploy.LoadWindowSec the monitoring
+	// window in trace seconds (default 10). PerStream deployments are
+	// not supported (the re-optimizer targets the shared-set analysis).
 	Deploy DeployConfig
 	// Stats are the deploy-time workload statistics the Section 4.2.1
 	// bound for the initial set is computed from (nil uses the static
@@ -32,18 +32,18 @@ type AdaptiveConfig struct {
 	// fires on the first window whose measured max-host network rate
 	// exceeds TriggerFactor × bound. Default 1.5.
 	TriggerFactor float64
-	// LoadWindowSec is the monitoring window length in trace seconds.
-	// Default 10.
-	LoadWindowSec int
-	// WarmupWindows are skipped by the trigger scan (ramp-up windows
-	// are not representative). Default 1.
-	WarmupWindows int
-	// RefreshWindows is how much recent history (in windows, ending
-	// at the trigger boundary) the statistics refresh measures.
-	// Default 1: the window that violated the bound is exactly the
-	// drifted regime to re-plan for. Default 1.
-	RefreshWindows int
 }
+
+const (
+	// warmupWindows are skipped by the trigger scan: ramp-up windows are
+	// not representative.
+	warmupWindows = 1
+	// refreshWindows is how much recent history, in windows ending at
+	// the trigger boundary, the statistics refresh measures: the window
+	// that violated the bound is exactly the drifted regime to re-plan
+	// for.
+	refreshWindows = 1
+)
 
 // AdaptiveResult reports one adaptive run: what was monitored, whether
 // and when the trigger fired, the refreshed decision, and the final
@@ -131,20 +131,10 @@ func (s *System) RunAdaptive(cfg AdaptiveConfig, streams map[string][]netgen.Pac
 	if cfg.TriggerFactor <= 0 {
 		cfg.TriggerFactor = 1.5
 	}
-	if cfg.LoadWindowSec <= 0 {
-		cfg.LoadWindowSec = 10
-	}
-	if cfg.WarmupWindows < 0 {
-		cfg.WarmupWindows = 0
-	} else if cfg.WarmupWindows == 0 {
-		cfg.WarmupWindows = 1
-	}
-	if cfg.RefreshWindows <= 0 {
-		cfg.RefreshWindows = 1
-	}
-
 	depCfg := cfg.Deploy
-	depCfg.LoadWindowSec = cfg.LoadWindowSec
+	if depCfg.LoadWindowSec <= 0 {
+		depCfg.LoadWindowSec = 10
+	}
 	dep, err := s.Deploy(depCfg)
 	if err != nil {
 		return nil, err
@@ -184,7 +174,7 @@ func (s *System) RunAdaptive(cfg AdaptiveConfig, streams map[string][]netgen.Pac
 		FinalSet:      depCfg.Partitioning,
 		Bound:         s.PlanTotalCost(depCfg.Partitioning, cfg.Stats),
 		TriggerFactor: cfg.TriggerFactor,
-		LoadWindowSec: cfg.LoadWindowSec,
+		LoadWindowSec: depCfg.LoadWindowSec,
 		TriggerWindow: -1,
 	}
 
@@ -195,7 +185,7 @@ func (s *System) RunAdaptive(cfg AdaptiveConfig, streams map[string][]netgen.Pac
 	if len(series) > 0 {
 		series = series[:len(series)-1]
 	}
-	win, rate := obs.FirstLoadViolation(series, res.Bound, cfg.TriggerFactor, cfg.WarmupWindows)
+	win, rate := obs.FirstLoadViolation(series, res.Bound, cfg.TriggerFactor, warmupWindows)
 	emit(trace.Event{Kind: trace.KindTriggerEval, Window: win, Rate: rate,
 		Bound: res.Bound, Factor: cfg.TriggerFactor, Set: res.InitialSet.String()})
 	if win < 0 {
@@ -208,11 +198,11 @@ func (s *System) RunAdaptive(cfg AdaptiveConfig, streams map[string][]netgen.Pac
 		Note: "drain at the trigger window's end boundary"})
 
 	// Refresh statistics from the traffic that violated the bound:
-	// the RefreshWindows windows ending at the drain boundary,
+	// the refreshWindows windows ending at the drain boundary,
 	// re-based to time zero so measured rates reflect the drifted
 	// regime rather than being diluted by the whole prefix.
 	base := uint64(0)
-	if span := uint64(cfg.RefreshWindows) * uint64(cfg.LoadWindowSec); res.SwitchTimeSec > span {
+	if span := uint64(refreshWindows) * uint64(depCfg.LoadWindowSec); res.SwitchTimeSec > span {
 		base = res.SwitchTimeSec - span
 	}
 	sample := make(map[string][]netgen.Packet, len(streams))

@@ -120,11 +120,11 @@ func TestAdaptiveRunDeterministicAndMatchesColdRestart(t *testing.T) {
 				DisablePartialAgg: true,
 				Workers:           workers,
 				BatchSize:         batch,
+				LoadWindowSec:     sc.LoadWindowSec,
 			},
 			Stats:         stats,
 			Analysis:      analysis,
 			TriggerFactor: sc.TriggerFactor,
-			LoadWindowSec: sc.LoadWindowSec,
 		}, streams)
 		if err != nil {
 			t.Fatal(err)
@@ -212,11 +212,11 @@ func TestAdaptiveNoDriftNoTrigger(t *testing.T) {
 			PartitionsPerHost: 2,
 			Partitioning:      analysis.Best,
 			DisablePartialAgg: true,
+			LoadWindowSec:     10,
 		},
 		Stats:         stats,
 		Analysis:      analysis,
 		TriggerFactor: 1.5,
-		LoadWindowSec: 10,
 	}, streams)
 	if err != nil {
 		t.Fatal(err)

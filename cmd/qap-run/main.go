@@ -243,7 +243,6 @@ func main() {
 		Params:            params,
 		Workers:           f.workers,
 		BatchSize:         f.batch,
-		CollectStats:      f.metricsOut != "" || f.report || f.promOut != "" || f.telemetryAddr != "",
 		LoadWindowSec:     f.loadWindow,
 		Engine:            f.engine,
 		Live:              qap.LiveOptions{Nodes: splitNodes(f.nodes), Timeout: f.netTimeout},
@@ -256,7 +255,7 @@ func main() {
 	var res *qap.RunResult
 	var runTrace *qap.RunTrace
 	if f.adaptive {
-		res, runTrace = runAdaptive(sys, baseCfg, packets, preDriftSec, f.triggerFactor, f.loadWindow)
+		res, runTrace = runAdaptive(sys, baseCfg, packets, preDriftSec, f.triggerFactor)
 	} else {
 		dep, err := sys.Deploy(baseCfg)
 		if err != nil {
@@ -290,30 +289,29 @@ func main() {
 
 	f.writeTrace(runTrace)
 
-	if rep := res.Report(); rep != nil {
-		if f.metricsOut != "" {
-			b, err := rep.JSON()
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(f.metricsOut, b, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("\nwrote run report to %s\n", f.metricsOut)
+	rep := res.Report()
+	if f.metricsOut != "" {
+		b, err := rep.JSON()
+		if err != nil {
+			fatal(err)
 		}
-		if f.promOut != "" {
-			if err := os.WriteFile(f.promOut, []byte(rep.Prometheus()), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("\nwrote Prometheus report to %s\n", f.promOut)
+		if err := os.WriteFile(f.metricsOut, b, 0o644); err != nil {
+			fatal(err)
 		}
-		if tel != nil {
-			tel.SetReport(rep)
+		fmt.Printf("\nwrote run report to %s\n", f.metricsOut)
+	}
+	if f.promOut != "" {
+		if err := os.WriteFile(f.promOut, []byte(rep.Prometheus()), 0o644); err != nil {
+			fatal(err)
 		}
-		if f.report {
-			fmt.Println("\nreport:")
-			fmt.Print(rep.Prometheus())
-		}
+		fmt.Printf("\nwrote Prometheus report to %s\n", f.promOut)
+	}
+	if tel != nil {
+		tel.SetReport(rep)
+	}
+	if f.report {
+		fmt.Println("\nreport:")
+		fmt.Print(rep.Prometheus())
 	}
 
 	if tel != nil && f.telemetryHold > 0 {
@@ -401,7 +399,7 @@ func (f *appFlags) startTelemetry() (*qap.Telemetry, error) {
 // statistics on the pre-drift prefix, optimize, then run the full
 // trace under monitoring with the given trigger. Returns the final
 // (authoritative) run result and the composed causal trace.
-func runAdaptive(sys *qap.System, deploy qap.DeployConfig, packets []netgen.Packet, preDriftSec uint64, factor float64, loadWindow int) (*qap.RunResult, *qap.RunTrace) {
+func runAdaptive(sys *qap.System, deploy qap.DeployConfig, packets []netgen.Packet, preDriftSec uint64, factor float64) (*qap.RunResult, *qap.RunTrace) {
 	cut := sort.Search(len(packets), func(i int) bool { return packets[i].Time >= preDriftSec })
 	stats, err := sys.MeasureStats(map[string][]netgen.Packet{"TCP": packets[:cut]})
 	if err != nil {
@@ -421,7 +419,6 @@ func runAdaptive(sys *qap.System, deploy qap.DeployConfig, packets []netgen.Pack
 		Stats:         stats,
 		Analysis:      analysis,
 		TriggerFactor: factor,
-		LoadWindowSec: loadWindow,
 	}, map[string][]netgen.Packet{"TCP": packets})
 	if err != nil {
 		fatal(err)

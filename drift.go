@@ -38,7 +38,7 @@ type DriftScenario struct {
 	// Hosts and PartitionsPerHost shape the cluster.
 	Hosts             int
 	PartitionsPerHost int
-	// TriggerFactor and LoadWindowSec feed AdaptiveConfig.
+	// TriggerFactor feeds AdaptiveConfig, LoadWindowSec its Deploy.
 	TriggerFactor float64
 	LoadWindowSec int
 	// Workers and BatchSize select the engine (results identical).
@@ -115,11 +115,11 @@ func RunDriftExperiment(sc DriftScenario) (*obs.DriftBenchReport, *AdaptiveResul
 			DisablePartialAgg: true,
 			Workers:           sc.Workers,
 			BatchSize:         sc.BatchSize,
+			LoadWindowSec:     sc.LoadWindowSec,
 		},
 		Stats:         stats,
 		Analysis:      analysis,
 		TriggerFactor: sc.TriggerFactor,
-		LoadWindowSec: sc.LoadWindowSec,
 	}, streams)
 	if err != nil {
 		return nil, nil, err

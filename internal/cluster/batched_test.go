@@ -12,7 +12,7 @@ import (
 )
 
 // runBatch builds and runs a plan with explicit worker count and batch
-// size, stats collection on.
+// size.
 func runBatch(t testing.TB, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, workers, batch int) *Result {
 	t.Helper()
 	g := buildGraph(t, queries)
@@ -22,7 +22,7 @@ func runBatch(t testing.TB, queries string, ps core.Set, o optimizer.Options, st
 	}
 	r, err := NewRunner(p, RunConfig{
 		Costs: DefaultCosts(), Params: testParams,
-		Workers: workers, BatchSize: batch, CollectStats: true,
+		Workers: workers, BatchSize: batch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,6 +94,7 @@ func TestBatchedMatchesScalar(t *testing.T) {
 		{"flows", flowsQuery, core.MustParseSet("srcIP, destIP")},
 		{"complex", complexSet, core.MustParseSet("srcIP")},
 		{"suspicious", suspiciousQuery, core.MustParseSet("srcIP, destIP, srcPort, destPort")},
+		{"slidingwindow", slidingWindowSet(t), core.MustParseSet("srcIP, destIP")},
 	}
 	for _, qs := range querySets {
 		for _, hosts := range []int{1, 4} {

@@ -39,7 +39,7 @@ func TestLiveHighRateMatchesSim(t *testing.T) {
 	sameResult(t, want, got)
 	sameTrace(t, want, got)
 	// 41 rounds fit two feeds of 32; the byte cut makes it more.
-	if feeds := got.Report.Timing.Batches / int64(o.Hosts); feeds <= 2 {
+	if feeds := got.Report().Timing.Batches / int64(o.Hosts); feeds <= 2 {
 		t.Errorf("%d feeds per host: the feeds were not cut by size", feeds)
 	}
 }

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -32,11 +34,46 @@ type crossing struct {
 // there were. Nothing is replayed: what crosses, and in which shape, is
 // decided on the leaves alone.
 type tallySink struct {
-	r     *Runner
+	from  []optimizer.OpKind // producerKinds(r)
 	xs    []islandExec
 	gr    *colGrouper
 	got   map[optimizer.OpKind]*crossing
 	total int64
+}
+
+// producerKinds lists, by edge id, the kind of the operator producing
+// into each captured edge: compile numbers them producer by producer in
+// reverse plan order, a producer's consumers by operator ID and port.
+func producerKinds(t *testing.T, r *Runner) []optimizer.OpKind {
+	t.Helper()
+	var kinds []optimizer.OpKind
+	for i := len(r.plan.Ops) - 1; i >= 0; i-- {
+		op := r.plan.Ops[i]
+		var cons []*optimizer.Op
+		for _, c := range r.plan.Ops {
+			for _, in := range c.Inputs {
+				if in == op {
+					cons = append(cons, c)
+				}
+			}
+		}
+		slices.SortStableFunc(cons, func(a, b *optimizer.Op) int { return cmp.Compare(a.ID, b.ID) })
+		for _, c := range cons {
+			if r.islandOf(c) != r.islandOf(op) {
+				if len(kinds) == len(r.edges) {
+					t.Fatalf("the plan has more crossings than the %d captured edges", len(r.edges))
+				}
+				if e := r.edges[len(kinds)]; e.width != outWidth(op) {
+					t.Fatalf("edge %d is %d columns wide, its producer op %d emits %d", e.id, e.width, op.ID, outWidth(op))
+				}
+				kinds = append(kinds, op.Kind)
+			}
+		}
+	}
+	if len(kinds) != len(r.edges) {
+		t.Fatalf("%d captured edges, the plan has %d crossings", len(r.edges), len(kinds))
+	}
+	return kinds
 }
 
 func (s *tallySink) closed(pend [][]live.Round) error { return s.finish(pend) }
@@ -52,7 +89,7 @@ func (s *tallySink) finish(pend [][]live.Round) error {
 			if it.Kind == live.ItemAdvance || it.Kind == live.ItemFlush {
 				continue
 			}
-			from := s.r.edges[it.Edge].from.Kind
+			from := s.from[it.Edge]
 			c := s.got[from]
 			if c == nil {
 				c = &crossing{items: map[live.ItemKind]int{}}
@@ -113,7 +150,7 @@ func crossings(t *testing.T, queries string, ps core.Set, o optimizer.Options, s
 		t.Fatal(err)
 	}
 	adv, flush := r.buildTargets(cursors)
-	s := &tallySink{r: r, gr: new(colGrouper), got: map[optimizer.OpKind]*crossing{}}
+	s := &tallySink{from: producerKinds(t, r), gr: new(colGrouper), got: map[optimizer.OpKind]*crossing{}}
 	for i := 0; i < p.Hosts; i++ {
 		s.xs = append(s.xs, islandExec{
 			r: r, isl: r.islands[i], wins: r.islands[i : i+1],
@@ -202,8 +239,8 @@ func TestColumnItemsCrossIslands(t *testing.T) {
 			par := runEngine(t, tc.queries, tc.ps, tc.o, streams, cfg)
 			sameResult(t, want, par)
 			sameTrace(t, want, par)
-			if par.Report.Timing.LinkItems != tc.items {
-				t.Errorf("%d link items crossed, the row-only link carried %d", par.Report.Timing.LinkItems, tc.items)
+			if par.Report().Timing.LinkItems != tc.items {
+				t.Errorf("%d link items crossed, the row-only link carried %d", par.Report().Timing.LinkItems, tc.items)
 			}
 			faults := &live.FaultPlan{Faults: []live.Fault{
 				{Host: 0, Session: -1, Write: 1, Action: live.FaultDup},
@@ -213,8 +250,8 @@ func TestColumnItemsCrossIslands(t *testing.T) {
 				got := runEngine(t, tc.queries, tc.ps, tc.o, streams, liveRunConfig(1, 256, lc))
 				sameResult(t, want, got)
 				sameTrace(t, want, got)
-				if got.Report.Timing.LinkItems != tc.items {
-					t.Errorf("live: %d link items crossed, the row-only link carried %d", got.Report.Timing.LinkItems, tc.items)
+				if got.Report().Timing.LinkItems != tc.items {
+					t.Errorf("live: %d link items crossed, the row-only link carried %d", got.Report().Timing.LinkItems, tc.items)
 				}
 			}
 			if faults.Hits() < 2 {
@@ -232,30 +269,38 @@ const (
 	nonUintItems   = 1472
 )
 
+// slidingWindowSet is examples/queries/slidingwindow.gsql, whose leaf
+// window merges, partitioned on (srcIP, destIP), push row runs across
+// the island boundary (capture.Push, sealRun's row path).
+func slidingWindowSet(t testing.TB) string {
+	t.Helper()
+	queries, err := os.ReadFile("../../examples/queries/slidingwindow.gsql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(queries)
+}
+
 // TestRowRunsCrossAsOneItem: a leaf operator that pushes rows into an
 // island-crossing edge — the sliding window's merge, on
 // examples/queries/slidingwindow.gsql partitioned on (srcIP, destIP) —
 // sends each run it emits across as one column item, not one item per
 // row. The runs are maximal (no item continues the one before it in its
 // island's outbox) and together hold every row the windows emitted, and
-// Report.Timing.LinkItems counts runs, not rows, on the parallel engine
+// Report().Timing.LinkItems counts runs, not rows, on the parallel engine
 // and on the live backend alike, whose rows, OpStats and canonical trace
 // bytes are the scalar oracle's.
 func TestRowRunsCrossAsOneItem(t *testing.T) {
-	queries, err := os.ReadFile("../../examples/queries/slidingwindow.gsql")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slidingWindowSet := string(queries)
+	queries := slidingWindowSet(t)
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	ps, o := core.MustParseSet("srcIP, destIP"), optimizer.Options{Hosts: 4, PartitionsPerHost: 2, PartialAgg: true}
 	cfg := liveRunConfig(1, 1, LiveConfig{})
 	cfg.Engine = EngineSim
-	oracle := runEngine(t, slidingWindowSet, ps, o, streams, cfg)
+	oracle := runEngine(t, queries, ps, o, streams, cfg)
 	rows := len(oracle.Outputs["flow_rates"])
 
-	got, items := crossings(t, slidingWindowSet, ps, o, streams, 256)
+	got, items := crossings(t, queries, ps, o, streams, 256)
 	c := got[optimizer.OpWindow]
 	if len(got) != 1 || c == nil || c.rows != rows {
 		t.Fatalf("what crossed is %+v; want the windows' %d rows alone", got, rows)
@@ -266,15 +311,15 @@ func TestRowRunsCrossAsOneItem(t *testing.T) {
 	}
 
 	cfg.BatchSize, cfg.Workers = 256, 4
-	par := runEngine(t, slidingWindowSet, ps, o, streams, cfg)
+	par := runEngine(t, queries, ps, o, streams, cfg)
 	sameResultCanonical(t, "workers 4, batch 256", oracle, par)
 	sameTrace(t, oracle, par)
-	lv := runEngine(t, slidingWindowSet, ps, o, streams, liveRunConfig(1, 256, LiveConfig{}))
+	lv := runEngine(t, queries, ps, o, streams, liveRunConfig(1, 256, LiveConfig{}))
 	sameResult(t, par, lv)
 	sameTrace(t, par, lv)
 	for _, res := range []*Result{par, lv} {
-		if got := res.Report.Timing.LinkItems; got != items {
-			t.Errorf("%s: %d link items crossed; the leaves captured %d", res.Report.Timing.Engine, got, items)
+		if got := res.Report().Timing.LinkItems; got != items {
+			t.Errorf("%s: %d link items crossed; the leaves captured %d", res.Report().Timing.Engine, got, items)
 		}
 	}
 	t.Logf("%d window rows crossed in %d runs, %d link items in all", rows, c.items[live.ItemPushCols], items)

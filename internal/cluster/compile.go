@@ -139,11 +139,11 @@ type edge struct {
 	net  bool // crosses hosts (counts as network)
 	ipc  bool // crosses processes on the same host
 	// id indexes Runner.edges for island-crossing edges (a link item's
-	// name for the edge); 0 and unregistered otherwise. from, on those
-	// edges, is the producing operator, whose output width the live
-	// backend holds link items to.
-	id   int
-	from *optimizer.Op
+	// name for the edge); 0 and unregistered otherwise. width, on those
+	// edges, is the number of columns the producing operator emits, which
+	// the live backend holds link items to.
+	id    int
+	width int
 	// st is the receiving operator's counters. The edge always executes
 	// on the receiving operator's island (captured edges replay
 	// centrally), so they have a single writer and accumulate in
@@ -310,7 +310,7 @@ func (r *Runner) fanout(op *optimizer.Op, cons []portRef, entries map[*optimizer
 			// The edge id is its index in compile order — deterministic
 			// for a given plan, so two runners compiled from the same
 			// plan (a live splitter and a remote node) agree on every id.
-			e.id, e.from = len(r.edges), op
+			e.id, e.width = len(r.edges), outWidth(op)
 			r.edges = append(r.edges, e)
 			outs[i] = &capture{isl: fromIsl, e: e}
 		} else {

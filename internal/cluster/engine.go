@@ -19,8 +19,7 @@ package cluster
 //     host (its capture processes) plus the central island (the root
 //     process on the aggregator host). The optimizer only builds plans
 //     whose island-crossing dataflow points into the central island;
-//     parallelizable() verifies this and otherwise the Runner falls back
-//     to the sequential engine.
+//     NewRunner refuses any other plan (checkIslands).
 //
 //   - A driver goroutine runs the splitter (split.go) into a feedSink,
 //     which queues every island's share of the closed rounds —

@@ -339,7 +339,7 @@ func (r *Runner) checkLink(m *live.LinkMsg) error {
 		var err error
 		if it.Edge < 0 || it.Edge >= len(r.edges) {
 			err = fmt.Errorf("unknown edge (the plan has %d)", len(r.edges))
-		} else if width := outWidth(r.edges[it.Edge].from); it.Kind == live.ItemPushCols && len(it.Cols.Cols) != width {
+		} else if width := r.edges[it.Edge].width; it.Kind == live.ItemPushCols && len(it.Cols.Cols) != width {
 			err = fmt.Errorf("column batch of %d columns, the producer emits %d", len(it.Cols.Cols), width)
 		}
 		if err != nil {
@@ -447,9 +447,7 @@ func (r *Runner) installHostShard(host int, payload []byte) error {
 
 // LiveFingerprint identifies the deployment a live session serves:
 // plan shape, operator graph, partitioning, costs, query parameters,
-// batch size, load window and trace configuration. A node counts the
-// same whether or not the splitter exports its stats, so CollectStats
-// is not part of it. A served node
+// batch size, load window and trace configuration. A served node
 // refuses to pair with a splitter whose fingerprint its compiled plan
 // does not reproduce, instead of diverging silently.
 func (r *Runner) LiveFingerprint() string {
@@ -491,9 +489,9 @@ func (r *Runner) LiveFingerprint() string {
 // (e.g. ":9431"), for running hosts as separate OS processes
 // (cmd/qap-node). The node knows nothing of the deployment until the
 // splitter's first Hello: compile turns the Hello's Deploy payload
-// into a runner, which must be a live, parallelizable plan with the
-// host in range and the fingerprint the Hello announces. A refusal
-// there fails the node for good. ready, when non-nil, receives the
+// into a runner, which must be a live plan with the host in range and
+// the fingerprint the Hello announces. A refusal there fails the node
+// for good. ready, when non-nil, receives the
 // bound listen address before serving. Blocks until the host's work is
 // complete and acknowledged; several hosts may be served concurrently
 // from one process.
@@ -531,9 +529,6 @@ func ServeNode(host int, addr string, cfg LiveConfig, compile func(deploy []byte
 func (r *Runner) hostExec(host int, h *live.Hello) (*islandExec, error) {
 	if r.engine != EngineLive {
 		return nil, fmt.Errorf("cluster: a served node requires Engine %q", EngineLive)
-	}
-	if !r.parallel {
-		return nil, fmt.Errorf("cluster: plan is not parallelizable; the live backend cannot serve it")
 	}
 	if host >= r.plan.Hosts {
 		return nil, fmt.Errorf("cluster: host %d out of range (plan has %d)", host, r.plan.Hosts)

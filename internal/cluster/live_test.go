@@ -16,14 +16,13 @@ import (
 	"qap/internal/optimizer"
 )
 
-// liveRunConfig is the live backend's RunConfig for tests: stats on (so
-// the differential checks cover the observability layer) and tracing on
-// (so trace bytes are compared too).
+// liveRunConfig is the live backend's RunConfig for tests, tracing on so
+// that trace bytes are compared too.
 func liveRunConfig(workers, batch int, lc LiveConfig) RunConfig {
 	return RunConfig{
 		Costs: DefaultCosts(), Params: testParams,
 		Workers: workers, BatchSize: batch,
-		CollectStats: true, Trace: &trace.Config{},
+		Trace:  &trace.Config{},
 		Engine: EngineLive, Live: lc,
 		DriveTimeout: 30 * time.Second,
 	}
@@ -102,6 +101,7 @@ func TestLiveMatchesSim(t *testing.T) {
 		{"flows", flowsQuery, core.MustParseSet("srcIP, destIP")},
 		{"complex", complexSet, core.MustParseSet("srcIP")},
 		{"suspicious", suspiciousQuery, core.MustParseSet("srcIP, destIP, srcPort, destPort")},
+		{"slidingwindow", slidingWindowSet(t), core.MustParseSet("srcIP, destIP")},
 	}
 	for _, qs := range querySets {
 		qs := qs

@@ -158,7 +158,7 @@ func TestOpCPUSumsToHostCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := CostConfig{ScanCost: 1, SelProjCost: 2, AggCost: 3, JoinCost: 4, UnionCost: 5, OutputCost: 7, IPCCost: 11, RemoteCost: 13}
-	r, err := NewRunner(p, RunConfig{Costs: costs, Params: testParams, BatchSize: 64, CollectStats: true})
+	r, err := NewRunner(p, RunConfig{Costs: costs, Params: testParams, BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ import (
 )
 
 // runWorkers builds and runs the flows/complex/suspicious plans with an
-// explicit worker count, returning the full result. Stats collection is
-// on so that the differential tests also cover the observability layer.
+// explicit worker count, returning the full result, operator counters
+// and run report included.
 func runWorkers(t testing.TB, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, workers int) *Result {
 	t.Helper()
 	g := buildGraph(t, queries)
@@ -22,7 +22,7 @@ func runWorkers(t testing.TB, queries string, ps core.Set, o optimizer.Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: workers, CollectStats: true})
+	r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,21 +50,16 @@ func sameResult(t *testing.T, want, got *Result) {
 	if !reflect.DeepEqual(want.OpStats, got.OpStats) {
 		t.Errorf("OpStats differ:\n  want %+v\n  got  %+v", want.OpStats, got.OpStats)
 	}
-	if (want.Report == nil) != (got.Report == nil) {
-		t.Fatalf("Report presence differs: want %v, got %v", want.Report != nil, got.Report != nil)
+	wj, err := want.Report().Canonical().JSON()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want.Report != nil {
-		wj, err := want.Report.Canonical().JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		gj, err := got.Report.Canonical().JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(wj) != string(gj) {
-			t.Errorf("canonical reports differ:\n  want %s\n  got  %s", wj, gj)
-		}
+	gj, err := got.Report().Canonical().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(wj) != string(gj) {
+		t.Errorf("canonical reports differ:\n  want %s\n  got  %s", wj, gj)
 	}
 	checkStatsInvariants(t, want)
 	checkStatsInvariants(t, got)
@@ -256,8 +251,7 @@ func TestCursorOrderStable(t *testing.T) {
 
 // TestSequentialFallback: a Workers>1 request on a 1-host 1-partition
 // plan must still produce correct results (the parallel engine runs
-// with a single leaf worker, or falls back when the plan shape demands
-// it).
+// with a single leaf worker).
 func TestSequentialFallback(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
@@ -267,12 +261,10 @@ func TestSequentialFallback(t *testing.T) {
 	sameResult(t, want, got)
 }
 
-// benchRun measures a full run of the complex workload with stats
-// collection on or off. Comparing the two benchmarks shows the cost of
-// the observability layer; the disabled case installs no wrappers and
-// only nil-checks a pointer per event, so it should be within noise of
-// the pre-instrumentation engine.
-func benchRun(b *testing.B, collect bool) {
+// BenchmarkRunStats measures a full sequential run of the complex
+// workload, its operator counters and run report included: every run
+// counts, and Report builds the report the caller asks for.
+func BenchmarkRunStats(b *testing.B) {
 	tr := smallTrace(b)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
 	g := buildGraph(b, complexSet)
@@ -284,18 +276,19 @@ func benchRun(b *testing.B, collect bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: 1, CollectStats: collect})
+		r, err := NewRunner(p, RunConfig{Costs: DefaultCosts(), Params: testParams, Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := r.RunStreams(streams); err != nil {
+		res, err := r.RunStreams(streams)
+		if err != nil {
 			b.Fatal(err)
+		}
+		if res.Report() == nil {
+			b.Fatal("no run report")
 		}
 	}
 }
-
-func BenchmarkRunStatsDisabled(b *testing.B) { benchRun(b, false) }
-func BenchmarkRunStatsEnabled(b *testing.B)  { benchRun(b, true) }
 
 // jitterPairs is the Section 6.2 self-join on its own, so that its
 // output is a query's and crosses to the central island.
@@ -333,14 +326,14 @@ func TestJoinOutputCrossesIslandAsBatch(t *testing.T) {
 	o := optimizer.Options{Hosts: 4, PartitionsPerHost: 2}
 	cfg := RunConfig{
 		Costs: DefaultCosts(), Params: testParams, Workers: 1, BatchSize: 256,
-		CollectStats: true, Trace: &trace.Config{},
+		Trace: &trace.Config{},
 	}
 	want := runEngine(t, jitterPairs, ps, o, streams, cfg)
 	cfg.Workers = 4
 	got := runEngine(t, jitterPairs, ps, o, streams, cfg)
 	sameResult(t, want, got)
 	sameTrace(t, want, got)
-	rows, items := int64(len(got.Outputs["jitter_pairs"])), got.Report.Timing.LinkItems
+	rows, items := int64(len(got.Outputs["jitter_pairs"])), got.Report().Timing.LinkItems
 	if rows == 0 || items != jitterPairsItems {
 		t.Errorf("%d joined rows crossed in %d link items; want %d items", rows, items, jitterPairsItems)
 	}

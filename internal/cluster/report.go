@@ -31,32 +31,38 @@ func (r *Runner) finalize(any bool, maxTime uint64) *Result {
 		Outputs:  make(map[string][]exec.Tuple),
 		NodeRows: make(map[string]int64),
 		Metrics:  r.metrics,
+		OpStats:  make(map[int]*obs.OpStats, len(r.plan.Ops)),
+		plan:     r.plan,
+		winSec:   r.winSec,
+		workers:  r.workers,
+		timing: obs.Timing{
+			Engine:      r.engineName(),
+			BatchRounds: r.batchRounds,
+			WallNanos:   time.Since(r.started).Nanoseconds(), //qap:allow walltime -- wall time quarantined in obs.Timing
+			Rounds:      r.engRounds,
+			Batches:     r.engBatches,
+			LinkItems:   r.engLinkItems,
+		},
 	}
 	for name, c := range r.collectors { //qap:allow maprange -- map-to-map copy, order-insensitive
 		res.Outputs[name] = c.Rows
 	}
-	for _, op := range r.plan.Ops {
+	stats := make([]obs.OpStats, len(r.plan.Ops))
+	for i, op := range r.plan.Ops {
+		st := &stats[i]
+		*st = *r.opStatsOf(op)
+		var kinds [optimizer.OpWindow + 1]int64
+		kinds[op.Kind] = st.RowsIn
+		st.CPUUnits = r.cost.cpuUnits(kinds[:], st.NetTuplesIn, st.IPCTuplesIn)
+		res.OpStats[op.ID] = st
 		switch op.Kind {
 		case optimizer.OpAggregate, optimizer.OpAggSuper, optimizer.OpSelProj,
 			optimizer.OpJoin, optimizer.OpWindow:
-			res.NodeRows[strings.ToLower(op.Logical.QueryName)] += r.opStatsOf(op).RowsOut
+			res.NodeRows[strings.ToLower(op.Logical.QueryName)] += st.RowsOut
 		}
 	}
 	if r.winSec > 0 && any {
 		res.LoadSeries = r.mergeLoadSeries(maxTime)
-	}
-	if r.collect {
-		res.OpStats = make(map[int]*obs.OpStats, len(r.plan.Ops))
-		stats := make([]obs.OpStats, len(r.plan.Ops))
-		for i, op := range r.plan.Ops {
-			st := &stats[i]
-			*st = *r.opStatsOf(op)
-			var kinds [optimizer.OpWindow + 1]int64
-			kinds[op.Kind] = st.RowsIn
-			st.CPUUnits = r.cost.cpuUnits(kinds[:], st.NetTuplesIn, st.IPCTuplesIn)
-			res.OpStats[op.ID] = st
-		}
-		res.Report = r.buildReport(res)
 	}
 	if len(r.sized) > 0 {
 		res.SizeHints = make(map[int]int, len(r.sized))
@@ -67,18 +73,18 @@ func (r *Runner) finalize(any bool, maxTime uint64) *Result {
 		}
 	}
 	if r.tracer != nil {
-		res.Trace = r.buildTrace()
+		res.Trace = r.buildTrace(res.timing)
 	}
 	return res
 }
 
 // buildTrace gathers the run's causal trace: a header record, every
 // shard's events in canonical order (driver, leaf islands, central),
-// and the quarantined timing trailer. Called from finalize, after the
-// engine's goroutines have fully joined and mergeLoadSeries has closed
-// every remaining window, so every shard is complete and no writer
-// races the gather.
-func (r *Runner) buildTrace() *trace.Trace {
+// and the quarantined timing trailer, which carries tm's engine facts.
+// Called from finalize, after the engine's goroutines have fully joined
+// and mergeLoadSeries has closed every remaining window, so every shard
+// is complete and no writer races the gather.
+func (r *Runner) buildTrace(tm obs.Timing) *trace.Trace {
 	p := r.plan
 	partitioning := p.Set.String()
 	if p.StreamSets != nil {
@@ -93,16 +99,15 @@ func (r *Runner) buildTrace() *trace.Trace {
 		DurationSec:    r.metrics.DurationSec,
 		Partitioning:   partitioning,
 	}
-	engine := r.engineName()
 	timing := trace.Event{
 		Kind:      trace.KindTiming,
-		Engine:    engine,
+		Engine:    tm.Engine,
 		Workers:   r.workers,
 		BatchSize: r.batchSize,
-		WallNanos: time.Since(r.started).Nanoseconds(), //qap:allow walltime -- quarantined in the timing trailer
-		Rounds:    r.engRounds,
-		Batches:   r.engBatches,
-		LinkItems: r.engLinkItems,
+		WallNanos: tm.WallNanos,
+		Rounds:    tm.Rounds,
+		Batches:   tm.Batches,
+		LinkItems: tm.LinkItems,
 	}
 	return r.tracer.Gather(header, timing)
 }
@@ -150,16 +155,16 @@ func (r *Runner) mergeLoadSeries(maxTime uint64) []obs.LoadWindow {
 // buildReport assembles the machine-readable run report. Everything
 // outside the Timing section is deterministic: a pure function of the
 // plan, the trace, and the cost configuration.
-func (r *Runner) buildReport(res *Result) *obs.RunReport {
-	p := r.plan
+func (res *Result) buildReport() *obs.RunReport {
+	p, m := res.plan, res.Metrics
 	partitioning := p.Set.String()
 	if p.StreamSets != nil {
 		partitioning = p.StreamSets.String()
 	}
 	rep := &obs.RunReport{
 		SchemaVersion:  obs.SchemaVersion,
-		DurationSec:    r.metrics.DurationSec,
-		CapacityPerSec: r.metrics.Capacity,
+		DurationSec:    m.DurationSec,
+		CapacityPerSec: m.Capacity,
 		Plan: &obs.PlanInfo{
 			Hosts:             p.Hosts,
 			Partitions:        p.Partitions,
@@ -177,41 +182,33 @@ func (r *Runner) buildReport(res *Result) *obs.RunReport {
 		}
 		rep.Nodes = append(rep.Nodes, nr)
 	}
-	for h, hm := range r.metrics.Hosts {
+	for h, hm := range m.Hosts {
 		rep.Hosts = append(rep.Hosts, obs.HostReport{
 			Host:            h,
 			CPUUnits:        hm.CPUUnits,
-			CPULoadPct:      r.metrics.CPULoad(h),
-			OverloadFactor:  r.metrics.OverloadFactor(h),
+			CPULoadPct:      m.CPULoad(h),
+			OverloadFactor:  m.OverloadFactor(h),
 			NetTuplesIn:     hm.NetTuplesIn,
 			NetBytesIn:      hm.NetBytesIn,
 			IPCTuplesIn:     hm.IPCTuplesIn,
 			Tuples:          hm.Tuples,
-			NetTuplesPerSec: r.metrics.NetLoad(h),
+			NetTuplesPerSec: m.NetLoad(h),
 		})
 	}
 	if len(res.LoadSeries) > 0 {
-		rep.LoadWindowSec = int(r.winSec)
+		rep.LoadWindowSec = int(res.winSec)
 		rep.LoadSeries = res.LoadSeries
 	}
-	engine := r.engineName()
-	workers := r.workers
-	rep.Timing = &obs.Timing{
-		Workers:     &workers,
-		Engine:      engine,
-		BatchRounds: r.batchRounds,
-		WallNanos:   time.Since(r.started).Nanoseconds(), //qap:allow walltime -- wall time quarantined in obs.Timing
-		Rounds:      r.engRounds,
-		Batches:     r.engBatches,
-		LinkItems:   r.engLinkItems,
-	}
+	tm, workers := res.timing, res.workers
+	tm.Workers = &workers
+	rep.Timing = &tm
 	return rep
 }
 
 // engineName labels the backend for the report/trace timing records.
 func (r *Runner) engineName() string {
 	switch {
-	case r.engine == EngineLive && r.parallel:
+	case r.engine == EngineLive:
 		return "live"
 	case r.parallel:
 		return "parallel"

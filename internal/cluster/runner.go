@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"qap/internal/exec"
@@ -32,7 +33,6 @@ type Runner struct {
 	workers     int
 	batchRounds int
 	batchSize   int
-	collect     bool
 	metrics     *Metrics
 	routers     map[string]*router
 	routerNames []string // sorted lower-case names: the canonical flush order
@@ -140,23 +140,14 @@ type RunConfig struct {
 	// output — is bit-equal for any Workers or BatchSize value, and
 	// enabling it never perturbs the run itself.
 	LoadWindowSec int
-	// CollectStats exports the per-operator counters (rows in/out,
-	// watermark advances, flushes, per-operator CPU and network/IPC
-	// arrivals) in Result.OpStats and the machine-readable
-	// Result.Report. The counters run either way: they are the run's
-	// accounting, sharded per execution island, and host metrics, load
-	// windows and NodeRows are sums of them. The flag changes what a run
-	// returns, never how it executes.
-	CollectStats bool
 	// Trace enables deterministic causal tracing into Result.Trace:
 	// structured events keyed by round, window, host, and operator —
 	// never wall clock — emitted at watermark boundaries from every
 	// island plus the splitter, and gathered in a fixed shard order so
 	// the canonical export is byte-identical for any Workers or
-	// BatchSize value. Tracing implies CollectStats and, when
-	// LoadWindowSec is 0, a default monitoring window of
-	// DefaultTraceWindowSec; like monitoring it never perturbs the
-	// run. Nil (the default) disables tracing entirely.
+	// BatchSize value. When LoadWindowSec is 0, tracing paces its
+	// window events by DefaultTraceWindowSec; like monitoring it never
+	// perturbs the run. Nil (the default) disables tracing entirely.
 	Trace *trace.Config
 	// Engine selects the cluster backend: EngineSim ("" or "sim") runs
 	// the in-process simulator engines; EngineLive ("live") runs each
@@ -346,12 +337,9 @@ type Result struct {
 	// measured selectivity statistics.
 	NodeRows map[string]int64
 	Metrics  *Metrics
-	// OpStats holds per-physical-operator counters keyed by op ID, and
-	// Report the machine-readable run report; both are nil unless
-	// RunConfig.CollectStats was set. Everything except Report.Timing
-	// is bit-equal for any worker count.
+	// OpStats holds every physical operator's counters keyed by op ID,
+	// bit-equal for any worker count, batch size and engine.
 	OpStats map[int]*obs.OpStats
-	Report  *obs.RunReport
 	// LoadSeries is the online monitoring output: per-host counter
 	// deltas per RunConfig.LoadWindowSec of trace time. Nil unless
 	// monitoring was enabled; bit-equal for any Workers/BatchSize.
@@ -369,6 +357,23 @@ type Result struct {
 	// live backend's remote hosts report nothing). Wall-clock-free but
 	// data-dependent; not part of the determinism contract's outputs.
 	SizeHints map[int]int
+
+	// What Report builds the run report from besides the fields above,
+	// kept at finalize so the Runner need not outlive the run.
+	plan       *optimizer.Plan
+	winSec     uint64
+	workers    int
+	timing     obs.Timing
+	reportOnce sync.Once
+	report     *obs.RunReport
+}
+
+// Report returns the run's machine-readable report, built on the first
+// call. Everything except its Timing section is bit-equal for any
+// worker count, batch size and engine.
+func (res *Result) Report() *obs.RunReport {
+	res.reportOnce.Do(func() { res.report = res.buildReport() })
+	return res.report
 }
 
 // NewRunner compiles the physical plan into operator instances under
@@ -380,7 +385,6 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 		params:      cfg.Params,
 		workers:     cfg.Workers,
 		batchRounds: defaultBatchRounds,
-		collect:     cfg.CollectStats || cfg.Trace != nil,
 		metrics:     &Metrics{Hosts: make([]HostMetrics, p.Hosts), Capacity: cfg.Costs.CapacityPerSec},
 		routers:     make(map[string]*router),
 		collectors:  make(map[string]*exec.Collector),
@@ -412,21 +416,22 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 		}
 	}
 	r.placeOps()
+	if err := r.checkIslands(); err != nil {
+		return nil, err
+	}
 	switch cfg.Engine {
 	case "", EngineSim:
 		// The oracle runs sequentially whatever the worker count.
 		r.engine = EngineSim
-		r.parallel = cfg.Workers > 1 && r.batched() && r.parallelizable()
+		r.parallel = cfg.Workers > 1 && r.batched()
 	case EngineLive:
 		if !r.batched() {
 			return nil, fmt.Errorf("cluster: Engine %q needs BatchSize > 1; BatchSize 1 is the scalar oracle, which runs on the sequential simulator only", EngineLive)
 		}
 		// The live backend always needs the island decomposition and
-		// the capture consumers, whatever the worker count; plans that
-		// are not parallelizable fall back to the sequential engine,
-		// exactly like the simulator does.
+		// the capture consumers, whatever the worker count.
 		r.engine = EngineLive
-		r.parallel = r.parallelizable()
+		r.parallel = true
 	default:
 		return nil, fmt.Errorf("cluster: unknown engine %q (want %q or %q)", cfg.Engine, EngineSim, EngineLive)
 	}
@@ -507,25 +512,28 @@ func (r *Runner) islandOf(op *optimizer.Op) *island {
 	return r.islands[op.Host]
 }
 
-// parallelizable reports whether every island-crossing edge delivers
-// into the central island — the topology the parallel engine's
-// leaf-workers-feed-central-replay design requires. The partition-aware
-// optimizer only builds such plans; this guards against future plan
-// shapes by falling back to the sequential engine.
-func (r *Runner) parallelizable() bool {
+// checkIslands refuses a plan in which a scan runs on the central
+// island or an island-crossing edge delivers anywhere but into it: the
+// parallel and live engines feed leaf islands from the splitter and
+// replay every crossing centrally, and the partition-aware optimizer
+// builds no other shape. The sequential engines, the batch-1 oracle
+// among them, need no islands but refuse such a plan all the same, so
+// that every engine accepts the same plans.
+func (r *Runner) checkIslands() error {
+	central := r.islands[r.plan.Hosts]
 	for _, op := range r.plan.Ops {
 		to := r.islandOf(op)
-		if op.Kind == optimizer.OpScan && to == r.islands[r.plan.Hosts] {
-			// The splitter feeds leaf islands only.
-			return false
+		if op.Kind == optimizer.OpScan && to == central {
+			return fmt.Errorf("cluster: scan op %d runs on the central island; the splitter feeds leaf islands only", op.ID)
 		}
 		for _, in := range op.Inputs {
-			if r.islandOf(in) != to && to != r.islands[r.plan.Hosts] {
-				return false
+			if from := r.islandOf(in); from != to && to != central {
+				return fmt.Errorf("cluster: edge op %d -> op %d crosses from island %d to leaf island %d; crossings must deliver into the central island",
+					in.ID, op.ID, from.id, to.id)
 			}
 		}
 	}
-	return true
+	return nil
 }
 
 // Run feeds a time-ordered packet trace into the named stream and

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"qap/internal/core"
@@ -384,4 +385,52 @@ func ExampleMetrics_CPULoad() {
 	m.Hosts[0].CPUUnits = 500
 	fmt.Println(m.CPULoad(0))
 	// Output: 50
+}
+
+// TestNewRunnerRefusesMisplacedOps: a plan the parallel and live
+// engines cannot drive — a scan on the central island, or an edge from
+// one leaf island into another — is refused by NewRunner on every
+// engine, with an error naming the operator or edge.
+func TestNewRunnerRefusesMisplacedOps(t *testing.T) {
+	g := buildGraph(t, flowsQuery)
+	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 1}
+	for _, c := range []struct {
+		name string
+		move func(p *optimizer.Plan) *optimizer.Op // misplaces an op, returning it
+		want string
+	}{
+		{"central scan", func(p *optimizer.Plan) *optimizer.Op {
+			for _, op := range p.Ops {
+				if op.Kind == optimizer.OpScan {
+					op.Proc = -1
+					return op
+				}
+			}
+			return nil
+		}, "scan op %d runs on the central island"},
+		{"leaf to leaf", func(p *optimizer.Plan) *optimizer.Op {
+			for _, op := range p.Ops {
+				if op.Proc != -1 && op.Kind != optimizer.OpScan && op.Host == 0 {
+					op.Host = 1
+					return op
+				}
+			}
+			return nil
+		}, "-> op %d crosses from island 0 to leaf island 1"},
+	} {
+		for _, engine := range []string{EngineSim, EngineLive} {
+			p, err := optimizer.Build(g, core.MustParseSet("srcIP"), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op := c.move(p)
+			if op == nil {
+				t.Fatalf("%s: the plan has no operator to misplace:\n%s", c.name, p)
+			}
+			_, err = NewRunner(p, RunConfig{Costs: DefaultCosts(), Engine: engine})
+			if want := fmt.Sprintf(c.want, op.ID); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s engine: NewRunner returned %v, want an error containing %q", c.name, engine, err, want)
+			}
+		}
+	}
 }

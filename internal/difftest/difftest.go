@@ -340,11 +340,11 @@ func (r *Report) checkRepartition(sys *qap.System, measured *qap.StaticStats, an
 			Deploy: qap.DeployConfig{
 				Hosts: 4, Partitioning: analysis.Best, DisablePartialAgg: true,
 				Params: params, Workers: cell.workers, BatchSize: cell.batch,
+				LoadWindowSec: winSec,
 			},
 			Stats:         measured,
 			Analysis:      analysis,
 			TriggerFactor: 1.5,
-			LoadWindowSec: winSec,
 		}, streams)
 		if err != nil {
 			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "repartition", Config: name,
@@ -524,7 +524,7 @@ func (r *Report) checkLive(opts Options, sys *qap.System, want string, best core
 		dep, err := sys.Deploy(qap.DeployConfig{
 			Hosts: hosts, Partitioning: best, Params: params,
 			Workers: workers, BatchSize: batch,
-			CollectStats: true, Trace: &qap.RunTraceConfig{},
+			Trace:  &qap.RunTraceConfig{},
 			Engine: engine, Live: lo,
 			DriveTimeout: 30 * time.Second,
 		})

@@ -165,10 +165,37 @@ func TestSendFeedRefusesOversizedFeed(t *testing.T) {
 	}
 }
 
-// TestOutboxRecyclesAckedFrames: an acknowledged frame's buffer backs a
-// later append, but not while the writer still holds it: a frame acked
-// then is recycled once the writer lets it go.
+// emptyStock empties the frame stock for one test and puts back what it
+// held when the test ends.
+func emptyStock(t *testing.T) {
+	frameStock.mu.Lock()
+	saved, savedBytes := frameStock.bufs, frameStock.bytes
+	frameStock.bufs, frameStock.bytes = nil, 0
+	frameStock.mu.Unlock()
+	t.Cleanup(func() {
+		frameStock.mu.Lock()
+		frameStock.bufs, frameStock.bytes = saved, savedBytes
+		frameStock.mu.Unlock()
+	})
+}
+
+// inStock reports whether the frame stock holds b's buffer.
+func inStock(b []byte) bool {
+	frameStock.mu.Lock()
+	defer frameStock.mu.Unlock()
+	for _, s := range frameStock.bufs {
+		if &s[:1][0] == &b[:1][0] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestOutboxRecyclesAckedFrames: an acknowledged frame's buffer goes to
+// the stock and backs a later append, but not while the writer still
+// holds it: a frame acked then is recycled once the writer lets it go.
 func TestOutboxRecyclesAckedFrames(t *testing.T) {
+	emptyStock(t)
 	o := newOutbox(2, DefaultMaxFrame)
 	msg, _ := colFeed(0, 50, false)
 	send := func() []byte {
@@ -183,43 +210,34 @@ func TestOutboxRecyclesAckedFrames(t *testing.T) {
 		t.Fatal("tryNext did not hand out the first frame")
 	}
 	o.ack(1) // acknowledged while the writer still holds it
-	if len(o.free) != 0 {
+	if inStock(first) {
 		t.Fatal("a frame the writer holds was recycled")
 	}
 	if third := send(); &third[0] == &first[0] {
 		t.Fatal("the pinned frame's buffer was reused")
 	}
 	o.unpin()
-	if len(o.free) != 1 || &o.free[0][:1][0] != &first[0] {
-		t.Fatalf("free list holds %d buffers once the writer let the acked frame go, want it alone", len(o.free))
+	if !inStock(first) {
+		t.Fatal("the acked frame did not reach the stock once the writer let it go")
 	}
 	o.tryNext()
 	o.unpin()
 	o.ack(2)
-	if len(o.free) != 2 {
-		t.Fatalf("free list holds %d buffers after an unpinned ack, want 2", len(o.free))
+	if !inStock(second) {
+		t.Fatal("an unpinned acked frame did not reach the stock")
 	}
-	if fourth := send(); &fourth[0] != &second[0] {
-		t.Fatal("an append did not reuse the acknowledged frame's buffer")
+	if fourth := send(); &fourth[0] != &first[0] && &fourth[0] != &second[0] {
+		t.Fatal("an append did not reuse an acknowledged frame's buffer")
 	}
 }
 
 // The frame stock stays inside its bounds whatever it is handed, drops
 // its oldest buffers first, hands out the smallest that fits, and takes
-// from an outbox exactly what no one can read: the free list at close,
-// the acked frames the free list cannot keep, and the queued frames once
-// released — never a frame the writer holds, nor one unacked before
-// then.
+// from an outbox exactly what no one can read: the acked frames and the
+// queued frames once released — never a frame the writer holds, nor
+// one unacked before then.
 func TestFrameStockStaysBounded(t *testing.T) {
-	frameStock.mu.Lock()
-	saved, savedBytes := frameStock.bufs, frameStock.bytes
-	frameStock.bufs, frameStock.bytes = nil, 0
-	frameStock.mu.Unlock()
-	defer func() {
-		frameStock.mu.Lock()
-		frameStock.bufs, frameStock.bytes = saved, savedBytes
-		frameStock.mu.Unlock()
-	}()
+	emptyStock(t)
 	// caps lists the stock's buffer capacities, oldest first, after
 	// checking the bounds and the byte count.
 	caps := func(when string) []int {
@@ -237,16 +255,6 @@ func TestFrameStockStaysBounded(t *testing.T) {
 				when, len(cs), sum, frameStock.bytes, frameStockCap, frameStockBytes)
 		}
 		return cs
-	}
-	inStock := func(b []byte) bool {
-		frameStock.mu.Lock()
-		defer frameStock.mu.Unlock()
-		for _, s := range frameStock.bufs {
-			if &s[:1][0] == &b[:1][0] {
-				return true
-			}
-		}
-		return false
 	}
 	for i := 0; i < 2*frameStockCap; i++ {
 		putFrameBuf(make([]byte, 0, 1<<10+i))
@@ -296,31 +304,19 @@ func TestFrameStockStaysBounded(t *testing.T) {
 	pinned := send()
 	o.tryNext()
 	o.ack(1) // acknowledged while the writer still holds it
-	if inStock(pinned) || len(o.free) != 0 {
+	if inStock(pinned) {
 		t.Fatal("a frame the writer holds was recycled")
 	}
 	o.unpin()
-	o.free = o.free[:0] // recycled now; TestOutboxRecyclesAckedFrames follows it
-	a, b := send(), send()
+	a, b := send(), send() // a takes the pinned frame's buffer back
 	write()
 	write()
-	o.ack(3) // both into the free list, which is now full
-	if len(o.free) != 2 || inStock(a) || inStock(b) {
-		t.Fatalf("after two plain acks: %d free, in the stock: %v %v; want 2 free and neither",
-			len(o.free), inStock(a), inStock(b))
-	}
-	c := send() // b's buffer, off the free list
-	o.free = append(o.free, make([]byte, 0, len(c)))
-	write()
-	o.ack(4)
-	if !inStock(c) {
-		t.Error("an acked frame past the free list's limit did not go to the stock")
+	o.ack(3)
+	if !inStock(a) || !inStock(b) {
+		t.Fatalf("after two plain acks, in the stock: %v %v; want both", inStock(a), inStock(b))
 	}
 	unacked := send()
 	o.close()
-	if !inStock(a) {
-		t.Error("close did not hand the free list to the stock")
-	}
 	if inStock(unacked) {
 		t.Error("an unacked frame entered the stock")
 	}
@@ -358,7 +354,7 @@ func TestAllocsSendFeedColumnarSteadyState(t *testing.T) {
 		}
 		out.ack(m.Seq)
 	}
-	for i := 0; i < 4; i++ { // fill the free list
+	for i := 0; i < 4; i++ { // stock the frame buffers
 		sendAndAck()
 	}
 	var before, after runtime.MemStats

@@ -68,9 +68,9 @@ func appendFrame(dst []byte, typ byte, payload []byte) []byte {
 // a few bytes and a recycled buffer a few bytes short is no use at all.
 func bufCap(n int) int { return n + n/8 }
 
-// frameStock holds frame buffers no session uses: the outboxes' frames
-// past their free lists and the sessions' read buffers, handed back when
-// a session or outbox ends. A Deployment runs every replay on new
+// frameStock holds frame buffers no session uses: acked frames, the
+// frames a released outbox still queued, and the sessions' read buffers
+// once their sessions end. A Deployment runs every replay on new
 // sessions, so the stock is the package's, shared by all of them, and
 // bounded in buffers and in bytes; past either bound the oldest go, so
 // what a finished run leaves serves the next. A buffer enters it only

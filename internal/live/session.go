@@ -112,10 +112,6 @@ type outbox struct {
 	// and retransmitting it could only repeat that.
 	maxFrame int
 	closed   bool
-	// free holds acknowledged frames' buffers for the next appends to
-	// encode into, at most limit of them; the rest, and all of them when
-	// the outbox closes, go to frameStock.
-	free [][]byte
 	// pinned is the frame the writer is putting on the wire. Its ack can
 	// arrive while a Write still reads it (a duplicating fault wrapper
 	// writes it twice), so a pinned frame is never recycled: pinnedAcked
@@ -141,7 +137,7 @@ func newOutbox(limit, maxFrame int) *outbox {
 // append frames m and queues it, blocking until the credit window has
 // room or the deadline passes; a message over the frame bound is refused
 // outright. The frame is encoded before the wait and outside the lock,
-// into a recycled buffer: the outbox's own, else the stock's. m's
+// into a buffer from the stock. m's
 // payload must lead with an 8-byte sequence field: whatever encode puts
 // there is overwritten once the slot is known.
 func (o *outbox) append(typ byte, deadline time.Time, m wireMsg) (uint64, error) {
@@ -149,18 +145,7 @@ func (o *outbox) append(typ byte, deadline time.Time, m wireMsg) (uint64, error)
 	if size > o.maxFrame {
 		return 0, fmt.Errorf("live: message of %d bytes is over the %d-byte frame limit", size, o.maxFrame)
 	}
-	var buf []byte
-	o.mu.Lock()
-	if n := len(o.free); n > 0 {
-		buf, o.free[n-1] = o.free[n-1], nil
-		o.free = o.free[:n-1]
-	}
-	o.mu.Unlock()
-	if need := frameHeaderLen + size; cap(buf) < need {
-		putFrameBuf(buf)
-		buf = frameBuf(need)
-	}
-	frame := appendMsgFrame(buf, typ, m, size)
+	frame := appendMsgFrame(frameBuf(frameHeaderLen+size), typ, m, size)
 	var timer *time.Timer
 	for {
 		o.mu.Lock()
@@ -212,7 +197,7 @@ func (o *outbox) ack(seq uint64) {
 		if len(o.pinned) != 0 && &f[0] == &o.pinned[0] {
 			o.pinnedAcked = true
 		} else {
-			o.recycle(f)
+			putFrameBuf(f)
 		}
 	}
 	copy(o.frames, o.frames[n:])
@@ -265,20 +250,10 @@ func (o *outbox) unpin() {
 
 func (o *outbox) unpinLocked() {
 	if o.pinnedAcked {
-		o.recycle(o.pinned)
+		putFrameBuf(o.pinned)
 		o.pinnedAcked = false
 	}
 	o.pinned = nil
-}
-
-// recycle takes back the buffer of an acked frame nothing reads any
-// more: into the free list while it has room, else into the stock.
-func (o *outbox) recycle(f []byte) {
-	if !o.closed && len(o.free) < o.limit {
-		o.free = append(o.free, f)
-	} else {
-		putFrameBuf(f)
-	}
 }
 
 // workChan returns the channel closed on the next append or rewind.
@@ -315,11 +290,6 @@ func (o *outbox) close() {
 		return
 	}
 	o.closed = true
-	for i, b := range o.free {
-		putFrameBuf(b)
-		o.free[i] = nil
-	}
-	o.free = nil
 	close(o.space)
 	o.space = make(chan struct{})
 	close(o.work)

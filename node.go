@@ -46,8 +46,7 @@ func ServeNode(host int, addr string, live LiveOptions, ready func(addr string))
 // (cluster.RunConfig.Deploy): the source texts and every DeployConfig
 // field that shapes the plan or its results, under the same names.
 // Node-local settings — Workers, Live and DriveTimeout — stay each
-// process's own, and CollectStats the splitter's: a node counts the
-// same either way. Sets travel as text, parameter values tagged by kind.
+// process's own. Sets travel as text, parameter values tagged by kind.
 type deploySpec struct {
 	Schema, Queries          string
 	Hosts, PartitionsPerHost int

@@ -39,14 +39,13 @@ func serveNodes(t *testing.T, hosts int, lo LiveOptions) ([]string, chan error) 
 // TestServeNodeMatchesSim: a Deployment driving nodes that know nothing
 // but their host and address — every setting reaches them in the
 // splitter's Hello — reproduces the simulator byte for byte: outputs,
-// node rows, metrics, operator stats, the load series and the canonical
-// trace. The settings are the ones a node used to take as must-match
-// flags, at values other than those flags' defaults — a parameter,
-// per-partition partial aggregation and a load window — with stats
-// collection and one setting no node flag could express, a trace ring
-// small enough to drop events; and then with stats and tracing off,
-// where the host metrics, load windows and node rows are all the
-// splitter learns of a node's counters.
+// node rows, metrics, operator stats, the load series, the canonical
+// run report and the canonical trace. The settings are the ones a node
+// used to take as must-match flags, at values other than those flags'
+// defaults — a parameter, per-partition partial aggregation and a load
+// window — with one setting no node flag could express, a trace ring
+// small enough to drop events; and then with tracing off, where the
+// nodes' shipped operator counters are all the splitter learns of them.
 func TestServeNodeMatchesSim(t *testing.T) {
 	sys := MustLoad(netgen.SchemaDDL, SuspiciousFlowsQuery+"\n"+ComplexQuerySet)
 	packets := diffTrace(1)
@@ -58,7 +57,6 @@ func TestServeNodeMatchesSim(t *testing.T) {
 	}
 	traced := plain
 	traced.Trace = &RunTraceConfig{Mode: trace.ModeRing, RingSize: 16}
-	traced.CollectStats = true
 	run := func(t *testing.T, cfg DeployConfig) *RunResult {
 		t.Helper()
 		dep, err := sys.Deploy(cfg)
@@ -74,7 +72,7 @@ func TestServeNodeMatchesSim(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		cfg  DeployConfig
-	}{{"stats and trace", traced}, {"stats off", plain}} {
+	}{{"trace", traced}, {"trace off", plain}} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
 			want := run(t, cfg)
@@ -113,6 +111,7 @@ func TestServeNodeMatchesSim(t *testing.T) {
 				{"metrics", *want.Metrics, *got.Metrics},
 				{"op stats", want.OpStats, got.OpStats},
 				{"load series", want.LoadSeries, got.LoadSeries},
+				{"run report", canonReport(t, want), canonReport(t, got)},
 			} {
 				if !reflect.DeepEqual(c.want, c.got) {
 					t.Errorf("remote nodes changed the %s", c.what)
@@ -167,7 +166,7 @@ func TestSpecRoundTrip(t *testing.T) {
 		cfg.Costs = CostConfig{ScanCost: 2, SelProjCost: 0.25, AggCost: 1.5, JoinCost: 3, UnionCost: 0.125,
 			OutputCost: 0.5, IPCCost: 0.75, RemoteCost: 9, CapacityPerSec: 1500}
 		cfg.Params = map[string]Value{"PATTERN": Uint(netgen.NormalPattern), "LABEL": Str("a \"quoted\" label")}
-		cfg.BatchSize, cfg.CollectStats, cfg.LoadWindowSec = 7, true, 5
+		cfg.BatchSize, cfg.LoadWindowSec = 7, 5
 		cfg.Trace = &RunTraceConfig{Mode: trace.ModeRing, RingSize: 500}
 	}
 	for _, l := range loads {

@@ -285,23 +285,24 @@ type DeployConfig struct {
 	// because the frozen bench/ module sets it in a struct literal; see
 	// cluster.RunConfig.Columnar.
 	Columnar bool
-	// CollectStats exports the per-operator counters:
-	// RunResult.OpStats and RunResult.Report() are populated. The
-	// counters run either way — the host metrics, load series and node
-	// rows are sums of them — and are bit-equal for any worker count;
-	// the flag changes what a run returns, not how it executes.
+	// CollectStats is not read.
+	//
+	// Deprecated: every run returns its operator counters
+	// (RunResult.OpStats) and its report (RunResult.Report). The field
+	// stays declared because the frozen bench/ module sets it; see
+	// Columnar.
 	CollectStats bool
 	// LoadWindowSec enables online load monitoring: per-host counter
 	// deltas are sampled every LoadWindowSec seconds of trace time
-	// into RunResult.LoadSeries (independent of CollectStats). The
-	// series is bit-equal for any Workers or BatchSize value; 0
-	// disables monitoring.
+	// into RunResult.LoadSeries. The series is bit-equal for any Workers
+	// or BatchSize value; 0 disables monitoring (RunAdaptive defaults
+	// it to 10).
 	LoadWindowSec int
 	// Trace enables deterministic causal tracing into RunResult.Trace:
 	// structured events keyed by round, window, host, and operator
 	// (never wall clock), whose canonical JSONL export is
-	// byte-identical for any Workers or BatchSize value. Implies
-	// CollectStats; when LoadWindowSec is 0 window events default to
+	// byte-identical for any Workers or BatchSize value. When
+	// LoadWindowSec is 0 window events default to
 	// cluster.DefaultTraceWindowSec pacing. Nil (the default) disables
 	// tracing; the run is never perturbed either way.
 	Trace *RunTraceConfig
@@ -313,8 +314,8 @@ type DeployConfig struct {
 	// connections. Canonical results, OpStats, monitoring series, and
 	// trace bytes are byte-identical across backends.
 	Engine string
-	// Live tunes the live backend (addresses, timeouts, credit
-	// windows, fault injection); ignored by the simulator.
+	// Live tunes the live backend (node addresses, transport timeout,
+	// accept grace, fault injection); ignored by the simulator.
 	Live LiveOptions
 	// DriveTimeout bounds every blocking receive in the drive loops of
 	// both backends, so a wedged worker or node fails the run with a
@@ -395,8 +396,7 @@ type RunResult struct {
 	NodeRows map[string]int64
 	// Metrics is the per-host CPU and network accounting.
 	Metrics *Metrics
-	// OpStats maps physical operator IDs to their counters; nil unless
-	// DeployConfig.CollectStats was set.
+	// OpStats maps every physical operator ID to its counters.
 	OpStats map[int]*OpStats
 	// LoadSeries is the online monitoring output: per-host counter
 	// deltas per DeployConfig.LoadWindowSec of trace time. Nil unless
@@ -408,13 +408,13 @@ type RunResult struct {
 	// its host_window events exactly, CPU units included.
 	Trace *RunTrace
 
-	report *RunReport
+	run *cluster.Result
 }
 
-// Report returns the run's machine-readable report, or nil unless
-// DeployConfig.CollectStats was set. Strip the report's Timing section
-// (Canonical) and the JSON is byte-identical for any worker count.
-func (r *RunResult) Report() *RunReport { return r.report }
+// Report returns the run's machine-readable report, built on the first
+// call. Strip its Timing section (Canonical) and the JSON is
+// byte-identical for any worker count, batch size and engine.
+func (r *RunResult) Report() *RunReport { return r.run.Report() }
 
 // OutputNames returns the result's query names in sorted order — the
 // canonical iteration order for printing Outputs (Go map order is
@@ -454,7 +454,7 @@ func (d *Deployment) RunStreams(streams map[string][]netgen.Packet) (*RunResult,
 		OpStats:    res.OpStats,
 		LoadSeries: res.LoadSeries,
 		Trace:      res.Trace,
-		report:     res.Report,
+		run:        res,
 	}, nil
 }
 
@@ -480,7 +480,6 @@ func (d *Deployment) newRunner() (*cluster.Runner, error) {
 		Workers:       d.cfg.Workers,
 		BatchSize:     d.cfg.BatchSize,
 		SizeHints:     d.copySizeHints(),
-		CollectStats:  d.cfg.CollectStats,
 		LoadWindowSec: d.cfg.LoadWindowSec,
 		Trace:         d.cfg.Trace,
 		Engine:        d.cfg.Engine,

@@ -3,13 +3,13 @@ package qap
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"qap/internal/netgen"
 )
 
-// reportRun deploys the complex workload with stats collection on and
-// returns the run result.
+// reportRun deploys the complex workload and returns the run result.
 func reportRun(t *testing.T, workers int, packets []netgen.Packet) *RunResult {
 	t.Helper()
 	sys, err := Load(netgen.SchemaDDL, ComplexQuerySet)
@@ -22,7 +22,6 @@ func reportRun(t *testing.T, workers int, packets []netgen.Packet) *RunResult {
 		Partitioning:      MustParseSet("srcIP"),
 		Params:            map[string]Value{"PATTERN": Uint(netgen.AttackPattern)},
 		Workers:           workers,
-		CollectStats:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +45,7 @@ func TestRunReportDeterministic(t *testing.T) {
 	for _, res := range []*RunResult{seq, par} {
 		rep := res.Report()
 		if rep == nil {
-			t.Fatal("Report() is nil with CollectStats set")
+			t.Fatal("Report() is nil")
 		}
 		b, err := rep.JSON()
 		if err != nil {
@@ -89,11 +88,66 @@ func TestRunReportDeterministic(t *testing.T) {
 	}
 }
 
-// TestReportNilWhenDisabled: without CollectStats the observability
-// layer must stay entirely out of the way.
-func TestReportNilWhenDisabled(t *testing.T) {
-	res := deployRun(t, ComplexQuerySet, MustParseSet("srcIP"), 2, 1, diffTrace(3))
-	if res.Report() != nil || res.OpStats != nil {
-		t.Error("stats populated without CollectStats")
+// TestEveryRunReports: every run returns its operator counters and its
+// report, on every engine and at every batch size; the report is built
+// once, however many goroutines ask for it, and covers every operator.
+func TestEveryRunReports(t *testing.T) {
+	packets := diffTrace(3)
+	sys := MustLoad(netgen.SchemaDDL, ComplexQuerySet)
+	for _, c := range []struct {
+		name    string
+		workers int
+		batch   int
+		engine  string
+	}{
+		{"oracle", 1, 1, EngineSim},
+		{"sequential", 1, 0, EngineSim},
+		{"parallel", 4, 7, EngineSim},
+		{"live", 1, 0, EngineLive},
+	} {
+		dep, err := sys.Deploy(DeployConfig{
+			Hosts: 2, Partitioning: MustParseSet("srcIP"),
+			Params:  map[string]Value{"PATTERN": Uint(netgen.AttackPattern)},
+			Workers: c.workers, BatchSize: c.batch, Engine: c.engine,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dep.Run("TCP", packets)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		reps := make([]*RunReport, 4)
+		var wg sync.WaitGroup
+		for i := range reps {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				reps[i] = res.Report()
+			}(i)
+		}
+		wg.Wait()
+		rep := reps[0]
+		if rep == nil || len(res.OpStats) == 0 {
+			t.Fatalf("%s: report %v, %d operator counters", c.name, rep != nil, len(res.OpStats))
+		}
+		if len(rep.Nodes) != len(res.OpStats) || rep.Plan.Operators != len(res.OpStats) {
+			t.Errorf("%s: the report has %d node rows for %d operators", c.name, len(rep.Nodes), len(res.OpStats))
+		}
+		for _, r := range reps[1:] {
+			if r != rep {
+				t.Errorf("%s: concurrent Report calls built more than one report", c.name)
+			}
+		}
 	}
+}
+
+// canonReport is a run's report without its Timing section, as JSON.
+func canonReport(t *testing.T, res *RunResult) string {
+	t.Helper()
+	b, err := res.Report().Canonical().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
