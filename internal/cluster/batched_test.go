@@ -95,6 +95,7 @@ func TestBatchedMatchesScalar(t *testing.T) {
 		{"complex", complexSet, core.MustParseSet("srcIP")},
 		{"suspicious", suspiciousQuery, core.MustParseSet("srcIP, destIP, srcPort, destPort")},
 		{"slidingwindow", slidingWindowSet(t), core.MustParseSet("srcIP, destIP")},
+		{"joinrows", joinRowsSet, core.MustParseSet("srcIP")},
 	}
 	for _, qs := range querySets {
 		for _, hosts := range []int{1, 4} {

@@ -149,14 +149,7 @@ func crossings(t *testing.T, queries string, ps core.Set, o optimizer.Options, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv, flush := r.buildTargets(cursors)
-	s := &tallySink{from: producerKinds(t, r), gr: new(colGrouper), got: map[optimizer.OpKind]*crossing{}}
-	for i := 0; i < p.Hosts; i++ {
-		s.xs = append(s.xs, islandExec{
-			r: r, isl: r.islands[i], wins: r.islands[i : i+1],
-			adv: adv[i], flush: flush[i], outs: scanEntries(cursors),
-		})
-	}
+	s := &tallySink{from: producerKinds(t, r), xs: r.executors(cursors), gr: new(colGrouper), got: map[optimizer.OpKind]*crossing{}}
 	if _, _, err := r.split(cursors, s.gr, s); err != nil {
 		t.Fatal(err)
 	}

@@ -1,62 +1,50 @@
 package cluster
 
-// The parallel execution engine, and the feed that both simulator
-// engines' splitters ship rounds on (feedSink, splitAhead).
+// The distributed driver. The parallel engine (Workers > 1 on the
+// simulator) and the live engine are one function, runDistributed; they
+// differ only in the hop between the splitter and the leaf islands:
 //
-// The sequential engine (split.go, runInline) drives the merged packet
-// trace through the whole operator graph with one executor, in a
-// canonical order: rounds of distinct timestamps, each round advancing
-// every stream's router (cursor order x partition order) and then
-// pushing the round's packets in merged arrival order, with a final
-// flush round over the routers in sorted-name order. Its splitter runs
-// ahead of that executor on a goroutine of its own, on the feedSink
-// below with a single feed.
-//
-// The parallel engine reproduces exactly that event sequence while
-// running the per-host operator chains concurrently:
+//	                             ┌ simHop   channels to worker goroutines, and back (here)
+//	split → feedSink → hop.send ─┤
+//	                             └ liveHop  live.Splitter to nodes, and back (live.go)
+//	hop.links → checkLink → replayLinks on the central island
 //
 //   - The plan decomposes into islands: one leaf island per simulated
 //     host (its capture processes) plus the central island (the root
-//     process on the aggregator host). The optimizer only builds plans
-//     whose island-crossing dataflow points into the central island;
-//     NewRunner refuses any other plan (checkIslands).
+//     process on the aggregator host). NewRunner refuses a plan whose
+//     island-crossing dataflow points anywhere but into the central
+//     island (checkIslands).
 //
-//   - A driver goroutine runs the splitter (split.go) into a feedSink,
-//     which queues every island's share of the closed rounds —
-//     watermark advance, tagged groups, final flush — on bounded
-//     channels, batchRounds rounds per message.
+//   - The splitter (split.go) runs ahead on a goroutine of its own
+//     (splitAhead). Its feedSink hands every leaf island its closed
+//     rounds — watermark advance, tagged groups, final flush —
+//     batchRounds rounds a feed, or fewer under the hop's frame bound.
 //
-//   - One worker goroutine per min(Workers, Hosts) executes the leaf
-//     islands (worker g owns islands g, g+W, ...) through
-//     islandExec.execRounds. Each delivery carries a canonical tag;
-//     deliveries that cross into the central island are not executed by
-//     the worker but recorded as tagged link items (the capture
-//     consumer) — live.Item, the link currency of this engine and the
-//     live backend alike, as live.Round is their round currency. A data
-//     item is always a column batch of the item's own, from the pool: a
-//     producer's column batch is copied (it is valid only during the
-//     call), and a run of pushed rows is gathered and pivoted into one
-//     (sealRun).
-//     Every processed feed message emits a live.LinkMsg — even when
-//     empty — so the central watermark advances.
+//   - A leaf executor (executors) runs its island's feeds through
+//     islandExec.execRounds, on a simulator worker or behind a live
+//     node. A delivery that crosses into the central island is not
+//     performed but recorded by the capture consumer as a tagged link
+//     item (live.Item): a producer's column batch is copied, a run of
+//     pushed rows pivoted into one column item (sealRun). Every feed
+//     yields a link message, even an empty one, so the central
+//     watermark advances.
 //
-//   - The central replay loop, on the calling goroutine, K-way-merges
-//     the islands' link items by (round, tag) and applies them to the
-//     central operators through the edge — a column item through
-//     edge.PushCols, over exactly the batch boundaries the producer
-//     emitted, so a sub-aggregate's columns reach
-//     the super-aggregate's dense store as they do on the sequential
-//     engine — returning each pooled batch once applied. A tag
-//     identifies one splitter action (advance, push, or flush), every
-//     action's cascade runs on exactly one island, and each island emits
-//     its items in canonical order — so the merge reconstructs the
-//     sequential delivery order exactly. Per-island "through" watermarks
-//     (the last fully shipped round) gate the merge: an item is applied
-//     only once every island has shipped past its round.
+//   - The central replay (replayLinks), on the calling goroutine,
+//     K-way-merges the islands' link items by (round, tag) and applies
+//     them through their edges, column items over exactly the batch
+//     boundaries the producer emitted. A tag identifies one splitter
+//     action (advance, push or flush), every action's cascade runs on
+//     exactly one island, and each island emits its items in canonical
+//     order, so the merge reconstructs the sequential delivery order.
+//     Per-island "through" watermarks gate it: an item is applied only
+//     once every island has shipped past its round.
 //
-// Accounting is the operators' integer counters, sharded per island in
-// every engine and summed by finalize(), which computes CPU units from
-// them, so parallel results are byte-identical to sequential ones.
+//   - The drive timeout guards every receive. A failed run stops the
+//     hop, and with it the splitter at its next send; on every path the
+//     driver joins the splitter and ends the hop before it returns.
+//
+// Accounting is the operators' integer counters, sharded per island and
+// summed by finalize, so results are byte-identical on every engine.
 
 import (
 	"errors"
@@ -85,13 +73,6 @@ const defaultBatchSize = 256
 // most this many messages ahead of a worker, which also bounds the
 // central replay loop's pending queues.
 const feedChanCap = 2
-
-// testStallWorkers, when non-nil, blocks every worker just before it
-// ships a link batch until the channel is closed — the test harness for
-// the DriveTimeout guard (a wedged worker must surface as a positioned
-// error, not a hang). Set and cleared only between runs; runParallel
-// reads it once at start.
-var testStallWorkers chan struct{}
 
 // Canonical tags. Within one round the sequential engine performs
 // watermark advances (cursor order x partition order), then tuple
@@ -200,239 +181,352 @@ type islandFeed struct {
 	live.FeedMsg
 }
 
-// feedSink is the round sink of both simulator engines: every cut
-// closed rounds it queues each island's pending rounds on the feed of
-// the executor that owns the island. The final message also carries
-// the last data round and the flush round. The sequential engine's one
-// executor is fed every round as it closes (cut 1), so no more than
-// feedChanCap+2 rounds of column batches are ever out at once; the
-// parallel engine's workers are fed batchRounds at a time. A shipped
-// round list comes back through colGrouper.retire once executed, and
-// ship replaces it from that stock.
+// feedSink is the round sink of every production engine: it hands each
+// island's closed rounds to the hop every cut rounds — 1 on the
+// sequential engine, whose one executor is fed every round as it
+// closes, so no more than feedChanCap+2 rounds of column batches are
+// ever out at once; batchRounds on the parallel and live engines — and,
+// where the hop bounds a feed's bytes (cutBytes > 0: the live wire),
+// sooner, before a round that would take some island's feed past
+// cutBytes. Either cut falls on a round boundary, and the (round, tag)
+// replay is indifferent to where. The final feed also carries the last
+// data round and the flush round.
 type feedSink struct {
-	r       *Runner
-	gr      *colGrouper
-	feeds   []chan islandFeed
-	cut     int
-	pending int
-	// quit, closed when the replay has failed, stops the splitter at
-	// its next send; nil (the sequential engine) never does.
-	quit <-chan struct{}
+	r        *Runner
+	gr       *colGrouper
+	hop      hop
+	cut      int
+	cutBytes int
+	// pendBytes[i] is the encoded size of island i's sized pending
+	// rounds, roundBytes[i] that of the round being sized; both are
+	// unused without a byte bound.
+	pendBytes, roundBytes []int
+	pending               int          // pending rounds already counted
+	msg                   live.FeedMsg // reused: a message sent by pointer through the hop escapes
 }
-
-// errSplitQuit ends a splitter the replay stopped.
-var errSplitQuit = errors.New("cluster: splitter stopped: the run failed")
 
 //qap:hot
 func (s *feedSink) closed(pend [][]live.Round) error {
-	if s.pending++; s.pending >= s.cut {
-		return s.ship(pend, false)
+	if err := s.closeRound(pend, 1); err != nil {
+		return err
+	}
+	if s.pending >= s.cut {
+		return s.ship(pend, false, 0)
 	}
 	return nil
 }
 
-func (s *feedSink) finish(pend [][]live.Round) error { return s.ship(pend, true) }
+func (s *feedSink) finish(pend [][]live.Round) error {
+	// The last data round, if there was one, then the flush round.
+	for back := len(pend[0]) - s.pending; back > 0; back-- {
+		if err := s.closeRound(pend, back); err != nil {
+			return err
+		}
+	}
+	return s.ship(pend, true, 0)
+}
 
-// ship queues every island's pending rounds. Stopped by quit, it takes
-// back the column batches of the rounds it has not queued, and fails.
+// closeRound counts every island's back-th newest round as pending.
+// Under a byte bound it sizes the round first, and ships the rounds
+// before it if it would take some island's feed past the bound.
 //
 //qap:hot
-func (s *feedSink) ship(pend [][]live.Round, last bool) error {
-	for i := range pend {
-		select {
-		case s.feeds[i%len(s.feeds)] <- islandFeed{isl: i, FeedMsg: live.FeedMsg{Last: last, Rounds: pend[i]}}:
-		case <-s.quit:
-			for _, p := range pend[i:] {
-				s.gr.recycle(p)
-			}
-			return errSplitQuit
+func (s *feedSink) closeRound(pend [][]live.Round, back int) error {
+	if s.cutBytes > 0 {
+		over := false
+		for i, p := range pend {
+			s.roundBytes[i] = p[len(p)-back].WireSize()
+			over = over || (s.pendBytes[i] > 0 && s.pendBytes[i]+s.roundBytes[i] > s.cutBytes)
 		}
-		pend[i] = takeRounds() // the executor owns the shipped rounds now
+		if over {
+			if err := s.ship(pend, false, back); err != nil {
+				return err
+			}
+		}
+		for i := range pend {
+			s.pendBytes[i] += s.roundBytes[i]
+		}
+	}
+	s.pending++
+	return nil
+}
+
+// ship hands every island its pending rounds but the newest keep (those
+// not sized yet, or that would overfill the feed), which stay pending in
+// a list of their own. Whoever receives a feed owns its rounds and
+// retires them. A refused feed fails the ship: its rounds and every
+// round still pending go back to the run's stock.
+//
+//qap:hot
+func (s *feedSink) ship(pend [][]live.Round, last bool, keep int) error {
+	for i, p := range pend {
+		n := len(p) - keep
+		pend[i] = keepTail(p, n)
+		s.msg = live.FeedMsg{Last: last, Rounds: p[:n]}
+		if err := s.hop.send(i, &s.msg); err != nil {
+			s.gr.recycle(p[:n])
+			for _, q := range pend {
+				s.gr.recycle(q)
+			}
+			return err
+		}
 	}
 	s.pending = 0
+	clear(s.pendBytes)
 	// Driver-owned telemetry (one feed message per island); finalize
 	// reads it only after the driver has joined.
 	s.r.engBatches += int64(len(pend))
 	return nil
 }
 
-// splitAhead runs the splitter into s on a goroutine of its own — the
-// first stage of the pipeline — and closes s's feeds when it returns,
-// at the end of the trace or stopped by quit. join waits for it and
-// returns whether the trace held any packet, and its last timestamp.
-func (r *Runner) splitAhead(cursors []*streamCursor, s *feedSink) (join func() (bool, uint64)) {
+// keepTail returns p's rounds from n on in a list of their own, from
+// roundStock. Each kept round trades slots with the new list's, group
+// list and all, before p leaves with p[:n]: p's receiver retires p into
+// roundStock, and no group list may be in a stocked list and a pending
+// one at once.
+func keepTail(p []live.Round, n int) []live.Round {
+	q := takeRounds()
+	for j := n; j < len(p); j++ {
+		q = openRound(q, live.Round{})
+		k := len(q) - 1
+		q[k], p[j] = p[j], q[k]
+	}
+	return q
+}
+
+// errSplitQuit ends a splitter the replay stopped.
+var errSplitQuit = errors.New("cluster: splitter stopped: the run failed")
+
+// splitAhead runs the splitter into s on a goroutine of its own, the
+// first stage of every production engine. A failed splitter posts its
+// error on errc, if there is room, for a receive blocked on the
+// islands. join waits for it and returns whether the trace held any
+// packet, its last timestamp, and its error.
+func (r *Runner) splitAhead(cursors []*streamCursor, s *feedSink, errc chan<- error) (join func() (bool, uint64, error)) {
 	var (
 		any     bool
 		maxTime uint64
+		err     error
 	)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		any, maxTime, _ = r.split(cursors, s.gr, s) // the one error is errSplitQuit
-		for _, feed := range s.feeds {
-			close(feed)
+		if any, maxTime, err = r.split(cursors, s.gr, s); err != nil {
+			select {
+			case errc <- err:
+			default:
+			}
 		}
 	}()
-	return func() (bool, uint64) {
+	return func() (bool, uint64, error) {
 		<-done
-		return any, maxTime
+		return any, maxTime, err
 	}
 }
 
-// runParallel executes the trace with the parallel engine. The caller
-// goroutine runs the central replay loop. A failed replay closes quit,
-// which stops the splitter and the workers at their next send; the run
-// joins them and takes back the pooled batches still in the pipeline
-// before it returns the error, so nothing is left blocked behind it.
-func (r *Runner) runParallel(cursors []*streamCursor) (*Result, error) {
-	hosts := r.plan.Hosts
-	workers := r.workers
-	if workers > hosts {
-		workers = hosts
+// hop is what the parallel and live engines do differently: where an
+// island's feed goes and where its link message comes from.
+type hop interface {
+	// send hands island i its feed; from then on the receiver owns its
+	// rounds and retires them. A refused feed's rounds stay the caller's.
+	send(i int, m *live.FeedMsg) error
+	// links delivers the islands' link messages; errs the hop's own
+	// failures (nil: none).
+	links() <-chan live.LinkMsg
+	errs() <-chan error
+	// stop aborts the islands and any send blocked on them.
+	stop()
+	// end, once the splitter has returned, joins the islands (after a
+	// failed run, once stopped) and takes back what is still in flight.
+	end(failed bool) error
+}
+
+// simHop is the simulator's hop: island i's feeds go to worker i mod W
+// on a bounded channel, and the workers' link messages come back on
+// one inbox. The sequential engine feeds its one executor through a
+// simHop with one feed and no worker.
+type simHop struct {
+	gr    *colGrouper
+	feeds []chan islandFeed
+	inbox chan live.LinkMsg
+	// quit, closed by stop, ends the workers and a send blocked on
+	// them; nil (the sequential engine) never does.
+	quit chan struct{}
+	wg   sync.WaitGroup
+}
+
+// newSimHop starts min(Workers, Hosts) workers; worker g executes
+// islands g, g+W, 2W, ... through xs.
+func (r *Runner) newSimHop(xs []islandExec, gr *colGrouper) *simHop {
+	h := &simHop{
+		gr:    gr,
+		feeds: make([]chan islandFeed, min(r.workers, len(xs))),
+		inbox: make(chan live.LinkMsg, 2*len(xs)),
+		quit:  make(chan struct{}),
 	}
-
-	advTargets, flushTargets := r.buildTargets(cursors)
-	outs := scanEntries(cursors)
-	xs := make([]islandExec, hosts)
-	for i := range xs {
-		xs[i] = islandExec{
-			r: r, isl: r.islands[i], wins: r.islands[i : i+1],
-			adv: advTargets[i], flush: flushTargets[i], outs: outs,
-		}
+	for g := range h.feeds {
+		h.feeds[g] = make(chan islandFeed, feedChanCap)
+		h.wg.Add(1)
+		go h.work(xs, h.feeds[g], r.wedge)
 	}
+	return h
+}
 
-	feeds := make([]chan islandFeed, workers)
-	for g := range feeds {
-		feeds[g] = make(chan islandFeed, feedChanCap)
-	}
-	inbox := make(chan live.LinkMsg, 2*hosts)
-	quit := make(chan struct{})
-
-	var gr colGrouper // filled by the driver, restocked by the workers
-
-	// Leaf workers: worker g executes islands g, g+W, 2W, ...
-	stall := testStallWorkers
-	var workerWG sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		workerWG.Add(1)
-		go func(feed <-chan islandFeed) {
-			defer workerWG.Done()
-			for msg := range feed {
-				x := &xs[msg.isl]
-				last := x.execRounds(msg.Rounds)
-				gr.retire(msg.Rounds)
-				items := x.isl.outbox
-				x.isl.outbox = nil
-				if stall != nil {
-					select {
-					case <-stall:
-					case <-quit:
-					}
-				}
-				select {
-				case inbox <- live.LinkMsg{Host: msg.isl, Through: last, Done: msg.Last, Items: items}:
-				case <-quit:
-					live.ReleaseCols(items)
-					return
-				}
+// work executes a worker's feeds and ships every one's link message,
+// even an empty one, so the central watermark advances. wedge, when
+// non-nil, holds the worker before each link message until it closes.
+func (h *simHop) work(xs []islandExec, feed <-chan islandFeed, wedge <-chan struct{}) {
+	defer h.wg.Done()
+	for msg := range feed {
+		x := &xs[msg.isl]
+		last := x.execRounds(msg.Rounds)
+		h.gr.retire(msg.Rounds)
+		items := x.isl.outbox
+		x.isl.outbox = nil
+		if wedge != nil {
+			select {
+			case <-wedge:
+			case <-h.quit:
 			}
-		}(feeds[g])
-	}
-
-	// Driver: the splitter, feeding the islands their rounds in batches.
-	join := r.splitAhead(cursors, &feedSink{r: r, gr: &gr, feeds: feeds, cut: r.batchRounds, quit: quit})
-
-	// Central replay on the calling goroutine, with the optional drive
-	// timeout guarding each receive so a wedged worker surfaces as a
-	// positioned error instead of hanging the run.
-	guard := recvGuard{d: r.driveTimeout}
-	recv := func(waiting func() string) (live.LinkMsg, error) {
-		if r.driveTimeout <= 0 {
-			return <-inbox, nil
 		}
 		select {
-		case b := <-inbox:
-			guard.disarm()
-			return b, nil
-		case <-guard.arm():
-			return live.LinkMsg{}, fmt.Errorf("cluster: parallel drive stalled: no link batch within %s (%s)",
-				r.driveTimeout, waiting())
+		case h.inbox <- live.LinkMsg{Host: msg.isl, Through: last, Done: msg.Last, Items: items}:
+		case <-h.quit:
+			live.ReleaseCols(items)
+			return
 		}
 	}
-	if err := r.replayLinks(hosts, recv); err != nil {
-		// Once both have stopped, the feeds (which the driver closed)
-		// and the inbox hold the only batches still out.
-		close(quit)
-		join()
-		workerWG.Wait()
-		for _, feed := range feeds {
-			for msg := range feed {
-				gr.recycle(msg.Rounds)
+}
+
+//qap:hot
+func (h *simHop) send(i int, m *live.FeedMsg) error {
+	select {
+	case h.feeds[i%len(h.feeds)] <- islandFeed{isl: i, FeedMsg: *m}:
+		return nil
+	case <-h.quit:
+		return errSplitQuit
+	}
+}
+
+func (h *simHop) links() <-chan live.LinkMsg { return h.inbox }
+func (h *simHop) errs() <-chan error         { return nil }
+func (h *simHop) stop()                      { close(h.quit) }
+
+// end closes the feeds, which ends the workers, and takes back the
+// batches still in the feeds and the inbox.
+func (h *simHop) end(bool) error {
+	for _, feed := range h.feeds {
+		close(feed)
+	}
+	h.wg.Wait()
+	for _, feed := range h.feeds {
+		for msg := range feed {
+			h.gr.recycle(msg.Rounds)
+		}
+	}
+	close(h.inbox)
+	for m := range h.inbox {
+		live.ReleaseCols(m.Items)
+	}
+	return nil
+}
+
+// runDistributed is the one driver of the parallel and live engines
+// (see the top of this file): the splitter and the hop's islands ahead,
+// the central replay on the calling goroutine.
+func (r *Runner) runDistributed(cursors []*streamCursor) (*Result, error) {
+	hosts := r.plan.Hosts
+	xs := r.executors(cursors)
+	var gr colGrouper
+	errc := make(chan error, hosts+1) // the splitter's and in-process nodes' failures
+	s := &feedSink{r: r, gr: &gr, cut: r.batchRounds}
+	if r.engine == EngineLive {
+		lh, err := r.newLiveHop(cursors, xs, &gr, errc)
+		if err != nil {
+			return nil, err
+		}
+		s.hop, s.cutBytes = lh, lh.sp.MaxFrame()/2
+		s.pendBytes, s.roundBytes = make([]int, hosts), make([]int, hosts)
+	} else {
+		s.hop = r.newSimHop(xs, &gr)
+	}
+	h := s.hop
+	join := r.splitAhead(cursors, s, errc)
+
+	// The drive timeout: one timer for the run, armed for each receive.
+	var timer *time.Timer
+	links, hopErrs := h.links(), h.errs()
+	recv := func(waiting func() string) (m live.LinkMsg, err error) {
+		var expired <-chan time.Time
+		if d := r.driveTimeout; d > 0 {
+			if timer == nil {
+				timer = time.NewTimer(d) //qap:allow walltime -- stall guard only; a timeout poisons the run, never shapes its outputs
+			} else {
+				timer.Reset(d)
 			}
+			expired = timer.C
 		}
-		close(inbox)
-		for m := range inbox {
-			live.ReleaseCols(m.Items)
+		select {
+		case m = <-links:
+			if err = r.checkLink(&m); err != nil {
+				live.ReleaseCols(m.Items)
+			}
+		case err = <-hopErrs:
+		case err = <-errc:
+		case <-expired:
+			return m, fmt.Errorf("cluster: %s drive stalled: no link message within %s (%s)",
+				r.engineName(), r.driveTimeout, waiting())
 		}
-		gr.release()
+		if timer != nil && !timer.Stop() {
+			<-timer.C
+		}
+		return m, err
+	}
+	err := r.replayLinks(hosts, recv)
+	if err != nil {
+		h.stop()
+	}
+	any, maxTime, serr := join()
+	if err == nil {
+		err = serr
+	}
+	if eerr := h.end(err != nil); err == nil {
+		err = eerr
+	}
+	gr.release()
+	if err != nil {
 		return nil, err
 	}
-
-	any, maxTime := join()
-	workerWG.Wait()
-	gr.release()
 	return r.finalize(any, maxTime), nil
 }
 
-// recvGuard is a replay loop's drive timeout: one timer for the whole
-// run, armed for each blocking receive.
-type recvGuard struct {
-	d time.Duration
-	t *time.Timer
-}
-
-// arm starts the timeout of the next receive and returns its channel.
-func (g *recvGuard) arm() <-chan time.Time {
-	if g.t == nil {
-		g.t = time.NewTimer(g.d) //qap:allow walltime -- stall guard only; a timeout poisons the run, never shapes its outputs
-	} else {
-		g.t.Reset(g.d)
+// executors builds the splitter's executors: one per leaf island, or
+// one in all on the sequential engine, each owning its island's windows
+// and reading the delivery table of the cursors' canonical order. Their
+// advance and flush targets are pre-resolved in canonical (= tag)
+// order: advance walks the fed streams in cursor order, flush every
+// router in sorted-name order.
+func (r *Runner) executors(cursors []*streamCursor) []islandExec {
+	outs := make([][]exec.Consumer, len(cursors))
+	xs := make([]islandExec, r.execIslands())
+	for i := range xs {
+		xs[i] = islandExec{r: r, isl: r.islands[i], wins: r.islands[i : i+1], outs: outs}
 	}
-	return g.t.C
-}
-
-// disarm stops the timeout after a receive that beat it.
-func (g *recvGuard) disarm() {
-	if !g.t.Stop() {
-		<-g.t.C
-	}
-}
-
-// buildTargets pre-resolves every executor's advance and flush target
-// lists in canonical (= tag) order. Advance walks the fed streams in
-// cursor order; flush walks every router in sorted-name order.
-func (r *Runner) buildTargets(cursors []*streamCursor) (advTargets, flushTargets [][]tagged) {
-	hosts := r.execIslands()
-	advTargets = make([][]tagged, hosts)
 	for sIdx, c := range cursors {
+		outs[sIdx] = c.rt.outs
 		for p, out := range c.rt.outs {
-			id := c.rt.islands[p]
-			advTargets[id] = append(advTargets[id], tagged{
-				tag: phaseAdv | uint64(sIdx*r.plan.Partitions+p), c: out,
-			})
+			x := &xs[c.rt.islands[p]]
+			x.adv = append(x.adv, tagged{tag: phaseAdv | uint64(sIdx*r.plan.Partitions+p), c: out})
 		}
 	}
-	flushTargets = make([][]tagged, hosts)
 	for fIdx, name := range r.routerNames {
 		rt := r.routers[name]
 		for p, out := range rt.outs {
-			id := rt.islands[p]
-			flushTargets[id] = append(flushTargets[id], tagged{
-				tag: phaseFlush | uint64(fIdx*r.plan.Partitions+p), c: out,
-			})
+			x := &xs[rt.islands[p]]
+			x.flush = append(x.flush, tagged{tag: phaseFlush | uint64(fIdx*r.plan.Partitions+p), c: out})
 		}
 	}
-	return advTargets, flushTargets
+	return xs
 }
 
 // replayLinks is the central replay loop shared by the parallel engine

@@ -1,43 +1,34 @@
 package cluster
 
-// The live TCP backend (RunConfig.Engine == EngineLive).
-//
-// The live engine is the paper's Section 3.3 architecture made real:
-// each leaf island runs as a node behind a TCP listener (in-process
+// The live TCP backend (RunConfig.Engine == EngineLive): the paper's
+// Section 3.3 architecture made real, as the distributed driver's
+// second hop (liveHop; the driver is runDistributed, engine.go). Each
+// leaf island runs as a node behind a TCP listener — in-process
 // goroutines by default, separate qap-node processes via
-// LiveConfig.Nodes), the driver plays the splitter and ships every
-// island its hash-routed rounds as length-prefixed serialized tuple
-// batches over a persistent connection with credit-based backpressure,
-// and the nodes ship their captured island-crossing deliveries back as
-// link messages — the very live.Item values a simulator worker hands
-// the replay, column batches included. The collector side checks them
-// against the compiled plan (checkLink) and feeds them into the exact
-// same central replay merge the simulator's parallel engine uses
-// (replayLinks), so canonical outputs, OpStats, monitoring series, and
-// trace bytes are byte-identical to the simulator:
+// LiveConfig.Nodes. The splitter's feeds leave as length-prefixed
+// frames over a persistent connection per node, with credit-based
+// backpressure, and the nodes' captured island-crossing deliveries come
+// back as link messages: the very live.Item values a simulator worker
+// hands the replay. The driver checks each against the compiled plan
+// (checkLink) before the central replay merges it, so outputs, OpStats,
+// monitoring series and trace bytes are the simulator's, byte for byte.
 //
-//   - The driver is the parallel engine's — the one splitter
-//     (split.go), so the same rounds, tags and per-destination column
-//     groups — behind a sink that serializes instead of queueing, and a
-//     node executes a feed through the same islandExec.execRounds a
-//     simulator worker does. The scalar oracle (BatchSize 1) never runs
-//     here: NewRunner refuses it.
+//   - A node executes a feed (Execute, which checks it first) through
+//     the same islandExec.execRounds a simulator worker does. The
+//     scalar oracle (BatchSize 1) never runs here: NewRunner refuses it.
 //
-//   - Tuples travel in the exec column codec, both ways: column vectors
-//     with their validity and Int bitmaps, which round-trip every value
-//     bit-exactly (floats as IEEE bits), so operator state evolves
-//     identically on both sides of the wire.
+//   - Tuples travel in the exec column codec both ways, which
+//     round-trips every value bit-exactly (floats as IEEE bits).
 //
 //   - The transport (internal/live) delivers each direction's frames
 //     exactly once and in order across reconnects, so a dropped,
-//     duplicated, or stalled connection changes nothing but wall time.
+//     duplicated or stalled connection changes nothing but wall time.
 //
-// In-process nodes execute directly against this Runner's islands, so
-// finalize sees their shards as usual. Remote nodes (qap-node) compile
-// their own copy of the plan from the deployment the splitter's Hello
-// carries (RunConfig.Deploy, ServeNode), execute against it, and ship
-// their island shards back in a final result frame, which
-// installHostShard copies into the local islands before finalize.
+// In-process nodes execute against this Runner's islands. Remote nodes
+// compile their own copy of the plan from the deployment the Hello
+// carries (RunConfig.Deploy, ServeNode) and ship their island shards
+// back in a final result frame, which installHostShard copies into the
+// local islands before finalize.
 
 import (
 	"bytes"
@@ -82,249 +73,112 @@ func (c LiveConfig) transportTimeout() time.Duration {
 	return 30 * time.Second
 }
 
-// runLive executes the trace on the live TCP backend. The caller
-// goroutine runs the central replay loop, exactly like runParallel.
-func (r *Runner) runLive(cursors []*streamCursor) (*Result, error) {
+// liveHop is the live engine's hop: feeds are serialized to the nodes
+// through a live.Splitter, and link messages come off its sessions.
+// In-process nodes execute the driver's own leaf executors.
+type liveHop struct {
+	r      *Runner
+	gr     *colGrouper
+	sp     *live.Splitter
+	nodes  []*live.Node
+	nodeWG sync.WaitGroup
+}
+
+// newLiveHop serves xs on in-process nodes, unless LiveConfig.Nodes
+// names remote ones, and starts the splitter's sessions to them. A
+// node that fails posts its error on errc, if there is room.
+func (r *Runner) newLiveHop(cursors []*streamCursor, xs []islandExec, gr *colGrouper, errc chan<- error) (*liveHop, error) {
 	hosts := r.plan.Hosts
-	bs := r.batchSize
-
-	advTargets, flushTargets := r.buildTargets(cursors)
-	outs := scanEntries(cursors)
-	streams := make([]string, len(cursors))
-	for i, c := range cursors {
-		streams[i] = c.name
+	addrs := r.liveCfg.Nodes
+	remote := len(addrs) > 0
+	if remote && len(addrs) != hosts {
+		return nil, fmt.Errorf("cluster: live: %d node addresses for %d hosts", len(addrs), hosts)
 	}
-	fp := r.LiveFingerprint()
-
+	h := &liveHop{r: r, gr: gr}
 	lcfg := live.Config{Timeout: r.liveCfg.Timeout}
 	if r.liveCfg.Faults != nil {
 		lcfg.Dial = r.liveCfg.Faults.Dial(live.DefaultDial(r.liveCfg.transportTimeout()))
 	}
-	// The replay receive guard: an explicit DriveTimeout wins, else the
-	// transport timeout (the live backend never runs unguarded).
-	recvTimeout := r.driveTimeout
-	if recvTimeout <= 0 {
-		recvTimeout = r.liveCfg.transportTimeout()
-	}
-
-	remote := len(r.liveCfg.Nodes) > 0
-	if remote && len(r.liveCfg.Nodes) != hosts {
-		return nil, fmt.Errorf("cluster: live: %d node addresses for %d hosts", len(r.liveCfg.Nodes), hosts)
-	}
-	var nodes []*live.Node
-	var nodeWG sync.WaitGroup
-	nodeErr := make(chan error, hosts+1)
-	addrs := r.liveCfg.Nodes
-	if !remote {
-		for h := 0; h < hosts; h++ {
-			x := &islandExec{
-				r: r, isl: r.islands[h], wins: r.islands[h : h+1],
-				adv: advTargets[h], flush: flushTargets[h],
-				outs: outs,
-			}
-			ncfg := lcfg
-			if r.liveCfg.Faults != nil {
-				ncfg.WrapAccept = r.liveCfg.Faults.WrapAccept(h)
-			}
-			n, err := live.NewNode(ncfg, live.NodeOptions{
-				Host:        h,
-				NewExecutor: func(*live.Hello) (live.Executor, error) { return x, nil },
-			}, "")
-			if err != nil {
-				for _, prev := range nodes {
-					prev.Close()
-				}
-				return nil, err
-			}
-			nodes = append(nodes, n)
-			addrs = append(addrs, n.Addr())
+	for i := 0; !remote && i < hosts; i++ {
+		x := &xs[i]
+		ncfg := lcfg
+		if r.liveCfg.Faults != nil {
+			ncfg.WrapAccept = r.liveCfg.Faults.WrapAccept(i)
 		}
-		for _, n := range nodes {
-			nodeWG.Add(1)
-			go func(n *live.Node) {
-				defer nodeWG.Done()
-				if err := n.Serve(); err != nil {
-					select {
-					case nodeErr <- err:
-					default:
-					}
-				}
-			}(n)
+		n, err := live.NewNode(ncfg, live.NodeOptions{
+			Host:        i,
+			NewExecutor: func(*live.Hello) (live.Executor, error) { return x, nil },
+		}, "")
+		if err != nil {
+			h.stop()
+			return nil, err
 		}
+		h.nodes = append(h.nodes, n)
+		addrs = append(addrs, n.Addr())
+		h.nodeWG.Add(1)
+		go func() {
+			defer h.nodeWG.Done()
+			if err := n.Serve(); err != nil {
+				select {
+				case errc <- err:
+				default:
+				}
+			}
+		}()
 	}
-
-	hello := live.Hello{BatchSize: bs, Streams: streams, Fingerprint: fp}
+	hello := live.Hello{BatchSize: r.batchSize, Fingerprint: r.LiveFingerprint()}
+	for _, c := range cursors {
+		hello.Streams = append(hello.Streams, c.name)
+	}
 	if remote {
 		hello.Deploy = r.deploy
 	}
-	sp := live.NewSplitter(lcfg, hello, addrs)
-	sp.Start()
-	closeAll := func() {
-		sp.Close()
-		for _, n := range nodes {
-			n.Close()
-		}
-		nodeWG.Wait()
-	}
-
-	driveErr := make(chan error, 1)
-	var driverWG sync.WaitGroup
-	var dAny bool
-	var dMax uint64
-	driverWG.Add(1)
-	go func() {
-		defer driverWG.Done()
-		var gr colGrouper
-		defer gr.release()
-		sink := &liveSink{
-			r: r, sp: sp, gr: &gr, cutBytes: sp.MaxFrame() / 2,
-			pendBytes: make([]int, hosts), roundBytes: make([]int, hosts),
-		}
-		var err error
-		if dAny, dMax, err = r.split(cursors, &gr, sink); err != nil {
-			driveErr <- err
-		}
-	}()
-
-	guard := recvGuard{d: recvTimeout}
-	recv := func(waiting func() string) (live.LinkMsg, error) {
-		var err error
-		select {
-		case m := <-sp.Links():
-			guard.disarm()
-			if err := r.checkLink(m); err != nil {
-				live.ReleaseCols(m.Items)
-				return live.LinkMsg{}, err
-			}
-			return *m, nil
-		case err = <-sp.Errs():
-		case err = <-nodeErr:
-		case err = <-driveErr:
-		case <-guard.arm():
-			return live.LinkMsg{}, fmt.Errorf("cluster: live drive stalled: no link message within %s (%s)",
-				recvTimeout, waiting())
-		}
-		guard.disarm()
-		return live.LinkMsg{}, err
-	}
-	if err := r.replayLinks(hosts, recv); err != nil {
-		closeAll()
-		return nil, err
-	}
-
-	// Every done link has been applied, so the driver has shipped its
-	// last feed; join it and surface any late error.
-	driverWG.Wait()
-	select {
-	case err := <-driveErr:
-		closeAll()
-		return nil, err
-	default:
-	}
-	// Wait for the peers to finish draining acks (and to collect the
-	// remote result frames).
-	if err := sp.Wait(recvTimeout); err != nil {
-		closeAll()
-		return nil, err
-	}
-	if remote {
-		for h := 0; h < hosts; h++ {
-			if err := r.installHostShard(h, sp.Result(h)); err != nil {
-				closeAll()
-				return nil, err
-			}
-		}
-	}
-	// In-process nodes exit on their own once fully acknowledged;
-	// closeAll is then a no-op join that also gives finalize a
-	// happens-before edge on every island shard.
-	closeAll()
-	return r.finalize(dAny, dMax), nil
+	h.sp = live.NewSplitter(lcfg, hello, addrs)
+	h.sp.Start()
+	return h, nil
 }
 
-// liveSink is the live backend's round sink: the splitter's rounds
-// leave as serialized feed messages instead of channel sends. A feed
-// goes out every batchRounds rounds, or sooner when one more round
-// would take it past half the frame bound; either cut falls on a round
-// boundary, and the (round, tag) replay is indifferent to where.
-type liveSink struct {
-	r          *Runner
-	sp         *live.Splitter
-	gr         *colGrouper
-	cutBytes   int
-	pendBytes  []int // encoded size of each host's sized pending rounds
-	roundBytes []int // and of the round being sized
-	pending    int   // pending rounds already sized
-	msg        live.FeedMsg
-}
-
+// send serializes the feed; its rounds are retired at once.
+//
 //qap:hot
-func (s *liveSink) closed(pend [][]live.Round) error {
-	if err := s.closeRound(pend, 1); err != nil {
+func (h *liveHop) send(i int, m *live.FeedMsg) error {
+	if err := h.sp.SendFeed(i, m); err != nil {
 		return err
 	}
-	if s.pending >= s.r.batchRounds {
-		return s.ship(pend, false, 0)
-	}
+	h.gr.retire(m.Rounds)
 	return nil
 }
 
-func (s *liveSink) finish(pend [][]live.Round) error {
-	// The last data round, if there was one, then the flush round.
-	for back := len(pend[0]) - s.pending; back > 0; back-- {
-		if err := s.closeRound(pend, back); err != nil {
-			return err
-		}
+func (h *liveHop) links() <-chan live.LinkMsg { return h.sp.Links() }
+func (h *liveHop) errs() <-chan error         { return h.sp.Errs() }
+
+// stop closes the splitter and the in-process nodes and joins them.
+func (h *liveHop) stop() {
+	if h.sp != nil {
+		h.sp.Close()
 	}
-	return s.ship(pend, true, 0)
+	for _, n := range h.nodes {
+		n.Close()
+	}
+	h.nodeWG.Wait()
 }
 
-// closeRound sizes every host's back-th newest round, first shipping
-// the rounds before it if it would take some host's feed past the cut.
-//
-//qap:hot
-func (s *liveSink) closeRound(pend [][]live.Round, back int) error {
-	over := false
-	for i, p := range pend {
-		s.roundBytes[i] = p[len(p)-back].WireSize()
-		over = over || (s.pendBytes[i] > 0 && s.pendBytes[i]+s.roundBytes[i] > s.cutBytes)
-	}
-	if over {
-		if err := s.ship(pend, false, back); err != nil {
-			return err
+// end waits for the peers to finish draining acks and, from remote
+// nodes, collects their island shards. In-process nodes exit on their
+// own once fully acknowledged, so stop is then a join that also gives
+// finalize a happens-before edge on every island shard.
+func (h *liveHop) end(failed bool) error {
+	var err error
+	if !failed {
+		err = h.sp.Wait(h.r.driveTimeout)
+		for i := range h.r.liveCfg.Nodes { // remote nodes' shards
+			if err == nil {
+				err = h.r.installHostShard(i, h.sp.Result(i))
+			}
 		}
 	}
-	for i := range pend {
-		s.pendBytes[i] += s.roundBytes[i]
-	}
-	s.pending++
-	return nil
-}
-
-// ship sends every host its pending rounds but the newest keep (those
-// not sized yet, or that would overfill the feed).
-//
-//qap:hot
-func (s *liveSink) ship(pend [][]live.Round, last bool, keep int) error {
-	for i, p := range pend {
-		n := len(p) - keep
-		s.msg = live.FeedMsg{Last: last, Rounds: p[:n]}
-		if err := s.sp.SendFeed(i, &s.msg); err != nil {
-			return err
-		}
-		// SendFeed serialized the message: take the containers back and
-		// rotate the kept rounds to the front, so that every slot keeps
-		// a group list of its own for openRound to reuse.
-		s.gr.recycle(p[:n])
-		for j := 0; j < keep; j++ {
-			p[j], p[n+j] = p[n+j], p[j]
-		}
-		pend[i] = p[:keep]
-		s.pendBytes[i] = 0
-	}
-	s.pending = 0
-	s.r.engBatches += int64(len(pend))
-	return nil
+	h.stop()
+	return err
 }
 
 // checkLink judges a link message that came off a wire before any of it
@@ -386,11 +240,9 @@ type liveHostShard struct {
 	Trace   []trace.Event       `json:"trace,omitempty"`
 }
 
-// Result implements live.Executor.
+// Result implements live.Executor; only a served node (ServeNode)
+// ships a result frame, so only its executors are asked.
 func (x *islandExec) Result() ([]byte, error) {
-	if !x.shipResult {
-		return nil, nil
-	}
 	isl := x.isl
 	sh := liveHostShard{
 		CurWin:  isl.curWin,
@@ -550,10 +402,5 @@ func (r *Runner) hostExec(host int, h *live.Hello) (*islandExec, error) {
 		}
 		cs[i] = &streamCursor{name: name, rt: rt}
 	}
-	adv, flush := r.buildTargets(cs)
-	return &islandExec{
-		r: r, isl: r.islands[host], wins: r.islands[host : host+1],
-		adv: adv[host], flush: flush[host], outs: scanEntries(cs),
-		shipResult: true,
-	}, nil
+	return &r.executors(cs)[host], nil
 }

@@ -102,6 +102,7 @@ func TestLiveMatchesSim(t *testing.T) {
 		{"complex", complexSet, core.MustParseSet("srcIP")},
 		{"suspicious", suspiciousQuery, core.MustParseSet("srcIP, destIP, srcPort, destPort")},
 		{"slidingwindow", slidingWindowSet(t), core.MustParseSet("srcIP, destIP")},
+		{"joinrows", joinRowsSet, core.MustParseSet("srcIP")},
 	}
 	for _, qs := range querySets {
 		qs := qs

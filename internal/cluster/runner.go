@@ -45,13 +45,15 @@ type Runner struct {
 	// engine is the backend selector: EngineSim (in-process simulator)
 	// or EngineLive (TCP nodes, live.go).
 	engine string
-	// liveCfg tunes the live backend; driveTimeout guards both engines'
-	// replay receive loops (0 disables the guard for the simulator; the
-	// live backend always has an effective timeout).
+	// liveCfg tunes the live backend; driveTimeout guards the replay's
+	// receives (0 disables the guard; the live engine's is never 0).
 	liveCfg      LiveConfig
 	driveTimeout time.Duration
 	// deploy is RunConfig.Deploy, for the Hello to remote nodes.
 	deploy []byte
+	// wedge, non-nil in tests only, holds every simulator worker before
+	// it ships a link message until the channel is closed.
+	wedge chan struct{}
 	// edges indexes the island-crossing (captured) accounting edges in
 	// deterministic compile order, so the live backend can name an edge
 	// on the wire and resolve it on the collector side. Nil unless
@@ -437,6 +439,9 @@ func NewRunner(p *optimizer.Plan, cfg RunConfig) (*Runner, error) {
 	}
 	r.liveCfg = cfg.Live
 	r.driveTimeout = cfg.DriveTimeout
+	if r.engine == EngineLive && r.driveTimeout <= 0 {
+		r.driveTimeout = r.liveCfg.transportTimeout()
+	}
 	r.deploy = cfg.Deploy
 	if err := r.compile(); err != nil {
 		return nil, err
@@ -558,10 +563,8 @@ func (r *Runner) RunStreams(streams map[string][]netgen.Packet) (*Result, error)
 		return r.runSequential(cursors) // the oracle
 	case !r.parallel:
 		return r.runInline(cursors)
-	case r.engine == EngineLive:
-		return r.runLive(cursors)
 	default:
-		return r.runParallel(cursors)
+		return r.runDistributed(cursors)
 	}
 }
 

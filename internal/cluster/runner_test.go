@@ -32,6 +32,25 @@ SELECT S1.tb, S1.srcIP, S1.max_cnt, S2.max_cnt
 FROM heavy_flows S1, heavy_flows S2
 WHERE S1.srcIP = S2.srcIP and S1.tb = S2.tb+1`
 
+// joinRowsSet takes the join's and the dense aggregate's row paths:
+// ratio divides by a non-constant, so its projection has no column
+// kernel and the word-layout join emits rows; avgs keeps a float
+// column, so its join migrates to the row layout.
+const joinRowsSet = `
+query a:
+SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes, AVG(len) as al
+FROM TCP
+GROUP BY time/60 as tb, srcIP, destIP
+
+query ratio:
+SELECT S1.tb as t, S1.srcIP as s, S1.bytes / S2.cnt as r
+FROM a S1, a S2
+WHERE S1.tb = S2.tb AND S1.srcIP = S2.srcIP AND S1.destIP = S2.destIP
+
+query avgs:
+SELECT S1.tb as t, S1.srcIP as s, S1.al as al1, S2.cnt as c2
+FROM a S1 LEFT OUTER JOIN a S2 ON S1.tb = S2.tb AND S1.srcIP = S2.srcIP`
+
 const suspiciousQuery = `
 query suspicious:
 SELECT tb, srcIP, destIP, srcPort, destPort,

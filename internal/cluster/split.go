@@ -1,6 +1,6 @@
 package cluster
 
-// The production drive path: one splitter, three sinks, one executor.
+// The production drive path: one splitter, one sink, two drivers.
 //
 // The paper's Section 3.3 splitter — merge the streams in time order,
 // hash the partitioning set, hand each packet to its host — exists once
@@ -12,17 +12,16 @@ package cluster
 // round-robin run is dealt out strided, straight from the trace into
 // its groups (addRun); a hash-routed run is staged in one column batch
 // and routed column-wise (routeRun). Nothing in split is done per
-// packet.
-// What happens to a closed round is the one thing that varies, and
-// sits behind roundSink, reached once per round and never per packet:
+// packet. Closed rounds go to the feedSink (engine.go), reached once
+// per round and never per packet, which hands them on:
 //
-//	                        ┌ feedSink  one feed, every round       (sequential: executed on the caller)
-//	cursors → split → rounds┼ feedSink  a feed per worker, batched  (parallel, engine.go)
-//	                        └ liveSink  byte-cut, SendFeed          (live, live.go)
+//	                          ┌ one feed, every round, executed on the caller   (sequential: runInline)
+//	cursors → split → feedSink┤
+//	                          └ a feed per leaf island, through the hop         (parallel and live: runDistributed)
 //
-// The splitter runs on a goroutine of its own on every engine. Every
-// sink ends in the same executor body, islandExec.execRounds: on the
-// caller, on a worker goroutine, or behind a node's Execute.
+// The splitter runs on a goroutine of its own on every engine, and every
+// feed ends in the same executor body, islandExec.execRounds: on the
+// caller, on a simulator worker, or behind a live node's Execute.
 //
 // The scalar oracle (runSequential, which is what BatchSize 1 runs)
 // deliberately shares none of this: it is the reference the differential
@@ -144,7 +143,9 @@ func (r *Runner) runSequential(cursors []*streamCursor) (*Result, error) {
 			// Close monitoring windows before the new round touches any
 			// counter: all work for rounds in earlier windows is done.
 			if r.winSec > 0 {
-				r.closeAllWindowsTo(int(pk.Time / r.winSec))
+				for _, isl := range r.islands {
+					isl.closeWindowsTo(int(pk.Time / r.winSec))
+				}
 			}
 			// The global watermark advances every stream's pipeline.
 			for _, c := range cursors {
@@ -175,18 +176,6 @@ func (r *Runner) emitDriverTail(trRound int, trPk int64, lastTime uint64) {
 		r.trDriver.Emit(trace.Event{Kind: trace.KindRound, Round: trRound, WM: lastTime, Rows: trPk})
 	}
 	r.trDriver.Emit(trace.Event{Kind: trace.KindFlush, Round: trRound + 1, WM: lastTime})
-}
-
-// closeAllWindowsTo closes monitoring windows up to win on every
-// island. Only the oracle's driver uses it — everywhere else an
-// executor closes the windows of the islands it owns (execRounds: all
-// of them on the sequential engine, one leaf per parallel worker or
-// live node) and the central replay closes the central island's, at
-// the same canonical points.
-func (r *Runner) closeAllWindowsTo(win int) {
-	for _, isl := range r.islands {
-		isl.closeWindowsTo(win)
-	}
 }
 
 // roundSink is where the splitter's rounds go. pend[i] holds island
@@ -283,19 +272,18 @@ func openRound(p []live.Round, rd live.Round) []live.Round {
 // splitter in front of the hosts, never competing with their queries.
 // The one executor delivers each round's groups in global tag order.
 func (r *Runner) runInline(cursors []*streamCursor) (*Result, error) {
-	adv, flush := r.buildTargets(cursors)
-	x := &islandExec{
-		r: r, isl: r.islands[0], wins: r.islands,
-		adv: adv[0], flush: flush[0], outs: scanEntries(cursors),
-	}
+	x := &r.executors(cursors)[0]
+	x.wins = r.islands
 	var gr colGrouper
 	feed := make(chan islandFeed, feedChanCap)
-	join := r.splitAhead(cursors, &feedSink{r: r, gr: &gr, feeds: []chan islandFeed{feed}, cut: 1})
-	for msg := range feed {
+	join := r.splitAhead(cursors, &feedSink{r: r, gr: &gr, hop: &simHop{feeds: []chan islandFeed{feed}}, cut: 1}, nil)
+	for last := false; !last; {
+		msg := <-feed
 		x.execRounds(msg.Rounds)
 		gr.retire(msg.Rounds)
+		last = msg.Last
 	}
-	any, maxTime := join()
+	any, maxTime, _ := join() // a hop without quit refuses no feed
 	gr.release()
 	return r.finalize(any, maxTime), nil
 }
@@ -310,17 +298,7 @@ func (r *Runner) execIslands() int {
 	return 1
 }
 
-// scanEntries is the executors' delivery table: entry [s][p] is stream
-// s's partition-p scan, s indexing the canonical cursor order.
-func scanEntries(cursors []*streamCursor) [][]exec.Consumer {
-	outs := make([][]exec.Consumer, len(cursors))
-	for i, c := range cursors {
-		outs[i] = c.rt.outs
-	}
-	return outs
-}
-
-// islandExec executes rounds: the one body behind all three sinks. An
+// islandExec executes rounds: the one body behind every feed. An
 // executor owns the islands in wins — it closes their monitoring
 // windows at its round boundaries — and stamps isl's capture
 // bookkeeping, which the island-crossing capture consumers read. A leaf
@@ -338,9 +316,6 @@ type islandExec struct {
 	// view is the zero-copy chunk window over a delivered column group;
 	// an executor runs on one goroutine, so it has a single writer.
 	view exec.ColBatch
-	// shipResult marks a remotely served island (ServeNode): the
-	// final island shards travel back in a result frame.
-	shipResult bool
 }
 
 // execRounds runs a feed's rounds in order, each exactly as the oracle
@@ -547,9 +522,10 @@ func (g *colGrouper) take() *exec.ColBatch {
 	return exec.GetColBatch()
 }
 
-// retire takes back an executed feed message: its column batches into
-// the run's stock (recycle), the round list itself, group lists and
-// all, into roundStock for the next ship.
+// retire takes back a feed its receiver is done with, executed or
+// serialized: its column batches into the run's stock (recycle), the
+// round list itself, group lists and all, into roundStock for the next
+// ship.
 //
 //qap:hot
 func (g *colGrouper) retire(rounds []live.Round) {
@@ -561,8 +537,7 @@ func (g *colGrouper) retire(rounds []live.Round) {
 	roundStock.mu.Unlock()
 }
 
-// roundStock holds executed round lists for feedSink.ship to fill
-// again, each round slot keeping the capacity of its group list, so a
+// roundStock holds retired round lists for the sink to fill again, each round slot keeping the capacity of its group list, so a
 // feed builds no list per message: a Deployment replays on a new Runner
 // every run, so the stock is the package's, shared by every run, and
 // bounded. It holds no column batch — retire has taken those back.

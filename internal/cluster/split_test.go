@@ -542,3 +542,27 @@ func TestSplitHashRoundAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestKeepTailSharesNoGroupList: a byte cut ships a feed's older rounds
+// in p, whose receiver retires p — every slot's group list with it —
+// into roundStock, and keeps the newest pending. A kept round must leave
+// no group list in any of p's slots, where the next list drawn from the
+// stock would append into it while the round is still pending.
+func TestKeepTailSharesNoGroupList(t *testing.T) {
+	p := make([]live.Round, 4, 6)
+	for i, rd := range p[:cap(p)] {
+		rd.Round, rd.Groups = i, make([]live.Group, 1, 4)
+		p[:cap(p)][i] = rd
+	}
+	tail := keepTail(p, 2)
+	if len(tail) != 2 || tail[0].Round != 2 || tail[1].Round != 3 {
+		t.Fatalf("kept %+v, want rounds 2 and 3", tail)
+	}
+	for _, kept := range tail {
+		for s, rd := range p[:cap(p)] {
+			if cap(rd.Groups) > 0 && &rd.Groups[:1][0] == &kept.Groups[:1][0] {
+				t.Errorf("kept round %d shares its group list with slot %d of the shipped list", kept.Round, s)
+			}
+		}
+	}
+}

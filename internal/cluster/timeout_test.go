@@ -12,13 +12,10 @@ import (
 	"qap/internal/optimizer"
 )
 
-// runEngineErr is runEngine without the success assertion: plan
-// building must work, but the run itself hands back whatever the engine
-// returns — the entry point for tests about the failure paths.
-func runEngineErr(t testing.TB, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, cfg RunConfig) (*Result, error) {
+// newEngineRunner builds the plan and its runner, which must work.
+func newEngineRunner(t testing.TB, queries string, ps core.Set, o optimizer.Options, cfg RunConfig) *Runner {
 	t.Helper()
-	g := buildGraph(t, queries)
-	p, err := optimizer.Build(g, ps, o)
+	p, err := optimizer.Build(buildGraph(t, queries), ps, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +23,35 @@ func runEngineErr(t testing.TB, queries string, ps core.Set, o optimizer.Options
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+// runEngineErr is runEngine without the success assertion: plan
+// building must work, but the run itself hands back whatever the engine
+// returns — the entry point for tests about the failure paths.
+func runEngineErr(t testing.TB, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, cfg RunConfig) (*Result, error) {
+	t.Helper()
+	return newEngineRunner(t, queries, ps, o, cfg).RunStreams(streams)
+}
+
+// runWedged runs a parallel runner whose workers are all held by wedge
+// before they ship a link message.
+func runWedged(t testing.TB, queries string, ps core.Set, o optimizer.Options, streams map[string][]netgen.Packet, cfg RunConfig, wedge chan struct{}) (*Result, error) {
+	t.Helper()
+	r := newEngineRunner(t, queries, ps, o, cfg)
+	r.wedge = wedge
 	return r.RunStreams(streams)
+}
+
+// stalledLiveConfig is a live run whose every transport write stalls
+// long past its 150 ms drive guard.
+func stalledLiveConfig() (RunConfig, *live.FaultPlan) {
+	fp := &live.FaultPlan{Faults: []live.Fault{
+		{Host: -1, Session: -1, Write: -1, Action: live.FaultStall, Stall: time.Second},
+	}}
+	cfg := liveRunConfig(1, 256, LiveConfig{Faults: fp, Timeout: 5 * time.Second})
+	cfg.DriveTimeout = 150 * time.Millisecond
+	return cfg, fp
 }
 
 // TestParallelDriveTimeout wedges every worker right before it ships
@@ -34,9 +59,6 @@ func runEngineErr(t testing.TB, queries string, ps core.Set, o optimizer.Options
 // drive-stalled error instead of hanging the run.
 func TestParallelDriveTimeout(t *testing.T) {
 	stall := make(chan struct{})
-	testStallWorkers = stall
-	defer func() { testStallWorkers = nil }()
-
 	tr := smallTrace(t)
 	cfg := RunConfig{
 		Costs: DefaultCosts(), Params: testParams,
@@ -44,8 +66,8 @@ func TestParallelDriveTimeout(t *testing.T) {
 		DriveTimeout: 100 * time.Millisecond,
 	}
 	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
-	_, err := runEngineErr(t, flowsQuery, core.MustParseSet("srcIP, destIP"), o,
-		map[string][]netgen.Packet{"TCP": tr.Packets}, cfg)
+	_, err := runWedged(t, flowsQuery, core.MustParseSet("srcIP, destIP"), o,
+		map[string][]netgen.Packet{"TCP": tr.Packets}, cfg, stall)
 	close(stall) // release the wedged workers so the run's goroutines drain
 	if err == nil {
 		t.Fatal("wedged workers did not fail the run")
@@ -79,11 +101,7 @@ func TestParallelNoTimeoutByDefault(t *testing.T) {
 // drive-stalled error instead of hanging on the wedged nodes.
 func TestLiveDriveTimeout(t *testing.T) {
 	tr := smallTrace(t)
-	fp := &live.FaultPlan{Faults: []live.Fault{
-		{Host: -1, Session: -1, Write: -1, Action: live.FaultStall, Stall: time.Second},
-	}}
-	cfg := liveRunConfig(1, 256, LiveConfig{Faults: fp, Timeout: 5 * time.Second})
-	cfg.DriveTimeout = 150 * time.Millisecond
+	cfg, fp := stalledLiveConfig()
 	o := optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true}
 	_, err := runEngineErr(t, flowsQuery, core.MustParseSet("srcIP, destIP"), o,
 		map[string][]netgen.Packet{"TCP": tr.Packets}, cfg)
@@ -116,9 +134,11 @@ func settleGoroutines(want int) int {
 // TestRunsLeaveNoGoroutine: every engine joins what it starts. After a
 // clean run of the sequential engine (whose splitter runs on a goroutine
 // of its own), of the parallel engine and of the in-process live engine,
-// and after a parallel run that fails on its drive timeout with every
-// worker wedged, the goroutine count is back at its value before the
-// run — the failed one included, before the wedge is released.
+// after a parallel run that fails on its drive timeout with every
+// worker wedged, and after a live run that fails on its drive timeout
+// with every transport write stalled, the goroutine count is back at
+// its value before the run — the failed parallel one included, before
+// the wedge is released.
 func TestRunsLeaveNoGoroutine(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
@@ -145,17 +165,24 @@ func TestRunsLeaveNoGoroutine(t *testing.T) {
 	}
 
 	stall := make(chan struct{})
-	testStallWorkers = stall
-	defer func() { testStallWorkers = nil }()
 	defer close(stall)
 	cfg := sim(2)
 	cfg.DriveTimeout = 100 * time.Millisecond
 	before := runtime.NumGoroutine()
-	if _, err := runEngineErr(t, flowsQuery, ps, o, streams, cfg); err == nil {
+	if _, err := runWedged(t, flowsQuery, ps, o, streams, cfg, stall); err == nil {
 		t.Fatal("wedged workers did not fail the run")
 	}
 	if n := settleGoroutines(before); n > before {
 		t.Errorf("failed parallel run: %d goroutines before, %d after", before, n)
+	}
+
+	lcfg, _ := stalledLiveConfig()
+	before = runtime.NumGoroutine()
+	if _, err := runEngineErr(t, flowsQuery, ps, o, streams, lcfg); err == nil {
+		t.Fatal("stalled nodes did not fail the run")
+	}
+	if n := settleGoroutines(before); n > before {
+		t.Errorf("failed live run: %d goroutines before, %d after", before, n)
 	}
 }
 
@@ -184,8 +211,8 @@ func checkRoundStock(t *testing.T, after string) int {
 }
 
 // TestRoundStockInvariant checks roundStock after clean sequential,
-// parallel and live runs, and after a parallel run that fails on its
-// drive timeout.
+// parallel and live runs, and after a parallel and a live run that fail
+// on their drive timeouts.
 func TestRoundStockInvariant(t *testing.T) {
 	tr := smallTrace(t)
 	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
@@ -211,13 +238,17 @@ func TestRoundStockInvariant(t *testing.T) {
 	}
 
 	stall := make(chan struct{})
-	testStallWorkers = stall
-	defer func() { testStallWorkers = nil }()
 	defer close(stall)
 	cfg := sim(2)
 	cfg.DriveTimeout = 100 * time.Millisecond
-	if _, err := runEngineErr(t, flowsQuery, ps, o, streams, cfg); err == nil {
+	if _, err := runWedged(t, flowsQuery, ps, o, streams, cfg, stall); err == nil {
 		t.Fatal("wedged workers did not fail the run")
 	}
 	checkRoundStock(t, "a failed parallel run")
+
+	lcfg, _ := stalledLiveConfig()
+	if _, err := runEngineErr(t, flowsQuery, ps, o, streams, lcfg); err == nil {
+		t.Fatal("stalled nodes did not fail the run")
+	}
+	checkRoundStock(t, "a failed live run")
 }

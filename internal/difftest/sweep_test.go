@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"flag"
+	"fmt"
 	"sync/atomic"
 	"testing"
 )
@@ -31,6 +32,24 @@ func TestDifferentialSweep(t *testing.T) {
 				t.Fatalf("seed %d not runnable (generator must emit valid workloads): %v", seed, err)
 			}
 			configs.Add(int64(rep.Configs))
+			if !rep.OK() {
+				t.Errorf("differential mismatch:\n%s", rep)
+			}
+		})
+	}
+	// Regression seeds past the range: 18 is a seed whose join migrates
+	// to the row layout, 24 the one whose dense aggregate migrates.
+	for _, seed := range []int64{18, 24} {
+		if seed < *sweepSeeds {
+			continue
+		}
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rep, err := CheckSeed(seed, Options{})
+			if err != nil {
+				t.Fatalf("seed %d not runnable: %v", seed, err)
+			}
 			if !rep.OK() {
 				t.Errorf("differential mismatch:\n%s", rep)
 			}

@@ -15,7 +15,7 @@ type Splitter struct {
 	cfg   Config
 	hello Hello
 	peers []*peer
-	links chan *LinkMsg
+	links chan LinkMsg
 	errc  chan error
 	stop  chan struct{}
 	once  sync.Once
@@ -29,7 +29,7 @@ func NewSplitter(cfg Config, hello Hello, addrs []string) *Splitter {
 	s := &Splitter{
 		cfg:   cfg,
 		hello: hello,
-		links: make(chan *LinkMsg, 2*len(addrs)+2),
+		links: make(chan LinkMsg, 2*len(addrs)+2),
 		errc:  make(chan error, len(addrs)+1),
 		stop:  make(chan struct{}),
 	}
@@ -78,7 +78,7 @@ func (s *Splitter) SendFeed(host int, m *FeedMsg) error {
 // Links is the shared stream of decoded link messages, each stamped
 // with its host, delivered in per-host sequence order. A received
 // message's column items are pooled batches the receiver owns.
-func (s *Splitter) Links() <-chan *LinkMsg { return s.links }
+func (s *Splitter) Links() <-chan LinkMsg { return s.links }
 
 // Errs delivers fatal per-host errors (retries exhausted, protocol
 // violations).
@@ -318,7 +318,7 @@ func (p *peer) session(conn net.Conn) error {
 				}
 				m.Host = p.host
 				select {
-				case p.sp.links <- m:
+				case p.sp.links <- *m:
 				case <-p.sp.stop:
 					ReleaseCols(m.Items)
 					return errStopped
