@@ -216,6 +216,16 @@ func CheckQueries(ddl, queries string, trace netgen.Config, opts Options) (*Repo
 			}
 		}
 	}
+	// One host holding one partition: every node is compatible there, so
+	// both sets run each aggregate, join and window once, on p0.
+	for _, s := range sets {
+		for _, workers := range opts.Workers {
+			name := fmt.Sprintf("hosts=1 pph=1 set=%s workers=%d", s.name, workers)
+			rep.compare(name, want, run, qap.DeployConfig{
+				Hosts: 1, PartitionsPerHost: 1, Partitioning: s.set, Workers: workers,
+			})
+		}
+	}
 	// Strategy variants on the largest cluster: partial aggregation off,
 	// and per-partition (naive) pre-aggregation scope.
 	last := opts.Hosts[len(opts.Hosts)-1]

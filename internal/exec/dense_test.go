@@ -262,6 +262,7 @@ var (
 		{"cnt > 1000000", true},                 // drops every group
 		{"bytes * 1.0 / cnt > 45", false},       // AVG's reconstruction from its moments
 		{"cnt / (orf & 1) > 0 OR d = 1", false}, // non-constant divisor: NULL on zero
+		{"cnt > 0", true},                       // keeps every group
 	}
 	densePosts = []struct {
 		srcs   []string
@@ -328,7 +329,10 @@ func denseTestAgg(t *testing.T, out Consumer, having string, post []string, kern
 // kernels really ran wherever they can read the columns, and only
 // there: an epoch whose negative SUM is an Int row emits as rows when a
 // HAVING or computed projection reads it. An epoch in which one group's
-// bytes - cnt underflows runs on the kernels all the same.
+// bytes - cnt underflows runs on the kernels all the same. Where the
+// kernels run, HAVING is judged before the sort: only the groups it
+// keeps are sorted — none, some or all of a filed store's — and every
+// other epoch sorts all it retires.
 func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 	type flush struct {
 		wm           uint64
@@ -336,6 +340,7 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 	}
 	const cases = 280
 	var kernelRan, rowRan, compacted, migrated, allDropped, late, underflowed int
+	var filedKeptNone, filedKeptSome, filedKeptAll int
 	for c := 0; c < cases; c++ {
 		rng := rand.New(rand.NewSource(int64(c)))
 		hv, pv := c%len(denseHavings), (c/len(denseHavings))%len(densePosts)
@@ -410,6 +415,7 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 				PushAll(oracle, chunk)
 			}
 			wasDense, before, nf := kern.denseN > 0, kern.kernelEmits, len(flushes[0])
+			filed, sortedBefore := kern.denseFiled, kern.sortedGroups
 			for _, a := range aggs {
 				if e+1 == epochs {
 					a.Flush()
@@ -429,8 +435,28 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 			} else if emitted {
 				rowRan++
 			}
-			if emitted && wasDense && kern.denseN > 0 {
-				compacted++
+			if emitted && wasDense {
+				f, judged := flushes[0][nf], kern.kernelEmits > before && denseHavings[hv].src != ""
+				sorted, wantSorted := kern.sortedGroups-sortedBefore, f.groups
+				if judged {
+					wantSorted = f.rows
+				}
+				if sorted != wantSorted {
+					t.Fatalf("case %d (having %q, post %v, negative %v) epoch %d: %d groups sorted, want %d (HAVING judged first %v, %d retired, %d kept)",
+						c, denseHavings[hv].src, densePosts[pv].srcs, negative, e, sorted, wantSorted, judged, f.groups, f.rows)
+				}
+				switch {
+				case !judged || !filed:
+				case f.rows == 0:
+					filedKeptNone++
+				case f.rows < f.groups:
+					filedKeptSome++
+				default:
+					filedKeptAll++
+				}
+				if kern.denseN > 0 {
+					compacted++
+				}
 			}
 			if emitted && flushes[0][nf].rows == 0 {
 				allDropped++
@@ -463,7 +489,9 @@ func TestDenseKernelEmitMatchesRowOracle(t *testing.T) {
 		n    int
 	}{{"kernel emits", kernelRan}, {"row-branch emits", rowRan}, {"partial drains (denseCompact)", compacted},
 		{"mid-epoch migrations", migrated}, {"all-filtered epochs", allDropped}, {"late rows", late},
-		{"kernel-emitted epochs with an underflowing subtraction", underflowed}} {
+		{"kernel-emitted epochs with an underflowing subtraction", underflowed},
+		{"filed epochs HAVING kept none of", filedKeptNone}, {"filed epochs HAVING kept some of", filedKeptSome},
+		{"filed epochs HAVING kept all of", filedKeptAll}} {
 		if s.n < 10 {
 			t.Errorf("only %d %s in %d cases", s.n, s.name, cases)
 		}

@@ -313,10 +313,15 @@ type Aggregate struct {
 	// emitCols is the ColEmit scratch (see AggregateConfig): the pivot of
 	// emitted rows, or the dense store's groups ++ aggs columns, which
 	// emit — Having and Post as a FilterProject — filters and projects;
-	// emitReads is what those kernels read.
+	// emitReads is what those kernels read. judge holds only those
+	// columns of an epoch's retired groups, for HAVING to run before
+	// the sort (denseHaving); zeroW is the zero column the rest of
+	// judge's columns point at.
 	emitCols  ColBatch
 	emit      FilterProject
 	emitReads uint64
+	judge     ColBatch
+	zeroW     []uint64
 
 	// Dense columnar group store (colops.go): while every input batch
 	// is uint words and every aggregate is word-vectorizable, groups live
@@ -345,10 +350,11 @@ type Aggregate struct {
 	hiGroups   int
 	// kernelEmits and radixSorts count dense emissions that ran HAVING
 	// and the projection as kernels, and that needed the radix sort;
-	// denseIn the input rows the dense store took. Tests read them to
-	// know which path they exercised.
-	kernelEmits, radixSorts int
-	denseIn                 int64
+	// sortedGroups the groups handed to denseSort; denseIn the input
+	// rows the dense store took. Tests read them to know which path
+	// they exercised.
+	kernelEmits, radixSorts, sortedGroups int
+	denseIn                               int64
 }
 
 // slabChunk is how many groups' worth of state one slab chunk holds.

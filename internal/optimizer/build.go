@@ -9,9 +9,10 @@ import (
 
 // Build constructs the distributed physical plan for a query graph
 // under a given stream partitioning. An empty set means the splitter
-// partitions query-agnostically (round robin), so no node is
-// partition-compatible and every stateful operator either centralizes
-// or, when enabled, splits into partial aggregates.
+// partitions query-agnostically (round robin), so over two or more
+// partitions no node is partition-compatible and every stateful
+// operator either centralizes or, when enabled, splits into partial
+// aggregates.
 func Build(g *plan.Graph, ps core.Set, opts Options) (*Plan, error) {
 	if opts.Hosts <= 0 {
 		return nil, fmt.Errorf("optimizer: Hosts must be positive, got %d", opts.Hosts)
@@ -79,8 +80,13 @@ type builder struct {
 }
 
 // compatible applies the shared-set or per-stream compatibility test,
-// whichever the plan was configured with.
+// whichever the plan was configured with. One partition is compatible
+// with every node (§3): running a node once per partition and unioning
+// the outputs is then the centralized run itself.
 func (b *builder) compatible(n *plan.Node) bool {
+	if b.plan.Partitions == 1 {
+		return true
+	}
 	if b.plan.StreamSets != nil {
 		return core.CompatibleStreams(b.plan.StreamSets, n)
 	}

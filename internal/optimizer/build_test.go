@@ -1,11 +1,13 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"qap/internal/core"
 	"qap/internal/gsql"
+	"qap/internal/netgen"
 	"qap/internal/plan"
 	"qap/internal/schema"
 )
@@ -255,6 +257,102 @@ func TestPlanStringAndTopoOrder(t *testing.T) {
 			if pos[in] >= pos[op] {
 				t.Fatalf("op %s appears before its input %s", op.Label(), in.Label())
 			}
+		}
+	}
+}
+
+// shape prints a plan one operator a line, as its label and its inputs'
+// labels, in topological order.
+func shape(p *Plan) string {
+	var b strings.Builder
+	for _, op := range p.Ops {
+		ins := make([]string, len(op.Inputs))
+		for i, in := range op.Inputs {
+			ins[i] = in.Label()
+		}
+		fmt.Fprintf(&b, "%s <- [%s]\n", op.Label(), strings.Join(ins, ", "))
+	}
+	return b.String()
+}
+
+// TestOnePartitionIsCompatibleWithEveryQuery: over a single partition
+// every node is compatible (§3: running it once per partition and
+// unioning the outputs is the centralized run), so round robin at one
+// host and one partition places the Figure 8 aggregate, HAVING and all,
+// once on p0 with no sub- or super-aggregate, and the §6.2 join on p0.
+// Two partitions, on one host or two, keep the partial-aggregation and
+// central-join plans.
+func TestOnePartitionIsCompatibleWithEveryQuery(t *testing.T) {
+	const fig8 = `
+query suspicious:
+SELECT tb, srcIP, destIP, srcPort, destPort,
+       OR_AGGR(flags) as orflag, COUNT(*) as cnt, SUM(len) as bytes
+FROM TCP
+GROUP BY time/60 as tb, srcIP, destIP, srcPort, destPort
+HAVING OR_AGGR(flags) = 41`
+	const sec62 = `
+query subnet_agg:
+SELECT tb, subnet, destIP, COUNT(*) as cnt
+FROM TCP
+GROUP BY time/60 AS tb, srcIP & 0xFFF0 AS subnet, destIP
+
+query jitter_pairs:
+SELECT S1.time AS t1, S1.srcIP AS srcIP, S2.time - S1.time AS delay
+FROM TCP S1, TCP S2
+WHERE S1.time/60 = S2.time/60 AND S1.srcIP = S2.srcIP AND S1.seq + 1 = S2.seq`
+	build := func(queries string, hosts, pph int) *Plan {
+		g, err := plan.Build(schema.MustParse(netgen.SchemaDDL), gsql.MustParseQuerySet(queries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MustBuild(g, nil, Options{Hosts: hosts, PartitionsPerHost: pph, PartialAgg: true, PartialScope: ScopeHost})
+	}
+	for _, c := range []struct {
+		hosts, pph int
+		want       string
+	}{
+		{1, 1, `scan TCP[p0] @host0 <- []
+aggregate suspicious[p0] @host0 <- [scan TCP[p0] @host0]
+union @host0 <- [aggregate suspicious[p0] @host0]
+output suspicious @host0 <- [union @host0]
+`},
+		{1, 2, `scan TCP[p0] @host0 <- []
+scan TCP[p1] @host0 <- []
+union @host0 <- [scan TCP[p0] @host0, scan TCP[p1] @host0]
+sub-aggregate suspicious @host0 <- [union @host0]
+union @host0 <- [sub-aggregate suspicious @host0]
+super-aggregate suspicious @host0 <- [union @host0]
+output suspicious @host0 <- [super-aggregate suspicious @host0]
+`},
+		{2, 1, `scan TCP[p0] @host0 <- []
+scan TCP[p1] @host1 <- []
+sub-aggregate suspicious @host0 <- [scan TCP[p0] @host0]
+sub-aggregate suspicious @host1 <- [scan TCP[p1] @host1]
+union @host0 <- [sub-aggregate suspicious @host0, sub-aggregate suspicious @host1]
+super-aggregate suspicious @host0 <- [union @host0]
+output suspicious @host0 <- [super-aggregate suspicious @host0]
+`},
+	} {
+		if got := shape(build(fig8, c.hosts, c.pph)); got != c.want {
+			t.Errorf("Figure 8 at %d×%d:\n%swant\n%s", c.hosts, c.pph, got, c.want)
+		}
+		// One partition: the join and the aggregate on p0. More: the
+		// join central, the aggregate split.
+		one, joinPart := c.hosts*c.pph == 1, -1
+		if one {
+			joinPart = 0
+		}
+		p := build(sec62, c.hosts, c.pph)
+		for _, op := range p.Ops {
+			if op.Kind == OpJoin && op.Partition != joinPart {
+				t.Errorf("§6.2 at %d×%d: %s, want partition %d", c.hosts, c.pph, op.Label(), joinPart)
+			}
+		}
+		if got := p.CountKind(OpJoin); got != 1 {
+			t.Errorf("§6.2 at %d×%d: %d joins, want 1", c.hosts, c.pph, got)
+		}
+		if sub, super := p.CountKind(OpAggSub), p.CountKind(OpAggSuper); one != (sub+super == 0) {
+			t.Errorf("§6.2 at %d×%d: %d sub- and %d super-aggregates", c.hosts, c.pph, sub, super)
 		}
 	}
 }
