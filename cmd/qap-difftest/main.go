@@ -46,9 +46,9 @@ func defineFlags(fs *flag.FlagSet) *appFlags {
 	fs.Int64Var(&f.seed, "seed", -1, "check exactly this workload seed (repro mode)")
 	fs.Int64Var(&f.n, "n", 20, "number of seeds to check, starting at 0 (ignored with -seed)")
 	fs.StringVar(&f.hosts, "hosts", "1,2,4", "comma-separated host counts to sweep")
-	fs.StringVar(&f.workers, "workers", "1,4", "comma-separated engine worker counts to sweep (results are identical for any value)")
-	fs.StringVar(&f.batches, "batches", "1,7,64,1024", "comma-separated operator batch sizes for the batched-equivalence section (results are identical for any value)")
-	fs.BoolVar(&f.live, "live", false, "add the live-vs-sim axis: re-run every cell on the live TCP backend and inject transport faults")
+	fs.StringVar(&f.workers, "workers", "1,4", "comma-separated simulator worker counts to sweep (results are identical for any value; the live engine ignores it)")
+	fs.StringVar(&f.batches, "batches", "1,7,64,1024", "comma-separated operator batch sizes for the batched cells (results are identical for any value)")
+	fs.BoolVar(&f.live, "live", false, "add the live cells: every host count at batch 7 and 256 on the live TCP backend, plus injected transport faults")
 	fs.BoolVar(&f.verbose, "v", false, "print the generated workload for passing seeds too")
 	return f
 }

@@ -4,9 +4,12 @@
 // partitioning theorems make executable:
 //
 //   - Plan equivalence (paper Sections 3–4): a compatible partitioning
-//     preserves query outputs, so the centralized plan, the partitioned
-//     plan, every host count, and every worker count must produce the
-//     same canonical result set.
+//     preserves query outputs, so every cell of the oracle's table — a
+//     host count, partitioning set, strategy, engine, worker count,
+//     batch size, tracing and monitoring — must produce the canonical
+//     result of the centralized run (one host holding one partition),
+//     and cells that build one physical plan must also agree on every
+//     operator and host counter and on their canonical trace bytes.
 //   - Load bound (Section 4.2.1): with measured statistics, the cost
 //     model's predicted network load is an upper bound on the load any
 //     host actually receives (aggregator-resident partitions ship over
@@ -53,21 +56,21 @@ import (
 type Options struct {
 	// Hosts are the cluster sizes to compare; default {1, 2, 4}.
 	Hosts []int
-	// Workers are the engine worker counts to compare; default {1, 4}.
+	// Workers are the simulator worker counts to compare; default
+	// {1, 4}. The live engine does not read it, so live cells do not
+	// sweep it.
 	Workers []int
-	// BatchSizes are the operator batch sizes the batched-equivalence
-	// section compares against the scalar path; default {1, 7, 64,
-	// 1024} (1 is the scalar path itself, which runs on the sequential
-	// engine whatever the worker count, 7 exercises ragged final chunks,
-	// 64 and 1024 straddle the engine default).
+	// BatchSizes are the operator batch sizes the batched cells compare
+	// on the largest cluster; default {1, 7, 64, 1024} (1 is the scalar
+	// path itself, which runs on the sequential engine whatever the
+	// worker count, 7 exercises ragged final chunks, 64 and 1024
+	// straddle the engine default).
 	BatchSizes []int
-	// Live adds the live-vs-sim axis: every hosts × workers × batch
-	// {7, 256} cell re-runs on the live TCP backend and must match the
-	// simulator byte for byte (canonical output, OpStats, trace
-	// bytes), plus fault-injection runs (dropped, duplicated, and cut
-	// connections) that must converge to the same bytes. Off by
-	// default: the axis opens real sockets and costs a multiple of the
-	// base sweep.
+	// Live adds the live cells: every host count at batch {7, 256} on
+	// the live TCP backend, judged like every other cell, plus
+	// fault-injection runs (dropped, duplicated, and cut connections)
+	// that must converge to the same bytes. Off by default: the cells
+	// open real sockets.
 	Live bool
 }
 
@@ -167,8 +170,7 @@ func CheckQueries(ddl, queries string, trace netgen.Config, opts Options) (*Repo
 	if err != nil {
 		return nil, fmt.Errorf("load: %w", err)
 	}
-	tr := netgen.Generate(trace)
-	streams := map[string][]netgen.Packet{"TCP": tr.Packets}
+	streams := map[string][]netgen.Packet{"TCP": netgen.Generate(trace).Packets}
 	params := map[string]qap.Value{"PATTERN": qap.Uint(qap.AttackPattern)}
 
 	measured, err := sys.MeasureStats(streams)
@@ -190,124 +192,261 @@ func CheckQueries(ddl, queries string, trace netgen.Config, opts Options) (*Repo
 		return dep.RunStreams(streams)
 	}
 
-	// Baseline: one host, centralized plan, sequential engine, scalar
-	// (tuple-at-a-time) execution. The sweep below runs with the
-	// engine's default batch size, so every cell also gates the batched
-	// hot path against this scalar reference.
-	base, err := run(qap.DeployConfig{Hosts: 1, Workers: 1, BatchSize: 1})
+	// Baseline: the centralized run. At one host holding one partition
+	// every node is compatible, so each aggregate, join and window runs
+	// once, with no sub- or super-aggregate; batch 1 is the scalar
+	// oracle on the sequential engine.
+	base, err := run(qap.DeployConfig{Hosts: 1, PartitionsPerHost: 1, BatchSize: 1})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	want := Canonical(base)
+	winSec := max(trace.DurationSec/3, 1)
+	firsts := rep.checkCells(table(opts, analysis.Best, winSec), Canonical(base), run)
 
-	// Equivalence sweep: every (hosts, partitioning, workers) cell, the
-	// query-aware set against the query-agnostic round robin.
-	sets := []struct {
-		name string
-		set  core.Set
-	}{{"roundrobin", nil}, {"best", analysis.Best}}
-	for _, hosts := range opts.Hosts {
-		for _, s := range sets {
-			for _, workers := range opts.Workers {
-				name := fmt.Sprintf("hosts=%d set=%s workers=%d", hosts, s.name, workers)
-				rep.compare(name, want, run, qap.DeployConfig{
-					Hosts: hosts, Partitioning: s.set, Workers: workers,
-				})
-			}
-		}
-	}
-	// One host holding one partition: every node is compatible there, so
-	// both sets run each aggregate, join and window once, on p0.
-	for _, s := range sets {
-		for _, workers := range opts.Workers {
-			name := fmt.Sprintf("hosts=1 pph=1 set=%s workers=%d", s.name, workers)
-			rep.compare(name, want, run, qap.DeployConfig{
-				Hosts: 1, PartitionsPerHost: 1, Partitioning: s.set, Workers: workers,
-			})
-		}
-	}
-	// Strategy variants on the largest cluster: partial aggregation off,
-	// and per-partition (naive) pre-aggregation scope.
 	last := opts.Hosts[len(opts.Hosts)-1]
-	rep.compare(fmt.Sprintf("hosts=%d set=best nopartial", last), want, run, qap.DeployConfig{
-		Hosts: last, Partitioning: analysis.Best, DisablePartialAgg: true,
-	})
-	rep.compare(fmt.Sprintf("hosts=%d set=best scope=partition", last), want, run, qap.DeployConfig{
-		Hosts: last, Partitioning: analysis.Best, PartialScope: qap.ScopePartition,
-	})
-
-	rep.checkBatched(opts, want, run, analysis.Best, last)
-	rep.checkLive(opts, sys, want, analysis.Best, streams, params)
-	rep.checkLoadBound(sys, measured, analysis.Best, run)
-	rep.checkLintAgreement(sys, analysis.Best)
-	rep.checkCertificate(sys, analysis.Best)
-	rep.checkRepartition(sys, measured, analysis, trace, params)
-	rep.checkTrace(sys, analysis.Best, trace, streams, params)
+	rep.checkLoadBound(sys, measured, analysis.Best, firsts[planKey{hosts: last, set: "best", nopartial: true}])
+	bestPlan, err := optimizer.Build(sys.Graph, analysis.Best, fourHosts)
+	rep.checkLintAgreement(sys, analysis.Best, bestPlan, err)
+	rep.checkCertificate(sys, analysis.Best, bestPlan, err)
+	rep.checkRepartition(sys, measured, analysis, trace, params, winSec)
 	return rep, nil
 }
 
-// checkTrace exercises the deterministic-tracing axis over the
-// workload: with causal tracing on, the canonical JSONL export (timing
-// trailer stripped) must be byte-identical in every cell — the scalar
-// oracle and production on both engines — and the per-host load
-// series rebuilt from the trace's host_window events (after a round
-// trip through the JSONL codec) must equal the engine's own monitoring
-// output exactly, CPU units included.
-func (r *Report) checkTrace(sys *qap.System, best core.Set, traceCfg netgen.Config, streams map[string][]netgen.Packet, params map[string]qap.Value) {
-	winSec := traceCfg.DurationSec / 3
-	if winSec < 1 {
-		winSec = 1
+// fourHosts builds the physical plans the static checks read.
+var fourHosts = optimizer.Options{Hosts: 4, PartitionsPerHost: 2, PartialAgg: true, PartialScope: optimizer.ScopeHost}
+
+// fail records one mismatch.
+func (r *Report) fail(axis, config, format string, args ...any) {
+	r.Mismatches = append(r.Mismatches, Mismatch{Axis: axis, Config: config, Detail: fmt.Sprintf(format, args...)})
+}
+
+// A cell is one row of the oracle's table: a deployment, the name of
+// its partitioning set ("roundrobin" or "best"), and the name of the
+// transport fault it injects, if any.
+type cell struct {
+	qap.DeployConfig
+	set, fault string
+}
+
+// planKey is what fixes a cell's physical plan. Cells that share one
+// must agree on every counter, not only on output.
+type planKey struct {
+	hosts, pph int
+	set        string
+	nopartial  bool
+	scope      qap.Scope
+}
+
+func (c cell) plan() planKey {
+	return planKey{c.Hosts, c.PartitionsPerHost, c.set, c.DisablePartialAgg, c.PartialScope}
+}
+
+// axis names the oracle axis a cell reports under, by the knob it
+// turns beyond plan and worker count: the live engine, monitoring (the
+// trace axis), an explicit batch size, else none (plan equivalence).
+func (c cell) axis() string {
+	switch {
+	case c.Engine == qap.EngineLive:
+		return "live"
+	case c.LoadWindowSec > 0:
+		return "trace"
+	case c.BatchSize != 0:
+		return "batched"
 	}
-	var ref []byte
-	for _, cell := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 256}} {
-		name := fmt.Sprintf("trace workers=%d batch=%d", cell.workers, cell.batch)
+	return "equivalence"
+}
+
+// String names the cell by its knobs, for repros; 0 is a default.
+func (c cell) String() string {
+	s := fmt.Sprintf("hosts=%d pph=%d set=%s workers=%d batch=%d", c.Hosts, c.PartitionsPerHost, c.set, c.Workers, c.BatchSize)
+	for _, k := range []struct {
+		on   bool
+		name string
+	}{
+		{c.DisablePartialAgg, " nopartial"}, {c.PartialScope == qap.ScopeHost, " scope=host"},
+		{c.LoadWindowSec > 0, fmt.Sprintf(" window=%d", c.LoadWindowSec)}, {c.Trace != nil, " traced"},
+		{c.Engine != "", " engine=" + c.Engine}, {c.fault != "", " fault=" + c.fault},
+	} {
+		if k.on {
+			s += k.name
+		}
+	}
+	return s
+}
+
+// table lists the oracle's cells. Round-robin cells run untraced and
+// best-set cells traced, so both paths run at every host count on both
+// simulator engines, and every plan a live cell uses has a traced
+// simulator cell before it.
+func table(opts Options, best core.Set, winSec int) []cell {
+	traced := &qap.RunTraceConfig{}
+	var cs []cell
+	// The sweep: every host count, then one host holding one partition,
+	// by set and worker count.
+	layouts := make([][2]int, 0, len(opts.Hosts)+1)
+	for _, h := range opts.Hosts {
+		layouts = append(layouts, [2]int{h, 0})
+	}
+	for _, l := range append(layouts, [2]int{1, 1}) {
+		for _, s := range []cell{
+			{set: "roundrobin"},
+			{set: "best", DeployConfig: qap.DeployConfig{Partitioning: best, Trace: traced}},
+		} {
+			for _, w := range opts.Workers {
+				s.Hosts, s.PartitionsPerHost, s.Workers = l[0], l[1], w
+				cs = append(cs, s)
+			}
+		}
+	}
+	last := opts.Hosts[len(opts.Hosts)-1]
+	at := func(hosts int, cfg qap.DeployConfig) cell {
+		cfg.Hosts, cfg.Partitioning = hosts, best
+		return cell{DeployConfig: cfg, set: "best"}
+	}
+	// Strategies on the largest cluster: partial aggregation off (the
+	// load bound reads this cell), and per-host pre-aggregation.
+	cs = append(cs, at(last, qap.DeployConfig{DisablePartialAgg: true}),
+		at(last, qap.DeployConfig{PartialScope: qap.ScopeHost}))
+	// Batched: the scalar oracle and every batch size on both engines,
+	// traced; then monitored, the scalar oracle and the default batch.
+	for _, bs := range opts.BatchSizes {
+		for i, w := range opts.Workers {
+			if bs > 1 || i == 0 { // batch 1 runs sequentially whatever the worker count
+				cs = append(cs, at(last, qap.DeployConfig{Workers: w, BatchSize: bs, Trace: traced}))
+			}
+		}
+	}
+	cs = append(cs, at(last, qap.DeployConfig{Workers: 1, BatchSize: 1, LoadWindowSec: winSec, Trace: traced}))
+	for _, w := range opts.Workers {
+		cs = append(cs, at(last, qap.DeployConfig{Workers: w, BatchSize: 256, LoadWindowSec: winSec, Trace: traced}))
+	}
+	if !opts.Live {
+		return cs
+	}
+	// Live: every host count at a ragged and the default batch, then
+	// scripted transport faults on both directions, which must cost
+	// time, never bytes.
+	liveAt := func(hosts, batch int, lo qap.LiveOptions) cell {
+		return at(hosts, qap.DeployConfig{BatchSize: batch, Trace: traced, Engine: qap.EngineLive, Live: lo, DriveTimeout: 30 * time.Second})
+	}
+	for _, h := range opts.Hosts {
+		cs = append(cs, liveAt(h, 7, qap.LiveOptions{}), liveAt(h, 256, qap.LiveOptions{}))
+	}
+	fault := func(name string, faults ...live.Fault) {
+		c := liveAt(last, 256, qap.LiveOptions{Faults: &live.FaultPlan{Faults: faults}, Timeout: 2 * time.Second})
+		c.fault = name
+		cs = append(cs, c)
+	}
+	fault("drop", live.Fault{Host: 0, Session: 0, Write: 2, Action: live.FaultDrop})
+	fault("dup", live.Fault{Host: 0, Session: -1, Write: 1, Action: live.FaultDup})
+	fault("cut", live.Fault{Host: 0, Session: 0, Write: 2, Action: live.FaultCut},
+		live.Fault{Host: last - 1, Session: 0, Write: 3, Action: live.FaultCut})
+	return cs
+}
+
+// An outcome is one cell's run, reduced to what the rule compares.
+type outcome struct {
+	cell
+	res           *qap.RunResult
+	out, counters string // Canonical(res), counters(res)
+	trace         []byte // the canonical JSONL export; nil when untraced
+}
+
+// checkCells runs every cell and judges it against the baseline's
+// canonical output want, its plan group's first run, and the group's
+// first run traced at its window. It returns each group's first run.
+func (r *Report) checkCells(cells []cell, want string, run func(qap.DeployConfig) (*qap.RunResult, error)) map[planKey]*outcome {
+	type traceKey struct {
+		planKey
+		window int
+	}
+	firsts, traced := map[planKey]*outcome{}, map[traceKey]*outcome{}
+	for _, c := range cells {
 		r.Configs++
-		dep, err := sys.Deploy(qap.DeployConfig{
-			Hosts: 4, Partitioning: best, Params: params,
-			Workers: cell.workers, BatchSize: cell.batch,
-			LoadWindowSec: winSec, Trace: &qap.RunTraceConfig{},
-		})
+		res, err := run(c.DeployConfig)
 		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "trace", Config: name,
-				Detail: fmt.Sprintf("deploy failed: %v\n", err)})
+			r.fail(c.axis(), c.String(), "run failed where the baseline succeeded: %v\n", err)
 			continue
 		}
-		res, err := dep.RunStreams(streams)
-		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "trace", Config: name,
-				Detail: fmt.Sprintf("run failed: %v\n", err)})
-			continue
+		x := &outcome{cell: c, res: res, out: Canonical(res), counters: counters(res)}
+		if res.Trace != nil {
+			if x.trace, err = res.Trace.CanonicalJSONL(); err != nil {
+				r.fail(c.axis(), c.String(), "canonical trace encode failed: %v\n", err)
+				continue
+			}
 		}
-		if res.Trace == nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "trace", Config: name,
-				Detail: "tracing was enabled but the run carries no trace\n"})
-			continue
-		}
-		canon, err := res.Trace.CanonicalJSONL()
-		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "trace", Config: name,
-				Detail: fmt.Sprintf("canonical encode failed: %v\n", err)})
-			continue
-		}
+		ref := firsts[c.plan()]
 		if ref == nil {
-			ref = canon
-		} else if !bytes.Equal(canon, ref) {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "trace", Config: name,
-				Detail: "canonical trace diverged across engines:\n" + firstDiff(string(ref), string(canon))})
-			continue
+			ref, firsts[c.plan()] = x, x
 		}
-		rt, err := obstrace.ReadJSONL(bytes.NewReader(canon))
-		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "trace", Config: name,
-				Detail: fmt.Sprintf("JSONL round trip failed: %v\n", err)})
-			continue
+		tk := traceKey{c.plan(), c.LoadWindowSec}
+		tref := traced[tk]
+		if tref == nil && x.trace != nil {
+			tref, traced[tk] = x, x
 		}
-		if got := rt.HostLoadSeries(""); !reflect.DeepEqual(got, res.LoadSeries) {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "trace", Config: name, Detail: fmt.Sprintf(
-				"trace-rebuilt load series differs from the engine's monitoring output:\n  rebuilt: %+v\n  engine:  %+v\n",
-				got, res.LoadSeries)})
+		if d := judge(want, x, ref, tref); d != "" {
+			r.fail(c.axis(), c.String(), "%s", d)
 		}
 	}
+	return firsts
+}
+
+// judge applies the oracle's one rule to x and returns its first
+// violation, "" if none.
+//
+//   - Output: x's canonical output equals the baseline's, want.
+//   - Same plan, same bytes: x equals ref, its plan group's first run,
+//     on OpStats and Metrics (CPU units included). A traced x equals
+//     tref, the group's first run traced at x's window, on canonical
+//     trace bytes, and a monitored x's trace rebuilds its load series
+//     exactly (after a round trip through the JSONL codec).
+//
+// A fault cell must also have fired its fault plan.
+func judge(want string, x, ref, tref *outcome) string {
+	if x.out != want {
+		return firstDiff(want, x.out)
+	}
+	if x.counters != ref.counters {
+		return fmt.Sprintf("counters differ from %s's:\n%s", ref, firstDiff(ref.counters, x.counters))
+	}
+	if x.Trace != nil {
+		if x.trace == nil {
+			return "tracing was enabled but the run carries no trace\n"
+		}
+		if !bytes.Equal(x.trace, tref.trace) {
+			return fmt.Sprintf("canonical trace differs from %s:\n%s", tref, firstDiff(string(tref.trace), string(x.trace)))
+		}
+		if x.LoadWindowSec > 0 {
+			rt, err := obstrace.ReadJSONL(bytes.NewReader(x.trace))
+			if err != nil {
+				return fmt.Sprintf("JSONL round trip failed: %v\n", err)
+			}
+			if got := rt.HostLoadSeries(""); !reflect.DeepEqual(got, x.res.LoadSeries) {
+				return fmt.Sprintf("trace-rebuilt load series differs from the engine's monitoring output:\n  rebuilt: %+v\n  engine:  %+v\n",
+					got, x.res.LoadSeries)
+			}
+		}
+	}
+	if f := x.Live.Faults; f != nil && f.Hits() == 0 {
+		return "fault plan never fired; the scenario tested nothing\n"
+	}
+	return ""
+}
+
+// counters renders a run's per-operator counters in ID order, then its
+// per-host metrics, one line each, CPU units included.
+func counters(res *qap.RunResult) string {
+	ids := make([]int, 0, len(res.OpStats))
+	for id := range res.OpStats { //qap:allow maprange -- ids collected then sorted below
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	var b strings.Builder
+	for _, id := range ids {
+		fmt.Fprintf(&b, "op %d: %+v\n", id, *res.OpStats[id])
+	}
+	fmt.Fprintf(&b, "metrics: %+v\n", *res.Metrics)
+	return b.String()
 }
 
 // checkRepartition exercises the adaptive-repartitioning protocol on a
@@ -324,7 +463,7 @@ func (r *Report) checkTrace(sys *qap.System, best core.Set, traceCfg netgen.Conf
 //   - The adapted run is byte-identical to a cold restart of the
 //     post-switch set over the same streams under the same engine
 //     configuration: outputs, node rows, metrics, and load series.
-func (r *Report) checkRepartition(sys *qap.System, measured *qap.StaticStats, analysis *qap.Analysis, trace netgen.Config, params map[string]qap.Value) {
+func (r *Report) checkRepartition(sys *qap.System, measured *qap.StaticStats, analysis *qap.Analysis, trace netgen.Config, params map[string]qap.Value, winSec int) {
 	if analysis.Best.IsEmpty() {
 		// The Section 4.2.1 bound the trigger compares against is only
 		// meaningful for a deployed (non-empty) partitioning set.
@@ -337,348 +476,76 @@ func (r *Report) checkRepartition(sys *qap.System, measured *qap.StaticStats, an
 			SrcHosts: trace.DstHosts, DstHosts: trace.SrcHosts},
 	}
 	streams := map[string][]netgen.Packet{"TCP": netgen.Generate(drift).Packets}
-	winSec := trace.DurationSec / 3
-	if winSec < 1 {
-		winSec = 1
+
+	decision := func(a *qap.AdaptiveResult) string {
+		return fmt.Sprintf("window=%d rate=%v switch=%d repartitioned=%v set=%s",
+			a.TriggerWindow, a.TriggerRate, a.SwitchTimeSec, a.Repartitioned, a.FinalSet.Normalize())
 	}
-
-	var ref *qap.AdaptiveResult
-	for _, cell := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 256}} {
-		name := fmt.Sprintf("repartition workers=%d batch=%d", cell.workers, cell.batch)
+	var ref string
+	for _, c := range []struct{ workers, batch int }{{1, 1}, {1, 256}, {4, 256}} {
+		name := fmt.Sprintf("repartition workers=%d batch=%d", c.workers, c.batch)
 		r.Configs++
-		ares, err := sys.RunAdaptive(qap.AdaptiveConfig{
-			Deploy: qap.DeployConfig{
-				Hosts: 4, Partitioning: analysis.Best, DisablePartialAgg: true,
-				Params: params, Workers: cell.workers, BatchSize: cell.batch,
-				LoadWindowSec: winSec,
-			},
-			Stats:         measured,
-			Analysis:      analysis,
-			TriggerFactor: 1.5,
-		}, streams)
+		cfg := qap.DeployConfig{Hosts: 4, Partitioning: analysis.Best, DisablePartialAgg: true,
+			Params: params, Workers: c.workers, BatchSize: c.batch, LoadWindowSec: winSec}
+		ares, err := sys.RunAdaptive(qap.AdaptiveConfig{Deploy: cfg, Stats: measured, Analysis: analysis, TriggerFactor: 1.5}, streams)
 		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "repartition", Config: name,
-				Detail: fmt.Sprintf("adaptive run failed: %v\n", err)})
+			r.fail("repartition", name, "adaptive run failed: %v\n", err)
 			continue
 		}
-		if ref == nil {
-			ref = ares
-		} else if ares.TriggerWindow != ref.TriggerWindow || ares.TriggerRate != ref.TriggerRate ||
-			ares.SwitchTimeSec != ref.SwitchTimeSec || ares.Repartitioned != ref.Repartitioned ||
-			!ares.FinalSet.Equal(ref.FinalSet) {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "repartition", Config: name, Detail: fmt.Sprintf(
-				"trigger decision diverged across engines:\n  reference: window=%d rate=%v switch=%d repartitioned=%v set=%s\n  this cell: window=%d rate=%v switch=%d repartitioned=%v set=%s\n",
-				ref.TriggerWindow, ref.TriggerRate, ref.SwitchTimeSec, ref.Repartitioned, ref.FinalSet,
-				ares.TriggerWindow, ares.TriggerRate, ares.SwitchTimeSec, ares.Repartitioned, ares.FinalSet)})
+		if ref == "" {
+			ref = decision(ares)
+		} else if got := decision(ares); got != ref {
+			r.fail("repartition", name, "trigger decision diverged across engines:\n  reference: %s\n  this cell: %s\n", ref, got)
 			continue
 		}
 
-		dep, err := sys.Deploy(qap.DeployConfig{
-			Hosts: 4, Partitioning: ares.FinalSet, DisablePartialAgg: true,
-			Params: params, Workers: cell.workers, BatchSize: cell.batch,
-			LoadWindowSec: winSec,
-		})
+		cfg.Partitioning = ares.FinalSet
+		dep, err := sys.Deploy(cfg)
 		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "repartition", Config: name,
-				Detail: fmt.Sprintf("cold-restart deploy failed: %v\n", err)})
+			r.fail("repartition", name, "cold-restart deploy failed: %v\n", err)
 			continue
 		}
 		cold, err := dep.RunStreams(streams)
 		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "repartition", Config: name,
-				Detail: fmt.Sprintf("cold-restart run failed: %v\n", err)})
+			r.fail("repartition", name, "cold-restart run failed: %v\n", err)
 			continue
 		}
 		if want, got := Canonical(cold), Canonical(ares.Final); want != got {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "repartition", Config: name, Detail: firstDiff(want, got)})
+			r.fail("repartition", name, "%s", firstDiff(want, got))
 			continue
 		}
 		if !reflect.DeepEqual(cold.Outputs, ares.Final.Outputs) ||
 			!reflect.DeepEqual(*cold.Metrics, *ares.Final.Metrics) ||
 			!reflect.DeepEqual(cold.LoadSeries, ares.Final.LoadSeries) {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "repartition", Config: name, Detail: fmt.Sprintf(
-				"adapted run is not byte-identical to a cold restart on set %s\n", ares.FinalSet)})
+			r.fail("repartition", name, "adapted run is not byte-identical to a cold restart on set %s\n", ares.FinalSet)
 		}
 	}
 }
 
-// checkBatched verifies the production path — column groups, compiled
-// kernels, dense aggregate state — against the scalar oracle on one
-// fixed plan: for every (batch size, worker count) cell the canonical
-// output and the canonical trace bytes must equal the scalar
-// reference's, and so must the per-operator counters and the per-host
-// metrics, CPU units included.
-func (r *Report) checkBatched(opts Options, want string, run func(qap.DeployConfig) (*qap.RunResult, error), best core.Set, hosts int) {
-	fail := func(name, format string, args ...any) {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "batched", Config: name,
-			Detail: fmt.Sprintf(format, args...)})
-	}
-	const refName = "batched scalar-ref"
-	r.Configs++
-	ref, err := run(qap.DeployConfig{
-		Hosts: hosts, Partitioning: best, Workers: 1, BatchSize: 1, Trace: &qap.RunTraceConfig{},
-	})
-	if err != nil {
-		fail(refName, "run failed where baseline succeeded: %v\n", err)
-		return
-	}
-	if got := Canonical(ref); got != want {
-		fail(refName, "%s", firstDiff(want, got))
-		return
-	}
-	refTrace, err := ref.Trace.CanonicalJSONL()
-	if err != nil {
-		fail(refName, "reference trace encode failed: %v\n", err)
-		return
-	}
-	for _, bs := range opts.BatchSizes {
-		for _, workers := range opts.Workers {
-			if bs == 1 {
-				continue // the scalar reference itself, at any worker count
-			}
-			name := fmt.Sprintf("hosts=%d set=best workers=%d batch=%d", hosts, workers, bs)
-			r.Configs++
-			res, err := run(qap.DeployConfig{
-				Hosts: hosts, Partitioning: best, Workers: workers, BatchSize: bs, Trace: &qap.RunTraceConfig{},
-			})
-			if err != nil {
-				fail(name, "run failed where baseline succeeded: %v\n", err)
-				continue
-			}
-			if got := Canonical(res); got != want {
-				fail(name, "%s", firstDiff(want, got))
-				continue
-			}
-			if d := diffOpStats(ref.OpStats, res.OpStats); d != "" {
-				fail(name, "%s", d)
-				continue
-			}
-			if d := diffMetrics(ref.Metrics, res.Metrics); d != "" {
-				fail(name, "%s", d)
-				continue
-			}
-			canon, err := res.Trace.CanonicalJSONL()
-			if err != nil {
-				fail(name, "canonical trace encode failed: %v\n", err)
-				continue
-			}
-			if !bytes.Equal(canon, refTrace) {
-				fail(name, "canonical trace diverged from the scalar reference:\n%s",
-					firstDiff(string(refTrace), string(canon)))
-			}
-		}
-	}
-}
-
-// diffOpStats compares two per-operator counter maps and renders the
-// first disagreement; every counter, CPU units included, must be
-// identical.
-func diffOpStats(want, got map[int]*qap.OpStats) string {
-	if len(want) != len(got) {
-		return fmt.Sprintf("operator count differs: scalar %d, batched %d\n", len(want), len(got))
-	}
-	ids := make([]int, 0, len(want))
-	for id := range want { //qap:allow maprange -- ids collected then sorted below
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		w, g := want[id], got[id]
-		if g == nil {
-			return fmt.Sprintf("op %d: present in scalar run, missing in batched run\n", id)
-		}
-		if *w != *g {
-			return fmt.Sprintf("op %d: counters differ:\n  scalar:  %+v\n  batched: %+v\n", id, *w, *g)
-		}
-	}
-	return ""
-}
-
-// diffMetrics renders two runs' metrics when they differ in any field,
-// CPU units included.
-func diffMetrics(want, got *qap.Metrics) string {
-	if reflect.DeepEqual(want, got) {
-		return ""
-	}
-	return fmt.Sprintf("metrics differ:\n  reference: %+v\n  run:       %+v\n", *want, *got)
-}
-
-// compare runs one configuration and records a mismatch if its
-// canonical result differs from the baseline's.
-func (r *Report) compare(name, want string, run func(qap.DeployConfig) (*qap.RunResult, error), cfg qap.DeployConfig) {
-	r.Configs++
-	res, err := run(cfg)
-	if err != nil {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "equivalence", Config: name,
-			Detail: fmt.Sprintf("run failed where baseline succeeded: %v\n", err)})
-		return
-	}
-	if got := Canonical(res); got != want {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "equivalence", Config: name, Detail: firstDiff(want, got)})
-	}
-}
-
-// checkLive is the live-vs-sim axis: the live TCP backend — real
-// listeners, serialized tuple batches, credit-based backpressure —
-// must reproduce the simulator byte for byte in every hosts × workers
-// × batch cell: canonical output, per-operator counters and per-host
-// metrics (CPU units included), and canonical trace bytes. A second
-// leg injects transport faults (dropped, duplicated, and cut
-// connections on both directions) and demands the reconnect-and-replay
-// recovery converge to the same bytes.
-func (r *Report) checkLive(opts Options, sys *qap.System, want string, best core.Set, streams map[string][]netgen.Packet, params map[string]qap.Value) {
-	if !opts.Live {
-		return
-	}
-	run := func(hosts, workers, batch int, lo qap.LiveOptions, engine string) (*qap.RunResult, error) {
-		dep, err := sys.Deploy(qap.DeployConfig{
-			Hosts: hosts, Partitioning: best, Params: params,
-			Workers: workers, BatchSize: batch,
-			Trace:  &qap.RunTraceConfig{},
-			Engine: engine, Live: lo,
-			DriveTimeout: 30 * time.Second,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return dep.RunStreams(streams)
-	}
-	check := func(name string, ref *qap.RunResult, refTrace []byte, res *qap.RunResult, err error) {
-		r.Configs++
-		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: name,
-				Detail: fmt.Sprintf("live run failed where the simulator succeeded: %v\n", err)})
-			return
-		}
-		if got := Canonical(res); got != want {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: name,
-				Detail: firstDiff(want, got)})
-			return
-		}
-		d := diffOpStats(ref.OpStats, res.OpStats)
-		if d == "" {
-			d = diffMetrics(ref.Metrics, res.Metrics)
-		}
-		if d != "" {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: name, Detail: d})
-			return
-		}
-		canon, err := res.Trace.CanonicalJSONL()
-		if err != nil {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: name,
-				Detail: fmt.Sprintf("canonical trace encode failed: %v\n", err)})
-			return
-		}
-		if !bytes.Equal(canon, refTrace) {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: name,
-				Detail: "canonical trace diverged from the simulator's:\n" + firstDiff(string(refTrace), string(canon))})
-		}
-	}
-	for _, hosts := range opts.Hosts {
-		for _, batch := range []int{7, 256} {
-			ref, err := run(hosts, 1, batch, qap.LiveOptions{}, qap.EngineSim)
-			if err != nil {
-				r.Configs++
-				r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live",
-					Config: fmt.Sprintf("live-ref hosts=%d batch=%d", hosts, batch),
-					Detail: fmt.Sprintf("simulator reference failed: %v\n", err)})
-				continue
-			}
-			refTrace, err := ref.Trace.CanonicalJSONL()
-			if err != nil {
-				r.Configs++
-				r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live",
-					Config: fmt.Sprintf("live-ref hosts=%d batch=%d", hosts, batch),
-					Detail: fmt.Sprintf("reference trace encode failed: %v\n", err)})
-				continue
-			}
-			if got := Canonical(ref); got != want {
-				r.Configs++
-				r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live",
-					Config: fmt.Sprintf("live-ref hosts=%d batch=%d", hosts, batch),
-					Detail: firstDiff(want, got)})
-				continue
-			}
-			for _, workers := range opts.Workers {
-				name := fmt.Sprintf("live hosts=%d workers=%d batch=%d", hosts, workers, batch)
-				res, err := run(hosts, workers, batch, qap.LiveOptions{}, qap.EngineLive)
-				check(name, ref, refTrace, res, err)
-			}
-		}
-	}
-
-	// Fault leg: on the largest cluster, scripted transport faults on
-	// both directions must cost time, never bytes.
-	hosts := opts.Hosts[len(opts.Hosts)-1]
-	ref, err := run(hosts, 1, 256, qap.LiveOptions{}, qap.EngineSim)
-	if err != nil {
-		r.Configs++
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: "live-fault-ref",
-			Detail: fmt.Sprintf("simulator reference failed: %v\n", err)})
-		return
-	}
-	refTrace, err := ref.Trace.CanonicalJSONL()
-	if err != nil {
-		r.Configs++
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: "live-fault-ref",
-			Detail: fmt.Sprintf("reference trace encode failed: %v\n", err)})
-		return
-	}
-	for _, fc := range []struct {
-		name   string
-		faults []live.Fault
-	}{
-		{"drop", []live.Fault{{Host: 0, Session: 0, Write: 2, Action: live.FaultDrop}}},
-		{"dup", []live.Fault{{Host: 0, Session: -1, Write: 1, Action: live.FaultDup}}},
-		{"cut", []live.Fault{
-			{Host: 0, Session: 0, Write: 2, Action: live.FaultCut},
-			{Host: hosts - 1, Session: 0, Write: 3, Action: live.FaultCut},
-		}},
-	} {
-		name := "live-fault " + fc.name
-		plan := &live.FaultPlan{Faults: fc.faults}
-		res, err := run(hosts, 1, 256, qap.LiveOptions{Faults: plan, Timeout: 2 * time.Second}, qap.EngineLive)
-		check(name, ref, refTrace, res, err)
-		if err == nil && plan.Hits() == 0 {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "live", Config: name,
-				Detail: "fault plan never fired; the scenario tested nothing\n"})
-		}
-	}
-}
-
-// checkLoadBound verifies the Section 4.2.1 metamorphic invariant: the
-// cost model's TotalCost under measured statistics bounds the network
-// byte rate any host receives. It needs partial aggregation disabled
-// (the sub-aggregate rewrite re-shapes tuples, which the static model
-// does not price) and a non-empty set (for the empty set the builder
-// still pushes selections per partition while the model centralizes
-// them, so the model's charge is not comparable op by op).
-func (r *Report) checkLoadBound(sys *qap.System, measured *qap.StaticStats, best core.Set, run func(qap.DeployConfig) (*qap.RunResult, error)) {
-	if best.IsEmpty() {
+// checkLoadBound verifies the Section 4.2.1 metamorphic invariant on
+// the largest cluster's nopartial cell, x: the cost model's TotalCost
+// under measured statistics bounds the network byte rate any host
+// receives. It needs partial aggregation disabled (the sub-aggregate
+// rewrite re-shapes tuples, which the static model does not price) and
+// a non-empty set (for the empty set the builder still pushes
+// selections per partition while the model centralizes them, so the
+// model's charge is not comparable op by op). A nil x failed to run,
+// which its cell has reported.
+func (r *Report) checkLoadBound(sys *qap.System, measured *qap.StaticStats, best core.Set, x *outcome) {
+	if best.IsEmpty() || x == nil {
 		return
 	}
 	r.Configs++
-	res, err := run(qap.DeployConfig{Hosts: 4, Partitioning: best, DisablePartialAgg: true, Workers: 1})
-	if err != nil {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "loadbound", Config: "loadbound",
-			Detail: fmt.Sprintf("run failed: %v\n", err)})
-		return
-	}
-	duration := res.Metrics.DurationSec
-	if duration <= 0 {
-		duration = 1
-	}
+	duration := max(x.res.Metrics.DurationSec, 1)
 	achieved := 0.0
-	for _, h := range res.Metrics.Hosts {
-		if rate := float64(h.NetBytesIn) / duration; rate > achieved {
-			achieved = rate
-		}
+	for _, h := range x.res.Metrics.Hosts {
+		achieved = max(achieved, float64(h.NetBytesIn)/duration)
 	}
 	predicted := core.NewCostModel(sys.Graph, measured).TotalCost(best)
 	if achieved > predicted*(1+1e-6)+1e-3 {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "loadbound", Config: "loadbound", Detail: fmt.Sprintf(
+		r.fail("loadbound", "loadbound",
 			"achieved max per-host net rate %.3f B/s exceeds cost-model bound %.3f B/s for set %s\n",
-			achieved, predicted, best)})
+			achieved, predicted, best)
 	}
 }
 
@@ -688,20 +555,17 @@ func (r *Report) checkLoadBound(sys *qap.System, measured *qap.StaticStats, best
 // processes iff the node is Distributable, lint's QAP001/QAP003
 // findings appear exactly for the Compatible nodes, and every
 // centralize fallback traces to an incompatibility diagnostic
-// (QAP002/QAP004) somewhere in the node's input subtree.
-func (r *Report) checkLintAgreement(sys *qap.System, best core.Set) {
+// (QAP002/QAP004) somewhere in the node's input subtree. p is the
+// best set's fourHosts plan, or err its build failure.
+func (r *Report) checkLintAgreement(sys *qap.System, best core.Set, p *optimizer.Plan, err error) {
 	if best.IsEmpty() {
 		// lint skips empty candidate sets, so there is nothing to
 		// cross-check the plan against.
 		return
 	}
 	r.Configs++
-	p, err := optimizer.Build(sys.Graph, best, optimizer.Options{
-		Hosts: 4, PartitionsPerHost: 2, PartialAgg: true, PartialScope: optimizer.ScopeHost,
-	})
 	if err != nil {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "lintagree", Config: "lintagree",
-			Detail: fmt.Sprintf("optimizer.Build failed: %v\n", err)})
+		r.fail("lintagree", "lintagree", "optimizer.Build failed: %v\n", err)
 		return
 	}
 	lrep := lint.Run(sys.Graph, sys.Queries, lint.Options{Sets: []core.Set{best}})
@@ -736,8 +600,7 @@ func (r *Report) checkLintAgreement(sys *qap.System, best core.Set) {
 		}
 	}
 	if len(fail) > 0 {
-		r.Mismatches = append(r.Mismatches, Mismatch{Axis: "lintagree", Config: "lintagree",
-			Detail: strings.Join(fail, "\n") + "\n"})
+		r.fail("lintagree", "lintagree", "%s\n", strings.Join(fail, "\n"))
 	}
 }
 
@@ -750,10 +613,7 @@ func (r *Report) checkLintAgreement(sys *qap.System, best core.Set) {
 func centralNodes(p *optimizer.Plan) map[string]bool {
 	central := map[string]bool{}
 	for _, op := range p.Ops {
-		if op.Kind == optimizer.OpOutput || op.Logical == nil || op.Logical.Kind == plan.KindSource {
-			continue
-		}
-		if op.Proc < 0 {
+		if op.Proc < 0 && op.Kind != optimizer.OpOutput && op.Logical != nil && op.Logical.Kind != plan.KindSource {
 			central[op.Logical.QueryName] = true
 		}
 	}
@@ -772,27 +632,29 @@ func centralNodes(p *optimizer.Plan) map[string]bool {
 // report: the same configs must already be output-equivalent, so a
 // certificate verdict that disagreed with the runtime equivalence
 // oracle would surface either here (placement) or in the sweep
-// (outputs). Every disagreement is a Mismatch.
-func (r *Report) checkCertificate(sys *qap.System, best core.Set) {
-	sets := []struct {
-		name string
-		set  core.Set
-	}{{"roundrobin", nil}}
+// (outputs). Every disagreement is a Mismatch. bestPlan is the best
+// set's fourHosts plan, or bestErr its build failure.
+func (r *Report) checkCertificate(sys *qap.System, best core.Set, bestPlan *optimizer.Plan, bestErr error) {
+	sets := []core.Set{nil}
 	if !best.IsEmpty() {
-		sets = append(sets, struct {
-			name string
-			set  core.Set
-		}{"best", best})
+		sets = append(sets, best)
 	}
-	for _, s := range sets {
+	for _, set := range sets {
 		r.Configs++
-		cfg := "certificate set=" + s.name
+		name, p, err := "best", bestPlan, bestErr
+		if set.IsEmpty() {
+			name = "roundrobin"
+			p, err = optimizer.Build(sys.Graph, nil, fourHosts)
+		}
 		fail := func(format string, args ...any) {
-			r.Mismatches = append(r.Mismatches, Mismatch{Axis: "certificate", Config: cfg,
-				Detail: fmt.Sprintf(format, args...) + "\n"})
+			r.fail("certificate", "certificate set="+name, format+"\n", args...)
+		}
+		if err != nil {
+			fail("optimizer.Build failed: %v", err)
+			continue
 		}
 
-		cert := prove.Prove(sys.Graph, s.set)
+		cert := prove.Prove(sys.Graph, set)
 		if err := prove.Verify(sys.Graph, cert); err != nil {
 			fail("verifier rejects the prover's certificate: %v", err)
 			continue
@@ -817,13 +679,6 @@ func (r *Report) checkCertificate(sys *qap.System, best core.Set) {
 			continue
 		}
 
-		p, err := optimizer.Build(sys.Graph, s.set, optimizer.Options{
-			Hosts: 4, PartitionsPerHost: 2, PartialAgg: true, PartialScope: optimizer.ScopeHost,
-		})
-		if err != nil {
-			fail("optimizer.Build failed: %v", err)
-			continue
-		}
 		central := centralNodes(p)
 		verdict := map[string]string{}
 		for _, np := range cert.Nodes {
@@ -840,10 +695,8 @@ func (r *Report) checkCertificate(sys *qap.System, best core.Set) {
 			if partitioned == central[q] {
 				fail("%s: certificate verdict %s but plan has central-process ops=%v", q, v, central[q])
 			}
-			if !s.set.IsEmpty() {
-				if dist := core.Distributable(s.set, n); dist != partitioned {
-					fail("%s: certificate verdict %s but Distributable(%s)=%v", q, v, s.set, dist)
-				}
+			if dist := core.Distributable(set, n); !set.IsEmpty() && dist != partitioned {
+				fail("%s: certificate verdict %s but Distributable(%s)=%v", q, v, set, dist)
 			}
 		}
 	}
@@ -899,11 +752,7 @@ func Canonical(res *qap.RunResult) string {
 // disagree, with the line number for context.
 func firstDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
-	n := len(w)
-	if len(g) < n {
-		n = len(g)
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(len(w), len(g)) {
 		if w[i] != g[i] {
 			return fmt.Sprintf("line %d:\n  baseline: %s\n  variant:  %s\n", i+1, w[i], g[i])
 		}

@@ -19,7 +19,6 @@ func (s *System) MeasureStats(streams map[string][]netgen.Packet) (*StaticStats,
 	dep, err := s.Deploy(DeployConfig{
 		Hosts:             1,
 		PartitionsPerHost: 1,
-		DisablePartialAgg: true,
 		Params:            s.defaultParams(),
 	})
 	if err != nil {
