@@ -15,10 +15,11 @@ import (
 )
 
 // TestLiveHighRateMatchesSim: at 20 000 packets/s over two hosts a feed
-// of defaultBatchRounds rounds would be ~20 MB, over the 16 MB frame
-// bound, so the live driver must cut feeds by bytes — on round
-// boundaries the (round, tag) replay cannot see. The run equals the
-// simulator byte for byte.
+// of defaultBatchRounds rounds of the seven packet columns the queries
+// read would be ~17.5 MB, over the 16 MB frame bound, so the live driver
+// must cut feeds by bytes — on round boundaries the (round, tag) replay
+// cannot see. The run equals the simulator byte for byte. (The Section
+// 6.3 set alone reads three columns, whose feeds fit a frame.)
 // (Before feeds were cut by size this configuration died 30 s in with
 // "live drive stalled", the node having refused every retransmission of
 // the same oversized frame.)
@@ -34,8 +35,8 @@ func TestLiveHighRateMatchesSim(t *testing.T) {
 
 	simCfg := liveRunConfig(1, 256, LiveConfig{})
 	simCfg.Engine = EngineSim
-	want := runEngine(t, complexSet, ps, o, streams, simCfg)
-	got := runEngine(t, complexSet, ps, o, streams, liveRunConfig(1, 256, LiveConfig{}))
+	want := runEngine(t, complexSet+suspiciousQuery, ps, o, streams, simCfg)
+	got := runEngine(t, complexSet+suspiciousQuery, ps, o, streams, liveRunConfig(1, 256, LiveConfig{}))
 	sameResult(t, want, got)
 	sameTrace(t, want, got)
 	// 41 rounds fit two feeds of 32; the byte cut makes it more.
@@ -51,12 +52,14 @@ func TestLiveHighRateMatchesSim(t *testing.T) {
 // fires.
 func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 	// One timestamp, 560 000 packets: ~17.9 MB of columns per host.
+	// Without partial aggregation the scans feed the central aggregate
+	// over net edges, so a feed carries all eight packet columns.
 	packets := make([]netgen.Packet, 560000)
 	for i := range packets {
 		packets[i] = netgen.Packet{Time: 7, SrcIP: uint64(i), DestIP: 1, SrcPort: 2, DestPort: 3, Len: 40, Seq: uint64(i)}
 	}
 	g := buildGraph(t, flowsQuery)
-	p, err := optimizer.Build(g, nil, optimizer.Options{Hosts: 2, PartitionsPerHost: 2, PartialAgg: true})
+	p, err := optimizer.Build(g, nil, optimizer.Options{Hosts: 2, PartitionsPerHost: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,60 +90,78 @@ func TestLiveOversizedRoundFailsAtOnce(t *testing.T) {
 }
 
 // TestLiveExecuteRejectsMisshapenColumnGroup: the column codec admits
-// any well-formed batch, but a scan takes packets. A wire group of any
-// other shape — a string column, NULLs, a missing column — is an error
-// naming the round and the destination, never a panic on the node. So
-// is a group of rows: the splitter sends column groups only, and the
+// any well-formed batch, but a scan takes packets, pruned to the read
+// mask the node's plan derives for the stream. A wire group of any other
+// shape — a string column, NULLs or Int rows where a column is read, a
+// filled column where none is, a missing column — is an error naming
+// the round, the destination and the column, never a panic on the node.
+// So is a group of rows: the splitter sends column groups only, and the
 // executor has no row path to run one on.
 func TestLiveExecuteRejectsMisshapenColumnGroup(t *testing.T) {
+	const mask = 0b111 // time, srcIP, destIP
 	packet := func() *exec.ColBatch {
 		cb := new(exec.ColBatch)
+		var run []netgen.Packet
 		for i := 0; i < 10; i++ {
-			(&netgen.Packet{Time: 7, SrcIP: uint64(i)}).AppendCols(cb)
+			run = append(run, netgen.Packet{Time: 7, SrcIP: uint64(i), Len: 40})
 		}
+		netgen.AppendRunCols(cb, run, 1, mask)
 		return cb
 	}
-	cases := map[string]func(cb *exec.ColBatch){
-		"string column": func(cb *exec.ColBatch) {
+	cases := []struct {
+		name, col string
+		mangle    func(cb *exec.ColBatch)
+	}{
+		{"string column", "column 2", func(cb *exec.ColBatch) {
 			cb.Cols[2] = exec.ColVec{Kind: sqlval.KindString, Str: make([]string, cb.Len), U64: cb.Cols[2].U64[:0]}
-		},
-		"null column":     func(cb *exec.ColBatch) { cb.Cols[0] = exec.ColVec{Kind: sqlval.KindNull} },
-		"validity bitmap": func(cb *exec.ColBatch) { cb.Cols[1].Valid = []uint64{1} },
-		"missing column":  func(cb *exec.ColBatch) { cb.Cols = cb.Cols[:netgen.TupleCols-1] },
-		"no columns":      func(cb *exec.ColBatch) { cb.Cols = cb.Cols[:0] },
+		}},
+		{"null column", "column 0", func(cb *exec.ColBatch) { cb.Cols[0] = exec.ColVec{Kind: sqlval.KindNull} }},
+		{"validity bitmap", "column 1", func(cb *exec.ColBatch) { cb.Cols[1].Valid = []uint64{1} }},
+		{"Int rows", "column 1", func(cb *exec.ColBatch) { cb.Cols[1].Int = []uint64{1} }},
+		{"unread column filled", "column 5", func(cb *exec.ColBatch) {
+			cb.Cols[5] = exec.ColVec{Kind: sqlval.KindUint, U64: make([]uint64, cb.Len)}
+		}},
+		{"unread column of NULLs", "column 6", func(cb *exec.ColBatch) { cb.Cols[6].Valid = []uint64{0} }},
+		{"missing column", "8 columns of a packet", func(cb *exec.ColBatch) { cb.Cols = cb.Cols[:netgen.TupleCols-1] }},
+		{"no columns", "8 columns of a packet", func(cb *exec.ColBatch) { cb.Cols = cb.Cols[:0] }},
 	}
-	for name, mangle := range cases {
-		cb := packet()
-		mangle(cb)
-		x := &islandExec{r: &Runner{batchSize: 4}, isl: &island{}, outs: [][]exec.Consumer{{exec.Discard{}}}}
-		_, err := x.Execute(&live.FeedMsg{Rounds: []live.Round{{Round: 3, Groups: []live.Group{{Cols: cb}}}}})
+	newExec := func(mask uint64) *islandExec {
+		return &islandExec{r: &Runner{batchSize: 4}, isl: &island{}, rts: []*router{{outs: []exec.Consumer{exec.Discard{}}, mask: mask}}}
+	}
+	feed := func(g live.Group) *live.FeedMsg {
+		return &live.FeedMsg{Rounds: []live.Round{{Round: 3, Groups: []live.Group{g}}}}
+	}
+	refused := func(name string, err error, wants ...string) {
+		t.Helper()
 		if err == nil {
 			t.Errorf("%s: the group was delivered", name)
-			continue
+			return
 		}
-		for _, want := range []string{"round 3", "stream 0 partition 0"} {
+		for _, want := range append([]string{"round 3", "stream 0 partition 0"}, wants...) {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error %q does not mention %q", name, err, want)
 			}
 		}
 	}
-	feed := func(g live.Group) *live.FeedMsg {
-		return &live.FeedMsg{Rounds: []live.Round{{Round: 3, Groups: []live.Group{g}}}}
+	for _, tc := range cases {
+		cb := packet()
+		tc.mangle(cb)
+		_, err := newExec(mask).Execute(feed(live.Group{Cols: cb}))
+		refused(tc.name, err, tc.col)
 	}
-	rows := live.Group{Tuples: exec.Batch{netgen.Packet{Time: 7}.Tuple()}}
-	x := &islandExec{r: &Runner{batchSize: 4}, isl: &island{}, outs: [][]exec.Consumer{{exec.Discard{}}}}
-	if _, err := x.Execute(feed(live.Group{Cols: packet()})); err != nil {
-		t.Fatalf("a packet-shaped group was refused: %v", err)
+	if _, err := newExec(mask).Execute(feed(live.Group{Cols: packet()})); err != nil {
+		t.Fatalf("a group of the mask's shape was refused: %v", err)
 	}
-	_, err := x.Execute(feed(rows))
-	if err == nil {
-		t.Fatal("a row group was delivered")
+	// A whole packet is the shape of the all-columns mask only.
+	whole := new(exec.ColBatch)
+	netgen.Packet{Time: 7}.AppendCols(whole)
+	if _, err := newExec(netgen.AllCols).Execute(feed(live.Group{Cols: whole})); err != nil {
+		t.Fatalf("a whole packet was refused under the all-columns mask: %v", err)
 	}
-	for _, want := range []string{"round 3", "stream 0 partition 0", "NULL-free uint columns of a packet"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("row group: error %q does not mention %q", err, want)
-		}
-	}
+	_, err := newExec(mask).Execute(feed(live.Group{Cols: whole}))
+	refused("whole packet", err, "column 3", "must be pruned")
+	_, err = newExec(mask).Execute(feed(live.Group{Tuples: exec.Batch{netgen.Packet{Time: 7}.Tuple()}}))
+	refused("row group", err, "is not the 8 columns of a packet")
 }
 
 // Allocation budgets of a parallel-engine columnar replay (Workers 2,

@@ -8,6 +8,7 @@ import (
 
 	"qap/internal/exec"
 	"qap/internal/gsql"
+	"qap/internal/netgen"
 	"qap/internal/obs"
 	"qap/internal/obs/trace"
 	"qap/internal/optimizer"
@@ -23,6 +24,11 @@ type router struct {
 	// where they have one. nil => round robin.
 	hash []exec.ColExpr
 	outs []exec.Consumer
+	// mask is the read mask (bit c for packet column c) of the columns
+	// the splitter fills in the stream's feed (readMask); stage adds the
+	// columns the partitioning set reads, which a hash-routed run is
+	// staged with. Every other column of a group is pruned.
+	mask, stage uint64
 	// islands[p] is the executor that runs partition p's scan: its leaf
 	// island, or 0 throughout in a sequential runner, whose one
 	// executor runs every partition.
@@ -259,7 +265,17 @@ func (r *Runner) compile() error {
 				}
 			}
 		}
-		rt := &router{outs: scans, islands: islandIDs}
+		rt := &router{outs: scans, islands: islandIDs, mask: netgen.AllCols}
+		if r.batched() {
+			rt.mask = 0
+			for _, op := range p.Ops {
+				if op.Kind == optimizer.OpScan && op.Logical == src {
+					rt.mask |= r.readMask(op, consumers, entries)
+				}
+			}
+			rt.mask &= netgen.AllCols
+		}
+		rt.stage = rt.mask
 		if set := p.SplitterSet(src.Stream.Name); !set.IsEmpty() {
 			names := colNames(src.OutCols)
 			for _, elem := range set {
@@ -268,6 +284,7 @@ func (r *Runner) compile() error {
 					return fmt.Errorf("cluster: partitioning element %s: %w", elem, err)
 				}
 				rt.hash = append(rt.hash, ce)
+				rt.stage |= ce.Reads() & netgen.AllCols
 			}
 		}
 		r.routers[strings.ToLower(src.Stream.Name)] = rt
@@ -278,6 +295,28 @@ func (r *Runner) compile() error {
 	}
 	sort.Strings(r.routerNames)
 	return nil
+}
+
+// readMask is the read set of the columns op's output feeds: what the
+// first operators that do not forward them read (exec.InputReads),
+// through unions and fan-outs (Tees) — every column when an edge on the
+// way is a net edge, whose NetBytesIn are the batches' wire size, or
+// crosses islands, whose link items and captures carry the batches. A
+// scan's own FilterProject forwards its input; op is the scan, or a
+// union behind it. The scalar oracle (runSequential) feeds every column.
+func (r *Runner) readMask(op *optimizer.Op, consumers map[*optimizer.Op][]portRef, entries map[*optimizer.Op][]exec.Consumer) uint64 {
+	var m uint64
+	for _, c := range consumers[op] {
+		switch {
+		case c.op.Host != op.Host || (r.parallel && r.islandOf(c.op) != r.islandOf(op)):
+			return netgen.AllCols
+		case c.op.Kind == optimizer.OpUnion:
+			m |= r.readMask(c.op, consumers, entries)
+		default:
+			m |= exec.InputReads(entries[c.op][c.port])
+		}
+	}
+	return m
 }
 
 // fanout wraps each consumer's entry port with an accounting edge and

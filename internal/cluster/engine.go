@@ -507,13 +507,13 @@ func (r *Runner) runDistributed(cursors []*streamCursor) (*Result, error) {
 // order: advance walks the fed streams in cursor order, flush every
 // router in sorted-name order.
 func (r *Runner) executors(cursors []*streamCursor) []islandExec {
-	outs := make([][]exec.Consumer, len(cursors))
+	rts := make([]*router, len(cursors))
 	xs := make([]islandExec, r.execIslands())
 	for i := range xs {
-		xs[i] = islandExec{r: r, isl: r.islands[i], wins: r.islands[i : i+1], outs: outs}
+		xs[i] = islandExec{r: r, isl: r.islands[i], wins: r.islands[i : i+1], rts: rts}
 	}
 	for sIdx, c := range cursors {
-		outs[sIdx] = c.rt.outs
+		rts[sIdx] = c.rt
 		for p, out := range c.rt.outs {
 			x := &xs[c.rt.islands[p]]
 			x.adv = append(x.adv, tagged{tag: phaseAdv | uint64(sIdx*r.plan.Partitions+p), c: out})

@@ -213,14 +213,19 @@ func (x *islandExec) Execute(m *live.FeedMsg) (*live.LinkMsg, error) {
 		rd := &m.Rounds[ri]
 		for gi := range rd.Groups {
 			g := &rd.Groups[gi]
-			if g.Stream < 0 || g.Stream >= len(x.outs) || g.Part < 0 || g.Part >= len(x.outs[g.Stream]) {
+			if g.Stream < 0 || g.Stream >= len(x.rts) || g.Part < 0 || g.Part >= len(x.rts[g.Stream].outs) {
 				return nil, fmt.Errorf("group targets stream %d partition %d out of range", g.Stream, g.Part)
 			}
-			if g.Cols == nil || len(g.Cols.Cols) != netgen.TupleCols || !g.Cols.AllUint() {
-				// The codec admits row groups and any column batch; a
-				// splitter sends packets as column groups.
-				return nil, fmt.Errorf("round %d: group for stream %d partition %d is not the %d NULL-free uint columns of a packet",
+			// The codec admits row groups and any column batch, but a
+			// splitter sends a packet's columns pruned to the stream's
+			// read mask: the shape the node's compiled plan derives for
+			// the stream, as the splitter's did.
+			if g.Cols == nil || len(g.Cols.Cols) != netgen.TupleCols {
+				return nil, fmt.Errorf("round %d: group for stream %d partition %d is not the %d columns of a packet",
 					rd.Round, g.Stream, g.Part, netgen.TupleCols)
+			}
+			if err := g.Cols.CheckPruned(x.rts[g.Stream].mask); err != nil {
+				return nil, fmt.Errorf("round %d: group for stream %d partition %d, %w", rd.Round, g.Stream, g.Part, err)
 			}
 		}
 	}

@@ -343,8 +343,9 @@ type Result struct {
 	// bit-equal for any worker count, batch size and engine.
 	OpStats map[int]*obs.OpStats
 	// LoadSeries is the online monitoring output: per-host counter
-	// deltas per RunConfig.LoadWindowSec of trace time. Nil unless
-	// monitoring was enabled; bit-equal for any Workers/BatchSize.
+	// deltas per RunConfig.LoadWindowSec of trace time, or per
+	// DefaultTraceWindowSec on a traced run without one. Nil when the
+	// run has neither; bit-equal for any Workers/BatchSize.
 	LoadSeries []obs.LoadWindow
 	// Trace is the gathered causal trace; nil unless RunConfig.Trace
 	// was set. Its canonical JSONL (timing trailer stripped) is

@@ -11,9 +11,12 @@ package cluster
 // packets of the round, which the merge hands out together: a
 // round-robin run is dealt out strided, straight from the trace into
 // its groups (addRun); a hash-routed run is staged in one column batch
-// and routed column-wise (routeRun). Nothing in split is done per
-// packet. Closed rounds go to the feedSink (engine.go), reached once
-// per round and never per packet, which hands them on:
+// and routed column-wise (routeRun). A group holds the packet columns
+// its stream's read mask names (router.mask, compile.go), what the
+// operators in front of the scans read; the others are pruned. Nothing
+// in split is done per packet. Closed rounds go to the feedSink
+// (engine.go), reached once per round and never per packet, which hands
+// them on:
 //
 //	                          ┌ one feed, every round, executed on the caller   (sequential: runInline)
 //	cursors → split → feedSink┤
@@ -47,6 +50,7 @@ import (
 // run (nextRun), which is what lets the splitter route the run at once.
 type streamCursor struct {
 	name    string // lower-case stream name
+	given   string // the name the caller gave the stream
 	idx     int    // position in the canonical cursor order
 	rt      *router
 	packets []netgen.Packet
@@ -57,10 +61,12 @@ type streamCursor struct {
 	lists []*[]live.Group
 }
 
-// makeCursors validates the input traces and fixes the canonical merge
-// order: longer streams first, ties broken by stream name, so two
-// equal-length streams sharing timestamps always interleave the same
-// way (Go map iteration order must never leak into the merge).
+// makeCursors resolves the input traces against the plan's streams and
+// fixes the canonical merge order: longer streams first, ties broken by
+// stream name, so two equal-length streams sharing timestamps always
+// interleave the same way (Go map iteration order must never leak into
+// the merge). Whether each trace is time-ordered is checked as the
+// merge walks it (nextRun, and runSequential's packet loop).
 func (r *Runner) makeCursors(streams map[string][]netgen.Packet) ([]*streamCursor, error) {
 	var cursors []*streamCursor
 	for name, packets := range streams { //qap:allow maprange -- cursors sorted below before the merge
@@ -69,12 +75,7 @@ func (r *Runner) makeCursors(streams map[string][]netgen.Packet) ([]*streamCurso
 		if !ok {
 			return nil, fmt.Errorf("cluster: plan has no source stream %q", name)
 		}
-		for i := 1; i < len(packets); i++ {
-			if packets[i].Time < packets[i-1].Time {
-				return nil, fmt.Errorf("cluster: stream %q is not time-ordered at index %d", name, i)
-			}
-		}
-		cursors = append(cursors, &streamCursor{name: lower, rt: rt, packets: packets})
+		cursors = append(cursors, &streamCursor{name: lower, given: name, rt: rt, packets: packets})
 	}
 	sort.Slice(cursors, func(i, j int) bool {
 		if len(cursors[i].packets) != len(cursors[j].packets) {
@@ -106,13 +107,26 @@ func nextCursor(cursors []*streamCursor) *streamCursor {
 // nextRun hands out c's run: its next packet and every later one with
 // the same timestamp, which the merge would hand out next, one by one —
 // it breaks timestamp ties by cursor order. A stream therefore has one
-// run in each round it has packets in.
-func (c *streamCursor) nextRun() []netgen.Packet {
+// run in each round it has packets in: the packet after a run must be
+// later, or the trace is not time-ordered.
+//
+//qap:hot
+func (c *streamCursor) nextRun() ([]netgen.Packet, error) {
 	start := c.pos
-	for tm := c.packets[start].Time; c.pos < len(c.packets) && c.packets[c.pos].Time == tm; {
+	tm := c.packets[start].Time
+	for c.pos < len(c.packets) && c.packets[c.pos].Time == tm {
 		c.pos++
 	}
-	return c.packets[start:c.pos]
+	if c.pos < len(c.packets) && c.packets[c.pos].Time < tm {
+		return nil, c.disordered()
+	}
+	return c.packets[start:c.pos], nil
+}
+
+// disordered is the error for a trace whose packet at c.pos is earlier
+// than the one before it.
+func (c *streamCursor) disordered() error {
+	return fmt.Errorf("cluster: stream %q is not time-ordered at index %d", c.given, c.pos)
 }
 
 // runSequential drives the merged trace through the operator graph on
@@ -129,6 +143,9 @@ func (r *Runner) runSequential(cursors []*streamCursor) (*Result, error) {
 		}
 		pk := &best.packets[best.pos]
 		best.pos++
+		if best.pos < len(best.packets) && best.packets[best.pos].Time < pk.Time {
+			return nil, best.disordered()
+		}
 		any = true
 		if pk.Time > maxTime {
 			maxTime = pk.Time
@@ -238,7 +255,13 @@ func (r *Runner) split(cursors []*streamCursor, gr *colGrouper, sink roundSink) 
 			}
 			seq, lastTime = 0, tm
 		}
-		run := best.nextRun()
+		run, err := best.nextRun()
+		if err != nil {
+			for _, p := range pend {
+				gr.recycle(p)
+			}
+			return true, lastTime, err
+		}
 		if best.rt.hash == nil {
 			gr.addRun(best, run, seq)
 		} else {
@@ -271,20 +294,34 @@ func openRound(p []live.Round, rd live.Round) []live.Round {
 // own, feeding it every round as the round closes — the paper's
 // splitter in front of the hosts, never competing with their queries.
 // The one executor delivers each round's groups in global tag order.
+//
+// A splitter that fails (a trace out of time order) sends no last feed:
+// its error ends the run, and the feeds it did send go back unexecuted.
 func (r *Runner) runInline(cursors []*streamCursor) (*Result, error) {
 	x := &r.executors(cursors)[0]
 	x.wins = r.islands
 	var gr colGrouper
 	feed := make(chan islandFeed, feedChanCap)
-	join := r.splitAhead(cursors, &feedSink{r: r, gr: &gr, hop: &simHop{feeds: []chan islandFeed{feed}}, cut: 1}, nil)
+	failed := make(chan error, 1)
+	join := r.splitAhead(cursors, &feedSink{r: r, gr: &gr, hop: &simHop{feeds: []chan islandFeed{feed}}, cut: 1}, failed)
 	for last := false; !last; {
-		msg := <-feed
-		x.execRounds(msg.Rounds)
-		gr.retire(msg.Rounds)
-		last = msg.Last
+		select {
+		case msg := <-feed:
+			x.execRounds(msg.Rounds)
+			gr.retire(msg.Rounds)
+			last = msg.Last
+		case <-failed:
+			last = true
+		}
 	}
-	any, maxTime, _ := join() // a hop without quit refuses no feed
+	any, maxTime, err := join()
+	for len(feed) > 0 {
+		gr.recycle((<-feed).Rounds)
+	}
 	gr.release()
+	if err != nil {
+		return nil, err
+	}
 	return r.finalize(any, maxTime), nil
 }
 
@@ -310,9 +347,10 @@ type islandExec struct {
 	isl        *island
 	wins       []*island
 	adv, flush []tagged
-	// outs[s][p] is stream s's partition-p scan entry, with s indexing
-	// the splitter's canonical stream order.
-	outs [][]exec.Consumer
+	// rts[s] is stream s's router, with s indexing the splitter's
+	// canonical stream order: its partition-p scan entry and its feed's
+	// read mask.
+	rts []*router
 	// view is the zero-copy chunk window over a delivered column group;
 	// an executor runs on one goroutine, so it has a single writer.
 	view exec.ColBatch
@@ -349,7 +387,7 @@ func (x *islandExec) execRounds(rounds []live.Round) int {
 		for gi := range rd.Groups {
 			g := &rd.Groups[gi]
 			isl.curTag = g.Tag
-			deliverCols(x.outs[g.Stream][g.Part], g.Cols, x.r.batchSize, &x.view)
+			deliverCols(x.rts[g.Stream].outs[g.Part], g.Cols, x.r.batchSize, &x.view)
 		}
 		if rd.Flush {
 			for _, ft := range x.flush {
@@ -420,7 +458,7 @@ func (g *colGrouper) addRun(c *streamCursor, run []netgen.Packet, seq uint64) {
 			p -= m
 		}
 		cb := g.take()
-		netgen.AppendRunCols(cb, run[k:], m)
+		netgen.AppendRunCols(cb, run[k:], m, c.rt.mask)
 		list := c.lists[p]
 		*list = append(*list, live.Group{Tag: phasePush | (seq + uint64(k)), Stream: c.idx, Part: p, Cols: cb})
 	}
@@ -429,12 +467,13 @@ func (g *colGrouper) addRun(c *streamCursor, run []netgen.Packet, seq uint64) {
 
 // routeRun routes run, the open round's packets of c's hash-routed
 // stream, with the first at round-local sequence seq. The run is staged
-// in one column batch and routed column-wise. One pass over the
-// partition vector opens each destination's group, tagged with the
-// sequence of its first row, in first-occurrence order — as if every
-// packet had been routed on arrival — and counts its rows; a
+// in one column batch — the columns the feed carries and those the
+// partitioning set reads (router.stage) — and routed column-wise. One
+// pass over the partition vector opens each destination's group, tagged
+// with the sequence of its first row, in first-occurrence order — as if
+// every packet had been routed on arrival — and counts its rows; a
 // counting sort then lists every destination's rows, and each
-// destination gathers them column by column.
+// destination gathers the feed's columns of them, column by column.
 //
 //qap:hot
 func (g *colGrouper) routeRun(c *streamCursor, run []netgen.Packet, seq uint64) {
@@ -442,7 +481,7 @@ func (g *colGrouper) routeRun(c *streamCursor, run []netgen.Packet, seq uint64) 
 		g.stage = g.take()
 	}
 	st := g.stage
-	netgen.AppendRunCols(st, run, 1)
+	netgen.AppendRunCols(st, run, 1, c.rt.stage)
 	m := len(c.rt.outs)
 	if len(g.end) < m {
 		//qap:allow hotalloc -- sized to the widest router once per run
@@ -473,7 +512,7 @@ func (g *colGrouper) routeRun(c *streamCursor, run []netgen.Packet, seq uint64) 
 	for p, k := range rows {
 		if k > 0 {
 			cb := g.take()
-			gatherCols(cb, st, perm[end[p]-k:end[p]])
+			gatherCols(cb, st, perm[end[p]-k:end[p]], c.rt.mask)
 			(*c.lists[p])[gidx[p]].Cols = cb
 			rows[p] = 0
 		}
@@ -481,27 +520,33 @@ func (g *colGrouper) routeRun(c *streamCursor, run []netgen.Packet, seq uint64) 
 	st.Reset()
 }
 
-// gatherCols fills dst, an empty batch, with rows of src, an all-uint
-// batch, in order, column by column. A dst too small for them is
+// gatherCols fills dst, an empty batch, with rows of src, in order, its
+// columns in read mask mask — uint columns of src — column by column;
+// every other column of dst is pruned. A dst too small for them is
 // resized in one slab, with headroom.
 //
 //qap:hot
-func gatherCols(dst, src *exec.ColBatch, rows []int32) {
+func gatherCols(dst, src *exec.ColBatch, rows []int32, mask uint64) {
 	w, n := len(src.Cols), len(rows)
 	short := cap(dst.Cols) < w
 	for c := 0; c < w && !short; c++ {
-		short = cap(dst.Cols[:w][c].U64) < n
+		short = mask&(1<<c) != 0 && cap(dst.Cols[:w][c].U64) < n
 	}
 	if short {
-		dst.Reserve(w, n+n/4+8)
+		dst.Reserve(w, n+n/4+8, mask)
 	}
 	dst.Cols = dst.Cols[:w]
 	for c := range dst.Cols {
-		s, d := src.Cols[c].U64, dst.Cols[c].U64[:n]
-		for j, r := range rows {
-			d[j] = s[r]
+		d := &dst.Cols[c]
+		if mask&(1<<c) == 0 {
+			d.Prune()
+			continue
 		}
-		dst.Cols[c].Kind, dst.Cols[c].U64 = sqlval.KindUint, d
+		s, dw := src.Cols[c].U64, d.U64[:n]
+		for j, r := range rows {
+			dw[j] = s[r]
+		}
+		d.Kind, d.U64 = sqlval.KindUint, dw
 	}
 	dst.Len = n
 }

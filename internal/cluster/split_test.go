@@ -73,7 +73,8 @@ func (s *recSink) finish(pend [][]live.Round) error {
 // round and every island sees each of them; within a round each (stream,
 // partition) owns one column group on the island that owns the
 // partition, holding exactly the round's packets routed there in merged
-// arrival order under the tag of the first one's sequence; and the
+// arrival order under the tag of the first one's sequence — their
+// columns in the stream's read mask, the others pruned (NULL); and the
 // driver's trace shard carries the same (round, watermark, packets)
 // triples. The batch size does not reach the splitter, but BatchSize 1
 // makes any runner sequential: one executor, whatever Workers says. The
@@ -259,7 +260,7 @@ func checkSplitterRounds(t *testing.T, g *plan.Graph, ps core.Set, o optimizer.O
 	var merged []routed
 	for _, c := range ref {
 		for _, pk := range c.packets {
-			merged = append(merged, routed{time: pk.Time, stream: c.idx, row: pk.Tuple().String()})
+			merged = append(merged, routed{time: pk.Time, stream: c.idx, row: maskedRow(pk, c.rt.mask)})
 		}
 	}
 	sort.SliceStable(merged, func(i, j int) bool {
@@ -352,6 +353,18 @@ func checkSplitterRounds(t *testing.T, g *plan.Graph, ps core.Set, o optimizer.O
 	}
 }
 
+// maskedRow renders pk as a feed of read mask mask holds it: the
+// columns outside the mask pruned, so NULL.
+func maskedRow(pk netgen.Packet, mask uint64) string {
+	t := pk.Tuple()
+	for c := range t {
+		if mask&(1<<c) == 0 {
+			t[c] = sqlval.Null
+		}
+	}
+	return t.String()
+}
+
 // Object budget of a warm sequential replay of the Figure 8 plan (one
 // host, one partition, default batch size) — the benchmark's agg_1host
 // configuration on a 600-round trace, where allocs_per_row is about
@@ -421,8 +434,12 @@ var routeElems = []string{
 
 // FuzzRouteCols holds the staged router to the per-tuple one: for
 // packet columns decoded from data (eight little-endian words a row), a
-// partition count and a set of one or two elements from routeElems,
-// routeCols must give every row the partition route gives its tuple.
+// partition count, a set of one or two elements from routeElems and a
+// read mask, routeCols must give every row the partition route gives
+// its tuple, and routeRun — staging the mask and the set's columns —
+// must open the groups the full-width route opens, under the same tags,
+// each holding the same rows in the mask's columns and pruned columns
+// (KindNull, no payload, no bitmap) in the others.
 func FuzzRouteCols(f *testing.F) {
 	row := func(w ...uint64) []byte {
 		var b []byte
@@ -434,27 +451,33 @@ func FuzzRouteCols(f *testing.F) {
 	rows := append(row(1, 10, 20, 1030, 80, 60, 2, 0), row(1, 11, 20, 5000, 443, 1500, 18, 1)...)
 	rows = append(rows, row(1, 1<<63, ^uint64(0), 0, 0, 0, 0, 0)...) // underflows, a zero divisor
 	for elem := range routeElems {
-		f.Add(rows, uint8(7), uint8(elem))
-		f.Add(rows, uint8(1), uint8(elem+len(routeElems)*(len(routeElems)-elem)))
+		f.Add(rows, uint8(7), uint8(elem), uint8(0b111))
+		f.Add(rows, uint8(1), uint8(elem+len(routeElems)*(len(routeElems)-elem)), uint8(0xFF))
+		f.Add(rows, uint8(3), uint8(elem), uint8(0))
 	}
 	names := []string{"time", "srcIP", "destIP", "srcPort", "destPort", "len", "flags", "seq"} // SchemaDDL order
-	f.Fuzz(func(t *testing.T, data []byte, parts, elem uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, parts, elem, mask uint8) {
 		n := min(len(data)/64, 512)
 		if n == 0 {
 			return
 		}
-		rt := &router{outs: make([]exec.Consumer, 1+int(parts)%16)}
-		k := len(routeElems)
-		for _, e := range []int{int(elem) % k, int(elem)/k%(k+1) - 1} {
-			if e < 0 {
-				continue
+		newRouter := func(mask uint64) *router {
+			rt := &router{outs: make([]exec.Consumer, 1+int(parts)%16), mask: mask, stage: mask}
+			k := len(routeElems)
+			for _, e := range []int{int(elem) % k, int(elem)/k%(k+1) - 1} {
+				if e < 0 {
+					continue
+				}
+				ce, err := exec.CompileCol(gsql.MustParseExpr(routeElems[e]), exec.ColsResolver("", names), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt.hash = append(rt.hash, ce)
+				rt.stage |= ce.Reads()
 			}
-			ce, err := exec.CompileCol(gsql.MustParseExpr(routeElems[e]), exec.ColsResolver("", names), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt.hash = append(rt.hash, ce)
+			return rt
 		}
+		rt := newRouter(uint64(mask))
 		cb := &exec.ColBatch{}
 		var pks []netgen.Packet
 		for i := 0; i < n; i++ {
@@ -467,6 +490,38 @@ func FuzzRouteCols(f *testing.F) {
 		for i, pk := range pks {
 			if want := rt.route(pk.Tuple()); got[i] != uint64(want) {
 				t.Fatalf("row %d %v, %d partitions: routeCols gives %d, route %d", i, pk, len(rt.outs), got[i], want)
+			}
+		}
+
+		// The run routed at the mask, and at full width.
+		routed := func(rt *router) []live.Group {
+			var groups []live.Group
+			c := &streamCursor{rt: rt, lists: make([]*[]live.Group, len(rt.outs))}
+			for p := range c.lists {
+				c.lists[p] = &groups
+			}
+			var gr colGrouper
+			gr.routeRun(c, pks, 5)
+			return groups
+		}
+		pruned, full := routed(rt), routed(newRouter(netgen.AllCols))
+		if len(pruned) != len(full) {
+			t.Fatalf("mask %08b: %d groups, full width %d", mask, len(pruned), len(full))
+		}
+		for i := range full {
+			pg, fg := &pruned[i], &full[i]
+			if pg.Tag != fg.Tag || pg.Part != fg.Part || pg.Cols.Len != fg.Cols.Len || len(pg.Cols.Cols) != netgen.TupleCols {
+				t.Fatalf("mask %08b group %d: tag %d part %d, %d rows in %d columns; full width: tag %d part %d, %d rows",
+					mask, i, pg.Tag, pg.Part, pg.Cols.Len, len(pg.Cols.Cols), fg.Tag, fg.Part, fg.Cols.Len)
+			}
+			for c := range fg.Cols.Cols {
+				pv, fv := &pg.Cols.Cols[c], &fg.Cols.Cols[c]
+				switch {
+				case mask&(1<<c) != 0 && (pv.Kind != fv.Kind || !reflect.DeepEqual(pv.U64, fv.U64) || len(pv.Valid)+len(pv.Int) != 0):
+					t.Fatalf("mask %08b group %d column %d: %v %v, full width %v %v", mask, i, c, pv.Kind, pv.U64, fv.Kind, fv.U64)
+				case mask&(1<<c) == 0 && (pv.Kind != sqlval.KindNull || len(pv.U64)+len(pv.Valid)+len(pv.Int) != 0):
+					t.Fatalf("mask %08b group %d column %d is not pruned: %v %v", mask, i, c, pv.Kind, pv.U64)
+				}
 			}
 		}
 	})

@@ -3,7 +3,7 @@ package exec
 // Column-compiled expressions. CompileCol lowers a gsql expression to
 // a ColExpr: the ordinary row closure (always present, the oracle)
 // plus optional vectorized kernels that evaluate the whole column in
-// one call when the input batch is all-uint (ColBatch.AllUint).
+// one call when the columns it reads hold plain uint words.
 //
 // Kernels are built by composing column getters: a column reference
 // returns the column's payload slice directly (zero copy), constants
@@ -52,7 +52,8 @@ import (
 
 // ColExpr is a column-compiled expression. Row is always set and is
 // the semantic oracle; U and Truth, when non-nil, are only valid on
-// non-empty batches for which AllUint() holds.
+// non-empty batches whose columns in Reads() hold plain uint words (no
+// NULL, no Int row).
 type ColExpr struct {
 	// Row evaluates one tuple, identically to Compile's closure.
 	Row EvalFunc
@@ -79,6 +80,10 @@ type ColExpr struct {
 	reads uint64
 	ref   int
 }
+
+// Reads is the read set of the expression: bit i (columns past 62
+// share bit 63) for every input column it mentions.
+func (e *ColExpr) Reads() uint64 { return e.reads }
 
 // CompileCol compiles e into a ColExpr. The error cases are exactly
 // Compile's; kernel derivation never fails, it just yields nil

@@ -22,9 +22,50 @@ func pushColsRows(c Consumer, cb *ColBatch) {
 	PutBatch(b)
 }
 
-// PushCols implements ColConsumer. The vectorized path needs an
-// all-uint batch, a truth kernel for the filter, and uint kernels for
-// every projection; anything else pivots to the row path.
+// InputReads is the read set (bit i for column i, as ColExpr.Reads) of
+// the input columns c looks at: what its filter, projections, keys,
+// arguments and pre-filter mention, and, for a filter that forwards its
+// input unprojected, what its consumer looks at. It is every column for
+// a consumer that cannot name them: a collector, a window, a union
+// port, an operator some expression of which has no column form.
+func InputReads(c Consumer) uint64 {
+	if r, ok := c.(interface{ inputReads() uint64 }); ok {
+		return r.inputReads()
+	}
+	return allCols
+}
+
+func (o *FilterProject) inputReads() uint64 {
+	if o.Projs == nil {
+		return o.colReads() | InputReads(o.Out)
+	}
+	return o.colReads()
+}
+
+// colReads is the read set of the filter and the projections, every
+// column when one of them has no column form.
+func (o *FilterProject) colReads() uint64 {
+	var m uint64
+	if o.Filter != nil {
+		if o.ColFilter == nil {
+			return allCols
+		}
+		m = o.ColFilter.reads
+	}
+	if len(o.ColProjs) != len(o.Projs) {
+		return allCols
+	}
+	for i := range o.ColProjs {
+		m |= o.ColProjs[i].reads
+	}
+	return m
+}
+
+// PushCols implements ColConsumer. The vectorized path needs a truth
+// kernel for the filter, uint kernels for every projection, and a batch
+// whose columns they read hold plain uint words; without a projection,
+// the columns the filter forwards must be uint words or pruned, which
+// is what colCompact carries. Anything else pivots to the row path.
 //
 //qap:hot
 func (o *FilterProject) PushCols(cb *ColBatch) {
@@ -35,7 +76,7 @@ func (o *FilterProject) PushCols(cb *ColBatch) {
 	if cb.Len == 0 {
 		return
 	}
-	if !cb.AllUint() || !o.colReady() {
+	if !o.colReady() || !cb.plainWords(o.colReads()) || (o.Projs == nil && !cb.uintWords(cb.filled())) {
 		pushColsRows(o, cb)
 		return
 	}
@@ -68,9 +109,10 @@ func (o *FilterProject) colReady() bool {
 // kernels, in that order: the batch to forward — cb itself, or scratch
 // valid until the next call — or nil when no row passes, which like the
 // scalar path makes no downstream call. Every column the filter or a
-// computed projection reads must hold uints that no Int bitmap marks;
-// the others only need to be all-valid words, and a bare column
-// reference forwards its column whatever the kind, Int rows included.
+// computed projection reads must hold uints that no Int bitmap marks; a
+// bare column reference forwards its column whatever the kind, Int rows
+// included. With a projection, only the columns it reads are compacted;
+// without one, every column is, and must be all-valid words or pruned.
 // The aggregate's column emit runs HAVING and its projection, and the
 // join its residual and projection, through here.
 //
@@ -89,7 +131,11 @@ func (o *FilterProject) colApply(cb *ColBatch) *ColBatch {
 			return nil
 		}
 		if keep < cb.Len {
-			o.colCompact(cb, tv, keep)
+			cols := allCols
+			if o.Projs != nil {
+				cols = o.colReads()
+			}
+			o.colCompact(cb, tv, keep, cols)
 			work = &o.colPass
 		}
 	}
@@ -108,15 +154,21 @@ func (o *FilterProject) colPost(cb *ColBatch) *ColBatch {
 	return &o.colOut
 }
 
-// colCompact copies the selected rows of every (word) column, and of
-// its Int bitmap, into the reused colPass scratch.
+// colCompact copies the selected rows of the (word) columns in read set
+// cols, and of their Int bitmaps, into the reused colPass scratch. Every
+// other column, and every pruned one, is pruned there with no payload,
+// as in a feed's chunk window, since colPass goes downstream as it is.
 //
 //qap:hot
-func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int) {
+func (o *FilterProject) colCompact(cb *ColBatch, tv []uint64, keep int, cols uint64) {
 	p := &o.colPass
 	p.Cols = growCols(p.Cols, len(cb.Cols))
 	for c := range cb.Cols {
 		s, d := &cb.Cols[c], &p.Cols[c]
+		if cols&colBit(c) == 0 || s.pruned() {
+			*d = ColVec{Kind: sqlval.KindNull}
+			continue
+		}
 		d.Kind = s.Kind
 		d.Str, d.Valid, d.Int = nil, nil, d.Int[:0]
 		d.U64 = growUints(d.U64, keep)
@@ -302,15 +354,44 @@ func (o *Aggregate) colSupported() bool {
 			o.colNoInt |= p.reads
 		}
 	}
+	o.colReads = o.inputReads()
 	return o.denseInit()
 }
 
-// PushCols implements ColConsumer. A batch of uint words whose Int
-// rows, if any, sit in columns only bare arguments read goes to the
-// dense store while that store can own the groups (densePush). Any
-// other batch — and every batch of an aggregate that is not dense
-// (VARIANCE, COUNT_DISTINCT, or one whose row store holds groups
-// after a denseMigrate) — pivots into the row store.
+// inputReads is the read set of the keys, the pre-filter and the
+// arguments, every column when one of them has no column form.
+func (o *Aggregate) inputReads() uint64 {
+	cfg := &o.cfg
+	if len(cfg.ColGroupBy) != len(cfg.GroupBy) || (cfg.PreFilter != nil && cfg.ColPreFilter == nil) {
+		return allCols
+	}
+	var m uint64
+	for i := range cfg.ColGroupBy {
+		m |= cfg.ColGroupBy[i].reads
+	}
+	if p := cfg.ColPreFilter; p != nil {
+		m |= p.reads
+	}
+	for i, a := range cfg.Aggs {
+		if a.Arg == nil {
+			continue
+		}
+		if len(cfg.ColArgs) != len(cfg.Aggs) || cfg.ColArgs[i] == nil {
+			return allCols
+		}
+		m |= cfg.ColArgs[i].reads
+	}
+	return m
+}
+
+// PushCols implements ColConsumer. A batch whose columns the keys, the
+// pre-filter and the arguments read (colReads) are uint words, with Int
+// rows, if any, in columns only bare arguments read, goes to the dense
+// store while that store can own the groups (densePush); the columns
+// nothing reads may hold anything, pruned ones included. Any other
+// batch — and every batch of an aggregate that is not dense (VARIANCE,
+// COUNT_DISTINCT, or one whose row store holds groups after a
+// denseMigrate) — pivots into the row store.
 //
 //qap:hot
 func (o *Aggregate) PushCols(cb *ColBatch) {
@@ -323,7 +404,7 @@ func (o *Aggregate) PushCols(cb *ColBatch) {
 	if cb.Len == 0 {
 		return
 	}
-	if o.colReady < 0 || !cb.uintWords() || cb.intCols()&o.colNoInt != 0 || (o.denseN == 0 && len(o.groups) > 0) {
+	if o.colReady < 0 || !cb.uintWords(o.colReads) || cb.intCols()&o.colNoInt != 0 || (o.denseN == 0 && len(o.groups) > 0) {
 		pushColsRows(o, cb)
 		return
 	}
@@ -1237,8 +1318,22 @@ func (s *JoinSideConfig) colKeysReady() bool {
 	return true
 }
 
-// PushCols implements ColConsumer. A word-layout join takes an all-uint
-// batch of the side's width as it is: key kernels over the columns,
+// inputReads is the side's need in the word layout; a row-layout join
+// has not derived one.
+func (p *joinPort) inputReads() uint64 {
+	switch {
+	case !p.j.words:
+		return allCols
+	case p.left:
+		return p.j.left.need
+	default:
+		return p.j.right.need
+	}
+}
+
+// PushCols implements ColConsumer. A word-layout join takes a batch of
+// the side's width whose key and kept columns are plain uint words as
+// it is: key kernels over the columns,
 // then build and probe on words (pushWords), which sends the batch's
 // matches downstream as one column batch — or leaves them in outBuf as
 // rows, when a residual or projection kernel is missing. Any other

@@ -21,6 +21,7 @@ package exec
 // unconditionally, whatever the plan downstream retains.
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -41,6 +42,12 @@ import (
 //	KindString Str[i] holds the value; U64 is unused
 //	KindNull   every row is NULL; U64/Str unused
 //
+// A KindNull column without a validity bitmap is pruned: it holds
+// nothing. The splitter feeds one in place of every packet column no
+// operator in front of it reads (InputReads), and its row values are
+// the NULLs a KindNull column stands for; with no payload words, a
+// kernel that reached one would fail on its first slice.
+//
 // Valid is a little-endian bitmap (bit i of word i/64 set = row i is
 // non-NULL). len(Valid) == 0 means every row is valid. NULL rows keep
 // a zero payload word so vectors stay densely indexed.
@@ -49,14 +56,52 @@ import (
 // sqlval.Int(int64(w)) instead — what a subtraction yields for a row
 // that borrowed, an integer SUM below zero, or a MIN or MAX over such
 // values. len(Int) == 0 means no row is. A uint kernel reads the words
-// alone, so every gate that runs one on a column (AllUint) requires it
-// to mark none.
+// alone, so every gate that runs one on a column (plainWords) requires
+// it to mark none.
 type ColVec struct {
 	Kind  sqlval.Kind
 	U64   []uint64
 	Str   []string
 	Valid []uint64
 	Int   []uint64
+}
+
+// pruned reports whether the column holds nothing (see ColVec).
+func (v *ColVec) pruned() bool { return v.Kind == sqlval.KindNull && len(v.Valid) == 0 }
+
+// Prune makes the column a pruned one. Its vectors keep their capacity
+// for the batch's next fill: a feed reaches its scan through Slice,
+// which gives a pruned column no payload at all.
+func (v *ColVec) Prune() {
+	v.Kind, v.U64, v.Str, v.Valid, v.Int = sqlval.KindNull, v.U64[:0], v.Str[:0], v.Valid[:0], v.Int[:0]
+}
+
+// CheckPruned reports how cb is not pruned to read set mask — every
+// column in mask plain uint words (plainWords), every other one pruned
+// — naming the first column that is not; nil when it is.
+func (cb *ColBatch) CheckPruned(mask uint64) error {
+	for c := range cb.Cols {
+		v := &cb.Cols[c]
+		switch read := mask&colBit(c) != 0; {
+		case read && !cb.plainWords(colBit(c)):
+			return fmt.Errorf("column %d: a read column must be NULL-free uint words, got %s", c, v.shape())
+		case !read && !v.pruned():
+			return fmt.Errorf("column %d: a column no operator reads must be pruned, got %s", c, v.shape())
+		}
+	}
+	return nil
+}
+
+// shape names the column's kind and bitmaps, for CheckPruned's errors.
+func (v *ColVec) shape() string {
+	s := v.Kind.String()
+	if len(v.Valid) != 0 {
+		s += " with NULLs"
+	}
+	if len(v.Int) != 0 {
+		s += " with Int rows"
+	}
+	return s
 }
 
 // IsValid reports whether row i is non-NULL.
@@ -119,14 +164,10 @@ type ColBatch struct {
 	Len  int
 }
 
-// AllUint reports whether every column is KindUint with no NULLs and
-// no Int rows. This is the precondition for the compiled uint kernels
-// (ColExpr.U / ColExpr.Truth): network traces pivot to all-uint
-// batches, which is the engine hot path.
-func (cb *ColBatch) AllUint() bool { return cb.plainWords(^uint64(0)) }
-
-// plainWords is AllUint over the columns in read set need (colBit)
-// alone: the precondition for kernels that read only those.
+// plainWords reports whether every column in read set need (colBit) is
+// KindUint with no NULLs and no Int rows: the precondition for the
+// compiled uint kernels (ColExpr.U / ColExpr.Truth) that read only
+// those. A packet feed holds such words in every column it fills.
 func (cb *ColBatch) plainWords(need uint64) bool {
 	for i := range cb.Cols {
 		c := &cb.Cols[i]
@@ -137,16 +178,27 @@ func (cb *ColBatch) plainWords(need uint64) bool {
 	return true
 }
 
-// uintWords reports whether every column is KindUint with no NULLs:
-// one word a row, some of which Int may mark.
-func (cb *ColBatch) uintWords() bool {
+// uintWords reports whether every column in read set need is KindUint
+// with no NULLs: one word a row, some of which Int may mark.
+func (cb *ColBatch) uintWords(need uint64) bool {
 	for i := range cb.Cols {
 		c := &cb.Cols[i]
-		if c.Kind != sqlval.KindUint || len(c.Valid) != 0 {
+		if need&colBit(i) != 0 && (c.Kind != sqlval.KindUint || len(c.Valid) != 0) {
 			return false
 		}
 	}
 	return true
+}
+
+// filled is the read set of the columns that are not pruned.
+func (cb *ColBatch) filled() uint64 {
+	m := allCols
+	for i := range cb.Cols {
+		if cb.Cols[i].pruned() {
+			m &^= colBit(i)
+		}
+	}
+	return m
 }
 
 // wholeInts makes every column whose Int bitmap marks all of its rows
@@ -212,15 +264,24 @@ func PutColBatch(cb *ColBatch) {
 	colBatchPool.Put(cb)
 }
 
-// Reserve gives an empty batch cols uint64 vectors with room for rows
-// values each, carved from one slab: a producer that knows roughly how
-// many rows are coming fills a fresh batch for two allocations instead
-// of one growth chain per column. The batch stays unshaped.
-func (cb *ColBatch) Reserve(cols, rows int) {
-	slab := make([]uint64, cols*rows)
+// Reserve gives an empty batch cols column headers, and those of them
+// in read set need (colBit) uint64 vectors with room for rows values
+// each, carved from one slab: a producer that knows roughly how many
+// rows are coming fills a fresh batch for two allocations instead of
+// one growth chain per column. The batch stays unshaped.
+func (cb *ColBatch) Reserve(cols, rows int, need uint64) {
+	k := 0
+	for i := 0; i < cols; i++ {
+		if need&colBit(i) != 0 {
+			k++
+		}
+	}
+	slab := make([]uint64, k*rows)
 	cb.Cols = make([]ColVec, cols)
 	for i := range cb.Cols {
-		cb.Cols[i].U64 = slab[i*rows : i*rows : (i+1)*rows]
+		if need&colBit(i) != 0 {
+			cb.Cols[i].U64, slab = slab[:0:rows], slab[rows:]
+		}
 	}
 	cb.Cols = cb.Cols[:0]
 }
@@ -507,19 +568,20 @@ func (c *Collector) PushCols(cb *ColBatch) {
 	c.Rows = cb.AppendRows(c.Rows)
 }
 
-// PushCols forwards a batch of uint words — Int rows included — as
-// columns to every consumer that takes columns: each operator's column
-// path takes such a batch, or pivots it itself where a kernel would
-// read an Int row. Consumers that need rows, which for any other batch
-// is all of them, share one pivot to durable rows and take them whole,
-// one consumer after the other.
+// PushCols forwards a batch of uint words — Int rows included, pruned
+// columns beside them — as columns to every consumer that takes
+// columns: each operator's column path takes such a batch, or pivots it
+// itself where a kernel would read an Int row or a pruned column.
+// Consumers that need rows, which for any other batch is all of them,
+// share one pivot to durable rows and take them whole, one consumer
+// after the other.
 //
 //qap:hot
 func (t *Tee) PushCols(cb *ColBatch) {
 	if cb.Len == 0 {
 		return
 	}
-	cols := cb.uintWords()
+	cols := cb.uintWords(cb.filled())
 	var rows Batch
 	for _, o := range t.Outs {
 		if cc, ok := o.(ColConsumer); ok && cols {

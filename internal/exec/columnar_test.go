@@ -88,14 +88,14 @@ func TestColBatchRejectsMixedKinds(t *testing.T) {
 
 func TestColBatchAllUint(t *testing.T) {
 	var cb ColBatch
-	if !cb.SetFromRows(Batch{{sqlval.Uint(1)}, {sqlval.Uint(2)}}) || !cb.AllUint() {
+	if !cb.SetFromRows(Batch{{sqlval.Uint(1)}, {sqlval.Uint(2)}}) || !cb.plainWords(allCols) {
 		t.Error("all-uint batch not detected")
 	}
 	if !cb.SetFromRows(Batch{{sqlval.Uint(1)}, {sqlval.Null}}) {
 		t.Fatal("nullable uint column rejected")
 	}
-	if cb.AllUint() {
-		t.Error("column with NULLs reported AllUint")
+	if cb.plainWords(allCols) {
+		t.Error("column with NULLs reported plainWords")
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 //
 // A second batch mixes NULLs and every value kind to fuzz the
 // row↔column pivot itself: SetFromRows must round-trip each value
-// through the validity bitmaps exactly, and AllUint must reject the
+// through the validity bitmaps exactly, and plainWords must reject the
 // batch so no kernel could legally touch it.
 func FuzzExprCompile(f *testing.F) {
 	for _, src := range []string{
@@ -94,8 +94,8 @@ func FuzzExprCompile(f *testing.F) {
 		if !cb.SetFromRows(rows) {
 			t.Fatalf("SetFromRows failed on an all-uint batch (n=%d)", n)
 		}
-		if !cb.AllUint() {
-			t.Fatal("AllUint is false for a batch of pure uints")
+		if !cb.plainWords(allCols) {
+			t.Fatal("plainWords is false for a batch of pure uints")
 		}
 		if back := cb.AppendRows(nil); len(back) != n {
 			t.Fatalf("pivot round-trip length %d, want %d", len(back), n)
@@ -150,14 +150,14 @@ func FuzzExprCompile(f *testing.F) {
 		}
 
 		// Pivot fuzz: a batch mixing NULLs and every kind must
-		// round-trip exactly and must never claim AllUint.
+		// round-trip exactly and must never claim plainWords.
 		mixed, hasNonUint := fuzzMixedRows(seed^0xabcd, n)
 		var mb ColBatch
 		if !mb.SetFromRows(mixed) {
 			t.Fatalf("SetFromRows failed on mixed batch (n=%d)", n)
 		}
-		if hasNonUint && mb.AllUint() {
-			t.Fatal("AllUint is true for a batch holding non-uint values")
+		if hasNonUint && mb.plainWords(allCols) {
+			t.Fatal("plainWords is true for a batch holding non-uint values")
 		}
 		for i, row := range mixed {
 			for c, want := range row {
@@ -211,7 +211,7 @@ func fuzzUintRows(seed uint64, n int) Batch {
 // fuzzMixedRows builds n rows where each column commits to one value
 // kind (SetFromRows rejects kind-mixing columns by contract) and
 // sprinkles NULLs per cell, and reports whether any value is non-uint
-// or NULL (forcing AllUint to reject the batch).
+// or NULL (forcing plainWords to reject the batch).
 func fuzzMixedRows(seed uint64, n int) (Batch, bool) {
 	s := seed
 	kinds := make([]uint64, 5)

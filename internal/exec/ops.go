@@ -306,6 +306,7 @@ type Aggregate struct {
 	// its words, and the rows' key hashes.
 	colReady   int8 // 0 unknown, 1 dense, -1 row store only
 	colNoInt   uint64
+	colReads   uint64 // inputReads, set with colReady
 	colKeyVecs [][]uint64
 	colHashes  [256]uint64
 	colArgVecs [][]uint64

@@ -181,8 +181,10 @@ func fatalf(format string, args ...any) error {
 	return &fatalErr{err: fmt.Errorf(format, args...)}
 }
 
-// session runs the handshake and the feed loop on one connection.
-func (n *Node) session(conn net.Conn) error {
+// session runs the handshake and the feed loop on one connection. A
+// fatal error leaves the connection open and its writer stopped, for
+// Serve to name the refusal on.
+func (n *Node) session(conn net.Conn) (err error) {
 	to := n.cfg.timeout()
 	conn.SetReadDeadline(time.Now().Add(to)) //qap:allow walltime -- I/O deadline; transport pacing never shapes outputs
 	typ, payload, buf, err := readFrame(conn, n.cfg.maxFrame(), nil)
@@ -225,7 +227,13 @@ func (n *Node) session(conn net.Conn) error {
 
 	s := newSession(conn, n.cfg, n.out, frameFeedAck)
 	s.start()
-	defer s.shutdown()
+	defer func() {
+		if fe := (*fatalErr)(nil); errors.As(err, &fe) {
+			s.halt()
+		} else {
+			s.shutdown()
+		}
+	}()
 	for {
 		var typ byte
 		var payload []byte
@@ -266,7 +274,9 @@ func (n *Node) session(conn net.Conn) error {
 			link, err := n.exec.Execute(m)
 			m.releaseCols()
 			if err != nil {
-				return fmt.Errorf("live: node %d: feed seq %d: %w", n.opt.Host, seq, err)
+				// Execute is deterministic: the redial would resend the
+				// same feed and be refused the same way.
+				return &fatalErr{err: fmt.Errorf("live: node %d: feed seq %d: %w", n.opt.Host, seq, err)}
 			}
 			// Queue the link before acknowledging the feed: once the
 			// ack is on the wire the link must be recorded for

@@ -1,9 +1,11 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -372,5 +374,60 @@ func TestNodeRejectsV1HelloAsFatal(t *testing.T) {
 		}
 		conn.Close()
 		node.Close()
+	}
+}
+
+// refuseExec refuses every feed with the reason it holds: a mis-shaped
+// feed, whose resending would be refused the same way.
+type refuseExec struct{ reason string }
+
+func (e refuseExec) Execute(*FeedMsg) (*LinkMsg, error) { return nil, errors.New(e.reason) }
+func (refuseExec) Result() ([]byte, error)              { return nil, nil }
+
+// TestExecuteRefusalIsFatal: an executor that refuses feed 1 fails the
+// node's session for good — no redial, no second session — and the
+// splitter fails with the node's reason, carried in its refusal frame,
+// instead of resending the feed until the run stalls. No clock is read:
+// the test waits on the two errors alone.
+func TestExecuteRefusalIsFatal(t *testing.T) {
+	cfg := Config{Timeout: 5 * time.Second}
+	node, err := NewNode(cfg, NodeOptions{
+		Host: 0,
+		NewExecutor: func(*Hello) (Executor, error) {
+			return refuseExec{"group for stream 0 partition 1 is out of shape"}, nil
+		},
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- node.Serve() }()
+	defer node.Close()
+
+	var dials atomic.Int32
+	spCfg := cfg
+	spCfg.Dial = func(host, attempt int, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return DefaultDial(cfg.Timeout)(host, attempt, addr)
+	}
+	sp := NewSplitter(spCfg, Hello{Fingerprint: "fp"}, []string{node.Addr()})
+	sp.Start()
+	defer sp.Close()
+	if err := sp.SendFeed(0, &FeedMsg{Rounds: []Round{{Round: 0, WM: 1, Adv: true}}}); err != nil {
+		t.Fatal(err)
+	}
+	reason := "live: node 0: feed seq 1: group for stream 0 partition 1 is out of shape"
+	if err := <-serveErr; err == nil || err.Error() != reason {
+		t.Fatalf("node.Serve = %v, want %q", err, reason)
+	}
+	if err := <-sp.Errs(); err == nil || !strings.Contains(err.Error(), "refused the session: "+reason) {
+		t.Fatalf("splitter error = %v, want the node's reason %q", err, reason)
+	}
+	sp.Close()
+	if n := node.sessions; n != 1 {
+		t.Errorf("the node served %d sessions, want 1", n)
+	}
+	if n := dials.Load(); n != 1 {
+		t.Errorf("the splitter dialed %d times, want 1", n)
 	}
 }

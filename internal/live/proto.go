@@ -16,8 +16,10 @@ import (
 // data item on a link; version 6 appends Hello.Deploy; version 7 adds
 // the refusal frame, a node's reason for refusing a session sent in
 // place of the Welcome; version 8 reshapes a node's result shard to its
-// operators' counters alone, which it ships on every run.
-const ProtocolVersion = 8
+// operators' counters alone, which it ships on every run; version 9
+// prunes a feed group to the packet columns the node's plan reads, the
+// others payload-free NULL columns.
+const ProtocolVersion = 9
 
 // Hello opens (or resumes) a session, splitter -> node.
 type Hello struct {

@@ -342,6 +342,13 @@ func (s *session) shutdown() {
 	s.wg.Wait()
 }
 
+// halt stops the writer once its frame in flight is out, and leaves the
+// connection open for its owner's last frame: a node's refusal.
+func (s *session) halt() {
+	s.once.Do(func() { close(s.stop) })
+	s.wg.Wait()
+}
+
 // setAck records that the peer's stream has been applied through seq;
 // the writer sends the latest value.
 func (s *session) setAck(seq uint64) {

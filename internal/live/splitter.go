@@ -228,8 +228,9 @@ func (p *peer) run() {
 	}
 }
 
-// refusal is a node's refusal frame, read in place of the Welcome: the
-// node's own reason for refusing the session.
+// refusal is a node's refusal frame, read in place of the Welcome or,
+// once its executor refuses a feed, of a link: the node's own reason for
+// refusing the session.
 type refusal struct {
 	host   int
 	reason string
@@ -331,6 +332,10 @@ func (p *peer) session(conn net.Conn) error {
 			}
 			p.linkSeen = seq
 			s.setAck(seq)
+		case frameRefuse:
+			// The node's executor refused a feed: a resent feed would be
+			// refused the same way.
+			return &refusal{host: p.host, reason: string(payload)}
 		default:
 			return fmt.Errorf("live: host %d: unexpected frame type %d", p.host, typ)
 		}

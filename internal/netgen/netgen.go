@@ -105,13 +105,18 @@ func (p Packet) AppendCols(cb *exec.ColBatch) {
 	cb.Len++
 }
 
+// AllCols is the read mask (bit c for column c) of every packet column.
+const AllCols = uint64(1)<<TupleCols - 1
+
 // AppendRunCols appends run[0], run[stride], run[2*stride], … to cb's
-// eight all-uint columns, what AppendCols does for each in turn, in one
-// pass over pre-sized columns. A batch too short for them is resized in
-// one slab, with headroom, its rows carried over.
+// columns in read mask mask, what AppendCols does for each in turn, over
+// pre-sized columns; every other column is pruned (a KindNull column
+// holding nothing). It fills a block of rows a column at a time, so the
+// block's packets stay in cache across its columns. A batch too short
+// for them is resized in one slab, with headroom, its rows carried over.
 //
 //qap:hot
-func AppendRunCols(cb *exec.ColBatch, run []Packet, stride int) {
+func AppendRunCols(cb *exec.ColBatch, run []Packet, stride int, mask uint64) {
 	old := 0
 	if len(cb.Cols) == TupleCols {
 		old = cb.Len
@@ -119,36 +124,81 @@ func AppendRunCols(cb *exec.ColBatch, run []Packet, stride int) {
 	n := old + (len(run)+stride-1)/stride
 	short := cap(cb.Cols) < TupleCols
 	for c := 0; c < TupleCols && !short; c++ {
-		short = cap(cb.Cols[:TupleCols][c].U64) < n
+		short = mask&(1<<c) != 0 && cap(cb.Cols[:TupleCols][c].U64) < n
 	}
 	if short {
 		prev := cb.Cols
-		cb.Reserve(TupleCols, n+n/4+8)
+		cb.Reserve(TupleCols, n+n/4+8, mask)
 		cb.Cols = cb.Cols[:TupleCols]
 		for c := range cb.Cols {
-			if old > 0 {
+			if old > 0 && mask&(1<<c) != 0 {
 				cb.Cols[c].U64 = append(cb.Cols[c].U64, prev[c].U64[:old]...)
 			}
-			cb.Cols[c].Kind = sqlval.KindUint
-		}
-	} else if len(cb.Cols) != TupleCols {
-		cb.Cols = cb.Cols[:TupleCols]
-		for c := range cb.Cols {
-			cb.Cols[c] = exec.ColVec{Kind: sqlval.KindUint, U64: cb.Cols[c].U64[:0]}
 		}
 	}
 	cols := cb.Cols[:TupleCols]
 	for c := range cols {
-		cols[c].U64 = cols[c].U64[:n]
+		v := &cols[c]
+		if mask&(1<<c) == 0 {
+			v.Prune()
+			continue
+		}
+		v.Kind, v.U64, v.Str, v.Valid, v.Int = sqlval.KindUint, v.U64[:n], v.Str[:0], v.Valid[:0], v.Int[:0]
 	}
-	t, src, dst := cols[0].U64[old:n], cols[1].U64[old:n], cols[2].U64[old:n]
-	sp, dp, ln := cols[3].U64[old:n], cols[4].U64[old:n], cols[5].U64[old:n]
-	fl, sq := cols[6].U64[old:n], cols[7].U64[old:n]
-	for j, i := 0, 0; j < len(t); j, i = j+1, i+stride {
-		p := &run[i]
-		t[j], src[j], dst[j], sp[j], dp[j], ln[j], fl[j], sq[j] = p.Time, p.SrcIP, p.DestIP, p.SrcPort, p.DestPort, p.Len, p.Flags, p.Seq
+	for lo := old; lo < n; lo += runBlock {
+		hi := min(lo+runBlock, n)
+		for c := range cols {
+			if mask&(1<<c) != 0 {
+				runCol(cols[c].U64[lo:hi], run[(lo-old)*stride:], stride, c)
+			}
+		}
 	}
-	cb.Len = n
+	cb.Cols, cb.Len = cols, n
+}
+
+// runBlock is the rows AppendRunCols fills a column at a time: a few
+// kilobytes of packets, which stay in the L1 cache across the columns.
+const runBlock = 128
+
+// runCol copies column c of run[0], run[stride], … into dst.
+//
+//qap:hot
+func runCol(dst []uint64, run []Packet, stride, c int) {
+	i := 0
+	switch c {
+	case 0:
+		for j := range dst {
+			dst[j], i = run[i].Time, i+stride
+		}
+	case 1:
+		for j := range dst {
+			dst[j], i = run[i].SrcIP, i+stride
+		}
+	case 2:
+		for j := range dst {
+			dst[j], i = run[i].DestIP, i+stride
+		}
+	case 3:
+		for j := range dst {
+			dst[j], i = run[i].SrcPort, i+stride
+		}
+	case 4:
+		for j := range dst {
+			dst[j], i = run[i].DestPort, i+stride
+		}
+	case 5:
+		for j := range dst {
+			dst[j], i = run[i].Len, i+stride
+		}
+	case 6:
+		for j := range dst {
+			dst[j], i = run[i].Flags, i+stride
+		}
+	default:
+		for j := range dst {
+			dst[j], i = run[i].Seq, i+stride
+		}
+	}
 }
 
 // Config controls trace generation. Every field is required to be

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"qap/internal/exec"
+	"qap/internal/sqlval"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -127,9 +128,11 @@ func TestTupleOrderMatchesSchema(t *testing.T) {
 	}
 }
 
-// AppendRunCols at every stride, into empty, reset and non-empty
-// batches with room to spare or none, leaves exactly the batch that
-// AppendCols of every stride-th packet leaves.
+// AppendRunCols at every stride and read mask, into empty, reset and
+// non-empty batches with room to spare or none, leaves exactly the
+// batch that AppendCols of every stride-th packet leaves in the masked
+// columns, and pruned columns (KindNull, no payload, no bitmap) in the
+// others.
 func TestAppendRunColsMatchesAppendCols(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	pks := make([]Packet, 90)
@@ -151,7 +154,7 @@ func TestAppendRunColsMatchesAppendCols(t *testing.T) {
 		}},
 		{"roomy", func(pre int) *exec.ColBatch {
 			cb := &exec.ColBatch{}
-			cb.Reserve(TupleCols, 200)
+			cb.Reserve(TupleCols, 200, AllCols)
 			for _, p := range pks[:pre] {
 				p.AppendCols(cb)
 			}
@@ -169,27 +172,36 @@ func TestAppendRunColsMatchesAppendCols(t *testing.T) {
 			return cb
 		}},
 	}
+	masks := []uint64{AllCols, 0b111, 0b1000_0001, 0}
 	for _, st := range starts {
 		name, start := st.name, st.fill
-		for stride := 1; stride <= 5; stride++ {
-			for _, pre := range []int{0, 1, 13} {
-				for _, n := range []int{1, 2, stride, stride + 1, 41, 77} {
-					run := pks[pre : pre+n]
-					want := start(pre)
-					for i := 0; i < n; i += stride {
-						run[i].AppendCols(want)
+		for _, mask := range masks {
+			for stride := 1; stride <= 5; stride++ {
+				for _, pre := range []int{0, 1, 13} {
+					if pre > 0 && mask != AllCols {
+						continue // rows already in a batch keep the columns they were filled with
 					}
-					got := start(pre)
-					AppendRunCols(got, run, stride)
-					if got.Len != want.Len || len(got.Cols) != len(want.Cols) {
-						t.Fatalf("%s stride %d, %d rows after %d: %d rows in %d columns, want %d in %d",
-							name, stride, n, pre, got.Len, len(got.Cols), want.Len, len(want.Cols))
-					}
-					for c := range want.Cols {
-						g, w := got.Cols[c], want.Cols[c]
-						if g.Kind != w.Kind || !slices.Equal(g.U64, w.U64) {
-							t.Fatalf("%s stride %d, %d rows after %d: column %d is %v %v, want %v %v",
-								name, stride, n, pre, c, g.Kind, g.U64, w.Kind, w.U64)
+					for _, n := range []int{1, 2, stride, stride + 1, 41, 77} {
+						run := pks[pre : pre+n]
+						want := start(pre)
+						for i := 0; i < n; i += stride {
+							run[i].AppendCols(want)
+						}
+						got := start(pre)
+						AppendRunCols(got, run, stride, mask)
+						if got.Len != want.Len || len(got.Cols) != len(want.Cols) {
+							t.Fatalf("%s mask %b stride %d, %d rows after %d: %d rows in %d columns, want %d in %d",
+								name, mask, stride, n, pre, got.Len, len(got.Cols), want.Len, len(want.Cols))
+						}
+						for c := range want.Cols {
+							g, w := got.Cols[c], want.Cols[c]
+							if mask&(1<<c) == 0 {
+								w = exec.ColVec{Kind: sqlval.KindNull}
+							}
+							if g.Kind != w.Kind || !slices.Equal(g.U64, w.U64) || len(g.Valid) != 0 || len(g.Int) != 0 {
+								t.Fatalf("%s mask %b stride %d, %d rows after %d: column %d is %v %v, want %v %v",
+									name, mask, stride, n, pre, c, g.Kind, g.U64, w.Kind, w.U64)
+							}
 						}
 					}
 				}

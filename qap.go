@@ -399,8 +399,10 @@ type RunResult struct {
 	// OpStats maps every physical operator ID to its counters.
 	OpStats map[int]*OpStats
 	// LoadSeries is the online monitoring output: per-host counter
-	// deltas per DeployConfig.LoadWindowSec of trace time. Nil unless
-	// monitoring was enabled.
+	// deltas per DeployConfig.LoadWindowSec of trace time. A traced run
+	// (DeployConfig.Trace) with LoadWindowSec 0 carries one too, paced
+	// at the trace's window of cluster.DefaultTraceWindowSec seconds.
+	// Nil when the run has neither.
 	LoadSeries []LoadWindow
 	// Trace is the run's causal trace; nil unless DeployConfig.Trace
 	// was set. Its CanonicalJSONL is byte-identical for any
